@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-escapes lint-state lint-bench race test bench bench-json profile sweep experiments examples clean
+.PHONY: all build vet lint lint-escapes lint-state lint-bench race test bench bench-json ledger profile sweep experiments examples clean
 
 all: build vet lint test
 
@@ -121,13 +121,20 @@ sweep:
 # pre-optimization baseline over from the existing file, so the speedup
 # column keeps comparing against the same reference point, and it exits
 # non-zero if any section's statistics diverge from its reference loop
-# (or a speedup gate fails where it applies: >= 1.8x parallel on a
-# >= 4-CPU host, >= 5x gated at the 2%-load point).
+# (or the parallel speedup gate fails where it applies: >= 1.8x on a
+# >= 4-CPU host). The gated/dense ratio at low load is recorded, not
+# gated; low-load speed is the ledger's mesh16_low row (make ledger).
 bench-json:
 	go run ./cmd/harnessbench -o BENCH_harness.json
 	@cat BENCH_harness.json
 	go run ./cmd/cyclebench -o BENCH_cycle.json
 	@cat BENCH_cycle.json
+
+# The performance ledger (bench/README.md, BENCHMARK.json): all six
+# workloads' end-to-end metrics with their correctness checks; exits
+# non-zero when a check fails. Add -trace 1 for the per-layer rows.
+ledger:
+	go run ./bench -workload all
 
 # Profile a short Figure 8 sweep point (cpu + heap) into ./profiles/.
 # Inspect with: go tool pprof profiles/sweep_cpu.pprof

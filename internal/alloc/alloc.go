@@ -60,6 +60,10 @@ type Config struct {
 	Partition Partition
 }
 
+// MaxVCs bounds Config.VCs: the request lines of one port's VCs (and so
+// of any sub-group) are packed into a single 64-bit arbiter word.
+const MaxVCs = 64
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
@@ -71,6 +75,8 @@ func (c Config) Validate() error {
 		return errors.New("alloc: VirtualInputs must be positive")
 	case c.VirtualInputs > c.VCs:
 		return fmt.Errorf("alloc: VirtualInputs (%d) exceeds VCs (%d)", c.VirtualInputs, c.VCs)
+	case c.VCs > MaxVCs:
+		return fmt.Errorf("alloc: VCs (%d) exceeds the %d request lines of one arbiter word", c.VCs, MaxVCs)
 	}
 	return nil
 }
@@ -297,12 +303,15 @@ func (s *rowScratch) group(rs *RequestSet) [][]int {
 		s.occ[wi] = 0
 	}
 	for i, r := range rs.Requests {
-		row := int(s.rowOf[r.Port*s.vcs+r.VC])
+		row := s.row(r)
 		s.occ.set(row)
 		s.rows[row] = append(s.rows[row], i)
 	}
 	return s.rows
 }
+
+// row returns the crossbar row carrying r, from the precomputed table.
+func (s *rowScratch) row(r Request) int { return int(s.rowOf[r.Port*s.vcs+r.VC]) }
 
 // occupied returns the occupancy words of the last group call: bit i is
 // set exactly when rows[i] is non-empty. Valid until the next group call.
@@ -359,37 +368,38 @@ func (s *cellScratch) at(row, out int) []int {
 // shared by the matrix-style allocators: it maps each input-arbiter slot
 // of a row onto the request index offered by the VC in that slot.
 type vcPickScratch struct {
-	slotReq   []bool
-	slotToReq []int
+	slotOf    []int32 // per vc: precomputed Config.Slot
+	groupSize int
+	slotToReq []int32 // per slot: offered request index; valid where pick's mask has the bit
 }
 
-// newVCPickScratch sizes the slot vectors for cfg.
+// newVCPickScratch sizes the slot table for cfg.
 func newVCPickScratch(cfg Config) vcPickScratch {
 	return vcPickScratch{
-		slotReq:   make([]bool, cfg.GroupSize()),
-		slotToReq: make([]int, cfg.GroupSize()),
+		slotOf:    slotTable(cfg),
+		groupSize: cfg.GroupSize(),
+		slotToReq: make([]int32, cfg.GroupSize()),
 	}
 }
 
-// pick selects which of a row's requests wins via the row's round-robin
-// arbiter (advancing it), mirroring the one-VC-per-slot mapping the
-// hardware input arbiter sees. len(reqIdxs) must be at least 1.
-func (s *vcPickScratch) pick(cfg Config, rs *RequestSet, reqIdxs []int, a arb.Arbiter) int {
+// pick selects which of a row's requests wins by round-robin over the
+// row's slot mask from the row's pointer ptr, mirroring the one-VC-per-
+// slot mapping the hardware input arbiter sees (first request per slot
+// wins). It returns the winning request index and the pointer the caller
+// stores back; a lone request wins without moving the pointer.
+// len(reqIdxs) must be at least 1.
+func (s *vcPickScratch) pick(rs *RequestSet, reqIdxs []int, ptr int32) (reqIdx int, next int32) {
 	if len(reqIdxs) == 1 {
-		return reqIdxs[0]
+		return reqIdxs[0], ptr
 	}
-	for i := range s.slotReq {
-		s.slotReq[i] = false
-		s.slotToReq[i] = -1
-	}
+	var mask uint64
 	for _, idx := range reqIdxs {
-		slot := cfg.Slot(rs.Requests[idx].VC)
-		s.slotReq[slot] = true
-		if s.slotToReq[slot] < 0 {
-			s.slotToReq[slot] = idx
+		slot := s.slotOf[rs.Requests[idx].VC]
+		if bit := uint64(1) << uint(slot); mask&bit == 0 {
+			mask |= bit
+			s.slotToReq[slot] = int32(idx)
 		}
 	}
-	slot := a.Arbitrate(s.slotReq)
-	a.Ack(slot)
-	return s.slotToReq[slot]
+	slot := arb.Pick(mask, int(ptr))
+	return int(s.slotToReq[slot]), int32(arb.Next(slot, s.groupSize))
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -385,6 +386,36 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Ports: 5, VCs: 6, VirtualInputs: 2}).Validate(); err != nil {
 		t.Errorf("Validate rejected valid config: %v", err)
+	}
+}
+
+// TestVCsBeyondArbiterWordRejected pins the one width the packed request
+// words assume: a port's VCs share a 64-bit word, so VCs > MaxVCs is an
+// error from Validate and New, and an "alloc: "-prefixed panic from a
+// constructor, never a silently truncated shift.
+func TestVCsBeyondArbiterWordRejected(t *testing.T) {
+	if err := (Config{Ports: 2, VCs: MaxVCs, VirtualInputs: 1}).Validate(); err != nil {
+		t.Errorf("Validate rejected VCs == MaxVCs: %v", err)
+	}
+	wide := Config{Ports: 2, VCs: MaxVCs + 1, VirtualInputs: 2}
+	if err := wide.Validate(); err == nil || !strings.HasPrefix(err.Error(), "alloc: ") {
+		t.Errorf("Validate(%+v) = %v, want an alloc: error", wide, err)
+	}
+	if _, err := New(KindSeparableIF, wide); err == nil {
+		t.Errorf("New accepted %+v", wide)
+	}
+	for name, construct := range map[string]func(){
+		"if":        func() { NewSeparableIF(wide) },
+		"wavefront": func() { NewWavefront(wide) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "alloc: ") {
+					t.Errorf("%s constructor on %+v: recovered %q, want an alloc: panic", name, wide, msg)
+				}
+			}()
+			construct()
+		}()
 	}
 }
 

@@ -1,7 +1,5 @@
 package alloc
 
-import "vix/internal/arb"
-
 // AugmentingPath computes a maximum bipartite matching between crossbar
 // rows and output ports each cycle using Kuhn's augmenting-path algorithm
 // (the Ford-Fulkerson construction the paper cites). It is the "AP"
@@ -15,8 +13,8 @@ import "vix/internal/arb"
 // its search order — exactly the behaviour a hardware realisation would
 // have — which is what produces that unfairness.
 type AugmentingPath struct {
-	cfg    Config
-	vcPick []arb.Arbiter // per row, selects the transmitting VC
+	cfg   Config
+	vcPtr []int32 // per row: round-robin pointer selecting the transmitting VC
 
 	// scratch for matching
 	adj      [][]int // adj[row] = outputs requested
@@ -31,8 +29,9 @@ type AugmentingPath struct {
 // panics if cfg is invalid.
 func NewAugmentingPath(cfg Config) *AugmentingPath {
 	mustValidate(cfg)
-	a := &AugmentingPath{
+	return &AugmentingPath{
 		cfg:      cfg,
+		vcPtr:    make([]int32, cfg.Rows()),
 		adj:      make([][]int, cfg.Rows()),
 		matchTo:  make([]int, cfg.Ports),
 		visited:  make([]bool, cfg.Ports),
@@ -40,11 +39,6 @@ func NewAugmentingPath(cfg Config) *AugmentingPath {
 		slots:    newVCPickScratch(cfg),
 		grants:   make([]Grant, 0, cfg.Ports),
 	}
-	a.vcPick = make([]arb.Arbiter, cfg.Rows())
-	for i := range a.vcPick {
-		a.vcPick[i] = arb.NewRoundRobin(cfg.GroupSize())
-	}
-	return a
 }
 
 // Name implements Allocator.
@@ -52,8 +46,8 @@ func (a *AugmentingPath) Name() string { return "ap" }
 
 // Reset implements Allocator.
 func (a *AugmentingPath) Reset() {
-	for _, p := range a.vcPick {
-		p.Reset()
+	for i := range a.vcPtr {
+		a.vcPtr[i] = 0
 	}
 }
 
@@ -93,7 +87,8 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 		if row < 0 {
 			continue
 		}
-		idx := a.slots.pick(a.cfg, rs, a.cellReqs.at(row, out), a.vcPick[row])
+		var idx int
+		idx, a.vcPtr[row] = a.slots.pick(rs, a.cellReqs.at(row, out), a.vcPtr[row])
 		a.grants = append(a.grants, Grant{Req: idx, OutPort: out, Row: row})
 	}
 	return a.grants

@@ -125,7 +125,7 @@ func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
 	p.rest.Requests = p.rest.Requests[:0]
 	p.restIdx = p.restIdx[:0]
 	for i, r := range rs.Requests {
-		row := p.cfg.Row(r.Port, r.VC)
+		row := p.rowReqs.row(r)
 		if p.rowChained[row] || p.outChained[r.OutPort] {
 			continue
 		}

@@ -26,12 +26,17 @@ func FuzzAllocate(f *testing.F) {
 	f.Add(uint64(3), uint8(2), uint8(1), uint8(1), uint8(4))
 	f.Add(uint64(4), uint8(8), uint8(6), uint8(3), uint8(6))
 	f.Add(uint64(0xdeadbeef), uint8(3), uint8(5), uint8(5), uint8(10))
+	// The dense-reference lockstep corpus: radix 10, short last
+	// sub-groups, the interleaved partition, two-word row masks, a full
+	// 64-line arbiter word.
+	for i, g := range alloc.ReferenceGeometries() {
+		f.Add(uint64(100+i), uint8(g.Ports-2), uint8(g.VCs-1), uint8(g.VirtualInputs-1), uint8(15)|uint8(g.Partition)<<7)
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, ports, vcs, virtuals, cycles uint8) {
 		cfg := alloc.Config{
-			Ports:         int(ports)%7 + 2, // 2..8
-			VCs:           int(vcs)%8 + 1,   // 1..8
-			VirtualInputs: 1,                // adjusted per kind below
-			Partition:     alloc.Partition(virtuals) % 2,
+			Ports:     int(ports)%15 + 2,         // 2..16
+			VCs:       int(vcs)%alloc.MaxVCs + 1, // 1..MaxVCs
+			Partition: alloc.Partition(cycles >> 7),
 		}
 		cfg.VirtualInputs = int(virtuals)%cfg.VCs + 1 // 1..VCs
 		nCycles := int(cycles)%16 + 1

@@ -24,7 +24,7 @@ type ISLIP struct {
 	iterations int
 	grantArbs  []arb.Arbiter // per output, over rows
 	acceptArbs []arb.Arbiter // per row, over outputs
-	vcPick     []arb.Arbiter // per row, over sub-group VC slots
+	vcPtr      []int32       // per row: round-robin pointer over sub-group VC slots
 
 	// scratch
 	rowVec   []bool
@@ -69,10 +69,9 @@ func NewISLIP(cfg Config, iterations int) *ISLIP {
 		s.grantArbs[i] = arb.NewRoundRobin(cfg.Rows())
 	}
 	s.acceptArbs = make([]arb.Arbiter, cfg.Rows())
-	s.vcPick = make([]arb.Arbiter, cfg.Rows())
+	s.vcPtr = make([]int32, cfg.Rows())
 	for i := range s.acceptArbs {
 		s.acceptArbs[i] = arb.NewRoundRobin(cfg.Ports)
-		s.vcPick[i] = arb.NewRoundRobin(cfg.GroupSize())
 	}
 	return s
 }
@@ -91,8 +90,8 @@ func (s *ISLIP) Reset() {
 	for _, a := range s.acceptArbs {
 		a.Reset()
 	}
-	for _, a := range s.vcPick {
-		a.Reset()
+	for i := range s.vcPtr {
+		s.vcPtr[i] = 0
 	}
 }
 
@@ -162,7 +161,8 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 			if out < 0 {
 				continue
 			}
-			idx := s.slots.pick(s.cfg, rs, s.cellReqs.at(row, out), s.vcPick[row])
+			var idx int
+			idx, s.vcPtr[row] = s.slots.pick(rs, s.cellReqs.at(row, out), s.vcPtr[row])
 			s.grants = append(s.grants, Grant{Req: idx, OutPort: out, Row: row})
 			s.rowDone[row] = true
 			s.outDone[out] = true

@@ -9,10 +9,11 @@ import (
 
 // denseSeparableIF is a test-local reference copy of the input-first
 // separable allocator written with dense O(Rows) and O(Ports x Rows)
-// scans — the algorithm as specified, without the packed occupancy-word
-// walks the production SeparableIF uses. The differential test below
-// runs both in lockstep; any divergence means the packed walks changed
-// behaviour, not just cost.
+// scans over []bool request vectors and arb.RoundRobin objects — the
+// algorithm as specified, without the packed request words and plain
+// pointer arrays the production SeparableIF uses. The differential test
+// below runs both in lockstep; any divergence means the mask arbiters
+// changed behaviour, not just cost.
 type denseSeparableIF struct {
 	cfg        Config
 	inputArbs  []arb.Arbiter
@@ -104,38 +105,245 @@ func (d *denseSeparableIF) allocate(rs *RequestSet) []Grant {
 	return d.grants
 }
 
-// TestSeparableIFMatchesDenseReference runs the packed production
-// allocator and the dense reference in lockstep on identical request
-// streams — load swinging between saturation, trickle, and silence so
-// stale-scratch bugs would surface — and demands identical grant
-// sequences every cycle. The 16-port ideal-VIX geometry pushes Rows past
-// 64, covering the multi-word bitset paths.
-func TestSeparableIFMatchesDenseReference(t *testing.T) {
-	for _, cfg := range []Config{
-		{Ports: 5, VCs: 4, VirtualInputs: 1},
-		{Ports: 5, VCs: 6, VirtualInputs: 2},
-		{Ports: 8, VCs: 6, VirtualInputs: 6},
-		{Ports: 16, VCs: 8, VirtualInputs: 8}, // Rows = 128: two occupancy words
-	} {
-		packed := NewSeparableIF(cfg)
-		dense := newDenseSeparableIF(cfg)
-		rng := sim.NewRNG(404)
-		loads := []float64{0.9, 0.05, 0, 0.5, 0, 0.95, 0.1}
-		for cycle := 0; cycle < 400; cycle++ {
-			rs := randomRequestSet(rng, cfg, loads[cycle%len(loads)])
-			gp, gd := packed.Allocate(rs), dense.allocate(rs)
-			if len(gp) != len(gd) {
-				t.Fatalf("cfg %+v cycle %d: packed granted %d, dense %d", cfg, cycle, len(gp), len(gd))
+// denseWavefront is the wavefront allocator as it was written before the
+// per-diagonal row masks: a full (diagonal, row) sweep probing every cell
+// with a modulo each, []bool busy vectors, and arb.RoundRobin objects
+// choosing among a cell's VCs through a []bool slot vector. It is the
+// reference the bucketed production sweep is held to.
+type denseWavefront struct {
+	cfg    Config
+	prio   int
+	vcPick []arb.Arbiter
+
+	cell      [][][]int // cell[row][out] = request indices
+	rowBusy   []bool
+	outBusy   []bool
+	slotReq   []bool
+	slotToReq []int
+	grants    []Grant
+}
+
+func newDenseWavefront(cfg Config) *denseWavefront {
+	d := &denseWavefront{
+		cfg:       cfg,
+		cell:      make([][][]int, cfg.Rows()),
+		rowBusy:   make([]bool, cfg.Rows()),
+		outBusy:   make([]bool, cfg.Ports),
+		slotReq:   make([]bool, cfg.GroupSize()),
+		slotToReq: make([]int, cfg.GroupSize()),
+	}
+	for i := range d.cell {
+		d.cell[i] = make([][]int, cfg.Ports)
+	}
+	d.vcPick = make([]arb.Arbiter, cfg.Rows())
+	for i := range d.vcPick {
+		d.vcPick[i] = arb.NewRoundRobin(cfg.GroupSize())
+	}
+	return d
+}
+
+// pick is the []bool form of vcPickScratch.pick.
+func (d *denseWavefront) pick(rs *RequestSet, reqIdxs []int, a arb.Arbiter) int {
+	if len(reqIdxs) == 1 {
+		return reqIdxs[0]
+	}
+	for i := range d.slotReq {
+		d.slotReq[i] = false
+		d.slotToReq[i] = -1
+	}
+	for _, idx := range reqIdxs {
+		slot := d.cfg.Slot(rs.Requests[idx].VC)
+		d.slotReq[slot] = true
+		if d.slotToReq[slot] < 0 {
+			d.slotToReq[slot] = idx
+		}
+	}
+	slot := a.Arbitrate(d.slotReq)
+	a.Ack(slot)
+	return d.slotToReq[slot]
+}
+
+func (d *denseWavefront) allocate(rs *RequestSet) []Grant {
+	rows, outs := d.cfg.Rows(), d.cfg.Ports
+	for i := range d.cell {
+		for j := range d.cell[i] {
+			d.cell[i][j] = d.cell[i][j][:0]
+		}
+		d.rowBusy[i] = false
+	}
+	for j := range d.outBusy {
+		d.outBusy[j] = false
+	}
+	for idx, r := range rs.Requests {
+		row := d.cfg.Row(r.Port, r.VC)
+		d.cell[row][r.OutPort] = append(d.cell[row][r.OutPort], idx)
+	}
+	n := rows
+	if outs > n {
+		n = outs
+	}
+	d.grants = d.grants[:0]
+	for k := 0; k < n; k++ {
+		diag := (d.prio + k) % n
+		for i := 0; i < rows; i++ {
+			j := ((diag-i)%n + n) % n
+			if j >= outs || len(d.cell[i][j]) == 0 || d.rowBusy[i] || d.outBusy[j] {
+				continue
 			}
-			for j := range gp {
-				if gp[j] != gd[j] {
-					t.Fatalf("cfg %+v cycle %d grant %d: packed %+v, dense %+v", cfg, cycle, j, gp[j], gd[j])
-				}
-			}
-			if err := Validate(rs, gp); err != nil {
-				t.Fatalf("cfg %+v cycle %d: %v", cfg, cycle, err)
+			idx := d.pick(rs, d.cell[i][j], d.vcPick[i])
+			d.grants = append(d.grants, Grant{Req: idx, OutPort: j, Row: i})
+			d.rowBusy[i] = true
+			d.outBusy[j] = true
+		}
+	}
+	d.prio = (d.prio + 1) % n
+	return d.grants
+}
+
+// rrPointer reads a round-robin arbiter's priority pointer through its
+// stateless decision: with every line raised, the winner is the pointer.
+func rrPointer(a arb.Arbiter) int32 {
+	all := make([]bool, a.Size())
+	for i := range all {
+		all[i] = true
+	}
+	return int32(a.Arbitrate(all))
+}
+
+// ReferenceGeometries (exported to the external test package) is the
+// corpus the mask allocators are held to their dense references on: the three evaluated radices at k = 1, 2 and VCs,
+// VC counts k does not divide (a short last sub-group), the interleaved
+// partition, and the 128-row ideal-VIX crossbar whose row masks span two
+// words. FuzzAllocate seeds from the same list.
+func ReferenceGeometries() []Config {
+	var cfgs []Config
+	for _, ports := range []int{5, 8, 10} {
+		for _, vcs := range []int{4, 6} {
+			for _, k := range []int{1, 2, vcs} {
+				cfgs = append(cfgs, Config{Ports: ports, VCs: vcs, VirtualInputs: k})
 			}
 		}
+	}
+	return append(cfgs,
+		Config{Ports: 5, VCs: 5, VirtualInputs: 2},
+		Config{Ports: 8, VCs: 7, VirtualInputs: 3},
+		Config{Ports: 5, VCs: 5, VirtualInputs: 4}, // last sub-group empty
+		Config{Ports: 5, VCs: 6, VirtualInputs: 2, Partition: Interleaved},
+		Config{Ports: 10, VCs: 7, VirtualInputs: 3, Partition: Interleaved},
+		Config{Ports: 16, VCs: 8, VirtualInputs: 8},  // Rows = 128: two row-mask words
+		Config{Ports: 3, VCs: 64, VirtualInputs: 1},  // a full 64-line arbiter word
+		Config{Ports: 2, VCs: 64, VirtualInputs: 64}, // Rows = 128 > Ports
+	)
+}
+
+// lockstepRequests draws one cycle of the lockstep streams. Load swings
+// between saturation, trickle and silence so a mask left dirty by a lazy
+// clear would surface; some sets offer a second request on a VC already
+// requesting (the first per slot must stand) and some arrive out of
+// (port, vc) order.
+func lockstepRequests(rng *sim.RNG, cfg Config, cycle int) *RequestSet {
+	loads := []float64{0.9, 0.05, 0, 0.5, 0, 0.95, 0.1, 0}
+	rs := randomRequestSet(rng, cfg, loads[cycle%len(loads)])
+	if n := len(rs.Requests); n > 0 && rng.Bernoulli(0.2) {
+		for dups := 1 + rng.Intn(3); dups > 0; dups-- {
+			dup := rs.Requests[rng.Intn(n)]
+			dup.OutPort = rng.Intn(cfg.Ports)
+			rs.Requests = append(rs.Requests, dup)
+		}
+	}
+	if rng.Bernoulli(0.2) {
+		for i := len(rs.Requests) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			rs.Requests[i], rs.Requests[j] = rs.Requests[j], rs.Requests[i]
+		}
+	}
+	return rs
+}
+
+// lockstepCycles is the stream length per geometry.
+const lockstepCycles = 2500
+
+// runLockstep drives a mask allocator and its dense reference with
+// identical request streams and demands identical grant sequences every
+// cycle, then calls same to compare the persistent arbiter state. Idle
+// spans reach the reference as literal empty calls and the mask allocator
+// as either those or one SkipIdle.
+func runLockstep(t *testing.T, cfg Config, packed Allocator, dense func(*RequestSet) []Grant, same func(cycle int)) {
+	t.Helper()
+	rng := sim.NewRNG(404)
+	empty := &RequestSet{Config: cfg}
+	for cycle := 0; cycle < lockstepCycles; cycle++ {
+		rs := lockstepRequests(rng, cfg, cycle)
+		if len(rs.Requests) == 0 && rng.Bernoulli(0.5) {
+			// Mostly short spans; one in eight outlasts the wavefront's
+			// diagonal period, max(Rows, Ports).
+			span := 1 + rng.Intn(4)
+			if rng.Bernoulli(0.125) {
+				span += cfg.Rows() + cfg.Ports
+			}
+			for i := 0; i < span; i++ {
+				dense(empty)
+			}
+			packed.(IdleSkipper).SkipIdle(span)
+			same(cycle)
+			continue
+		}
+		gp, gd := packed.Allocate(rs), dense(rs)
+		if len(gp) != len(gd) {
+			t.Fatalf("cfg %+v cycle %d: packed granted %d, dense %d", cfg, cycle, len(gp), len(gd))
+		}
+		for j := range gp {
+			if gp[j] != gd[j] {
+				t.Fatalf("cfg %+v cycle %d grant %d: packed %+v, dense %+v", cfg, cycle, j, gp[j], gd[j])
+			}
+		}
+		if err := Validate(rs, gp); err != nil {
+			t.Fatalf("cfg %+v cycle %d: %v", cfg, cycle, err)
+		}
+		same(cycle)
+	}
+}
+
+// TestSeparableIFMatchesDenseReference holds the mask SeparableIF to the
+// dense reference over ReferenceGeometries: same grants in the same
+// order, and the same input- and output-arbiter pointers after every
+// call.
+func TestSeparableIFMatchesDenseReference(t *testing.T) {
+	for _, cfg := range ReferenceGeometries() {
+		packed := NewSeparableIF(cfg)
+		dense := newDenseSeparableIF(cfg)
+		runLockstep(t, cfg, packed, dense.allocate, func(cycle int) {
+			for row, a := range dense.inputArbs {
+				if got, want := packed.inPtr[row], rrPointer(a); got != want {
+					t.Fatalf("cfg %+v cycle %d: input pointer of row %d is %d, dense %d", cfg, cycle, row, got, want)
+				}
+			}
+			for out, a := range dense.outputArbs {
+				if got, want := packed.outPtr[out], rrPointer(a); got != want {
+					t.Fatalf("cfg %+v cycle %d: output pointer of port %d is %d, dense %d", cfg, cycle, out, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWavefrontMatchesDenseReference is the wavefront twin: the bucketed
+// sweep against the full (diagonal, row) sweep, comparing grants, the
+// priority diagonal and every row's VC pointer.
+func TestWavefrontMatchesDenseReference(t *testing.T) {
+	for _, cfg := range ReferenceGeometries() {
+		packed := NewWavefront(cfg)
+		dense := newDenseWavefront(cfg)
+		runLockstep(t, cfg, packed, dense.allocate, func(cycle int) {
+			if packed.prio != dense.prio {
+				t.Fatalf("cfg %+v cycle %d: priority diagonal %d, dense %d", cfg, cycle, packed.prio, dense.prio)
+			}
+			for row, a := range dense.vcPick {
+				if got, want := packed.vcPtr[row], rrPointer(a); got != want {
+					t.Fatalf("cfg %+v cycle %d: VC pointer of row %d is %d, dense %d", cfg, cycle, row, got, want)
+				}
+			}
+		})
 	}
 }
 

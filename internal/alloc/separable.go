@@ -20,19 +20,31 @@ import (
 // Arbiter pointers follow iSLIP semantics: an input arbiter advances its
 // pointer only when its candidate also wins output arbitration, so a VC
 // that loses in phase two keeps priority the next cycle.
+//
+// The arbiters are what the paper draws (Fig. 2): request lines packed
+// into words, and a round-robin pick over each (arb.Pick). A row's
+// request word has one bit per sub-group slot, an output's has one bit
+// per crossbar row; both are built straight from the request list, so a
+// call costs what its requests cost, not Rows x GroupSize.
 type SeparableIF struct {
-	cfg        Config
-	inputArbs  []arb.Arbiter // one per crossbar row, over GroupSize slots
-	outputArbs []arb.Arbiter // one per output port, over Rows rows
-
-	// scratch buffers reused across cycles to avoid per-cycle allocation.
+	cfg       Config
+	rowOf     []int32 // per port*VCs+vc: precomputed Config.Row
 	slotOf    []int32 // per vc: precomputed Config.Slot
-	slotReq   []bool
-	rowReq    []bool   // all-false between phase-two output arbitrations
-	candidate []int    // per row: winning request index; stale for rows absent from outMask
-	slotToReq []int    // per slot: offered request index, -1 if none
-	outMask   []bitset // per output port: rows whose phase-one candidate requests it
-	rowReqs   rowScratch
+	groupSize int
+	rowWords  int // words per output's row mask
+
+	inPtr  []int32 // per crossbar row: input-arbiter pointer over GroupSize slots
+	outPtr []int32 // per output port: output-arbiter pointer over Rows rows
+
+	// The masks are all-zero between calls: each is drained as it is
+	// consumed, so a cycle never sweeps them.
+	slotMask []uint64 // per row: slots offering a request
+	rowOcc   bitset   // rows whose slotMask is non-zero
+	outMask  []uint64 // per output, rowWords each: rows whose candidate requests it
+	outOcc   bitset   // outputs whose outMask is non-zero
+
+	slotReq   []int32 // per row*groupSize+slot: the request offered there; valid where slotMask has the bit
+	candidate []int32 // per row: phase-one winner; valid for rows present in an outMask
 	grants    []Grant
 }
 
@@ -40,29 +52,23 @@ type SeparableIF struct {
 // It panics if cfg is invalid.
 func NewSeparableIF(cfg Config) *SeparableIF {
 	mustValidate(cfg)
-	s := &SeparableIF{
+	rowWords := (cfg.Rows() + 63) / 64
+	return &SeparableIF{
 		cfg:       cfg,
+		rowOf:     rowTable(cfg),
 		slotOf:    slotTable(cfg),
-		slotReq:   make([]bool, cfg.GroupSize()),
-		rowReq:    make([]bool, cfg.Rows()),
-		candidate: make([]int, cfg.Rows()),
-		slotToReq: make([]int, cfg.GroupSize()),
-		outMask:   make([]bitset, cfg.Ports),
-		rowReqs:   newRowScratch(cfg),
+		groupSize: cfg.GroupSize(),
+		rowWords:  rowWords,
+		inPtr:     make([]int32, cfg.Rows()),
+		outPtr:    make([]int32, cfg.Ports),
+		slotMask:  make([]uint64, cfg.Rows()),
+		rowOcc:    newBitset(cfg.Rows()),
+		outMask:   make([]uint64, cfg.Ports*rowWords),
+		outOcc:    newBitset(cfg.Ports),
+		slotReq:   make([]int32, cfg.Rows()*cfg.GroupSize()),
+		candidate: make([]int32, cfg.Rows()),
 		grants:    make([]Grant, 0, cfg.Ports),
 	}
-	for i := range s.outMask {
-		s.outMask[i] = newBitset(cfg.Rows())
-	}
-	s.inputArbs = make([]arb.Arbiter, cfg.Rows())
-	for i := range s.inputArbs {
-		s.inputArbs[i] = arb.NewRoundRobin(cfg.GroupSize())
-	}
-	s.outputArbs = make([]arb.Arbiter, cfg.Ports)
-	for i := range s.outputArbs {
-		s.outputArbs[i] = arb.NewRoundRobin(cfg.Rows())
-	}
-	return s
 }
 
 // Name implements Allocator. The name is the registry Kind ("if")
@@ -72,11 +78,11 @@ func (s *SeparableIF) Name() string { return "if" }
 
 // Reset implements Allocator.
 func (s *SeparableIF) Reset() {
-	for _, a := range s.inputArbs {
-		a.Reset()
+	for i := range s.inPtr {
+		s.inPtr[i] = 0
 	}
-	for _, a := range s.outputArbs {
-		a.Reset()
+	for i := range s.outPtr {
+		s.outPtr[i] = 0
 	}
 }
 
@@ -85,86 +91,58 @@ func (s *SeparableIF) Reset() {
 //
 //vixlint:hot
 func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
-	rows := s.rowReqs.group(rs)
-
-	// Phase one: each occupied crossbar row's input arbiter picks one VC.
-	// The occupancy walk visits rows in ascending order — exactly the
-	// rows the dense 0..Rows loop would have worked on — and sorts each
-	// candidate into its output's packed row mask as it is chosen.
-	// Candidate entries of skipped rows go stale, which is safe: phase
-	// two reads candidate[row] only for rows present in a mask.
-	for wi, w := range s.rowReqs.occupied() {
-		for ; w != 0; w &= w - 1 {
-			row := wi<<6 + bits.TrailingZeros64(w)
-			for i := range s.slotReq {
-				s.slotReq[i] = false
-			}
-			// Map request indices onto arbiter slots.
-			slotToReq := s.fillSlots(rows[row], rs)
-			for slot, reqIdx := range slotToReq {
-				s.slotReq[slot] = reqIdx >= 0
-			}
-			if slot := s.inputArbs[row].Arbitrate(s.slotReq); slot >= 0 {
-				reqIdx := slotToReq[slot]
-				s.candidate[row] = reqIdx
-				s.outMask[rs.Requests[reqIdx].OutPort].set(row)
-			}
+	// Raise each request's line on its row's input arbiter. A VC offers
+	// one request; should a caller offer more, the first per slot stands.
+	for i, r := range rs.Requests {
+		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
+		slot := int(s.slotOf[r.VC])
+		if bit := uint64(1) << uint(slot); s.slotMask[row]&bit == 0 {
+			s.slotMask[row] |= bit
+			s.rowOcc.set(row)
+			s.slotReq[row*s.groupSize+slot] = int32(i)
 		}
 	}
 
-	// Phase two: each output arbiter picks one row among the candidates
-	// requesting it. The packed mask replaces the old scan of every
-	// row's candidate per output — O(candidates) total instead of
-	// O(Ports x Rows) — and the expanded rowReq bits presented to the
-	// arbiter are identical to the dense scan's, so arbitration (and the
-	// grant sequence) is unchanged.
-	s.grants = s.grants[:0]
-	for out := 0; out < s.cfg.Ports; out++ {
-		mask := s.outMask[out]
-		any := false
-		for wi, w := range mask {
-			for ; w != 0; w &= w - 1 {
-				s.rowReq[wi<<6+bits.TrailingZeros64(w)] = true
-				any = true
-			}
-		}
-		if !any {
+	// Phase one: each occupied row's input arbiter picks one VC, and the
+	// candidate raises its row's line on the requested output's arbiter.
+	for wi, w := range s.rowOcc {
+		if w == 0 {
 			continue
 		}
-		row := s.outputArbs[out].Arbitrate(s.rowReq)
-		req := rs.Requests[s.candidate[row]]
-		s.grants = append(s.grants, Grant{Req: s.candidate[row], OutPort: out, Row: row})
-		// iSLIP pointer update: both arbiters advance only on a grant.
-		s.outputArbs[out].Ack(row)
-		s.inputArbs[row].Ack(int(s.slotOf[req.VC]))
-		// Restore the all-false rowReq invariant and drain the mask for
-		// the next cycle.
-		for wi, w := range mask {
-			if w == 0 {
-				continue
+		s.rowOcc[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			row := wi<<6 + bits.TrailingZeros64(w)
+			slot := arb.Pick(s.slotMask[row], int(s.inPtr[row]))
+			s.slotMask[row] = 0
+			reqIdx := s.slotReq[row*s.groupSize+slot]
+			s.candidate[row] = reqIdx
+			out := rs.Requests[reqIdx].OutPort
+			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
+			s.outOcc.set(out)
+		}
+	}
+
+	// Phase two: each requested output's arbiter picks one row among the
+	// candidates requesting it, in output order.
+	s.grants = s.grants[:0]
+	for wi, w := range s.outOcc {
+		if w == 0 {
+			continue
+		}
+		s.outOcc[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			out := wi<<6 + bits.TrailingZeros64(w)
+			mask := s.outMask[out*s.rowWords : (out+1)*s.rowWords]
+			row := arb.PickWords(mask, int(s.outPtr[out]))
+			for i := range mask {
+				mask[i] = 0
 			}
-			for ; w != 0; w &= w - 1 {
-				s.rowReq[wi<<6+bits.TrailingZeros64(w)] = false
-			}
-			mask[wi] = 0
+			reqIdx := int(s.candidate[row])
+			s.grants = append(s.grants, Grant{Req: reqIdx, OutPort: out, Row: row})
+			// iSLIP pointer update: both arbiters advance only on a grant.
+			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
+			s.inPtr[row] = int32(arb.Next(int(s.slotOf[rs.Requests[reqIdx].VC]), s.groupSize))
 		}
 	}
 	return s.grants
-}
-
-// fillSlots maps each input-arbiter slot of a row to the index of the
-// request offered by the VC in that slot, or -1. At most one request per
-// VC is assumed (callers offer one request per head flit). The returned
-// slice is the allocator's scratch, valid until the next call.
-func (s *SeparableIF) fillSlots(reqIdxs []int, rs *RequestSet) []int {
-	for i := range s.slotToReq {
-		s.slotToReq[i] = -1
-	}
-	for _, idx := range reqIdxs {
-		slot := int(s.slotOf[rs.Requests[idx].VC])
-		if s.slotToReq[slot] < 0 {
-			s.slotToReq[slot] = idx
-		}
-	}
-	return s.slotToReq
 }

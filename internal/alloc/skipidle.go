@@ -11,10 +11,11 @@ package alloc
 //
 // What an empty request set touches, per allocator:
 //
-//   - Round-robin arbiter pointers (arb.RoundRobin) move only on Ack,
-//     and no allocator Acks without a grant, so every purely
-//     arbiter-backed allocator (if, if-age, islip, sparoflo, ideal, ap)
-//     is untouched by an idle cycle: SkipIdle is a no-op.
+//   - Round-robin arbiter pointers (arb.RoundRobin objects, or the
+//     plain pointer arrays arb.Pick reads) move only on an accepted
+//     grant, so every purely arbiter-backed allocator (if, if-age,
+//     islip, sparoflo, ideal, ap) is untouched by an idle cycle:
+//     SkipIdle is a no-op.
 //   - Wavefront rotates its priority diagonal unconditionally at the
 //     end of every Allocate: k idle cycles advance prio by k (mod n).
 //   - PacketChaining re-records "this cycle's connections" at the end of
@@ -68,11 +69,7 @@ func (a *AugmentingPath) SkipIdle(int) {}
 // diagonal once per call whether or not anything was requested, so k
 // idle cycles advance it by k.
 func (w *Wavefront) SkipIdle(cycles int) {
-	n := w.cfg.Rows()
-	if w.cfg.Ports > n {
-		n = w.cfg.Ports
-	}
-	w.prio = (w.prio + cycles%n) % n
+	w.prio = (w.prio + cycles%w.n) % w.n
 }
 
 // SkipIdle implements IdleSkipper. The first empty Allocate records an

@@ -1,10 +1,6 @@
 package alloc
 
-import (
-	"math/bits"
-
-	"vix/internal/arb"
-)
+import "math/bits"
 
 // Wavefront implements the wavefront allocator of Tamir and Chi. It sweeps
 // priority diagonals across the row x output request matrix, granting
@@ -22,47 +18,56 @@ import (
 // The matrix generalises to rectangular kP x P crossbars so a wavefront
 // allocator can also drive a VIX datapath, although the paper evaluates
 // wavefront only on the baseline crossbar.
+//
+// Occupied cells are bucketed by diagonal as the requests are read: cell
+// (row, out) lies on diagonal (row+out) mod n, and a diagonal holds at
+// most one cell per row, so one row mask per diagonal names its cells.
+// The sweep then walks n masks and the occupied cells on them — in the
+// same (diagonal, ascending row) order as probing every (diagonal, row)
+// pair would — for O(requests + n) per call.
 type Wavefront struct {
-	cfg  Config
-	prio int // rotating priority diagonal
+	cfg      Config
+	n        int     // diagonals: max(Rows, Ports)
+	rowWords int     // words per row mask
+	rowOf    []int32 // per port*VCs+vc: precomputed Config.Row
 
-	vcPick []arb.Arbiter // per row: picks among sub-group VCs requesting the granted output
+	prio  int     // rotating priority diagonal
+	vcPtr []int32 // per row: round-robin pointer among sub-group VCs requesting the granted output
+
+	// diagRows is all-zero between calls: the sweep drains each diagonal
+	// as it passes.
+	diagRows []uint64 // per diagonal, rowWords each: rows with an occupied cell on it
 
 	// scratch
-	cell      [][]int // cell[row][out] = request index representative, -1 if none
-	cellDirty bitset  // flattened (row, out) cells holding a request index
-	rowBusy   []bool
-	outBusy   []bool
-	cellReqs  cellScratch
-	slots     vcPickScratch
-	grants    []Grant
+	rowBusy  bitset
+	outBusy  bitset
+	cellReqs cellScratch
+	slots    vcPickScratch
+	grants   []Grant
 }
 
 // NewWavefront returns a wavefront allocator for cfg. It panics if cfg is
 // invalid.
 func NewWavefront(cfg Config) *Wavefront {
 	mustValidate(cfg)
-	w := &Wavefront{
+	n := cfg.Rows()
+	if cfg.Ports > n {
+		n = cfg.Ports
+	}
+	rowWords := (cfg.Rows() + 63) / 64
+	return &Wavefront{
 		cfg:      cfg,
-		rowBusy:  make([]bool, cfg.Rows()),
-		outBusy:  make([]bool, cfg.Ports),
+		n:        n,
+		rowWords: rowWords,
+		rowOf:    rowTable(cfg),
+		vcPtr:    make([]int32, cfg.Rows()),
+		diagRows: make([]uint64, n*rowWords),
+		rowBusy:  newBitset(cfg.Rows()),
+		outBusy:  newBitset(cfg.Ports),
 		cellReqs: newCellScratch(cfg),
 		slots:    newVCPickScratch(cfg),
 		grants:   make([]Grant, 0, cfg.Ports),
 	}
-	w.cell = make([][]int, cfg.Rows())
-	for i := range w.cell {
-		w.cell[i] = make([]int, cfg.Ports)
-		for j := range w.cell[i] {
-			w.cell[i][j] = -1
-		}
-	}
-	w.cellDirty = newBitset(cfg.Rows() * cfg.Ports)
-	w.vcPick = make([]arb.Arbiter, cfg.Rows())
-	for i := range w.vcPick {
-		w.vcPick[i] = arb.NewRoundRobin(cfg.GroupSize())
-	}
-	return w
 }
 
 // Name implements Allocator.
@@ -71,8 +76,8 @@ func (w *Wavefront) Name() string { return "wavefront" }
 // Reset implements Allocator.
 func (w *Wavefront) Reset() {
 	w.prio = 0
-	for _, a := range w.vcPick {
-		a.Reset()
+	for i := range w.vcPtr {
+		w.vcPtr[i] = 0
 	}
 }
 
@@ -81,60 +86,60 @@ func (w *Wavefront) Reset() {
 //
 //vixlint:hot
 func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
-	rows, outs := w.cfg.Rows(), w.cfg.Ports
-	// Reset only the cells the previous cycle populated; every other cell
-	// already holds -1 (set at construction, restored here each cycle),
-	// so the clear costs O(previous requests), not O(rows x outs).
-	for wi, word := range w.cellDirty {
-		if word == 0 {
-			continue
-		}
-		for ; word != 0; word &= word - 1 {
-			c := wi<<6 + bits.TrailingZeros64(word)
-			w.cell[c/outs][c%outs] = -1
-		}
-		w.cellDirty[wi] = 0
+	for i := range w.rowBusy {
+		w.rowBusy[i] = 0
 	}
-	for i := 0; i < rows; i++ {
-		w.rowBusy[i] = false
-	}
-	for j := 0; j < outs; j++ {
-		w.outBusy[j] = false
+	for i := range w.outBusy {
+		w.outBusy[i] = 0
 	}
 
 	// Populate the request matrix. When several VCs of one row request the
-	// same output, the row's VC arbiter chooses among them below; the cell
+	// same output, the row's VC pointer chooses among them below; the cell
 	// scratch records all of them per (row, out) pair.
 	w.cellReqs.clear()
 	for idx, r := range rs.Requests {
-		row := w.cfg.Row(r.Port, r.VC)
+		row := int(w.rowOf[r.Port*w.cfg.VCs+r.VC])
 		w.cellReqs.add(row, r.OutPort, idx)
-		w.cell[row][r.OutPort] = idx
-		w.cellDirty.set(row*outs + r.OutPort)
+		diag := row + r.OutPort
+		if diag >= w.n {
+			diag -= w.n
+		}
+		w.diagRows[diag*w.rowWords+row>>6] |= 1 << uint(row&63)
 	}
 
-	n := rows
-	if outs > n {
-		n = outs
-	}
 	w.grants = w.grants[:0]
-	for d := 0; d < n; d++ {
-		diag := (w.prio + d) % n
-		for i := 0; i < rows; i++ {
-			j := diag - i
-			for j < 0 {
-				j += n
-			}
-			j %= n
-			if j >= outs || w.cell[i][j] < 0 || w.rowBusy[i] || w.outBusy[j] {
+	diag := w.prio
+	for d := 0; d < w.n; d++ {
+		cells := w.diagRows[diag*w.rowWords : (diag+1)*w.rowWords]
+		for wi, word := range cells {
+			if word == 0 {
 				continue
 			}
-			idx := w.slots.pick(w.cfg, rs, w.cellReqs.at(i, j), w.vcPick[i])
-			w.grants = append(w.grants, Grant{Req: idx, OutPort: j, Row: i})
-			w.rowBusy[i] = true
-			w.outBusy[j] = true
+			cells[wi] = 0
+			// A diagonal meets each row once, so no grant on it can busy
+			// a row still to be visited: masking up front is exact.
+			for word &^= w.rowBusy[wi]; word != 0; word &= word - 1 {
+				i := wi<<6 + bits.TrailingZeros64(word)
+				j := diag - i
+				if j < 0 {
+					j += w.n
+				}
+				if w.outBusy[j>>6]&(1<<uint(j&63)) != 0 {
+					continue
+				}
+				var idx int
+				idx, w.vcPtr[i] = w.slots.pick(rs, w.cellReqs.at(i, j), w.vcPtr[i])
+				w.grants = append(w.grants, Grant{Req: idx, OutPort: j, Row: i})
+				w.rowBusy.set(i)
+				w.outBusy.set(j)
+			}
+		}
+		if diag++; diag == w.n {
+			diag = 0
 		}
 	}
-	w.prio = (w.prio + 1) % n
+	if w.prio++; w.prio == w.n {
+		w.prio = 0
+	}
 	return w.grants
 }

@@ -8,7 +8,13 @@
 // grant, which is why the two steps are distinct: an input arbiter whose
 // winning virtual channel subsequently loses output arbitration must keep
 // its pointer so the same VC retains priority next cycle.
+//
+// Pick, PickWords and Next are the same round-robin decision and update
+// over request lines packed into words, for allocators that keep their
+// arbiters as bare pointers.
 package arb
+
+import "math/bits"
 
 // Arbiter selects one winner from a set of requestors.
 type Arbiter interface {
@@ -77,6 +83,55 @@ func (a *RoundRobin) Ack(winner int) {
 
 // Reset restores priority to requestor 0.
 func (a *RoundRobin) Reset() { a.ptr = 0 }
+
+// Pick is the round-robin decision over one packed request word — the
+// bit-vector circuit the paper's arbiters are (Fig. 2): the lowest set bit
+// of req at or after the priority pointer, else the lowest set bit; -1 if
+// req is zero. It grants exactly what RoundRobin.Arbitrate grants for the
+// same request lines and pointer, without the vector to fill and scan.
+// The caller owns the pointer (0 <= ptr < 64) and advances it with Next
+// when the grant is accepted.
+func Pick(req uint64, ptr int) int {
+	if at := req >> uint(ptr); at != 0 {
+		return ptr + bits.TrailingZeros64(at)
+	}
+	if req == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(req)
+}
+
+// PickWords is Pick over a request vector spanning several words (bit i
+// of the vector is bit i&63 of req[i>>6]); ptr must index into req.
+func PickWords(req []uint64, ptr int) int {
+	wi := ptr >> 6
+	if at := req[wi] >> uint(ptr&63); at != 0 {
+		return ptr + bits.TrailingZeros64(at)
+	}
+	for i := wi + 1; i < len(req); i++ {
+		if req[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(req[i])
+		}
+	}
+	// Wrap: word wi's bits at or after ptr were just seen clear, so any
+	// bit found in it now lies below the pointer.
+	for i := 0; i <= wi; i++ {
+		if req[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(req[i])
+		}
+	}
+	return -1
+}
+
+// Next returns the priority pointer after winner's grant is accepted
+// over n requestors: the requestor after the winner, wrapping — what
+// RoundRobin.Ack stores.
+func Next(winner, n int) int {
+	if winner+1 == n {
+		return 0
+	}
+	return winner + 1
+}
 
 // Matrix is a least-recently-granted arbiter. It maintains a triangular
 // priority matrix where prio[i][j] means requestor i beats requestor j.

@@ -232,3 +232,46 @@ func TestMismatchedRequestVectorPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestPickMatchesRoundRobin drives the packed-word decision and the
+// vector arbiter with the same request lines, acknowledging a random
+// subset of grants, and demands the same winner and the same pointer
+// every step. Sizes straddle the word boundary so PickWords' wrap through
+// a partly-scanned word is covered.
+func TestPickMatchesRoundRobin(t *testing.T) {
+	rng := sim.NewRNG(7)
+	for _, n := range []int{1, 3, 6, 63, 64, 65, 128, 130} {
+		rr := NewRoundRobin(n)
+		ptr := 0
+		req := make([]bool, n)
+		words := make([]uint64, (n+63)/64)
+		for step := 0; step < 3000; step++ {
+			density := []float64{0.02, 0.5, 0.95, 0}[step%4]
+			for i := range words {
+				words[i] = 0
+			}
+			for i := range req {
+				req[i] = rng.Bernoulli(density)
+				if req[i] {
+					words[i>>6] |= 1 << uint(i&63)
+				}
+			}
+			want := rr.Arbitrate(req)
+			if got := PickWords(words, ptr); got != want {
+				t.Fatalf("n=%d step %d ptr %d: PickWords = %d, RoundRobin = %d", n, step, ptr, got, want)
+			}
+			if n <= 64 {
+				if got := Pick(words[0], ptr); got != want {
+					t.Fatalf("n=%d step %d ptr %d: Pick = %d, RoundRobin = %d", n, step, ptr, got, want)
+				}
+			}
+			if want >= 0 && rng.Bernoulli(0.7) {
+				rr.Ack(want)
+				ptr = Next(want, n)
+				if ptr != rr.ptr {
+					t.Fatalf("n=%d step %d: Next = %d, RoundRobin pointer = %d", n, step, ptr, rr.ptr)
+				}
+			}
+		}
+	}
+}

@@ -71,7 +71,19 @@ func runActivity(t *testing.T, tc activityCase, workers int, disableGate bool, c
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.Run(cycles)
+	if !tc.saturate {
+		n.Run(cycles)
+		return ejected, n.Collector().Snapshot()
+	}
+	// At saturation every router's VC-state masks change every cycle:
+	// recount them against the per-VC arrays (Occupancy panics on any
+	// disagreement) after each step, in every mode the case runs in.
+	for i := 0; i < cycles; i++ {
+		n.Step()
+		for _, rt := range n.Routers() {
+			rt.Occupancy()
+		}
+	}
 	return ejected, n.Collector().Snapshot()
 }
 

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vix/internal/topology"
 )
@@ -31,51 +32,68 @@ const (
 // vaContext carries the information a policy may consult when choosing an
 // output VC for a packet leaving through outPort.
 type vaContext struct {
-	// free[v] reports whether downstream VC v is unallocated.
-	free []bool
+	// free has bit v set when downstream VC v is unallocated and admitted
+	// by the topology's VC range.
+	free uint64
+	// busy has bit v set when downstream VC v is allocated.
+	busy uint64
 	// credits[v] is the current credit count of downstream VC v (a view
-	// into the router's arena segment).
+	// into the router's arena segment); its length is the VC count.
 	credits []int32
-	// busyInGroup[g] counts allocated (busy) VCs in sub-group g.
-	busyInGroup []int
+	// groupMask[g] has the bits of the VCs in sub-group g; its length is
+	// the number of sub-groups (the crossbar's virtual input factor k).
+	groupMask []uint64
 	// nextDim is the dimension class of the output port the packet will
 	// request at the downstream router (lookahead), or DimLocal when the
 	// downstream hop ejects.
 	nextDim topology.Dim
-	// groups is the number of VC sub-groups (the crossbar's virtual
-	// input factor k) and groupSize the VCs per sub-group.
-	groups, groupSize int
+	// groupSize is the VCs per sub-group.
+	groupSize int
+}
+
+// busyIn counts the allocated VCs of sub-group g.
+func (ctx *vaContext) busyIn(g int) int {
+	return bits.OnesCount64(ctx.busy & ctx.groupMask[g])
+}
+
+// vcSpan returns the mask of VCs in [lo, hi), 0 <= lo and hi <= 64.
+func vcSpan(lo, hi int) uint64 {
+	if lo >= hi {
+		return 0
+	}
+	return (1<<uint(hi) - 1) &^ (1<<uint(lo) - 1)
 }
 
 // choose returns the selected downstream VC, or -1 if no free VC exists.
 func (p PolicyKind) choose(ctx *vaContext) int {
 	switch p {
 	case PolicyMaxFree:
-		return bestIn(ctx, 0, len(ctx.free))
+		return bestIn(ctx, 0, len(ctx.credits))
 	case PolicyDimension:
 		g := preferredGroup(ctx)
 		if v := bestInGroup(ctx, g); v >= 0 {
 			return v
 		}
-		return bestIn(ctx, 0, len(ctx.free))
+		return bestIn(ctx, 0, len(ctx.credits))
 	case PolicyBalanced:
 		g := preferredGroup(ctx)
 		// Load balance: if the preferred sub-group already has strictly
 		// more busy VCs than the least-loaded sub-group, steer there so
 		// all virtual inputs keep requests.
-		min, argmin := ctx.busyInGroup[g], g
-		for i, b := range ctx.busyInGroup {
-			if b < min {
+		preferred := ctx.busyIn(g)
+		min, argmin := preferred, g
+		for i := range ctx.groupMask {
+			if b := ctx.busyIn(i); b < min {
 				min, argmin = b, i
 			}
 		}
-		if ctx.busyInGroup[g] > min {
+		if preferred > min {
 			g = argmin
 		}
 		if v := bestInGroup(ctx, g); v >= 0 {
 			return v
 		}
-		return bestIn(ctx, 0, len(ctx.free))
+		return bestIn(ctx, 0, len(ctx.credits))
 	default:
 		panic(fmt.Sprintf("router: unknown VC policy %q", p))
 	}
@@ -85,14 +103,14 @@ func (p PolicyKind) choose(ctx *vaContext) int {
 // continuations to group 0, Y-dim and ejection to the last group. With
 // k = 1 everything maps to group 0 and the policy degenerates to maxfree.
 func preferredGroup(ctx *vaContext) int {
-	if ctx.groups == 1 {
+	if len(ctx.groupMask) == 1 {
 		return 0
 	}
 	switch ctx.nextDim {
 	case topology.DimX:
 		return 0
 	default:
-		return ctx.groups - 1
+		return len(ctx.groupMask) - 1
 	}
 }
 
@@ -101,8 +119,8 @@ func preferredGroup(ctx *vaContext) int {
 func bestInGroup(ctx *vaContext, g int) int {
 	lo := g * ctx.groupSize
 	hi := lo + ctx.groupSize
-	if hi > len(ctx.free) {
-		hi = len(ctx.free)
+	if hi > len(ctx.credits) {
+		hi = len(ctx.credits)
 	}
 	return bestIn(ctx, lo, hi)
 }
@@ -110,8 +128,8 @@ func bestInGroup(ctx *vaContext, g int) int {
 // bestIn returns the free VC with the most credits in [lo, hi), or -1.
 func bestIn(ctx *vaContext, lo, hi int) int {
 	best, bestCred := -1, int32(-1)
-	for v := lo; v < hi; v++ {
-		if ctx.free[v] && ctx.credits[v] > bestCred {
+	for m := ctx.free & vcSpan(lo, hi); m != 0; m &= m - 1 {
+		if v := bits.TrailingZeros64(m); ctx.credits[v] > bestCred {
 			best, bestCred = v, ctx.credits[v]
 		}
 	}

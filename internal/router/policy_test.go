@@ -6,11 +6,25 @@ import (
 	"vix/internal/topology"
 )
 
-// ctx6x2 builds a vaContext for 6 VCs in 2 sub-groups of 3.
-func ctx6x2(free []bool, credits []int32, busyInGroup []int, dim topology.Dim) *vaContext {
+// vcMask packs a per-VC flag list into the mask form vaContext carries.
+func vcMask(flags []bool) uint64 {
+	var m uint64
+	for v, f := range flags {
+		if f {
+			m |= 1 << uint(v)
+		}
+	}
+	return m
+}
+
+// ctx6x2 builds a vaContext for 6 VCs in 2 sub-groups of 3; every VC not
+// free is busy.
+func ctx6x2(free []bool, credits []int32, dim topology.Dim) *vaContext {
+	m := vcMask(free)
 	return &vaContext{
-		free: free, credits: credits, busyInGroup: busyInGroup,
-		nextDim: dim, groups: 2, groupSize: 3,
+		free: m, busy: ^m & 0b111111, credits: credits,
+		groupMask: []uint64{0b000111, 0b111000},
+		nextDim:   dim, groupSize: 3,
 	}
 }
 
@@ -18,7 +32,7 @@ func TestMaxFreePicksMostCredits(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{true, true, true, true, true, true},
 		[]int32{1, 4, 2, 5, 0, 3},
-		[]int{0, 0}, topology.DimX,
+		topology.DimX,
 	)
 	if got := PolicyMaxFree.choose(ctx); got != 3 {
 		t.Fatalf("maxfree chose %d, want 3 (5 credits)", got)
@@ -29,7 +43,7 @@ func TestMaxFreeSkipsBusy(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, true, false, false, true, false},
 		[]int32{9, 1, 9, 9, 2, 9},
-		[]int{2, 2}, topology.DimY,
+		topology.DimY,
 	)
 	if got := PolicyMaxFree.choose(ctx); got != 4 {
 		t.Fatalf("maxfree chose %d, want 4", got)
@@ -40,7 +54,7 @@ func TestMaxFreeNoFreeVC(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, false, false, false, false, false},
 		[]int32{0, 0, 0, 0, 0, 0},
-		[]int{3, 3}, topology.DimX,
+		topology.DimX,
 	)
 	if got := PolicyMaxFree.choose(ctx); got != -1 {
 		t.Fatalf("choose on all-busy = %d, want -1", got)
@@ -52,15 +66,15 @@ func TestMaxFreeNoFreeVC(t *testing.T) {
 func TestDimensionGroupPreference(t *testing.T) {
 	free := []bool{true, true, true, true, true, true}
 	creds := []int32{3, 3, 3, 3, 3, 3}
-	ctx := ctx6x2(free, creds, []int{0, 0}, topology.DimX)
+	ctx := ctx6x2(free, creds, topology.DimX)
 	if got := PolicyDimension.choose(ctx); got > 2 {
 		t.Fatalf("X continuation assigned VC %d outside sub-group 0", got)
 	}
-	ctx = ctx6x2(free, creds, []int{0, 0}, topology.DimY)
+	ctx = ctx6x2(free, creds, topology.DimY)
 	if got := PolicyDimension.choose(ctx); got < 3 {
 		t.Fatalf("Y continuation assigned VC %d outside sub-group 1", got)
 	}
-	ctx = ctx6x2(free, creds, []int{0, 0}, topology.DimLocal)
+	ctx = ctx6x2(free, creds, topology.DimLocal)
 	if got := PolicyDimension.choose(ctx); got < 3 {
 		t.Fatalf("ejecting packet assigned VC %d outside sub-group 1", got)
 	}
@@ -72,7 +86,7 @@ func TestDimensionFallback(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, false, false, true, true, true},
 		[]int32{0, 0, 0, 2, 5, 1},
-		[]int{3, 0}, topology.DimX,
+		topology.DimX,
 	)
 	if got := PolicyDimension.choose(ctx); got != 4 {
 		t.Fatalf("fallback chose %d, want 4 (most credits in other group)", got)
@@ -87,7 +101,7 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, false, true, true, true, true},
 		[]int32{0, 0, 4, 3, 3, 3},
-		[]int{2, 0}, topology.DimX,
+		topology.DimX,
 	)
 	if got := PolicyBalanced.choose(ctx); got < 3 {
 		t.Fatalf("balanced chose %d in overloaded group 0", got)
@@ -96,7 +110,7 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 	ctx = ctx6x2(
 		[]bool{true, true, true, true, true, true},
 		[]int32{3, 3, 3, 3, 3, 3},
-		[]int{1, 1}, topology.DimX,
+		topology.DimX,
 	)
 	if got := PolicyBalanced.choose(ctx); got > 2 {
 		t.Fatalf("balanced abandoned dimension preference without load imbalance: %d", got)
@@ -106,12 +120,12 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 // With a single sub-group (k=1) all policies behave like maxfree.
 func TestPoliciesDegenerateAtKOne(t *testing.T) {
 	ctx := &vaContext{
-		free:        []bool{true, false, true, true},
-		credits:     []int32{1, 9, 7, 2},
-		busyInGroup: []int{1},
-		nextDim:     topology.DimY,
-		groups:      1,
-		groupSize:   4,
+		free:      vcMask([]bool{true, false, true, true}),
+		busy:      vcMask([]bool{false, true, false, false}),
+		credits:   []int32{1, 9, 7, 2},
+		groupMask: []uint64{0b1111},
+		nextDim:   topology.DimY,
+		groupSize: 4,
 	}
 	for _, p := range []PolicyKind{PolicyMaxFree, PolicyDimension, PolicyBalanced} {
 		if got := p.choose(ctx); got != 2 {
@@ -129,6 +143,6 @@ func TestUnknownPolicyPanics(t *testing.T) {
 	PolicyKind("bogus").choose(ctx6x2(
 		[]bool{true, true, true, true, true, true},
 		[]int32{1, 1, 1, 1, 1, 1},
-		[]int{0, 0}, topology.DimX,
+		topology.DimX,
 	))
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"vix/internal/alloc"
@@ -82,13 +83,20 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 // Cache-line padding granularity for arena segments: per-router strides
 // are rounded so no two routers' hot state shares a 64-byte line, which
 // keeps the sharded phase-A workers from false-sharing during the
-// parallel tick. int32 slots pad to 16 elements, bool slots to 64.
+// parallel tick. int32 slots pad to 16 elements, bool slots to 64, mask
+// words to 8.
 const (
 	padI32  = 16
 	padBool = 64
+	padMask = 8
 )
 
 func padTo(n, m int) int { return (n + m - 1) / m * m }
+
+// setBit and clearBit maintain bit i of a multi-word mask (bit i&63 of
+// word i>>6).
+func setBit(m []uint64, i int)   { m[i>>6] |= 1 << uint(i&63) }
+func clearBit(m []uint64, i int) { m[i>>6] &^= 1 << uint(i&63) }
 
 // Arena holds the hot per-router state of every router in one network as
 // contiguous structure-of-arrays slabs. Each router owns one cache-line-
@@ -109,7 +117,19 @@ func padTo(n, m int) int { return (n + m - 1) / m * m }
 //	                              front flit (immutable while buffered),
 //	                              so VC allocation never touches the slab
 //	credits [out*VCs + v]         downstream credits per output VC
-//	busy    [out*VCs + v]         downstream VC held by an input VC here
+//
+// and one mask segment per router, the bit-vector view of the same state
+// that the tick walks instead of scanning every ivc (bit ivc&63 of word
+// ivc>>6; W = ceil(Ports*VCs/64) words each):
+//
+//	nonEmpty  [W]      count[ivc] > 0
+//	hasOVC    [W]      ovc[ivc] >= 0
+//	justAlloc [W]      ovc granted this Tick (kept only under NonSpeculative)
+//	busy      [Ports]  per output port, bit v: downstream VC v is held by
+//	                   an input VC here
+//
+// The ivc -> (port, vc) and sub-group -> VC-mask tables depend only on
+// the geometry, so the arena holds one copy for all its routers.
 type Arena struct {
 	flits *FlitArena
 	cfg   Config
@@ -118,6 +138,8 @@ type Arena struct {
 	bufStride  int // FlitID slots per router (padded)
 	i32Stride  int // int32 slots per router (padded)
 	boolStride int // bool slots per router (padded)
+	maskWords  int // W: words per ivc mask
+	maskStride int // mask words per router (padded)
 
 	bufs       []FlitID
 	head       []int32
@@ -128,8 +150,12 @@ type Arena struct {
 	frontRoute []int32
 	frontDst   []int32
 	credits    []int32
-	busy       []bool
 	frontHead  []bool
+	masks      []uint64
+
+	ivcPort   []int32  // per ivc: port
+	ivcVC     []int32  // per ivc: vc
+	groupMask []uint64 // per sub-group: the VCs alloc.Config.Subgroup maps to it
 }
 
 // NewArena builds the shared state slabs for numRouters routers of
@@ -149,7 +175,9 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 		bufStride:  padTo(pv*cfg.BufDepth, padI32),
 		i32Stride:  padTo(pv, padI32),
 		boolStride: padTo(pv, padBool),
+		maskWords:  (pv + 63) / 64,
 	}
+	a.maskStride = padTo(3*a.maskWords+cfg.Ports, padMask)
 	a.bufs = make([]FlitID, numRouters*a.bufStride)
 	for i := range a.bufs {
 		a.bufs[i] = NoFlit
@@ -162,8 +190,8 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 	a.frontRoute = make([]int32, numRouters*a.i32Stride)
 	a.frontDst = make([]int32, numRouters*a.i32Stride)
 	a.credits = make([]int32, numRouters*a.i32Stride)
-	a.busy = make([]bool, numRouters*a.boolStride)
 	a.frontHead = make([]bool, numRouters*a.boolStride)
+	a.masks = make([]uint64, numRouters*a.maskStride)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 	}
@@ -172,6 +200,16 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 		for v := 0; v < pv; v++ {
 			seg[v] = int32(cfg.BufDepth)
 		}
+	}
+	a.ivcPort = make([]int32, pv)
+	a.ivcVC = make([]int32, pv)
+	for ivc := 0; ivc < pv; ivc++ {
+		a.ivcPort[ivc], a.ivcVC[ivc] = int32(ivc/cfg.VCs), int32(ivc%cfg.VCs)
+	}
+	a.groupMask = make([]uint64, cfg.VirtualInputs)
+	acfg := cfg.Alloc()
+	for v := 0; v < cfg.VCs; v++ {
+		a.groupMask[acfg.Subgroup(v)] |= 1 << uint(v)
 	}
 	return a
 }
@@ -203,8 +241,16 @@ type Router struct {
 	frontRoute []int32
 	frontDst   []int32
 	credits    []int32
-	busy       []bool
 	frontHead  []bool
+	nonEmpty   []uint64
+	hasOVC     []uint64
+	justAlloc  []uint64
+	busy       []uint64
+
+	// Geometry tables shared through the arena.
+	ivcPort   []int32
+	ivcVC     []int32
+	groupMask []uint64
 
 	// occ counts buffered flits across all input VCs, maintained
 	// incrementally (DeliverFlit adds, grant departures subtract) so the
@@ -213,28 +259,10 @@ type Router struct {
 
 	vaOffset int // rotating VC-allocation priority
 
-	// vaPending counts input VCs whose front flit awaits VC allocation
-	// (count > 0 with no output VC), maintained incrementally like occ, so
-	// allocateVCs can stop scanning once every pending VC has been
-	// visited. The visit order over pending VCs is unchanged, so results
-	// are identical to the full scan.
-	vaPending int
-
-	// justAllocated marks input VCs whose output VC was granted in the
-	// current Tick; with NonSpeculative set they sit out this cycle's
-	// switch allocation.
-	justAllocated []bool
-
-	// subgroupOf[v] precomputes acfg.Subgroup — two integer divisions —
-	// for the chooseOVC scan over all VCs.
-	subgroupOf []int32
-
 	// scratch
-	reqs        alloc.RequestSet
-	busyInGroup []int
-	freeScratch []bool
-	ems         []Emission
-	creds       []CreditMsg
+	reqs  alloc.RequestSet
+	ems   []Emission
+	creds []CreditMsg
 }
 
 // New builds a router. ports describes the wiring class of each port
@@ -282,19 +310,21 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		frontRoute: arena.frontRoute[slot*arena.i32Stride:][:pv],
 		frontDst:   arena.frontDst[slot*arena.i32Stride:][:pv],
 		credits:    arena.credits[slot*arena.i32Stride:][:pv],
-		busy:       arena.busy[slot*arena.boolStride:][:pv],
 		frontHead:  arena.frontHead[slot*arena.boolStride:][:pv],
 
-		justAllocated: make([]bool, pv),
-		subgroupOf:    make([]int32, cfg.VCs),
-		busyInGroup:   make([]int, cfg.VirtualInputs),
-		freeScratch:   make([]bool, cfg.VCs),
-		ems:           make([]Emission, 0, cfg.Ports),
-		creds:         make([]CreditMsg, 0, cfg.Ports),
+		ivcPort:   arena.ivcPort,
+		ivcVC:     arena.ivcVC,
+		groupMask: arena.groupMask,
+
+		ems:   make([]Emission, 0, cfg.Ports),
+		creds: make([]CreditMsg, 0, cfg.Ports),
 	}
-	for v := 0; v < cfg.VCs; v++ {
-		r.subgroupOf[v] = int32(r.acfg.Subgroup(v))
-	}
+	w := arena.maskWords
+	masks := arena.masks[slot*arena.maskStride:]
+	r.nonEmpty = masks[:w:w]
+	r.hasOVC = masks[w : 2*w : 2*w]
+	r.justAlloc = masks[2*w : 3*w : 3*w]
+	r.busy = masks[3*w:][:cfg.Ports:cfg.Ports]
 	r.reqs.Config = r.acfg
 	return r
 }
@@ -325,9 +355,7 @@ func (r *Router) DeliverFlit(port, vc int, id FlitID) {
 		r.frontRoute[ivc] = int32(f.Route)
 		r.frontDst[ivc] = int32(f.Dst)
 		r.frontHead[ivc] = f.Type.IsHead()
-		if r.ovc[ivc] < 0 {
-			r.vaPending++
-		}
+		setBit(r.nonEmpty, ivc)
 	}
 	slot := int(r.head[ivc]) + int(r.count[ivc])
 	if slot >= r.cfg.BufDepth {
@@ -363,11 +391,20 @@ func (r *Router) BufferSpace(port, vc int) int {
 
 // Occupancy returns the number of buffered flits across all input VCs.
 // It recounts from the per-VC ring counters rather than trusting the
-// incremental counter; tests use the pair to cross-check each other.
+// incremental state, and panics unless the occupancy counter and the
+// nonEmpty/hasOVC mask words agree with count/ovc; tests call it to
+// cross-check the incremental state against the arrays it summarises.
 func (r *Router) Occupancy() int {
 	n := 0
-	for _, c := range r.count {
+	for ivc, c := range r.count {
 		n += int(c)
+		bit := uint64(1) << uint(ivc&63)
+		if (r.nonEmpty[ivc>>6]&bit != 0) != (c > 0) {
+			panic(fmt.Sprintf("router %d: nonEmpty mask disagrees with count %d at ivc %d", r.id, c, ivc))
+		}
+		if (r.hasOVC[ivc>>6]&bit != 0) != (r.ovc[ivc] >= 0) {
+			panic(fmt.Sprintf("router %d: hasOVC mask disagrees with ovc %d at ivc %d", r.id, r.ovc[ivc], ivc))
+		}
 	}
 	if n != r.occ {
 		panic(fmt.Sprintf("router %d: occupancy counter %d but %d flits buffered", r.id, r.occ, n))
@@ -394,8 +431,8 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	r.ems = r.ems[:0]
 	r.creds = r.creds[:0]
 	if r.cfg.NonSpeculative {
-		for i := range r.justAllocated {
-			r.justAllocated[i] = false
+		for i := range r.justAlloc {
+			r.justAlloc[i] = 0
 		}
 	}
 	r.allocateVCs()
@@ -418,26 +455,26 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 			r.frontRoute[ivc] = int32(nf.Route)
 			r.frontDst[ivc] = int32(nf.Dst)
 			r.frontHead[ivc] = nf.Type.IsHead()
+		} else {
+			clearBit(r.nonEmpty, ivc)
 		}
 		f := r.flits.At(id)
 		ovc := int(r.ovc[ivc])
-		cvi := g.OutPort*r.cfg.VCs + ovc
 		if r.ports[g.OutPort].Kind == topology.Link {
+			cvi := g.OutPort*r.cfg.VCs + ovc
 			r.credits[cvi]--
 			if r.credits[cvi] < 0 {
 				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, g.OutPort, ovc))
 			}
 			f.Hops++
 			if f.Type.IsTail() {
-				r.busy[cvi] = false
+				r.busy[g.OutPort] &^= 1 << uint(ovc)
 			}
 		}
 		f.VC = ovc
 		if f.Type.IsTail() {
 			r.ovc[ivc] = -1
-			if r.count[ivc] > 0 {
-				r.vaPending++ // next packet's head now fronts the ring
-			}
+			clearBit(r.hasOVC, ivc)
 		}
 		r.ems = append(r.ems, Emission{OutPort: g.OutPort, Flit: id})
 		if r.ports[req.Port].Kind == topology.Link {
@@ -463,8 +500,8 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 func (r *Router) SkipIdle(cycles int) {
 	r.vaOffset += cycles
 	if r.cfg.NonSpeculative {
-		for i := range r.justAllocated {
-			r.justAllocated[i] = false
+		for i := range r.justAlloc {
+			r.justAlloc[i] = 0
 		}
 	}
 	if s, ok := r.alloc.(alloc.IdleSkipper); ok {
@@ -478,109 +515,108 @@ func (r *Router) SkipIdle(cycles int) {
 }
 
 // allocateVCs performs the VC allocation stage: head flits at the front
-// of their buffers acquire an output VC at the downstream router. Input
-// VCs are visited in a rotating order for long-run fairness; the start
-// index takes the single modulo, then wraps by comparison.
+// of their buffers acquire an output VC at the downstream router. Only
+// the input VCs awaiting one — nonEmpty and not hasOVC — are visited, in
+// a rotating order for long-run fairness: ascending from the priority
+// offset to the top, then from zero up to the offset.
 func (r *Router) allocateVCs() {
-	pending := r.vaPending
-	if pending == 0 {
-		r.vaOffset++
-		return
+	var pending uint64
+	for wi, w := range r.nonEmpty {
+		pending |= w &^ r.hasOVC[wi]
 	}
-	total := r.cfg.Ports * r.cfg.VCs
-	idx := r.vaOffset % total
-	for i := 0; i < total && pending > 0; i++ {
-		ivc := idx
-		idx++
-		if idx == total {
-			idx = 0
-		}
-		if r.count[ivc] == 0 || r.ovc[ivc] >= 0 {
-			continue
-		}
-		pending--
-		if !r.frontHead[ivc] {
-			// A body flit without a valid output VC cannot occur: the VC
-			// is held from head grant to tail departure.
-			panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
-		}
-		out := int(r.frontRoute[ivc])
-		if r.ports[out].Kind == topology.Local {
-			// Ejection needs no downstream VC: the sink absorbs at link
-			// bandwidth, serialised per output port by switch allocation.
-			r.ovc[ivc], r.outPort[ivc] = 0, int32(out)
-			r.justAllocated[ivc] = true
-			r.vaPending--
-			continue
-		}
-		v := r.chooseOVC(out, int(r.frontDst[ivc]))
-		if v < 0 {
-			continue // all suitable downstream VCs busy; retry next cycle
-		}
-		r.ovc[ivc], r.outPort[ivc] = int32(v), int32(out)
-		r.busy[out*r.cfg.VCs+v] = true
-		r.justAllocated[ivc] = true
-		r.vaPending--
+	if pending != 0 {
+		total := r.cfg.Ports * r.cfg.VCs
+		start := r.vaOffset % total
+		r.allocateVCRange(start, total)
+		r.allocateVCRange(0, start)
 	}
 	r.vaOffset++
 }
 
+// allocateVCRange runs VC allocation for the pending input VCs in
+// [lo, hi), ascending. Allocating one input VC changes no other's
+// pending bit, so each word is read once.
+func (r *Router) allocateVCRange(lo, hi int) {
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		w := r.nonEmpty[wi] &^ r.hasOVC[wi]
+		if wi == lo>>6 {
+			w = w >> uint(lo&63) << uint(lo&63)
+		}
+		if top := hi - wi<<6; top < 64 {
+			w &= 1<<uint(top) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			r.allocateVC(wi<<6 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// allocateVC tries to acquire an output VC for the head flit fronting
+// input VC ivc; on failure the VC stays pending and retries next cycle.
+func (r *Router) allocateVC(ivc int) {
+	if !r.frontHead[ivc] {
+		// A body flit without a valid output VC cannot occur: the VC
+		// is held from head grant to tail departure.
+		panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
+	}
+	out := int(r.frontRoute[ivc])
+	v := 0
+	if r.ports[out].Kind != topology.Local {
+		if v = r.chooseOVC(out, int(r.frontDst[ivc])); v < 0 {
+			return // all suitable downstream VCs busy
+		}
+		r.busy[out] |= 1 << uint(v)
+	}
+	// Ejection needs no downstream VC (v stays 0): the sink absorbs at
+	// link bandwidth, serialised per output port by switch allocation.
+	r.ovc[ivc], r.outPort[ivc] = int32(v), int32(out)
+	setBit(r.hasOVC, ivc)
+	if r.cfg.NonSpeculative {
+		setBit(r.justAlloc, ivc)
+	}
+}
+
 // chooseOVC applies the configured Section 2.3 policy to output port out.
 func (r *Router) chooseOVC(out, dst int) int {
-	for g := range r.busyInGroup {
-		r.busyInGroup[g] = 0
-	}
-	groupSize := r.acfg.GroupSize()
 	vcs := r.cfg.VCs
 	lo, hi := 0, vcs
 	if r.vcRange != nil {
 		lo, hi = r.vcRange(out, dst)
 	}
-	busy := r.busy[out*vcs : out*vcs+vcs]
-	anyFree := false
-	for v := 0; v < vcs; v++ {
-		r.freeScratch[v] = !busy[v] && v >= lo && v < hi
-		if busy[v] {
-			r.busyInGroup[r.subgroupOf[v]]++
-		} else if r.freeScratch[v] {
-			anyFree = true
-		}
-	}
-	if !anyFree {
+	busy := r.busy[out]
+	free := ^busy & vcSpan(lo, hi)
+	if free == 0 {
 		return -1
 	}
 	ctx := vaContext{
-		free:        r.freeScratch,
-		credits:     r.credits[out*vcs : out*vcs+vcs],
-		busyInGroup: r.busyInGroup,
-		nextDim:     r.nextDim(out, dst),
-		groups:      r.cfg.VirtualInputs,
-		groupSize:   groupSize,
+		free:      free,
+		busy:      busy,
+		credits:   r.credits[out*vcs : out*vcs+vcs],
+		groupMask: r.groupMask,
+		nextDim:   r.nextDim(out, dst),
+		groupSize: r.acfg.GroupSize(),
 	}
 	return r.cfg.Policy.choose(&ctx)
 }
 
 // buildRequests assembles this cycle's switch-allocation request set:
 // every input VC whose front flit has an output VC and a downstream
-// credit requests its packet's output port.
+// credit requests its packet's output port, in ascending (port, vc)
+// order.
 func (r *Router) buildRequests() *alloc.RequestSet {
 	r.reqs.Requests = r.reqs.Requests[:0]
 	vcs := r.cfg.VCs
-	for port := 0; port < r.cfg.Ports; port++ {
-		for vc := 0; vc < vcs; vc++ {
-			ivc := port*vcs + vc
-			if r.count[ivc] == 0 || r.ovc[ivc] < 0 {
-				continue
-			}
-			if r.cfg.NonSpeculative && r.justAllocated[ivc] {
-				continue // VA and SA may not overlap in the same cycle
-			}
+	for wi, w := range r.nonEmpty {
+		// VA and SA may not overlap in the same cycle when NonSpeculative
+		// (justAlloc stays zero otherwise).
+		for w &= r.hasOVC[wi] &^ r.justAlloc[wi]; w != 0; w &= w - 1 {
+			ivc := wi<<6 + bits.TrailingZeros64(w)
 			out := int(r.outPort[ivc])
 			if r.ports[out].Kind == topology.Link && r.credits[out*vcs+int(r.ovc[ivc])] == 0 {
 				continue
 			}
 			r.reqs.Requests = append(r.reqs.Requests, alloc.Request{
-				Port: port, VC: vc, OutPort: out, Age: int(r.wait[ivc]),
+				Port: int(r.ivcPort[ivc]), VC: int(r.ivcVC[ivc]), OutPort: out, Age: int(r.wait[ivc]),
 			})
 			r.wait[ivc]++
 		}

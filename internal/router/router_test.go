@@ -302,6 +302,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("VirtualInputs > VCs accepted")
 	}
+	bad = good
+	bad.VCs = alloc.MaxVCs + 1 // the per-output busy mask is one word
+	if bad.Validate() == nil {
+		t.Error("VCs beyond one mask word accepted")
+	}
 }
 
 func TestNewPacketShapes(t *testing.T) {
@@ -393,4 +398,73 @@ func TestNonSpeculativeBodyFlitsUnaffected(t *testing.T) {
 	if sent != 4 {
 		t.Fatalf("sent %d flits in 6 cycles, want 4", sent)
 	}
+}
+
+// TestTwoWordMasksRotateLikeTheDenseScan runs a 10-port, 8-VC router —
+// 80 input VCs, so every mask spans two words — with ten heads contending
+// for the eight downstream VCs of one output. With equal credits maxfree
+// hands out VC 0, 1, 2, ... in visit order, so the assignment spells the
+// order VC allocation walked the pending mask: it must be the dense
+// scan's, ascending from vaOffset mod 80 and wrapping, wherever the
+// offset falls — inside the second word, on the word boundary, or below
+// it. Occupancy's recount checks the masks against count/ovc every tick
+// until the router drains.
+func TestTwoWordMasksRotateLikeTheDenseScan(t *testing.T) {
+	cfg := Config{
+		Ports: 10, VCs: 8, VirtualInputs: 2, BufDepth: 4,
+		AllocKind: alloc.KindSeparableIF, Policy: PolicyMaxFree,
+	}
+	contenders := []int{3, 8, 31, 59, 63, 64, 65, 72, 77, 79}
+	const out, total = 2, 80
+	for _, start := range []int{70, 64, 63, 0, 79, 65} {
+		r := testRouter(t, cfg)
+		if start > 0 {
+			r.SkipIdle(start)
+		}
+		for i, ivc := range contenders {
+			deliver(r, ivc/cfg.VCs, ivc%cfg.VCs, out, NewPacket(uint64(i), 0, 9, 2, 0))
+		}
+		emitted := len(r.tickChecked(t))
+
+		isContender := map[int]bool{}
+		for _, ivc := range contenders {
+			isContender[ivc] = true
+		}
+		next := int32(0)
+		for i := 0; i < total; i++ {
+			ivc := (start + i) % total
+			if !isContender[ivc] {
+				continue
+			}
+			want := next
+			if next++; want >= int32(cfg.VCs) {
+				want = -1 // the output's VCs ran out before the scan got here
+			}
+			// The first tick's one switch grant moved a head, not a tail,
+			// so every VC allocated in it is still held.
+			if r.ovc[ivc] != want {
+				t.Errorf("start %d: ivc %d holds output VC %d, want %d", start, ivc, r.ovc[ivc], want)
+			}
+		}
+		for tick := 0; r.Busy(); tick++ {
+			if tick > 100 {
+				t.Fatalf("start %d: router did not drain", start)
+			}
+			emitted += len(r.tickChecked(t))
+		}
+		if want := 2 * len(contenders); emitted != want {
+			t.Errorf("start %d: %d flits emitted, want %d", start, emitted, want)
+		}
+	}
+}
+
+// tickChecked ticks the router and recounts its occupancy, which panics
+// if the incremental masks disagree with the per-VC arrays.
+func (r *Router) tickChecked(t *testing.T) []Emission {
+	t.Helper()
+	ems, _, quiesced := r.Tick()
+	if occ := r.Occupancy(); (occ == 0) != quiesced {
+		t.Fatalf("Tick reported quiesced=%v with %d flits buffered", quiesced, occ)
+	}
+	return ems
 }
