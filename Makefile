@@ -113,17 +113,15 @@ sweep:
 # Benchmark the harness itself: serial vs parallel wall time over the
 # Figure 8 grid, recorded to BENCH_harness.json for the perf trajectory.
 # Then benchmark the cycle loop: cycles/sec of Network.Step on a
-# saturated 8x8 VIX mesh (serial), the low-load activity-gate section
-# (gated vs dense cycles/sec at 2/10/30% of 16x16 saturation, stats
-# identity checked per point), plus the 16x16 parallel-tick section —
-# serial and sharded cycles/sec, the effective worker count, and the
-# host CPU count — recorded to BENCH_cycle.json. cyclebench carries the
-# pre-optimization baseline over from the existing file, so the speedup
-# column keeps comparing against the same reference point, and it exits
-# non-zero if any section's statistics diverge from its reference loop
-# (or the parallel speedup gate fails where it applies: >= 1.8x on a
-# >= 4-CPU host). The gated/dense ratio at low load is recorded, not
-# gated; low-load speed is the ledger's mesh16_low row (make ledger).
+# saturated 8x8 VIX mesh (one worker), plus the 16x16 parallel-tick
+# section — one-worker and pooled cycles/sec, the effective worker
+# count, and the host CPU count — and the 32x32 large-mesh section,
+# recorded to BENCH_cycle.json. cyclebench carries the pre-optimization
+# baselines over from the existing file, so the speedup columns keep
+# comparing against the same reference points, and it exits non-zero if
+# a pooled run's statistics diverge from the one-worker run's (or the
+# parallel speedup gate fails where it applies: >= 1.8x on a >= 4-CPU
+# host). Low-load speed is the ledger's mesh16_low row (make ledger).
 bench-json:
 	go run ./cmd/harnessbench -o BENCH_harness.json
 	@cat BENCH_harness.json

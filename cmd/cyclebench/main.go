@@ -41,7 +41,6 @@ type report struct {
 	MallocsPerCycle  float64 `json:"mallocs_per_cycle"`
 	AllocBytesPerCyc float64 `json:"alloc_bytes_per_cycle"`
 
-	LowLoad   *lowLoadReport   `json:"low_load,omitempty"`
 	Parallel  *parallelReport  `json:"parallel,omitempty"`
 	LargeMesh *largeMeshReport `json:"large_mesh,omitempty"`
 }
@@ -101,39 +100,6 @@ type parallelReport struct {
 	SkipReason   string `json:"skip_reason,omitempty"`
 }
 
-// lowLoadReport records the activity-gate section: the 16x16 workload at
-// fractions of its measured saturation throughput, stepped serially with
-// the gate on (the default) and off (DisableActivityGate), with the
-// byte-identity verdict per point. The gate's win shrinks as load rises:
-// a flit occupies a router for roughly one tick per flit per hop, so at
-// load l the gated tick still executes ~4*hops*l of the dense tick's
-// router work and the dense/gated ratio is bounded by the reciprocal —
-// ~4x at 10% load, ~1.3x at 30% (DESIGN.md section 15). The ratio is
-// recorded, not gated: every pass that makes an empty dense tick cheaper
-// shrinks it while both absolute speeds rise. Low-load speed is held by
-// the ledger's mesh16_low op_p50_ms (go run ./bench); this section's
-// fatal check is the byte-identity verdict.
-type lowLoadReport struct {
-	Workload      string `json:"workload"`
-	WarmupCycles  int    `json:"warmup_cycles"`
-	MeasureCycles int    `json:"measure_cycles"`
-	// SaturationPkt is the measured saturation throughput of this
-	// workload (packets/node/cycle, MaxInjection, seed 1) that the
-	// points' load percentages refer to.
-	SaturationPkt float64        `json:"saturation_pkt_per_node_cycle"`
-	Points        []lowLoadPoint `json:"points"`
-}
-
-// lowLoadPoint is one load point of the low_load section.
-type lowLoadPoint struct {
-	LoadPct        float64 `json:"load_pct"`
-	Rate           float64 `json:"rate_pkt_per_node_cycle"`
-	GatedCycSec    float64 `json:"gated_cycles_per_sec"`
-	DenseCycSec    float64 `json:"dense_cycles_per_sec"`
-	Speedup        float64 `json:"speedup"`
-	StatsIdentical bool    `json:"stats_identical"`
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cyclebench: ")
@@ -143,7 +109,6 @@ func main() {
 		measure     = flag.Int("measure", 20000, "measurement cycles")
 		baseline    = flag.Float64("baseline", 0, "pre-change cycles/sec reference (0: carry over from existing output file)")
 		workers     = flag.Int("workers", -1, "parallel-tick workers for the 16x16 section (<0 GOMAXPROCS)")
-		injectRate  = flag.Float64("inject-rate", 0, "bench the low_load section at this single rate (packets/node/cycle) instead of the standard load points")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the measurement window to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile taken after the measurement to this file")
 		requireGate = flag.Bool("require-gate", false, "fail unless the parallel speedup gate actually applied (CI multicore job: a host that cannot enforce it must not pass silently)")
@@ -238,7 +203,6 @@ func main() {
 	}
 	r.BaselineCycSec = resolveBaseline(*baseline, *out, r.CycSec)
 	r.Speedup = r.CycSec / r.BaselineCycSec
-	r.LowLoad = benchLowLoad(*injectRate, *warmup, *measure/4)
 	r.Parallel = benchParallel(*workers, *warmup, *measure/4)
 	r.LargeMesh = benchLargeMesh(*workers, *largeWarmup, *largeMeasure, *largeReps, *largeBaseline, *out, *requireLargeGate)
 
@@ -256,10 +220,6 @@ func main() {
 	}
 	log.Printf("%d cycles in %v: %.0f cycles/sec (baseline %.0f, speedup %.2fx), %.1f mallocs/cycle",
 		*measure, elapsed.Round(time.Millisecond), r.CycSec, r.BaselineCycSec, r.Speedup, r.MallocsPerCycle)
-	for _, pt := range r.LowLoad.Points {
-		log.Printf("low_load: %.0f%% load (rate %.5f): dense %.0f -> gated %.0f cycles/sec (%.2fx)",
-			pt.LoadPct, pt.Rate, pt.DenseCycSec, pt.GatedCycSec, pt.Speedup)
-	}
 	if p := r.Parallel; p != nil {
 		if p.Skipped {
 			log.Printf("parallel: skipped: %s", p.SkipReason)
@@ -297,79 +257,26 @@ func largeMeshParallelSummary(lm *largeMeshReport) string {
 		lm.Workers, lm.ParallelCycSec, lm.ParallelSpeedup, lm.ParallelGate)
 }
 
-// mesh16Config is the 16x16 VIX mesh configuration shared by the
-// low-load and parallel sections.
-func mesh16Config() network.Config {
-	topo := topology.NewMesh(16, 16)
-	return network.Config{
+// saturatedMesh builds the size x size VIX mesh (if:2, 6 VCs, uniform
+// random, max injection, seed 1) the parallel and large_mesh sections
+// time, ticking on the given worker count.
+func saturatedMesh(size, workers int) *network.Network {
+	topo := topology.NewMesh(size, size)
+	n, err := network.New(network.Config{
 		Topology: topo,
 		Router: router.Config{
 			Ports: topo.Radix, VCs: 6, VirtualInputs: 2, BufDepth: 5,
 			AllocKind: alloc.KindSeparableIF, Policy: router.PolicyBalanced,
 		},
-		Pattern: traffic.NewUniform(topo.NumNodes),
-		Seed:    1,
+		Pattern:      traffic.NewUniform(topo.NumNodes),
+		MaxInjection: true,
+		Seed:         1,
+		Workers:      workers,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-}
-
-// mesh16Saturation is the measured saturation throughput of the
-// mesh16Config workload under MaxInjection (packets/node/cycle, 5000
-// measured cycles after 3000 warmup): the reference the low_load
-// section's load percentages are fractions of. Remeasure with
-// MaxInjection if the router pipeline changes.
-const mesh16Saturation = 0.0558
-
-// benchLowLoad times the 16x16 mesh serially at fractions of its
-// measured saturation throughput, with the activity gate on and off,
-// and verifies the two produce identical statistics at every point
-// (fatal otherwise). The speeds and their ratio are recorded for the
-// physics-bounded ratios the section's doc comment derives.
-func benchLowLoad(injectRate float64, warmup, measure int) *lowLoadReport {
-	const workload = "16x16 mesh, if:2 (VIX), 6 VCs, uniform random, seed 1, serial"
-	rep := &lowLoadReport{
-		Workload:      workload,
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		SaturationPkt: mesh16Saturation,
-	}
-	points := []lowLoadPoint{
-		{LoadPct: 2},
-		{LoadPct: 10},
-		{LoadPct: 30},
-	}
-	if injectRate > 0 {
-		points = []lowLoadPoint{{LoadPct: 100 * injectRate / mesh16Saturation, Rate: injectRate}}
-	}
-	run := func(rate float64, disableGate bool) (float64, stats.Snapshot) {
-		cfg := mesh16Config()
-		cfg.InjectionRate = rate
-		cfg.DisableActivityGate = disableGate
-		n, err := network.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer n.Close()
-		n.Warmup(warmup)
-		start := time.Now()
-		s := n.Measure(measure)
-		return float64(measure) / time.Since(start).Seconds(), s
-	}
-	for _, pt := range points {
-		if pt.Rate == 0 {
-			pt.Rate = mesh16Saturation * pt.LoadPct / 100
-		}
-		var gatedSnap, denseSnap stats.Snapshot
-		pt.GatedCycSec, gatedSnap = run(pt.Rate, false)
-		pt.DenseCycSec, denseSnap = run(pt.Rate, true)
-		pt.Speedup = pt.GatedCycSec / pt.DenseCycSec
-		pt.StatsIdentical = gatedSnap == denseSnap
-		if !pt.StatsIdentical {
-			log.Fatalf("activity gate diverged at %.0f%% load (rate %.5f): gated stats differ from dense\ngated: %+v\ndense: %+v",
-				pt.LoadPct, pt.Rate, gatedSnap, denseSnap)
-		}
-		rep.Points = append(rep.Points, pt)
-	}
-	return rep
+	return n
 }
 
 // benchParallel times the 16x16 saturated VIX mesh serially and with the
@@ -380,18 +287,8 @@ func benchLowLoad(injectRate float64, warmup, measure int) *lowLoadReport {
 // pool-bypassing run whose speedup would be meaningless.
 func benchParallel(workers, warmup, measure int) *parallelReport {
 	const workload = "16x16 mesh, if:2 (VIX), 6 VCs, uniform random, max injection, seed 1"
-	build := func(w int) *network.Network {
-		cfg := mesh16Config()
-		cfg.MaxInjection = true
-		cfg.Workers = w
-		n, err := network.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return n
-	}
 	run := func(w int) (float64, stats.Snapshot, int) {
-		n := build(w)
+		n := saturatedMesh(16, w)
 		defer n.Close()
 		n.Warmup(warmup)
 		start := time.Now()
@@ -399,7 +296,7 @@ func benchParallel(workers, warmup, measure int) *parallelReport {
 		return float64(measure) / time.Since(start).Seconds(), s, n.Workers()
 	}
 
-	probe := build(workers)
+	probe := saturatedMesh(16, workers)
 	eff := probe.Workers()
 	probe.Close()
 	if eff < 2 {
@@ -444,27 +341,8 @@ func benchParallel(workers, warmup, measure int) *parallelReport {
 // >= 1.8x against this run's serial best on multi-core hosts.
 func benchLargeMesh(workers, warmup, measure, reps int, baseline float64, out string, requireGate bool) *largeMeshReport {
 	const workload = "32x32 mesh, if:2 (VIX), 6 VCs, uniform random, max injection, seed 1"
-	build := func(w int) *network.Network {
-		topo := topology.NewMesh(32, 32)
-		cfg := network.Config{
-			Topology: topo,
-			Router: router.Config{
-				Ports: topo.Radix, VCs: 6, VirtualInputs: 2, BufDepth: 5,
-				AllocKind: alloc.KindSeparableIF, Policy: router.PolicyBalanced,
-			},
-			Pattern:      traffic.NewUniform(topo.NumNodes),
-			MaxInjection: true,
-			Seed:         1,
-			Workers:      w,
-		}
-		n, err := network.New(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return n
-	}
 	run := func(w int) (float64, stats.Snapshot, int, runtime.MemStats, runtime.MemStats) {
-		n := build(w)
+		n := saturatedMesh(32, w)
 		defer n.Close()
 		n.Run(warmup)
 		// Pre-size the latency sample array for the window (see the main
@@ -516,7 +394,7 @@ func benchLargeMesh(workers, warmup, measure, reps int, baseline float64, out st
 		}
 	}
 
-	probe := build(workers)
+	probe := saturatedMesh(32, workers)
 	eff := probe.Workers()
 	probe.Close()
 	if eff < 2 {

@@ -35,15 +35,6 @@ import (
 	"vix/internal/sim"
 )
 
-// disableFlitPool is a test hook: the pooled-vs-fresh determinism test
-// reruns the sweep with flit recycling off and asserts byte-identical CSV.
-var disableFlitPool bool
-
-// disableActivityGate is the same kind of hook for the activity-gated
-// tick: the gated-vs-dense determinism test reruns the sweep on the
-// dense loop and asserts byte-identical CSV.
-var disableActivityGate bool
-
 // scheme is one allocator:k coordinate of the grid.
 type scheme struct {
 	alloc string
@@ -204,8 +195,6 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 				if err != nil {
 					return nil, err
 				}
-				cfg.DisableFlitPool = disableFlitPool
-				cfg.DisableActivityGate = disableActivityGate
 				cfg.Workers = tickWorkers
 				n, err := network.New(cfg)
 				if err != nil {

@@ -134,57 +134,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestSweepPooledVsFreshFlitsByteIdentical is the determinism regression
-// test for the flit free-list pool: a pooled run and a fresh-allocation
-// run (pool disabled via the test hook) must render byte-identical CSV
-// for the same seeds, proving recycled flits are indistinguishable from
-// freshly allocated ones.
-func TestSweepPooledVsFreshFlitsByteIdentical(t *testing.T) {
-	schemes := []scheme{{alloc: "if", k: 2}, {alloc: "wavefront", k: 1}}
-	rates := []float64{0.05}
-	run := func(disable bool) string {
-		t.Helper()
-		disableFlitPool = disable
-		defer func() { disableFlitPool = false }()
-		var out bytes.Buffer
-		if err := sweep(context.Background(), testBase(), schemes, rates, true, 1, harness.Serial(), &out); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	pooled := run(false)
-	fresh := run(true)
-	if pooled != fresh {
-		t.Fatalf("CSV differs between pooled and fresh flit allocation:\npooled:\n%s\nfresh:\n%s", pooled, fresh)
-	}
-}
-
-// TestSweepGatedVsDenseByteIdentical is the determinism regression test
-// for the activity-gated tick: a gated run (the default) and a dense run
-// (gate disabled via the test hook) must render byte-identical CSV for
-// the same seeds, proving skipped idle routers and fast-forwarded
-// allocator state are indistinguishable from densely ticked ones. The
-// grid includes a subcritical rate, where the gate actually skips work.
-func TestSweepGatedVsDenseByteIdentical(t *testing.T) {
-	schemes := []scheme{{alloc: "if", k: 2}, {alloc: "wavefront", k: 1}}
-	rates := []float64{0.01, 0.05}
-	run := func(disable bool) string {
-		t.Helper()
-		disableActivityGate = disable
-		defer func() { disableActivityGate = false }()
-		var out bytes.Buffer
-		if err := sweep(context.Background(), testBase(), schemes, rates, true, 1, harness.Serial(), &out); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	gated := run(false)
-	dense := run(true)
-	if gated != dense {
-		t.Fatalf("CSV differs between gated and dense ticks:\ngated:\n%s\ndense:\n%s", gated, dense)
-	}
-}
-
 // TestSweepCSVByteIdenticalAcrossTickWorkers covers the other worker
 // axis: -workers shards each simulation's router tick across a pool,
 // and the CSV must stay byte-identical for any width. The grid is a

@@ -153,7 +153,7 @@ func (a *Analysis) Callees(pkgPath, name string) []string {
 
 // PoolJobs returns the display names of every sim.Pool job the shard-
 // ownership pass resolved, sorted. It exists for tests that pin job
-// detection on the real tree (the method-value shardFn and the harness
+// detection on the real tree (the method-value act.fn and the harness
 // job literal must both resolve).
 func (a *Analysis) PoolJobs() []string {
 	var out []string

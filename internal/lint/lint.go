@@ -85,7 +85,7 @@
 // Shard ownership (every sim.Pool.Do site; see writeset.go and
 // shardown.go): a write-effect analysis summarises what each function
 // writes through references — (root, path) pairs like
-// "(*Network).shards[].ems" — and propagates the summaries over the
+// "(*Network).act.ems[]" — and propagates the summaries over the
 // call graph, interface dispatch included.
 //
 //   - parallel/sharedwrite: everything a pool job's cone writes must

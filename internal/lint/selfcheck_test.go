@@ -241,13 +241,13 @@ func TestStateGraphRootsArePinned(t *testing.T) {
 // TestShardOwnershipRootsArePinned makes growing the write-ownership
 // table a reviewed act, exactly like the concurrency allowlist: the
 // packages whose pool jobs may write anything at all are internal/network
-// (shard and router blocks, partitioned by index) and internal/harness
+// (worklist slots and routers, partitioned by index) and internal/harness
 // (per-job result slots and mutex-guarded bookkeeping). Anyone adding a
 // root must update this test and justify the confinement in the entry's
 // Why field.
 func TestShardOwnershipRootsArePinned(t *testing.T) {
 	want := map[string][]string{
-		"internal/network": {"(*Network).shards", "(*Network).routers", "(*Network).act", "(*Network).lastTick", "(*Network).flits"},
+		"internal/network": {"(*Network).routers", "(*Network).act", "(*Network).lastTick", "(*Network).flits"},
 		"internal/harness": {"captured results", "captured st", "captured jobErrs"},
 	}
 	if len(lint.ShardOwnershipRoots) != len(want) {
@@ -273,7 +273,7 @@ func TestShardOwnershipRootsArePinned(t *testing.T) {
 
 // TestPoolJobsResolveOnRealTree pins job detection where it matters:
 // the write-effect rules only guard what they can find, so every real
-// Pool.Do site — the network's method-value shard and worklist jobs and
+// Pool.Do site — the network's method-value worklist job and
 // the harness's job literal — must resolve.
 func TestPoolJobsResolveOnRealTree(t *testing.T) {
 	mod, err := lint.Load(repoRoot(t))
@@ -282,7 +282,7 @@ func TestPoolJobsResolveOnRealTree(t *testing.T) {
 	}
 	a := lint.NewAnalysis(mod)
 	jobs := a.PoolJobs()
-	want := []string{"func literal in harness.Run", "network.(*Network).runShard", "network.(*Network).runActive"}
+	want := []string{"func literal in harness.Run", "network.(*Network).runActive"}
 	for _, w := range want {
 		found := false
 		for _, j := range jobs {
@@ -299,7 +299,6 @@ func TestPoolJobsResolveOnRealTree(t *testing.T) {
 	// and must actually flow through the cone (an empty summary would
 	// mean the analysis lost the writes, not that the code is clean).
 	owned := map[string][]string{
-		"Network.runShard":  {"(*Network).shards", "(*Network).routers"},
 		"Network.runActive": {"(*Network).act", "(*Network).routers", "(*Network).lastTick"},
 	}
 	for job, roots := range owned {

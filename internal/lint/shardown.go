@@ -34,13 +34,13 @@ import (
 // job itself; an identifier or selector naming a declared function or a
 // bound method value resolves exactly; any other func-typed value falls
 // back to the address-taken functions and referenced method values with
-// an identical signature (the `n.shardFn` idiom stores a method value in
+// an identical signature (the `n.act.fn` idiom stores a method value in
 // a field once so the per-cycle Do performs no allocation).
 
 // OwnershipRoot is one state root a package's pool jobs may write, with
 // the justification for why concurrent writes there cannot race or
 // reorder results. Root strings match effectDisplay renderings:
-// "(*Network).shards", "captured results", "global pkg.Var".
+// "(*Network).act", "captured results", "global pkg.Var".
 type OwnershipRoot struct {
 	Root string
 	Why  string
@@ -53,11 +53,10 @@ type OwnershipRoot struct {
 // or an explicit lock.
 var ShardOwnershipRoots = map[string][]OwnershipRoot{
 	"internal/network": {
-		{Root: "(*Network).shards", Why: "tickShard scratch: runShard(si) writes only shards[si], its own index"},
-		{Root: "(*Network).routers", Why: "router blocks are partitioned by shard ranges (dense) or by worklist entries naming distinct routers (gated); Tick and SkipIdle touch only router-local state"},
-		{Root: "(*Network).act", Why: "gated worklist scratch: runActive(i) writes only the per-index slots act.ems/creds/delta/quiesced[i], its own index"},
+		{Root: "(*Network).routers", Why: "routers are partitioned by worklist entries naming distinct routers; Tick and SkipIdle touch only router-local state"},
+		{Root: "(*Network).act", Why: "worklist scratch: runActive(si) writes only the per-index slots act.ems/creds/quiesced[i] of its own segment and act.delta[si]"},
 		{Root: "(*Network).lastTick", Why: "runActive(i) writes only lastTick[act.work[i]], and worklist entries are distinct router indices handed out once each by Pool.Do"},
-		{Root: "(*Network).flits", Why: "phase-A lookahead writes flits.At(e.Flit).Route for the shard's own emissions; an emitted flit left exactly one router this cycle, so no two shards resolve the same FlitID, and Alloc/Free (the only slab-moving ops) run solely on the stepping goroutine"},
+		{Root: "(*Network).flits", Why: "phase-A lookahead writes flits.At(e.Flit).Route for the segment's own emissions; an emitted flit left exactly one router this cycle, so no two segments resolve the same FlitID, and Alloc/Free (the only slab-moving ops) run solely on the stepping goroutine"},
 	},
 	"internal/harness": {
 		{Root: "captured results", Why: "results[i] is the per-job slot; Pool.Do hands out each index exactly once"},
@@ -434,8 +433,8 @@ func recvType(fn *types.Func) types.Type {
 }
 
 // pathsOverlap reports whether one segment path is a boundary-aligned
-// prefix of the other (or they are equal): a read of .shards overlaps a
-// write of .shards[].ems and vice versa.
+// prefix of the other (or they are equal): a read of .act overlaps a
+// write of .act.ems[] and vice versa.
 func pathsOverlap(a, b []string) bool {
 	n := len(a)
 	if len(b) < n {

@@ -1278,9 +1278,9 @@ func (a *stateAnalysis) collectEvents(node *cgNode) []stateEvent {
 
 // methodValueTargets resolves an indirect call through a func-typed
 // value to the bound method values with an identical signature — the
-// zero-alloc idiom stores n.runShard in a field once and hands it to
+// zero-alloc idiom stores n.runActive in a field once and hands it to
 // sim.Pool.Do every cycle, and the state analysis must see through that
-// dispatch or every shard-scratch write would look unreachable.
+// dispatch or every worklist-scratch write would look unreachable.
 func (a *stateAnalysis) methodValueTargets(pkg *Package, fun ast.Expr) []*types.Func {
 	tv, ok := pkg.Info.Types[fun]
 	if !ok || tv.Type == nil {

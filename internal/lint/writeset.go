@@ -22,7 +22,7 @@ import (
 // An effect is a (root, path) pair: the root names whose memory is
 // touched (the receiver, the i-th parameter, a package-level variable,
 // or a captured outer variable) and the path is a bounded chain of field
-// selections and index steps, e.g. ".shards[].ems". Mapping an effect
+// selections and index steps, e.g. ".act.ems[]". Mapping an effect
 // across a call edge rewrites the callee's root through the call's
 // actual receiver/argument expressions; when the actual cannot be
 // resolved to a root (an unresolvable local, a call result, or a
@@ -42,7 +42,7 @@ import (
 // (non-pointer) receiver or a struct copy mutates the frame, not shared
 // state, so a write only counts when the chain from the root to the
 // written location passes through pointer, slice, map or channel memory.
-// Local variables that provably alias rooted state (`s := &n.shards[si]`)
+// Local variables that provably alias rooted state (`s := &n.act`)
 // are followed via a per-function derivation map; a local with
 // conflicting or unresolvable reference sources is conservatively
 // treated as unknown.
@@ -827,7 +827,7 @@ func recvDisplay(fn *types.Func) string {
 }
 
 // effectDisplay renders e as seen from job function fn, in the form the
-// ownership roots match against: "(*Network).shards[].ems",
+// ownership roots match against: "(*Network).act.ems[]",
 // "captured results[]", "global network.Debug", "param 0 .field".
 func effectDisplay(fn *types.Func, e *effect) string {
 	path := strings.Join(e.segs, "")
@@ -848,7 +848,7 @@ func effectDisplay(fn *types.Func, e *effect) string {
 }
 
 // renderEffectPath renders the call chain from fn to e's direct site,
-// e.g. "network.(*Network).runShard -> router.(*Router).Tick".
+// e.g. "network.(*Network).runActive -> router.(*Router).Tick".
 func (w *writeAnalysis) renderEffectPath(fn *types.Func, fx *funcEffects, e *effect, head string, writes bool) string {
 	parts := []string{head}
 	cur := e

@@ -13,8 +13,8 @@ import (
 
 // hintedBurst is burstWorkload plus a NodeActivity hint: past the cutoff
 // cycle Generate returns nil without touching the RNG, so NodeActive may
-// legally report false and let the gated tick skip generation entirely
-// during the drain phase — the hint path's sharpest test, because any
+// legally report false and let Step skip generation entirely during the
+// drain phase — the hint path's sharpest test, because any
 // skipped side effect would desynchronize the drain.
 type hintedBurst struct {
 	burstWorkload
@@ -24,7 +24,7 @@ func (w *hintedBurst) NodeActive(node int, cycle int64) bool {
 	return cycle < w.until
 }
 
-// activityCase is one gated-vs-dense lockstep scenario.
+// activityCase is one Step-vs-stepDense lockstep scenario.
 type activityCase struct {
 	name     string
 	topo     func() *topology.Topology
@@ -34,9 +34,9 @@ type activityCase struct {
 	hinted   bool // drive a NodeActivity-hinted burst workload
 }
 
-// runActivity runs one scenario for the given worker count with the gate
-// on or off and returns the full ejection sequence plus the snapshot.
-func runActivity(t *testing.T, tc activityCase, workers int, disableGate bool, cycles int) ([]ejectRecord, stats.Snapshot) {
+// runActivity runs one scenario with Step at the given worker count, or
+// with stepDense, and returns the full ejection sequence plus the snapshot.
+func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles int) ([]ejectRecord, stats.Snapshot) {
 	t.Helper()
 	topo := tc.topo()
 	policy := router.PolicyMaxFree
@@ -46,7 +46,6 @@ func runActivity(t *testing.T, tc activityCase, workers int, disableGate bool, c
 	cfg := meshConfig(topo, tc.kind, tc.k, policy)
 	cfg.Seed = 11
 	cfg.Workers = workers
-	cfg.DisableActivityGate = disableGate
 	switch {
 	case tc.hinted:
 		cfg.Pattern, cfg.InjectionRate = nil, 0
@@ -72,14 +71,14 @@ func runActivity(t *testing.T, tc activityCase, workers int, disableGate bool, c
 	}
 	defer n.Close()
 	if !tc.saturate {
-		n.Run(cycles)
+		n.run(cycles, dense)
 		return ejected, n.Collector().Snapshot()
 	}
 	// At saturation every router's VC-state masks change every cycle:
 	// recount them against the per-VC arrays (Occupancy panics on any
 	// disagreement) after each step, in every mode the case runs in.
 	for i := 0; i < cycles; i++ {
-		n.Step()
+		n.run(1, dense)
 		for _, rt := range n.Routers() {
 			rt.Occupancy()
 		}
@@ -88,11 +87,11 @@ func runActivity(t *testing.T, tc activityCase, workers int, disableGate bool, c
 }
 
 // TestActivityGateLockstepWithDense is the tentpole guarantee of the
-// activity-gated tick: for every topology, allocator, load point, and
-// worker count, the gated network produces bit-identical statistics and
-// the exact same ejection sequence as the dense loop. Gating is a
-// wall-clock knob, never a physics knob — exactly the standard the
-// parallel tick is held to.
+// activity-driven tick: for every topology, allocator, load point, and
+// worker count, Step produces bit-identical statistics and the exact same
+// ejection sequence as stepDense. Skipping idle routers and NIs is a
+// wall-clock matter, never a physics one — exactly the standard the
+// worker count is held to.
 func TestActivityGateLockstepWithDense(t *testing.T) {
 	cases := []activityCase{
 		{name: "mesh8x8_if_low", topo: func() *topology.Topology { return topology.NewMesh(8, 8) },
@@ -109,27 +108,27 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 	const cycles = 2000
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The reference is the dense serial loop — the physics the
-			// repo's goldens were recorded against.
+			// The reference is the dense loop — the physics the repo's
+			// goldens were recorded against.
 			refEjects, refSnap := runActivity(t, tc, 1, true, cycles)
 			if len(refEjects) == 0 {
 				t.Fatal("dense reference run ejected nothing; workload broken")
 			}
-			for _, workers := range []int{1, 4} {
+			for _, workers := range lockstepWorkers {
 				ejects, snap := runActivity(t, tc, workers, false, cycles)
 				if !reflect.DeepEqual(snap, refSnap) {
-					t.Errorf("gated workers=%d snapshot diverged:\n got %+v\nwant %+v", workers, snap, refSnap)
+					t.Errorf("workers=%d snapshot diverged:\n got %+v\nwant %+v", workers, snap, refSnap)
 				}
 				if !reflect.DeepEqual(ejects, refEjects) {
 					for i := range refEjects {
 						if i >= len(ejects) || ejects[i] != refEjects[i] {
-							t.Errorf("gated workers=%d ejection sequence diverged at index %d (of %d):\n got %+v\nwant %+v",
+							t.Errorf("workers=%d ejection sequence diverged at index %d (of %d):\n got %+v\nwant %+v",
 								workers, i, len(refEjects), ejects[i], refEjects[i])
 							break
 						}
 					}
 					if len(ejects) != len(refEjects) {
-						t.Errorf("gated workers=%d ejected %d flits, want %d", workers, len(ejects), len(refEjects))
+						t.Errorf("workers=%d ejected %d flits, want %d", workers, len(ejects), len(refEjects))
 					}
 				}
 			}
@@ -158,6 +157,6 @@ func TestActivityGateSkipsIdleRouters(t *testing.T) {
 		t.Fatal("no router ticks recorded; counter broken")
 	}
 	if got > dense/2 {
-		t.Errorf("gated run executed %d router ticks of %d dense; the gate is not skipping idle routers", got, dense)
+		t.Errorf("run executed %d router ticks of %d dense; idle routers are not being skipped", got, dense)
 	}
 }

@@ -18,10 +18,10 @@ import (
 // The arena baseline goldens were generated from the pointer-per-flit
 // layout that predates the arena/SoA refactor (regenerate only after an
 // audited physics change with -update-arena-baseline). Every run mode —
-// workers ∈ {1, 4} × activity gate on/off — must reproduce the committed
-// snapshot and the exact ejection sequence digest, so the refactored hot
-// path is pinned byte-for-byte against the layout it replaced, not just
-// against itself.
+// Step at each of lockstepWorkers, and stepDense — must reproduce the
+// committed snapshot and the exact ejection sequence digest, so the hot
+// path is pinned byte-for-byte against the layout it replaced, and the
+// dense reference against something other than itself.
 var updateArenaBaseline = flag.Bool("update-arena-baseline", false,
 	"rewrite internal/network/testdata/arena_baseline goldens from the current implementation")
 
@@ -47,8 +47,8 @@ func arenaBaselineCases() []arenaBaselineCase {
 			},
 		},
 		{
-			// Moderate load on a 16x16 mesh: exercises the activity gate's
-			// mixed busy/idle regime.
+			// Moderate load on a 16x16 mesh: the mixed busy/idle regime of
+			// the activity words.
 			name: "mesh16x16_if2_low", warmup: 500, cycles: 1500,
 			build: func() Config {
 				return meshConfig(topology.NewMesh(16, 16), alloc.KindSeparableIF, 2, router.PolicyBalanced)
@@ -72,7 +72,7 @@ func arenaBaselineCases() []arenaBaselineCase {
 		},
 		{
 			// The scale target itself at light load: 1024 routers, kept
-			// short so the 4-mode matrix stays tractable under -race.
+			// short so the mode matrix stays tractable under -race.
 			name: "mesh32x32_if2_low", warmup: 200, cycles: 600,
 			build: func() Config {
 				cfg := meshConfig(topology.NewMesh(32, 32), alloc.KindSeparableIF, 2, router.PolicyBalanced)
@@ -83,14 +83,14 @@ func arenaBaselineCases() []arenaBaselineCase {
 	}
 }
 
-// runArenaBaseline executes one case in the given mode and returns the
-// measurement snapshot plus a digest over the full ejection sequence
-// (warmup included), which pins the order of every queue append.
-func runArenaBaseline(t *testing.T, tc arenaBaselineCase, workers int, gateOff bool) (stats.Snapshot, string, int) {
+// runArenaBaseline executes one case with Step at the given worker count,
+// or with stepDense, and returns the measurement snapshot plus a digest
+// over the full ejection sequence (warmup included), which pins the order
+// of every queue append.
+func runArenaBaseline(t *testing.T, tc arenaBaselineCase, workers int, dense bool) (stats.Snapshot, string, int) {
 	t.Helper()
 	cfg := tc.build()
 	cfg.Workers = workers
-	cfg.DisableActivityGate = gateOff
 	h := sha256.New()
 	count := 0
 	var buf [7 * 8]byte
@@ -110,8 +110,7 @@ func runArenaBaseline(t *testing.T, tc arenaBaselineCase, workers int, gateOff b
 		t.Fatal(err)
 	}
 	defer n.Close()
-	n.Warmup(tc.warmup)
-	snap := n.Measure(tc.cycles)
+	snap := n.warmMeasure(tc.warmup, tc.cycles, dense)
 	return snap, fmt.Sprintf("%x", h.Sum(nil)), count
 }
 
@@ -132,8 +131,7 @@ func TestArenaLockstepWithCommittedBaseline(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := arenaBaselinePath(tc.name)
 			if *updateArenaBaseline {
-				// The canonical reference is the dense serial loop:
-				// workers=1, activity gate off.
+				// The canonical reference is stepDense.
 				snap, digest, count := runArenaBaseline(t, tc, 1, true)
 				if count == 0 {
 					t.Fatalf("update: case %s ejected nothing; workload broken", tc.name)
@@ -151,15 +149,16 @@ func TestArenaLockstepWithCommittedBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run with -update-arena-baseline at the pre-arena revision): %v", err)
 			}
-			for _, workers := range []int{1, 4} {
-				for _, gateOff := range []bool{false, true} {
-					snap, digest, count := runArenaBaseline(t, tc, workers, gateOff)
-					got := formatArenaBaseline(snap, digest, count)
-					if got != string(want) {
-						t.Errorf("workers=%d gateOff=%v diverged from committed baseline:\n got %swant %s",
-							workers, gateOff, got, want)
-					}
+			check := func(workers int, dense bool) {
+				snap, digest, count := runArenaBaseline(t, tc, workers, dense)
+				if got := formatArenaBaseline(snap, digest, count); got != string(want) {
+					t.Errorf("workers=%d dense=%v diverged from committed baseline:\n got %swant %s",
+						workers, dense, got, want)
 				}
+			}
+			check(1, true)
+			for _, workers := range lockstepWorkers {
+				check(workers, false)
 			}
 		})
 	}

@@ -13,20 +13,29 @@ import (
 // minimum slab size and doubles repeatedly mid-measurement must produce
 // exactly the same statistics as the same run with the slab pre-sized so
 // it never grows. Which slot a flit lands in, and when the slab happens
-// to grow, must have no effect on simulation behaviour.
+// to grow, must have no effect on simulation behaviour. Pre-sizing is
+// done through the arena's own API: allocating and freeing N slots before
+// the first cycle leaves a slab of at least N free slots (in a different
+// free-stack order, which must not matter either).
 func TestArenaGrowthByteIdentical(t *testing.T) {
-	run := func(capacity int) (interface{}, int, int) {
+	run := func(presize int) (interface{}, int, int) {
 		topo := topology.NewMesh(6, 6)
 		cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
 		cfg.MaxInjection = true
 		cfg.InjectionRate = 0
 		cfg.Seed = 11
-		cfg.FlitArenaCapacity = capacity
 		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer n.Close()
+		ids := make([]router.FlitID, presize)
+		for i := range ids {
+			ids[i] = n.flits.Alloc()
+		}
+		for _, id := range ids {
+			n.flits.Free(id)
+		}
 		initial := n.flits.Cap()
 		s := n.Measure(2500)
 		return s, initial, n.flits.Cap()

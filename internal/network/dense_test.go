@@ -1,0 +1,56 @@
+package network
+
+import "vix/internal/stats"
+
+// stepDense is the reference cycle the lockstep tests hold Step to: the
+// same deliver / generate / inject / phase-A / phase-B / end-of-cycle
+// pieces, but every NI generates and injects and every router ticks,
+// every cycle, in index order — no activity words, no NodeActivity hint,
+// no worklist, no pool. A router that ticks every cycle has no idle span
+// to replay, so SkipIdle is never reached; the lastTick check proves it.
+func (n *Network) stepDense() {
+	n.deliver()
+	if n.ticker != nil {
+		n.ticker.Tick(n.cycle)
+	}
+	for _, nif := range n.nis {
+		n.generate(nif)
+		n.inject(nif)
+	}
+	var d stats.Delta
+	for r := range n.routers {
+		if n.lastTick[r] != n.cycle-1 {
+			panic("stepDense: router skipped a cycle; do not mix with Step")
+		}
+		ems, creds, quiesced := n.tickRouter(r, &d)
+		n.mergeRouter(r, ems, creds, quiesced)
+	}
+	n.routerTicks += int64(len(n.routers))
+	n.col.Merge(d)
+	n.endCycle()
+}
+
+// run advances n the given cycles with Step, or with stepDense.
+func (n *Network) run(cycles int, dense bool) {
+	step := n.Step
+	if dense {
+		step = n.stepDense
+	}
+	for i := 0; i < cycles; i++ {
+		step()
+	}
+}
+
+// warmMeasure runs a warmup, clears statistics, runs a measurement
+// window, and returns its snapshot: Warmup + Measure for either stepper.
+func (n *Network) warmMeasure(warmup, cycles int, dense bool) stats.Snapshot {
+	n.run(warmup, dense)
+	n.col.Reset()
+	n.run(cycles, dense)
+	return n.col.Snapshot()
+}
+
+// lockstepWorkers are the Step schedules every lockstep test compares
+// against stepDense: fused (1), and pooled with a segment split that does
+// (4) and does not (3) divide typical worklists evenly.
+var lockstepWorkers = []int{1, 3, 4}

@@ -55,11 +55,11 @@ type Ticker interface {
 	Tick(cycle int64)
 }
 
-// NodeActivity is an optional Workload extension the activity-gated tick
-// consults: NodeActive reports whether Generate(node, cycle, rng) could
+// NodeActivity is an optional Workload extension Step consults:
+// NodeActive reports whether Generate(node, cycle, rng) could
 // do anything this cycle. Returning false is a promise that the Generate
 // call would return no packets, consume no randomness, and have no side
-// effects, so the gated tick skips it without changing behaviour. The
+// effects, so Step skips it without changing behaviour. The
 // statistical traffic process has no such hint — it consumes one RNG
 // draw per node per cycle, so generation stays dense without a Workload
 // — but trace-driven workloads like the manycore system implement it as
@@ -92,31 +92,10 @@ type Config struct {
 
 	// OnEject, when non-nil, observes every flit as it leaves the
 	// network (after statistics are updated). Tests use it to check
-	// ordering invariants. The flit is recycled through the network's
-	// free-list pool as soon as the callback returns, so the callback
-	// must not retain the pointer; copy any fields it needs.
+	// ordering invariants. The flit's slot returns to the network's flit
+	// arena as soon as the callback returns, so the callback must not
+	// retain the pointer; copy any fields it needs.
 	OnEject func(f *router.Flit)
-
-	// DisableFlitPool turns off flit recycling so every flit is freshly
-	// allocated, as before the free-list pool existed. It is a test hook:
-	// the determinism regression test runs pooled and fresh simulations
-	// side by side and asserts identical output.
-	DisableFlitPool bool
-
-	// FlitArenaCapacity pre-sizes the flit arena's slab to at least this
-	// many slots (0 selects the minimum batch). Slot assignment is never
-	// observable, so pre-sizing only avoids mid-run slab growth; the
-	// arena-growth regression test runs grown and pre-sized simulations
-	// side by side and asserts identical output.
-	FlitArenaCapacity int
-
-	// DisableActivityGate turns off the activity-gated tick and runs the
-	// classic dense loops that visit every router and NI each cycle. The
-	// gated tick is byte-identical to the dense one by construction (see
-	// DESIGN.md section 15); this escape hatch keeps the dense path
-	// testable, and the gated-vs-dense lockstep tests run both side by
-	// side and assert identical snapshots and ejection sequences.
-	DisableActivityGate bool
 
 	// HopDelay is the cycles from a switch-allocation win at one router
 	// to eligibility at the next (SA + switch traversal + link
@@ -132,10 +111,11 @@ type Config struct {
 	DeadlockCycles int
 
 	// Workers is the number of workers the per-cycle router tick fans
-	// out across. 0 or 1 runs the classic serial loop; N > 1 ticks
-	// routers on N workers (the stepping goroutine plus up to N-1 pooled
-	// goroutines); negative selects GOMAXPROCS. Statistics and ejection
-	// order are byte-identical for every value: within a cycle routers
+	// out across. 0 or 1 ticks each active router and merges its effects
+	// in one pass on the stepping goroutine; N > 1 ticks the cycle's
+	// active routers on N workers (the stepping goroutine plus up to N-1
+	// pooled goroutines); negative selects GOMAXPROCS. Statistics and
+	// ejection order are byte-identical for every value: within a cycle routers
 	// interact only through the delayed link/credit/ejection wheels, so
 	// router ticks are data-independent, and all cross-router effects
 	// are merged in router-index order on the stepping goroutine (see
@@ -182,6 +162,9 @@ func (c *Config) Validate() error {
 	}
 	if c.PacketSize < 0 {
 		return fmt.Errorf("network: negative packet size %d", c.PacketSize)
+	}
+	if c.HopDelay < 0 || c.CreditDelay < 0 {
+		return fmt.Errorf("network: negative HopDelay %d or CreditDelay %d", c.HopDelay, c.CreditDelay)
 	}
 	if c.Workload == nil {
 		if c.Pattern == nil {
@@ -287,50 +270,53 @@ type Network struct {
 	cycle        int64
 	nextPacketID uint64
 
-	qlen   int
-	flitQ  [][]flitDelivery
-	credQ  [][]creditDelivery
-	ejectQ [][]router.FlitID
+	// Delay wheels: slot cycle%qlen holds the events landing this cycle.
+	// hopSlot and credSlot are the slots this cycle's emissions and credits
+	// land in, computed once per Step by deliver.
+	qlen     int
+	flitQ    [][]flitDelivery
+	credQ    [][]creditDelivery
+	ejectQ   [][]router.FlitID
+	hopSlot  int
+	credSlot int
 
 	col *stats.Collector
 
 	// flits is the network's flit arena: every live flit occupies one slot
 	// of its contiguous slab, named by FlitID everywhere in the hot path.
-	// The free-index stack replaces the old pointer pool; its high-water
-	// mark is bounded by the flits live at once (buffers, links, and the
-	// small NI backlogs), so the steady state allocates nothing.
+	// Its high-water mark is bounded by the flits live at once (buffers
+	// and links), so the steady state allocates nothing.
 	flits *router.FlitArena
 
 	inFlight int64 // flits inside routers or on links (not source queues)
 
 	lastEjectCycle int64 // watchdog: last cycle any flit ejected
 
-	// Activity-gate state (nil when Config.DisableActivityGate): packed
-	// activity words for routers (buffered flits, or a delivery, credit,
-	// or injection this cycle) and for NIs with queued flits, plus the
-	// cycle each router last ticked so reactivation can fast-forward the
-	// skipped idle span (Router.SkipIdle). The invariant every activation
-	// source upholds: any state change that can make a router do work
-	// next cycle sets its bit before the router pass runs.
+	// Activity state: packed activity words for routers (buffered flits,
+	// or a delivery, credit, or injection this cycle) and for NIs with
+	// queued flits, plus the cycle each router last ticked so reactivation
+	// can fast-forward the skipped idle span (Router.SkipIdle). The
+	// invariant every activation source upholds: any state change that can
+	// make a router do work next cycle sets its bit before the router pass
+	// runs.
 	actR     sim.Bitset
 	actNI    sim.Bitset
 	lastTick []int64
-	nodeAct  NodeActivity // non-nil when the workload provides the hint
 
-	// routerTicks counts Router.Tick calls actually executed, the work
-	// the gate exists to avoid; tests and benchmarks compare it against
-	// routers x cycles to prove idle routers really were skipped.
+	// The workload's optional extensions, resolved once in New.
+	nodeAct NodeActivity
+	ticker  Ticker
+
+	// routerTicks counts Router.Tick calls actually executed; tests and
+	// benchmarks compare it against routers x cycles to prove idle
+	// routers really were skipped.
 	routerTicks int64
 
-	// Parallel tick state (nil/empty when Workers <= 1): the shard pool,
-	// the block partition of routers, and the phase-A function value,
-	// built once so the per-cycle fan-out allocates nothing. With the
-	// activity gate on, act replaces shards: the pool fans out over the
-	// cycle's worklist of active routers instead of the full range.
-	pool    *sim.Pool
-	shards  []tickShard
-	shardFn func(int)
-	act     activeScratch
+	// pool is the router tick's worker pool (one-wide, hence inline and
+	// goroutine-free, when Workers <= 1); act is the worklist scratch the
+	// pooled schedule fans out over, empty on a one-wide pool.
+	pool *sim.Pool
+	act  activeScratch
 }
 
 // New builds a network simulation from cfg.
@@ -355,7 +341,7 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]router.FlitID, n.qlen)
 
-	n.flits = router.NewFlitArena(cfg.FlitArenaCapacity, cfg.DisableFlitPool)
+	n.flits = router.NewFlitArena()
 	arena := router.NewArena(topo.NumRouters, cfg.Router, n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
@@ -382,17 +368,14 @@ func New(cfg Config) (*Network, error) {
 	for node := 0; node < topo.NumNodes; node++ {
 		n.nis[node] = &ni{node: node, rng: root.Fork(uint64(node)), curVC: -1}
 	}
-	if !cfg.DisableActivityGate {
-		n.actR = sim.NewBitset(topo.NumRouters)
-		n.actNI = sim.NewBitset(topo.NumNodes)
-		n.lastTick = make([]int64, topo.NumRouters)
-		for i := range n.lastTick {
-			n.lastTick[i] = -1
-		}
-		if na, ok := cfg.Workload.(NodeActivity); ok {
-			n.nodeAct = na
-		}
+	n.actR = sim.NewBitset(topo.NumRouters)
+	n.actNI = sim.NewBitset(topo.NumNodes)
+	n.lastTick = make([]int64, topo.NumRouters)
+	for i := range n.lastTick {
+		n.lastTick[i] = -1
 	}
+	n.nodeAct, _ = cfg.Workload.(NodeActivity)
+	n.ticker, _ = cfg.Workload.(Ticker)
 	n.initParallel()
 	return n, nil
 }
@@ -455,27 +438,37 @@ func (n *Network) QueuedAtSources() int64 {
 
 // Step advances the simulation one cycle.
 //
-// With the activity gate on (the default), the per-cycle loops over all
-// routers and NIs are replaced by walks over packed activity bitsets,
-// visiting the same indices the dense loops would — in the same
-// ascending order, which is what keeps RNG streams, statistics, and CSV
-// output byte-identical (DESIGN.md section 15). Every delivery, credit,
+// The per-cycle loops over routers and NIs are walks over packed activity
+// bitsets, visiting the indices a loop over all of them would find work
+// at — in the same ascending order, which is what keeps RNG streams,
+// statistics, and CSV output byte-identical to the dense reference
+// (stepDense in the tests; DESIGN.md section 15). Every delivery, credit,
 // and injection marks its destination router's bit before the router
 // pass runs; a router whose Tick reports quiescence has its bit cleared
 // and is fast-forwarded with SkipIdle when it next reactivates.
 //
 //vixlint:hot
 func (n *Network) Step() {
-	slot := int(n.cycle % int64(n.qlen))
-	gate := n.actR != nil
+	n.deliver()
+	// Workload state machines advance once all deliveries are visible.
+	if n.ticker != nil {
+		n.ticker.Tick(n.cycle)
+	}
+	n.source()
+	n.tickRouters()
+	n.endCycle()
+}
 
-	// Deliver link events scheduled for this cycle.
+// deliver lands the link, credit and ejection events scheduled for this
+// cycle, and fixes the wheel slots this cycle's own events will land in.
+func (n *Network) deliver() {
+	slot := int(n.cycle % int64(n.qlen))
+	n.hopSlot = (slot + n.cfg.HopDelay) % n.qlen
+	n.credSlot = (slot + n.cfg.CreditDelay) % n.qlen
 	for _, d := range n.flitQ[slot] {
 		n.routers[d.router].DeliverFlit(d.port, d.vc, d.flit)
 		n.col.BufferWrite()
-		if gate {
-			n.actR.Set(d.router)
-		}
+		n.actR.Set(d.router)
 	}
 	n.flitQ[slot] = n.flitQ[slot][:0]
 	for _, d := range n.credQ[slot] {
@@ -484,7 +477,7 @@ func (n *Network) Step() {
 		// A credit is applied eagerly above; it only creates work — and
 		// so only needs to wake the router — if flits are buffered. An
 		// empty router's tick is the empty tick SkipIdle replays.
-		if gate && rt.Busy() {
+		if rt.Busy() {
 			n.actR.Set(d.router)
 		}
 	}
@@ -493,63 +486,40 @@ func (n *Network) Step() {
 		n.eject(id)
 	}
 	n.ejectQ[slot] = n.ejectQ[slot][:0]
+}
 
-	// Workload state machines advance once all deliveries are visible.
-	if t, ok := n.cfg.Workload.(Ticker); ok {
-		t.Tick(n.cycle)
-	}
-
-	// Traffic generation and injection. The dense path interleaves
-	// generate and inject per node; the gated path generates first (for
-	// all nodes, or only workload-active ones under the NodeActivity
-	// hint) and then injects only from NIs with queued flits. The split
-	// is behaviour-preserving: generation touches only per-NI state, the
-	// shared packet-ID counter, and the flit pool — all in the same
-	// ascending node order either way — and injection at one node never
-	// observes another node's injection (distinct local ports).
-	switch {
-	case !gate:
-		for _, nif := range n.nis {
-			n.generate(nif)
-			n.inject(nif)
-		}
-	case n.nodeAct == nil:
+// source runs traffic generation for every node (or only the nodes the
+// workload's NodeActivity hint reports active), then injects one flit
+// from every NI with queued flits, walking the NI activity words in
+// ascending node order. Generating for all nodes before injecting from
+// any equals interleaving the two per node: generation touches only
+// per-NI state and the shared packet-ID counter, in the same ascending
+// node order either way, and injection at one node never observes
+// another node's injection (distinct local ports). The hint test sits
+// outside the loop because at low load this loop is the cycle: testing it
+// per node measured +0.7% on the ledger's mesh16_low.
+func (n *Network) source() {
+	if n.nodeAct == nil {
 		for _, nif := range n.nis {
 			n.generate(nif)
 		}
-		n.injectActive()
-	default:
+	} else {
 		for _, nif := range n.nis {
 			if n.nodeAct.NodeActive(nif.node, n.cycle) {
 				n.generate(nif)
 			}
 		}
-		n.injectActive()
 	}
-
-	// Router pipelines: dense serial loop, dense sharded tick, or the
-	// gated serial/worklist variants — byte-identical by construction.
-	switch {
-	case gate && n.pool != nil:
-		n.tickActiveParallel()
-	case gate:
-		n.tickActiveSerial()
-	case n.pool != nil:
-		n.tickRoutersParallel()
-		n.routerTicks += int64(len(n.routers))
-	default:
-		for r, rt := range n.routers {
-			ems, credits, _ := rt.Tick()
-			for _, e := range ems {
-				n.forward(r, e)
-			}
-			for _, cm := range credits {
-				n.scheduleCredit(r, cm)
-			}
+	for wi, w := range n.actNI {
+		for ; w != 0; w &= w - 1 {
+			n.inject(n.nis[wi<<6+bits.TrailingZeros64(w)])
 		}
-		n.routerTicks += int64(len(n.routers))
 	}
+}
 
+// endCycle closes the cycle: the collector's cycle count, the
+// forward-progress watchdog, and the clock.
+func (n *Network) endCycle() {
 	n.col.Tick()
 	if n.cfg.DeadlockCycles > 0 && n.inFlight > 0 &&
 		n.cycle-n.lastEjectCycle > int64(n.cfg.DeadlockCycles) {
@@ -558,77 +528,6 @@ func (n *Network) Step() {
 			n.cfg.DeadlockCycles, n.inFlight, n.cycle))
 	}
 	n.cycle++
-}
-
-// injectActive drains one flit from every NI with queued flits, walking
-// the NI activity words in ascending node order — the same order the
-// dense loop calls inject.
-func (n *Network) injectActive() {
-	for wi, w := range n.actNI {
-		for ; w != 0; w &= w - 1 {
-			n.inject(n.nis[wi<<6+bits.TrailingZeros64(w)])
-		}
-	}
-}
-
-// tickActiveSerial ticks this cycle's active routers in ascending index
-// order, fast-forwarding each across the idle span since it last ticked
-// and clearing the bits of routers that quiesced. Activations during the
-// walk only target future cycles (the delayed wheels), so iterating
-// copied words is exact.
-func (n *Network) tickActiveSerial() {
-	for wi, w := range n.actR {
-		for ; w != 0; w &= w - 1 {
-			r := wi<<6 + bits.TrailingZeros64(w)
-			rt := n.routers[r]
-			if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
-				rt.SkipIdle(int(skip))
-			}
-			n.lastTick[r] = n.cycle
-			n.routerTicks++
-			ems, credits, quiesced := rt.Tick()
-			for _, e := range ems {
-				n.forward(r, e)
-			}
-			for _, cm := range credits {
-				n.scheduleCredit(r, cm)
-			}
-			if quiesced {
-				n.actR.Clear(r)
-			}
-		}
-	}
-}
-
-// forward routes an emission from router r onto its link or to ejection.
-func (n *Network) forward(r int, e router.Emission) {
-	n.col.BufferRead()
-	n.col.XbarTraversal()
-	conn := n.topo.Conn[r][e.OutPort]
-	arrive := int((n.cycle + int64(n.cfg.HopDelay)) % int64(n.qlen))
-	switch conn.Kind {
-	case topology.Link:
-		n.col.LinkTraversal()
-		f := n.flits.At(e.Flit)
-		f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
-		n.flitQ[arrive] = append(n.flitQ[arrive], flitDelivery{
-			router: conn.PeerRouter, port: conn.PeerPort, vc: f.VC, flit: e.Flit,
-		})
-	case topology.Local:
-		n.ejectQ[arrive] = append(n.ejectQ[arrive], e.Flit)
-	default:
-		panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))
-	}
-}
-
-// scheduleCredit returns a freed credit to the upstream router after the
-// credit delay.
-func (n *Network) scheduleCredit(r int, cm router.CreditMsg) {
-	conn := n.topo.Conn[r][cm.Port]
-	upSlot := int((n.cycle + int64(n.cfg.CreditDelay)) % int64(n.qlen))
-	n.credQ[upSlot] = append(n.credQ[upSlot], creditDelivery{
-		router: conn.PeerRouter, outPort: conn.PeerPort, vc: cm.VC,
-	})
 }
 
 // eject retires a flit at its destination and updates statistics. The
@@ -702,9 +601,7 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 		size:        size,
 		createCycle: n.cycle,
 	})
-	if n.actNI != nil {
-		n.actNI.Set(nif.node)
-	}
+	n.actNI.Set(nif.node)
 }
 
 // inject moves at most one flit from nif's source queue into the local
@@ -752,11 +649,9 @@ func (n *Network) inject(nif *ni) {
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)
-	if n.actR != nil {
-		n.actR.Set(r)
-		if nif.pending() == 0 {
-			n.actNI.Clear(nif.node)
-		}
+	n.actR.Set(r)
+	if nif.pending() == 0 {
+		n.actNI.Clear(nif.node)
 	}
 	if ft.IsHead() {
 		f.InjectCycle = n.cycle
@@ -815,7 +710,7 @@ func (n *Network) Measure(cycles int) stats.Snapshot {
 	return n.col.Snapshot()
 }
 
-// RouterTicks returns the number of Router.Tick calls executed so far.
-// With the activity gate on this is the work actually done; the dense
-// loop always reports routers x cycles.
+// RouterTicks returns the number of Router.Tick calls executed so far:
+// the work actually done, against routers x cycles for a loop that
+// visits every router.
 func (n *Network) RouterTicks() int64 { return n.routerTicks }

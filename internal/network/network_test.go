@@ -277,6 +277,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Router.BufDepth = 0 },
 		func(c *Config) { c.Router.AllocKind = "bogus" },
 		func(c *Config) { c.PacketSize = -2 },
+		func(c *Config) { c.HopDelay = -1 },
+		func(c *Config) { c.CreditDelay = -1 },
 	}
 	for i, mutate := range cases {
 		cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)

@@ -11,59 +11,47 @@ import (
 	"vix/internal/topology"
 )
 
-// This file implements the two-phase parallel router tick selected by
-// Config.Workers > 1. The determinism argument:
+// This file implements the router phase of Step: every active router is
+// ticked (phase A) and its effects are merged into the delay wheels
+// (phase B). The two phases are one helper each, and the two schedules —
+// fused per router on the stepping goroutine, or phase A fanned out over
+// a worker pool when Config.Workers > 1 — only differ in when they call
+// them. The determinism argument:
 //
-//   - Phase A (parallel): routers are block-partitioned by index into
-//     shards, and each shard ticks its routers on one pool worker. Within
-//     a cycle, a router tick reads and writes only router-local state —
-//     input buffers, credit counters, arbiter pointers — because all
-//     cross-router traffic travels through the delayed flitQ/credQ/ejectQ
-//     wheels, which are only written in phase B and only read at the top
-//     of the next Step. Phase A therefore computes, for every router, the
-//     identical emissions and credits the serial loop would have, no
-//     matter how shards are scheduled. Each shard also pre-computes the
-//     lookahead routes of its link emissions (a pure topology function)
-//     and accumulates the datapath activity counters into a private
-//     stats.Delta.
+//   - Phase A (tickRouter): within a cycle, a router tick reads and writes
+//     only router-local state — input buffers, credit counters, arbiter
+//     pointers — because all cross-router traffic travels through the
+//     delayed flitQ/credQ/ejectQ wheels, which are only written in phase B
+//     and only read at the top of the next Step. Phase A therefore
+//     computes, for every router, the same emissions and credits no matter
+//     which goroutine runs it or in which order. It also pre-computes the
+//     lookahead routes of link emissions (a pure topology function) and
+//     counts the datapath activity into a caller-private stats.Delta.
 //
-//   - Phase B (stepping goroutine): shards are merged in router-index
-//     order — every queue append, credit schedule, and counter merge
-//     happens in exactly the order the serial loop performs them. Integer
-//     counter merges are order-independent anyway; the queue appends are
-//     what byte-identity actually rests on, and index-ordered merging
-//     makes them literally identical.
+//   - Phase B (mergeRouter, stepping goroutine): routers are merged in
+//     ascending index order, so every queue append and credit schedule
+//     happens in the same order under every schedule. Integer counter
+//     merges are order-independent anyway; the queue appends are what
+//     byte-identity actually rests on.
 //
 // Traffic generation, injection, ejection, and the workload callbacks
 // never leave the stepping goroutine: they own the RNG streams and the
 // order-sensitive float latency accumulation.
 //
-// The shard scratch holds only slice headers: Router.Tick's returned
-// emissions and credits are router-owned scratch valid until that
-// router's next Tick, which cannot happen before phase B of this cycle
-// completes, so no copying is needed and the steady state allocates
+// The pooled schedule's scratch holds only slice headers: Router.Tick's
+// returned emissions and credits are router-owned scratch valid until
+// that router's next Tick, which cannot happen before phase B of this
+// cycle completes, so no copying is needed and the steady state allocates
 // nothing.
 
-// tickShard is one contiguous block of routers plus the phase-A results
-// its worker produced this cycle.
-type tickShard struct {
-	lo, hi int // router index range [lo, hi)
-
-	ems   [][]router.Emission  // per router: Tick's emission scratch
-	creds [][]router.CreditMsg // per router: Tick's credit scratch
-	delta stats.Delta          // activity counters accumulated in phase A
-}
-
-// activeScratch is the phase-A state of the gated parallel tick: the
-// cycle's worklist of active router indices, its contiguous split into
-// per-worker segments, and per-index result slots. Pool.Do hands each
-// segment to exactly one worker; segments partition the worklist and
-// worklist entries name distinct routers, so job si owns its slice of
-// index slots and routers exclusively — the same confinement argument as
-// tickShard, with the per-cycle worklist split replacing the static
-// block partition. Everything is sized once in initParallel; the
-// per-cycle rebuilds of work and seg reuse their backing arrays, so the
-// steady state allocates nothing.
+// activeScratch is the pooled schedule's per-cycle state: the worklist of
+// active router indices, its contiguous split into per-worker segments,
+// and per-index result slots. Pool.Do hands each segment to exactly one
+// worker; segments partition the worklist and worklist entries name
+// distinct routers, so job si owns its slice of index slots and routers
+// exclusively. Everything is sized once in initParallel; the per-cycle
+// rebuilds of work and seg reuse their backing arrays, so the steady
+// state allocates nothing.
 type activeScratch struct {
 	work     []int32              // active router indices, ascending
 	seg      []int32              // segment si covers work[seg[si]:seg[si+1]]
@@ -75,10 +63,10 @@ type activeScratch struct {
 }
 
 // resolveWorkers maps Config.Workers onto an effective worker count:
-// 0 is the serial loop, negative is GOMAXPROCS, positive is taken as
-// given. Any result above 1 makes the network park pool goroutines
-// between cycles — owners must call Close when done (vixlint's
-// hygiene/close rule enforces this for cmd/ binaries).
+// 0 is one worker, negative is GOMAXPROCS, positive is taken as given.
+// Any result above 1 makes the network park pool goroutines between
+// cycles — owners must call Close when done (vixlint's hygiene/close
+// rule enforces this for cmd/ binaries).
 func resolveWorkers(w int) int {
 	switch {
 	case w == 0:
@@ -90,114 +78,107 @@ func resolveWorkers(w int) int {
 	}
 }
 
-// initParallel builds the shard partition and worker pool when the
-// configuration asks for a parallel tick. With one effective worker (or a
-// one-router network) the network stays on the serial loop.
+// initParallel builds the worker pool and, when it is more than one wide,
+// the worklist scratch. A one-router network gets a one-wide pool.
 func (n *Network) initParallel() {
 	workers := resolveWorkers(n.cfg.Workers)
-	if workers > len(n.routers) {
-		workers = len(n.routers)
+	nr := len(n.routers)
+	if workers > nr {
+		workers = nr
 	}
+	n.pool = sim.NewPool(workers)
 	if workers <= 1 {
 		return
 	}
-	n.pool = sim.NewPool(workers)
-	nr := len(n.routers)
-	if n.actR != nil {
-		// Gated: the pool fans out over contiguous segments of the
-		// per-cycle worklist of active routers, instead of static shards.
-		n.act = activeScratch{
-			work:     make([]int32, 0, nr),
-			seg:      make([]int32, 0, workers+1),
-			ems:      make([][]router.Emission, nr),
-			creds:    make([][]router.CreditMsg, nr),
-			delta:    make([]stats.Delta, workers),
-			quiesced: make([]bool, nr),
+	n.act = activeScratch{
+		work:     make([]int32, 0, nr),
+		seg:      make([]int32, 0, workers+1),
+		ems:      make([][]router.Emission, nr),
+		creds:    make([][]router.CreditMsg, nr),
+		delta:    make([]stats.Delta, workers),
+		quiesced: make([]bool, nr),
+	}
+	// Built once: handing a fresh method value to Pool.Do every cycle
+	// would allocate.
+	n.act.fn = n.runActive
+}
+
+// tickRouter is phase A for router r: fast-forward it across the idle
+// span since it last ticked, tick it, pre-compute the lookahead routes of
+// its link emissions, and count the datapath activity into d. The
+// returned slices are the router's own scratch.
+//
+//vixlint:hot
+func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
+	rt := n.routers[r]
+	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
+		rt.SkipIdle(int(skip))
+	}
+	n.lastTick[r] = n.cycle
+	ems, creds, quiesced := rt.Tick()
+	d.BufferReads += int64(len(ems))
+	d.XbarTraversals += int64(len(ems))
+	conns := n.topo.Conn[r]
+	for _, e := range ems {
+		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
+			d.LinkTraversals++
+			f := n.flits.At(e.Flit)
+			f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
 		}
-		// Built once: handing a fresh method value to Pool.Do every cycle
-		// would allocate.
-		n.act.fn = n.runActive
+	}
+	return ems, creds, quiesced
+}
+
+// mergeRouter is phase B for router r: append its emissions to the link
+// and ejection wheels, schedule its freed credits back upstream after the
+// credit delay, and clear its activity bit if it quiesced. Activations
+// only target future cycles (the delayed wheels), so clearing here never
+// loses one.
+func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.CreditMsg, quiesced bool) {
+	conns := n.topo.Conn[r]
+	for _, e := range ems {
+		switch conn := &conns[e.OutPort]; conn.Kind {
+		case topology.Link:
+			n.flitQ[n.hopSlot] = append(n.flitQ[n.hopSlot], flitDelivery{
+				router: conn.PeerRouter, port: conn.PeerPort, vc: n.flits.At(e.Flit).VC, flit: e.Flit,
+			})
+		case topology.Local:
+			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], e.Flit)
+		default:
+			panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))
+		}
+	}
+	for _, cm := range creds {
+		conn := &conns[cm.Port]
+		n.credQ[n.credSlot] = append(n.credQ[n.credSlot], creditDelivery{
+			router: conn.PeerRouter, outPort: conn.PeerPort, vc: cm.VC,
+		})
+	}
+	if quiesced {
+		n.actR.Clear(r)
+	}
+}
+
+// tickRouters runs both phases over this cycle's active routers in
+// ascending index order. On a one-wide pool the phases are fused per
+// router straight off the activity words (iterating copied words is
+// exact: see mergeRouter). Otherwise the words become a worklist, split
+// into one contiguous segment per worker; phase A runs across the pool
+// and phase B follows in worklist order on the stepping goroutine.
+func (n *Network) tickRouters() {
+	if n.pool.Workers() == 1 {
+		var d stats.Delta
+		for wi, w := range n.actR {
+			for ; w != 0; w &= w - 1 {
+				r := wi<<6 + bits.TrailingZeros64(w)
+				ems, creds, quiesced := n.tickRouter(r, &d)
+				n.mergeRouter(r, ems, creds, quiesced)
+				n.routerTicks++
+			}
+		}
+		n.col.Merge(d)
 		return
 	}
-	n.shards = make([]tickShard, workers)
-	for i := range n.shards {
-		lo, hi := nr*i/workers, nr*(i+1)/workers
-		n.shards[i] = tickShard{
-			lo: lo, hi: hi,
-			ems:   make([][]router.Emission, hi-lo),
-			creds: make([][]router.CreditMsg, hi-lo),
-		}
-	}
-	// Built once, as above.
-	n.shardFn = n.runShard
-}
-
-// runShard is phase A for one shard: tick the shard's routers, keep the
-// per-router emission and credit slice headers, pre-compute lookahead
-// routes for link emissions, and accumulate the activity counters the
-// serial loop's forward() would have recorded.
-//
-//vixlint:hot
-func (n *Network) runShard(si int) {
-	s := &n.shards[si]
-	var d stats.Delta
-	for r := s.lo; r < s.hi; r++ {
-		ems, creds, _ := n.routers[r].Tick()
-		j := r - s.lo
-		s.ems[j], s.creds[j] = ems, creds
-		for _, e := range ems {
-			d.BufferReads++
-			d.XbarTraversals++
-			conn := &n.topo.Conn[r][e.OutPort]
-			if conn.Kind == topology.Link {
-				d.LinkTraversals++
-				f := n.flits.At(e.Flit)
-				f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
-			}
-		}
-	}
-	s.delta = d
-}
-
-// runActive is phase A of the gated parallel tick for one worklist
-// segment: fast-forward each of the segment's routers across its idle
-// span, tick it, keep the emission and credit slice headers and the
-// quiescence verdict in the worklist index's own slots, pre-compute
-// lookahead routes for link emissions, and accumulate the activity
-// counters the serial loop's forward() would have recorded.
-//
-//vixlint:hot
-func (n *Network) runActive(si int) {
-	var d stats.Delta
-	for i := n.act.seg[si]; i < n.act.seg[si+1]; i++ {
-		r := int(n.act.work[i])
-		rt := n.routers[r]
-		if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
-			rt.SkipIdle(int(skip))
-		}
-		n.lastTick[r] = n.cycle
-		ems, creds, quiesced := rt.Tick()
-		n.act.ems[i], n.act.creds[i], n.act.quiesced[i] = ems, creds, quiesced
-		for _, e := range ems {
-			d.BufferReads++
-			d.XbarTraversals++
-			conn := &n.topo.Conn[r][e.OutPort]
-			if conn.Kind == topology.Link {
-				d.LinkTraversals++
-				f := n.flits.At(e.Flit)
-				f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
-			}
-		}
-	}
-	n.act.delta[si] = d
-}
-
-// tickActiveParallel builds the cycle's worklist from the activity words
-// (ascending router order), splits it into one contiguous segment per
-// worker, runs phase A across the pool, and merges in worklist — hence
-// router-index — order on the stepping goroutine, clearing the bits of
-// routers that quiesced.
-func (n *Network) tickActiveParallel() {
 	work := n.act.work[:0]
 	for wi, w := range n.actR {
 		for ; w != 0; w &= w - 1 {
@@ -221,74 +202,30 @@ func (n *Network) tickActiveParallel() {
 	n.pool.Do(k, n.act.fn)
 	for si := 0; si < k; si++ {
 		n.col.Merge(n.act.delta[si])
-		for i := seg[si]; i < seg[si+1]; i++ {
-			r := int(work[i])
-			for _, e := range n.act.ems[i] {
-				n.deliverEmission(r, e)
-			}
-			for _, cm := range n.act.creds[i] {
-				n.scheduleCredit(r, cm)
-			}
-			if n.act.quiesced[i] {
-				n.actR.Clear(r)
-			}
-		}
+	}
+	for i, r := range work {
+		n.mergeRouter(int(r), n.act.ems[i], n.act.creds[i], n.act.quiesced[i])
 	}
 }
 
-// tickRoutersParallel runs phase A across the pool, then merges every
-// shard in router-index order on the stepping goroutine.
-func (n *Network) tickRoutersParallel() {
-	n.pool.Do(len(n.shards), n.shardFn)
-	for si := range n.shards {
-		s := &n.shards[si]
-		n.col.Merge(s.delta)
-		for j := range s.ems {
-			r := s.lo + j
-			for _, e := range s.ems[j] {
-				n.deliverEmission(r, e)
-			}
-			for _, cm := range s.creds[j] {
-				n.scheduleCredit(r, cm)
-			}
-		}
+// runActive is phase A for one worklist segment, keeping each router's
+// results in its worklist index's own slots.
+//
+//vixlint:hot
+func (n *Network) runActive(si int) {
+	var d stats.Delta
+	for i := n.act.seg[si]; i < n.act.seg[si+1]; i++ {
+		n.act.ems[i], n.act.creds[i], n.act.quiesced[i] = n.tickRouter(int(n.act.work[i]), &d)
 	}
+	n.act.delta[si] = d
 }
 
-// deliverEmission is the phase-B half of forward: the emission's route
-// and activity counters were already handled in the shard tick, so only
-// the order-sensitive queue append remains.
-func (n *Network) deliverEmission(r int, e router.Emission) {
-	conn := n.topo.Conn[r][e.OutPort]
-	arrive := int((n.cycle + int64(n.cfg.HopDelay)) % int64(n.qlen))
-	switch conn.Kind {
-	case topology.Link:
-		n.flitQ[arrive] = append(n.flitQ[arrive], flitDelivery{
-			router: conn.PeerRouter, port: conn.PeerPort, vc: n.flits.At(e.Flit).VC, flit: e.Flit,
-		})
-	case topology.Local:
-		n.ejectQ[arrive] = append(n.ejectQ[arrive], e.Flit)
-	default:
-		panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))
-	}
-}
+// Workers returns the effective router-tick worker count.
+func (n *Network) Workers() int { return n.pool.Workers() }
 
-// Workers returns the effective parallel-tick worker count (1 for the
-// serial loop).
-func (n *Network) Workers() int {
-	if n.pool == nil {
-		return 1
-	}
-	return n.pool.Workers()
-}
-
-// Close releases the parallel-tick workers parked between cycles. It is
-// a no-op for serial networks and is idempotent; a closed network may
+// Close releases the router-tick workers parked between cycles. It is a
+// no-op for one-worker networks and is idempotent; a closed network may
 // even keep stepping (the pool restarts its workers lazily), but callers
 // that construct many parallel networks — sweeps, tests — should Close
 // each one when done so parked goroutines do not accumulate.
-func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.Close()
-	}
-}
+func (n *Network) Close() { n.pool.Close() }

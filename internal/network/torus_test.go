@@ -63,37 +63,28 @@ func TestTorusSaturationDeadlockFree(t *testing.T) {
 	}
 }
 
-// TestTorusParallelAndGateLockstep runs the full workers x activity-gate
-// matrix on a torus with live wrap links: the sharded phase-A workers
-// and the gated worklist must reproduce the serial dense tick exactly on
-// the wraparound geometry too (wrap links connect routers in different
-// shards by construction).
+// TestTorusParallelAndGateLockstep runs every Step schedule on a torus
+// with live wrap links: the fused walk and the pooled worklist must
+// reproduce stepDense exactly on the wraparound geometry too (wrap links
+// connect routers in different worklist segments by construction).
 func TestTorusParallelAndGateLockstep(t *testing.T) {
-	run := func(workers int, disableGate bool) interface{} {
+	run := func(workers int, dense bool) interface{} {
 		topo := topology.NewTorus(6, 6)
 		cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
 		cfg.InjectionRate = 0.04
 		cfg.Seed = 5
 		cfg.Workers = workers
-		cfg.DisableActivityGate = disableGate
 		n, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer n.Close()
-		n.Warmup(400)
-		return n.Measure(1600)
+		return n.warmMeasure(400, 1600, dense)
 	}
 	ref := run(1, true)
-	for _, workers := range []int{1, 4} {
-		for _, disableGate := range []bool{false, true} {
-			if workers == 1 && disableGate {
-				continue // the reference itself
-			}
-			if got := run(workers, disableGate); got != ref {
-				t.Fatalf("torus lockstep diverged at workers=%d gateOff=%v\nref: %+v\ngot: %+v",
-					workers, disableGate, ref, got)
-			}
+	for _, workers := range lockstepWorkers {
+		if got := run(workers, false); got != ref {
+			t.Fatalf("torus lockstep diverged at workers=%d\nref: %+v\ngot: %+v", workers, ref, got)
 		}
 	}
 }

@@ -112,19 +112,12 @@ const flitArenaMinBatch = 256
 type FlitArena struct {
 	slab []Flit
 	free []FlitID
-	// noReuse turns Free into a no-op so every Alloc returns a
-	// never-used slot (Config.DisableFlitPool): the arena equivalent of
-	// allocating each flit fresh, for determinism regression tests.
-	noReuse bool
 }
 
-// NewFlitArena returns an arena with at least capacity free slots.
-func NewFlitArena(capacity int, noReuse bool) *FlitArena {
-	a := &FlitArena{noReuse: noReuse}
-	if capacity < flitArenaMinBatch {
-		capacity = flitArenaMinBatch
-	}
-	a.grow(capacity)
+// NewFlitArena returns an arena with the minimum batch of free slots.
+func NewFlitArena() *FlitArena {
+	a := &FlitArena{}
+	a.grow(flitArenaMinBatch)
 	return a
 }
 
@@ -160,12 +153,8 @@ func (a *FlitArena) Alloc() FlitID {
 	return id
 }
 
-// Free returns id's slot to the free stack (a no-op under noReuse).
-func (a *FlitArena) Free(id FlitID) {
-	if !a.noReuse {
-		a.free = append(a.free, id)
-	}
-}
+// Free returns id's slot to the free stack.
+func (a *FlitArena) Free(id FlitID) { a.free = append(a.free, id) }
 
 // Cap returns the slab capacity in flits; tests use it to detect growth.
 func (a *FlitArena) Cap() int { return len(a.slab) }

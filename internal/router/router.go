@@ -280,7 +280,7 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	}
 	slot := id
 	if arena == nil {
-		arena = NewArena(1, cfg, NewFlitArena(cfg.Ports*cfg.VCs*cfg.BufDepth, false))
+		arena = NewArena(1, cfg, NewFlitArena())
 		slot = 0
 	}
 	if arena.cfg.Ports != cfg.Ports || arena.cfg.VCs != cfg.VCs || arena.cfg.BufDepth != cfg.BufDepth {

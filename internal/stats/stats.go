@@ -101,19 +101,16 @@ func (c *Collector) PacketEjected(latency int64, hops int) {
 	c.hopCount++
 }
 
-// BufferRead, BufferWrite, XbarTraversal and LinkTraversal record datapath
-// activity for the energy model.
-func (c *Collector) BufferRead()    { c.bufferReads++ }
-func (c *Collector) BufferWrite()   { c.bufferWrites++ }
-func (c *Collector) XbarTraversal() { c.xbarTraversals++ }
-func (c *Collector) LinkTraversal() { c.linkTraversals++ }
+// BufferWrite records a flit written into an input buffer, for the energy
+// model. The rest of the datapath activity arrives through Merge.
+func (c *Collector) BufferWrite() { c.bufferWrites++ }
 
-// Delta is a mergeable batch of activity counters. The parallel tick
-// accumulates one Delta per router shard while routers tick concurrently
-// and folds them into the collector on the stepping goroutine; integer
-// addition is associative and commutative, so the merged totals are
-// identical to the serial loop's for any worker count and any merge
-// order. Order-sensitive metrics — the latency accumulation is a float
+// Delta is a mergeable batch of datapath activity counters for the energy
+// model. The router phase accumulates one Delta per cycle — one per
+// worklist segment while routers tick concurrently — and folds them into
+// the collector on the stepping goroutine; integer addition is associative
+// and commutative, so the merged totals are identical for any worker count
+// and any merge order. Order-sensitive metrics — the latency accumulation is a float
 // sum, whose value depends on addition order — deliberately have no
 // Delta fields: they are only ever updated on the stepping goroutine.
 type Delta struct {
@@ -123,7 +120,7 @@ type Delta struct {
 	LinkTraversals int64
 }
 
-// Merge folds a shard's activity delta into the collector.
+// Merge folds an activity delta into the collector.
 func (c *Collector) Merge(d Delta) {
 	c.bufferReads += d.BufferReads
 	c.bufferWrites += d.BufferWrites

@@ -78,10 +78,8 @@ func TestResetClears(t *testing.T) {
 	c.PacketInjected(4)
 	c.FlitEjected(0)
 	c.PacketEjected(12, 3)
-	c.BufferRead()
 	c.BufferWrite()
-	c.XbarTraversal()
-	c.LinkTraversal()
+	c.Merge(Delta{BufferReads: 1, XbarTraversals: 1, LinkTraversals: 1})
 	c.Reset()
 	s := c.Snapshot()
 	if s.Cycles != 0 || s.FlitsEjected != 0 || s.PacketsInjected != 0 ||
@@ -96,13 +94,9 @@ func TestResetClears(t *testing.T) {
 func TestActivityCounters(t *testing.T) {
 	c := NewCollector(1)
 	for i := 0; i < 5; i++ {
-		c.BufferRead()
 		c.BufferWrite()
 	}
-	for i := 0; i < 3; i++ {
-		c.XbarTraversal()
-	}
-	c.LinkTraversal()
+	c.Merge(Delta{BufferReads: 5, XbarTraversals: 3, LinkTraversals: 1})
 	s := c.Snapshot()
 	if s.BufferReads != 5 || s.BufferWrites != 5 || s.XbarTraversals != 3 || s.LinkTraversals != 1 {
 		t.Fatalf("activity counters wrong: %+v", s)
@@ -164,31 +158,28 @@ func TestPercentileUnorderedInput(t *testing.T) {
 	}
 }
 
-// TestMergeDeltaMatchesDirectCalls pins the contract the parallel tick
-// relies on: folding per-shard Deltas into a collector yields exactly the
-// counters direct calls would have produced, in any merge order.
+// TestMergeDeltaMatchesDirectCalls pins the contract the pooled router
+// phase relies on: folding per-segment Deltas into a collector adds every
+// counter up in any merge order, and a merged BufferWrites count is worth
+// that many direct BufferWrite calls.
 func TestMergeDeltaMatchesDirectCalls(t *testing.T) {
-	direct := NewCollector(4)
-	for i := 0; i < 3; i++ {
-		direct.BufferRead()
-		direct.XbarTraversal()
-	}
-	direct.BufferWrite()
-	direct.LinkTraversal()
-	direct.LinkTraversal()
-
-	merged := NewCollector(4)
 	deltas := []Delta{
-		{BufferReads: 1, XbarTraversals: 2, LinkTraversals: 2},
+		{BufferReads: 1, BufferWrites: 1, XbarTraversals: 2, LinkTraversals: 2},
 		{BufferReads: 2, BufferWrites: 1, XbarTraversals: 1},
 	}
-	// Reverse order on purpose: integer merges are order-independent.
-	for i := len(deltas) - 1; i >= 0; i-- {
-		merged.Merge(deltas[i])
+	fwd, rev := NewCollector(4), NewCollector(4)
+	for i := range deltas {
+		fwd.Merge(deltas[i])
+		rev.Merge(deltas[len(deltas)-1-i])
 	}
-	d, m := direct.Snapshot(), merged.Snapshot()
-	if d.BufferReads != m.BufferReads || d.BufferWrites != m.BufferWrites ||
-		d.XbarTraversals != m.XbarTraversals || d.LinkTraversals != m.LinkTraversals {
-		t.Fatalf("merged %+v, direct %+v", m, d)
+	direct := NewCollector(4)
+	direct.BufferWrite()
+	direct.BufferWrite()
+	direct.Merge(Delta{BufferReads: 3, XbarTraversals: 3, LinkTraversals: 2})
+	want := direct.Snapshot()
+	for _, s := range []Snapshot{fwd.Snapshot(), rev.Snapshot()} {
+		if s.BufferReads != 3 || s.XbarTraversals != 3 || s.LinkTraversals != 2 || s.BufferWrites != want.BufferWrites {
+			t.Fatalf("merged %+v, direct %+v", s, want)
+		}
 	}
 }
