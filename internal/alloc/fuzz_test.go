@@ -31,6 +31,9 @@ func FuzzAllocate(f *testing.F) {
 	// 64-line arbiter word.
 	for i, g := range alloc.ReferenceGeometries() {
 		f.Add(uint64(100+i), uint8(g.Ports-2), uint8(g.VCs-1), uint8(g.VirtualInputs-1), uint8(15)|uint8(g.Partition)<<7)
+		// The same geometry with every other cycle a lone request (bit 6),
+		// the set SeparableIF grants without arbitrating.
+		f.Add(uint64(200+i), uint8(g.Ports-2), uint8(g.VCs-1), uint8(g.VirtualInputs-1), uint8(15)|1<<6|uint8(g.Partition)<<7)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, ports, vcs, virtuals, cycles uint8) {
 		cfg := alloc.Config{
@@ -40,6 +43,7 @@ func FuzzAllocate(f *testing.F) {
 		}
 		cfg.VirtualInputs = int(virtuals)%cfg.VCs + 1 // 1..VCs
 		nCycles := int(cycles)%16 + 1
+		lone := cycles&(1<<6) != 0
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("generated config %+v should be valid: %v", cfg, err)
 		}
@@ -56,8 +60,8 @@ func FuzzAllocate(f *testing.F) {
 			if err != nil {
 				t.Fatalf("New(%q, %+v): %v", kind, c, err)
 			}
-			first := grantTranscript(t, a, kind, c, seed, nCycles)
-			second := grantTranscript(t, a, kind, c, seed, nCycles)
+			first := grantTranscript(t, a, kind, c, seed, nCycles, lone)
+			second := grantTranscript(t, a, kind, c, seed, nCycles, lone)
 			if first != second {
 				t.Errorf("%q is nondeterministic: two runs from Reset() with seed %d diverged\nrun 1: %s\nrun 2: %s",
 					kind, seed, first, second)
@@ -67,19 +71,29 @@ func FuzzAllocate(f *testing.F) {
 }
 
 // grantTranscript resets a, replays nCycles of seeded random request sets
-// through it, and returns the concatenated grant sequence rendered to
-// bytes. It fails the test on an illegal grant set or a mutated input.
-func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc.Config, seed uint64, nCycles int) string {
+// through it — every other one a single request when lone is set — and
+// returns the concatenated grant sequence rendered to bytes. It fails the
+// test on an illegal grant set, a lone request left ungranted, or a
+// mutated input.
+func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc.Config, seed uint64, nCycles int, lone bool) string {
 	t.Helper()
 	a.Reset()
 	rng := sim.NewRNG(seed)
 	out := ""
 	for cycle := 0; cycle < nCycles; cycle++ {
 		rs := randomRequestSet(cfg, rng)
+		if lone && cycle%2 == 1 {
+			rs.Requests = []alloc.Request{{
+				Port: rng.Intn(cfg.Ports), VC: rng.Intn(cfg.VCs), OutPort: rng.Intn(cfg.Ports), Age: rng.Intn(32),
+			}}
+		}
 		snapshot := append([]alloc.Request(nil), rs.Requests...)
 		grants := a.Allocate(&rs)
 		if err := alloc.Validate(&rs, grants); err != nil {
 			t.Fatalf("%q cycle %d: illegal grants: %v\nrequests: %+v", kind, cycle, err, rs.Requests)
+		}
+		if len(rs.Requests) == 1 && len(grants) != 1 {
+			t.Fatalf("%q cycle %d: lone request %+v drew %d grants, want 1", kind, cycle, rs.Requests[0], len(grants))
 		}
 		if len(rs.Requests) != len(snapshot) {
 			t.Fatalf("%q cycle %d: Allocate resized the caller's request slice (%d -> %d)",

@@ -236,14 +236,29 @@ func ReferenceGeometries() []Config {
 	)
 }
 
+// lockstepLoads is the load pattern the lockstep streams cycle through;
+// the negative entry stands for a lone-request cycle.
+var lockstepLoads = []float64{0.9, 0.05, 0, -1, 0.5, 0, 0.95, 0.1, 0}
+
 // lockstepRequests draws one cycle of the lockstep streams. Load swings
 // between saturation, trickle and silence so a mask left dirty by a lazy
 // clear would surface; some sets offer a second request on a VC already
 // requesting (the first per slot must stand) and some arrive out of
-// (port, vc) order.
+// (port, vc) order. One cycle of each pattern is a lone request — the
+// below-saturation common case SeparableIF grants without arbitrating —
+// and successive ones enumerate every (port, VC) x output, so between
+// them every row and slot meets every output, each next to a contended
+// cycle and a possible SkipIdle span.
 func lockstepRequests(rng *sim.RNG, cfg Config, cycle int) *RequestSet {
-	loads := []float64{0.9, 0.05, 0, 0.5, 0, 0.95, 0.1, 0}
-	rs := randomRequestSet(rng, cfg, loads[cycle%len(loads)])
+	load := lockstepLoads[cycle%len(lockstepLoads)]
+	if load < 0 {
+		i := cycle / len(lockstepLoads)
+		ivc := i / cfg.Ports % (cfg.Ports * cfg.VCs)
+		return &RequestSet{Config: cfg, Requests: []Request{
+			{Port: ivc / cfg.VCs, VC: ivc % cfg.VCs, OutPort: i % cfg.Ports},
+		}}
+	}
+	rs := randomRequestSet(rng, cfg, load)
 	if n := len(rs.Requests); n > 0 && rng.Bernoulli(0.2) {
 		for dups := 1 + rng.Intn(3); dups > 0; dups-- {
 			dup := rs.Requests[rng.Intn(n)]
@@ -260,19 +275,25 @@ func lockstepRequests(rng *sim.RNG, cfg Config, cycle int) *RequestSet {
 	return rs
 }
 
-// lockstepCycles is the stream length per geometry.
+// lockstepCycles is the default stream length per geometry;
+// loneSweepCycles is the length at which the lone requests have
+// enumerated every (port, VC) x output.
 const lockstepCycles = 2500
 
+func loneSweepCycles(cfg Config) int {
+	return max(lockstepCycles, len(lockstepLoads)*cfg.Ports*cfg.VCs*cfg.Ports)
+}
+
 // runLockstep drives a mask allocator and its dense reference with
-// identical request streams and demands identical grant sequences every
-// cycle, then calls same to compare the persistent arbiter state. Idle
-// spans reach the reference as literal empty calls and the mask allocator
-// as either those or one SkipIdle.
-func runLockstep(t *testing.T, cfg Config, packed Allocator, dense func(*RequestSet) []Grant, same func(cycle int)) {
+// identical request streams of the given length and demands identical
+// grant sequences every cycle, then calls same to compare the persistent
+// arbiter state. Idle spans reach the reference as literal empty calls
+// and the mask allocator as either those or one SkipIdle.
+func runLockstep(t *testing.T, cfg Config, cycles int, packed Allocator, dense func(*RequestSet) []Grant, same func(cycle int)) {
 	t.Helper()
 	rng := sim.NewRNG(404)
 	empty := &RequestSet{Config: cfg}
-	for cycle := 0; cycle < lockstepCycles; cycle++ {
+	for cycle := 0; cycle < cycles; cycle++ {
 		rs := lockstepRequests(rng, cfg, cycle)
 		if len(rs.Requests) == 0 && rng.Bernoulli(0.5) {
 			// Mostly short spans; one in eight outlasts the wavefront's
@@ -306,13 +327,14 @@ func runLockstep(t *testing.T, cfg Config, packed Allocator, dense func(*Request
 
 // TestSeparableIFMatchesDenseReference holds the mask SeparableIF to the
 // dense reference over ReferenceGeometries: same grants in the same
-// order, and the same input- and output-arbiter pointers after every
-// call.
+// order, the same input- and output-arbiter pointers after every call —
+// the lone-request grant moves them without arbitrating — and every
+// lazily-drained mask back to all-zero.
 func TestSeparableIFMatchesDenseReference(t *testing.T) {
 	for _, cfg := range ReferenceGeometries() {
 		packed := NewSeparableIF(cfg)
 		dense := newDenseSeparableIF(cfg)
-		runLockstep(t, cfg, packed, dense.allocate, func(cycle int) {
+		runLockstep(t, cfg, loneSweepCycles(cfg), packed, dense.allocate, func(cycle int) {
 			for row, a := range dense.inputArbs {
 				if got, want := packed.inPtr[row], rrPointer(a); got != want {
 					t.Fatalf("cfg %+v cycle %d: input pointer of row %d is %d, dense %d", cfg, cycle, row, got, want)
@@ -321,6 +343,16 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 			for out, a := range dense.outputArbs {
 				if got, want := packed.outPtr[out], rrPointer(a); got != want {
 					t.Fatalf("cfg %+v cycle %d: output pointer of port %d is %d, dense %d", cfg, cycle, out, got, want)
+				}
+			}
+			for _, m := range []struct {
+				name  string
+				words []uint64
+			}{{"slotMask", packed.slotMask}, {"rowOcc", packed.rowOcc}, {"outMask", packed.outMask}, {"outOcc", packed.outOcc}} {
+				for i, w := range m.words {
+					if w != 0 {
+						t.Fatalf("cfg %+v cycle %d: %s[%d] is %#x between calls, want 0", cfg, cycle, m.name, i, w)
+					}
 				}
 			}
 		})
@@ -334,7 +366,7 @@ func TestWavefrontMatchesDenseReference(t *testing.T) {
 	for _, cfg := range ReferenceGeometries() {
 		packed := NewWavefront(cfg)
 		dense := newDenseWavefront(cfg)
-		runLockstep(t, cfg, packed, dense.allocate, func(cycle int) {
+		runLockstep(t, cfg, lockstepCycles, packed, dense.allocate, func(cycle int) {
 			if packed.prio != dense.prio {
 				t.Fatalf("cfg %+v cycle %d: priority diagonal %d, dense %d", cfg, cycle, packed.prio, dense.prio)
 			}

@@ -91,6 +91,19 @@ func (s *SeparableIF) Reset() {
 //
 //vixlint:hot
 func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
+	// A lone request is its own matching — the common case of every run
+	// below saturation. Both of its arbiters would pick it whatever their
+	// pointers and advance past it, so grant it and move the pointers the
+	// same way; the masks are never raised and stay all-zero.
+	if len(rs.Requests) == 1 {
+		r := rs.Requests[0]
+		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
+		s.outPtr[r.OutPort] = int32(arb.Next(row, len(s.inPtr)))
+		s.inPtr[row] = int32(arb.Next(int(s.slotOf[r.VC]), s.groupSize))
+		s.grants = append(s.grants[:0], Grant{Req: 0, OutPort: r.OutPort, Row: row})
+		return s.grants
+	}
+
 	// Raise each request's line on its row's input arbiter. A VC offers
 	// one request; should a caller offer more, the first per slot stands.
 	for i, r := range rs.Requests {

@@ -103,7 +103,8 @@ func (e Experiment) Validate() error {
 	if e.Pattern != "" && !traffic.Known(e.Pattern) {
 		bad("pattern", "unknown traffic pattern %q; want one of %v", e.Pattern, traffic.Names())
 	}
-	if e.InjectionRate < 0 || e.InjectionRate > 1 {
+	// Negated so that NaN, which compares false to everything, is rejected.
+	if !(e.InjectionRate >= 0 && e.InjectionRate <= 1) {
 		bad("injection_rate", "must be in [0, 1] packets/cycle/node, got %g", e.InjectionRate)
 	}
 	if e.PacketSize < 0 {

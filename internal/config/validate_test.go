@@ -2,6 +2,7 @@ package config
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,6 +75,17 @@ func TestValidateFieldPaths(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "injection_rate") {
 		t.Errorf("flattened message %q does not name the field", err)
+	}
+
+	// A rate outside [0, 1] or not finite is one injection_rate finding.
+	// NaN compares false to both bounds, so a check written with < and >
+	// lets it through to a network that never injects.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		e := Default()
+		e.InjectionRate = rate
+		if !errors.As(e.Validate(), &ve) || len(ve) != 1 || ve[0].Field != "injection_rate" {
+			t.Errorf("injection_rate %v: got %v, want a single injection_rate finding", rate, e.Validate())
+		}
 	}
 }
 

@@ -8,13 +8,21 @@ import "vix/internal/stats"
 // every cycle, in index order — no activity words, no NodeActivity hint,
 // no worklist, no pool. A router that ticks every cycle has no idle span
 // to replay, so SkipIdle is never reached; the lastTick check proves it.
+// The statistical process draws per NI with the float rng.Bernoulli(rate),
+// which holds source's integer-threshold loop to it in every lockstep
+// test.
 func (n *Network) stepDense() {
 	n.deliver()
 	if n.ticker != nil {
 		n.ticker.Tick(n.cycle)
 	}
+	statistical := n.cfg.Workload == nil && !n.cfg.MaxInjection
 	for _, nif := range n.nis {
-		n.generate(nif)
+		if !statistical {
+			n.generate(nif)
+		} else if nif.rng.Bernoulli(n.cfg.InjectionRate) {
+			n.enqueueStatistical(nif)
+		}
 		n.inject(nif)
 	}
 	var d stats.Delta

@@ -8,6 +8,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"vix/internal/alloc"
@@ -61,9 +62,11 @@ type Ticker interface {
 // call would return no packets, consume no randomness, and have no side
 // effects, so Step skips it without changing behaviour. The
 // statistical traffic process has no such hint — it consumes one RNG
-// draw per node per cycle, so generation stays dense without a Workload
-// — but trace-driven workloads like the manycore system implement it as
-// a queue-empty test, which is where large mostly-idle networks win.
+// draw per node per cycle, so generation stays dense without a Workload,
+// drawn in one tight integer loop over the nodes' contiguous generators
+// (source) — but trace-driven workloads like the manycore system
+// implement it as a queue-empty test, which is where large mostly-idle
+// networks win.
 type NodeActivity interface {
 	NodeActive(node int, cycle int64) bool
 }
@@ -170,8 +173,8 @@ func (c *Config) Validate() error {
 		if c.Pattern == nil {
 			return errors.New("network: Pattern is required without a Workload")
 		}
-		if c.InjectionRate < 0 {
-			return fmt.Errorf("network: negative injection rate %v", c.InjectionRate)
+		if c.InjectionRate < 0 || math.IsNaN(c.InjectionRate) || math.IsInf(c.InjectionRate, 0) {
+			return fmt.Errorf("network: injection rate %v is negative or not finite", c.InjectionRate)
 		}
 		if !c.MaxInjection && c.InjectionRate == 0 {
 			return errors.New("network: zero injection rate without MaxInjection")
@@ -197,10 +200,11 @@ type creditDelivery struct {
 // cycle. Queued packets hold no arena slots, so the live flit
 // population — and with it the slab high-water mark — is bounded by the
 // network's buffering, not by source backlog: a saturated run's queues
-// grow by 40 bytes per packet of descriptor, never by flits.
+// grow by 48 bytes per packet of descriptor, never by flits.
 type queuedPacket struct {
 	id          uint64
 	dst         int
+	route       int // output port at the source router, fixed by (source, dst)
 	tag         uint64
 	size        int
 	createCycle int64
@@ -213,7 +217,7 @@ type queuedPacket struct {
 // an ever-growing prefix of consumed slots.
 type ni struct {
 	node  int
-	rng   *sim.RNG
+	rng   *sim.RNG // this node's element of Network.rngs
 	queue []queuedPacket
 	head  int // index of the front packet within queue
 	seq   int // flits of the front packet already injected
@@ -266,6 +270,12 @@ type Network struct {
 
 	routers []*router.Router
 	nis     []*ni
+
+	// rngs holds every node's generator contiguously, in node order, so
+	// the statistical injection draw is one linear walk; injectThr is
+	// sim.BernoulliThreshold of the injection rate (setInjectionRate).
+	rngs      []sim.RNG
+	injectThr uint64
 
 	cycle        int64
 	nextPacketID uint64
@@ -365,9 +375,12 @@ func New(cfg Config) (*Network, error) {
 		n.routers[r] = router.New(r, cfg.Router, ports, a, n.nextDimFunc(r), vcRange(r), arena)
 	}
 	n.nis = make([]*ni, topo.NumNodes)
+	n.rngs = make([]sim.RNG, topo.NumNodes)
 	for node := 0; node < topo.NumNodes; node++ {
-		n.nis[node] = &ni{node: node, rng: root.Fork(uint64(node)), curVC: -1}
+		n.rngs[node] = *root.Fork(uint64(node))
+		n.nis[node] = &ni{node: node, rng: &n.rngs[node], curVC: -1}
 	}
+	n.setInjectionRate(cfg.InjectionRate)
 	n.actR = sim.NewBitset(topo.NumRouters)
 	n.actNI = sim.NewBitset(topo.NumNodes)
 	n.lastTick = make([]int64, topo.NumRouters)
@@ -488,6 +501,13 @@ func (n *Network) deliver() {
 	n.ejectQ[slot] = n.ejectQ[slot][:0]
 }
 
+// setInjectionRate sets the statistical process's rate and the integer
+// threshold source draws against — the one place the threshold is derived.
+func (n *Network) setInjectionRate(rate float64) {
+	n.cfg.InjectionRate = rate
+	n.injectThr = sim.BernoulliThreshold(rate)
+}
+
 // source runs traffic generation for every node (or only the nodes the
 // workload's NodeActivity hint reports active), then injects one flit
 // from every NI with queued flits, walking the NI activity words in
@@ -495,15 +515,28 @@ func (n *Network) deliver() {
 // any equals interleaving the two per node: generation touches only
 // per-NI state and the shared packet-ID counter, in the same ascending
 // node order either way, and injection at one node never observes
-// another node's injection (distinct local ports). The hint test sits
-// outside the loop because at low load this loop is the cycle: testing it
-// per node measured +0.7% on the ledger's mesh16_low.
+// another node's injection (distinct local ports).
+//
+// The statistical process draws once per node per cycle — that draw is
+// the RNG stream — and below saturation almost every draw misses, so the
+// draws are the cycle: they run as one scan over the contiguous
+// generators comparing integers (sim.NextBelow, outcome for outcome what
+// the reference's per-NI rng.Bernoulli(rate) decides), which stops only
+// at a node that injects. The hint test sits outside its loop for the
+// same reason: testing it per node measured +0.7% on the ledger's
+// mesh16_low.
 func (n *Network) source() {
-	if n.nodeAct == nil {
+	switch {
+	case n.cfg.Workload == nil && !n.cfg.MaxInjection:
+		rngs, thr := n.rngs, n.injectThr
+		for node := sim.NextBelow(rngs, 0, thr); node < len(rngs); node = sim.NextBelow(rngs, node+1, thr) {
+			n.enqueueStatistical(n.nis[node])
+		}
+	case n.nodeAct == nil:
 		for _, nif := range n.nis {
 			n.generate(nif)
 		}
-	} else {
+	default:
 		for _, nif := range n.nis {
 			if n.nodeAct.NodeActive(nif.node, n.cycle) {
 				n.generate(nif)
@@ -558,8 +591,9 @@ func (n *Network) eject(id router.FlitID) {
 // buffer invariants.
 func (n *Network) Routers() []*router.Router { return n.routers }
 
-// generate enqueues new packets at nif according to the workload or the
-// statistical traffic process.
+// generate enqueues new packets at nif according to the workload or, under
+// MaxInjection, to keep a backlog; the statistical process's draw is in
+// source.
 func (n *Network) generate(nif *ni) {
 	if n.cfg.Workload != nil {
 		for _, spec := range n.cfg.Workload.Generate(nif.node, n.cycle, nif.rng) {
@@ -567,21 +601,18 @@ func (n *Network) generate(nif *ni) {
 		}
 		return
 	}
-	if n.cfg.MaxInjection {
-		for nif.backlog() < 2 {
-			n.enqueuePacket(nif, PacketSpec{
-				Dst:  n.cfg.Pattern.Dest(nif.node, nif.rng),
-				Size: n.cfg.PacketSize,
-			})
-		}
-		return
+	for nif.backlog() < 2 {
+		n.enqueueStatistical(nif)
 	}
-	if nif.rng.Bernoulli(n.cfg.InjectionRate) {
-		n.enqueuePacket(nif, PacketSpec{
-			Dst:  n.cfg.Pattern.Dest(nif.node, nif.rng),
-			Size: n.cfg.PacketSize,
-		})
-	}
+}
+
+// enqueueStatistical enqueues one packet of the statistical traffic
+// process at nif, to a destination drawn from the pattern.
+func (n *Network) enqueueStatistical(nif *ni) {
+	n.enqueuePacket(nif, PacketSpec{
+		Dst:  n.cfg.Pattern.Dest(nif.node, nif.rng),
+		Size: n.cfg.PacketSize,
+	})
 }
 
 func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
@@ -597,6 +628,7 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 	nif.push(queuedPacket{
 		id:          id,
 		dst:         spec.Dst,
+		route:       n.route(n.topo, n.topo.NodeRouter[nif.node], spec.Dst),
 		tag:         spec.Tag,
 		size:        size,
 		createCycle: n.cycle,
@@ -616,13 +648,12 @@ func (n *Network) inject(nif *ni) {
 	port := n.topo.NodePort[nif.node]
 	rt := n.routers[r]
 	ft := router.PacketFlitType(nif.seq, p.size)
-	route := n.route(n.topo, r, p.dst)
 
 	if ft.IsHead() {
 		if nif.curVC >= 0 {
 			panic("network: head flit while previous packet still streaming")
 		}
-		vc := n.chooseInjectionVC(rt, r, port, route)
+		vc := n.chooseInjectionVC(rt, r, port, p.route)
 		if vc < 0 {
 			return // no space at the local port this cycle
 		}
@@ -643,7 +674,7 @@ func (n *Network) inject(nif *ni) {
 	f.Seq = nif.seq
 	f.PacketSize = p.size
 	f.CreateCycle = p.createCycle
-	f.Route = route
+	f.Route = p.route
 	f.VC = -1
 	rt.DeliverFlit(port, nif.curVC, fid)
 	n.col.BufferWrite()

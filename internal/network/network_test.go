@@ -274,6 +274,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Router.Ports = 3 },
 		func(c *Config) { c.InjectionRate = -1 },
 		func(c *Config) { c.InjectionRate = 0 },
+		func(c *Config) { c.InjectionRate = math.NaN() },
+		func(c *Config) { c.InjectionRate = math.Inf(1) },
 		func(c *Config) { c.Router.BufDepth = 0 },
 		func(c *Config) { c.Router.AllocKind = "bogus" },
 		func(c *Config) { c.PacketSize = -2 },

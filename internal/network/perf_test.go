@@ -102,7 +102,7 @@ func TestSteadyStateZeroAllocsLowLoad(t *testing.T) {
 			defer n.Close()
 			n.Run(200)
 			for _, rate := range []float64{0.01, 0.001} {
-				n.cfg.InjectionRate = rate
+				n.setInjectionRate(rate)
 				n.Run(8000)
 				if q := n.QueuedAtSources(); q > int64(len(n.nis)) {
 					t.Fatalf("%d flits still queued at sources; the overload has not drained", q)

@@ -223,8 +223,8 @@ func (a *Arena) Flits() *FlitArena { return a.flits }
 type Router struct {
 	id      int
 	cfg     Config
-	acfg    alloc.Config
 	alloc   alloc.Allocator
+	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
 	nextDim NextDimFunc
 	vcRange VCRangeFunc
 	flits   *FlitArena
@@ -294,7 +294,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	r := &Router{
 		id:      id,
 		cfg:     cfg,
-		acfg:    cfg.Alloc(),
 		alloc:   allocator,
 		nextDim: nextDim,
 		vcRange: vcRange,
@@ -325,7 +324,8 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	r.hasOVC = masks[w : 2*w : 2*w]
 	r.justAlloc = masks[2*w : 3*w : 3*w]
 	r.busy = masks[3*w:][:cfg.Ports:cfg.Ports]
-	r.reqs.Config = r.acfg
+	r.reqs.Config = cfg.Alloc()
+	r.idle, _ = allocator.(alloc.IdleSkipper)
 	return r
 }
 
@@ -504,8 +504,8 @@ func (r *Router) SkipIdle(cycles int) {
 			r.justAlloc[i] = 0
 		}
 	}
-	if s, ok := r.alloc.(alloc.IdleSkipper); ok {
-		s.SkipIdle(cycles)
+	if r.idle != nil {
+		r.idle.SkipIdle(cycles)
 		return
 	}
 	r.reqs.Requests = r.reqs.Requests[:0]
@@ -594,7 +594,7 @@ func (r *Router) chooseOVC(out, dst int) int {
 		credits:   r.credits[out*vcs : out*vcs+vcs],
 		groupMask: r.groupMask,
 		nextDim:   r.nextDim(out, dst),
-		groupSize: r.acfg.GroupSize(),
+		groupSize: r.reqs.Config.GroupSize(),
 	}
 	return r.cfg.Policy.choose(&ctx)
 }

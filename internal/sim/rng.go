@@ -7,7 +7,10 @@
 // RNG so that every experiment is exactly reproducible from a seed.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a splitmix64-based pseudo random number generator.
 //
@@ -91,23 +94,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniformly distributed float in [0, 1).
@@ -125,6 +116,43 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// BernoulliThreshold compiles Bernoulli's p into the integer bound
+// NextBelow compares draws with: ceil(p * 2^53), saturating at 2^53
+// for p >= 1. Float64 is k / 2^53 for the 53-bit integer k = Uint64()>>11
+// and scaling by a power of two is exact, so Float64() < p is k < p * 2^53,
+// which for an integer k is k < ceil(p * 2^53): the two forms agree on
+// every word for every p > 0. A p that is not positive (or not a number)
+// gets 0, which no draw is below.
+func BernoulliThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << 53
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
+	return 0
+}
+
+// NextBelow draws once from each of rngs[from:], in order, until a draw
+// falls below thr, and returns that generator's index, or len(rngs) when
+// none does; generators past the hit are not drawn. For thr =
+// BernoulliThreshold(p), p > 0, each draw is rngs[i].Bernoulli(p) without
+// the float conversion — the same outcome from the same word, and like
+// Bernoulli no draw at all when p >= 1 — so a caller resuming the scan
+// after each hit gives every generator exactly its one Bernoulli(p) draw,
+// as one tight loop over contiguous state.
+func NextBelow(rngs []RNG, from int, thr uint64) int {
+	if thr >= 1<<53 {
+		return from
+	}
+	for i := from; i < len(rngs); i++ {
+		if rngs[i].Uint64()>>11 < thr {
+			return i
+		}
+	}
+	return len(rngs)
 }
 
 // Exp returns an exponentially distributed value with the given mean.

@@ -217,20 +217,112 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
+// TestIntnPinned pins Intn's outputs for one seed across bounds small,
+// large and rejection-prone (3<<61 rejects a quarter of all words), so
+// the 128-bit product behind it can change form but not value.
+func TestIntnPinned(t *testing.T) {
+	r := NewRNG(29)
+	for _, c := range []struct{ n, want int }{
+		{1, 0},
+		{2, 1},
+		{3, 2},
+		{10, 3},
+		{64, 5},
+		{1000, 525},
+		{1<<31 + 1, 1667012653},
+		{1<<62 + 12345, 4217103031060606838},
+		{1<<63 - 1, 1838491164746149622},
+		{3 << 61, 5859897847654434340},
+	} {
+		if got := r.Intn(c.n); got != c.want {
+			t.Fatalf("Intn(%d) = %d, want %d", c.n, got, c.want)
+		}
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+}
+
+// rngYielding returns a generator whose next Uint64 is out: splitmix64's
+// output mix is a bijection, undone here step by step (an xorshift by
+// s >= 22 inverts as x ^ x>>s ^ x>>2s; an odd multiplier inverts by
+// Newton's iteration mod 2^64).
+func rngYielding(out uint64) RNG {
+	inv := func(a uint64) uint64 {
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	z := out
+	z ^= z>>31 ^ z>>62
+	z *= inv(0x94d049bb133111eb)
+	z ^= z>>27 ^ z>>54
+	z *= inv(0xbf58476d1ce4e5b9)
+	z ^= z>>30 ^ z>>60
+	return RNG{state: z - 0x9e3779b97f4a7c15}
+}
+
+// TestNextBelowMatchesBernoulli holds the integer threshold scan to the
+// float draw it replaces. For each p, a slab of generators scanned cycle
+// after cycle must hit exactly where per-generator Bernoulli(p) calls on
+// twin streams do, over more than 10^6 draws, and leave every stream in
+// step with its twin (so neither form consumed a word the other did not);
+// and on the two words either side of the threshold, forced through the
+// generator, both forms must split the same way.
+func TestNextBelowMatchesBernoulli(t *testing.T) {
+	ps := []float64{0x1p-53, 1e-12, 0.001116, 0.5, 1 - 0x1p-53}
+	pick := NewRNG(31)
+	for i := 0; i < 8; i++ {
+		ps = append(ps, pick.Float64(), pick.Float64()*0x1p-20)
+	}
+	const nodes, cycles = 64, 1<<14 + 1
+	for _, p := range ps {
+		thr := BernoulliThreshold(p)
+		for _, k := range []uint64{thr - 1, thr} {
+			word := k<<11 | 0x5a5 // the low 11 bits never reach the compare
+			a, b := rngYielding(word), rngYielding(word)
+			got, want := NextBelow([]RNG{a}, 0, thr) == 0, b.Bernoulli(p)
+			if got != want || want != (k < thr) {
+				t.Fatalf("p=%g word %d (threshold %d): NextBelow hit %v, Bernoulli %v", p, k, thr, got, want)
+			}
+		}
+		root := NewRNG(37)
+		scan, twin := make([]RNG, nodes), make([]RNG, nodes)
+		for i := range scan {
+			scan[i] = *root.Fork(uint64(i))
+			twin[i] = scan[i]
+		}
+		for c := 0; c < cycles; c++ {
+			next := NextBelow(scan, 0, thr)
+			for i := range twin {
+				hit := twin[i].Bernoulli(p)
+				if hit != (i == next) {
+					t.Fatalf("p=%g cycle %d node %d: Bernoulli %v, scan's next hit at %d", p, c, i, hit, next)
+				}
+				if hit {
+					next = NextBelow(scan, i+1, thr)
+				}
+			}
+		}
+		for i := range scan {
+			if scan[i] != twin[i] {
+				t.Fatalf("p=%g: node %d's streams consumed different numbers of draws", p, i)
+			}
+		}
+	}
+	for _, p := range []float64{0, -0.5, math.Inf(-1), math.NaN()} {
+		if thr := BernoulliThreshold(p); thr != 0 {
+			t.Fatalf("BernoulliThreshold(%g) = %d, want 0", p, thr)
+		}
+	}
+	// p >= 1 hits everywhere and, like Bernoulli, draws nothing.
+	for _, p := range []float64{1, 1.5, math.MaxFloat64, math.Inf(1)} {
+		rngs := []RNG{*NewRNG(41), *NewRNG(43)}
+		thr := BernoulliThreshold(p)
+		if a, b := NextBelow(rngs, 0, thr), NextBelow(rngs, 1, thr); a != 0 || b != 1 {
+			t.Fatalf("p=%g: hits at %d, %d, want 0, 1", p, a, b)
+		}
+		if rngs[0] != *NewRNG(41) || rngs[1] != *NewRNG(43) {
+			t.Fatalf("p=%g consumed a draw", p)
 		}
 	}
 }
