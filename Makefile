@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint lint-escapes lint-state lint-bench race test bench bench-json ledger profile sweep experiments examples clean
+.PHONY: all build vet lint race test bench bench-json ledger profile sweep experiments examples clean
 
 all: build vet lint test
 
@@ -10,15 +10,13 @@ build:
 vet:
 	go vet ./...
 
-# The full static-analysis gate: vet, gofmt cleanliness, the repo's own
-# vixlint pass (determinism including transitive reach, allocator
-# contracts, scratch escape, enum exhaustiveness, hygiene, and the
-# parallel/* shard-ownership rules — see internal/lint), the compiler
-# escape gate (lint-escapes), and the state-graph gate (lint-state).
-# vixlint keeps a content-hash finding cache under .vixlint/, so reruns
-# only re-analyze packages whose hash chain changed. The lint
-# self-check tests enforce the same rules under plain `go test ./...`.
-lint: vet lint-escapes lint-state
+# The static-analysis gate: vet, gofmt cleanliness, and one run of the
+# repo's own vixlint pass (determinism including transitive reach,
+# allocator contracts, scratch escape, enum exhaustiveness, hygiene, and
+# the parallel/* shard-ownership rules — see internal/lint). One serial
+# pass, ~2 s, nothing cached, nothing written. The lint self-check test
+# enforces the same rules under plain `go test ./...`.
+lint: vet
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: the following files need formatting:"; \
@@ -26,66 +24,6 @@ lint: vet lint-escapes lint-state
 		exit 1; \
 	fi
 	go run ./cmd/vixlint -v ./...
-
-# The compiler escape gate: diff heap escapes inside //vixlint:hot call
-# cones (from `go build -gcflags=-m`, replayed from the build cache on
-# warm runs) against the committed golden at .vixlint/escapes.golden.
-# A new escape on the hot path fails with its exact file:line and the
-# compiler's reason; regenerate the golden after an audited change with
-# `go run ./cmd/vixlint -escapes -update-escapes ./...`.
-lint-escapes:
-	go run ./cmd/vixlint -escapes -v ./...
-
-# The state-graph gate: every mutable field reachable from the
-# simulation state roots must be classified persistent, scratch or
-# config in the committed manifest at .vixlint/stategraph.golden — the
-# normative field list for checkpoint/restore. Regenerate after an
-# audited change with `go run ./cmd/vixlint -state -update-state ./...`.
-lint-state:
-	go run ./cmd/vixlint -state -v ./...
-
-# Demonstrate the incremental engine: a cold run (cache cleared) versus
-# a warm rerun, which must type-check and analyze zero packages. The
-# escape and state gates get the same treatment: their warm-skip states
-# are keyed on the module content hash plus their golden/manifest (and,
-# for escapes, the toolchain), so the warm invocations must analyze
-# nothing. Only cache entries are cleared — .vixlint/escapes.golden and
-# .vixlint/stategraph.golden are committed baselines, not cache. The
-# binary builds into a per-invocation temp dir so concurrent checkouts
-# (CI shards, worktrees) cannot clobber each other's binary.
-lint-bench:
-	@bin="$$(mktemp -d)/vixlint"; \
-	trap 'rm -rf "$$(dirname "$$bin")"' EXIT; \
-	set -e; \
-	go build -o "$$bin" ./cmd/vixlint; \
-	rm -f .vixlint/*.json; \
-	echo "== cold (empty cache)"; \
-	"$$bin" -v ./...; \
-	echo "== warm (unchanged tree)"; \
-	warm="$$("$$bin" -v ./... 2>&1)"; \
-	echo "$$warm"; \
-	case "$$warm" in \
-	*" 0 analyzed"*) ;; \
-	*) echo "lint-bench: warm run re-analyzed packages; cache is broken"; exit 1 ;; \
-	esac; \
-	echo "== escapes cold (no warm-skip state)"; \
-	"$$bin" -escapes -v ./...; \
-	echo "== escapes warm (unchanged tree)"; \
-	warm="$$("$$bin" -escapes -v ./... 2>&1)"; \
-	echo "$$warm"; \
-	case "$$warm" in \
-	*" 0 analyzed"*) ;; \
-	*) echo "lint-bench: warm escape gate re-ran the compiler diff; warm-skip state is broken"; exit 1 ;; \
-	esac; \
-	echo "== state cold (no warm-skip state)"; \
-	"$$bin" -state -v ./...; \
-	echo "== state warm (unchanged tree)"; \
-	warm="$$("$$bin" -state -v ./... 2>&1)"; \
-	echo "$$warm"; \
-	case "$$warm" in \
-	*" 0 analyzed"*) ;; \
-	*) echo "lint-bench: warm state gate re-ran the graph walk; warm-skip state is broken"; exit 1 ;; \
-	esac
 
 # Run the test suite under the race detector. Allocators and routers are
 # documented as not concurrency-safe; this verifies nothing shares them

@@ -1,13 +1,15 @@
 // Command vixlint runs the simulator's static-analysis pass over the
-// whole module: determinism rules (no wall clock, no global rand, no
-// goroutines, no order-leaking map iteration in internal/, and no
-// exported entry point transitively reaching any of those), allocator
-// contracts (registry completeness, read-only RequestSets, Kind/Name
-// agreement, scratch ownership), scratch-escape rules (Allocate results
-// must not be stored or used across a later Allocate/Reset),
-// exhaustiveness of enum switches, and hygiene rules (no printing or
-// anonymous panics in library code). See internal/lint for the rule
-// catalogue and the //vixlint:ordered waiver syntax.
+// whole module, once, on one goroutine: determinism rules (no wall
+// clock, no global rand, no goroutines, no order-leaking map iteration
+// in internal/, and no exported entry point transitively reaching any
+// of those), allocator contracts (registry completeness, read-only
+// RequestSets, Kind/Name agreement, scratch ownership), scratch-escape
+// rules (Allocate results must not be stored or used across a later
+// Allocate/Reset), exhaustiveness of enum switches, hygiene rules (no
+// printing or anonymous panics in library code, networks closed in
+// cmd/), shard ownership of sim.Pool jobs, and waiver/directive
+// hygiene. See internal/lint for the rule catalogue and the
+// //vixlint:ordered, //vixlint:alloc and //vixlint:shared waiver syntax.
 //
 // Usage:
 //
@@ -19,30 +21,11 @@
 //	-root dir    module root to analyse (default: the module containing
 //	             the working directory)
 //	-json        emit findings as a JSON array on stdout instead of text
-//	-v           print engine statistics (packages, cache hits, workers,
-//	             wall time) to stderr
-//	-no-cache    disable the .vixlint/ finding cache and re-analyse every
-//	             package
-//	-workers n   bound the analysis worker pool (default GOMAXPROCS)
-//	-escapes     run the compiler escape gate instead of the analyzers:
-//	             diff heap escapes inside //vixlint:hot call cones
-//	             (from `go build -gcflags=-m`) against the committed
-//	             golden at .vixlint/escapes.golden
-//	-update-escapes  with -escapes, regenerate the golden from the
-//	             current compiler output instead of diffing
-//	-state       run the state-graph gate instead of the analyzers:
-//	             walk every mutable field reachable from the simulation
-//	             state roots and require the committed manifest at
-//	             .vixlint/stategraph.golden to classify each one as
-//	             persistent, scratch or config (rules state/unclassified,
-//	             state/scratch-read, state/frozen-write, state/stale)
-//	-update-state  with -state, regenerate the manifest: audited
-//	             classifications are preserved, stale entries dropped,
-//	             new fields classified automatically
+//	-v           print the analysis wall time to stderr
 //
 // Exit status: 0 when the module is clean, 1 when findings are
 // reported, 2 when the analysis itself fails (unloadable module,
-// unreadable root, malformed state manifest).
+// unreadable root). Nothing is written under the module root.
 package main
 
 import (
@@ -59,15 +42,9 @@ import (
 func main() {
 	root := flag.String("root", "", "module root to analyse (default: the module containing the working directory)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	verbose := flag.Bool("v", false, "print engine statistics to stderr")
-	noCache := flag.Bool("no-cache", false, "disable the .vixlint/ finding cache")
-	workers := flag.Int("workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
-	escapes := flag.Bool("escapes", false, "run the compiler escape gate (diff //vixlint:hot cone escapes against .vixlint/escapes.golden)")
-	updateEscapes := flag.Bool("update-escapes", false, "with -escapes, regenerate the golden from current compiler output")
-	state := flag.Bool("state", false, "run the state-graph gate (diff reachable simulation state against .vixlint/stategraph.golden)")
-	updateState := flag.Bool("update-state", false, "with -state, regenerate the manifest (preserving audited classifications)")
+	verbose := flag.Bool("v", false, "print the analysis wall time to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: vixlint [-root dir] [-json] [-v] [-no-cache] [-workers n] [-escapes [-update-escapes]] [-state [-update-state]] [./...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: vixlint [-root dir] [-json] [-v] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -87,79 +64,14 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *updateEscapes && !*escapes {
-		fmt.Fprintf(os.Stderr, "vixlint: -update-escapes requires -escapes\n")
-		os.Exit(2)
-	}
-	if *updateState && !*state {
-		fmt.Fprintf(os.Stderr, "vixlint: -update-state requires -state\n")
-		os.Exit(2)
-	}
-	if *state && *escapes {
-		fmt.Fprintf(os.Stderr, "vixlint: -state and -escapes are separate gates; run them one at a time\n")
-		os.Exit(2)
-	}
 	start := time.Now()
-	var findings []lint.Finding
-	if *state {
-		var sstats lint.StateStats
-		var err error
-		findings, sstats, err = lint.CheckState(dir, lint.StateOptions{
-			Update: *updateState,
-			Cache:  !*noCache,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vixlint: %v\n", err)
-			os.Exit(2)
-		}
-		if *verbose {
-			cached := 0
-			if sstats.Cached {
-				cached = 1
-			}
-			fmt.Fprintf(os.Stderr, "vixlint: state: %d packages, %d cached, %d analyzed, %d roots, %d fields, %d entries, %s\n",
-				sstats.Packages, cached, sstats.Analyzed, sstats.Roots, sstats.Fields,
-				sstats.Entries, time.Since(start).Round(time.Millisecond))
-		}
-	} else if *escapes {
-		var estats lint.EscapeStats
-		var err error
-		findings, estats, err = lint.CheckEscapes(dir, lint.EscapeOptions{
-			Update: *updateEscapes,
-			Cache:  !*noCache,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vixlint: %v\n", err)
-			os.Exit(2)
-		}
-		if estats.GoSkew != "" {
-			fmt.Fprintf(os.Stderr, "vixlint: escapes: %s\n", estats.GoSkew)
-		}
-		if *verbose {
-			cached := 0
-			if estats.Cached {
-				cached = 1
-			}
-			fmt.Fprintf(os.Stderr, "vixlint: escapes: %d packages, %d cached, %d analyzed, %d hot, %d cone, %d diags, %s\n",
-				estats.Packages, cached, estats.Analyzed, estats.HotFuncs, estats.ConeFuncs,
-				estats.Diags, time.Since(start).Round(time.Millisecond))
-		}
-	} else {
-		var stats lint.Stats
-		var err error
-		findings, stats, err = lint.CheckWithOptions(dir, lint.Options{
-			Workers: *workers,
-			Cache:   !*noCache,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vixlint: %v\n", err)
-			os.Exit(2)
-		}
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "vixlint: %d packages, %d cached, %d analyzed, %d workers, %s\n",
-				stats.Packages, stats.Cached, stats.Analyzed, stats.Workers,
-				time.Since(start).Round(time.Millisecond))
-		}
+	findings, err := lint.Check(dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vixlint: %v\n", err)
+		os.Exit(2)
+	}
+	if *verbose {
+		fmt.Fprintf(os.Stderr, "vixlint: %s\n", time.Since(start).Round(time.Millisecond))
 	}
 	if *asJSON {
 		if err := writeJSON(os.Stdout, findings); err != nil {

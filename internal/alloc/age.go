@@ -67,8 +67,6 @@ func (s *SeparableAge) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
 	rows := s.rowReqs.group(rs)
 

@@ -53,8 +53,6 @@ func (a *AugmentingPath) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 	rows := a.cfg.Rows()
 	for i := 0; i < rows; i++ {

@@ -84,8 +84,6 @@ func (p *PacketChaining) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
 	rows := p.rowReqs.group(rs)
 	for i := range p.rowChained {

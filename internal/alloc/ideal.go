@@ -53,8 +53,6 @@ func (id *Ideal) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (id *Ideal) Allocate(rs *RequestSet) []Grant {
 	// Group requests by output.
 	for i := range id.byOut {

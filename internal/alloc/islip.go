@@ -97,8 +97,6 @@ func (s *ISLIP) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 	rows, outs := s.cfg.Rows(), s.cfg.Ports
 	// req[row][out] true if any VC of the row requests out; the cell

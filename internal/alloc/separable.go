@@ -88,8 +88,6 @@ func (s *SeparableIF) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
 	// A lone request is its own matching — the common case of every run
 	// below saturation. Both of its arbiters would pick it whatever their

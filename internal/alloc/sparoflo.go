@@ -104,8 +104,6 @@ func (s *Sparoflo) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
 	ports := s.cfg.Ports
 	// Per port, select up to `exposed` candidate requests with the input

@@ -83,8 +83,6 @@ func (w *Wavefront) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-//
-//vixlint:hot
 func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 	for i := range w.rowBusy {
 		w.rowBusy[i] = 0

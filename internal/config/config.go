@@ -117,47 +117,41 @@ func (e Experiment) Save(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// dims resolves the router grid and the terminals per router after the
+// documented defaults (mesh, torus: 8x8 with one terminal; cmesh, fbfly:
+// 4x4 with four).
+func (e Experiment) dims() (w, h, conc int) {
+	w, h, conc = e.Width, e.Height, 1
+	side := 8
+	if e.Topology == "cmesh" || e.Topology == "fbfly" {
+		side, conc = 4, e.Conc
+		if conc == 0 {
+			conc = 4
+		}
+	}
+	if w == 0 {
+		w, h = side, side
+	}
+	if h == 0 {
+		h = w
+	}
+	return w, h, conc
+}
+
 // BuildTopology resolves the topology description.
 func (e Experiment) BuildTopology() (*topology.Topology, error) {
-	w, h, c := e.Width, e.Height, e.Conc
+	w, h, c := e.dims()
+	if w < 0 || h < 0 || c < 0 {
+		return nil, fmt.Errorf("config: negative topology dimensions %dx%d c%d", w, h, c)
+	}
 	switch e.Topology {
 	case "", "mesh":
-		if w == 0 {
-			w, h = 8, 8
-		}
-		if h == 0 {
-			h = w
-		}
 		return topology.NewMesh(w, h), nil
 	case "torus":
-		if w == 0 {
-			w, h = 8, 8
-		}
-		if h == 0 {
-			h = w
-		}
 		return topology.NewTorus(w, h), nil
 	case "cmesh":
-		if w == 0 {
-			w, h = 4, 4
-		}
-		if h == 0 {
-			h = w
-		}
-		if c == 0 {
-			c = 4
-		}
 		return topology.NewCMesh(w, h, c), nil
 	case "fbfly":
-		if w == 0 {
-			w, h = 4, 4
-		}
-		if h == 0 {
-			h = w
-		}
-		if c == 0 {
-			c = 4
-		}
 		return topology.NewFBfly(w, h, c), nil
 	default:
 		return nil, fmt.Errorf("config: unknown topology %q", e.Topology)

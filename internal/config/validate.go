@@ -63,6 +63,16 @@ func (e Experiment) Validate() error {
 	if e.Conc < 0 {
 		bad("conc", "must be non-negative, got %d", e.Conc)
 	}
+	// Effective geometry, after the documented defaults; nodes stays 0
+	// when a dimension is negative, which is reported above.
+	w, h, conc := e.dims()
+	nodes := 0
+	if w > 0 && h > 0 && conc > 0 {
+		nodes = w * h * conc
+		if nodes < 2 {
+			bad("width", "a network needs at least 2 nodes to exchange packets, got %dx%d with %d per router", w, h, conc)
+		}
+	}
 	if e.VCs < 0 {
 		bad("vcs", "must be non-negative, got %d", e.VCs)
 	}
@@ -72,7 +82,6 @@ func (e Experiment) Validate() error {
 	if e.VirtualInputs < 0 {
 		bad("virtual_inputs", "must be non-negative, got %d", e.VirtualInputs)
 	}
-	// Effective crossbar geometry, after the documented defaults.
 	vcs, k := e.VCs, e.VirtualInputs
 	if vcs == 0 {
 		vcs = 6
@@ -83,11 +92,19 @@ func (e Experiment) Validate() error {
 	if k > 0 && vcs > 0 && k > vcs {
 		bad("virtual_inputs", "virtual inputs per port (%d) cannot exceed VCs per port (%d)", k, vcs)
 	}
-	if e.Topology == "torus" && vcs < 2 && (e.Width >= 3 || e.Height >= 3 || e.Width == 0) {
+	if vcs > alloc.MaxVCs {
+		bad("vcs", "at most %d VCs per port (one arbiter word), got %d", alloc.MaxVCs, vcs)
+	}
+	if e.Topology == "torus" && vcs < 2 && (w >= 3 || h >= 3) {
 		bad("vcs", "a torus with wraparound rings needs at least 2 VCs for the dateline classes, got %d", vcs)
 	}
-	if e.Allocator != "" && !alloc.Known(alloc.Kind(e.Allocator)) {
+	switch kind := alloc.Kind(e.Allocator); {
+	case e.Allocator != "" && !alloc.Known(kind):
 		bad("allocator", "unknown allocator %q; want one of %v", e.Allocator, alloc.Kinds())
+	case kind == alloc.KindIdeal && k != vcs:
+		bad("allocator", "ideal needs one crossbar row per VC (virtual_inputs == vcs), got %d != %d", k, vcs)
+	case kind == alloc.KindSparoflo && k != 1:
+		bad("allocator", "sparoflo is defined on the conventional crossbar (virtual_inputs == 1), got %d", k)
 	}
 	switch e.Policy {
 	case "", "maxfree", "dimension", "balanced":
@@ -100,8 +117,17 @@ func (e Experiment) Validate() error {
 		bad("partition", "unknown partition %q; want contiguous or interleaved", e.Partition)
 	}
 
-	if e.Pattern != "" && !traffic.Known(e.Pattern) {
-		bad("pattern", "unknown traffic pattern %q; want one of %v", e.Pattern, traffic.Names())
+	if pat := e.Pattern; pat != "" && !traffic.Known(pat) {
+		bad("pattern", "unknown traffic pattern %q; want one of %v", pat, traffic.Names())
+	} else if nodes >= 2 {
+		// The pattern must be defined on the node grid Build hands it.
+		if pat == "" {
+			pat = "uniform"
+		}
+		gw, gh := nodeGrid(nodes)
+		if _, err := traffic.New(pat, gw, gh); err != nil {
+			bad("pattern", "%s", strings.TrimPrefix(err.Error(), "traffic: "))
+		}
 	}
 	// Negated so that NaN, which compares false to everything, is rejected.
 	if !(e.InjectionRate >= 0 && e.InjectionRate <= 1) {

@@ -2,11 +2,16 @@ package config
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vix/internal/alloc"
+	"vix/internal/network"
+	"vix/internal/traffic"
 )
 
 // TestValidateAcceptsDefaults: the documented default experiment and the
@@ -20,23 +25,66 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
-// TestValidateAcceptsEverythingBuildAccepts sweeps the enum fields
-// through their legal values: Validate must never reject a spec Build
-// can resolve.
+// TestValidateAcceptsEverythingBuildAccepts holds Validate to both sides
+// of its contract over an enumerated grid of geometries, patterns,
+// allocators and crossbar shapes: a spec Validate accepts builds into a
+// network that steps 100 cycles without an error or a panic, and a spec
+// it rejects is one that would not have.
 func TestValidateAcceptsEverythingBuildAccepts(t *testing.T) {
-	for _, topo := range []string{"", "mesh", "cmesh", "fbfly"} {
-		for _, allocName := range []string{"", "if", "wavefront", "ap", "pc", "ideal", "islip", "sparoflo", "if-age"} {
-			e := Default()
-			e.Topology = topo
-			e.Allocator = allocName
-			if err := e.Validate(); err != nil {
-				t.Errorf("topology=%q allocator=%q rejected: %v", topo, allocName, err)
-				continue
+	// run resolves e all the way to a stepped network, turning a panic
+	// anywhere on the way into an error.
+	run := func(e Experiment) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
 			}
-			if _, err := e.Build(); err != nil {
-				t.Errorf("topology=%q allocator=%q validated but Build failed: %v", topo, allocName, err)
+		}()
+		cfg, err := e.Build()
+		if err != nil {
+			return err
+		}
+		n, err := network.New(cfg)
+		if err != nil {
+			return err
+		}
+		defer n.Close()
+		for i := 0; i < 100; i++ {
+			n.Step()
+		}
+		return nil
+	}
+	accepted := 0
+	for _, topo := range []string{"mesh", "torus", "cmesh", "fbfly"} {
+		for _, dim := range [][2]int{{1, 1}, {2, 3}, {3, 3}, {4, 4}} {
+			for _, pattern := range traffic.Names() {
+				for _, kind := range alloc.Kinds() {
+					for _, vcs := range []int{2, 6, 65} {
+						for _, k := range []int{1, 2, vcs} {
+							if k == 2 && vcs == 2 {
+								continue // the same point as k = vcs
+							}
+							e := Default()
+							e.Topology, e.Width, e.Height = topo, dim[0], dim[1]
+							e.Pattern, e.Allocator = pattern, string(kind)
+							e.VCs, e.VirtualInputs = vcs, k
+							// Busy enough that every node draws destinations.
+							e.InjectionRate = 0.3
+							verr, rerr := e.Validate(), run(e)
+							if verr == nil {
+								accepted++
+							}
+							if (verr == nil) != (rerr == nil) {
+								t.Errorf("%s %dx%d %s %s vcs=%d k=%d: Validate says %v, running it says %v",
+									topo, dim[0], dim[1], pattern, kind, vcs, k, verr, rerr)
+							}
+						}
+					}
+				}
 			}
 		}
+	}
+	if accepted < 1000 {
+		t.Errorf("Validate accepted only %d grid points; the contract is vacuous if it rejects everything", accepted)
 	}
 }
 

@@ -245,8 +245,16 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	return results, nil
 }
 
-// runJob executes one job and encodes its value and telemetry.
-func runJob(ctx context.Context, job Job, res Result) (Result, error) {
+// runJob executes one job and encodes its value and telemetry. A panic
+// in Run is that job's error, not the process's: the recovery sits below
+// store.Do, so the single-flight entry is released, nothing is stored,
+// and the ID can be retried.
+func runJob(ctx context.Context, job Job, res Result) (_ Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("harness: job %s: panic: %v", job.Name, p)
+		}
+	}()
 	start := wallClock()
 	v, err := job.Run(ctx)
 	if err != nil {

@@ -258,6 +258,42 @@ func TestJobErrorFailsFast(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFailsItsCase: a panic in one job's Run is that job's
+// error — the process survives, the jobs before it completed and were
+// stored, nothing was stored for the panicking one, and its
+// single-flight entry is released so a rerun against the same store
+// computes it.
+func TestPanickingJobFailsItsCase(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	opt := Options{Parallel: 1, Store: st}
+
+	jobs := fakeGrid(4)
+	fixed := jobs[2].Run
+	jobs[2].Run = func(context.Context) (any, error) { panic("sim: Intn called with non-positive n") }
+	res, err := Run(context.Background(), jobs, opt)
+	if err == nil || !strings.Contains(err.Error(), "harness: job "+jobs[2].Name+": panic: sim: Intn") {
+		t.Fatalf("error = %v, want the panic reported as job %s's error", err, jobs[2].Name)
+	}
+	if res[0].Value == nil || res[1].Value == nil || res[2].Value != nil {
+		t.Fatalf("values before/at the panic = %s, %s, %s; want two results and none", res[0].Value, res[1].Value, res[2].Value)
+	}
+
+	jobs[2].Run = fixed
+	res, err = Run(context.Background(), jobs, opt)
+	if err != nil {
+		t.Fatalf("rerun against the same store: %v", err)
+	}
+	for i, r := range res {
+		if r.Value == nil || r.Cached != (i < 2) {
+			t.Errorf("rerun job %d: value %s cached %v; want jobs 0-1 served from the store and 2-3 computed", i, r.Value, r.Cached)
+		}
+	}
+}
+
 // TestUnserialisableResultIsAnError, not a corrupt manifest line.
 func TestUnserialisableResultIsAnError(t *testing.T) {
 	jobs := fakeGrid(2)

@@ -105,10 +105,6 @@ func buildCallGraph(mod *Module) *callGraph {
 	return g
 }
 
-// node returns the graph node for fn, or nil when fn is not a module
-// function with a body.
-func (g *callGraph) node(fn *types.Func) *cgNode { return g.nodes[fn] }
-
 // addressTaken returns the module functions whose address is taken — any
 // reference to a declared function outside the callee position of a call
 // expression, in a function body or a package-level variable initialiser.

@@ -15,11 +15,6 @@ import (
 // reviewed act: the lint self-check pins its exact contents.
 var ConcurrencyAllowlist = map[string]bool{
 	"internal/harness": true,
-	// internal/lint's analysis engine fans per-package passes out on a
-	// bounded worker pool. Lint findings are merged in canonical package
-	// order and sorted before reporting, so worker scheduling cannot
-	// reach the output; and lint never touches simulation state.
-	"internal/lint": true,
 	// internal/sim hosts the shared bounded worker pool (sim.Pool) that
 	// the harness and the network's parallel tick both run on; it is the
 	// one place goroutines are spawned on their behalf.

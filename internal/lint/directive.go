@@ -6,31 +6,28 @@ import (
 	"vix/internal/sim"
 )
 
-// This file is the single parser for vixlint's comment directives. Every
-// pass that consumes a //vixlint: comment — waiver collection (lint.go),
-// hot markers (escapegate.go), state waivers (stategraph.go) — goes
-// through classifyDirective, so a typo like //vixlint:orderedjunk or
-// //vixlint:sate cannot silently parse as (or silently fail to be) the
-// waiver it meant to carry. Unrecognised directives are reported by rule
-// directive/unknown instead of being ignored.
+// This file is the single parser for vixlint's comment directives.
+// Waiver collection (lint.go) goes through classifyDirective, so a typo
+// like //vixlint:orderedjunk or //vixlint:shred cannot silently parse as
+// (or silently fail to be) the waiver it meant to carry. Unrecognised
+// directives — the retired hot and state markers included — are
+// reported by rule directive/unknown instead of being ignored.
 
 // directivePrefix introduces every vixlint comment directive.
 const directivePrefix = "//vixlint:"
 
-// knownDirectives is the closed set of directive names. The value is a
-// one-line description used in the directive/unknown message.
+// knownDirectives is the closed set of directive names, each with what
+// it waives.
 var knownDirectives = map[string]string{
 	"ordered": "waives determinism findings",
 	"alloc":   "waives contracts/scratch",
 	"shared":  "waives parallel/sharedwrite and parallel/phase",
-	"hot":     "marks an escape-gate hot function",
-	"state":   "waives state/scratch-read and state/frozen-write",
 }
 
 // classifyDirective parses a comment's text as a vixlint directive. ok
 // is false when the comment does not start with the //vixlint: prefix
 // at all. When ok is true, name is the recognised directive ("ordered",
-// "hot", ...) and rest is the trimmed argument text; a comment that
+// "alloc", ...) and rest is the trimmed argument text; a comment that
 // carries the prefix but not a known, whitespace-delimited name returns
 // name == "" with the offending token in rest — the caller reports it
 // (rule directive/unknown) rather than accepting it silently.
@@ -62,8 +59,8 @@ func knownDirectiveList() string {
 
 // directiveFindings reports every //vixlint: comment in the package that
 // does not parse as a known directive (rule directive/unknown). A typoed
-// directive is worse than a missing one: the author believes a waiver or
-// marker is in force when nothing is.
+// directive is worse than a missing one: the author believes a waiver
+// is in force when nothing is.
 func (c *checker) directiveFindings() []Finding {
 	var fs []Finding
 	for _, file := range c.pkg.Files {
@@ -74,7 +71,7 @@ func (c *checker) directiveFindings() []Finding {
 					continue
 				}
 				c.report(&fs, cm.Pos(), "directive/unknown",
-					"unrecognised vixlint directive %q; known directives are %s — a typo here leaves the author believing a waiver or marker is in force when nothing is",
+					"unrecognised vixlint directive %q; known directives are %s — a typo here leaves the author believing a waiver is in force when nothing is",
 					directivePrefix+rest, knownDirectiveList())
 			}
 		}

@@ -3,29 +3,22 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 
 	"vix/internal/sim"
 )
 
-// This file is the analysis engine: module-wide state construction, the
-// bounded worker pool that fans per-package passes out, and the cached
-// entry point cmd/vixlint uses.
+// This file is the analysis engine: module-wide state construction and
+// the one serial pass over it.
 //
-// Analysis runs in two phases. The source phase is single-threaded: it
-// builds one checker per package, runs the determinism family (whose
-// site checks double as taint-source collection), then builds the call
-// graph and propagates taint. The package phase runs everything else —
-// hygiene, contracts, scratch, escape, exhaustiveness, reach, waiver
-// hygiene — on a worker pool, one package per job. Workers only read
-// the shared module, graph and taint tables (all frozen after the
-// source phase) and each package's checker is handed to exactly one
-// worker, so the phase needs no locking. Results land in per-package
-// slots and are merged in canonical package order, then sorted, so the
-// output is byte-identical regardless of worker scheduling.
+// Analysis runs in two phases on the calling goroutine. The source
+// phase builds one checker per package, runs the determinism family
+// (whose site checks double as taint-source collection), then builds
+// the call graph, propagates taint and runs the shard-ownership pass.
+// The package phase runs everything else — hygiene, contracts, scratch,
+// escape, exhaustiveness, reach, waiver hygiene — one package at a time
+// in canonical (import path) order. Findings are sorted before they are
+// returned, so the output depends on the source alone.
 
 // Analysis is the module-wide analysis state: parsed packages, the call
 // graph, propagated determinism taint, and one checker per package.
@@ -42,9 +35,9 @@ type Analysis struct {
 	shardFindings map[string][]Finding
 }
 
-// NewAnalysis runs the single-threaded source phase over mod: direct
-// determinism findings, taint-source collection, call-graph
-// construction, and taint propagation.
+// NewAnalysis runs the source phase over mod: direct determinism
+// findings, taint-source collection, call-graph construction, taint
+// propagation, and the write-effect and shard-ownership passes.
 func NewAnalysis(mod *Module) *Analysis {
 	a := &Analysis{mod: mod, checkers: make(map[string]*checker)}
 	var sources []taintSource
@@ -70,7 +63,7 @@ func NewAnalysis(mod *Module) *Analysis {
 
 // checkPackage runs the package-phase analyzers for one package and
 // returns its findings (including the source-phase determinism findings
-// held by the checker). Exactly one goroutine calls this per package.
+// held by the checker).
 func (a *Analysis) checkPackage(path string) []Finding {
 	c := a.checkers[path]
 	if c == nil {
@@ -101,39 +94,6 @@ func (a *Analysis) checkPackage(path string) []Finding {
 	// usage tracking for the stale-waiver sweep is complete.
 	fs = append(fs, c.waiverFindings()...)
 	return fs
-}
-
-// run checks the given packages on a pool of workers and returns one
-// findings slice per path, index-aligned with paths.
-func (a *Analysis) run(paths []string, workers int) [][]Finding {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	results := make([][]Finding, len(paths))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Goroutines are legal here: internal/lint is on the
-		// ConcurrencyAllowlist because findings land in per-index slots
-		// and are sorted before reporting, so worker scheduling cannot
-		// reach the output.
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = a.checkPackage(paths[i])
-			}
-		}()
-	}
-	for i := range paths {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
 }
 
 // Callees returns the display names of the functions the call graph
@@ -196,31 +156,23 @@ func (a *Analysis) Reaches(pkgPath, name, kind string) bool {
 	return ok
 }
 
-// CheckModule runs every analyzer family over an already-loaded module,
-// returning findings sorted by file, line and rule.
-func CheckModule(mod *Module) []Finding {
+// Check loads the module rooted at root and runs every analyzer family
+// over every package, returning findings sorted by file, line and rule.
+// It is the one entry point: cmd/vixlint and the self-check test both
+// call it.
+func Check(root string) ([]Finding, error) {
+	mod, err := Load(root)
+	if err != nil {
+		return nil, err
+	}
 	a := NewAnalysis(mod)
-	paths := pkgPaths(mod)
 	var fs []Finding
-	for _, r := range a.run(paths, defaultWorkers()) {
-		fs = append(fs, r...)
+	for _, pkg := range mod.Packages() {
+		fs = append(fs, a.checkPackage(pkg.Path)...)
 	}
 	sortFindings(fs)
-	return fs
+	return fs, nil
 }
-
-// pkgPaths lists the module's package paths in canonical order.
-func pkgPaths(mod *Module) []string {
-	pkgs := mod.Packages()
-	paths := make([]string, len(pkgs))
-	for i, pkg := range pkgs {
-		paths[i] = pkg.Path
-	}
-	return paths
-}
-
-// defaultWorkers sizes the pool when the caller does not.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // sortFindings orders findings by file, line, rule, then message.
 func sortFindings(fs []Finding) {
@@ -237,102 +189,4 @@ func sortFindings(fs []Finding) {
 		}
 		return a.Msg < b.Msg
 	})
-}
-
-// Options configures CheckWithOptions.
-type Options struct {
-	// Workers bounds concurrent package checks; 0 means GOMAXPROCS.
-	Workers int
-	// Cache reuses cached findings for packages whose content-hash key
-	// (own files plus transitive module dependencies) is unchanged.
-	Cache bool
-	// CacheDir overrides the cache location; default <root>/.vixlint.
-	CacheDir string
-}
-
-// Stats reports how much work a CheckWithOptions call performed.
-type Stats struct {
-	// Packages is the number of module packages discovered.
-	Packages int
-	// Cached is how many packages were served from the finding cache.
-	Cached int
-	// Analyzed is how many packages were type-checked and analyzed this
-	// run. On a fully warm cache it is zero and the module is never
-	// type-checked at all.
-	Analyzed int
-	// Workers is the pool size used.
-	Workers int
-}
-
-// CheckWithOptions is the engine entry point behind cmd/vixlint: it
-// loads and checks the module at root, optionally consulting the
-// finding cache so unchanged packages are not re-analyzed.
-func CheckWithOptions(root string, opts Options) ([]Finding, Stats, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	stats := Stats{Workers: workers}
-	absRoot, err := filepath.Abs(root)
-	if err != nil {
-		return nil, stats, err
-	}
-	if !opts.Cache {
-		mod, err := Load(absRoot)
-		if err != nil {
-			return nil, stats, err
-		}
-		a := NewAnalysis(mod)
-		paths := pkgPaths(mod)
-		stats.Packages, stats.Analyzed = len(paths), len(paths)
-		var fs []Finding
-		for _, r := range a.run(paths, workers) {
-			fs = append(fs, r...)
-		}
-		sortFindings(fs)
-		return fs, stats, nil
-	}
-
-	cacheDir := opts.CacheDir
-	if cacheDir == "" {
-		cacheDir = filepath.Join(absRoot, cacheDirName)
-	}
-	idx, err := indexModule(absRoot)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Packages = len(idx.packages)
-	var fs []Finding
-	var misses []string
-	for _, p := range idx.packages {
-		if entry, ok := loadCacheEntry(cacheDir, p); ok {
-			fs = append(fs, entry.resolve(absRoot)...)
-			stats.Cached++
-		} else {
-			misses = append(misses, p.path)
-		}
-	}
-	if len(misses) > 0 {
-		// At least one package changed: load and run the source phase on
-		// the whole module (inter-procedural passes need every body), but
-		// run the package phase only on the misses.
-		mod, err := Load(absRoot)
-		if err != nil {
-			return nil, stats, err
-		}
-		a := NewAnalysis(mod)
-		stats.Analyzed = len(misses)
-		for i, r := range a.run(misses, workers) {
-			fs = append(fs, r...)
-			p := idx.byPath[misses[i]]
-			pkg := mod.Pkgs[misses[i]]
-			// Packages with type errors are analyzed best-effort every
-			// run rather than cached.
-			if p != nil && pkg != nil && len(pkg.TypeErrs) == 0 {
-				storeCacheEntry(cacheDir, absRoot, p, r)
-			}
-		}
-	}
-	sortFindings(fs)
-	return fs, stats, nil
 }

@@ -5,8 +5,9 @@
 // on. Analysis is inter-procedural: a module-wide call graph (direct
 // calls, interface dispatch via method sets, indirect calls through
 // address-taken func values) carries determinism taint from violation
-// sites to the entry points that can reach them. Five analyzer families
-// run over every non-test package of the module:
+// sites to the entry points that can reach them. The analyzer families
+// below run over every non-test package of the module, in one serial
+// pass:
 //
 // Determinism (internal/* only). Every experiment must be exactly
 // reproducible from a seed, with all randomness flowing through sim.RNG:
@@ -17,8 +18,9 @@
 //     global generator is seeded per-process, not per-experiment.
 //   - determinism/goroutine: no go statements; goroutine interleaving is
 //     a scheduler decision, not a seed decision. The exceptions are the
-//     ConcurrencyAllowlist packages (internal/harness, the orchestration
-//     layer, and internal/lint's own analysis engine).
+//     ConcurrencyAllowlist packages: the orchestration layers
+//     (internal/harness, internal/service) and the worker pool they and
+//     the network tick run on (internal/sim, internal/network).
 //   - determinism/maprange: no for-range over a map whose body writes to
 //     state declared outside the loop; Go randomises map iteration order
 //     per run, so such writes leak nondeterminism into results.
@@ -99,25 +101,18 @@
 //   - A finding site carrying a "//vixlint:shared <justification>"
 //     comment is waived; parallel/waiver polices empty justifications.
 //
-// Escape gate (vixlint -escapes; see escapegate.go): heap escapes from
-// `go build -gcflags=-m` landing inside the forward call cones of
-// //vixlint:hot-marked functions are diffed against the committed
-// baseline .vixlint/escapes.golden — escape/new fails on a new or
-// multiplied escape with the compiler's file:line and reason,
-// escape/gone fails when the baseline rots, and escape/marker flags
-// hot markers attached to nothing. Regenerate with -update-escapes.
-//
 // Waiver hygiene (all packages): rule waiver/stale flags any
 // //vixlint:ordered, //vixlint:alloc or //vixlint:shared directive that
 // suppresses nothing; waivers are auditable exceptions and dead ones
-// rot.
+// rot. Rule directive/unknown flags any //vixlint: comment outside that
+// closed set (directive.go), so a typoed waiver cannot pass for one.
 //
-// Findings are reported as "file:line: rule: message". The engine
-// (engine.go) fans per-package analysis out on a bounded worker pool
-// with deterministic merged output, and cmd/vixlint adds a content-hash
-// finding cache under .vixlint/ so warm reruns skip unchanged packages.
-// The self-check test in this package runs the same analysis, which
-// makes `go test ./...` fail on any new violation.
+// Findings are reported as "file:line: rule: message". Check (engine.go)
+// is the one entry point: load, source phase, every package in import-
+// path order, sorted findings — no goroutines, no cache, nothing
+// written. cmd/vixlint prints what it returns and the self-check test
+// in this package asserts it is empty, which makes `go test ./...` fail
+// on any new violation.
 package lint
 
 import (
@@ -141,17 +136,6 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 }
 
-// Check loads the module rooted at root and runs every analyzer family,
-// returning findings sorted by file and line. It is the uncached
-// entry point used by tests; cmd/vixlint uses CheckWithOptions.
-func Check(root string) ([]Finding, error) {
-	mod, err := Load(root)
-	if err != nil {
-		return nil, err
-	}
-	return CheckModule(mod), nil
-}
-
 // isInternal reports whether the import path is an internal library
 // package (subject to the determinism and hygiene families).
 func isInternal(path string) bool {
@@ -170,9 +154,8 @@ func isAllocPackage(pkg *Package) bool {
 	return pkg.Name == "alloc" && strings.HasSuffix(pkg.Path, "internal/alloc")
 }
 
-// checker carries per-package analysis state. A checker is only ever
-// touched by one goroutine at a time: the single-threaded source phase
-// first, then exactly one pool worker.
+// checker carries per-package analysis state across the source phase
+// and the package phase.
 type checker struct {
 	mod           *Module
 	pkg           *Package
@@ -180,8 +163,7 @@ type checker struct {
 	allocWaivers  *waiverSet
 	sharedWaivers *waiverSet
 	// early holds the findings of the determinism family, which runs in
-	// the single-threaded source-collection phase (its checks double as
-	// taint-source detection).
+	// the source phase (its checks double as taint-source detection).
 	early []Finding
 }
 

@@ -168,6 +168,34 @@ func NotWaived(m map[string]int) {
 	}
 }
 
+// TestRetiredDirectivesAreUnknown pins that the markers of the deleted
+// escape and state gates no longer parse: a straggler reports
+// directive/unknown like any typo instead of rotting silently.
+func TestRetiredDirectivesAreUnknown(t *testing.T) {
+	findings := checkModule(t, map[string]string{
+		"internal/old/old.go": `package old
+
+//vixlint:hot
+func Tick() {}
+
+type T struct {
+	//vixlint:state buf carries only capacity across cycles
+	buf []int
+}
+
+//vixlint:sate typo
+var _ = T{}
+`,
+	})
+	const f = "old.go"
+	want(t, findings, "directive/unknown", f, 3)
+	want(t, findings, "directive/unknown", f, 7)
+	want(t, findings, "directive/unknown", f, 11)
+	if len(findings) != 3 {
+		t.Errorf("want only the three directive findings\n%s", render(findings))
+	}
+}
+
 // TestConcurrencyAllowlist covers both sides of the goroutine rule: go
 // statements are legal in the allowlisted orchestration packages
 // (internal/harness among them) and nowhere else — not in simulation

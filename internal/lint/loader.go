@@ -22,8 +22,6 @@ import (
 type Package struct {
 	// Path is the package's import path, e.g. "vix/internal/alloc".
 	Path string
-	// Dir is the absolute directory holding the package's sources.
-	Dir string
 	// Name is the package name from the package clauses.
 	Name string
 	// Files holds the parsed non-test files, sorted by file name.
@@ -179,7 +177,7 @@ func (m *Module) parseDir(dir string) error {
 	if rel != "." {
 		importPath = m.Path + "/" + filepath.ToSlash(rel)
 	}
-	m.Pkgs[importPath] = &Package{Path: importPath, Dir: dir, Name: pkgName, Files: files}
+	m.Pkgs[importPath] = &Package{Path: importPath, Name: pkgName, Files: files}
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -47,15 +49,45 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
+// TestCheckIsDeterministic runs lint.Check twice over the real tree and
+// over a fixture with findings in several packages: both runs must
+// return the same findings in (file, line, rule) order, so the output
+// is a function of the source alone.
+func TestCheckIsDeterministic(t *testing.T) {
+	for _, root := range []string{repoRoot(t), filepath.Join("testdata", "corpus", "reach")} {
+		first, err := lint.Check(root)
+		if err != nil {
+			t.Fatalf("lint.Check(%s): %v", root, err)
+		}
+		second, err := lint.Check(root)
+		if err != nil {
+			t.Fatalf("lint.Check(%s) again: %v", root, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: two runs differ:\n%v\n%v", root, first, second)
+		}
+		if !sort.SliceIsSorted(first, func(i, j int) bool {
+			a, b := first[i], first[j]
+			if a.Pos.Filename != b.Pos.Filename {
+				return a.Pos.Filename < b.Pos.Filename
+			}
+			if a.Pos.Line != b.Pos.Line {
+				return a.Pos.Line < b.Pos.Line
+			}
+			return a.Rule < b.Rule
+		}) {
+			t.Errorf("%s: findings are not sorted by file, line, rule:\n%v", root, first)
+		}
+	}
+}
+
 // TestConcurrencyAllowlistIsPinned makes growing the concurrency
 // allowlist a reviewed act: the packages where goroutines are legal are
-// exactly internal/harness (the orchestration layer), internal/lint
-// (whose engine fans per-package analysis out on a worker pool and
-// sorts findings before reporting), internal/sim (home of the shared
-// bounded worker pool both of the above run on), internal/network
-// (whose parallel tick shards routers across that pool and merges in
-// router-index order, keeping output byte-identical for any worker
-// count), and internal/service (the vixd serving layer, whose runner
+// exactly internal/harness (the orchestration layer), internal/sim
+// (home of the bounded worker pool the harness and the network run on),
+// internal/network (whose parallel tick shards routers across that pool
+// and merges in router-index order, keeping output byte-identical for
+// any worker count), and internal/service (the vixd serving layer, whose runner
 // goroutines execute cases through the harness over the content-
 // addressed store and whose result streams are emitted in case order,
 // so scheduling cannot reach results). Anyone adding a package here
@@ -64,7 +96,6 @@ func TestRepoIsLintClean(t *testing.T) {
 func TestConcurrencyAllowlistIsPinned(t *testing.T) {
 	want := map[string]bool{
 		"internal/harness": true,
-		"internal/lint":    true,
 		"internal/sim":     true,
 		"internal/network": true,
 		"internal/service": true,
@@ -95,7 +126,6 @@ func TestHarnessIsTheOnlyConcurrentPackage(t *testing.T) {
 	}
 	allowed := map[string]bool{
 		"vix/internal/harness": true,
-		"vix/internal/lint":    true,
 		"vix/internal/sim":     true,
 		"vix/internal/network": true,
 		// The vixd service spawns its runner pool directly (it is an
@@ -178,62 +208,6 @@ func TestRepoTypeChecks(t *testing.T) {
 	for _, pkg := range mod.Packages() {
 		for _, e := range pkg.TypeErrs {
 			t.Errorf("%s: type error: %v", pkg.Path, e)
-		}
-	}
-}
-
-// TestRepoStateGraphIsClean runs the state-graph gate over the
-// repository's own source against the committed manifest, so plain
-// `go test ./...` — the tier-1 gate — fails the moment a new mutable
-// field reaches the simulation state graph without a classification,
-// a scratch field starts carrying cross-cycle state, or a config field
-// is written mid-run. This is the same analysis `make lint`
-// (cmd/vixlint -state) runs; regenerate and audit the manifest with
-// `go run ./cmd/vixlint -state -update-state ./...`.
-func TestRepoStateGraphIsClean(t *testing.T) {
-	findings, stats, err := lint.CheckState(repoRoot(t), lint.StateOptions{
-		CacheDir: t.TempDir(), // never mutate the checkout's warm-skip state
-	})
-	if err != nil {
-		t.Fatalf("lint.CheckState: %v", err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
-	if len(findings) > 0 {
-		t.Logf("classify new fields in .vixlint/stategraph.golden (or fix the access order); `go run ./cmd/vixlint -state -update-state ./...` infers a starting class")
-	}
-	if stats.Roots < 6 || stats.Fields < 100 || stats.Entries < 5 {
-		t.Errorf("stats = %+v; the state walk lost most of the tree (roots >= 6, fields >= 100, entries >= 5 expected)", stats)
-	}
-}
-
-// TestStateGraphRootsArePinned makes growing the state-root table a
-// reviewed act, like the concurrency allowlist: the structs anchoring
-// the snapshot inventory are exactly the network (plus its NI), the
-// router, the stats collector, the RNG stream, and every allocator
-// implementation. Anyone adding a subsystem that owns mutable
-// simulation state must extend StateGraphRoots, update this test, and
-// justify the root in its Why field.
-func TestStateGraphRootsArePinned(t *testing.T) {
-	want := []struct{ pkg, typ, iface string }{
-		{"network", "Network", ""},
-		{"network", "ni", ""},
-		{"router", "Router", ""},
-		{"stats", "Collector", ""},
-		{"sim", "RNG", ""},
-		{"alloc", "", "Allocator"},
-	}
-	if len(lint.StateGraphRoots) != len(want) {
-		t.Fatalf("StateGraphRoots has %d entries, want %d: %v", len(lint.StateGraphRoots), len(want), lint.StateGraphRoots)
-	}
-	for i, w := range want {
-		r := lint.StateGraphRoots[i]
-		if r.Pkg != w.pkg || r.Type != w.typ || r.Iface != w.iface {
-			t.Errorf("StateGraphRoots[%d] = {%s %s %s}, want {%s %s %s}", i, r.Pkg, r.Type, r.Iface, w.pkg, w.typ, w.iface)
-		}
-		if strings.TrimSpace(r.Why) == "" {
-			t.Errorf("StateGraphRoots[%d] (%s.%s%s) has no justification", i, r.Pkg, r.Type, r.Iface)
 		}
 	}
 }

@@ -65,21 +65,6 @@ var ShardOwnershipRoots = map[string][]OwnershipRoot{
 	},
 }
 
-// ownershipFingerprint folds ShardOwnershipRoots into cache keys:
-// changing which roots are owned changes findings everywhere jobs are
-// analyzed.
-func ownershipFingerprint() string {
-	var sb strings.Builder
-	for _, pkg := range sim.SortedKeys(ShardOwnershipRoots) {
-		sb.WriteString(pkg)
-		for _, r := range ShardOwnershipRoots[pkg] {
-			sb.WriteString("|" + r.Root + "=" + r.Why)
-		}
-		sb.WriteString(";")
-	}
-	return sb.String()
-}
-
 // ownedBy reports whether rendered effect disp falls under one of the
 // package's ownership roots (exact match or match at a path boundary).
 func ownedBy(roots []OwnershipRoot, disp string) bool {

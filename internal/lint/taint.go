@@ -199,7 +199,7 @@ func renderPath(a *Analysis, fn *types.Func, kind string) string {
 }
 
 // relPosition renders pos as "relpath:line" relative to the module root,
-// so messages stay stable across checkouts (and cacheable).
+// so messages stay stable across checkouts.
 func relPosition(mod *Module, pos token.Pos) string {
 	p := mod.Fset.Position(pos)
 	name := p.Filename

@@ -459,8 +459,6 @@ func (n *Network) QueuedAtSources() int64 {
 // and injection marks its destination router's bit before the router
 // pass runs; a router whose Tick reports quiescence has its bit cleared
 // and is fast-forwarded with SkipIdle when it next reactivates.
-//
-//vixlint:hot
 func (n *Network) Step() {
 	n.deliver()
 	// Workload state machines advance once all deliveries are visible.

@@ -107,8 +107,6 @@ func (n *Network) initParallel() {
 // span since it last ticked, tick it, pre-compute the lookahead routes of
 // its link emissions, and count the datapath activity into d. The
 // returned slices are the router's own scratch.
-//
-//vixlint:hot
 func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
 	rt := n.routers[r]
 	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
@@ -210,8 +208,6 @@ func (n *Network) tickRouters() {
 
 // runActive is phase A for one worklist segment, keeping each router's
 // results in its worklist index's own slots.
-//
-//vixlint:hot
 func (n *Network) runActive(si int) {
 	var d stats.Delta
 	for i := n.act.seg[si]; i < n.act.seg[si+1]; i++ {

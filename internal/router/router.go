@@ -425,8 +425,6 @@ func (r *Router) Credits(outPort, vc int) int { return int(r.credits[outPort*r.c
 //
 // Both returned slices are router-owned scratch, valid only until the
 // next Tick call; callers must consume (or copy) them within the cycle.
-//
-//vixlint:hot
 func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	r.ems = r.ems[:0]
 	r.creds = r.creds[:0]

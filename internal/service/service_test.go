@@ -350,6 +350,25 @@ func TestValidationErrors(t *testing.T) {
 		t.Errorf("field path = %q, want cases[0].spec.injection_rate", resp.Fields[1].Field)
 	}
 
+	// Geometries a pattern or an allocator is not defined on used to pass
+	// validation and panic on a runner goroutine; they are 400s too.
+	for spec, field := range map[string]string{
+		`{"width": 1, "height": 1}`:                         "cases[0].spec.width",
+		`{"pattern": "transpose", "width": 2, "height": 3}`: "cases[0].spec.pattern",
+		`{"pattern": "bitrev", "width": 3}`:                 "cases[0].spec.pattern",
+		`{"pattern": "shuffle", "width": 3}`:                "cases[0].spec.pattern",
+		`{"vcs": 65}`:                                       "cases[0].spec.vcs",
+		`{"allocator": "ideal"}`:                            "cases[0].spec.allocator",
+		`{"allocator": "sparoflo", "virtual_inputs": 2}`:    "cases[0].spec.allocator",
+	} {
+		code, data := post(t, ts.URL+"/suites", `{"cases": [{"spec": `+spec+`}], "close": true}`)
+		resp.Fields = nil
+		if err := json.Unmarshal(data, &resp); code != http.StatusBadRequest || err != nil ||
+			len(resp.Fields) != 1 || resp.Fields[0].Field != field {
+			t.Errorf("spec %s = %d %s, want 400 naming only %s", spec, code, data, field)
+		}
+	}
+
 	// Unknown JSON fields in a spec are typos, not silently ignored.
 	code, data = post(t, ts.URL+"/suites", `{"cases": [{"spec": {"allocator": "if", "virtual_imputs": 2}}]}`)
 	if code != http.StatusBadRequest {

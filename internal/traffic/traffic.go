@@ -253,11 +253,28 @@ func Known(name string) bool {
 	return false
 }
 
-// New constructs a pattern by name over an w x h logical node grid.
-// Recognised names: uniform, transpose, bitcomp, bitrev, tornado,
-// hotspot (hotspot uses node 0 with fraction 0.2).
+// New constructs a pattern by name over a w x h logical node grid.
+// Recognised names are those of Names (hotspot uses node 0 with fraction
+// 0.2). A grid the pattern is not defined on — fewer than two nodes
+// (nobody to address), a non-square grid for transpose, a node count
+// that is not a power of two for bitrev and shuffle — is an error, so
+// callers resolving user input never reach the typed constructors'
+// panics.
 func New(name string, w, h int) (Pattern, error) {
 	n := w * h
+	if w < 1 || h < 1 || n < 2 {
+		return nil, fmt.Errorf("traffic: a pattern needs at least 2 nodes, got a %dx%d grid", w, h)
+	}
+	switch name {
+	case "transpose":
+		if w != h {
+			return nil, fmt.Errorf("traffic: transpose needs a square node grid, got %dx%d", w, h)
+		}
+	case "bitrev", "shuffle":
+		if n&(n-1) != 0 {
+			return nil, fmt.Errorf("traffic: %s needs a power-of-two node count, got %d", name, n)
+		}
+	}
 	switch name {
 	case "uniform":
 		return NewUniform(n), nil

@@ -176,6 +176,19 @@ func TestNewByName(t *testing.T) {
 	if _, err := New("nonsense", 8, 8); err == nil {
 		t.Error("New accepted unknown pattern")
 	}
+	// Grids a pattern is not defined on are errors, not the typed
+	// constructors' panics.
+	for _, c := range []struct {
+		name string
+		w, h int
+	}{
+		{"uniform", 1, 1}, {"uniform", 0, 4}, {"tornado", 1, 1},
+		{"transpose", 3, 2}, {"bitrev", 3, 3}, {"shuffle", 3, 2},
+	} {
+		if p, err := New(c.name, c.w, c.h); err == nil {
+			t.Errorf("New(%q, %d, %d) = %v, want an error", c.name, c.w, c.h, p)
+		}
+	}
 }
 
 func TestShuffle(t *testing.T) {
