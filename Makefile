@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint race test bench bench-json ledger profile sweep experiments examples clean
+.PHONY: all build vet lint race test bench ledger profile sweep experiments examples clean
 
 all: build vet lint test
 
@@ -27,12 +27,12 @@ lint: vet
 
 # Run the test suite under the race detector. Allocators and routers are
 # documented as not concurrency-safe; this verifies nothing shares them
-# across goroutines by accident. The explicit network run drives the
-# sharded parallel tick (workers >= 2) under -race even on hosts where
-# GOMAXPROCS would otherwise keep the pool on its inline path.
+# across goroutines by accident. One command covers the sharded parallel
+# tick too: the lockstep and zero-alloc tests in internal/network set
+# Config.Workers >= 2 themselves and a positive worker count is taken as
+# given, so they cross goroutines whatever the host's CPU count.
 race:
 	go test -race ./...
-	go test -race -run 'TestParallelTick|TestSteadyStateZeroAllocs|TestActivityGate' ./internal/network/
 
 test:
 	go test ./...
@@ -47,24 +47,6 @@ sweep:
 	go run -race ./cmd/sweep -schemes if:1,if:2 -rates 0.02,0.05 \
 		-parallel 4 -v -o /tmp/vix_sweep.csv
 	@echo "wrote /tmp/vix_sweep.csv"
-
-# Benchmark the harness itself: serial vs parallel wall time over the
-# Figure 8 grid, recorded to BENCH_harness.json for the perf trajectory.
-# Then benchmark the cycle loop: cycles/sec of Network.Step on a
-# saturated 8x8 VIX mesh (one worker), plus the 16x16 parallel-tick
-# section — one-worker and pooled cycles/sec, the effective worker
-# count, and the host CPU count — and the 32x32 large-mesh section,
-# recorded to BENCH_cycle.json. cyclebench carries the pre-optimization
-# baselines over from the existing file, so the speedup columns keep
-# comparing against the same reference points, and it exits non-zero if
-# a pooled run's statistics diverge from the one-worker run's (or the
-# parallel speedup gate fails where it applies: >= 1.8x on a >= 4-CPU
-# host). Low-load speed is the ledger's mesh16_low row (make ledger).
-bench-json:
-	go run ./cmd/harnessbench -o BENCH_harness.json
-	@cat BENCH_harness.json
-	go run ./cmd/cyclebench -o BENCH_cycle.json
-	@cat BENCH_cycle.json
 
 # The performance ledger (bench/README.md, BENCHMARK.json): all six
 # workloads' end-to-end metrics with their correctness checks; exits
@@ -82,17 +64,10 @@ profile:
 		-o /tmp/vix_profile_sweep.csv
 	@echo "wrote profiles/sweep_cpu.pprof profiles/sweep_mem.pprof"
 
-# Regenerate every table and figure at full scale (minutes).
+# Regenerate every table, figure and ablation study at full scale
+# (minutes; add -warmup 200 -measure 600 to the command for seconds).
 experiments:
-	go run ./cmd/delaymodel -scaling
-	go run ./cmd/routerbench
-	go run ./cmd/loadsweep
-	go run ./cmd/fairness
-	go run ./cmd/chaining
-	go run ./cmd/energymodel
-	go run ./cmd/virtualinputs
-	go run ./cmd/appsim
-	go run ./cmd/ablation
+	go run ./cmd/figures -scaling all
 
 examples:
 	go run ./examples/quickstart

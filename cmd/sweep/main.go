@@ -22,13 +22,11 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"vix/internal/alloc"
+	"vix/internal/cli"
 	"vix/internal/config"
 	"vix/internal/harness"
 	"vix/internal/network"
@@ -47,105 +45,90 @@ var sweepHeader = []string{"allocator", "k", "offered_rate", "avg_latency", "p50
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
-	var (
-		configPath = flag.String("config", "", "JSON experiment file used as the base configuration")
-		topoName   = flag.String("topo", "", "override the base topology: mesh, torus, cmesh, or fbfly")
-		schemesStr = flag.String("schemes", "if:1,wavefront:1,ap:1,if:2", "comma-separated allocator:k pairs")
-		ratesStr   = flag.String("rates", "0.01,0.03,0.05,0.07,0.09", "comma-separated injection rates (packets/cycle/node)")
-		saturate   = flag.Bool("sat", true, "append a saturation point per scheme")
-		out        = flag.String("o", "", "output file (default stdout)")
-		parallel   = flag.Int("parallel", 0, "worker count (default GOMAXPROCS)")
-		workers    = flag.Int("workers", 1, "parallel-tick workers per simulation (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
-		resume     = flag.String("resume", "", "JSONL manifest: checkpoint completed points and skip them on rerun")
-		verbose    = flag.Bool("v", false, "log per-point telemetry (wall time, cycles/sec) to stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
-	)
-	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	base := config.Default()
-	if *configPath != "" {
-		var err error
-		if base, err = config.Load(*configPath); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *topoName != "" {
-		base.Topology = *topoName
-		if err := base.Validate(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	schemes, err := parseSchemes(*schemesStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rates, err := parseRates(*ratesStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var w io.Writer = os.Stdout
-	var f *os.File
-	if *out != "" {
-		if f, err = os.Create(*out); err != nil {
-			log.Fatal(err)
-		}
-		w = f
-	}
-	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
-	if *verbose {
-		opt.OnDone = func(r harness.Result) {
-			if r.Cached {
-				log.Printf("%s: cached (manifest)", r.Name)
-				return
-			}
-			log.Printf("%s: %v (%.0f cycles/sec)", r.Name, r.Telemetry.Duration().Round(time.Millisecond), r.Telemetry.CyclesPerSec)
-		}
-	}
-	err = sweep(context.Background(), base, schemes, rates, *saturate, *workers, opt, w)
-	// Every exit path closes and checks the output file: an error after
-	// partial rows must not leave a silently truncated artifact behind.
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// sweep builds the grid, runs it through the harness, and renders the
-// merged results as CSV. The writer is flushed and checked before
-// returning on every path.
-func sweep(ctx context.Context, base config.Experiment, schemes []scheme, rates []float64, saturate bool, tickWorkers int, opt harness.Options, w io.Writer) error {
-	jobs := buildJobs(base, schemes, rates, saturate, tickWorkers)
+// run is the whole command. Everything the command line can get wrong —
+// including a grid point the simulator would refuse — is an error
+// before the output file is created and before any point simulates.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	var (
+		configPath = fs.String("config", "", "JSON experiment file used as the base configuration")
+		topoName   = fs.String("topo", "", "override the base topology: mesh, torus, cmesh, or fbfly")
+		schemesStr = fs.String("schemes", "if:1,wavefront:1,ap:1,if:2", "comma-separated allocator:k pairs")
+		ratesStr   = fs.String("rates", "0.01,0.03,0.05,0.07,0.09", "comma-separated injection rates (packets/cycle/node)")
+		saturate   = fs.Bool("sat", true, "append a saturation point per scheme")
+		out        = fs.String("o", "", "output file (default stdout)")
+		parallel   = fs.Int("parallel", 0, "worker count (default GOMAXPROCS)")
+		workers    = fs.Int("workers", 1, "parallel-tick workers per simulation (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
+		resume     = fs.String("resume", "", "JSONL manifest: checkpoint completed points and skip them on rerun")
+		verbose    = fs.Bool("v", false, "log per-point telemetry (wall time, cycles/sec) to stderr")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
+	)
+	fs.Parse(args)
+
+	base := config.Default()
+	if *configPath != "" {
+		if base, err = config.Load(*configPath); err != nil {
+			return err
+		}
+	}
+	if *topoName != "" {
+		base.Topology = *topoName
+	}
+	schemes, err := parseSchemes(*schemesStr)
+	if err != nil {
+		return err
+	}
+	rates, err := parseRates(*ratesStr)
+	if err != nil {
+		return err
+	}
+	jobs, err := buildJobs(base, schemes, rates, *saturate, *workers)
+	if err != nil {
+		return err
+	}
+
+	stop, err := cli.Profile(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
+	w := stdout
+	if *out != "" {
+		f, cerr := os.Create(*out)
+		if cerr != nil {
+			return cerr
+		}
+		// Every exit path closes and checks the output file: an error
+		// after partial rows must not leave a silently truncated artifact
+		// behind.
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		w = f
+	}
+	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
+	if *verbose {
+		opt.OnDone = cli.Progress(log.Default())
+	}
+	return sweep(context.Background(), jobs, opt, w)
+}
+
+// sweep runs the grid's jobs through the harness and renders the merged
+// results as CSV. The writer is flushed and checked before returning on
+// every path.
+func sweep(ctx context.Context, jobs []harness.Job, opt harness.Options, w io.Writer) error {
 	results, err := harness.Run(ctx, jobs, opt)
 	if err != nil {
 		return err
@@ -173,20 +156,26 @@ func sweep(ctx context.Context, base config.Experiment, schemes []scheme, rates 
 // the manifest invalidates exactly when the point's physics change.
 // tickWorkers sets each simulation's parallel-tick width; it is a
 // wall-clock knob with byte-identical output, so it deliberately stays
-// out of the spec and never invalidates a manifest.
-func buildJobs(base config.Experiment, schemes []scheme, rates []float64, saturate bool, tickWorkers int) []harness.Job {
+// out of the spec and never invalidates a manifest. Every resolved
+// point is validated here, so a scheme the simulator would refuse
+// (if:7 on 6 VCs, ideal:2, sparoflo:2) is a field-path error naming the
+// scheme, not a failure after the points before it have simulated.
+func buildJobs(base config.Experiment, schemes []scheme, rates []float64, saturate bool, tickWorkers int) ([]harness.Job, error) {
 	var jobs []harness.Job
-	point := func(sc scheme, rate float64, max bool) harness.Job {
+	point := func(sc scheme, rate float64, max bool) error {
 		e := base
 		e.Allocator = sc.alloc
 		e.VirtualInputs = sc.k
 		e.Policy = "" // re-derive from k
 		e.InjectionRate = rate
 		e.MaxInjection = max
+		if err := e.Validate(); err != nil {
+			return fmt.Errorf("scheme %s:%d: %w", sc.alloc, sc.k, err)
+		}
 		offered := offeredLabel(rate, max)
 		e.Seed = sim.DeriveSeed(base.Seed, "sweep", sc.alloc, strconv.Itoa(sc.k), offered)
 		name := fmt.Sprintf("sweep/%s:%d/%s", sc.alloc, sc.k, offered)
-		return harness.Job{
+		jobs = append(jobs, harness.Job{
 			Name:   name,
 			Spec:   e,
 			Cycles: int64(e.Warmup + e.Measure),
@@ -213,17 +202,22 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 					fmt.Sprintf("%.3f", s.FairnessRatio),
 				}, nil
 			},
-		}
+		})
+		return nil
 	}
 	for _, sc := range schemes {
 		for _, rate := range rates {
-			jobs = append(jobs, point(sc, rate, false))
+			if err := point(sc, rate, false); err != nil {
+				return nil, err
+			}
 		}
 		if saturate {
-			jobs = append(jobs, point(sc, 0, true))
+			if err := point(sc, 0, true); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return jobs
+	return jobs, nil
 }
 
 // offeredLabel formats the offered-load column: "saturation" for
@@ -236,9 +230,9 @@ func offeredLabel(rate float64, max bool) string {
 }
 
 // parseSchemes parses comma-separated allocator:k pairs, rejecting
-// unknown allocators and impossible crossbar geometry up front — the
-// same checks config.Experiment.Validate applies to a spec file —
-// so a typo fails before any point simulates.
+// malformed pairs and unknown allocators; whether the base
+// configuration can carry each scheme's crossbar geometry is buildJobs'
+// check.
 func parseSchemes(s string) ([]scheme, error) {
 	var schemes []scheme
 	for _, part := range strings.Split(s, ",") {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,6 +22,16 @@ func testBase() config.Experiment {
 	return e
 }
 
+// sweepGrid builds the grid over testBase and runs it, as run does
+// between flag parsing and the output file.
+func sweepGrid(schemes []scheme, rates []float64, saturate bool, tickWorkers int, opt harness.Options, w io.Writer) error {
+	jobs, err := buildJobs(testBase(), schemes, rates, saturate, tickWorkers)
+	if err != nil {
+		return err
+	}
+	return sweep(context.Background(), jobs, opt, w)
+}
+
 // TestSweepCSVByteIdenticalAcrossWorkers is the acceptance criterion:
 // the harness-backed sweep produces byte-identical CSV for -parallel=1
 // and -parallel=8 on the same grid.
@@ -27,10 +39,10 @@ func TestSweepCSVByteIdenticalAcrossWorkers(t *testing.T) {
 	schemes := []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}
 	rates := []float64{0.02, 0.05}
 	var serial, parallel bytes.Buffer
-	if err := sweep(context.Background(), testBase(), schemes, rates, true, 1, harness.Serial(), &serial); err != nil {
+	if err := sweepGrid(schemes, rates, true, 1, harness.Serial(), &serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep(context.Background(), testBase(), schemes, rates, true, 1, harness.Options{Parallel: 8}, &parallel); err != nil {
+	if err := sweepGrid(schemes, rates, true, 1, harness.Options{Parallel: 8}, &parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
@@ -57,7 +69,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 
 	// First run covers only the first scheme, checkpointing it.
 	var firstOut bytes.Buffer
-	if err := sweep(context.Background(), testBase(), partial, rates, false, 1, harness.Options{Parallel: 2, Manifest: manifest}, &firstOut); err != nil {
+	if err := sweepGrid(partial, rates, false, 1, harness.Options{Parallel: 2, Manifest: manifest}, &firstOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +82,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 			cached++
 		}
 	}}
-	if err := sweep(context.Background(), testBase(), full, rates, false, 1, opt, &resumedOut); err != nil {
+	if err := sweepGrid(full, rates, false, 1, opt, &resumedOut); err != nil {
 		t.Fatal(err)
 	}
 	if cached != len(rates) {
@@ -78,7 +90,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 	}
 
 	var freshOut bytes.Buffer
-	if err := sweep(context.Background(), testBase(), full, rates, false, 1, harness.Serial(), &freshOut); err != nil {
+	if err := sweepGrid(full, rates, false, 1, harness.Serial(), &freshOut); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resumedOut.Bytes(), freshOut.Bytes()) {
@@ -90,7 +102,10 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 // points must not share an RNG stream, and the same point must keep its
 // seed when the grid around it changes.
 func TestSweepPointSeedsDiffer(t *testing.T) {
-	jobs := buildJobs(testBase(), []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}, []float64{0.02, 0.05}, true, 1)
+	jobs, err := buildJobs(testBase(), []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}, []float64{0.02, 0.05}, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seeds := make(map[uint64]string)
 	for _, j := range jobs {
 		e := j.Spec.(config.Experiment)
@@ -103,7 +118,10 @@ func TestSweepPointSeedsDiffer(t *testing.T) {
 		seeds[e.Seed] = j.Name
 	}
 	// Same point, different grid shape: seed is position-independent.
-	solo := buildJobs(testBase(), []scheme{{alloc: "if", k: 2}}, []float64{0.05}, false, 1)
+	solo, err := buildJobs(testBase(), []scheme{{alloc: "if", k: 2}}, []float64{0.05}, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a, b := solo[0].Spec.(config.Experiment).Seed, findJob(t, jobs, solo[0].Name).Spec.(config.Experiment).Seed; a != b {
 		t.Errorf("point %s changed seed with grid shape: %d vs %d", solo[0].Name, a, b)
 	}
@@ -134,6 +152,43 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSweepInvalidPointRunsNothing: a scheme that parses but that the
+// simulator would refuse (if:7 on 6 VCs; ideal and sparoflo at k=2) fails
+// the whole grid up front with an error naming the scheme — no point
+// before it simulates and a previous run's output file survives.
+func TestSweepInvalidPointRunsNothing(t *testing.T) {
+	for _, bad := range []string{"if:7", "ideal:2", "sparoflo:2"} {
+		schemes, err := parseSchemes("if:1," + bad)
+		if err != nil {
+			t.Fatalf("%s: parseSchemes: %v", bad, err)
+		}
+		jobs, err := buildJobs(testBase(), schemes, []float64{0.02}, true, 1)
+		if err == nil || !strings.Contains(err.Error(), "scheme "+bad) {
+			t.Errorf("%s: buildJobs error = %v, want one naming the scheme", bad, err)
+		}
+		if len(jobs) != 0 {
+			t.Errorf("%s: buildJobs returned %d jobs alongside the error", bad, len(jobs))
+		}
+	}
+
+	dir := t.TempDir()
+	out, manifest := filepath.Join(dir, "out.csv"), filepath.Join(dir, "sweep.jsonl")
+	const previous = "allocator,k\nprevious,run\n"
+	if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-schemes", "if:1,if:7", "-rates", "0.02", "-o", out, "-resume", manifest}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "scheme if:7") || !strings.Contains(err.Error(), "virtual_inputs") {
+		t.Fatalf("run error = %v, want the virtual_inputs finding naming scheme if:7", err)
+	}
+	if got, err := os.ReadFile(out); err != nil || string(got) != previous {
+		t.Errorf("pre-existing -o file was touched: %q, %v", got, err)
+	}
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Errorf("a manifest exists (%v): some point simulated before the grid was refused", err)
+	}
+}
+
 // TestSweepCSVByteIdenticalAcrossTickWorkers covers the other worker
 // axis: -workers shards each simulation's router tick across a pool,
 // and the CSV must stay byte-identical for any width. The grid is a
@@ -143,12 +198,12 @@ func TestSweepCSVByteIdenticalAcrossTickWorkers(t *testing.T) {
 	schemes := []scheme{{alloc: "if", k: 2}}
 	rates := []float64{0.05}
 	var ref bytes.Buffer
-	if err := sweep(context.Background(), testBase(), schemes, rates, true, 1, harness.Serial(), &ref); err != nil {
+	if err := sweepGrid(schemes, rates, true, 1, harness.Serial(), &ref); err != nil {
 		t.Fatal(err)
 	}
 	for _, tickWorkers := range []int{2, 8} {
 		var out bytes.Buffer
-		if err := sweep(context.Background(), testBase(), schemes, rates, true, tickWorkers, harness.Serial(), &out); err != nil {
+		if err := sweepGrid(schemes, rates, true, tickWorkers, harness.Serial(), &out); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ref.Bytes(), out.Bytes()) {

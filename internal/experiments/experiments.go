@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment is a function that runs the necessary
-// simulations and returns structured rows; the cmd/ tools print them and
+// simulations and returns structured rows; cmd/figures prints them and
 // the root benchmark suite regenerates them under `go test -bench`.
 //
 // Experiment parameters default to the paper's configuration (Section 3:
@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"vix/internal/alloc"
+	"vix/internal/config"
 	"vix/internal/network"
 	"vix/internal/router"
 	"vix/internal/stats"
@@ -57,6 +58,29 @@ type Params struct {
 // windows.
 func DefaultParams() Params {
 	return Params{VCs: 6, BufDepth: 5, PacketSize: 4, Warmup: 2000, Measure: 6000, Seed: 1}
+}
+
+// Validate rejects windows and buffer geometry no experiment can
+// measure with — a zero-cycle measurement divides by zero into a table
+// of zeros and NaNs that looks like a result. The findings are
+// config.FieldErrors keyed by lower-case field name, which for warmup and
+// measure is also the name of the flag every command sets them with.
+func (p Params) Validate() error {
+	var errs config.ValidationError
+	atLeast := func(field string, v, min int) {
+		if v < min {
+			errs = append(errs, config.FieldError{Field: field, Msg: fmt.Sprintf("must be at least %d, got %d", min, v)})
+		}
+	}
+	atLeast("vcs", p.VCs, 1)
+	atLeast("buf_depth", p.BufDepth, 1)
+	atLeast("packet_size", p.PacketSize, 1)
+	atLeast("warmup", p.Warmup, 0)
+	atLeast("measure", p.Measure, 1)
+	if errs != nil {
+		return errs
+	}
+	return nil
 }
 
 // Scaled returns a copy with the simulation windows multiplied by f

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
+
+	"vix/internal/config"
 )
 
 // quickParams shrinks simulation windows so the whole experiment suite
@@ -189,6 +193,28 @@ func TestParamsScaled(t *testing.T) {
 	tiny := p.Scaled(0.0001)
 	if tiny.Warmup < 100 || tiny.Measure < 200 {
 		t.Fatalf("Scaled floor violated: %+v", tiny)
+	}
+}
+
+// TestParamsValidate: the defaults and a zero warm-up pass; each field a
+// figure cannot be measured without is named when it is out of range.
+func TestParamsValidate(t *testing.T) {
+	ok := DefaultParams()
+	ok.Warmup = 0
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid params rejected: %v", err)
+	}
+	bad := Params{VCs: 0, BufDepth: 0, PacketSize: 0, Warmup: -1, Measure: 0}
+	var ve config.ValidationError
+	if err := bad.Validate(); !errors.As(err, &ve) {
+		t.Fatalf("Validate() = %v, want a config.ValidationError", err)
+	}
+	var fields []string
+	for _, fe := range ve {
+		fields = append(fields, fe.Field)
+	}
+	if want := []string{"vcs", "buf_depth", "packet_size", "warmup", "measure"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("rejected fields = %v, want %v", fields, want)
 	}
 }
 

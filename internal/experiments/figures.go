@@ -199,7 +199,7 @@ func Figure11(p Params) ([]Fig11Row, error) {
 
 // EnergyStudy runs the Figure 11 methodology on any topology and load:
 // the paper evaluates the mesh, but the same activity-driven model covers
-// the higher-radix topologies (cmd/energymodel -topo).
+// the higher-radix topologies (cmd/figures -topo fbfly fig11).
 func EnergyStudy(topo *topology.Topology, p Params, rate float64) ([]Fig11Row, error) {
 	params := energy.DefaultParams()
 	schemes := []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} // IF, VIX

@@ -6,10 +6,12 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"vix/internal/harness"
 	"vix/internal/stats"
+	"vix/internal/store"
 )
 
 // tinyParams keeps grid tests fast: the determinism properties under
@@ -62,6 +64,41 @@ func TestFigure8GridParallelDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, resumed) {
 		t.Fatal("resumed rows differ from serial rows")
+	}
+
+	// The same over a shared in-memory store, as vixd holds one: a cold
+	// pass simulates every point once, and a replay of the identical grid
+	// simulates nothing — the miss count stays at the grid size, every
+	// result is served — and returns the serial rows.
+	st := store.Memory()
+	points := int64(len(Figure8Grid(p, rates)))
+	cold, err := Figure8Opt(context.Background(), p, rates, harness.Options{Parallel: 4, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Misses; got != points {
+		t.Fatalf("cold pass over an empty store simulated %d points, want all %d", got, points)
+	}
+	var served atomic.Int64
+	warm, err := Figure8Opt(context.Background(), p, rates, harness.Options{
+		Parallel: 4, Store: st,
+		OnDone: func(r harness.Result) {
+			if r.Cached {
+				served.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Misses; got != points {
+		t.Errorf("warm replay simulated %d points; every one must be served from the store", got-points)
+	}
+	if served.Load() != points {
+		t.Errorf("warm replay reported %d of %d results as cached", served.Load(), points)
+	}
+	if !reflect.DeepEqual(serial, cold) || !reflect.DeepEqual(serial, warm) {
+		t.Fatalf("store-backed rows differ from serial:\nserial: %+v\ncold:   %+v\nwarm:   %+v", serial, cold, warm)
 	}
 }
 

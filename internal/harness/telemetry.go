@@ -9,10 +9,10 @@ import (
 // Telemetry is the wall-clock cost of one job. The type lives in
 // internal/store — it is recorded in every store entry — and is aliased
 // here so harness callers keep reading results the way they always have.
-// Telemetry is emitted alongside results (stderr logs,
-// BENCH_harness.json) but never enters a merged artifact: the CSVs and
-// tables the harness produces stay byte-identical across machines and
-// worker counts.
+// Telemetry is emitted alongside results (the -v stderr logs of
+// cmd/figures and cmd/sweep) but never enters a merged artifact: the
+// CSVs and tables the harness produces stay byte-identical across
+// machines and worker counts.
 type Telemetry = store.Telemetry
 
 // wallClock reads the wall clock for telemetry. This is the only

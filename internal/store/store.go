@@ -25,7 +25,7 @@
 // single computation; the leader simulates, appends, and publishes, and
 // the other N-1 callers block until the entry lands and then share it.
 // Hit, miss, and in-flight-dedup counters make the cache's behaviour
-// observable (vixd's /statsz, the harnessbench cache gate, and the
+// observable (vixd's /statsz, the ledger's vixd_warm workload, and the
 // exactness tests all read them).
 //
 // A Store never spawns goroutines; it only synchronises callers that
@@ -45,10 +45,10 @@ import (
 )
 
 // Telemetry is the wall-clock cost of one job, recorded alongside its
-// result. It annotates throughput (stderr logs, BENCH_harness.json,
-// vixd result metadata) but never enters a merged artifact: CSVs and
-// tables stay byte-identical across machines and worker counts. For a
-// cached result it is the cost recorded when the job originally ran.
+// result. It annotates throughput (the -v stderr logs, vixd result
+// metadata) but never enters a merged artifact: CSVs and tables stay
+// byte-identical across machines and worker counts. For a cached result
+// it is the cost recorded when the job originally ran.
 type Telemetry struct {
 	// WallNanos is the job's elapsed wall time in nanoseconds.
 	WallNanos int64 `json:"wall_ns"`

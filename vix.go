@@ -282,7 +282,7 @@ func DefaultExperiment() Experiment { return config.Default() }
 // applied.
 func LoadExperiment(path string) (Experiment, error) { return config.Load(path) }
 
-// Ablation studies of the design choices (see cmd/ablation).
+// Ablation studies of the design choices (cmd/figures policies … allocators).
 type (
 	PolicyAblationRow      = experiments.PolicyAblationRow
 	PartitionAblationRow   = experiments.PartitionAblationRow
