@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint race test bench ledger profile sweep experiments examples clean
+.PHONY: all build vet lint race test ledger profile sweep experiments examples clean
 
 all: build vet lint test
 
@@ -36,10 +36,6 @@ race:
 
 test:
 	go test ./...
-
-# Regenerate every table and figure at benchmark scale.
-bench:
-	go test -bench=. -benchmem .
 
 # A small harness-backed sweep grid under the race detector: exercises
 # the parallel fan-out, manifest resume, and canonical merge end to end.

@@ -10,11 +10,12 @@
 // Several names print one after the other, in the order given; "all"
 // stands for every artefact in the order of the table below. -warmup
 // and -measure left unset take each artefact's own default windows.
-// The grid artefacts (fig8 and the six ablation studies) fan their
-// points out across -parallel workers through internal/harness and
-// print byte-identical tables whatever the worker count; -resume
+// Every artefact that simulates a network but table4 (fig8 to fig12 and
+// the six ablation studies) is a grid of config.Experiment points: it
+// fans them out across -parallel workers through internal/harness and
+// prints a byte-identical table whatever the worker count, -resume
 // checkpoints completed points to a JSONL manifest so an interrupted
-// run picks up where it stopped.
+// run picks up where it stopped, and -v logs each point as it finishes.
 package main
 
 import (
@@ -50,8 +51,8 @@ type env struct {
 }
 
 // artefact is one row of the table: a name, what it regenerates, the
-// windows it runs at when -warmup/-measure are unset, the
-// artefact-specific flags it reads, and the function that runs it and
+// windows it runs at when -warmup/-measure are unset, the flags it
+// reads that not every artefact does, and the function that runs it and
 // prints its table.
 type artefact struct {
 	name, paper     string
@@ -60,23 +61,27 @@ type artefact struct {
 	run             func(io.Writer, *env) error
 }
 
+// grid is what a harness-backed artefact reads: the harness flags and
+// its own.
+func grid(own ...string) []string { return append(own, "parallel", "resume", "v") }
+
 // artefacts is the table, in the paper's order ("all" runs it top to
 // bottom).
 var artefacts = []artefact{
 	{"delay", "Tables 1 & 3: pipeline stage and allocator delays (analytic)", 0, 0, []string{"scaling"}, printDelay},
 	{"fig7", "Figure 7: single-router switch allocation efficiency", 2000, 20000, nil, printFig7},
-	{"fig8", "Figure 8: mesh latency and throughput versus offered load", 2000, 8000, []string{"plot"}, printFig8},
-	{"fig9", "Figure 9: fairness on a saturated mesh", 3000, 15000, nil, printFig9},
-	{"fig10", "Figure 10: packet chaining comparison", 2000, 10000, nil, printFig10},
-	{"fig11", "Figure 11: network energy per bit", 2000, 10000, []string{"topo", "rate"}, printFig11},
-	{"fig12", "Figure 12: impact of increasing virtual inputs", 2000, 6000, nil, printFig12},
+	{"fig8", "Figure 8: mesh latency and throughput versus offered load", 2000, 8000, grid("plot"), printFig8},
+	{"fig9", "Figure 9: fairness on a saturated mesh", 3000, 15000, grid(), printFig9},
+	{"fig10", "Figure 10: packet chaining comparison", 2000, 10000, grid(), printFig10},
+	{"fig11", "Figure 11: network energy per bit", 2000, 10000, grid("topo", "rate"), printFig11},
+	{"fig12", "Figure 12: impact of increasing virtual inputs", 2000, 6000, grid(), printFig12},
 	{"table4", "Table 4: application-level performance", 1500, 10000, []string{"list"}, printTable4},
-	{"policies", "ablation: VC-assignment policy under adversarial traffic", 1500, 5000, nil, study(printPolicies)},
-	{"partition", "ablation: VC-to-sub-group partition", 1500, 5000, nil, study(printPartition)},
-	{"pipeline", "ablation: router pipeline depth", 1500, 5000, nil, study(printPipeline)},
-	{"speculation", "ablation: speculative switch allocation", 1500, 5000, nil, study(printSpeculation)},
-	{"ksweep", "ablation: fine-grained virtual-input sweep", 1500, 5000, nil, study(printKSweep)},
-	{"allocators", "ablation: extended allocator set", 1500, 5000, nil, study(printAllocators)},
+	{"policies", "ablation: VC-assignment policy under adversarial traffic", 1500, 5000, grid(), study(printPolicies)},
+	{"partition", "ablation: VC-to-sub-group partition", 1500, 5000, grid(), study(printPartition)},
+	{"pipeline", "ablation: router pipeline depth", 1500, 5000, grid(), study(printPipeline)},
+	{"speculation", "ablation: speculative switch allocation", 1500, 5000, grid(), study(printSpeculation)},
+	{"ksweep", "ablation: fine-grained virtual-input sweep", 1500, 5000, grid(), study(printKSweep)},
+	{"allocators", "ablation: extended allocator set", 1500, 5000, grid(), study(printAllocators)},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -92,10 +97,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup     = fs.Int("warmup", 0, "warmup cycles (default: the artefact's own)")
 		measure    = fs.Int("measure", 0, "measurement cycles (default: the artefact's own)")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		parallel   = fs.Int("parallel", 0, "grid worker count (default GOMAXPROCS)")
+		parallel   = fs.Int("parallel", 0, "grid artefacts: worker count (default GOMAXPROCS)")
 		workers    = fs.Int("workers", 1, "parallel-tick workers per simulation (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
-		resume     = fs.String("resume", "", "JSONL manifest: checkpoint completed grid points and skip them on rerun")
-		verbose    = fs.Bool("v", false, "log per-point telemetry (wall time, cycles/sec) to stderr")
+		resume     = fs.String("resume", "", "grid artefacts: JSONL manifest, checkpoint completed points and skip them on rerun")
+		verbose    = fs.Bool("v", false, "grid artefacts: log per-point telemetry (wall time, cycles/sec) to stderr")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 		scaling    = fs.Bool("scaling", false, "delay: also print the high-radix VIX feasibility study")
@@ -141,6 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, name := range a.reads {
 			if given[name] && !read[name] {
 				reject("-%s is given but no selected artefact reads it", name)
+				read[name] = true // one report per flag
 			}
 		}
 	}

@@ -37,34 +37,66 @@ func figures(t *testing.T, want int, args ...string) (stdout, stderr string) {
 // commands this binary replaced is the contract. Each testdata golden
 // is what the named retired command printed, built from the last commit
 // that had it, at the tiny windows (delaymodel took no windows); figures
-// must reproduce it byte for byte whatever the grid worker count.
+// must reproduce it byte for byte whatever the grid worker count — which
+// fig8 to fig12 and the six studies fan their points out across.
 func TestFiguresMatchRetiredTools(t *testing.T) {
 	ablation := []string{"policies", "partition", "pipeline", "speculation", "ksweep", "allocators"}
 	cases := []struct {
 		golden string // testdata file; the trailing comment is the retired command line that printed it
+		grid   bool   // a harness grid: run at -parallel 1 and 4
 		args   []string
 	}{
-		{"delay", []string{"delay"}},                                      // delaymodel
-		{"delay_scaling", []string{"-scaling", "delay"}},                  // delaymodel -scaling
-		{"fig7", tiny("fig7")},                                            // routerbench
-		{"fig8", tiny("fig8")},                                            // loadsweep
-		{"fig8_plot", tiny("-plot", "fig8")},                              // loadsweep -plot
-		{"fig9", tiny("fig9")},                                            // fairness
-		{"fig10", tiny("fig10")},                                          // chaining
-		{"fig11", tiny("fig11")},                                          // energymodel
-		{"fig11_fbfly", tiny("-topo", "fbfly", "-rate", "0.05", "fig11")}, // energymodel -topo fbfly -rate 0.05
-		{"fig12", tiny("fig12")},                                          // virtualinputs
-		{"table4", tiny("table4")},                                        // appsim
-		{"table4_list", []string{"-list", "table4"}},                      // appsim -list
-		{"ablation", tiny(ablation...)},                                   // ablation
-		{"ksweep", tiny("ksweep")},                                        // ablation -study ksweep
+		{"delay", false, []string{"delay"}},                                     // delaymodel
+		{"delay_scaling", false, []string{"-scaling", "delay"}},                 // delaymodel -scaling
+		{"fig7", false, tiny("fig7")},                                           // routerbench
+		{"fig8", true, tiny("fig8")},                                            // loadsweep
+		{"fig8_plot", true, tiny("-plot", "fig8")},                              // loadsweep -plot
+		{"fig9", true, tiny("fig9")},                                            // fairness
+		{"fig10", true, tiny("fig10")},                                          // chaining
+		{"fig11", true, tiny("fig11")},                                          // energymodel
+		{"fig11_fbfly", true, tiny("-topo", "fbfly", "-rate", "0.05", "fig11")}, // energymodel -topo fbfly -rate 0.05
+		{"fig12", true, tiny("fig12")},                                          // virtualinputs
+		{"table4", false, tiny("table4")},                                       // appsim
+		{"table4_list", false, []string{"-list", "table4"}},                     // appsim -list
+		{"ablation", true, tiny(ablation...)},                                   // ablation
+		{"ksweep", true, tiny("ksweep")},                                        // ablation -study ksweep
 	}
 	for _, c := range cases {
 		want := golden(t, c.golden)
-		for _, parallel := range []string{"1", "4"} {
-			got, _ := figures(t, 0, append([]string{"-parallel", parallel}, c.args...)...)
-			if got != string(want) {
-				t.Errorf("%s at -parallel %s differs from the retired tool's output:\n--- got\n%s--- want\n%s", c.golden, parallel, got, want)
+		runs := [][]string{c.args}
+		if c.grid {
+			runs = [][]string{append([]string{"-parallel", "1"}, c.args...), append([]string{"-parallel", "4"}, c.args...)}
+		}
+		for _, args := range runs {
+			if got, _ := figures(t, 0, args...); got != string(want) {
+				t.Errorf("figures %s differs from the retired tool's output:\n--- got\n%s--- want\n%s", strings.Join(args, " "), got, want)
+			}
+		}
+	}
+}
+
+// TestFiguresResume: fig9 to fig12 are harness grids like fig8 and the
+// studies, so a rerun against the manifest a complete run left behind
+// prints the same tables having simulated nothing.
+func TestFiguresResume(t *testing.T) {
+	var want strings.Builder
+	for _, name := range []string{"fig9", "fig10", "fig11", "fig12"} {
+		want.Write(golden(t, name))
+	}
+	args := tiny("-parallel", "4", "-resume", filepath.Join(t.TempDir(), "fig.jsonl"), "-v", "fig9", "fig10", "fig11", "fig12")
+	for _, pass := range []string{"cold", "resumed"} {
+		stdout, stderr := figures(t, 0, args...)
+		if stdout != want.String() {
+			t.Errorf("%s run differs from the goldens:\n%s", pass, stdout)
+		}
+		// One -v line per point: 4 + 5 + 2 + 18.
+		lines := strings.Split(strings.TrimSpace(stderr), "\n")
+		if len(lines) != 29 {
+			t.Errorf("%s run logged %d points, want 29:\n%s", pass, len(lines), stderr)
+		}
+		for _, ln := range lines {
+			if cached := strings.HasSuffix(ln, "cached (manifest)"); cached != (pass == "resumed") {
+				t.Errorf("%s run: %s", pass, ln)
 			}
 		}
 	}
@@ -131,6 +163,9 @@ func TestFiguresUsageErrors(t *testing.T) {
 		{[]string{"-scaling", "fig7", "fig8"}, "-scaling is given but"},
 		{[]string{"-list", "fig11"}, "-list is given but"},
 		{[]string{"-topo", "fbfly", "-rate", "0.05", "table4"}, "-rate is given but"},
+		{[]string{"-parallel", "4", "delay"}, "-parallel is given but"},
+		{[]string{"-resume", "fig.jsonl", "fig7", "table4"}, "-resume is given but"},
+		{[]string{"-v", "table4"}, "-v is given but"},
 		{[]string{"-topo", "ring", "fig11"}, "invalid -topo value"},
 		{[]string{"-rate", "1.5", "fig11"}, "invalid -rate value"},
 	}

@@ -108,9 +108,9 @@ func printFig7(w io.Writer, e *env) error {
 
 // printFig8: average packet latency and accepted throughput versus
 // offered load on the 8x8 mesh under IF, WF, AP and VIX, plus a
-// saturation point per scheme — a 40-point harness grid.
+// saturation point per scheme — a 40-point grid.
 func printFig8(w io.Writer, e *env) error {
-	pts, err := experiments.Figure8Opt(e.ctx, e.p, nil, e.opt)
+	pts, err := experiments.Figure8(e.ctx, e.p, nil, e.opt)
 	if err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func printFig8(w io.Writer, e *env) error {
 // saturated 8x8 mesh. The paper's point: greedy maximum matching (AP)
 // is locally optimal but globally unfair; VIX is the fairest studied.
 func printFig9(w io.Writer, e *env) error {
-	rows, err := experiments.Figure9(e.p)
+	rows, err := experiments.Figure9(e.ctx, e.p, e.opt)
 	if err != nil {
 		return err
 	}
@@ -186,7 +186,7 @@ func printFig9(w io.Writer, e *env) error {
 // VIX on an 8x8 mesh with single-flit packets at maximum injection —
 // the regime where chaining shines, and where VIX still wins.
 func printFig10(w io.Writer, e *env) error {
-	rows, err := experiments.Figure10(e.p)
+	rows, err := experiments.Figure10(e.ctx, e.p, e.opt)
 	if err != nil {
 		return err
 	}
@@ -206,7 +206,7 @@ func printFig10(w io.Writer, e *env) error {
 // factors come from the cycle-accurate simulation, per-component
 // energies from the 45 nm calibration in internal/energy.
 func printFig11(w io.Writer, e *env) error {
-	rows, err := experiments.EnergyStudy(e.topo, e.p, e.rate)
+	rows, err := experiments.EnergyStudy(e.ctx, e.topo, e.p, e.rate, e.opt)
 	if err != nil {
 		return err
 	}
@@ -231,7 +231,7 @@ func printFig11(w io.Writer, e *env) error {
 // concentrated mesh with 4 and 6 VCs per port, plus the Section 4.6
 // buffer-reduction result (4 VCs with VIX versus 6 VCs without).
 func printFig12(w io.Writer, e *env) error {
-	rows, err := experiments.Figure12(e.p)
+	rows, err := experiments.Figure12(e.ctx, e.p, e.opt)
 	if err != nil {
 		return err
 	}
@@ -304,7 +304,7 @@ func printTable4(w io.Writer, e *env) error {
 // printPolicies: VC-assignment policy (Section 2.3) under adversarial
 // traffic.
 func printPolicies(w io.Writer, e *env) error {
-	rows, err := experiments.AblatePoliciesOpt(e.ctx, e.p, nil, e.opt)
+	rows, err := experiments.AblatePolicies(e.ctx, e.p, nil, e.opt)
 	if err != nil {
 		return err
 	}
@@ -317,7 +317,7 @@ func printPolicies(w io.Writer, e *env) error {
 }
 
 func printPartition(w io.Writer, e *env) error {
-	rows, err := experiments.AblatePartitionOpt(e.ctx, e.p, e.opt)
+	rows, err := experiments.AblatePartition(e.ctx, e.p, e.opt)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ func printPartition(w io.Writer, e *env) error {
 }
 
 func printPipeline(w io.Writer, e *env) error {
-	rows, err := experiments.AblatePipelineOpt(e.ctx, e.p, 0.05, e.opt)
+	rows, err := experiments.AblatePipeline(e.ctx, e.p, 0.05, e.opt)
 	if err != nil {
 		return err
 	}
@@ -347,7 +347,7 @@ func printPipeline(w io.Writer, e *env) error {
 }
 
 func printSpeculation(w io.Writer, e *env) error {
-	rows, err := experiments.AblateSpeculationOpt(e.ctx, e.p, 0.05, e.opt)
+	rows, err := experiments.AblateSpeculation(e.ctx, e.p, 0.05, e.opt)
 	if err != nil {
 		return err
 	}
@@ -364,7 +364,7 @@ func printSpeculation(w io.Writer, e *env) error {
 }
 
 func printKSweep(w io.Writer, e *env) error {
-	rows, err := experiments.AblateVirtualInputsOpt(e.ctx, e.p, e.opt)
+	rows, err := experiments.AblateVirtualInputs(e.ctx, e.p, e.opt)
 	if err != nil {
 		return err
 	}
@@ -380,7 +380,7 @@ func printKSweep(w io.Writer, e *env) error {
 // printAllocators: the extended allocator set, including iSLIP and
 // SPAROFLO from the paper's citations and related work.
 func printAllocators(w io.Writer, e *env) error {
-	rows, err := experiments.AblateAllocatorsOpt(e.ctx, e.p, e.opt)
+	rows, err := experiments.AblateAllocators(e.ctx, e.p, e.opt)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,6 @@ import (
 	"vix/internal/cli"
 	"vix/internal/config"
 	"vix/internal/harness"
-	"vix/internal/network"
 	"vix/internal/sim"
 )
 
@@ -180,18 +179,10 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 			Spec:   e,
 			Cycles: int64(e.Warmup + e.Measure),
 			Run: func(context.Context) (any, error) {
-				cfg, err := e.Build()
+				s, err := e.Run(tickWorkers)
 				if err != nil {
 					return nil, err
 				}
-				cfg.Workers = tickWorkers
-				n, err := network.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				defer n.Close()
-				n.Warmup(e.Warmup)
-				s := n.Measure(e.Measure)
 				return []string{
 					sc.alloc, strconv.Itoa(sc.k), offered,
 					fmt.Sprintf("%.3f", s.AvgLatency),

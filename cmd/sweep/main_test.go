@@ -125,6 +125,18 @@ func TestSweepPointSeedsDiffer(t *testing.T) {
 	if a, b := solo[0].Spec.(config.Experiment).Seed, findJob(t, jobs, solo[0].Name).Spec.(config.Experiment).Seed; a != b {
 		t.Errorf("point %s changed seed with grid shape: %d vs %d", solo[0].Name, a, b)
 	}
+
+	// A point's manifest key is its name and config.Experiment,
+	// content-hashed; -resume manifests on disk are keyed by it, so it
+	// must not move. The default grid's if:1 @ 0.02 point has had this ID
+	// since before config.Experiment.Run became the runner.
+	pinned, err := buildJobs(config.Default(), []scheme{{alloc: "if", k: 1}}, []float64{0.02}, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := harness.JobID(pinned[0]); err != nil || id != "b0edac05e3540ab791c70815" {
+		t.Errorf("%s has job ID %s (%v), want b0edac05e3540ab791c70815: existing manifests would stop resuming", pinned[0].Name, id, err)
+	}
 }
 
 func findJob(t *testing.T, jobs []harness.Job, name string) harness.Job {
@@ -153,9 +165,10 @@ func TestParseErrors(t *testing.T) {
 }
 
 // TestSweepInvalidPointRunsNothing: a scheme that parses but that the
-// simulator would refuse (if:7 on 6 VCs; ideal and sparoflo at k=2) fails
-// the whole grid up front with an error naming the scheme — no point
-// before it simulates and a previous run's output file survives.
+// simulator would refuse (if:7 on 6 VCs; ideal and sparoflo at k=2), or a
+// rate at which nothing would ever inject, fails the whole grid up front
+// with an error naming the scheme and the field — no point before it
+// simulates and a previous run's output file survives.
 func TestSweepInvalidPointRunsNothing(t *testing.T) {
 	for _, bad := range []string{"if:7", "ideal:2", "sparoflo:2"} {
 		schemes, err := parseSchemes("if:1," + bad)
@@ -177,15 +190,20 @@ func TestSweepInvalidPointRunsNothing(t *testing.T) {
 	if err := os.WriteFile(out, []byte(previous), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-schemes", "if:1,if:7", "-rates", "0.02", "-o", out, "-resume", manifest}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "scheme if:7") || !strings.Contains(err.Error(), "virtual_inputs") {
-		t.Fatalf("run error = %v, want the virtual_inputs finding naming scheme if:7", err)
-	}
-	if got, err := os.ReadFile(out); err != nil || string(got) != previous {
-		t.Errorf("pre-existing -o file was touched: %q, %v", got, err)
-	}
-	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
-		t.Errorf("a manifest exists (%v): some point simulated before the grid was refused", err)
+	for _, c := range []struct{ schemes, rates, scheme, field string }{
+		{"if:1,if:7", "0.02", "scheme if:7", "virtual_inputs"},
+		{"if:1", "0.02,0", "scheme if:1", "injection_rate"},
+	} {
+		err := run([]string{"-schemes", c.schemes, "-rates", c.rates, "-o", out, "-resume", manifest}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.scheme) || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("run error = %v, want the %s finding naming %s", err, c.field, c.scheme)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != previous {
+			t.Errorf("pre-existing -o file was touched: %q, %v", got, err)
+		}
+		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+			t.Errorf("a manifest exists (%v): some point simulated before the grid was refused", err)
+		}
 	}
 }
 

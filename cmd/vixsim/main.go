@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"vix/internal/config"
-	"vix/internal/network"
 )
 
 // flagForField maps a spec's JSON field path to the CLI flag that sets
@@ -101,18 +100,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	s, err := exp.Run(*workers)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The resolved configuration, for the header only.
 	cfg, err := exp.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Workers = *workers
-	n, err := network.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer n.Close()
-	n.Warmup(exp.Warmup)
-	s := n.Measure(exp.Measure)
 
 	topo := cfg.Topology
 	fmt.Printf("topology            %s (radix %d, %d routers, %d nodes)\n", topo.Name, topo.Radix, topo.NumRouters, topo.NumNodes)
@@ -129,5 +125,4 @@ func main() {
 	fmt.Printf("avg hops            %.2f\n", s.AvgHops)
 	fmt.Printf("fairness (max/min)  %.2f\n", s.FairnessRatio)
 	fmt.Printf("packets             %d injected, %d delivered\n", s.PacketsInjected, s.PacketsEjected)
-	os.Exit(0)
 }

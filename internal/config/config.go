@@ -13,12 +13,23 @@ import (
 	"vix/internal/alloc"
 	"vix/internal/network"
 	"vix/internal/router"
+	"vix/internal/stats"
 	"vix/internal/topology"
 	"vix/internal/traffic"
 )
 
-// Experiment is a complete, self-contained experiment description.
-// Zero-valued fields take the documented defaults.
+// Experiment is a complete, self-contained description of one simulated
+// point, and the only one: every figure, study, sweep row and vixd case
+// is an Experiment handed to Run.
+//
+// Decode fills absent JSON fields from Default. A zero value set in code
+// resolves the same way for the structural fields — topology and its
+// dimensions, vcs, buf_depth, virtual_inputs, allocator, policy,
+// partition, pattern, packet_size, hop_delay, credit_delay — to the
+// default noted beside each, in Validate, Build and Run alike. The load
+// and the windows are taken literally: injection_rate must be positive
+// unless max_injection is set, measure must be at least 1, and a zero
+// warmup or seed is a legal value, not a request for the default.
 type Experiment struct {
 	// Topology: "mesh" or "torus" (WxH), "cmesh" or "fbfly" (WxH with
 	// Conc terminals per router). Defaults: mesh,torus 8x8 /
@@ -46,11 +57,11 @@ type Experiment struct {
 	PacketSize    int     `json:"packet_size,omitempty"` // default 4
 
 	// Simulation control.
-	Warmup      int    `json:"warmup,omitempty"`  // default 2000
-	Measure     int    `json:"measure,omitempty"` // default 6000
+	Warmup      int    `json:"warmup,omitempty"`  // 2000 when absent from JSON
+	Measure     int    `json:"measure,omitempty"` // 6000 when absent from JSON
 	Seed        uint64 `json:"seed,omitempty"`
-	HopDelay    int    `json:"hop_delay,omitempty"`
-	CreditDelay int    `json:"credit_delay,omitempty"`
+	HopDelay    int    `json:"hop_delay,omitempty"`    // default 3
+	CreditDelay int    `json:"credit_delay,omitempty"` // default 2
 }
 
 // Default returns the paper's standard configuration: an 8x8 mesh with
@@ -138,6 +149,22 @@ func (e Experiment) dims() (w, h, conc int) {
 	return w, h, conc
 }
 
+// crossbar resolves the per-port VC count, buffer depth and virtual-input
+// count after the documented defaults (6 VCs x 5 flits, k = 1).
+func (e Experiment) crossbar() (vcs, depth, k int) {
+	vcs, depth, k = e.VCs, e.BufDepth, e.VirtualInputs
+	if vcs == 0 {
+		vcs = 6
+	}
+	if depth == 0 {
+		depth = 5
+	}
+	if k == 0 {
+		k = 1
+	}
+	return vcs, depth, k
+}
+
 // BuildTopology resolves the topology description.
 func (e Experiment) BuildTopology() (*topology.Topology, error) {
 	w, h, c := e.dims()
@@ -195,17 +222,14 @@ func (e Experiment) Build() (network.Config, error) {
 	if allocKind == "" {
 		allocKind = "if"
 	}
-	k := e.VirtualInputs
-	if k == 0 {
-		k = 1
-	}
+	vcs, depth, k := e.crossbar()
 	return network.Config{
 		Topology: topo,
 		Router: router.Config{
 			Ports:          topo.Radix,
-			VCs:            e.VCs,
+			VCs:            vcs,
 			VirtualInputs:  k,
-			BufDepth:       e.BufDepth,
+			BufDepth:       depth,
 			AllocKind:      alloc.Kind(allocKind),
 			Policy:         pol,
 			Partition:      part,
@@ -219,6 +243,28 @@ func (e Experiment) Build() (network.Config, error) {
 		HopDelay:      e.HopDelay,
 		CreditDelay:   e.CreditDelay,
 	}, nil
+}
+
+// Run simulates the experiment: Validate, Build, a network of
+// tickWorkers tick workers (network.Config.Workers — a wall-clock knob
+// with byte-identical output, so it is an argument and not a field of the
+// spec), Warmup cycles discarded, Measure cycles reported.
+func (e Experiment) Run(tickWorkers int) (stats.Snapshot, error) {
+	if err := e.Validate(); err != nil {
+		return stats.Snapshot{}, err
+	}
+	cfg, err := e.Build()
+	if err != nil {
+		return stats.Snapshot{}, err
+	}
+	cfg.Workers = tickWorkers
+	n, err := network.New(cfg)
+	if err != nil {
+		return stats.Snapshot{}, err
+	}
+	defer n.Close()
+	n.Warmup(e.Warmup)
+	return n.Measure(e.Measure), nil
 }
 
 // nodeGrid returns the squarest w x h factorisation of n for pattern

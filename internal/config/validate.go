@@ -39,8 +39,8 @@ func (e ValidationError) Error() string {
 // Validate checks the experiment for semantic errors — unknown enum
 // values, out-of-range numbers, impossible crossbar geometry — and
 // returns a ValidationError naming every offending field by its JSON
-// path, or nil. Zero values are legal everywhere a documented default
-// exists, so Validate accepts exactly the specs Build can resolve;
+// path, or nil. Zero values are legal everywhere a default exists (see
+// Experiment), so Validate accepts exactly the specs Run can simulate;
 // callers that reject a spec on Validate's word never hand the
 // simulator a config it would refuse (or, worse, misread).
 func (e Experiment) Validate() error {
@@ -82,13 +82,7 @@ func (e Experiment) Validate() error {
 	if e.VirtualInputs < 0 {
 		bad("virtual_inputs", "must be non-negative, got %d", e.VirtualInputs)
 	}
-	vcs, k := e.VCs, e.VirtualInputs
-	if vcs == 0 {
-		vcs = 6
-	}
-	if k == 0 {
-		k = 1
-	}
+	vcs, _, k := e.crossbar()
 	if k > 0 && vcs > 0 && k > vcs {
 		bad("virtual_inputs", "virtual inputs per port (%d) cannot exceed VCs per port (%d)", k, vcs)
 	}
@@ -132,6 +126,8 @@ func (e Experiment) Validate() error {
 	// Negated so that NaN, which compares false to everything, is rejected.
 	if !(e.InjectionRate >= 0 && e.InjectionRate <= 1) {
 		bad("injection_rate", "must be in [0, 1] packets/cycle/node, got %g", e.InjectionRate)
+	} else if e.InjectionRate == 0 && !e.MaxInjection {
+		bad("injection_rate", "must be positive unless max_injection is set: a network that never injects measures nothing")
 	}
 	if e.PacketSize < 0 {
 		bad("packet_size", "must be non-negative, got %d", e.PacketSize)
@@ -140,8 +136,8 @@ func (e Experiment) Validate() error {
 	if e.Warmup < 0 {
 		bad("warmup", "must be non-negative, got %d", e.Warmup)
 	}
-	if e.Measure < 0 {
-		bad("measure", "must be non-negative, got %d", e.Measure)
+	if e.Measure < 1 {
+		bad("measure", "must be at least 1, got %d: a zero-cycle measurement is a row of zeros", e.Measure)
 	}
 	if e.HopDelay < 0 {
 		bad("hop_delay", "must be non-negative, got %d", e.HopDelay)

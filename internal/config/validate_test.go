@@ -14,14 +14,33 @@ import (
 	"vix/internal/traffic"
 )
 
-// TestValidateAcceptsDefaults: the documented default experiment and the
-// zero value (all defaults) must both validate.
+// TestValidateAcceptsDefaults: the documented default experiment
+// validates, and so does one that leaves every field with a default at
+// its zero value — which Build resolves to the same network. Only the
+// load and the measurement window have no default: the zero Experiment
+// is two findings.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default() invalid: %v", err)
 	}
-	if err := (Experiment{}).Validate(); err != nil {
-		t.Fatalf("zero experiment invalid: %v", err)
+	sparse := Experiment{InjectionRate: 0.05, Measure: 6000}
+	if err := sparse.Validate(); err != nil {
+		t.Fatalf("experiment of defaults invalid: %v", err)
+	}
+	got, err := sparse.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Default().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Router != want.Router || got.Topology.Name != want.Topology.Name || got.Pattern.Name() != want.Pattern.Name() {
+		t.Errorf("zero fields built %+v on %s, Default() builds %+v on %s", got.Router, got.Topology.Name, want.Router, want.Topology.Name)
+	}
+	var ve ValidationError
+	if err := (Experiment{}).Validate(); !errors.As(err, &ve) || len(ve) != 2 || ve[0].Field != "injection_rate" || ve[1].Field != "measure" {
+		t.Errorf("zero experiment: Validate = %v, want injection_rate and measure findings", err)
 	}
 }
 
@@ -152,9 +171,9 @@ func TestValidateCrossbarGeometry(t *testing.T) {
 		t.Fatalf("error = %v, want single virtual_inputs finding", err)
 	}
 	// k=8 over the default 6 VCs must also be caught (vcs field absent).
-	e = Experiment{VirtualInputs: 8}
-	if e.Validate() == nil {
-		t.Fatal("k=8 over defaulted 6 VCs validated")
+	e = Experiment{VirtualInputs: 8, InjectionRate: 0.05, Measure: 1}
+	if !errors.As(e.Validate(), &ve) || len(ve) != 1 || ve[0].Field != "virtual_inputs" {
+		t.Fatalf("k=8 over defaulted 6 VCs: error = %v, want single virtual_inputs finding", e.Validate())
 	}
 }
 

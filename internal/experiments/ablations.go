@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"strconv"
 
 	"vix/internal/alloc"
+	"vix/internal/config"
 	"vix/internal/harness"
 	"vix/internal/router"
+	"vix/internal/stats"
 	"vix/internal/topology"
-	"vix/internal/traffic"
 )
 
 // The ablation studies isolate the design choices DESIGN.md calls out:
@@ -18,10 +19,9 @@ import (
 // allocation scheme (including iSLIP and SPAROFLO from the paper's
 // citations and related work).
 //
-// Every study builds its point set as a GridPoint slice and runs it
-// through the harness, so each has a serial entry (the historical
-// signature) and an Opt entry taking a context and harness.Options for
-// parallel, resumable execution.
+// Every study is a label-seeded grid (point) run through RunGrid, so
+// each takes a context and harness.Options for parallel, resumable
+// execution; harness.Serial() is the one-point-at-a-time form.
 
 // PolicyAblationRow is the saturation throughput of one (pattern,
 // policy) pair on the VIX mesh.
@@ -31,44 +31,30 @@ type PolicyAblationRow struct {
 	Throughput float64
 }
 
-// AblatePolicies measures the Section 2.3 VC-assignment policies on a
-// saturated 8x8 VIX mesh across traffic patterns, including the
-// adversarial ones the paper's Section 2.3 targets.
-func AblatePolicies(p Params, patterns []string) ([]PolicyAblationRow, error) {
-	return AblatePoliciesOpt(context.Background(), p, patterns, harness.Serial())
-}
-
-// AblatePoliciesOpt is the harness-backed form of AblatePolicies.
-func AblatePoliciesOpt(ctx context.Context, p Params, patterns []string, opt harness.Options) ([]PolicyAblationRow, error) {
+func policiesGrid(p Params, patterns []string) []GridPoint {
 	if patterns == nil {
 		patterns = []string{"uniform", "transpose", "tornado", "bitcomp"}
 	}
-	topo := topology.NewMesh(8, 8)
+	topo, vix := topology.NewMesh(8, 8), NetworkSchemes()[3]
 	var pts []GridPoint
-	var rows []PolicyAblationRow
 	for _, name := range patterns {
-		pat, err := traffic.New(name, 8, 8)
-		if err != nil {
-			return nil, err
-		}
 		for _, pol := range []router.PolicyKind{router.PolicyMaxFree, router.PolicyDimension, router.PolicyBalanced} {
-			cfg := buildConfig(topo, Scheme{Label: "VIX", Kind: alloc.KindSeparableIF, K: 2, Policy: pol}, p, 0, true)
-			cfg.Pattern = pat
-			pts = append(pts, GridPoint{
-				Labels: []string{"ablate", "policies", name, string(pol)},
-				Config: cfg, Warmup: p.Warmup, Measure: p.Measure,
-			})
-			rows = append(rows, PolicyAblationRow{Pattern: name, Policy: pol})
+			vix.Policy = pol
+			e := experiment(topo, vix, p, 0, true)
+			e.Pattern = name
+			pts = append(pts, point(e, "ablate", "policies", name, e.Policy))
 		}
 	}
-	snaps, err := RunGrid(ctx, p.Seed, pts, opt)
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i].Throughput = snaps[i].ThroughputFlits
-	}
-	return rows, nil
+	return pts
+}
+
+// AblatePolicies measures the Section 2.3 VC-assignment policies on a
+// saturated 8x8 VIX mesh across traffic patterns, including the
+// adversarial ones the paper's Section 2.3 targets.
+func AblatePolicies(ctx context.Context, p Params, patterns []string, opt harness.Options) ([]PolicyAblationRow, error) {
+	return gridRows(ctx, p, opt, policiesGrid(p, patterns), func(g GridPoint, snap stats.Snapshot) PolicyAblationRow {
+		return PolicyAblationRow{Pattern: g.Spec.Pattern, Policy: router.PolicyKind(g.Spec.Policy), Throughput: snap.ThroughputFlits}
+	})
 }
 
 // PartitionAblationRow compares VC partitions for one topology.
@@ -78,35 +64,44 @@ type PartitionAblationRow struct {
 	Throughput float64
 }
 
-// AblatePartition compares the paper's contiguous VC sub-grouping with
-// an interleaved assignment on saturated VIX networks.
-func AblatePartition(p Params) ([]PartitionAblationRow, error) {
-	return AblatePartitionOpt(context.Background(), p, harness.Serial())
-}
+// partitions are the two VC-to-sub-group assignments, in alloc.Partition
+// order, by their config.Experiment names.
+var partitions = []string{alloc.Contiguous: "contiguous", alloc.Interleaved: "interleaved"}
 
-// AblatePartitionOpt is the harness-backed form of AblatePartition.
-func AblatePartitionOpt(ctx context.Context, p Params, opt harness.Options) ([]PartitionAblationRow, error) {
+func partitionGrid(p Params) []GridPoint {
 	var pts []GridPoint
-	var rows []PartitionAblationRow
 	for _, topo := range Topologies() {
-		for _, part := range []alloc.Partition{alloc.Contiguous, alloc.Interleaved} {
-			cfg := buildConfig(topo, Scheme{Label: "VIX", Kind: alloc.KindSeparableIF, K: 2, Policy: router.PolicyBalanced}, p, 0, true)
-			cfg.Router.Partition = part
-			pts = append(pts, GridPoint{
-				Labels: []string{"ablate", "partition", topo.Name, strconv.Itoa(int(part))},
-				Config: cfg, Warmup: p.Warmup, Measure: p.Measure,
-			})
-			rows = append(rows, PartitionAblationRow{Topology: topo.Name, Partition: part})
+		for part, name := range partitions {
+			e := experiment(topo, NetworkSchemes()[3], p, 0, true) // VIX
+			e.Partition = name
+			pts = append(pts, point(e, "ablate", "partition", topo.Name, strconv.Itoa(part)))
 		}
 	}
-	snaps, err := RunGrid(ctx, p.Seed, pts, opt)
-	if err != nil {
-		return nil, err
+	return pts
+}
+
+// AblatePartition compares the paper's contiguous VC sub-grouping with
+// an interleaved assignment on saturated VIX networks.
+func AblatePartition(ctx context.Context, p Params, opt harness.Options) ([]PartitionAblationRow, error) {
+	return gridRows(ctx, p, opt, partitionGrid(p), func(g GridPoint, snap stats.Snapshot) PartitionAblationRow {
+		part := alloc.Partition(slices.Index(partitions, g.Spec.Partition))
+		return PartitionAblationRow{Topology: g.Labels[2], Partition: part, Throughput: snap.ThroughputFlits}
+	})
+}
+
+// probeAndSaturate is the two points behind one row of the pipeline and
+// speculation studies: latency at the probe rate, throughput at
+// saturation, both of s on the mesh as adjusted by vary and labelled by
+// the study and the variant.
+func probeAndSaturate(study string, s Scheme, p Params, probeRate float64, variant string, vary func(*config.Experiment)) []GridPoint {
+	topo := topology.NewMesh(8, 8)
+	probe, sat := experiment(topo, s, p, probeRate, false), experiment(topo, s, p, 0, true)
+	vary(&probe)
+	vary(&sat)
+	return []GridPoint{
+		point(probe, "ablate", study, s.Label, variant, rateLabel(probeRate, false)),
+		point(sat, "ablate", study, s.Label, variant, rateLabel(0, true)),
 	}
-	for i := range rows {
-		rows[i].Throughput = snaps[i].ThroughputFlits
-	}
-	return rows, nil
 }
 
 // PipelineAblationRow compares router pipeline depths.
@@ -117,46 +112,33 @@ type PipelineAblationRow struct {
 	Throughput float64 // at saturation
 }
 
+func pipelineGrid(p Params, probeRate float64) []GridPoint {
+	var pts []GridPoint
+	for _, s := range []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} {
+		for _, hop := range []int{3, 5} {
+			pts = append(pts, probeAndSaturate("pipeline", s, p, probeRate, strconv.Itoa(hop),
+				func(e *config.Experiment) { e.HopDelay = hop })...)
+		}
+	}
+	return pts
+}
+
 // AblatePipeline compares the paper's optimised 3-stage pipeline (Figure
 // 6b) against the conventional 5-stage pipeline (Figure 6a) for baseline
 // and VIX: latency at a moderate load and saturation throughput.
-func AblatePipeline(p Params, probeRate float64) ([]PipelineAblationRow, error) {
-	return AblatePipelineOpt(context.Background(), p, probeRate, harness.Serial())
-}
-
-// AblatePipelineOpt is the harness-backed form of AblatePipeline. Each
-// row needs two simulations (probe-rate latency and saturation
-// throughput), so the grid interleaves probe and saturation points.
-func AblatePipelineOpt(ctx context.Context, p Params, probeRate float64, opt harness.Options) ([]PipelineAblationRow, error) {
-	topo := topology.NewMesh(8, 8)
-	schemes := []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]}
-	var pts []GridPoint
-	var rows []PipelineAblationRow
-	for _, s := range schemes {
-		for _, hop := range []int{3, 5} {
-			probe := buildConfig(topo, s, p, probeRate, false)
-			probe.HopDelay = hop
-			sat := buildConfig(topo, s, p, 0, true)
-			sat.HopDelay = hop
-			pts = append(pts,
-				GridPoint{
-					Labels: []string{"ablate", "pipeline", s.Label, strconv.Itoa(hop), rateLabel(probeRate, false)},
-					Config: probe, Warmup: p.Warmup, Measure: p.Measure,
-				},
-				GridPoint{
-					Labels: []string{"ablate", "pipeline", s.Label, strconv.Itoa(hop), rateLabel(0, true)},
-					Config: sat, Warmup: p.Warmup, Measure: p.Measure,
-				})
-			rows = append(rows, PipelineAblationRow{Scheme: s.Label, HopDelay: hop})
-		}
-	}
-	snaps, err := RunGrid(ctx, p.Seed, pts, opt)
+func AblatePipeline(ctx context.Context, p Params, probeRate float64, opt harness.Options) ([]PipelineAblationRow, error) {
+	grid := pipelineGrid(p, probeRate)
+	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]PipelineAblationRow, len(grid)/2)
 	for i := range rows {
-		rows[i].AvgLatency = snaps[2*i].AvgLatency
-		rows[i].Throughput = snaps[2*i+1].ThroughputFlits
+		g := grid[2*i]
+		rows[i] = PipelineAblationRow{
+			Scheme: g.Labels[2], HopDelay: g.Spec.HopDelay,
+			AvgLatency: snaps[2*i].AvgLatency, Throughput: snaps[2*i+1].ThroughputFlits,
+		}
 	}
 	return rows, nil
 }
@@ -170,49 +152,38 @@ type SpeculationAblationRow struct {
 	Throughput     float64 // at saturation
 }
 
-// AblateSpeculation compares the Figure 6b speculative pipeline (heads
-// bid for the switch in the same cycle they win a VC) against a
-// non-speculative variant that serialises VA before SA, for baseline and
-// VIX on the mesh.
-func AblateSpeculation(p Params, probeRate float64) ([]SpeculationAblationRow, error) {
-	return AblateSpeculationOpt(context.Background(), p, probeRate, harness.Serial())
-}
-
-// AblateSpeculationOpt is the harness-backed form of AblateSpeculation.
-func AblateSpeculationOpt(ctx context.Context, p Params, probeRate float64, opt harness.Options) ([]SpeculationAblationRow, error) {
-	topo := topology.NewMesh(8, 8)
-	schemes := []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]}
+func speculationGrid(p Params, probeRate float64) []GridPoint {
 	var pts []GridPoint
-	var rows []SpeculationAblationRow
-	for _, s := range schemes {
+	for _, s := range []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} {
 		for _, nonSpec := range []bool{false, true} {
-			probe := buildConfig(topo, s, p, probeRate, false)
-			probe.Router.NonSpeculative = nonSpec
-			sat := buildConfig(topo, s, p, 0, true)
-			sat.Router.NonSpeculative = nonSpec
 			mode := "spec"
 			if nonSpec {
 				mode = "nonspec"
 			}
-			pts = append(pts,
-				GridPoint{
-					Labels: []string{"ablate", "speculation", s.Label, mode, rateLabel(probeRate, false)},
-					Config: probe, Warmup: p.Warmup, Measure: p.Measure,
-				},
-				GridPoint{
-					Labels: []string{"ablate", "speculation", s.Label, mode, rateLabel(0, true)},
-					Config: sat, Warmup: p.Warmup, Measure: p.Measure,
-				})
-			rows = append(rows, SpeculationAblationRow{Scheme: s.Label, NonSpeculative: nonSpec})
+			pts = append(pts, probeAndSaturate("speculation", s, p, probeRate, mode,
+				func(e *config.Experiment) { e.NonSpeculative = nonSpec })...)
 		}
 	}
-	snaps, err := RunGrid(ctx, p.Seed, pts, opt)
+	return pts
+}
+
+// AblateSpeculation compares the Figure 6b speculative pipeline (heads
+// bid for the switch in the same cycle they win a VC) against a
+// non-speculative variant that serialises VA before SA, for baseline and
+// VIX on the mesh.
+func AblateSpeculation(ctx context.Context, p Params, probeRate float64, opt harness.Options) ([]SpeculationAblationRow, error) {
+	grid := speculationGrid(p, probeRate)
+	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]SpeculationAblationRow, len(grid)/2)
 	for i := range rows {
-		rows[i].AvgLatency = snaps[2*i].AvgLatency
-		rows[i].Throughput = snaps[2*i+1].ThroughputFlits
+		g := grid[2*i]
+		rows[i] = SpeculationAblationRow{
+			Scheme: g.Labels[2], NonSpeculative: g.Spec.NonSpeculative,
+			AvgLatency: snaps[2*i].AvgLatency, Throughput: snaps[2*i+1].ThroughputFlits,
+		}
 	}
 	return rows, nil
 }
@@ -223,39 +194,26 @@ type KSweepRow struct {
 	Throughput float64
 }
 
+func ksweepGrid(p Params) []GridPoint {
+	topo := topology.NewMesh(8, 8)
+	var pts []GridPoint
+	for k := 1; k <= p.VCs; k++ {
+		if p.VCs%k != 0 {
+			continue // only even partitions keep sub-groups comparable
+		}
+		s := Scheme{Kind: alloc.KindSeparableIF, K: k}
+		pts = append(pts, point(experiment(topo, s, p, 0, true), "ablate", "ksweep", strconv.Itoa(k)))
+	}
+	return pts
+}
+
 // AblateVirtualInputs sweeps the virtual-input factor k from 1 to VCs on
 // the mesh — a finer-grained version of Figure 12 that locates where the
 // returns diminish.
-func AblateVirtualInputs(p Params) ([]KSweepRow, error) {
-	return AblateVirtualInputsOpt(context.Background(), p, harness.Serial())
-}
-
-// AblateVirtualInputsOpt is the harness-backed form of
-// AblateVirtualInputs.
-func AblateVirtualInputsOpt(ctx context.Context, p Params, opt harness.Options) ([]KSweepRow, error) {
-	topo := topology.NewMesh(8, 8)
-	var pts []GridPoint
-	var rows []KSweepRow
-	for k := 1; k <= p.VCs; k++ {
-		if p.VCs%k != 0 && k != p.VCs {
-			continue // only even partitions keep sub-groups comparable
-		}
-		s := Scheme{Label: fmt.Sprintf("k=%d", k), Kind: alloc.KindSeparableIF, K: k, Policy: router12Policy(k)}
-		pts = append(pts, GridPoint{
-			Labels: []string{"ablate", "ksweep", strconv.Itoa(k)},
-			Config: buildConfig(topo, s, p, 0, true),
-			Warmup: p.Warmup, Measure: p.Measure,
-		})
-		rows = append(rows, KSweepRow{K: k})
-	}
-	snaps, err := RunGrid(ctx, p.Seed, pts, opt)
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i].Throughput = snaps[i].ThroughputFlits
-	}
-	return rows, nil
+func AblateVirtualInputs(ctx context.Context, p Params, opt harness.Options) ([]KSweepRow, error) {
+	return gridRows(ctx, p, opt, ksweepGrid(p), func(g GridPoint, snap stats.Snapshot) KSweepRow {
+		return KSweepRow{K: g.Spec.VirtualInputs, Throughput: snap.ThroughputFlits}
+	})
 }
 
 // AllocAblationRow is the saturation throughput of one allocation scheme
@@ -265,17 +223,10 @@ type AllocAblationRow struct {
 	Throughput float64
 }
 
-// AblateAllocators races the full allocator set — including iSLIP (the
-// iterative allocator the paper cites) and SPAROFLO (related work) — on
-// a saturated mesh.
-func AblateAllocators(p Params) ([]AllocAblationRow, error) {
-	return AblateAllocatorsOpt(context.Background(), p, harness.Serial())
-}
-
-// AblateAllocatorsOpt is the harness-backed form of AblateAllocators.
-func AblateAllocatorsOpt(ctx context.Context, p Params, opt harness.Options) ([]AllocAblationRow, error) {
+func allocatorsGrid(p Params) []GridPoint {
 	topo := topology.NewMesh(8, 8)
-	schemes := []Scheme{
+	var pts []GridPoint
+	for _, s := range []Scheme{
 		{Label: "IF", Kind: alloc.KindSeparableIF, K: 1, Policy: router.PolicyMaxFree},
 		{Label: "iSLIP-2", Kind: alloc.KindISLIP, K: 1, Policy: router.PolicyMaxFree},
 		{Label: "SPAROFLO", Kind: alloc.KindSparoflo, K: 1, Policy: router.PolicyMaxFree},
@@ -284,23 +235,17 @@ func AblateAllocatorsOpt(ctx context.Context, p Params, opt harness.Options) ([]
 		{Label: "VIX", Kind: alloc.KindSeparableIF, K: 2, Policy: router.PolicyBalanced},
 		{Label: "VIX-WF", Kind: alloc.KindWavefront, K: 2, Policy: router.PolicyBalanced},
 		{Label: "VIX-age", Kind: alloc.KindSeparableAge, K: 2, Policy: router.PolicyBalanced},
+	} {
+		pts = append(pts, point(experiment(topo, s, p, 0, true), "ablate", "allocators", s.Label))
 	}
-	var pts []GridPoint
-	var rows []AllocAblationRow
-	for _, s := range schemes {
-		pts = append(pts, GridPoint{
-			Labels: []string{"ablate", "allocators", s.Label},
-			Config: buildConfig(topo, s, p, 0, true),
-			Warmup: p.Warmup, Measure: p.Measure,
-		})
-		rows = append(rows, AllocAblationRow{Scheme: s.Label})
-	}
-	snaps, err := RunGrid(ctx, p.Seed, pts, opt)
-	if err != nil {
-		return nil, err
-	}
-	for i := range rows {
-		rows[i].Throughput = snaps[i].ThroughputFlits
-	}
-	return rows, nil
+	return pts
+}
+
+// AblateAllocators races the full allocator set — including iSLIP (the
+// iterative allocator the paper cites) and SPAROFLO (related work) — on
+// a saturated mesh.
+func AblateAllocators(ctx context.Context, p Params, opt harness.Options) ([]AllocAblationRow, error) {
+	return gridRows(ctx, p, opt, allocatorsGrid(p), func(g GridPoint, snap stats.Snapshot) AllocAblationRow {
+		return AllocAblationRow{Scheme: g.Labels[2], Throughput: snap.ThroughputFlits}
+	})
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"vix/internal/alloc"
+	"vix/internal/harness"
 	"vix/internal/router"
 	"vix/internal/topology"
 )
@@ -16,7 +18,7 @@ func ablationParams() Params {
 }
 
 func TestAblatePolicies(t *testing.T) {
-	rows, err := AblatePolicies(ablationParams(), []string{"uniform", "bitcomp"})
+	rows, err := AblatePolicies(context.Background(), ablationParams(), []string{"uniform", "bitcomp"}, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestAblatePolicies(t *testing.T) {
 }
 
 func TestAblatePartition(t *testing.T) {
-	rows, err := AblatePartition(ablationParams())
+	rows, err := AblatePartition(context.Background(), ablationParams(), harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestAblatePartition(t *testing.T) {
 }
 
 func TestAblatePipeline(t *testing.T) {
-	rows, err := AblatePipeline(ablationParams(), 0.03)
+	rows, err := AblatePipeline(context.Background(), ablationParams(), 0.03, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestAblatePipeline(t *testing.T) {
 
 func TestAblateVirtualInputs(t *testing.T) {
 	p := ablationParams()
-	rows, err := AblateVirtualInputs(p)
+	rows, err := AblateVirtualInputs(context.Background(), p, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestAblateVirtualInputs(t *testing.T) {
 }
 
 func TestAblateAllocators(t *testing.T) {
-	rows, err := AblateAllocators(ablationParams())
+	rows, err := AblateAllocators(context.Background(), ablationParams(), harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestFindSaturation(t *testing.T) {
 }
 
 func TestAblateSpeculation(t *testing.T) {
-	rows, err := AblateSpeculation(ablationParams(), 0.03)
+	rows, err := AblateSpeculation(context.Background(), ablationParams(), 0.03, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +214,11 @@ func TestReplicateSaturation(t *testing.T) {
 	p := ablationParams()
 	topo := topology.NewMesh(4, 4)
 	seeds := []uint64{1, 2, 3, 4}
-	base, err := ReplicateSaturation(topo, NetworkSchemes()[0], p, seeds)
+	base, err := ReplicateSaturation(context.Background(), topo, NetworkSchemes()[0], p, seeds, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vix, err := ReplicateSaturation(topo, NetworkSchemes()[3], p, seeds)
+	vix, err := ReplicateSaturation(context.Background(), topo, NetworkSchemes()[3], p, seeds, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestReplicateSaturation(t *testing.T) {
 		t.Fatalf("VIX gain within noise: base %.4f±%.4f vs vix %.4f±%.4f",
 			base.Mean, base.StdDev, vix.Mean, vix.StdDev)
 	}
-	if _, err := ReplicateSaturation(topo, NetworkSchemes()[0], p, nil); err == nil {
+	if _, err := ReplicateSaturation(context.Background(), topo, NetworkSchemes()[0], p, nil, harness.Serial()); err == nil {
 		t.Error("empty seed list accepted")
 	}
 }

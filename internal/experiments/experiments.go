@@ -1,7 +1,11 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each experiment is a function that runs the necessary
-// simulations and returns structured rows; cmd/figures prints them and
-// the root benchmark suite regenerates them under `go test -bench`.
+// simulations and returns structured rows; cmd/figures prints them.
+// Every simulated point is a config.Experiment run by its Run method:
+// the network figures and the ablation studies are grids of them fanned
+// out through internal/harness (grid.go), the saturation search probes
+// them one after the other, and only Table 4 — whose manycore Workload a
+// spec cannot express — builds its network itself.
 //
 // Experiment parameters default to the paper's configuration (Section 3:
 // 64 nodes, 6 VCs x 5-flit buffers, 128-bit datapath, 4-flit packets,
@@ -13,19 +17,16 @@ import (
 
 	"vix/internal/alloc"
 	"vix/internal/config"
-	"vix/internal/network"
 	"vix/internal/router"
-	"vix/internal/stats"
 	"vix/internal/topology"
-	"vix/internal/traffic"
 )
 
 // Scheme is a network-level switch-allocation configuration under test.
 type Scheme struct {
 	Label  string
 	Kind   alloc.Kind
-	K      int // virtual inputs per port; 0 means "equal to VCs"
-	Policy router.PolicyKind
+	K      int               // virtual inputs per port; 0 means "equal to VCs"
+	Policy router.PolicyKind // "" means maxfree, or balanced once K > 1
 }
 
 // NetworkSchemes returns the four schemes of Section 4.1 in evaluation
@@ -47,8 +48,8 @@ type Params struct {
 	Warmup     int
 	Measure    int
 	Seed       uint64
-	// TickWorkers is each simulation's parallel-tick width
-	// (network.Config.Workers): 0 or 1 serial, negative GOMAXPROCS. A
+	// TickWorkers is each simulation's parallel-tick width, the argument
+	// of config.Experiment.Run: 0 or 1 serial, negative GOMAXPROCS. A
 	// wall-clock knob with byte-identical output, so it stays out of
 	// every point's spec and never invalidates a manifest.
 	TickWorkers int
@@ -107,40 +108,24 @@ func Topologies() []*topology.Topology {
 	}
 }
 
-// buildConfig assembles a network config for a scheme.
-func buildConfig(topo *topology.Topology, s Scheme, p Params, rate float64, maxInj bool) network.Config {
+// experiment describes scheme s on topo under p at the offered load; the
+// seed is the study's root seed, which point() replaces with a per-point
+// one for the label-seeded grids.
+func experiment(topo *topology.Topology, s Scheme, p Params, rate float64, maxInj bool) config.Experiment {
 	k := s.K
 	if k == 0 {
 		k = p.VCs
 	}
-	return network.Config{
-		Topology: topo,
-		Router: router.Config{
-			Ports: topo.Radix, VCs: p.VCs, VirtualInputs: k, BufDepth: p.BufDepth,
-			AllocKind: s.Kind, Policy: s.Policy,
-		},
-		Pattern:       traffic.NewUniform(topo.NumNodes),
+	return config.Experiment{
+		Topology: string(topo.Kind), Width: topo.W, Height: topo.H, Conc: topo.Conc,
+		VCs: p.VCs, BufDepth: p.BufDepth, VirtualInputs: k,
+		Allocator: string(s.Kind), Policy: string(s.Policy),
+		Pattern:       "uniform",
 		InjectionRate: rate,
 		MaxInjection:  maxInj,
 		PacketSize:    p.PacketSize,
+		Warmup:        p.Warmup,
+		Measure:       p.Measure,
 		Seed:          p.Seed,
-		Workers:       p.TickWorkers,
 	}
-}
-
-// runOne builds, warms up, and measures one configuration.
-func runOne(topo *topology.Topology, s Scheme, p Params, rate float64, maxInj bool) (stats.Snapshot, error) {
-	n, err := network.New(buildConfig(topo, s, p, rate, maxInj))
-	if err != nil {
-		return stats.Snapshot{}, fmt.Errorf("experiments: %s on %s: %w", s.Label, topo.Name, err)
-	}
-	defer n.Close()
-	n.Warmup(p.Warmup)
-	return n.Measure(p.Measure), nil
-}
-
-// SaturationThroughput measures accepted flits/cycle/node at maximum
-// injection for the scheme on the topology.
-func SaturationThroughput(topo *topology.Topology, s Scheme, p Params) (stats.Snapshot, error) {
-	return runOne(topo, s, p, 0, true)
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"vix/internal/config"
+	"vix/internal/harness"
 )
 
 // quickParams shrinks simulation windows so the whole experiment suite
@@ -53,7 +55,7 @@ func TestFigure7QualitativeShape(t *testing.T) {
 
 func TestFigure8QualitativeShape(t *testing.T) {
 	p := quickParams()
-	rows, err := Figure8(p, []float64{0.02, 0.06})
+	rows, err := Figure8(context.Background(), p, []float64{0.02, 0.06}, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestFigure8QualitativeShape(t *testing.T) {
 }
 
 func TestFigure9Fairness(t *testing.T) {
-	rows, err := Figure9(quickParams())
+	rows, err := Figure9(context.Background(), quickParams(), harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestFigure9Fairness(t *testing.T) {
 }
 
 func TestFigure10PacketChaining(t *testing.T) {
-	rows, err := Figure10(quickParams())
+	rows, err := Figure10(context.Background(), quickParams(), harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestFigure10PacketChaining(t *testing.T) {
 
 func TestFigure11Energy(t *testing.T) {
 	p := quickParams()
-	rows, err := Figure11(p)
+	rows, err := Figure11(context.Background(), p, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestFigure12VirtualInputs(t *testing.T) {
 	p := quickParams()
 	p.Warmup = 500
 	p.Measure = 1500
-	rows, err := Figure12(p)
+	rows, err := Figure12(context.Background(), p, harness.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

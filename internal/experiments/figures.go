@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 
 	"vix/internal/energy"
 	"vix/internal/harness"
-	"vix/internal/router"
 	"vix/internal/routerbench"
+	"vix/internal/stats"
 	"vix/internal/timing"
 	"vix/internal/topology"
 )
@@ -63,15 +64,9 @@ func Figure8Rates() []float64 {
 	return []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09}
 }
 
-// Figure8 sweeps offered load on the 8x8 mesh for the four network
-// schemes and appends a saturation point (MaxInjection) per scheme. It
-// is the serial form of Figure8Opt.
-func Figure8(p Params, rates []float64) ([]Fig8Point, error) {
-	return Figure8Opt(context.Background(), p, rates, harness.Serial())
-}
-
 // Figure8Grid builds the figure's simulation points: every scheme at
-// every rate, plus a saturation point per scheme, in canonical order.
+// every rate, plus a saturation point (MaxInjection) per scheme, in
+// canonical order.
 func Figure8Grid(p Params, rates []float64) []GridPoint {
 	topo := topology.NewMesh(8, 8)
 	if rates == nil {
@@ -80,48 +75,31 @@ func Figure8Grid(p Params, rates []float64) []GridPoint {
 	var pts []GridPoint
 	for _, s := range NetworkSchemes() {
 		for _, rate := range rates {
-			pts = append(pts, GridPoint{
-				Labels: []string{"fig8", s.Label, rateLabel(rate, false)},
-				Config: buildConfig(topo, s, p, rate, false),
-				Warmup: p.Warmup, Measure: p.Measure,
-			})
+			pts = append(pts, point(experiment(topo, s, p, rate, false), "fig8", s.Label, rateLabel(rate, false)))
 		}
-		pts = append(pts, GridPoint{
-			Labels: []string{"fig8", s.Label, rateLabel(0, true)},
-			Config: buildConfig(topo, s, p, 0, true),
-			Warmup: p.Warmup, Measure: p.Measure,
-		})
+		pts = append(pts, point(experiment(topo, s, p, 0, true), "fig8", s.Label, rateLabel(0, true)))
 	}
 	return pts
 }
 
-// Figure8Opt runs the Figure 8 grid through the harness — points fan out
-// across opt.Parallel workers and the returned rows are in canonical
-// order whatever the completion order.
-func Figure8Opt(ctx context.Context, p Params, rates []float64, opt harness.Options) ([]Fig8Point, error) {
-	if rates == nil {
-		rates = Figure8Rates()
+// Figure8 sweeps offered load on the 8x8 mesh for the four network
+// schemes. Like every grid below, the points fan out across
+// opt.Parallel workers and the returned rows are in canonical order
+// whatever the completion order.
+func Figure8(ctx context.Context, p Params, rates []float64, opt harness.Options) ([]Fig8Point, error) {
+	return gridRows(ctx, p, opt, Figure8Grid(p, rates), func(g GridPoint, snap stats.Snapshot) Fig8Point {
+		return Fig8Point{Scheme: g.Labels[1], Rate: g.Spec.InjectionRate, AvgLatency: snap.AvgLatency, Throughput: snap.ThroughputFlits}
+	})
+}
+
+// saturationGrid is one saturated point per scheme on topo, each on the
+// study's root seed.
+func saturationGrid(study string, topo *topology.Topology, schemes []Scheme, p Params) []GridPoint {
+	pts := make([]GridPoint, len(schemes))
+	for i, s := range schemes {
+		pts[i] = GridPoint{Labels: []string{study, s.Label}, Spec: experiment(topo, s, p, 0, true)}
 	}
-	grid := Figure8Grid(p, rates)
-	snaps, err := RunGrid(ctx, p.Seed, grid, opt)
-	if err != nil {
-		return nil, err
-	}
-	perScheme := len(rates) + 1
-	pts := make([]Fig8Point, len(grid))
-	for i, snap := range snaps {
-		rate := 0.0
-		if r := i % perScheme; r < len(rates) {
-			rate = rates[r]
-		}
-		pts[i] = Fig8Point{
-			Scheme:     NetworkSchemes()[i/perScheme].Label,
-			Rate:       rate,
-			AvgLatency: snap.AvgLatency,
-			Throughput: snap.ThroughputFlits,
-		}
-	}
-	return pts, nil
+	return pts
 }
 
 // --- Figure 9: fairness on the mesh ---
@@ -133,19 +111,16 @@ type Fig9Row struct {
 	Throughput  float64
 }
 
+func figure9Grid(p Params) []GridPoint {
+	return saturationGrid("fig9", topology.NewMesh(8, 8), NetworkSchemes(), p)
+}
+
 // Figure9 measures the max/min per-source throughput ratio on the 8x8
 // mesh at maximum injection for all four schemes.
-func Figure9(p Params) ([]Fig9Row, error) {
-	topo := topology.NewMesh(8, 8)
-	var rows []Fig9Row
-	for _, s := range NetworkSchemes() {
-		snap, err := SaturationThroughput(topo, s, p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig9Row{Scheme: s.Label, MaxMinRatio: snap.FairnessRatio, Throughput: snap.ThroughputFlits})
-	}
-	return rows, nil
+func Figure9(ctx context.Context, p Params, opt harness.Options) ([]Fig9Row, error) {
+	return gridRows(ctx, p, opt, figure9Grid(p), func(g GridPoint, snap stats.Snapshot) Fig9Row {
+		return Fig9Row{Scheme: g.Labels[1], MaxMinRatio: snap.FairnessRatio, Throughput: snap.ThroughputFlits}
+	})
 }
 
 // --- Figure 10: packet chaining comparison ---
@@ -157,30 +132,24 @@ type Fig10Row struct {
 	GainOverIF float64
 }
 
-// Figure10 compares IF, WF, AP, PC, and VIX on the 8x8 mesh with
-// single-flit uniform traffic at maximum injection (Section 4.4).
-func Figure10(p Params) ([]Fig10Row, error) {
+func figure10Grid(p Params) []GridPoint {
 	p.PacketSize = 1
-	topo := topology.NewMesh(8, 8)
 	schemes := NetworkSchemes()
 	// Insert packet chaining before VIX, matching the figure's ordering.
 	schemes = append(schemes[:3:3], Scheme{Label: "PC", Kind: "pc", Policy: "maxfree", K: 1}, schemes[3])
-	var rows []Fig10Row
-	var ifThr float64
-	for _, s := range schemes {
-		snap, err := SaturationThroughput(topo, s, p)
-		if err != nil {
-			return nil, err
-		}
-		if s.Label == "IF" {
-			ifThr = snap.ThroughputFlits
-		}
-		rows = append(rows, Fig10Row{Scheme: s.Label, Throughput: snap.ThroughputFlits})
-	}
+	return saturationGrid("fig10", topology.NewMesh(8, 8), schemes, p)
+}
+
+// Figure10 compares IF, WF, AP, PC, and VIX on the 8x8 mesh with
+// single-flit uniform traffic at maximum injection (Section 4.4).
+func Figure10(ctx context.Context, p Params, opt harness.Options) ([]Fig10Row, error) {
+	rows, err := gridRows(ctx, p, opt, figure10Grid(p), func(g GridPoint, snap stats.Snapshot) Fig10Row {
+		return Fig10Row{Scheme: g.Labels[1], Throughput: snap.ThroughputFlits}
+	})
 	for i := range rows {
-		rows[i].GainOverIF = rows[i].Throughput / ifThr
+		rows[i].GainOverIF = rows[i].Throughput / rows[0].Throughput // IF is the first scheme
 	}
-	return rows, nil
+	return rows, err
 }
 
 // --- Figure 11: network energy per bit ---
@@ -193,23 +162,31 @@ type Fig11Row struct {
 
 // Figure11 measures energy per bit for the baseline and VIX mesh at the
 // paper's 0.1 packets/cycle/node operating point.
-func Figure11(p Params) ([]Fig11Row, error) {
-	return EnergyStudy(topology.NewMesh(8, 8), p, 0.1)
+func Figure11(ctx context.Context, p Params, opt harness.Options) ([]Fig11Row, error) {
+	return EnergyStudy(ctx, topology.NewMesh(8, 8), p, 0.1, opt)
+}
+
+func energyGrid(topo *topology.Topology, p Params, rate float64) []GridPoint {
+	var pts []GridPoint
+	for _, s := range []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} { // IF, VIX
+		pts = append(pts, GridPoint{Labels: []string{"fig11", topo.Name, s.Label, rateLabel(rate, false)}, Spec: experiment(topo, s, p, rate, false)})
+	}
+	return pts
 }
 
 // EnergyStudy runs the Figure 11 methodology on any topology and load:
 // the paper evaluates the mesh, but the same activity-driven model covers
 // the higher-radix topologies (cmd/figures -topo fbfly fig11).
-func EnergyStudy(topo *topology.Topology, p Params, rate float64) ([]Fig11Row, error) {
+func EnergyStudy(ctx context.Context, topo *topology.Topology, p Params, rate float64, opt harness.Options) ([]Fig11Row, error) {
+	grid := energyGrid(topo, p, rate)
+	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
+	if err != nil {
+		return nil, err
+	}
 	params := energy.DefaultParams()
-	schemes := []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} // IF, VIX
-	var rows []Fig11Row
-	for _, s := range schemes {
-		snap, err := runOne(topo, s, p, rate, false)
-		if err != nil {
-			return nil, err
-		}
-		k := s.K
+	rows := make([]Fig11Row, len(grid))
+	for i, snap := range snaps {
+		k := grid[i].Spec.VirtualInputs
 		b, err := energy.PerBit(params, snap, energy.Network{
 			Routers: topo.NumRouters,
 			XbarIn:  k * topo.Radix, XbarOut: topo.Radix,
@@ -218,7 +195,7 @@ func EnergyStudy(topo *topology.Topology, p Params, rate float64) ([]Fig11Row, e
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Fig11Row{Scheme: s.Label, Breakdown: b})
+		rows[i] = Fig11Row{Scheme: grid[i].Labels[2], Breakdown: b}
 	}
 	return rows, nil
 }
@@ -234,45 +211,37 @@ type Fig12Row struct {
 	Throughput float64
 }
 
-// Figure12 measures saturation throughput for no VIX (k=1), 1:2 VIX
-// (k=2), and ideal VIX (k=v) on all three topologies with 4 and 6 VCs.
-func Figure12(p Params) ([]Fig12Row, error) {
-	var rows []Fig12Row
+func figure12Grid(p Params) []GridPoint {
+	var pts []GridPoint
 	for _, topo := range Topologies() {
 		for _, vcs := range []int{4, 6} {
 			q := p
 			q.VCs = vcs
-			cfgs := []struct {
+			for _, c := range []struct {
 				name string
 				k    int
 			}{
 				{"no VIX", 1},
 				{"1:2 VIX", 2},
 				{"ideal VIX", vcs},
-			}
-			for _, c := range cfgs {
-				s := Scheme{Label: c.name, Kind: "if", K: c.k, Policy: router12Policy(c.k)}
-				snap, err := SaturationThroughput(topo, s, q)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, Fig12Row{
-					Topology: topo.Name, VCs: vcs, Config: c.name, K: c.k,
-					Throughput: snap.ThroughputFlits,
+			} {
+				s := Scheme{Label: c.name, Kind: "if", K: c.k}
+				pts = append(pts, GridPoint{
+					Labels: []string{"fig12", topo.Name, strconv.Itoa(vcs), c.name},
+					Spec:   experiment(topo, s, q, 0, true),
 				})
 			}
 		}
 	}
-	return rows, nil
+	return pts
 }
 
-// router12Policy picks the VC-assignment policy for a Figure 12 point:
-// sub-group aware once there is more than one virtual input.
-func router12Policy(k int) router.PolicyKind {
-	if k > 1 {
-		return router.PolicyBalanced
-	}
-	return router.PolicyMaxFree
+// Figure12 measures saturation throughput for no VIX (k=1), 1:2 VIX
+// (k=2), and ideal VIX (k=v) on all three topologies with 4 and 6 VCs.
+func Figure12(ctx context.Context, p Params, opt harness.Options) ([]Fig12Row, error) {
+	return gridRows(ctx, p, opt, figure12Grid(p), func(g GridPoint, snap stats.Snapshot) Fig12Row {
+		return Fig12Row{Topology: g.Labels[1], VCs: g.Spec.VCs, Config: g.Labels[3], K: g.Spec.VirtualInputs, Throughput: snap.ThroughputFlits}
+	})
 }
 
 // --- Tables 1 and 3 re-exported for uniform access ---

@@ -8,117 +8,63 @@ import (
 	"strconv"
 	"strings"
 
+	"vix/internal/config"
 	"vix/internal/harness"
-	"vix/internal/network"
 	"vix/internal/sim"
 	"vix/internal/stats"
 )
 
 // This file is the bridge between the experiment definitions and the
-// parallel harness: every figure and ablation study builds its grid as
-// GridPoints, and RunGrid fans them out across workers while keeping the
-// merged output byte-identical to a serial run. Each point's RNG seed is
-// derived from the study root seed and the point's labels, never from
+// parallel harness: every network figure and ablation study builds its
+// grid as GridPoints, and RunGrid fans them out across workers while
+// keeping the merged output byte-identical to a serial run. A point's RNG
+// seed is part of its spec, fixed when the grid is built and never by
 // execution order, so a point replays identically wherever it runs.
 
-// GridPoint is one self-contained simulation of an experiment grid: a
-// fully built network configuration plus the labels that name it in a
-// harness manifest and derive its RNG sub-seed.
+// GridPoint is one simulation of an experiment grid, and — as is — the
+// spec its harness job is content-hashed by.
 type GridPoint struct {
 	// Labels identify the point, e.g. {"fig8", "VIX", "0.05"}. They must
-	// be unique within a grid and stable across runs: the manifest keys
-	// cached results on them (via the spec hash) and the sub-seed
-	// derivation consumes them.
-	Labels []string
-	// Config is the complete network configuration. Its Seed field is
-	// overwritten with the derived sub-seed.
-	Config network.Config
-	// Warmup and Measure are the simulation windows in cycles.
-	Warmup, Measure int
+	// be unique within a grid and stable across runs.
+	Labels []string `json:"labels"`
+	// Spec is the simulation, seed included.
+	Spec config.Experiment `json:"spec"`
 }
 
-// pointSpec is the flat, JSON-serialisable identity of a grid point —
-// everything that can change the simulation's result. It is hashed into
-// the harness job ID, so adding a knob to network.Config that affects
-// results means adding it here too (spec_test.go guards the shape).
-type pointSpec struct {
-	Labels         []string `json:"labels"`
-	Topology       string   `json:"topology"`
-	Pattern        string   `json:"pattern,omitempty"`
-	Allocator      string   `json:"allocator"`
-	K              int      `json:"k"`
-	VCs            int      `json:"vcs"`
-	BufDepth       int      `json:"buf_depth"`
-	Policy         string   `json:"policy,omitempty"`
-	Partition      int      `json:"partition"`
-	NonSpeculative bool     `json:"non_speculative,omitempty"`
-	HopDelay       int      `json:"hop_delay,omitempty"`
-	CreditDelay    int      `json:"credit_delay,omitempty"`
-	Rate           float64  `json:"rate"`
-	MaxInjection   bool     `json:"max_injection,omitempty"`
-	PacketSize     int      `json:"packet_size"`
-	Warmup         int      `json:"warmup"`
-	Measure        int      `json:"measure"`
-	Seed           uint64   `json:"seed"`
+// point is the grid point of a label-seeded study (Figure 8 and the
+// ablations): e's seed, the study's root, is replaced by a sub-seed
+// derived from it and the labels, so inserting a point never re-seeds
+// its neighbours. Figures 9-12 and the replication run every point on
+// the root seed itself and build their GridPoints directly.
+func point(e config.Experiment, labels ...string) GridPoint {
+	e.Seed = sim.DeriveSeed(e.Seed, labels...)
+	return GridPoint{Labels: labels, Spec: e}
 }
 
-// spec flattens the point (with its derived seed already applied) into
-// its canonical identity.
-func (g GridPoint) spec(cfg network.Config) pointSpec {
-	pattern := ""
-	if cfg.Pattern != nil {
-		pattern = cfg.Pattern.Name()
-	}
-	return pointSpec{
-		Labels:         g.Labels,
-		Topology:       cfg.Topology.Name,
-		Pattern:        pattern,
-		Allocator:      string(cfg.Router.AllocKind),
-		K:              cfg.Router.VirtualInputs,
-		VCs:            cfg.Router.VCs,
-		BufDepth:       cfg.Router.BufDepth,
-		Policy:         string(cfg.Router.Policy),
-		Partition:      int(cfg.Router.Partition),
-		NonSpeculative: cfg.Router.NonSpeculative,
-		HopDelay:       cfg.HopDelay,
-		CreditDelay:    cfg.CreditDelay,
-		Rate:           cfg.InjectionRate,
-		MaxInjection:   cfg.MaxInjection,
-		PacketSize:     cfg.PacketSize,
-		Warmup:         g.Warmup,
-		Measure:        g.Measure,
-		Seed:           cfg.Seed,
-	}
-}
-
-// Job converts the point into a harness job, deriving its RNG sub-seed
-// from the study root seed and the point's labels.
-func (g GridPoint) Job(root uint64) harness.Job {
-	cfg := g.Config
-	cfg.Seed = sim.DeriveSeed(root, g.Labels...)
-	warmup, measure := g.Warmup, g.Measure
+// job converts the point into the harness job that simulates it.
+func (g GridPoint) job(tickWorkers int) harness.Job {
+	name := strings.Join(g.Labels, "/")
 	return harness.Job{
-		Name:   strings.Join(g.Labels, "/"),
-		Spec:   g.spec(cfg),
-		Cycles: int64(warmup + measure),
+		Name:   name,
+		Spec:   g,
+		Cycles: int64(g.Spec.Warmup + g.Spec.Measure),
 		Run: func(context.Context) (any, error) {
-			n, err := network.New(cfg)
+			s, err := g.Spec.Run(tickWorkers)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: %w", strings.Join(g.Labels, "/"), err)
+				return nil, fmt.Errorf("experiments: %s: %w", name, err)
 			}
-			defer n.Close()
-			n.Warmup(warmup)
-			return toRecord(n.Measure(measure)), nil
+			return toRecord(s), nil
 		},
 	}
 }
 
-// RunGrid executes the points through the harness and returns one
-// snapshot per point, in grid order, regardless of worker count.
-func RunGrid(ctx context.Context, root uint64, pts []GridPoint, opt harness.Options) ([]stats.Snapshot, error) {
+// RunGrid executes the points through the harness, each on tickWorkers
+// tick workers, and returns one snapshot per point, in grid order,
+// regardless of either worker count.
+func RunGrid(ctx context.Context, pts []GridPoint, tickWorkers int, opt harness.Options) ([]stats.Snapshot, error) {
 	jobs := make([]harness.Job, len(pts))
 	for i, g := range pts {
-		jobs[i] = g.Job(root)
+		jobs[i] = g.job(tickWorkers)
 	}
 	res, err := harness.Run(ctx, jobs, opt)
 	if err != nil {
@@ -133,6 +79,20 @@ func RunGrid(ctx context.Context, root uint64, pts []GridPoint, opt harness.Opti
 		snaps[i] = r.snapshot()
 	}
 	return snaps, nil
+}
+
+// gridRows runs the grid under p and opt and renders one row per point
+// from the point and its snapshot, in grid order.
+func gridRows[R any](ctx context.Context, p Params, opt harness.Options, grid []GridPoint, row func(GridPoint, stats.Snapshot) R) ([]R, error) {
+	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]R, len(grid))
+	for i, snap := range snaps {
+		rows[i] = row(grid[i], snap)
+	}
+	return rows, nil
 }
 
 // snapshotRecord is the manifest encoding of a stats.Snapshot. Fairness

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"strconv"
 
+	"vix/internal/harness"
 	"vix/internal/topology"
 )
 
@@ -18,21 +21,28 @@ type Replication struct {
 }
 
 // ReplicateSaturation runs a scheme's saturation-throughput measurement
-// under each seed and returns the distribution — the confidence check
-// behind every single-seed number the experiment harness reports.
-func ReplicateSaturation(topo *topology.Topology, s Scheme, p Params, seeds []uint64) (Replication, error) {
+// under each of the (distinct) seeds — one grid point per seed — and
+// returns the distribution: the confidence check behind every
+// single-seed number the experiment harness reports.
+func ReplicateSaturation(ctx context.Context, topo *topology.Topology, s Scheme, p Params, seeds []uint64, opt harness.Options) (Replication, error) {
 	if len(seeds) == 0 {
 		return Replication{}, fmt.Errorf("experiments: no seeds given")
 	}
-	values := make([]float64, 0, len(seeds))
-	for _, seed := range seeds {
-		q := p
-		q.Seed = seed
-		snap, err := SaturationThroughput(topo, s, q)
-		if err != nil {
-			return Replication{}, err
+	pts := make([]GridPoint, len(seeds))
+	for i, seed := range seeds {
+		p.Seed = seed
+		pts[i] = GridPoint{
+			Labels: []string{"replicate", topo.Name, s.Label, strconv.FormatUint(seed, 10)},
+			Spec:   experiment(topo, s, p, 0, true),
 		}
-		values = append(values, snap.ThroughputFlits)
+	}
+	snaps, err := RunGrid(ctx, pts, p.TickWorkers, opt)
+	if err != nil {
+		return Replication{}, err
+	}
+	values := make([]float64, len(snaps))
+	for i, snap := range snaps {
+		values[i] = snap.ThroughputFlits
 	}
 	return summarise(s.Label, values), nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"vix/internal/topology"
 )
 
@@ -20,14 +22,15 @@ type SaturationResult struct {
 // scheme on a topology: the largest offered load whose accepted packet
 // throughput stays within accept (e.g. 0.95) of the offered load. The
 // search brackets [lo, hi] in packets/cycle/node and runs probes of
-// p.Warmup+p.Measure cycles each.
+// p.Warmup+p.Measure cycles each, one after the other: each probe's
+// rate depends on the last one's answer, so this is not a grid.
 func FindSaturation(topo *topology.Topology, s Scheme, p Params, accept float64) (SaturationResult, error) {
 	lo, hi := 0.005, 1.0/float64(p.PacketSize)
 	var best SaturationResult
 	probe := func(rate float64) (bool, SaturationResult, error) {
-		snap, err := runOne(topo, s, p, rate, false)
+		snap, err := experiment(topo, s, p, rate, false).Run(p.TickWorkers)
 		if err != nil {
-			return false, SaturationResult{}, err
+			return false, SaturationResult{}, fmt.Errorf("experiments: %s on %s: %w", s.Label, topo.Name, err)
 		}
 		res := SaturationResult{Rate: rate, Latency: snap.AvgLatency, Throughput: snap.ThroughputFlits}
 		return snap.ThroughputPackets >= accept*rate, res, nil

@@ -46,12 +46,18 @@ func RunMixDetailed(mix trace.Mix, s Scheme, p Params, mc manycore.Config) ([]fl
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg := buildConfig(topo, s, p, 0, false)
-	cfg.Workload = sys
+	// The one simulation a config.Experiment cannot describe: the
+	// manycore system, not an injection process, generates the packets.
+	cfg, err := experiment(topo, s, p, 0, false).Build()
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg.Workload, cfg.Workers = sys, p.TickWorkers
 	n, err := network.New(cfg)
 	if err != nil {
 		return nil, 0, fmt.Errorf("experiments: %s on %s: %w", s.Label, mix.Name, err)
 	}
+	defer n.Close()
 	n.Run(p.Warmup)
 	sys.ResetRetired()
 	n.Run(p.Measure)

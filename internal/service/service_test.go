@@ -230,6 +230,12 @@ func TestCacheExactness(t *testing.T) {
 	if misses != 2 {
 		t.Fatalf("first grid simulated %d cases, want 2", misses)
 	}
+	// A case's store key is its label and config.Experiment, content-hashed;
+	// stores on disk are keyed by it, so it must not move. smallSpec(1) has
+	// had this ID since before config.Experiment.Run became the runner.
+	if ln := nonEmptyLines(first)[0]; !strings.Contains(ln, `"id":"cc98b8a27d875f5b5c507929"`) {
+		t.Errorf("smallSpec(1) changed its store ID; existing stores would stop serving it:\n%s", ln)
+	}
 
 	second := streamResults(t, ts.URL, postGrid(t, ts.URL, gridBody()))
 	if string(first) != string(second) {
@@ -360,6 +366,10 @@ func TestValidationErrors(t *testing.T) {
 		`{"vcs": 65}`:                                       "cases[0].spec.vcs",
 		`{"allocator": "ideal"}`:                            "cases[0].spec.allocator",
 		`{"allocator": "sparoflo", "virtual_inputs": 2}`:    "cases[0].spec.allocator",
+		// These two used to be admitted with 202 and fail, or measure
+		// nothing, in the runner.
+		`{"injection_rate": 0}`: "cases[0].spec.injection_rate",
+		`{"measure": 0}`:        "cases[0].spec.measure",
 	} {
 		code, data := post(t, ts.URL+"/suites", `{"cases": [{"spec": `+spec+`}], "close": true}`)
 		resp.Fields = nil

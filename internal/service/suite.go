@@ -9,7 +9,6 @@ import (
 
 	"vix/internal/config"
 	"vix/internal/harness"
-	"vix/internal/network"
 	"vix/internal/store"
 )
 
@@ -147,18 +146,10 @@ func (tc *testCase) job(workers int) harness.Job {
 		Spec:   e,
 		Cycles: int64(e.Warmup + e.Measure),
 		Run: func(ctx context.Context) (any, error) {
-			cfg, err := e.Build()
+			s, err := e.Run(workers)
 			if err != nil {
 				return nil, err
 			}
-			cfg.Workers = workers
-			n, err := network.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			defer n.Close()
-			n.Warmup(e.Warmup)
-			s := n.Measure(e.Measure)
 			return caseValue{
 				AvgLatency:        s.AvgLatency,
 				P50Latency:        s.P50Latency,

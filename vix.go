@@ -32,10 +32,13 @@
 package vix
 
 import (
+	"context"
+
 	"vix/internal/alloc"
 	"vix/internal/config"
 	"vix/internal/energy"
 	"vix/internal/experiments"
+	"vix/internal/harness"
 	"vix/internal/manycore"
 	"vix/internal/network"
 	"vix/internal/router"
@@ -180,18 +183,28 @@ type (
 // laptop-scale simulation windows.
 func DefaultExperimentParams() ExperimentParams { return experiments.DefaultParams() }
 
-// The paper's evaluation, one function per table or figure.
+// The paper's evaluation, one function per table or figure. The network
+// figures and the studies below are grids of simulations; this facade
+// runs them one point at a time (cmd/figures fans them out).
 func Figure7(p ExperimentParams) ([]Fig7Row, error) { return experiments.Figure7(p) }
 func Figure8(p ExperimentParams, rates []float64) ([]Fig8Point, error) {
-	return experiments.Figure8(p, rates)
+	return experiments.Figure8(context.Background(), p, rates, harness.Serial())
 }
-func Figure9(p ExperimentParams) ([]Fig9Row, error)   { return experiments.Figure9(p) }
-func Figure10(p ExperimentParams) ([]Fig10Row, error) { return experiments.Figure10(p) }
-func Figure11(p ExperimentParams) ([]Fig11Row, error) { return experiments.Figure11(p) }
-func Figure12(p ExperimentParams) ([]Fig12Row, error) { return experiments.Figure12(p) }
-func Table1() []StageDelays                           { return timing.Table1() }
-func Table3() []AllocatorDelay                        { return timing.Table3() }
-func Table4(p ExperimentParams) ([]Table4Row, error)  { return experiments.Table4(p) }
+func Figure9(p ExperimentParams) ([]Fig9Row, error) {
+	return experiments.Figure9(context.Background(), p, harness.Serial())
+}
+func Figure10(p ExperimentParams) ([]Fig10Row, error) {
+	return experiments.Figure10(context.Background(), p, harness.Serial())
+}
+func Figure11(p ExperimentParams) ([]Fig11Row, error) {
+	return experiments.Figure11(context.Background(), p, harness.Serial())
+}
+func Figure12(p ExperimentParams) ([]Fig12Row, error) {
+	return experiments.Figure12(context.Background(), p, harness.Serial())
+}
+func Table1() []StageDelays                          { return timing.Table1() }
+func Table3() []AllocatorDelay                       { return timing.Table3() }
+func Table4(p ExperimentParams) ([]Table4Row, error) { return experiments.Table4(p) }
 
 // Single-router allocation-efficiency testbench (Figure 7 substrate).
 type (
@@ -214,11 +227,7 @@ func VIXFeasibilityFrontier(vcs int) int                    { return timing.VIXF
 // ReplicateSaturation re-runs a saturation measurement over several
 // seeds and summarises the distribution.
 func ReplicateSaturation(t *Topology, label string, kind AllocatorKind, k int, p ExperimentParams, seeds []uint64) (Replication, error) {
-	pol := router.PolicyMaxFree
-	if k > 1 {
-		pol = router.PolicyBalanced
-	}
-	return experiments.ReplicateSaturation(t, experiments.Scheme{Label: label, Kind: kind, K: k, Policy: pol}, p, seeds)
+	return experiments.ReplicateSaturation(context.Background(), t, experiments.Scheme{Label: label, Kind: kind, K: k}, p, seeds, harness.Serial())
 }
 
 // Timing models (Tables 1 and 3 substrate).
@@ -296,42 +305,38 @@ type (
 // AblatePolicies compares the Section 2.3 VC-assignment policies across
 // traffic patterns on a saturated VIX mesh.
 func AblatePolicies(p ExperimentParams, patterns []string) ([]PolicyAblationRow, error) {
-	return experiments.AblatePolicies(p, patterns)
+	return experiments.AblatePolicies(context.Background(), p, patterns, harness.Serial())
 }
 
 // AblatePartition compares contiguous and interleaved VC sub-grouping.
 func AblatePartition(p ExperimentParams) ([]PartitionAblationRow, error) {
-	return experiments.AblatePartition(p)
+	return experiments.AblatePartition(context.Background(), p, harness.Serial())
 }
 
 // AblatePipeline compares the 3-stage and 5-stage router pipelines.
 func AblatePipeline(p ExperimentParams, probeRate float64) ([]PipelineAblationRow, error) {
-	return experiments.AblatePipeline(p, probeRate)
+	return experiments.AblatePipeline(context.Background(), p, probeRate, harness.Serial())
 }
 
 // AblateSpeculation compares speculative and non-speculative switch
 // allocation.
 func AblateSpeculation(p ExperimentParams, probeRate float64) ([]SpeculationAblationRow, error) {
-	return experiments.AblateSpeculation(p, probeRate)
+	return experiments.AblateSpeculation(context.Background(), p, probeRate, harness.Serial())
 }
 
 // AblateVirtualInputs sweeps the virtual-input factor k on the mesh.
 func AblateVirtualInputs(p ExperimentParams) ([]KSweepRow, error) {
-	return experiments.AblateVirtualInputs(p)
+	return experiments.AblateVirtualInputs(context.Background(), p, harness.Serial())
 }
 
 // AblateAllocators races the extended allocator set (IF, iSLIP,
 // SPAROFLO, WF, AP, VIX, VIX-WF) at saturation.
 func AblateAllocators(p ExperimentParams) ([]AllocAblationRow, error) {
-	return experiments.AblateAllocators(p)
+	return experiments.AblateAllocators(context.Background(), p, harness.Serial())
 }
 
 // FindSaturation binary-searches a scheme's saturation injection rate on
 // a topology.
 func FindSaturation(t *Topology, label string, kind AllocatorKind, k int, p ExperimentParams, accept float64) (SaturationResult, error) {
-	pol := router.PolicyMaxFree
-	if k > 1 {
-		pol = router.PolicyBalanced
-	}
-	return experiments.FindSaturation(t, experiments.Scheme{Label: label, Kind: kind, K: k, Policy: pol}, p, accept)
+	return experiments.FindSaturation(t, experiments.Scheme{Label: label, Kind: kind, K: k}, p, accept)
 }
