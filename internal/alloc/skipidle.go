@@ -2,7 +2,7 @@ package alloc
 
 // This file implements idle fast-forwarding for every built-in
 // allocator. The activity-gated network tick (internal/network) skips
-// Router.Tick entirely while a router holds no flits, but a dense tick
+// the router's tick entirely while a router holds no flits, but a dense tick
 // is not a pure no-op for every allocator: some advance rotating
 // priority state on every Allocate call even when the request set is
 // empty. SkipIdle compresses k consecutive empty Allocate calls into

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"vix/internal/alloc"
@@ -82,7 +83,22 @@ func (e Experiment) Validate() error {
 	if e.VirtualInputs < 0 {
 		bad("virtual_inputs", "must be non-negative, got %d", e.VirtualInputs)
 	}
-	vcs, _, k := e.crossbar()
+	vcs, depth, k := e.crossbar()
+	// The router keeps ring counters, credits and port numbers in int8
+	// fields (router.Config.Validate).
+	if depth > math.MaxInt8 {
+		bad("buf_depth", "at most %d flits per VC, got %d", math.MaxInt8, depth)
+	}
+	radix := 5
+	switch e.Topology {
+	case "cmesh":
+		radix = conc + 4
+	case "fbfly":
+		radix = conc + w - 1 + h - 1
+	}
+	if radix > math.MaxInt8 {
+		bad("conc", "at most %d ports per router, got %d for %s %dx%d with %d terminals per router", math.MaxInt8, radix, e.Topology, w, h, conc)
+	}
 	if k > 0 && vcs > 0 && k > vcs {
 		bad("virtual_inputs", "virtual inputs per port (%d) cannot exceed VCs per port (%d)", k, vcs)
 	}

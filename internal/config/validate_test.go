@@ -177,6 +177,41 @@ func TestValidateCrossbarGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateRouterFieldBounds: buffer depth and radix must fit the
+// router's int8 slab fields, and Validate agrees with Build + network.New
+// on which side of the bound a spec falls.
+func TestValidateRouterFieldBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(e *Experiment)
+		field  string // "" when the spec is valid
+	}{
+		{"buf_depth 127", func(e *Experiment) { e.BufDepth = 127 }, ""},
+		{"buf_depth 128", func(e *Experiment) { e.BufDepth = 128 }, "buf_depth"},
+		{"cmesh radix 127", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "cmesh", 2, 1, 123 }, ""},
+		{"cmesh radix 128", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "cmesh", 2, 1, 124 }, "conc"},
+		{"fbfly radix 128", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "fbfly", 126, 2, 2 }, "conc"},
+	} {
+		e := Default()
+		tc.mutate(&e)
+		verr := e.Validate()
+		var ve ValidationError
+		switch {
+		case tc.field == "" && verr != nil:
+			t.Errorf("%s: rejected: %v", tc.name, verr)
+		case tc.field != "" && (!errors.As(verr, &ve) || len(ve) != 1 || ve[0].Field != tc.field):
+			t.Errorf("%s: error = %v, want a single %s finding", tc.name, verr, tc.field)
+		}
+		cfg, err := e.Build()
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if (verr == nil) != (err == nil) {
+			t.Errorf("%s: Validate says %v, the network's own validation says %v", tc.name, verr, err)
+		}
+	}
+}
+
 // TestLoadValidates: a well-formed JSON file with a semantically invalid
 // spec is rejected at load time with the field named.
 func TestLoadValidates(t *testing.T) {

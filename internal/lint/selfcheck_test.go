@@ -164,18 +164,19 @@ func TestHarnessIsTheOnlyConcurrentPackage(t *testing.T) {
 }
 
 // TestCallGraphResolvesInterfaceDispatch pins the call graph's
-// resolution quality on the real tree: Router.Tick calls Allocate
-// through the alloc.Allocator interface, and class-hierarchy analysis
-// must resolve that edge to the concrete allocator implementations.
+// resolution quality on the real tree: Router.Advance, the tick the
+// network runs, calls Allocate through the alloc.Allocator interface,
+// and class-hierarchy analysis must resolve that edge to the concrete
+// allocator implementations.
 func TestCallGraphResolvesInterfaceDispatch(t *testing.T) {
 	mod, err := lint.Load(repoRoot(t))
 	if err != nil {
 		t.Fatalf("lint.Load: %v", err)
 	}
 	a := lint.NewAnalysis(mod)
-	callees := a.Callees("vix/internal/router", "Router.Tick")
+	callees := a.Callees("vix/internal/router", "Router.Advance")
 	if len(callees) == 0 {
-		t.Fatal("no callees resolved for router.(*Router).Tick")
+		t.Fatal("no callees resolved for router.(*Router).Advance")
 	}
 	var allocates int
 	for _, name := range callees {
@@ -184,12 +185,12 @@ func TestCallGraphResolvesInterfaceDispatch(t *testing.T) {
 		}
 	}
 	if allocates < 2 {
-		t.Errorf("Router.Tick resolved %d Allocate implementations (callees: %v); interface dispatch should reach every registered allocator",
+		t.Errorf("Router.Advance resolved %d Allocate implementations (callees: %v); interface dispatch should reach every registered allocator",
 			allocates, callees)
 	}
 	for _, kind := range []string{"time", "rand", "goroutine", "maprange"} {
-		if a.Reaches("vix/internal/router", "Router.Tick", kind) {
-			t.Errorf("Router.Tick transitively reaches a %s determinism source; the cycle loop must stay clean", kind)
+		if a.Reaches("vix/internal/router", "Router.Advance", kind) {
+			t.Errorf("Router.Advance transitively reaches a %s determinism source; the cycle loop must stay clean", kind)
 		}
 	}
 }
@@ -221,7 +222,7 @@ func TestRepoTypeChecks(t *testing.T) {
 // Why field.
 func TestShardOwnershipRootsArePinned(t *testing.T) {
 	want := map[string][]string{
-		"internal/network": {"(*Network).routers", "(*Network).act", "(*Network).lastTick", "(*Network).flits"},
+		"internal/network": {"(*Network).routers", "(*Network).act", "(*Network).lastTick"},
 		"internal/harness": {"captured results", "captured st", "captured jobErrs"},
 	}
 	if len(lint.ShardOwnershipRoots) != len(want) {

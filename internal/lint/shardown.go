@@ -53,10 +53,9 @@ type OwnershipRoot struct {
 // or an explicit lock.
 var ShardOwnershipRoots = map[string][]OwnershipRoot{
 	"internal/network": {
-		{Root: "(*Network).routers", Why: "routers are partitioned by worklist entries naming distinct routers; Tick and SkipIdle touch only router-local state"},
+		{Root: "(*Network).routers", Why: "routers are partitioned by worklist entries naming distinct routers; Advance and SkipIdle touch only router-local state, and the lookahead route tickRouter writes into an emission lands in that router's own Advance scratch"},
 		{Root: "(*Network).act", Why: "worklist scratch: runActive(si) writes only the per-index slots act.ems/creds/quiesced[i] of its own segment and act.delta[si]"},
 		{Root: "(*Network).lastTick", Why: "runActive(i) writes only lastTick[act.work[i]], and worklist entries are distinct router indices handed out once each by Pool.Do"},
-		{Root: "(*Network).flits", Why: "phase-A lookahead writes flits.At(e.Flit).Route for the segment's own emissions; an emitted flit left exactly one router this cycle, so no two segments resolve the same FlitID, and Alloc/Free (the only slab-moving ops) run solely on the stepping goroutine"},
 	},
 	"internal/harness": {
 		{Root: "captured results", Why: "results[i] is the per-job slot; Pool.Do hands out each index exactly once"},

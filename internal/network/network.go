@@ -163,6 +163,15 @@ func (c *Config) Validate() error {
 	if c.Router.Ports != c.Topology.Radix {
 		return fmt.Errorf("network: router has %d ports but topology radix is %d", c.Router.Ports, c.Topology.Radix)
 	}
+	// Buffer slots and link events name destinations and routers in int32
+	// fields and count hops in an int16 (router.Slot).
+	if c.Topology.NumNodes > math.MaxInt32 || c.Topology.NumRouters > math.MaxInt32 {
+		return fmt.Errorf("network: topology has %d nodes on %d routers, more than %d",
+			c.Topology.NumNodes, c.Topology.NumRouters, math.MaxInt32)
+	}
+	if d := c.Topology.Diameter(); d > math.MaxInt16 {
+		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, math.MaxInt16)
+	}
 	if c.PacketSize < 0 {
 		return fmt.Errorf("network: negative packet size %d", c.PacketSize)
 	}
@@ -183,16 +192,26 @@ func (c *Config) Validate() error {
 	return c.Router.Validate()
 }
 
-// flitDelivery and creditDelivery are in-flight events on links. Flits
-// travel as arena indices; the pointer is resolved only at delivery.
+// flitDelivery, creditDelivery and ejection are the in-flight events on
+// the wheels, 20, 8 and 8 bytes. A flit travels as its buffer slot — the
+// header a hop needs, lookahead route included — so neither sending nor
+// landing it resolves the FlitID; the record is next touched at ejection,
+// where eject writes the hop state back.
 type flitDelivery struct {
-	router, port int
-	vc           int
-	flit         router.FlitID
+	slot     router.Slot
+	router   int32
+	port, vc int8
 }
 
 type creditDelivery struct {
-	router, outPort, vc int
+	router      int32
+	outPort, vc int8
+}
+
+type ejection struct {
+	flit      router.FlitID
+	hops      int16
+	route, vc int8
 }
 
 // queuedPacket is one not-yet-injected packet in an NI source queue:
@@ -286,7 +305,7 @@ type Network struct {
 	qlen     int
 	flitQ    [][]flitDelivery
 	credQ    [][]creditDelivery
-	ejectQ   [][]router.FlitID
+	ejectQ   [][]ejection
 	hopSlot  int
 	credSlot int
 
@@ -294,8 +313,10 @@ type Network struct {
 
 	// flits is the network's flit arena: every live flit occupies one slot
 	// of its contiguous slab, named by FlitID everywhere in the hot path.
-	// Its high-water mark is bounded by the flits live at once (buffers
-	// and links), so the steady state allocates nothing.
+	// A record is cold between inject, which writes it, and eject, which
+	// writes the hop state back and reads it. Its high-water mark is
+	// bounded by the flits live at once (buffers and links), so the steady
+	// state allocates nothing.
 	flits *router.FlitArena
 
 	inFlight int64 // flits inside routers or on links (not source queues)
@@ -317,7 +338,7 @@ type Network struct {
 	nodeAct NodeActivity
 	ticker  Ticker
 
-	// routerTicks counts Router.Tick calls actually executed; tests and
+	// routerTicks counts Router.Advance calls actually executed; tests and
 	// benchmarks compare it against routers x cycles to prove idle
 	// routers really were skipped.
 	routerTicks int64
@@ -349,7 +370,7 @@ func New(cfg Config) (*Network, error) {
 	n.qlen++
 	n.flitQ = make([][]flitDelivery, n.qlen)
 	n.credQ = make([][]creditDelivery, n.qlen)
-	n.ejectQ = make([][]router.FlitID, n.qlen)
+	n.ejectQ = make([][]ejection, n.qlen)
 
 	n.flits = router.NewFlitArena()
 	arena := router.NewArena(topo.NumRouters, cfg.Router, n.flits)
@@ -457,7 +478,7 @@ func (n *Network) QueuedAtSources() int64 {
 // statistics, and CSV output byte-identical to the dense reference
 // (stepDense in the tests; DESIGN.md section 15). Every delivery, credit,
 // and injection marks its destination router's bit before the router
-// pass runs; a router whose Tick reports quiescence has its bit cleared
+// pass runs; a router whose tick reports quiescence has its bit cleared
 // and is fast-forwarded with SkipIdle when it next reactivates.
 func (n *Network) Step() {
 	n.deliver()
@@ -477,24 +498,24 @@ func (n *Network) deliver() {
 	n.hopSlot = (slot + n.cfg.HopDelay) % n.qlen
 	n.credSlot = (slot + n.cfg.CreditDelay) % n.qlen
 	for _, d := range n.flitQ[slot] {
-		n.routers[d.router].DeliverFlit(d.port, d.vc, d.flit)
+		n.routers[d.router].Deliver(int(d.port), int(d.vc), d.slot)
 		n.col.BufferWrite()
-		n.actR.Set(d.router)
+		n.actR.Set(int(d.router))
 	}
 	n.flitQ[slot] = n.flitQ[slot][:0]
 	for _, d := range n.credQ[slot] {
 		rt := n.routers[d.router]
-		rt.DeliverCredit(d.outPort, d.vc)
+		rt.DeliverCredit(int(d.outPort), int(d.vc))
 		// A credit is applied eagerly above; it only creates work — and
 		// so only needs to wake the router — if flits are buffered. An
 		// empty router's tick is the empty tick SkipIdle replays.
 		if rt.Busy() {
-			n.actR.Set(d.router)
+			n.actR.Set(int(d.router))
 		}
 	}
 	n.credQ[slot] = n.credQ[slot][:0]
-	for _, id := range n.ejectQ[slot] {
-		n.eject(id)
+	for _, e := range n.ejectQ[slot] {
+		n.eject(e)
 	}
 	n.ejectQ[slot] = n.ejectQ[slot][:0]
 }
@@ -563,9 +584,12 @@ func (n *Network) endCycle() {
 
 // eject retires a flit at its destination and updates statistics. The
 // pointer is resolved once here — OnEject keeps its *Flit signature —
-// and the slot returns to the arena's free stack afterwards.
-func (n *Network) eject(id router.FlitID) {
-	f := n.flits.At(id)
+// for the first time since inject: the hop state that travelled in slots
+// and link events is written back before anything reads the record. The
+// slot returns to the arena's free stack afterwards.
+func (n *Network) eject(e ejection) {
+	f := n.flits.At(e.flit)
+	f.Hops, f.Route, f.VC = int(e.hops), int(e.route), int(e.vc)
 	f.EjectCycle = n.cycle
 	n.inFlight--
 	n.lastEjectCycle = n.cycle
@@ -582,7 +606,7 @@ func (n *Network) eject(id router.FlitID) {
 	if n.cfg.OnEject != nil {
 		n.cfg.OnEject(f)
 	}
-	n.flits.Free(id)
+	n.flits.Free(e.flit)
 }
 
 // Routers exposes the router instances; tests use it to check credit and
@@ -672,9 +696,7 @@ func (n *Network) inject(nif *ni) {
 	f.Seq = nif.seq
 	f.PacketSize = p.size
 	f.CreateCycle = p.createCycle
-	f.Route = p.route
-	f.VC = -1
-	rt.DeliverFlit(port, nif.curVC, fid)
+	rt.Deliver(port, nif.curVC, router.Slot{Flit: fid, Dst: int32(p.dst), Route: int8(p.route), Type: ft})
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)
@@ -739,7 +761,7 @@ func (n *Network) Measure(cycles int) stats.Snapshot {
 	return n.col.Snapshot()
 }
 
-// RouterTicks returns the number of Router.Tick calls executed so far:
+// RouterTicks returns the number of Router.Advance calls executed so far:
 // the work actually done, against routers x cycles for a loop that
 // visits every router.
 func (n *Network) RouterTicks() int64 { return n.routerTicks }

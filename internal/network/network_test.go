@@ -182,6 +182,93 @@ func TestFlitOrderingUnderLoad(t *testing.T) {
 	}
 }
 
+// dorHops walks the routing function from src's router and counts the
+// links crossed before dst's local port is reached.
+func dorHops(topo *topology.Topology, src, dst int) int {
+	route := routing.DOR(topo)
+	r, hops := topo.NodeRouter[src], 0
+	for {
+		c := topo.Conn[r][route(topo, r, dst)]
+		if c.Kind != topology.Link {
+			return hops
+		}
+		r, hops = c.PeerRouter, hops+1
+	}
+}
+
+// Topology.Diameter, which Validate holds against the hop counter, is the
+// longest DOR path of the topology.
+func TestDiameterIsTheLongestDORPath(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 3),
+		topology.NewCMesh(3, 2, 2),
+		topology.NewTorus(5, 4),
+		topology.NewTorus(2, 3),
+		topology.NewFBfly(4, 3, 2),
+		topology.NewFBfly(1, 3, 1),
+	} {
+		longest := 0
+		for src := 0; src < topo.NumNodes; src++ {
+			for dst := 0; dst < topo.NumNodes; dst++ {
+				longest = max(longest, dorHops(topo, src, dst))
+			}
+		}
+		if got := topo.Diameter(); got != longest {
+			t.Errorf("%s: Diameter() = %d, longest DOR path crosses %d links", topo.Name, got, longest)
+		}
+	}
+}
+
+// A flit's record is cold from inject to eject: its hop state rides in
+// buffer slots and link events and is written back at ejection. On all
+// three routing functions, under saturation, every record OnEject sees
+// must carry its DOR path length, the local port it left through, and its
+// packet's head-to-tail order.
+func TestEjectedRecordsCarryHopStateAndOrder(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 4),
+		topology.NewTorus(5, 5),
+		topology.NewFBfly(4, 4, 2),
+	} {
+		t.Run(topo.Name, func(t *testing.T) {
+			cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.MaxInjection = true
+			cfg.InjectionRate = 0
+			next := map[uint64]int{} // packet -> flits already ejected
+			ejected := 0
+			cfg.OnEject = func(f *router.Flit) {
+				ejected++
+				if want := dorHops(topo, f.Src, f.Dst); f.Hops != want {
+					t.Fatalf("flit %d.%d from %d to %d ejected with %d hops, DOR path has %d",
+						f.PacketID, f.Seq, f.Src, f.Dst, f.Hops, want)
+				}
+				if f.Route != topo.NodePort[f.Dst] || f.VC != 0 {
+					t.Fatalf("flit %d.%d ejected with route %d vc %d, want local port %d vc 0",
+						f.PacketID, f.Seq, f.Route, f.VC, topo.NodePort[f.Dst])
+				}
+				seq := next[f.PacketID]
+				if f.Seq != seq || f.Type != router.PacketFlitType(seq, f.PacketSize) {
+					t.Fatalf("packet %d: flit %d (%v) ejected where flit %d belongs", f.PacketID, f.Seq, f.Type, seq)
+				}
+				if next[f.PacketID]++; f.Type.IsTail() {
+					delete(next, f.PacketID)
+				}
+			}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Run(3000)
+			for _, rt := range n.Routers() {
+				rt.Occupancy() // every buffered slot still agrees with its record
+			}
+			if ejected == 0 {
+				t.Fatal("no traffic flowed")
+			}
+		})
+	}
+}
+
 // Same seed, same configuration: identical results.
 func TestNetworkDeterminism(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
@@ -287,6 +374,36 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// Slots and link events name nodes and routers in int32 fields and count
+// hops in an int16; Validate rejects a topology that would overflow them.
+// The topologies are descriptions only: Validate reads no wiring.
+func TestConfigValidationNarrowFieldBounds(t *testing.T) {
+	tooMany := math.MaxInt32
+	tooMany++ // at run time: the constant would not compile where int is 32 bits
+	grid := func(kind topology.Kind, w, h int) *topology.Topology {
+		return &topology.Topology{Kind: kind, W: w, H: h, Conc: 1, NumRouters: w * h, NumNodes: w * h, Radix: 5}
+	}
+	for _, tc := range []struct {
+		name string
+		topo *topology.Topology
+		ok   bool
+	}{
+		{"mesh diameter 32767", grid(topology.KindMesh, math.MaxInt16+1, 1), true},
+		{"mesh diameter 32768", grid(topology.KindMesh, math.MaxInt16+2, 1), false},
+		{"mesh diameter 32768 over two dimensions", grid(topology.KindMesh, 1<<14+1, 1<<14+1), false},
+		{"torus diameter 32767", grid(topology.KindTorus, 2*math.MaxInt16+1, 1), true},
+		{"torus diameter 32768", grid(topology.KindTorus, 2*math.MaxInt16+2, 1), false},
+		{"fbfly diameter 2", grid(topology.KindFBfly, 1<<15, 1<<15), true},
+		{"2^31 nodes", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: 4, NumNodes: tooMany, Radix: 5}, false},
+		{"2^31 routers", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: tooMany, NumNodes: 4, Radix: 5}, false},
+	} {
+		cfg := meshConfig(tc.topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

@@ -25,8 +25,11 @@ import (
 //     and only read at the top of the next Step. Phase A therefore
 //     computes, for every router, the same emissions and credits no matter
 //     which goroutine runs it or in which order. It also pre-computes the
-//     lookahead routes of link emissions (a pure topology function) and
-//     counts the datapath activity into a caller-private stats.Delta.
+//     lookahead routes of link emissions (a pure topology function of the
+//     destination the emission carries), writing them into the emissions
+//     themselves — that router's scratch — and counts the datapath
+//     activity into a caller-private stats.Delta. No flit record is read
+//     or written: the arena is the stepping goroutine's alone.
 //
 //   - Phase B (mergeRouter, stepping goroutine): routers are merged in
 //     ascending index order, so every queue append and credit schedule
@@ -38,9 +41,9 @@ import (
 // never leave the stepping goroutine: they own the RNG streams and the
 // order-sensitive float latency accumulation.
 //
-// The pooled schedule's scratch holds only slice headers: Router.Tick's
+// The pooled schedule's scratch holds only slice headers: Router.Advance's
 // returned emissions and credits are router-owned scratch valid until
-// that router's next Tick, which cannot happen before phase B of this
+// that router's next Advance, which cannot happen before phase B of this
 // cycle completes, so no copying is needed and the steady state allocates
 // nothing.
 
@@ -55,10 +58,10 @@ import (
 type activeScratch struct {
 	work     []int32              // active router indices, ascending
 	seg      []int32              // segment si covers work[seg[si]:seg[si+1]]
-	ems      [][]router.Emission  // per worklist index: Tick's emission scratch
-	creds    [][]router.CreditMsg // per worklist index: Tick's credit scratch
+	ems      [][]router.Emission  // per worklist index: Advance's emission scratch
+	creds    [][]router.CreditMsg // per worklist index: Advance's credit scratch
 	delta    []stats.Delta        // per segment: phase-A activity counters
-	quiesced []bool               // per worklist index: Tick reported quiescence
+	quiesced []bool               // per worklist index: Advance reported quiescence
 	fn       func(int)            // runActive, bound once
 }
 
@@ -104,24 +107,24 @@ func (n *Network) initParallel() {
 }
 
 // tickRouter is phase A for router r: fast-forward it across the idle
-// span since it last ticked, tick it, pre-compute the lookahead routes of
-// its link emissions, and count the datapath activity into d. The
-// returned slices are the router's own scratch.
+// span since it last ticked, tick it, write the lookahead route of each
+// link emission into the emission, and count the datapath activity into
+// d. The returned slices are the router's own scratch.
 func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
 	rt := n.routers[r]
 	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
 		rt.SkipIdle(int(skip))
 	}
 	n.lastTick[r] = n.cycle
-	ems, creds, quiesced := rt.Tick()
+	ems, creds, quiesced := rt.Advance()
 	d.BufferReads += int64(len(ems))
 	d.XbarTraversals += int64(len(ems))
 	conns := n.topo.Conn[r]
-	for _, e := range ems {
+	for i := range ems {
+		e := &ems[i]
 		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
 			d.LinkTraversals++
-			f := n.flits.At(e.Flit)
-			f.Route = n.route(n.topo, conn.PeerRouter, f.Dst)
+			e.Route = int8(n.route(n.topo, conn.PeerRouter, int(e.Dst)))
 		}
 	}
 	return ems, creds, quiesced
@@ -138,10 +141,12 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 		switch conn := &conns[e.OutPort]; conn.Kind {
 		case topology.Link:
 			n.flitQ[n.hopSlot] = append(n.flitQ[n.hopSlot], flitDelivery{
-				router: conn.PeerRouter, port: conn.PeerPort, vc: n.flits.At(e.Flit).VC, flit: e.Flit,
+				slot: e.Slot, router: int32(conn.PeerRouter), port: int8(conn.PeerPort), vc: e.VC,
 			})
 		case topology.Local:
-			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], e.Flit)
+			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
+				flit: e.Flit, hops: e.Hops, route: e.Route, vc: e.VC,
+			})
 		default:
 			panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))
 		}
@@ -149,7 +154,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 	for _, cm := range creds {
 		conn := &conns[cm.Port]
 		n.credQ[n.credSlot] = append(n.credQ[n.credSlot], creditDelivery{
-			router: conn.PeerRouter, outPort: conn.PeerPort, vc: cm.VC,
+			router: int32(conn.PeerRouter), outPort: int8(conn.PeerPort), vc: int8(cm.VC),
 		})
 	}
 	if quiesced {

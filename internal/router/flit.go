@@ -43,6 +43,12 @@ func (ft FlitType) String() string {
 
 // Flit is the unit of flow control. Flits of one packet follow the same
 // path and VC sequence (wormhole switching).
+//
+// The record is what the ends of a flit's journey read and write. Between
+// them the hop state — Route, VC, Hops, with Dst and Type — travels in
+// buffer Slots and link events, and Route, VC and Hops in the record are
+// stale: a network writes them back at ejection, a standalone router's
+// DeliverFlit and Tick read and write them on every call.
 type Flit struct {
 	PacketID uint64
 	Type     FlitType
@@ -54,8 +60,8 @@ type Flit struct {
 	Seq, PacketSize int
 
 	// Route is the output port at the router currently buffering the
-	// flit, computed at arrival (lookahead route computation keeps this
-	// off the critical path; the model computes it on delivery).
+	// flit (lookahead route computation: the upstream router's tick
+	// computes it, off the critical path).
 	Route int
 
 	// VC is the virtual channel the flit occupies at the current router;
@@ -88,11 +94,10 @@ func PacketFlitType(i, size int) FlitType {
 }
 
 // FlitID addresses a flit within its network's FlitArena. All hot-path
-// structures — VC buffer rings, link and ejection events, NI source
-// queues — carry these dense indices instead of *Flit pointers: the whole
-// flit population lives in one contiguous slab, so a tick walks linear
-// memory, and an index (unlike a pointer) survives slab growth and is a
-// checkpoint-friendly stable name for the flit.
+// structures — VC buffer rings, link and ejection events — carry these
+// dense indices instead of *Flit pointers: the whole flit population
+// lives in one contiguous slab, and an index (unlike a pointer) survives
+// slab growth and is a checkpoint-friendly stable name for the flit.
 type FlitID int32
 
 // NoFlit is the sentinel for "no flit" in FlitID-valued slots.

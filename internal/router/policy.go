@@ -39,7 +39,7 @@ type vaContext struct {
 	busy uint64
 	// credits[v] is the current credit count of downstream VC v (a view
 	// into the router's arena segment); its length is the VC count.
-	credits []int32
+	credits []int8
 	// groupMask[g] has the bits of the VCs in sub-group g; its length is
 	// the number of sub-groups (the crossbar's virtual input factor k).
 	groupMask []uint64
@@ -127,7 +127,7 @@ func bestInGroup(ctx *vaContext, g int) int {
 
 // bestIn returns the free VC with the most credits in [lo, hi), or -1.
 func bestIn(ctx *vaContext, lo, hi int) int {
-	best, bestCred := -1, int32(-1)
+	best, bestCred := -1, int8(-1)
 	for m := ctx.free & vcSpan(lo, hi); m != 0; m &= m - 1 {
 		if v := bits.TrailingZeros64(m); ctx.credits[v] > bestCred {
 			best, bestCred = v, ctx.credits[v]

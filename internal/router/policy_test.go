@@ -19,7 +19,7 @@ func vcMask(flags []bool) uint64 {
 
 // ctx6x2 builds a vaContext for 6 VCs in 2 sub-groups of 3; every VC not
 // free is busy.
-func ctx6x2(free []bool, credits []int32, dim topology.Dim) *vaContext {
+func ctx6x2(free []bool, credits []int8, dim topology.Dim) *vaContext {
 	m := vcMask(free)
 	return &vaContext{
 		free: m, busy: ^m & 0b111111, credits: credits,
@@ -31,7 +31,7 @@ func ctx6x2(free []bool, credits []int32, dim topology.Dim) *vaContext {
 func TestMaxFreePicksMostCredits(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{true, true, true, true, true, true},
-		[]int32{1, 4, 2, 5, 0, 3},
+		[]int8{1, 4, 2, 5, 0, 3},
 		topology.DimX,
 	)
 	if got := PolicyMaxFree.choose(ctx); got != 3 {
@@ -42,7 +42,7 @@ func TestMaxFreePicksMostCredits(t *testing.T) {
 func TestMaxFreeSkipsBusy(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, true, false, false, true, false},
-		[]int32{9, 1, 9, 9, 2, 9},
+		[]int8{9, 1, 9, 9, 2, 9},
 		topology.DimY,
 	)
 	if got := PolicyMaxFree.choose(ctx); got != 4 {
@@ -53,7 +53,7 @@ func TestMaxFreeSkipsBusy(t *testing.T) {
 func TestMaxFreeNoFreeVC(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, false, false, false, false, false},
-		[]int32{0, 0, 0, 0, 0, 0},
+		[]int8{0, 0, 0, 0, 0, 0},
 		topology.DimX,
 	)
 	if got := PolicyMaxFree.choose(ctx); got != -1 {
@@ -65,7 +65,7 @@ func TestMaxFreeNoFreeVC(t *testing.T) {
 // ejecting to the last sub-group.
 func TestDimensionGroupPreference(t *testing.T) {
 	free := []bool{true, true, true, true, true, true}
-	creds := []int32{3, 3, 3, 3, 3, 3}
+	creds := []int8{3, 3, 3, 3, 3, 3}
 	ctx := ctx6x2(free, creds, topology.DimX)
 	if got := PolicyDimension.choose(ctx); got > 2 {
 		t.Fatalf("X continuation assigned VC %d outside sub-group 0", got)
@@ -85,7 +85,7 @@ func TestDimensionGroupPreference(t *testing.T) {
 func TestDimensionFallback(t *testing.T) {
 	ctx := ctx6x2(
 		[]bool{false, false, false, true, true, true},
-		[]int32{0, 0, 0, 2, 5, 1},
+		[]int8{0, 0, 0, 2, 5, 1},
 		topology.DimX,
 	)
 	if got := PolicyDimension.choose(ctx); got != 4 {
@@ -100,7 +100,7 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 	// group 1 has none: balanced steers to group 1.
 	ctx := ctx6x2(
 		[]bool{false, false, true, true, true, true},
-		[]int32{0, 0, 4, 3, 3, 3},
+		[]int8{0, 0, 4, 3, 3, 3},
 		topology.DimX,
 	)
 	if got := PolicyBalanced.choose(ctx); got < 3 {
@@ -109,7 +109,7 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 	// Equal occupancy: keep the dimension preference.
 	ctx = ctx6x2(
 		[]bool{true, true, true, true, true, true},
-		[]int32{3, 3, 3, 3, 3, 3},
+		[]int8{3, 3, 3, 3, 3, 3},
 		topology.DimX,
 	)
 	if got := PolicyBalanced.choose(ctx); got > 2 {
@@ -122,7 +122,7 @@ func TestPoliciesDegenerateAtKOne(t *testing.T) {
 	ctx := &vaContext{
 		free:      vcMask([]bool{true, false, true, true}),
 		busy:      vcMask([]bool{false, true, false, false}),
-		credits:   []int32{1, 9, 7, 2},
+		credits:   []int8{1, 9, 7, 2},
 		groupMask: []uint64{0b1111},
 		nextDim:   topology.DimY,
 		groupSize: 4,
@@ -142,7 +142,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 	}()
 	PolicyKind("bogus").choose(ctx6x2(
 		[]bool{true, true, true, true, true, true},
-		[]int32{1, 1, 1, 1, 1, 1},
+		[]int8{1, 1, 1, 1, 1, 1},
 		topology.DimX,
 	))
 }

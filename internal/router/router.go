@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -32,8 +33,13 @@ type Config struct {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.BufDepth <= 0 {
-		return fmt.Errorf("router: BufDepth must be positive, got %d", c.BufDepth)
+	// Ring heads, counts and credits are int8 slab fields bounded by
+	// BufDepth; routes and output ports are int8 fields bounded by Ports.
+	if c.BufDepth <= 0 || c.BufDepth > math.MaxInt8 {
+		return fmt.Errorf("router: BufDepth must be in 1..%d, got %d", math.MaxInt8, c.BufDepth)
+	}
+	if c.Ports > math.MaxInt8 {
+		return fmt.Errorf("router: Ports must be at most %d, got %d", math.MaxInt8, c.Ports)
 	}
 	if c.Policy == "" {
 		return fmt.Errorf("router: Policy must be set")
@@ -53,12 +59,30 @@ type PortInfo struct {
 	Dim  topology.Dim
 }
 
-// Emission is a flit leaving through an output port this cycle; the
-// network layer schedules its arrival downstream (or its ejection) after
+// Slot is a flit as a VC buffer holds it and a link carries it: the
+// flit's name plus the header fields a hop reads or writes, 12 bytes. In
+// the paper's router the header sits in the input-buffer slot next to the
+// payload; here it sits next to the FlitID, so a hop never resolves the
+// id to its Flit record.
+type Slot struct {
+	Flit FlitID
+	Dst  int32 // destination terminal
+	Hops int16 // link traversals so far
+	// Route is the output port at the router buffering the flit. On an
+	// Emission it is still the route just taken until the network layer
+	// overwrites it with the lookahead route at the next router.
+	Route int8
+	Type  FlitType
+}
+
+// Emission is a flit leaving through an output port this cycle, its Hops
+// already counting a link traversal; the network layer schedules its
+// arrival in VC of the downstream input port (or its ejection) after
 // switch and link traversal.
 type Emission struct {
 	OutPort int
-	Flit    FlitID
+	Slot
+	VC int8 // granted output VC (0 for ejection)
 }
 
 // CreditMsg is a credit freed by a flit departing input (Port, VC),
@@ -83,11 +107,12 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 // Cache-line padding granularity for arena segments: per-router strides
 // are rounded so no two routers' hot state shares a 64-byte line, which
 // keeps the sharded phase-A workers from false-sharing during the
-// parallel tick. int32 slots pad to 16 elements, bool slots to 64, mask
+// parallel tick. int32 entries pad to 16 elements, as do the 12-byte
+// Slots (16 of them fill three lines exactly), int8 entries to 64, mask
 // words to 8.
 const (
 	padI32  = 16
-	padBool = 64
+	padI8   = 64
 	padMask = 8
 )
 
@@ -106,17 +131,20 @@ func clearBit(m []uint64, i int) { m[i>>6] &^= 1 << uint(i&63) }
 //
 // Layout per router segment, indexed by ivc = port*VCs + vc:
 //
-//	bufs    [ivc*BufDepth : ...]  VC buffer ring storage (FlitIDs)
+//	bufs    [ivc*BufDepth : ...]  VC buffer ring storage (Slots): the
+//	                              front slot carries the route, dst and
+//	                              type VC allocation needs, so no stage
+//	                              resolves a FlitID
 //	head    [ivc]                 ring head slot
 //	count   [ivc]                 buffered flits in the ring
 //	ovc     [ivc]                 allocated downstream VC (-1 = none)
 //	outPort [ivc]                 route of the current packet
 //	wait    [ivc]                 cycles the front flit has waited
-//	frontRoute, frontDst, frontHead [ivc]
-//	                              cached Route/Dst/IsHead of the ring's
-//	                              front flit (immutable while buffered),
-//	                              so VC allocation never touches the slab
 //	credits [out*VCs + v]         downstream credits per output VC
+//
+// (head, count and credits are bounded by BufDepth, ovc by VCs and outPort
+// by Ports, so they are int8 slabs — Config.Validate holds the bounds —
+// and only wait, a cycle count, is int32)
 //
 // and one mask segment per router, the bit-vector view of the same state
 // that the tick walks instead of scanning every ivc (bit ivc&63 of word
@@ -124,7 +152,7 @@ func clearBit(m []uint64, i int) { m[i>>6] &^= 1 << uint(i&63) }
 //
 //	nonEmpty  [W]      count[ivc] > 0
 //	hasOVC    [W]      ovc[ivc] >= 0
-//	justAlloc [W]      ovc granted this Tick (kept only under NonSpeculative)
+//	justAlloc [W]      ovc granted this tick (kept only under NonSpeculative)
 //	busy      [Ports]  per output port, bit v: downstream VC v is held by
 //	                   an input VC here
 //
@@ -135,23 +163,20 @@ type Arena struct {
 	cfg   Config
 	n     int
 
-	bufStride  int // FlitID slots per router (padded)
-	i32Stride  int // int32 slots per router (padded)
-	boolStride int // bool slots per router (padded)
+	bufStride  int // buffer slots per router (padded)
+	i32Stride  int // int32 entries per router (padded)
+	i8Stride   int // int8 entries per router (padded)
 	maskWords  int // W: words per ivc mask
 	maskStride int // mask words per router (padded)
 
-	bufs       []FlitID
-	head       []int32
-	count      []int32
-	ovc        []int32
-	outPort    []int32
-	wait       []int32
-	frontRoute []int32
-	frontDst   []int32
-	credits    []int32
-	frontHead  []bool
-	masks      []uint64
+	bufs    []Slot
+	head    []int8
+	count   []int8
+	ovc     []int8
+	outPort []int8
+	credits []int8
+	wait    []int32
+	masks   []uint64
 
 	ivcPort   []int32  // per ivc: port
 	ivcVC     []int32  // per ivc: vc
@@ -169,36 +194,33 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 	}
 	pv := cfg.Ports * cfg.VCs
 	a := &Arena{
-		flits:      flits,
-		cfg:        cfg,
-		n:          numRouters,
-		bufStride:  padTo(pv*cfg.BufDepth, padI32),
-		i32Stride:  padTo(pv, padI32),
-		boolStride: padTo(pv, padBool),
-		maskWords:  (pv + 63) / 64,
+		flits:     flits,
+		cfg:       cfg,
+		n:         numRouters,
+		bufStride: padTo(pv*cfg.BufDepth, padI32),
+		i32Stride: padTo(pv, padI32),
+		i8Stride:  padTo(pv, padI8),
+		maskWords: (pv + 63) / 64,
 	}
 	a.maskStride = padTo(3*a.maskWords+cfg.Ports, padMask)
-	a.bufs = make([]FlitID, numRouters*a.bufStride)
+	a.bufs = make([]Slot, numRouters*a.bufStride)
 	for i := range a.bufs {
-		a.bufs[i] = NoFlit
+		a.bufs[i].Flit = NoFlit
 	}
-	a.head = make([]int32, numRouters*a.i32Stride)
-	a.count = make([]int32, numRouters*a.i32Stride)
-	a.ovc = make([]int32, numRouters*a.i32Stride)
-	a.outPort = make([]int32, numRouters*a.i32Stride)
+	a.head = make([]int8, numRouters*a.i8Stride)
+	a.count = make([]int8, numRouters*a.i8Stride)
+	a.ovc = make([]int8, numRouters*a.i8Stride)
+	a.outPort = make([]int8, numRouters*a.i8Stride)
+	a.credits = make([]int8, numRouters*a.i8Stride)
 	a.wait = make([]int32, numRouters*a.i32Stride)
-	a.frontRoute = make([]int32, numRouters*a.i32Stride)
-	a.frontDst = make([]int32, numRouters*a.i32Stride)
-	a.credits = make([]int32, numRouters*a.i32Stride)
-	a.frontHead = make([]bool, numRouters*a.boolStride)
 	a.masks = make([]uint64, numRouters*a.maskStride)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 	}
 	for rtr := 0; rtr < numRouters; rtr++ {
-		seg := a.credits[rtr*a.i32Stride:]
+		seg := a.credits[rtr*a.i8Stride:]
 		for v := 0; v < pv; v++ {
-			seg[v] = int32(cfg.BufDepth)
+			seg[v] = int8(cfg.BufDepth)
 		}
 	}
 	a.ivcPort = make([]int32, pv)
@@ -232,20 +254,17 @@ type Router struct {
 	ports []PortInfo
 
 	// Arena segment views (see Arena layout).
-	buf        []FlitID
-	head       []int32
-	count      []int32
-	ovc        []int32
-	outPort    []int32
-	wait       []int32
-	frontRoute []int32
-	frontDst   []int32
-	credits    []int32
-	frontHead  []bool
-	nonEmpty   []uint64
-	hasOVC     []uint64
-	justAlloc  []uint64
-	busy       []uint64
+	buf       []Slot
+	head      []int8
+	count     []int8
+	ovc       []int8
+	outPort   []int8
+	credits   []int8
+	wait      []int32
+	nonEmpty  []uint64
+	hasOVC    []uint64
+	justAlloc []uint64
+	busy      []uint64
 
 	// Geometry tables shared through the arena.
 	ivcPort   []int32
@@ -300,16 +319,13 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		flits:   arena.flits,
 		ports:   append([]PortInfo(nil), ports...),
 
-		buf:        arena.bufs[slot*arena.bufStride:][:pv*cfg.BufDepth],
-		head:       arena.head[slot*arena.i32Stride:][:pv],
-		count:      arena.count[slot*arena.i32Stride:][:pv],
-		ovc:        arena.ovc[slot*arena.i32Stride:][:pv],
-		outPort:    arena.outPort[slot*arena.i32Stride:][:pv],
-		wait:       arena.wait[slot*arena.i32Stride:][:pv],
-		frontRoute: arena.frontRoute[slot*arena.i32Stride:][:pv],
-		frontDst:   arena.frontDst[slot*arena.i32Stride:][:pv],
-		credits:    arena.credits[slot*arena.i32Stride:][:pv],
-		frontHead:  arena.frontHead[slot*arena.boolStride:][:pv],
+		buf:     arena.bufs[slot*arena.bufStride:][:pv*cfg.BufDepth],
+		head:    arena.head[slot*arena.i8Stride:][:pv],
+		count:   arena.count[slot*arena.i8Stride:][:pv],
+		ovc:     arena.ovc[slot*arena.i8Stride:][:pv],
+		outPort: arena.outPort[slot*arena.i8Stride:][:pv],
+		credits: arena.credits[slot*arena.i8Stride:][:pv],
+		wait:    arena.wait[slot*arena.i32Stride:][:pv],
 
 		ivcPort:   arena.ivcPort,
 		ivcVC:     arena.ivcVC,
@@ -338,30 +354,38 @@ func (r *Router) Config() Config { return r.cfg }
 // Flits returns the flit arena the router resolves FlitIDs through.
 func (r *Router) Flits() *FlitArena { return r.flits }
 
-// DeliverFlit places an arriving flit into input (port, vc). The caller
-// must have set the flit's Route for this router. It panics on buffer
-// overflow, which would indicate a flow-control bug.
+// DeliverFlit places the flit named id into input (port, vc): the
+// standalone form of Deliver, which reads the flit's record once to fill
+// the slot. The caller must have set the flit's Route for this router.
 func (r *Router) DeliverFlit(port, vc int, id FlitID) {
+	f := r.flits.At(id)
+	s := Slot{Flit: id, Dst: int32(f.Dst), Hops: int16(f.Hops), Route: int8(f.Route), Type: f.Type}
+	if int(s.Dst) != f.Dst || int(s.Hops) != f.Hops || int(s.Route) != f.Route {
+		panic(fmt.Sprintf("router %d: flit dst %d, hops %d or route %d does not fit a buffer slot", r.id, f.Dst, f.Hops, f.Route))
+	}
+	f.VC = vc
+	r.Deliver(port, vc, s)
+}
+
+// Deliver places an arriving flit into input (port, vc); s.Route must be
+// its output port at this router. It panics on buffer overflow, which
+// would indicate a flow-control bug.
+func (r *Router) Deliver(port, vc int, s Slot) {
 	ivc := port*r.cfg.VCs + vc
 	if int(r.count[ivc]) >= r.cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: buffer overflow at port %d vc %d", r.id, port, vc))
 	}
-	f := r.flits.At(id)
-	if f.Route < 0 || f.Route >= r.cfg.Ports {
-		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", r.id, f.Route))
+	if s.Route < 0 || int(s.Route) >= r.cfg.Ports {
+		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", r.id, s.Route))
 	}
-	f.VC = vc
 	if r.count[ivc] == 0 {
-		r.frontRoute[ivc] = int32(f.Route)
-		r.frontDst[ivc] = int32(f.Dst)
-		r.frontHead[ivc] = f.Type.IsHead()
 		setBit(r.nonEmpty, ivc)
 	}
-	slot := int(r.head[ivc]) + int(r.count[ivc])
-	if slot >= r.cfg.BufDepth {
-		slot -= r.cfg.BufDepth
+	at := int(r.head[ivc]) + int(r.count[ivc])
+	if at >= r.cfg.BufDepth {
+		at -= r.cfg.BufDepth
 	}
-	r.buf[ivc*r.cfg.BufDepth+slot] = id
+	r.buf[ivc*r.cfg.BufDepth+at] = s
 	r.count[ivc]++
 	r.occ++
 }
@@ -392,12 +416,23 @@ func (r *Router) BufferSpace(port, vc int) int {
 // Occupancy returns the number of buffered flits across all input VCs.
 // It recounts from the per-VC ring counters rather than trusting the
 // incremental state, and panics unless the occupancy counter and the
-// nonEmpty/hasOVC mask words agree with count/ovc; tests call it to
-// cross-check the incremental state against the arrays it summarises.
+// nonEmpty/hasOVC mask words agree with count/ovc, and every occupied
+// slot's header with the record of the flit it names; tests call it to
+// cross-check the incremental state against what it summarises.
 func (r *Router) Occupancy() int {
 	n := 0
 	for ivc, c := range r.count {
 		n += int(c)
+		for i := 0; i < int(c); i++ {
+			s := r.buf[ivc*r.cfg.BufDepth+(int(r.head[ivc])+i)%r.cfg.BufDepth]
+			if s.Flit < 0 || int(s.Flit) >= r.flits.Cap() {
+				panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d)", r.id, i, ivc, s.Flit))
+			}
+			if f := r.flits.At(s.Flit); s.Type != f.Type || int(s.Dst) != f.Dst {
+				panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d as %v to %d, its record says %v to %d",
+					r.id, i, ivc, s.Flit, s.Type, s.Dst, f.Type, f.Dst))
+			}
+		}
 		bit := uint64(1) << uint(ivc&63)
 		if (r.nonEmpty[ivc>>6]&bit != 0) != (c > 0) {
 			panic(fmt.Sprintf("router %d: nonEmpty mask disagrees with count %d at ivc %d", r.id, c, ivc))
@@ -415,17 +450,32 @@ func (r *Router) Occupancy() int {
 // Credits exposes the credit count for (outPort, vc); used by tests.
 func (r *Router) Credits(outPort, vc int) int { return int(r.credits[outPort*r.cfg.VCs+vc]) }
 
-// Tick advances the router one cycle: VC allocation, then switch
+// Tick is Advance for a standalone router whose caller reads the flit
+// records: it also writes each emitted flit's granted output VC and hop
+// count back into its record. The network calls Advance and carries both
+// on the link event instead.
+func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
+	ems, credits, quiesced = r.Advance()
+	for i := range ems {
+		f := r.flits.At(ems[i].Flit)
+		f.VC, f.Hops = int(ems[i].VC), int(ems[i].Hops)
+	}
+	return ems, credits, quiesced
+}
+
+// Advance moves the router one cycle on: VC allocation, then switch
 // allocation, then switch traversal of the winners. It returns the flits
 // leaving through output ports, the credits freed at input ports, and
 // whether the router quiesced — no flits remain buffered, so until the
-// next delivery every further tick would be the idle no-op SkipIdle can
+// next delivery every further cycle would be the idle no-op SkipIdle can
 // replay. The activity-gated network tick clears a quiesced router's
-// activity bit and stops ticking it.
+// activity bit and stops advancing it.
 //
-// Both returned slices are router-owned scratch, valid only until the
-// next Tick call; callers must consume (or copy) them within the cycle.
-func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
+// It reads and writes only this router's arena segment: everything a hop
+// needs of a flit is in its buffer slot. Both returned slices are
+// router-owned scratch, valid only until the next Advance call; callers
+// must consume (or copy) them within the cycle.
+func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	r.ems = r.ems[:0]
 	r.creds = r.creds[:0]
 	if r.cfg.NonSpeculative {
@@ -440,41 +490,34 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 		ivc := req.Port*r.cfg.VCs + req.VC
 		r.wait[ivc] = 0
 		h := int(r.head[ivc])
-		id := r.buf[ivc*r.cfg.BufDepth+h]
+		s := r.buf[ivc*r.cfg.BufDepth+h]
 		h++
 		if h == r.cfg.BufDepth {
 			h = 0
 		}
-		r.head[ivc] = int32(h)
+		r.head[ivc] = int8(h)
 		r.count[ivc]--
 		r.occ--
-		if r.count[ivc] > 0 {
-			nf := r.flits.At(r.buf[ivc*r.cfg.BufDepth+h])
-			r.frontRoute[ivc] = int32(nf.Route)
-			r.frontDst[ivc] = int32(nf.Dst)
-			r.frontHead[ivc] = nf.Type.IsHead()
-		} else {
+		if r.count[ivc] == 0 {
 			clearBit(r.nonEmpty, ivc)
 		}
-		f := r.flits.At(id)
-		ovc := int(r.ovc[ivc])
+		ovc := r.ovc[ivc]
 		if r.ports[g.OutPort].Kind == topology.Link {
-			cvi := g.OutPort*r.cfg.VCs + ovc
+			cvi := g.OutPort*r.cfg.VCs + int(ovc)
 			r.credits[cvi]--
 			if r.credits[cvi] < 0 {
 				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, g.OutPort, ovc))
 			}
-			f.Hops++
-			if f.Type.IsTail() {
+			s.Hops++
+			if s.Type.IsTail() {
 				r.busy[g.OutPort] &^= 1 << uint(ovc)
 			}
 		}
-		f.VC = ovc
-		if f.Type.IsTail() {
+		if s.Type.IsTail() {
 			r.ovc[ivc] = -1
 			clearBit(r.hasOVC, ivc)
 		}
-		r.ems = append(r.ems, Emission{OutPort: g.OutPort, Flit: id})
+		r.ems = append(r.ems, Emission{OutPort: g.OutPort, Slot: s, VC: ovc})
 		if r.ports[req.Port].Kind == topology.Link {
 			r.creds = append(r.creds, CreditMsg{Port: req.Port, VC: req.VC})
 		}
@@ -552,22 +595,23 @@ func (r *Router) allocateVCRange(lo, hi int) {
 // allocateVC tries to acquire an output VC for the head flit fronting
 // input VC ivc; on failure the VC stays pending and retries next cycle.
 func (r *Router) allocateVC(ivc int) {
-	if !r.frontHead[ivc] {
+	front := &r.buf[ivc*r.cfg.BufDepth+int(r.head[ivc])]
+	if !front.Type.IsHead() {
 		// A body flit without a valid output VC cannot occur: the VC
 		// is held from head grant to tail departure.
 		panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
 	}
-	out := int(r.frontRoute[ivc])
+	out := int(front.Route)
 	v := 0
 	if r.ports[out].Kind != topology.Local {
-		if v = r.chooseOVC(out, int(r.frontDst[ivc])); v < 0 {
+		if v = r.chooseOVC(out, int(front.Dst)); v < 0 {
 			return // all suitable downstream VCs busy
 		}
 		r.busy[out] |= 1 << uint(v)
 	}
 	// Ejection needs no downstream VC (v stays 0): the sink absorbs at
 	// link bandwidth, serialised per output port by switch allocation.
-	r.ovc[ivc], r.outPort[ivc] = int32(v), int32(out)
+	r.ovc[ivc], r.outPort[ivc] = int8(v), int8(out)
 	setBit(r.hasOVC, ivc)
 	if r.cfg.NonSpeculative {
 		setBit(r.justAlloc, ivc)

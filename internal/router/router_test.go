@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math"
 	"testing"
 
 	"vix/internal/alloc"
@@ -282,6 +283,99 @@ func TestOccupancyAndBufferSpace(t *testing.T) {
 	}
 }
 
+// Occupancy holds every occupied slot's header to the record of the flit
+// it names: a record edited behind the slot's back is reported.
+func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
+	for name, corrupt := range map[string]func(r *Router, id FlitID){
+		"dst":  func(r *Router, id FlitID) { r.flits.At(id).Dst++ },
+		"type": func(r *Router, id FlitID) { r.flits.At(id).Type = Body },
+		"id":   func(r *Router, id FlitID) { r.buf[(1*r.cfg.VCs+2)*r.cfg.BufDepth].Flit = NoFlit },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := testRouter(t, baseConfig())
+			deliver(r, 1, 2, 3, NewPacket(1, 0, 9, 1, 0))
+			if r.Occupancy() != 1 {
+				t.Fatalf("occupancy %d, want 1", r.Occupancy())
+			}
+			corrupt(r, r.buf[(1*r.cfg.VCs+2)*r.cfg.BufDepth].Flit)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Occupancy accepted a slot that disagrees with its flit record")
+				}
+			}()
+			r.Occupancy()
+		})
+	}
+}
+
+// The standalone contract bench/solo.go and routerbench rely on: after a
+// grant, Tick has written the granted output VC and the incremented hop
+// count into the emitted flit's record, for every flit of the packet.
+func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
+	r := testRouter(t, baseConfig())
+	pkt := NewPacket(1, 0, 9, 3, 0)
+	for _, f := range pkt {
+		f.Hops = 4
+	}
+	deliver(r, 1, 0, 2, pkt)
+	held := r.Credits(2, 0)
+	for i := range pkt {
+		ems, _, _ := r.Tick()
+		if len(ems) != 1 {
+			t.Fatalf("flit %d: %d emissions, want 1", i, len(ems))
+		}
+		e := ems[0]
+		f := r.Flits().At(e.Flit)
+		if f.VC != int(e.VC) || f.Hops != int(e.Hops) {
+			t.Errorf("flit %d: record has VC %d hops %d, emission VC %d hops %d", i, f.VC, f.Hops, e.VC, e.Hops)
+		}
+		if f.Hops != 5 {
+			t.Errorf("flit %d: hops = %d, want 5", i, f.Hops)
+		}
+		// The granted VC is the one whose credit the grant consumed.
+		if got := r.Credits(2, f.VC); got != held-i-1 {
+			t.Errorf("flit %d: output VC %d holds %d credits, want %d", i, f.VC, got, held-i-1)
+		}
+	}
+}
+
+// Advance is the same tick without the write-back: the record stays as
+// delivered and the emission carries the hop state.
+func TestAdvanceLeavesTheRecordCold(t *testing.T) {
+	r := testRouter(t, baseConfig())
+	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
+	ems, _, _ := r.Advance()
+	if len(ems) != 1 || ems[0].Hops != 1 || ems[0].Dst != 9 || ems[0].Type != HeadTail {
+		t.Fatalf("emission = %+v, want one head-tail flit to 9 with 1 hop", ems)
+	}
+	if f := r.Flits().At(ems[0].Flit); f.Hops != 0 || f.VC != 3 {
+		t.Errorf("Advance touched the record: hops %d vc %d, want 0 and the delivered VC 3", f.Hops, f.VC)
+	}
+}
+
+// DeliverFlit refuses a record whose header does not fit a buffer slot
+// instead of truncating it.
+func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
+	for name, f := range map[string]Flit{
+		"dst":   {Dst: math.MaxInt32 + 1, Route: 2},
+		"hops":  {Hops: math.MaxInt16 + 1, Route: 2},
+		"route": {Route: math.MaxInt8 + 1},
+		"neg":   {Route: -1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := testRouter(t, baseConfig())
+			id := r.flits.Alloc()
+			*r.flits.At(id) = f
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("flit %+v delivered", f)
+				}
+			}()
+			r.DeliverFlit(1, 0, id)
+		})
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := baseConfig()
 	if err := good.Validate(); err != nil {
@@ -306,6 +400,28 @@ func TestConfigValidate(t *testing.T) {
 	bad.VCs = alloc.MaxVCs + 1 // the per-output busy mask is one word
 	if bad.Validate() == nil {
 		t.Error("VCs beyond one mask word accepted")
+	}
+}
+
+// The int8 slab fields hold BufDepth and Ports; Validate rejects what
+// does not fit rather than letting the arena wrap.
+func TestConfigValidateNarrowFieldBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *Config)
+		ok     bool
+	}{
+		{"BufDepth 127", func(c *Config) { c.BufDepth = math.MaxInt8 }, true},
+		{"BufDepth 128", func(c *Config) { c.BufDepth = math.MaxInt8 + 1 }, false},
+		{"BufDepth -1", func(c *Config) { c.BufDepth = -1 }, false},
+		{"Ports 127", func(c *Config) { c.Ports = math.MaxInt8 }, true},
+		{"Ports 128", func(c *Config) { c.Ports = math.MaxInt8 + 1 }, false},
+	} {
+		cfg := baseConfig()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -430,14 +546,14 @@ func TestTwoWordMasksRotateLikeTheDenseScan(t *testing.T) {
 		for _, ivc := range contenders {
 			isContender[ivc] = true
 		}
-		next := int32(0)
+		next := int8(0)
 		for i := 0; i < total; i++ {
 			ivc := (start + i) % total
 			if !isContender[ivc] {
 				continue
 			}
 			want := next
-			if next++; want >= int32(cfg.VCs) {
+			if next++; want >= int8(cfg.VCs) {
 				want = -1 // the output's VCs ran out before the scan got here
 			}
 			// The first tick's one switch grant moved a head, not a tail,

@@ -4,8 +4,8 @@
 package stats
 
 import (
+	"fmt"
 	"math"
-	"sort"
 )
 
 // Collector accumulates metrics over a measurement window. The usual
@@ -22,7 +22,10 @@ type Collector struct {
 	latencySum   float64
 	latencyCount int64
 	latencyMax   int64
-	latencies    []int64
+	// latHist[l] counts the packets ejected with latency l: an exact
+	// histogram, so the percentiles are the sorted samples' and the
+	// memory follows the largest latency seen, not the run length.
+	latHist []uint32
 
 	hopSum   int64
 	hopCount int64
@@ -42,31 +45,19 @@ func NewCollector(nodes int) *Collector {
 }
 
 // Reset clears all accumulated metrics (start of a measurement window).
-// The latency and per-source backing arrays are retained so windowed
+// The latency histogram and per-source arrays are retained so windowed
 // protocols (warm up, Reset, measure) do not reallocate them.
 func (c *Collector) Reset() {
-	lat := c.latencies[:0]
-	per := c.perSrcFlits
-	for i := range per {
-		per[i] = 0
-	}
-	*c = Collector{nodes: c.nodes, latencies: lat, perSrcFlits: per}
+	hist, per := c.latHist, c.perSrcFlits
+	clear(hist)
+	clear(per)
+	*c = Collector{nodes: c.nodes, latHist: hist, perSrcFlits: per}
 }
 
-// Reserve grows the latency sample array's capacity to hold at least n
-// samples without reallocating. Long measurement windows (benchmarks
-// measuring allocation churn, in particular) call it after warmup with
-// an estimate of the window's packet count, so that sample recording —
-// measurement bookkeeping, not simulation state — does not dominate the
-// byte counters it is there to read.
-func (c *Collector) Reserve(n int) {
-	if n <= cap(c.latencies) {
-		return
-	}
-	grown := make([]int64, len(c.latencies), n)
-	copy(grown, c.latencies)
-	c.latencies = grown
-}
+// Reserve is a no-op: the latency histogram needs no room per sample. It
+// is kept only because bench/sim.go, which is frozen outside benchmark
+// PRs, calls it; the next benchmark PR deletes the call and this method.
+func (c *Collector) Reserve(n int) {}
 
 // Tick advances the measured cycle count.
 func (c *Collector) Tick() { c.cycles++ }
@@ -88,17 +79,40 @@ func (c *Collector) FlitEjected(src int) {
 }
 
 // PacketEjected records a completed packet with its end-to-end latency
-// (generation to tail ejection) and hop count.
+// (generation to tail ejection) and hop count. A negative latency is a
+// caller bug and panics.
 func (c *Collector) PacketEjected(latency int64, hops int) {
+	if latency < 0 {
+		panic(fmt.Sprintf("stats: negative packet latency %d", latency))
+	}
+	if latency >= int64(len(c.latHist)) {
+		c.growHist(latency)
+	}
+	c.latHist[latency]++
 	c.packetsEjected++
 	c.latencySum += float64(latency)
 	c.latencyCount++
-	c.latencies = append(c.latencies, latency)
 	if latency > c.latencyMax {
 		c.latencyMax = latency
 	}
 	c.hopSum += int64(hops)
 	c.hopCount++
+}
+
+// latHistMin is the histogram's first size; every growth at least doubles
+// it, so a run reaches its largest latency in O(log) allocations and the
+// steady state allocates nothing.
+const latHistMin = 256
+
+// growHist extends the histogram to index latency.
+func (c *Collector) growHist(latency int64) {
+	n := max(2*len(c.latHist), latHistMin)
+	for int64(n) <= latency {
+		n *= 2
+	}
+	grown := make([]uint32, n)
+	copy(grown, c.latHist)
+	c.latHist = grown
 }
 
 // BufferWrite records a flit written into an input buffer, for the energy
@@ -176,11 +190,9 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	if c.latencyCount > 0 {
 		s.AvgLatency = c.latencySum / float64(c.latencyCount)
-		sorted := append([]int64(nil), c.latencies...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		s.P50Latency = percentile(sorted, 50)
-		s.P90Latency = percentile(sorted, 90)
-		s.P99Latency = percentile(sorted, 99)
+		s.P50Latency = c.percentile(50)
+		s.P90Latency = c.percentile(90)
+		s.P99Latency = c.percentile(99)
 	}
 	if c.hopCount > 0 {
 		s.AvgHops = float64(c.hopSum) / float64(c.hopCount)
@@ -194,16 +206,18 @@ func (c *Collector) Snapshot() Snapshot {
 	return s
 }
 
-// percentile returns the nearest-rank p-th percentile of sorted values.
-func percentile(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
+// percentile returns the nearest-rank p-th percentile of the recorded
+// latencies — the value at 1-based rank ceil(count*p/100) of the sorted
+// samples — by walking up the histogram. There must be a sample.
+func (c *Collector) percentile(p int64) int64 {
+	rank := max((c.latencyCount*p+99)/100, 1)
+	var seen int64
+	for l, n := range c.latHist {
+		if seen += int64(n); seen >= rank {
+			return int64(l)
+		}
 	}
-	idx := (len(sorted)*p + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return sorted[idx]
+	panic(fmt.Sprintf("stats: latency histogram holds %d samples, want %d", seen, c.latencyCount))
 }
 
 // fairness returns max/min of the per-source counts; +Inf if any source

@@ -2,7 +2,11 @@ package stats
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
+
+	"vix/internal/sim"
 )
 
 func TestEmptySnapshot(t *testing.T) {
@@ -181,5 +185,105 @@ func TestMergeDeltaMatchesDirectCalls(t *testing.T) {
 		if s.BufferReads != 3 || s.XbarTraversals != 3 || s.LinkTraversals != 2 || s.BufferWrites != want.BufferWrites {
 			t.Fatalf("merged %+v, direct %+v", s, want)
 		}
+	}
+}
+
+// sortedPercentile is the reference the histogram replaced: the
+// nearest-rank p-th percentile of explicitly sorted samples.
+func sortedPercentile(sorted []int64, p int) int64 {
+	idx := (len(sorted)*p + 99) / 100
+	if idx > 0 {
+		idx--
+	}
+	return sorted[idx]
+}
+
+// TestHistogramMatchesSortedSamples holds the latency histogram to the
+// sample array it replaced: over fuzzed latency multisets whose range
+// crosses several histogram growth steps, every percentile, the mean and
+// the maximum equal what sorting the samples gives, bit for bit.
+func TestHistogramMatchesSortedSamples(t *testing.T) {
+	rng := sim.NewRNG(19)
+	mostGrowths := 0
+	for trial := 0; trial < 200; trial++ {
+		c := NewCollector(1)
+		// Spread 1 stays inside the first histogram; 1<<14 is six
+		// doublings away, and the rising bound makes the samples climb
+		// through them instead of jumping to the top at once.
+		spread := 1 << uint(rng.Intn(15))
+		n := 1 + rng.Intn(400)
+		samples := make([]int64, n)
+		var sum float64
+		growths := 0
+		for i := range samples {
+			bound := max(spread*(i+1)/n, 1)
+			samples[i] = int64(rng.Intn(bound))
+			if rng.Intn(4) == 0 {
+				samples[i] = int64(bound - 1) // ties, and the top bucket
+			}
+			sum += float64(samples[i])
+			before := len(c.latHist)
+			c.PacketEjected(samples[i], 1)
+			if len(c.latHist) != before {
+				growths++
+			}
+		}
+		mostGrowths = max(mostGrowths, growths)
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		s := c.Snapshot()
+		want := Snapshot{
+			AvgLatency: sum / float64(n),
+			P50Latency: sortedPercentile(samples, 50),
+			P90Latency: sortedPercentile(samples, 90),
+			P99Latency: sortedPercentile(samples, 99),
+			MaxLatency: samples[n-1],
+		}
+		if s.AvgLatency != want.AvgLatency || s.P50Latency != want.P50Latency || s.P90Latency != want.P90Latency ||
+			s.P99Latency != want.P99Latency || s.MaxLatency != want.MaxLatency {
+			t.Fatalf("trial %d (%d samples below %d): got avg %v p50 %d p90 %d p99 %d max %d, want avg %v p50 %d p90 %d p99 %d max %d",
+				trial, n, spread, s.AvgLatency, s.P50Latency, s.P90Latency, s.P99Latency, s.MaxLatency,
+				want.AvgLatency, want.P50Latency, want.P90Latency, want.P99Latency, want.MaxLatency)
+		}
+	}
+	if mostGrowths < 4 {
+		t.Errorf("no trial grew the histogram more than %d times; the fuzz no longer crosses growth steps", mostGrowths)
+	}
+}
+
+// TestResetKeepsHistogramCapacity pins the windowed protocol: a Reset
+// forgets the samples but not the room, so a window that stays below the
+// largest latency already seen records without allocating.
+func TestResetKeepsHistogramCapacity(t *testing.T) {
+	c := NewCollector(1)
+	c.PacketEjected(5000, 1)
+	c.Reset()
+	if s := c.Snapshot(); s.PacketsEjected != 0 || s.MaxLatency != 0 || s.P99Latency != 0 {
+		t.Fatalf("Reset left latency state behind: %+v", s)
+	}
+	var lat int64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.PacketEjected(lat%5001, 2)
+		lat += 37
+	}); allocs != 0 {
+		t.Errorf("PacketEjected allocates %v times per call in steady state, want 0", allocs)
+	}
+	if s := c.Snapshot(); s.MaxLatency > 5000 || s.P50Latency == 0 {
+		t.Errorf("post-Reset window summarised wrongly: %+v", s)
+	}
+}
+
+// TestPacketEjectedRejectsNegativeLatency: a negative latency is reported
+// by this package, not by an index-out-of-range in the runtime.
+func TestPacketEjectedRejectsNegativeLatency(t *testing.T) {
+	for _, lat := range []int64{-1, math.MinInt64} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "stats: ") {
+					t.Errorf("latency %d: panic %q, want a stats: message", lat, msg)
+				}
+			}()
+			NewCollector(1).PacketEjected(lat, 1)
+		}()
 	}
 }

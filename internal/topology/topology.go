@@ -72,10 +72,60 @@ type Topology struct {
 	// NodeRouter[n] and NodePort[n] locate terminal n's local port.
 	NodeRouter []int
 	NodePort   []int
+
+	// xy[r] is router r's grid coordinates, tabulated by the constructor:
+	// every DOR lookahead converts two router indices, and a table read
+	// is cheaper than the % and / it replaces.
+	xy [][2]int32
+}
+
+// newGrid returns a w x h topology shell with its coordinate table built.
+func newGrid(kind Kind, name string, w, h, conc, radix int) *Topology {
+	if w <= 0 || h <= 0 || conc <= 0 {
+		panic("topology: dimensions must be positive")
+	}
+	t := &Topology{
+		Name: name, Kind: kind,
+		W: w, H: h, Conc: conc,
+		NumRouters: w * h,
+		NumNodes:   w * h * conc,
+		Radix:      radix,
+		Conn:       make([][]PortConn, w*h),
+		NodeRouter: make([]int, w*h*conc),
+		NodePort:   make([]int, w*h*conc),
+		xy:         make([][2]int32, w*h),
+	}
+	for r := range t.xy {
+		t.xy[r] = [2]int32{int32(r % w), int32(r / w)}
+	}
+	return t
 }
 
 // RouterXY returns the grid coordinates of router r.
-func (t *Topology) RouterXY(r int) (x, y int) { return r % t.W, r / t.W }
+func (t *Topology) RouterXY(r int) (x, y int) {
+	c := t.xy[r]
+	return int(c[0]), int(c[1])
+}
+
+// Diameter returns the largest number of router-to-router links a
+// minimal route crosses.
+func (t *Topology) Diameter() int {
+	switch t.Kind {
+	case KindTorus:
+		return t.W/2 + t.H/2
+	case KindFBfly:
+		d := 0
+		if t.W > 1 {
+			d++
+		}
+		if t.H > 1 {
+			d++
+		}
+		return d
+	default:
+		return t.W - 1 + t.H - 1
+	}
+}
 
 // RouterAt returns the router index at grid coordinates (x, y).
 func (t *Topology) RouterAt(x, y int) int { return y*t.W + x }
@@ -139,19 +189,7 @@ func NewTorus(w, h int) *Topology {
 }
 
 func newMeshLike(kind Kind, name string, w, h, conc int) *Topology {
-	if w <= 0 || h <= 0 || conc <= 0 {
-		panic("topology: dimensions must be positive")
-	}
-	t := &Topology{
-		Name: name, Kind: kind,
-		W: w, H: h, Conc: conc,
-		NumRouters: w * h,
-		NumNodes:   w * h * conc,
-		Radix:      conc + 4,
-	}
-	t.Conn = make([][]PortConn, t.NumRouters)
-	t.NodeRouter = make([]int, t.NumNodes)
-	t.NodePort = make([]int, t.NumNodes)
+	t := newGrid(kind, name, w, h, conc, conc+4)
 	for r := 0; r < t.NumRouters; r++ {
 		t.Conn[r] = make([]PortConn, t.Radix)
 		x, y := t.RouterXY(r)
@@ -202,20 +240,7 @@ func newMeshLike(kind Kind, name string, w, h, conc int) *Topology {
 // and in its column. The paper's 64-node FBfly is 4x4 with conc = 4
 // (radix 4 + 3 + 3 = 10).
 func NewFBfly(w, h, conc int) *Topology {
-	if w <= 0 || h <= 0 || conc <= 0 {
-		panic("topology: dimensions must be positive")
-	}
-	t := &Topology{
-		Name: fmt.Sprintf("fbfly%dx%dc%d", w, h, conc),
-		Kind: KindFBfly,
-		W:    w, H: h, Conc: conc,
-		NumRouters: w * h,
-		NumNodes:   w * h * conc,
-		Radix:      conc + (w - 1) + (h - 1),
-	}
-	t.Conn = make([][]PortConn, t.NumRouters)
-	t.NodeRouter = make([]int, t.NumNodes)
-	t.NodePort = make([]int, t.NumNodes)
+	t := newGrid(KindFBfly, fmt.Sprintf("fbfly%dx%dc%d", w, h, conc), w, h, conc, conc+(w-1)+(h-1))
 	for r := 0; r < t.NumRouters; r++ {
 		t.Conn[r] = make([]PortConn, t.Radix)
 		x, y := t.RouterXY(r)
