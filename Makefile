@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint race test ledger profile sweep experiments examples clean
+.PHONY: all build vet lint race test fuzz ledger profile sweep experiments examples clean
 
 all: build vet lint test
 
@@ -36,6 +36,13 @@ race:
 
 test:
 	go test ./...
+
+# `go test` only replays FuzzAllocate's seed corpus; this mutates it for
+# 15 s over every kind (legal grants, determinism from Reset, inputs left
+# unmutated, lone requests granted). A failing input lands in
+# internal/alloc/testdata/fuzz/FuzzAllocate/ — commit it with the fix.
+fuzz:
+	go test -run '^$$' -fuzz FuzzAllocate -fuzztime 15s ./internal/alloc
 
 # A small harness-backed sweep grid under the race detector: exercises
 # the parallel fan-out, manifest resume, and canonical merge end to end.

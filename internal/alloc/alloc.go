@@ -84,8 +84,13 @@ func (c Config) Validate() error {
 // mustValidate panics when cfg is invalid. Allocator constructors call it
 // so that an impossible crossbar geometry fails loudly at construction
 // time rather than corrupting an allocation later.
-func mustValidate(cfg Config) {
-	if err := cfg.Validate(); err != nil {
+func mustValidate(cfg Config) { must(cfg.Validate()) }
+
+// must panics on a geometry error. The kinds defined on one geometry only
+// (ideal, sparoflo) state the condition once, as a function returning the
+// error: their constructor passes it here and New returns it.
+func must(err error) {
+	if err != nil {
 		panic("alloc: invalid config: " + strings.TrimPrefix(err.Error(), "alloc: "))
 	}
 }
@@ -156,7 +161,11 @@ type Grant struct {
 // Request resolves the request the grant answers within its request set.
 func (g Grant) Request(rs *RequestSet) Request { return rs.Requests[g.Req] }
 
-// RequestSet is the per-cycle input to an allocator.
+// RequestSet is the per-cycle input to an allocator. Precondition: at
+// most one request per (Port, VC). The router and routerbench offer them
+// in ascending (port, VC) order. A set that breaks the precondition still
+// draws a legal grant set, but which of a VC's requests is considered is
+// the kind's business (the kinds that arbitrate per row keep the first).
 type RequestSet struct {
 	Config   Config
 	Requests []Request
@@ -241,29 +250,64 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 // set marks index i.
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-// rowScratch groups request indices by crossbar row without per-cycle
-// allocation: the per-row lists are truncated and refilled on every
-// group call, so their backing arrays reach steady state and stay there.
-// An occupancy bitset tracks which rows the last fill touched; group
-// truncates only those, and callers can walk occupied() instead of
-// scanning all Rows entries.
-type rowScratch struct {
-	rows [][]int
-	occ  bitset // rows holding requests from the last group call
-	// rowOf[port*vcs+vc] precomputes Config.Row, whose sub-group mapping
-	// costs two integer divisions per call — too hot for the per-request
-	// grouping loop.
-	rowOf []int32
-	vcs   int
+// rowSlots is the input side of the request matrix as the input arbiters
+// see it: per crossbar row, one word with a bit per sub-group slot offering
+// a request, and per (row, slot) the request offered there. A VC offers
+// one request; should a caller offer more, the first per slot stands.
+// Every allocator that arbitrates per row (if, if-age, pc, sparoflo)
+// builds it with raise and walks the set bits of occ and mask — ascending
+// (row, slot), which is ascending (port, VC) within a row.
+//
+// mask and occ read all-zero between calls: if and if-age clear each row
+// as its input arbiter picks, pc and sparoflo call drain, so a cycle
+// costs what its requests cost and never a sweep of Rows words.
+type rowSlots struct {
+	rowOf     []int32 // per port*vcs+vc: precomputed Config.Row (two divisions a call)
+	slotOf    []int32 // per vc: precomputed Config.Slot
+	vcs       int
+	groupSize int
+
+	mask []uint64 // per row: slots offering a request
+	occ  bitset   // rows whose mask is non-zero
+	req  []int32  // per row*groupSize+slot: the request offered there; valid where mask has the bit
 }
 
-// newRowScratch sizes the per-row lists for cfg.
-func newRowScratch(cfg Config) rowScratch {
-	return rowScratch{
-		rows:  make([][]int, cfg.Rows()),
-		occ:   newBitset(cfg.Rows()),
-		rowOf: rowTable(cfg),
-		vcs:   cfg.VCs,
+// newRowSlots sizes the row words for cfg.
+func newRowSlots(cfg Config) rowSlots {
+	return rowSlots{
+		rowOf:     rowTable(cfg),
+		slotOf:    slotTable(cfg),
+		vcs:       cfg.VCs,
+		groupSize: cfg.GroupSize(),
+		mask:      make([]uint64, cfg.Rows()),
+		occ:       newBitset(cfg.Rows()),
+		req:       make([]int32, cfg.Rows()*cfg.GroupSize()),
+	}
+}
+
+// row returns the crossbar row carrying r.
+func (s *rowSlots) row(r Request) int { return int(s.rowOf[r.Port*s.vcs+r.VC]) }
+
+// raise raises each request's line on its row's word.
+func (s *rowSlots) raise(rs *RequestSet) {
+	for i, r := range rs.Requests {
+		row := s.row(r)
+		slot := int(s.slotOf[r.VC])
+		if bit := uint64(1) << uint(slot); s.mask[row]&bit == 0 {
+			s.mask[row] |= bit
+			s.occ.set(row)
+			s.req[row*s.groupSize+slot] = int32(i)
+		}
+	}
+}
+
+// drain lowers every line raise raised.
+func (s *rowSlots) drain() {
+	for wi, w := range s.occ {
+		for ; w != 0; w &= w - 1 {
+			s.mask[wi<<6+bits.TrailingZeros64(w)] = 0
+		}
+		s.occ[wi] = 0
 	}
 }
 
@@ -287,35 +331,6 @@ func slotTable(cfg Config) []int32 {
 	}
 	return t
 }
-
-// group refills the per-row request-index lists from rs and returns
-// them; the result has Config.Rows() entries and is valid until the
-// next group call. Rows absent from occupied() are guaranteed empty.
-func (s *rowScratch) group(rs *RequestSet) [][]int {
-	for wi, w := range s.occ {
-		if w == 0 {
-			continue
-		}
-		for ; w != 0; w &= w - 1 {
-			row := wi<<6 + bits.TrailingZeros64(w)
-			s.rows[row] = s.rows[row][:0]
-		}
-		s.occ[wi] = 0
-	}
-	for i, r := range rs.Requests {
-		row := s.row(r)
-		s.occ.set(row)
-		s.rows[row] = append(s.rows[row], i)
-	}
-	return s.rows
-}
-
-// row returns the crossbar row carrying r, from the precomputed table.
-func (s *rowScratch) row(r Request) int { return int(s.rowOf[r.Port*s.vcs+r.VC]) }
-
-// occupied returns the occupancy words of the last group call: bit i is
-// set exactly when rows[i] is non-empty. Valid until the next group call.
-func (s *rowScratch) occupied() bitset { return s.occ }
 
 // cellScratch groups request indices by (crossbar row, output port) cell
 // of the request matrix, replacing the per-cycle maps the matrix-style

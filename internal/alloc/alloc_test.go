@@ -419,6 +419,45 @@ func TestVCsBeyondArbiterWordRejected(t *testing.T) {
 	}
 }
 
+// TestSingleGeometryKinds pins the two kinds defined on one geometry
+// only: ideal needs a crossbar row per VC, sparoflo the conventional
+// crossbar. Each states its condition once; New returns it as an error and
+// the exported constructor panics with the same text, as mustValidate
+// does, instead of building an allocator that grants a row twice.
+func TestSingleGeometryKinds(t *testing.T) {
+	for _, c := range []struct {
+		kind      Kind
+		construct func(Config) Allocator
+		good, bad Config
+		want      string
+	}{
+		{KindIdeal, func(cfg Config) Allocator { return NewIdeal(cfg) },
+			Config{Ports: 5, VCs: 6, VirtualInputs: 6}, Config{Ports: 5, VCs: 6, VirtualInputs: 2},
+			"ideal allocator needs VirtualInputs == VCs (per-VC crossbar rows), got 2 != 6"},
+		{KindSparoflo, func(cfg Config) Allocator { return NewSparoflo(cfg) },
+			Config{Ports: 5, VCs: 6, VirtualInputs: 1}, Config{Ports: 5, VCs: 6, VirtualInputs: 2},
+			"sparoflo is defined on the conventional crossbar (VirtualInputs == 1), got 2"},
+	} {
+		if a, err := New(c.kind, c.good); err != nil || a.Name() != string(c.kind) {
+			t.Errorf("New(%s, %+v) = %v, %v", c.kind, c.good, a, err)
+		}
+		if a := c.construct(c.good); a.Name() != string(c.kind) {
+			t.Errorf("%s constructor on %+v built %q", c.kind, c.good, a.Name())
+		}
+		if _, err := New(c.kind, c.bad); err == nil || err.Error() != "alloc: "+c.want {
+			t.Errorf("New(%s, %+v) error = %v, want %q", c.kind, c.bad, err, "alloc: "+c.want)
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "alloc: invalid config: "+c.want {
+					t.Errorf("%s constructor on %+v: recovered %q, want %q", c.kind, c.bad, msg, "alloc: invalid config: "+c.want)
+				}
+			}()
+			c.construct(c.bad)
+		}()
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
 	for _, kind := range []Kind{KindSeparableIF, KindWavefront, KindAugmentingPath, KindPacketChaining} {

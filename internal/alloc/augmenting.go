@@ -14,6 +14,7 @@ package alloc
 // have — which is what produces that unfairness.
 type AugmentingPath struct {
 	cfg   Config
+	rowOf []int32 // per port*VCs+vc: precomputed Config.Row
 	vcPtr []int32 // per row: round-robin pointer selecting the transmitting VC
 
 	// scratch for matching
@@ -31,6 +32,7 @@ func NewAugmentingPath(cfg Config) *AugmentingPath {
 	mustValidate(cfg)
 	return &AugmentingPath{
 		cfg:      cfg,
+		rowOf:    rowTable(cfg),
 		vcPtr:    make([]int32, cfg.Rows()),
 		adj:      make([][]int, cfg.Rows()),
 		matchTo:  make([]int, cfg.Ports),
@@ -61,7 +63,7 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 	// Representative request per (row, out); VC choice refined afterwards.
 	a.cellReqs.clear()
 	for idx, r := range rs.Requests {
-		row := a.cfg.Row(r.Port, r.VC)
+		row := int(a.rowOf[r.Port*a.cfg.VCs+r.VC])
 		if len(a.cellReqs.at(row, r.OutPort)) == 0 {
 			a.adj[row] = append(a.adj[row], r.OutPort)
 		}

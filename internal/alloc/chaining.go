@@ -1,5 +1,11 @@
 package alloc
 
+import (
+	"math/bits"
+
+	"vix/internal/arb"
+)
+
 // PacketChaining implements the SameInput/anyVC packet-chaining scheme of
 // Michelogiannakis et al. (MICRO-44), the comparison point of the paper's
 // Figure 10. A connection granted in the previous cycle is preserved in
@@ -14,36 +20,23 @@ package alloc
 // requests reach output arbitration — which is the contrast Figure 10
 // quantifies (PC +9% vs VIX +16% over IF on single-flit uniform traffic).
 type PacketChaining struct {
-	cfg   Config
 	inner *SeparableIF
 
 	// prevOut[row] = output port granted to the row last cycle, -1 if none.
 	prevOut []int
+	// chainPtr[row] is the rotating pointer choosing among the row's VCs
+	// eligible to chain. It counts positions among the slots the row offers
+	// this cycle, not slots: the eligible set is already filtered to one
+	// output port, so rotation only has to keep one busy VC from starving
+	// its neighbours.
+	chainPtr []int32
 
 	// scratch
-	chainVC    []arb2 // per row: rotating pick among VCs eligible to chain
 	rest       RequestSet
 	restIdx    []int // rest position -> index in the outer request set
-	rowReqs    rowScratch
 	rowChained []bool
 	outChained []bool
 	grants     []Grant
-}
-
-// arb2 is a tiny rotating pointer used for chained-VC selection; a full
-// arbiter is unnecessary because the candidate set is already filtered to
-// one output port.
-type arb2 struct{ ptr int }
-
-func (a *arb2) pick(n int, ok func(i int) bool) int {
-	for i := 0; i < n; i++ {
-		idx := (a.ptr + i) % n
-		if ok(idx) {
-			a.ptr = (idx + 1) % n
-			return idx
-		}
-	}
-	return -1
 }
 
 // NewPacketChaining returns a packet-chaining allocator for cfg. The paper
@@ -52,12 +45,10 @@ func (a *arb2) pick(n int, ok func(i int) bool) int {
 func NewPacketChaining(cfg Config) *PacketChaining {
 	mustValidate(cfg)
 	p := &PacketChaining{
-		cfg:        cfg,
 		inner:      NewSeparableIF(cfg),
 		prevOut:    make([]int, cfg.Rows()),
-		chainVC:    make([]arb2, cfg.Rows()),
+		chainPtr:   make([]int32, cfg.Rows()),
 		restIdx:    make([]int, 0, cfg.Ports*cfg.VCs),
-		rowReqs:    newRowScratch(cfg),
 		rowChained: make([]bool, cfg.Rows()),
 		outChained: make([]bool, cfg.Ports),
 		grants:     make([]Grant, 0, cfg.Ports),
@@ -77,43 +68,50 @@ func (p *PacketChaining) Reset() {
 	for i := range p.prevOut {
 		p.prevOut[i] = -1
 	}
-	for i := range p.chainVC {
-		p.chainVC[i] = arb2{}
-	}
+	clear(p.chainPtr)
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
-	rows := p.rowReqs.group(rs)
-	for i := range p.rowChained {
-		p.rowChained[i] = false
-	}
-	for i := range p.outChained {
-		p.outChained[i] = false
-	}
+	// The row words are the inner allocator's, borrowed: all-zero between
+	// its calls, and drained again before it runs on the remainder.
+	rows := &p.inner.rows
+	rows.raise(rs)
+	clear(p.rowChained)
+	clear(p.outChained)
 	p.grants = p.grants[:0]
 
 	// Phase zero: preserve last cycle's connections where any VC of the
 	// row requests the same output (SameInput, anyVC).
+	gs := rows.groupSize
 	for row, out := range p.prevOut {
-		if out < 0 || p.outChained[out] {
+		offered := rows.mask[row]
+		if out < 0 || p.outChained[out] || offered == 0 {
 			continue
 		}
-		idxs := rows[row]
-		if len(idxs) == 0 {
+		slotReq := rows.req[row*gs : (row+1)*gs]
+		var eligible uint64 // bit i: the row's i-th offered slot requests out
+		n := 0
+		for w := offered; w != 0; w &= w - 1 {
+			if rs.Requests[slotReq[bits.TrailingZeros64(w)]].OutPort == out {
+				eligible |= 1 << uint(n)
+			}
+			n++
+		}
+		if eligible == 0 {
 			continue
 		}
-		pick := p.chainVC[row].pick(len(idxs), func(i int) bool {
-			return rs.Requests[idxs[i]].OutPort == out
-		})
-		if pick < 0 {
-			continue
+		pos := arb.Pick(eligible, int(p.chainPtr[row])%n)
+		p.chainPtr[row] = int32(arb.Next(pos, n))
+		for ; pos > 0; pos-- {
+			offered &= offered - 1
 		}
-		p.grants = append(p.grants, Grant{Req: idxs[pick], OutPort: out, Row: row})
+		p.grants = append(p.grants, Grant{Req: int(slotReq[bits.TrailingZeros64(offered)]), OutPort: out, Row: row})
 		p.rowChained[row] = true
 		p.outChained[out] = true
 	}
+	rows.drain()
 
 	// Run the separable allocator on the unchained remainder. The inner
 	// allocator returns its own scratch; appending copies the grant values
@@ -123,7 +121,7 @@ func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
 	p.rest.Requests = p.rest.Requests[:0]
 	p.restIdx = p.restIdx[:0]
 	for i, r := range rs.Requests {
-		row := p.rowReqs.row(r)
+		row := rows.row(r)
 		if p.rowChained[row] || p.outChained[r.OutPort] {
 			continue
 		}

@@ -1,6 +1,10 @@
 package alloc
 
-import "vix/internal/arb"
+import (
+	"math/bits"
+
+	"vix/internal/arb"
+)
 
 // ISLIP is the iterative separable allocator of McKeown, cited by the
 // paper as the classic approach to the sub-optimal matching problem:
@@ -22,19 +26,23 @@ import "vix/internal/arb"
 type ISLIP struct {
 	cfg        Config
 	iterations int
-	grantArbs  []arb.Arbiter // per output, over rows
-	acceptArbs []arb.Arbiter // per row, over outputs
-	vcPtr      []int32       // per row: round-robin pointer over sub-group VC slots
+	rowWords   int     // words per mask over the crossbar rows
+	outWords   int     // words per mask over the outputs
+	rowOf      []int32 // per port*VCs+vc: precomputed Config.Row
 
-	// scratch
-	rowVec   []bool
-	outVec   []bool
-	req      [][]bool // req[row][out]: any VC of the row requests out
+	grantPtr  []int32 // per output, over rows
+	acceptPtr []int32 // per row, over outputs
+	vcPtr     []int32 // per row: round-robin pointer over sub-group VC slots
+
+	// All request words but asking are all-zero between calls.
+	reqRows  []uint64 // per output, rowWords each: rows with a VC requesting it
+	outOcc   bitset   // outputs whose reqRows is non-zero
+	freeRows bitset   // requesting rows not yet matched
+	outDone  bitset   // outputs matched
+	asking   []uint64 // rowWords: the unmatched rows requesting the output being granted
+	offers   []uint64 // per row, outWords each: outputs granting to it this iteration
+	offered  bitset   // rows whose offers is non-zero
 	cellReqs cellScratch
-	rowDone  []bool
-	outDone  []bool
-	granted  []int    // per row: number of outputs granting to it this iteration
-	grantsTo [][]bool // grantsTo[row][out]: out granted to row this iteration
 	slots    vcPickScratch
 	grants   []Grant
 }
@@ -43,37 +51,28 @@ type ISLIP struct {
 // iterations (clamped to at least 1). It panics if cfg is invalid.
 func NewISLIP(cfg Config, iterations int) *ISLIP {
 	mustValidate(cfg)
-	if iterations < 1 {
-		iterations = 1
-	}
-	s := &ISLIP{
+	rowWords := (cfg.Rows() + 63) / 64
+	outWords := (cfg.Ports + 63) / 64
+	return &ISLIP{
 		cfg:        cfg,
-		iterations: iterations,
-		rowVec:     make([]bool, cfg.Rows()),
-		outVec:     make([]bool, cfg.Ports),
-		req:        make([][]bool, cfg.Rows()),
+		iterations: max(iterations, 1),
+		rowWords:   rowWords,
+		outWords:   outWords,
+		rowOf:      rowTable(cfg),
+		grantPtr:   make([]int32, cfg.Ports),
+		acceptPtr:  make([]int32, cfg.Rows()),
+		vcPtr:      make([]int32, cfg.Rows()),
+		reqRows:    make([]uint64, cfg.Ports*rowWords),
+		outOcc:     newBitset(cfg.Ports),
+		freeRows:   newBitset(cfg.Rows()),
+		outDone:    newBitset(cfg.Ports),
+		asking:     make([]uint64, rowWords),
+		offers:     make([]uint64, cfg.Rows()*outWords),
+		offered:    newBitset(cfg.Rows()),
 		cellReqs:   newCellScratch(cfg),
-		rowDone:    make([]bool, cfg.Rows()),
-		outDone:    make([]bool, cfg.Ports),
-		granted:    make([]int, cfg.Rows()),
-		grantsTo:   make([][]bool, cfg.Rows()),
 		slots:      newVCPickScratch(cfg),
 		grants:     make([]Grant, 0, cfg.Ports),
 	}
-	for i := range s.req {
-		s.req[i] = make([]bool, cfg.Ports)
-		s.grantsTo[i] = make([]bool, cfg.Ports)
-	}
-	s.grantArbs = make([]arb.Arbiter, cfg.Ports)
-	for i := range s.grantArbs {
-		s.grantArbs[i] = arb.NewRoundRobin(cfg.Rows())
-	}
-	s.acceptArbs = make([]arb.Arbiter, cfg.Rows())
-	s.vcPtr = make([]int32, cfg.Rows())
-	for i := range s.acceptArbs {
-		s.acceptArbs[i] = arb.NewRoundRobin(cfg.Ports)
-	}
-	return s
 }
 
 // Name implements Allocator.
@@ -84,97 +83,80 @@ func (s *ISLIP) Iterations() int { return s.iterations }
 
 // Reset implements Allocator.
 func (s *ISLIP) Reset() {
-	for _, a := range s.grantArbs {
-		a.Reset()
-	}
-	for _, a := range s.acceptArbs {
-		a.Reset()
-	}
-	for i := range s.vcPtr {
-		s.vcPtr[i] = 0
-	}
+	clear(s.grantPtr)
+	clear(s.acceptPtr)
+	clear(s.vcPtr)
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
-	rows, outs := s.cfg.Rows(), s.cfg.Ports
-	// req[row][out] true if any VC of the row requests out; the cell
-	// scratch holds the request indices per (row, out) for VC selection.
-	for i := range s.req {
-		for j := range s.req[i] {
-			s.req[i][j] = false
-		}
-	}
+	// An output's request word has a bit per row with any VC requesting
+	// it; the cell scratch holds the request indices per (row, out) for VC
+	// selection.
 	s.cellReqs.clear()
 	for idx, r := range rs.Requests {
-		row := s.cfg.Row(r.Port, r.VC)
-		s.req[row][r.OutPort] = true
+		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
+		s.reqRows[r.OutPort*s.rowWords+row>>6] |= 1 << uint(row&63)
+		s.outOcc.set(r.OutPort)
+		s.freeRows.set(row)
 		s.cellReqs.add(row, r.OutPort, idx)
-	}
-
-	for i := range s.rowDone {
-		s.rowDone[i] = false
-	}
-	for i := range s.outDone {
-		s.outDone[i] = false
 	}
 	s.grants = s.grants[:0]
 
 	for iter := 0; iter < s.iterations; iter++ {
 		// Grant phase: each unmatched output picks one requesting,
 		// unmatched row.
-		for row := 0; row < rows; row++ {
-			s.granted[row] = 0
-			for j := range s.grantsTo[row] {
-				s.grantsTo[row][j] = false
-			}
-		}
 		any := false
-		for out := 0; out < outs; out++ {
-			if s.outDone[out] {
-				continue
+		for wi, w := range s.outOcc {
+			for w &^= s.outDone[wi]; w != 0; w &= w - 1 {
+				out := wi<<6 + bits.TrailingZeros64(w)
+				for i := range s.asking {
+					s.asking[i] = s.reqRows[out*s.rowWords+i] & s.freeRows[i]
+				}
+				row := arb.PickWords(s.asking, int(s.grantPtr[out]))
+				if row < 0 {
+					continue
+				}
+				s.offers[row*s.outWords+out>>6] |= 1 << uint(out&63)
+				s.offered.set(row)
+				any = true
 			}
-			for row := 0; row < rows; row++ {
-				s.rowVec[row] = !s.rowDone[row] && s.req[row][out]
-			}
-			row := s.grantArbs[out].Arbitrate(s.rowVec)
-			if row < 0 {
-				continue
-			}
-			s.grantsTo[row][out] = true
-			s.granted[row]++
-			any = true
 		}
 		if !any {
 			break
 		}
 		// Accept phase: each row with offers accepts one output.
-		progress := false
-		for row := 0; row < rows; row++ {
-			if s.rowDone[row] || s.granted[row] == 0 {
-				continue
+		for wi, w := range s.offered {
+			s.offered[wi] = 0
+			for ; w != 0; w &= w - 1 {
+				row := wi<<6 + bits.TrailingZeros64(w)
+				offers := s.offers[row*s.outWords : (row+1)*s.outWords]
+				out := arb.PickWords(offers, int(s.acceptPtr[row]))
+				clear(offers)
+				var idx int
+				idx, s.vcPtr[row] = s.slots.pick(rs, s.cellReqs.at(row, out), s.vcPtr[row])
+				s.grants = append(s.grants, Grant{Req: idx, OutPort: out, Row: row})
+				s.freeRows[row>>6] &^= 1 << uint(row&63)
+				s.outDone.set(out)
+				// iSLIP pointer discipline: update only on first-iteration
+				// accepts so pointers desynchronise.
+				if iter == 0 {
+					s.grantPtr[out] = int32(arb.Next(row, s.cfg.Rows()))
+					s.acceptPtr[row] = int32(arb.Next(out, s.cfg.Ports))
+				}
 			}
-			out := s.acceptArbs[row].Arbitrate(s.grantsTo[row])
-			if out < 0 {
-				continue
-			}
-			var idx int
-			idx, s.vcPtr[row] = s.slots.pick(rs, s.cellReqs.at(row, out), s.vcPtr[row])
-			s.grants = append(s.grants, Grant{Req: idx, OutPort: out, Row: row})
-			s.rowDone[row] = true
-			s.outDone[out] = true
-			progress = true
-			// iSLIP pointer discipline: update only on first-iteration
-			// accepts so pointers desynchronise.
-			if iter == 0 {
-				s.grantArbs[out].Ack(row)
-				s.acceptArbs[row].Ack(out)
-			}
-		}
-		if !progress {
-			break
 		}
 	}
+
+	for wi, w := range s.outOcc {
+		s.outOcc[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			out := wi<<6 + bits.TrailingZeros64(w)
+			clear(s.reqRows[out*s.rowWords : (out+1)*s.rowWords])
+		}
+	}
+	clear(s.freeRows)
+	clear(s.outDone)
 	return s.grants
 }

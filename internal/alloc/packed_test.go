@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
 
 	"vix/internal/arb"
@@ -200,6 +201,29 @@ func (d *denseWavefront) allocate(rs *RequestSet) []Grant {
 	return d.grants
 }
 
+// lazyWords lists, per kind arbitrating on packed request words, the words
+// it drains as it consumes them; assertDrained holds them to all-zero
+// between calls. Ideal and SeparableAge inherit SeparableIF's.
+func (s *rowSlots) lazyWords() []wordBank {
+	return []wordBank{{"rows.mask", s.mask}, {"rows.occ", s.occ}}
+}
+
+func (s *SeparableIF) lazyWords() []wordBank {
+	return append(s.rows.lazyWords(), wordBank{"outMask", s.outMask}, wordBank{"outOcc", s.outOcc})
+}
+
+func (p *PacketChaining) lazyWords() []wordBank { return p.inner.lazyWords() }
+
+func (s *Sparoflo) lazyWords() []wordBank {
+	return append(s.rows.lazyWords(), wordBank{"lineMask", s.lineMask}, wordBank{"outOcc", s.outOcc},
+		wordBank{"wins", s.wins}, wordBank{"portOcc", s.portOcc})
+}
+
+func (s *ISLIP) lazyWords() []wordBank {
+	return []wordBank{{"reqRows", s.reqRows}, {"outOcc", s.outOcc}, {"freeRows", s.freeRows},
+		{"outDone", s.outDone}, {"offers", s.offers}, {"offered", s.offered}}
+}
+
 // rrPointer reads a round-robin arbiter's priority pointer through its
 // stateless decision: with every line raised, the winner is the pointer.
 func rrPointer(a arb.Arbiter) int32 {
@@ -345,16 +369,7 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 					t.Fatalf("cfg %+v cycle %d: output pointer of port %d is %d, dense %d", cfg, cycle, out, got, want)
 				}
 			}
-			for _, m := range []struct {
-				name  string
-				words []uint64
-			}{{"slotMask", packed.slotMask}, {"rowOcc", packed.rowOcc}, {"outMask", packed.outMask}, {"outOcc", packed.outOcc}} {
-				for i, w := range m.words {
-					if w != 0 {
-						t.Fatalf("cfg %+v cycle %d: %s[%d] is %#x between calls, want 0", cfg, cycle, m.name, i, w)
-					}
-				}
-			}
+			assertDrained(t, packed, fmt.Sprintf("cfg %+v cycle %d", cfg, cycle))
 		})
 	}
 }
@@ -380,12 +395,12 @@ func TestWavefrontMatchesDenseReference(t *testing.T) {
 }
 
 // TestAllocatorsSurviveLoadSwings hammers the occupancy-tracked scratch
-// of every allocator with alternating saturated, sparse, and empty
-// request sets: a cell or row left stale by a lazy clear would produce a
-// grant with no matching request, which Validate rejects.
+// of every allocator with the lockstep stream — saturated, sparse, lone
+// and empty request sets, duplicates and shuffles included: a cell or row
+// left stale by a lazy clear fails assertDrained at the cycle it happens,
+// or produces a grant with no matching request, which Validate rejects.
 func TestAllocatorsSurviveLoadSwings(t *testing.T) {
 	rng := sim.NewRNG(405)
-	loads := []float64{0.95, 0, 0.02, 0.95, 0.02, 0}
 	for _, kind := range Kinds() {
 		cfg := Config{Ports: 8, VCs: 6, VirtualInputs: 2}
 		switch kind {
@@ -396,10 +411,11 @@ func TestAllocatorsSurviveLoadSwings(t *testing.T) {
 		}
 		a := MustNew(kind, cfg)
 		for cycle := 0; cycle < 300; cycle++ {
-			rs := randomRequestSet(rng, cfg, loads[cycle%len(loads)])
+			rs := lockstepRequests(rng, cfg, cycle)
 			if err := Validate(rs, a.Allocate(rs)); err != nil {
 				t.Fatalf("%s cycle %d: %v", kind, cycle, err)
 			}
+			assertDrained(t, a, fmt.Sprintf("%s cycle %d", kind, cycle))
 		}
 	}
 }

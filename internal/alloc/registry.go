@@ -98,8 +98,8 @@ func New(kind Kind, cfg Config) (Allocator, error) {
 	case KindPacketChaining:
 		return NewPacketChaining(cfg), nil
 	case KindIdeal:
-		if cfg.VirtualInputs != cfg.VCs {
-			return nil, fmt.Errorf("alloc: ideal allocator needs VirtualInputs == VCs (per-VC crossbar rows), got %d != %d", cfg.VirtualInputs, cfg.VCs)
+		if err := idealGeometry(cfg); err != nil {
+			return nil, err
 		}
 		return NewIdeal(cfg), nil
 	case KindISLIP:
@@ -107,8 +107,8 @@ func New(kind Kind, cfg Config) (Allocator, error) {
 	case KindSeparableAge:
 		return NewSeparableAge(cfg), nil
 	case KindSparoflo:
-		if cfg.VirtualInputs != 1 {
-			return nil, fmt.Errorf("alloc: sparoflo is defined on the conventional crossbar (VirtualInputs == 1), got %d", cfg.VirtualInputs)
+		if err := sparofloGeometry(cfg); err != nil {
+			return nil, err
 		}
 		return NewSparoflo(cfg), nil
 	default:

@@ -27,23 +27,17 @@ import (
 // per crossbar row; both are built straight from the request list, so a
 // call costs what its requests cost, not Rows x GroupSize.
 type SeparableIF struct {
-	cfg       Config
-	rowOf     []int32 // per port*VCs+vc: precomputed Config.Row
-	slotOf    []int32 // per vc: precomputed Config.Slot
-	groupSize int
-	rowWords  int // words per output's row mask
+	rows     rowSlots // the input arbiters' request lines
+	rowWords int      // words per output's row mask
 
 	inPtr  []int32 // per crossbar row: input-arbiter pointer over GroupSize slots
 	outPtr []int32 // per output port: output-arbiter pointer over Rows rows
 
-	// The masks are all-zero between calls: each is drained as it is
-	// consumed, so a cycle never sweeps them.
-	slotMask []uint64 // per row: slots offering a request
-	rowOcc   bitset   // rows whose slotMask is non-zero
-	outMask  []uint64 // per output, rowWords each: rows whose candidate requests it
-	outOcc   bitset   // outputs whose outMask is non-zero
+	// Like the row words, these are all-zero between calls: each is
+	// drained as it is consumed, so a cycle never sweeps them.
+	outMask []uint64 // per output, rowWords each: rows whose candidate requests it
+	outOcc  bitset   // outputs whose outMask is non-zero
 
-	slotReq   []int32 // per row*groupSize+slot: the request offered there; valid where slotMask has the bit
 	candidate []int32 // per row: phase-one winner; valid for rows present in an outMask
 	grants    []Grant
 }
@@ -54,18 +48,12 @@ func NewSeparableIF(cfg Config) *SeparableIF {
 	mustValidate(cfg)
 	rowWords := (cfg.Rows() + 63) / 64
 	return &SeparableIF{
-		cfg:       cfg,
-		rowOf:     rowTable(cfg),
-		slotOf:    slotTable(cfg),
-		groupSize: cfg.GroupSize(),
+		rows:      newRowSlots(cfg),
 		rowWords:  rowWords,
 		inPtr:     make([]int32, cfg.Rows()),
 		outPtr:    make([]int32, cfg.Ports),
-		slotMask:  make([]uint64, cfg.Rows()),
-		rowOcc:    newBitset(cfg.Rows()),
 		outMask:   make([]uint64, cfg.Ports*rowWords),
 		outOcc:    newBitset(cfg.Ports),
-		slotReq:   make([]int32, cfg.Rows()*cfg.GroupSize()),
 		candidate: make([]int32, cfg.Rows()),
 		grants:    make([]Grant, 0, cfg.Ports),
 	}
@@ -95,37 +83,27 @@ func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
 	// same way; the masks are never raised and stay all-zero.
 	if len(rs.Requests) == 1 {
 		r := rs.Requests[0]
-		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
+		row := s.rows.row(r)
 		s.outPtr[r.OutPort] = int32(arb.Next(row, len(s.inPtr)))
-		s.inPtr[row] = int32(arb.Next(int(s.slotOf[r.VC]), s.groupSize))
+		s.inPtr[row] = int32(arb.Next(int(s.rows.slotOf[r.VC]), s.rows.groupSize))
 		s.grants = append(s.grants[:0], Grant{Req: 0, OutPort: r.OutPort, Row: row})
 		return s.grants
 	}
 
-	// Raise each request's line on its row's input arbiter. A VC offers
-	// one request; should a caller offer more, the first per slot stands.
-	for i, r := range rs.Requests {
-		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
-		slot := int(s.slotOf[r.VC])
-		if bit := uint64(1) << uint(slot); s.slotMask[row]&bit == 0 {
-			s.slotMask[row] |= bit
-			s.rowOcc.set(row)
-			s.slotReq[row*s.groupSize+slot] = int32(i)
-		}
-	}
+	s.rows.raise(rs)
 
 	// Phase one: each occupied row's input arbiter picks one VC, and the
 	// candidate raises its row's line on the requested output's arbiter.
-	for wi, w := range s.rowOcc {
+	for wi, w := range s.rows.occ {
 		if w == 0 {
 			continue
 		}
-		s.rowOcc[wi] = 0
+		s.rows.occ[wi] = 0
 		for ; w != 0; w &= w - 1 {
 			row := wi<<6 + bits.TrailingZeros64(w)
-			slot := arb.Pick(s.slotMask[row], int(s.inPtr[row]))
-			s.slotMask[row] = 0
-			reqIdx := s.slotReq[row*s.groupSize+slot]
+			slot := arb.Pick(s.rows.mask[row], int(s.inPtr[row]))
+			s.rows.mask[row] = 0
+			reqIdx := s.rows.req[row*s.rows.groupSize+slot]
 			s.candidate[row] = reqIdx
 			out := rs.Requests[reqIdx].OutPort
 			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
@@ -152,7 +130,7 @@ func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
 			s.grants = append(s.grants, Grant{Req: reqIdx, OutPort: out, Row: row})
 			// iSLIP pointer update: both arbiters advance only on a grant.
 			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
-			s.inPtr[row] = int32(arb.Next(int(s.slotOf[rs.Requests[reqIdx].VC]), s.groupSize))
+			s.inPtr[row] = int32(arb.Next(int(s.rows.slotOf[rs.Requests[reqIdx].VC]), s.rows.groupSize))
 		}
 	}
 	return s.grants

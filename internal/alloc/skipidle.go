@@ -11,16 +11,16 @@ package alloc
 //
 // What an empty request set touches, per allocator:
 //
-//   - Round-robin arbiter pointers (arb.RoundRobin objects, or the
-//     plain pointer arrays arb.Pick reads) move only on an accepted
-//     grant, so every purely arbiter-backed allocator (if, if-age,
-//     islip, sparoflo, ideal, ap) is untouched by an idle cycle:
-//     SkipIdle is a no-op.
+//   - Round-robin arbiter pointers (the plain pointer arrays arb.Pick
+//     reads) move only on an accepted grant, and the request words are
+//     all-zero between calls, so every purely arbiter-backed allocator
+//     (if, if-age, islip, sparoflo, ideal, ap) is untouched by an idle
+//     cycle: SkipIdle is a no-op.
 //   - Wavefront rotates its priority diagonal unconditionally at the
 //     end of every Allocate: k idle cycles advance prio by k (mod n).
 //   - PacketChaining re-records "this cycle's connections" at the end of
 //     every Allocate, so the first idle cycle clears prevOut to -1 for
-//     all rows; further idle cycles change nothing (its chainVC pointers
+//     all rows; further idle cycles change nothing (its chainPtr pointers
 //     move only when a chain is taken, and its inner separable allocator
 //     is a no-op as above).
 //
@@ -42,27 +42,20 @@ type IdleSkipper interface {
 }
 
 // SkipIdle implements IdleSkipper: an idle cycle drives no arbitration
-// and no Ack, so it leaves no trace.
+// and moves no pointer, so it leaves no trace. Ideal and SeparableAge,
+// which run on the same state, inherit it.
 func (s *SeparableIF) SkipIdle(int) {}
 
-// SkipIdle implements IdleSkipper: age comparison and tie-break
-// arbitration only run over offered requests.
-func (s *SeparableAge) SkipIdle(int) {}
-
-// SkipIdle implements IdleSkipper: all three arbiter banks Ack only on
+// SkipIdle implements IdleSkipper: all three pointer banks move only on
 // accepted grants.
 func (s *ISLIP) SkipIdle(int) {}
 
 // SkipIdle implements IdleSkipper: input, output, and port-conflict
-// arbiters all Ack only along the grant path.
+// pointers all move only along the grant path.
 func (s *Sparoflo) SkipIdle(int) {}
 
-// SkipIdle implements IdleSkipper: the output arbiters Ack only on
-// grants.
-func (id *Ideal) SkipIdle(int) {}
-
 // SkipIdle implements IdleSkipper: the matching search visits only
-// offered requests and the VC arbiters Ack only on grants.
+// offered requests and the VC pointers move only on grants.
 func (a *AugmentingPath) SkipIdle(int) {}
 
 // SkipIdle implements IdleSkipper. Allocate rotates the priority
@@ -74,7 +67,7 @@ func (w *Wavefront) SkipIdle(cycles int) {
 
 // SkipIdle implements IdleSkipper. The first empty Allocate records an
 // empty connection set (prevOut all -1) and every subsequent one keeps
-// it; chainVC pointers and the inner separable allocator are untouched
+// it; chainPtr pointers and the inner separable allocator are untouched
 // by idle cycles.
 func (p *PacketChaining) SkipIdle(cycles int) {
 	for i := range p.prevOut {

@@ -1,6 +1,11 @@
 package alloc
 
-import "vix/internal/arb"
+import (
+	"fmt"
+	"math/bits"
+
+	"vix/internal/arb"
+)
 
 // Sparoflo approximates the SPAROFLO switch allocator of Kumar et al.
 // (ICCD 2007), discussed in the paper's related work: more than one
@@ -17,73 +22,66 @@ import "vix/internal/arb"
 // SPAROFLO <= VIX — is asserted by the test suite and measurable with
 // the ablation benchmarks.
 type Sparoflo struct {
-	cfg Config
+	ports int
 	// exposed is how many VC requests per input port are presented to
 	// output arbitration (SPAROFLO varies this with load; the model
 	// exposes up to two, matching its low/medium-load behaviour).
-	exposed    int
-	inputArbs  []arb.Arbiter // per port, over VCs: picks exposure order
-	outputArbs []arb.Arbiter // per output, over Ports*exposed candidates
-	portPick   []arb.Arbiter // per port, over outputs: resolves conflicts
+	exposed   int
+	lineWords int // words per output's mask over the Ports*exposed candidate lines
+	outWords  int // words per port's mask over the outputs
 
-	// scratch
-	perPort   [][]int // request indices by port
-	vcOf      [][]bool
-	vcReq     [][]int
-	avail     []bool
-	cands     []sparofloCand
-	outWinner []int // candidate index per output, -1 none
-	reqVec    []bool
-	byLine    []int
-	winsOf    [][]bool // per port: which outputs won it
-	hasWin    []bool
-	grants    []Grant
+	inPtr   []int32 // per port, over VCs: picks exposure order
+	outPtr  []int32 // per output, over candidate lines (port*exposed+lane)
+	portPtr []int32 // per port, over outputs: resolves conflicts
+
+	// All request words are all-zero between calls: rows is drained after
+	// exposure, the other two as their arbiters consume them.
+	rows     rowSlots // k = 1: a row is a port, a slot a VC
+	lineMask []uint64 // per output, lineWords each: candidate lines requesting it
+	outOcc   bitset   // outputs whose lineMask is non-zero
+	wins     []uint64 // per port, outWords each: outputs whose arbiter picked one of its VCs
+	portOcc  bitset   // ports whose wins is non-zero
+
+	lineReq []int32 // per candidate line: the request exposed there; valid where a lineMask has the bit
+	winner  []int32 // per output: the request its arbiter picked; valid where a wins has the bit
+	grants  []Grant
 }
 
-// sparofloCand is one VC request exposed to output arbitration.
-type sparofloCand struct {
-	reqIdx int
-	port   int
-	lane   int // exposure lane within the port
+// sparofloGeometry reports why cfg cannot carry SPAROFLO: it is defined
+// on the conventional crossbar, one row per input port.
+func sparofloGeometry(cfg Config) error {
+	if cfg.VirtualInputs != 1 {
+		return fmt.Errorf("alloc: sparoflo is defined on the conventional crossbar (VirtualInputs == 1), got %d", cfg.VirtualInputs)
+	}
+	return nil
 }
 
 // NewSparoflo returns a SPAROFLO-style allocator exposing up to two
-// requests per input port. It panics if cfg is invalid. SPAROFLO is
-// defined on the conventional crossbar; VirtualInputs is ignored for
-// grant geometry (grants always report the k=1 row mapping of cfg).
+// requests per input port. It panics if cfg is invalid or has virtual
+// inputs.
 func NewSparoflo(cfg Config) *Sparoflo {
 	mustValidate(cfg)
-	s := &Sparoflo{cfg: cfg, exposed: 2}
-	if cfg.VCs < 2 {
-		s.exposed = 1
+	must(sparofloGeometry(cfg))
+	exposed := min(2, cfg.VCs)
+	lineWords := (cfg.Ports*exposed + 63) / 64
+	outWords := (cfg.Ports + 63) / 64
+	return &Sparoflo{
+		ports:     cfg.Ports,
+		exposed:   exposed,
+		lineWords: lineWords,
+		outWords:  outWords,
+		inPtr:     make([]int32, cfg.Ports),
+		outPtr:    make([]int32, cfg.Ports),
+		portPtr:   make([]int32, cfg.Ports),
+		rows:      newRowSlots(cfg),
+		lineMask:  make([]uint64, cfg.Ports*lineWords),
+		outOcc:    newBitset(cfg.Ports),
+		wins:      make([]uint64, cfg.Ports*outWords),
+		portOcc:   newBitset(cfg.Ports),
+		lineReq:   make([]int32, cfg.Ports*exposed),
+		winner:    make([]int32, cfg.Ports),
+		grants:    make([]Grant, 0, cfg.Ports),
 	}
-	s.inputArbs = make([]arb.Arbiter, cfg.Ports)
-	s.portPick = make([]arb.Arbiter, cfg.Ports)
-	for i := range s.inputArbs {
-		s.inputArbs[i] = arb.NewRoundRobin(cfg.VCs)
-		s.portPick[i] = arb.NewRoundRobin(cfg.Ports)
-	}
-	s.outputArbs = make([]arb.Arbiter, cfg.Ports)
-	for i := range s.outputArbs {
-		s.outputArbs[i] = arb.NewRoundRobin(cfg.Ports * s.exposed)
-	}
-	s.perPort = make([][]int, cfg.Ports)
-	s.vcOf = make([][]bool, cfg.Ports)
-	s.vcReq = make([][]int, cfg.Ports)
-	s.winsOf = make([][]bool, cfg.Ports)
-	for p := 0; p < cfg.Ports; p++ {
-		s.vcOf[p] = make([]bool, cfg.VCs)
-		s.vcReq[p] = make([]int, cfg.VCs)
-		s.winsOf[p] = make([]bool, cfg.Ports)
-	}
-	s.avail = make([]bool, cfg.VCs)
-	s.cands = make([]sparofloCand, 0, cfg.Ports*s.exposed)
-	s.outWinner = make([]int, cfg.Ports)
-	s.reqVec = make([]bool, cfg.Ports*s.exposed)
-	s.byLine = make([]int, cfg.Ports*s.exposed)
-	s.hasWin = make([]bool, cfg.Ports)
-	s.grants = make([]Grant, 0, cfg.Ports)
-	return s
 }
 
 // Name implements Allocator.
@@ -91,107 +89,71 @@ func (s *Sparoflo) Name() string { return "sparoflo" }
 
 // Reset implements Allocator.
 func (s *Sparoflo) Reset() {
-	for _, a := range s.inputArbs {
-		a.Reset()
-	}
-	for _, a := range s.outputArbs {
-		a.Reset()
-	}
-	for _, a := range s.portPick {
-		a.Reset()
-	}
+	clear(s.inPtr)
+	clear(s.outPtr)
+	clear(s.portPtr)
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
-	ports := s.cfg.Ports
-	// Per port, select up to `exposed` candidate requests with the input
-	// arbiter (rotating priority across VCs).
-	for p := 0; p < ports; p++ {
-		s.perPort[p] = s.perPort[p][:0]
-		for v := 0; v < s.cfg.VCs; v++ {
-			s.vcOf[p][v] = false
-			s.vcReq[p][v] = -1
-		}
-	}
-	for idx, r := range rs.Requests {
-		if s.vcReq[r.Port][r.VC] < 0 {
-			s.vcOf[r.Port][r.VC] = true
-			s.vcReq[r.Port][r.VC] = idx
-			s.perPort[r.Port] = append(s.perPort[r.Port], idx)
-		}
-	}
-	s.cands = s.cands[:0]
-	for p := 0; p < ports; p++ {
-		copy(s.avail, s.vcOf[p])
-		for lane := 0; lane < s.exposed; lane++ {
-			vc := s.inputArbs[p].Arbitrate(s.avail)
-			if vc < 0 {
-				break
-			}
-			s.avail[vc] = false
-			s.cands = append(s.cands, sparofloCand{reqIdx: s.vcReq[p][vc], port: p, lane: lane})
-			if lane == 0 {
-				s.inputArbs[p].Ack(vc)
+	// Per port, expose up to `exposed` requests in the input arbiter's
+	// rotating order across VCs; each raises its line on the requested
+	// output's arbiter. Only the first lane's pick moves the pointer, and
+	// it does so before the second lane arbitrates.
+	s.rows.raise(rs)
+	vcs := s.rows.groupSize
+	for wi, w := range s.rows.occ {
+		for ; w != 0; w &= w - 1 {
+			p := wi<<6 + bits.TrailingZeros64(w)
+			offered := s.rows.mask[p]
+			for lane := 0; lane < s.exposed && offered != 0; lane++ {
+				vc := arb.Pick(offered, int(s.inPtr[p]))
+				offered &^= 1 << uint(vc)
+				if lane == 0 {
+					s.inPtr[p] = int32(arb.Next(vc, vcs))
+				}
+				line := p*s.exposed + lane
+				reqIdx := s.rows.req[p*vcs+vc]
+				s.lineReq[line] = reqIdx
+				out := rs.Requests[reqIdx].OutPort
+				s.lineMask[out*s.lineWords+line>>6] |= 1 << uint(line&63)
+				s.outOcc.set(out)
 			}
 		}
 	}
+	s.rows.drain()
 
 	// Output arbitration over the exposed candidates.
-	line := func(c sparofloCand) int { return c.port*s.exposed + c.lane }
-	for out := range s.outWinner {
-		s.outWinner[out] = -1
-	}
-	for out := 0; out < ports; out++ {
-		for i := range s.reqVec {
-			s.reqVec[i] = false
-			s.byLine[i] = -1
+	for wi, w := range s.outOcc {
+		s.outOcc[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			out := wi<<6 + bits.TrailingZeros64(w)
+			mask := s.lineMask[out*s.lineWords : (out+1)*s.lineWords]
+			line := arb.PickWords(mask, int(s.outPtr[out]))
+			clear(mask)
+			s.outPtr[out] = int32(arb.Next(line, s.ports*s.exposed))
+			s.winner[out] = s.lineReq[line]
+			p := line / s.exposed
+			s.wins[p*s.outWords+out>>6] |= 1 << uint(out&63)
+			s.portOcc.set(p)
 		}
-		any := false
-		for ci, c := range s.cands {
-			if rs.Requests[c.reqIdx].OutPort != out {
-				continue
-			}
-			s.reqVec[line(c)] = true
-			s.byLine[line(c)] = ci
-			any = true
-		}
-		if !any {
-			continue
-		}
-		l := s.outputArbs[out].Arbitrate(s.reqVec)
-		s.outWinner[out] = s.byLine[l]
-		s.outputArbs[out].Ack(l)
 	}
 
 	// Conflict detection: multiple outputs may have picked VCs of the
 	// same input port; only one can use the port's single crossbar
 	// input. The port's rotating priority chooses which grant survives.
-	for p := 0; p < ports; p++ {
-		s.hasWin[p] = false
-		for out := range s.winsOf[p] {
-			s.winsOf[p][out] = false
-		}
-	}
-	for out, ci := range s.outWinner {
-		if ci < 0 {
-			continue
-		}
-		p := s.cands[ci].port
-		s.winsOf[p][out] = true
-		s.hasWin[p] = true
-	}
 	s.grants = s.grants[:0]
-	for p := 0; p < ports; p++ {
-		if !s.hasWin[p] {
-			continue
+	for wi, w := range s.portOcc {
+		s.portOcc[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			p := wi<<6 + bits.TrailingZeros64(w)
+			won := s.wins[p*s.outWords : (p+1)*s.outWords]
+			out := arb.PickWords(won, int(s.portPtr[p]))
+			clear(won)
+			s.portPtr[p] = int32(arb.Next(out, s.ports))
+			s.grants = append(s.grants, Grant{Req: int(s.winner[out]), OutPort: out, Row: p})
 		}
-		out := s.portPick[p].Arbitrate(s.winsOf[p])
-		s.portPick[p].Ack(out)
-		idx := s.cands[s.outWinner[out]].reqIdx
-		r := rs.Requests[idx]
-		s.grants = append(s.grants, Grant{Req: idx, OutPort: out, Row: rs.Config.Row(r.Port, r.VC)})
 	}
 	return s.grants
 }

@@ -1,17 +1,18 @@
-// Package arb implements the arbiter primitives used by NoC switch and
-// virtual-channel allocators: programmable-priority round-robin arbiters
-// and matrix (least-recently-granted) arbiters.
+// Package arb implements the arbiter primitive used by NoC switch
+// allocators: the programmable-priority round-robin arbiter.
 //
-// Arbiters separate the combinational decision (Arbitrate) from the
-// priority-state update (Ack). Separable allocators in the iSLIP style
-// update an arbiter's priority only when its choice results in an actual
-// grant, which is why the two steps are distinct: an input arbiter whose
-// winning virtual channel subsequently loses output arbitration must keep
-// its pointer so the same VC retains priority next cycle.
+// An arbiter separates the combinational decision from the priority-state
+// update. Separable allocators in the iSLIP style update an arbiter's
+// priority only when its choice results in an actual grant, which is why
+// the two steps are distinct: an input arbiter whose winning virtual
+// channel subsequently loses output arbitration must keep its pointer so
+// the same VC retains priority next cycle.
 //
-// Pick, PickWords and Next are the same round-robin decision and update
-// over request lines packed into words, for allocators that keep their
-// arbiters as bare pointers.
+// Pick, PickWords and Next are that decision and update over request
+// lines packed into words, and are what every allocator in internal/alloc
+// runs on: an arbiter there is a bare pointer, a request vector a word.
+// Arbiter and RoundRobin state the same behaviour over a []bool vector —
+// the executable specification the tests of both packages hold Pick to.
 package arb
 
 import "math/bits"
@@ -131,78 +132,4 @@ func Next(winner, n int) int {
 		return 0
 	}
 	return winner + 1
-}
-
-// Matrix is a least-recently-granted arbiter. It maintains a triangular
-// priority matrix where prio[i][j] means requestor i beats requestor j.
-// When a grant is acknowledged the winner's priority drops below everyone
-// else's, which yields strong fairness (each requestor is served before
-// any other requestor is served twice).
-type Matrix struct {
-	n    int
-	prio [][]bool
-}
-
-// NewMatrix returns a matrix arbiter over n requestors. It panics if
-// n <= 0.
-func NewMatrix(n int) *Matrix {
-	m := &Matrix{n: n}
-	if n <= 0 {
-		panic("arb: NewMatrix with non-positive size")
-	}
-	m.prio = make([][]bool, n)
-	for i := range m.prio {
-		m.prio[i] = make([]bool, n)
-	}
-	m.Reset()
-	return m
-}
-
-// Size returns the number of requestors.
-func (m *Matrix) Size() int { return m.n }
-
-// Reset restores the initial priority order 0 > 1 > ... > n-1.
-func (m *Matrix) Reset() {
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			m.prio[i][j] = i < j
-		}
-	}
-}
-
-// Arbitrate returns the requestor that beats all other requestors, or -1
-// if req is all false.
-func (m *Matrix) Arbitrate(req []bool) int {
-	if len(req) != m.n {
-		panic("arb: request vector size mismatch")
-	}
-	for i := 0; i < m.n; i++ {
-		if !req[i] {
-			continue
-		}
-		wins := true
-		for j := 0; j < m.n; j++ {
-			if j != i && req[j] && !m.prio[i][j] {
-				wins = false
-				break
-			}
-		}
-		if wins {
-			return i
-		}
-	}
-	return -1
-}
-
-// Ack lowers the winner's priority below all other requestors.
-func (m *Matrix) Ack(winner int) {
-	if winner < 0 || winner >= m.n {
-		panic("arb: Ack winner out of range")
-	}
-	for j := 0; j < m.n; j++ {
-		if j != winner {
-			m.prio[winner][j] = false
-			m.prio[j][winner] = true
-		}
-	}
 }

@@ -11,7 +11,6 @@ import (
 func newArbiters(n int) map[string]Arbiter {
 	return map[string]Arbiter{
 		"roundrobin": NewRoundRobin(n),
-		"matrix":     NewMatrix(n),
 	}
 }
 
@@ -140,49 +139,6 @@ func TestFairnessUnderFullContention(t *testing.T) {
 	}
 }
 
-// Matrix arbiter: after a grant, the winner loses to every other requestor.
-func TestMatrixLeastRecentlyGranted(t *testing.T) {
-	a := NewMatrix(3)
-	req := []bool{true, true, true}
-	w0 := a.Arbitrate(req)
-	a.Ack(w0)
-	w1 := a.Arbitrate(req)
-	if w1 == w0 {
-		t.Fatal("matrix arbiter granted same requestor twice under contention")
-	}
-	a.Ack(w1)
-	w2 := a.Arbitrate(req)
-	if w2 == w0 || w2 == w1 {
-		t.Fatal("matrix arbiter did not serve all three before repeating")
-	}
-}
-
-// Matrix arbiter fairness property: between two consecutive grants to
-// requestor i, no other persistent requestor is granted twice.
-func TestMatrixStrongFairness(t *testing.T) {
-	const n = 5
-	a := NewMatrix(n)
-	req := make([]bool, n)
-	for i := range req {
-		req[i] = true
-	}
-	lastGrant := make([]int, n)
-	for i := range lastGrant {
-		lastGrant[i] = -1
-	}
-	for step := 0; step < 200; step++ {
-		w := a.Arbitrate(req)
-		if lastGrant[w] >= 0 {
-			gap := step - lastGrant[w]
-			if gap > n {
-				t.Fatalf("requestor %d waited %d steps between grants", w, gap)
-			}
-		}
-		lastGrant[w] = step
-		a.Ack(w)
-	}
-}
-
 func TestResetRestoresInitialBehaviour(t *testing.T) {
 	for name, a := range newArbiters(4) {
 		req := []bool{true, true, true, true}
@@ -207,7 +163,7 @@ func TestSizeAccessor(t *testing.T) {
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){ // each must panic
 		func() { NewRoundRobin(0) },
-		func() { NewMatrix(-1) },
+		func() { NewRoundRobin(-1) },
 	} {
 		func() {
 			defer func() {
