@@ -11,9 +11,8 @@ vet:
 	go vet ./...
 
 # The static-analysis gate: vet, gofmt cleanliness, and one run of the
-# repo's own vixlint pass (determinism including transitive reach,
-# allocator contracts, scratch escape, enum exhaustiveness, hygiene, and
-# the parallel/* shard-ownership rules — see internal/lint). One serial
+# repo's own vixlint pass (determinism, enum exhaustiveness, hygiene,
+# and the parallel/* shard-ownership rules — see internal/lint). One serial
 # pass, ~2 s, nothing cached, nothing written. The lint self-check test
 # enforces the same rules under plain `go test ./...`.
 lint: vet

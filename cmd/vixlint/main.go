@@ -1,15 +1,11 @@
 // Command vixlint runs the simulator's static-analysis pass over the
 // whole module, once, on one goroutine: determinism rules (no wall
 // clock, no global rand, no goroutines, no order-leaking map iteration
-// in internal/, and no exported entry point transitively reaching any
-// of those), allocator contracts (registry completeness, read-only
-// RequestSets, Kind/Name agreement, scratch ownership), scratch-escape
-// rules (Allocate results must not be stored or used across a later
-// Allocate/Reset), exhaustiveness of enum switches, hygiene rules (no
+// in internal/), exhaustiveness of enum switches, hygiene rules (no
 // printing or anonymous panics in library code, networks closed in
 // cmd/), shard ownership of sim.Pool jobs, and waiver/directive
 // hygiene. See internal/lint for the rule catalogue and the
-// //vixlint:ordered, //vixlint:alloc and //vixlint:shared waiver syntax.
+// //vixlint:ordered and //vixlint:shared waiver syntax.
 //
 // Usage:
 //

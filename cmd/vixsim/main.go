@@ -16,7 +16,9 @@ import (
 	"log"
 	"os"
 
+	"vix/internal/alloc"
 	"vix/internal/config"
+	"vix/internal/traffic"
 )
 
 // flagForField maps a spec's JSON field path to the CLI flag that sets
@@ -47,13 +49,13 @@ func main() {
 	var (
 		configPath = flag.String("config", "", "JSON experiment file (overrides the other flags)")
 		topoName   = flag.String("topo", "mesh", "topology: mesh, torus, cmesh, or fbfly")
-		allocStr   = flag.String("alloc", "if", "allocator: if, wavefront, ap, pc, ideal, islip, or sparoflo")
+		allocStr   = flag.String("alloc", "if", fmt.Sprintf("allocator, one of %v", alloc.Kinds()))
 		k          = flag.Int("k", 1, "virtual inputs per port (1 = baseline, 2 = VIX)")
 		vcs        = flag.Int("vcs", 6, "virtual channels per port")
 		depth      = flag.Int("depth", 5, "buffer depth per VC in flits")
 		policy     = flag.String("policy", "", "VC assignment policy: maxfree, dimension, balanced (default: balanced when k > 1)")
 		partition  = flag.String("partition", "contiguous", "VC sub-group partition: contiguous or interleaved")
-		pattern    = flag.String("pattern", "uniform", "traffic: uniform, transpose, bitcomp, bitrev, tornado, hotspot")
+		pattern    = flag.String("pattern", "uniform", fmt.Sprintf("traffic pattern, one of %v", traffic.Names()))
 		rate       = flag.Float64("rate", 0.05, "injection rate in packets/cycle/node")
 		maxInj     = flag.Bool("max", false, "saturate every source (ignore -rate)")
 		pktSize    = flag.Int("pkt", 4, "packet size in flits")

@@ -184,7 +184,7 @@ type Allocator interface {
 	// callers that retain grants across cycles must copy them out. In
 	// exchange, a warmed-up allocator performs zero heap allocations per
 	// cycle — all working buffers are sized from Config at construction
-	// (the contracts/scratch vixlint rule pins this down).
+	// (TestAllocateZeroAllocsSteadyState pins this down for every kind).
 	Allocate(rs *RequestSet) []Grant
 	// Reset restores initial arbiter state and clears history.
 	Reset()

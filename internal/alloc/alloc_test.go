@@ -458,16 +458,29 @@ func TestSingleGeometryKinds(t *testing.T) {
 	}
 }
 
+// TestRegistry walks the registry table: every listed kind is Known,
+// constructible on its geometry, and reports its own kind as Name() —
+// the string result tables are keyed on.
 func TestRegistry(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	for _, kind := range []Kind{KindSeparableIF, KindWavefront, KindAugmentingPath, KindPacketChaining} {
-		a, err := New(kind, cfg)
+	for _, kind := range Kinds() {
+		c := cfg
+		switch kind {
+		case KindIdeal:
+			c.VirtualInputs = c.VCs
+		case KindSparoflo:
+			c.VirtualInputs = 1
+		}
+		if !Known(kind) {
+			t.Errorf("Kinds() lists %q but Known rejects it", kind)
+		}
+		a, err := New(kind, c)
 		if err != nil {
 			t.Errorf("New(%s) failed: %v", kind, err)
 			continue
 		}
-		if a.Name() == "" {
-			t.Errorf("New(%s) has empty name", kind)
+		if a.Name() != string(kind) {
+			t.Errorf("New(%s).Name() = %q, want the kind's own string", kind, a.Name())
 		}
 	}
 	if _, err := New(KindIdeal, cfg); err == nil {

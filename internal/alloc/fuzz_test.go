@@ -15,8 +15,9 @@ import (
 //  1. legality — every grant set passes alloc.Validate;
 //  2. determinism — two runs from Reset() with identical inputs produce
 //     byte-identical grant sequences;
-//  3. purity — Allocate never mutates the caller's RequestSet (the
-//     runtime twin of the static contracts/mutate rule in vixlint).
+//  3. purity — Allocate never mutates the caller's RequestSet. Nothing
+//     checks this statically: the seed corpus replayed by every
+//     `go test` is the gate.
 //
 // All randomness flows through sim.RNG, so any failing input is exactly
 // reproducible from the fuzz corpus entry.

@@ -36,24 +36,65 @@ const (
 	KindSeparableAge Kind = "if-age"
 )
 
+// builtins is the registry: one row per built-in kind, in evaluation
+// order. Kinds, Known, New and Register all read it, so a kind is listed
+// exactly when it is constructible, and adding a comparison point is one
+// row here plus a green FuzzAllocate and TestRegistry (which holds Name()
+// to the row's kind).
+var builtins = []struct {
+	kind Kind
+	new  func(Config) (Allocator, error)
+}{
+	{KindSeparableIF, constructor(nil, NewSeparableIF)},
+	{KindWavefront, constructor(nil, NewWavefront)},
+	{KindAugmentingPath, constructor(nil, NewAugmentingPath)},
+	{KindPacketChaining, constructor(nil, NewPacketChaining)},
+	{KindIdeal, constructor(idealGeometry, NewIdeal)},
+	{KindISLIP, constructor(nil, func(cfg Config) *ISLIP { return NewISLIP(cfg, 2) })},
+	{KindSparoflo, constructor(sparofloGeometry, NewSparoflo)},
+	{KindSeparableAge, constructor(nil, NewSeparableAge)},
+}
+
+// constructor adapts an exported NewX, which panics on a Config it
+// cannot carry, to a registry row's constructor: a valid cfg that fails
+// the kind's geometry check (nil: every valid Config will do) comes back
+// as that check's error instead.
+func constructor[A Allocator](geometry func(Config) error, build func(Config) A) func(Config) (Allocator, error) {
+	return func(cfg Config) (Allocator, error) {
+		if geometry != nil {
+			if err := geometry(cfg); err != nil {
+				return nil, err
+			}
+		}
+		return build(cfg), nil
+	}
+}
+
+// builtin returns kind's row constructor, or nil if kind is not built in.
+func builtin(kind Kind) func(Config) (Allocator, error) {
+	for _, b := range builtins {
+		if b.kind == kind {
+			return b.new
+		}
+	}
+	return nil
+}
+
 // Kinds lists all supported built-in allocator kinds in evaluation order.
 func Kinds() []Kind {
-	return []Kind{KindSeparableIF, KindWavefront, KindAugmentingPath, KindPacketChaining, KindIdeal, KindISLIP, KindSparoflo, KindSeparableAge}
+	kinds := make([]Kind, len(builtins))
+	for i, b := range builtins {
+		kinds[i] = b.kind
+	}
+	return kinds
 }
 
 // Known reports whether kind names a built-in or registered allocator.
 // It is the validation predicate spec checkers use to reject typos
 // before a configuration ever reaches New.
 func Known(kind Kind) bool {
-	if _, ok := custom[kind]; ok {
-		return true
-	}
-	for _, k := range Kinds() {
-		if k == kind {
-			return true
-		}
-	}
-	return false
+	_, registered := custom[kind]
+	return registered || builtin(kind) != nil
 }
 
 // custom holds user-registered allocator factories (see Register).
@@ -68,10 +109,8 @@ func Register(kind Kind, factory func(Config) (Allocator, error)) error {
 	if factory == nil {
 		return fmt.Errorf("alloc: nil factory for %q", kind)
 	}
-	for _, k := range Kinds() {
-		if k == kind {
-			return fmt.Errorf("alloc: cannot override built-in kind %q", kind)
-		}
+	if builtin(kind) != nil {
+		return fmt.Errorf("alloc: cannot override built-in kind %q", kind)
 	}
 	if _, dup := custom[kind]; dup {
 		return fmt.Errorf("alloc: kind %q already registered", kind)
@@ -88,32 +127,10 @@ func New(kind Kind, cfg Config) (Allocator, error) {
 	if factory, ok := custom[kind]; ok {
 		return factory(cfg)
 	}
-	switch kind {
-	case KindSeparableIF:
-		return NewSeparableIF(cfg), nil
-	case KindWavefront:
-		return NewWavefront(cfg), nil
-	case KindAugmentingPath:
-		return NewAugmentingPath(cfg), nil
-	case KindPacketChaining:
-		return NewPacketChaining(cfg), nil
-	case KindIdeal:
-		if err := idealGeometry(cfg); err != nil {
-			return nil, err
-		}
-		return NewIdeal(cfg), nil
-	case KindISLIP:
-		return NewISLIP(cfg, 2), nil
-	case KindSeparableAge:
-		return NewSeparableAge(cfg), nil
-	case KindSparoflo:
-		if err := sparofloGeometry(cfg); err != nil {
-			return nil, err
-		}
-		return NewSparoflo(cfg), nil
-	default:
-		return nil, fmt.Errorf("alloc: unknown allocator kind %q", kind)
+	if build := builtin(kind); build != nil {
+		return build(cfg)
 	}
+	return nil, fmt.Errorf("alloc: unknown allocator kind %q", kind)
 }
 
 // MustNew is New but panics on error; for tests and examples.

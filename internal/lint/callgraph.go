@@ -7,10 +7,11 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide static call graph the inter-procedural
-// passes (taint propagation, the self-check probes) run over. Nodes are
-// the module's declared functions and methods with bodies; edges come
-// from three resolution strategies, in decreasing order of precision:
+// This file builds the module-wide static call graph the write-effect
+// and shard-ownership passes (writeset.go, shardown.go) run over. Nodes
+// are the module's declared functions and methods with bodies; edges
+// come from three resolution strategies, in decreasing order of
+// precision:
 //
 //   - direct calls: `f(...)` and `pkg.F(...)` resolve through the type
 //     checker's Uses map to the callee's canonical *types.Func;
@@ -26,18 +27,15 @@ import (
 //     is identical to the call's (again an over-approximation).
 //
 // Function literals are folded into their enclosing declaration: a
-// closure's calls become the enclosing function's edges, and (in
-// taint.go) a closure's determinism sources become the enclosing
-// function's sources. Creating a clock-reading closure taints the
-// creator, which is the conservative direction.
+// closure's calls become the enclosing function's edges, which is the
+// conservative direction.
 //
 // Method values (`x.M` referenced without calling) are not treated as
 // address-taken: resolving them requires binding a receiver, and no
 // simulation code passes bound methods across packages. The limitation
 // is documented in DESIGN.md section 11. The shard-ownership pass
 // (shardown.go) keeps its own method-value collection for resolving
-// sim.Pool job values — that set never feeds general graph edges, so
-// taint semantics are unchanged.
+// sim.Pool job values — that set never feeds general graph edges.
 
 // cgNode is one function or method declaration in the call graph.
 type cgNode struct {
@@ -57,8 +55,6 @@ type callGraph struct {
 	// order). All iteration happens over this slice, never over the map.
 	funcs []*types.Func
 	nodes map[*types.Func]*cgNode
-	// callers is the reverse adjacency, built after all edges resolve.
-	callers map[*types.Func][]*types.Func
 	// taken and resolver are retained after construction so later passes
 	// (write effects, shard ownership) resolve call sites with exactly
 	// the same strategy resolveEdges used.
@@ -71,11 +67,7 @@ type callGraph struct {
 
 // buildCallGraph constructs the graph for every package of mod.
 func buildCallGraph(mod *Module) *callGraph {
-	g := &callGraph{
-		mod:     mod,
-		nodes:   make(map[*types.Func]*cgNode),
-		callers: make(map[*types.Func][]*types.Func),
-	}
+	g := &callGraph{mod: mod, nodes: make(map[*types.Func]*cgNode)}
 	for _, pkg := range mod.Packages() {
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
@@ -96,11 +88,6 @@ func buildCallGraph(mod *Module) *callGraph {
 	g.resolver = &ifaceResolver{graph: g, cache: make(map[*types.Func][]*types.Func)}
 	for _, fn := range g.funcs {
 		g.resolveEdges(g.nodes[fn])
-	}
-	for _, fn := range g.funcs {
-		for _, callee := range g.nodes[fn].callees {
-			g.callers[callee] = append(g.callers[callee], fn)
-		}
 	}
 	return g
 }

@@ -88,34 +88,21 @@ var timeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 // consulted, so waiver usage tracking (the stale-waiver sweep) stays
 // accurate.
 func (c *checker) checkTimeCall(fs *[]Finding, file *ast.File, sel *ast.SelectorExpr) {
-	name, ok := c.timeCall(sel)
-	if !ok {
-		// AST-only fallback when type information is missing.
-		if _, typed := c.pkg.Info.Uses[sel.Sel]; typed || !timeFuncs[sel.Sel.Name] ||
-			!selectsPackage(c.pkg, file, sel, "time") {
+	if !timeFuncs[sel.Sel.Name] {
+		return
+	}
+	if obj, typed := c.pkg.Info.Uses[sel.Sel]; typed {
+		if fn, ok := obj.(*types.Func); !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 			return
 		}
-		name = sel.Sel.Name
+	} else if !selectsPackage(c.pkg, file, sel, "time") {
+		return // AST-only fallback when type information is missing
 	}
 	if c.waived(sel.Pos()) {
 		return
 	}
 	c.report(fs, sel.Pos(), "determinism/time",
-		"call to time.%s: simulation code must use cycle counts, not the wall clock", name)
-}
-
-// timeCall reports whether sel is a reference to one of the forbidden
-// wall-clock reads, using type information only (the inter-procedural
-// passes have no per-file context for the AST fallback).
-func (c *checker) timeCall(sel *ast.SelectorExpr) (string, bool) {
-	if !timeFuncs[sel.Sel.Name] {
-		return "", false
-	}
-	fn, ok := c.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-		return "", false
-	}
-	return sel.Sel.Name, true
+		"call to time.%s: simulation code must use cycle counts, not the wall clock", sel.Sel.Name)
 }
 
 // selectsPackage reports whether sel's receiver is an identifier bound to
@@ -147,28 +134,20 @@ func selectsPackage(pkg *Package, file *ast.File, sel *ast.SelectorExpr, path st
 // only reads or fills loop-local scratch; it is a reproducibility bug the
 // moment visit order can reach results.
 func (c *checker) checkMapRange(fs *[]Finding, rng *ast.RangeStmt) {
-	write := c.mapRangeViolation(rng)
+	tv, ok := c.pkg.Info.Types[rng.X]
+	if !ok || tv.Type == nil {
+		return // no type info; cannot tell maps from slices
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return
+	}
+	write := c.findNonLocalWrite(rng)
 	if write == nil || c.waived(rng.Pos()) {
 		return
 	}
 	c.report(fs, rng.Pos(), "determinism/maprange",
 		"map iteration order is randomised but the loop body writes to non-local state (line %d); sort the keys first or add a //vixlint:ordered waiver",
 		c.mod.Fset.Position(write.Pos()).Line)
-}
-
-// mapRangeViolation returns the first order-leaking write of a map range
-// (a write to state declared outside the loop), or nil when rng is not a
-// map range or only touches loop-local state. The waiver is deliberately
-// not consulted here.
-func (c *checker) mapRangeViolation(rng *ast.RangeStmt) ast.Node {
-	tv, ok := c.pkg.Info.Types[rng.X]
-	if !ok || tv.Type == nil {
-		return nil // no type info; cannot tell maps from slices
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return nil
-	}
-	return c.findNonLocalWrite(rng)
 }
 
 // findNonLocalWrite returns the first statement in the range body that

@@ -10,7 +10,7 @@ import (
 // Waiver collection (lint.go) goes through classifyDirective, so a typo
 // like //vixlint:orderedjunk or //vixlint:shred cannot silently parse as
 // (or silently fail to be) the waiver it meant to carry. Unrecognised
-// directives — the retired hot and state markers included — are
+// directives — the retired hot, state and alloc markers included — are
 // reported by rule directive/unknown instead of being ignored.
 
 // directivePrefix introduces every vixlint comment directive.
@@ -20,14 +20,13 @@ const directivePrefix = "//vixlint:"
 // it waives.
 var knownDirectives = map[string]string{
 	"ordered": "waives determinism findings",
-	"alloc":   "waives contracts/scratch",
 	"shared":  "waives parallel/sharedwrite and parallel/phase",
 }
 
 // classifyDirective parses a comment's text as a vixlint directive. ok
 // is false when the comment does not start with the //vixlint: prefix
 // at all. When ok is true, name is the recognised directive ("ordered",
-// "alloc", ...) and rest is the trimmed argument text; a comment that
+// "shared") and rest is the trimmed argument text; a comment that
 // carries the prefix but not a known, whitespace-delimited name returns
 // name == "" with the offending token in rest — the caller reports it
 // (rule directive/unknown) rather than accepting it silently.

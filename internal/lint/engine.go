@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"go/ast"
-	"go/types"
 	"sort"
 
 	"vix/internal/sim"
@@ -12,21 +10,20 @@ import (
 // the one serial pass over it.
 //
 // Analysis runs in two phases on the calling goroutine. The source
-// phase builds one checker per package, runs the determinism family
-// (whose site checks double as taint-source collection), then builds
-// the call graph, propagates taint and runs the shard-ownership pass.
-// The package phase runs everything else — hygiene, contracts, scratch,
-// escape, exhaustiveness, reach, waiver hygiene — one package at a time
-// in canonical (import path) order. Findings are sorted before they are
-// returned, so the output depends on the source alone.
+// phase builds one checker per package, then the call graph, the
+// write-effect summaries and the shard-ownership pass — the one analysis
+// that spans packages. The package phase runs everything else —
+// determinism, hygiene, exhaustiveness, directive and waiver hygiene —
+// one package at a time in canonical (import path) order. Findings are
+// sorted before they are returned, so the output depends on the source
+// alone.
 
 // Analysis is the module-wide analysis state: parsed packages, the call
-// graph, propagated determinism taint, and one checker per package.
-// Construct it with NewAnalysis; all state is read-only afterwards.
+// graph, write-effect summaries, and one checker per package. Construct
+// it with NewAnalysis; all state is read-only afterwards.
 type Analysis struct {
 	mod      *Module
 	graph    *callGraph
-	taint    *taintResult
 	writes   *writeAnalysis
 	checkers map[string]*checker
 	// shardFindings holds the parallel/sharedwrite and parallel/phase
@@ -35,59 +32,35 @@ type Analysis struct {
 	shardFindings map[string][]Finding
 }
 
-// NewAnalysis runs the source phase over mod: direct determinism
-// findings, taint-source collection, call-graph construction, taint
-// propagation, and the write-effect and shard-ownership passes.
+// NewAnalysis runs the source phase over mod: call-graph construction
+// and the write-effect and shard-ownership passes.
 func NewAnalysis(mod *Module) *Analysis {
 	a := &Analysis{mod: mod, checkers: make(map[string]*checker)}
-	var sources []taintSource
 	for _, pkg := range mod.Packages() {
-		c := newChecker(mod, pkg)
-		a.checkers[pkg.Path] = c
-		if !isInternal(pkg.Path) {
-			continue
-		}
-		c.early = c.determinism()
-		c.eachFunc(func(_ *ast.File, fd *ast.FuncDecl) {
-			if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				sources = append(sources, c.collectTaintSources(fn, fd)...)
-			}
-		})
+		a.checkers[pkg.Path] = newChecker(mod, pkg)
 	}
 	a.graph = buildCallGraph(mod)
-	a.taint = propagateTaint(a.graph, sources)
 	a.writes = computeWriteEffects(mod, a.graph)
 	a.shardFindings = analyzeShardOwnership(a)
 	return a
 }
 
 // checkPackage runs the package-phase analyzers for one package and
-// returns its findings (including the source-phase determinism findings
-// held by the checker).
+// returns its findings.
 func (a *Analysis) checkPackage(path string) []Finding {
 	c := a.checkers[path]
 	if c == nil {
 		return nil
 	}
-	fs := append([]Finding(nil), c.early...)
+	var fs []Finding
 	if isInternal(c.pkg.Path) {
+		fs = append(fs, c.determinism()...)
 		fs = append(fs, c.hygiene()...)
-		fs = append(fs, c.reach(a)...)
 		fs = append(fs, c.exhaustive()...)
 	}
 	if isCmdPath(c.pkg.Path) {
 		fs = append(fs, c.closeHygiene()...)
 	}
-	if isAllocPackage(c.pkg) {
-		fs = append(fs, c.contracts()...)
-		fs = append(fs, c.scratch()...)
-	}
-	if !isAllocPath(c.pkg.Path) {
-		// The alloc registries implement Allocate; binding its result to
-		// scratch fields there is the contract, not a violation.
-		fs = append(fs, c.escape()...)
-	}
-	fs = append(fs, c.mutations()...)
 	fs = append(fs, c.directiveFindings()...)
 	fs = append(fs, a.shardFindings[path]...)
 	// Last: every waiver-consulting pass for this package has run, so
@@ -142,18 +115,6 @@ func (a *Analysis) FuncWrites(pkgPath, name string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Reaches reports whether the named function can transitively reach a
-// determinism source of the given kind ("time", "rand", "goroutine",
-// "maprange"). A source inside the function itself counts.
-func (a *Analysis) Reaches(pkgPath, name, kind string) bool {
-	node := a.graph.lookupFunc(pkgPath, name)
-	if node == nil {
-		return false
-	}
-	_, ok := a.taint.reach[node.fn][kind]
-	return ok
 }
 
 // Check loads the module rooted at root and runs every analyzer family

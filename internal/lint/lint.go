@@ -1,13 +1,11 @@
 // Package lint implements vixlint, the simulator's own static-analysis
 // pass. It is built from scratch on the standard library's go/parser,
 // go/ast, go/token and go/types packages (no golang.org/x/tools) and
-// enforces the invariants the simulator's reproducibility story depends
-// on. Analysis is inter-procedural: a module-wide call graph (direct
-// calls, interface dispatch via method sets, indirect calls through
-// address-taken func values) carries determinism taint from violation
-// sites to the entry points that can reach them. The analyzer families
-// below run over every non-test package of the module, in one serial
-// pass:
+// keeps only the rules nothing cheaper enforces: what the compiler, the
+// allocator registry table or a runtime test already fails is not
+// re-derived statically here (DESIGN.md §8 lists those). The analyzer
+// families below run over every non-test package of the module, in one
+// serial pass:
 //
 // Determinism (internal/* only). Every experiment must be exactly
 // reproducible from a seed, with all randomness flowing through sim.RNG:
@@ -24,45 +22,13 @@
 //   - determinism/maprange: no for-range over a map whose body writes to
 //     state declared outside the loop; Go randomises map iteration order
 //     per run, so such writes leak nondeterminism into results.
-//   - determinism/reach: no exported function or method of an internal
-//     package may transitively reach an unwaived violation site of the
-//     kinds above through any chain of calls (see taint.go). Waivers and
-//     the ConcurrencyAllowlist propagate along call edges: a waived site
-//     taints nobody.
 //
-// A determinism finding on a line carrying (or immediately preceded by) a
-// "//vixlint:ordered <justification>" comment is waived; the
+// Each rule reports the violation site itself, in whatever function it
+// sits; callers are not re-reported. A determinism finding on a line
+// carrying (or immediately preceded by) a "//vixlint:ordered
+// <justification>" comment is waived — the waiver is consulted once, at
+// the reported site (the import line for determinism/rand); the
 // justification text is mandatory (rule determinism/waiver).
-//
-// Allocator contracts (packages named alloc under internal/):
-//
-//   - contracts/registry: every Kind constant must appear in the Kinds()
-//     list and have a constructor case in New.
-//   - contracts/impl: the concrete type New constructs for a Kind must
-//     implement Allocator.
-//   - contracts/name: that type's Name method must return a single string
-//     constant equal to the Kind's value.
-//   - contracts/mutate: no function taking a *RequestSet parameter may
-//     mutate the set through it — no assigning to rs.Requests or its
-//     elements, no append(rs.Requests, ...), no sorting it in place.
-//     RequestSets are owned by the caller and reused across allocators;
-//     mutation corrupts every comparison downstream.
-//   - contracts/scratch: Allocate implementations must not make a fresh
-//     []Grant inside the method body. The Allocate contract returns
-//     allocator-owned scratch (valid until the next Allocate or Reset
-//     call), sized from Config at construction, so the steady-state
-//     cycle loop performs zero heap allocations. A justified
-//     "//vixlint:alloc <justification>" comment waives the rule
-//     (rule contracts/waiver polices empty justifications).
-//
-// Scratch escape (all packages except the alloc registries; see
-// escape.go): the []Grant returned by Allocate is allocator-owned
-// scratch.
-//
-//   - escape/store: grants must not be stored into struct fields,
-//     package-level variables, composite literals, or channels.
-//   - escape/retain: grants bound before a later Allocate or Reset call
-//     on the same allocator must not be used after it.
 //
 // Exhaustiveness (internal/* only; see exhaustive.go):
 //
@@ -87,8 +53,9 @@
 // Shard ownership (every sim.Pool.Do site; see writeset.go and
 // shardown.go): a write-effect analysis summarises what each function
 // writes through references — (root, path) pairs like
-// "(*Network).act.ems[]" — and propagates the summaries over the
-// call graph, interface dispatch included.
+// "(*Network).act.ems[]" — and propagates the summaries over a
+// module-wide call graph (callgraph.go: direct calls, interface dispatch
+// via method sets, indirect calls through address-taken func values).
 //
 //   - parallel/sharedwrite: everything a pool job's cone writes must
 //     fall under a shard-owned root declared in ShardOwnershipRoots;
@@ -102,10 +69,10 @@
 //     comment is waived; parallel/waiver polices empty justifications.
 //
 // Waiver hygiene (all packages): rule waiver/stale flags any
-// //vixlint:ordered, //vixlint:alloc or //vixlint:shared directive that
-// suppresses nothing; waivers are auditable exceptions and dead ones
-// rot. Rule directive/unknown flags any //vixlint: comment outside that
-// closed set (directive.go), so a typoed waiver cannot pass for one.
+// //vixlint:ordered or //vixlint:shared directive that suppresses
+// nothing; waivers are auditable exceptions and dead ones rot. Rule
+// directive/unknown flags any //vixlint: comment outside that closed set
+// (directive.go), so a typoed waiver cannot pass for one.
 //
 // Findings are reported as "file:line: rule: message". Check (engine.go)
 // is the one entry point: load, source phase, every package in import-
@@ -148,23 +115,14 @@ func isCmdPath(path string) bool {
 	return strings.Contains(path, "/cmd/") || strings.HasSuffix(path, "/cmd")
 }
 
-// isAllocPackage reports whether pkg is an allocator-registry package
-// (subject to the contracts family).
-func isAllocPackage(pkg *Package) bool {
-	return pkg.Name == "alloc" && strings.HasSuffix(pkg.Path, "internal/alloc")
-}
-
 // checker carries per-package analysis state across the source phase
-// and the package phase.
+// (the shard-ownership pass marks sharedWaivers usage) and the package
+// phase.
 type checker struct {
 	mod           *Module
 	pkg           *Package
 	waivers       *waiverSet
-	allocWaivers  *waiverSet
 	sharedWaivers *waiverSet
-	// early holds the findings of the determinism family, which runs in
-	// the source phase (its checks double as taint-source detection).
-	early []Finding
 }
 
 // newChecker builds the checker for one package.
@@ -173,7 +131,6 @@ func newChecker(mod *Module, pkg *Package) *checker {
 		mod:           mod,
 		pkg:           pkg,
 		waivers:       collectWaivers(mod, pkg, waiverDirective),
-		allocWaivers:  collectWaivers(mod, pkg, allocWaiverDirective),
 		sharedWaivers: collectWaivers(mod, pkg, sharedWaiverDirective),
 	}
 }
@@ -190,11 +147,6 @@ func (c *checker) report(fs *[]Finding, pos token.Pos, rule, format string, args
 // waiverDirective is the comment marker that suppresses determinism
 // findings on its line (or the line directly below the comment).
 const waiverDirective = "//vixlint:ordered"
-
-// allocWaiverDirective suppresses contracts/scratch findings the same
-// way: an Allocate method that deliberately allocates its grants slice
-// per call carries the directive with a justification.
-const allocWaiverDirective = "//vixlint:alloc"
 
 // sharedWaiverDirective suppresses parallel/sharedwrite and
 // parallel/phase findings (shardown.go): a write or read inside a pool
@@ -268,11 +220,6 @@ func (c *checker) waived(pos token.Pos) bool {
 	return c.waivers.covers(c.mod, pos)
 }
 
-// allocWaived is the contracts/scratch analogue of waived.
-func (c *checker) allocWaived(pos token.Pos) bool {
-	return c.allocWaivers.covers(c.mod, pos)
-}
-
 // waiverFindings reports waiver directives that lack a justification —
 // a waiver is an auditable exception; "because" is not an audit trail —
 // and directives that suppressed nothing across every pass (stale).
@@ -280,16 +227,12 @@ func (c *checker) waiverFindings() []Finding {
 	var fs []Finding
 	for _, file := range c.pkg.Files {
 		name := c.mod.Fset.Position(file.Pos()).Filename
-		for _, set := range []*waiverSet{c.waivers, c.allocWaivers, c.sharedWaivers} {
+		for _, set := range []*waiverSet{c.waivers, c.sharedWaivers} {
 			for _, line := range sim.SortedKeys(set.lines[name]) {
 				if set.lines[name][line] == "" {
 					rule, msg := "determinism/waiver",
 						"vixlint:ordered waiver needs a justification explaining why iteration order cannot leak into results"
-					switch set.directive {
-					case allocWaiverDirective:
-						rule, msg = "contracts/waiver",
-							"vixlint:alloc waiver needs a justification for allocating a fresh grants slice per call"
-					case sharedWaiverDirective:
+					if set.directive == sharedWaiverDirective {
 						rule, msg = "parallel/waiver",
 							"vixlint:shared waiver needs a justification proving the shared access is confined (per-index, or locked with order-independent results)"
 					}

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 
 	"vix/internal/sim"
@@ -430,4 +432,15 @@ func pathsOverlap(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// relPosition renders pos as "relpath:line" relative to the module root,
+// so messages stay stable across checkouts.
+func relPosition(mod *Module, pos token.Pos) string {
+	p := mod.Fset.Position(pos)
+	name := p.Filename
+	if rel, err := filepath.Rel(mod.Root, name); err == nil && !strings.HasPrefix(rel, "..") {
+		name = filepath.ToSlash(rel)
+	}
+	return fmt.Sprintf("%s:%d", name, p.Line)
 }

@@ -15,5 +15,5 @@ func Drive(t Ticker) int64 { return t.Tick() }
 // address-taken module function with an identical signature.
 func Run(f func() int64) int64 { return f() }
 
-// Default passes the tainted clock.Stamp as the func value.
+// Default passes the clock-reading clock.Stamp as the func value.
 func Default() int64 { return Run(clock.Stamp) }

@@ -7,9 +7,9 @@ package w
 //vixlint:ordered nothing on the next line needs waiving
 var Version = 3
 
-// Noop carries an alloc waiver with no scratch violation: flagged stale.
+// Noop carries a shared waiver with no pool job in sight: flagged stale.
 //
-//vixlint:alloc no Allocate in sight
+//vixlint:shared no sim.Pool.Do in sight
 func Noop() {}
 
 // Sum's waiver suppresses a real map-range violation: used, not stale.

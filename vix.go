@@ -157,8 +157,9 @@ func NewHotspotTraffic(n int, hs []int, f float64) TrafficPattern {
 	return traffic.NewHotspot(n, hs, f)
 }
 
-// NewTrafficPattern constructs a pattern by name ("uniform", "transpose",
-// "bitcomp", "bitrev", "tornado", "hotspot") over a w x h node grid.
+// NewTrafficPattern constructs a pattern by name over a w x h node grid.
+// The recognised names are internal/traffic's Names(), which `vixsim -h`
+// prints under -pattern.
 func NewTrafficPattern(name string, w, h int) (TrafficPattern, error) {
 	return traffic.New(name, w, h)
 }
