@@ -12,8 +12,8 @@ vet:
 
 # The static-analysis gate: vet, gofmt cleanliness, and one run of the
 # repo's own vixlint pass (determinism, enum exhaustiveness, hygiene,
-# and the parallel/* shard-ownership rules — see internal/lint). One serial
-# pass, ~2 s, nothing cached, nothing written. The lint self-check test
+# waiver/directive hygiene — see internal/lint). One serial pass, ~2 s,
+# nothing cached, nothing written. The lint self-check test
 # enforces the same rules under plain `go test ./...`.
 lint: vet
 	@unformatted="$$(gofmt -l .)"; \
@@ -24,12 +24,15 @@ lint: vet
 	fi
 	go run ./cmd/vixlint -v ./...
 
-# Run the test suite under the race detector. Allocators and routers are
-# documented as not concurrency-safe; this verifies nothing shares them
-# across goroutines by accident. One command covers the sharded parallel
-# tick too: the lockstep and zero-alloc tests in internal/network set
-# Config.Workers >= 2 themselves and a positive worker count is taken as
-# given, so they cross goroutines whatever the host's CPU count.
+# Run the test suite under the race detector. This is the guard of both
+# sim.Pool.Do sites — no static rule judges what a pool job writes. The
+# sharded tick (network.tickRouters): the lockstep tests in
+# internal/network run every alloc.Kinds() entry at Config.Workers >= 2
+# (a positive count is taken as given, so they cross goroutines whatever
+# the host's CPU count), which puts each Allocate/SkipIdle body and every
+# phase-A write under the detector. The grid fan-out (harness.Run): the
+# internal/harness and internal/experiments tests run it at Parallel > 1.
+# A third Do site fails TestPoolDoSitesArePinned until it has such a test.
 race:
 	go test -race ./...
 

@@ -29,6 +29,11 @@ import (
 	"vix/internal/service"
 )
 
+// readHeaderTimeout bounds how long an accepted connection may take to
+// send its request line and headers. There is deliberately no write
+// timeout: a result stream stays open for as long as its suite runs.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vixd: ")
@@ -63,7 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 

@@ -3,9 +3,8 @@
 // clock, no global rand, no goroutines, no order-leaking map iteration
 // in internal/), exhaustiveness of enum switches, hygiene rules (no
 // printing or anonymous panics in library code, networks closed in
-// cmd/), shard ownership of sim.Pool jobs, and waiver/directive
-// hygiene. See internal/lint for the rule catalogue and the
-// //vixlint:ordered and //vixlint:shared waiver syntax.
+// cmd/), and waiver/directive hygiene. See internal/lint for the rule
+// catalogue and the //vixlint:ordered waiver syntax.
 //
 // Usage:
 //

@@ -23,10 +23,12 @@
 //     points and splices their cached values into the merged output, so
 //     an interrupted grid finishes exactly where an uninterrupted one
 //     would have — and because the store is content-addressed rather
-//     than run-scoped, any later grid, any other CLI, or the vixd
-//     service can reuse the same entries: identical specs are served
-//     without simulating. Concurrent Runs sharing one Store single-
-//     flight: N in-flight requests for one spec simulate once.
+//     than run-scoped, any later run that derives the same IDs is served
+//     without simulating. The ID covers the job name, and every tool
+//     prefixes its own ("sweep/…", "fig8/…", "vixd/…"): tools may share
+//     one store file without colliding, but never serve each other's
+//     points. Concurrent Runs sharing one Store single-flight: N
+//     in-flight requests for one ID simulate once.
 //
 // Jobs execute on a sim.Pool, the shared bounded worker pool that also
 // powers the network's sharded parallel tick. When the effective worker
@@ -103,8 +105,10 @@ type Options struct {
 	// Manifest, when non-empty, is the path of the JSONL result store.
 	// Jobs whose IDs appear in it are served from it instead of
 	// simulating; newly completed jobs are appended as they finish, so
-	// an interrupted run resumes and a later run — this CLI, another
-	// CLI, or vixd pointed at the same file — reuses the entries.
+	// an interrupted run resumes and a later run of the same tool over
+	// the same points reuses the entries (another tool pointed at the
+	// same file names its jobs differently, so it neither collides with
+	// nor reuses them).
 	Manifest string
 
 	// Store, when non-nil, is an already-open result store shared with
@@ -207,10 +211,21 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	// channel, no worker spawn, no handoff overhead, so a serial grid run
 	// costs what the old one-point-at-a-time loop cost. Each job resolves
 	// through the store's single-flight gate: a stored entry (this run's
-	// manifest, an earlier run, another CLI, a vixd suite) is served
-	// without simulating, an identical spec already in flight anywhere in
+	// manifest, an earlier run, another Run sharing the Store) is served
+	// without simulating, an identical ID already in flight anywhere in
 	// the process is waited on and shared, and only a genuine miss
 	// simulates — then appends its entry for every future run.
+	//
+	// What the job literal shares across workers, and why that is safe
+	// (nothing static checks this; `make race` over this package's and
+	// internal/experiments' Parallel > 1 tests does):
+	//   - results: results[i] is job i's own slot, and Pool.Do hands out
+	//     each index exactly once.
+	//   - st: store.Store guards its entries, flights and file with its
+	//     own mutex and appends whole lines; store order is not part of
+	//     the results.
+	//   - jobErrs: appended only under mu in fail; the order errors are
+	//     collected in is not part of the results.
 	pool := sim.NewPool(workers)
 	defer pool.Close()
 	pool.Do(len(jobs), func(i int) {

@@ -8,10 +8,11 @@ import (
 
 // This file is the single parser for vixlint's comment directives.
 // Waiver collection (lint.go) goes through classifyDirective, so a typo
-// like //vixlint:orderedjunk or //vixlint:shred cannot silently parse as
+// like //vixlint:orderedjunk or //vixlint:orderd cannot silently parse as
 // (or silently fail to be) the waiver it meant to carry. Unrecognised
-// directives — the retired hot, state and alloc markers included — are
-// reported by rule directive/unknown instead of being ignored.
+// directives — the retired hot, state, alloc and shared markers
+// included — are reported by rule directive/unknown instead of being
+// ignored.
 
 // directivePrefix introduces every vixlint comment directive.
 const directivePrefix = "//vixlint:"
@@ -20,13 +21,12 @@ const directivePrefix = "//vixlint:"
 // it waives.
 var knownDirectives = map[string]string{
 	"ordered": "waives determinism findings",
-	"shared":  "waives parallel/sharedwrite and parallel/phase",
 }
 
 // classifyDirective parses a comment's text as a vixlint directive. ok
 // is false when the comment does not start with the //vixlint: prefix
-// at all. When ok is true, name is the recognised directive ("ordered",
-// "shared") and rest is the trimmed argument text; a comment that
+// at all. When ok is true, name is the recognised directive ("ordered")
+// and rest is the trimmed argument text; a comment that
 // carries the prefix but not a known, whitespace-delimited name returns
 // name == "" with the offending token in rest — the caller reports it
 // (rule directive/unknown) rather than accepting it silently.

@@ -112,7 +112,7 @@ func (c *checker) closeHygiene() []Finding {
 			if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
 				return true
 			}
-			call, ok := stripParens(as.Rhs[0]).(*ast.CallExpr)
+			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 			if !ok || !constructsNetwork(c.pkg, call) {
 				return true
 			}
@@ -178,7 +178,7 @@ func returnedFrom(pkg *Package, body *ast.BlockStmt, v *types.Var) bool {
 			return true
 		}
 		for _, r := range ret.Results {
-			if id, ok := stripParens(r).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
+			if id, ok := ast.Unparen(r).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
 				found = true
 			}
 		}
@@ -197,11 +197,11 @@ func closedWithin(pkg *Package, body *ast.BlockStmt, v *types.Var) bool {
 		if !ok {
 			return true
 		}
-		sel, ok := stripParens(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "Close" {
 			return true
 		}
-		if id, ok := stripParens(sel.X).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
+		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
 			found = true
 		}
 		return true

@@ -50,36 +50,22 @@
 //     pool goroutines between cycles. Handles returned to a caller are
 //     the caller's problem (and matched there by the same rule).
 //
-// Shard ownership (every sim.Pool.Do site; see writeset.go and
-// shardown.go): a write-effect analysis summarises what each function
-// writes through references — (root, path) pairs like
-// "(*Network).act.ems[]" — and propagates the summaries over a
-// module-wide call graph (callgraph.go: direct calls, interface dispatch
-// via method sets, indirect calls through address-taken func values).
-//
-//   - parallel/sharedwrite: everything a pool job's cone writes must
-//     fall under a shard-owned root declared in ShardOwnershipRoots;
-//     anything else is a cross-shard race candidate, reported with the
-//     rendered call path from job to writing statement.
-//   - parallel/phase: the job (phase A) must not read state the
-//     enclosing function mutates after the Do call (phase B, the serial
-//     merge), or workers>1 diverges from the serial loop without any
-//     data race.
-//   - A finding site carrying a "//vixlint:shared <justification>"
-//     comment is waived; parallel/waiver polices empty justifications.
-//
 // Waiver hygiene (all packages): rule waiver/stale flags any
-// //vixlint:ordered or //vixlint:shared directive that suppresses
-// nothing; waivers are auditable exceptions and dead ones rot. Rule
-// directive/unknown flags any //vixlint: comment outside that closed set
-// (directive.go), so a typoed waiver cannot pass for one.
+// //vixlint:ordered directive that suppresses nothing; waivers are
+// auditable exceptions and dead ones rot. Rule directive/unknown flags
+// any //vixlint: comment that is not that one directive (directive.go),
+// so a typoed waiver cannot pass for one.
+//
+// What the two sim.Pool.Do sites may write is not judged here: the race
+// detector and the byte-identity lockstep tests see strictly more of it
+// (DESIGN.md §13), and TestPoolDoSitesArePinned keeps the sites at two.
 //
 // Findings are reported as "file:line: rule: message". Check (engine.go)
-// is the one entry point: load, source phase, every package in import-
-// path order, sorted findings — no goroutines, no cache, nothing
-// written. cmd/vixlint prints what it returns and the self-check test
-// in this package asserts it is empty, which makes `go test ./...` fail
-// on any new violation.
+// is the one entry point: load, every package in import-path order,
+// sorted findings — no goroutines, no cache, nothing written.
+// cmd/vixlint prints what it returns and the self-check test in this
+// package asserts it is empty, which makes `go test ./...` fail on any
+// new violation.
 package lint
 
 import (
@@ -115,24 +101,16 @@ func isCmdPath(path string) bool {
 	return strings.Contains(path, "/cmd/") || strings.HasSuffix(path, "/cmd")
 }
 
-// checker carries per-package analysis state across the source phase
-// (the shard-ownership pass marks sharedWaivers usage) and the package
-// phase.
+// checker carries one package's analysis state.
 type checker struct {
-	mod           *Module
-	pkg           *Package
-	waivers       *waiverSet
-	sharedWaivers *waiverSet
+	mod     *Module
+	pkg     *Package
+	waivers *waiverSet
 }
 
 // newChecker builds the checker for one package.
 func newChecker(mod *Module, pkg *Package) *checker {
-	return &checker{
-		mod:           mod,
-		pkg:           pkg,
-		waivers:       collectWaivers(mod, pkg, waiverDirective),
-		sharedWaivers: collectWaivers(mod, pkg, sharedWaiverDirective),
-	}
+	return &checker{mod: mod, pkg: pkg, waivers: collectWaivers(mod, pkg)}
 }
 
 // report appends a finding at pos.
@@ -148,34 +126,26 @@ func (c *checker) report(fs *[]Finding, pos token.Pos, rule, format string, args
 // findings on its line (or the line directly below the comment).
 const waiverDirective = "//vixlint:ordered"
 
-// sharedWaiverDirective suppresses parallel/sharedwrite and
-// parallel/phase findings (shardown.go): a write or read inside a pool
-// job's cone that is provably confined — per-index, mutex-guarded with
-// order-independent results — carries the directive with the proof
-// sketch as justification.
-const sharedWaiverDirective = "//vixlint:shared"
-
-// waiverSet holds one directive's occurrences in a package, and tracks
-// which of them actually suppressed a violation — the rest are stale.
+// waiverSet holds the waiver directive's occurrences in a package, and
+// tracks which of them actually suppressed a violation — the rest are
+// stale.
 type waiverSet struct {
-	directive string
 	// lines maps file -> directive line -> justification ("" = missing).
 	lines map[string]map[int]string
 	// used maps file -> directive line -> whether it suppressed anything.
 	used map[string]map[int]bool
 }
 
-// collectWaivers scans a package's comments for the given waiver
-// directive. Matching goes through classifyDirective, so only an exact,
+// collectWaivers scans a package's comments for the waiver directive.
+// Matching goes through classifyDirective, so only an exact,
 // whitespace-delimited directive name counts — //vixlint:orderedjunk is
 // an unknown directive (reported by directive/unknown), not a waiver
 // with justification "junk".
-func collectWaivers(mod *Module, pkg *Package, directive string) *waiverSet {
-	want := strings.TrimPrefix(directive, directivePrefix)
+func collectWaivers(mod *Module, pkg *Package) *waiverSet {
+	want := strings.TrimPrefix(waiverDirective, directivePrefix)
 	ws := &waiverSet{
-		directive: directive,
-		lines:     make(map[string]map[int]string),
-		used:      make(map[string]map[int]bool),
+		lines: make(map[string]map[int]string),
+		used:  make(map[string]map[int]bool),
 	}
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
@@ -222,34 +192,26 @@ func (c *checker) waived(pos token.Pos) bool {
 
 // waiverFindings reports waiver directives that lack a justification —
 // a waiver is an auditable exception; "because" is not an audit trail —
-// and directives that suppressed nothing across every pass (stale).
+// and directives that suppressed nothing (stale).
 func (c *checker) waiverFindings() []Finding {
 	var fs []Finding
 	for _, file := range c.pkg.Files {
 		name := c.mod.Fset.Position(file.Pos()).Filename
-		for _, set := range []*waiverSet{c.waivers, c.sharedWaivers} {
-			for _, line := range sim.SortedKeys(set.lines[name]) {
-				if set.lines[name][line] == "" {
-					rule, msg := "determinism/waiver",
-						"vixlint:ordered waiver needs a justification explaining why iteration order cannot leak into results"
-					if set.directive == sharedWaiverDirective {
-						rule, msg = "parallel/waiver",
-							"vixlint:shared waiver needs a justification proving the shared access is confined (per-index, or locked with order-independent results)"
-					}
-					fs = append(fs, Finding{
-						Pos:  token.Position{Filename: name, Line: line},
-						Rule: rule,
-						Msg:  msg,
-					})
-				}
-				if !set.used[name][line] {
-					fs = append(fs, Finding{
-						Pos:  token.Position{Filename: name, Line: line},
-						Rule: "waiver/stale",
-						Msg: fmt.Sprintf("%s waiver suppresses nothing; remove it (stale waivers hide the audit trail)",
-							set.directive),
-					})
-				}
+		for _, line := range sim.SortedKeys(c.waivers.lines[name]) {
+			pos := token.Position{Filename: name, Line: line}
+			if c.waivers.lines[name][line] == "" {
+				fs = append(fs, Finding{
+					Pos:  pos,
+					Rule: "determinism/waiver",
+					Msg:  "vixlint:ordered waiver needs a justification explaining why iteration order cannot leak into results",
+				})
+			}
+			if !c.waivers.used[name][line] {
+				fs = append(fs, Finding{
+					Pos:  pos,
+					Rule: "waiver/stale",
+					Msg:  waiverDirective + " waiver suppresses nothing; remove it (stale waivers hide the audit trail)",
+				})
 			}
 		}
 	}

@@ -181,11 +181,12 @@ func Draw() int { return draw() }
 }
 
 // TestRetiredDirectivesAreUnknown pins that the markers of the deleted
-// escape and state gates and the waiver of the deleted contracts/scratch
-// rule no longer parse: a straggler reports directive/unknown like any
-// typo instead of rotting silently — and nothing else, so the alloc
-// marker is neither a waiver (no waiver/stale, no contracts/waiver for
-// the missing justification) nor attached to any rule.
+// escape and state gates and the waivers of the deleted contracts/scratch
+// rule and shard-ownership pass no longer parse: a straggler reports
+// directive/unknown like any typo instead of rotting silently — and
+// nothing else, so the alloc and shared markers are neither waivers (no
+// waiver/stale, no finding for the missing justification) nor attached
+// to any rule.
 func TestRetiredDirectivesAreUnknown(t *testing.T) {
 	findings := checkModule(t, map[string]string{
 		"internal/old/old.go": `package old
@@ -203,6 +204,9 @@ var _ = T{}
 
 //vixlint:alloc
 func Noop() {}
+
+//vixlint:shared
+func Job(i int) {}
 `,
 	})
 	const f = "old.go"
@@ -210,8 +214,9 @@ func Noop() {}
 	want(t, findings, "directive/unknown", f, 7)
 	want(t, findings, "directive/unknown", f, 11)
 	want(t, findings, "directive/unknown", f, 14)
-	if len(findings) != 4 {
-		t.Errorf("want only the four directive findings\n%s", render(findings))
+	want(t, findings, "directive/unknown", f, 17)
+	if len(findings) != 5 {
+		t.Errorf("want only the five directive findings\n%s", render(findings))
 	}
 }
 

@@ -7,9 +7,9 @@ package w
 //vixlint:ordered nothing on the next line needs waiving
 var Version = 3
 
-// Noop carries a shared waiver with no pool job in sight: flagged stale.
+// Noop carries a waiver with no map range in sight: flagged stale.
 //
-//vixlint:shared no sim.Pool.Do in sight
+//vixlint:ordered no map range in sight
 func Noop() {}
 
 // Sum's waiver suppresses a real map-range violation: used, not stale.

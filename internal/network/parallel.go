@@ -28,8 +28,12 @@ import (
 //     lookahead routes of link emissions (a pure topology function of the
 //     destination the emission carries), writing them into the emissions
 //     themselves — that router's scratch — and counts the datapath
-//     activity into a caller-private stats.Delta. No flit record is read
-//     or written: the arena is the stepping goroutine's alone.
+//     activity into a caller-private stats.Delta. The only Network
+//     fields it writes are per-router-index: lastTick[r], and under the
+//     pooled schedule the act slots of r's worklist index — worklist
+//     entries name distinct routers and Pool.Do hands each segment out
+//     once. No flit record is read or written: the arena is the
+//     stepping goroutine's alone.
 //
 //   - Phase B (mergeRouter, stepping goroutine): routers are merged in
 //     ascending index order, so every queue append and credit schedule
@@ -40,6 +44,13 @@ import (
 // Traffic generation, injection, ejection, and the workload callbacks
 // never leave the stepping goroutine: they own the RNG streams and the
 // order-sensitive float latency accumulation.
+//
+// Nothing static checks the argument. TestParallelTickByteIdenticalAcrossWorkers
+// and its lockstep siblings run every allocator kind at Workers >= 2: a
+// phase-A write to another router's state, or a phase-A read of anything
+// phase B orders, fails them deterministically under plain `go test`;
+// a phase-A write to shared state they do not compare is a report from
+// the same tests under `make race`.
 //
 // The pooled schedule's scratch holds only slice headers: Router.Advance's
 // returned emissions and credits are router-owned scratch valid until

@@ -23,10 +23,18 @@ type ejectRecord struct {
 	hops        int
 }
 
+// networkState is what a finished run leaves behind besides its ejection
+// sequence: the statistics snapshot and the Network-level counters the
+// snapshot does not carry.
+type networkState struct {
+	snap                          stats.Snapshot
+	routerTicks, inFlight, queued int64
+}
+
 // runRecorded runs a saturated 8x8 VIX mesh for the given cycles with the
 // given worker count, recording every ejection, and returns the ejection
-// sequence and the final snapshot.
-func runRecorded(t *testing.T, kind alloc.Kind, k, workers, cycles int) ([]ejectRecord, stats.Snapshot) {
+// sequence and the final state.
+func runRecorded(t *testing.T, kind alloc.Kind, k, workers, cycles int) ([]ejectRecord, networkState) {
 	t.Helper()
 	topo := topology.NewMesh(8, 8)
 	policy := router.PolicyMaxFree
@@ -51,31 +59,55 @@ func runRecorded(t *testing.T, kind alloc.Kind, k, workers, cycles int) ([]eject
 	}
 	defer n.Close()
 	n.Run(cycles)
-	return ejected, n.Collector().Snapshot()
+	return ejected, networkState{
+		snap:        n.Collector().Snapshot(),
+		routerTicks: n.RouterTicks(),
+		inFlight:    n.InFlight(),
+		queued:      n.QueuedAtSources(),
+	}
 }
 
 // TestParallelTickByteIdenticalAcrossWorkers is the tentpole guarantee:
-// a saturated 8x8 VIX mesh produces bit-identical statistics and the
-// exact same ejection sequence for workers ∈ {1, 2, 8}. Worker count is
-// a wall-clock knob, never a physics knob.
+// a saturated 8x8 VIX mesh produces bit-identical statistics, the exact
+// same ejection sequence and the same Network-level counters for
+// workers ∈ {1, 2, 8}. Worker count is a wall-clock knob, never a
+// physics knob.
+//
+// With `make race` this test is also the only guard of what phase A of
+// the sharded tick writes, so the table covers every alloc.Kinds() entry
+// at the geometry the registry admits for it: each Allocate and SkipIdle
+// body runs on pool goroutines here, and an allocator that shares scratch
+// between instances is a reported race. A new kind gets its row by being
+// listed in Kinds(). The short rows keep the -race run affordable; the
+// two long ones are the original if k=2 and wavefront k=1.
 func TestParallelTickByteIdenticalAcrossWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		kind alloc.Kind
-		k    int
-	}{
-		{alloc.KindSeparableIF, 2},
-		{alloc.KindWavefront, 1},
-	} {
+	type row struct {
+		kind      alloc.Kind
+		k, cycles int
+	}
+	rows := []row{{alloc.KindWavefront, 1, 2500}}
+	for _, kind := range alloc.Kinds() {
+		r := row{kind, 2, 600}
+		switch kind {
+		case alloc.KindSeparableIF:
+			r.cycles = 2500
+		case alloc.KindIdeal:
+			r.k = 6 // meshConfig's VC count: one virtual input per VC
+		case alloc.KindSparoflo:
+			r.k = 1
+		}
+		rows = append(rows, r)
+	}
+	for _, tc := range rows {
 		t.Run(fmt.Sprintf("%s_k%d", tc.kind, tc.k), func(t *testing.T) {
-			const cycles = 2500
-			refEjects, refSnap := runRecorded(t, tc.kind, tc.k, 1, cycles)
+			refEjects, ref := runRecorded(t, tc.kind, tc.k, 1, tc.cycles)
 			if len(refEjects) == 0 {
 				t.Fatal("reference run ejected nothing; workload broken")
 			}
 			for _, workers := range []int{2, 8} {
-				ejects, snap := runRecorded(t, tc.kind, tc.k, workers, cycles)
-				if !reflect.DeepEqual(snap, refSnap) {
-					t.Errorf("workers=%d snapshot diverged:\n got %+v\nwant %+v", workers, snap, refSnap)
+				ejects, got := runRecorded(t, tc.kind, tc.k, workers, tc.cycles)
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("workers=%d final state diverged:\n got %+v\nwant %+v", workers, got, ref)
 				}
 				if !reflect.DeepEqual(ejects, refEjects) {
 					for i := range refEjects {

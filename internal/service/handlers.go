@@ -109,6 +109,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxBodyBytes caps a POST body. The largest grid any client in this
+// repository posts is kilobytes; the cap only keeps one request from
+// buffering without bound.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v, writing the 400 (malformed)
+// or 413 (over maxBodyBytes) itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("service: parsing %s: %w", what, err))
+	return false
+}
+
 // writeError writes a non-2xx JSON body, splitting validation errors
 // into their per-field form.
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -219,10 +242,7 @@ func (s *Server) submit(su *suite, specs []caseSpec, closeAfter bool) ([]string,
 // and closing it immediately (the one-shot form).
 func (s *Server) handleCreateSuite(w http.ResponseWriter, r *http.Request) {
 	var req suiteRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: parsing suite request: %w", err))
+	if !decodeBody(w, r, "suite request", &req) {
 		return
 	}
 	specs, err := parseCases(req.Cases)
@@ -284,10 +304,7 @@ func (s *Server) handleAddCases(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req casesRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: parsing case request: %w", err))
+	if !decodeBody(w, r, "case request", &req) {
 		return
 	}
 	raw := req.Cases
@@ -309,7 +326,7 @@ func (s *Server) handleAddCases(w http.ResponseWriter, r *http.Request) {
 	ids, err := s.submit(su, specs, req.Close)
 	if err != nil {
 		code := http.StatusServiceUnavailable
-		if strings.Contains(err.Error(), "is closed") {
+		if errors.Is(err, errSuiteClosed) {
 			code = http.StatusConflict
 		}
 		writeError(w, code, err)

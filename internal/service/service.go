@@ -205,6 +205,7 @@ func (s *Server) runner() {
 			return
 		}
 		tc := s.queue[0]
+		s.queue[0] = nil // the backing array outlives the pop; do not pin the case
 		s.queue = s.queue[1:]
 		s.mu.Unlock()
 		s.runCase(tc)

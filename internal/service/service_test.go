@@ -390,6 +390,41 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBody pins the body cap on both POST decoders: a body over
+// 4 MiB is a 413 in the usual error shape, it neither kills nor wedges
+// the server, and nothing of it is admitted — the next normal POST to
+// the same suite is.
+func TestOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{})
+
+	huge := `{"name": "` + strings.Repeat("x", 4<<20) + `"}`
+	code, data := post(t, ts.URL+"/suites", huge)
+	var resp struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(data, &resp); code != http.StatusRequestEntityTooLarge || err != nil || resp.Error == "" {
+		t.Fatalf("oversized POST /suites = %d %s, want 413 with an error body", code, data)
+	}
+	if code, _ := get(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("GET /healthz after an oversized POST = %d, want 200", code)
+	}
+
+	// The refused body created nothing: the next suite is the first.
+	if suite := postGrid(t, ts.URL, `{"name": "open"}`); suite != "s1" {
+		t.Fatalf("suite after a refused POST = %q, want s1", suite)
+	}
+	if code, data = post(t, ts.URL+"/suites/s1/cases", huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST cases = %d, want 413 (body %s)", code, data)
+	}
+	code, data = post(t, ts.URL+"/suites/s1/cases", fmt.Sprintf(`{"spec": %s, "close": true}`, smallSpec(5)))
+	if code != http.StatusCreated {
+		t.Fatalf("normal POST cases after an oversized one = %d, want 201 (body %s)", code, data)
+	}
+	if lines := nonEmptyLines(streamResults(t, ts.URL, "s1")); len(lines) != 1 {
+		t.Errorf("stream has %d lines, want the one admitted case", len(lines))
+	}
+}
+
 // TestQuota drives the token bucket with an injected clock: a client
 // that exhausts its burst gets 429 with a Retry-After hint and is
 // re-admitted once the bucket refills.

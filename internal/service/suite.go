@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -48,6 +49,10 @@ func (su *suite) bumpLocked() {
 	su.changed = make(chan struct{})
 }
 
+// errSuiteClosed is addCases' refusal, wrapped with the suite ID; the
+// handler answers it with 409 rather than 503.
+var errSuiteClosed = errors.New("is closed")
+
 // addCases appends cases to an open suite, assigning suite-relative IDs,
 // and optionally closes it. It returns the new cases or an error if the
 // suite is already closed.
@@ -55,7 +60,7 @@ func (su *suite) addCases(specs []caseSpec, closeAfter bool) ([]*testCase, error
 	su.mu.Lock()
 	defer su.mu.Unlock()
 	if su.closed {
-		return nil, fmt.Errorf("service: suite %s is closed", su.id)
+		return nil, fmt.Errorf("service: suite %s %w", su.id, errSuiteClosed)
 	}
 	added := make([]*testCase, 0, len(specs))
 	for _, cs := range specs {
