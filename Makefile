@@ -39,12 +39,16 @@ race:
 test:
 	go test ./...
 
-# `go test` only replays FuzzAllocate's seed corpus; this mutates it for
-# 15 s over every kind (legal grants, determinism from Reset, inputs left
-# unmutated, lone requests granted). A failing input lands in
-# internal/alloc/testdata/fuzz/FuzzAllocate/ — commit it with the fix.
+# `go test` only replays the fuzz targets' seed corpora; this mutates each
+# for 15 s (go test takes one -fuzz target per run). FuzzAllocate: every
+# kind's grants legal, deterministic from Reset, inputs left unmutated,
+# lone requests granted. FuzzExperiment: Validate rejects a spec, naming
+# its JSON field, or the simulator runs it without error or panic. A
+# failing input lands in the package's testdata/fuzz/<target>/ — commit
+# it with the fix.
 fuzz:
 	go test -run '^$$' -fuzz FuzzAllocate -fuzztime 15s ./internal/alloc
+	go test -run '^$$' -fuzz FuzzExperiment -fuzztime 15s ./internal/config
 
 # A small harness-backed sweep grid under the race detector: exercises
 # the parallel fan-out, manifest resume, and canonical merge end to end.

@@ -161,14 +161,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verbose {
 		e.opt.OnDone = cli.Progress(logger)
 	}
-	switch *topoName {
-	case "mesh":
-		e.topo = topology.NewMesh(8, 8)
-	case "cmesh":
-		e.topo = topology.NewCMesh(4, 4, 4)
-	case "fbfly":
-		e.topo = topology.NewFBfly(4, 4, 4)
-	default:
+	for _, t := range experiments.Topologies() {
+		if string(t.Kind) == *topoName {
+			e.topo = t
+		}
+	}
+	if e.topo == nil {
 		reject("invalid -topo value: unknown topology %q; want mesh, cmesh, or fbfly", *topoName)
 	}
 	// Negated so that NaN, which compares false to everything, is rejected.

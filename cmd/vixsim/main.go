@@ -46,47 +46,31 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vixsim: ")
 
-	var (
-		configPath = flag.String("config", "", "JSON experiment file (overrides the other flags)")
-		topoName   = flag.String("topo", "mesh", "topology: mesh, torus, cmesh, or fbfly")
-		allocStr   = flag.String("alloc", "if", fmt.Sprintf("allocator, one of %v", alloc.Kinds()))
-		k          = flag.Int("k", 1, "virtual inputs per port (1 = baseline, 2 = VIX)")
-		vcs        = flag.Int("vcs", 6, "virtual channels per port")
-		depth      = flag.Int("depth", 5, "buffer depth per VC in flits")
-		policy     = flag.String("policy", "", "VC assignment policy: maxfree, dimension, balanced (default: balanced when k > 1)")
-		partition  = flag.String("partition", "contiguous", "VC sub-group partition: contiguous or interleaved")
-		pattern    = flag.String("pattern", "uniform", fmt.Sprintf("traffic pattern, one of %v", traffic.Names()))
-		rate       = flag.Float64("rate", 0.05, "injection rate in packets/cycle/node")
-		maxInj     = flag.Bool("max", false, "saturate every source (ignore -rate)")
-		pktSize    = flag.Int("pkt", 4, "packet size in flits")
-		warmup     = flag.Int("warmup", 2000, "warmup cycles")
-		measure    = flag.Int("measure", 6000, "measurement cycles")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 1, "parallel-tick workers (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
-	)
+	// Every spec flag defaults to the paper's configuration, config.Default.
+	exp := config.Default()
+	configPath := flag.String("config", "", "JSON experiment file (overrides the other flags)")
+	flag.StringVar(&exp.Topology, "topo", exp.Topology, "topology: mesh, torus, cmesh, or fbfly")
+	flag.StringVar(&exp.Allocator, "alloc", exp.Allocator, fmt.Sprintf("allocator, one of %v", alloc.Kinds()))
+	flag.IntVar(&exp.VirtualInputs, "k", exp.VirtualInputs, "virtual inputs per port (1 = baseline, 2 = VIX)")
+	flag.IntVar(&exp.VCs, "vcs", exp.VCs, "virtual channels per port")
+	flag.IntVar(&exp.BufDepth, "depth", exp.BufDepth, "buffer depth per VC in flits")
+	flag.StringVar(&exp.Policy, "policy", exp.Policy, "VC assignment policy: maxfree, dimension, balanced (default: balanced when k > 1)")
+	flag.StringVar(&exp.Partition, "partition", exp.PartitionName(), "VC sub-group partition: contiguous or interleaved")
+	flag.StringVar(&exp.Pattern, "pattern", exp.Pattern, fmt.Sprintf("traffic pattern, one of %v", traffic.Names()))
+	flag.Float64Var(&exp.InjectionRate, "rate", exp.InjectionRate, "injection rate in packets/cycle/node")
+	flag.BoolVar(&exp.MaxInjection, "max", exp.MaxInjection, "saturate every source (ignore -rate)")
+	flag.IntVar(&exp.PacketSize, "pkt", exp.PacketSize, "packet size in flits")
+	flag.IntVar(&exp.Warmup, "warmup", exp.Warmup, "warmup cycles")
+	flag.IntVar(&exp.Measure, "measure", exp.Measure, "measurement cycles")
+	flag.Uint64Var(&exp.Seed, "seed", exp.Seed, "random seed")
+	workers := flag.Int("workers", 1, "parallel-tick workers (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
 	flag.Parse()
 
-	exp := config.Default()
 	if *configPath != "" {
 		var err error
 		if exp, err = config.Load(*configPath); err != nil {
 			log.Fatal(err)
 		}
-	} else {
-		exp.Topology = *topoName
-		exp.Allocator = *allocStr
-		exp.VirtualInputs = *k
-		exp.VCs = *vcs
-		exp.BufDepth = *depth
-		exp.Policy = *policy
-		exp.Partition = *partition
-		exp.Pattern = *pattern
-		exp.InjectionRate = *rate
-		exp.MaxInjection = *maxInj
-		exp.PacketSize = *pktSize
-		exp.Warmup = *warmup
-		exp.Measure = *measure
-		exp.Seed = *seed
 	}
 
 	// Validate before building: the structured errors name each bad

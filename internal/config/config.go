@@ -6,6 +6,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -98,10 +99,27 @@ func Decode(r io.Reader) (Experiment, error) {
 	if err := dec.Decode(&e); err != nil {
 		return Experiment{}, fmt.Errorf("config: parsing experiment: %w", err)
 	}
+	if err := atEOF(dec); err != nil {
+		return Experiment{}, fmt.Errorf("config: parsing experiment: %w", err)
+	}
 	if err := e.Validate(); err != nil {
 		return Experiment{}, err
 	}
 	return e, nil
+}
+
+// atEOF reports an error unless only whitespace follows the value dec
+// has just decoded: a concatenated or corrupted file is refused, not read
+// up to the end of its first object.
+func atEOF(dec *json.Decoder) error {
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("unexpected data after the JSON value")
+	default:
+		return err
+	}
 }
 
 // Load reads an experiment description from a JSON file via Decode,
@@ -165,31 +183,24 @@ func (e Experiment) crossbar() (vcs, depth, k int) {
 	return vcs, depth, k
 }
 
-// BuildTopology resolves the topology description.
-func (e Experiment) BuildTopology() (*topology.Topology, error) {
-	w, h, c := e.dims()
-	if w < 0 || h < 0 || c < 0 {
-		return nil, fmt.Errorf("config: negative topology dimensions %dx%d c%d", w, h, c)
-	}
-	switch e.Topology {
-	case "", "mesh":
-		return topology.NewMesh(w, h), nil
-	case "torus":
-		return topology.NewTorus(w, h), nil
-	case "cmesh":
-		return topology.NewCMesh(w, h, c), nil
-	case "fbfly":
-		return topology.NewFBfly(w, h, c), nil
-	default:
-		return nil, fmt.Errorf("config: unknown topology %q", e.Topology)
-	}
-}
-
 // Build resolves the full network configuration.
 func (e Experiment) Build() (network.Config, error) {
-	topo, err := e.BuildTopology()
-	if err != nil {
-		return network.Config{}, err
+	w, h, c := e.dims()
+	if w < 0 || h < 0 || c < 0 {
+		return network.Config{}, fmt.Errorf("config: negative topology dimensions %dx%d c%d", w, h, c)
+	}
+	var topo *topology.Topology
+	switch e.Topology {
+	case "", "mesh":
+		topo = topology.NewMesh(w, h)
+	case "torus":
+		topo = topology.NewTorus(w, h)
+	case "cmesh":
+		topo = topology.NewCMesh(w, h, c)
+	case "fbfly":
+		topo = topology.NewFBfly(w, h, c)
+	default:
+		return network.Config{}, fmt.Errorf("config: unknown topology %q", e.Topology)
 	}
 	// The logical node grid for coordinate-based patterns is the square
 	// grid of terminals (8x8 for all 64-node configurations).

@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vix/internal/network"
@@ -83,6 +84,22 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := Load(path); err == nil {
 		t.Fatal("typo field accepted")
+	}
+}
+
+// TestDecodeRejectsTrailingData: a spec is exactly one JSON object; a
+// second object or garbage after it is an error, not silently dropped.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	for body, wantErr := range map[string]bool{
+		`{"vcs":4,"injection_rate":0.1}` + " \n\t": false,
+		`{"vcs":4,"injection_rate":0.1} {"vcs":8}`: true,
+		`{"vcs":4,"injection_rate":0.1} garbage`:   true,
+		`{"vcs":4,"injection_rate":0.1}]`:          true,
+	} {
+		e, err := Decode(strings.NewReader(body))
+		if (err != nil) != wantErr {
+			t.Errorf("Decode(%q) = %+v, %v; want error %v", body, e, err, wantErr)
+		}
 	}
 }
 

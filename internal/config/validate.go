@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"vix/internal/alloc"
+	"vix/internal/topology"
 	"vix/internal/traffic"
 )
 
@@ -72,6 +73,10 @@ func (e Experiment) Validate() error {
 		nodes = w * h * conc
 		if nodes < 2 {
 			bad("width", "a network needs at least 2 nodes to exchange packets, got %dx%d with %d per router", w, h, conc)
+		}
+		// Buffer slots count hops in an int16 (network.Config.Validate).
+		if d := topology.Diameter(topology.Kind(e.Topology), w, h); d > math.MaxInt16 {
+			bad("width", "a %dx%d router grid has diameter %d, more than the hop counter's %d", w, h, d, math.MaxInt16)
 		}
 	}
 	if e.VCs < 0 {

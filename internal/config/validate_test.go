@@ -2,7 +2,6 @@ package config
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"vix/internal/alloc"
-	"vix/internal/network"
 	"vix/internal/traffic"
 )
 
@@ -47,31 +45,9 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 // TestValidateAcceptsEverythingBuildAccepts holds Validate to both sides
 // of its contract over an enumerated grid of geometries, patterns,
 // allocators and crossbar shapes: a spec Validate accepts builds into a
-// network that steps 100 cycles without an error or a panic, and a spec
+// network that runs 100 cycles without an error or a panic, and a spec
 // it rejects is one that would not have.
 func TestValidateAcceptsEverythingBuildAccepts(t *testing.T) {
-	// run resolves e all the way to a stepped network, turning a panic
-	// anywhere on the way into an error.
-	run := func(e Experiment) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		cfg, err := e.Build()
-		if err != nil {
-			return err
-		}
-		n, err := network.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer n.Close()
-		for i := 0; i < 100; i++ {
-			n.Step()
-		}
-		return nil
-	}
 	accepted := 0
 	for _, topo := range []string{"mesh", "torus", "cmesh", "fbfly"} {
 		for _, dim := range [][2]int{{1, 1}, {2, 3}, {3, 3}, {4, 4}} {
@@ -88,7 +64,8 @@ func TestValidateAcceptsEverythingBuildAccepts(t *testing.T) {
 							e.VCs, e.VirtualInputs = vcs, k
 							// Busy enough that every node draws destinations.
 							e.InjectionRate = 0.3
-							verr, rerr := e.Validate(), run(e)
+							e.Warmup, e.Measure = 0, 100
+							verr, rerr := e.Validate(), runUnvalidated(e)
 							if verr == nil {
 								accepted++
 							}
@@ -178,8 +155,9 @@ func TestValidateCrossbarGeometry(t *testing.T) {
 }
 
 // TestValidateRouterFieldBounds: buffer depth and radix must fit the
-// router's int8 slab fields, and Validate agrees with Build + network.New
-// on which side of the bound a spec falls.
+// router's int8 slab fields, the diameter its int16 hop counter, and a
+// wrapping torus needs two VCs; Validate agrees with Build and the
+// network's own validation on which side of each bound a spec falls.
 func TestValidateRouterFieldBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -191,6 +169,10 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		{"cmesh radix 127", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "cmesh", 2, 1, 123 }, ""},
 		{"cmesh radix 128", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "cmesh", 2, 1, 124 }, "conc"},
 		{"fbfly radix 128", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "fbfly", 126, 2, 2 }, "conc"},
+		{"mesh diameter 32767", func(e *Experiment) { e.Width, e.Height = 32768, 1 }, ""},
+		{"mesh diameter 39999", func(e *Experiment) { e.Width, e.Height = 40000, 1 }, "width"},
+		{"torus 3x3 with 1 VC", func(e *Experiment) { e.Topology, e.Width, e.Height, e.VCs = "torus", 3, 3, 1 }, "vcs"},
+		{"unknown policy", func(e *Experiment) { e.Policy = "psychic" }, "policy"},
 	} {
 		e := Default()
 		tc.mutate(&e)
@@ -209,6 +191,15 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		if (verr == nil) != (err == nil) {
 			t.Errorf("%s: Validate says %v, the network's own validation says %v", tc.name, verr, err)
 		}
+	}
+}
+
+// TestValidateAllocatesNothing: vixd validates every case it is posted,
+// so checking a spec must not build the network it describes.
+func TestValidateAllocatesNothing(t *testing.T) {
+	e := Default()
+	if avg := testing.AllocsPerRun(100, func() { _ = e.Validate() }); avg != 0 {
+		t.Errorf("Validate on Default() allocates %v times", avg)
 	}
 }
 

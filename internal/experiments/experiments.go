@@ -21,12 +21,21 @@ import (
 	"vix/internal/topology"
 )
 
-// Scheme is a network-level switch-allocation configuration under test.
+// Scheme is a switch-allocation configuration under test, in a network
+// or alone in the Figure 7 testbench.
 type Scheme struct {
 	Label  string
 	Kind   alloc.Kind
 	K      int               // virtual inputs per port; 0 means "equal to VCs"
 	Policy router.PolicyKind // "" means maxfree, or balanced once K > 1
+}
+
+// virtualInputs resolves K against the VCs per port.
+func (s Scheme) virtualInputs(vcs int) int {
+	if s.K == 0 {
+		return vcs
+	}
+	return s.K
 }
 
 // NetworkSchemes returns the four schemes of Section 4.1 in evaluation
@@ -55,10 +64,11 @@ type Params struct {
 	TickWorkers int
 }
 
-// DefaultParams returns the paper's configuration with laptop-scale
-// windows.
+// DefaultParams returns the paper's configuration, config.Default, with
+// laptop-scale windows.
 func DefaultParams() Params {
-	return Params{VCs: 6, BufDepth: 5, PacketSize: 4, Warmup: 2000, Measure: 6000, Seed: 1}
+	d := config.Default()
+	return Params{VCs: d.VCs, BufDepth: d.BufDepth, PacketSize: d.PacketSize, Warmup: d.Warmup, Measure: d.Measure, Seed: d.Seed}
 }
 
 // Validate rejects windows and buffer geometry no experiment can
@@ -84,21 +94,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Scaled returns a copy with the simulation windows multiplied by f
-// (benchmarks use f < 1 for quick runs).
-func (p Params) Scaled(f float64) Params {
-	q := p
-	q.Warmup = int(float64(p.Warmup) * f)
-	q.Measure = int(float64(p.Measure) * f)
-	if q.Warmup < 100 {
-		q.Warmup = 100
-	}
-	if q.Measure < 200 {
-		q.Measure = 200
-	}
-	return q
-}
-
 // Topologies returns the paper's three 64-node topologies.
 func Topologies() []*topology.Topology {
 	return []*topology.Topology{
@@ -112,13 +107,9 @@ func Topologies() []*topology.Topology {
 // seed is the study's root seed, which point() replaces with a per-point
 // one for the label-seeded grids.
 func experiment(topo *topology.Topology, s Scheme, p Params, rate float64, maxInj bool) config.Experiment {
-	k := s.K
-	if k == 0 {
-		k = p.VCs
-	}
 	return config.Experiment{
 		Topology: string(topo.Kind), Width: topo.W, Height: topo.H, Conc: topo.Conc,
-		VCs: p.VCs, BufDepth: p.BufDepth, VirtualInputs: k,
+		VCs: p.VCs, BufDepth: p.BufDepth, VirtualInputs: s.virtualInputs(p.VCs),
 		Allocator: string(s.Kind), Policy: string(s.Policy),
 		Pattern:       "uniform",
 		InjectionRate: rate,

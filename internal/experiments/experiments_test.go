@@ -186,18 +186,6 @@ func TestFigure12VirtualInputs(t *testing.T) {
 	}
 }
 
-func TestParamsScaled(t *testing.T) {
-	p := DefaultParams()
-	q := p.Scaled(0.5)
-	if q.Warmup != p.Warmup/2 || q.Measure != p.Measure/2 {
-		t.Fatalf("Scaled(0.5) gave %+v", q)
-	}
-	tiny := p.Scaled(0.0001)
-	if tiny.Warmup < 100 || tiny.Measure < 200 {
-		t.Fatalf("Scaled floor violated: %+v", tiny)
-	}
-}
-
 // TestParamsValidate: the defaults and a zero warm-up pass; each field a
 // figure cannot be measured without is named when it is out of range.
 func TestParamsValidate(t *testing.T) {

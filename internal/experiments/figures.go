@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 
+	"vix/internal/alloc"
 	"vix/internal/energy"
 	"vix/internal/harness"
 	"vix/internal/routerbench"
@@ -24,18 +25,24 @@ type Fig7Row struct {
 }
 
 // Figure7 runs the single-router testbench for radices 5, 8, and 10 with
-// 6 VCs, single-flit packets, for IF, WF, AP, VIX, and ideal.
+// p.VCs VCs per port and single-flit packets, for IF, WF, AP, VIX, and
+// ideal.
 func Figure7(p Params) ([]Fig7Row, error) {
-	radices := []int{5, 8, 10}
-	res, err := routerbench.Figure7(radices, p.VCs, 1, p.Warmup, p.Measure, p.Seed)
-	if err != nil {
-		return nil, err
-	}
+	schemes := append(NetworkSchemes(), Scheme{Label: "Ideal", Kind: alloc.KindIdeal})
 	var rows []Fig7Row
-	for i, radix := range radices {
-		ifRate := res[i][0].FlitsPerCycle
-		for j, s := range routerbench.Figure7Schemes() {
-			r := res[i][j]
+	for _, radix := range []int{5, 8, 10} {
+		var ifRate float64
+		for j, s := range schemes {
+			r, err := routerbench.Run(routerbench.Config{
+				Radix: radix, VCs: p.VCs, VirtualInputs: s.virtualInputs(p.VCs),
+				AllocKind: s.Kind, PacketSize: 1, Seed: p.Seed,
+			}, p.Warmup, p.Measure)
+			if err != nil {
+				return nil, err
+			}
+			if j == 0 { // IF is the first scheme
+				ifRate = r.FlitsPerCycle
+			}
 			rows = append(rows, Fig7Row{
 				Radix:         radix,
 				Scheme:        s.Label,

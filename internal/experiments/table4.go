@@ -26,15 +26,9 @@ type Table4Row struct {
 	PaperMPKI, PaperSpeedup float64
 }
 
-// RunMix simulates one Table 4 workload on the 8x8 mesh under the given
-// scheme and returns per-core IPC over the measurement window.
-func RunMix(mix trace.Mix, s Scheme, p Params, mc manycore.Config) ([]float64, error) {
-	ipcs, _, err := RunMixDetailed(mix, s, p, mc)
-	return ipcs, err
-}
-
-// RunMixDetailed additionally returns the average memory-transaction
-// latency over the measurement window.
+// RunMixDetailed simulates one Table 4 workload on the 8x8 mesh under
+// the given scheme and returns per-core IPC and the average
+// memory-transaction latency over the measurement window.
 func RunMixDetailed(mix trace.Mix, s Scheme, p Params, mc manycore.Config) ([]float64, float64, error) {
 	topo := topology.NewMesh(8, 8)
 	apps, err := mix.Assign(topo.NumNodes)

@@ -49,17 +49,20 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
-// RunMix is usable directly for a single mix and scheme.
+// RunMixDetailed is usable directly for a single mix and scheme.
 func TestRunMixDirect(t *testing.T) {
 	p := DefaultParams()
 	p.Warmup = 300
 	p.Measure = 1000
-	ipcs, err := RunMix(trace.Mixes()[0], NetworkSchemes()[0], p, manycore.DefaultConfig())
+	ipcs, lat, err := RunMixDetailed(trace.Mixes()[0], NetworkSchemes()[0], p, manycore.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ipcs) != 64 {
-		t.Fatalf("RunMix returned %d cores", len(ipcs))
+		t.Fatalf("RunMixDetailed returned %d cores", len(ipcs))
+	}
+	if lat <= 0 {
+		t.Fatalf("average memory latency %v, want positive", lat)
 	}
 	for i, v := range ipcs {
 		if v <= 0 || v > 2.0001 {

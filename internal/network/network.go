@@ -107,12 +107,6 @@ type Config struct {
 	HopDelay    int
 	CreditDelay int
 
-	// DeadlockCycles is the forward-progress watchdog: if flits are in
-	// flight but none ejects for this many consecutive cycles, Step
-	// panics with a diagnostic (a correct DOR configuration can never
-	// trip it). Zero selects the default; negative disables the check.
-	DeadlockCycles int
-
 	// Workers is the number of workers the per-cycle router tick fans
 	// out across. 0 or 1 ticks each active router and merges its effects
 	// in one pass on the stepping goroutine; N > 1 ticks the cycle's
@@ -134,11 +128,13 @@ const (
 	DefaultHopDelay    = 3
 	DefaultCreditDelay = 2
 	DefaultPacketSize  = 4
-	// DefaultDeadlockCycles bounds how long the network may hold flits
-	// without ejecting any before the watchdog trips. Saturated meshes
-	// eject every few cycles, so this is far outside normal behaviour.
-	DefaultDeadlockCycles = 20000
 )
+
+// deadlockCycles is the forward-progress watchdog: if flits are in flight
+// but none ejects for this many consecutive cycles, Step panics with a
+// diagnostic (a correct DOR configuration can never trip it). Saturated
+// meshes eject every few cycles, so this is far outside normal behaviour.
+const deadlockCycles = 20000
 
 func (c *Config) setDefaults() {
 	if c.HopDelay == 0 {
@@ -149,9 +145,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.PacketSize == 0 {
 		c.PacketSize = DefaultPacketSize
-	}
-	if c.DeadlockCycles == 0 {
-		c.DeadlockCycles = DefaultDeadlockCycles
 	}
 }
 
@@ -189,7 +182,14 @@ func (c *Config) Validate() error {
 			return errors.New("network: zero injection rate without MaxInjection")
 		}
 	}
-	return c.Router.Validate()
+	if err := c.Router.Validate(); err != nil {
+		return err
+	}
+	if t := c.Topology; t.Kind == topology.KindTorus && (t.W >= 3 || t.H >= 3) && c.Router.VCs < 2 {
+		return fmt.Errorf("network: torus %dx%d needs at least 2 VCs for the dateline classes, got %d",
+			t.W, t.H, c.Router.VCs)
+	}
+	return nil
 }
 
 // flitDelivery, creditDelivery and ejection are the in-flight events on
@@ -322,6 +322,7 @@ type Network struct {
 	inFlight int64 // flits inside routers or on links (not source queues)
 
 	lastEjectCycle int64 // watchdog: last cycle any flit ejected
+	stallLimit     int64 // watchdog threshold: deadlockCycles; tests tighten it
 
 	// Activity state: packed activity words for routers (buffered flits,
 	// or a delivery, credit, or injection this cycle) and for NIs with
@@ -358,10 +359,11 @@ func New(cfg Config) (*Network, error) {
 	}
 	topo := cfg.Topology
 	n := &Network{
-		cfg:   cfg,
-		topo:  topo,
-		route: routing.DOR(topo),
-		col:   stats.NewCollector(topo.NumNodes),
+		cfg:        cfg,
+		topo:       topo,
+		route:      routing.DOR(topo),
+		col:        stats.NewCollector(topo.NumNodes),
+		stallLimit: deadlockCycles,
 	}
 	n.qlen = cfg.HopDelay
 	if cfg.CreditDelay > n.qlen {
@@ -378,10 +380,6 @@ func New(cfg Config) (*Network, error) {
 	n.routers = make([]*router.Router, topo.NumRouters)
 	vcRange := func(r int) router.VCRangeFunc { return nil }
 	if topo.Kind == topology.KindTorus {
-		if (topo.W >= 3 || topo.H >= 3) && cfg.Router.VCs < 2 {
-			return nil, fmt.Errorf("network: torus %dx%d needs at least 2 VCs for the dateline classes, got %d",
-				topo.W, topo.H, cfg.Router.VCs)
-		}
 		vcRange = n.torusVCRangeFunc
 	}
 	for r := 0; r < topo.NumRouters; r++ {
@@ -573,11 +571,10 @@ func (n *Network) source() {
 // forward-progress watchdog, and the clock.
 func (n *Network) endCycle() {
 	n.col.Tick()
-	if n.cfg.DeadlockCycles > 0 && n.inFlight > 0 &&
-		n.cycle-n.lastEjectCycle > int64(n.cfg.DeadlockCycles) {
+	if n.inFlight > 0 && n.cycle-n.lastEjectCycle > n.stallLimit {
 		panic(fmt.Sprintf(
 			"network: no flit ejected for %d cycles with %d flits in flight at cycle %d — deadlock or livelock",
-			n.cfg.DeadlockCycles, n.inFlight, n.cycle))
+			n.stallLimit, n.inFlight, n.cycle))
 	}
 	n.cycle++
 }

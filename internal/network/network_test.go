@@ -463,11 +463,11 @@ func TestDeadlockWatchdogTrips(t *testing.T) {
 	w := &singlePacket{src: 0, dst: 15, size: 4, at: 0}
 	cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
 	cfg.Workload = w
-	cfg.DeadlockCycles = 2 // absurdly tight: pipeline latency alone exceeds it
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.stallLimit = 2 // absurdly tight: pipeline latency alone exceeds it
 	defer func() {
 		if recover() == nil {
 			t.Fatal("watchdog did not trip at threshold 2")
@@ -488,20 +488,6 @@ func TestDeadlockWatchdogQuietOnHealthyTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(3000) // panics on watchdog failure
-}
-
-// A negative DeadlockCycles disables the watchdog entirely.
-func TestDeadlockWatchdogDisabled(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
-	w := &singlePacket{src: 0, dst: 15, size: 4, at: 0}
-	cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
-	cfg.Workload = w
-	cfg.DeadlockCycles = -1
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(500) // must not panic even though long idle stretches occur
 }
 
 // The interleaved VC partition runs end-to-end and still shows the VIX
@@ -660,50 +646,5 @@ func TestConcentratedEjectionBandwidth(t *testing.T) {
 	}
 	if maxPerRouter < 2 {
 		t.Fatalf("saturated CMesh never used parallel ejection (max %d/cycle)", maxPerRouter)
-	}
-}
-
-// Adaptive warmup converges on a steady workload and the subsequent
-// measurement matches a long fixed warmup within a few percent.
-func TestRunToSteadyState(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
-	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
-	cfg.MaxInjection = true
-	cfg.InjectionRate = 0
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles, converged := n.RunToSteadyState(400, 0.03, 20000)
-	if !converged {
-		t.Fatalf("did not converge in %d cycles", cycles)
-	}
-	adaptive := n.Measure(2000).ThroughputFlits
-
-	n2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2.Warmup(5000)
-	fixed := n2.Measure(2000).ThroughputFlits
-	if math.Abs(adaptive-fixed)/fixed > 0.06 {
-		t.Fatalf("adaptive warmup measurement %.4f far from fixed-warmup %.4f", adaptive, fixed)
-	}
-}
-
-// The steady-state helper gives up (converged=false) when maxCycles is
-// too small to see two windows.
-func TestRunToSteadyStateBudget(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
-	n, err := New(meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles, converged := n.RunToSteadyState(400, 0.0001, 400); converged {
-		t.Fatalf("claimed convergence after %d cycles with one window", cycles)
-	}
-	// Defaults kick in for nonsense arguments.
-	if cycles, _ := n.RunToSteadyState(-1, -1, 1000); cycles == 0 {
-		t.Fatal("defaulted window ran zero cycles")
 	}
 }

@@ -156,12 +156,12 @@ func TestParallelDeadlockWatchdogTrips(t *testing.T) {
 	w := &singlePacket{src: 0, dst: 15, size: 4, at: 0}
 	cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
 	cfg.Workload = w
-	cfg.DeadlockCycles = 2 // absurdly tight: pipeline latency alone exceeds it
 	cfg.Workers = 2
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.stallLimit = 2 // absurdly tight: pipeline latency alone exceeds it
 	defer n.Close()
 	defer func() {
 		if recover() == nil {

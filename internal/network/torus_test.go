@@ -48,11 +48,11 @@ func TestTorusSaturationDeadlockFree(t *testing.T) {
 			cfg.MaxInjection = true
 			cfg.InjectionRate = 0
 			cfg.Seed = 3
-			cfg.DeadlockCycles = 2500
 			n, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			n.stallLimit = 2500
 			defer n.Close()
 			n.Warmup(500)
 			s := n.Measure(5000)

@@ -41,8 +41,10 @@ func (c Config) Validate() error {
 	if c.Ports > math.MaxInt8 {
 		return fmt.Errorf("router: Ports must be at most %d, got %d", math.MaxInt8, c.Ports)
 	}
-	if c.Policy == "" {
-		return fmt.Errorf("router: Policy must be set")
+	switch c.Policy {
+	case PolicyMaxFree, PolicyDimension, PolicyBalanced:
+	default:
+		return fmt.Errorf("router: unknown VC policy %q", c.Policy)
 	}
 	return c.Alloc().Validate()
 }

@@ -136,47 +136,3 @@ func Run(cfg Config, warmup, measure int) (Result, error) {
 	r.Efficiency = r.FlitsPerCycle / float64(cfg.Radix)
 	return r, nil
 }
-
-// Scheme is one curve of Figure 7.
-type Scheme struct {
-	Label         string
-	AllocKind     alloc.Kind
-	VirtualInputs int // 0 means "use VCs" (per-VC rows)
-}
-
-// Figure7Schemes returns the five allocation schemes of Figure 7 in
-// presentation order: IF, WF, AP, VIX, and ideal.
-func Figure7Schemes() []Scheme {
-	return []Scheme{
-		{Label: "IF", AllocKind: alloc.KindSeparableIF, VirtualInputs: 1},
-		{Label: "WF", AllocKind: alloc.KindWavefront, VirtualInputs: 1},
-		{Label: "AP", AllocKind: alloc.KindAugmentingPath, VirtualInputs: 1},
-		{Label: "VIX", AllocKind: alloc.KindSeparableIF, VirtualInputs: 2},
-		{Label: "Ideal", AllocKind: alloc.KindIdeal, VirtualInputs: 0},
-	}
-}
-
-// Figure7 runs the full Figure 7 sweep: each scheme at each radix, with
-// the paper's 6 VCs per port. It returns results[radixIdx][schemeIdx].
-func Figure7(radices []int, vcs, packetSize, warmup, measure int, seed uint64) ([][]Result, error) {
-	out := make([][]Result, len(radices))
-	for i, radix := range radices {
-		out[i] = make([]Result, 0, 5)
-		for _, s := range Figure7Schemes() {
-			k := s.VirtualInputs
-			if k == 0 {
-				k = vcs
-			}
-			cfg := Config{
-				Radix: radix, VCs: vcs, VirtualInputs: k,
-				AllocKind: s.AllocKind, PacketSize: packetSize, Seed: seed,
-			}
-			r, err := Run(cfg, warmup, measure)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = append(out[i], r)
-		}
-	}
-	return out, nil
-}

@@ -94,23 +94,6 @@ func TestBenchDeterminism(t *testing.T) {
 	}
 }
 
-func TestFigure7Harness(t *testing.T) {
-	res, err := Figure7([]int{5, 8}, 6, 1, 100, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || len(res[0]) != 5 {
-		t.Fatalf("harness shape wrong: %dx%d", len(res), len(res[0]))
-	}
-	for _, row := range res {
-		for _, r := range row {
-			if r.FlitsPerCycle <= 0 {
-				t.Fatalf("scheme produced zero throughput: %+v", r.Config)
-			}
-		}
-	}
-}
-
 func TestInvalidConfigs(t *testing.T) {
 	if _, err := New(Config{Radix: 5, VCs: 6, VirtualInputs: 1, AllocKind: alloc.KindSeparableIF, PacketSize: 0}); err == nil {
 		t.Error("zero packet size accepted")

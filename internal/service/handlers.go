@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -114,14 +115,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // buffering without bound.
 const maxBodyBytes = 4 << 20
 
-// decodeBody decodes r's JSON body into v, writing the 400 (malformed)
-// or 413 (over maxBodyBytes) itself when it cannot.
+// decodeBody decodes r's JSON body — one value, nothing but whitespace
+// after it — into v, writing the 400 (malformed) or 413 (over
+// maxBodyBytes) itself when it cannot.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
-		return true
+		switch _, err = dec.Token(); err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("unexpected data after the JSON value")
+		}
 	}
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError

@@ -46,11 +46,6 @@ type Config struct {
 	// Empty means an in-memory store (results do not survive restarts).
 	StorePath string
 
-	// Store, when non-nil, is an already-open store to use instead of
-	// StorePath. The server does not close it. Tests use this to share
-	// one store between a server and direct assertions.
-	Store *store.Store
-
 	// Runners is the number of cases executing concurrently. Values
 	// <= 0 mean GOMAXPROCS.
 	Runners int
@@ -81,11 +76,8 @@ type Config struct {
 type Server struct {
 	workers int
 	store   *store.Store
-	// ownStore records that the server opened the store itself and must
-	// close it on Close.
-	ownStore bool
-	quotas   *quotas
-	log      *log.Logger
+	quotas  *quotas
+	log     *log.Logger
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signals runners: queue grew or server closing
@@ -99,32 +91,26 @@ type Server struct {
 	handler http.Handler
 }
 
-// New starts a server: opens (or adopts) the result store and launches
-// the runner pool. The caller must Close it.
+// New starts a server: opens the result store and launches the runner
+// pool. The caller must Close it.
 func New(cfg Config) (*Server, error) {
 	if cfg.QuotaRate > 0 && cfg.Now == nil {
 		return nil, fmt.Errorf("service: Config.Now is required when QuotaRate > 0 (the service never reads the wall clock itself)")
 	}
-	st := cfg.Store
-	own := false
-	if st == nil {
-		var err error
-		if st, err = store.Open(cfg.StorePath); err != nil {
-			return nil, err
-		}
-		own = true
+	st, err := store.Open(cfg.StorePath)
+	if err != nil {
+		return nil, err
 	}
 	runners := cfg.Runners
 	if runners <= 0 {
 		runners = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		workers:  cfg.Workers,
-		store:    st,
-		ownStore: own,
-		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst, cfg.Now),
-		log:      cfg.Log,
-		suites:   make(map[string]*suite),
+		workers: cfg.Workers,
+		store:   st,
+		quotas:  newQuotas(cfg.QuotaRate, cfg.QuotaBurst, cfg.Now),
+		log:     cfg.Log,
+		suites:  make(map[string]*suite),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.handler = s.routes()
@@ -140,7 +126,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Close drains and stops the server: queued cases run to completion,
-// runners exit, and the store is closed if the server opened it. New
+// runners exit, and the store is closed. New
 // case submissions racing Close are either executed before Close
 // returns or rejected with 503.
 func (s *Server) Close() error {
@@ -160,10 +146,7 @@ func (s *Server) Close() error {
 	n := len(s.suites)
 	s.mu.Unlock()
 	s.logf("drained: %d suites, store %d entries", n, s.store.Len())
-	if s.ownStore {
-		return s.store.Close()
-	}
-	return nil
+	return s.store.Close()
 }
 
 // StoreStats exposes the result store's hit/miss/dedup accounting

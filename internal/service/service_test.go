@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"vix/internal/service"
-	"vix/internal/store"
 )
 
 // smallSpec is a fast-but-real experiment body: a full 8x8 mesh, short
@@ -28,8 +27,8 @@ func gridBody() string {
 		smallSpec(1), smallSpec(2))
 }
 
-// newTestServer starts a service over the given store (nil for a fresh
-// in-memory one) and returns it with its HTTP front end.
+// newTestServer starts a service (over an in-memory store unless cfg
+// names a file) and returns it with its HTTP front end.
 func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *httptest.Server) {
 	t.Helper()
 	svc, err := service.New(cfg)
@@ -222,8 +221,7 @@ func TestSuiteLifecycle(t *testing.T) {
 // and the second pass performs zero simulations — every case is served
 // from the store.
 func TestCacheExactness(t *testing.T) {
-	st := store.Memory()
-	svc, ts := newTestServer(t, service.Config{Store: st, Runners: 2})
+	svc, ts := newTestServer(t, service.Config{Runners: 2})
 
 	first := streamResults(t, ts.URL, postGrid(t, ts.URL, gridBody()))
 	misses := svc.StoreStats().Misses
@@ -379,10 +377,16 @@ func TestValidationErrors(t *testing.T) {
 		}
 	}
 
-	// Unknown JSON fields in a spec are typos, not silently ignored.
-	code, data = post(t, ts.URL+"/suites", `{"cases": [{"spec": {"allocator": "if", "virtual_imputs": 2}}]}`)
-	if code != http.StatusBadRequest {
-		t.Errorf("unknown spec field = %d, want 400 (body %s)", code, data)
+	// Unknown JSON fields in a spec are typos, not silently ignored, and a
+	// body is one JSON value: whatever follows it is not dropped unread.
+	for _, body := range []string{
+		`{"cases": [{"spec": {"allocator": "if", "virtual_imputs": 2}}]}`,
+		`{"name": "first"} {"name": "second"}`,
+		`{"name": "first"} garbage`,
+	} {
+		if code, data = post(t, ts.URL+"/suites", body); code != http.StatusBadRequest {
+			t.Errorf("POST /suites %s = %d, want 400 (body %s)", body, code, data)
+		}
 	}
 	// A validation failure admits nothing: no suite was created.
 	if code, _ := get(t, ts.URL+"/suites/s3", nil); code != http.StatusNotFound {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -192,28 +191,6 @@ func TestExpMean(t *testing.T) {
 	}
 	if mean := sum / draws; math.Abs(mean-25) > 1 {
 		t.Fatalf("Exp(25) mean = %v", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(19)
-	check := func(n uint8) bool {
-		size := int(n%32) + 1
-		p := r.Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -15,7 +15,8 @@
 // with O_APPEND in a single Write per entry so concurrent writers —
 // other Store instances in this process or other processes sharing the
 // file — interleave whole lines rather than tearing them. A kill can
-// tear at most the final line, which Open discards; duplicate IDs are
+// tear at most the final line, which Open discards and terminates so the
+// next append starts a line of its own; duplicate IDs are
 // legal (two writers may race to complete the same spec) and resolve
 // last-wins, which is safe because determinism makes every value for an
 // ID identical.
@@ -159,6 +160,7 @@ func Open(path string) (*Store, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
+	torn := len(data) > 0 && data[len(data)-1] != '\n'
 	for len(data) > 0 {
 		line := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
@@ -178,6 +180,14 @@ func Open(path string) (*Store, error) {
 	s.f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
+	}
+	// Terminate a torn final line, or the next Put would append onto the
+	// fragment and be lost with it on the next Open.
+	if torn {
+		if _, err := s.f.Write([]byte{'\n'}); err != nil {
+			s.f.Close()
+			return nil, fmt.Errorf("store: terminating the torn tail of %s: %w", path, err)
+		}
 	}
 	return s, nil
 }

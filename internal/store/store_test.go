@@ -85,6 +85,40 @@ func TestTornTailDiscarded(t *testing.T) {
 	}
 }
 
+// TestAppendAfterTornTail: the first entry put after a torn tail must
+// start a line of its own, or it is appended onto the fragment and lost
+// with it on the next Open.
+func TestAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	a, err := json.Marshal(entry("a", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(a, "\n"+`{"id":"b","na`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(entry("c", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for id, want := range map[string]bool{"a": true, "b": false, "c": true} {
+		if _, ok := r.Lookup(id); ok != want {
+			t.Errorf("after reopen, Lookup(%q) found = %v, want %v", id, ok, want)
+		}
+	}
+}
+
 // TestDuplicateIDsResolveLastWins: two writers may race to complete the
 // same spec; the loader must accept the file and keep one entry.
 func TestDuplicateIDsResolveLastWins(t *testing.T) {

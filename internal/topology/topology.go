@@ -109,21 +109,25 @@ func (t *Topology) RouterXY(r int) (x, y int) {
 
 // Diameter returns the largest number of router-to-router links a
 // minimal route crosses.
-func (t *Topology) Diameter() int {
-	switch t.Kind {
+func (t *Topology) Diameter() int { return Diameter(t.Kind, t.W, t.H) }
+
+// Diameter returns the diameter of a w x h router grid of the given kind
+// without building it, so a spec can be checked against it cheaply.
+func Diameter(kind Kind, w, h int) int {
+	switch kind {
 	case KindTorus:
-		return t.W/2 + t.H/2
+		return w/2 + h/2
 	case KindFBfly:
 		d := 0
-		if t.W > 1 {
+		if w > 1 {
 			d++
 		}
-		if t.H > 1 {
+		if h > 1 {
 			d++
 		}
 		return d
 	default:
-		return t.W - 1 + t.H - 1
+		return w - 1 + h - 1
 	}
 }
 

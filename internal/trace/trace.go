@@ -204,26 +204,16 @@ const intraBurstGap = 2.0
 // the instruction distance to each successive L1 miss, and whether that
 // miss also misses the L2.
 type Generator struct {
-	app   App
-	rng   *sim.RNG
-	burst float64
+	app App
+	rng *sim.RNG
 	// left counts the remaining misses of the current burst.
 	left int
 }
 
-// NewGenerator returns a trace generator for the app with the default
-// burstiness, seeded deterministically from the provided stream.
+// NewGenerator returns a trace generator for the app, seeded
+// deterministically from the provided stream.
 func NewGenerator(a App, rng *sim.RNG) *Generator {
-	return NewGeneratorBurst(a, rng, DefaultBurstiness)
-}
-
-// NewGeneratorBurst returns a generator with an explicit mean burst
-// length; burst <= 1 yields a plain Poisson miss stream.
-func NewGeneratorBurst(a App, rng *sim.RNG, burst float64) *Generator {
-	if burst < 1 {
-		burst = 1
-	}
-	return &Generator{app: a, rng: rng, burst: burst}
+	return &Generator{app: a, rng: rng}
 }
 
 // App returns the generator's benchmark.
@@ -231,8 +221,8 @@ func (g *Generator) App() App { return g.app }
 
 // NextMiss returns the number of instructions until the next L1 miss and
 // whether it also misses in the shared L2. Misses arrive in geometric
-// bursts with mean length Burstiness; the inter-burst gap is sized so the
-// long-run rate equals L1MPKI misses per kilo-instruction.
+// bursts with mean length DefaultBurstiness; the inter-burst gap is sized
+// so the long-run rate equals L1MPKI misses per kilo-instruction.
 func (g *Generator) NextMiss() (instructions float64, l2Miss bool) {
 	if g.app.L1MPKI <= 0 {
 		// Effectively no misses: one per hundred million instructions.
@@ -243,15 +233,15 @@ func (g *Generator) NextMiss() (instructions float64, l2Miss bool) {
 		g.left--
 		return intraBurstGap, l2
 	}
-	// Start a new burst: geometric length with mean g.burst.
+	// Start a new burst: geometric length with mean DefaultBurstiness.
 	n := 1
-	for g.rng.Bernoulli(1 - 1/g.burst) {
+	for g.rng.Bernoulli(1 - 1/DefaultBurstiness) {
 		n++
 	}
 	g.left = n - 1
 	// Mean instructions per miss must stay 1000/L1MPKI:
 	// (interMean + (burst-1)*intraGap) / burst = 1000/L1MPKI.
-	interMean := g.burst*(1000/g.app.L1MPKI) - (g.burst-1)*intraBurstGap
+	interMean := DefaultBurstiness*(1000/g.app.L1MPKI) - (DefaultBurstiness-1)*intraBurstGap
 	if interMean < 1 {
 		interMean = 1
 	}
