@@ -171,7 +171,7 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 		if err := e.Validate(); err != nil {
 			return fmt.Errorf("scheme %s:%d: %w", sc.alloc, sc.k, err)
 		}
-		offered := offeredLabel(rate, max)
+		offered := e.OfferedLabel()
 		e.Seed = sim.DeriveSeed(base.Seed, "sweep", sc.alloc, strconv.Itoa(sc.k), offered)
 		name := fmt.Sprintf("sweep/%s:%d/%s", sc.alloc, sc.k, offered)
 		jobs = append(jobs, harness.Job{
@@ -209,15 +209,6 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 		}
 	}
 	return jobs, nil
-}
-
-// offeredLabel formats the offered-load column: "saturation" for
-// max-injection points.
-func offeredLabel(rate float64, max bool) string {
-	if max {
-		return "saturation"
-	}
-	return fmt.Sprintf("%g", rate)
 }
 
 // parseSchemes parses comma-separated allocator:k pairs, rejecting

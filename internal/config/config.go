@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"vix/internal/alloc"
 	"vix/internal/network"
@@ -288,6 +289,16 @@ func nodeGrid(n int) (int, int) {
 		}
 	}
 	return n / best, best
+}
+
+// OfferedLabel renders the offered load for labels, job names and CSV
+// columns: "saturation" for a max-injection point, otherwise the shortest
+// decimal that reads back as the injection rate.
+func (e Experiment) OfferedLabel() string {
+	if e.MaxInjection {
+		return "saturation"
+	}
+	return strconv.FormatFloat(e.InjectionRate, 'g', -1, 64)
 }
 
 // PartitionName returns the partition's display name.

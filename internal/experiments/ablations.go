@@ -99,8 +99,8 @@ func probeAndSaturate(study string, s Scheme, p Params, probeRate float64, varia
 	vary(&probe)
 	vary(&sat)
 	return []GridPoint{
-		point(probe, "ablate", study, s.Label, variant, rateLabel(probeRate, false)),
-		point(sat, "ablate", study, s.Label, variant, rateLabel(0, true)),
+		point(probe, "ablate", study, s.Label, variant, probe.OfferedLabel()),
+		point(sat, "ablate", study, s.Label, variant, sat.OfferedLabel()),
 	}
 }
 

@@ -82,9 +82,11 @@ func Figure8Grid(p Params, rates []float64) []GridPoint {
 	var pts []GridPoint
 	for _, s := range NetworkSchemes() {
 		for _, rate := range rates {
-			pts = append(pts, point(experiment(topo, s, p, rate, false), "fig8", s.Label, rateLabel(rate, false)))
+			e := experiment(topo, s, p, rate, false)
+			pts = append(pts, point(e, "fig8", s.Label, e.OfferedLabel()))
 		}
-		pts = append(pts, point(experiment(topo, s, p, 0, true), "fig8", s.Label, rateLabel(0, true)))
+		e := experiment(topo, s, p, 0, true)
+		pts = append(pts, point(e, "fig8", s.Label, e.OfferedLabel()))
 	}
 	return pts
 }
@@ -176,7 +178,8 @@ func Figure11(ctx context.Context, p Params, opt harness.Options) ([]Fig11Row, e
 func energyGrid(topo *topology.Topology, p Params, rate float64) []GridPoint {
 	var pts []GridPoint
 	for _, s := range []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} { // IF, VIX
-		pts = append(pts, GridPoint{Labels: []string{"fig11", topo.Name, s.Label, rateLabel(rate, false)}, Spec: experiment(topo, s, p, rate, false)})
+		e := experiment(topo, s, p, rate, false)
+		pts = append(pts, GridPoint{Labels: []string{"fig11", topo.Name, s.Label, e.OfferedLabel()}, Spec: e})
 	}
 	return pts
 }

@@ -149,13 +149,3 @@ func (f *jsonFloat) UnmarshalJSON(b []byte) error {
 	*f = jsonFloat(v)
 	return nil
 }
-
-// rateLabel formats an offered load for use in labels and artifacts:
-// "saturation" for max-injection points, the shortest exact decimal
-// otherwise.
-func rateLabel(rate float64, maxInj bool) string {
-	if maxInj {
-		return "saturation"
-	}
-	return strconv.FormatFloat(rate, 'g', -1, 64)
-}

@@ -3,9 +3,9 @@
 // go/ast, go/token and go/types packages (no golang.org/x/tools) and
 // keeps only the rules nothing cheaper enforces: what the compiler, the
 // allocator registry table or a runtime test already fails is not
-// re-derived statically here (DESIGN.md §8 lists those). The analyzer
-// families below run over every non-test package of the module, in one
-// serial pass:
+// re-derived statically here (DESIGN.md, "Lint (vixlint)" lists those).
+// The analyzer families below run over every non-test package of the
+// module, in one serial pass:
 //
 // Determinism (internal/* only). Every experiment must be exactly
 // reproducible from a seed, with all randomness flowing through sim.RNG:
@@ -58,7 +58,8 @@
 //
 // What the two sim.Pool.Do sites may write is not judged here: the race
 // detector and the byte-identity lockstep tests see strictly more of it
-// (DESIGN.md §13), and TestPoolDoSitesArePinned keeps the sites at two.
+// (DESIGN.md, "Network step"), and TestPoolDoSitesArePinned keeps the
+// sites at two.
 //
 // Findings are reported as "file:line: rule: message". Check (engine.go)
 // is the one entry point: load, every package in import-path order,

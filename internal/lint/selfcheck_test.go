@@ -187,7 +187,7 @@ func TestRepoTypeChecks(t *testing.T) {
 // values alike — sit in exactly harness.Run and (*Network).tickRouters.
 // Nothing static judges what a pool job may write; the race detector and
 // the byte-identity lockstep tests do, and only over jobs a test drives
-// at more than one worker (DESIGN.md §13).
+// at more than one worker (DESIGN.md, "Network step").
 func TestPoolDoSitesArePinned(t *testing.T) {
 	mod, err := lint.Load(repoRoot(t))
 	if err != nil {

@@ -334,14 +334,6 @@ func (s *System) Generate(node int, cycle int64, _ *sim.RNG) []network.PacketSpe
 	return out
 }
 
-// NodeActive implements network.NodeActivity: Generate is a pure outbox
-// drain that consumes no randomness, so a node with an empty outbox can
-// be skipped without changing behavior. Drained slots are set to nil and
-// refilled only by appends, so a non-nil outbox is always non-empty.
-func (s *System) NodeActive(node int, _ int64) bool {
-	return len(s.outbox[node]) > 0
-}
-
 // Delivered implements network.Workload: advance the transaction state
 // machine when its packet arrives.
 func (s *System) Delivered(d network.Delivery) {

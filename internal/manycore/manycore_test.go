@@ -194,70 +194,6 @@ func TestTagRoundTrip(t *testing.T) {
 	}
 }
 
-// The manycore workload advertises node activity (Generate is a pure
-// outbox drain), letting the gated tick skip generation for idle cores.
-var _ network.NodeActivity = (*System)(nil)
-
-// unhinted hides System's NodeActivity hint: the embedded interface
-// exposes only Workload and Ticker, so the network calls Generate for
-// every node every cycle.
-type unhinted struct{ tickingWorkload }
-
-type tickingWorkload interface {
-	network.Workload
-	network.Ticker
-}
-
-// TestActivityGateMatchesDense pins the NodeActivity hint end to end: a
-// network that consults System.NodeActive and skips idle cores' Generate
-// calls entirely must reproduce the hint-stripped network's per-core IPC
-// and memory latency exactly. (The hint against a tick that visits every
-// router too is network's hinted lockstep case.)
-func TestActivityGateMatchesDense(t *testing.T) {
-	cfg := DefaultConfig()
-	run := func(hinted bool) ([]float64, float64) {
-		sys, err := New(cfg, uniformApps("Gems", 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var w network.Workload = unhinted{sys}
-		if _, ok := w.(network.NodeActivity); ok {
-			t.Fatal("unhinted still exposes NodeActive; both runs would be hinted")
-		}
-		if hinted {
-			w = sys
-		}
-		topo := topology.NewMesh(8, 8)
-		n, err := network.New(network.Config{
-			Topology: topo,
-			Router: router.Config{
-				Ports: topo.Radix, VCs: 6, VirtualInputs: 2, BufDepth: 5,
-				AllocKind: alloc.KindSeparableIF, Policy: router.PolicyBalanced,
-			},
-			Workload: w,
-			Seed:     1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Run(4000)
-		return sys.IPC(4000), sys.AvgMemLatency()
-	}
-	hintedIPC, hintedLat := run(true)
-	plainIPC, plainLat := run(false)
-	if hintedLat != plainLat {
-		t.Fatalf("memory latency diverged: hinted %v unhinted %v", hintedLat, plainLat)
-	}
-	if hintedLat <= 0 {
-		t.Fatal("latency accounting empty; workload broken")
-	}
-	for i := range hintedIPC {
-		if hintedIPC[i] != plainIPC[i] {
-			t.Fatalf("core %d IPC diverged: hinted %v unhinted %v", i, hintedIPC[i], plainIPC[i])
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	run := func() []float64 {

@@ -11,19 +11,6 @@ import (
 	"vix/internal/traffic"
 )
 
-// hintedBurst is burstWorkload plus a NodeActivity hint: past the cutoff
-// cycle Generate returns nil without touching the RNG, so NodeActive may
-// legally report false and let Step skip generation entirely during the
-// drain phase — the hint path's sharpest test, because any
-// skipped side effect would desynchronize the drain.
-type hintedBurst struct {
-	burstWorkload
-}
-
-func (w *hintedBurst) NodeActive(node int, cycle int64) bool {
-	return cycle < w.until
-}
-
 // activityCase is one Step-vs-stepDense lockstep scenario.
 type activityCase struct {
 	name     string
@@ -31,7 +18,7 @@ type activityCase struct {
 	kind     alloc.Kind
 	k        int
 	saturate bool // MaxInjection instead of a low Bernoulli rate
-	hinted   bool // drive a NodeActivity-hinted burst workload
+	burst    bool // a Workload that injects for a quarter of the run, then drains
 }
 
 // runActivity runs one scenario with Step at the given worker count, or
@@ -47,12 +34,12 @@ func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles 
 	cfg.Seed = 11
 	cfg.Workers = workers
 	switch {
-	case tc.hinted:
+	case tc.burst:
 		cfg.Pattern, cfg.InjectionRate = nil, 0
-		cfg.Workload = &hintedBurst{burstWorkload{
+		cfg.Workload = &burstWorkload{
 			until: int64(cycles) / 4, rate: 0.1,
 			pattern: traffic.NewUniform(topo.NumNodes), size: 4,
-		}}
+		}
 	case tc.saturate:
 		cfg.InjectionRate, cfg.MaxInjection = 0, true
 	default:
@@ -102,8 +89,8 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 			kind: alloc.KindPacketChaining, k: 2},
 		{name: "fbfly2x2c4_if_low", topo: func() *topology.Topology { return topology.NewFBfly(2, 2, 4) },
 			kind: alloc.KindSeparableIF, k: 2},
-		{name: "cmesh2x2c4_wavefront_hinted", topo: func() *topology.Topology { return topology.NewCMesh(2, 2, 4) },
-			kind: alloc.KindWavefront, k: 2, hinted: true},
+		{name: "cmesh2x2c4_wavefront_burst", topo: func() *topology.Topology { return topology.NewCMesh(2, 2, 4) },
+			kind: alloc.KindWavefront, k: 2, burst: true},
 	}
 	const cycles = 2000
 	for _, tc := range cases {

@@ -5,9 +5,9 @@ import "vix/internal/stats"
 // stepDense is the reference cycle the lockstep tests hold Step to: the
 // same deliver / generate / inject / phase-A / phase-B / end-of-cycle
 // pieces, but every NI generates and injects and every router ticks,
-// every cycle, in index order — no activity words, no NodeActivity hint,
-// no worklist, no pool. A router that ticks every cycle has no idle span
-// to replay, so SkipIdle is never reached; the lastTick check proves it.
+// every cycle, in index order — no activity words, no worklist, no pool.
+// A router that ticks every cycle has no idle span to replay, so SkipIdle
+// is never reached; the lastTick check proves it.
 // The statistical process draws per NI with the float rng.Bernoulli(rate),
 // which holds source's integer-threshold loop to it in every lockstep
 // test.

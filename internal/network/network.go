@@ -56,21 +56,6 @@ type Ticker interface {
 	Tick(cycle int64)
 }
 
-// NodeActivity is an optional Workload extension Step consults:
-// NodeActive reports whether Generate(node, cycle, rng) could
-// do anything this cycle. Returning false is a promise that the Generate
-// call would return no packets, consume no randomness, and have no side
-// effects, so Step skips it without changing behaviour. The
-// statistical traffic process has no such hint — it consumes one RNG
-// draw per node per cycle, so generation stays dense without a Workload,
-// drawn in one tight integer loop over the nodes' contiguous generators
-// (source) — but trace-driven workloads like the manycore system
-// implement it as a queue-empty test, which is where large mostly-idle
-// networks win.
-type NodeActivity interface {
-	NodeActive(node int, cycle int64) bool
-}
-
 // Config describes one network simulation.
 type Config struct {
 	Topology *topology.Topology
@@ -335,9 +320,8 @@ type Network struct {
 	actNI    sim.Bitset
 	lastTick []int64
 
-	// The workload's optional extensions, resolved once in New.
-	nodeAct NodeActivity
-	ticker  Ticker
+	// The workload's optional Ticker extension, resolved once in New.
+	ticker Ticker
 
 	// routerTicks counts Router.Advance calls actually executed; tests and
 	// benchmarks compare it against routers x cycles to prove idle
@@ -406,7 +390,6 @@ func New(cfg Config) (*Network, error) {
 	for i := range n.lastTick {
 		n.lastTick[i] = -1
 	}
-	n.nodeAct, _ = cfg.Workload.(NodeActivity)
 	n.ticker, _ = cfg.Workload.(Ticker)
 	n.initParallel()
 	return n, nil
@@ -474,10 +457,10 @@ func (n *Network) QueuedAtSources() int64 {
 // bitsets, visiting the indices a loop over all of them would find work
 // at — in the same ascending order, which is what keeps RNG streams,
 // statistics, and CSV output byte-identical to the dense reference
-// (stepDense in the tests; DESIGN.md section 15). Every delivery, credit,
-// and injection marks its destination router's bit before the router
-// pass runs; a router whose tick reports quiescence has its bit cleared
-// and is fast-forwarded with SkipIdle when it next reactivates.
+// (stepDense in the tests; DESIGN.md, "Network step"). Every delivery,
+// credit, and injection marks its destination router's bit before the
+// router pass runs; a router whose tick reports quiescence has its bit
+// cleared and is fast-forwarded with SkipIdle when it next reactivates.
 func (n *Network) Step() {
 	n.deliver()
 	// Workload state machines advance once all deliveries are visible.
@@ -525,8 +508,7 @@ func (n *Network) setInjectionRate(rate float64) {
 	n.injectThr = sim.BernoulliThreshold(rate)
 }
 
-// source runs traffic generation for every node (or only the nodes the
-// workload's NodeActivity hint reports active), then injects one flit
+// source runs traffic generation for every node, then injects one flit
 // from every NI with queued flits, walking the NI activity words in
 // ascending node order. Generating for all nodes before injecting from
 // any equals interleaving the two per node: generation touches only
@@ -539,25 +521,16 @@ func (n *Network) setInjectionRate(rate float64) {
 // draws are the cycle: they run as one scan over the contiguous
 // generators comparing integers (sim.NextBelow, outcome for outcome what
 // the reference's per-NI rng.Bernoulli(rate) decides), which stops only
-// at a node that injects. The hint test sits outside its loop for the
-// same reason: testing it per node measured +0.7% on the ledger's
-// mesh16_low.
+// at a node that injects.
 func (n *Network) source() {
-	switch {
-	case n.cfg.Workload == nil && !n.cfg.MaxInjection:
+	if n.cfg.Workload == nil && !n.cfg.MaxInjection {
 		rngs, thr := n.rngs, n.injectThr
 		for node := sim.NextBelow(rngs, 0, thr); node < len(rngs); node = sim.NextBelow(rngs, node+1, thr) {
 			n.enqueueStatistical(n.nis[node])
 		}
-	case n.nodeAct == nil:
+	} else {
 		for _, nif := range n.nis {
 			n.generate(nif)
-		}
-	default:
-		for _, nif := range n.nis {
-			if n.nodeAct.NodeActive(nif.node, n.cycle) {
-				n.generate(nif)
-			}
 		}
 	}
 	for wi, w := range n.actNI {

@@ -98,57 +98,94 @@ func TestConservationAndDrain(t *testing.T) {
 	}
 }
 
-// singlePacket injects exactly one packet at a chosen cycle.
-type singlePacket struct {
-	src, dst, size int
-	at             int64
-	done           bool
-	delivery       *Delivery
+// oneAtATime sends the packet set by send from its source in the next
+// Step and records its delivery; the driver sends the next one only after
+// that, so every packet crosses an otherwise empty network.
+type oneAtATime struct {
+	pending  *PacketSpec
+	src      int
+	delivery *Delivery
 }
 
-func (w *singlePacket) Generate(node int, cycle int64, rng *sim.RNG) []PacketSpec {
-	if w.done || node != w.src || cycle < w.at {
+func (w *oneAtATime) send(src int, spec PacketSpec) {
+	w.src, w.pending, w.delivery = src, &spec, nil
+}
+
+func (w *oneAtATime) Generate(node int, cycle int64, rng *sim.RNG) []PacketSpec {
+	if w.pending == nil || node != w.src {
 		return nil
 	}
-	w.done = true
-	return []PacketSpec{{Dst: w.dst, Size: w.size}}
+	spec := *w.pending
+	w.pending = nil
+	return []PacketSpec{spec}
 }
 
-func (w *singlePacket) Delivered(d Delivery) { w.delivery = &d }
+func (w *oneAtATime) Delivered(d Delivery) { w.delivery = &d }
 
 // Zero-load latency must match the pipeline model exactly:
-// HopDelay*(hops+1) + (size-1) cycles from generation to tail ejection.
+// HopDelay*(hops+1) + (size-1) cycles from generation to tail ejection,
+// with hops the DOR path length. One network per topology and hop delay
+// carries every (src, dst) pair in turn at 1-, 4- and 16-flit packets;
+// hop delay 5 is the pipeline study's five-stage router.
+//
+// The formula assumes a VC's credit loop (HopDelay + CreditDelay) fits
+// its buffer depth, as the default 3 + 2 = 5 does. The five-stage loop is
+// 7 cycles over 5-flit buffers, so a packet longer than the buffer waits
+// for credits on its first link, 2 cycles per further 5 flits (16-flit
+// 0->1 on the 8x8 mesh: 31 cycles, not 25). That term is creditStall,
+// derived separately and zero wherever the formula applies.
 func TestZeroLoadLatencyFormula(t *testing.T) {
-	topo := topology.NewMesh(8, 8)
-	route := routing.DOR(topo)
-	cases := []struct{ src, dst, size int }{
-		{0, 63, 4},  // corner to corner: 14 hops
-		{0, 1, 1},   // neighbour single flit
-		{9, 36, 4},  // mid-distance
-		{5, 40, 16}, // long packet
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(8, 8),
+		topology.NewCMesh(4, 4, 4),
+		topology.NewFBfly(4, 4, 4),
+		topology.NewTorus(8, 8),
+	} {
+		for _, hopDelay := range []int{DefaultHopDelay, 5} {
+			w := &oneAtATime{}
+			cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
+			cfg.Workload, cfg.HopDelay = w, hopDelay
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for src := 0; src < topo.NumNodes; src++ {
+				for dst := 0; dst < topo.NumNodes; dst++ {
+					hops := dorHops(topo, src, dst)
+					for _, size := range []int{1, 4, 16} {
+						w.send(src, PacketSpec{Dst: dst, Size: size})
+						want := int64(hopDelay*(hops+1) + size - 1)
+						if hops > 0 {
+							want += creditStall(size, hopDelay+DefaultCreditDelay, cfg.Router.BufDepth)
+						}
+						for i := int64(0); w.delivery == nil && i <= 2*want; i++ {
+							n.Step()
+						}
+						d := w.delivery
+						if d == nil {
+							t.Fatalf("%s hop delay %d: %d->%d size %d not delivered within %d cycles",
+								topo.Name, hopDelay, src, dst, size, 2*want)
+						}
+						if got := d.EjectCycle - d.CreateCycle; got != want || d.Hops != hops {
+							t.Errorf("%s hop delay %d: %d->%d size %d: latency %d over %d hops, want %d over %d",
+								topo.Name, hopDelay, src, dst, size, got, d.Hops, want, hops)
+						}
+					}
+				}
+			}
+		}
 	}
-	for _, c := range cases {
-		w := &singlePacket{src: c.src, dst: c.dst, size: c.size, at: 10}
-		cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
-		cfg.Workload = w
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Run(300 + 3*c.size)
-		if w.delivery == nil {
-			t.Fatalf("%d->%d packet not delivered", c.src, c.dst)
-		}
-		hops := routing.Hops(topo, route, c.src, c.dst)
-		want := int64(DefaultHopDelay*(hops+1) + c.size - 1)
-		got := w.delivery.EjectCycle - w.delivery.CreateCycle
-		if got != want {
-			t.Errorf("%d->%d size %d: latency %d, want %d", c.src, c.dst, c.size, got, want)
-		}
-		if w.delivery.Hops != hops {
-			t.Errorf("%d->%d: recorded hops %d, want %d", c.src, c.dst, w.delivery.Hops, hops)
-		}
+}
+
+// creditStall is the cycles a lone packet of size flits loses to credits
+// on its first link when a VC's credit loop of loop cycles exceeds its
+// depth-flit buffer: flit i+depth may leave only loop cycles after flit
+// i, not depth, and later links see the same spacing and stall no more.
+func creditStall(size, loop, depth int) int64 {
+	if loop <= depth {
+		return 0
 	}
+	return int64((size-1)/depth) * int64(loop-depth)
 }
 
 // Flits of each packet must eject in sequence order (wormhole integrity),
@@ -460,7 +497,8 @@ func TestAllAllocatorsEndToEnd(t *testing.T) {
 // needing a genuinely deadlocked configuration (DOR cannot deadlock).
 func TestDeadlockWatchdogTrips(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
-	w := &singlePacket{src: 0, dst: 15, size: 4, at: 0}
+	w := &oneAtATime{}
+	w.send(0, PacketSpec{Dst: 15, Size: 4})
 	cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
 	cfg.Workload = w
 	n, err := New(cfg)

@@ -153,7 +153,8 @@ func TestParallelTickMoreWorkersThanRouters(t *testing.T) {
 // when routers tick on a pool.
 func TestParallelDeadlockWatchdogTrips(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
-	w := &singlePacket{src: 0, dst: 15, size: 4, at: 0}
+	w := &oneAtATime{}
+	w.send(0, PacketSpec{Dst: 15, Size: 4})
 	cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
 	cfg.Workload = w
 	cfg.Workers = 2

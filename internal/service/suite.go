@@ -198,11 +198,7 @@ func specLabel(e config.Experiment) string {
 	if k == 0 {
 		k = 1
 	}
-	offered := fmt.Sprintf("%g", e.InjectionRate)
-	if e.MaxInjection {
-		offered = "saturation"
-	}
-	return fmt.Sprintf("vixd/%s:%d/%s", alloc, k, offered)
+	return fmt.Sprintf("vixd/%s:%d/%s", alloc, k, e.OfferedLabel())
 }
 
 // setRunning marks the case running.

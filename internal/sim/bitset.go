@@ -1,7 +1,5 @@
 package sim
 
-import "math/bits"
-
 // Bitset is a packed occupancy-word set over a fixed index space, sized
 // at construction. It is the exported sibling of the allocator-internal
 // occupancy words: the network's activity-gated tick uses one word set
@@ -33,15 +31,3 @@ func (b Bitset) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // Clear unmarks index i.
 func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
-
-// Test reports whether index i is set.
-func (b Bitset) Test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
