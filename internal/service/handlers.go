@@ -168,8 +168,10 @@ func clientID(r *http.Request) string {
 
 // parseCases validates raw case submissions into admitted caseSpecs.
 // Validation failures come back as one ValidationError naming every bad
-// field under its cases[i].spec path.
-func parseCases(raw []caseRequest) ([]caseSpec, error) {
+// field under its cases[i].spec path. A spec admitted before reuses its
+// interned store ID and label instead of hashing and formatting them
+// again.
+func (s *Server) parseCases(raw []caseRequest) ([]caseSpec, error) {
 	specs := make([]caseSpec, 0, len(raw))
 	var errs config.ValidationError
 	for i, cr := range raw {
@@ -190,14 +192,17 @@ func parseCases(raw []caseRequest) ([]caseSpec, error) {
 			}
 			continue
 		}
-		cs := caseSpec{Name: cr.Name, Spec: e}
-		id, err := harness.JobID(harness.Job{Name: specLabel(e), Spec: e})
-		if err != nil {
-			errs = append(errs, config.FieldError{Field: path, Msg: err.Error()})
-			continue
+		info := s.specs.lookup(e)
+		if info == nil {
+			label := specLabel(e)
+			id, err := harness.JobID(harness.Job{Name: label, Spec: e})
+			if err != nil {
+				errs = append(errs, config.FieldError{Field: path, Msg: err.Error()})
+				continue
+			}
+			info = &specInfo{storeID: id, label: label}
 		}
-		cs.storeID = id
-		specs = append(specs, cs)
+		specs = append(specs, caseSpec{Name: cr.Name, Spec: e, info: info})
 	}
 	if len(errs) > 0 {
 		return nil, errs
@@ -227,20 +232,25 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 
 // submit admits parsed cases into a suite and the run queue, rolling
 // queued state back to failed if the server begins draining mid-flight.
+// Spec info is interned here, before su.mu is taken: the intern table's
+// lock is never held under a suite's.
 func (s *Server) submit(su *suite, specs []caseSpec, closeAfter bool) ([]string, error) {
-	added, err := su.addCases(specs, closeAfter)
+	for i := range specs {
+		specs[i].info = s.specs.intern(specs[i].Spec, specs[i].info)
+	}
+	first, added, err := su.addCases(specs, closeAfter)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.enqueue(added); err != nil {
+	if err := s.enqueue(su, first, added, specs); err != nil {
 		for _, tc := range added {
-			tc.setFailed(err)
+			su.setFailed(tc, err)
 		}
 		return nil, err
 	}
 	ids := make([]string, len(added))
-	for i, tc := range added {
-		ids[i] = tc.id
+	for i := range added {
+		ids[i] = caseID(first + i)
 	}
 	return ids, nil
 }
@@ -252,7 +262,7 @@ func (s *Server) handleCreateSuite(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "suite request", &req) {
 		return
 	}
-	specs, err := parseCases(req.Cases)
+	specs, err := s.parseCases(req.Cases)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -322,7 +332,7 @@ func (s *Server) handleAddCases(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: no cases in request; send {\"spec\": {...}} or {\"cases\": [...]}"))
 		return
 	}
-	specs, err := parseCases(raw)
+	specs, err := s.parseCases(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -369,12 +379,12 @@ func (s *Server) handleSuiteStatus(w http.ResponseWriter, r *http.Request) {
 			st.Done = false
 		}
 		st.Cases[i] = caseStatus{
-			Case:      tc.id,
-			Name:      tc.name,
-			ID:        tc.storeID,
-			Status:    tc.status,
+			Case:      caseID(i),
+			Name:      tc.displayName(),
+			ID:        tc.info.storeID,
+			Status:    tc.state.String(),
 			Cached:    tc.cached,
-			WallNanos: tc.telemetry.WallNanos,
+			WallNanos: tc.wallNanos,
 			Error:     tc.errMsg,
 		}
 	}
@@ -467,12 +477,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-// handleStats reports store accounting and queue depth.
+// handleStats reports store accounting and queue depth. It takes only
+// s.mu, for counters kept there, so its cost does not grow with the
+// cases a server has admitted.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.store.Stats()
 	s.mu.Lock()
 	resp := statsResponse{
 		Suites:  len(s.suites),
+		Cases:   s.cases,
 		Queued:  len(s.queue),
 		Entries: st.Entries,
 		Hits:    st.Hits,
@@ -480,16 +493,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Dedup:   st.InflightDedup,
 		Served:  st.Served(),
 	}
-	for _, su := range s.order {
-		resp.Cases += su.caseCount()
-	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// caseCount returns the number of admitted cases.
-func (su *suite) caseCount() int {
-	su.mu.Lock()
-	defer su.mu.Unlock()
-	return len(su.cases)
 }

@@ -77,13 +77,15 @@ type Server struct {
 	workers int
 	store   *store.Store
 	quotas  *quotas
+	specs   specTable
 	log     *log.Logger
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signals runners: queue grew or server closing
-	queue     []*testCase
+	queue     []queued
 	suites    map[string]*suite
 	order     []*suite // creation order, for deterministic accounting
+	cases     int      // cases ever admitted into a suite, for /statsz
 	nextSuite int
 	closing   bool
 	wg        sync.WaitGroup // runner goroutines
@@ -160,15 +162,19 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// enqueue admits cases into the run queue. It fails when the server is
-// draining.
-func (s *Server) enqueue(cases []*testCase) error {
+// enqueue counts cases admitted into su from index first and puts them
+// on the run queue with their specs. It fails when the server is
+// draining; the cases are counted either way, since su keeps them.
+func (s *Server) enqueue(su *suite, first int, added []*testCase, specs []caseSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.cases += len(added)
 	if s.closing {
 		return fmt.Errorf("service: server is shutting down")
 	}
-	s.queue = append(s.queue, cases...)
+	for i, tc := range added {
+		s.queue = append(s.queue, queued{su: su, index: first + i, tc: tc, spec: &specs[i].Spec})
+	}
 	s.cond.Broadcast()
 	return nil
 }
@@ -187,26 +193,26 @@ func (s *Server) runner() {
 			s.mu.Unlock()
 			return
 		}
-		tc := s.queue[0]
-		s.queue[0] = nil // the backing array outlives the pop; do not pin the case
+		q := s.queue[0]
+		s.queue[0] = queued{} // the backing array outlives the pop; do not pin the case
 		s.queue = s.queue[1:]
 		s.mu.Unlock()
-		s.runCase(tc)
+		s.runCase(q)
 	}
 }
 
 // runCase executes one case through the harness over the shared store.
 // Identical specs already stored are served without simulating;
 // identical specs in flight are waited on and shared (single-flight).
-func (s *Server) runCase(tc *testCase) {
-	tc.setRunning()
-	res, err := harness.Run(context.Background(), []harness.Job{tc.job(s.workers)}, harness.Options{
+func (s *Server) runCase(q queued) {
+	q.su.setRunning(q.tc)
+	res, err := harness.Run(context.Background(), []harness.Job{q.job(s.workers)}, harness.Options{
 		Parallel: 1,
 		Store:    s.store,
 	})
 	if err != nil {
-		s.logf("%s/%s (%s): failed: %v", tc.suite.id, tc.id, tc.label, err)
-		tc.setFailed(err)
+		s.logf("%s/%s (%s): failed: %v", q.su.id, caseID(q.index), q.tc.info.label, err)
+		q.su.setFailed(q.tc, err)
 		return
 	}
 	r := res[0]
@@ -214,6 +220,6 @@ func (s *Server) runCase(tc *testCase) {
 	if r.Cached {
 		how = "served from store"
 	}
-	s.logf("%s/%s (%s): %s", tc.suite.id, tc.id, tc.label, how)
-	tc.setDone(r)
+	s.logf("%s/%s (%s): %s", q.su.id, caseID(q.index), q.tc.info.label, how)
+	q.su.setDone(q.tc, r)
 }

@@ -10,20 +10,28 @@ import (
 
 	"vix/internal/config"
 	"vix/internal/harness"
-	"vix/internal/store"
 )
 
-// Case status values, as they appear in status and result payloads.
+// caseState is where a case is in its lifecycle. It is a byte, not the
+// string a payload shows, because a server keeps every case it admitted.
+type caseState uint8
+
 const (
-	statusQueued  = "queued"
-	statusRunning = "running"
-	statusDone    = "done"
-	statusFailed  = "failed"
+	stateQueued caseState = iota
+	stateRunning
+	stateDone
+	stateFailed
 )
+
+// String is the state as it appears in status and result payloads.
+func (st caseState) String() string {
+	return [...]string{"queued", "running", "done", "failed"}[st]
+}
 
 // suite is one client-created collection of cases. Suite IDs ("s1",
 // "s2", ...) and case IDs ("c0", "c1", ... within a suite) are
-// deterministic counters, so a scripted client sees stable names.
+// deterministic counters, so a scripted client sees stable names. Lock
+// order: s.mu before su.mu, never the other way round.
 type suite struct {
 	id   string
 	name string
@@ -53,37 +61,26 @@ func (su *suite) bumpLocked() {
 // handler answers it with 409 rather than 503.
 var errSuiteClosed = errors.New("is closed")
 
-// addCases appends cases to an open suite, assigning suite-relative IDs,
-// and optionally closes it. It returns the new cases or an error if the
+// addCases appends cases to an open suite and optionally closes it. It
+// returns the new cases and the index of the first, or an error if the
 // suite is already closed.
-func (su *suite) addCases(specs []caseSpec, closeAfter bool) ([]*testCase, error) {
+func (su *suite) addCases(specs []caseSpec, closeAfter bool) (first int, added []*testCase, err error) {
 	su.mu.Lock()
 	defer su.mu.Unlock()
 	if su.closed {
-		return nil, fmt.Errorf("service: suite %s %w", su.id, errSuiteClosed)
+		return 0, nil, fmt.Errorf("service: suite %s %w", su.id, errSuiteClosed)
 	}
-	added := make([]*testCase, 0, len(specs))
-	for _, cs := range specs {
-		tc := &testCase{
-			suite:   su,
-			id:      "c" + strconv.Itoa(len(su.cases)),
-			label:   specLabel(cs.Spec),
-			name:    cs.Name,
-			spec:    cs.Spec,
-			storeID: cs.storeID,
-			status:  statusQueued,
-		}
-		if tc.name == "" {
-			tc.name = tc.label
-		}
-		su.cases = append(su.cases, tc)
-		added = append(added, tc)
+	first = len(su.cases)
+	added = make([]*testCase, len(specs))
+	for i, cs := range specs {
+		added[i] = &testCase{info: cs.info, name: cs.Name}
 	}
+	su.cases = append(su.cases, added...)
 	if closeAfter {
 		su.closed = true
 	}
 	su.bumpLocked()
-	return added, nil
+	return first, added, nil
 }
 
 // close marks the suite closed; further cases are rejected and results
@@ -105,7 +102,7 @@ func (su *suite) snapshot(from int) (lines []resultLine, next int, done bool, ch
 	defer su.mu.Unlock()
 	next = from
 	for next < len(su.cases) && su.cases[next].terminalLocked() {
-		lines = append(lines, su.cases[next].lineLocked())
+		lines = append(lines, su.cases[next].lineLocked(next))
 		next++
 	}
 	done = su.closed && next == len(su.cases)
@@ -116,38 +113,99 @@ func (su *suite) snapshot(from int) (lines []resultLine, next int, done bool, ch
 type caseSpec struct {
 	Name string
 	Spec config.Experiment
-	// storeID is the spec's content hash, computed at admission so a
-	// malformed-for-hashing spec is the client's 400, not a runner
-	// failure.
-	storeID string
+	// info is found or computed at admission, so a malformed-for-hashing
+	// spec is the client's 400, not a runner failure.
+	info *specInfo
 }
 
-// testCase is one case of a suite: a validated spec and its lifecycle
-// from queued to done/failed. Fields after status are written by the
-// runner under su.mu.
-type testCase struct {
-	suite   *suite
-	id      string // suite-relative: "c0", "c1", ...
-	label   string // spec-derived display label, e.g. "vixd/if:2/0.05"
-	name    string // client-chosen display name (defaults to label)
-	spec    config.Experiment
-	storeID string
+// specInfo is what a case's responses need of its spec. Both fields are
+// functions of the spec alone, so one interned copy serves every case
+// of that spec, from any suite or client.
+type specInfo struct {
+	storeID string // the spec's content hash: its result-store key
+	label   string // display label, e.g. "vixd/if:2/0.05"
+}
 
-	status    string
+// specTable interns specInfo by spec. It holds one entry per distinct
+// admitted spec and is never pruned, so it is bounded the way the result
+// store is. Its lock is a leaf: it is never taken while holding s.mu or
+// a su.mu. Keying by value is exact: config.Experiment has only scalar
+// and string fields, and its one float, injection_rate, is validated
+// > 0 (no NaN, no signed zero), so equal specs are the specs that
+// encode, and hash, identically.
+type specTable struct {
+	mu    sync.Mutex
+	infos map[config.Experiment]*specInfo
+}
+
+// lookup returns e's interned info, or nil if e was never admitted.
+func (t *specTable) lookup(e config.Experiment) *specInfo {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.infos[e]
+}
+
+// intern returns the table's info for e, adding info if e is new.
+func (t *specTable) intern(e config.Experiment, info *specInfo) *specInfo {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if in, ok := t.infos[e]; ok {
+		return in
+	}
+	if t.infos == nil {
+		t.infos = make(map[config.Experiment]*specInfo)
+	}
+	t.infos[e] = info
+	return info
+}
+
+// testCase is one case of a suite, kept for as long as the server runs:
+// only what its status and result lines are built from. The spec itself
+// rides the run-queue entry and is gone once the case has run; the case
+// ID is its index in the suite. Fields are written under su.mu; info is
+// shared and never written.
+type testCase struct {
+	info      *specInfo
+	name      string // client-chosen display name; "" shows the label
 	value     json.RawMessage
 	errMsg    string
+	wallNanos int64
+	state     caseState
 	cached    bool
-	telemetry store.Telemetry
 }
 
-// job converts the case into the harness job that executes it. The
+// caseID renders the suite-relative ID of the case at index i: "c0",
+// "c1", ...
+func caseID(i int) string { return "c" + strconv.Itoa(i) }
+
+// displayName is the case's name in payloads: the client's choice, or
+// else the spec's label.
+func (tc *testCase) displayName() string {
+	if tc.name != "" {
+		return tc.name
+	}
+	return tc.info.label
+}
+
+// queued is one run-queue entry: a case, where it lives, and the spec it
+// runs. The spec is held here rather than on the case so that a finished
+// case does not keep it; it points into its submission's parsed batch,
+// which lives until the batch's last case has run.
+type queued struct {
+	su    *suite
+	index int
+	tc    *testCase
+	spec  *config.Experiment
+}
+
+// job converts the entry into the harness job that executes it. The
 // job's name and spec are derived from the experiment alone — never
 // from the suite or client — so identical specs from anywhere share one
 // store identity.
-func (tc *testCase) job(workers int) harness.Job {
-	e := tc.spec
+func (q queued) job(workers int) harness.Job {
+	e := *q.spec
 	return harness.Job{
-		Name:   tc.label,
+		Name:   q.tc.info.label,
 		Spec:   e,
 		Cycles: int64(e.Warmup + e.Measure),
 		Run: func(ctx context.Context) (any, error) {
@@ -202,31 +260,28 @@ func specLabel(e config.Experiment) string {
 }
 
 // setRunning marks the case running.
-func (tc *testCase) setRunning() {
-	su := tc.suite
+func (su *suite) setRunning(tc *testCase) {
 	su.mu.Lock()
-	tc.status = statusRunning
+	tc.state = stateRunning
 	su.bumpLocked()
 	su.mu.Unlock()
 }
 
 // setDone records a completed harness result.
-func (tc *testCase) setDone(r harness.Result) {
-	su := tc.suite
+func (su *suite) setDone(tc *testCase, r harness.Result) {
 	su.mu.Lock()
-	tc.status = statusDone
+	tc.state = stateDone
 	tc.value = r.Value
 	tc.cached = r.Cached
-	tc.telemetry = r.Telemetry
+	tc.wallNanos = r.Telemetry.WallNanos
 	su.bumpLocked()
 	su.mu.Unlock()
 }
 
 // setFailed records a failed run.
-func (tc *testCase) setFailed(err error) {
-	su := tc.suite
+func (su *suite) setFailed(tc *testCase, err error) {
 	su.mu.Lock()
-	tc.status = statusFailed
+	tc.state = stateFailed
 	tc.errMsg = err.Error()
 	su.bumpLocked()
 	su.mu.Unlock()
@@ -235,7 +290,7 @@ func (tc *testCase) setFailed(err error) {
 // terminalLocked reports whether the case finished (done or failed).
 // Callers hold su.mu.
 func (tc *testCase) terminalLocked() bool {
-	return tc.status == statusDone || tc.status == statusFailed
+	return tc.state == stateDone || tc.state == stateFailed
 }
 
 // resultLine is one streamed result. It deliberately excludes
@@ -252,13 +307,14 @@ type resultLine struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// lineLocked renders the case's stream line. Callers hold su.mu.
-func (tc *testCase) lineLocked() resultLine {
+// lineLocked renders the stream line of the case at index i. Callers
+// hold su.mu.
+func (tc *testCase) lineLocked(i int) resultLine {
 	return resultLine{
-		Case:   tc.id,
-		Name:   tc.name,
-		ID:     tc.storeID,
-		Status: tc.status,
+		Case:   caseID(i),
+		Name:   tc.displayName(),
+		ID:     tc.info.storeID,
+		Status: tc.state.String(),
 		Value:  tc.value,
 		Error:  tc.errMsg,
 	}
