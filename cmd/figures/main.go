@@ -98,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		measure    = fs.Int("measure", 0, "measurement cycles (default: the artefact's own)")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		parallel   = fs.Int("parallel", 0, "grid artefacts: worker count (default GOMAXPROCS)")
-		workers    = fs.Int("workers", 1, "parallel-tick workers per simulation (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
 		resume     = fs.String("resume", "", "grid artefacts: JSONL manifest, checkpoint completed points and skip them on rerun")
 		verbose    = fs.Bool("v", false, "grid artefacts: log per-point telemetry (wall time, cycles/sec) to stderr")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -157,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt:     harness.Options{Parallel: *parallel, Manifest: *resume},
 		scaling: *scaling, plot: *plot, rate: *rate, list: *list,
 	}
-	e.p.Seed, e.p.TickWorkers = *seed, *workers
+	e.p.Seed = *seed
 	if *verbose {
 		e.opt.OnDone = cli.Progress(logger)
 	}

@@ -62,7 +62,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		saturate   = fs.Bool("sat", true, "append a saturation point per scheme")
 		out        = fs.String("o", "", "output file (default stdout)")
 		parallel   = fs.Int("parallel", 0, "worker count (default GOMAXPROCS)")
-		workers    = fs.Int("workers", 1, "parallel-tick workers per simulation (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
 		resume     = fs.String("resume", "", "JSONL manifest: checkpoint completed points and skip them on rerun")
 		verbose    = fs.Bool("v", false, "log per-point telemetry (wall time, cycles/sec) to stderr")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
@@ -87,7 +86,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	jobs, err := buildJobs(base, schemes, rates, *saturate, *workers)
+	jobs, err := buildJobs(base, schemes, rates, *saturate)
 	if err != nil {
 		return err
 	}
@@ -153,13 +152,11 @@ func sweep(ctx context.Context, jobs []harness.Job, opt harness.Options, w io.Wr
 // job's spec is the fully resolved config.Experiment — including the
 // sub-seed derived from the base seed and the point's coordinates — so
 // the manifest invalidates exactly when the point's physics change.
-// tickWorkers sets each simulation's parallel-tick width; it is a
-// wall-clock knob with byte-identical output, so it deliberately stays
-// out of the spec and never invalidates a manifest. Every resolved
-// point is validated here, so a scheme the simulator would refuse
-// (if:7 on 6 VCs, ideal:2, sparoflo:2) is a field-path error naming the
-// scheme, not a failure after the points before it have simulated.
-func buildJobs(base config.Experiment, schemes []scheme, rates []float64, saturate bool, tickWorkers int) ([]harness.Job, error) {
+// Every resolved point is validated here, so a scheme the simulator
+// would refuse (if:7 on 6 VCs, ideal:2, sparoflo:2) is a field-path
+// error naming the scheme, not a failure after the points before it
+// have simulated.
+func buildJobs(base config.Experiment, schemes []scheme, rates []float64, saturate bool) ([]harness.Job, error) {
 	var jobs []harness.Job
 	point := func(sc scheme, rate float64, max bool) error {
 		e := base
@@ -179,7 +176,7 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 			Spec:   e,
 			Cycles: int64(e.Warmup + e.Measure),
 			Run: func(context.Context) (any, error) {
-				s, err := e.Run(tickWorkers)
+				s, err := e.Run()
 				if err != nil {
 					return nil, err
 				}

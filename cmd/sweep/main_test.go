@@ -24,8 +24,8 @@ func testBase() config.Experiment {
 
 // sweepGrid builds the grid over testBase and runs it, as run does
 // between flag parsing and the output file.
-func sweepGrid(schemes []scheme, rates []float64, saturate bool, tickWorkers int, opt harness.Options, w io.Writer) error {
-	jobs, err := buildJobs(testBase(), schemes, rates, saturate, tickWorkers)
+func sweepGrid(schemes []scheme, rates []float64, saturate bool, opt harness.Options, w io.Writer) error {
+	jobs, err := buildJobs(testBase(), schemes, rates, saturate)
 	if err != nil {
 		return err
 	}
@@ -39,10 +39,10 @@ func TestSweepCSVByteIdenticalAcrossWorkers(t *testing.T) {
 	schemes := []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}
 	rates := []float64{0.02, 0.05}
 	var serial, parallel bytes.Buffer
-	if err := sweepGrid(schemes, rates, true, 1, harness.Serial(), &serial); err != nil {
+	if err := sweepGrid(schemes, rates, true, harness.Serial(), &serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweepGrid(schemes, rates, true, 1, harness.Options{Parallel: 8}, &parallel); err != nil {
+	if err := sweepGrid(schemes, rates, true, harness.Options{Parallel: 8}, &parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
@@ -69,7 +69,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 
 	// First run covers only the first scheme, checkpointing it.
 	var firstOut bytes.Buffer
-	if err := sweepGrid(partial, rates, false, 1, harness.Options{Parallel: 2, Manifest: manifest}, &firstOut); err != nil {
+	if err := sweepGrid(partial, rates, false, harness.Options{Parallel: 2, Manifest: manifest}, &firstOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +82,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 			cached++
 		}
 	}}
-	if err := sweepGrid(full, rates, false, 1, opt, &resumedOut); err != nil {
+	if err := sweepGrid(full, rates, false, opt, &resumedOut); err != nil {
 		t.Fatal(err)
 	}
 	if cached != len(rates) {
@@ -90,7 +90,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 	}
 
 	var freshOut bytes.Buffer
-	if err := sweepGrid(full, rates, false, 1, harness.Serial(), &freshOut); err != nil {
+	if err := sweepGrid(full, rates, false, harness.Serial(), &freshOut); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resumedOut.Bytes(), freshOut.Bytes()) {
@@ -102,7 +102,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 // points must not share an RNG stream, and the same point must keep its
 // seed when the grid around it changes.
 func TestSweepPointSeedsDiffer(t *testing.T) {
-	jobs, err := buildJobs(testBase(), []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}, []float64{0.02, 0.05}, true, 1)
+	jobs, err := buildJobs(testBase(), []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}, []float64{0.02, 0.05}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSweepPointSeedsDiffer(t *testing.T) {
 		seeds[e.Seed] = j.Name
 	}
 	// Same point, different grid shape: seed is position-independent.
-	solo, err := buildJobs(testBase(), []scheme{{alloc: "if", k: 2}}, []float64{0.05}, false, 1)
+	solo, err := buildJobs(testBase(), []scheme{{alloc: "if", k: 2}}, []float64{0.05}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSweepPointSeedsDiffer(t *testing.T) {
 	// content-hashed; -resume manifests on disk are keyed by it, so it
 	// must not move. The default grid's if:1 @ 0.02 point has had this ID
 	// since before config.Experiment.Run became the runner.
-	pinned, err := buildJobs(config.Default(), []scheme{{alloc: "if", k: 1}}, []float64{0.02}, false, 1)
+	pinned, err := buildJobs(config.Default(), []scheme{{alloc: "if", k: 1}}, []float64{0.02}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSweepInvalidPointRunsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parseSchemes: %v", bad, err)
 		}
-		jobs, err := buildJobs(testBase(), schemes, []float64{0.02}, true, 1)
+		jobs, err := buildJobs(testBase(), schemes, []float64{0.02}, true)
 		if err == nil || !strings.Contains(err.Error(), "scheme "+bad) {
 			t.Errorf("%s: buildJobs error = %v, want one naming the scheme", bad, err)
 		}
@@ -203,29 +203,6 @@ func TestSweepInvalidPointRunsNothing(t *testing.T) {
 		}
 		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
 			t.Errorf("a manifest exists (%v): some point simulated before the grid was refused", err)
-		}
-	}
-}
-
-// TestSweepCSVByteIdenticalAcrossTickWorkers covers the other worker
-// axis: -workers shards each simulation's router tick across a pool,
-// and the CSV must stay byte-identical for any width. The grid is a
-// saturated 8x8 VIX mesh — the workload where the parallel tick
-// actually reorders work the most — plus a subcritical point.
-func TestSweepCSVByteIdenticalAcrossTickWorkers(t *testing.T) {
-	schemes := []scheme{{alloc: "if", k: 2}}
-	rates := []float64{0.05}
-	var ref bytes.Buffer
-	if err := sweepGrid(schemes, rates, true, 1, harness.Serial(), &ref); err != nil {
-		t.Fatal(err)
-	}
-	for _, tickWorkers := range []int{2, 8} {
-		var out bytes.Buffer
-		if err := sweepGrid(schemes, rates, true, tickWorkers, harness.Serial(), &out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ref.Bytes(), out.Bytes()) {
-			t.Fatalf("CSV differs between -workers=1 and -workers=%d:\nserial tick:\n%s\nparallel tick:\n%s", tickWorkers, ref.String(), out.String())
 		}
 	}
 }

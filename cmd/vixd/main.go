@@ -41,7 +41,6 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		storePath  = flag.String("store", "", "JSONL result-store file shared across restarts (default: in-memory)")
 		runners    = flag.Int("runners", 0, "concurrently executing cases (default GOMAXPROCS)")
-		workers    = flag.Int("workers", 1, "parallel-tick workers per simulation (1 serial, <0 GOMAXPROCS); results are byte-identical for any value")
 		quotaRate  = flag.Float64("quota-rate", 0, "per-client admission rate in cases/second (0 = no quotas)")
 		quotaBurst = flag.Float64("quota-burst", 0, "per-client admission burst (default: quota-rate)")
 		verbose    = flag.Bool("v", false, "log per-case execution and cache provenance")
@@ -55,7 +54,6 @@ func main() {
 	svc, err := service.New(service.Config{
 		StorePath:  *storePath,
 		Runners:    *runners,
-		Workers:    *workers,
 		QuotaRate:  *quotaRate,
 		QuotaBurst: *quotaBurst,
 		// The service itself never reads the wall clock (vixlint's

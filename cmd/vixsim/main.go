@@ -63,7 +63,6 @@ func main() {
 	flag.IntVar(&exp.Warmup, "warmup", exp.Warmup, "warmup cycles")
 	flag.IntVar(&exp.Measure, "measure", exp.Measure, "measurement cycles")
 	flag.Uint64Var(&exp.Seed, "seed", exp.Seed, "random seed")
-	workers := flag.Int("workers", 1, "parallel-tick workers (1 serial, <0 GOMAXPROCS); output is byte-identical for any value")
 	flag.Parse()
 
 	if *configPath != "" {
@@ -86,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	s, err := exp.Run(*workers)
+	s, err := exp.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
 			s.candidate[row] = reqIdx
 			out := rs.Requests[reqIdx].OutPort
 			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
-			s.outOcc.set(out)
+			s.outOcc.Set(out)
 		}
 	}
 

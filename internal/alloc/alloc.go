@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"vix/internal/arb"
+	"vix/internal/sim"
 )
 
 // Partition selects how a port's VCs are divided among its virtual
@@ -234,22 +235,6 @@ func Validate(rs *RequestSet, grants []Grant) error {
 	return nil
 }
 
-// bitset is a packed occupancy-word set over a fixed index space, sized
-// at construction. The scratch structures use it to remember which
-// entries the previous cycle dirtied, so a cycle clears O(dirty) entries
-// instead of sweeping the whole space, and allocators walk only occupied
-// entries instead of scanning every slot. Walks iterate set bits in
-// ascending index order (word by word, bits.TrailingZeros64 within a
-// word), so replacing a dense 0..n loop with a bitset walk visits the
-// same indices in the same order — behaviour stays byte-identical.
-type bitset []uint64
-
-// newBitset returns an all-clear bitset covering indices [0, n).
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-// set marks index i.
-func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
 // rowSlots is the input side of the request matrix as the input arbiters
 // see it: per crossbar row, one word with a bit per sub-group slot offering
 // a request, and per (row, slot) the request offered there. A VC offers
@@ -267,9 +252,9 @@ type rowSlots struct {
 	vcs       int
 	groupSize int
 
-	mask []uint64 // per row: slots offering a request
-	occ  bitset   // rows whose mask is non-zero
-	req  []int32  // per row*groupSize+slot: the request offered there; valid where mask has the bit
+	mask []uint64   // per row: slots offering a request
+	occ  sim.Bitset // rows whose mask is non-zero
+	req  []int32    // per row*groupSize+slot: the request offered there; valid where mask has the bit
 }
 
 // newRowSlots sizes the row words for cfg.
@@ -280,7 +265,7 @@ func newRowSlots(cfg Config) rowSlots {
 		vcs:       cfg.VCs,
 		groupSize: cfg.GroupSize(),
 		mask:      make([]uint64, cfg.Rows()),
-		occ:       newBitset(cfg.Rows()),
+		occ:       sim.NewBitset(cfg.Rows()),
 		req:       make([]int32, cfg.Rows()*cfg.GroupSize()),
 	}
 }
@@ -295,7 +280,7 @@ func (s *rowSlots) raise(rs *RequestSet) {
 		slot := int(s.slotOf[r.VC])
 		if bit := uint64(1) << uint(slot); s.mask[row]&bit == 0 {
 			s.mask[row] |= bit
-			s.occ.set(row)
+			s.occ.Set(row)
 			s.req[row*s.groupSize+slot] = int32(i)
 		}
 	}
@@ -339,8 +324,8 @@ func slotTable(cfg Config) []int32 {
 // touches O(requests) cells rather than the whole Rows x Ports matrix.
 type cellScratch struct {
 	outs  int
-	cells [][]int // cells[row*outs+out] = request indices, refilled per cycle
-	occ   bitset  // cells holding indices since the last clear
+	cells [][]int    // cells[row*outs+out] = request indices, refilled per cycle
+	occ   sim.Bitset // cells holding indices since the last clear
 }
 
 // newCellScratch sizes the cell lists for cfg.
@@ -348,7 +333,7 @@ func newCellScratch(cfg Config) cellScratch {
 	return cellScratch{
 		outs:  cfg.Ports,
 		cells: make([][]int, cfg.Rows()*cfg.Ports),
-		occ:   newBitset(cfg.Rows() * cfg.Ports),
+		occ:   sim.NewBitset(cfg.Rows() * cfg.Ports),
 	}
 }
 
@@ -370,7 +355,7 @@ func (s *cellScratch) clear() {
 // add appends a request index to the (row, out) cell.
 func (s *cellScratch) add(row, out, idx int) {
 	c := row*s.outs + out
-	s.occ.set(c)
+	s.occ.Set(c)
 	s.cells[c] = append(s.cells[c], idx)
 }
 

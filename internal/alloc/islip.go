@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"vix/internal/arb"
+	"vix/internal/sim"
 )
 
 // ISLIP is the iterative separable allocator of McKeown, cited by the
@@ -35,13 +36,13 @@ type ISLIP struct {
 	vcPtr     []int32 // per row: round-robin pointer over sub-group VC slots
 
 	// All request words but asking are all-zero between calls.
-	reqRows  []uint64 // per output, rowWords each: rows with a VC requesting it
-	outOcc   bitset   // outputs whose reqRows is non-zero
-	freeRows bitset   // requesting rows not yet matched
-	outDone  bitset   // outputs matched
-	asking   []uint64 // rowWords: the unmatched rows requesting the output being granted
-	offers   []uint64 // per row, outWords each: outputs granting to it this iteration
-	offered  bitset   // rows whose offers is non-zero
+	reqRows  []uint64   // per output, rowWords each: rows with a VC requesting it
+	outOcc   sim.Bitset // outputs whose reqRows is non-zero
+	freeRows sim.Bitset // requesting rows not yet matched
+	outDone  sim.Bitset // outputs matched
+	asking   []uint64   // rowWords: the unmatched rows requesting the output being granted
+	offers   []uint64   // per row, outWords each: outputs granting to it this iteration
+	offered  sim.Bitset // rows whose offers is non-zero
 	cellReqs cellScratch
 	slots    vcPickScratch
 	grants   []Grant
@@ -63,12 +64,12 @@ func NewISLIP(cfg Config, iterations int) *ISLIP {
 		acceptPtr:  make([]int32, cfg.Rows()),
 		vcPtr:      make([]int32, cfg.Rows()),
 		reqRows:    make([]uint64, cfg.Ports*rowWords),
-		outOcc:     newBitset(cfg.Ports),
-		freeRows:   newBitset(cfg.Rows()),
-		outDone:    newBitset(cfg.Ports),
+		outOcc:     sim.NewBitset(cfg.Ports),
+		freeRows:   sim.NewBitset(cfg.Rows()),
+		outDone:    sim.NewBitset(cfg.Ports),
 		asking:     make([]uint64, rowWords),
 		offers:     make([]uint64, cfg.Rows()*outWords),
-		offered:    newBitset(cfg.Rows()),
+		offered:    sim.NewBitset(cfg.Rows()),
 		cellReqs:   newCellScratch(cfg),
 		slots:      newVCPickScratch(cfg),
 		grants:     make([]Grant, 0, cfg.Ports),
@@ -98,8 +99,8 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 	for idx, r := range rs.Requests {
 		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
 		s.reqRows[r.OutPort*s.rowWords+row>>6] |= 1 << uint(row&63)
-		s.outOcc.set(r.OutPort)
-		s.freeRows.set(row)
+		s.outOcc.Set(r.OutPort)
+		s.freeRows.Set(row)
 		s.cellReqs.add(row, r.OutPort, idx)
 	}
 	s.grants = s.grants[:0]
@@ -119,7 +120,7 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 					continue
 				}
 				s.offers[row*s.outWords+out>>6] |= 1 << uint(out&63)
-				s.offered.set(row)
+				s.offered.Set(row)
 				any = true
 			}
 		}
@@ -137,8 +138,8 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 				var idx int
 				idx, s.vcPtr[row] = s.slots.pick(rs, s.cellReqs.at(row, out), s.vcPtr[row])
 				s.grants = append(s.grants, Grant{Req: idx, OutPort: out, Row: row})
-				s.freeRows[row>>6] &^= 1 << uint(row&63)
-				s.outDone.set(out)
+				s.freeRows.Clear(row)
+				s.outDone.Set(out)
 				// iSLIP pointer discipline: update only on first-iteration
 				// accepts so pointers desynchronise.
 				if iter == 0 {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"vix/internal/arb"
+	"vix/internal/sim"
 )
 
 // SeparableIF is the input-first separable allocator. It allocates in two
@@ -35,8 +36,8 @@ type SeparableIF struct {
 
 	// Like the row words, these are all-zero between calls: each is
 	// drained as it is consumed, so a cycle never sweeps them.
-	outMask []uint64 // per output, rowWords each: rows whose candidate requests it
-	outOcc  bitset   // outputs whose outMask is non-zero
+	outMask []uint64   // per output, rowWords each: rows whose candidate requests it
+	outOcc  sim.Bitset // outputs whose outMask is non-zero
 
 	candidate []int32 // per row: phase-one winner; valid for rows present in an outMask
 	grants    []Grant
@@ -53,7 +54,7 @@ func NewSeparableIF(cfg Config) *SeparableIF {
 		inPtr:     make([]int32, cfg.Rows()),
 		outPtr:    make([]int32, cfg.Ports),
 		outMask:   make([]uint64, cfg.Ports*rowWords),
-		outOcc:    newBitset(cfg.Ports),
+		outOcc:    sim.NewBitset(cfg.Ports),
 		candidate: make([]int32, cfg.Rows()),
 		grants:    make([]Grant, 0, cfg.Ports),
 	}
@@ -107,7 +108,7 @@ func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
 			s.candidate[row] = reqIdx
 			out := rs.Requests[reqIdx].OutPort
 			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
-			s.outOcc.set(out)
+			s.outOcc.Set(out)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"vix/internal/arb"
+	"vix/internal/sim"
 )
 
 // Sparoflo approximates the SPAROFLO switch allocator of Kumar et al.
@@ -36,11 +37,11 @@ type Sparoflo struct {
 
 	// All request words are all-zero between calls: rows is drained after
 	// exposure, the other two as their arbiters consume them.
-	rows     rowSlots // k = 1: a row is a port, a slot a VC
-	lineMask []uint64 // per output, lineWords each: candidate lines requesting it
-	outOcc   bitset   // outputs whose lineMask is non-zero
-	wins     []uint64 // per port, outWords each: outputs whose arbiter picked one of its VCs
-	portOcc  bitset   // ports whose wins is non-zero
+	rows     rowSlots   // k = 1: a row is a port, a slot a VC
+	lineMask []uint64   // per output, lineWords each: candidate lines requesting it
+	outOcc   sim.Bitset // outputs whose lineMask is non-zero
+	wins     []uint64   // per port, outWords each: outputs whose arbiter picked one of its VCs
+	portOcc  sim.Bitset // ports whose wins is non-zero
 
 	lineReq []int32 // per candidate line: the request exposed there; valid where a lineMask has the bit
 	winner  []int32 // per output: the request its arbiter picked; valid where a wins has the bit
@@ -75,9 +76,9 @@ func NewSparoflo(cfg Config) *Sparoflo {
 		portPtr:   make([]int32, cfg.Ports),
 		rows:      newRowSlots(cfg),
 		lineMask:  make([]uint64, cfg.Ports*lineWords),
-		outOcc:    newBitset(cfg.Ports),
+		outOcc:    sim.NewBitset(cfg.Ports),
 		wins:      make([]uint64, cfg.Ports*outWords),
-		portOcc:   newBitset(cfg.Ports),
+		portOcc:   sim.NewBitset(cfg.Ports),
 		lineReq:   make([]int32, cfg.Ports*exposed),
 		winner:    make([]int32, cfg.Ports),
 		grants:    make([]Grant, 0, cfg.Ports),
@@ -118,7 +119,7 @@ func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
 				s.lineReq[line] = reqIdx
 				out := rs.Requests[reqIdx].OutPort
 				s.lineMask[out*s.lineWords+line>>6] |= 1 << uint(line&63)
-				s.outOcc.set(out)
+				s.outOcc.Set(out)
 			}
 		}
 	}
@@ -136,7 +137,7 @@ func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
 			s.winner[out] = s.lineReq[line]
 			p := line / s.exposed
 			s.wins[p*s.outWords+out>>6] |= 1 << uint(out&63)
-			s.portOcc.set(p)
+			s.portOcc.Set(p)
 		}
 	}
 

@@ -1,6 +1,10 @@
 package alloc
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"vix/internal/sim"
+)
 
 // Wavefront implements the wavefront allocator of Tamir and Chi. It sweeps
 // priority diagonals across the row x output request matrix, granting
@@ -39,8 +43,8 @@ type Wavefront struct {
 	diagRows []uint64 // per diagonal, rowWords each: rows with an occupied cell on it
 
 	// scratch
-	rowBusy  bitset
-	outBusy  bitset
+	rowBusy  sim.Bitset
+	outBusy  sim.Bitset
 	cellReqs cellScratch
 	slots    vcPickScratch
 	grants   []Grant
@@ -62,8 +66,8 @@ func NewWavefront(cfg Config) *Wavefront {
 		rowOf:    rowTable(cfg),
 		vcPtr:    make([]int32, cfg.Rows()),
 		diagRows: make([]uint64, n*rowWords),
-		rowBusy:  newBitset(cfg.Rows()),
-		outBusy:  newBitset(cfg.Ports),
+		rowBusy:  sim.NewBitset(cfg.Rows()),
+		outBusy:  sim.NewBitset(cfg.Ports),
 		cellReqs: newCellScratch(cfg),
 		slots:    newVCPickScratch(cfg),
 		grants:   make([]Grant, 0, cfg.Ports),
@@ -128,8 +132,8 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 				var idx int
 				idx, w.vcPtr[i] = w.slots.pick(rs, w.cellReqs.at(i, j), w.vcPtr[i])
 				w.grants = append(w.grants, Grant{Req: idx, OutPort: j, Row: i})
-				w.rowBusy.set(i)
-				w.outBusy.set(j)
+				w.rowBusy.Set(i)
+				w.outBusy.Set(j)
 			}
 		}
 		if diag++; diag == w.n {

@@ -27,11 +27,11 @@ import (
 // Decode fills absent JSON fields from Default. A zero value set in code
 // resolves the same way for the structural fields — topology and its
 // dimensions, vcs, buf_depth, virtual_inputs, allocator, policy,
-// partition, pattern, packet_size, hop_delay, credit_delay — to the
-// default noted beside each, in Validate, Build and Run alike. The load
-// and the windows are taken literally: injection_rate must be positive
-// unless max_injection is set, measure must be at least 1, and a zero
-// warmup or seed is a legal value, not a request for the default.
+// partition, pattern, packet_size, hop_delay — to the default noted
+// beside each, in Validate, Build and Run alike. The load and the
+// windows are taken literally: injection_rate must be positive unless
+// max_injection is set, measure must be at least 1, and a zero warmup or
+// seed is a legal value, not a request for the default.
 type Experiment struct {
 	// Topology: "mesh" or "torus" (WxH), "cmesh" or "fbfly" (WxH with
 	// Conc terminals per router). Defaults: mesh,torus 8x8 /
@@ -59,11 +59,10 @@ type Experiment struct {
 	PacketSize    int     `json:"packet_size,omitempty"` // default 4
 
 	// Simulation control.
-	Warmup      int    `json:"warmup,omitempty"`  // 2000 when absent from JSON
-	Measure     int    `json:"measure,omitempty"` // 6000 when absent from JSON
-	Seed        uint64 `json:"seed,omitempty"`
-	HopDelay    int    `json:"hop_delay,omitempty"`    // default 3
-	CreditDelay int    `json:"credit_delay,omitempty"` // default 2
+	Warmup   int    `json:"warmup,omitempty"`  // 2000 when absent from JSON
+	Measure  int    `json:"measure,omitempty"` // 6000 when absent from JSON
+	Seed     uint64 `json:"seed,omitempty"`
+	HopDelay int    `json:"hop_delay,omitempty"` // default 3
 }
 
 // Default returns the paper's standard configuration: an 8x8 mesh with
@@ -253,15 +252,12 @@ func (e Experiment) Build() (network.Config, error) {
 		PacketSize:    e.PacketSize,
 		Seed:          e.Seed,
 		HopDelay:      e.HopDelay,
-		CreditDelay:   e.CreditDelay,
 	}, nil
 }
 
-// Run simulates the experiment: Validate, Build, a network of
-// tickWorkers tick workers (network.Config.Workers — a wall-clock knob
-// with byte-identical output, so it is an argument and not a field of the
-// spec), Warmup cycles discarded, Measure cycles reported.
-func (e Experiment) Run(tickWorkers int) (stats.Snapshot, error) {
+// Run simulates the experiment: Validate, Build, a network ticked on the
+// calling goroutine, Warmup cycles discarded, Measure cycles reported.
+func (e Experiment) Run() (stats.Snapshot, error) {
 	if err := e.Validate(); err != nil {
 		return stats.Snapshot{}, err
 	}
@@ -269,12 +265,10 @@ func (e Experiment) Run(tickWorkers int) (stats.Snapshot, error) {
 	if err != nil {
 		return stats.Snapshot{}, err
 	}
-	cfg.Workers = tickWorkers
 	n, err := network.New(cfg)
 	if err != nil {
 		return stats.Snapshot{}, err
 	}
-	defer n.Close()
 	n.Warmup(e.Warmup)
 	return n.Measure(e.Measure), nil
 }

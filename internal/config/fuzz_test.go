@@ -60,7 +60,6 @@ func specSpace() []specAxis {
 		{"max_injection", bools},
 		{"packet_size", ints(0, 5)},
 		{"hop_delay", ints(0, 4)},
-		{"credit_delay", ints(0, 4)},
 		{"non_speculative", bools},
 	}
 }
@@ -134,7 +133,6 @@ func runUnvalidated(e Experiment) (err error) {
 	if err != nil {
 		return err
 	}
-	defer n.Close()
 	n.Warmup(e.Warmup)
 	n.Measure(e.Measure)
 	return nil

@@ -163,9 +163,6 @@ func (e Experiment) Validate() error {
 	if e.HopDelay < 0 {
 		bad("hop_delay", "must be non-negative, got %d", e.HopDelay)
 	}
-	if e.CreditDelay < 0 {
-		bad("credit_delay", "must be non-negative, got %d", e.CreditDelay)
-	}
 
 	if len(errs) == 0 {
 		return nil

@@ -52,7 +52,7 @@ func policiesGrid(p Params, patterns []string) []GridPoint {
 // saturated 8x8 VIX mesh across traffic patterns, including the
 // adversarial ones the paper's Section 2.3 targets.
 func AblatePolicies(ctx context.Context, p Params, patterns []string, opt harness.Options) ([]PolicyAblationRow, error) {
-	return gridRows(ctx, p, opt, policiesGrid(p, patterns), func(g GridPoint, snap stats.Snapshot) PolicyAblationRow {
+	return gridRows(ctx, opt, policiesGrid(p, patterns), func(g GridPoint, snap stats.Snapshot) PolicyAblationRow {
 		return PolicyAblationRow{Pattern: g.Spec.Pattern, Policy: router.PolicyKind(g.Spec.Policy), Throughput: snap.ThroughputFlits}
 	})
 }
@@ -83,7 +83,7 @@ func partitionGrid(p Params) []GridPoint {
 // AblatePartition compares the paper's contiguous VC sub-grouping with
 // an interleaved assignment on saturated VIX networks.
 func AblatePartition(ctx context.Context, p Params, opt harness.Options) ([]PartitionAblationRow, error) {
-	return gridRows(ctx, p, opt, partitionGrid(p), func(g GridPoint, snap stats.Snapshot) PartitionAblationRow {
+	return gridRows(ctx, opt, partitionGrid(p), func(g GridPoint, snap stats.Snapshot) PartitionAblationRow {
 		part := alloc.Partition(slices.Index(partitions, g.Spec.Partition))
 		return PartitionAblationRow{Topology: g.Labels[2], Partition: part, Throughput: snap.ThroughputFlits}
 	})
@@ -128,7 +128,7 @@ func pipelineGrid(p Params, probeRate float64) []GridPoint {
 // and VIX: latency at a moderate load and saturation throughput.
 func AblatePipeline(ctx context.Context, p Params, probeRate float64, opt harness.Options) ([]PipelineAblationRow, error) {
 	grid := pipelineGrid(p, probeRate)
-	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
+	snaps, err := RunGrid(ctx, grid, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func speculationGrid(p Params, probeRate float64) []GridPoint {
 // VIX on the mesh.
 func AblateSpeculation(ctx context.Context, p Params, probeRate float64, opt harness.Options) ([]SpeculationAblationRow, error) {
 	grid := speculationGrid(p, probeRate)
-	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
+	snaps, err := RunGrid(ctx, grid, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func ksweepGrid(p Params) []GridPoint {
 // the mesh — a finer-grained version of Figure 12 that locates where the
 // returns diminish.
 func AblateVirtualInputs(ctx context.Context, p Params, opt harness.Options) ([]KSweepRow, error) {
-	return gridRows(ctx, p, opt, ksweepGrid(p), func(g GridPoint, snap stats.Snapshot) KSweepRow {
+	return gridRows(ctx, opt, ksweepGrid(p), func(g GridPoint, snap stats.Snapshot) KSweepRow {
 		return KSweepRow{K: g.Spec.VirtualInputs, Throughput: snap.ThroughputFlits}
 	})
 }
@@ -245,7 +245,7 @@ func allocatorsGrid(p Params) []GridPoint {
 // iterative allocator the paper cites) and SPAROFLO (related work) — on
 // a saturated mesh.
 func AblateAllocators(ctx context.Context, p Params, opt harness.Options) ([]AllocAblationRow, error) {
-	return gridRows(ctx, p, opt, allocatorsGrid(p), func(g GridPoint, snap stats.Snapshot) AllocAblationRow {
+	return gridRows(ctx, opt, allocatorsGrid(p), func(g GridPoint, snap stats.Snapshot) AllocAblationRow {
 		return AllocAblationRow{Scheme: g.Labels[2], Throughput: snap.ThroughputFlits}
 	})
 }

@@ -57,11 +57,6 @@ type Params struct {
 	Warmup     int
 	Measure    int
 	Seed       uint64
-	// TickWorkers is each simulation's parallel-tick width, the argument
-	// of config.Experiment.Run: 0 or 1 serial, negative GOMAXPROCS. A
-	// wall-clock knob with byte-identical output, so it stays out of
-	// every point's spec and never invalidates a manifest.
-	TickWorkers int
 }
 
 // DefaultParams returns the paper's configuration, config.Default, with

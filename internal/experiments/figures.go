@@ -96,7 +96,7 @@ func Figure8Grid(p Params, rates []float64) []GridPoint {
 // opt.Parallel workers and the returned rows are in canonical order
 // whatever the completion order.
 func Figure8(ctx context.Context, p Params, rates []float64, opt harness.Options) ([]Fig8Point, error) {
-	return gridRows(ctx, p, opt, Figure8Grid(p, rates), func(g GridPoint, snap stats.Snapshot) Fig8Point {
+	return gridRows(ctx, opt, Figure8Grid(p, rates), func(g GridPoint, snap stats.Snapshot) Fig8Point {
 		return Fig8Point{Scheme: g.Labels[1], Rate: g.Spec.InjectionRate, AvgLatency: snap.AvgLatency, Throughput: snap.ThroughputFlits}
 	})
 }
@@ -127,7 +127,7 @@ func figure9Grid(p Params) []GridPoint {
 // Figure9 measures the max/min per-source throughput ratio on the 8x8
 // mesh at maximum injection for all four schemes.
 func Figure9(ctx context.Context, p Params, opt harness.Options) ([]Fig9Row, error) {
-	return gridRows(ctx, p, opt, figure9Grid(p), func(g GridPoint, snap stats.Snapshot) Fig9Row {
+	return gridRows(ctx, opt, figure9Grid(p), func(g GridPoint, snap stats.Snapshot) Fig9Row {
 		return Fig9Row{Scheme: g.Labels[1], MaxMinRatio: snap.FairnessRatio, Throughput: snap.ThroughputFlits}
 	})
 }
@@ -152,7 +152,7 @@ func figure10Grid(p Params) []GridPoint {
 // Figure10 compares IF, WF, AP, PC, and VIX on the 8x8 mesh with
 // single-flit uniform traffic at maximum injection (Section 4.4).
 func Figure10(ctx context.Context, p Params, opt harness.Options) ([]Fig10Row, error) {
-	rows, err := gridRows(ctx, p, opt, figure10Grid(p), func(g GridPoint, snap stats.Snapshot) Fig10Row {
+	rows, err := gridRows(ctx, opt, figure10Grid(p), func(g GridPoint, snap stats.Snapshot) Fig10Row {
 		return Fig10Row{Scheme: g.Labels[1], Throughput: snap.ThroughputFlits}
 	})
 	for i := range rows {
@@ -189,7 +189,7 @@ func energyGrid(topo *topology.Topology, p Params, rate float64) []GridPoint {
 // the higher-radix topologies (cmd/figures -topo fbfly fig11).
 func EnergyStudy(ctx context.Context, topo *topology.Topology, p Params, rate float64, opt harness.Options) ([]Fig11Row, error) {
 	grid := energyGrid(topo, p, rate)
-	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
+	snaps, err := RunGrid(ctx, grid, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +249,7 @@ func figure12Grid(p Params) []GridPoint {
 // Figure12 measures saturation throughput for no VIX (k=1), 1:2 VIX
 // (k=2), and ideal VIX (k=v) on all three topologies with 4 and 6 VCs.
 func Figure12(ctx context.Context, p Params, opt harness.Options) ([]Fig12Row, error) {
-	return gridRows(ctx, p, opt, figure12Grid(p), func(g GridPoint, snap stats.Snapshot) Fig12Row {
+	return gridRows(ctx, opt, figure12Grid(p), func(g GridPoint, snap stats.Snapshot) Fig12Row {
 		return Fig12Row{Topology: g.Labels[1], VCs: g.Spec.VCs, Config: g.Labels[3], K: g.Spec.VirtualInputs, Throughput: snap.ThroughputFlits}
 	})
 }

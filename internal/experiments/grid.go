@@ -42,14 +42,14 @@ func point(e config.Experiment, labels ...string) GridPoint {
 }
 
 // job converts the point into the harness job that simulates it.
-func (g GridPoint) job(tickWorkers int) harness.Job {
+func (g GridPoint) job() harness.Job {
 	name := strings.Join(g.Labels, "/")
 	return harness.Job{
 		Name:   name,
 		Spec:   g,
 		Cycles: int64(g.Spec.Warmup + g.Spec.Measure),
 		Run: func(context.Context) (any, error) {
-			s, err := g.Spec.Run(tickWorkers)
+			s, err := g.Spec.Run()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s: %w", name, err)
 			}
@@ -58,13 +58,12 @@ func (g GridPoint) job(tickWorkers int) harness.Job {
 	}
 }
 
-// RunGrid executes the points through the harness, each on tickWorkers
-// tick workers, and returns one snapshot per point, in grid order,
-// regardless of either worker count.
-func RunGrid(ctx context.Context, pts []GridPoint, tickWorkers int, opt harness.Options) ([]stats.Snapshot, error) {
+// RunGrid executes the points through the harness and returns one
+// snapshot per point, in grid order, regardless of the worker count.
+func RunGrid(ctx context.Context, pts []GridPoint, opt harness.Options) ([]stats.Snapshot, error) {
 	jobs := make([]harness.Job, len(pts))
 	for i, g := range pts {
-		jobs[i] = g.job(tickWorkers)
+		jobs[i] = g.job()
 	}
 	res, err := harness.Run(ctx, jobs, opt)
 	if err != nil {
@@ -81,10 +80,10 @@ func RunGrid(ctx context.Context, pts []GridPoint, tickWorkers int, opt harness.
 	return snaps, nil
 }
 
-// gridRows runs the grid under p and opt and renders one row per point
+// gridRows runs the grid under opt and renders one row per point
 // from the point and its snapshot, in grid order.
-func gridRows[R any](ctx context.Context, p Params, opt harness.Options, grid []GridPoint, row func(GridPoint, stats.Snapshot) R) ([]R, error) {
-	snaps, err := RunGrid(ctx, grid, p.TickWorkers, opt)
+func gridRows[R any](ctx context.Context, opt harness.Options, grid []GridPoint, row func(GridPoint, stats.Snapshot) R) ([]R, error) {
+	snaps, err := RunGrid(ctx, grid, opt)
 	if err != nil {
 		return nil, err
 	}

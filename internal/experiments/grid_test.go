@@ -128,25 +128,21 @@ func TestGridSeedsAreLabelKeyed(t *testing.T) {
 
 // TestJobIDCoversEveryExperimentField: a grid point's manifest identity
 // is its labels and its whole config.Experiment, so a field added to the
-// spec is part of the identity without anyone mirroring it anywhere. The
-// tick-worker count, which cannot change a result, is not.
+// spec is part of the identity without anyone mirroring it anywhere.
 func TestJobIDCoversEveryExperimentField(t *testing.T) {
-	id := func(g GridPoint, tickWorkers int) string {
+	id := func(g GridPoint) string {
 		t.Helper()
-		id, err := harness.JobID(g.job(tickWorkers))
+		id, err := harness.JobID(g.job())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return id
 	}
 	base := Figure8Grid(tinyParams(), []float64{0.05})[0]
-	want := id(base, 1)
-	if id(base, 4) != want {
-		t.Error("the tick-worker count moved the job ID")
-	}
+	want := id(base)
 	relabelled := base
 	relabelled.Labels = []string{"fig8", "IF", "0.06"}
-	if id(relabelled, 1) == want {
+	if id(relabelled) == want {
 		t.Error("changing a label left the job ID unchanged")
 	}
 	typ := reflect.TypeOf(base.Spec)
@@ -166,7 +162,7 @@ func TestJobIDCoversEveryExperimentField(t *testing.T) {
 		default:
 			t.Fatalf("config.Experiment.%s is a %s; teach this test to perturb it", typ.Field(i).Name, f.Kind())
 		}
-		if id(g, 1) == want {
+		if id(g) == want {
 			t.Errorf("changing config.Experiment.%s left the job ID unchanged", typ.Field(i).Name)
 		}
 	}
@@ -218,7 +214,7 @@ func TestValidateImpliesRun(t *testing.T) {
 			t.Errorf("%s: Validate rejects it: %v", c.name, err)
 			continue
 		}
-		snap, err := c.spec.Run(1)
+		snap, err := c.spec.Run()
 		if err != nil {
 			t.Errorf("%s: Validate accepts it but Run fails: %v", c.name, err)
 		} else if snap.Cycles != int64(c.spec.Measure) {

@@ -36,7 +36,7 @@ func ReplicateSaturation(ctx context.Context, topo *topology.Topology, s Scheme,
 			Spec:   experiment(topo, s, p, 0, true),
 		}
 	}
-	snaps, err := RunGrid(ctx, pts, p.TickWorkers, opt)
+	snaps, err := RunGrid(ctx, pts, opt)
 	if err != nil {
 		return Replication{}, err
 	}

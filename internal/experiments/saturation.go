@@ -28,7 +28,7 @@ func FindSaturation(topo *topology.Topology, s Scheme, p Params, accept float64)
 	lo, hi := 0.005, 1.0/float64(p.PacketSize)
 	var best SaturationResult
 	probe := func(rate float64) (bool, SaturationResult, error) {
-		snap, err := experiment(topo, s, p, rate, false).Run(p.TickWorkers)
+		snap, err := experiment(topo, s, p, rate, false).Run()
 		if err != nil {
 			return false, SaturationResult{}, fmt.Errorf("experiments: %s on %s: %w", s.Label, topo.Name, err)
 		}

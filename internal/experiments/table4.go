@@ -46,12 +46,11 @@ func RunMixDetailed(mix trace.Mix, s Scheme, p Params, mc manycore.Config) ([]fl
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg.Workload, cfg.Workers = sys, p.TickWorkers
+	cfg.Workload = sys
 	n, err := network.New(cfg)
 	if err != nil {
 		return nil, 0, fmt.Errorf("experiments: %s on %s: %w", s.Label, mix.Name, err)
 	}
-	defer n.Close()
 	n.Run(p.Warmup)
 	sys.ResetRetired()
 	n.Run(p.Measure)

@@ -76,7 +76,7 @@ func TestCorpus(t *testing.T) {
 		return
 	}
 	for _, rule := range []string{
-		"exhaustive/switch", "waiver/stale", "hygiene/close",
+		"exhaustive/switch", "waiver/stale",
 	} {
 		if !seenRules[rule] {
 			t.Errorf("no corpus fixture triggers %s; every listed rule needs a failing fixture", rule)

@@ -17,9 +17,6 @@ func (c *checker) check() []Finding {
 		fs = append(fs, c.hygiene()...)
 		fs = append(fs, c.exhaustive()...)
 	}
-	if isCmdPath(c.pkg.Path) {
-		fs = append(fs, c.closeHygiene()...)
-	}
 	fs = append(fs, c.directiveFindings()...)
 	// Last: every waiver-consulting family has run, so usage tracking
 	// for the stale-waiver sweep is complete.

@@ -97,118 +97,6 @@ func (c *checker) checkPanic(fs *[]Finding, call *ast.CallExpr) {
 	}
 }
 
-// closeHygiene runs over cmd/ packages only: a binary that constructs
-// a network.Network must Close it in the same function (rule
-// hygiene/close). With Config.Workers > 1 the network parks pool
-// goroutines between cycles; a binary that drops the handle leaks them
-// for the process lifetime, and whether Workers exceeds 1 is usually a
-// flag decision the linter cannot see — so every construction pays the
-// one-line defer (a no-op for serial networks).
-func (c *checker) closeHygiene() []Finding {
-	var fs []Finding
-	c.eachFunc(func(_ *ast.File, fd *ast.FuncDecl) {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
-				return true
-			}
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok || !constructsNetwork(c.pkg, call) {
-				return true
-			}
-			id, ok := as.Lhs[0].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return true
-			}
-			v, ok := c.pkg.Info.Defs[id].(*types.Var)
-			if !ok {
-				v, ok = c.pkg.Info.Uses[id].(*types.Var)
-			}
-			if !ok {
-				return true
-			}
-			if returnedFrom(c.pkg, fd.Body, v) {
-				// Ownership moves to the caller, whose own binding of the
-				// returned *Network is matched by constructsNetwork.
-				return true
-			}
-			if !closedWithin(c.pkg, fd.Body, v) {
-				c.report(&fs, as.Pos(), "hygiene/close",
-					"network %s is never Closed in this function: a Workers>1 network parks pool goroutines between cycles; add `defer %s.Close()` after the error check (a no-op when serial)",
-					id.Name, id.Name)
-			}
-			return true
-		})
-	})
-	return fs
-}
-
-// constructsNetwork reports whether call's (first) result is a
-// *network.Network. Matching on the result type rather than the callee
-// name covers helpers that build and return a network: their caller
-// owns the handle.
-func constructsNetwork(pkg *Package, call *ast.CallExpr) bool {
-	tv, ok := pkg.Info.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if tup, ok := t.(*types.Tuple); ok {
-		if tup.Len() == 0 {
-			return false
-		}
-		t = tup.At(0).Type()
-	}
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	return ok && named.Obj().Name() == "Network" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "network"
-}
-
-// returnedFrom reports whether v is handed out through any return
-// statement in body.
-func returnedFrom(pkg *Package, body *ast.BlockStmt, v *types.Var) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, r := range ret.Results {
-			if id, ok := ast.Unparen(r).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// closedWithin reports whether body contains any v.Close() call,
-// deferred or direct (defers inside nested literals count: the rule
-// wants an owner, not a particular statement shape).
-func closedWithin(pkg *Package, body *ast.BlockStmt, v *types.Var) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Close" {
-			return true
-		}
-		if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && pkg.Info.Uses[id] == v {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
 // messagePrefix extracts the leading constant string of a panic argument:
 // the literal itself, the leftmost operand of a string concatenation, or
 // the format argument of an fmt.Sprintf / fmt.Errorf call.

@@ -45,10 +45,6 @@
 //     prefixed with the package name ("alloc: ...", "router %d: ...") so
 //     a crash names its origin; panic(err) and other opaque values are
 //     rejected.
-//   - hygiene/close (cmd/ only): a binary that binds a *network.Network
-//     must Close it in the same function — a Workers>1 network parks
-//     pool goroutines between cycles. Handles returned to a caller are
-//     the caller's problem (and matched there by the same rule).
 //
 // Waiver hygiene (all packages): rule waiver/stale flags any
 // //vixlint:ordered directive that suppresses nothing; waivers are
@@ -71,7 +67,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"strings"
 
@@ -94,12 +89,6 @@ func (f Finding) String() string {
 // package (subject to the determinism and hygiene families).
 func isInternal(path string) bool {
 	return strings.Contains(path, "/internal/") || strings.HasSuffix(path, "/internal")
-}
-
-// isCmdPath reports whether the import path is a command binary
-// (subject to hygiene/close).
-func isCmdPath(path string) bool {
-	return strings.Contains(path, "/cmd/") || strings.HasSuffix(path, "/cmd")
 }
 
 // checker carries one package's analysis state.
@@ -217,16 +206,4 @@ func (c *checker) waiverFindings() []Finding {
 		}
 	}
 	return fs
-}
-
-// eachFunc invokes fn for every function and method declaration with a
-// body in the package.
-func (c *checker) eachFunc(fn func(file *ast.File, decl *ast.FuncDecl)) {
-	for _, file := range c.pkg.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(file, fd)
-			}
-		}
-	}
 }

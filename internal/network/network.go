@@ -87,10 +87,9 @@ type Config struct {
 
 	// HopDelay is the cycles from a switch-allocation win at one router
 	// to eligibility at the next (SA + switch traversal + link
-	// traversal = 3 for the paper's three-stage pipeline). CreditDelay
-	// is the credit return latency. Zero values select the defaults.
-	HopDelay    int
-	CreditDelay int
+	// traversal = 3 for the paper's three-stage pipeline); zero selects
+	// DefaultHopDelay. Credits return after DefaultCreditDelay cycles.
+	HopDelay int
 
 	// Workers is the number of workers the per-cycle router tick fans
 	// out across. 0 or 1 ticks each active router and merges its effects
@@ -125,9 +124,6 @@ func (c *Config) setDefaults() {
 	if c.HopDelay == 0 {
 		c.HopDelay = DefaultHopDelay
 	}
-	if c.CreditDelay == 0 {
-		c.CreditDelay = DefaultCreditDelay
-	}
 	if c.PacketSize == 0 {
 		c.PacketSize = DefaultPacketSize
 	}
@@ -153,8 +149,8 @@ func (c *Config) Validate() error {
 	if c.PacketSize < 0 {
 		return fmt.Errorf("network: negative packet size %d", c.PacketSize)
 	}
-	if c.HopDelay < 0 || c.CreditDelay < 0 {
-		return fmt.Errorf("network: negative HopDelay %d or CreditDelay %d", c.HopDelay, c.CreditDelay)
+	if c.HopDelay < 0 {
+		return fmt.Errorf("network: negative HopDelay %d", c.HopDelay)
 	}
 	if c.Workload == nil {
 		if c.Pattern == nil {
@@ -349,11 +345,7 @@ func New(cfg Config) (*Network, error) {
 		col:        stats.NewCollector(topo.NumNodes),
 		stallLimit: deadlockCycles,
 	}
-	n.qlen = cfg.HopDelay
-	if cfg.CreditDelay > n.qlen {
-		n.qlen = cfg.CreditDelay
-	}
-	n.qlen++
+	n.qlen = max(cfg.HopDelay, DefaultCreditDelay) + 1
 	n.flitQ = make([][]flitDelivery, n.qlen)
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]ejection, n.qlen)
@@ -477,7 +469,7 @@ func (n *Network) Step() {
 func (n *Network) deliver() {
 	slot := int(n.cycle % int64(n.qlen))
 	n.hopSlot = (slot + n.cfg.HopDelay) % n.qlen
-	n.credSlot = (slot + n.cfg.CreditDelay) % n.qlen
+	n.credSlot = (slot + DefaultCreditDelay) % n.qlen
 	for _, d := range n.flitQ[slot] {
 		n.routers[d.router].Deliver(int(d.port), int(d.vc), d.slot)
 		n.col.BufferWrite()

@@ -128,7 +128,7 @@ func (w *oneAtATime) Delivered(d Delivery) { w.delivery = &d }
 // carries every (src, dst) pair in turn at 1-, 4- and 16-flit packets;
 // hop delay 5 is the pipeline study's five-stage router.
 //
-// The formula assumes a VC's credit loop (HopDelay + CreditDelay) fits
+// The formula assumes a VC's credit loop (HopDelay + DefaultCreditDelay) fits
 // its buffer depth, as the default 3 + 2 = 5 does. The five-stage loop is
 // 7 cycles over 5-flit buffers, so a packet longer than the buffer waits
 // for credits on its first link, 2 cycles per further 5 flits (16-flit
@@ -404,7 +404,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Router.AllocKind = "bogus" },
 		func(c *Config) { c.PacketSize = -2 },
 		func(c *Config) { c.HopDelay = -1 },
-		func(c *Config) { c.CreditDelay = -1 },
 	}
 	for i, mutate := range cases {
 		cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
@@ -445,7 +444,7 @@ func TestConfigValidationNarrowFieldBounds(t *testing.T) {
 	}
 }
 
-// Defaults are applied: zero HopDelay/CreditDelay/PacketSize pick the
+// Defaults are applied: zero HopDelay/PacketSize pick the
 // paper's three-stage pipeline values.
 func TestDefaults(t *testing.T) {
 	topo := topology.NewMesh(4, 4)

@@ -79,8 +79,7 @@ type activeScratch struct {
 // resolveWorkers maps Config.Workers onto an effective worker count:
 // 0 is one worker, negative is GOMAXPROCS, positive is taken as given.
 // Any result above 1 makes the network park pool goroutines between
-// cycles — owners must call Close when done (vixlint's hygiene/close
-// rule enforces this for cmd/ binaries).
+// cycles — owners must call Close when done.
 func resolveWorkers(w int) int {
 	switch {
 	case w == 0:

@@ -47,8 +47,6 @@ type vaContext struct {
 	// request at the downstream router (lookahead), or DimLocal when the
 	// downstream hop ejects.
 	nextDim topology.Dim
-	// groupSize is the VCs per sub-group.
-	groupSize int
 }
 
 // busyIn counts the allocated VCs of sub-group g.
@@ -68,13 +66,13 @@ func vcSpan(lo, hi int) uint64 {
 func (p PolicyKind) choose(ctx *vaContext) int {
 	switch p {
 	case PolicyMaxFree:
-		return bestIn(ctx, 0, len(ctx.credits))
+		return bestIn(ctx, ctx.free)
 	case PolicyDimension:
 		g := preferredGroup(ctx)
-		if v := bestInGroup(ctx, g); v >= 0 {
+		if v := bestIn(ctx, ctx.free&ctx.groupMask[g]); v >= 0 {
 			return v
 		}
-		return bestIn(ctx, 0, len(ctx.credits))
+		return bestIn(ctx, ctx.free)
 	case PolicyBalanced:
 		g := preferredGroup(ctx)
 		// Load balance: if the preferred sub-group already has strictly
@@ -90,10 +88,10 @@ func (p PolicyKind) choose(ctx *vaContext) int {
 		if preferred > min {
 			g = argmin
 		}
-		if v := bestInGroup(ctx, g); v >= 0 {
+		if v := bestIn(ctx, ctx.free&ctx.groupMask[g]); v >= 0 {
 			return v
 		}
-		return bestIn(ctx, 0, len(ctx.credits))
+		return bestIn(ctx, ctx.free)
 	default:
 		panic(fmt.Sprintf("router: unknown VC policy %q", p))
 	}
@@ -114,21 +112,12 @@ func preferredGroup(ctx *vaContext) int {
 	}
 }
 
-// bestInGroup returns the free VC with most credits within sub-group g,
-// or -1.
-func bestInGroup(ctx *vaContext, g int) int {
-	lo := g * ctx.groupSize
-	hi := lo + ctx.groupSize
-	if hi > len(ctx.credits) {
-		hi = len(ctx.credits)
-	}
-	return bestIn(ctx, lo, hi)
-}
-
-// bestIn returns the free VC with the most credits in [lo, hi), or -1.
-func bestIn(ctx *vaContext, lo, hi int) int {
+// bestIn returns the VC of candidate mask m with the most credits, the
+// lowest on a tie, or -1 if m is empty. Callers pass ctx.free, or its
+// intersection with one sub-group's groupMask.
+func bestIn(ctx *vaContext, m uint64) int {
 	best, bestCred := -1, int8(-1)
-	for m := ctx.free & vcSpan(lo, hi); m != 0; m &= m - 1 {
+	for ; m != 0; m &= m - 1 {
 		if v := bits.TrailingZeros64(m); ctx.credits[v] > bestCred {
 			best, bestCred = v, ctx.credits[v]
 		}

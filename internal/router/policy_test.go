@@ -3,6 +3,7 @@ package router
 import (
 	"testing"
 
+	"vix/internal/alloc"
 	"vix/internal/topology"
 )
 
@@ -24,7 +25,7 @@ func ctx6x2(free []bool, credits []int8, dim topology.Dim) *vaContext {
 	return &vaContext{
 		free: m, busy: ^m & 0b111111, credits: credits,
 		groupMask: []uint64{0b000111, 0b111000},
-		nextDim:   dim, groupSize: 3,
+		nextDim:   dim,
 	}
 }
 
@@ -125,11 +126,42 @@ func TestPoliciesDegenerateAtKOne(t *testing.T) {
 		credits:   []int8{1, 9, 7, 2},
 		groupMask: []uint64{0b1111},
 		nextDim:   topology.DimY,
-		groupSize: 4,
 	}
 	for _, p := range []PolicyKind{PolicyMaxFree, PolicyDimension, PolicyBalanced} {
 		if got := p.choose(ctx); got != 2 {
 			t.Errorf("%s chose %d at k=1, want 2", p, got)
+		}
+	}
+}
+
+// Under the interleaved partition sub-group g is {v : v mod k = g}, not a
+// block of adjacent VCs, and the dimension-aware policies must pick from
+// it. A router with 6 VCs, k = 2 and an X-bound lookahead holds VCs 0
+// and 3 of output 1, one per sub-group, so balanced keeps the X
+// preference too: the choice must be the free sub-group-0 VC with the
+// most credits, VC 2 (VCs 2 and 4 tie; the lower wins), and never VC 1,
+// which feeds virtual input 1.
+func TestInterleavedPoliciesPickFromTheirSubgroup(t *testing.T) {
+	for _, pol := range []PolicyKind{PolicyDimension, PolicyBalanced} {
+		cfg := baseConfig()
+		cfg.VirtualInputs, cfg.Partition, cfg.Policy = 2, alloc.Interleaved, pol
+		ports := make([]PortInfo, cfg.Ports)
+		for p := range ports {
+			ports[p] = PortInfo{Kind: topology.Link, Dim: topology.DimX}
+		}
+		a, err := alloc.New(cfg.AllocKind, cfg.Alloc())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(0, cfg, ports, a, func(outPort, dst int) topology.Dim { return topology.DimX }, nil, nil)
+		const out = 1
+		r.busy[out] = 1<<0 | 1<<3
+		v := r.chooseOVC(out, 0)
+		if g := cfg.Alloc().Subgroup(v); v < 0 || g != 0 {
+			t.Errorf("%s: X-bound packet assigned VC %d (sub-group %d), want sub-group 0", pol, v, g)
+		}
+		if v != 2 {
+			t.Errorf("%s: assigned VC %d, want 2", pol, v)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"vix/internal/alloc"
+	"vix/internal/sim"
 	"vix/internal/topology"
 )
 
@@ -106,30 +107,16 @@ type NextDimFunc func(outPort, dst int) topology.Dim
 // default) admits every VC.
 type VCRangeFunc func(outPort, dst int) (lo, hi int)
 
-// Cache-line padding granularity for arena segments: per-router strides
-// are rounded so no two routers' hot state shares a 64-byte line, which
-// keeps the sharded phase-A workers from false-sharing during the
-// parallel tick. int32 entries pad to 16 elements, as do the 12-byte
-// Slots (16 of them fill three lines exactly), int8 entries to 64, mask
-// words to 8.
-const (
-	padI32  = 16
-	padI8   = 64
-	padMask = 8
-)
-
-func padTo(n, m int) int { return (n + m - 1) / m * m }
-
-// setBit and clearBit maintain bit i of a multi-word mask (bit i&63 of
-// word i>>6).
-func setBit(m []uint64, i int)   { m[i>>6] |= 1 << uint(i&63) }
-func clearBit(m []uint64, i int) { m[i>>6] &^= 1 << uint(i&63) }
+// segment returns router slot's n-entry segment of slab, capped so that
+// appending to or reslicing the view cannot reach the next router's.
+func segment[T any](slab []T, slot, n int) []T {
+	return slab[slot*n : (slot+1)*n : (slot+1)*n]
+}
 
 // Arena holds the hot per-router state of every router in one network as
-// contiguous structure-of-arrays slabs. Each router owns one cache-line-
-// aligned segment of each slab (sliced out at construction), so a full
-// network tick walks linear memory in router order and the sharded
-// phase-A workers touch disjoint line-aligned ranges.
+// contiguous structure-of-arrays slabs. Each router owns one exact-size
+// segment of each slab (sliced out at construction), so a full network
+// tick walks linear memory in router order.
 //
 // Layout per router segment, indexed by ivc = port*VCs + vc:
 //
@@ -165,11 +152,8 @@ type Arena struct {
 	cfg   Config
 	n     int
 
-	bufStride  int // buffer slots per router (padded)
-	i32Stride  int // int32 entries per router (padded)
-	i8Stride   int // int8 entries per router (padded)
 	maskWords  int // W: words per ivc mask
-	maskStride int // mask words per router (padded)
+	maskStride int // mask words per router: 3W + Ports
 
 	bufs    []Slot
 	head    []int8
@@ -199,31 +183,23 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 		flits:     flits,
 		cfg:       cfg,
 		n:         numRouters,
-		bufStride: padTo(pv*cfg.BufDepth, padI32),
-		i32Stride: padTo(pv, padI32),
-		i8Stride:  padTo(pv, padI8),
 		maskWords: (pv + 63) / 64,
 	}
-	a.maskStride = padTo(3*a.maskWords+cfg.Ports, padMask)
-	a.bufs = make([]Slot, numRouters*a.bufStride)
+	a.maskStride = 3*a.maskWords + cfg.Ports
+	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
 	for i := range a.bufs {
 		a.bufs[i].Flit = NoFlit
 	}
-	a.head = make([]int8, numRouters*a.i8Stride)
-	a.count = make([]int8, numRouters*a.i8Stride)
-	a.ovc = make([]int8, numRouters*a.i8Stride)
-	a.outPort = make([]int8, numRouters*a.i8Stride)
-	a.credits = make([]int8, numRouters*a.i8Stride)
-	a.wait = make([]int32, numRouters*a.i32Stride)
+	a.head = make([]int8, numRouters*pv)
+	a.count = make([]int8, numRouters*pv)
+	a.ovc = make([]int8, numRouters*pv)
+	a.outPort = make([]int8, numRouters*pv)
+	a.credits = make([]int8, numRouters*pv)
+	a.wait = make([]int32, numRouters*pv)
 	a.masks = make([]uint64, numRouters*a.maskStride)
 	for i := range a.ovc {
 		a.ovc[i] = -1
-	}
-	for rtr := 0; rtr < numRouters; rtr++ {
-		seg := a.credits[rtr*a.i8Stride:]
-		for v := 0; v < pv; v++ {
-			seg[v] = int8(cfg.BufDepth)
-		}
+		a.credits[i] = int8(cfg.BufDepth)
 	}
 	a.ivcPort = make([]int32, pv)
 	a.ivcVC = make([]int32, pv)
@@ -263,9 +239,9 @@ type Router struct {
 	outPort   []int8
 	credits   []int8
 	wait      []int32
-	nonEmpty  []uint64
-	hasOVC    []uint64
-	justAlloc []uint64
+	nonEmpty  sim.Bitset
+	hasOVC    sim.Bitset
+	justAlloc sim.Bitset
 	busy      []uint64
 
 	// Geometry tables shared through the arena.
@@ -321,13 +297,13 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		flits:   arena.flits,
 		ports:   append([]PortInfo(nil), ports...),
 
-		buf:     arena.bufs[slot*arena.bufStride:][:pv*cfg.BufDepth],
-		head:    arena.head[slot*arena.i8Stride:][:pv],
-		count:   arena.count[slot*arena.i8Stride:][:pv],
-		ovc:     arena.ovc[slot*arena.i8Stride:][:pv],
-		outPort: arena.outPort[slot*arena.i8Stride:][:pv],
-		credits: arena.credits[slot*arena.i8Stride:][:pv],
-		wait:    arena.wait[slot*arena.i32Stride:][:pv],
+		buf:     segment(arena.bufs, slot, pv*cfg.BufDepth),
+		head:    segment(arena.head, slot, pv),
+		count:   segment(arena.count, slot, pv),
+		ovc:     segment(arena.ovc, slot, pv),
+		outPort: segment(arena.outPort, slot, pv),
+		credits: segment(arena.credits, slot, pv),
+		wait:    segment(arena.wait, slot, pv),
 
 		ivcPort:   arena.ivcPort,
 		ivcVC:     arena.ivcVC,
@@ -337,11 +313,11 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		creds: make([]CreditMsg, 0, cfg.Ports),
 	}
 	w := arena.maskWords
-	masks := arena.masks[slot*arena.maskStride:]
+	masks := segment(arena.masks, slot, arena.maskStride)
 	r.nonEmpty = masks[:w:w]
 	r.hasOVC = masks[w : 2*w : 2*w]
 	r.justAlloc = masks[2*w : 3*w : 3*w]
-	r.busy = masks[3*w:][:cfg.Ports:cfg.Ports]
+	r.busy = masks[3*w:]
 	r.reqs.Config = cfg.Alloc()
 	r.idle, _ = allocator.(alloc.IdleSkipper)
 	return r
@@ -381,7 +357,7 @@ func (r *Router) Deliver(port, vc int, s Slot) {
 		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", r.id, s.Route))
 	}
 	if r.count[ivc] == 0 {
-		setBit(r.nonEmpty, ivc)
+		r.nonEmpty.Set(ivc)
 	}
 	at := int(r.head[ivc]) + int(r.count[ivc])
 	if at >= r.cfg.BufDepth {
@@ -501,7 +477,7 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 		r.count[ivc]--
 		r.occ--
 		if r.count[ivc] == 0 {
-			clearBit(r.nonEmpty, ivc)
+			r.nonEmpty.Clear(ivc)
 		}
 		ovc := r.ovc[ivc]
 		if r.ports[g.OutPort].Kind == topology.Link {
@@ -517,7 +493,7 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 		}
 		if s.Type.IsTail() {
 			r.ovc[ivc] = -1
-			clearBit(r.hasOVC, ivc)
+			r.hasOVC.Clear(ivc)
 		}
 		r.ems = append(r.ems, Emission{OutPort: g.OutPort, Slot: s, VC: ovc})
 		if r.ports[req.Port].Kind == topology.Link {
@@ -614,9 +590,9 @@ func (r *Router) allocateVC(ivc int) {
 	// Ejection needs no downstream VC (v stays 0): the sink absorbs at
 	// link bandwidth, serialised per output port by switch allocation.
 	r.ovc[ivc], r.outPort[ivc] = int8(v), int8(out)
-	setBit(r.hasOVC, ivc)
+	r.hasOVC.Set(ivc)
 	if r.cfg.NonSpeculative {
-		setBit(r.justAlloc, ivc)
+		r.justAlloc.Set(ivc)
 	}
 }
 
@@ -638,7 +614,6 @@ func (r *Router) chooseOVC(out, dst int) int {
 		credits:   r.credits[out*vcs : out*vcs+vcs],
 		groupMask: r.groupMask,
 		nextDim:   r.nextDim(out, dst),
-		groupSize: r.reqs.Config.GroupSize(),
 	}
 	return r.cfg.Policy.choose(&ctx)
 }

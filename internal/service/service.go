@@ -50,10 +50,11 @@ type Config struct {
 	// <= 0 mean GOMAXPROCS.
 	Runners int
 
-	// Workers is the parallel-tick width of each simulation (see
-	// network.Config.Workers): 1 serial, <0 GOMAXPROCS. Output is
-	// byte-identical for any value, so it is a wall-clock knob only and
-	// never part of a case's identity.
+	// Workers is retired: every case runs its simulation on its runner's
+	// goroutine. New accepts 0 or 1 and refuses anything else. The field
+	// is kept only because bench/vixd.go, which is frozen outside
+	// benchmark PRs, sets it to 1; the next benchmark PR deletes that use
+	// and then this field.
 	Workers int
 
 	// QuotaRate is the per-client admission rate in cases per second;
@@ -74,11 +75,10 @@ type Config struct {
 // Server is the vixd service: suite registry, case queue, runner pool,
 // quotas, and the shared result store behind one http.Handler.
 type Server struct {
-	workers int
-	store   *store.Store
-	quotas  *quotas
-	specs   specTable
-	log     *log.Logger
+	store  *store.Store
+	quotas *quotas
+	specs  specTable
+	log    *log.Logger
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signals runners: queue grew or server closing
@@ -99,6 +99,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QuotaRate > 0 && cfg.Now == nil {
 		return nil, fmt.Errorf("service: Config.Now is required when QuotaRate > 0 (the service never reads the wall clock itself)")
 	}
+	if cfg.Workers != 0 && cfg.Workers != 1 {
+		return nil, fmt.Errorf("service: Config.Workers is retired (every case ticks serially); want 0 or 1, got %d", cfg.Workers)
+	}
 	st, err := store.Open(cfg.StorePath)
 	if err != nil {
 		return nil, err
@@ -108,11 +111,10 @@ func New(cfg Config) (*Server, error) {
 		runners = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		workers: cfg.Workers,
-		store:   st,
-		quotas:  newQuotas(cfg.QuotaRate, cfg.QuotaBurst, cfg.Now),
-		log:     cfg.Log,
-		suites:  make(map[string]*suite),
+		store:  st,
+		quotas: newQuotas(cfg.QuotaRate, cfg.QuotaBurst, cfg.Now),
+		log:    cfg.Log,
+		suites: make(map[string]*suite),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.handler = s.routes()
@@ -206,7 +208,7 @@ func (s *Server) runner() {
 // identical specs in flight are waited on and shared (single-flight).
 func (s *Server) runCase(q queued) {
 	q.su.setRunning(q.tc)
-	res, err := harness.Run(context.Background(), []harness.Job{q.job(s.workers)}, harness.Options{
+	res, err := harness.Run(context.Background(), []harness.Job{q.job()}, harness.Options{
 		Parallel: 1,
 		Store:    s.store,
 	})

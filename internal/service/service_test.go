@@ -595,6 +595,28 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestWorkersIsRetired: Config.Workers survives only as 0 or 1, the
+// values that meant a serial tick; any other width is refused by name.
+func TestWorkersIsRetired(t *testing.T) {
+	for _, w := range []int{0, 1} {
+		svc, err := service.New(service.Config{Runners: 1, Workers: w})
+		if err != nil {
+			t.Fatalf("Workers %d: %v", w, err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatalf("Workers %d: Close: %v", w, err)
+		}
+	}
+	for _, w := range []int{2, -1} {
+		if svc, err := service.New(service.Config{Runners: 1, Workers: w}); err == nil || !strings.Contains(err.Error(), "Workers") {
+			if svc != nil {
+				svc.Close()
+			}
+			t.Errorf("Workers %d: New error = %v, want one naming the retired field", w, err)
+		}
+	}
+}
+
 // nonEmptyLines splits a JSONL body.
 func nonEmptyLines(b []byte) []string {
 	var out []string

@@ -202,14 +202,14 @@ type queued struct {
 // job's name and spec are derived from the experiment alone — never
 // from the suite or client — so identical specs from anywhere share one
 // store identity.
-func (q queued) job(workers int) harness.Job {
+func (q queued) job() harness.Job {
 	e := *q.spec
 	return harness.Job{
 		Name:   q.tc.info.label,
 		Spec:   e,
 		Cycles: int64(e.Warmup + e.Measure),
 		Run: func(ctx context.Context) (any, error) {
-			s, err := e.Run(workers)
+			s, err := e.Run()
 			if err != nil {
 				return nil, err
 			}

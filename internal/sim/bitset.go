@@ -1,9 +1,11 @@
 package sim
 
 // Bitset is a packed occupancy-word set over a fixed index space, sized
-// at construction. It is the exported sibling of the allocator-internal
-// occupancy words: the network's activity-gated tick uses one word set
-// for dirty routers and one for network interfaces with queued flits.
+// at construction, and the only one in the simulator: the allocators'
+// scratch remembers dirtied rows, outputs and cells in one, the router's
+// per-ivc masks are Bitset views of its arena segment, and the network's
+// activity-gated tick keeps one for dirty routers and one for network
+// interfaces with queued flits.
 //
 // Walks iterate set bits in ascending index order — word by word,
 // bits.TrailingZeros64 within a word — so replacing a dense 0..n loop
