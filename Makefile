@@ -78,12 +78,13 @@ profile:
 experiments:
 	go run ./cmd/figures -scaling all
 
+# The four example programs, each a set of vix.Experiment specs run
+# through Run (CI's examples smoke step; seconds each).
 examples:
 	go run ./examples/quickstart
 	go run ./examples/buffer_reduction
 	go run ./examples/custom_allocator
 	go run ./examples/adversarial_traffic
-	go run ./examples/saturation_search
 
 clean:
 	go clean ./...

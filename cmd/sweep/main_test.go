@@ -39,7 +39,7 @@ func TestSweepCSVByteIdenticalAcrossWorkers(t *testing.T) {
 	schemes := []scheme{{alloc: "if", k: 1}, {alloc: "if", k: 2}}
 	rates := []float64{0.02, 0.05}
 	var serial, parallel bytes.Buffer
-	if err := sweepGrid(schemes, rates, true, harness.Serial(), &serial); err != nil {
+	if err := sweepGrid(schemes, rates, true, harness.Options{Parallel: 1}, &serial); err != nil {
 		t.Fatal(err)
 	}
 	if err := sweepGrid(schemes, rates, true, harness.Options{Parallel: 8}, &parallel); err != nil {
@@ -90,7 +90,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 	}
 
 	var freshOut bytes.Buffer
-	if err := sweepGrid(full, rates, false, harness.Serial(), &freshOut); err != nil {
+	if err := sweepGrid(full, rates, false, harness.Options{Parallel: 1}, &freshOut); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resumedOut.Bytes(), freshOut.Bytes()) {

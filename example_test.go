@@ -6,27 +6,18 @@ import (
 	"vix"
 )
 
-// Example demonstrates the basic simulation flow: build a topology,
-// configure routers with two virtual inputs (VIX), run, and read the
-// measured statistics. Simulations are deterministic for a given seed.
+// Example demonstrates the basic simulation flow: describe a point as an
+// Experiment — here the default 8x8 mesh with two virtual inputs (VIX) —
+// run it, and read the measured statistics. Simulations are
+// deterministic for a given seed.
 func Example() {
-	topo := vix.NewMeshTopology(8, 8)
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology: topo,
-		Router: vix.RouterConfig{
-			Ports: topo.Radix, VCs: 6, VirtualInputs: 2, BufDepth: 5,
-			AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyBalanced,
-		},
-		Pattern:       vix.NewUniformTraffic(topo.NumNodes),
-		InjectionRate: 0.05,
-		PacketSize:    4,
-		Seed:          1,
-	})
+	e := vix.DefaultExperiment()
+	e.VirtualInputs = 2
+	e.Warmup, e.Measure = 1000, 3000
+	s, err := e.Run()
 	if err != nil {
 		panic(err)
 	}
-	n.Warmup(1000)
-	s := n.Measure(3000)
 	fmt.Printf("accepted %.2f flits/cycle/node at offered 0.20\n", s.ThroughputFlits)
 	fmt.Printf("latency within zero-load ballpark: %v\n", s.AvgLatency > 20 && s.AvgLatency < 40)
 	// Output:
@@ -34,48 +25,14 @@ func Example() {
 	// latency within zero-load ballpark: true
 }
 
-// ExampleTable1 regenerates the paper's router pipeline-delay table from
-// the calibrated 45 nm timing model.
-func ExampleTable1() {
-	for _, r := range vix.Table1()[:2] {
-		fmt.Printf("%s: VA %.0f ps, SA %.0f ps, crossbar %.0f ps\n", r.Design, r.VA, r.SA, r.Xbar)
+// ExampleLoadExperiment reads one of the shipped JSON experiments; the
+// fields it leaves out take their defaults.
+func ExampleLoadExperiment() {
+	e, err := vix.LoadExperiment("configs/mesh_vix_saturation.json")
+	if err != nil {
+		panic(err)
 	}
+	fmt.Println(e.Topology, e.VirtualInputs, e.Allocator, e.MaxInjection, e.OfferedLabel())
 	// Output:
-	// Mesh: VA 300 ps, SA 280 ps, crossbar 167 ps
-	// Mesh with VIX: VA 300 ps, SA 290 ps, crossbar 206 ps
-}
-
-// ExampleVIXFeasibilityFrontier shows the Section 2.4 scaling limit: the
-// largest router radix whose doubled crossbar still fits the cycle.
-func ExampleVIXFeasibilityFrontier() {
-	fmt.Println(vix.VIXFeasibilityFrontier(6))
-	// Output:
-	// 10
-}
-
-// ExampleRunRouterBench measures single-router allocation efficiency in
-// isolation (the Figure 7 testbench).
-func ExampleRunRouterBench() {
-	base, _ := vix.RunRouterBench(vix.RouterBenchConfig{
-		Radix: 5, VCs: 6, VirtualInputs: 1,
-		AllocKind: vix.AllocSeparableIF, PacketSize: 1, Seed: 1,
-	}, 1000, 10000)
-	withVIX, _ := vix.RunRouterBench(vix.RouterBenchConfig{
-		Radix: 5, VCs: 6, VirtualInputs: 2,
-		AllocKind: vix.AllocSeparableIF, PacketSize: 1, Seed: 1,
-	}, 1000, 10000)
-	fmt.Printf("VIX gains over 20%%: %v\n", withVIX.FlitsPerCycle > 1.2*base.FlitsPerCycle)
-	// Output:
-	// VIX gains over 20%: true
-}
-
-// ExampleDORHops computes dimension-order route lengths.
-func ExampleDORHops() {
-	topo := vix.NewMeshTopology(8, 8)
-	fmt.Println(vix.DORHops(topo, 0, 63))
-	fbfly := vix.NewFBflyTopology(4, 4, 4)
-	fmt.Println(vix.DORHops(fbfly, 0, 63))
-	// Output:
-	// 14
-	// 2
+	// mesh 2 if true saturation
 }

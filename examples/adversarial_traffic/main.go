@@ -15,46 +15,31 @@ import (
 	"vix"
 )
 
-func saturation(pattern vix.TrafficPattern, policy vix.RouterConfig) vix.Snapshot {
-	topo := vix.NewMeshTopology(8, 8)
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology:     topo,
-		Router:       policy,
-		Pattern:      pattern,
-		MaxInjection: true,
-		PacketSize:   4,
-		Seed:         1,
-	})
+func saturation(pattern, policy string) vix.Snapshot {
+	e := vix.DefaultExperiment() // 8x8 mesh, 6 VCs x 5 flits, 4-flit packets
+	e.VirtualInputs = 2
+	e.Pattern, e.Policy = pattern, policy
+	e.MaxInjection, e.InjectionRate = true, 0
+	e.Warmup, e.Measure = 1500, 5000
+	s, err := e.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	n.Warmup(1500)
-	return n.Measure(5000)
+	return s
 }
 
 func main() {
-	policies := []struct {
-		name string
-		cfg  vix.RouterConfig
-	}{
-		{"maxfree", vix.RouterConfig{Ports: 5, VCs: 6, VirtualInputs: 2, BufDepth: 5, AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyMaxFree}},
-		{"dimension", vix.RouterConfig{Ports: 5, VCs: 6, VirtualInputs: 2, BufDepth: 5, AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyDimension}},
-		{"balanced", vix.RouterConfig{Ports: 5, VCs: 6, VirtualInputs: 2, BufDepth: 5, AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyBalanced}},
-	}
+	policies := []string{"maxfree", "dimension", "balanced"}
 	patterns := []string{"uniform", "transpose", "tornado", "bitcomp", "hotspot"}
 
 	fmt.Println("Saturated 8x8 VIX mesh (k=2): throughput in flits/cycle/node by VC-assignment policy")
 	fmt.Println()
 	w := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "pattern\tmaxfree\tdimension\tbalanced")
-	for _, name := range patterns {
-		fmt.Fprintf(w, "%s", name)
-		for _, p := range policies {
-			pat, err := vix.NewTrafficPattern(name, 8, 8)
-			if err != nil {
-				log.Fatal(err)
-			}
-			s := saturation(pat, p.cfg)
+	for _, pattern := range patterns {
+		fmt.Fprintf(w, "%s", pattern)
+		for _, policy := range policies {
+			s := saturation(pattern, policy)
 			fmt.Fprintf(w, "\t%.4f", s.ThroughputFlits)
 		}
 		fmt.Fprintln(w)

@@ -13,27 +13,16 @@ import (
 )
 
 func saturation(vcs, virtualInputs int) vix.Snapshot {
-	topo := vix.NewMeshTopology(8, 8)
-	policy := vix.PolicyMaxFree
-	if virtualInputs > 1 {
-		policy = vix.PolicyBalanced
-	}
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology: topo,
-		Router: vix.RouterConfig{
-			Ports: topo.Radix, VCs: vcs, VirtualInputs: virtualInputs, BufDepth: 5,
-			AllocKind: vix.AllocSeparableIF, Policy: policy,
-		},
-		Pattern:      vix.NewUniformTraffic(topo.NumNodes),
-		MaxInjection: true, // saturate every source
-		PacketSize:   4,
-		Seed:         1,
-	})
+	e := vix.DefaultExperiment() // 8x8 mesh, 5-flit buffers, 4-flit packets
+	e.VCs, e.VirtualInputs = vcs, virtualInputs
+	e.MaxInjection, e.InjectionRate = true, 0 // saturate every source
+	// The policy is left to the spec's default: maxfree at k = 1,
+	// balanced once there are virtual inputs to balance.
+	s, err := e.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	n.Warmup(2000)
-	return n.Measure(6000)
+	return s
 }
 
 func main() {

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand/v2"
 
 	"vix"
 )
@@ -46,8 +47,10 @@ func (o *outputFirst) Reset() {
 
 func (o *outputFirst) Allocate(rs *vix.RequestSet) []vix.SwitchGrant {
 	rows := o.cfg.Rows()
-	// Request indices keyed by (row, outPort); keep the first VC per cell
-	// and let the row rotate across cells over time.
+	// Request indices keyed by (row, outPort). Requests arrive in (port,
+	// VC) order, so each cell keeps its lowest requesting VC: a cell's
+	// other VCs wait until that one is served, and nothing rotates among
+	// them.
 	byCell := make(map[[2]int]int, len(rs.Requests))
 	rowReq := make([][]bool, rows)
 	for i := range rowReq {
@@ -98,32 +101,52 @@ func (o *outputFirst) Allocate(rs *vix.RequestSet) []vix.SwitchGrant {
 	return grants
 }
 
-func saturation(kind vix.AllocatorKind, k int) vix.Snapshot {
-	topo := vix.NewMeshTopology(8, 8)
-	policy := vix.PolicyMaxFree
-	if k > 1 {
-		policy = vix.PolicyBalanced
+// check drives a fresh allocator with random request sets — at most one
+// request per (port, VC), each to a random output — and holds every grant
+// set to the allocator contract with vix.ValidateGrants.
+func check(cfg vix.AllocatorConfig, cycles int) error {
+	a, err := newOutputFirst(cfg)
+	if err != nil {
+		return err
 	}
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology: topo,
-		Router: vix.RouterConfig{
-			Ports: topo.Radix, VCs: 6, VirtualInputs: k, BufDepth: 5,
-			AllocKind: kind, Policy: policy,
-		},
-		Pattern:      vix.NewUniformTraffic(topo.NumNodes),
-		MaxInjection: true,
-		PacketSize:   4,
-		Seed:         1,
-	})
+	rng := rand.New(rand.NewPCG(1, 2))
+	rs := &vix.RequestSet{Config: cfg}
+	for c := 0; c < cycles; c++ {
+		rs.Requests = rs.Requests[:0]
+		for port := 0; port < cfg.Ports; port++ {
+			for vc := 0; vc < cfg.VCs; vc++ {
+				if rng.IntN(2) == 0 {
+					rs.Requests = append(rs.Requests, vix.SwitchRequest{Port: port, VC: vc, OutPort: rng.IntN(cfg.Ports)})
+				}
+			}
+		}
+		if err := vix.ValidateGrants(rs, a.Allocate(rs)); err != nil {
+			return fmt.Errorf("cycle %d: %w", c, err)
+		}
+	}
+	return nil
+}
+
+func saturation(kind vix.AllocatorKind, k int) vix.Snapshot {
+	e := vix.DefaultExperiment() // 8x8 mesh, 6 VCs x 5 flits, 4-flit packets
+	e.Allocator = string(kind)
+	e.VirtualInputs = k // the policy defaults to maxfree at k = 1, balanced above
+	e.MaxInjection, e.InjectionRate = true, 0
+	e.Warmup, e.Measure = 1500, 5000
+	s, err := e.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	n.Warmup(1500)
-	return n.Measure(5000)
+	return s
 }
 
 func main() {
 	const kindOutputFirst = vix.AllocatorKind("output-first")
+	for _, k := range []int{1, 2} {
+		if err := check(vix.AllocatorConfig{Ports: 5, VCs: 6, VirtualInputs: k}, 1000); err != nil {
+			log.Fatalf("output-first, k=%d: %v", k, err)
+		}
+	}
 	if err := vix.RegisterAllocator(kindOutputFirst, newOutputFirst); err != nil {
 		log.Fatal(err)
 	}
@@ -134,10 +157,10 @@ func main() {
 		kind  vix.AllocatorKind
 		k     int
 	}{
-		{"input-first (built-in)", vix.AllocSeparableIF, 1},
+		{"input-first (built-in)", "if", 1},
 		{"output-first (custom)", kindOutputFirst, 1},
 		{"output-first + VIX", kindOutputFirst, 2},
-		{"input-first + VIX", vix.AllocSeparableIF, 2},
+		{"input-first + VIX", "if", 2},
 	} {
 		s := saturation(c.kind, c.k)
 		fmt.Printf("%-24s %.4f flits/cycle/node, %.1f cycles avg latency\n",

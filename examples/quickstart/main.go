@@ -11,34 +11,27 @@ import (
 	"vix"
 )
 
-func run(virtualInputs int, policy vix.RouterConfig) vix.Snapshot {
-	topo := vix.NewMeshTopology(8, 8)
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology:      topo,
-		Router:        policy,
-		Pattern:       vix.NewUniformTraffic(topo.NumNodes),
-		InjectionRate: 0.09, // packets/cycle/node, near mesh saturation
-		PacketSize:    4,    // 512-bit packets over a 128-bit datapath
-		Seed:          1,
-	})
+func run(e vix.Experiment) vix.Snapshot {
+	s, err := e.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	n.Warmup(2000)
-	return n.Measure(6000)
+	return s
 }
 
 func main() {
-	baseline := vix.RouterConfig{
-		Ports: 5, VCs: 6, VirtualInputs: 1, BufDepth: 5,
-		AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyMaxFree,
-	}
+	// The default spec is the paper's 8x8 mesh: 6 VCs x 5 flits, separable
+	// input-first allocation, uniform random 4-flit (512-bit over a
+	// 128-bit datapath) packets, 2000 warm-up and 6000 measured cycles.
+	baseline := vix.DefaultExperiment()
+	baseline.InjectionRate = 0.09 // packets/cycle/node, near mesh saturation
+	baseline.Policy = "maxfree"
 	withVIX := baseline
 	withVIX.VirtualInputs = 2
-	withVIX.Policy = vix.PolicyBalanced // dimension-aware + load-balanced VC assignment
+	withVIX.Policy = "balanced" // dimension-aware + load-balanced VC assignment
 
-	base := run(1, baseline)
-	vixRes := run(2, withVIX)
+	base := run(baseline)
+	vixRes := run(withVIX)
 
 	fmt.Println("8x8 mesh, uniform random, 0.09 packets/cycle/node, 6 VCs x 5 flits")
 	fmt.Printf("%-22s %12s %12s\n", "", "baseline IF", "VIX (k=2)")

@@ -137,15 +137,6 @@ func Load(path string) (Experiment, error) {
 	return e, nil
 }
 
-// Save writes the experiment as indented JSON.
-func (e Experiment) Save(path string) error {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // dims resolves the router grid and the terminals per router after the
 // documented defaults (mesh, torus: 8x8 with one terminal; cmesh, fbfly:
 // 4x4 with four).

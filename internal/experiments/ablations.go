@@ -21,7 +21,7 @@ import (
 //
 // Every study is a label-seeded grid (point) run through RunGrid, so
 // each takes a context and harness.Options for parallel, resumable
-// execution; harness.Serial() is the one-point-at-a-time form.
+// execution; Parallel 1 is the one-point-at-a-time form.
 
 // PolicyAblationRow is the saturation throughput of one (pattern,
 // policy) pair on the VIX mesh.

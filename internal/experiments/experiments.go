@@ -3,9 +3,8 @@
 // simulations and returns structured rows; cmd/figures prints them.
 // Every simulated point is a config.Experiment run by its Run method:
 // the network figures and the ablation studies are grids of them fanned
-// out through internal/harness (grid.go), the saturation search probes
-// them one after the other, and only Table 4 — whose manycore Workload a
-// spec cannot express — builds its network itself.
+// out through internal/harness (grid.go), and only Table 4 — whose
+// manycore Workload a spec cannot express — builds its network itself.
 //
 // Experiment parameters default to the paper's configuration (Section 3:
 // 64 nodes, 6 VCs x 5-flit buffers, 128-bit datapath, 4-flit packets,

@@ -9,6 +9,7 @@ import (
 
 	"vix/internal/config"
 	"vix/internal/harness"
+	"vix/internal/topology"
 )
 
 // quickParams shrinks simulation windows so the whole experiment suite
@@ -55,7 +56,7 @@ func TestFigure7QualitativeShape(t *testing.T) {
 
 func TestFigure8QualitativeShape(t *testing.T) {
 	p := quickParams()
-	rows, err := Figure8(context.Background(), p, []float64{0.02, 0.06}, harness.Serial())
+	rows, err := Figure8(context.Background(), p, []float64{0.02, 0.06}, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFigure8QualitativeShape(t *testing.T) {
 }
 
 func TestFigure9Fairness(t *testing.T) {
-	rows, err := Figure9(context.Background(), quickParams(), harness.Serial())
+	rows, err := Figure9(context.Background(), quickParams(), harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFigure9Fairness(t *testing.T) {
 }
 
 func TestFigure10PacketChaining(t *testing.T) {
-	rows, err := Figure10(context.Background(), quickParams(), harness.Serial())
+	rows, err := Figure10(context.Background(), quickParams(), harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +134,12 @@ func TestFigure10PacketChaining(t *testing.T) {
 
 func TestFigure11Energy(t *testing.T) {
 	p := quickParams()
-	rows, err := Figure11(context.Background(), p, harness.Serial())
+	rows, err := EnergyStudy(context.Background(), topology.NewMesh(8, 8), p, 0.1, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
-		t.Fatalf("Figure11 has %d rows, want 2", len(rows))
+		t.Fatalf("Figure 11 has %d rows, want 2", len(rows))
 	}
 	base, vix := rows[0].Breakdown, rows[1].Breakdown
 	ratio := vix.Total / base.Total
@@ -154,7 +155,7 @@ func TestFigure12VirtualInputs(t *testing.T) {
 	p := quickParams()
 	p.Warmup = 500
 	p.Measure = 1500
-	rows, err := Figure12(context.Background(), p, harness.Serial())
+	rows, err := Figure12(context.Background(), p, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

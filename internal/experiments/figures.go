@@ -169,12 +169,6 @@ type Fig11Row struct {
 	Breakdown energy.Breakdown
 }
 
-// Figure11 measures energy per bit for the baseline and VIX mesh at the
-// paper's 0.1 packets/cycle/node operating point.
-func Figure11(ctx context.Context, p Params, opt harness.Options) ([]Fig11Row, error) {
-	return EnergyStudy(ctx, topology.NewMesh(8, 8), p, 0.1, opt)
-}
-
 func energyGrid(topo *topology.Topology, p Params, rate float64) []GridPoint {
 	var pts []GridPoint
 	for _, s := range []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]} { // IF, VIX
@@ -184,9 +178,10 @@ func energyGrid(topo *topology.Topology, p Params, rate float64) []GridPoint {
 	return pts
 }
 
-// EnergyStudy runs the Figure 11 methodology on any topology and load:
-// the paper evaluates the mesh, but the same activity-driven model covers
-// the higher-radix topologies (cmd/figures -topo fbfly fig11).
+// EnergyStudy measures energy per bit for the baseline and VIX network.
+// The paper's Figure 11 is the 8x8 mesh at 0.1 packets/cycle/node (cmd/figures
+// fig11's defaults); the same activity-driven model covers any topology
+// and load (cmd/figures -topo fbfly fig11).
 func EnergyStudy(ctx context.Context, topo *topology.Topology, p Params, rate float64, opt harness.Options) ([]Fig11Row, error) {
 	grid := energyGrid(topo, p, rate)
 	snaps, err := RunGrid(ctx, grid, opt)

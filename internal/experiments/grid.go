@@ -34,8 +34,8 @@ type GridPoint struct {
 // point is the grid point of a label-seeded study (Figure 8 and the
 // ablations): e's seed, the study's root, is replaced by a sub-seed
 // derived from it and the labels, so inserting a point never re-seeds
-// its neighbours. Figures 9-12 and the replication run every point on
-// the root seed itself and build their GridPoints directly.
+// its neighbours. Figures 9-12 run every point on the root seed itself
+// and build their GridPoints directly.
 func point(e config.Experiment, labels ...string) GridPoint {
 	e.Seed = sim.DeriveSeed(e.Seed, labels...)
 	return GridPoint{Labels: labels, Spec: e}

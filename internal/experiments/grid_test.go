@@ -33,7 +33,7 @@ func tinyParams() Params {
 func TestFigure8GridParallelDeterminism(t *testing.T) {
 	p := tinyParams()
 	rates := []float64{0.02, 0.05}
-	serial, err := Figure8(context.Background(), p, rates, harness.Serial())
+	serial, err := Figure8(context.Background(), p, rates, harness.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

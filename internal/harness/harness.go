@@ -125,10 +125,6 @@ type Options struct {
 	OnDone func(Result)
 }
 
-// Serial returns the options for a single-worker, checkpoint-free run —
-// the drop-in replacement for the old one-point-at-a-time loops.
-func Serial() Options { return Options{Parallel: 1} }
-
 // Decode unmarshals a result's value into T.
 func Decode[T any](r Result) (T, error) {
 	var v T

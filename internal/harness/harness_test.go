@@ -234,7 +234,7 @@ func TestJobIDStability(t *testing.T) {
 func TestDuplicateSpecsRejected(t *testing.T) {
 	jobs := fakeGrid(3)
 	jobs[2] = jobs[0]
-	_, err := Run(context.Background(), jobs, Serial())
+	_, err := Run(context.Background(), jobs, Options{Parallel: 1})
 	if err == nil || !strings.Contains(err.Error(), "identical specs") {
 		t.Fatalf("duplicate specs not rejected: %v", err)
 	}
@@ -298,7 +298,7 @@ func TestPanickingJobFailsItsCase(t *testing.T) {
 func TestUnserialisableResultIsAnError(t *testing.T) {
 	jobs := fakeGrid(2)
 	jobs[1].Run = func(context.Context) (any, error) { return func() {}, nil }
-	_, err := Run(context.Background(), jobs, Serial())
+	_, err := Run(context.Background(), jobs, Options{Parallel: 1})
 	if err == nil || !strings.Contains(err.Error(), "not serialisable") {
 		t.Fatalf("unserialisable result not rejected: %v", err)
 	}

@@ -162,25 +162,3 @@ func fbflyDOR(t *topology.Topology, router, dst int) int {
 	}
 	return t.YPort(y, dy)
 }
-
-// Hops returns the number of router-to-router hops a packet from src to
-// dst traverses under route (not counting injection/ejection). It panics
-// if the route does not converge within NumRouters steps, which would
-// indicate a routing bug.
-func Hops(t *topology.Topology, route Func, src, dst int) int {
-	r := t.NodeRouter[src]
-	hops := 0
-	for r != t.NodeRouter[dst] {
-		p := route(t, r, dst)
-		c := t.Conn[r][p]
-		if c.Kind != topology.Link {
-			panic(fmt.Sprintf("routing: route from router %d to node %d chose non-link port %d", r, dst, p))
-		}
-		r = c.PeerRouter
-		hops++
-		if hops > t.NumRouters {
-			panic("routing: route did not converge")
-		}
-	}
-	return hops
-}

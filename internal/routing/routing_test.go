@@ -1,11 +1,32 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"vix/internal/topology"
 )
+
+// hops returns the number of router-to-router hops a packet from src to
+// dst traverses under route (not counting injection/ejection). It panics
+// if the route does not converge within NumRouters steps, which would
+// indicate a routing bug.
+func hops(t *topology.Topology, route Func, src, dst int) int {
+	r := t.NodeRouter[src]
+	n := 0
+	for r != t.NodeRouter[dst] {
+		c := t.Conn[r][route(t, r, dst)]
+		if c.Kind != topology.Link {
+			panic(fmt.Sprintf("routing: route from router %d to node %d chose a non-link port", r, dst))
+		}
+		r = c.PeerRouter
+		if n++; n > t.NumRouters {
+			panic("routing: route did not converge")
+		}
+	}
+	return n
+}
 
 func topologies() []*topology.Topology {
 	return []*topology.Topology{
@@ -56,7 +77,7 @@ func TestMeshDORMinimal(t *testing.T) {
 			sx, sy := topo.RouterXY(topo.NodeRouter[src])
 			dx, dy := topo.RouterXY(topo.NodeRouter[dst])
 			want := abs(sx-dx) + abs(sy-dy)
-			if got := Hops(topo, route, src, dst); got != want {
+			if got := hops(topo, route, src, dst); got != want {
 				t.Fatalf("mesh hops %d->%d = %d, want %d", src, dst, got, want)
 			}
 		}
@@ -70,7 +91,7 @@ func TestFBflyDORAtMostTwoHops(t *testing.T) {
 	prop := func(s, d uint8) bool {
 		src := int(s) % topo.NumNodes
 		dst := int(d) % topo.NumNodes
-		return Hops(topo, route, src, dst) <= 2
+		return hops(topo, route, src, dst) <= 2
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -133,7 +154,7 @@ func TestMeshAverageHops(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			total += Hops(topo, route, src, dst)
+			total += hops(topo, route, src, dst)
 			pairs++
 		}
 	}

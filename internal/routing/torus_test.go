@@ -36,7 +36,7 @@ func TestTorusDORMinimal(t *testing.T) {
 		for src := 0; src < topo.NumNodes; src++ {
 			for dst := 0; dst < topo.NumNodes; dst++ {
 				want := torusDist(topo, src, dst)
-				if got := Hops(topo, route, src, dst); got != want {
+				if got := hops(topo, route, src, dst); got != want {
 					t.Fatalf("%s hops %d->%d = %d, want %d", topo.Name, src, dst, got, want)
 				}
 			}

@@ -6,77 +6,8 @@ import (
 	"vix"
 )
 
-// The public facade supports the full quickstart flow.
-func TestPublicAPISimulation(t *testing.T) {
-	topo := vix.NewMeshTopology(4, 4)
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology: topo,
-		Router: vix.RouterConfig{
-			Ports: topo.Radix, VCs: 6, VirtualInputs: 2, BufDepth: 5,
-			AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyBalanced,
-		},
-		Pattern:       vix.NewUniformTraffic(topo.NumNodes),
-		InjectionRate: 0.05,
-		PacketSize:    4,
-		Seed:          1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Warmup(500)
-	s := n.Measure(1500)
-	if s.ThroughputFlits <= 0 || s.AvgLatency <= 0 {
-		t.Fatalf("simulation produced no traffic: %+v", s)
-	}
-}
-
-func TestPublicTopologyConstructors(t *testing.T) {
-	cases := []struct {
-		topo  *vix.Topology
-		radix int
-	}{
-		{vix.NewMeshTopology(8, 8), 5},
-		{vix.NewCMeshTopology(4, 4, 4), 8},
-		{vix.NewFBflyTopology(4, 4, 4), 10},
-	}
-	for _, c := range cases {
-		if c.topo.Radix != c.radix {
-			t.Errorf("%s radix = %d, want %d", c.topo.Name, c.topo.Radix, c.radix)
-		}
-		if c.topo.NumNodes != 64 {
-			t.Errorf("%s nodes = %d, want 64", c.topo.Name, c.topo.NumNodes)
-		}
-	}
-}
-
-func TestPublicTrafficConstructors(t *testing.T) {
-	rng := vix.NewRNG(1)
-	pats := []vix.TrafficPattern{
-		vix.NewUniformTraffic(64),
-		vix.NewTransposeTraffic(8, 8),
-		vix.NewBitComplementTraffic(64),
-		vix.NewBitReverseTraffic(64),
-		vix.NewTornadoTraffic(8, 8),
-		vix.NewHotspotTraffic(64, []int{0}, 0.2),
-	}
-	for _, p := range pats {
-		for src := 0; src < 64; src += 13 {
-			d := p.Dest(src, rng)
-			if d == src || d < 0 || d >= 64 {
-				t.Errorf("%s: bad destination %d from %d", p.Name(), d, src)
-			}
-		}
-	}
-	if _, err := vix.NewTrafficPattern("uniform", 8, 8); err != nil {
-		t.Errorf("NewTrafficPattern failed: %v", err)
-	}
-	if _, err := vix.NewTrafficPattern("bogus", 8, 8); err == nil {
-		t.Error("NewTrafficPattern accepted unknown name")
-	}
-}
-
-// A custom allocator registered through the facade is usable by name and
-// its grants satisfy the validation contract.
+// A custom allocator registered through the facade is usable by name in a
+// spec, and registration refuses a nil factory and a built-in kind.
 func TestPublicCustomAllocator(t *testing.T) {
 	kind := vix.AllocatorKind("test-greedy")
 	err := vix.RegisterAllocator(kind, func(cfg vix.AllocatorConfig) (vix.Allocator, error) {
@@ -88,27 +19,20 @@ func TestPublicCustomAllocator(t *testing.T) {
 	if err := vix.RegisterAllocator(kind, nil); err == nil {
 		t.Error("nil factory accepted")
 	}
-	if err := vix.RegisterAllocator(vix.AllocSeparableIF, func(cfg vix.AllocatorConfig) (vix.Allocator, error) { return nil, nil }); err == nil {
+	if err := vix.RegisterAllocator("if", func(cfg vix.AllocatorConfig) (vix.Allocator, error) { return nil, nil }); err == nil {
 		t.Error("built-in override accepted")
 	}
 
-	topo := vix.NewMeshTopology(4, 4)
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology: topo,
-		Router: vix.RouterConfig{
-			Ports: topo.Radix, VCs: 4, VirtualInputs: 1, BufDepth: 5,
-			AllocKind: kind, Policy: vix.PolicyMaxFree,
-		},
-		Pattern:       vix.NewUniformTraffic(topo.NumNodes),
-		InjectionRate: 0.03,
-		PacketSize:    2,
-		Seed:          3,
-	})
+	e := vix.DefaultExperiment()
+	e.Width, e.Height = 4, 4
+	e.VCs, e.Allocator, e.Policy = 4, string(kind), "maxfree"
+	e.InjectionRate, e.PacketSize, e.Seed = 0.03, 2, 3
+	e.Warmup, e.Measure = 400, 1200
+	s, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Warmup(400)
-	if s := n.Measure(1200); s.FlitsEjected == 0 {
+	if s.FlitsEjected == 0 {
 		t.Fatal("custom allocator moved no traffic")
 	}
 }
@@ -135,200 +59,8 @@ func (g *greedy) Allocate(rs *vix.RequestSet) []vix.SwitchGrant {
 	return grants
 }
 
-func TestPublicTimingAndEnergy(t *testing.T) {
-	if len(vix.Table1()) != 6 || len(vix.Table3()) != 3 {
-		t.Fatal("table shapes wrong through facade")
-	}
-	if vix.SADelay(5, 6, 1) >= vix.SADelay(10, 6, 1) {
-		t.Error("SA delay not increasing in radix")
-	}
-	if vix.XbarDelay(10, 5) <= vix.XbarDelay(5, 5) {
-		t.Error("crossbar delay not increasing with virtual inputs")
-	}
-	if vix.RouterCycleTime(5, 6) < vix.SADelay(5, 6, 1) {
-		t.Error("cycle time below SA delay")
-	}
-	if vix.VADelay(5, 6) <= 0 {
-		t.Error("non-positive VA delay")
-	}
-	if _, err := vix.EnergyPerBit(vix.DefaultEnergyParams(), vix.Snapshot{}, vix.EnergyNetwork{}); err == nil {
-		t.Error("energy model accepted empty snapshot")
-	}
-}
-
-func TestPublicBenchmarkSubstrate(t *testing.T) {
-	if got := len(vix.BenchmarkCatalog()); got != 35 {
-		t.Errorf("catalog size %d, want 35", got)
-	}
-	mixes := vix.BenchmarkMixes()
-	if len(mixes) != 8 {
-		t.Fatalf("mix count %d, want 8", len(mixes))
-	}
-	apps, err := mixes[0].Assign(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := vix.NewManycore(vix.DefaultManycoreConfig(), apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := vix.NewMeshTopology(8, 8)
-	n, err := vix.NewNetwork(vix.NetworkConfig{
-		Topology: topo,
-		Router: vix.RouterConfig{
-			Ports: topo.Radix, VCs: 6, VirtualInputs: 2, BufDepth: 5,
-			AllocKind: vix.AllocSeparableIF, Policy: vix.PolicyBalanced,
-		},
-		Workload: sys,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(800)
-	total := 0.0
-	for _, ipc := range sys.IPC(800) {
-		total += ipc
-	}
-	if total <= 0 {
-		t.Fatal("manycore system retired nothing through the facade")
-	}
-}
-
-func TestPublicRouterBench(t *testing.T) {
-	r, err := vix.RunRouterBench(vix.RouterBenchConfig{
-		Radix: 5, VCs: 6, VirtualInputs: 2,
-		AllocKind: vix.AllocSeparableIF, PacketSize: 1, Seed: 1,
-	}, 200, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FlitsPerCycle <= 0 || r.Efficiency > 1 {
-		t.Fatalf("router bench result out of range: %+v", r)
-	}
-}
-
-func TestPublicDORHops(t *testing.T) {
-	topo := vix.NewMeshTopology(8, 8)
-	if got := vix.DORHops(topo, 0, 63); got != 14 {
-		t.Errorf("corner-to-corner hops = %d, want 14", got)
-	}
-	if got := vix.DORHops(topo, 5, 5); got != 0 {
-		t.Errorf("self hops = %d, want 0", got)
-	}
-}
-
-func TestPublicAblationsAndSaturation(t *testing.T) {
-	p := vix.DefaultExperimentParams()
-	p.Warmup, p.Measure = 300, 800
-
-	rows, err := vix.AblateVirtualInputs(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 || rows[0].K != 1 {
-		t.Fatalf("k sweep wrong: %+v", rows)
-	}
-
-	topo := vix.NewMeshTopology(4, 4)
-	res, err := vix.FindSaturation(topo, "VIX", vix.AllocSeparableIF, 2, p, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rate <= 0 {
-		t.Fatalf("saturation rate %v", res.Rate)
-	}
-}
-
 func TestPublicExperimentConfig(t *testing.T) {
-	e := vix.DefaultExperiment()
-	e.VirtualInputs = 2
-	e.Allocator = string(vix.AllocISLIP)
-	cfg, err := e.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := vix.NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Warmup(200)
-	if s := n.Measure(500); s.FlitsEjected == 0 {
-		t.Fatal("experiment config produced no traffic")
-	}
 	if _, err := vix.LoadExperiment("/does/not/exist.json"); err == nil {
 		t.Fatal("missing experiment file accepted")
-	}
-}
-
-func TestPublicPartitionConstants(t *testing.T) {
-	cfg := vix.AllocatorConfig{Ports: 5, VCs: 6, VirtualInputs: 2, Partition: vix.PartitionInterleaved}
-	if cfg.Subgroup(1) != 1 {
-		t.Fatal("interleaved partition not honoured through facade")
-	}
-	cfg.Partition = vix.PartitionContiguous
-	if cfg.Subgroup(1) != 0 {
-		t.Fatal("contiguous partition not honoured through facade")
-	}
-}
-
-// Exercise the one-line experiment wrappers end-to-end at minimal scale
-// so the facade surface stays wired to the harness.
-func TestPublicFigureWrappers(t *testing.T) {
-	p := vix.DefaultExperimentParams()
-	p.Warmup, p.Measure = 150, 400
-
-	if rows, err := vix.Figure7(p); err != nil || len(rows) != 15 {
-		t.Fatalf("Figure7: %v (%d rows)", err, len(rows))
-	}
-	if pts, err := vix.Figure8(p, []float64{0.02}); err != nil || len(pts) != 8 {
-		t.Fatalf("Figure8: %v (%d points)", err, len(pts))
-	}
-	if rows, err := vix.Figure9(p); err != nil || len(rows) != 4 {
-		t.Fatalf("Figure9: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.Figure10(p); err != nil || len(rows) != 5 {
-		t.Fatalf("Figure10: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.Figure11(p); err != nil || len(rows) != 2 {
-		t.Fatalf("Figure11: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.Figure12(p); err != nil || len(rows) != 18 {
-		t.Fatalf("Figure12: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.Table4(p); err != nil || len(rows) != 8 {
-		t.Fatalf("Table4: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.AblatePolicies(p, []string{"uniform"}); err != nil || len(rows) != 3 {
-		t.Fatalf("AblatePolicies: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.AblatePartition(p); err != nil || len(rows) != 6 {
-		t.Fatalf("AblatePartition: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.AblatePipeline(p, 0.03); err != nil || len(rows) != 4 {
-		t.Fatalf("AblatePipeline: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.AblateSpeculation(p, 0.03); err != nil || len(rows) != 4 {
-		t.Fatalf("AblateSpeculation: %v (%d rows)", err, len(rows))
-	}
-	if rows, err := vix.AblateAllocators(p); err != nil || len(rows) != 8 {
-		t.Fatalf("AblateAllocators: %v (%d rows)", err, len(rows))
-	}
-}
-
-func TestPublicRadixScalingAndReplication(t *testing.T) {
-	rows := vix.RadixScaling([]int{5, 10, 16}, 6)
-	if len(rows) != 3 || !rows[0].Feasible || rows[2].Feasible {
-		t.Fatalf("RadixScaling shape wrong: %+v", rows)
-	}
-	if f := vix.VIXFeasibilityFrontier(6); f != 10 {
-		t.Fatalf("frontier = %d, want 10", f)
-	}
-	p := vix.DefaultExperimentParams()
-	p.Warmup, p.Measure = 150, 400
-	topo := vix.NewMeshTopology(4, 4)
-	rep, err := vix.ReplicateSaturation(topo, "IF", vix.AllocSeparableIF, 1, p, []uint64{1, 2})
-	if err != nil || rep.Seeds != 2 {
-		t.Fatalf("ReplicateSaturation: %v %+v", err, rep)
 	}
 }
