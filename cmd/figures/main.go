@@ -16,6 +16,9 @@
 // prints a byte-identical table whatever the worker count, -resume
 // checkpoints completed points to a JSONL manifest so an interrupted
 // run picks up where it stopped, and -v logs each point as it finishes.
+// Every point of every selected grid is built and validated before the
+// first one simulates, so a flag value the simulator would refuse is a
+// usage error.
 package main
 
 import (
@@ -26,22 +29,21 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"vix/internal/cli"
 	"vix/internal/config"
 	"vix/internal/experiments"
 	"vix/internal/harness"
+	"vix/internal/stats"
 	"vix/internal/topology"
 )
 
-// env is what an artefact's run-and-print function gets: the resolved
-// simulation parameters, the harness options, and the artefact-specific
-// flags.
+// env is what an artefact's grid builder and printer get: its base spec
+// and the artefact-specific flags.
 type env struct {
-	ctx context.Context
-	p   experiments.Params
-	opt harness.Options
+	base config.Experiment // config.Default at the artefact's windows and -seed
 
 	scaling bool               // delay
 	plot    bool               // fig8
@@ -50,38 +52,62 @@ type env struct {
 	list    bool               // table4
 }
 
+// grid is an artefact's simulation points; printer writes its table from
+// them and their snapshots, both nil for an artefact that is not a grid.
+type (
+	grid    = []experiments.GridPoint
+	printer func(w io.Writer, e *env, pts grid, snaps []stats.Snapshot) error
+)
+
 // artefact is one row of the table: a name, what it regenerates, the
 // windows it runs at when -warmup/-measure are unset, the flags it
-// reads that not every artefact does, and the function that runs it and
-// prints its table.
+// reads that not every artefact does, the grid builder of a harness
+// grid (nil for the three that are not), and its printer.
 type artefact struct {
 	name, paper     string
 	warmup, measure int
 	reads           []string
-	run             func(io.Writer, *env) error
+	grid            func(*env) grid
+	print           printer
 }
 
-// grid is what a harness-backed artefact reads: the harness flags and
-// its own.
-func grid(own ...string) []string { return append(own, "parallel", "resume", "v") }
+// flags are the flags a reads that not every artefact does: its own, and
+// the harness's when it is a grid.
+func (a artefact) flags() []string {
+	if a.grid == nil {
+		return a.reads
+	}
+	return append(slices.Clip(a.reads), "parallel", "resume", "v")
+}
 
 // artefacts is the table, in the paper's order ("all" runs it top to
 // bottom).
 var artefacts = []artefact{
-	{"delay", "Tables 1 & 3: pipeline stage and allocator delays (analytic)", 0, 0, []string{"scaling"}, printDelay},
-	{"fig7", "Figure 7: single-router switch allocation efficiency", 2000, 20000, nil, printFig7},
-	{"fig8", "Figure 8: mesh latency and throughput versus offered load", 2000, 8000, grid("plot"), printFig8},
-	{"fig9", "Figure 9: fairness on a saturated mesh", 3000, 15000, grid(), printFig9},
-	{"fig10", "Figure 10: packet chaining comparison", 2000, 10000, grid(), printFig10},
-	{"fig11", "Figure 11: network energy per bit", 2000, 10000, grid("topo", "rate"), printFig11},
-	{"fig12", "Figure 12: impact of increasing virtual inputs", 2000, 6000, grid(), printFig12},
-	{"table4", "Table 4: application-level performance", 1500, 10000, []string{"list"}, printTable4},
-	{"policies", "ablation: VC-assignment policy under adversarial traffic", 1500, 5000, grid(), study(printPolicies)},
-	{"partition", "ablation: VC-to-sub-group partition", 1500, 5000, grid(), study(printPartition)},
-	{"pipeline", "ablation: router pipeline depth", 1500, 5000, grid(), study(printPipeline)},
-	{"speculation", "ablation: speculative switch allocation", 1500, 5000, grid(), study(printSpeculation)},
-	{"ksweep", "ablation: fine-grained virtual-input sweep", 1500, 5000, grid(), study(printKSweep)},
-	{"allocators", "ablation: extended allocator set", 1500, 5000, grid(), study(printAllocators)},
+	{"delay", "Tables 1 & 3: pipeline stage and allocator delays (analytic)", 0, 0, []string{"scaling"}, nil, printDelay},
+	{"fig7", "Figure 7: single-router switch allocation efficiency", 2000, 20000, nil, nil, printFig7},
+	{"fig8", "Figure 8: mesh latency and throughput versus offered load", 2000, 8000, []string{"plot"},
+		func(e *env) grid { return experiments.Figure8Grid(e.base, nil) }, printFig8},
+	{"fig9", "Figure 9: fairness on a saturated mesh", 3000, 15000, nil,
+		func(e *env) grid { return experiments.Figure9Grid(e.base) }, printFig9},
+	{"fig10", "Figure 10: packet chaining comparison", 2000, 10000, nil,
+		func(e *env) grid { return experiments.Figure10Grid(e.base) }, printFig10},
+	{"fig11", "Figure 11: network energy per bit", 2000, 10000, []string{"topo", "rate"},
+		func(e *env) grid { return experiments.EnergyGrid(e.base, e.topo, e.rate) }, printFig11},
+	{"fig12", "Figure 12: impact of increasing virtual inputs", 2000, 6000, nil,
+		func(e *env) grid { return experiments.Figure12Grid(e.base) }, printFig12},
+	{"table4", "Table 4: application-level performance", 1500, 10000, []string{"list"}, nil, printTable4},
+	{"policies", "ablation: VC-assignment policy under adversarial traffic", 1500, 5000, nil,
+		func(e *env) grid { return experiments.PoliciesGrid(e.base, nil) }, study(printPolicies)},
+	{"partition", "ablation: VC-to-sub-group partition", 1500, 5000, nil,
+		func(e *env) grid { return experiments.PartitionGrid(e.base) }, study(printPartition)},
+	{"pipeline", "ablation: router pipeline depth", 1500, 5000, nil,
+		func(e *env) grid { return experiments.PipelineGrid(e.base, 0.05) }, study(printPipeline)},
+	{"speculation", "ablation: speculative switch allocation", 1500, 5000, nil,
+		func(e *env) grid { return experiments.SpeculationGrid(e.base, 0.05) }, study(printSpeculation)},
+	{"ksweep", "ablation: fine-grained virtual-input sweep", 1500, 5000, nil,
+		func(e *env) grid { return experiments.KSweepGrid(e.base) }, study(printKSweep)},
+	{"allocators", "ablation: extended allocator set", 1500, 5000, nil,
+		func(e *env) grid { return experiments.AllocatorsGrid(e.base) }, study(printAllocators)},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -137,12 +163,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	read := map[string]bool{}
 	for _, a := range selected {
-		for _, name := range a.reads {
+		for _, name := range a.flags() {
 			read[name] = true
 		}
 	}
 	for _, a := range artefacts {
-		for _, name := range a.reads {
+		for _, name := range a.flags() {
 			if given[name] && !read[name] {
 				reject("-%s is given but no selected artefact reads it", name)
 				read[name] = true // one report per flag
@@ -150,16 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	e := &env{
-		ctx:     context.Background(),
-		p:       experiments.DefaultParams(),
-		opt:     harness.Options{Parallel: *parallel, Manifest: *resume},
-		scaling: *scaling, plot: *plot, rate: *rate, list: *list,
-	}
-	e.p.Seed = *seed
-	if *verbose {
-		e.opt.OnDone = cli.Progress(logger)
-	}
+	e := &env{scaling: *scaling, plot: *plot, rate: *rate, list: *list}
 	for _, t := range experiments.Topologies() {
 		if string(t.Kind) == *topoName {
 			e.topo = t
@@ -168,27 +185,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if e.topo == nil {
 		reject("invalid -topo value: unknown topology %q; want mesh, cmesh, or fbfly", *topoName)
 	}
-	// Negated so that NaN, which compares false to everything, is rejected.
-	if !(*rate >= 0 && *rate <= 1) {
-		reject("invalid -rate value: must be in [0, 1] packets/cycle/node, got %g", *rate)
+	// A spec field the simulator refuses is reported against the flag
+	// that set it, once however many points share the value.
+	reported := map[string]bool{}
+	invalid := func(err error, where string) {
+		var ve config.ValidationError
+		errors.As(err, &ve)
+		for _, fe := range ve {
+			msg := fmt.Sprintf("%s: %s", where, fe)
+			if name := flagOf[fe.Field]; name != "" {
+				msg = fmt.Sprintf("invalid -%s value: %s", name, fe.Msg)
+			}
+			if !reported[msg] {
+				reject("%s", msg)
+				reported[msg] = true
+			}
+		}
 	}
 	// -warmup/-measure replace an artefact's own windows only when given.
-	// Judge what was typed once, over defaults known to be valid, before
-	// anything simulates.
-	windows := func(p *experiments.Params) {
+	// Judge what was typed once, over defaults known to be valid.
+	windows := func(b *config.Experiment) {
 		if given["warmup"] {
-			p.Warmup = *warmup
+			b.Warmup = *warmup
 		}
 		if given["measure"] {
-			p.Measure = *measure
+			b.Measure = *measure
 		}
 	}
-	typed := e.p
+	typed := config.Default()
 	windows(&typed)
-	var ve config.ValidationError
-	if err := typed.Validate(); errors.As(err, &ve) {
-		for _, fe := range ve {
-			reject("invalid -%s value: %s", fe.Field, fe.Msg)
+	invalid(typed.Validate(), "windows")
+	if misused {
+		return 2 // its grids may not even build (fig11 with no topology)
+	}
+
+	// Then build every selected grid and judge each of its points, as the
+	// harness would, before the first artefact simulates.
+	bases := make([]config.Experiment, len(selected))
+	grids := make([]grid, len(selected))
+	for i, a := range selected {
+		bases[i] = config.Default()
+		bases[i].Seed, bases[i].Warmup, bases[i].Measure = *seed, a.warmup, a.measure
+		windows(&bases[i])
+		if a.grid == nil {
+			continue
+		}
+		e.base = bases[i]
+		grids[i] = a.grid(e)
+		for _, g := range grids[i] {
+			invalid(g.Spec.Validate(), a.name+" "+strings.Join(g.Labels, "/"))
 		}
 	}
 	if misused {
@@ -200,11 +245,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Print(err)
 		return 1
 	}
+	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
+	if *verbose {
+		opt.OnDone = cli.Progress(logger)
+	}
 	status := 0
-	for _, a := range selected {
-		e.p.Warmup, e.p.Measure = a.warmup, a.measure
-		windows(&e.p)
-		if err := a.run(stdout, e); err != nil {
+	for i, a := range selected {
+		e.base = bases[i]
+		var snaps []stats.Snapshot
+		if grids[i] != nil {
+			snaps, err = experiments.RunGrid(context.Background(), grids[i], opt)
+		}
+		if err == nil {
+			err = a.print(stdout, e, grids[i], snaps)
+		}
+		if err != nil {
 			logger.Printf("%s: %v", a.name, err)
 			status = 1
 			break
@@ -216,6 +271,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return status
 }
+
+// flagOf names the flag that sets each spec field a grid point takes
+// from the command line.
+var flagOf = map[string]string{"warmup": "warmup", "measure": "measure", "injection_rate": "rate"}
 
 // selectArtefacts resolves the command line's names against the table,
 // expanding "all" in place.

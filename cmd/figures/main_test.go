@@ -129,8 +129,8 @@ func TestFiguresAllOrder(t *testing.T) {
 		if err != nil || len(one) != 1 || one[0].name != a.name {
 			t.Errorf("selectArtefacts(%s) = %v, %v", a.name, one, err)
 		}
-		if a.run == nil || a.paper == "" {
-			t.Errorf("artefact %s has no run function or description", a.name)
+		if a.print == nil || a.paper == "" {
+			t.Errorf("artefact %s has no printer or description", a.name)
 		}
 	}
 
@@ -168,6 +168,7 @@ func TestFiguresUsageErrors(t *testing.T) {
 		{[]string{"-v", "table4"}, "-v is given but"},
 		{[]string{"-topo", "ring", "fig11"}, "invalid -topo value"},
 		{[]string{"-rate", "1.5", "fig11"}, "invalid -rate value"},
+		{[]string{"-rate", "0", "fig11"}, "invalid -rate value"},
 	}
 	for _, c := range cases {
 		stdout, stderr := figures(t, 2, c.args...)

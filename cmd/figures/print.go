@@ -3,11 +3,14 @@ package main
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 
-	"vix/internal/alloc"
+	"vix/internal/config"
 	"vix/internal/experiments"
 	"vix/internal/plot"
+	"vix/internal/stats"
 	"vix/internal/timing"
 	"vix/internal/trace"
 )
@@ -23,9 +26,9 @@ func table(w io.Writer, header string, rows func(tw io.Writer)) error {
 
 // study closes an ablation study's table with the blank line that
 // separates it from the next one.
-func study(print func(io.Writer, *env) error) func(io.Writer, *env) error {
-	return func(w io.Writer, e *env) error {
-		if err := print(w, e); err != nil {
+func study(print printer) printer {
+	return func(w io.Writer, e *env, pts grid, snaps []stats.Snapshot) error {
+		if err := print(w, e, pts, snaps); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintln(w)
@@ -37,7 +40,7 @@ func study(print func(io.Writer, *env) error) func(io.Writer, *env) error {
 // models: router pipeline stage delays (VA, SA, crossbar) for the three
 // topologies with and without VIX, and the delay of the switch
 // allocation schemes.
-func printDelay(w io.Writer, e *env) error {
+func printDelay(w io.Writer, e *env, _ grid, _ []stats.Snapshot) error {
 	fmt.Fprintln(w, "Table 1: router pipeline stage delays (45 nm calibrated model)")
 	fmt.Fprintln(w)
 	err := table(w, "Design\tRadix\tXbar size\tVA delay\tSA delay\tXbar delay\tXbar slack vs VA", func(tw io.Writer) {
@@ -90,8 +93,8 @@ func printDelay(w io.Writer, e *env) error {
 // printFig7: switch allocation efficiency of a single router in
 // isolation, radices 5, 8 and 10, under IF, WF, AP, VIX and ideal
 // allocation with every VC injected at maximum rate.
-func printFig7(w io.Writer, e *env) error {
-	rows, err := experiments.Figure7(e.p)
+func printFig7(w io.Writer, e *env, _ grid, _ []stats.Snapshot) error {
+	rows, err := experiments.Figure7(e.base)
 	if err != nil {
 		return err
 	}
@@ -109,20 +112,16 @@ func printFig7(w io.Writer, e *env) error {
 // printFig8: average packet latency and accepted throughput versus
 // offered load on the 8x8 mesh under IF, WF, AP and VIX, plus a
 // saturation point per scheme — a 40-point grid.
-func printFig8(w io.Writer, e *env) error {
-	pts, err := experiments.Figure8(e.ctx, e.p, nil, e.opt)
-	if err != nil {
-		return err
-	}
+func printFig8(w io.Writer, e *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "Figure 8: 8x8 mesh, uniform random, 4-flit packets, 6 VCs")
 	fmt.Fprintln(w)
-	err = table(w, "scheme\toffered (pkts/cyc/node)\tavg latency (cycles)\taccepted (flits/cyc/node)", func(tw io.Writer) {
-		for _, pt := range pts {
-			load := fmt.Sprintf("%.2f", pt.Rate)
-			if pt.Rate == 0 {
+	err := table(w, "scheme\toffered (pkts/cyc/node)\tavg latency (cycles)\taccepted (flits/cyc/node)", func(tw io.Writer) {
+		for i, g := range pts {
+			load := fmt.Sprintf("%.2f", g.Spec.InjectionRate)
+			if g.Spec.MaxInjection {
 				load = "saturation"
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4f\n", pt.Scheme, load, pt.AvgLatency, pt.Throughput)
+			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4f\n", g.Labels[1], load, snaps[i].AvgLatency, snaps[i].ThroughputFlits)
 		}
 	})
 	if err != nil {
@@ -132,20 +131,21 @@ func printFig8(w io.Writer, e *env) error {
 	// One latency and one throughput series per scheme, in first-seen
 	// order; saturation points have no offered-load x and feed the
 	// headline ratios instead.
-	sat := map[string]experiments.Fig8Point{}
+	sat := map[string]stats.Snapshot{}
 	var lat, thr []plot.Series
-	for _, pt := range pts {
-		if pt.Rate == 0 {
-			sat[pt.Scheme] = pt
+	for i, g := range pts {
+		scheme, rate, snap := g.Labels[1], g.Spec.InjectionRate, snaps[i]
+		if g.Spec.MaxInjection {
+			sat[scheme] = snap
 			continue
 		}
-		if n := len(lat); n == 0 || lat[n-1].Label != pt.Scheme {
-			lat = append(lat, plot.Series{Label: pt.Scheme})
-			thr = append(thr, plot.Series{Label: pt.Scheme})
+		if n := len(lat); n == 0 || lat[n-1].Label != scheme {
+			lat = append(lat, plot.Series{Label: scheme})
+			thr = append(thr, plot.Series{Label: scheme})
 		}
 		l, t := &lat[len(lat)-1], &thr[len(thr)-1]
-		l.X, l.Y = append(l.X, pt.Rate), append(l.Y, pt.AvgLatency)
-		t.X, t.Y = append(t.X, pt.Rate), append(t.Y, pt.Throughput)
+		l.X, l.Y = append(l.X, rate), append(l.Y, snap.AvgLatency)
+		t.X, t.Y = append(t.X, rate), append(t.Y, snap.ThroughputFlits)
 	}
 	if e.plot {
 		fmt.Fprintln(w)
@@ -154,28 +154,24 @@ func printFig8(w io.Writer, e *env) error {
 		fmt.Fprint(w, plot.Render("accepted throughput (flits/cyc/node) vs offered load", thr, 60, 14))
 	}
 	fmt.Fprintf(w, "\nVIX over IF at saturation: throughput %+.1f%% (paper +16.2%%), latency %+.1f%% (paper -36%%)\n",
-		100*(sat["VIX"].Throughput/sat["IF"].Throughput-1),
+		100*(sat["VIX"].ThroughputFlits/sat["IF"].ThroughputFlits-1),
 		100*(sat["VIX"].AvgLatency/sat["IF"].AvgLatency-1))
 	fmt.Fprintf(w, "VIX over AP at saturation: throughput %+.1f%% (paper +15.9%%)\n",
-		100*(sat["VIX"].Throughput/sat["AP"].Throughput-1))
+		100*(sat["VIX"].ThroughputFlits/sat["AP"].ThroughputFlits-1))
 	fmt.Fprintf(w, "AP over IF at saturation:  throughput %+.1f%% (paper +0.3%%)\n",
-		100*(sat["AP"].Throughput/sat["IF"].Throughput-1))
+		100*(sat["AP"].ThroughputFlits/sat["IF"].ThroughputFlits-1))
 	return nil
 }
 
 // printFig9: max/min per-source throughput of the four schemes on a
 // saturated 8x8 mesh. The paper's point: greedy maximum matching (AP)
 // is locally optimal but globally unfair; VIX is the fairest studied.
-func printFig9(w io.Writer, e *env) error {
-	rows, err := experiments.Figure9(e.ctx, e.p, e.opt)
-	if err != nil {
-		return err
-	}
+func printFig9(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "Figure 9: fairness on a saturated 8x8 mesh (max/min per-source throughput; 1.0 is perfectly fair)")
 	fmt.Fprintln(w)
-	err = table(w, "scheme\tmax/min ratio\tthroughput (flits/cyc/node)", func(tw io.Writer) {
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%s\t%.2f\t%.4f\n", r.Scheme, r.MaxMinRatio, r.Throughput)
+	err := table(w, "scheme\tmax/min ratio\tthroughput (flits/cyc/node)", func(tw io.Writer) {
+		for i, g := range pts {
+			fmt.Fprintf(tw, "%s\t%.2f\t%.4f\n", g.Labels[1], snaps[i].FairnessRatio, snaps[i].ThroughputFlits)
 		}
 	})
 	fmt.Fprintln(w, "\nPaper reports: AP 6.4, VIX 1.99.")
@@ -185,16 +181,12 @@ func printFig9(w io.Writer, e *env) error {
 // printFig10: packet chaining (SameInput/anyVC) against IF, WF, AP and
 // VIX on an 8x8 mesh with single-flit packets at maximum injection —
 // the regime where chaining shines, and where VIX still wins.
-func printFig10(w io.Writer, e *env) error {
-	rows, err := experiments.Figure10(e.ctx, e.p, e.opt)
-	if err != nil {
-		return err
-	}
+func printFig10(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "Figure 10: packet chaining comparison (8x8 mesh, single-flit packets, max injection)")
 	fmt.Fprintln(w)
-	err = table(w, "scheme\tthroughput (flits/cyc/node)\tvs IF", func(tw io.Writer) {
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%s\t%.4f\t%+.1f%%\n", r.Scheme, r.Throughput, 100*(r.GainOverIF-1))
+	err := table(w, "scheme\tthroughput (flits/cyc/node)\tvs IF", func(tw io.Writer) {
+		for i, g := range pts { // IF is the first scheme
+			fmt.Fprintf(tw, "%s\t%.4f\t%+.1f%%\n", g.Labels[1], snaps[i].ThroughputFlits, 100*(snaps[i].ThroughputFlits/snaps[0].ThroughputFlits-1))
 		}
 	})
 	fmt.Fprintln(w, "\nPaper reports: PC +9%, VIX +16% over IF.")
@@ -205,24 +197,20 @@ func printFig10(w io.Writer, e *env) error {
 // broken down into buffer, switch, link, clock and leakage. Activity
 // factors come from the cycle-accurate simulation, per-component
 // energies from the 45 nm calibration in internal/energy.
-func printFig11(w io.Writer, e *env) error {
-	rows, err := experiments.EnergyStudy(e.ctx, e.topo, e.p, e.rate, e.opt)
+func printFig11(w io.Writer, e *env, pts grid, snaps []stats.Snapshot) error {
+	bs, err := experiments.Energy(e.topo, pts, snaps)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 11: network energy per bit (%s @ %g packets/cycle/node)\n", e.topo.Name, e.rate)
 	fmt.Fprintln(w)
 	err = table(w, "scheme\tbuffer\tswitch\tlink\tclock\tleakage\ttotal (pJ/bit)", func(tw io.Writer) {
-		for _, r := range rows {
-			b := r.Breakdown
+		for i, b := range bs {
 			fmt.Fprintf(tw, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\n",
-				r.Scheme, b.Buffer, b.Switch, b.Link, b.Clock, b.Leakage, b.Total)
+				pts[i].Labels[2], b.Buffer, b.Switch, b.Link, b.Clock, b.Leakage, b.Total)
 		}
 	})
-	if len(rows) == 2 {
-		fmt.Fprintf(w, "\nVIX total energy per bit: %+.1f%% over baseline (paper: +4%%).\n",
-			100*(rows[1].Breakdown.Total/rows[0].Breakdown.Total-1))
-	}
+	fmt.Fprintf(w, "\nVIX total energy per bit: %+.1f%% over baseline (paper: +4%%).\n", 100*(bs[1].Total/bs[0].Total-1))
 	return err
 }
 
@@ -230,28 +218,24 @@ func printFig11(w io.Writer, e *env) error {
 // VIX (k=2) and ideal VIX (k=v) on mesh, flattened butterfly and
 // concentrated mesh with 4 and 6 VCs per port, plus the Section 4.6
 // buffer-reduction result (4 VCs with VIX versus 6 VCs without).
-func printFig12(w io.Writer, e *env) error {
-	rows, err := experiments.Figure12(e.ctx, e.p, e.opt)
-	if err != nil {
-		return err
-	}
+func printFig12(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "Figure 12: impact of increasing virtual inputs (saturation throughput, flits/cycle/node)")
 	fmt.Fprintln(w)
 	var vix4, no6 float64
-	err = table(w, "topology\tVCs\tconfig\tthroughput\tvs no VIX", func(tw io.Writer) {
+	err := table(w, "topology\tVCs\tconfig\tthroughput\tvs no VIX", func(tw io.Writer) {
 		base := map[string]float64{}
-		for _, r := range rows {
-			key := fmt.Sprintf("%s/%d", r.Topology, r.VCs)
-			if r.Config == "no VIX" {
-				base[key] = r.Throughput
+		for i, g := range pts {
+			// Labels are {"fig12", topology, VCs, configuration}.
+			topo, vcs, cfg, thr := g.Labels[1], g.Labels[2], g.Labels[3], snaps[i].ThroughputFlits
+			if cfg == "no VIX" {
+				base[topo+vcs] = thr
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%.4f\t%+.1f%%\n",
-				r.Topology, r.VCs, r.Config, r.Throughput, 100*(r.Throughput/base[key]-1))
-			if r.Topology == "mesh8x8" && r.VCs == 4 && r.Config == "1:2 VIX" {
-				vix4 = r.Throughput
-			}
-			if r.Topology == "mesh8x8" && r.VCs == 6 && r.Config == "no VIX" {
-				no6 = r.Throughput
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.4f\t%+.1f%%\n", topo, vcs, cfg, thr, 100*(thr/base[topo+vcs]-1))
+			switch strings.Join(g.Labels[1:], "/") {
+			case "mesh8x8/4/1:2 VIX":
+				vix4 = thr
+			case "mesh8x8/6/no VIX":
+				no6 = thr
 			}
 		}
 	})
@@ -264,7 +248,7 @@ func printFig12(w io.Writer, e *env) error {
 // 64-core system — each mix's average MPKI and the weighted speedup of
 // VIX over the baseline separable allocator. With -list, the benchmark
 // catalog the mixes draw from instead.
-func printTable4(w io.Writer, e *env) error {
+func printTable4(w io.Writer, e *env, _ grid, _ []stats.Snapshot) error {
 	if e.list {
 		var apps []trace.App
 		for _, name := range trace.Names() {
@@ -280,7 +264,7 @@ func printTable4(w io.Writer, e *env) error {
 			}
 		})
 	}
-	rows, err := experiments.Table4(e.p)
+	rows, err := experiments.Table4(e.base)
 	if err != nil {
 		return err
 	}
@@ -303,95 +287,69 @@ func printTable4(w io.Writer, e *env) error {
 
 // printPolicies: VC-assignment policy (Section 2.3) under adversarial
 // traffic.
-func printPolicies(w io.Writer, e *env) error {
-	rows, err := experiments.AblatePolicies(e.ctx, e.p, nil, e.opt)
-	if err != nil {
-		return err
-	}
+func printPolicies(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "VC-assignment policy (Section 2.3) on a saturated 8x8 VIX mesh:")
 	return table(w, "pattern\tpolicy\tthroughput (flits/cyc/node)", func(tw io.Writer) {
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%s\t%s\t%.4f\n", r.Pattern, r.Policy, r.Throughput)
+		for i, g := range pts {
+			fmt.Fprintf(tw, "%s\t%s\t%.4f\n", g.Spec.Pattern, g.Spec.Policy, snaps[i].ThroughputFlits)
 		}
 	})
 }
 
-func printPartition(w io.Writer, e *env) error {
-	rows, err := experiments.AblatePartition(e.ctx, e.p, e.opt)
-	if err != nil {
-		return err
-	}
+func printPartition(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "VC-to-sub-group partition on saturated VIX networks:")
 	return table(w, "topology\tpartition\tthroughput", func(tw io.Writer) {
-		for _, r := range rows {
-			name := "contiguous"
-			if r.Partition == alloc.Interleaved {
-				name = "interleaved"
+		for i, g := range pts {
+			fmt.Fprintf(tw, "%s\t%s\t%.4f\n", g.Labels[2], g.Spec.PartitionName(), snaps[i].ThroughputFlits)
+		}
+	})
+}
+
+// printProbed prints a probe-and-saturate study: one row per pair of
+// points, the variant column from the first, latency at the probe rate
+// from the first and throughput at saturation from the second.
+func printProbed(w io.Writer, title, header string, pts grid, snaps []stats.Snapshot, variant func(config.Experiment) string) error {
+	fmt.Fprintln(w, title)
+	return table(w, header, func(tw io.Writer) {
+		for i := 0; i < len(pts); i += 2 {
+			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4f\n", pts[i].Labels[2], variant(pts[i].Spec), snaps[i].AvgLatency, snaps[i+1].ThroughputFlits)
+		}
+	})
+}
+
+func printPipeline(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
+	return printProbed(w, "Pipeline depth (Figure 6a vs 6b), 8x8 mesh:", "scheme\thop delay\tlatency @0.05\tsaturation throughput",
+		pts, snaps, func(e config.Experiment) string { return strconv.Itoa(e.HopDelay) })
+}
+
+func printSpeculation(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
+	return printProbed(w, "Speculative vs non-speculative switch allocation, 8x8 mesh:", "scheme\tmode\tlatency @0.05\tsaturation throughput",
+		pts, snaps, func(e config.Experiment) string {
+			if e.NonSpeculative {
+				return "non-speculative"
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.4f\n", r.Topology, name, r.Throughput)
-		}
-	})
+			return "speculative"
+		})
 }
 
-func printPipeline(w io.Writer, e *env) error {
-	rows, err := experiments.AblatePipeline(e.ctx, e.p, 0.05, e.opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Pipeline depth (Figure 6a vs 6b), 8x8 mesh:")
-	return table(w, "scheme\thop delay\tlatency @0.05\tsaturation throughput", func(tw io.Writer) {
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.4f\n", r.Scheme, r.HopDelay, r.AvgLatency, r.Throughput)
-		}
-	})
-}
-
-func printSpeculation(w io.Writer, e *env) error {
-	rows, err := experiments.AblateSpeculation(e.ctx, e.p, 0.05, e.opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Speculative vs non-speculative switch allocation, 8x8 mesh:")
-	return table(w, "scheme\tmode\tlatency @0.05\tsaturation throughput", func(tw io.Writer) {
-		for _, r := range rows {
-			mode := "speculative"
-			if r.NonSpeculative {
-				mode = "non-speculative"
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4f\n", r.Scheme, mode, r.AvgLatency, r.Throughput)
-		}
-	})
-}
-
-func printKSweep(w io.Writer, e *env) error {
-	rows, err := experiments.AblateVirtualInputs(e.ctx, e.p, e.opt)
-	if err != nil {
-		return err
-	}
+func printKSweep(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "Virtual-input sweep (8x8 mesh, 6 VCs, saturation):")
 	return table(w, "k\tthroughput\tvs k=1", func(tw io.Writer) {
-		base := rows[0].Throughput
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%d\t%.4f\t%+.1f%%\n", r.K, r.Throughput, 100*(r.Throughput/base-1))
+		for i, g := range pts {
+			thr := snaps[i].ThroughputFlits
+			fmt.Fprintf(tw, "%d\t%.4f\t%+.1f%%\n", g.Spec.VirtualInputs, thr, 100*(thr/snaps[0].ThroughputFlits-1))
 		}
 	})
 }
 
 // printAllocators: the extended allocator set, including iSLIP and
-// SPAROFLO from the paper's citations and related work.
-func printAllocators(w io.Writer, e *env) error {
-	rows, err := experiments.AblateAllocators(e.ctx, e.p, e.opt)
-	if err != nil {
-		return err
-	}
+// SPAROFLO from the paper's citations and related work; IF is the first.
+func printAllocators(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
 	fmt.Fprintln(w, "Extended allocator set (8x8 mesh, saturation):")
 	return table(w, "scheme\tthroughput\tvs IF", func(tw io.Writer) {
-		var base float64
-		for _, r := range rows {
-			if r.Scheme == "IF" {
-				base = r.Throughput
-			}
-			fmt.Fprintf(tw, "%s\t%.4f\t%+.1f%%\n", r.Scheme, r.Throughput, 100*(r.Throughput/base-1))
+		for i, g := range pts {
+			thr := snaps[i].ThroughputFlits
+			fmt.Fprintf(tw, "%s\t%.4f\t%+.1f%%\n", g.Labels[2], thr, 100*(thr/snaps[0].ThroughputFlits-1))
 		}
 	})
 }

@@ -19,6 +19,9 @@ import (
 //     checks this statically: the seed corpus replayed by every
 //     `go test` is the gate.
 //
+// Wavefront, augmenting path and ideal also promise a maximal matching:
+// no ungranted request finds both its crossbar row and its output free.
+//
 // All randomness flows through sim.RNG, so any failing input is exactly
 // reproducible from the fuzz corpus entry.
 func FuzzAllocate(f *testing.F) {
@@ -74,8 +77,8 @@ func FuzzAllocate(f *testing.F) {
 // grantTranscript resets a, replays nCycles of seeded random request sets
 // through it — every other one a single request when lone is set — and
 // returns the concatenated grant sequence rendered to bytes. It fails the
-// test on an illegal grant set, a lone request left ungranted, or a
-// mutated input.
+// test on an illegal grant set, a lone request left ungranted, a
+// non-maximal matching from a kind that promises one, or a mutated input.
 func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc.Config, seed uint64, nCycles int, lone bool) string {
 	t.Helper()
 	a.Reset()
@@ -96,6 +99,18 @@ func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc
 		if len(rs.Requests) == 1 && len(grants) != 1 {
 			t.Fatalf("%q cycle %d: lone request %+v drew %d grants, want 1", kind, cycle, rs.Requests[0], len(grants))
 		}
+		if maximal[kind] {
+			rowUsed, outUsed := map[int]bool{}, map[int]bool{}
+			for _, g := range grants {
+				rowUsed[g.Row], outUsed[g.OutPort] = true, true
+			}
+			for _, r := range rs.Requests {
+				if !rowUsed[cfg.Row(r.Port, r.VC)] && !outUsed[r.OutPort] {
+					t.Fatalf("%q cycle %d: matching not maximal: request %+v leaves its row and output free\nrequests: %+v\ngrants: %+v",
+						kind, cycle, r, rs.Requests, grants)
+				}
+			}
+		}
 		if len(rs.Requests) != len(snapshot) {
 			t.Fatalf("%q cycle %d: Allocate resized the caller's request slice (%d -> %d)",
 				kind, cycle, len(snapshot), len(rs.Requests))
@@ -110,6 +125,9 @@ func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc
 	}
 	return out
 }
+
+// maximal are the kinds whose every grant set is a maximal matching.
+var maximal = map[alloc.Kind]bool{alloc.KindWavefront: true, alloc.KindAugmentingPath: true, alloc.KindIdeal: true}
 
 // randomRequestSet offers, per input VC, at most one request to a random
 // output with a small random age — the "one route per head flit" shape

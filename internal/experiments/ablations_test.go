@@ -1,73 +1,63 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"strconv"
 	"testing"
 
-	"vix/internal/alloc"
-	"vix/internal/harness"
-	"vix/internal/router"
+	"vix/internal/config"
 	"vix/internal/topology"
 )
 
-func ablationParams() Params {
-	p := DefaultParams()
-	p.Warmup = 500
-	p.Measure = 1500
-	return p
+func ablationBase() config.Experiment {
+	b := config.Default()
+	b.Warmup, b.Measure = 500, 1500
+	return b
 }
 
 func TestAblatePolicies(t *testing.T) {
-	rows, err := AblatePolicies(context.Background(), ablationParams(), []string{"uniform", "bitcomp"}, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	grid := PoliciesGrid(ablationBase(), []string{"uniform", "bitcomp"})
+	if len(grid) != 6 {
+		t.Fatalf("points = %d, want 6", len(grid))
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	get := func(pattern string, pol router.PolicyKind) float64 {
-		for _, r := range rows {
-			if r.Pattern == pattern && r.Policy == pol {
-				return r.Throughput
-			}
+	snaps, by := simulate(t, grid)
+	get := func(pattern, pol string) float64 {
+		snap, ok := by["ablate/policies/"+pattern+"/"+pol]
+		if !ok {
+			t.Fatalf("missing %s/%s", pattern, pol)
 		}
-		t.Fatalf("missing %s/%s", pattern, pol)
-		return 0
+		return snap.ThroughputFlits
 	}
 	// On the adversarial bit-complement pattern the dimension-aware
 	// policies must not lose to blind maxfree (they exist to win there).
-	if get("bitcomp", router.PolicyDimension) < 0.98*get("bitcomp", router.PolicyMaxFree) {
+	if get("bitcomp", "dimension") < 0.98*get("bitcomp", "maxfree") {
 		t.Errorf("dimension policy lost to maxfree on bitcomp: %.4f vs %.4f",
-			get("bitcomp", router.PolicyDimension), get("bitcomp", router.PolicyMaxFree))
+			get("bitcomp", "dimension"), get("bitcomp", "maxfree"))
 	}
-	for _, r := range rows {
-		if r.Throughput <= 0 {
-			t.Errorf("%s/%s produced no throughput", r.Pattern, r.Policy)
+	for i, g := range grid {
+		if snaps[i].ThroughputFlits <= 0 {
+			t.Errorf("%s/%s produced no throughput", g.Spec.Pattern, g.Spec.Policy)
 		}
 	}
 }
 
 func TestAblatePartition(t *testing.T) {
-	rows, err := AblatePartition(context.Background(), ablationParams(), harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	grid := PartitionGrid(ablationBase())
+	if len(grid) != 6 { // 3 topologies x 2 partitions
+		t.Fatalf("points = %d, want 6", len(grid))
 	}
-	if len(rows) != 6 { // 3 topologies x 2 partitions
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
+	snaps, _ := simulate(t, grid)
 	// Both partitions must be functional and within 15% of each other:
 	// the partition choice is a wiring detail, not a performance cliff.
-	byTopo := map[string]map[alloc.Partition]float64{}
-	for _, r := range rows {
-		if byTopo[r.Topology] == nil {
-			byTopo[r.Topology] = map[alloc.Partition]float64{}
+	byTopo := map[string]map[string]float64{}
+	for i, g := range grid {
+		if byTopo[g.Labels[2]] == nil {
+			byTopo[g.Labels[2]] = map[string]float64{}
 		}
-		byTopo[r.Topology][r.Partition] = r.Throughput
+		byTopo[g.Labels[2]][g.Spec.PartitionName()] = snaps[i].ThroughputFlits
 	}
 	for topo, m := range byTopo {
-		c, i := m[alloc.Contiguous], m[alloc.Interleaved]
+		c, i := m["contiguous"], m["interleaved"]
 		if c <= 0 || i <= 0 {
 			t.Fatalf("%s: zero throughput (contiguous %.4f, interleaved %.4f)", topo, c, i)
 		}
@@ -78,70 +68,78 @@ func TestAblatePartition(t *testing.T) {
 	}
 }
 
+// probed is one row of the pipeline and speculation studies: latency at
+// the probe rate and throughput at saturation of a (scheme, variant).
+type probed struct{ latency, throughput float64 }
+
+// pairs reads a probe-and-saturate grid into its rows, keyed by scheme
+// and variant.
+func pairs(t *testing.T, grid []GridPoint) map[string]probed {
+	t.Helper()
+	snaps, _ := simulate(t, grid)
+	rows := map[string]probed{}
+	for i := 0; i < len(grid); i += 2 {
+		g := grid[i]
+		rows[g.Labels[2]+"/"+g.Labels[3]] = probed{snaps[i].AvgLatency, snaps[i+1].ThroughputFlits}
+	}
+	return rows
+}
+
 func TestAblatePipeline(t *testing.T) {
-	rows, err := AblatePipeline(context.Background(), ablationParams(), 0.03, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	grid := PipelineGrid(ablationBase(), 0.03)
+	if len(grid) != 8 {
+		t.Fatalf("points = %d, want 8", len(grid))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	get := func(scheme string, hop int) PipelineAblationRow {
-		for _, r := range rows {
-			if r.Scheme == scheme && r.HopDelay == hop {
-				return r
-			}
+	rows := pairs(t, grid)
+	get := func(scheme string, hop int) probed {
+		r, ok := rows[scheme+"/"+strconv.Itoa(hop)]
+		if !ok {
+			t.Fatalf("missing %s/%d", scheme, hop)
 		}
-		t.Fatalf("missing %s/%d", scheme, hop)
-		return PipelineAblationRow{}
+		return r
 	}
 	// The 3-stage pipeline must have lower latency than 5-stage at equal
 	// load; saturation throughput is pipeline-depth insensitive (the
 	// bottleneck is allocation, not depth).
 	for _, s := range []string{"IF", "VIX"} {
-		if get(s, 3).AvgLatency >= get(s, 5).AvgLatency {
+		if get(s, 3).latency >= get(s, 5).latency {
 			t.Errorf("%s: 3-stage latency %.2f not below 5-stage %.2f",
-				s, get(s, 3).AvgLatency, get(s, 5).AvgLatency)
+				s, get(s, 3).latency, get(s, 5).latency)
 		}
 	}
-	if vix, base := get("VIX", 5).Throughput, get("IF", 5).Throughput; vix < 1.05*base {
+	if vix, base := get("VIX", 5).throughput, get("IF", 5).throughput; vix < 1.05*base {
 		t.Errorf("VIX gain vanished on 5-stage pipeline: %.4f vs %.4f", vix, base)
 	}
 }
 
 func TestAblateVirtualInputs(t *testing.T) {
-	p := ablationParams()
-	rows, err := AblateVirtualInputs(context.Background(), p, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := KSweepGrid(ablationBase())
 	// 6 VCs: k = 1, 2, 3, 6 divide evenly.
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (k=1,2,3,6)", len(rows))
+	if len(grid) != 4 {
+		t.Fatalf("points = %d, want 4 (k=1,2,3,6)", len(grid))
 	}
-	if rows[0].K != 1 || rows[len(rows)-1].K != 6 {
-		t.Fatalf("k sweep endpoints wrong: %+v", rows)
+	if grid[0].Spec.VirtualInputs != 1 || grid[3].Spec.VirtualInputs != 6 {
+		t.Fatalf("k sweep endpoints wrong: %d, %d", grid[0].Spec.VirtualInputs, grid[3].Spec.VirtualInputs)
 	}
+	snaps, _ := simulate(t, grid)
 	// k=2 captures most of the ideal (k=6) gain — the paper's practical
 	// argument for stopping at two virtual inputs.
-	gain2 := rows[1].Throughput - rows[0].Throughput
-	gain6 := rows[len(rows)-1].Throughput - rows[0].Throughput
+	k1, k2, k6 := snaps[0].ThroughputFlits, snaps[1].ThroughputFlits, snaps[3].ThroughputFlits
+	gain2, gain6 := k2-k1, k6-k1
 	if gain6 <= 0 || gain2 < 0.6*gain6 {
 		t.Errorf("k=2 captured %.0f%% of ideal gain, expected most of it (k1 %.4f, k2 %.4f, k6 %.4f)",
-			100*gain2/gain6, rows[0].Throughput, rows[1].Throughput, rows[len(rows)-1].Throughput)
+			100*gain2/gain6, k1, k2, k6)
 	}
 }
 
 func TestAblateAllocators(t *testing.T) {
-	rows, err := AblateAllocators(context.Background(), ablationParams(), harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := AllocatorsGrid(ablationBase())
+	snaps, _ := simulate(t, grid)
 	thr := map[string]float64{}
-	for _, r := range rows {
-		thr[r.Scheme] = r.Throughput
-		if r.Throughput <= 0 {
-			t.Fatalf("%s produced no throughput", r.Scheme)
+	for i, g := range grid {
+		thr[g.Labels[2]] = snaps[i].ThroughputFlits
+		if snaps[i].ThroughputFlits <= 0 {
+			t.Fatalf("%s produced no throughput", g.Labels[2])
 		}
 	}
 	if thr["iSLIP-2"] < thr["IF"] {
@@ -156,36 +154,32 @@ func TestAblateAllocators(t *testing.T) {
 }
 
 func TestAblateSpeculation(t *testing.T) {
-	rows, err := AblateSpeculation(context.Background(), ablationParams(), 0.03, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	grid := SpeculationGrid(ablationBase(), 0.03)
+	if len(grid) != 8 {
+		t.Fatalf("points = %d, want 8", len(grid))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
-	}
-	get := func(scheme string, nonSpec bool) SpeculationAblationRow {
-		for _, r := range rows {
-			if r.Scheme == scheme && r.NonSpeculative == nonSpec {
-				return r
-			}
+	rows := pairs(t, grid)
+	get := func(scheme, mode string) probed {
+		r, ok := rows[scheme+"/"+mode]
+		if !ok {
+			t.Fatalf("missing %s/%s", scheme, mode)
 		}
-		t.Fatalf("missing %s/%v", scheme, nonSpec)
-		return SpeculationAblationRow{}
+		return r
 	}
 	// Speculation reduces latency (heads skip a cycle per hop) and must
 	// not reduce throughput.
 	for _, s := range []string{"IF", "VIX"} {
-		spec, nonSpec := get(s, false), get(s, true)
-		if spec.AvgLatency >= nonSpec.AvgLatency {
+		spec, nonSpec := get(s, "spec"), get(s, "nonspec")
+		if spec.latency >= nonSpec.latency {
 			t.Errorf("%s: speculative latency %.2f not below non-speculative %.2f",
-				s, spec.AvgLatency, nonSpec.AvgLatency)
+				s, spec.latency, nonSpec.latency)
 		}
-		if spec.Throughput < 0.95*nonSpec.Throughput {
-			t.Errorf("%s: speculation lost throughput: %.4f vs %.4f", s, spec.Throughput, nonSpec.Throughput)
+		if spec.throughput < 0.95*nonSpec.throughput {
+			t.Errorf("%s: speculation lost throughput: %.4f vs %.4f", s, spec.throughput, nonSpec.throughput)
 		}
 	}
 	// VIX gain survives without speculation.
-	if vix, base := get("VIX", true).Throughput, get("IF", true).Throughput; vix < 1.05*base {
+	if vix, base := get("VIX", "nonspec").throughput, get("IF", "nonspec").throughput; vix < 1.05*base {
 		t.Errorf("VIX gain vanished non-speculatively: %.4f vs %.4f", vix, base)
 	}
 }
@@ -195,24 +189,21 @@ func TestAblateSpeculation(t *testing.T) {
 // under root seeds 1-4 used as given, run as one grid; the gap between
 // the two means is at least twice the sum of their sample deviations.
 func TestVIXGainExceedsSeedSpread(t *testing.T) {
-	p := ablationParams()
+	base := ablationBase()
 	topo := topology.NewMesh(4, 4)
 	seeds := []uint64{1, 2, 3, 4}
-	schemes := []Scheme{NetworkSchemes()[0], NetworkSchemes()[3]}
+	schemes := []scheme{networkSchemes()[0], networkSchemes()[3]}
 	var grid []GridPoint
 	for _, s := range schemes {
 		for _, seed := range seeds {
-			p.Seed = seed
+			base.Seed = seed
 			grid = append(grid, GridPoint{
 				Labels: []string{"seeds", s.Label, strconv.FormatUint(seed, 10)},
-				Spec:   experiment(topo, s, p, 0, true),
+				Spec:   experiment(base, topo, s, 0, true),
 			})
 		}
 	}
-	snaps, err := RunGrid(context.Background(), grid, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps, _ := simulate(t, grid)
 	var thr [2][]float64
 	for i, snap := range snaps {
 		thr[i/len(seeds)] = append(thr[i/len(seeds)], snap.ThroughputFlits)

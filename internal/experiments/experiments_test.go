@@ -2,23 +2,37 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"math"
-	"reflect"
+	"strings"
 	"testing"
 
 	"vix/internal/config"
 	"vix/internal/harness"
+	"vix/internal/stats"
 	"vix/internal/topology"
 )
 
-// quickParams shrinks simulation windows so the whole experiment suite
+// quickBase shrinks simulation windows so the whole experiment suite
 // stays fast while preserving qualitative shapes.
-func quickParams() Params {
-	p := DefaultParams()
-	p.Warmup = 800
-	p.Measure = 2500
-	return p
+func quickBase() config.Experiment {
+	b := config.Default()
+	b.Warmup, b.Measure = 800, 2500
+	return b
+}
+
+// simulate runs grid on one worker and returns its snapshots in grid
+// order and keyed by the point's labels joined with "/".
+func simulate(t *testing.T, grid []GridPoint) ([]stats.Snapshot, map[string]stats.Snapshot) {
+	t.Helper()
+	snaps, err := RunGrid(context.Background(), grid, harness.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]stats.Snapshot{}
+	for i, g := range grid {
+		by[strings.Join(g.Labels, "/")] = snaps[i]
+	}
+	return snaps, by
 }
 
 func find7(rows []Fig7Row, radix int, scheme string) Fig7Row {
@@ -31,7 +45,7 @@ func find7(rows []Fig7Row, radix int, scheme string) Fig7Row {
 }
 
 func TestFigure7QualitativeShape(t *testing.T) {
-	rows, err := Figure7(quickParams())
+	rows, err := Figure7(quickBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,48 +69,34 @@ func TestFigure7QualitativeShape(t *testing.T) {
 }
 
 func TestFigure8QualitativeShape(t *testing.T) {
-	p := quickParams()
-	rows, err := Figure8(context.Background(), p, []float64{0.02, 0.06}, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sat := map[string]Fig8Point{}
-	low := map[string]Fig8Point{}
-	for _, pt := range rows {
-		switch pt.Rate {
-		case 0:
-			sat[pt.Scheme] = pt
-		case 0.02:
-			low[pt.Scheme] = pt
-		}
-	}
+	_, by := simulate(t, Figure8Grid(quickBase(), []float64{0.02, 0.06}))
+	sat := func(s string) stats.Snapshot { return by["fig8/"+s+"/saturation"] }
 	// Low-load latencies are nearly identical across schemes.
-	for s, pt := range low {
-		if math.Abs(pt.AvgLatency-low["IF"].AvgLatency) > 0.05*low["IF"].AvgLatency {
-			t.Errorf("low-load latency of %s (%.2f) deviates from IF (%.2f)", s, pt.AvgLatency, low["IF"].AvgLatency)
+	ifLow := by["fig8/IF/0.02"].AvgLatency
+	for _, s := range []string{"WF", "AP", "VIX"} {
+		if lat := by["fig8/"+s+"/0.02"].AvgLatency; math.Abs(lat-ifLow) > 0.05*ifLow {
+			t.Errorf("low-load latency of %s (%.2f) deviates from IF (%.2f)", s, lat, ifLow)
 		}
 	}
 	// At saturation VIX beats IF and AP in throughput.
-	if sat["VIX"].Throughput < 1.08*sat["IF"].Throughput {
-		t.Errorf("VIX saturation throughput %.4f not >=8%% over IF %.4f", sat["VIX"].Throughput, sat["IF"].Throughput)
+	if sat("VIX").ThroughputFlits < 1.08*sat("IF").ThroughputFlits {
+		t.Errorf("VIX saturation throughput %.4f not >=8%% over IF %.4f", sat("VIX").ThroughputFlits, sat("IF").ThroughputFlits)
 	}
-	if sat["VIX"].Throughput <= sat["AP"].Throughput {
-		t.Errorf("VIX %.4f did not beat AP %.4f at network level", sat["VIX"].Throughput, sat["AP"].Throughput)
+	if sat("VIX").ThroughputFlits <= sat("AP").ThroughputFlits {
+		t.Errorf("VIX %.4f did not beat AP %.4f at network level", sat("VIX").ThroughputFlits, sat("AP").ThroughputFlits)
 	}
 	// And VIX has lower latency at saturation.
-	if sat["VIX"].AvgLatency >= sat["IF"].AvgLatency {
-		t.Errorf("VIX saturation latency %.1f not below IF %.1f", sat["VIX"].AvgLatency, sat["IF"].AvgLatency)
+	if sat("VIX").AvgLatency >= sat("IF").AvgLatency {
+		t.Errorf("VIX saturation latency %.1f not below IF %.1f", sat("VIX").AvgLatency, sat("IF").AvgLatency)
 	}
 }
 
 func TestFigure9Fairness(t *testing.T) {
-	rows, err := Figure9(context.Background(), quickParams(), harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := Figure9Grid(quickBase())
+	snaps, _ := simulate(t, grid)
 	ratio := map[string]float64{}
-	for _, r := range rows {
-		ratio[r.Scheme] = r.MaxMinRatio
+	for i, g := range grid {
+		ratio[g.Labels[1]] = snaps[i].FairnessRatio
 	}
 	// VIX achieves the best (lowest) max/min ratio of all schemes.
 	for s, v := range ratio {
@@ -113,35 +113,32 @@ func TestFigure9Fairness(t *testing.T) {
 }
 
 func TestFigure10PacketChaining(t *testing.T) {
-	rows, err := Figure10(context.Background(), quickParams(), harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	grid := Figure10Grid(quickBase())
+	if len(grid) != 5 {
+		t.Fatalf("Figure 10 has %d schemes, want 5", len(grid))
 	}
-	gain := map[string]float64{}
-	for _, r := range rows {
-		gain[r.Scheme] = r.GainOverIF
+	_, by := simulate(t, grid)
+	gain := func(s string) float64 { return by["fig10/"+s].ThroughputFlits / by["fig10/IF"].ThroughputFlits }
+	if gain("PC") <= 1.0 {
+		t.Errorf("PC gain %.3f not above IF", gain("PC"))
 	}
-	if len(rows) != 5 {
-		t.Fatalf("Figure10 has %d schemes, want 5", len(rows))
-	}
-	if gain["PC"] <= 1.0 {
-		t.Errorf("PC gain %.3f not above IF", gain["PC"])
-	}
-	if gain["VIX"] <= gain["PC"] {
-		t.Errorf("VIX gain %.3f not above PC gain %.3f (the Section 4.4 conclusion)", gain["VIX"], gain["PC"])
+	if gain("VIX") <= gain("PC") {
+		t.Errorf("VIX gain %.3f not above PC gain %.3f (the Section 4.4 conclusion)", gain("VIX"), gain("PC"))
 	}
 }
 
 func TestFigure11Energy(t *testing.T) {
-	p := quickParams()
-	rows, err := EnergyStudy(context.Background(), topology.NewMesh(8, 8), p, 0.1, harness.Options{Parallel: 1})
+	topo := topology.NewMesh(8, 8)
+	grid := EnergyGrid(quickBase(), topo, 0.1)
+	if len(grid) != 2 {
+		t.Fatalf("Figure 11 has %d points, want 2", len(grid))
+	}
+	snaps, _ := simulate(t, grid)
+	bs, err := Energy(topo, grid, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("Figure 11 has %d rows, want 2", len(rows))
-	}
-	base, vix := rows[0].Breakdown, rows[1].Breakdown
+	base, vix := bs[0], bs[1]
 	ratio := vix.Total / base.Total
 	if ratio < 1.005 || ratio > 1.10 {
 		t.Errorf("VIX energy overhead ratio %.4f outside (1.005, 1.10); paper ~1.04", ratio)
@@ -152,78 +149,32 @@ func TestFigure11Energy(t *testing.T) {
 }
 
 func TestFigure12VirtualInputs(t *testing.T) {
-	p := quickParams()
-	p.Warmup = 500
-	p.Measure = 1500
-	rows, err := Figure12(context.Background(), p, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	b := quickBase()
+	b.Warmup, b.Measure = 500, 1500
+	grid := Figure12Grid(b)
+	if len(grid) != 18 { // 3 topologies x 2 VC counts x 3 configs
+		t.Fatalf("Figure12 has %d points, want 18", len(grid))
 	}
-	if len(rows) != 18 { // 3 topologies x 2 VC counts x 3 configs
-		t.Fatalf("Figure12 has %d rows, want 18", len(rows))
-	}
-	get := func(topo string, vcs int, cfg string) float64 {
-		for _, r := range rows {
-			if r.Topology == topo && r.VCs == vcs && r.Config == cfg {
-				return r.Throughput
-			}
+	_, by := simulate(t, grid)
+	get := func(topo string, vcs, cfg string) float64 {
+		snap, ok := by["fig12/"+topo+"/"+vcs+"/"+cfg]
+		if !ok {
+			t.Fatalf("missing point %s/%s/%s", topo, vcs, cfg)
 		}
-		t.Fatalf("missing row %s/%d/%s", topo, vcs, cfg)
-		return 0
+		return snap.ThroughputFlits
 	}
 	for _, topo := range []string{"mesh8x8", "cmesh4x4c4", "fbfly4x4c4"} {
-		for _, vcs := range []int{4, 6} {
+		for _, vcs := range []string{"4", "6"} {
 			no := get(topo, vcs, "no VIX")
 			vix := get(topo, vcs, "1:2 VIX")
 			if vix < 1.05*no {
-				t.Errorf("%s %dVC: 1:2 VIX %.4f not >=5%% over no VIX %.4f", topo, vcs, vix, no)
+				t.Errorf("%s %sVC: 1:2 VIX %.4f not >=5%% over no VIX %.4f", topo, vcs, vix, no)
 			}
 		}
 	}
 	// Buffer-reduction claim: 4 VCs with VIX beats 6 VCs without, on the
 	// mesh, by a clear margin.
-	if v4, n6 := get("mesh8x8", 4, "1:2 VIX"), get("mesh8x8", 6, "no VIX"); v4 < 1.05*n6 {
+	if v4, n6 := get("mesh8x8", "4", "1:2 VIX"), get("mesh8x8", "6", "no VIX"); v4 < 1.05*n6 {
 		t.Errorf("mesh: 4VC VIX %.4f not >=5%% over 6VC baseline %.4f", v4, n6)
-	}
-}
-
-// TestParamsValidate: the defaults and a zero warm-up pass; each field a
-// figure cannot be measured without is named when it is out of range.
-func TestParamsValidate(t *testing.T) {
-	ok := DefaultParams()
-	ok.Warmup = 0
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid params rejected: %v", err)
-	}
-	bad := Params{VCs: 0, BufDepth: 0, PacketSize: 0, Warmup: -1, Measure: 0}
-	var ve config.ValidationError
-	if err := bad.Validate(); !errors.As(err, &ve) {
-		t.Fatalf("Validate() = %v, want a config.ValidationError", err)
-	}
-	var fields []string
-	for _, fe := range ve {
-		fields = append(fields, fe.Field)
-	}
-	if want := []string{"vcs", "buf_depth", "packet_size", "warmup", "measure"}; !reflect.DeepEqual(fields, want) {
-		t.Errorf("rejected fields = %v, want %v", fields, want)
-	}
-}
-
-func TestTablesReexported(t *testing.T) {
-	if len(Table1()) != 6 {
-		t.Error("Table1 rows != 6")
-	}
-	if len(Table3()) != 3 {
-		t.Error("Table3 rows != 3")
-	}
-}
-
-func TestNetworkSchemes(t *testing.T) {
-	s := NetworkSchemes()
-	if len(s) != 4 {
-		t.Fatalf("schemes = %d, want 4", len(s))
-	}
-	if s[3].Label != "VIX" || s[3].K != 2 {
-		t.Fatalf("VIX scheme misconfigured: %+v", s[3])
 	}
 }

@@ -14,10 +14,9 @@ import (
 	"vix/internal/stats"
 )
 
-// This file is the bridge between the experiment definitions and the
-// parallel harness: every network figure and ablation study builds its
-// grid as GridPoints, and RunGrid fans them out across workers while
-// keeping the merged output byte-identical to a serial run. A point's RNG
+// This file is the bridge between the grid builders and the parallel
+// harness: RunGrid fans a grid's points out across workers while keeping
+// the merged output byte-identical to a serial run. A point's RNG
 // seed is part of its spec, fixed when the grid is built and never by
 // execution order, so a point replays identically wherever it runs.
 
@@ -78,20 +77,6 @@ func RunGrid(ctx context.Context, pts []GridPoint, opt harness.Options) ([]stats
 		snaps[i] = r.snapshot()
 	}
 	return snaps, nil
-}
-
-// gridRows runs the grid under opt and renders one row per point
-// from the point and its snapshot, in grid order.
-func gridRows[R any](ctx context.Context, opt harness.Options, grid []GridPoint, row func(GridPoint, stats.Snapshot) R) ([]R, error) {
-	snaps, err := RunGrid(ctx, grid, opt)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]R, len(grid))
-	for i, snap := range snaps {
-		rows[i] = row(grid[i], snap)
-	}
-	return rows, nil
 }
 
 // snapshotRecord is the manifest encoding of a stats.Snapshot. Fairness

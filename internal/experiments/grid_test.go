@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -18,41 +20,85 @@ import (
 	"vix/internal/topology"
 )
 
-// tinyParams keeps grid tests fast: the determinism properties under
+// tinyBase keeps grid tests fast: the determinism properties under
 // test are window-size independent.
-func tinyParams() Params {
-	p := DefaultParams()
-	p.Warmup = 150
-	p.Measure = 400
-	return p
+func tinyBase() config.Experiment {
+	b := config.Default()
+	b.Warmup, b.Measure = 150, 400
+	return b
+}
+
+// allGrids is every grid cmd/figures prints, at its default arguments,
+// built over base.
+func allGrids(base config.Experiment) [][]GridPoint {
+	return [][]GridPoint{
+		Figure8Grid(base, nil), Figure9Grid(base), Figure10Grid(base),
+		EnergyGrid(base, topology.NewMesh(8, 8), 0.1), EnergyGrid(base, topology.NewFBfly(4, 4, 4), 0.05),
+		Figure12Grid(base), PoliciesGrid(base, nil), PartitionGrid(base),
+		PipelineGrid(base, 0.05), SpeculationGrid(base, 0.05),
+		KSweepGrid(base), AllocatorsGrid(base),
+	}
+}
+
+// TestGridSpecsArePinned: every grid at config.Default's windows and
+// seed 1 marshals to the bytes it always has. A point's JSON is its job
+// ID's preimage, so a builder change that moves one — and with it a
+// manifest line or a printed number — fails here; a deliberate one
+// re-pins the digest.
+func TestGridSpecsArePinned(t *testing.T) {
+	base := config.Default()
+	base.Seed = 1
+	grids := allGrids(base)
+	h := sha256.New()
+	points := 0
+	for _, grid := range grids {
+		b, err := json.Marshal(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+		points += len(grid)
+	}
+	if points != 117 {
+		t.Errorf("the grids hold %d points, want 117", points)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "4a6814ecc25db200e52ed42a812abf2356d0b75f3bab5be6726148b003a0194d"; got != want {
+		t.Errorf("grid digest = %s, want %s", got, want)
+	}
+	id, err := harness.JobID(grids[0][0].job())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "4dce135c5edae8baf62cccd4"; id != want {
+		t.Errorf("first fig8 job ID = %s, want %s", id, want)
+	}
 }
 
 // TestFigure8GridParallelDeterminism is the experiments-layer half of
 // the harness guarantee: the same grid through 1 and 8 workers yields
-// identical rows, and a manifest resume splices rather than recomputes.
+// identical snapshots, and a manifest resume splices rather than
+// recomputes.
 func TestFigure8GridParallelDeterminism(t *testing.T) {
-	p := tinyParams()
-	rates := []float64{0.02, 0.05}
-	serial, err := Figure8(context.Background(), p, rates, harness.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
+	grid := Figure8Grid(tinyBase(), []float64{0.02, 0.05})
+	run := func(opt harness.Options) []stats.Snapshot {
+		t.Helper()
+		snaps, err := RunGrid(context.Background(), grid, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snaps
 	}
-	parallel, err := Figure8(context.Background(), p, rates, harness.Options{Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := run(harness.Options{Parallel: 1}), run(harness.Options{Parallel: 8})
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel rows differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
+		t.Fatalf("parallel snapshots differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 
-	// A rerun against a populated manifest must return the same rows
-	// without running a single simulation.
+	// A rerun against a populated manifest must return the same
+	// snapshots without running a single simulation.
 	manifest := filepath.Join(t.TempDir(), "fig8.jsonl")
-	if _, err := Figure8(context.Background(), p, rates, harness.Options{Parallel: 4, Manifest: manifest}); err != nil {
-		t.Fatal(err)
-	}
+	run(harness.Options{Parallel: 4, Manifest: manifest})
 	ran := 0
-	resumed, err := Figure8(context.Background(), p, rates, harness.Options{
+	resumed := run(harness.Options{
 		Parallel: 4, Manifest: manifest,
 		OnDone: func(r harness.Result) {
 			if !r.Cached {
@@ -60,31 +106,25 @@ func TestFigure8GridParallelDeterminism(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ran != 0 {
 		t.Errorf("resume against a complete manifest re-ran %d jobs", ran)
 	}
 	if !reflect.DeepEqual(serial, resumed) {
-		t.Fatal("resumed rows differ from serial rows")
+		t.Fatal("resumed snapshots differ from serial snapshots")
 	}
 
 	// The same over a shared in-memory store, as vixd holds one: a cold
 	// pass simulates every point once, and a replay of the identical grid
 	// simulates nothing — the miss count stays at the grid size, every
-	// result is served — and returns the serial rows.
+	// result is served — and returns the serial snapshots.
 	st := store.Memory()
-	points := int64(len(Figure8Grid(p, rates)))
-	cold, err := Figure8(context.Background(), p, rates, harness.Options{Parallel: 4, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := int64(len(grid))
+	cold := run(harness.Options{Parallel: 4, Store: st})
 	if got := st.Stats().Misses; got != points {
 		t.Fatalf("cold pass over an empty store simulated %d points, want all %d", got, points)
 	}
 	var served atomic.Int64
-	warm, err := Figure8(context.Background(), p, rates, harness.Options{
+	warm := run(harness.Options{
 		Parallel: 4, Store: st,
 		OnDone: func(r harness.Result) {
 			if r.Cached {
@@ -92,9 +132,6 @@ func TestFigure8GridParallelDeterminism(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := st.Stats().Misses; got != points {
 		t.Errorf("warm replay simulated %d points; every one must be served from the store", got-points)
 	}
@@ -102,17 +139,17 @@ func TestFigure8GridParallelDeterminism(t *testing.T) {
 		t.Errorf("warm replay reported %d of %d results as cached", served.Load(), points)
 	}
 	if !reflect.DeepEqual(serial, cold) || !reflect.DeepEqual(serial, warm) {
-		t.Fatalf("store-backed rows differ from serial:\nserial: %+v\ncold:   %+v\nwarm:   %+v", serial, cold, warm)
+		t.Fatalf("store-backed snapshots differ from serial:\nserial: %+v\ncold:   %+v\nwarm:   %+v", serial, cold, warm)
 	}
 }
 
 // TestGridSeedsAreLabelKeyed: a point's seed must depend on its labels,
 // not its position, so inserting a point never re-seeds its neighbours.
 func TestGridSeedsAreLabelKeyed(t *testing.T) {
-	p := tinyParams()
-	short := Figure8Grid(p, []float64{0.05})
-	long := Figure8Grid(p, []float64{0.02, 0.05})
-	if short[0].Spec.Seed == p.Seed {
+	base := tinyBase()
+	short := Figure8Grid(base, []float64{0.05})
+	long := Figure8Grid(base, []float64{0.02, 0.05})
+	if short[0].Spec.Seed == base.Seed {
 		t.Fatal("grid point carries the root seed; sub-seed derivation missing")
 	}
 	// The 0.05 point exists in both grids at different indices; its
@@ -138,7 +175,7 @@ func TestJobIDCoversEveryExperimentField(t *testing.T) {
 		}
 		return id
 	}
-	base := Figure8Grid(tinyParams(), []float64{0.05})[0]
+	base := Figure8Grid(tinyBase(), []float64{0.05})[0]
 	want := id(base)
 	relabelled := base
 	relabelled.Labels = []string{"fig8", "IF", "0.06"}
@@ -174,8 +211,8 @@ func TestJobIDCoversEveryExperimentField(t *testing.T) {
 // specs Validate used to misjudge plus every point of every grid
 // artefact at tiny windows.
 func TestValidateImpliesRun(t *testing.T) {
-	p := DefaultParams()
-	p.Warmup, p.Measure = 20, 60
+	base := config.Default()
+	base.Warmup, base.Measure = 20, 60
 	zeroRate, zeroMeasure, zeroCrossbar := config.Default(), config.Default(), config.Default()
 	zeroRate.InjectionRate = 0
 	zeroMeasure.Measure = 0
@@ -190,13 +227,7 @@ func TestValidateImpliesRun(t *testing.T) {
 		{"measure 0", zeroMeasure, "measure"},
 		{"zero vcs and buf_depth take their defaults", zeroCrossbar, ""},
 	}
-	grids := [][]GridPoint{
-		Figure8Grid(p, nil), figure9Grid(p), figure10Grid(p),
-		energyGrid(topology.NewMesh(8, 8), p, 0.1), energyGrid(topology.NewFBfly(4, 4, 4), p, 0.05),
-		figure12Grid(p), policiesGrid(p, nil), partitionGrid(p), pipelineGrid(p, 0.05),
-		speculationGrid(p, 0.05), ksweepGrid(p), allocatorsGrid(p),
-	}
-	for _, grid := range grids {
+	for _, grid := range allGrids(base) {
 		for _, g := range grid {
 			cases = append(cases, tcase{strings.Join(g.Labels, "/"), g.Spec, ""})
 		}

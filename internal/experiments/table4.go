@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"vix/internal/config"
 	"vix/internal/manycore"
 	"vix/internal/network"
 	"vix/internal/topology"
@@ -26,23 +27,23 @@ type Table4Row struct {
 	PaperMPKI, PaperSpeedup float64
 }
 
-// RunMixDetailed simulates one Table 4 workload on the 8x8 mesh under
-// the given scheme and returns per-core IPC and the average
-// memory-transaction latency over the measurement window.
-func RunMixDetailed(mix trace.Mix, s Scheme, p Params, mc manycore.Config) ([]float64, float64, error) {
+// runMix simulates one Table 4 workload on the 8x8 mesh under the given
+// scheme at base's windows and seed, and returns per-core IPC and the
+// average memory-transaction latency over the measurement window.
+func runMix(mix trace.Mix, s scheme, base config.Experiment, mc manycore.Config) ([]float64, float64, error) {
 	topo := topology.NewMesh(8, 8)
 	apps, err := mix.Assign(topo.NumNodes)
 	if err != nil {
 		return nil, 0, err
 	}
-	mc.Seed = p.Seed
+	mc.Seed = base.Seed
 	sys, err := manycore.New(mc, apps)
 	if err != nil {
 		return nil, 0, err
 	}
 	// The one simulation a config.Experiment cannot describe: the
 	// manycore system, not an injection process, generates the packets.
-	cfg, err := experiment(topo, s, p, 0, false).Build()
+	cfg, err := experiment(base, topo, s, 0, false).Build()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -51,35 +52,35 @@ func RunMixDetailed(mix trace.Mix, s Scheme, p Params, mc manycore.Config) ([]fl
 	if err != nil {
 		return nil, 0, fmt.Errorf("experiments: %s on %s: %w", s.Label, mix.Name, err)
 	}
-	n.Run(p.Warmup)
+	n.Run(base.Warmup)
 	sys.ResetRetired()
-	n.Run(p.Measure)
-	return sys.IPC(int64(p.Measure)), sys.AvgMemLatency(), nil
+	n.Run(base.Measure)
+	return sys.IPC(int64(base.Measure)), sys.AvgMemLatency(), nil
 }
 
 // Table4 reproduces the application-level study: every mix is run under
-// baseline IF and VIX, and the weighted speedup is reported alongside the
-// mix's average MPKI.
-func Table4(p Params) ([]Table4Row, error) {
-	schemes := NetworkSchemes()
+// baseline IF and VIX at base's windows and seed, and the weighted
+// speedup is reported alongside the mix's average MPKI.
+func Table4(base config.Experiment) ([]Table4Row, error) {
+	schemes := networkSchemes()
 	ifScheme, vixScheme := schemes[0], schemes[3]
 	mc := manycore.DefaultConfig()
 	var rows []Table4Row
 	for _, mix := range trace.Mixes() {
-		base, baseLat, err := RunMixDetailed(mix, ifScheme, p, mc)
+		ifIPC, baseLat, err := runMix(mix, ifScheme, base, mc)
 		if err != nil {
 			return nil, err
 		}
-		vix, vixLat, err := RunMixDetailed(mix, vixScheme, p, mc)
+		vixIPC, vixLat, err := runMix(mix, vixScheme, base, mc)
 		if err != nil {
 			return nil, err
 		}
 		var ratioSum, baseSum, vixSum float64
-		for i := range base {
-			baseSum += base[i]
-			vixSum += vix[i]
-			if base[i] > 0 {
-				ratioSum += vix[i] / base[i]
+		for i := range ifIPC {
+			baseSum += ifIPC[i]
+			vixSum += vixIPC[i]
+			if ifIPC[i] > 0 {
+				ratioSum += vixIPC[i] / ifIPC[i]
 			} else {
 				ratioSum++
 			}
@@ -91,7 +92,7 @@ func Table4(p Params) ([]Table4Row, error) {
 		rows = append(rows, Table4Row{
 			Mix:          mix.Name,
 			AvgMPKI:      mpki,
-			Speedup:      ratioSum / float64(len(base)),
+			Speedup:      ratioSum / float64(len(ifIPC)),
 			IPCBase:      baseSum,
 			IPCVIX:       vixSum,
 			MemLatBase:   baseLat,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"vix/internal/config"
 	"vix/internal/manycore"
 	"vix/internal/trace"
 )
@@ -11,10 +12,9 @@ import (
 // mix down meaningfully, speeds up the most memory-intensive mix the
 // most, and the measured average MPKI column matches the paper.
 func TestTable4Shape(t *testing.T) {
-	p := DefaultParams()
-	p.Warmup = 800
-	p.Measure = 3000
-	rows, err := Table4(p)
+	base := config.Default()
+	base.Warmup, base.Measure = 800, 3000
+	rows, err := Table4(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +49,16 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
-// RunMixDetailed is usable directly for a single mix and scheme.
+// runMix is usable directly for a single mix and scheme.
 func TestRunMixDirect(t *testing.T) {
-	p := DefaultParams()
-	p.Warmup = 300
-	p.Measure = 1000
-	ipcs, lat, err := RunMixDetailed(trace.Mixes()[0], NetworkSchemes()[0], p, manycore.DefaultConfig())
+	base := config.Default()
+	base.Warmup, base.Measure = 300, 1000
+	ipcs, lat, err := runMix(trace.Mixes()[0], networkSchemes()[0], base, manycore.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ipcs) != 64 {
-		t.Fatalf("RunMixDetailed returned %d cores", len(ipcs))
+		t.Fatalf("runMix returned %d cores", len(ipcs))
 	}
 	if lat <= 0 {
 		t.Fatalf("average memory latency %v, want positive", lat)

@@ -35,9 +35,9 @@
 // count is one — an explicit -parallel=1, a one-job grid, or a
 // single-CPU host — the pool runs every job inline on the calling
 // goroutine, so serial grid runs pay no channel or goroutine overhead
-// over the old one-point-at-a-time loops. Concurrency remains confined
-// to the packages vixlint's determinism pass allowlists (see
-// internal/lint); simulation packages stay goroutine-free.
+// over the old one-point-at-a-time loops. The harness spawns nothing
+// itself: vixlint allows go statements only in internal/sim and
+// internal/service; simulation packages stay goroutine-free.
 package harness
 
 import (

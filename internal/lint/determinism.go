@@ -8,22 +8,16 @@ import (
 )
 
 // ConcurrencyAllowlist names the packages — by import path relative to
-// the module root — where go statements are legal. Orchestration code
-// that fans out fully self-contained simulations may use goroutines;
-// simulation packages may not, because goroutine interleaving is a
+// the module root — where go statements are legal. Simulation packages
+// may not spawn goroutines, because goroutine interleaving is a
 // scheduler decision, not a seed decision. Growing this list is a
 // reviewed act: the lint self-check pins its exact contents.
 var ConcurrencyAllowlist = map[string]bool{
-	"internal/harness": true,
-	// internal/sim hosts the shared bounded worker pool (sim.Pool) that
-	// the harness and the network's parallel tick both run on; it is the
-	// one place goroutines are spawned on their behalf.
+	// internal/sim hosts the shared bounded worker pool (sim.Pool). The
+	// harness's grid fan-out and the network's sharded tick run on it
+	// through Do, whose two call sites TestPoolDoSitesArePinned pins;
+	// neither package contains a go statement of its own.
 	"internal/sim": true,
-	// internal/network's Step ticks routers on shards of a sim.Pool and
-	// merges the results in router-index order on the stepping
-	// goroutine, so output is byte-identical for any worker count; the
-	// network package itself contains no go statements.
-	"internal/network": true,
 	// internal/service is the vixd serving layer: runner goroutines
 	// executing queued cases and per-suite watcher channels. Scheduling
 	// cannot reach results — a case's value is a pure function of its
@@ -53,7 +47,7 @@ func (c *checker) determinism() []Finding {
 			case *ast.GoStmt:
 				if !c.concurrencyAllowed() && !c.waived(n.Pos()) {
 					c.report(&fs, n.Pos(), "determinism/goroutine",
-						"go statement in simulation code: goroutine interleaving is not reproducible from a seed; fan-out belongs in an allowlisted orchestration package (internal/harness)")
+						"go statement in simulation code: goroutine interleaving is not reproducible from a seed; fan-out belongs on sim.Pool (internal/sim)")
 				}
 			case *ast.RangeStmt:
 				c.checkMapRange(&fs, n)

@@ -16,9 +16,9 @@
 //     global generator is seeded per-process, not per-experiment.
 //   - determinism/goroutine: no go statements; goroutine interleaving is
 //     a scheduler decision, not a seed decision. The exceptions are the
-//     ConcurrencyAllowlist packages: the orchestration layers
-//     (internal/harness, internal/service) and the worker pool they and
-//     the network tick run on (internal/sim, internal/network).
+//     ConcurrencyAllowlist packages: the worker pool the harness and the
+//     network tick run on (internal/sim) and vixd's runners
+//     (internal/service).
 //   - determinism/maprange: no for-range over a map whose body writes to
 //     state declared outside the loop; Go randomises map iteration order
 //     per run, so such writes leak nondeterminism into results.

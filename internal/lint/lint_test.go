@@ -221,14 +221,14 @@ func Job(i int) {}
 }
 
 // TestConcurrencyAllowlist covers both sides of the goroutine rule: go
-// statements are legal in the allowlisted orchestration packages
-// (internal/harness among them) and nowhere else — not in simulation
-// packages like internal/alloc, and not in a package merely named
-// harness at another path. Every other determinism rule still binds
-// inside the allowlisted packages.
+// statements are legal in the allowlisted packages (internal/sim among
+// them) and nowhere else — not in simulation packages like
+// internal/alloc, and not in a package merely named sim at another path.
+// Every other determinism rule still binds inside the allowlisted
+// packages.
 func TestConcurrencyAllowlist(t *testing.T) {
 	findings := checkModule(t, map[string]string{
-		"internal/harness/pool.go": `package harness
+		"internal/sim/pool.go": `package sim
 
 import "time"
 
@@ -256,7 +256,7 @@ func Sneaky(fn func()) {
 	go fn()
 }
 `,
-		"internal/nested/harness/pool.go": `package harness
+		"internal/nested/sim/pool.go": `package sim
 
 func AlsoSneaky(fn func()) {
 	go fn()
@@ -265,13 +265,13 @@ func AlsoSneaky(fn func()) {
 	})
 	wantNone(t, findings, "determinism/rand")
 	if got := count(findings, "determinism/goroutine"); got != 2 {
-		t.Errorf("goroutine findings = %d, want 2 (alloc and nested/harness only)\n%s", got, render(findings))
+		t.Errorf("goroutine findings = %d, want 2 (alloc and nested/sim only)\n%s", got, render(findings))
 	}
 	want(t, findings, "determinism/goroutine", "alloc/pool.go", 4)
-	want(t, findings, "determinism/goroutine", "nested/harness/pool.go", 4)
-	// The allowlist covers goroutines only: wall-clock reads in the
-	// harness still need an explicit, justified waiver.
-	want(t, findings, "determinism/time", "internal/harness/pool.go", 20)
+	want(t, findings, "determinism/goroutine", "nested/sim/pool.go", 4)
+	// The allowlist covers goroutines only: wall-clock reads in sim
+	// still need an explicit, justified waiver.
+	want(t, findings, "determinism/time", "internal/sim/pool.go", 20)
 }
 
 func TestDeterminismSkipsCmdAndRoot(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"vix/internal/lint"
@@ -84,21 +83,18 @@ func TestCheckIsDeterministic(t *testing.T) {
 
 // TestConcurrencyAllowlistIsPinned makes growing the concurrency
 // allowlist a reviewed act: the packages where goroutines are legal are
-// exactly internal/harness (the orchestration layer), internal/sim
-// (home of the bounded worker pool the harness and the network run on),
-// internal/network (whose parallel tick shards routers across that pool
-// and merges in router-index order, keeping output byte-identical for
-// any worker count), and internal/service (the vixd serving layer, whose runner
+// exactly internal/sim (home of the bounded worker pool the harness and
+// the network tick run on, through the Do sites TestPoolDoSitesArePinned
+// pins) and internal/service (the vixd serving layer, whose runner
 // goroutines execute cases through the harness over the content-
 // addressed store and whose result streams are emitted in case order,
-// so scheduling cannot reach results). Anyone adding a package here
+// so scheduling cannot reach results). TestRepoIsLintClean then finds a
+// go statement anywhere else in internal/. Anyone adding a package here
 // must also update this test — and justify why the new package's
 // concurrency cannot leak scheduling into results.
 func TestConcurrencyAllowlistIsPinned(t *testing.T) {
 	want := map[string]bool{
-		"internal/harness": true,
 		"internal/sim":     true,
-		"internal/network": true,
 		"internal/service": true,
 	}
 	if len(lint.ConcurrencyAllowlist) != len(want) {
@@ -108,59 +104,6 @@ func TestConcurrencyAllowlistIsPinned(t *testing.T) {
 		if !lint.ConcurrencyAllowlist[pkg] {
 			t.Errorf("ConcurrencyAllowlist missing %q", pkg)
 		}
-	}
-}
-
-// TestHarnessIsTheOnlyConcurrentPackage walks the repo's own ASTs and
-// asserts go statements appear only in the allowlisted packages and
-// nowhere else in internal/, the structural property the allowlist
-// exists to protect. Since the shared worker pool moved into
-// internal/sim, that is where the spawns must actually live: harness
-// and network stay on the allowlist because they drive the pool, but
-// they are expected to contain no go statements of their own. (The
-// goroutine rule itself is exercised on synthetic modules in
-// lint_test.go; this covers the real tree.)
-func TestHarnessIsTheOnlyConcurrentPackage(t *testing.T) {
-	mod, err := lint.Load(repoRoot(t))
-	if err != nil {
-		t.Fatalf("lint.Load: %v", err)
-	}
-	allowed := map[string]bool{
-		"vix/internal/harness": true,
-		"vix/internal/sim":     true,
-		"vix/internal/network": true,
-		// The vixd service spawns its runner pool directly (it is an
-		// orchestration layer like the harness, but its workers live for
-		// the server, not one grid), so its go statements are legal.
-		"vix/internal/service": true,
-	}
-	sawPoolGoroutine := false
-	for _, pkg := range mod.Packages() {
-		pkg := pkg
-		if !strings.Contains(pkg.Path, "/internal/") {
-			continue
-		}
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				if _, ok := n.(*ast.GoStmt); !ok {
-					return true
-				}
-				switch {
-				case pkg.Path == "vix/internal/sim":
-					sawPoolGoroutine = true
-				case pkg.Path == "vix/internal/harness" || pkg.Path == "vix/internal/network":
-					t.Errorf("%s: go statement at %s; harness and network must spawn through sim.Pool, not directly",
-						pkg.Path, mod.Fset.Position(n.Pos()))
-				case !allowed[pkg.Path]:
-					t.Errorf("%s: go statement outside the allowlisted packages at %s",
-						pkg.Path, mod.Fset.Position(n.Pos()))
-				}
-				return true
-			})
-		}
-	}
-	if !sawPoolGoroutine {
-		t.Error("internal/sim no longer spawns goroutines; if the worker pool moved, move the allowlist with it")
 	}
 }
 

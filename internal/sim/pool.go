@@ -27,8 +27,8 @@ import (
 // A Pool is owned by a single orchestrating goroutine: Do and Close must
 // not be invoked concurrently with each other or themselves. Concurrency
 // in this repository is legal only in the packages named by the vixlint
-// ConcurrencyAllowlist; sim hosts the one goroutine-spawning primitive the
-// allowlisted orchestration layers share.
+// ConcurrencyAllowlist; sim hosts the one goroutine-spawning primitive
+// the harness and the network share.
 type Pool struct {
 	workers int
 	started bool
