@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint race test fuzz ledger profile sweep experiments examples clean
+.PHONY: all build vet lint race test fuzz ledger profile sweep experiments clean
 
 all: build vet lint test
 
@@ -77,14 +77,6 @@ profile:
 # (minutes; add -warmup 200 -measure 600 to the command for seconds).
 experiments:
 	go run ./cmd/figures -scaling all
-
-# The four example programs, each a set of vix.Experiment specs run
-# through Run (CI's examples smoke step; seconds each).
-examples:
-	go run ./examples/quickstart
-	go run ./examples/buffer_reduction
-	go run ./examples/custom_allocator
-	go run ./examples/adversarial_traffic
 
 clean:
 	go clean ./...

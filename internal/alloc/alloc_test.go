@@ -24,6 +24,16 @@ func randomRequestSet(rng *sim.RNG, cfg Config, p float64) *RequestSet {
 	return rs
 }
 
+// MustNew is New for a kind and geometry the test knows are valid; it
+// panics on error.
+func MustNew(kind Kind, cfg Config) Allocator {
+	a, err := New(kind, cfg)
+	if err != nil {
+		panic("alloc: MustNew: " + strings.TrimPrefix(err.Error(), "alloc: "))
+	}
+	return a
+}
+
 // allConfigs returns the crossbar geometries exercised by the paper:
 // baseline, 1:2 VIX, and ideal VIX, at the three evaluated radices.
 func allConfigs() []Config {

@@ -1,9 +1,6 @@
 package alloc
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Kind names a switch-allocation scheme from the paper's evaluation.
 type Kind string
@@ -131,13 +128,4 @@ func New(kind Kind, cfg Config) (Allocator, error) {
 		return build(cfg)
 	}
 	return nil, fmt.Errorf("alloc: unknown allocator kind %q", kind)
-}
-
-// MustNew is New but panics on error; for tests and examples.
-func MustNew(kind Kind, cfg Config) Allocator {
-	a, err := New(kind, cfg)
-	if err != nil {
-		panic("alloc: MustNew: " + strings.TrimPrefix(err.Error(), "alloc: "))
-	}
-	return a
 }

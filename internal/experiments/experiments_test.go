@@ -172,9 +172,9 @@ func TestFigure12VirtualInputs(t *testing.T) {
 			}
 		}
 	}
-	// Buffer-reduction claim: 4 VCs with VIX beats 6 VCs without, on the
-	// mesh, by a clear margin.
-	if v4, n6 := get("mesh8x8", "4", "1:2 VIX"), get("mesh8x8", "6", "no VIX"); v4 < 1.05*n6 {
-		t.Errorf("mesh: 4VC VIX %.4f not >=5%% over 6VC baseline %.4f", v4, n6)
+	// Buffer-reduction claim (paper Section 4.6): 4 VCs with VIX beat 6
+	// VCs without on the mesh by more than 10 %, with a third fewer buffers.
+	if v4, n6 := get("mesh8x8", "4", "1:2 VIX"), get("mesh8x8", "6", "no VIX"); v4 < 1.10*n6 {
+		t.Errorf("mesh: 4VC VIX %.4f not >=10%% over 6VC baseline %.4f", v4, n6)
 	}
 }

@@ -38,24 +38,24 @@ func (c *checker) checkPrint(fs *[]Finding, file *ast.File, sel *ast.SelectorExp
 	case *types.Func:
 		if obj.Pkg() != nil && obj.Pkg().Path() == "fmt" && printFuncs[name] {
 			c.report(fs, sel.Pos(), "hygiene/print",
-				"fmt.%s in library code: return values or accept an io.Writer; only cmd/ and examples/ print", name)
+				"fmt.%s in library code: return values or accept an io.Writer; only commands print", name)
 		}
 		return
 	case *types.Var:
 		if obj.Pkg() != nil && obj.Pkg().Path() == "os" && (name == "Stdout" || name == "Stderr") {
 			c.report(fs, sel.Pos(), "hygiene/print",
-				"os.%s in library code: accept an io.Writer; only cmd/ and examples/ own the process streams", name)
+				"os.%s in library code: accept an io.Writer; only commands own the process streams", name)
 		}
 		return
 	}
 	// AST fallback when type information is missing.
 	if printFuncs[name] && selectsPackage(c.pkg, file, sel, "fmt") {
 		c.report(fs, sel.Pos(), "hygiene/print",
-			"fmt.%s in library code: return values or accept an io.Writer; only cmd/ and examples/ print", name)
+			"fmt.%s in library code: return values or accept an io.Writer; only commands print", name)
 	}
 	if (name == "Stdout" || name == "Stderr") && selectsPackage(c.pkg, file, sel, "os") {
 		c.report(fs, sel.Pos(), "hygiene/print",
-			"os.%s in library code: accept an io.Writer; only cmd/ and examples/ own the process streams", name)
+			"os.%s in library code: accept an io.Writer; only commands own the process streams", name)
 	}
 }
 

@@ -36,7 +36,7 @@
 //     (alloc.Kind, router.FlitType, ...) must cover every declared
 //     constant or carry an explicit default.
 //
-// Hygiene (internal/* only; cmd/ and examples/ may print):
+// Hygiene (internal/* only; the commands under cmd/ and bench/ may print):
 //
 //   - hygiene/print: no fmt.Print/Printf/Println, no references to
 //     os.Stdout or os.Stderr, no builtin print/println. Library code
