@@ -19,8 +19,11 @@ import (
 //     checks this statically: the seed corpus replayed by every
 //     `go test` is the gate.
 //
-// Wavefront, augmenting path and ideal also promise a maximal matching:
-// no ungranted request finds both its crossbar row and its output free.
+// alloc.Classify puts every request in exactly one class — granted, row
+// taken, output taken or both free — for every kind. Wavefront,
+// augmenting path and ideal also promise a maximal matching: no
+// ungranted request finds both its crossbar row and its output free. And
+// ideal, one row per VC, never loses a request to its own row.
 //
 // All randomness flows through sim.RNG, so any failing input is exactly
 // reproducible from the fuzz corpus entry.
@@ -77,13 +80,15 @@ func FuzzAllocate(f *testing.F) {
 // grantTranscript resets a, replays nCycles of seeded random request sets
 // through it — every other one a single request when lone is set — and
 // returns the concatenated grant sequence rendered to bytes. It fails the
-// test on an illegal grant set, a lone request left ungranted, a
-// non-maximal matching from a kind that promises one, or a mutated input.
+// test on an illegal grant set, a lone request left ungranted, a loss
+// class sum that misses a request, a non-maximal matching from a kind
+// that promises one, a row-taken loss under ideal, or a mutated input.
 func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc.Config, seed uint64, nCycles int, lone bool) string {
 	t.Helper()
 	a.Reset()
 	rng := sim.NewRNG(seed)
 	out := ""
+	var l alloc.Losses
 	for cycle := 0; cycle < nCycles; cycle++ {
 		rs := randomRequestSet(cfg, rng)
 		if lone && cycle%2 == 1 {
@@ -99,17 +104,18 @@ func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc
 		if len(rs.Requests) == 1 && len(grants) != 1 {
 			t.Fatalf("%q cycle %d: lone request %+v drew %d grants, want 1", kind, cycle, rs.Requests[0], len(grants))
 		}
-		if maximal[kind] {
-			rowUsed, outUsed := map[int]bool{}, map[int]bool{}
-			for _, g := range grants {
-				rowUsed[g.Row], outUsed[g.OutPort] = true, true
-			}
-			for _, r := range rs.Requests {
-				if !rowUsed[cfg.Row(r.Port, r.VC)] && !outUsed[r.OutPort] {
-					t.Fatalf("%q cycle %d: matching not maximal: request %+v leaves its row and output free\nrequests: %+v\ngrants: %+v",
-						kind, cycle, r, rs.Requests, grants)
-				}
-			}
+		alloc.Classify(&rs, grants, &l)
+		if l.Granted != len(grants) || l.Granted+l.RowTaken+l.OutputTaken+l.BothFree != len(rs.Requests) {
+			t.Fatalf("%q cycle %d: %d granted + %d row taken + %d output taken + %d both free, want %d granted of %d requests",
+				kind, cycle, l.Granted, l.RowTaken, l.OutputTaken, l.BothFree, len(grants), len(rs.Requests))
+		}
+		if maximal[kind] && l.BothFree != 0 {
+			t.Fatalf("%q cycle %d: matching not maximal: %d requests leave their row and output free\nrequests: %+v\ngrants: %+v",
+				kind, cycle, l.BothFree, rs.Requests, grants)
+		}
+		if kind == alloc.KindIdeal && l.RowTaken != 0 {
+			t.Fatalf("%q cycle %d: %d requests lost to their own row, which only they drive\nrequests: %+v\ngrants: %+v",
+				kind, cycle, l.RowTaken, rs.Requests, grants)
 		}
 		if len(rs.Requests) != len(snapshot) {
 			t.Fatalf("%q cycle %d: Allocate resized the caller's request slice (%d -> %d)",

@@ -18,6 +18,7 @@ type activityCase struct {
 	kind     alloc.Kind
 	k        int
 	saturate bool // MaxInjection instead of a low Bernoulli rate
+	nonSpec  bool // Router.NonSpeculative
 	burst    bool // a Workload that injects for a quarter of the run, then drains
 }
 
@@ -33,6 +34,7 @@ func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles 
 	cfg := meshConfig(topo, tc.kind, tc.k, policy)
 	cfg.Seed = 11
 	cfg.Workers = workers
+	cfg.Router.NonSpeculative = tc.nonSpec
 	switch {
 	case tc.burst:
 		cfg.Pattern, cfg.InjectionRate = nil, 0
@@ -91,6 +93,10 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 			kind: alloc.KindSeparableIF, k: 2},
 		{name: "cmesh2x2c4_wavefront_burst", topo: func() *topology.Topology { return topology.NewCMesh(2, 2, 4) },
 			kind: alloc.KindWavefront, k: 2, burst: true},
+		{name: "torus4x4_if_sat", topo: func() *topology.Topology { return topology.NewTorus(4, 4) },
+			kind: alloc.KindSeparableIF, k: 2, saturate: true},
+		{name: "mesh4x4_if_nonspec_sat", topo: func() *topology.Topology { return topology.NewMesh(4, 4) },
+			kind: alloc.KindSeparableIF, k: 2, saturate: true, nonSpec: true},
 	}
 	const cycles = 2000
 	for _, tc := range cases {

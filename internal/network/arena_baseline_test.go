@@ -71,6 +71,32 @@ func arenaBaselineCases() []arenaBaselineCase {
 			},
 		},
 		{
+			// Saturated torus: the dateline VC ranges restrict each head
+			// to half its output's VCs, so the VA wake on a freed VC is a
+			// superset of the heads that can take it.
+			name: "torus8x8_if2_sat", warmup: 400, cycles: 1200,
+			build: func() Config {
+				cfg := meshConfig(topology.NewTorus(8, 8), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+				cfg.InjectionRate = 0
+				cfg.MaxInjection = true
+				cfg.Seed = 7
+				return cfg
+			},
+		},
+		{
+			// Saturated radix-10 flattened butterfly with 8 VCs: 80 input
+			// VCs, so every per-ivc mask spans two words.
+			name: "fbfly4x4c4_v8_if2_sat", warmup: 400, cycles: 1200,
+			build: func() Config {
+				cfg := meshConfig(topology.NewFBfly(4, 4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+				cfg.Router.VCs = 8
+				cfg.InjectionRate = 0
+				cfg.MaxInjection = true
+				cfg.Seed = 7
+				return cfg
+			},
+		},
+		{
 			// The scale target itself at light load: 1024 routers, kept
 			// short so the mode matrix stays tractable under -race.
 			name: "mesh32x32_if2_low", warmup: 200, cycles: 600,

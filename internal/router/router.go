@@ -142,10 +142,17 @@ func segment[T any](slab []T, slot, n int) []T {
 //	nonEmpty  [W]      count[ivc] > 0
 //	hasOVC    [W]      ovc[ivc] >= 0
 //	justAlloc [W]      ovc granted this tick (kept only under NonSpeculative)
+//	vaWait    [W]      pending head (nonEmpty, no ovc) whose admitted VCs
+//	                   at outPort[ivc] were all busy when VA last tried it
+//	noCredit  [W]      ovc held at a link output with zero credits
 //	busy      [Ports]  per output port, bit v: downstream VC v is held by
 //	                   an input VC here
 //
-// The ivc -> (port, vc) and sub-group -> VC-mask tables depend only on
+// vaWait and noCredit drop input VCs from the stage that cannot serve
+// them until the one event that can end the block: a tail freeing a VC
+// at that output, or a credit returning to the held VC.
+//
+// The ivc -> port and sub-group -> VC-mask tables depend only on
 // the geometry, so the arena holds one copy for all its routers.
 type Arena struct {
 	flits *FlitArena
@@ -153,7 +160,7 @@ type Arena struct {
 	n     int
 
 	maskWords  int // W: words per ivc mask
-	maskStride int // mask words per router: 3W + Ports
+	maskStride int // mask words per router: 5W + Ports
 
 	bufs    []Slot
 	head    []int8
@@ -165,7 +172,6 @@ type Arena struct {
 	masks   []uint64
 
 	ivcPort   []int32  // per ivc: port
-	ivcVC     []int32  // per ivc: vc
 	groupMask []uint64 // per sub-group: the VCs alloc.Config.Subgroup maps to it
 }
 
@@ -185,7 +191,7 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 		n:         numRouters,
 		maskWords: (pv + 63) / 64,
 	}
-	a.maskStride = 3*a.maskWords + cfg.Ports
+	a.maskStride = 5*a.maskWords + cfg.Ports
 	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
 	for i := range a.bufs {
 		a.bufs[i].Flit = NoFlit
@@ -202,9 +208,8 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 		a.credits[i] = int8(cfg.BufDepth)
 	}
 	a.ivcPort = make([]int32, pv)
-	a.ivcVC = make([]int32, pv)
 	for ivc := 0; ivc < pv; ivc++ {
-		a.ivcPort[ivc], a.ivcVC[ivc] = int32(ivc/cfg.VCs), int32(ivc%cfg.VCs)
+		a.ivcPort[ivc] = int32(ivc / cfg.VCs)
 	}
 	a.groupMask = make([]uint64, cfg.VirtualInputs)
 	acfg := cfg.Alloc()
@@ -221,7 +226,13 @@ func (a *Arena) Flits() *FlitArena { return a.flits }
 // in its network's Arena; the struct itself holds slice views into that
 // router's segment of each slab, plus cold configuration and scratch.
 type Router struct {
-	id      int
+	id int32
+	// occ counts buffered flits across all input VCs, maintained
+	// incrementally (DeliverFlit adds, grant departures subtract) so the
+	// activity-gated tick can test quiescence in O(1). Both are int32 so
+	// they share a word: the struct stays in its allocation size class.
+	occ int32
+
 	cfg     Config
 	alloc   alloc.Allocator
 	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
@@ -242,17 +253,13 @@ type Router struct {
 	nonEmpty  sim.Bitset
 	hasOVC    sim.Bitset
 	justAlloc sim.Bitset
+	vaWait    sim.Bitset
+	noCredit  sim.Bitset
 	busy      []uint64
 
 	// Geometry tables shared through the arena.
 	ivcPort   []int32
-	ivcVC     []int32
 	groupMask []uint64
-
-	// occ counts buffered flits across all input VCs, maintained
-	// incrementally (DeliverFlit adds, grant departures subtract) so the
-	// activity-gated tick can test quiescence in O(1).
-	occ int
 
 	vaOffset int // rotating VC-allocation priority
 
@@ -289,7 +296,7 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	}
 	pv := cfg.Ports * cfg.VCs
 	r := &Router{
-		id:      id,
+		id:      int32(id),
 		cfg:     cfg,
 		alloc:   allocator,
 		nextDim: nextDim,
@@ -306,7 +313,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		wait:    segment(arena.wait, slot, pv),
 
 		ivcPort:   arena.ivcPort,
-		ivcVC:     arena.ivcVC,
 		groupMask: arena.groupMask,
 
 		ems:   make([]Emission, 0, cfg.Ports),
@@ -317,14 +323,16 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	r.nonEmpty = masks[:w:w]
 	r.hasOVC = masks[w : 2*w : 2*w]
 	r.justAlloc = masks[2*w : 3*w : 3*w]
-	r.busy = masks[3*w:]
+	r.vaWait = masks[3*w : 4*w : 4*w]
+	r.noCredit = masks[4*w : 5*w : 5*w]
+	r.busy = masks[5*w:]
 	r.reqs.Config = cfg.Alloc()
 	r.idle, _ = allocator.(alloc.IdleSkipper)
 	return r
 }
 
 // ID returns the router's index in its network.
-func (r *Router) ID() int { return r.id }
+func (r *Router) ID() int { return int(r.id) }
 
 // Config returns the router's configuration.
 func (r *Router) Config() Config { return r.cfg }
@@ -368,13 +376,34 @@ func (r *Router) Deliver(port, vc int, s Slot) {
 	r.occ++
 }
 
-// DeliverCredit returns one credit for downstream VC vc of outPort.
+// DeliverCredit returns one credit for downstream VC vc of outPort. Only
+// a first credit (0 -> 1) can unblock a holder, so the common case is an
+// increment and the rest is out of line.
 func (r *Router) DeliverCredit(outPort, vc int) {
 	cvi := outPort*r.cfg.VCs + vc
-	if int(r.credits[cvi]) >= r.cfg.BufDepth {
+	c := r.credits[cvi]
+	if c == 0 || int(c) >= r.cfg.BufDepth {
+		r.creditEdge(outPort, vc)
+	}
+	r.credits[cvi] = c + 1
+}
+
+// creditEdge panics on a credit overflow, and on a first credit returns
+// the holder of downstream VC vc of outPort, if it has one, to the
+// switch-allocation request set.
+func (r *Router) creditEdge(outPort, vc int) {
+	if int(r.credits[outPort*r.cfg.VCs+vc]) >= r.cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: credit overflow at port %d vc %d", r.id, outPort, vc))
 	}
-	r.credits[cvi]++
+	for wi, w := range r.noCredit {
+		for ; w != 0; w &= w - 1 {
+			ivc := wi<<6 + bits.TrailingZeros64(w)
+			if int(r.outPort[ivc]) == outPort && int(r.ovc[ivc]) == vc {
+				r.noCredit.Clear(ivc)
+				return
+			}
+		}
+	}
 }
 
 // Busy reports whether the router holds any buffered flits. An idle
@@ -394,9 +423,11 @@ func (r *Router) BufferSpace(port, vc int) int {
 // Occupancy returns the number of buffered flits across all input VCs.
 // It recounts from the per-VC ring counters rather than trusting the
 // incremental state, and panics unless the occupancy counter and the
-// nonEmpty/hasOVC mask words agree with count/ovc, and every occupied
-// slot's header with the record of the flit it names; tests call it to
-// cross-check the incremental state against what it summarises.
+// nonEmpty/hasOVC/noCredit mask words agree with count/ovc/credits,
+// every vaWait head is pending and faces only busy VCs, and every
+// occupied slot's header agrees with the record of the flit it names;
+// tests call it to cross-check the incremental state against what it
+// summarises.
 func (r *Router) Occupancy() int {
 	n := 0
 	for ivc, c := range r.count {
@@ -418,8 +449,26 @@ func (r *Router) Occupancy() int {
 		if (r.hasOVC[ivc>>6]&bit != 0) != (r.ovc[ivc] >= 0) {
 			panic(fmt.Sprintf("router %d: hasOVC mask disagrees with ovc %d at ivc %d", r.id, r.ovc[ivc], ivc))
 		}
+		out := int(r.outPort[ivc])
+		starved := r.ovc[ivc] >= 0 && r.ports[out].Kind == topology.Link && r.credits[out*r.cfg.VCs+int(r.ovc[ivc])] == 0
+		if (r.noCredit[ivc>>6]&bit != 0) != starved {
+			panic(fmt.Sprintf("router %d: noCredit mask disagrees with ovc %d at ivc %d", r.id, r.ovc[ivc], ivc))
+		}
+		if r.vaWait[ivc>>6]&bit != 0 {
+			if c == 0 || r.ovc[ivc] >= 0 {
+				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, which awaits no VC", r.id, ivc))
+			}
+			front := r.buf[ivc*r.cfg.BufDepth+int(r.head[ivc])]
+			lo, hi := 0, r.cfg.VCs
+			if r.vcRange != nil {
+				lo, hi = r.vcRange(out, int(front.Dst))
+			}
+			if out != int(front.Route) || vcSpan(lo, hi)&^r.busy[out] != 0 {
+				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, but an admitted VC at port %d is free", r.id, ivc, out))
+			}
+		}
 	}
-	if n != r.occ {
+	if n != int(r.occ) {
 		panic(fmt.Sprintf("router %d: occupancy counter %d but %d flits buffered", r.id, r.occ, n))
 	}
 	return n
@@ -487,8 +536,14 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, g.OutPort, ovc))
 			}
 			s.Hops++
+			// A granted VC had credit, so its noCredit bit is clear; a
+			// tail takes the VC with it, so only a holder that stays can
+			// run out.
 			if s.Type.IsTail() {
 				r.busy[g.OutPort] &^= 1 << uint(ovc)
+				r.wakeVA(g.OutPort)
+			} else if r.credits[cvi] == 0 {
+				r.noCredit.Set(ivc)
 			}
 		}
 		if s.Type.IsTail() {
@@ -535,13 +590,13 @@ func (r *Router) SkipIdle(cycles int) {
 
 // allocateVCs performs the VC allocation stage: head flits at the front
 // of their buffers acquire an output VC at the downstream router. Only
-// the input VCs awaiting one — nonEmpty and not hasOVC — are visited, in
-// a rotating order for long-run fairness: ascending from the priority
-// offset to the top, then from zero up to the offset.
+// the input VCs awaiting one — nonEmpty, not hasOVC and not vaWait — are
+// visited, in a rotating order for long-run fairness: ascending from the
+// priority offset to the top, then from zero up to the offset.
 func (r *Router) allocateVCs() {
 	var pending uint64
 	for wi, w := range r.nonEmpty {
-		pending |= w &^ r.hasOVC[wi]
+		pending |= w &^ r.hasOVC[wi] &^ r.vaWait[wi]
 	}
 	if pending != 0 {
 		total := r.cfg.Ports * r.cfg.VCs
@@ -557,7 +612,7 @@ func (r *Router) allocateVCs() {
 // pending bit, so each word is read once.
 func (r *Router) allocateVCRange(lo, hi int) {
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		w := r.nonEmpty[wi] &^ r.hasOVC[wi]
+		w := r.nonEmpty[wi] &^ r.hasOVC[wi] &^ r.vaWait[wi]
 		if wi == lo>>6 {
 			w = w >> uint(lo&63) << uint(lo&63)
 		}
@@ -571,7 +626,9 @@ func (r *Router) allocateVCRange(lo, hi int) {
 }
 
 // allocateVC tries to acquire an output VC for the head flit fronting
-// input VC ivc; on failure the VC stays pending and retries next cycle.
+// input VC ivc. On failure every VC the head may take at its output is
+// busy, and only a tail freeing one can change that, so the head parks
+// in vaWait with its output recorded until wakeVA returns it.
 func (r *Router) allocateVC(ivc int) {
 	front := &r.buf[ivc*r.cfg.BufDepth+int(r.head[ivc])]
 	if !front.Type.IsHead() {
@@ -583,9 +640,14 @@ func (r *Router) allocateVC(ivc int) {
 	v := 0
 	if r.ports[out].Kind != topology.Local {
 		if v = r.chooseOVC(out, int(front.Dst)); v < 0 {
-			return // all suitable downstream VCs busy
+			r.outPort[ivc] = int8(out)
+			r.vaWait.Set(ivc)
+			return
 		}
 		r.busy[out] |= 1 << uint(v)
+		if r.credits[out*r.cfg.VCs+v] == 0 {
+			r.noCredit.Set(ivc)
+		}
 	}
 	// Ejection needs no downstream VC (v stays 0): the sink absorbs at
 	// link bandwidth, serialised per output port by switch allocation.
@@ -593,6 +655,22 @@ func (r *Router) allocateVC(ivc int) {
 	r.hasOVC.Set(ivc)
 	if r.cfg.NonSpeculative {
 		r.justAlloc.Set(ivc)
+	}
+}
+
+// wakeVA returns every head waiting on output out to VC allocation: a
+// tail has just freed one of out's VCs. The freed VC may lie outside a
+// woken head's admitted range (a torus dateline class); that head fails
+// its next try and parks again, exactly as its retry would have, so no
+// choice changes. Clearing a busy bit happens nowhere else.
+func (r *Router) wakeVA(out int) {
+	for wi, w := range r.vaWait {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			if int(r.outPort[wi<<6+b]) == out {
+				r.vaWait[wi] &^= 1 << uint(b)
+			}
+		}
 	}
 }
 
@@ -619,23 +697,19 @@ func (r *Router) chooseOVC(out, dst int) int {
 }
 
 // buildRequests assembles this cycle's switch-allocation request set:
-// every input VC whose front flit has an output VC and a downstream
-// credit requests its packet's output port, in ascending (port, vc)
-// order.
+// every input VC whose front flit has an output VC with a downstream
+// credit (hasOVC and not noCredit) requests its packet's output port, in
+// ascending (port, vc) order.
 func (r *Router) buildRequests() *alloc.RequestSet {
 	r.reqs.Requests = r.reqs.Requests[:0]
-	vcs := r.cfg.VCs
 	for wi, w := range r.nonEmpty {
 		// VA and SA may not overlap in the same cycle when NonSpeculative
 		// (justAlloc stays zero otherwise).
-		for w &= r.hasOVC[wi] &^ r.justAlloc[wi]; w != 0; w &= w - 1 {
+		for w &= r.hasOVC[wi] &^ r.justAlloc[wi] &^ r.noCredit[wi]; w != 0; w &= w - 1 {
 			ivc := wi<<6 + bits.TrailingZeros64(w)
-			out := int(r.outPort[ivc])
-			if r.ports[out].Kind == topology.Link && r.credits[out*vcs+int(r.ovc[ivc])] == 0 {
-				continue
-			}
+			port := int(r.ivcPort[ivc])
 			r.reqs.Requests = append(r.reqs.Requests, alloc.Request{
-				Port: int(r.ivcPort[ivc]), VC: int(r.ivcVC[ivc]), OutPort: out, Age: int(r.wait[ivc]),
+				Port: port, VC: ivc - port*r.cfg.VCs, OutPort: int(r.outPort[ivc]), Age: int(r.wait[ivc]),
 			})
 			r.wait[ivc]++
 		}

@@ -12,6 +12,12 @@ import (
 // links, with a lookahead stub that always reports ejection next hop.
 func testRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
+	return rangedTestRouter(t, cfg, nil)
+}
+
+// rangedTestRouter is testRouter with a topology VC range.
+func rangedTestRouter(t *testing.T, cfg Config, vcRange VCRangeFunc) *Router {
+	t.Helper()
 	ports := make([]PortInfo, cfg.Ports)
 	ports[0] = PortInfo{Kind: topology.Local, Dim: topology.DimLocal}
 	for p := 1; p < cfg.Ports; p++ {
@@ -25,7 +31,7 @@ func testRouter(t *testing.T, cfg Config) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(7, cfg, ports, a, func(outPort, dst int) topology.Dim { return topology.DimLocal }, nil, nil)
+	return New(7, cfg, ports, a, func(outPort, dst int) topology.Dim { return topology.DimLocal }, vcRange, nil)
 }
 
 func baseConfig() Config {

@@ -33,3 +33,6 @@ func (b Bitset) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // Clear unmarks index i.
 func (b Bitset) Clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// Has reports whether index i is marked.
+func (b Bitset) Has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }

@@ -10,7 +10,6 @@ func TestBitsetBasics(t *testing.T) {
 	if len(b) != 3 {
 		t.Fatalf("NewBitset(130) has %d words, want 3", len(b))
 	}
-	has := func(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 	count := func() int {
 		n := 0
 		for _, w := range b {
@@ -19,11 +18,11 @@ func TestBitsetBasics(t *testing.T) {
 		return n
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
-		if has(i) {
+		if b.Has(i) {
 			t.Errorf("fresh bitset has bit %d set", i)
 		}
 		b.Set(i)
-		if !has(i) {
+		if !b.Has(i) {
 			t.Errorf("Set(%d) left bit %d clear", i, i)
 		}
 	}
@@ -31,10 +30,10 @@ func TestBitsetBasics(t *testing.T) {
 		t.Fatalf("%d bits set, want 8", got)
 	}
 	b.Clear(64)
-	if has(64) {
+	if b.Has(64) {
 		t.Error("Clear(64) left the bit set")
 	}
-	if !has(63) || !has(65) {
+	if !b.Has(63) || !b.Has(65) {
 		t.Error("Clear(64) disturbed neighbouring bits")
 	}
 	if got := count(); got != 7 {
