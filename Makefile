@@ -10,11 +10,12 @@ build:
 vet:
 	go vet ./...
 
-# The static-analysis gate: vet, gofmt cleanliness, and one run of the
-# repo's own vixlint pass (determinism, enum exhaustiveness, hygiene,
-# waiver/directive hygiene — see internal/lint). One serial pass, ~2 s,
-# nothing cached, nothing written. The lint self-check test
-# enforces the same rules under plain `go test ./...`.
+# The static-analysis gate: vet, gofmt cleanliness, and the repo's own
+# lint rules (determinism, enum exhaustiveness, hygiene, waiver/directive
+# hygiene — see internal/lint) run by their self-check test, which
+# prints each finding as file:line: rule: message. One serial pass,
+# ~3 s, nothing cached, nothing written; plain `go test ./...` runs the
+# same test.
 lint: vet
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -22,7 +23,7 @@ lint: vet
 		echo "$$unformatted"; \
 		exit 1; \
 	fi
-	go run ./cmd/vixlint -v ./...
+	go test -count=1 -run '^TestRepoIsLintClean$$' ./internal/lint
 
 # Run the test suite under the race detector. This is the guard of both
 # sim.Pool.Do sites — no static rule judges what a pool job writes. The

@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,19 +42,16 @@ type scheme struct {
 // sweepHeader is the CSV schema, stable across harness options.
 var sweepHeader = []string{"allocator", "k", "offered_rate", "avg_latency", "p50_latency", "p99_latency", "throughput_flits", "throughput_packets", "fairness"}
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sweep: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the whole command. Everything the command line can get wrong —
-// including a grid point the simulator would refuse — is an error
+// run is the whole command: 0 on success, 1 when a run fails, 2 on a
+// usage error. Everything the command line can get wrong — including a
+// grid point the simulator would refuse — is a usage error reported
 // before the output file is created and before any point simulates.
-func run(args []string, stdout io.Writer) (err error) {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+func run(args []string, stdout, stderr io.Writer) int {
+	logger := log.New(stderr, "sweep: ", 0)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		configPath = fs.String("config", "", "JSON experiment file used as the base configuration")
 		topoName   = fs.String("topo", "", "override the base topology: mesh, torus, cmesh, or fbfly")
@@ -67,31 +65,56 @@ func run(args []string, stdout io.Writer) (err error) {
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	jobs, err := grid(*configPath, *topoName, *schemesStr, *ratesStr, *saturate)
+	if err != nil {
+		logger.Print(err)
+		return 2
+	}
+	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
+	if *verbose {
+		opt.OnDone = cli.Progress(logger)
+	}
+	if err := write(jobs, opt, *out, *cpuprofile, *memprofile, stdout); err != nil {
+		logger.Print(err)
+		return 1
+	}
+	return 0
+}
 
+// grid resolves the base spec and expands the command line's schemes
+// and rates into validated jobs.
+func grid(configPath, topo, schemesStr, ratesStr string, saturate bool) ([]harness.Job, error) {
 	base := config.Default()
-	if *configPath != "" {
-		if base, err = config.Load(*configPath); err != nil {
-			return err
+	if configPath != "" {
+		var err error
+		if base, err = config.Load(configPath); err != nil {
+			return nil, err
 		}
 	}
-	if *topoName != "" {
-		base.Topology = *topoName
+	if topo != "" {
+		base.Topology = topo
 	}
-	schemes, err := parseSchemes(*schemesStr)
+	schemes, err := parseSchemes(schemesStr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rates, err := parseRates(*ratesStr)
+	rates, err := parseRates(ratesStr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	jobs, err := buildJobs(base, schemes, rates, *saturate)
-	if err != nil {
-		return err
-	}
+	return buildJobs(base, schemes, rates, saturate)
+}
 
-	stop, err := cli.Profile(*cpuprofile, *memprofile)
+// write runs the jobs under the requested profiles and writes the CSV
+// to the file out, or to stdout when out is empty.
+func write(jobs []harness.Job, opt harness.Options, out, cpuprofile, memprofile string, stdout io.Writer) (err error) {
+	stop, err := cli.Profile(cpuprofile, memprofile)
 	if err != nil {
 		return err
 	}
@@ -101,8 +124,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}()
 	w := stdout
-	if *out != "" {
-		f, cerr := os.Create(*out)
+	if out != "" {
+		f, cerr := os.Create(out)
 		if cerr != nil {
 			return cerr
 		}
@@ -115,10 +138,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			}
 		}()
 		w = f
-	}
-	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
-	if *verbose {
-		opt.OnDone = cli.Progress(log.Default())
 	}
 	return sweep(context.Background(), jobs, opt, w)
 }

@@ -194,9 +194,10 @@ func TestSweepInvalidPointRunsNothing(t *testing.T) {
 		{"if:1,if:7", "0.02", "scheme if:7", "virtual_inputs"},
 		{"if:1", "0.02,0", "scheme if:1", "injection_rate"},
 	} {
-		err := run([]string{"-schemes", c.schemes, "-rates", c.rates, "-o", out, "-resume", manifest}, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.scheme) || !strings.Contains(err.Error(), c.field) {
-			t.Fatalf("run error = %v, want the %s finding naming %s", err, c.field, c.scheme)
+		var errs bytes.Buffer
+		code := run([]string{"-schemes", c.schemes, "-rates", c.rates, "-o", out, "-resume", manifest}, io.Discard, &errs)
+		if code != 2 || !strings.Contains(errs.String(), c.scheme) || !strings.Contains(errs.String(), c.field) {
+			t.Fatalf("run exit %d, stderr %q, want 2 and the %s finding naming %s", code, errs.String(), c.field, c.scheme)
 		}
 		if got, err := os.ReadFile(out); err != nil || string(got) != previous {
 			t.Errorf("pre-existing -o file was touched: %q, %v", got, err)
@@ -204,5 +205,40 @@ func TestSweepInvalidPointRunsNothing(t *testing.T) {
 		if _, err := os.Stat(manifest); !os.IsNotExist(err) {
 			t.Errorf("a manifest exists (%v): some point simulated before the grid was refused", err)
 		}
+	}
+}
+
+// TestUsageErrors: like vixsim and figures, sweep exits 2 on a usage
+// error with nothing on stdout, 1 when the run itself fails, and 0 with
+// the CSV on stdout on success.
+func TestUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	small := filepath.Join(dir, "small.json")
+	if err := os.WriteFile(small, []byte(`{"warmup":150,"measure":400}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	grid := []string{"-config", small, "-schemes", "if:1", "-rates", "0.02", "-sat=false"}
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-nosuchflag"}, 2},
+		{[]string{"-schemes", "if"}, 2},
+		{[]string{"-schemes", "nosuch:1"}, 2},
+		{[]string{"-rates", "2"}, 2},
+		{[]string{"-rates", "0.02,zap"}, 2},
+		{[]string{"-schemes", "if:7"}, 2},
+		{[]string{"-config", filepath.Join(dir, "missing.json")}, 2},
+		{append(grid, "-o", filepath.Join(dir, "no", "such", "dir.csv")), 1},
+	} {
+		var out, errs bytes.Buffer
+		if code := run(c.args, &out, &errs); code != c.code || out.Len() != 0 || errs.Len() == 0 {
+			t.Errorf("sweep %s: exit %d, %d stdout bytes, stderr %q; want exit %d, no stdout, a message",
+				strings.Join(c.args, " "), code, out.Len(), errs.String(), c.code)
+		}
+	}
+	var out, errs bytes.Buffer
+	if code := run(grid, &out, &errs); code != 0 || !strings.HasPrefix(out.String(), strings.Join(sweepHeader, ",")+"\n") {
+		t.Errorf("sweep %s: exit %d, stdout %q, stderr %q; want exit 0 and the CSV", strings.Join(grid, " "), code, out.String(), errs.String())
 	}
 }

@@ -43,7 +43,7 @@ func (c *checker) determinism() []Finding {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				c.checkTimeCall(&fs, file, n)
+				c.checkTimeCall(&fs, n)
 			case *ast.GoStmt:
 				if !c.concurrencyAllowed() && !c.waived(n.Pos()) {
 					c.report(&fs, n.Pos(), "determinism/goroutine",
@@ -58,14 +58,18 @@ func (c *checker) determinism() []Finding {
 	return fs
 }
 
-// checkRandImports flags imports of the math/rand packages.
+// randPkgs are the imports the determinism family forbids: each draws
+// from a source no experiment seed reaches.
+var randPkgs = map[string]bool{"math/rand": true, "math/rand/v2": true, "crypto/rand": true}
+
+// checkRandImports flags imports of the randPkgs.
 func (c *checker) checkRandImports(fs *[]Finding, file *ast.File) {
 	for _, imp := range file.Imports {
 		path, err := strconv.Unquote(imp.Path.Value)
 		if err != nil {
 			continue
 		}
-		if path == "math/rand" || path == "math/rand/v2" {
+		if randPkgs[path] {
 			if !c.waived(imp.Pos()) {
 				c.report(fs, imp.Pos(), "determinism/rand",
 					"import of %s: all randomness must flow through sim.RNG so experiments replay from a seed", path)
@@ -81,46 +85,16 @@ var timeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 // time.Until. The violation is established before the waiver is
 // consulted, so waiver usage tracking (the stale-waiver sweep) stays
 // accurate.
-func (c *checker) checkTimeCall(fs *[]Finding, file *ast.File, sel *ast.SelectorExpr) {
+func (c *checker) checkTimeCall(fs *[]Finding, sel *ast.SelectorExpr) {
 	if !timeFuncs[sel.Sel.Name] {
 		return
 	}
-	if obj, typed := c.pkg.Info.Uses[sel.Sel]; typed {
-		if fn, ok := obj.(*types.Func); !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-			return
-		}
-	} else if !selectsPackage(c.pkg, file, sel, "time") {
-		return // AST-only fallback when type information is missing
-	}
-	if c.waived(sel.Pos()) {
+	fn, ok := c.pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || c.waived(sel.Pos()) {
 		return
 	}
 	c.report(fs, sel.Pos(), "determinism/time",
 		"call to time.%s: simulation code must use cycle counts, not the wall clock", sel.Sel.Name)
-}
-
-// selectsPackage reports whether sel's receiver is an identifier bound to
-// an import of the given path — the AST-only fallback used when type
-// information is unavailable.
-func selectsPackage(pkg *Package, file *ast.File, sel *ast.SelectorExpr, path string) bool {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	for _, imp := range file.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		name := p
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if id.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // checkMapRange flags for-range loops over maps whose bodies write to
@@ -128,11 +102,7 @@ func selectsPackage(pkg *Package, file *ast.File, sel *ast.SelectorExpr, path st
 // only reads or fills loop-local scratch; it is a reproducibility bug the
 // moment visit order can reach results.
 func (c *checker) checkMapRange(fs *[]Finding, rng *ast.RangeStmt) {
-	tv, ok := c.pkg.Info.Types[rng.X]
-	if !ok || tv.Type == nil {
-		return // no type info; cannot tell maps from slices
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+	if _, isMap := c.pkg.Info.TypeOf(rng.X).Underlying().(*types.Map); !isMap {
 		return
 	}
 	write := c.findNonLocalWrite(rng)

@@ -26,8 +26,7 @@ func (c *checker) check() []Finding {
 
 // Check loads the module rooted at root and runs every analyzer family
 // over every package, returning findings sorted by file, line and rule.
-// It is the one entry point: cmd/vixlint and the self-check test both
-// call it.
+// A module that does not type-check is an error, not a finding.
 func Check(root string) ([]Finding, error) {
 	mod, err := Load(root)
 	if err != nil {

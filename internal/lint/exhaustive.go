@@ -39,7 +39,7 @@ func (c *checker) moduleEnum(t types.Type) (*types.Named, *enumInfo) {
 		return nil, nil // builtin (e.g. error)
 	}
 	declPkg := c.mod.Pkgs[obj.Pkg().Path()]
-	if declPkg == nil || declPkg.Types == nil {
+	if declPkg == nil {
 		return nil, nil // declared outside the module
 	}
 	basic, ok := named.Underlying().(*types.Basic)
@@ -80,11 +80,7 @@ func (c *checker) exhaustive() []Finding {
 
 // checkEnumSwitch verifies one tag switch.
 func (c *checker) checkEnumSwitch(fs *[]Finding, sw *ast.SwitchStmt) {
-	tv, ok := c.pkg.Info.Types[sw.Tag]
-	if !ok || tv.Type == nil {
-		return
-	}
-	named, enum := c.moduleEnum(tv.Type)
+	named, enum := c.moduleEnum(c.pkg.Info.TypeOf(sw.Tag))
 	if named == nil {
 		return
 	}

@@ -19,7 +19,7 @@ func (c *checker) hygiene() []Finding {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				c.checkPrint(&fs, file, n)
+				c.checkPrint(&fs, n)
 			case *ast.CallExpr:
 				c.checkPanic(&fs, n)
 				c.checkBuiltinPrint(&fs, n)
@@ -32,7 +32,7 @@ func (c *checker) hygiene() []Finding {
 
 // checkPrint flags fmt.Print* calls and any reference to os.Stdout /
 // os.Stderr in library code.
-func (c *checker) checkPrint(fs *[]Finding, file *ast.File, sel *ast.SelectorExpr) {
+func (c *checker) checkPrint(fs *[]Finding, sel *ast.SelectorExpr) {
 	name := sel.Sel.Name
 	switch obj := c.pkg.Info.Uses[sel.Sel].(type) {
 	case *types.Func:
@@ -46,16 +46,6 @@ func (c *checker) checkPrint(fs *[]Finding, file *ast.File, sel *ast.SelectorExp
 			c.report(fs, sel.Pos(), "hygiene/print",
 				"os.%s in library code: accept an io.Writer; only commands own the process streams", name)
 		}
-		return
-	}
-	// AST fallback when type information is missing.
-	if printFuncs[name] && selectsPackage(c.pkg, file, sel, "fmt") {
-		c.report(fs, sel.Pos(), "hygiene/print",
-			"fmt.%s in library code: return values or accept an io.Writer; only commands print", name)
-	}
-	if (name == "Stdout" || name == "Stderr") && selectsPackage(c.pkg, file, sel, "os") {
-		c.report(fs, sel.Pos(), "hygiene/print",
-			"os.%s in library code: accept an io.Writer; only commands own the process streams", name)
 	}
 }
 

@@ -12,8 +12,9 @@
 //
 //   - determinism/time: no calls to time.Now or time.Since; simulated
 //     time is the only clock.
-//   - determinism/rand: no imports of math/rand or math/rand/v2; the
-//     global generator is seeded per-process, not per-experiment.
+//   - determinism/rand: no imports of math/rand, math/rand/v2 or
+//     crypto/rand; their generators are seeded per-process (or by the
+//     OS), not per-experiment.
 //   - determinism/goroutine: no go statements; goroutine interleaving is
 //     a scheduler decision, not a seed decision. The exceptions are the
 //     ConcurrencyAllowlist packages: the worker pool the harness and the
@@ -59,10 +60,12 @@
 //
 // Findings are reported as "file:line: rule: message". Check (engine.go)
 // is the one entry point: load, every package in import-path order,
-// sorted findings — no goroutines, no cache, nothing written.
-// cmd/vixlint prints what it returns and the self-check test in this
-// package asserts it is empty, which makes `go test ./...` fail on any
-// new violation.
+// sorted findings — no goroutines, no cache, nothing written. Load
+// refuses a module that does not type-check, so every rule has full
+// type information. TestRepoIsLintClean in this package is the one
+// caller over the repository: it reports each finding and fails, which
+// makes `go test ./...` (and `make lint`, which runs it alone) fail on
+// any new violation.
 package lint
 
 import (

@@ -9,9 +9,10 @@ import (
 	"vix/internal/lint"
 )
 
-// checkModule writes a synthetic module into a temp dir and lints it.
-// Keys of files are slash-separated paths relative to the module root.
-func checkModule(t *testing.T, files map[string]string) []lint.Finding {
+// writeModule writes a synthetic module into a temp dir and returns its
+// root. Keys of files are slash-separated paths relative to the module
+// root.
+func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
 	files["go.mod"] = "module example.com/m\n\ngo 1.22\n"
@@ -24,9 +25,22 @@ func checkModule(t *testing.T, files map[string]string) []lint.Finding {
 			t.Fatal(err)
 		}
 	}
+	return root
+}
+
+// checkModule writes a synthetic module and lints it. Finding file names
+// come back slash-separated and relative to the module root.
+func checkModule(t *testing.T, files map[string]string) []lint.Finding {
+	t.Helper()
+	root := writeModule(t, files)
 	findings, err := lint.Check(root)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
+	}
+	for i, f := range findings {
+		if rel, err := filepath.Rel(root, f.Pos.Filename); err == nil {
+			findings[i].Pos.Filename = filepath.ToSlash(rel)
+		}
 	}
 	return findings
 }
@@ -382,5 +396,209 @@ func TestFindingString(t *testing.T) {
 	s := findings[0].String()
 	if !strings.Contains(s, "p.go:5: determinism/time:") {
 		t.Errorf("String() = %q, want file:line: rule: message shape", s)
+	}
+}
+
+// TestDeterminismForbidsCryptoRand: crypto/rand is as unseeded as the
+// global math/rand generator, so an internal package may not import it.
+func TestDeterminismForbidsCryptoRand(t *testing.T) {
+	findings := checkModule(t, map[string]string{
+		"internal/keys/keys.go": `package keys
+
+import "crypto/rand"
+
+func Key() []byte {
+	b := make([]byte, 8)
+	rand.Read(b)
+	return b
+}
+`,
+	})
+	want(t, findings, "determinism/rand", "keys.go", 3)
+	if len(findings) != 1 {
+		t.Errorf("want only the import's finding\n%s", render(findings))
+	}
+}
+
+// TestLoadRejectsCodeThatDoesNotTypeCheck: every rule reads type
+// information, so a package the type checker refuses is a load error
+// naming it, not a partial analysis.
+func TestLoadRejectsCodeThatDoesNotTypeCheck(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/fine/fine.go":     "package fine\n\nfunc F() int { return 1 }\n",
+		"internal/broken/broken.go": "package broken\n\nfunc G() int { return missing }\n",
+	})
+	if _, err := lint.Load(root); err == nil || !strings.Contains(err.Error(), "example.com/m/internal/broken") {
+		t.Errorf("Load error = %v, want one naming example.com/m/internal/broken", err)
+	}
+	if _, err := lint.Check(root); err == nil {
+		t.Error("Check analysed a module that does not type-check")
+	}
+}
+
+// seededModule plants one violation of each rule family that only a
+// whole package shows: a non-exhaustive enum switch, a wall-clock read
+// that other packages call, and waivers that suppress nothing. Its
+// findings span three packages.
+func seededModule() map[string]string {
+	return map[string]string{
+		"internal/kind/kind.go": `// Package kind seeds an exhaustive/switch violation: a switch over a
+// module enum that silently drops a variant, next to the two accepted
+// shapes (explicit default, full coverage).
+package kind
+
+// Kind enumerates the fixture's variants.
+type Kind int
+
+// The declared variants.
+const (
+	A Kind = iota
+	B
+	C
+)
+
+// Score misses C and has no default: flagged.
+func Score(k Kind) int {
+	switch k {
+	case A:
+		return 1
+	case B:
+		return 2
+	}
+	return 0
+}
+
+// Defaulted handles unknown variants explicitly: clean.
+func Defaulted(k Kind) int {
+	switch k {
+	case A:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// Full covers every variant: clean.
+func Full(k Kind) int {
+	switch k {
+	case A, B:
+		return 1
+	case C:
+		return 2
+	}
+	return 0
+}
+
+// Named switches over a plain string, not a module enum: out of scope.
+func Named(s string) int {
+	switch s {
+	case "a":
+		return 1
+	}
+	return 0
+}
+`,
+		"internal/clock/clock.go": `// Package clock reads the wall clock twice: once unwaived, which is
+// the one finding, and once behind a justified waiver. The functions
+// calling either site are not reported.
+package clock
+
+import "time"
+
+// stamp is the violation site: unexported, and reported all the same,
+// here and at none of its callers.
+func stamp() int64 { return time.Now().UnixNano() }
+
+// Stamp calls the violation site.
+func Stamp() int64 { return stamp() }
+
+// Ticker's method calls the violation site too.
+type Ticker struct{}
+
+// Tick calls the violation site.
+func (Ticker) Tick() int64 { return stamp() }
+
+// Clean reads the clock behind a justified waiver: no finding.
+func Clean() int64 {
+	return time.Now().Unix() //vixlint:ordered fixture: a waived site reports nothing
+}
+`,
+		"internal/drive/drive.go": `// Package drive calls the clock package but reads no clock itself.
+package drive
+
+import "example.com/m/internal/clock"
+
+// Drive calls every exported clock function.
+func Drive() int64 { return clock.Stamp() + clock.Ticker{}.Tick() + clock.Clean() }
+`,
+		"internal/w/w.go": `// Package w seeds waiver/stale violations: directives that suppress
+// nothing, next to a waiver that earns its keep.
+package w
+
+// The directive below covers no violation: flagged stale.
+//
+//vixlint:ordered nothing on the next line needs waiving
+var Version = 3
+
+// Noop carries a waiver with no map range in sight: flagged stale.
+//
+//vixlint:ordered no map range in sight
+func Noop() {}
+
+// Sum's waiver suppresses a real map-range violation: used, not stale.
+func Sum(m map[string]int) int {
+	total := 0
+	//vixlint:ordered summation is commutative
+	for _, v := range m {
+		total += v
+	}
+	return total
+}
+`,
+	}
+}
+
+// TestCorpus pins seededModule's findings line for line: rule, file,
+// line and message, in Check's order. Each subtest holds one seeded
+// package's lines.
+func TestCorpus(t *testing.T) {
+	const stale = "waiver/stale: //vixlint:ordered waiver suppresses nothing; remove it (stale waivers hide the audit trail)"
+	cases := []struct {
+		name, dir string
+		want      []string
+	}{
+		{"exhaustive", "internal/kind/", []string{
+			"internal/kind/kind.go:18: exhaustive/switch: switch over Kind covers 2 of 3 variants; missing C — add the cases or an explicit default so unknown variants fail loudly",
+		}},
+		{"reach", "internal/clock/", []string{
+			"internal/clock/clock.go:10: determinism/time: call to time.Now: simulation code must use cycle counts, not the wall clock",
+		}},
+		{"stale_waiver", "internal/w/", []string{
+			"internal/w/w.go:7: " + stale,
+			"internal/w/w.go:12: " + stale,
+		}},
+	}
+	findings := checkModule(t, seededModule())
+	got := make([]string, len(findings))
+	for i, f := range findings {
+		got[i] = f.String()
+	}
+	// Check sorts by file, so the whole list is clock, kind, w.
+	wantAll := append(append(append([]string(nil), cases[1].want...), cases[0].want...), cases[2].want...)
+	if strings.Join(got, "\n") != strings.Join(wantAll, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n  %s\n", render(findings), strings.Join(wantAll, "\n  "))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var in []string
+			for _, line := range got {
+				if strings.HasPrefix(line, tc.dir) {
+					in = append(in, line)
+				}
+			}
+			if strings.Join(in, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("findings in %s:\n  %s\nwant:\n  %s", tc.dir, strings.Join(in, "\n  "), strings.Join(tc.want, "\n  "))
+			}
+		})
 	}
 }

@@ -26,14 +26,10 @@ type Package struct {
 	Name string
 	// Files holds the parsed non-test files, sorted by file name.
 	Files []*ast.File
-	// Types is the type-checked package object. It is non-nil even when
-	// type checking reported errors (checking continues past soft errors).
+	// Types is the type-checked package object.
 	Types *types.Package
 	// Info holds the type-checker's findings for the package's files.
 	Info *types.Info
-	// TypeErrs records type-checking errors. Analyzers degrade to
-	// AST-only heuristics for expressions with missing type information.
-	TypeErrs []error
 }
 
 // Module is a loaded Go module: every non-test package under the module
@@ -69,13 +65,15 @@ func (m *Module) Packages() []*Package {
 // part is the standard library — is reused across Load calls.
 var (
 	sharedFset   = token.NewFileSet()
-	sharedSource = importer.ForCompiler(sharedFset, "source", nil)
+	sharedSource = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
 )
 
 // Load parses and type-checks every non-test package under root, which
 // must be a module root (contain go.mod). Standard-library dependencies
 // are type-checked from GOROOT source via go/importer's source importer,
-// so no pre-compiled export data is required.
+// so no pre-compiled export data is required. A package that does not
+// type-check is an error naming it: every rule reads type information,
+// and the module builds before its tests run.
 func Load(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -96,7 +94,6 @@ func Load(root string) (*Module, error) {
 	}
 	ld := &loader{
 		mod:      mod,
-		source:   sharedSource,
 		checking: make(map[string]bool),
 	}
 	for _, pkg := range mod.Packages() {
@@ -187,7 +184,6 @@ func (m *Module) parseDir(dir string) error {
 // library from GOROOT source.
 type loader struct {
 	mod      *Module
-	source   types.Importer
 	checking map[string]bool
 }
 
@@ -196,10 +192,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if pkg, ok := l.mod.Pkgs[path]; ok {
 		return l.check(pkg)
 	}
-	if from, ok := l.source.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, l.mod.Root, 0)
-	}
-	return l.source.Import(path)
+	return sharedSource.ImportFrom(path, l.mod.Root, 0)
 }
 
 // check type-checks pkg (once) and returns its types.Package.
@@ -219,16 +212,9 @@ func (l *loader) check(pkg *Package) (*types.Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{
-		Importer:    l,
-		FakeImportC: true,
-		// Record soft errors and keep checking: analyzers fall back to
-		// AST heuristics where type information is missing, so a partial
-		// result is more useful than none.
-		Error: func(err error) { pkg.TypeErrs = append(pkg.TypeErrs, err) },
-	}
+	conf := types.Config{Importer: l, FakeImportC: true}
 	tpkg, err := conf.Check(pkg.Path, l.mod.Fset, pkg.Files, pkg.Info)
-	if tpkg == nil {
+	if err != nil {
 		return nil, err
 	}
 	pkg.Types = tpkg

@@ -35,7 +35,7 @@ func repoRoot(t *testing.T) string {
 // own source, so `go test ./...` — the tier-1 gate — fails the moment a
 // change reintroduces wall-clock reads, global randomness, order-leaking
 // map iteration, a non-exhaustive enum switch, or library-code printing.
-// This is the same analysis `make lint` (cmd/vixlint) runs.
+// It is the one way the rules run: `make lint` runs this test.
 func TestRepoIsLintClean(t *testing.T) {
 	findings, err := lint.Check(repoRoot(t))
 	if err != nil {
@@ -50,11 +50,11 @@ func TestRepoIsLintClean(t *testing.T) {
 }
 
 // TestCheckIsDeterministic runs lint.Check twice over the real tree and
-// over a fixture with findings in several packages: both runs must
+// over seededModule, whose findings span three packages: both runs must
 // return the same findings in (file, line, rule) order, so the output
 // is a function of the source alone.
 func TestCheckIsDeterministic(t *testing.T) {
-	for _, root := range []string{repoRoot(t), filepath.Join("testdata", "corpus", "reach")} {
+	for _, root := range []string{repoRoot(t), writeModule(t, seededModule())} {
 		first, err := lint.Check(root)
 		if err != nil {
 			t.Fatalf("lint.Check(%s): %v", root, err)
@@ -107,9 +107,9 @@ func TestConcurrencyAllowlistIsPinned(t *testing.T) {
 	}
 }
 
-// TestRepoTypeChecks asserts the analysis ran with full type information:
-// analyzer fallbacks exist for broken code, but the repo itself must
-// type-check cleanly or rules like determinism/maprange lose their teeth.
+// TestRepoTypeChecks asserts the analysis sees the whole module with
+// full type information: Load refuses a package that does not
+// type-check, and discovery must find every package.
 func TestRepoTypeChecks(t *testing.T) {
 	mod, err := lint.Load(repoRoot(t))
 	if err != nil {
@@ -117,11 +117,6 @@ func TestRepoTypeChecks(t *testing.T) {
 	}
 	if len(mod.Pkgs) < 20 {
 		t.Errorf("loaded only %d packages; expected the full module (loader discovery broke?)", len(mod.Pkgs))
-	}
-	for _, pkg := range mod.Packages() {
-		for _, e := range pkg.TypeErrs {
-			t.Errorf("%s: type error: %v", pkg.Path, e)
-		}
 	}
 }
 
