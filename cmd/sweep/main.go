@@ -174,9 +174,12 @@ func sweep(ctx context.Context, jobs []harness.Job, opt harness.Options, w io.Wr
 // Every resolved point is validated here, so a scheme the simulator
 // would refuse (if:7 on 6 VCs, ideal:2, sparoflo:2) is a field-path
 // error naming the scheme, not a failure after the points before it
-// have simulated.
+// have simulated. So is a point named twice (a repeated allocator:k, or
+// two rates with one offered-load label): the harness would refuse the
+// grid only after the output file was created.
 func buildJobs(base config.Experiment, schemes []scheme, rates []float64, saturate bool) ([]harness.Job, error) {
 	var jobs []harness.Job
+	seen := make(map[string]bool)
 	point := func(sc scheme, rate float64, max bool) error {
 		e := base
 		e.Allocator = sc.alloc
@@ -190,6 +193,10 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 		offered := e.OfferedLabel()
 		e.Seed = sim.DeriveSeed(base.Seed, "sweep", sc.alloc, strconv.Itoa(sc.k), offered)
 		name := fmt.Sprintf("sweep/%s:%d/%s", sc.alloc, sc.k, offered)
+		if seen[name] {
+			return fmt.Errorf("scheme %s:%d at offered load %s is in the grid twice", sc.alloc, sc.k, offered)
+		}
+		seen[name] = true
 		jobs = append(jobs, harness.Job{
 			Name:   name,
 			Spec:   e,

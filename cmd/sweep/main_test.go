@@ -237,6 +237,24 @@ func TestUsageErrors(t *testing.T) {
 				strings.Join(c.args, " "), code, out.Len(), errs.String(), c.code)
 		}
 	}
+	// A point named twice is a usage error found before -o is created,
+	// so the file's prior bytes survive.
+	prior := filepath.Join(dir, "prior.csv")
+	if err := os.WriteFile(prior, []byte("prior bytes\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dup := range [][]string{
+		{"-schemes", "if:1,if:1", "-rates", "0.02"},
+		{"-schemes", "if:1", "-rates", "0.02,0.020"},
+	} {
+		args := append(dup, "-o", prior)
+		var out, errs bytes.Buffer
+		code := run(args, &out, &errs)
+		if got, err := os.ReadFile(prior); code != 2 || errs.Len() == 0 || err != nil || string(got) != "prior bytes\n" {
+			t.Errorf("sweep %s: exit %d, stderr %q, -o now %q (%v); want exit 2, a message, -o untouched",
+				strings.Join(args, " "), code, errs.String(), got, err)
+		}
+	}
 	var out, errs bytes.Buffer
 	if code := run(grid, &out, &errs); code != 0 || !strings.HasPrefix(out.String(), strings.Join(sweepHeader, ",")+"\n") {
 		t.Errorf("sweep %s: exit %d, stdout %q, stderr %q; want exit 0 and the CSV", strings.Join(grid, " "), code, out.String(), errs.String())

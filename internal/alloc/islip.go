@@ -10,7 +10,7 @@ import (
 // ISLIP is the iterative separable allocator of McKeown, cited by the
 // paper as the classic approach to the sub-optimal matching problem:
 // run request-grant-accept rounds until no more grants can be added (or
-// an iteration budget is exhausted). Each extra iteration recovers
+// islipIterations rounds have run). Each extra iteration recovers
 // matches a single-pass separable allocator loses to uncoordinated
 // decisions, at the cost of delay — which is exactly the trade the paper
 // argues VIX avoids by widening the crossbar instead.
@@ -26,7 +26,7 @@ import (
 // iteration, preserving iSLIP's desynchronisation property.
 type ISLIP struct {
 	cfg        Config
-	iterations int
+	iterations int     // islipIterations; tests vary it
 	rowWords   int     // words per mask over the crossbar rows
 	outWords   int     // words per mask over the outputs
 	rowOf      []int32 // per port*VCs+vc: precomputed Config.Row
@@ -48,15 +48,18 @@ type ISLIP struct {
 	grants   []Grant
 }
 
-// NewISLIP returns an iSLIP allocator running the given number of
-// iterations (clamped to at least 1). It panics if cfg is invalid.
-func NewISLIP(cfg Config, iterations int) *ISLIP {
+// islipIterations is the grant/accept rounds per Allocate call.
+const islipIterations = 2
+
+// NewISLIP returns an iSLIP allocator running islipIterations rounds. It
+// panics if cfg is invalid.
+func NewISLIP(cfg Config) *ISLIP {
 	mustValidate(cfg)
 	rowWords := (cfg.Rows() + 63) / 64
 	outWords := (cfg.Ports + 63) / 64
 	return &ISLIP{
 		cfg:        cfg,
-		iterations: max(iterations, 1),
+		iterations: islipIterations,
 		rowWords:   rowWords,
 		outWords:   outWords,
 		rowOf:      rowTable(cfg),
@@ -78,9 +81,6 @@ func NewISLIP(cfg Config, iterations int) *ISLIP {
 
 // Name implements Allocator.
 func (s *ISLIP) Name() string { return "islip" }
-
-// Iterations returns the configured iteration count.
-func (s *ISLIP) Iterations() int { return s.iterations }
 
 // Reset implements Allocator.
 func (s *ISLIP) Reset() {

@@ -10,7 +10,8 @@ func TestISLIPValidGrants(t *testing.T) {
 	rng := sim.NewRNG(31)
 	for _, cfg := range allConfigs() {
 		for _, iters := range []int{1, 2, 4} {
-			s := NewISLIP(cfg, iters)
+			s := NewISLIP(cfg)
+			s.iterations = iters
 			for cycle := 0; cycle < 150; cycle++ {
 				rs := randomRequestSet(rng, cfg, 0.5)
 				if err := Validate(rs, s.Allocate(rs)); err != nil {
@@ -27,7 +28,8 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	totals := map[int]int{}
 	for _, iters := range []int{1, 2, 4} {
-		s := NewISLIP(cfg, iters)
+		s := NewISLIP(cfg)
+		s.iterations = iters
 		rng := sim.NewRNG(32)
 		for cycle := 0; cycle < 2000; cycle++ {
 			totals[iters] += len(s.Allocate(randomRequestSet(rng, cfg, 0.5)))
@@ -52,7 +54,8 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 // can be added to its grant set.
 func TestISLIPConvergesToMaximal(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	s := NewISLIP(cfg, cfg.Ports) // P iterations guarantee convergence
+	s := NewISLIP(cfg)
+	s.iterations = cfg.Ports // P iterations guarantee convergence
 	rng := sim.NewRNG(33)
 	for cycle := 0; cycle < 300; cycle++ {
 		rs := randomRequestSet(rng, cfg, 0.4)
@@ -68,13 +71,6 @@ func TestISLIPConvergesToMaximal(t *testing.T) {
 				t.Fatalf("cycle %d: converged iSLIP not maximal: %+v addable", cycle, r)
 			}
 		}
-	}
-}
-
-func TestISLIPIterationClampAndAccessor(t *testing.T) {
-	s := NewISLIP(Config{Ports: 4, VCs: 4, VirtualInputs: 1}, 0)
-	if s.Iterations() != 1 {
-		t.Fatalf("iterations = %d, want clamped 1", s.Iterations())
 	}
 }
 

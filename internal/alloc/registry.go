@@ -21,7 +21,7 @@ const (
 	// a crossbar with one virtual input per VC.
 	KindIdeal Kind = "ideal"
 	// KindISLIP is the iterative separable allocator of McKeown with two
-	// grant/accept iterations (use NewISLIP for other iteration counts).
+	// grant/accept iterations.
 	KindISLIP Kind = "islip"
 	// KindSparoflo approximates the SPAROFLO allocator of Kumar et al.:
 	// two requests per port exposed to output arbitration, conflicts
@@ -47,7 +47,7 @@ var builtins = []struct {
 	{KindAugmentingPath, constructor(nil, NewAugmentingPath)},
 	{KindPacketChaining, constructor(nil, NewPacketChaining)},
 	{KindIdeal, constructor(idealGeometry, NewIdeal)},
-	{KindISLIP, constructor(nil, func(cfg Config) *ISLIP { return NewISLIP(cfg, 2) })},
+	{KindISLIP, constructor(nil, NewISLIP)},
 	{KindSparoflo, constructor(sparofloGeometry, NewSparoflo)},
 	{KindSeparableAge, constructor(nil, NewSeparableAge)},
 }

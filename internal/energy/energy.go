@@ -18,48 +18,36 @@ import (
 	"vix/internal/stats"
 )
 
-// Params are per-component energy constants. Units are picojoules; the
-// absolute scale is a 45 nm calibration, but the paper's Figure 11 claim
-// (VIX raises total energy/bit by about 4% through the larger crossbar)
-// is about the relative component structure.
-type Params struct {
-	// BufferWrite and BufferRead are pJ per bit per buffer access.
-	BufferWrite float64
-	BufferRead  float64
-	// XbarPortUnit is pJ per bit per (inputs + outputs) port unit of the
+// The 45 nm calibration used for Figure 11: per-component energy
+// constants in picojoules. The absolute scale is a calibration, but the
+// paper's Figure 11 claim (VIX raises total energy/bit by about 4%
+// through the larger crossbar) is about the relative component
+// structure. The component shares at the paper's operating point (mesh,
+// 0.1 packets/cycle/node, 4-flit 512-bit packets) are roughly: buffer
+// 30%, switch 7%, link 36%, clock 16%, leakage 11% — typical published
+// NoC breakdowns — which yields the paper's ~4% total increase when the
+// crossbar grows from 5x5 to 10x5.
+const (
+	// bufferWrite and bufferRead are pJ per bit per buffer access.
+	bufferWrite = 0.071
+	bufferRead  = 0.071
+	// xbarPortUnit is pJ per bit per (inputs + outputs) port unit of the
 	// traversed crossbar: matrix-crossbar wire length grows linearly in
 	// each port count.
-	XbarPortUnit float64
-	// Link is pJ per bit per link traversal (1 mm inter-router wire).
-	Link float64
-	// ClockPerRouterCycle and LeakPerRouterCycle are pJ per router per
+	xbarPortUnit = 0.0037
+	// link is pJ per bit per link traversal (1 mm inter-router wire).
+	link = 0.203
+	// clockPerRouterCycle and leakPerRouterCycle are pJ per router per
 	// cycle. VIX adds input registers and crossbar area: each extra
-	// virtual input per port multiplies clock by (1+ClockVIXFactor) and
-	// leakage by (1+LeakVIXFactor).
-	ClockPerRouterCycle float64
-	LeakPerRouterCycle  float64
-	ClockVIXFactor      float64
-	LeakVIXFactor       float64
-}
-
-// DefaultParams returns the 45 nm calibration used for Figure 11. The
-// component shares at the paper's operating point (mesh, 0.1
-// packets/cycle/node, 4-flit 512-bit packets) are roughly: buffer 30%,
-// switch 7%, link 36%, clock 16%, leakage 11% — typical published NoC
-// breakdowns — which yields the paper's ~4% total increase when the
-// crossbar grows from 5x5 to 10x5.
-func DefaultParams() Params {
-	return Params{
-		BufferWrite:         0.071,
-		BufferRead:          0.071,
-		XbarPortUnit:        0.0037,
-		Link:                0.203,
-		ClockPerRouterCycle: 24.6,
-		LeakPerRouterCycle:  16.9,
-		ClockVIXFactor:      0.02,
-		LeakVIXFactor:       0.05,
-	}
-}
+	// virtual input per port multiplies clock by (1+clockVIXFactor) and
+	// leakage by (1+leakVIXFactor).
+	clockPerRouterCycle = 24.6
+	leakPerRouterCycle  = 16.9
+	clockVIXFactor      = 0.02
+	leakVIXFactor       = 0.05
+	// flitBits is the datapath width (128 in the paper).
+	flitBits = 128
+)
 
 // Breakdown is energy per delivered payload bit, by component (pJ/bit).
 type Breakdown struct {
@@ -71,36 +59,34 @@ type Breakdown struct {
 	Total   float64
 }
 
-// Network describes the simulated network the snapshot came from.
+// Network describes the simulated network the snapshot came from. Each
+// router's crossbar has K·Radix inputs and Radix outputs.
 type Network struct {
-	Routers  int
-	XbarIn   int // crossbar inputs per router (k * radix)
-	XbarOut  int // crossbar outputs per router (radix)
-	K        int // virtual inputs per port
-	FlitBits int // datapath width (128 in the paper)
+	Routers int
+	Radix   int // ports per router
+	K       int // virtual inputs per port
 }
 
 // PerBit converts a measurement snapshot into an energy-per-bit breakdown.
-func PerBit(p Params, s stats.Snapshot, nw Network) (Breakdown, error) {
+func PerBit(s stats.Snapshot, nw Network) (Breakdown, error) {
 	if s.FlitsEjected == 0 {
 		return Breakdown{}, errors.New("energy: no delivered flits in snapshot")
 	}
-	if nw.FlitBits <= 0 || nw.Routers <= 0 {
+	if nw.Routers <= 0 {
 		return Breakdown{}, errors.New("energy: invalid network description")
 	}
-	bits := float64(s.FlitsEjected) * float64(nw.FlitBits)
-	fb := float64(nw.FlitBits)
+	bits := float64(s.FlitsEjected) * flitBits
 
 	var b Breakdown
-	b.Buffer = (float64(s.BufferWrites)*p.BufferWrite + float64(s.BufferReads)*p.BufferRead) * fb / bits
-	xbarPerBit := p.XbarPortUnit * float64(nw.XbarIn+nw.XbarOut)
-	b.Switch = float64(s.XbarTraversals) * xbarPerBit * fb / bits
-	b.Link = float64(s.LinkTraversals) * p.Link * fb / bits
+	b.Buffer = (float64(s.BufferWrites)*bufferWrite + float64(s.BufferReads)*bufferRead) * flitBits / bits
+	xbarPerBit := xbarPortUnit * float64(nw.K*nw.Radix+nw.Radix)
+	b.Switch = float64(s.XbarTraversals) * xbarPerBit * flitBits / bits
+	b.Link = float64(s.LinkTraversals) * link * flitBits / bits
 
 	extra := float64(nw.K - 1)
 	routerCycles := float64(s.Cycles) * float64(nw.Routers)
-	b.Clock = routerCycles * p.ClockPerRouterCycle * (1 + p.ClockVIXFactor*extra) / bits
-	b.Leakage = routerCycles * p.LeakPerRouterCycle * (1 + p.LeakVIXFactor*extra) / bits
+	b.Clock = routerCycles * clockPerRouterCycle * (1 + clockVIXFactor*extra) / bits
+	b.Leakage = routerCycles * leakPerRouterCycle * (1 + leakVIXFactor*extra) / bits
 
 	b.Total = b.Buffer + b.Switch + b.Link + b.Clock + b.Leakage
 	return b, nil

@@ -22,7 +22,7 @@ func snapshotFor(flits int64, avgHops float64, cycles int64) stats.Snapshot {
 }
 
 func meshNetwork(k int) Network {
-	return Network{Routers: 64, XbarIn: k * 5, XbarOut: 5, K: k, FlitBits: 128}
+	return Network{Routers: 64, Radix: 5, K: k}
 }
 
 // Figure 11's headline: at the paper's operating point (0.1
@@ -32,12 +32,11 @@ func TestVIXEnergyOverheadNearFourPercent(t *testing.T) {
 	// 0.1 packets/node/cycle * 64 nodes * 4 flits = 25.6 flits/cycle;
 	// over 10000 cycles: 256000 flits at 5.33 average hops.
 	s := snapshotFor(256000, 5.33, 10000)
-	p := DefaultParams()
-	base, err := PerBit(p, s, meshNetwork(1))
+	base, err := PerBit(s, meshNetwork(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vix, err := PerBit(p, s, meshNetwork(2))
+	vix, err := PerBit(s, meshNetwork(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +57,8 @@ func TestVIXEnergyOverheadNearFourPercent(t *testing.T) {
 // 10).
 func TestSwitchEnergyScaling(t *testing.T) {
 	s := snapshotFor(1000, 5.33, 100)
-	p := DefaultParams()
-	base, _ := PerBit(p, s, meshNetwork(1))
-	vix, _ := PerBit(p, s, meshNetwork(2))
+	base, _ := PerBit(s, meshNetwork(1))
+	vix, _ := PerBit(s, meshNetwork(2))
 	if ratio := vix.Switch / base.Switch; ratio < 1.49 || ratio > 1.51 {
 		t.Fatalf("switch energy ratio %.3f, want 1.5", ratio)
 	}
@@ -70,7 +68,7 @@ func TestSwitchEnergyScaling(t *testing.T) {
 // link largest, then buffer, clock, leakage, switch smallest.
 func TestComponentShares(t *testing.T) {
 	s := snapshotFor(256000, 5.33, 10000)
-	b, err := PerBit(DefaultParams(), s, meshNetwork(1))
+	b, err := PerBit(s, meshNetwork(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,24 +94,18 @@ func TestComponentShares(t *testing.T) {
 // Lower utilisation raises energy per bit (fixed clock/leakage amortised
 // over fewer bits).
 func TestEnergyPerBitRisesAtLowLoad(t *testing.T) {
-	p := DefaultParams()
-	busy, _ := PerBit(p, snapshotFor(256000, 5.33, 10000), meshNetwork(1))
-	idle, _ := PerBit(p, snapshotFor(25600, 5.33, 10000), meshNetwork(1))
+	busy, _ := PerBit(snapshotFor(256000, 5.33, 10000), meshNetwork(1))
+	idle, _ := PerBit(snapshotFor(25600, 5.33, 10000), meshNetwork(1))
 	if idle.Total <= busy.Total {
 		t.Fatalf("energy/bit at low load %.3f not above high load %.3f", idle.Total, busy.Total)
 	}
 }
 
 func TestPerBitErrors(t *testing.T) {
-	p := DefaultParams()
-	if _, err := PerBit(p, stats.Snapshot{}, meshNetwork(1)); err == nil {
+	if _, err := PerBit(stats.Snapshot{}, meshNetwork(1)); err == nil {
 		t.Error("empty snapshot accepted")
 	}
-	s := snapshotFor(100, 5, 10)
-	if _, err := PerBit(p, s, Network{Routers: 0, FlitBits: 128}); err == nil {
+	if _, err := PerBit(snapshotFor(100, 5, 10), Network{Routers: 0, Radix: 5, K: 1}); err == nil {
 		t.Error("zero routers accepted")
-	}
-	if _, err := PerBit(p, s, Network{Routers: 64, FlitBits: 0}); err == nil {
-		t.Error("zero flit bits accepted")
 	}
 }

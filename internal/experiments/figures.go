@@ -31,7 +31,7 @@ func Figure7(base config.Experiment) ([]Fig7Row, error) {
 		for j, s := range schemes {
 			r, err := routerbench.Run(routerbench.Config{
 				Radix: radix, VCs: base.VCs, VirtualInputs: s.virtualInputs(base.VCs),
-				AllocKind: s.Kind, PacketSize: 1, Seed: base.Seed,
+				AllocKind: s.Kind, Seed: base.Seed,
 			}, base.Warmup, base.Measure)
 			if err != nil {
 				return nil, err
@@ -114,14 +114,10 @@ func EnergyGrid(base config.Experiment, topo *topology.Topology, rate float64) [
 // Energy is Figure 11's model over an EnergyGrid on topo: each point's
 // energy per bit, from the activity its snapshot counted.
 func Energy(topo *topology.Topology, pts []GridPoint, snaps []stats.Snapshot) ([]energy.Breakdown, error) {
-	params := energy.DefaultParams()
 	bs := make([]energy.Breakdown, len(pts))
 	for i, g := range pts {
-		k := g.Spec.VirtualInputs
-		b, err := energy.PerBit(params, snaps[i], energy.Network{
-			Routers: topo.NumRouters,
-			XbarIn:  k * topo.Radix, XbarOut: topo.Radix,
-			K: k, FlitBits: 128,
+		b, err := energy.PerBit(snaps[i], energy.Network{
+			Routers: topo.NumRouters, Radix: topo.Radix, K: g.Spec.VirtualInputs,
 		})
 		if err != nil {
 			return nil, err

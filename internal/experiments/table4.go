@@ -30,14 +30,13 @@ type Table4Row struct {
 // runMix simulates one Table 4 workload on the 8x8 mesh under the given
 // scheme at base's windows and seed, and returns per-core IPC and the
 // average memory-transaction latency over the measurement window.
-func runMix(mix trace.Mix, s scheme, base config.Experiment, mc manycore.Config) ([]float64, float64, error) {
+func runMix(mix trace.Mix, s scheme, base config.Experiment) ([]float64, float64, error) {
 	topo := topology.NewMesh(8, 8)
 	apps, err := mix.Assign(topo.NumNodes)
 	if err != nil {
 		return nil, 0, err
 	}
-	mc.Seed = base.Seed
-	sys, err := manycore.New(mc, apps)
+	sys, err := manycore.New(base.Seed, apps)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -64,14 +63,13 @@ func runMix(mix trace.Mix, s scheme, base config.Experiment, mc manycore.Config)
 func Table4(base config.Experiment) ([]Table4Row, error) {
 	schemes := networkSchemes()
 	ifScheme, vixScheme := schemes[0], schemes[3]
-	mc := manycore.DefaultConfig()
 	var rows []Table4Row
 	for _, mix := range trace.Mixes() {
-		ifIPC, baseLat, err := runMix(mix, ifScheme, base, mc)
+		ifIPC, baseLat, err := runMix(mix, ifScheme, base)
 		if err != nil {
 			return nil, err
 		}
-		vixIPC, vixLat, err := runMix(mix, vixScheme, base, mc)
+		vixIPC, vixLat, err := runMix(mix, vixScheme, base)
 		if err != nil {
 			return nil, err
 		}

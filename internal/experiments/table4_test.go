@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"vix/internal/config"
-	"vix/internal/manycore"
 	"vix/internal/trace"
 )
 
@@ -53,7 +52,7 @@ func TestTable4Shape(t *testing.T) {
 func TestRunMixDirect(t *testing.T) {
 	base := config.Default()
 	base.Warmup, base.Measure = 300, 1000
-	ipcs, lat, err := runMix(trace.Mixes()[0], networkSchemes()[0], base, manycore.DefaultConfig())
+	ipcs, lat, err := runMix(trace.Mixes()[0], networkSchemes()[0], base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,52 +22,35 @@ import (
 	"vix/internal/trace"
 )
 
-// Config mirrors Table 2's processor configuration, reduced to the
-// parameters that affect network traffic and timing.
-type Config struct {
-	// IssueWidth is instructions retired per cycle when not stalled
+// Table 2's processor configuration, reduced to the parameters that
+// affect network traffic and timing.
+const (
+	// issueWidth is instructions retired per cycle when not stalled
 	// (2-way cores at the network clock).
-	IssueWidth float64
-	// MLPWindow bounds outstanding misses per core: a 2-way out-of-order
+	issueWidth = 2.0
+	// mlpWindow bounds outstanding misses per core: a 2-way out-of-order
 	// core's reorder buffer sustains a handful of overlapped misses, far
 	// fewer than its 32 MSHRs.
-	MLPWindow int
-	// L2Latency is the bank access latency in cycles (Table 2: 6).
-	L2Latency int
-	// MemLatency is the DRAM access latency in cycles (80 ns at 2 GHz).
-	MemLatency int
-	// ReqFlits and ReplyFlits size the request and data-reply packets.
-	ReqFlits, ReplyFlits int
-	// MemControllers lists the nodes hosting memory controllers.
-	MemControllers []int
-	// MCServiceCycles is the minimum spacing between request starts at
+	mlpWindow = 8
+	// l2Latency is the bank access latency in cycles (Table 2: 6).
+	l2Latency = 6
+	// memLatency is the DRAM access latency in cycles (80 ns at 2 GHz).
+	memLatency = 160
+	// reqFlits and replyFlits size the request and data-reply packets:
+	// a single-flit request, and a 64-byte line plus header on the
+	// 128-bit datapath.
+	reqFlits, replyFlits = 1, 5
+	// mcServiceCycles is the minimum spacing between request starts at
 	// one memory controller (Table 2: four DDR channels at 16 GB/s per
-	// MC move one 64-byte line every two cycles at 2 GHz). Zero disables
-	// the bandwidth limit.
-	MCServiceCycles int
-	Seed            uint64
-}
+	// MC move one 64-byte line every two cycles at 2 GHz).
+	mcServiceCycles = 2
+)
 
-// DefaultConfig returns the Table 2 parameters: 2-way cores, 6-cycle L2
-// banks, 160-cycle memory (80 ns at 2 GHz), single-flit requests and
-// 5-flit replies (64 B line + header on a 128-bit datapath), and eight
-// memory controllers spread along the top and bottom rows of the 8x8
-// logical node grid.
-func DefaultConfig() Config {
-	return Config{
-		IssueWidth: 2,
-		MLPWindow:  8,
-		L2Latency:  6,
-		MemLatency: 160,
-		ReqFlits:   1,
-		ReplyFlits: 5,
-		MemControllers: []int{
-			0, 2, 4, 6, // top row
-			57, 59, 61, 63, // bottom row
-		},
-		MCServiceCycles: 2,
-		Seed:            1,
-	}
+// memControllers lists the nodes hosting the eight memory controllers,
+// spread along the top and bottom rows of the 8x8 logical node grid.
+var memControllers = [...]int{
+	0, 2, 4, 6, // top row
+	57, 59, 61, 63, // bottom row
 }
 
 // txn phases, encoded in the packet Tag alongside the transaction id.
@@ -113,7 +96,6 @@ type event struct {
 // System is the manycore model; it implements network.Workload and
 // network.Ticker.
 type System struct {
-	cfg   Config
 	nodes int
 	cores []*core
 	rng   *sim.RNG
@@ -127,8 +109,10 @@ type System struct {
 	calendar map[int64][]event
 
 	// mcNextFree[node] is the earliest cycle the memory controller at
-	// node may start its next DRAM access (bandwidth model).
+	// node may start its next DRAM access (bandwidth model), at most one
+	// start per mcService cycles (mcServiceCycles; tests vary it).
 	mcNextFree map[int]int64
+	mcService  int64
 
 	// memory-latency accounting for observability
 	memLatSum   float64
@@ -138,30 +122,26 @@ type System struct {
 }
 
 // New builds a manycore system for the given per-node application
-// assignment (one core per node).
-func New(cfg Config, apps []trace.App) (*System, error) {
-	if cfg.IssueWidth <= 0 || cfg.MLPWindow <= 0 || cfg.ReqFlits <= 0 || cfg.ReplyFlits <= 0 {
-		return nil, fmt.Errorf("manycore: invalid config %+v", cfg)
-	}
-	if len(cfg.MemControllers) == 0 {
-		return nil, fmt.Errorf("manycore: no memory controllers")
-	}
+// assignment (one core per node), with its address map and traces
+// seeded from seed. It returns an error if a memory-controller node is
+// not among the len(apps) nodes.
+func New(seed uint64, apps []trace.App) (*System, error) {
 	nodes := len(apps)
-	for _, mc := range cfg.MemControllers {
-		if mc < 0 || mc >= nodes {
-			return nil, fmt.Errorf("manycore: memory controller node %d out of range", mc)
+	for _, mc := range memControllers {
+		if mc >= nodes {
+			return nil, fmt.Errorf("manycore: memory controller node %d out of range for %d nodes", mc, nodes)
 		}
 	}
 	s := &System{
-		cfg:        cfg,
 		nodes:      nodes,
-		rng:        sim.NewRNG(cfg.Seed ^ 0x6d635f73797374), // distinct address-map stream
+		rng:        sim.NewRNG(seed ^ 0x6d635f73797374), // distinct address-map stream
 		txns:       make(map[uint64]*txn),
 		outbox:     make([][]network.PacketSpec, nodes),
 		calendar:   make(map[int64][]event),
-		mcNextFree: make(map[int]int64, len(cfg.MemControllers)),
+		mcNextFree: make(map[int]int64, len(memControllers)),
+		mcService:  mcServiceCycles,
 	}
-	root := sim.NewRNG(cfg.Seed)
+	root := sim.NewRNG(seed)
 	s.cores = make([]*core, nodes)
 	for i, a := range apps {
 		c := &core{node: i, gen: trace.NewGenerator(a, root.Fork(uint64(i)))}
@@ -192,10 +172,10 @@ func (s *System) Tick(cycle int64) {
 // tickCore retires instructions and issues misses until the cycle's issue
 // budget is spent or the MLP window fills.
 func (s *System) tickCore(c *core) {
-	if c.outstanding >= s.cfg.MLPWindow {
+	if c.outstanding >= mlpWindow {
 		return // stalled on memory
 	}
-	budget := s.cfg.IssueWidth
+	budget := issueWidth
 	for budget > 0 {
 		if c.toNextMiss > budget {
 			c.toNextMiss -= budget
@@ -206,7 +186,7 @@ func (s *System) tickCore(c *core) {
 		c.retired += c.toNextMiss
 		s.issueMiss(c)
 		c.toNextMiss, c.nextL2Miss = c.gen.NextMiss()
-		if c.outstanding >= s.cfg.MLPWindow {
+		if c.outstanding >= mlpWindow {
 			return
 		}
 	}
@@ -218,7 +198,7 @@ func (s *System) issueMiss(c *core) {
 	id := s.nextID
 	s.nextID++
 	bank := s.rng.Intn(s.nodes)
-	mc := s.cfg.MemControllers[s.rng.Intn(len(s.cfg.MemControllers))]
+	mc := memControllers[s.rng.Intn(len(memControllers))]
 	s.txns[id] = &txn{core: c.node, bank: bank, mc: mc, l2Miss: c.nextL2Miss, issued: s.cycle}
 	c.outstanding++
 	if bank == c.node {
@@ -228,7 +208,7 @@ func (s *System) issueMiss(c *core) {
 		return
 	}
 	s.outbox[c.node] = append(s.outbox[c.node], network.PacketSpec{
-		Dst: bank, Size: s.cfg.ReqFlits, Tag: tag(id, phaseReqToBank),
+		Dst: bank, Size: reqFlits, Tag: tag(id, phaseReqToBank),
 	})
 }
 
@@ -237,14 +217,14 @@ func (s *System) issueMiss(c *core) {
 // to the memory controller.
 func (s *System) bankRespond(id uint64, now int64) {
 	t := s.txns[id]
-	due := now + int64(s.cfg.L2Latency)
+	due := now + l2Latency
 	if t.l2Miss {
 		if t.mc == t.bank {
 			s.memRespond(id, due)
 			return
 		}
 		s.schedule(due, t.bank, network.PacketSpec{
-			Dst: t.mc, Size: s.cfg.ReqFlits, Tag: tag(id, phaseBankToMem),
+			Dst: t.mc, Size: reqFlits, Tag: tag(id, phaseBankToMem),
 		})
 		return
 	}
@@ -256,20 +236,15 @@ func (s *System) bankRespond(id uint64, now int64) {
 // back to the bank.
 func (s *System) memRespond(id uint64, now int64) {
 	t := s.txns[id]
-	start := now
-	if s.cfg.MCServiceCycles > 0 {
-		if free := s.mcNextFree[t.mc]; free > start {
-			start = free
-		}
-		s.mcNextFree[t.mc] = start + int64(s.cfg.MCServiceCycles)
-	}
-	due := start + int64(s.cfg.MemLatency)
+	start := max(now, s.mcNextFree[t.mc])
+	s.mcNextFree[t.mc] = start + s.mcService
+	due := start + memLatency
 	if t.bank == t.mc {
 		s.replyToCore(id, due)
 		return
 	}
 	s.schedule(due, t.mc, network.PacketSpec{
-		Dst: t.bank, Size: s.cfg.ReplyFlits, Tag: tag(id, phaseMemToBank),
+		Dst: t.bank, Size: replyFlits, Tag: tag(id, phaseMemToBank),
 	})
 }
 
@@ -282,7 +257,7 @@ func (s *System) replyToCore(id uint64, due int64) {
 		return
 	}
 	s.schedule(due, t.bank, network.PacketSpec{
-		Dst: t.core, Size: s.cfg.ReplyFlits, Tag: tag(id, phaseReplyToCore),
+		Dst: t.core, Size: replyFlits, Tag: tag(id, phaseReplyToCore),
 	})
 }
 

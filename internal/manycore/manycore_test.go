@@ -11,10 +11,10 @@ import (
 )
 
 // buildSystem wires a manycore onto a mesh network.
-func buildSystem(t *testing.T, cfg Config, apps []trace.App, kind alloc.Kind, k int) (*System, *network.Network) {
+func buildSystem(t *testing.T, apps []trace.App, kind alloc.Kind, k int) (*System, *network.Network) {
 	t.Helper()
 	topo := topology.NewMesh(8, 8)
-	sys, err := New(cfg, apps)
+	sys, err := New(1, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,12 @@ func uniformApps(name string, n int) []trace.App {
 // A chip of compute-bound cores runs at full issue width: the network
 // must not throttle nearly miss-free applications.
 func TestComputeBoundCoresRunAtIssueWidth(t *testing.T) {
-	cfg := DefaultConfig()
-	sys, n := buildSystem(t, cfg, uniformApps("povray", 64), alloc.KindSeparableIF, 1)
+	sys, n := buildSystem(t, uniformApps("povray", 64), alloc.KindSeparableIF, 1)
 	n.Run(6000)
 	for i, ipc := range sys.IPC(6000) {
 		// A rare long miss burst can stall even a near-miss-free core
 		// briefly, so demand 90% of issue width rather than all of it.
-		if ipc < 0.90*cfg.IssueWidth {
+		if ipc < 0.90*issueWidth {
 			t.Fatalf("core %d IPC %.3f below issue width on compute-bound app", i, ipc)
 		}
 	}
@@ -67,14 +66,13 @@ func TestComputeBoundCoresRunAtIssueWidth(t *testing.T) {
 // Memory-bound cores must be throttled well below issue width by memory
 // latency through the MLP window.
 func TestMemoryBoundCoresAreThrottled(t *testing.T) {
-	cfg := DefaultConfig()
-	sys, n := buildSystem(t, cfg, uniformApps("mcf", 64), alloc.KindSeparableIF, 1)
+	sys, n := buildSystem(t, uniformApps("mcf", 64), alloc.KindSeparableIF, 1)
 	n.Run(4000)
 	total := 0.0
 	for _, ipc := range sys.IPC(4000) {
 		total += ipc
 	}
-	if avg := total / 64; avg > 0.9*cfg.IssueWidth {
+	if avg := total / 64; avg > 0.9*issueWidth {
 		t.Fatalf("mcf chip average IPC %.3f, expected heavy memory throttling", avg)
 	}
 }
@@ -82,9 +80,8 @@ func TestMemoryBoundCoresAreThrottled(t *testing.T) {
 // Higher MPKI must not raise IPC; across three apps the ordering of IPC
 // is the reverse of MPKI ordering.
 func TestIPCOrderedByMPKI(t *testing.T) {
-	cfg := DefaultConfig()
 	ipcOf := func(app string) float64 {
-		sys, n := buildSystem(t, cfg, uniformApps(app, 64), alloc.KindSeparableIF, 1)
+		sys, n := buildSystem(t, uniformApps(app, 64), alloc.KindSeparableIF, 1)
 		n.Run(3000)
 		total := 0.0
 		for _, v := range sys.IPC(3000) {
@@ -102,14 +99,12 @@ func TestIPCOrderedByMPKI(t *testing.T) {
 
 // Outstanding transactions never exceed the MLP window per core.
 func TestMLPWindowRespected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MLPWindow = 4
-	sys, n := buildSystem(t, cfg, uniformApps("mcf", 64), alloc.KindSeparableIF, 1)
+	sys, n := buildSystem(t, uniformApps("mcf", 64), alloc.KindSeparableIF, 1)
 	for i := 0; i < 1000; i++ {
 		n.Step()
 		for c, core := range sys.cores {
-			if core.outstanding > cfg.MLPWindow {
-				t.Fatalf("core %d has %d outstanding, window %d", c, core.outstanding, cfg.MLPWindow)
+			if core.outstanding > mlpWindow {
+				t.Fatalf("core %d has %d outstanding, window %d", c, core.outstanding, mlpWindow)
 			}
 		}
 	}
@@ -120,10 +115,9 @@ func TestMLPWindowRespected(t *testing.T) {
 // instead check steady state: outstanding stays bounded and transactions
 // complete continuously.
 func TestTransactionsComplete(t *testing.T) {
-	cfg := DefaultConfig()
-	sys, n := buildSystem(t, cfg, uniformApps("xalan", 64), alloc.KindSeparableIF, 1)
+	sys, n := buildSystem(t, uniformApps("xalan", 64), alloc.KindSeparableIF, 1)
 	n.Run(1000)
-	if sys.Outstanding() > 64*cfg.MLPWindow {
+	if sys.Outstanding() > 64*mlpWindow {
 		t.Fatalf("outstanding %d exceeds chip-wide bound", sys.Outstanding())
 	}
 	sys.ResetRetired()
@@ -140,9 +134,8 @@ func TestTransactionsComplete(t *testing.T) {
 // VIX must speed up a memory-intensive chip relative to baseline IF —
 // the Table 4 mechanism at component level.
 func TestVIXSpeedsUpMemoryBoundChip(t *testing.T) {
-	cfg := DefaultConfig()
 	run := func(kind alloc.Kind, k int) float64 {
-		sys, n := buildSystem(t, cfg, uniformApps("Gems", 64), kind, k)
+		sys, n := buildSystem(t, uniformApps("Gems", 64), kind, k)
 		n.Run(1500)
 		sys.ResetRetired()
 		n.Run(4000)
@@ -159,27 +152,14 @@ func TestVIXSpeedsUpMemoryBoundChip(t *testing.T) {
 	}
 }
 
+// The memory controllers sit on nodes of the 8x8 grid: a chip with
+// fewer nodes than the highest controller node is rejected.
 func TestConfigValidation(t *testing.T) {
-	apps := uniformApps("milc", 64)
-	bad := DefaultConfig()
-	bad.MLPWindow = 0
-	if _, err := New(bad, apps); err == nil {
-		t.Error("zero MLP window accepted")
-	}
-	bad = DefaultConfig()
-	bad.MemControllers = nil
-	if _, err := New(bad, apps); err == nil {
-		t.Error("no memory controllers accepted")
-	}
-	bad = DefaultConfig()
-	bad.MemControllers = []int{99}
-	if _, err := New(bad, apps); err == nil {
+	if _, err := New(1, uniformApps("milc", 63)); err == nil {
 		t.Error("out-of-range memory controller accepted")
 	}
-	bad = DefaultConfig()
-	bad.ReplyFlits = 0
-	if _, err := New(bad, apps); err == nil {
-		t.Error("zero reply flits accepted")
+	if _, err := New(1, uniformApps("milc", 64)); err != nil {
+		t.Errorf("64 nodes rejected: %v", err)
 	}
 }
 
@@ -195,9 +175,8 @@ func TestTagRoundTrip(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := DefaultConfig()
 	run := func() []float64 {
-		sys, n := buildSystem(t, cfg, uniformApps("milc", 64), alloc.KindSeparableIF, 1)
+		sys, n := buildSystem(t, uniformApps("milc", 64), alloc.KindSeparableIF, 1)
 		n.Run(1500)
 		return sys.IPC(1500)
 	}
@@ -211,12 +190,11 @@ func TestDeterminism(t *testing.T) {
 
 // The MC bandwidth model must add queueing delay under heavy DRAM
 // pressure: a chip of high-L2-miss cores retires fewer instructions with
-// a tight service interval than with unlimited MC bandwidth.
+// a tight service interval than with back-to-back DRAM starts.
 func TestMCBandwidthThrottles(t *testing.T) {
-	chipIPC := func(service int) float64 {
-		cfg := DefaultConfig()
-		cfg.MCServiceCycles = service
-		sys, n := buildSystem(t, cfg, uniformApps("mcf", 64), alloc.KindSeparableIF, 1)
+	chipIPC := func(service int64) float64 {
+		sys, n := buildSystem(t, uniformApps("mcf", 64), alloc.KindSeparableIF, 1)
+		sys.mcService = service
 		n.Run(4000)
 		total := 0.0
 		for _, v := range sys.IPC(4000) {
@@ -235,7 +213,7 @@ func TestMCBandwidthThrottles(t *testing.T) {
 // lowers the average memory-transaction latency on a congested chip.
 func TestVIXLowersMemoryLatency(t *testing.T) {
 	memLat := func(kind alloc.Kind, k int) float64 {
-		sys, n := buildSystem(t, DefaultConfig(), uniformApps("Gems", 64), kind, k)
+		sys, n := buildSystem(t, uniformApps("Gems", 64), kind, k)
 		n.Run(1500)
 		sys.ResetRetired()
 		n.Run(4000)

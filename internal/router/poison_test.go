@@ -114,7 +114,7 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 // so a consumer acting on wrong grants diverges within a few cycles.
 func benchTranscript(t *testing.T, kind alloc.Kind, k int) string {
 	b, err := routerbench.New(routerbench.Config{
-		Radix: 5, VCs: 6, VirtualInputs: k, AllocKind: kind, PacketSize: 2, Seed: 11,
+		Radix: 5, VCs: 6, VirtualInputs: k, AllocKind: kind, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)

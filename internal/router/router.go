@@ -219,9 +219,6 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 	return a
 }
 
-// Flits returns the flit arena the routers resolve FlitIDs through.
-func (a *Arena) Flits() *FlitArena { return a.flits }
-
 // Router is a cycle-accurate virtual-channel router. Its hot state lives
 // in its network's Arena; the struct itself holds slice views into that
 // router's segment of each slab, plus cold configuration and scratch.
@@ -333,9 +330,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 
 // ID returns the router's index in its network.
 func (r *Router) ID() int { return int(r.id) }
-
-// Config returns the router's configuration.
-func (r *Router) Config() Config { return r.cfg }
 
 // Flits returns the flit arena the router resolves FlitIDs through.
 func (r *Router) Flits() *FlitArena { return r.flits }

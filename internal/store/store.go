@@ -88,19 +88,6 @@ const (
 	Shared
 )
 
-// String names the outcome for logs and result metadata.
-func (o Outcome) String() string {
-	switch o {
-	case Computed:
-		return "computed"
-	case Hit:
-		return "hit"
-	case Shared:
-		return "shared"
-	}
-	return fmt.Sprintf("store: unknown outcome %d", int(o))
-}
-
 // Stats is a snapshot of the store's accounting.
 type Stats struct {
 	// Entries is the number of distinct IDs currently held.

@@ -216,9 +216,6 @@ func NewGenerator(a App, rng *sim.RNG) *Generator {
 	return &Generator{app: a, rng: rng}
 }
 
-// App returns the generator's benchmark.
-func (g *Generator) App() App { return g.app }
-
 // NextMiss returns the number of instructions until the next L1 miss and
 // whether it also misses in the shared L2. Misses arrive in geometric
 // bursts with mean length DefaultBurstiness; the inter-burst gap is sized

@@ -49,7 +49,6 @@ type grid struct{ W, H int }
 
 func (g grid) xy(n int) (int, int) { return n % g.W, n / g.W }
 func (g grid) node(x, y int) int   { return y*g.W + x }
-func (g grid) size() int           { return g.W * g.H }
 
 // Transpose sends (x, y) to (y, x) on the logical node grid: adversarial
 // for dimension-order routing because all traffic crosses the diagonal.
@@ -203,35 +202,24 @@ func (nb Neighbor) Dest(src int, _ *sim.RNG) int {
 	return nb.g.node((x+1)%nb.g.W, y)
 }
 
-// Hotspot sends a fraction of traffic to a fixed set of hotspot nodes and
-// the remainder uniformly.
-type Hotspot struct {
-	uniform  Uniform
-	hotspots []int
-	fraction float64
-}
+// Hotspot sends a fifth of the traffic to node 0 and the remainder
+// uniformly.
+type Hotspot struct{ uniform Uniform }
 
-// NewHotspot returns a pattern over n nodes where fraction of packets
-// target one of the hotspot nodes (chosen uniformly among them).
-func NewHotspot(n int, hotspots []int, fraction float64) Hotspot {
-	if len(hotspots) == 0 {
-		panic("traffic: hotspot pattern needs at least one hotspot")
-	}
-	if fraction < 0 || fraction > 1 {
-		panic(fmt.Sprintf("traffic: hotspot fraction %v out of [0,1]", fraction))
-	}
-	return Hotspot{uniform: NewUniform(n), hotspots: hotspots, fraction: fraction}
-}
+// NewHotspot returns the hotspot pattern over n nodes.
+func NewHotspot(n int) Hotspot { return Hotspot{uniform: NewUniform(n)} }
 
 // Name implements Pattern.
 func (Hotspot) Name() string { return "hotspot" }
 
 // Dest implements Pattern.
 func (h Hotspot) Dest(src int, rng *sim.RNG) int {
-	if rng.Bernoulli(h.fraction) {
-		d := h.hotspots[rng.Intn(len(h.hotspots))]
-		if d != src {
-			return d
+	if rng.Bernoulli(0.2) {
+		// A draw that decides nothing: every pinned hotspot output
+		// depends on the stream consuming it.
+		rng.Intn(1)
+		if src != 0 {
+			return 0
 		}
 	}
 	return h.uniform.Dest(src, rng)
@@ -254,8 +242,7 @@ func Known(name string) bool {
 }
 
 // New constructs a pattern by name over a w x h logical node grid.
-// Recognised names are those of Names (hotspot uses node 0 with fraction
-// 0.2). A grid the pattern is not defined on — fewer than two nodes
+// Recognised names are those of Names. A grid the pattern is not defined on — fewer than two nodes
 // (nobody to address), a non-square grid for transpose, a node count
 // that is not a power of two for bitrev and shuffle — is an error, so
 // callers resolving user input never reach the typed constructors'
@@ -291,7 +278,7 @@ func New(name string, w, h int) (Pattern, error) {
 	case "neighbor":
 		return NewNeighbor(w, h), nil
 	case "hotspot":
-		return NewHotspot(n, []int{0}, 0.2), nil
+		return NewHotspot(n), nil
 	default:
 		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 	}
