@@ -300,7 +300,7 @@ func printPartition(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error
 	fmt.Fprintln(w, "VC-to-sub-group partition on saturated VIX networks:")
 	return table(w, "topology\tpartition\tthroughput", func(tw io.Writer) {
 		for i, g := range pts {
-			fmt.Fprintf(tw, "%s\t%s\t%.4f\n", g.Labels[2], g.Spec.PartitionName(), snaps[i].ThroughputFlits)
+			fmt.Fprintf(tw, "%s\t%s\t%.4f\n", g.Labels[2], g.Spec.Resolved().Partition, snaps[i].ThroughputFlits)
 		}
 	})
 }

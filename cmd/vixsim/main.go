@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&exp.VCs, "vcs", exp.VCs, "virtual channels per port")
 	fs.IntVar(&exp.BufDepth, "depth", exp.BufDepth, "buffer depth per VC in flits")
 	fs.StringVar(&exp.Policy, "policy", exp.Policy, "VC assignment policy: maxfree, dimension, balanced (default: balanced when k > 1)")
-	fs.StringVar(&exp.Partition, "partition", exp.PartitionName(), "VC sub-group partition: contiguous or interleaved")
+	fs.StringVar(&exp.Partition, "partition", exp.Resolved().Partition, "VC sub-group partition: contiguous or interleaved")
 	fs.StringVar(&exp.Pattern, "pattern", exp.Pattern, fmt.Sprintf("traffic pattern, one of %v", traffic.Names()))
 	fs.Float64Var(&exp.InjectionRate, "rate", exp.InjectionRate, "injection rate in packets/cycle/node")
 	fs.BoolVar(&exp.MaxInjection, "max", exp.MaxInjection, "saturate every source (ignore -rate)")
@@ -107,21 +107,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Print(err)
 		return 1
 	}
-	// The resolved configuration, for the header only.
+	// The resolved spec and topology, for the header only.
 	cfg, err := exp.Build()
 	if err != nil {
 		logger.Print(err)
 		return 1
 	}
+	r := exp.Resolved()
 
 	topo := cfg.Topology
 	fmt.Fprintf(stdout, "topology            %s (radix %d, %d routers, %d nodes)\n", topo.Name, topo.Radix, topo.NumRouters, topo.NumNodes)
 	fmt.Fprintf(stdout, "allocator           %s (k=%d, %d VCs x %d flits, policy %s, %s partition)\n",
-		cfg.Router.AllocKind, cfg.Router.VirtualInputs, cfg.Router.VCs, cfg.Router.BufDepth, cfg.Router.Policy, exp.PartitionName())
+		r.Allocator, r.VirtualInputs, r.VCs, r.BufDepth, r.Policy, r.Partition)
 	if exp.MaxInjection {
-		fmt.Fprintf(stdout, "offered load        saturated (%d-flit packets, %s)\n", exp.PacketSize, cfg.Pattern.Name())
+		fmt.Fprintf(stdout, "offered load        saturated (%d-flit packets, %s)\n", r.PacketSize, r.Pattern)
 	} else {
-		fmt.Fprintf(stdout, "offered load        %.4f packets/cycle/node (%d-flit packets, %s)\n", exp.InjectionRate, exp.PacketSize, cfg.Pattern.Name())
+		fmt.Fprintf(stdout, "offered load        %.4f packets/cycle/node (%d-flit packets, %s)\n", exp.InjectionRate, r.PacketSize, r.Pattern)
 	}
 	fmt.Fprintf(stdout, "measured            %d cycles after %d warmup\n", exp.Measure, exp.Warmup)
 	fmt.Fprintf(stdout, "avg packet latency  %.2f cycles (p50 %d, p99 %d, max %d)\n", s.AvgLatency, s.P50Latency, s.P99Latency, s.MaxLatency)

@@ -45,6 +45,22 @@ const (
 	Interleaved
 )
 
+// partitionNames are the partitions' spec names, indexed by Partition.
+var partitionNames = [...]string{Contiguous: "contiguous", Interleaved: "interleaved"}
+
+// String returns the partition's spec name.
+func (p Partition) String() string { return partitionNames[p] }
+
+// ParsePartition returns the partition named name.
+func ParsePartition(name string) (Partition, error) {
+	for p, n := range partitionNames {
+		if n == name {
+			return Partition(p), nil
+		}
+	}
+	return 0, fmt.Errorf("alloc: unknown partition %q; want one of %v", name, partitionNames)
+}
+
 // Config describes the crossbar geometry an allocator serves.
 type Config struct {
 	// Ports is the router radix P: the number of physical input ports,

@@ -1,7 +1,5 @@
 package alloc
 
-import "fmt"
-
 // Ideal is the paper's optimal switch allocator: every output port with at
 // least one requesting input VC transmits a flit each cycle. It is the
 // separable input-first allocator on a crossbar with one virtual input per
@@ -12,20 +10,10 @@ import "fmt"
 // and 12.
 type Ideal struct{ *SeparableIF }
 
-// idealGeometry reports why cfg cannot carry the ideal allocator: on a
-// row shared by several VCs the "one flit per requested output" promise
-// does not hold.
-func idealGeometry(cfg Config) error {
-	if cfg.VirtualInputs != cfg.VCs {
-		return fmt.Errorf("alloc: ideal allocator needs VirtualInputs == VCs (per-VC crossbar rows), got %d != %d", cfg.VirtualInputs, cfg.VCs)
-	}
-	return nil
-}
-
 // NewIdeal returns an ideal allocator for cfg. It panics if cfg is
 // invalid or does not give every VC its own crossbar row.
 func NewIdeal(cfg Config) *Ideal {
-	must(idealGeometry(cfg))
+	must(CheckGeometry(KindIdeal, cfg))
 	return &Ideal{NewSeparableIF(cfg)}
 }
 

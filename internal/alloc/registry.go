@@ -40,35 +40,40 @@ const (
 // to the row's kind).
 var builtins = []struct {
 	kind Kind
-	new  func(Config) (Allocator, error)
+	new  func(Config) Allocator
 }{
-	{KindSeparableIF, constructor(nil, NewSeparableIF)},
-	{KindWavefront, constructor(nil, NewWavefront)},
-	{KindAugmentingPath, constructor(nil, NewAugmentingPath)},
-	{KindPacketChaining, constructor(nil, NewPacketChaining)},
-	{KindIdeal, constructor(idealGeometry, NewIdeal)},
-	{KindISLIP, constructor(nil, NewISLIP)},
-	{KindSparoflo, constructor(sparofloGeometry, NewSparoflo)},
-	{KindSeparableAge, constructor(nil, NewSeparableAge)},
+	{KindSeparableIF, constructor(NewSeparableIF)},
+	{KindWavefront, constructor(NewWavefront)},
+	{KindAugmentingPath, constructor(NewAugmentingPath)},
+	{KindPacketChaining, constructor(NewPacketChaining)},
+	{KindIdeal, constructor(NewIdeal)},
+	{KindISLIP, constructor(NewISLIP)},
+	{KindSparoflo, constructor(NewSparoflo)},
+	{KindSeparableAge, constructor(NewSeparableAge)},
 }
 
-// constructor adapts an exported NewX, which panics on a Config it
-// cannot carry, to a registry row's constructor: a valid cfg that fails
-// the kind's geometry check (nil: every valid Config will do) comes back
-// as that check's error instead.
-func constructor[A Allocator](geometry func(Config) error, build func(Config) A) func(Config) (Allocator, error) {
-	return func(cfg Config) (Allocator, error) {
-		if geometry != nil {
-			if err := geometry(cfg); err != nil {
-				return nil, err
-			}
-		}
-		return build(cfg), nil
+// constructor adapts an exported NewX to a registry row's constructor.
+func constructor[A Allocator](build func(Config) A) func(Config) Allocator {
+	return func(cfg Config) Allocator { return build(cfg) }
+}
+
+// CheckGeometry reports why a valid cfg cannot carry kind, or nil: ideal
+// needs a crossbar row per VC (on a shared row its "one flit per requested
+// output" promise fails), SPAROFLO the conventional crossbar. New returns
+// the error; NewIdeal and NewSparoflo panic on it.
+func CheckGeometry(kind Kind, cfg Config) error {
+	switch {
+	case kind == KindIdeal && cfg.VirtualInputs != cfg.VCs:
+		return fmt.Errorf("alloc: ideal allocator needs VirtualInputs == VCs (per-VC crossbar rows), got %d != %d", cfg.VirtualInputs, cfg.VCs)
+	case kind == KindSparoflo && cfg.VirtualInputs != 1:
+		return fmt.Errorf("alloc: sparoflo is defined on the conventional crossbar (VirtualInputs == 1), got %d", cfg.VirtualInputs)
+	default:
+		return nil
 	}
 }
 
 // builtin returns kind's row constructor, or nil if kind is not built in.
-func builtin(kind Kind) func(Config) (Allocator, error) {
+func builtin(kind Kind) func(Config) Allocator {
 	for _, b := range builtins {
 		if b.kind == kind {
 			return b.new
@@ -125,7 +130,10 @@ func New(kind Kind, cfg Config) (Allocator, error) {
 		return factory(cfg)
 	}
 	if build := builtin(kind); build != nil {
-		return build(cfg)
+		if err := CheckGeometry(kind, cfg); err != nil {
+			return nil, err
+		}
+		return build(cfg), nil
 	}
 	return nil, fmt.Errorf("alloc: unknown allocator kind %q", kind)
 }

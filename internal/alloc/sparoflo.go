@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"vix/internal/arb"
@@ -48,21 +47,12 @@ type Sparoflo struct {
 	grants  []Grant
 }
 
-// sparofloGeometry reports why cfg cannot carry SPAROFLO: it is defined
-// on the conventional crossbar, one row per input port.
-func sparofloGeometry(cfg Config) error {
-	if cfg.VirtualInputs != 1 {
-		return fmt.Errorf("alloc: sparoflo is defined on the conventional crossbar (VirtualInputs == 1), got %d", cfg.VirtualInputs)
-	}
-	return nil
-}
-
 // NewSparoflo returns a SPAROFLO-style allocator exposing up to two
 // requests per input port. It panics if cfg is invalid or has virtual
 // inputs.
 func NewSparoflo(cfg Config) *Sparoflo {
 	mustValidate(cfg)
-	must(sparofloGeometry(cfg))
+	must(CheckGeometry(KindSparoflo, cfg))
 	exposed := min(2, cfg.VCs)
 	lineWords := (cfg.Ports*exposed + 63) / 64
 	outWords := (cfg.Ports + 63) / 64

@@ -5,6 +5,7 @@
 package config
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ import (
 // resolves the same way for the structural fields — topology and its
 // dimensions, vcs, buf_depth, virtual_inputs, allocator, policy,
 // partition, pattern, packet_size, hop_delay — to the default noted
-// beside each, in Validate, Build and Run alike. The load and the
+// beside each; Resolved is the one place they apply. The load and the
 // windows are taken literally: injection_rate must be positive unless
 // max_injection is set, measure must be at least 1, and a zero warmup or
 // seed is a legal value, not a request for the default.
@@ -47,7 +48,7 @@ type Experiment struct {
 	VirtualInputs int    `json:"virtual_inputs,omitempty"` // default 1; 2 = VIX
 	Allocator     string `json:"allocator,omitempty"`      // default "if"
 	Policy        string `json:"policy,omitempty"`         // default by k
-	Partition     string `json:"partition,omitempty"`      // "contiguous" | "interleaved"
+	Partition     string `json:"partition,omitempty"`      // "contiguous" (default) | "interleaved"
 	// NonSpeculative disables the speculative VA/SA overlap of the
 	// three-stage pipeline.
 	NonSpeculative bool `json:"non_speculative,omitempty"`
@@ -67,21 +68,46 @@ type Experiment struct {
 
 // Default returns the paper's standard configuration: an 8x8 mesh with
 // 6 VCs x 5-flit buffers, separable input-first allocation, uniform
-// random 4-flit packets at 0.05 packets/cycle/node.
+// random 4-flit packets at 0.05 packets/cycle/node: Resolved's defaults
+// for the fields the paper names, the rest left zero (store IDs hash it).
 func Default() Experiment {
-	return Experiment{
-		Topology:      "mesh",
-		VCs:           6,
-		BufDepth:      5,
-		VirtualInputs: 1,
-		Allocator:     "if",
-		Pattern:       "uniform",
-		InjectionRate: 0.05,
-		PacketSize:    4,
-		Warmup:        2000,
-		Measure:       6000,
-		Seed:          1,
+	r := Experiment{}.Resolved()
+	return Experiment{Topology: r.Topology, VCs: r.VCs, BufDepth: r.BufDepth, VirtualInputs: r.VirtualInputs,
+		Allocator: r.Allocator, Pattern: r.Pattern, PacketSize: r.PacketSize,
+		InjectionRate: 0.05, Warmup: 2000, Measure: 6000, Seed: 1}
+}
+
+// Resolved returns e with every structural zero field set to its
+// documented default, the one place the defaults apply: Validate, Build
+// and every display of a spec read it. A mesh or torus router has one
+// terminal, so its Conc resolves to 1 whatever e says, and a zero Width
+// takes the default square whatever Height says. Non-zero fields, the
+// load, the windows and the seed are returned as given.
+func (e Experiment) Resolved() Experiment {
+	e.Topology = cmp.Or(e.Topology, string(topology.KindMesh))
+	side := 8
+	if e.Topology == string(topology.KindCMesh) || e.Topology == string(topology.KindFBfly) {
+		side, e.Conc = 4, cmp.Or(e.Conc, 4)
+	} else {
+		e.Conc = 1
 	}
+	if e.Width == 0 {
+		e.Width, e.Height = side, side
+	}
+	e.Height = cmp.Or(e.Height, e.Width)
+	e.VCs = cmp.Or(e.VCs, 6)
+	e.BufDepth = cmp.Or(e.BufDepth, 5)
+	e.VirtualInputs = cmp.Or(e.VirtualInputs, 1)
+	e.Allocator = cmp.Or(e.Allocator, string(alloc.KindSeparableIF))
+	if e.Policy == "" && e.VirtualInputs > 1 {
+		e.Policy = string(router.PolicyBalanced) // the Section 2.3 policy is VIX's default
+	}
+	e.Policy = cmp.Or(e.Policy, string(router.PolicyMaxFree))
+	e.Partition = cmp.Or(e.Partition, alloc.Contiguous.String())
+	e.Pattern = cmp.Or(e.Pattern, "uniform")
+	e.PacketSize = cmp.Or(e.PacketSize, network.DefaultPacketSize)
+	e.HopDelay = cmp.Or(e.HopDelay, network.DefaultHopDelay)
+	return e
 }
 
 // Decode reads one experiment description from JSON, applying the
@@ -96,8 +122,12 @@ func Decode(r io.Reader) (Experiment, error) {
 	e := Default()
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&e); err != nil {
+	p := &e // a null sets p to nil, not the defaults standing as a spec
+	if err := dec.Decode(&p); err != nil {
 		return Experiment{}, fmt.Errorf("config: parsing experiment: %w", err)
+	}
+	if p == nil {
+		return Experiment{}, errors.New("config: parsing experiment: null is not an experiment object")
 	}
 	if err := atEOF(dec); err != nil {
 		return Experiment{}, fmt.Errorf("config: parsing experiment: %w", err)
@@ -137,121 +167,58 @@ func Load(path string) (Experiment, error) {
 	return e, nil
 }
 
-// dims resolves the router grid and the terminals per router after the
-// documented defaults (mesh, torus: 8x8 with one terminal; cmesh, fbfly:
-// 4x4 with four).
-func (e Experiment) dims() (w, h, conc int) {
-	w, h, conc = e.Width, e.Height, 1
-	side := 8
-	if e.Topology == "cmesh" || e.Topology == "fbfly" {
-		side, conc = 4, e.Conc
-		if conc == 0 {
-			conc = 4
-		}
-	}
-	if w == 0 {
-		w, h = side, side
-	}
-	if h == 0 {
-		h = w
-	}
-	return w, h, conc
-}
-
-// crossbar resolves the per-port VC count, buffer depth and virtual-input
-// count after the documented defaults (6 VCs x 5 flits, k = 1).
-func (e Experiment) crossbar() (vcs, depth, k int) {
-	vcs, depth, k = e.VCs, e.BufDepth, e.VirtualInputs
-	if vcs == 0 {
-		vcs = 6
-	}
-	if depth == 0 {
-		depth = 5
-	}
-	if k == 0 {
-		k = 1
-	}
-	return vcs, depth, k
-}
-
-// Build resolves the full network configuration.
+// Build validates the experiment and resolves it into the network
+// configuration it describes.
 func (e Experiment) Build() (network.Config, error) {
-	w, h, c := e.dims()
-	if w < 0 || h < 0 || c < 0 {
-		return network.Config{}, fmt.Errorf("config: negative topology dimensions %dx%d c%d", w, h, c)
+	if err := e.Validate(); err != nil {
+		return network.Config{}, err
 	}
-	var topo *topology.Topology
-	switch e.Topology {
-	case "", "mesh":
-		topo = topology.NewMesh(w, h)
-	case "torus":
-		topo = topology.NewTorus(w, h)
-	case "cmesh":
-		topo = topology.NewCMesh(w, h, c)
-	case "fbfly":
-		topo = topology.NewFBfly(w, h, c)
-	default:
-		return network.Config{}, fmt.Errorf("config: unknown topology %q", e.Topology)
+	return e.build()
+}
+
+// build resolves the experiment and constructs its network configuration
+// without validating it, so the only errors are the owning packages'.
+func (e Experiment) build() (network.Config, error) {
+	r := e.Resolved()
+	topo, err := topology.New(topology.Kind(r.Topology), r.Width, r.Height, r.Conc)
+	if err != nil {
+		return network.Config{}, err
 	}
 	// The logical node grid for coordinate-based patterns is the square
 	// grid of terminals (8x8 for all 64-node configurations).
 	gw, gh := nodeGrid(topo.NumNodes)
-	patName := e.Pattern
-	if patName == "" {
-		patName = "uniform"
-	}
-	pat, err := traffic.New(patName, gw, gh)
+	pat, err := traffic.New(r.Pattern, gw, gh)
 	if err != nil {
 		return network.Config{}, err
 	}
-	pol := router.PolicyKind(e.Policy)
-	if pol == "" {
-		pol = router.PolicyMaxFree
-		if e.VirtualInputs > 1 {
-			pol = router.PolicyBalanced
-		}
+	part, err := alloc.ParsePartition(r.Partition)
+	if err != nil {
+		return network.Config{}, err
 	}
-	var part alloc.Partition
-	switch e.Partition {
-	case "", "contiguous":
-		part = alloc.Contiguous
-	case "interleaved":
-		part = alloc.Interleaved
-	default:
-		return network.Config{}, fmt.Errorf("config: unknown partition %q", e.Partition)
-	}
-	allocKind := e.Allocator
-	if allocKind == "" {
-		allocKind = "if"
-	}
-	vcs, depth, k := e.crossbar()
 	return network.Config{
 		Topology: topo,
 		Router: router.Config{
 			Ports:          topo.Radix,
-			VCs:            vcs,
-			VirtualInputs:  k,
-			BufDepth:       depth,
-			AllocKind:      alloc.Kind(allocKind),
-			Policy:         pol,
+			VCs:            r.VCs,
+			VirtualInputs:  r.VirtualInputs,
+			BufDepth:       r.BufDepth,
+			AllocKind:      alloc.Kind(r.Allocator),
+			Policy:         router.PolicyKind(r.Policy),
 			Partition:      part,
-			NonSpeculative: e.NonSpeculative,
+			NonSpeculative: r.NonSpeculative,
 		},
 		Pattern:       pat,
-		InjectionRate: e.InjectionRate,
-		MaxInjection:  e.MaxInjection,
-		PacketSize:    e.PacketSize,
-		Seed:          e.Seed,
-		HopDelay:      e.HopDelay,
+		InjectionRate: r.InjectionRate,
+		MaxInjection:  r.MaxInjection,
+		PacketSize:    r.PacketSize,
+		Seed:          r.Seed,
+		HopDelay:      r.HopDelay,
 	}, nil
 }
 
-// Run simulates the experiment: Validate, Build, a network ticked on the
-// calling goroutine, Warmup cycles discarded, Measure cycles reported.
+// Run simulates the experiment: Build, a network ticked on the calling
+// goroutine, Warmup cycles discarded, Measure cycles reported.
 func (e Experiment) Run() (stats.Snapshot, error) {
-	if err := e.Validate(); err != nil {
-		return stats.Snapshot{}, err
-	}
 	cfg, err := e.Build()
 	if err != nil {
 		return stats.Snapshot{}, err
@@ -284,12 +251,4 @@ func (e Experiment) OfferedLabel() string {
 		return "saturation"
 	}
 	return strconv.FormatFloat(e.InjectionRate, 'g', -1, 64)
-}
-
-// PartitionName returns the partition's display name.
-func (e Experiment) PartitionName() string {
-	if e.Partition == "" {
-		return "contiguous"
-	}
-	return e.Partition
 }

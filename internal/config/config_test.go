@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,6 +108,39 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonObjects: a spec is a JSON object. A null is not
+// Default(): vixd would run {"spec": null} as the 8x8 mesh.
+func TestDecodeRejectsNonObjects(t *testing.T) {
+	for _, body := range []string{`null`, ` null `, `5`, `"mesh"`, `[]`, `true`} {
+		if e, err := Decode(strings.NewReader(body)); err == nil {
+			t.Errorf("Decode(%q) = %+v, want an error", body, e)
+		}
+	}
+}
+
+// TestDecodeRejectsOversizedNetworks: a network whose input buffers hold
+// more than maxBufferSlots flit slots is a width finding, refused before
+// anything is built — the 30000x30000 torus would exhaust memory.
+func TestDecodeRejectsOversizedNetworks(t *testing.T) {
+	for body, ok := range map[string]bool{
+		`{"width": 16000}`: false,
+		`{"topology": "torus", "width": 30000, "height": 30000}`: false,
+		// 128 x 64 routers x radix 8 x 8 VCs x 8 flits is the bound itself.
+		`{"topology": "cmesh", "width": 128, "height": 64, "vcs": 8, "buf_depth": 8}`: true,
+		`{"topology": "cmesh", "width": 129, "height": 64, "vcs": 8, "buf_depth": 8}`: false,
+		`{"width": 32}`: true,
+	} {
+		_, err := Decode(strings.NewReader(body))
+		var ve ValidationError
+		switch {
+		case ok && err != nil:
+			t.Errorf("Decode(%s): %v", body, err)
+		case !ok && (!errors.As(err, &ve) || len(ve) != 1 || ve[0].Field != "width"):
+			t.Errorf("Decode(%s) = %v, want a single width finding", body, err)
+		}
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load("/nonexistent/exp.json"); err == nil {
 		t.Fatal("missing file accepted")
@@ -199,11 +233,11 @@ func TestNonSpeculativeAndPartitionPlumbing(t *testing.T) {
 	if cfg.Router.Partition != 1 {
 		t.Error("Partition not plumbed")
 	}
-	if e.PartitionName() != "interleaved" {
-		t.Error("PartitionName wrong")
+	if e.Resolved().Partition != "interleaved" {
+		t.Error("resolved partition wrong")
 	}
-	if (Experiment{}).PartitionName() != "contiguous" {
-		t.Error("default PartitionName wrong")
+	if (Experiment{}).Resolved().Partition != "contiguous" {
+		t.Error("default resolved partition wrong")
 	}
 }
 

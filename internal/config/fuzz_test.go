@@ -116,7 +116,7 @@ next:
 	return b, nil
 }
 
-// runUnvalidated is Run without its Validate gate — Build, a network, the
+// runUnvalidated is Run without its Validate gate — build, a network, the
 // windows — with a panic anywhere on the way turned into an error, so the
 // simulator itself says whether it accepts a spec.
 func runUnvalidated(e Experiment) (err error) {
@@ -125,7 +125,7 @@ func runUnvalidated(e Experiment) (err error) {
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	cfg, err := e.Build()
+	cfg, err := e.build()
 	if err != nil {
 		return err
 	}

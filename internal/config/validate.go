@@ -2,10 +2,10 @@ package config
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"vix/internal/alloc"
+	"vix/internal/router"
 	"vix/internal/topology"
 	"vix/internal/traffic"
 )
@@ -38,24 +38,36 @@ func (e ValidationError) Error() string {
 	return "config: invalid experiment: " + strings.Join(msgs, "; ")
 }
 
+// maxBufferSlots bounds routers × radix × vcs × buf_depth, the flit
+// slots a network's input buffers hold: 27 times the 153 600 of a
+// saturated 32x32 mesh, whose whole run lives in 13.3 MB of heap, so an
+// admitted spec cannot build a network that exhausts memory.
+const maxBufferSlots = 1 << 22
+
 // Validate checks the experiment for semantic errors — unknown enum
 // values, out-of-range numbers, impossible crossbar geometry — and
 // returns a ValidationError naming every offending field by its JSON
-// path, or nil. Zero values are legal everywhere a default exists (see
-// Experiment), so Validate accepts exactly the specs Run can simulate;
-// callers that reject a spec on Validate's word never hand the
-// simulator a config it would refuse (or, worse, misread).
+// path, or nil. It checks the Resolved spec by asking the package that
+// owns each choice (topology, alloc, router, traffic), and states only
+// the bounds that need a field name: the windows, the load, negative
+// numbers and the network's size. Build validates first, so the two
+// cannot disagree; TestValidateAcceptsEverythingBuildAccepts holds that
+// a spec Validate accepts runs.
 func (e Experiment) Validate() error {
 	var errs ValidationError
 	bad := func(field, format string, args ...any) {
 		errs = append(errs, FieldError{Field: field, Msg: fmt.Sprintf(format, args...)})
 	}
-
-	switch e.Topology {
-	case "", "mesh", "torus", "cmesh", "fbfly":
-	default:
-		bad("topology", "unknown topology %q; want mesh, torus, cmesh, or fbfly", e.Topology)
+	owner := func(field string, err error) { // an owning package's error, "pkg: " cut
+		if err != nil {
+			_, msg, _ := strings.Cut(err.Error(), ": ")
+			bad(field, "%s", msg)
+		}
 	}
+	r := e.Resolved()
+	kind := topology.Kind(r.Topology)
+	radix, terr := topology.Radix(kind, r.Width, r.Height, r.Conc)
+	owner("topology", terr)
 	if e.Width < 0 {
 		bad("width", "must be non-negative, got %d", e.Width)
 	}
@@ -65,18 +77,22 @@ func (e Experiment) Validate() error {
 	if e.Conc < 0 {
 		bad("conc", "must be non-negative, got %d", e.Conc)
 	}
-	// Effective geometry, after the documented defaults; nodes stays 0
-	// when a dimension is negative, which is reported above.
-	w, h, conc := e.dims()
+	// nodes stays 0 unless the network is one the simulator can hold, so
+	// the pattern check below never lays out a grid refused here.
+	w, h, conc, vcs, k := r.Width, r.Height, r.Conc, r.VCs, r.VirtualInputs
 	nodes := 0
-	if w > 0 && h > 0 && conc > 0 {
-		nodes = w * h * conc
-		if nodes < 2 {
+	if terr == nil && w > 0 && h > 0 && conc > 0 {
+		// In floating point, which cannot overflow on any JSON integer.
+		routers := float64(w) * float64(h)
+		switch d := topology.Diameter(kind, w, h); {
+		case d > router.MaxHops:
+			bad("width", "a %dx%d router grid has diameter %d, more than the hop counter's %d", w, h, d, router.MaxHops)
+		case routers*float64(radix)*float64(vcs)*float64(r.BufDepth) > maxBufferSlots:
+			bad("width", "a %dx%d grid of radix-%d routers with %d VCs x %d flits has more than %d buffer slots", w, h, radix, vcs, r.BufDepth, maxBufferSlots)
+		case routers*float64(conc) < 2:
 			bad("width", "a network needs at least 2 nodes to exchange packets, got %dx%d with %d per router", w, h, conc)
-		}
-		// Buffer slots count hops in an int16 (network.Config.Validate).
-		if d := topology.Diameter(topology.Kind(e.Topology), w, h); d > math.MaxInt16 {
-			bad("width", "a %dx%d router grid has diameter %d, more than the hop counter's %d", w, h, d, math.MaxInt16)
+		default:
+			nodes = w * h * conc
 		}
 	}
 	if e.VCs < 0 {
@@ -88,21 +104,11 @@ func (e Experiment) Validate() error {
 	if e.VirtualInputs < 0 {
 		bad("virtual_inputs", "must be non-negative, got %d", e.VirtualInputs)
 	}
-	vcs, depth, k := e.crossbar()
-	// The router keeps ring counters, credits and port numbers in int8
-	// fields (router.Config.Validate).
-	if depth > math.MaxInt8 {
-		bad("buf_depth", "at most %d flits per VC, got %d", math.MaxInt8, depth)
+	if r.BufDepth > router.MaxBufDepth {
+		bad("buf_depth", "at most %d flits per VC, got %d", router.MaxBufDepth, r.BufDepth)
 	}
-	radix := 5
-	switch e.Topology {
-	case "cmesh":
-		radix = conc + 4
-	case "fbfly":
-		radix = conc + w - 1 + h - 1
-	}
-	if radix > math.MaxInt8 {
-		bad("conc", "at most %d ports per router, got %d for %s %dx%d with %d terminals per router", math.MaxInt8, radix, e.Topology, w, h, conc)
+	if radix > router.MaxPorts {
+		bad("conc", "at most %d ports per router, got %d for %s %dx%d with %d terminals per router", router.MaxPorts, radix, kind, w, h, conc)
 	}
 	if k > 0 && vcs > 0 && k > vcs {
 		bad("virtual_inputs", "virtual inputs per port (%d) cannot exceed VCs per port (%d)", k, vcs)
@@ -110,39 +116,25 @@ func (e Experiment) Validate() error {
 	if vcs > alloc.MaxVCs {
 		bad("vcs", "at most %d VCs per port (one arbiter word), got %d", alloc.MaxVCs, vcs)
 	}
-	if e.Topology == "torus" && vcs < 2 && (w >= 3 || h >= 3) {
+	if kind == topology.KindTorus && vcs < 2 && (w >= 3 || h >= 3) {
 		bad("vcs", "a torus with wraparound rings needs at least 2 VCs for the dateline classes, got %d", vcs)
 	}
-	switch kind := alloc.Kind(e.Allocator); {
-	case e.Allocator != "" && !alloc.Known(kind):
-		bad("allocator", "unknown allocator %q; want one of %v", e.Allocator, alloc.Kinds())
-	case kind == alloc.KindIdeal && k != vcs:
-		bad("allocator", "ideal needs one crossbar row per VC (virtual_inputs == vcs), got %d != %d", k, vcs)
-	case kind == alloc.KindSparoflo && k != 1:
-		bad("allocator", "sparoflo is defined on the conventional crossbar (virtual_inputs == 1), got %d", k)
+	if allocKind := alloc.Kind(r.Allocator); !alloc.Known(allocKind) {
+		bad("allocator", "unknown allocator %q; want one of %v", r.Allocator, alloc.Kinds())
+	} else {
+		owner("allocator", alloc.CheckGeometry(allocKind, alloc.Config{Ports: radix, VCs: vcs, VirtualInputs: k}))
 	}
-	switch e.Policy {
-	case "", "maxfree", "dimension", "balanced":
-	default:
-		bad("policy", "unknown policy %q; want maxfree, dimension, or balanced", e.Policy)
-	}
-	switch e.Partition {
-	case "", "contiguous", "interleaved":
-	default:
-		bad("partition", "unknown partition %q; want contiguous or interleaved", e.Partition)
-	}
+	owner("policy", router.PolicyKind(r.Policy).Validate())
+	_, perr := alloc.ParsePartition(r.Partition)
+	owner("partition", perr)
 
-	if pat := e.Pattern; pat != "" && !traffic.Known(pat) {
-		bad("pattern", "unknown traffic pattern %q; want one of %v", pat, traffic.Names())
+	if !traffic.Known(r.Pattern) {
+		bad("pattern", "unknown traffic pattern %q; want one of %v", r.Pattern, traffic.Names())
 	} else if nodes >= 2 {
 		// The pattern must be defined on the node grid Build hands it.
-		if pat == "" {
-			pat = "uniform"
-		}
 		gw, gh := nodeGrid(nodes)
-		if _, err := traffic.New(pat, gw, gh); err != nil {
-			bad("pattern", "%s", strings.TrimPrefix(err.Error(), "traffic: "))
-		}
+		_, err := traffic.New(r.Pattern, gw, gh)
+		owner("pattern", err)
 	}
 	// Negated so that NaN, which compares false to everything, is rejected.
 	if !(e.InjectionRate >= 0 && e.InjectionRate <= 1) {

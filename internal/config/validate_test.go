@@ -2,9 +2,11 @@ package config
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,13 +44,11 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
-// TestValidateAcceptsEverythingBuildAccepts holds Validate to both sides
-// of its contract over an enumerated grid of geometries, patterns,
-// allocators and crossbar shapes: a spec Validate accepts builds into a
-// network that runs 100 cycles without an error or a panic, and a spec
-// it rejects is one that would not have.
-func TestValidateAcceptsEverythingBuildAccepts(t *testing.T) {
-	accepted := 0
+// specGrid is an enumerated grid of geometries, patterns, allocators and
+// crossbar shapes, each point busy enough that every node draws
+// destinations and short enough to run.
+func specGrid() []Experiment {
+	var grid []Experiment
 	for _, topo := range []string{"mesh", "torus", "cmesh", "fbfly"} {
 		for _, dim := range [][2]int{{1, 1}, {2, 3}, {3, 3}, {4, 4}} {
 			for _, pattern := range traffic.Names() {
@@ -62,25 +62,66 @@ func TestValidateAcceptsEverythingBuildAccepts(t *testing.T) {
 							e.Topology, e.Width, e.Height = topo, dim[0], dim[1]
 							e.Pattern, e.Allocator = pattern, string(kind)
 							e.VCs, e.VirtualInputs = vcs, k
-							// Busy enough that every node draws destinations.
 							e.InjectionRate = 0.3
 							e.Warmup, e.Measure = 0, 100
-							verr, rerr := e.Validate(), runUnvalidated(e)
-							if verr == nil {
-								accepted++
-							}
-							if (verr == nil) != (rerr == nil) {
-								t.Errorf("%s %dx%d %s %s vcs=%d k=%d: Validate says %v, running it says %v",
-									topo, dim[0], dim[1], pattern, kind, vcs, k, verr, rerr)
-							}
+							grid = append(grid, e)
 						}
 					}
 				}
 			}
 		}
 	}
+	return grid
+}
+
+// TestValidateAcceptsEverythingBuildAccepts holds Validate to both sides
+// of its contract over specGrid: a spec Validate accepts builds into a
+// network that runs 100 cycles without an error or a panic, and a spec
+// it rejects is one that would not have.
+func TestValidateAcceptsEverythingBuildAccepts(t *testing.T) {
+	accepted := 0
+	for _, e := range specGrid() {
+		verr, rerr := e.Validate(), runUnvalidated(e)
+		if verr == nil {
+			accepted++
+		}
+		if (verr == nil) != (rerr == nil) {
+			t.Errorf("%s %dx%d %s %s vcs=%d k=%d: Validate says %v, running it says %v",
+				e.Topology, e.Width, e.Height, e.Pattern, e.Allocator, e.VCs, e.VirtualInputs, verr, rerr)
+		}
+	}
 	if accepted < 1000 {
 		t.Errorf("Validate accepted only %d grid points; the contract is vacuous if it rejects everything", accepted)
+	}
+}
+
+// TestResolvedIsTheOnlyDefaulting: over specGrid and a few odd specs,
+// Resolved is idempotent and leaves no structural field zero, and
+// resolving a spec first changes neither what Build returns nor what
+// Validate says — no default is applied anywhere but Resolved.
+func TestResolvedIsTheOnlyDefaulting(t *testing.T) {
+	odd := []Experiment{
+		{},
+		{Topology: "cmesh", Height: 3, InjectionRate: 0.1, Measure: 1}, // Height without Width
+		{Conc: 3, InjectionRate: 0.1, Measure: 1},                      // a mesh has one terminal per router
+	}
+	for _, e := range append(specGrid(), odd...) {
+		r := e.Resolved()
+		if r.Resolved() != r {
+			t.Errorf("%+v: Resolved is not idempotent: %+v then %+v", e, r, r.Resolved())
+		}
+		for _, f := range []any{r.Topology, r.Width, r.Height, r.Conc, r.VCs, r.BufDepth, r.VirtualInputs,
+			r.Allocator, r.Policy, r.Partition, r.Pattern, r.PacketSize, r.HopDelay} {
+			if reflect.ValueOf(f).IsZero() {
+				t.Errorf("%+v: Resolved left a structural field zero: %+v", e, r)
+				break
+			}
+		}
+		want, werr := e.Build()
+		got, gerr := r.Build()
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: Build of the resolved spec = %+v, %v; of the spec = %+v, %v", e, got, gerr, want, werr)
+		}
 	}
 }
 
@@ -169,8 +210,9 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		{"cmesh radix 127", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "cmesh", 2, 1, 123 }, ""},
 		{"cmesh radix 128", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "cmesh", 2, 1, 124 }, "conc"},
 		{"fbfly radix 128", func(e *Experiment) { e.Topology, e.Width, e.Height, e.Conc = "fbfly", 126, 2, 2 }, "conc"},
-		{"mesh diameter 32767", func(e *Experiment) { e.Width, e.Height = 32768, 1 }, ""},
-		{"mesh diameter 39999", func(e *Experiment) { e.Width, e.Height = 40000, 1 }, "width"},
+		// Few, shallow buffers keep these under the buffer-slot bound.
+		{"mesh diameter 32767", func(e *Experiment) { e.Width, e.Height, e.VCs, e.BufDepth = 32768, 1, 2, 2 }, ""},
+		{"mesh diameter 39999", func(e *Experiment) { e.Width, e.Height, e.VCs, e.BufDepth = 40000, 1, 2, 2 }, "width"},
 		{"torus 3x3 with 1 VC", func(e *Experiment) { e.Topology, e.Width, e.Height, e.VCs = "torus", 3, 3, 1 }, "vcs"},
 		{"unknown policy", func(e *Experiment) { e.Policy = "psychic" }, "policy"},
 	} {
@@ -184,7 +226,7 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		case tc.field != "" && (!errors.As(verr, &ve) || len(ve) != 1 || ve[0].Field != tc.field):
 			t.Errorf("%s: error = %v, want a single %s finding", tc.name, verr, tc.field)
 		}
-		cfg, err := e.Build()
+		cfg, err := e.build()
 		if err == nil {
 			err = cfg.Validate()
 		}

@@ -41,10 +41,10 @@ func PoliciesGrid(base config.Experiment, patterns []string) []GridPoint {
 func PartitionGrid(base config.Experiment) []GridPoint {
 	var pts []GridPoint
 	for _, topo := range Topologies() {
-		for part, name := range []string{alloc.Contiguous: "contiguous", alloc.Interleaved: "interleaved"} {
+		for _, part := range []alloc.Partition{alloc.Contiguous, alloc.Interleaved} {
 			e := experiment(base, topo, networkSchemes()[3], 0, true) // VIX
-			e.Partition = name
-			pts = append(pts, point(e, "ablate", "partition", topo.Name, strconv.Itoa(part)))
+			e.Partition = part.String()
+			pts = append(pts, point(e, "ablate", "partition", topo.Name, strconv.Itoa(int(part))))
 		}
 	}
 	return pts

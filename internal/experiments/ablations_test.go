@@ -54,7 +54,7 @@ func TestAblatePartition(t *testing.T) {
 		if byTopo[g.Labels[2]] == nil {
 			byTopo[g.Labels[2]] = map[string]float64{}
 		}
-		byTopo[g.Labels[2]][g.Spec.PartitionName()] = snaps[i].ThroughputFlits
+		byTopo[g.Labels[2]][g.Spec.Resolved().Partition] = snaps[i].ThroughputFlits
 	}
 	for topo, m := range byTopo {
 		c, i := m["contiguous"], m["interleaved"]

@@ -26,7 +26,7 @@ type scheme struct {
 	Label  string
 	Kind   alloc.Kind
 	K      int               // virtual inputs per port; 0 means "equal to VCs"
-	Policy router.PolicyKind // "" means maxfree, or balanced once K > 1
+	Policy router.PolicyKind // "" takes config.Experiment.Resolved's default
 }
 
 // virtualInputs resolves K against the VCs per port.

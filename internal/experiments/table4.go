@@ -41,8 +41,9 @@ func runMix(mix trace.Mix, s scheme, base config.Experiment) ([]float64, float64
 		return nil, 0, err
 	}
 	// The one simulation a config.Experiment cannot describe: the
-	// manycore system, not an injection process, generates the packets.
-	cfg, err := experiment(base, topo, s, 0, false).Build()
+	// manycore system generates the packets, so the saturated load the
+	// spec declares to pass Validate is never drawn.
+	cfg, err := experiment(base, topo, s, 0, true).Build()
 	if err != nil {
 		return nil, 0, err
 	}

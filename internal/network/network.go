@@ -143,8 +143,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: topology has %d nodes on %d routers, more than %d",
 			c.Topology.NumNodes, c.Topology.NumRouters, math.MaxInt32)
 	}
-	if d := c.Topology.Diameter(); d > math.MaxInt16 {
-		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, math.MaxInt16)
+	if d := c.Topology.Diameter(); d > router.MaxHops {
+		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, router.MaxHops)
 	}
 	if c.PacketSize < 0 {
 		return fmt.Errorf("network: negative packet size %d", c.PacketSize)

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"vix/internal/topology"
 )
@@ -28,6 +29,17 @@ const (
 	// policy and the default for VIX configurations.
 	PolicyBalanced PolicyKind = "balanced"
 )
+
+// policies lists the policies Validate accepts.
+var policies = [...]PolicyKind{PolicyMaxFree, PolicyDimension, PolicyBalanced}
+
+// Validate reports whether p names a policy.
+func (p PolicyKind) Validate() error {
+	if !slices.Contains(policies[:], p) {
+		return fmt.Errorf("router: unknown VC policy %q; want one of %v", p, policies)
+	}
+	return nil
+}
 
 // vaContext carries the information a policy may consult when choosing an
 // output VC for a packet leaving through outPort.

@@ -32,20 +32,25 @@ type Config struct {
 	NonSpeculative bool
 }
 
+// Bounds of the router's packed fields: ring heads, counts and credits
+// are int8 slab fields bounded by BufDepth; routes and output ports are
+// int8 fields bounded by Ports; a Slot counts hops in an int16.
+const (
+	MaxBufDepth = math.MaxInt8
+	MaxPorts    = math.MaxInt8
+	MaxHops     = math.MaxInt16
+)
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	// Ring heads, counts and credits are int8 slab fields bounded by
-	// BufDepth; routes and output ports are int8 fields bounded by Ports.
-	if c.BufDepth <= 0 || c.BufDepth > math.MaxInt8 {
-		return fmt.Errorf("router: BufDepth must be in 1..%d, got %d", math.MaxInt8, c.BufDepth)
+	if c.BufDepth <= 0 || c.BufDepth > MaxBufDepth {
+		return fmt.Errorf("router: BufDepth must be in 1..%d, got %d", MaxBufDepth, c.BufDepth)
 	}
-	if c.Ports > math.MaxInt8 {
-		return fmt.Errorf("router: Ports must be at most %d, got %d", math.MaxInt8, c.Ports)
+	if c.Ports > MaxPorts {
+		return fmt.Errorf("router: Ports must be at most %d, got %d", MaxPorts, c.Ports)
 	}
-	switch c.Policy {
-	case PolicyMaxFree, PolicyDimension, PolicyBalanced:
-	default:
-		return fmt.Errorf("router: unknown VC policy %q", c.Policy)
+	if err := c.Policy.Validate(); err != nil {
+		return err
 	}
 	return c.Alloc().Validate()
 }

@@ -368,6 +368,10 @@ func TestValidationErrors(t *testing.T) {
 		// nothing, in the runner.
 		`{"injection_rate": 0}`: "cases[0].spec.injection_rate",
 		`{"measure": 0}`:        "cases[0].spec.measure",
+		// A network whose build would exhaust the server's memory, and no
+		// spec object at all.
+		`{"width": 16000}`: "cases[0].spec.width",
+		`null`:             "cases[0].spec",
 	} {
 		code, data := post(t, ts.URL+"/suites", `{"cases": [{"spec": `+spec+`}], "close": true}`)
 		resp.Fields = nil
@@ -375,6 +379,9 @@ func TestValidationErrors(t *testing.T) {
 			len(resp.Fields) != 1 || resp.Fields[0].Field != field {
 			t.Errorf("spec %s = %d %s, want 400 naming only %s", spec, code, data, field)
 		}
+	}
+	if code, _ := get(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Errorf("GET /healthz after the refused specs = %d, want 200", code)
 	}
 
 	// Unknown JSON fields in a spec are typos, not silently ignored, and a

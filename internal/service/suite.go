@@ -248,15 +248,8 @@ type caseValue struct {
 // specLabel renders the spec's display label. It is derived from the
 // spec alone so it is stable across suites and clients.
 func specLabel(e config.Experiment) string {
-	alloc := e.Allocator
-	if alloc == "" {
-		alloc = "if"
-	}
-	k := e.VirtualInputs
-	if k == 0 {
-		k = 1
-	}
-	return fmt.Sprintf("vixd/%s:%d/%s", alloc, k, e.OfferedLabel())
+	r := e.Resolved()
+	return fmt.Sprintf("vixd/%s:%d/%s", r.Allocator, r.VirtualInputs, r.OfferedLabel())
 }
 
 // setRunning marks the case running.

@@ -11,7 +11,10 @@
 // logic beyond the routing function itself.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Kind identifies a topology family.
 type Kind string
@@ -79,10 +82,20 @@ type Topology struct {
 	xy [][2]int32
 }
 
-// newGrid returns a w x h topology shell with its coordinate table built.
-func newGrid(kind Kind, name string, w, h, conc, radix int) *Topology {
+// New returns the w x h topology of the given kind with conc terminals
+// per router (the mesh and torus constructors pass 1), or an error for
+// an unknown kind or a non-positive dimension.
+func New(kind Kind, w, h, conc int) (*Topology, error) {
+	radix, err := Radix(kind, w, h, conc)
+	if err != nil {
+		return nil, err
+	}
 	if w <= 0 || h <= 0 || conc <= 0 {
-		panic("topology: dimensions must be positive")
+		return nil, fmt.Errorf("topology: dimensions must be positive, got %dx%d with %d terminals per router", w, h, conc)
+	}
+	name := fmt.Sprintf("%s%dx%d", kind, w, h)
+	if kind == KindCMesh || kind == KindFBfly {
+		name += fmt.Sprintf("c%d", conc)
 	}
 	t := &Topology{
 		Name: name, Kind: kind,
@@ -95,10 +108,47 @@ func newGrid(kind Kind, name string, w, h, conc, radix int) *Topology {
 		NodePort:   make([]int, w*h*conc),
 		xy:         make([][2]int32, w*h),
 	}
-	for r := range t.xy {
+	for r := range t.xy { // the first conc ports of a router are its terminals'
 		t.xy[r] = [2]int32{int32(r % w), int32(r / w)}
+		t.Conn[r] = make([]PortConn, radix)
+		for c := 0; c < conc; c++ {
+			n := r*conc + c
+			t.Conn[r][c] = PortConn{Kind: Local, Node: n, Dim: DimLocal}
+			t.NodeRouter[n] = r
+			t.NodePort[n] = c
+		}
+	}
+	if kind == KindFBfly {
+		t.wireFBfly()
+	} else {
+		t.wireMeshLike()
+	}
+	t.validate()
+	return t, nil
+}
+
+// mustNew is New for the fixed-kind constructors, which panic on bad
+// dimensions.
+func mustNew(kind Kind, w, h, conc int) *Topology {
+	t, err := New(kind, w, h, conc)
+	if err != nil {
+		panic("topology: " + strings.TrimPrefix(err.Error(), "topology: "))
 	}
 	return t
+}
+
+// Radix returns the ports per router of a w x h grid of the given kind
+// with conc terminals per router without building it, or an error naming
+// the known kinds.
+func Radix(kind Kind, w, h, conc int) (int, error) {
+	switch kind {
+	case KindMesh, KindTorus, KindCMesh:
+		return conc + 4, nil
+	case KindFBfly:
+		return conc + w - 1 + h - 1, nil
+	default:
+		return 0, fmt.Errorf("topology: unknown topology %q; want mesh, torus, cmesh, or fbfly", kind)
+	}
 }
 
 // RouterXY returns the grid coordinates of router r.
@@ -173,36 +223,31 @@ const (
 
 // NewMesh returns a w x h mesh with one terminal per router and radix-5
 // routers (the paper's 8x8, 64-node configuration uses w = h = 8).
-func NewMesh(w, h int) *Topology {
-	return newMeshLike(KindMesh, fmt.Sprintf("mesh%dx%d", w, h), w, h, 1)
-}
+func NewMesh(w, h int) *Topology { return mustNew(KindMesh, w, h, 1) }
 
 // NewCMesh returns a w x h concentrated mesh with conc terminals per
 // router. The paper's 64-node CMesh is 4x4 with conc = 4 (radix 8).
-func NewCMesh(w, h, conc int) *Topology {
-	return newMeshLike(KindCMesh, fmt.Sprintf("cmesh%dx%dc%d", w, h, conc), w, h, conc)
-}
+func NewCMesh(w, h, conc int) *Topology { return mustNew(KindCMesh, w, h, conc) }
 
 // NewTorus returns a w x h 2-D torus: the mesh wiring plus wraparound
 // links closing each row and column into a ring. Rings of fewer than
 // three routers get no wrap link — it would duplicate the existing
 // direct channel — so a torus with w, h <= 2 is wired identically to
 // the same-size mesh (the lockstep-equivalence tests rely on this).
-func NewTorus(w, h int) *Topology {
-	return newMeshLike(KindTorus, fmt.Sprintf("torus%dx%d", w, h), w, h, 1)
-}
+func NewTorus(w, h int) *Topology { return mustNew(KindTorus, w, h, 1) }
 
-func newMeshLike(kind Kind, name string, w, h, conc int) *Topology {
-	t := newGrid(kind, name, w, h, conc, conc+4)
+// NewFBfly returns a w x h flattened butterfly with conc terminals per
+// router: every router links directly to every other router in its row
+// and in its column. The paper's 64-node FBfly is 4x4 with conc = 4
+// (radix 4 + 3 + 3 = 10).
+func NewFBfly(w, h, conc int) *Topology { return mustNew(KindFBfly, w, h, conc) }
+
+// wireMeshLike wires the four direction ports of a mesh, cmesh or torus,
+// plus the wrap links of a torus.
+func (t *Topology) wireMeshLike() {
+	w, h, conc := t.W, t.H, t.Conc
 	for r := 0; r < t.NumRouters; r++ {
-		t.Conn[r] = make([]PortConn, t.Radix)
 		x, y := t.RouterXY(r)
-		for c := 0; c < conc; c++ {
-			n := r*conc + c
-			t.Conn[r][c] = PortConn{Kind: Local, Node: n, Dim: DimLocal}
-			t.NodeRouter[n] = r
-			t.NodePort[n] = c
-		}
 		dir := func(d int) int { return conc + d }
 		if x+1 < w {
 			t.Conn[r][dir(dirEast)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x+1, y), PeerPort: dir(dirWest), Dim: DimX}
@@ -216,7 +261,7 @@ func newMeshLike(kind Kind, name string, w, h, conc int) *Topology {
 		if y+1 < h {
 			t.Conn[r][dir(dirSouth)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x, y+1), PeerPort: dir(dirNorth), Dim: DimY}
 		}
-		if kind == KindTorus {
+		if t.Kind == KindTorus {
 			if w >= 3 {
 				if x == w-1 {
 					t.Conn[r][dir(dirEast)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(0, y), PeerPort: dir(dirWest), Dim: DimX}
@@ -235,25 +280,14 @@ func newMeshLike(kind Kind, name string, w, h, conc int) *Topology {
 			}
 		}
 	}
-	t.validate()
-	return t
 }
 
-// NewFBfly returns a w x h flattened butterfly with conc terminals per
-// router: every router links directly to every other router in its row
-// and in its column. The paper's 64-node FBfly is 4x4 with conc = 4
-// (radix 4 + 3 + 3 = 10).
-func NewFBfly(w, h, conc int) *Topology {
-	t := newGrid(KindFBfly, fmt.Sprintf("fbfly%dx%dc%d", w, h, conc), w, h, conc, conc+(w-1)+(h-1))
+// wireFBfly wires a flattened butterfly's links to every other router of
+// the row, then of the column.
+func (t *Topology) wireFBfly() {
+	w, h := t.W, t.H
 	for r := 0; r < t.NumRouters; r++ {
-		t.Conn[r] = make([]PortConn, t.Radix)
 		x, y := t.RouterXY(r)
-		for c := 0; c < conc; c++ {
-			n := r*conc + c
-			t.Conn[r][c] = PortConn{Kind: Local, Node: n, Dim: DimLocal}
-			t.NodeRouter[n] = r
-			t.NodePort[n] = c
-		}
 		for tx := 0; tx < w; tx++ {
 			if tx == x {
 				continue
@@ -271,8 +305,6 @@ func NewFBfly(w, h, conc int) *Topology {
 			t.Conn[r][p] = PortConn{Kind: Link, PeerRouter: peer, PeerPort: t.YPort(ty, y), Dim: DimY}
 		}
 	}
-	t.validate()
-	return t
 }
 
 // XPort returns the port index a flattened-butterfly router at column
