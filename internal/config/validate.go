@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"vix/internal/alloc"
+	"vix/internal/network"
 	"vix/internal/router"
 	"vix/internal/topology"
 	"vix/internal/traffic"
@@ -116,9 +117,7 @@ func (e Experiment) Validate() error {
 	if vcs > alloc.MaxVCs {
 		bad("vcs", "at most %d VCs per port (one arbiter word), got %d", alloc.MaxVCs, vcs)
 	}
-	if kind == topology.KindTorus && vcs < 2 && (w >= 3 || h >= 3) {
-		bad("vcs", "a torus with wraparound rings needs at least 2 VCs for the dateline classes, got %d", vcs)
-	}
+	owner("vcs", network.CheckTorusVCs(kind, w, h, vcs))
 	if allocKind := alloc.Kind(r.Allocator); !alloc.Known(allocKind) {
 		bad("allocator", "unknown allocator %q; want one of %v", r.Allocator, alloc.Kinds())
 	} else {

@@ -112,9 +112,9 @@ type Options struct {
 	Manifest string
 
 	// Store, when non-nil, is an already-open result store shared with
-	// other Runs (the vixd service holds one store across every suite).
-	// It takes precedence over Manifest and is not closed by Run.
-	// Concurrent Runs sharing a Store single-flight identical specs.
+	// other Runs and RunJob calls. It takes precedence over Manifest and
+	// is not closed by Run. Concurrent Runs sharing a Store single-flight
+	// identical specs.
 	Store *store.Store
 
 	// OnDone, when non-nil, observes every result as it completes
@@ -206,7 +206,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	// Pool.Do executes every job inline on this goroutine: no feed
 	// channel, no worker spawn, no handoff overhead, so a serial grid run
 	// costs what the old one-point-at-a-time loop cost. Each job resolves
-	// through the store's single-flight gate: a stored entry (this run's
+	// through RunJob, the one per-job path: a stored entry (this run's
 	// manifest, an earlier run, another Run sharing the Store) is served
 	// without simulating, an identical ID already in flight anywhere in
 	// the process is waited on and shared, and only a genuine miss
@@ -228,22 +228,15 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 		if runCtx.Err() != nil {
 			return
 		}
-		e, outcome, err := st.Do(runCtx, ids[i], func() (store.Entry, error) {
-			res, err := runJob(runCtx, jobs[i], results[i])
-			if err != nil {
-				return store.Entry{}, err
-			}
-			return store.Entry{ID: res.ID, Name: res.Name, Value: res.Value, Telemetry: res.Telemetry}, nil
-		})
+		res, err := RunJob(runCtx, st, ids[i], jobs[i])
 		if err != nil {
 			fail(err)
 			return
 		}
-		results[i].Value = e.Value
-		results[i].Telemetry = e.Telemetry
-		results[i].Cached = outcome != store.Computed
+		res.Index = i
+		results[i] = res
 		if opt.OnDone != nil {
-			opt.OnDone(results[i])
+			opt.OnDone(res)
 		}
 	})
 
@@ -256,11 +249,32 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	return results, nil
 }
 
+// RunJob resolves one job whose store ID is already known — Run's
+// per-job body, and the whole of a vixd case. The ID goes through st's
+// single-flight gate: a stored entry is served without running the job,
+// an identical ID already in flight is waited on and shared, and only a
+// genuine miss runs job.Run and appends its entry. The job's Spec is not
+// read: id already stands for it. The Result's Index is left for the
+// caller.
+func RunJob(ctx context.Context, st *store.Store, id string, job Job) (Result, error) {
+	e, outcome, err := st.Do(ctx, id, func() (store.Entry, error) {
+		value, tel, err := runJob(ctx, job)
+		if err != nil {
+			return store.Entry{}, err
+		}
+		return store.Entry{ID: id, Name: job.Name, Value: value, Telemetry: tel}, nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{ID: id, Name: job.Name, Value: e.Value, Cached: outcome != store.Computed, Telemetry: e.Telemetry}, nil
+}
+
 // runJob executes one job and encodes its value and telemetry. A panic
 // in Run is that job's error, not the process's: the recovery sits below
 // store.Do, so the single-flight entry is released, nothing is stored,
 // and the ID can be retried.
-func runJob(ctx context.Context, job Job, res Result) (_ Result, err error) {
+func runJob(ctx context.Context, job Job) (_ json.RawMessage, _ Telemetry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("harness: job %s: panic: %v", job.Name, p)
@@ -269,15 +283,13 @@ func runJob(ctx context.Context, job Job, res Result) (_ Result, err error) {
 	start := wallClock()
 	v, err := job.Run(ctx)
 	if err != nil {
-		return res, fmt.Errorf("harness: job %s: %w", job.Name, err)
+		return nil, Telemetry{}, fmt.Errorf("harness: job %s: %w", job.Name, err)
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return res, fmt.Errorf("harness: job %s: result not serialisable: %w", job.Name, err)
+		return nil, Telemetry{}, fmt.Errorf("harness: job %s: result not serialisable: %w", job.Name, err)
 	}
-	res.Value = raw
-	res.Telemetry = newTelemetry(start, job.Cycles)
-	return res, nil
+	return raw, newTelemetry(start, job.Cycles), nil
 }
 
 // jobIDs hashes every job's spec, rejecting grids with duplicate points:

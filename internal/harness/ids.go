@@ -20,9 +20,16 @@ func JobID(job Job) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("harness: job %s: spec not serialisable: %w", job.Name, err)
 	}
+	return SpecID(job.Name, spec), nil
+}
+
+// SpecID is JobID for a spec already encoded: the hash of name, a NUL
+// and the spec's canonical JSON. A caller that holds the encoding (vixd
+// interns specs by it) derives the ID without encoding the spec again.
+func SpecID(name string, spec []byte) string {
 	h := sha256.New()
-	h.Write([]byte(job.Name))
+	h.Write([]byte(name))
 	h.Write([]byte{0})
 	h.Write(spec)
-	return hex.EncodeToString(h.Sum(nil)[:12]), nil
+	return hex.EncodeToString(h.Sum(nil)[:12])
 }

@@ -166,9 +166,16 @@ func (c *Config) Validate() error {
 	if err := c.Router.Validate(); err != nil {
 		return err
 	}
-	if t := c.Topology; t.Kind == topology.KindTorus && (t.W >= 3 || t.H >= 3) && c.Router.VCs < 2 {
-		return fmt.Errorf("network: torus %dx%d needs at least 2 VCs for the dateline classes, got %d",
-			t.W, t.H, c.Router.VCs)
+	return CheckTorusVCs(c.Topology.Kind, c.Topology.W, c.Topology.H, c.Router.VCs)
+}
+
+// CheckTorusVCs is the one statement of the torus VC rule: a torus with
+// a wraparound ring (a side of 3 or more) splits each port's VCs into
+// two dateline classes, so it needs at least 2. config.Validate files
+// the error under "vcs".
+func CheckTorusVCs(kind topology.Kind, w, h, vcs int) error {
+	if kind == topology.KindTorus && (w >= 3 || h >= 3) && vcs < 2 {
+		return fmt.Errorf("network: a torus with wraparound rings needs at least 2 VCs for the dateline classes, got %d", vcs)
 	}
 	return nil
 }

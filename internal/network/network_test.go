@@ -685,3 +685,60 @@ func TestConcentratedEjectionBandwidth(t *testing.T) {
 		t.Fatalf("saturated CMesh never used parallel ejection (max %d/cycle)", maxPerRouter)
 	}
 }
+
+// TestActivityIdentitiesOnADrainedRun checks the four datapath counters
+// Fig 11's energy model rests on against what the flits themselves
+// record, over a 500-cycle burst at 0.08 that then drains completely.
+// Every hop a flit makes crosses one link, so LinkTraversals = Σ Hops.
+// Every flit is written into a buffer once at its source router and once
+// per hop, read out and switched once per router it leaves — the ejecting
+// one included — so XbarTraversals, BufferReads and BufferWrites each
+// equal flits + Σ Hops. tickRouter adds to BufferReads and XbarTraversals
+// in one place, from one count, so of the two read-side counters only
+// one is an independent check; BufferWrites is counted where flits land.
+func TestActivityIdentitiesOnADrainedRun(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 4),
+		topology.NewCMesh(2, 2, 4),
+		topology.NewFBfly(2, 2, 4),
+		topology.NewTorus(4, 4),
+	} {
+		for _, k := range []int{1, 2} {
+			cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
+			cfg.Workload = &burstWorkload{until: 500, rate: 0.08, pattern: traffic.NewUniform(topo.NumNodes), size: 4}
+			var flits, hops int64
+			cfg.OnEject = func(f *router.Flit) {
+				flits++
+				hops += int64(f.Hops)
+			}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", topo.Name, k, err)
+			}
+			n.Run(500)
+			for i := 0; i < 20000 && (n.InFlight() > 0 || n.QueuedAtSources() > 0); i++ {
+				n.Step()
+			}
+			if n.InFlight() != 0 || n.QueuedAtSources() != 0 {
+				t.Fatalf("%s k=%d: network did not drain", topo.Name, k)
+			}
+			s := n.Collector().Snapshot()
+			if flits == 0 || flits != s.FlitsEjected {
+				t.Fatalf("%s k=%d: observed %d ejected flits, the collector %d", topo.Name, k, flits, s.FlitsEjected)
+			}
+			if s.LinkTraversals != hops {
+				t.Errorf("%s k=%d: LinkTraversals = %d, want Σ hops = %d", topo.Name, k, s.LinkTraversals, hops)
+			}
+			want := flits + hops
+			for _, c := range []struct {
+				name string
+				got  int64
+			}{{"XbarTraversals", s.XbarTraversals}, {"BufferReads", s.BufferReads}, {"BufferWrites", s.BufferWrites}} {
+				if c.got != want {
+					t.Errorf("%s k=%d: %s = %d, want flits + Σ hops = %d + %d", topo.Name, k, c.name, c.got, flits, hops)
+				}
+			}
+			n.Close()
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"vix/internal/config"
-	"vix/internal/harness"
 )
 
 // caseRequest is one case submission on the wire. Spec is decoded with
@@ -168,16 +167,20 @@ func clientID(r *http.Request) string {
 
 // parseCases validates raw case submissions into admitted caseSpecs.
 // Validation failures come back as one ValidationError naming every bad
-// field under its cases[i].spec path. A spec admitted before reuses its
-// interned store ID and label instead of hashing and formatting them
-// again.
+// field under its cases[i].spec path. A spec text that is an intern key
+// is served from the table without decoding; any other spelling of a
+// spec admitted before is decoded and finds its interned store ID and
+// label by its canonical text.
 func (s *Server) parseCases(raw []caseRequest) ([]caseSpec, error) {
 	specs := make([]caseSpec, 0, len(raw))
 	var errs config.ValidationError
 	for i, cr := range raw {
-		path := fmt.Sprintf("cases[%d].spec", i)
 		if len(cr.Spec) == 0 {
-			errs = append(errs, config.FieldError{Field: path, Msg: "missing experiment spec"})
+			errs = append(errs, config.FieldError{Field: specPath(i), Msg: "missing experiment spec"})
+			continue
+		}
+		if info := s.specs.lookup(cr.Spec); info != nil {
+			specs = append(specs, caseSpec{Name: cr.Name, text: cr.Spec, info: info})
 			continue
 		}
 		e, err := config.Decode(bytes.NewReader(cr.Spec))
@@ -185,30 +188,28 @@ func (s *Server) parseCases(raw []caseRequest) ([]caseSpec, error) {
 			var ve config.ValidationError
 			if errors.As(err, &ve) {
 				for _, fe := range ve {
-					errs = append(errs, config.FieldError{Field: path + "." + fe.Field, Msg: fe.Msg})
+					errs = append(errs, config.FieldError{Field: specPath(i) + "." + fe.Field, Msg: fe.Msg})
 				}
 			} else {
-				errs = append(errs, config.FieldError{Field: path, Msg: err.Error()})
+				errs = append(errs, config.FieldError{Field: specPath(i), Msg: err.Error()})
 			}
 			continue
 		}
-		info := s.specs.lookup(e)
-		if info == nil {
-			label := specLabel(e)
-			id, err := harness.JobID(harness.Job{Name: label, Spec: e})
-			if err != nil {
-				errs = append(errs, config.FieldError{Field: path, Msg: err.Error()})
-				continue
-			}
-			info = &specInfo{storeID: id, label: label}
+		key, info, err := s.specs.resolve(e)
+		if err != nil {
+			errs = append(errs, config.FieldError{Field: specPath(i), Msg: err.Error()})
+			continue
 		}
-		specs = append(specs, caseSpec{Name: cr.Name, Spec: e, info: info})
+		specs = append(specs, caseSpec{Name: cr.Name, text: cr.Spec, info: info, key: key})
 	}
 	if len(errs) > 0 {
 		return nil, errs
 	}
 	return specs, nil
 }
+
+// specPath is the JSON path of the i'th case's spec in a request.
+func specPath(i int) string { return "cases[" + strconv.Itoa(i) + "].spec" }
 
 // admit runs quota admission for n cases, writing the 429 itself when
 // the client's bucket is dry.
@@ -232,11 +233,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 
 // submit admits parsed cases into a suite and the run queue, rolling
 // queued state back to failed if the server begins draining mid-flight.
-// Spec info is interned here, before su.mu is taken: the intern table's
+// New specs are interned here, before su.mu is taken: the intern table's
 // lock is never held under a suite's.
 func (s *Server) submit(su *suite, specs []caseSpec, closeAfter bool) ([]string, error) {
-	for i := range specs {
-		specs[i].info = s.specs.intern(specs[i].Spec, specs[i].info)
+	for i, cs := range specs {
+		if cs.key != "" {
+			specs[i].info = s.specs.intern(cs.key, cs.info)
+		}
 	}
 	first, added, err := su.addCases(specs, closeAfter)
 	if err != nil {
@@ -419,26 +422,24 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+	var buf []byte
 	i := 0
 	for {
 		lines, next, done, changed := su.snapshot(i)
 		i = next
-		for _, ln := range lines {
-			data, err := json.Marshal(ln)
-			if err != nil {
+		if len(lines) > 0 {
+			buf = buf[:0]
+			for _, ln := range lines {
+				if sse {
+					buf = append(buf, "event: result\ndata: "...)
+					buf = append(appendResultLine(buf, ln), "\n\n"...)
+				} else {
+					buf = append(appendResultLine(buf, ln), '\n')
+				}
+			}
+			if _, err := w.Write(buf); err != nil {
 				return
 			}
-			if sse {
-				if _, err := fmt.Fprintf(w, "event: result\ndata: %s\n\n", data); err != nil {
-					return
-				}
-			} else {
-				if _, err := fmt.Fprintf(w, "%s\n", data); err != nil {
-					return
-				}
-			}
-		}
-		if len(lines) > 0 {
 			flush()
 		}
 		if done {

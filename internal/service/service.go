@@ -175,7 +175,7 @@ func (s *Server) enqueue(su *suite, first int, added []*testCase, specs []caseSp
 		return fmt.Errorf("service: server is shutting down")
 	}
 	for i, tc := range added {
-		s.queue = append(s.queue, queued{su: su, index: first + i, tc: tc, spec: &specs[i].Spec})
+		s.queue = append(s.queue, queued{su: su, index: first + i, tc: tc, text: specs[i].text})
 	}
 	s.cond.Broadcast()
 	return nil
@@ -203,21 +203,18 @@ func (s *Server) runner() {
 	}
 }
 
-// runCase executes one case through the harness over the shared store.
-// Identical specs already stored are served without simulating;
-// identical specs in flight are waited on and shared (single-flight).
+// runCase executes one case through the harness over the shared store,
+// by the store ID admission interned. Identical specs already stored are
+// served without simulating or decoding; identical specs in flight are
+// waited on and shared (single-flight).
 func (s *Server) runCase(q queued) {
 	q.su.setRunning(q.tc)
-	res, err := harness.Run(context.Background(), []harness.Job{q.job()}, harness.Options{
-		Parallel: 1,
-		Store:    s.store,
-	})
+	r, err := harness.RunJob(context.Background(), s.store, q.tc.info.storeID, q.job())
 	if err != nil {
 		s.logf("%s/%s (%s): failed: %v", q.su.id, caseID(q.index), q.tc.info.label, err)
 		q.su.setFailed(q.tc, err)
 		return
 	}
-	r := res[0]
 	how := "simulated"
 	if r.Cached {
 		how = "served from store"

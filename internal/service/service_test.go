@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -321,6 +322,53 @@ func TestRestartServesFromStore(t *testing.T) {
 	}
 	if stats.Hits != 2 {
 		t.Errorf("restarted server hit the store %d times, want 2", stats.Hits)
+	}
+}
+
+// TestStoredSpellingStreamsCanonically: a store file whose values are
+// spelled with spaces — hand-edited, or written by another tool — streams
+// the same lines as the compact file the server wrote, because result
+// lines copy stored values verbatim and Open respells them.
+func TestStoredSpellingStreamsCanonically(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	svc1, err := service.New(service.Config{StorePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(svc1.Handler())
+	first := streamResults(t, ts1.URL, postGrid(t, ts1.URL, gridBody()))
+	ts1.Close()
+	if err := svc1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spaced []byte
+	for _, ln := range nonEmptyLines(data) {
+		var e map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
+			t.Fatal(err)
+		}
+		value := strings.NewReplacer("{", "{ ", ",", " ,\t", ":", " : ", "}", " }").Replace(string(e["value"]))
+		spaced = fmt.Appendf(spaced, `{"id": %s, "name": %s, "value":  %s , "telemetry": %s}`+"\n", e["id"], e["name"], value, e["telemetry"])
+	}
+	if string(spaced) == string(data) {
+		t.Fatal("respelling the store file changed nothing")
+	}
+	if err := os.WriteFile(path, spaced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, ts2 := newTestServer(t, service.Config{StorePath: path})
+	second := streamResults(t, ts2.URL, postGrid(t, ts2.URL, gridBody()))
+	if string(first) != string(second) {
+		t.Errorf("a respelled store streamed different lines:\n--- compact\n%s--- spaced\n%s", first, second)
+	}
+	if m := svc2.StoreStats().Misses; m != 0 {
+		t.Errorf("server over the respelled store simulated %d cases, want 0", m)
 	}
 }
 

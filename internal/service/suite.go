@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -112,55 +113,91 @@ func (su *suite) snapshot(from int) (lines []resultLine, next int, done bool, ch
 // caseSpec is one validated case submission.
 type caseSpec struct {
 	Name string
-	Spec config.Experiment
+	// text is the spec as the client wrote it; the runner decodes it
+	// again only if the store misses.
+	text json.RawMessage
 	// info is found or computed at admission, so a malformed-for-hashing
 	// spec is the client's 400, not a runner failure.
 	info *specInfo
+	// key is the intern-table key of a spec parseCases did not find
+	// there; submit interns info under it. Empty when info came from the
+	// table.
+	key string
 }
 
-// specInfo is what a case's responses need of its spec. Both fields are
-// functions of the spec alone, so one interned copy serves every case
-// of that spec, from any suite or client.
+// specInfo is what a case's responses and its run need of its spec. All
+// fields are functions of the spec alone, so one interned copy serves
+// every case of that spec, from any suite or client.
 type specInfo struct {
 	storeID string // the spec's content hash: its result-store key
 	label   string // display label, e.g. "vixd/if:2/0.05"
+	cycles  int64  // warmup + measure, the store entry's telemetry cycles
 }
 
-// specTable interns specInfo by spec. It holds one entry per distinct
-// admitted spec and is never pruned, so it is bounded the way the result
-// store is. Its lock is a leaf: it is never taken while holding s.mu or
-// a su.mu. Keying by value is exact: config.Experiment has only scalar
-// and string fields, and its one float, injection_rate, is validated
-// > 0 (no NaN, no signed zero), so equal specs are the specs that
-// encode, and hash, identically.
+// specTable interns specInfo by the spec's canonical text, json.Marshal
+// of the decoded spec: the bytes its store ID hashes. It holds one entry
+// per distinct admitted spec and is never pruned, so it is bounded the
+// way the result store is. Its lock is a leaf: it is never taken while
+// holding s.mu or a su.mu.
+//
+// A spec is keyed by its canonical text only if that text decodes back
+// to it, so a client's spec text that equals a key decodes to that key's
+// spec, and parseCases may serve it without decoding. A spec that does
+// not round-trip — an explicit "vcs":0 is omitted from its text, which
+// then decodes to the default 6 — is keyed by its text behind a NUL
+// byte, which no JSON value starts with, so only a decoded lookup
+// reaches it. Keys are canonical, so whitespace and field-order variants
+// of one spec never become keys of their own.
 type specTable struct {
 	mu    sync.Mutex
-	infos map[config.Experiment]*specInfo
+	infos map[string]*specInfo
 }
 
-// lookup returns e's interned info, or nil if e was never admitted.
-func (t *specTable) lookup(e config.Experiment) *specInfo {
+// lookup returns the info interned under key, or nil.
+func (t *specTable) lookup(key []byte) *specInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.infos[e]
+	return t.infos[string(key)]
 }
 
-// intern returns the table's info for e, adding info if e is new.
-func (t *specTable) intern(e config.Experiment, info *specInfo) *specInfo {
+// intern returns the table's info under key, adding info if key is new.
+func (t *specTable) intern(key string, info *specInfo) *specInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if in, ok := t.infos[e]; ok {
+	if in, ok := t.infos[key]; ok {
 		return in
 	}
 	if t.infos == nil {
-		t.infos = make(map[config.Experiment]*specInfo)
+		t.infos = make(map[string]*specInfo)
 	}
-	t.infos[e] = info
+	t.infos[key] = info
 	return info
 }
 
+// resolve returns the intern key and info of a decoded spec e: the
+// interned info if e was admitted before (key ""), otherwise e's key
+// and a new info, which submit interns.
+func (t *specTable) resolve(e config.Experiment) (string, *specInfo, error) {
+	text, err := json.Marshal(e)
+	if err != nil {
+		return "", nil, err
+	}
+	if info := t.lookup(text); info != nil {
+		return "", info, nil
+	}
+	key := string(text)
+	if back, err := config.Decode(bytes.NewReader(text)); err != nil || back != e {
+		key = "\x00" + key
+		if info := t.lookup([]byte(key)); info != nil {
+			return "", info, nil
+		}
+	}
+	label := specLabel(e)
+	return key, &specInfo{storeID: harness.SpecID(label, text), label: label, cycles: int64(e.Warmup + e.Measure)}, nil
+}
+
 // testCase is one case of a suite, kept for as long as the server runs:
-// only what its status and result lines are built from. The spec itself
+// only what its status and result lines are built from. The spec text
 // rides the run-queue entry and is gone once the case has run; the case
 // ID is its index in the suite. Fields are written under su.mu; info is
 // shared and never written.
@@ -187,28 +224,30 @@ func (tc *testCase) displayName() string {
 	return tc.info.label
 }
 
-// queued is one run-queue entry: a case, where it lives, and the spec it
-// runs. The spec is held here rather than on the case so that a finished
-// case does not keep it; it points into its submission's parsed batch,
-// which lives until the batch's last case has run.
+// queued is one run-queue entry: a case, where it lives, and the spec
+// text it runs. The text is held here rather than on the case so that a
+// finished case does not keep it.
 type queued struct {
 	su    *suite
 	index int
 	tc    *testCase
-	spec  *config.Experiment
+	text  json.RawMessage
 }
 
 // job converts the entry into the harness job that executes it. The
-// job's name and spec are derived from the experiment alone — never
-// from the suite or client — so identical specs from anywhere share one
-// store identity.
+// job's name is derived from the spec alone — never from the suite or
+// client — so identical specs from anywhere share one store identity.
+// The spec text is decoded only when the job runs, i.e. on a store miss.
 func (q queued) job() harness.Job {
-	e := *q.spec
+	info := q.tc.info
 	return harness.Job{
-		Name:   q.tc.info.label,
-		Spec:   e,
-		Cycles: int64(e.Warmup + e.Measure),
+		Name:   info.label,
+		Cycles: info.cycles,
 		Run: func(ctx context.Context) (any, error) {
+			e, err := config.Decode(bytes.NewReader(q.text))
+			if err != nil {
+				return nil, err
+			}
 			s, err := e.Run()
 			if err != nil {
 				return nil, err
@@ -252,11 +291,11 @@ func specLabel(e config.Experiment) string {
 	return fmt.Sprintf("vixd/%s:%d/%s", r.Allocator, r.VirtualInputs, r.OfferedLabel())
 }
 
-// setRunning marks the case running.
+// setRunning marks the case running. It wakes no stream: streams wait
+// only for cases to finish.
 func (su *suite) setRunning(tc *testCase) {
 	su.mu.Lock()
 	tc.state = stateRunning
-	su.bumpLocked()
 	su.mu.Unlock()
 }
 
@@ -311,4 +350,44 @@ func (tc *testCase) lineLocked(i int) resultLine {
 		Value:  tc.value,
 		Error:  tc.errMsg,
 	}
+}
+
+// appendResultLine appends ln as json.Marshal encodes it, field by field
+// in resultLine's order. The value is copied verbatim: every value the
+// store serves is already spelled as json.Marshal writes it (compact,
+// HTML-escaped), so a stored case costs one copy of its bytes.
+func appendResultLine(b []byte, ln resultLine) []byte {
+	b = append(b, `{"case":`...)
+	b = appendString(b, ln.Case)
+	b = append(b, `,"name":`...)
+	b = appendString(b, ln.Name)
+	b = append(b, `,"id":`...)
+	b = appendString(b, ln.ID)
+	b = append(b, `,"status":`...)
+	b = appendString(b, ln.Status)
+	if len(ln.Value) > 0 {
+		b = append(b, `,"value":`...)
+		b = append(b, ln.Value...)
+	}
+	if ln.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendString(b, ln.Error)
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as a JSON string exactly as encoding/json
+// writes it. Printable ASCII that JSON and HTML escaping leave alone is
+// copied; anything else (quotes, backslashes, <>&, control characters,
+// non-ASCII, invalid UTF-8) is left to encoding/json itself.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -69,7 +69,9 @@ type Entry struct {
 	ID string `json:"id"`
 	// Name is the human-readable job name, e.g. "spec/if:2/0.05".
 	Name string `json:"name"`
-	// Value is the JSON encoding of the job's result.
+	// Value is the JSON encoding of the job's result, spelled as
+	// json.Marshal writes it: the harness stores what json.Marshal
+	// returned, and Open respells every loaded value into that form.
 	Value json.RawMessage `json:"value"`
 	// Telemetry records the cost of the run that produced Value.
 	Telemetry Telemetry `json:"telemetry"`
@@ -161,6 +163,13 @@ func Open(path string) (*Store, error) {
 		// simply be re-run.
 		if err := json.Unmarshal(line, &e); err != nil || e.ID == "" {
 			continue
+		}
+		// Respell the value as json.Marshal writes one (compact,
+		// HTML-escaped), the form every value the store serves is in, so
+		// a hand-edited or foreign line serves the bytes a computed one
+		// would. Marshalling a RawMessage that has just parsed cannot fail.
+		if len(e.Value) > 0 {
+			e.Value, _ = json.Marshal(e.Value)
 		}
 		s.entries[e.ID] = e
 	}
