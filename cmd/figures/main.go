@@ -37,6 +37,7 @@ import (
 	"vix/internal/experiments"
 	"vix/internal/harness"
 	"vix/internal/stats"
+	"vix/internal/store"
 	"vix/internal/topology"
 )
 
@@ -60,9 +61,9 @@ type (
 )
 
 // artefact is one row of the table: a name, what it regenerates, the
-// windows it runs at when -warmup/-measure are unset, the flags it
-// reads that not every artefact does, the grid builder of a harness
-// grid (nil for the three that are not), and its printer.
+// windows it runs at when -warmup/-measure are unset (none for delay),
+// the flags it reads that not every artefact does, the grid builder of a
+// harness grid (nil for the three that are not), and its printer.
 type artefact struct {
 	name, paper     string
 	warmup, measure int
@@ -71,13 +72,18 @@ type artefact struct {
 	print           printer
 }
 
-// flags are the flags a reads that not every artefact does: its own, and
-// the harness's when it is a grid.
+// flags are the flags a reads that not every artefact does: its own, the
+// windows' and seed's when it simulates, and the harness's when it is a
+// grid.
 func (a artefact) flags() []string {
-	if a.grid == nil {
-		return a.reads
+	flags := slices.Clip(a.reads)
+	if a.measure > 0 {
+		flags = append(flags, "warmup", "measure", "seed")
 	}
-	return append(slices.Clip(a.reads), "parallel", "resume", "v")
+	if a.grid != nil {
+		flags = append(flags, "parallel", "resume", "v")
+	}
+	return flags
 }
 
 // artefacts is the table, in the paper's order ("all" runs it top to
@@ -86,7 +92,7 @@ var artefacts = []artefact{
 	{"delay", "Tables 1 & 3: pipeline stage and allocator delays (analytic)", 0, 0, []string{"scaling"}, nil, printDelay},
 	{"fig7", "Figure 7: single-router switch allocation efficiency", 2000, 20000, nil, nil, printFig7},
 	{"fig8", "Figure 8: mesh latency and throughput versus offered load", 2000, 8000, []string{"plot"},
-		func(e *env) grid { return experiments.Figure8Grid(e.base, nil) }, printFig8},
+		func(e *env) grid { return experiments.Figure8Grid(e.base) }, printFig8},
 	{"fig9", "Figure 9: fairness on a saturated mesh", 3000, 15000, nil,
 		func(e *env) grid { return experiments.Figure9Grid(e.base) }, printFig9},
 	{"fig10", "Figure 10: packet chaining comparison", 2000, 10000, nil,
@@ -97,13 +103,13 @@ var artefacts = []artefact{
 		func(e *env) grid { return experiments.Figure12Grid(e.base) }, printFig12},
 	{"table4", "Table 4: application-level performance", 1500, 10000, []string{"list"}, nil, printTable4},
 	{"policies", "ablation: VC-assignment policy under adversarial traffic", 1500, 5000, nil,
-		func(e *env) grid { return experiments.PoliciesGrid(e.base, nil) }, study(printPolicies)},
+		func(e *env) grid { return experiments.PoliciesGrid(e.base) }, study(printPolicies)},
 	{"partition", "ablation: VC-to-sub-group partition", 1500, 5000, nil,
 		func(e *env) grid { return experiments.PartitionGrid(e.base) }, study(printPartition)},
 	{"pipeline", "ablation: router pipeline depth", 1500, 5000, nil,
-		func(e *env) grid { return experiments.PipelineGrid(e.base, 0.05) }, study(printPipeline)},
+		func(e *env) grid { return experiments.PipelineGrid(e.base) }, study(printPipeline)},
 	{"speculation", "ablation: speculative switch allocation", 1500, 5000, nil,
-		func(e *env) grid { return experiments.SpeculationGrid(e.base, 0.05) }, study(printSpeculation)},
+		func(e *env) grid { return experiments.SpeculationGrid(e.base) }, study(printSpeculation)},
 	{"ksweep", "ablation: fine-grained virtual-input sweep", 1500, 5000, nil,
 		func(e *env) grid { return experiments.KSweepGrid(e.base) }, study(printKSweep)},
 	{"allocators", "ablation: extended allocator set", 1500, 5000, nil,
@@ -119,6 +125,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger := log.New(stderr, "figures: ", 0)
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	topos := experiments.Topologies() // fig11 runs on these
+	fig11 := make([]topology.Kind, len(topos))
+	for i, t := range topos {
+		fig11[i] = t.Kind
+	}
 	var (
 		warmup     = fs.Int("warmup", 0, "warmup cycles (default: the artefact's own)")
 		measure    = fs.Int("measure", 0, "measurement cycles (default: the artefact's own)")
@@ -130,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memprofile = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 		scaling    = fs.Bool("scaling", false, "delay: also print the high-radix VIX feasibility study")
 		plot       = fs.Bool("plot", false, "fig8: render ASCII latency and throughput charts")
-		topoName   = fs.String("topo", "mesh", "fig11: topology, mesh (the paper's), cmesh, or fbfly")
+		topoName   = fs.String("topo", string(topology.KindMesh), fmt.Sprintf("fig11: topology, one of %v (the default is the paper's)", fig11))
 		rate       = fs.Float64("rate", 0.1, "fig11: injection rate in packets/cycle/node")
 		list       = fs.Bool("list", false, "table4: list the benchmark catalog instead")
 	)
@@ -177,13 +188,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	e := &env{scaling: *scaling, plot: *plot, rate: *rate, list: *list}
-	for _, t := range experiments.Topologies() {
-		if string(t.Kind) == *topoName {
-			e.topo = t
-		}
-	}
-	if e.topo == nil {
-		reject("invalid -topo value: unknown topology %q; want mesh, cmesh, or fbfly", *topoName)
+	if i := slices.Index(fig11, topology.Kind(*topoName)); i >= 0 {
+		e.topo = topos[i]
+	} else {
+		reject("invalid -topo value: fig11 runs on one of %v, not %q", fig11, *topoName)
 	}
 	// A spec field the simulator refuses is reported against the flag
 	// that set it, once however many points share the value.
@@ -240,12 +248,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stop, err := cli.Profile(*cpuprofile, *memprofile)
+	// Every grid runs through one result store: the -resume file, or
+	// memory when it is unset.
+	st, err := store.Open(*resume)
 	if err != nil {
 		logger.Print(err)
 		return 1
 	}
-	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
+	stop, err := cli.Profile(*cpuprofile, *memprofile)
+	if err != nil {
+		logger.Print(err)
+		st.Close()
+		return 1
+	}
+	opt := harness.Options{Parallel: *parallel, Store: st}
 	if *verbose {
 		opt.OnDone = cli.Progress(logger)
 	}
@@ -265,9 +281,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			break
 		}
 	}
-	if err := stop(); err != nil {
-		logger.Print(err)
-		status = 1
+	for _, done := range []func() error{st.Close, stop} {
+		if err := done(); err != nil {
+			logger.Print(err)
+			status = 1
+		}
 	}
 	return status
 }

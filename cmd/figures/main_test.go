@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vix/internal/experiments"
+	"vix/internal/topology"
 )
 
 // tiny prefixes args with the windows every golden was recorded at.
@@ -148,8 +152,14 @@ func TestFiguresAllOrder(t *testing.T) {
 
 // TestFiguresUsageErrors: a command line that cannot produce the
 // artefact it names exits 2 having printed nothing on stdout — never a
-// table of zeros with exit 0.
+// table of zeros with exit 0. A flag no selected artefact reads is one:
+// delay has no windows and no seed. So is a -topo fig11 does not run on,
+// known topology or not.
 func TestFiguresUsageErrors(t *testing.T) {
+	var fig11 []topology.Kind // the topologies fig11 runs on
+	for _, topo := range experiments.Topologies() {
+		fig11 = append(fig11, topo.Kind)
+	}
 	cases := []struct {
 		args   []string
 		stderr string // must appear on stderr
@@ -167,6 +177,10 @@ func TestFiguresUsageErrors(t *testing.T) {
 		{[]string{"-resume", "fig.jsonl", "fig7", "table4"}, "-resume is given but"},
 		{[]string{"-v", "table4"}, "-v is given but"},
 		{[]string{"-topo", "ring", "fig11"}, "invalid -topo value"},
+		{[]string{"-topo", "torus", "fig11"}, fmt.Sprintf("invalid -topo value: fig11 runs on one of %v, not \"torus\"", fig11)},
+		{[]string{"-measure", "600", "-seed", "9", "delay"}, "-measure is given but"},
+		{[]string{"-measure", "600", "-seed", "9", "delay"}, "-seed is given but"},
+		{[]string{"-warmup", "200", "-scaling", "delay"}, "-warmup is given but"},
 		{[]string{"-rate", "1.5", "fig11"}, "invalid -rate value"},
 		{[]string{"-rate", "0", "fig11"}, "invalid -rate value"},
 	}

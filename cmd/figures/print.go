@@ -308,8 +308,9 @@ func printPartition(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error
 // printProbed prints a probe-and-saturate study: one row per pair of
 // points, the variant column from the first, latency at the probe rate
 // from the first and throughput at saturation from the second.
-func printProbed(w io.Writer, title, header string, pts grid, snaps []stats.Snapshot, variant func(config.Experiment) string) error {
+func printProbed(w io.Writer, title, column string, pts grid, snaps []stats.Snapshot, variant func(config.Experiment) string) error {
 	fmt.Fprintln(w, title)
+	header := fmt.Sprintf("scheme\t%s\tlatency @%g\tsaturation throughput", column, experiments.ProbeRate)
 	return table(w, header, func(tw io.Writer) {
 		for i := 0; i < len(pts); i += 2 {
 			fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.4f\n", pts[i].Labels[2], variant(pts[i].Spec), snaps[i].AvgLatency, snaps[i+1].ThroughputFlits)
@@ -318,12 +319,12 @@ func printProbed(w io.Writer, title, header string, pts grid, snaps []stats.Snap
 }
 
 func printPipeline(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
-	return printProbed(w, "Pipeline depth (Figure 6a vs 6b), 8x8 mesh:", "scheme\thop delay\tlatency @0.05\tsaturation throughput",
+	return printProbed(w, "Pipeline depth (Figure 6a vs 6b), 8x8 mesh:", "hop delay",
 		pts, snaps, func(e config.Experiment) string { return strconv.Itoa(e.HopDelay) })
 }
 
 func printSpeculation(w io.Writer, _ *env, pts grid, snaps []stats.Snapshot) error {
-	return printProbed(w, "Speculative vs non-speculative switch allocation, 8x8 mesh:", "scheme\tmode\tlatency @0.05\tsaturation throughput",
+	return printProbed(w, "Speculative vs non-speculative switch allocation, 8x8 mesh:", "mode",
 		pts, snaps, func(e config.Experiment) string {
 			if e.NonSpeculative {
 				return "non-speculative"

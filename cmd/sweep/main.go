@@ -26,11 +26,12 @@ import (
 	"strconv"
 	"strings"
 
-	"vix/internal/alloc"
 	"vix/internal/cli"
 	"vix/internal/config"
 	"vix/internal/harness"
 	"vix/internal/sim"
+	"vix/internal/store"
+	"vix/internal/topology"
 )
 
 // scheme is one allocator:k coordinate of the grid.
@@ -54,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		configPath = fs.String("config", "", "JSON experiment file used as the base configuration")
-		topoName   = fs.String("topo", "", "override the base topology: mesh, torus, cmesh, or fbfly")
+		topoName   = fs.String("topo", "", fmt.Sprintf("override the base topology, one of %v", topology.Kinds()))
 		schemesStr = fs.String("schemes", "if:1,wavefront:1,ap:1,if:2", "comma-separated allocator:k pairs")
 		ratesStr   = fs.String("rates", "0.01,0.03,0.05,0.07,0.09", "comma-separated injection rates (packets/cycle/node)")
 		saturate   = fs.Bool("sat", true, "append a saturation point per scheme")
@@ -76,11 +77,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Print(err)
 		return 2
 	}
-	opt := harness.Options{Parallel: *parallel, Manifest: *resume}
+	st, err := store.Open(*resume)
+	if err != nil {
+		logger.Print(err)
+		return 1
+	}
+	opt := harness.Options{Parallel: *parallel, Store: st}
 	if *verbose {
 		opt.OnDone = cli.Progress(logger)
 	}
-	if err := write(jobs, opt, *out, *cpuprofile, *memprofile, stdout); err != nil {
+	err = write(jobs, opt, *out, *cpuprofile, *memprofile, stdout)
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		logger.Print(err)
 		return 1
 	}
@@ -235,9 +245,9 @@ func buildJobs(base config.Experiment, schemes []scheme, rates []float64, satura
 }
 
 // parseSchemes parses comma-separated allocator:k pairs, rejecting
-// malformed pairs and unknown allocators; whether the base
-// configuration can carry each scheme's crossbar geometry is buildJobs'
-// check.
+// malformed pairs and a k below 1 (which the spec would resolve to 1);
+// whether the allocator exists and the base configuration can carry its
+// crossbar geometry is buildJobs' check.
 func parseSchemes(s string) ([]scheme, error) {
 	var schemes []scheme
 	for _, part := range strings.Split(s, ",") {
@@ -252,25 +262,19 @@ func parseSchemes(s string) ([]scheme, error) {
 		if k < 1 {
 			return nil, fmt.Errorf("bad scheme %q: virtual-input count must be at least 1", part)
 		}
-		if !alloc.Known(alloc.Kind(name)) {
-			return nil, fmt.Errorf("bad scheme %q: unknown allocator %q (want one of %v)", part, name, alloc.Kinds())
-		}
 		schemes = append(schemes, scheme{alloc: name, k: k})
 	}
 	return schemes, nil
 }
 
-// parseRates parses comma-separated injection rates, bounds-checked the
-// way config.Experiment.Validate bounds injection_rate.
+// parseRates parses comma-separated injection rates; whether each is a
+// rate the simulator accepts is buildJobs' check.
 func parseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, r := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(r), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad rate %q: %v", r, err)
-		}
-		if v < 0 || v > 1 {
-			return nil, fmt.Errorf("bad rate %q: injection rate is packets/cycle/node in [0, 1]", r)
 		}
 		rates = append(rates, v)
 	}

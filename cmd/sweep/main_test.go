@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"vix/internal/config"
 	"vix/internal/harness"
+	"vix/internal/store"
 )
 
 // testBase shrinks the simulation windows so the real-simulation
@@ -30,6 +32,18 @@ func sweepGrid(schemes []scheme, rates []float64, saturate bool, opt harness.Opt
 		return err
 	}
 	return sweep(context.Background(), jobs, opt, w)
+}
+
+// resumeFrom runs the grid without saturation points over the store file
+// at path, opened before the run and closed after it as run does for
+// -resume.
+func resumeFrom(path string, schemes []scheme, rates []float64, opt harness.Options, w io.Writer) error {
+	st, err := store.Open(path)
+	if err != nil {
+		return err
+	}
+	opt.Store = st
+	return errors.Join(sweepGrid(schemes, rates, false, opt, w), st.Close())
 }
 
 // TestSweepCSVByteIdenticalAcrossWorkers is the acceptance criterion:
@@ -69,7 +83,7 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 
 	// First run covers only the first scheme, checkpointing it.
 	var firstOut bytes.Buffer
-	if err := sweepGrid(partial, rates, false, harness.Options{Parallel: 2, Manifest: manifest}, &firstOut); err != nil {
+	if err := resumeFrom(manifest, partial, rates, harness.Options{Parallel: 2}, &firstOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,12 +91,12 @@ func TestSweepResumeSplicesManifest(t *testing.T) {
 	// manifest, scheme 2's from fresh simulation.
 	cached := 0
 	var resumedOut bytes.Buffer
-	opt := harness.Options{Parallel: 2, Manifest: manifest, OnDone: func(r harness.Result) {
+	opt := harness.Options{Parallel: 2, OnDone: func(r harness.Result) {
 		if r.Cached {
 			cached++
 		}
 	}}
-	if err := sweepGrid(full, rates, false, opt, &resumedOut); err != nil {
+	if err := resumeFrom(manifest, full, rates, opt, &resumedOut); err != nil {
 		t.Fatal(err)
 	}
 	if cached != len(rates) {
@@ -258,5 +272,31 @@ func TestUsageErrors(t *testing.T) {
 	var out, errs bytes.Buffer
 	if code := run(grid, &out, &errs); code != 0 || !strings.HasPrefix(out.String(), strings.Join(sweepHeader, ",")+"\n") {
 		t.Errorf("sweep %s: exit %d, stdout %q, stderr %q; want exit 0 and the CSV", strings.Join(grid, " "), code, out.String(), errs.String())
+	}
+}
+
+// TestSweepLeavesBoundsToValidate: a rate or allocator that parses but
+// that only Validate refuses — NaN, a rate above 1, an unknown allocator
+// — exits 2 with nothing on stdout and an error naming the scheme and
+// the field, before -o or -resume is created.
+func TestSweepLeavesBoundsToValidate(t *testing.T) {
+	dir := t.TempDir()
+	out, manifest := filepath.Join(dir, "out.csv"), filepath.Join(dir, "sweep.jsonl")
+	for _, c := range []struct{ flag, value, scheme, field string }{
+		{"-rates", "NaN", "scheme if:1", "injection_rate"},
+		{"-rates", "1.5", "scheme if:1", "injection_rate"},
+		{"-schemes", "nosuch:1", "scheme nosuch:1", "allocator"},
+	} {
+		var stdout, errs bytes.Buffer
+		code := run([]string{c.flag, c.value, "-o", out, "-resume", manifest}, &stdout, &errs)
+		if code != 2 || stdout.Len() != 0 || !strings.Contains(errs.String(), c.scheme) || !strings.Contains(errs.String(), c.field) {
+			t.Errorf("sweep %s %s: exit %d, %d stdout bytes, stderr %q; want exit 2, no stdout, %s and %s named",
+				c.flag, c.value, code, stdout.Len(), errs.String(), c.scheme, c.field)
+		}
+		for _, path := range []string{out, manifest} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("sweep %s %s: %s exists (%v)", c.flag, c.value, filepath.Base(path), err)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,29 +21,16 @@ import (
 
 	"vix/internal/alloc"
 	"vix/internal/config"
+	"vix/internal/router"
+	"vix/internal/topology"
 	"vix/internal/traffic"
 )
 
-// flagForField maps a spec's JSON field path to the CLI flag that sets
-// it, so validation errors point at what the user actually typed.
-func flagForField(field string) string {
-	switch field {
-	case "topology":
-		return "topo"
-	case "allocator":
-		return "alloc"
-	case "virtual_inputs":
-		return "k"
-	case "buf_depth":
-		return "depth"
-	case "injection_rate":
-		return "rate"
-	case "packet_size":
-		return "pkt"
-	default:
-		return field
-	}
-}
+// flagOf maps a spec's JSON field path to the CLI flag that sets it,
+// where the two differ, so validation errors point at what the user
+// actually typed.
+var flagOf = map[string]string{"topology": "topo", "allocator": "alloc", "virtual_inputs": "k",
+	"buf_depth": "depth", "injection_rate": "rate", "packet_size": "pkt"}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -56,13 +44,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Every spec flag defaults to the paper's configuration, config.Default.
 	exp := config.Default()
 	configPath := fs.String("config", "", "JSON experiment file used as the base spec; flags given explicitly override its fields")
-	fs.StringVar(&exp.Topology, "topo", exp.Topology, "topology: mesh, torus, cmesh, or fbfly")
+	fs.StringVar(&exp.Topology, "topo", exp.Topology, fmt.Sprintf("topology, one of %v", topology.Kinds()))
 	fs.StringVar(&exp.Allocator, "alloc", exp.Allocator, fmt.Sprintf("allocator, one of %v", alloc.Kinds()))
 	fs.IntVar(&exp.VirtualInputs, "k", exp.VirtualInputs, "virtual inputs per port (1 = baseline, 2 = VIX)")
 	fs.IntVar(&exp.VCs, "vcs", exp.VCs, "virtual channels per port")
 	fs.IntVar(&exp.BufDepth, "depth", exp.BufDepth, "buffer depth per VC in flits")
-	fs.StringVar(&exp.Policy, "policy", exp.Policy, "VC assignment policy: maxfree, dimension, balanced (default: balanced when k > 1)")
-	fs.StringVar(&exp.Partition, "partition", exp.Resolved().Partition, "VC sub-group partition: contiguous or interleaved")
+	fs.StringVar(&exp.Policy, "policy", exp.Policy, fmt.Sprintf("VC assignment policy, one of %v (default: %s when k > 1)", router.Policies(), router.PolicyBalanced))
+	fs.StringVar(&exp.Partition, "partition", exp.Resolved().Partition, fmt.Sprintf("VC sub-group partition, one of %v", alloc.Partitions()))
 	fs.StringVar(&exp.Pattern, "pattern", exp.Pattern, fmt.Sprintf("traffic pattern, one of %v", traffic.Names()))
 	fs.Float64Var(&exp.InjectionRate, "rate", exp.InjectionRate, "injection rate in packets/cycle/node")
 	fs.BoolVar(&exp.MaxInjection, "max", exp.MaxInjection, "saturate every source (ignore -rate)")
@@ -97,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		for _, fe := range ve {
-			logger.Printf("invalid -%s value: %s", flagForField(fe.Field), fe.Msg)
+			logger.Printf("invalid -%s value: %s", cmp.Or(flagOf[fe.Field], fe.Field), fe.Msg)
 		}
 		return 2
 	}

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vix/internal/alloc"
+	"vix/internal/router"
+	"vix/internal/topology"
 )
 
 // vixsim runs the command in-process and fails the test unless it
@@ -48,6 +53,21 @@ func TestUsageErrors(t *testing.T) {
 		var out, errs bytes.Buffer
 		if code := run(args, &out, &errs); code != 2 || out.Len() != 0 {
 			t.Errorf("vixsim %s: exit %d with %d stdout bytes, want exit 2 and none", strings.Join(args, " "), code, out.Len())
+		}
+	}
+}
+
+// TestHelpListsOwnersNames: -h names every topology, policy and
+// partition from the package that validates it, so the help cannot drift
+// from what Validate accepts.
+func TestHelpListsOwnersNames(t *testing.T) {
+	var out, errs bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errs); code != 0 {
+		t.Fatalf("vixsim -h: exit %d", code)
+	}
+	for _, names := range []any{topology.Kinds(), router.Policies(), alloc.Partitions()} {
+		if want := fmt.Sprintf("one of %v", names); !strings.Contains(errs.String(), want) {
+			t.Errorf("vixsim -h does not list %q:\n%s", want, errs.String())
 		}
 	}
 }

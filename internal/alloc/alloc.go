@@ -51,6 +51,16 @@ var partitionNames = [...]string{Contiguous: "contiguous", Interleaved: "interle
 // String returns the partition's spec name.
 func (p Partition) String() string { return partitionNames[p] }
 
+// Partitions lists the partitions ParsePartition accepts; each prints as
+// its spec name.
+func Partitions() []Partition {
+	ps := make([]Partition, len(partitionNames))
+	for i := range ps {
+		ps[i] = Partition(i)
+	}
+	return ps
+}
+
 // ParsePartition returns the partition named name.
 func ParsePartition(name string) (Partition, error) {
 	for p, n := range partitionNames {

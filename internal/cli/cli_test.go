@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"vix/internal/harness"
+	"vix/internal/store"
 )
 
 func TestProgressLines(t *testing.T) {
 	var buf bytes.Buffer
 	done := Progress(log.New(&buf, "tool: ", 0))
-	done(harness.Result{Name: "fig8/IF/0.05", Telemetry: harness.Telemetry{WallNanos: 1_500_000_000, Cycles: 3000, CyclesPerSec: 2000}})
+	done(harness.Result{Name: "fig8/IF/0.05", Telemetry: store.Telemetry{WallNanos: 1_500_000_000, Cycles: 3000, CyclesPerSec: 2000}})
 	done(harness.Result{Name: "fig8/IF/0.06", Cached: true})
 	want := "tool: fig8/IF/0.05: 1.5s (2000 cycles/sec)\ntool: fig8/IF/0.06: cached (manifest)\n"
 	if buf.String() != want {

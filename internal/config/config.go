@@ -34,9 +34,9 @@ import (
 // max_injection is set, measure must be at least 1, and a zero warmup or
 // seed is a legal value, not a request for the default.
 type Experiment struct {
-	// Topology: "mesh" or "torus" (WxH), "cmesh" or "fbfly" (WxH with
-	// Conc terminals per router). Defaults: mesh,torus 8x8 /
-	// cmesh,fbfly 4x4 c4.
+	// Topology: one of topology.Kinds(), a WxH router grid with Conc
+	// terminals per router (always 1 on the mesh and torus). Defaults:
+	// mesh, 8x8; 4x4 c4 on the cmesh and fbfly.
 	Topology string `json:"topology"`
 	Width    int    `json:"width,omitempty"`
 	Height   int    `json:"height,omitempty"`
@@ -48,7 +48,7 @@ type Experiment struct {
 	VirtualInputs int    `json:"virtual_inputs,omitempty"` // default 1; 2 = VIX
 	Allocator     string `json:"allocator,omitempty"`      // default "if"
 	Policy        string `json:"policy,omitempty"`         // default by k
-	Partition     string `json:"partition,omitempty"`      // "contiguous" (default) | "interleaved"
+	Partition     string `json:"partition,omitempty"`      // alloc.Partitions(); default contiguous
 	// NonSpeculative disables the speculative VA/SA overlap of the
 	// three-stage pipeline.
 	NonSpeculative bool `json:"non_speculative,omitempty"`

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vix/internal/alloc"
@@ -127,7 +128,7 @@ func (e Experiment) Validate() error {
 	_, perr := alloc.ParsePartition(r.Partition)
 	owner("partition", perr)
 
-	if !traffic.Known(r.Pattern) {
+	if !slices.Contains(traffic.Names(), r.Pattern) {
 		bad("pattern", "unknown traffic pattern %q; want one of %v", r.Pattern, traffic.Names())
 	} else if nodes >= 2 {
 		// The pattern must be defined on the node grid Build hands it.

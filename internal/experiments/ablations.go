@@ -17,16 +17,13 @@ import (
 // (point) labelled {"ablate", study, ...}.
 
 // PoliciesGrid builds the Section 2.3 VC-assignment policies on a
-// saturated 8x8 VIX mesh under each traffic pattern (nil: uniform and the
-// adversarial transpose, tornado and bitcomp the section targets).
-func PoliciesGrid(base config.Experiment, patterns []string) []GridPoint {
-	if patterns == nil {
-		patterns = []string{"uniform", "transpose", "tornado", "bitcomp"}
-	}
+// saturated 8x8 VIX mesh under uniform traffic and the adversarial
+// transpose, tornado and bitcomp patterns the section targets.
+func PoliciesGrid(base config.Experiment) []GridPoint {
 	topo, vix := topology.NewMesh(8, 8), networkSchemes()[3]
 	var pts []GridPoint
-	for _, name := range patterns {
-		for _, pol := range []router.PolicyKind{router.PolicyMaxFree, router.PolicyDimension, router.PolicyBalanced} {
+	for _, name := range []string{"uniform", "transpose", "tornado", "bitcomp"} {
+		for _, pol := range router.Policies() {
 			vix.Policy = pol
 			e := experiment(base, topo, vix, 0, true)
 			e.Pattern = name
@@ -41,7 +38,7 @@ func PoliciesGrid(base config.Experiment, patterns []string) []GridPoint {
 func PartitionGrid(base config.Experiment) []GridPoint {
 	var pts []GridPoint
 	for _, topo := range Topologies() {
-		for _, part := range []alloc.Partition{alloc.Contiguous, alloc.Interleaved} {
+		for _, part := range alloc.Partitions() {
 			e := experiment(base, topo, networkSchemes()[3], 0, true) // VIX
 			e.Partition = part.String()
 			pts = append(pts, point(e, "ablate", "partition", topo.Name, strconv.Itoa(int(part))))
@@ -50,13 +47,17 @@ func PartitionGrid(base config.Experiment) []GridPoint {
 	return pts
 }
 
+// ProbeRate is the offered load, in packets/cycle/node, at which the
+// pipeline and speculation studies read latency.
+const ProbeRate = 0.05
+
 // probeAndSaturate is the two points behind one row of the pipeline and
-// speculation studies: latency at the probe rate, throughput at
-// saturation, both of s on the mesh as adjusted by vary and labelled by
-// the study, the scheme and the variant.
-func probeAndSaturate(study string, s scheme, base config.Experiment, probeRate float64, variant string, vary func(*config.Experiment)) []GridPoint {
+// speculation studies: latency at ProbeRate, throughput at saturation,
+// both of s on the mesh as adjusted by vary and labelled by the study,
+// the scheme and the variant.
+func probeAndSaturate(study string, s scheme, base config.Experiment, variant string, vary func(*config.Experiment)) []GridPoint {
 	topo := topology.NewMesh(8, 8)
-	probe, sat := experiment(base, topo, s, probeRate, false), experiment(base, topo, s, 0, true)
+	probe, sat := experiment(base, topo, s, ProbeRate, false), experiment(base, topo, s, 0, true)
 	vary(&probe)
 	vary(&sat)
 	return []GridPoint{
@@ -68,11 +69,11 @@ func probeAndSaturate(study string, s scheme, base config.Experiment, probeRate 
 // PipelineGrid builds the paper's optimised 3-stage pipeline (Figure 6b)
 // against the conventional 5-stage one (Figure 6a) for baseline and VIX:
 // a probe point then a saturation point per (scheme, hop delay).
-func PipelineGrid(base config.Experiment, probeRate float64) []GridPoint {
+func PipelineGrid(base config.Experiment) []GridPoint {
 	var pts []GridPoint
 	for _, s := range []scheme{networkSchemes()[0], networkSchemes()[3]} {
 		for _, hop := range []int{3, 5} {
-			pts = append(pts, probeAndSaturate("pipeline", s, base, probeRate, strconv.Itoa(hop),
+			pts = append(pts, probeAndSaturate("pipeline", s, base, strconv.Itoa(hop),
 				func(e *config.Experiment) { e.HopDelay = hop })...)
 		}
 	}
@@ -83,7 +84,7 @@ func PipelineGrid(base config.Experiment, probeRate float64) []GridPoint {
 // for the switch in the same cycle they win a VC) against a
 // non-speculative one that serialises VA before SA, for baseline and VIX:
 // a probe point then a saturation point per (scheme, mode).
-func SpeculationGrid(base config.Experiment, probeRate float64) []GridPoint {
+func SpeculationGrid(base config.Experiment) []GridPoint {
 	var pts []GridPoint
 	for _, s := range []scheme{networkSchemes()[0], networkSchemes()[3]} {
 		for _, nonSpec := range []bool{false, true} {
@@ -91,7 +92,7 @@ func SpeculationGrid(base config.Experiment, probeRate float64) []GridPoint {
 			if nonSpec {
 				mode = "nonspec"
 			}
-			pts = append(pts, probeAndSaturate("speculation", s, base, probeRate, mode,
+			pts = append(pts, probeAndSaturate("speculation", s, base, mode,
 				func(e *config.Experiment) { e.NonSpeculative = nonSpec })...)
 		}
 	}

@@ -16,7 +16,7 @@ func ablationBase() config.Experiment {
 }
 
 func TestAblatePolicies(t *testing.T) {
-	grid := PoliciesGrid(ablationBase(), []string{"uniform", "bitcomp"})
+	grid := withLabel(PoliciesGrid(ablationBase()), 2, "uniform", "bitcomp")
 	if len(grid) != 6 {
 		t.Fatalf("points = %d, want 6", len(grid))
 	}
@@ -86,7 +86,7 @@ func pairs(t *testing.T, grid []GridPoint) map[string]probed {
 }
 
 func TestAblatePipeline(t *testing.T) {
-	grid := PipelineGrid(ablationBase(), 0.03)
+	grid := PipelineGrid(ablationBase())
 	if len(grid) != 8 {
 		t.Fatalf("points = %d, want 8", len(grid))
 	}
@@ -154,7 +154,7 @@ func TestAblateAllocators(t *testing.T) {
 }
 
 func TestAblateSpeculation(t *testing.T) {
-	grid := SpeculationGrid(ablationBase(), 0.03)
+	grid := SpeculationGrid(ablationBase())
 	if len(grid) != 8 {
 		t.Fatalf("points = %d, want 8", len(grid))
 	}

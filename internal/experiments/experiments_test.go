@@ -69,7 +69,7 @@ func TestFigure7QualitativeShape(t *testing.T) {
 }
 
 func TestFigure8QualitativeShape(t *testing.T) {
-	_, by := simulate(t, Figure8Grid(quickBase(), []float64{0.02, 0.06}))
+	_, by := simulate(t, withLabel(Figure8Grid(quickBase()), 2, "0.02", "0.06", "saturation"))
 	sat := func(s string) stats.Snapshot { return by["fig8/"+s+"/saturation"] }
 	// Low-load latencies are nearly identical across schemes.
 	ifLow := by["fig8/IF/0.02"].AvgLatency

@@ -52,17 +52,14 @@ func Figure7(base config.Experiment) ([]Fig7Row, error) {
 }
 
 // Figure8Grid builds Figure 8, latency and throughput versus offered
-// load on the 8x8 mesh: every network scheme at every rate (nil: 0.01 to
-// 0.09 packets/cycle/node), then a saturation point (MaxInjection), each
+// load on the 8x8 mesh: every network scheme at 0.01 to 0.09
+// packets/cycle/node, then a saturation point (MaxInjection), each
 // labelled {"fig8", scheme, offered load} and label-seeded.
-func Figure8Grid(base config.Experiment, rates []float64) []GridPoint {
+func Figure8Grid(base config.Experiment) []GridPoint {
 	topo := topology.NewMesh(8, 8)
-	if rates == nil {
-		rates = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09}
-	}
 	var pts []GridPoint
 	for _, s := range networkSchemes() {
-		for _, rate := range rates {
+		for _, rate := range []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09} {
 			e := experiment(base, topo, s, rate, false)
 			pts = append(pts, point(e, "fig8", s.Label, e.OfferedLabel()))
 		}

@@ -9,12 +9,14 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"vix/internal/config"
 	"vix/internal/harness"
+	"vix/internal/sim"
 	"vix/internal/stats"
 	"vix/internal/store"
 	"vix/internal/topology"
@@ -28,16 +30,28 @@ func tinyBase() config.Experiment {
 	return b
 }
 
-// allGrids is every grid cmd/figures prints, at its default arguments,
-// built over base.
+// allGrids is every grid cmd/figures prints, built over base; fig11's at
+// its default topology and load and at its fbfly golden's.
 func allGrids(base config.Experiment) [][]GridPoint {
 	return [][]GridPoint{
-		Figure8Grid(base, nil), Figure9Grid(base), Figure10Grid(base),
+		Figure8Grid(base), Figure9Grid(base), Figure10Grid(base),
 		EnergyGrid(base, topology.NewMesh(8, 8), 0.1), EnergyGrid(base, topology.NewFBfly(4, 4, 4), 0.05),
-		Figure12Grid(base), PoliciesGrid(base, nil), PartitionGrid(base),
-		PipelineGrid(base, 0.05), SpeculationGrid(base, 0.05),
+		Figure12Grid(base), PoliciesGrid(base), PartitionGrid(base),
+		PipelineGrid(base), SpeculationGrid(base),
 		KSweepGrid(base), AllocatorsGrid(base),
 	}
+}
+
+// withLabel returns the points of grid whose i-th label is one of
+// values, in grid order: a test's subset of a figure's full grid.
+func withLabel(grid []GridPoint, i int, values ...string) []GridPoint {
+	var sub []GridPoint
+	for _, g := range grid {
+		if slices.Contains(values, g.Labels[i]) {
+			sub = append(sub, g)
+		}
+	}
+	return sub
 }
 
 // TestGridSpecsArePinned: every grid at config.Default's windows and
@@ -79,7 +93,7 @@ func TestGridSpecsArePinned(t *testing.T) {
 // identical snapshots, and a manifest resume splices rather than
 // recomputes.
 func TestFigure8GridParallelDeterminism(t *testing.T) {
-	grid := Figure8Grid(tinyBase(), []float64{0.02, 0.05})
+	grid := withLabel(Figure8Grid(tinyBase()), 2, "0.02", "0.05", "saturation")
 	run := func(opt harness.Options) []stats.Snapshot {
 		t.Helper()
 		snaps, err := RunGrid(context.Background(), grid, opt)
@@ -94,12 +108,26 @@ func TestFigure8GridParallelDeterminism(t *testing.T) {
 	}
 
 	// A rerun against a populated manifest must return the same
-	// snapshots without running a single simulation.
+	// snapshots without running a single simulation. Each run opens the
+	// file afresh and closes it, as a command's -resume does.
 	manifest := filepath.Join(t.TempDir(), "fig8.jsonl")
-	run(harness.Options{Parallel: 4, Manifest: manifest})
+	runFile := func(opt harness.Options) []stats.Snapshot {
+		t.Helper()
+		st, err := store.Open(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Store = st
+		snaps := run(opt)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return snaps
+	}
+	runFile(harness.Options{Parallel: 4})
 	ran := 0
-	resumed := run(harness.Options{
-		Parallel: 4, Manifest: manifest,
+	resumed := runFile(harness.Options{
+		Parallel: 4,
 		OnDone: func(r harness.Result) {
 			if !r.Cached {
 				ran++
@@ -144,22 +172,21 @@ func TestFigure8GridParallelDeterminism(t *testing.T) {
 }
 
 // TestGridSeedsAreLabelKeyed: a point's seed must depend on its labels,
-// not its position, so inserting a point never re-seeds its neighbours.
+// not its position, so inserting a point never re-seeds its neighbours:
+// every Figure 8 point runs on the sub-seed its labels derive from the
+// root seed, never the root itself, and no two points share one.
 func TestGridSeedsAreLabelKeyed(t *testing.T) {
 	base := tinyBase()
-	short := Figure8Grid(base, []float64{0.05})
-	long := Figure8Grid(base, []float64{0.02, 0.05})
-	if short[0].Spec.Seed == base.Seed {
-		t.Fatal("grid point carries the root seed; sub-seed derivation missing")
-	}
-	// The 0.05 point exists in both grids at different indices; its
-	// derived seed must be identical.
-	if a, b := short[0].Spec.Seed, long[1].Spec.Seed; a != b {
-		t.Fatalf("same labels derived different seeds at different grid positions: %d vs %d", a, b)
-	}
-	// Distinct points derive distinct seeds.
-	if a, b := long[0].Spec.Seed, long[1].Spec.Seed; a == b {
-		t.Fatal("distinct points derived the same seed")
+	seen := map[uint64]string{base.Seed: "the root seed"}
+	for _, g := range Figure8Grid(base) {
+		name := strings.Join(g.Labels, "/")
+		if want := sim.DeriveSeed(base.Seed, g.Labels...); g.Spec.Seed != want {
+			t.Errorf("%s runs on seed %d, want %d derived from its labels", name, g.Spec.Seed, want)
+		}
+		if prev, dup := seen[g.Spec.Seed]; dup {
+			t.Errorf("%s runs on the seed of %s", name, prev)
+		}
+		seen[g.Spec.Seed] = name
 	}
 }
 
@@ -175,7 +202,7 @@ func TestJobIDCoversEveryExperimentField(t *testing.T) {
 		}
 		return id
 	}
-	base := Figure8Grid(tinyBase(), []float64{0.05})[0]
+	base := Figure8Grid(tinyBase())[0]
 	want := id(base)
 	relabelled := base
 	relabelled.Labels = []string{"fig8", "IF", "0.06"}

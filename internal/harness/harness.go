@@ -16,15 +16,15 @@
 //     worker count or completion order, so an artifact rendered from the
 //     returned slice is byte-identical for -parallel=1 and -parallel=N.
 //
-//   - Content-addressed result store. With Options.Manifest (a file
-//     path) or Options.Store (a shared *store.Store) set, every
-//     completed job's result is appended to the store keyed by a content
-//     hash of the job's name and spec (JobID). A rerun skips completed
-//     points and splices their cached values into the merged output, so
-//     an interrupted grid finishes exactly where an uninterrupted one
-//     would have — and because the store is content-addressed rather
-//     than run-scoped, any later run that derives the same IDs is served
-//     without simulating. The ID covers the job name, and every tool
+//   - Content-addressed result store. Every completed job's result is
+//     put in Options.Store (the caller's, opened on a -resume file or
+//     shared by vixd; memory when none is given) keyed by a content hash
+//     of the job's name and spec (JobID). A rerun over a file-backed
+//     store skips completed points and splices their cached values into
+//     the merged output, so an interrupted grid finishes exactly where
+//     an uninterrupted one would have — and because the store is
+//     content-addressed rather than run-scoped, any later run that
+//     derives the same IDs is served without simulating. The ID covers the job name, and every tool
 //     prefixes its own ("sweep/…", "fig8/…", "vixd/…"): tools may share
 //     one store file without colliding, but never serve each other's
 //     points. Concurrent Runs sharing one Store single-flight: N
@@ -94,7 +94,7 @@ type Result struct {
 	Cached bool
 	// Telemetry records the job's wall-clock cost. For cached results
 	// it is the cost recorded when the job originally ran.
-	Telemetry Telemetry
+	Telemetry store.Telemetry
 }
 
 // Options configure a Run.
@@ -102,19 +102,12 @@ type Options struct {
 	// Parallel is the worker count. Values <= 0 mean GOMAXPROCS.
 	Parallel int
 
-	// Manifest, when non-empty, is the path of the JSONL result store.
-	// Jobs whose IDs appear in it are served from it instead of
-	// simulating; newly completed jobs are appended as they finish, so
-	// an interrupted run resumes and a later run of the same tool over
-	// the same points reuses the entries (another tool pointed at the
-	// same file names its jobs differently, so it neither collides with
-	// nor reuses them).
-	Manifest string
-
-	// Store, when non-nil, is an already-open result store shared with
-	// other Runs and RunJob calls. It takes precedence over Manifest and
-	// is not closed by Run. Concurrent Runs sharing a Store single-flight
-	// identical specs.
+	// Store is the result store the jobs resolve through; nil means a
+	// fresh memory store for this Run alone. Jobs whose IDs it holds are
+	// served from it instead of simulating, and newly completed jobs are
+	// put in it as they finish, so a run over a file-backed store resumes
+	// an interrupted one. Run neither opens nor closes it. Concurrent Runs
+	// sharing a Store single-flight identical specs.
 	Store *store.Store
 
 	// OnDone, when non-nil, observes every result as it completes
@@ -152,24 +145,19 @@ func DecodeAll[T any](rs []Result) ([]T, error) {
 
 // Run executes the grid and returns results in job order. The returned
 // slice always has len(jobs) entries; on error, entries whose jobs never
-// ran have a nil Value. Completed jobs are appended to the result store
-// (if configured) even when the run as a whole fails or is cancelled, so
-// a rerun resumes rather than restarts.
+// ran have a nil Value. Completed jobs are put in the result store even
+// when the run as a whole fails or is cancelled, so a rerun over the
+// same store resumes rather than restarts.
 func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	ids, err := jobIDs(jobs)
 	if err != nil {
 		return nil, err
 	}
-	// Every run executes against a store: the caller's shared one, the
-	// manifest file, or — with neither configured — a throwaway in-memory
-	// table, so the job path is identical in all three modes.
+	// Every run executes against a store, the caller's or a throwaway
+	// in-memory one, so the job path is the same either way.
 	st := opt.Store
 	if st == nil {
-		st, err = store.Open(opt.Manifest)
-		if err != nil {
-			return nil, err
-		}
-		defer st.Close()
+		st = store.Memory()
 	}
 
 	results := make([]Result, len(jobs))
@@ -194,20 +182,15 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(jobs))) // a pool parks every worker it has
 
 	// The pool hands out job indices. With one effective worker — an
 	// explicit -parallel=1, a one-job grid, or a single-CPU host —
 	// Pool.Do executes every job inline on this goroutine: no feed
 	// channel, no worker spawn, no handoff overhead, so a serial grid run
 	// costs what the old one-point-at-a-time loop cost. Each job resolves
-	// through RunJob, the one per-job path: a stored entry (this run's
-	// manifest, an earlier run, another Run sharing the Store) is served
+	// through RunJob, the one per-job path: a stored entry (an earlier
+	// run's, or another Run's sharing the Store) is served
 	// without simulating, an identical ID already in flight anywhere in
 	// the process is waited on and shared, and only a genuine miss
 	// simulates — then appends its entry for every future run.
@@ -274,7 +257,7 @@ func RunJob(ctx context.Context, st *store.Store, id string, job Job) (Result, e
 // in Run is that job's error, not the process's: the recovery sits below
 // store.Do, so the single-flight entry is released, nothing is stored,
 // and the ID can be retried.
-func runJob(ctx context.Context, job Job) (_ json.RawMessage, _ Telemetry, err error) {
+func runJob(ctx context.Context, job Job) (_ json.RawMessage, _ store.Telemetry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("harness: job %s: panic: %v", job.Name, p)
@@ -283,11 +266,11 @@ func runJob(ctx context.Context, job Job) (_ json.RawMessage, _ Telemetry, err e
 	start := wallClock()
 	v, err := job.Run(ctx)
 	if err != nil {
-		return nil, Telemetry{}, fmt.Errorf("harness: job %s: %w", job.Name, err)
+		return nil, store.Telemetry{}, fmt.Errorf("harness: job %s: %w", job.Name, err)
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
-		return nil, Telemetry{}, fmt.Errorf("harness: job %s: result not serialisable: %w", job.Name, err)
+		return nil, store.Telemetry{}, fmt.Errorf("harness: job %s: result not serialisable: %w", job.Name, err)
 	}
 	return raw, newTelemetry(start, job.Cycles), nil
 }

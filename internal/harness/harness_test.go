@@ -49,6 +49,18 @@ func fakeGrid(n int) []Job {
 	return jobs
 }
 
+// runManifest is Run over the store file at path, opened before the run
+// and closed after it, as a command's -resume flag does.
+func runManifest(ctx context.Context, path string, jobs []Job, opt Options) ([]Result, error) {
+	st, err := store.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	opt.Store = st
+	res, err := Run(ctx, jobs, opt)
+	return res, errors.Join(err, st.Close())
+}
+
 // render flattens results into the byte artifact a CLI would emit.
 func render(t *testing.T, rs []Result) []byte {
 	t.Helper()
@@ -99,9 +111,8 @@ func TestResumeAfterInterruption(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int64
-	first, err := Run(ctx, jobs, Options{
+	first, err := runManifest(ctx, manifest, jobs, Options{
 		Parallel: 4,
-		Manifest: manifest,
 		OnDone: func(Result) {
 			if done.Add(1) == 5 {
 				cancel()
@@ -126,9 +137,8 @@ func TestResumeAfterInterruption(t *testing.T) {
 
 	// Resume: same grid, same manifest, no interruption.
 	var cached atomic.Int64
-	resumed, err := Run(context.Background(), jobs, Options{
+	resumed, err := runManifest(context.Background(), manifest, jobs, Options{
 		Parallel: 4,
-		Manifest: manifest,
 		OnDone: func(r Result) {
 			if r.Cached {
 				cached.Add(1)
@@ -157,7 +167,7 @@ func TestResumeAfterInterruption(t *testing.T) {
 func TestManifestToleratesTornTail(t *testing.T) {
 	jobs := fakeGrid(6)
 	path := filepath.Join(t.TempDir(), "manifest.jsonl")
-	if _, err := Run(context.Background(), jobs, Options{Parallel: 2, Manifest: path}); err != nil {
+	if _, err := runManifest(context.Background(), path, jobs, Options{Parallel: 2}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -173,7 +183,7 @@ func TestManifestToleratesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cached, ran int
-	res, err := Run(context.Background(), jobs, Options{Parallel: 1, Manifest: path, OnDone: func(r Result) {
+	res, err := runManifest(context.Background(), path, jobs, Options{Parallel: 1, OnDone: func(r Result) {
 		if r.Cached {
 			cached++
 		} else {
@@ -354,7 +364,7 @@ func TestOnDoneSeesEveryJobExactlyOnce(t *testing.T) {
 func TestManifestEntriesAreCanonicalJSON(t *testing.T) {
 	jobs := fakeGrid(3)
 	path := filepath.Join(t.TempDir(), "m.jsonl")
-	if _, err := Run(context.Background(), jobs, Options{Parallel: 1, Manifest: path}); err != nil {
+	if _, err := runManifest(context.Background(), path, jobs, Options{Parallel: 1}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -366,7 +376,7 @@ func TestManifestEntriesAreCanonicalJSON(t *testing.T) {
 			ID        string          `json:"id"`
 			Name      string          `json:"name"`
 			Value     json.RawMessage `json:"value"`
-			Telemetry Telemetry       `json:"telemetry"`
+			Telemetry store.Telemetry `json:"telemetry"`
 		}
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatalf("manifest line %q: %v", line, err)
@@ -468,7 +478,7 @@ func TestConcurrentRunsSharingOnePath(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			outs[r], errs[r] = Run(context.Background(), jobs, Options{Parallel: 3, Manifest: path})
+			outs[r], errs[r] = runManifest(context.Background(), path, jobs, Options{Parallel: 3})
 		}(r)
 	}
 	wg.Wait()
@@ -504,7 +514,7 @@ func TestConcurrentRunsSharingOnePath(t *testing.T) {
 	// A third run over the same path must be served entirely from the
 	// store: zero simulations.
 	var ran int
-	res, err := Run(context.Background(), jobs, Options{Parallel: 2, Manifest: path, OnDone: func(r Result) {
+	res, err := runManifest(context.Background(), path, jobs, Options{Parallel: 2, OnDone: func(r Result) {
 		if !r.Cached {
 			ran++
 		}

@@ -742,3 +742,48 @@ func TestActivityIdentitiesOnADrainedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestLittlesLawOnADrainedRun checks Little's law in its sample-path
+// form over the burst TestActivityIdentitiesOnADrainedRun drains: a flit
+// waiting in a source queue or in the network at the end of a cycle is
+// one flit-cycle of latency, so summed over every cycle the occupancy
+// equals Σ (EjectCycle − CreateCycle) over the flits ejected. The law is
+// exact, not statistical; a flit lost or counted twice, or a latency
+// timestamp off by a cycle, breaks it.
+func TestLittlesLawOnADrainedRun(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 4),
+		topology.NewCMesh(2, 2, 4),
+		topology.NewFBfly(2, 2, 4),
+		topology.NewTorus(4, 4),
+	} {
+		for _, k := range []int{1, 2} {
+			cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
+			cfg.Workload = &burstWorkload{until: 500, rate: 0.08, pattern: traffic.NewUniform(topo.NumNodes), size: 4}
+			var latency int64
+			cfg.OnEject = func(f *router.Flit) { latency += f.EjectCycle - f.CreateCycle }
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", topo.Name, k, err)
+			}
+			var occupancy int64
+			step := func() {
+				n.Step()
+				occupancy += n.InFlight() + n.QueuedAtSources()
+			}
+			for i := 0; i < 500; i++ {
+				step()
+			}
+			for i := 0; i < 20000 && (n.InFlight() > 0 || n.QueuedAtSources() > 0); i++ {
+				step()
+			}
+			if n.InFlight() != 0 || n.QueuedAtSources() != 0 {
+				t.Fatalf("%s k=%d: network did not drain", topo.Name, k)
+			}
+			if latency == 0 || occupancy != latency {
+				t.Errorf("%s k=%d: Σ occupancy = %d flit-cycles, Σ latency = %d", topo.Name, k, occupancy, latency)
+			}
+			n.Close()
+		}
+	}
+}

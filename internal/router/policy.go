@@ -33,6 +33,9 @@ const (
 // policies lists the policies Validate accepts.
 var policies = [...]PolicyKind{PolicyMaxFree, PolicyDimension, PolicyBalanced}
 
+// Policies lists the policies Validate accepts.
+func Policies() []PolicyKind { return slices.Clone(policies[:]) }
+
 // Validate reports whether p names a policy.
 func (p PolicyKind) Validate() error {
 	if !slices.Contains(policies[:], p) {

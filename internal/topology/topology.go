@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -26,6 +27,12 @@ const (
 	KindFBfly Kind = "fbfly"
 	KindTorus Kind = "torus"
 )
+
+// kinds lists the families Radix accepts.
+var kinds = [...]Kind{KindMesh, KindTorus, KindCMesh, KindFBfly}
+
+// Kinds lists the topology families, in the order Radix's error names them.
+func Kinds() []Kind { return slices.Clone(kinds[:]) }
 
 // PortKind classifies what a router port is wired to.
 type PortKind uint8
@@ -141,14 +148,13 @@ func mustNew(kind Kind, w, h, conc int) *Topology {
 // with conc terminals per router without building it, or an error naming
 // the known kinds.
 func Radix(kind Kind, w, h, conc int) (int, error) {
-	switch kind {
-	case KindMesh, KindTorus, KindCMesh:
-		return conc + 4, nil
-	case KindFBfly:
-		return conc + w - 1 + h - 1, nil
-	default:
-		return 0, fmt.Errorf("topology: unknown topology %q; want mesh, torus, cmesh, or fbfly", kind)
+	if !slices.Contains(kinds[:], kind) {
+		return 0, fmt.Errorf("topology: unknown topology %q; want one of %v", kind, kinds)
 	}
+	if kind == KindFBfly {
+		return conc + w - 1 + h - 1, nil
+	}
+	return conc + 4, nil // four direction ports
 }
 
 // RouterXY returns the grid coordinates of router r.

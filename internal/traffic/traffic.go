@@ -230,17 +230,6 @@ func Names() []string {
 	return []string{"uniform", "transpose", "bitcomp", "bitrev", "tornado", "shuffle", "neighbor", "hotspot"}
 }
 
-// Known reports whether name is a pattern New recognises — the
-// validation predicate spec checkers use to reject typos up front.
-func Known(name string) bool {
-	for _, n := range Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // New constructs a pattern by name over a w x h logical node grid.
 // Recognised names are those of Names. A grid the pattern is not defined on — fewer than two nodes
 // (nobody to address), a non-square grid for transpose, a node count
