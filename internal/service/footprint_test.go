@@ -63,11 +63,17 @@ func liveHeap() uint64 {
 
 // TestFinishedCaseFootprint bounds what a server keeps per finished case.
 // A server holds every case it admitted for as long as it runs, so what
-// a case retains after it has run is the service's memory growth: the
-// case record (store ID and label shared per distinct spec, the spec
-// itself dropped with its queue entry) and its slot in the suite. A
-// record that kept its spec, its own store ID and label, or its ID
-// string took ≈ 460 B.
+// a case retains after it has run is the service's memory growth. A
+// replayed case is a 16-byte row in its suite's slice (its spec's
+// interned info, state, provenance; ≈ 25 B with the slice's spare
+// capacity): store ID, label, value and wall time live once per spec,
+// a client name or error message in a side map, and the spec text is
+// dropped with its queue entry. A case that kept its own value and wall
+// time behind a pointer took ≈ 92 B; one that kept its spec, store ID
+// and label took ≈ 460 B.
+//
+// A new spec costs more, once: its intern entry, its shared result and
+// its store entry. The second half bounds that.
 func TestFinishedCaseFootprint(t *testing.T) {
 	s, err := New(Config{Runners: 1})
 	if err != nil {
@@ -92,8 +98,8 @@ func TestFinishedCaseFootprint(t *testing.T) {
 	cases := suites * len(replay)
 	perCase := (float64(after) - float64(before)) / float64(cases)
 	t.Logf("%d replayed cases: heap %d -> %d B, %.0f B per finished case", cases, before, after, perCase)
-	if perCase > 160 {
-		t.Errorf("a finished case holds %.0f B of heap, want <= 160", perCase)
+	if perCase > 32 {
+		t.Errorf("a finished case holds %.0f B of heap, want <= 32", perCase)
 	}
 	if st := s.StoreStats(); st.Misses != int64(len(grid)) {
 		t.Errorf("store simulated %d cases, want %d (replays are hits)", st.Misses, len(grid))
@@ -103,5 +109,25 @@ func TestFinishedCaseFootprint(t *testing.T) {
 	s.specs.mu.Unlock()
 	if n != len(grid) {
 		t.Errorf("intern table holds %d entries, want one per distinct spec (%d)", n, len(grid))
+	}
+
+	// Distinct specs: each is simulated once and keeps its intern entry,
+	// its shared result, its store entry and its one case.
+	const distinct = 256
+	fresh := make([]caseRequest, distinct)
+	for i := range fresh {
+		fresh[i] = caseRequest{Spec: json.RawMessage(fmt.Sprintf(
+			`{"width": 4, "height": 4, "warmup": 10, "measure": 30, "injection_rate": 0.02, "seed": %d}`, 1000+i))}
+	}
+	before = liveHeap()
+	runSuite(t, s, fresh)
+	after = liveHeap()
+	perSpec := (float64(after) - float64(before)) / distinct
+	t.Logf("%d new specs: heap %d -> %d B, %.0f B per spec", distinct, before, after, perSpec)
+	if perSpec > 1024 {
+		t.Errorf("a new spec holds %.0f B of heap, want <= 1024", perSpec)
+	}
+	if st := s.StoreStats(); st.Misses != int64(len(grid)+distinct) {
+		t.Errorf("store simulated %d cases, want %d", st.Misses, len(grid)+distinct)
 	}
 }

@@ -231,28 +231,22 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 	return false
 }
 
-// submit admits parsed cases into a suite and the run queue, rolling
-// queued state back to failed if the server begins draining mid-flight.
-// New specs are interned here, before su.mu is taken: the intern table's
-// lock is never held under a suite's.
+// submit admits parsed cases into a suite: stored specs are served at
+// once, the rest queued, and all of them failed if the server is
+// draining. New specs are interned here, before su.mu is taken: the
+// intern table's lock is never held under a suite's.
 func (s *Server) submit(su *suite, specs []caseSpec, closeAfter bool) ([]string, error) {
 	for i, cs := range specs {
 		if cs.key != "" {
 			specs[i].info = s.specs.intern(cs.key, cs.info)
 		}
 	}
-	first, added, err := su.addCases(specs, closeAfter)
+	first, err := s.enqueue(su, specs, closeAfter)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.enqueue(su, first, added, specs); err != nil {
-		for _, tc := range added {
-			su.setFailed(tc, err)
-		}
-		return nil, err
-	}
-	ids := make([]string, len(added))
-	for i := range added {
+	ids := make([]string, len(specs))
+	for i := range specs {
 		ids[i] = caseID(first + i)
 	}
 	return ids, nil
@@ -292,7 +286,7 @@ func (s *Server) createSuite(name string) (*suite, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
-		return nil, fmt.Errorf("service: server is shutting down")
+		return nil, errShuttingDown
 	}
 	s.nextSuite++
 	su := newSuite("s"+strconv.Itoa(s.nextSuite), name)
@@ -378,17 +372,17 @@ func (s *Server) handleSuiteStatus(w http.ResponseWriter, r *http.Request) {
 	su.mu.Lock()
 	st := suiteStatus{Suite: su.id, Name: su.name, Closed: su.closed, Done: su.closed, Cases: make([]caseStatus, len(su.cases))}
 	for i, tc := range su.cases {
-		if !tc.terminalLocked() {
+		if !tc.terminal() {
 			st.Done = false
 		}
 		st.Cases[i] = caseStatus{
 			Case:      caseID(i),
-			Name:      tc.displayName(),
+			Name:      su.nameLocked(i),
 			ID:        tc.info.storeID,
 			Status:    tc.state.String(),
 			Cached:    tc.cached,
-			WallNanos: tc.wallNanos,
-			Error:     tc.errMsg,
+			WallNanos: su.resultLocked(i).wallNanos,
+			Error:     su.errs[i],
 		}
 	}
 	su.mu.Unlock()

@@ -11,8 +11,9 @@
 // tractable under repeated load: the simulator is deterministic
 // (vixlint-enforced), so a spec's content hash is an exact identity for
 // its result. Identical specs — from any client, across suites, across
-// server restarts — are served from the store without simulating, and N
-// identical specs in flight at once simulate exactly once
+// server restarts — are served from the store without simulating (a
+// spec already stored is answered at admission and never queues), and
+// N identical specs in flight at once simulate exactly once
 // (single-flight). Admission is metered per client by a token bucket;
 // exhausted clients get 429 with a Retry-After hint rather than a queue
 // slot.
@@ -30,6 +31,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -164,21 +166,37 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// enqueue counts cases admitted into su from index first and puts them
-// on the run queue with their specs. It fails when the server is
-// draining; the cases are counted either way, since su keeps them.
-func (s *Server) enqueue(su *suite, first int, added []*testCase, specs []caseSpec) error {
+// errShuttingDown refuses suites and cases posted to a draining server.
+var errShuttingDown = errors.New("service: server is shutting down")
+
+// enqueue admits cases into su and returns the index of the first. A
+// case whose spec is stored is finished at admission; only the rest go
+// on the run queue, with their specs. A draining server serves nothing:
+// it admits the cases as failed and returns errShuttingDown. The cases
+// are counted either way, since su keeps them. Holding s.mu across the
+// suite's admission makes the closing check and the serving one step.
+func (s *Server) enqueue(su *suite, specs []caseSpec, closeAfter bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cases += len(added)
+	var refused error
 	if s.closing {
-		return fmt.Errorf("service: server is shutting down")
+		refused = errShuttingDown
 	}
-	for i, tc := range added {
-		s.queue = append(s.queue, queued{su: su, index: first + i, tc: tc, text: specs[i].text})
+	first, misses, err := su.addCases(specs, closeAfter, s.store, refused)
+	if err != nil {
+		return 0, err
 	}
-	s.cond.Broadcast()
-	return nil
+	s.cases += len(specs)
+	if refused != nil {
+		return 0, refused
+	}
+	for _, i := range misses {
+		s.queue = append(s.queue, queued{su: su, index: first + i, info: specs[i].info, text: specs[i].text})
+	}
+	if len(misses) > 0 {
+		s.cond.Broadcast()
+	}
+	return first, nil
 }
 
 // runner is one worker goroutine: it pops queued cases and executes
@@ -208,17 +226,18 @@ func (s *Server) runner() {
 // served without simulating or decoding; identical specs in flight are
 // waited on and shared (single-flight).
 func (s *Server) runCase(q queued) {
-	q.su.setRunning(q.tc)
-	r, err := harness.RunJob(context.Background(), s.store, q.tc.info.storeID, q.job())
+	q.su.setRunning(q.index)
+	r, err := harness.RunJob(context.Background(), s.store, q.info.storeID, q.job())
 	if err != nil {
-		s.logf("%s/%s (%s): failed: %v", q.su.id, caseID(q.index), q.tc.info.label, err)
-		q.su.setFailed(q.tc, err)
+		s.logf("%s/%s (%s): failed: %v", q.su.id, caseID(q.index), q.info.label, err)
+		q.su.setFailed(q.index, err)
 		return
 	}
 	how := "simulated"
 	if r.Cached {
 		how = "served from store"
 	}
-	s.logf("%s/%s (%s): %s", q.su.id, caseID(q.index), q.tc.info.label, how)
-	q.su.setDone(q.tc, r)
+	s.logf("%s/%s (%s): %s", q.su.id, caseID(q.index), q.info.label, how)
+	q.info.setResult(r.Value, r.Telemetry.WallNanos)
+	q.su.setDone(q.index, r.Cached)
 }

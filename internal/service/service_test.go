@@ -650,6 +650,91 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// suiteStatusOf reads GET /suites/{id}: whether the suite is done, and
+// each case's status and provenance.
+func suiteStatusOf(t *testing.T, base, suite string) (done bool, cases []caseView) {
+	t.Helper()
+	code, data := get(t, base+"/suites/"+suite, nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /suites/%s = %d (body %s)", suite, code, data)
+	}
+	var st struct {
+		Done  bool       `json:"done"`
+		Cases []caseView `json:"cases"`
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatalf("decoding status %q: %v", data, err)
+	}
+	return st.Done, st.Cases
+}
+
+// caseView is one case of a suite status payload.
+type caseView struct {
+	Status string `json:"status"`
+	Cached bool   `json:"cached"`
+	Error  string `json:"error"`
+}
+
+// TestStoredCaseNeverQueues: a stored spec is answered at admission.
+// With the only runner busy on a case that simulates for about a
+// second, a stored spec posted to another suite streams its line while
+// that case is still not terminal, and counts one store hit.
+func TestStoredCaseNeverQueues(t *testing.T) {
+	svc, ts := newTestServer(t, service.Config{Runners: 1})
+	stored := streamResults(t, ts.URL, postGrid(t, ts.URL, fmt.Sprintf(`{"cases": [{"spec": %s}], "close": true}`, smallSpec(1))))
+
+	slow := postGrid(t, ts.URL, `{"cases": [{"spec": {"width": 16, "warmup": 500, "measure": 4000, "injection_rate": 0.1}}], "close": true}`)
+	again := streamResults(t, ts.URL, postGrid(t, ts.URL, fmt.Sprintf(`{"cases": [{"spec": %s}], "close": true}`, smallSpec(1))))
+	if string(again) != string(stored) {
+		t.Errorf("stored spec streamed differently at admission:\n--- run\n%s--- served\n%s", stored, again)
+	}
+	if done, cases := suiteStatusOf(t, ts.URL, slow); done || cases[0].Status == "done" || cases[0].Status == "failed" {
+		t.Errorf("slow case is %q before the stored case streamed; want the stored case answered without waiting for it", cases[0].Status)
+	}
+	if st := svc.StoreStats(); st.Hits != 1 || st.Misses != 2 {
+		t.Errorf("store counted %d hits and %d misses, want the served case as 1 hit beside 2 simulations", st.Hits, st.Misses)
+	}
+	streamResults(t, ts.URL, slow)
+}
+
+// TestDrainFailsStoredCases: a draining server serves nothing. Cases
+// posted to an open suite after Close get 503 and are failed, even when
+// their specs are stored, and count no store hit.
+func TestDrainFailsStoredCases(t *testing.T) {
+	svc, err := service.New(service.Config{Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	streamResults(t, ts.URL, postGrid(t, ts.URL, gridBody()))
+	code, data := post(t, ts.URL+"/suites", `{"name": "open"}`)
+	if code != http.StatusCreated {
+		t.Fatalf("POST /suites = %d (body %s)", code, data)
+	}
+	before := svc.StoreStats()
+
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	code, data = post(t, ts.URL+"/suites/s2/cases", fmt.Sprintf(`{"cases": [{"spec": %s}, {"spec": %s}]}`, smallSpec(1), smallSpec(2)))
+	if code != http.StatusServiceUnavailable {
+		t.Errorf("POST stored cases after Close = %d, want 503 (body %s)", code, data)
+	}
+	_, cases := suiteStatusOf(t, ts.URL, "s2")
+	if len(cases) != 2 {
+		t.Fatalf("suite holds %d cases, want the 2 posted", len(cases))
+	}
+	for i, c := range cases {
+		if c.Status != "failed" || c.Cached || c.Error == "" {
+			t.Errorf("c%d = %+v, want failed with an error, not served", i, c)
+		}
+	}
+	if after := svc.StoreStats(); after != before {
+		t.Errorf("store stats moved from %+v to %+v; a draining server must not serve", before, after)
+	}
+}
+
 // TestWorkersIsRetired: Config.Workers survives only as 0 or 1, the
 // values that meant a serial tick; any other width is refused by name.
 func TestWorkersIsRetired(t *testing.T) {

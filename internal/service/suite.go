@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"vix/internal/config"
 	"vix/internal/harness"
+	"vix/internal/store"
 )
 
 // caseState is where a case is in its lifecycle. It is a byte, not the
@@ -37,8 +39,12 @@ type suite struct {
 	id   string
 	name string
 
-	mu     sync.Mutex
-	cases  []*testCase
+	mu    sync.Mutex
+	cases []testCase
+	// names and errs hold what few cases have, by case index: a
+	// client-chosen display name, and a failed case's error message.
+	names  map[int]string
+	errs   map[int]string
 	closed bool
 	// changed is closed and replaced on every state transition; results
 	// streamers wait on it instead of polling. (A sync.Cond cannot be
@@ -62,26 +68,50 @@ func (su *suite) bumpLocked() {
 // handler answers it with 409 rather than 503.
 var errSuiteClosed = errors.New("is closed")
 
-// addCases appends cases to an open suite and optionally closes it. It
-// returns the new cases and the index of the first, or an error if the
-// suite is already closed.
-func (su *suite) addCases(specs []caseSpec, closeAfter bool) (first int, added []*testCase, err error) {
+// addCases appends cases to an open suite, optionally closes it, and
+// returns the index of the first, or an error if the suite is already
+// closed. A non-nil refused fails every new case with its message. Else
+// a case whose spec st holds is finished here, as one counted store hit
+// that never takes a run-queue slot; the rest are left queued, and
+// misses returns their offsets in specs.
+func (su *suite) addCases(specs []caseSpec, closeAfter bool, st *store.Store, refused error) (first int, misses []int, err error) {
 	su.mu.Lock()
 	defer su.mu.Unlock()
 	if su.closed {
 		return 0, nil, fmt.Errorf("service: suite %s %w", su.id, errSuiteClosed)
 	}
 	first = len(su.cases)
-	added = make([]*testCase, len(specs))
 	for i, cs := range specs {
-		added[i] = &testCase{info: cs.info, name: cs.Name}
+		tc := testCase{info: cs.info}
+		if refused != nil {
+			tc.state = stateFailed
+			setNote(&su.errs, first+i, refused.Error())
+		} else if e, ok := st.Get(cs.info.storeID); ok {
+			cs.info.setResult(e.Value, e.Telemetry.WallNanos)
+			tc.state, tc.cached = stateDone, true
+		} else {
+			misses = append(misses, i)
+		}
+		setNote(&su.names, first+i, cs.Name)
+		su.cases = append(su.cases, tc)
 	}
-	su.cases = append(su.cases, added...)
 	if closeAfter {
 		su.closed = true
 	}
 	su.bumpLocked()
-	return first, added, nil
+	return first, misses, nil
+}
+
+// setNote records a non-empty note for case i in *m, one of a suite's
+// side maps, making the map on first use. Callers hold su.mu.
+func setNote(m *map[int]string, i int, note string) {
+	if note == "" {
+		return
+	}
+	if *m == nil {
+		*m = make(map[int]string)
+	}
+	(*m)[i] = note
 }
 
 // close marks the suite closed; further cases are rejected and results
@@ -102,8 +132,8 @@ func (su *suite) snapshot(from int) (lines []resultLine, next int, done bool, ch
 	su.mu.Lock()
 	defer su.mu.Unlock()
 	next = from
-	for next < len(su.cases) && su.cases[next].terminalLocked() {
-		lines = append(lines, su.cases[next].lineLocked(next))
+	for next < len(su.cases) && su.cases[next].terminal() {
+		lines = append(lines, su.lineLocked(next))
 		next++
 	}
 	done = su.closed && next == len(su.cases)
@@ -132,6 +162,27 @@ type specInfo struct {
 	storeID string // the spec's content hash: its result-store key
 	label   string // display label, e.g. "vixd/if:2/0.05"
 	cycles  int64  // warmup + measure, the store entry's telemetry cycles
+	// result is the spec's store entry as its cases show it, set by the
+	// first case of the spec to finish. It is written once and read
+	// without a lock: a case reads it only once it is done, and a case
+	// is marked done only after the result is set.
+	result atomic.Pointer[specResult]
+}
+
+// specResult is the part of a spec's store entry its done cases show:
+// the value, and the wall time of the run that computed it.
+type specResult struct {
+	value     json.RawMessage
+	wallNanos int64
+}
+
+// setResult records the spec's result unless one is recorded already.
+// Every entry for one store ID carries the same value, so the first is
+// as good as any.
+func (in *specInfo) setResult(value json.RawMessage, wallNanos int64) {
+	if in.result.Load() == nil {
+		in.result.CompareAndSwap(nil, &specResult{value: value, wallNanos: wallNanos})
+	}
 }
 
 // specTable interns specInfo by the spec's canonical text, json.Marshal
@@ -197,40 +248,46 @@ func (t *specTable) resolve(e config.Experiment) (string, *specInfo, error) {
 }
 
 // testCase is one case of a suite, kept for as long as the server runs:
-// only what its status and result lines are built from. The spec text
-// rides the run-queue entry and is gone once the case has run; the case
-// ID is its index in the suite. Fields are written under su.mu; info is
-// shared and never written.
+// a 16-byte row of what differs between cases of one spec. The value and
+// wall time are the spec's, on its shared info; a client name or error
+// message sits in the suite's side maps; the spec text rides the
+// run-queue entry and is gone once the case has run; the case ID is its
+// index in the suite. Rows are written under su.mu.
 type testCase struct {
-	info      *specInfo
-	name      string // client-chosen display name; "" shows the label
-	value     json.RawMessage
-	errMsg    string
-	wallNanos int64
-	state     caseState
-	cached    bool
+	info   *specInfo
+	state  caseState
+	cached bool
 }
 
 // caseID renders the suite-relative ID of the case at index i: "c0",
 // "c1", ...
 func caseID(i int) string { return "c" + strconv.Itoa(i) }
 
-// displayName is the case's name in payloads: the client's choice, or
-// else the spec's label.
-func (tc *testCase) displayName() string {
-	if tc.name != "" {
-		return tc.name
+// nameLocked is case i's name in payloads: the client's choice, or else
+// the spec's label. Callers hold su.mu.
+func (su *suite) nameLocked(i int) string {
+	if name, ok := su.names[i]; ok {
+		return name
 	}
-	return tc.info.label
+	return su.cases[i].info.label
 }
 
-// queued is one run-queue entry: a case, where it lives, and the spec
-// text it runs. The text is held here rather than on the case so that a
-// finished case does not keep it.
+// resultLocked is what case i shows of its spec's result: nothing
+// unless it is done. Callers hold su.mu.
+func (su *suite) resultLocked(i int) specResult {
+	if su.cases[i].state != stateDone {
+		return specResult{}
+	}
+	return *su.cases[i].info.result.Load()
+}
+
+// queued is one run-queue entry: where the case lives, its spec, and the
+// spec text it runs. The text is held here rather than on the case so
+// that a finished case does not keep it.
 type queued struct {
 	su    *suite
 	index int
-	tc    *testCase
+	info  *specInfo
 	text  json.RawMessage
 }
 
@@ -239,7 +296,7 @@ type queued struct {
 // client — so identical specs from anywhere share one store identity.
 // The spec text is decoded only when the job runs, i.e. on a store miss.
 func (q queued) job() harness.Job {
-	info := q.tc.info
+	info := q.info
 	return harness.Job{
 		Name:   info.label,
 		Cycles: info.cycles,
@@ -291,37 +348,34 @@ func specLabel(e config.Experiment) string {
 	return fmt.Sprintf("vixd/%s:%d/%s", r.Allocator, r.VirtualInputs, r.OfferedLabel())
 }
 
-// setRunning marks the case running. It wakes no stream: streams wait
+// setRunning marks case i running. It wakes no stream: streams wait
 // only for cases to finish.
-func (su *suite) setRunning(tc *testCase) {
+func (su *suite) setRunning(i int) {
 	su.mu.Lock()
-	tc.state = stateRunning
+	su.cases[i].state = stateRunning
 	su.mu.Unlock()
 }
 
-// setDone records a completed harness result.
-func (su *suite) setDone(tc *testCase, r harness.Result) {
+// setDone marks case i done; its spec's result is already set.
+func (su *suite) setDone(i int, cached bool) {
 	su.mu.Lock()
-	tc.state = stateDone
-	tc.value = r.Value
-	tc.cached = r.Cached
-	tc.wallNanos = r.Telemetry.WallNanos
+	su.cases[i].state = stateDone
+	su.cases[i].cached = cached
 	su.bumpLocked()
 	su.mu.Unlock()
 }
 
-// setFailed records a failed run.
-func (su *suite) setFailed(tc *testCase, err error) {
+// setFailed records a failed run of case i.
+func (su *suite) setFailed(i int, err error) {
 	su.mu.Lock()
-	tc.state = stateFailed
-	tc.errMsg = err.Error()
+	su.cases[i].state = stateFailed
+	setNote(&su.errs, i, err.Error())
 	su.bumpLocked()
 	su.mu.Unlock()
 }
 
-// terminalLocked reports whether the case finished (done or failed).
-// Callers hold su.mu.
-func (tc *testCase) terminalLocked() bool {
+// terminal reports whether the case finished (done or failed).
+func (tc testCase) terminal() bool {
 	return tc.state == stateDone || tc.state == stateFailed
 }
 
@@ -341,14 +395,15 @@ type resultLine struct {
 
 // lineLocked renders the stream line of the case at index i. Callers
 // hold su.mu.
-func (tc *testCase) lineLocked(i int) resultLine {
+func (su *suite) lineLocked(i int) resultLine {
+	tc := su.cases[i]
 	return resultLine{
 		Case:   caseID(i),
-		Name:   tc.displayName(),
+		Name:   su.nameLocked(i),
 		ID:     tc.info.storeID,
 		Status: tc.state.String(),
-		Value:  tc.value,
-		Error:  tc.errMsg,
+		Value:  su.resultLocked(i).value,
+		Error:  su.errs[i],
 	}
 }
 

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Collector accumulates metrics over a measurement window. The usual
@@ -113,6 +114,14 @@ func (c *Collector) growHist(latency int64) {
 	grown := make([]uint32, n)
 	copy(grown, c.latHist)
 	c.latHist = grown
+}
+
+// PerSourceFlits returns a copy of the window's ejected flits per
+// source node, indexed by node: the counts the fairness ratio reduces
+// to one number. It is not a Snapshot field, because Snapshots are
+// compared with != and hashed into digests.
+func (c *Collector) PerSourceFlits() []int64 {
+	return slices.Clone(c.perSrcFlits)
 }
 
 // BufferWrite records a flit written into an input buffer, for the energy

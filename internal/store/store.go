@@ -212,11 +212,23 @@ func (s *Store) Stats() Stats {
 }
 
 // Lookup returns the stored entry for an ID, if any. It does not touch
-// the hit/miss counters; accounting belongs to Do, the request path.
+// the hit/miss counters; accounting belongs to the request path, Do and
+// Get.
 func (s *Store) Lookup(id string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[id]
+	return e, ok
+}
+
+// Get is Lookup on the request path: a stored entry is returned and
+// counted as one hit, as Do counts its hit; a missing one counts
+// nothing, so the caller's later Do counts the miss or share itself.
+func (s *Store) Get(id string) (Entry, bool) {
+	e, ok := s.Lookup(id)
+	if ok {
+		s.hits.Add(1)
+	}
 	return e, ok
 }
 

@@ -247,6 +247,34 @@ func TestDoHit(t *testing.T) {
 	}
 }
 
+// TestGetCountsHitsOnly: Get counts a stored entry as one hit, the way
+// Do's hit counts, and a missing one as nothing; Lookup counts neither.
+func TestGetCountsHitsOnly(t *testing.T) {
+	s := Memory()
+	if err := s.Put(entry("job", 7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Lookup("job"); !ok {
+		t.Fatal("Lookup missed a stored entry")
+	}
+	if _, ok := s.Lookup("nosuch"); ok {
+		t.Fatal("Lookup found an entry never stored")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 || st.InflightDedup != 0 {
+		t.Fatalf("after two Lookups stats = %+v, want nothing counted", st)
+	}
+	e, ok := s.Get("job")
+	if !ok || string(e.Value) != `{"v":7}` {
+		t.Fatalf("Get = %+v, %v; want the stored entry", e, ok)
+	}
+	if _, ok := s.Get("nosuch"); ok {
+		t.Fatal("Get found an entry never stored")
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 0 || st.InflightDedup != 0 {
+		t.Fatalf("after a Get hit and a Get miss stats = %+v, want 1 hit and nothing else", st)
+	}
+}
+
 // TestDoErrorPropagatesAndClears: a failed computation reaches every
 // waiter, and a later request retries instead of caching the failure.
 func TestDoErrorPropagatesAndClears(t *testing.T) {
