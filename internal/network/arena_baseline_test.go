@@ -97,6 +97,33 @@ func arenaBaselineCases() []arenaBaselineCase {
 			},
 		},
 		{
+			// Saturated VIX mesh without speculation: a head that wins VC
+			// allocation bids for the switch only from the next cycle.
+			name: "mesh8x8_if2_nonspec_sat", warmup: 400, cycles: 1200,
+			build: func() Config {
+				cfg := meshConfig(topology.NewMesh(8, 8), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+				cfg.Router.NonSpeculative = true
+				cfg.InjectionRate = 0
+				cfg.MaxInjection = true
+				cfg.Seed = 7
+				return cfg
+			},
+		},
+		{
+			// Saturated k = 3 mesh with interleaved sub-groups: VC v feeds
+			// virtual input v mod 3, so both the injection and the VA
+			// dimension rule pick from non-contiguous groups.
+			name: "mesh8x8_if3_interleaved_sat", warmup: 400, cycles: 1200,
+			build: func() Config {
+				cfg := meshConfig(topology.NewMesh(8, 8), alloc.KindSeparableIF, 3, router.PolicyBalanced)
+				cfg.Router.Partition = alloc.Interleaved
+				cfg.InjectionRate = 0
+				cfg.MaxInjection = true
+				cfg.Seed = 7
+				return cfg
+			},
+		},
+		{
 			// The scale target itself at light load: 1024 routers, kept
 			// short so the mode matrix stays tractable under -race.
 			name: "mesh32x32_if2_low", warmup: 200, cycles: 600,

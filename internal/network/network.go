@@ -628,8 +628,7 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 }
 
 // inject moves at most one flit from nif's source queue into the local
-// input port of its router, choosing an injection VC for head flits with
-// the same sub-group policy the routers use.
+// input port of its router, which picks the VC a head flit starts in.
 func (n *Network) inject(nif *ni) {
 	if nif.pending() == 0 {
 		return
@@ -644,7 +643,7 @@ func (n *Network) inject(nif *ni) {
 		if nif.curVC >= 0 {
 			panic("network: head flit while previous packet still streaming")
 		}
-		vc := n.chooseInjectionVC(rt, r, port, p.route)
+		vc := rt.InjectionVC(port, n.topo.Conn[r][p.route].Dim)
 		if vc < 0 {
 			return // no space at the local port this cycle
 		}
@@ -680,35 +679,6 @@ func (n *Network) inject(nif *ni) {
 	if ft.IsTail() {
 		nif.curVC = -1
 	}
-}
-
-// chooseInjectionVC picks the local-port VC a new packet starts in:
-// prefer the sub-group matching the packet's first route dimension (so
-// VIX virtual inputs at the injection router see diverse requests), then
-// the VC with the most space. Returns -1 if nothing has space.
-func (n *Network) chooseInjectionVC(rt *router.Router, r, port, route int) int {
-	acfg := n.cfg.Router.Alloc()
-	dim := n.topo.Conn[r][route].Dim
-	prefGroup := 0
-	if acfg.VirtualInputs > 1 && dim != topology.DimX {
-		prefGroup = acfg.VirtualInputs - 1
-	}
-	best, bestSpace := -1, 0
-	bestPref := false
-	for vc := 0; vc < n.cfg.Router.VCs; vc++ {
-		// Any VC with space is eligible: the NI streams packets strictly
-		// sequentially, so a new packet queued behind the previous tail
-		// in the same VC preserves wormhole FIFO order.
-		space := rt.BufferSpace(port, vc)
-		if space == 0 {
-			continue
-		}
-		pref := acfg.Subgroup(vc) == prefGroup
-		if best < 0 || (pref && !bestPref) || (pref == bestPref && space > bestSpace) {
-			best, bestSpace, bestPref = vc, space, pref
-		}
-	}
-	return best
 }
 
 // Run advances the simulation the given number of cycles.

@@ -178,3 +178,60 @@ func TestUnknownPolicyPanics(t *testing.T) {
 		topology.DimX,
 	))
 }
+
+// TestInjectionVC pins the router's choice of the local-port VC a new
+// packet starts in: the Section 2.3 dimension rule over buffer space,
+// whatever the configured policy. Each case fills the six 5-flit VCs of
+// local port 0 to the given occupancy.
+func TestInjectionVC(t *testing.T) {
+	cases := []struct {
+		name      string
+		k         int
+		partition alloc.Partition
+		policy    PolicyKind
+		occupancy [6]int8
+		dim       topology.Dim
+		want      int
+	}{
+		// Space 3 4 2 | 5 5 5 in sub-groups {0,1,2} and {3,4,5}.
+		{"x head takes sub-group 0's most space", 2, alloc.Contiguous, PolicyBalanced, [6]int8{2, 1, 3, 0, 0, 0}, topology.DimX, 1},
+		{"y head takes the last sub-group", 2, alloc.Contiguous, PolicyBalanced, [6]int8{0, 0, 0, 2, 1, 3}, topology.DimY, 4},
+		{"local head takes the last sub-group", 2, alloc.Contiguous, PolicyBalanced, [6]int8{0, 0, 0, 2, 1, 3}, topology.DimLocal, 4},
+		{"ties go to the lowest VC", 2, alloc.Contiguous, PolicyBalanced, [6]int8{3, 1, 1, 0, 0, 0}, topology.DimX, 1},
+		{"y ties go to the lowest VC", 2, alloc.Contiguous, PolicyBalanced, [6]int8{2, 1, 3, 0, 0, 0}, topology.DimY, 3},
+		{"a full preferred group falls back", 2, alloc.Contiguous, PolicyBalanced, [6]int8{5, 5, 5, 4, 2, 3}, topology.DimX, 4},
+		{"a full y group falls back", 2, alloc.Contiguous, PolicyBalanced, [6]int8{4, 3, 4, 5, 5, 5}, topology.DimY, 1},
+		{"a full port has no VC", 2, alloc.Contiguous, PolicyBalanced, [6]int8{5, 5, 5, 5, 5, 5}, topology.DimX, -1},
+		{"k = 1: most space wins", 1, alloc.Contiguous, PolicyMaxFree, [6]int8{3, 2, 4, 1, 5, 1}, topology.DimY, 3},
+		{"k = 1: full port", 1, alloc.Contiguous, PolicyMaxFree, [6]int8{5, 5, 5, 5, 5, 5}, topology.DimX, -1},
+		// Space 1 5 4 3 2 5: sub-groups {0,2,4} and {1,3,5} at k = 2,
+		// {0,3}, {1,4} and {2,5} at k = 3.
+		{"interleaved k = 2, x", 2, alloc.Interleaved, PolicyBalanced, [6]int8{4, 0, 1, 2, 3, 0}, topology.DimX, 2},
+		{"interleaved k = 2, y", 2, alloc.Interleaved, PolicyBalanced, [6]int8{4, 0, 1, 2, 3, 0}, topology.DimY, 1},
+		{"interleaved k = 3, x", 3, alloc.Interleaved, PolicyBalanced, [6]int8{4, 0, 1, 2, 3, 0}, topology.DimX, 3},
+		{"interleaved k = 3, y", 3, alloc.Interleaved, PolicyBalanced, [6]int8{4, 0, 1, 2, 3, 0}, topology.DimY, 5},
+		{"contiguous k = 2, same occupancy, y", 2, alloc.Contiguous, PolicyBalanced, [6]int8{4, 0, 1, 2, 3, 0}, topology.DimY, 5},
+		// maxfree alone would take VC 0; injection still prefers the
+		// last sub-group for a Y head.
+		{"maxfree router applies the dimension rule", 2, alloc.Contiguous, PolicyMaxFree, [6]int8{0, 0, 0, 0, 0, 0}, topology.DimY, 3},
+		{"dimension router", 2, alloc.Contiguous, PolicyDimension, [6]int8{0, 0, 0, 0, 0, 0}, topology.DimY, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.VirtualInputs, cfg.Partition, cfg.Policy = tc.k, tc.partition, tc.policy
+			r := testRouter(t, cfg)
+			for vc, n := range tc.occupancy {
+				for range n {
+					r.Deliver(0, vc, Slot{Route: 1, Type: Body})
+				}
+			}
+			if got := r.InjectionVC(0, tc.dim); got != tc.want {
+				t.Errorf("InjectionVC = %d, want %d", got, tc.want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { r.InjectionVC(0, tc.dim) }); allocs != 0 {
+				t.Errorf("InjectionVC allocates %v times per call", allocs)
+			}
+		})
+	}
+}

@@ -24,11 +24,11 @@ type Config struct {
 	Policy        PolicyKind      // output-VC assignment policy
 	Partition     alloc.Partition // VC-to-sub-group mapping (default contiguous)
 
-	// NonSpeculative disables speculative switch allocation: a head flit
-	// that wins VC allocation this cycle may only compete in switch
-	// allocation from the next cycle. The default (false) models the
-	// paper's optimised pipeline (Figure 6b, citing Peh & Dally), where
-	// heads speculatively bid for the switch in parallel with VA.
+	// NonSpeculative takes the switch request set before VC allocation
+	// instead of after it: a head flit that wins VC allocation this cycle
+	// competes in switch allocation only from the next cycle. The default
+	// (false) models the paper's optimised pipeline (Figure 6b, citing Peh
+	// & Dally), where heads speculatively bid for the switch with VA.
 	NonSpeculative bool
 }
 
@@ -144,14 +144,13 @@ func segment[T any](slab []T, slot, n int) []T {
 // that the tick walks instead of scanning every ivc (bit ivc&63 of word
 // ivc>>6; W = ceil(Ports*VCs/64) words each):
 //
-//	nonEmpty  [W]      count[ivc] > 0
-//	hasOVC    [W]      ovc[ivc] >= 0
-//	justAlloc [W]      ovc granted this tick (kept only under NonSpeculative)
-//	vaWait    [W]      pending head (nonEmpty, no ovc) whose admitted VCs
-//	                   at outPort[ivc] were all busy when VA last tried it
-//	noCredit  [W]      ovc held at a link output with zero credits
-//	busy      [Ports]  per output port, bit v: downstream VC v is held by
-//	                   an input VC here
+//	nonEmpty [W]      count[ivc] > 0
+//	hasOVC   [W]      ovc[ivc] >= 0
+//	vaWait   [W]      pending head (nonEmpty, no ovc) whose admitted VCs
+//	                  at outPort[ivc] were all busy when VA last tried it
+//	noCredit [W]      ovc held at a link output with zero credits
+//	busy     [Ports]  per output port, bit v: downstream VC v is held by
+//	                  an input VC here
 //
 // vaWait and noCredit drop input VCs from the stage that cannot serve
 // them until the one event that can end the block: a tail freeing a VC
@@ -165,7 +164,7 @@ type Arena struct {
 	n     int
 
 	maskWords  int // W: words per ivc mask
-	maskStride int // mask words per router: 5W + Ports
+	maskStride int // mask words per router: 4W + Ports
 
 	bufs    []Slot
 	head    []int8
@@ -196,7 +195,7 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 		n:         numRouters,
 		maskWords: (pv + 63) / 64,
 	}
-	a.maskStride = 5*a.maskWords + cfg.Ports
+	a.maskStride = 4*a.maskWords + cfg.Ports
 	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
 	for i := range a.bufs {
 		a.bufs[i].Flit = NoFlit
@@ -245,19 +244,18 @@ type Router struct {
 	ports []PortInfo
 
 	// Arena segment views (see Arena layout).
-	buf       []Slot
-	head      []int8
-	count     []int8
-	ovc       []int8
-	outPort   []int8
-	credits   []int8
-	wait      []int32
-	nonEmpty  sim.Bitset
-	hasOVC    sim.Bitset
-	justAlloc sim.Bitset
-	vaWait    sim.Bitset
-	noCredit  sim.Bitset
-	busy      []uint64
+	buf      []Slot
+	head     []int8
+	count    []int8
+	ovc      []int8
+	outPort  []int8
+	credits  []int8
+	wait     []int32
+	nonEmpty sim.Bitset
+	hasOVC   sim.Bitset
+	vaWait   sim.Bitset
+	noCredit sim.Bitset
+	busy     []uint64
 
 	// Geometry tables shared through the arena.
 	ivcPort   []int32
@@ -324,10 +322,9 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	masks := segment(arena.masks, slot, arena.maskStride)
 	r.nonEmpty = masks[:w:w]
 	r.hasOVC = masks[w : 2*w : 2*w]
-	r.justAlloc = masks[2*w : 3*w : 3*w]
-	r.vaWait = masks[3*w : 4*w : 4*w]
-	r.noCredit = masks[4*w : 5*w : 5*w]
-	r.busy = masks[5*w:]
+	r.vaWait = masks[2*w : 3*w : 3*w]
+	r.noCredit = masks[3*w : 4*w : 4*w]
+	r.busy = masks[4*w:]
 	r.reqs.Config = cfg.Alloc()
 	r.idle, _ = allocator.(alloc.IdleSkipper)
 	return r
@@ -490,9 +487,12 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 }
 
 // Advance moves the router one cycle on: VC allocation, then switch
-// allocation, then switch traversal of the winners. It returns the flits
-// leaving through output ports, the credits freed at input ports, and
-// whether the router quiesced — no flits remain buffered, so until the
+// allocation, then switch traversal of the winners. Under NonSpeculative
+// the switch request set is taken before VC allocation, which writes only
+// heads holding no output VC — none of them in the set — so the stage
+// order alone holds a new head out until the next cycle. It returns the
+// flits leaving through output ports, the credits freed at input ports,
+// and whether the router quiesced — no flits remain buffered, so until the
 // next delivery every further cycle would be the idle no-op SkipIdle can
 // replay. The activity-gated network tick clears a quiesced router's
 // activity bit and stops advancing it.
@@ -504,13 +504,15 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	r.ems = r.ems[:0]
 	r.creds = r.creds[:0]
+	var rs *alloc.RequestSet
 	if r.cfg.NonSpeculative {
-		for i := range r.justAlloc {
-			r.justAlloc[i] = 0
-		}
+		rs = r.buildRequests()
+		r.allocateVCs()
+	} else {
+		r.allocateVCs()
+		rs = r.buildRequests()
 	}
-	r.allocateVCs()
-	grants := r.alloc.Allocate(r.buildRequests())
+	grants := r.alloc.Allocate(rs)
 	for _, g := range grants {
 		req := g.Request(&r.reqs)
 		ivc := req.Port*r.cfg.VCs + req.VC
@@ -560,9 +562,8 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 // SkipIdle fast-forwards the router across cycles consecutive ticks
 // during which it held no buffered flits. An idle Tick emits nothing and
 // frees no credits; its only persistent effects are the VC-allocation
-// priority rotation, the clearing of the NonSpeculative just-allocated
-// marks, and whatever the allocator does with an empty request set —
-// which built-in allocators compress to O(1) via alloc.IdleSkipper. A
+// priority rotation and whatever the allocator does with an empty request
+// set — which built-in allocators compress to O(1) via alloc.IdleSkipper. A
 // custom allocator without SkipIdle gets the literal empty Allocate
 // calls, so gated and dense runs stay byte-identical for any allocator.
 //
@@ -572,11 +573,6 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 // an idle tick's effects touch nothing the buffers feed.
 func (r *Router) SkipIdle(cycles int) {
 	r.vaOffset += cycles
-	if r.cfg.NonSpeculative {
-		for i := range r.justAlloc {
-			r.justAlloc[i] = 0
-		}
-	}
 	if r.idle != nil {
 		r.idle.SkipIdle(cycles)
 		return
@@ -652,9 +648,6 @@ func (r *Router) allocateVC(ivc int) {
 	// link bandwidth, serialised per output port by switch allocation.
 	r.ovc[ivc], r.outPort[ivc] = int8(v), int8(out)
 	r.hasOVC.Set(ivc)
-	if r.cfg.NonSpeculative {
-		r.justAlloc.Set(ivc)
-	}
 }
 
 // wakeVA returns every head waiting on output out to VC allocation: a
@@ -695,6 +688,29 @@ func (r *Router) chooseOVC(out, dst int) int {
 	return r.cfg.Policy.choose(&ctx)
 }
 
+// InjectionVC picks the VC of local input port a new packet starts in,
+// given dim, the dimension of its first hop: PolicyDimension, whatever
+// the configured Policy, over the VCs with buffer space, space in the role
+// of credits. It returns -1 if no VC has space. Any VC with space will do:
+// the network interface streams packets in order, so a packet behind the
+// previous tail in the same VC keeps wormhole FIFO order.
+func (r *Router) InjectionVC(port int, dim topology.Dim) int {
+	var space [alloc.MaxVCs]int8
+	var free uint64
+	vcs := r.cfg.VCs
+	for vc, c := range r.count[port*vcs : port*vcs+vcs] {
+		if s := int8(r.cfg.BufDepth) - c; s > 0 {
+			space[vc] = s
+			free |= 1 << uint(vc)
+		}
+	}
+	if free == 0 {
+		return -1
+	}
+	ctx := vaContext{free: free, credits: space[:vcs], groupMask: r.groupMask, nextDim: dim}
+	return PolicyDimension.choose(&ctx)
+}
+
 // buildRequests assembles this cycle's switch-allocation request set:
 // every input VC whose front flit has an output VC with a downstream
 // credit (hasOVC and not noCredit) requests its packet's output port, in
@@ -702,9 +718,7 @@ func (r *Router) chooseOVC(out, dst int) int {
 func (r *Router) buildRequests() *alloc.RequestSet {
 	r.reqs.Requests = r.reqs.Requests[:0]
 	for wi, w := range r.nonEmpty {
-		// VA and SA may not overlap in the same cycle when NonSpeculative
-		// (justAlloc stays zero otherwise).
-		for w &= r.hasOVC[wi] &^ r.justAlloc[wi] &^ r.noCredit[wi]; w != 0; w &= w - 1 {
+		for w &= r.hasOVC[wi] &^ r.noCredit[wi]; w != 0; w &= w - 1 {
 			ivc := wi<<6 + bits.TrailingZeros64(w)
 			port := int(r.ivcPort[ivc])
 			r.reqs.Requests = append(r.reqs.Requests, alloc.Request{

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -98,6 +99,9 @@ type Server struct {
 // New starts a server: opens the result store and launches the runner
 // pool. The caller must Close it.
 func New(cfg Config) (*Server, error) {
+	if math.IsNaN(cfg.QuotaRate) || math.IsNaN(cfg.QuotaBurst) {
+		return nil, fmt.Errorf("service: QuotaRate and QuotaBurst must be numbers, got %v and %v", cfg.QuotaRate, cfg.QuotaBurst)
+	}
 	if cfg.QuotaRate > 0 && cfg.Now == nil {
 		return nil, fmt.Errorf("service: Config.Now is required when QuotaRate > 0 (the service never reads the wall clock itself)")
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -753,6 +754,26 @@ func TestWorkersIsRetired(t *testing.T) {
 				svc.Close()
 			}
 			t.Errorf("Workers %d: New error = %v, want one naming the retired field", w, err)
+		}
+	}
+}
+
+// TestNaNQuotaIsRefused: a NaN rate or burst would refuse every case
+// forever (the bucket never holds a token and the retry hint is NaN), so
+// New refuses it by name.
+func TestNaNQuotaIsRefused(t *testing.T) {
+	nan := math.NaN()
+	for _, cfg := range []service.Config{
+		{Runners: 1, QuotaRate: nan},
+		{Runners: 1, QuotaRate: 1, QuotaBurst: nan},
+		{Runners: 1, QuotaBurst: nan},
+	} {
+		cfg.Now = func() int64 { return 0 }
+		if svc, err := service.New(cfg); err == nil || !strings.Contains(err.Error(), "Quota") {
+			if svc != nil {
+				svc.Close()
+			}
+			t.Errorf("QuotaRate %v, QuotaBurst %v: New error = %v, want one naming the quota", cfg.QuotaRate, cfg.QuotaBurst, err)
 		}
 	}
 }
