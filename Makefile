@@ -44,12 +44,15 @@ test:
 # for 15 s (go test takes one -fuzz target per run). FuzzAllocate: every
 # kind's grants legal, deterministic from Reset, inputs left unmutated,
 # lone requests granted. FuzzExperiment: Validate rejects a spec, naming
-# its JSON field, or the simulator runs it without error or panic. A
-# failing input lands in the package's testdata/fuzz/<target>/ — commit
-# it with the fix.
+# its JSON field, or the simulator runs it without error or panic.
+# FuzzScanCases: a vixd POST body the byte scan admits, the JSON decoder
+# admits too, with the same names, specs and close. A failing input
+# lands in the package's testdata/fuzz/<target>/ — commit it with the
+# fix.
 fuzz:
 	go test -run '^$$' -fuzz FuzzAllocate -fuzztime 15s ./internal/alloc
 	go test -run '^$$' -fuzz FuzzExperiment -fuzztime 15s ./internal/config
+	go test -run '^$$' -fuzz FuzzScanCases -fuzztime 15s ./internal/service
 
 # A small harness-backed sweep grid under the race detector: exercises
 # the parallel fan-out, manifest resume, and canonical merge end to end.

@@ -105,7 +105,7 @@ func TestFinishedCaseFootprint(t *testing.T) {
 		t.Errorf("store simulated %d cases, want %d (replays are hits)", st.Misses, len(grid))
 	}
 	s.specs.mu.Lock()
-	n := len(s.specs.infos)
+	n := len(s.specs.byID)
 	s.specs.mu.Unlock()
 	if n != len(grid) {
 		t.Errorf("intern table holds %d entries, want one per distinct spec (%d)", n, len(grid))

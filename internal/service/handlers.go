@@ -114,28 +114,45 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // buffering without bound.
 const maxBodyBytes = 4 << 20
 
-// decodeBody decodes r's JSON body — one value, nothing but whitespace
-// after it — into v, writing the 400 (malformed) or 413 (over
-// maxBodyBytes) itself when it cannot.
-func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeBody decodes src — one JSON value, nothing but whitespace after
+// it — into v; what names the body in the error.
+func decodeBody(src io.Reader, what string, v any) error {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
 		switch _, err = dec.Token(); err {
 		case io.EOF:
-			return true
+			return nil
 		case nil:
 			err = errors.New("unexpected data after the JSON value")
 		}
 	}
-	code := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		code = http.StatusRequestEntityTooLarge
+	return fmt.Errorf("service: parsing %s: %w", what, err)
+}
+
+// decodeRequest decodes a POST body with encoding/json and validates its
+// cases; named is POST /suites' form, and the other is POST
+// /suites/{id}/cases', whose body may also be one {"name","spec"} case.
+func (s *Server) decodeRequest(src io.Reader, named bool) (request, error) {
+	if named {
+		var req suiteRequest
+		if err := decodeBody(src, "suite request", &req); err != nil {
+			return request{}, err
+		}
+		specs, err := s.parseCases(req.Cases)
+		return request{name: req.Name, specs: specs, close: req.Close}, err
 	}
-	writeError(w, code, fmt.Errorf("service: parsing %s: %w", what, err))
-	return false
+	var req casesRequest
+	if err := decodeBody(src, "case request", &req); err != nil {
+		return request{}, err
+	}
+	raw := req.Cases
+	if len(req.Spec) > 0 {
+		raw = append([]caseRequest{{Name: req.Name, Spec: req.Spec}}, raw...)
+	}
+	specs, err := s.parseCases(raw)
+	return request{specs: specs, close: req.Close}, err
 }
 
 // writeError writes a non-2xx JSON body, splitting validation errors
@@ -167,10 +184,9 @@ func clientID(r *http.Request) string {
 
 // parseCases validates raw case submissions into admitted caseSpecs.
 // Validation failures come back as one ValidationError naming every bad
-// field under its cases[i].spec path. A spec text that is an intern key
-// is served from the table without decoding; any other spelling of a
-// spec admitted before is decoded and finds its interned store ID and
-// label by its canonical text.
+// field under its cases[i].spec path. A spec in a spelling the table
+// holds is served from it without decoding; any other is decoded and
+// finds its interned info by its store ID.
 func (s *Server) parseCases(raw []caseRequest) ([]caseSpec, error) {
 	specs := make([]caseSpec, 0, len(raw))
 	var errs config.ValidationError
@@ -195,12 +211,13 @@ func (s *Server) parseCases(raw []caseRequest) ([]caseSpec, error) {
 			}
 			continue
 		}
-		key, info, err := s.specs.resolve(e)
+		cs, err := s.specs.resolve(e, cr.Spec)
 		if err != nil {
 			errs = append(errs, config.FieldError{Field: specPath(i), Msg: err.Error()})
 			continue
 		}
-		specs = append(specs, caseSpec{Name: cr.Name, text: cr.Spec, info: info, key: key})
+		cs.Name = cr.Name
+		specs = append(specs, cs)
 	}
 	if len(errs) > 0 {
 		return nil, errs
@@ -221,7 +238,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 	if ok {
 		return true
 	}
-	secs := int(math.Ceil(retryAfter))
+	// Clamped before the conversion: a tiny rate's wait overflows an int.
+	secs := int(math.Ceil(min(retryAfter, math.MaxInt32)))
 	if secs < 1 {
 		secs = 1
 	}
@@ -237,8 +255,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, n int) bool {
 // intern table's lock is never held under a suite's.
 func (s *Server) submit(su *suite, specs []caseSpec, closeAfter bool) ([]string, error) {
 	for i, cs := range specs {
-		if cs.key != "" {
-			specs[i].info = s.specs.intern(cs.key, cs.info)
+		if cs.fresh {
+			specs[i].info = s.specs.intern(cs)
 		}
 	}
 	first, err := s.enqueue(su, specs, closeAfter)
@@ -255,30 +273,22 @@ func (s *Server) submit(su *suite, specs []caseSpec, closeAfter bool) ([]string,
 // handleCreateSuite opens a suite, optionally admitting an inline grid
 // and closing it immediately (the one-shot form).
 func (s *Server) handleCreateSuite(w http.ResponseWriter, r *http.Request) {
-	var req suiteRequest
-	if !decodeBody(w, r, "suite request", &req) {
+	req, ok := s.readRequest(w, r, true)
+	if !ok || !s.admit(w, r, len(req.specs)) {
 		return
 	}
-	specs, err := s.parseCases(req.Cases)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !s.admit(w, r, len(specs)) {
-		return
-	}
-	su, err := s.createSuite(req.Name)
+	su, err := s.createSuite(req.name)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	ids, err := s.submit(su, specs, req.Close)
+	ids, err := s.submit(su, req.specs, req.close)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	s.logf("%s: created (%q, %d cases, closed=%v)", su.id, su.name, len(ids), req.Close)
-	writeJSON(w, http.StatusCreated, submitResponse{Suite: su.id, Cases: ids, Closed: req.Close})
+	s.logf("%s: created (%q, %d cases, closed=%v)", su.id, su.name, len(ids), req.close)
+	writeJSON(w, http.StatusCreated, submitResponse{Suite: su.id, Cases: ids, Closed: req.close})
 }
 
 // createSuite registers a new suite under the next deterministic ID.
@@ -317,27 +327,18 @@ func (s *Server) handleAddCases(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no suite %q", r.PathValue("id")))
 		return
 	}
-	var req casesRequest
-	if !decodeBody(w, r, "case request", &req) {
+	req, ok := s.readRequest(w, r, false)
+	if !ok {
 		return
 	}
-	raw := req.Cases
-	if len(req.Spec) > 0 {
-		raw = append([]caseRequest{{Name: req.Name, Spec: req.Spec}}, raw...)
-	}
-	if len(raw) == 0 {
+	if len(req.specs) == 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: no cases in request; send {\"spec\": {...}} or {\"cases\": [...]}"))
 		return
 	}
-	specs, err := s.parseCases(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !s.admit(w, r, len(req.specs)) {
 		return
 	}
-	if !s.admit(w, r, len(specs)) {
-		return
-	}
-	ids, err := s.submit(su, specs, req.Close)
+	ids, err := s.submit(su, req.specs, req.close)
 	if err != nil {
 		code := http.StatusServiceUnavailable
 		if errors.Is(err, errSuiteClosed) {
@@ -346,7 +347,7 @@ func (s *Server) handleAddCases(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, submitResponse{Suite: su.id, Cases: ids, Closed: req.Close})
+	writeJSON(w, http.StatusCreated, submitResponse{Suite: su.id, Cases: ids, Closed: req.close})
 }
 
 // handleCloseSuite closes the suite to further cases; its results

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"vix/internal/config"
@@ -12,11 +13,12 @@ import (
 // TestAdmissionIdentity: whatever spelling a spec arrives in, and in
 // whatever order its spellings are admitted, a case's store ID is the
 // one harness.JobID gives the decoded spec, and the intern table holds
-// one entry per distinct spec. The canonical, reordered and
-// explicit-default spellings are one spec; an explicit "vcs":0 is
-// another, whose canonical text (vcs omitted) decodes to the first spec
-// with the default 6 VCs — so that text, admitted after it, must not
-// find the "vcs":0 spec's store ID.
+// one store ID per distinct spec and at most one spelling of it, which
+// decodes to it and is no longer than its canonical text. The canonical,
+// reordered and explicit-default spellings are one spec; an explicit
+// "vcs":0 is another, whose canonical text (vcs omitted) decodes to the
+// first spec with the default 6 VCs — so that text, admitted after it,
+// must not find the "vcs":0 spec's store ID.
 func TestAdmissionIdentity(t *testing.T) {
 	canonical := func(text string) string {
 		e, err := config.Decode(bytes.NewReader([]byte(text)))
@@ -88,30 +90,101 @@ func TestAdmissionIdentity(t *testing.T) {
 
 			s.specs.mu.Lock()
 			defer s.specs.mu.Unlock()
-			if n := len(s.specs.infos); n != distinct {
-				t.Errorf("intern table holds %d entries, want one per distinct spec (%d)", n, distinct)
+			if n := len(s.specs.byID); n != distinct {
+				t.Errorf("intern table holds %d store IDs, want one per distinct spec (%d)", n, distinct)
 			}
-			for key, info := range s.specs.infos {
-				text, roundTrips := []byte(key), key[0] != 0
-				if !roundTrips {
-					text = text[1:]
+			spellings := map[*specInfo]int{}
+			for spelling, info := range s.specs.bySpelling {
+				if spellings[info]++; spellings[info] > 1 {
+					t.Errorf("store ID %s has %d spellings, want at most one", info.storeID, spellings[info])
 				}
-				if got := harness.SpecID(info.label, text); got != info.storeID {
-					t.Errorf("key %q holds store ID %s, its text hashes to %s", key, info.storeID, got)
+				if s.specs.byID[info.storeID] != info {
+					t.Errorf("spelling %q holds an info its store ID %s does not", spelling, info.storeID)
 				}
-				e, err := config.Decode(bytes.NewReader(text))
+				e, err := config.Decode(bytes.NewReader([]byte(spelling)))
 				if err != nil {
-					t.Fatalf("key %q does not decode: %v", key, err)
+					t.Fatalf("spelling %q does not decode: %v", spelling, err)
 				}
 				canon, err := json.Marshal(e)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := string(canon) == string(text); got != roundTrips {
-					t.Errorf("key %q: its text decodes back to it = %v, the key's prefix says %v", key, got, roundTrips)
+				if got := harness.SpecID(specLabel(e), canon); got != info.storeID {
+					t.Errorf("spelling %q holds store ID %s, its spec hashes to %s", spelling, info.storeID, got)
+				}
+				if len(spelling) > len(canon) {
+					t.Errorf("spelling %q is longer than its spec's canonical text %s", spelling, canon)
 				}
 			}
 		})
+	}
+}
+
+// admitOne admits one case of spec into a new closed suite of s and
+// returns the case's interned info.
+func admitOne(t *testing.T, s *Server, spec string) *specInfo {
+	t.Helper()
+	specs, err := s.parseCases([]caseRequest{{Spec: json.RawMessage(spec)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := s.createSuite("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.submit(su, specs, true); err != nil {
+		t.Fatal(err)
+	}
+	return specs[0].info
+}
+
+// TestMaxInjectionSpellingIsHeld: a max-injection spec that omits its
+// rate decodes with the default rate 0.05, which its canonical text
+// spells, so the bytes such a client sends are never the canonical text.
+// Once admitted, they are the spec's spelling: lookup finds them, and a
+// body of them scans.
+func TestMaxInjectionSpellingIsHeld(t *testing.T) {
+	s, err := New(Config{Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const spec = `{"width":4,"height":4,"warmup":10,"measure":30,"max_injection":true}`
+	info := admitOne(t, s, spec)
+	if got := s.specs.lookup([]byte(spec)); got != info {
+		t.Errorf("lookup of the admitted spelling = %v, want its info %v", got, info)
+	}
+	req, ok := s.specs.scanCases([]byte(`{"cases":[{"spec":`+spec+`},{"spec":`+spec+`}]}`), false)
+	if !ok {
+		t.Fatal("a body of the admitted spelling does not scan")
+	}
+	for i, cs := range req.specs {
+		if cs.info != info || string(cs.text) != spec {
+			t.Errorf("scanned case %d = %q with info %v, want %q with %v", i, cs.text, cs.info, spec, info)
+		}
+	}
+}
+
+// TestPaddedSpellingIsNotKept: a spec first sent padded past its
+// canonical length is interned by store ID alone, so a padded body pins
+// no bytes in the table, and its compact spelling, sent next, finds the
+// same info by decoding — and is not kept either, since the ID is known.
+func TestPaddedSpellingIsNotKept(t *testing.T) {
+	s, err := New(Config{Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const compact = `{"width":4,"height":4,"warmup":10,"measure":30,"injection_rate":0.05,"seed":9}`
+	padded := `{"width":4,` + strings.Repeat(" ", 4096) + `"height":4,"warmup":10,"measure":30,"injection_rate":0.05,"seed":9}`
+	info := admitOne(t, s, padded)
+	if got := admitOne(t, s, compact); got != info {
+		t.Errorf("compact spelling resolves to store ID %s, want the padded one's %s", got.storeID, info.storeID)
+	}
+	s.specs.mu.Lock()
+	defer s.specs.mu.Unlock()
+	if n, m := len(s.specs.byID), len(s.specs.bySpelling); n != 1 || m != 0 {
+		t.Errorf("intern table holds %d store IDs and %d spellings, want 1 and 0", n, m)
 	}
 }
 

@@ -30,6 +30,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -195,7 +196,9 @@ func (s *Server) enqueue(su *suite, specs []caseSpec, closeAfter bool) (int, err
 		return 0, refused
 	}
 	for _, i := range misses {
-		s.queue = append(s.queue, queued{su: su, index: first + i, info: specs[i].info, text: specs[i].text})
+		// A copy: a spec's text may lie in the request body it came in.
+		text := bytes.Clone(specs[i].text)
+		s.queue = append(s.queue, queued{su: su, index: first + i, info: specs[i].info, text: text})
 	}
 	if len(misses) > 0 {
 		s.cond.Broadcast()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -535,6 +536,34 @@ func TestQuota(t *testing.T) {
 	now += 1e9
 	if code, data, _ := one("alice", 24); code != http.StatusCreated {
 		t.Errorf("after refill = %d, want 201 (body %s)", code, data)
+	}
+}
+
+// TestRetryAfterOfATinyRate: at 1e-20 cases per second a second case
+// waits 1e20 s, past what an int holds, so the hint must be clamped
+// before it is converted: to math.MaxInt32 seconds, not to an overflowed
+// negative count that the 1 s floor would turn into "retry after 1s".
+func TestRetryAfterOfATinyRate(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{QuotaRate: 1e-20, Now: func() int64 { return 0 }})
+	body := fmt.Sprintf(`{"cases": [{"spec": %s}], "close": true}`, smallSpec(1))
+	if code, data := post(t, ts.URL+"/suites", body); code != http.StatusCreated {
+		t.Fatalf("first case = %d, want 201 (body %s)", code, data)
+	}
+	resp, err := http.Post(ts.URL+"/suites", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strconv.Itoa(math.MaxInt32)
+	if got := resp.Header.Get("Retry-After"); resp.StatusCode != http.StatusTooManyRequests || got != want {
+		t.Errorf("second case = %d with Retry-After %q, want 429 with %s", resp.StatusCode, got, want)
+	}
+	if !strings.Contains(string(data), "retry after "+want+"s") {
+		t.Errorf("429 body %s does not name the clamped wait", data)
 	}
 }
 

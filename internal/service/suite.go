@@ -149,10 +149,9 @@ type caseSpec struct {
 	// info is found or computed at admission, so a malformed-for-hashing
 	// spec is the client's 400, not a runner failure.
 	info *specInfo
-	// key is the intern-table key of a spec parseCases did not find
-	// there; submit interns info under it. Empty when info came from the
-	// table.
-	key string
+	// fresh marks an info parseCases made for a store ID the table did
+	// not hold; submit interns it, under text as well when spelled.
+	fresh, spelled bool
 }
 
 // specInfo is what a case's responses and its run need of its spec. All
@@ -185,66 +184,67 @@ func (in *specInfo) setResult(value json.RawMessage, wallNanos int64) {
 	}
 }
 
-// specTable interns specInfo by the spec's canonical text, json.Marshal
-// of the decoded spec: the bytes its store ID hashes. It holds one entry
-// per distinct admitted spec and is never pruned, so it is bounded the
-// way the result store is. Its lock is a leaf: it is never taken while
-// holding s.mu or a su.mu.
-//
-// A spec is keyed by its canonical text only if that text decodes back
-// to it, so a client's spec text that equals a key decodes to that key's
-// spec, and parseCases may serve it without decoding. A spec that does
-// not round-trip — an explicit "vcs":0 is omitted from its text, which
-// then decodes to the default 6 — is keyed by its text behind a NUL
-// byte, which no JSON value starts with, so only a decoded lookup
-// reaches it. Keys are canonical, so whitespace and field-order variants
-// of one spec never become keys of their own.
+// specTable interns specInfo twice over. byID holds every admitted spec
+// under its store ID, the hash of its canonical text (json.Marshal of
+// the decoded spec). bySpelling holds a spec under the exact bytes a
+// client first sent it in, so the same bytes sent again are served
+// without decoding: a spelling decodes to its spec by construction. A
+// spelling is kept only for a store ID new to the table and only if it
+// is no longer than the spec's canonical text, so the table keeps at
+// most one spelling per spec and a padded spelling pins nothing. It is
+// never pruned, so it is bounded the way the result store is. Its lock
+// is a leaf: it is never taken while holding s.mu or a su.mu.
 type specTable struct {
-	mu    sync.Mutex
-	infos map[string]*specInfo
+	mu         sync.Mutex
+	byID       map[string]*specInfo
+	bySpelling map[string]*specInfo
 }
 
-// lookup returns the info interned under key, or nil.
-func (t *specTable) lookup(key []byte) *specInfo {
+// lookup returns the info interned under the spelling text, or nil.
+func (t *specTable) lookup(text []byte) *specInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.infos[string(key)]
+	return t.bySpelling[string(text)]
 }
 
-// intern returns the table's info under key, adding info if key is new.
-func (t *specTable) intern(key string, info *specInfo) *specInfo {
+// intern returns the table's info of cs's store ID, adding cs's info,
+// and its text as the spec's spelling if cs.spelled, when the ID is new.
+func (t *specTable) intern(cs caseSpec) *specInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if in, ok := t.infos[key]; ok {
+	if in, ok := t.byID[cs.info.storeID]; ok {
 		return in
 	}
-	if t.infos == nil {
-		t.infos = make(map[string]*specInfo)
+	if t.byID == nil {
+		t.byID = make(map[string]*specInfo)
+		t.bySpelling = make(map[string]*specInfo)
 	}
-	t.infos[key] = info
-	return info
+	t.byID[cs.info.storeID] = cs.info
+	if cs.spelled {
+		t.bySpelling[string(cs.text)] = cs.info
+	}
+	return cs.info
 }
 
-// resolve returns the intern key and info of a decoded spec e: the
-// interned info if e was admitted before (key ""), otherwise e's key
-// and a new info, which submit interns.
-func (t *specTable) resolve(e config.Experiment) (string, *specInfo, error) {
-	text, err := json.Marshal(e)
+// resolve returns the case spec of a decoded spec e that a client
+// spelled text: the interned info if e's store ID was admitted before,
+// otherwise a new info that submit interns, under text too if text is no
+// longer than e's canonical text.
+func (t *specTable) resolve(e config.Experiment, text json.RawMessage) (caseSpec, error) {
+	canon, err := json.Marshal(e)
 	if err != nil {
-		return "", nil, err
-	}
-	if info := t.lookup(text); info != nil {
-		return "", info, nil
-	}
-	key := string(text)
-	if back, err := config.Decode(bytes.NewReader(text)); err != nil || back != e {
-		key = "\x00" + key
-		if info := t.lookup([]byte(key)); info != nil {
-			return "", info, nil
-		}
+		return caseSpec{}, err
 	}
 	label := specLabel(e)
-	return key, &specInfo{storeID: harness.SpecID(label, text), label: label, cycles: int64(e.Warmup + e.Measure)}, nil
+	id := harness.SpecID(label, canon)
+	t.mu.Lock()
+	info := t.byID[id]
+	t.mu.Unlock()
+	if info != nil {
+		return caseSpec{text: text, info: info}, nil
+	}
+	info = &specInfo{storeID: id, label: label, cycles: int64(e.Warmup + e.Measure)}
+	return caseSpec{text: text, info: info, fresh: true, spelled: len(text) <= len(canon)}, nil
 }
 
 // testCase is one case of a suite, kept for as long as the server runs:
