@@ -144,6 +144,8 @@ func (e Experiment) Validate() error {
 	}
 	if e.PacketSize < 0 {
 		bad("packet_size", "must be non-negative, got %d", e.PacketSize)
+	} else if e.PacketSize > network.MaxPacketSize {
+		bad("packet_size", "at most %d flits, got %d", network.MaxPacketSize, e.PacketSize)
 	}
 
 	if e.Warmup < 0 {

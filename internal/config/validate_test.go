@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"vix/internal/alloc"
+	"vix/internal/network"
 	"vix/internal/traffic"
 )
 
@@ -215,6 +216,8 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		{"mesh diameter 39999", func(e *Experiment) { e.Width, e.Height, e.VCs, e.BufDepth = 40000, 1, 2, 2 }, "width"},
 		{"torus 3x3 with 1 VC", func(e *Experiment) { e.Topology, e.Width, e.Height, e.VCs = "torus", 3, 3, 1 }, "vcs"},
 		{"unknown policy", func(e *Experiment) { e.Policy = "psychic" }, "policy"},
+		{"packet_size at the int32 bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize }, ""},
+		{"packet_size past the int32 bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize; e.PacketSize++ }, "packet_size"},
 	} {
 		e := Default()
 		tc.mutate(&e)

@@ -1,0 +1,178 @@
+package network
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"vix/internal/alloc"
+	"vix/internal/router"
+	"vix/internal/sim"
+	"vix/internal/topology"
+	"vix/internal/traffic"
+)
+
+// taggingWorkload keeps every node saturated in closed loop: a node
+// generates a packet of 1–5 flits whenever fewer than four of its packets
+// are outstanding, tagged with its node, cycle and size, and Delivered
+// retires one by its Src. Varying sizes put every FlitType, Seq and
+// PacketSize on the wire.
+type taggingWorkload struct {
+	pattern     traffic.Pattern
+	outstanding []int
+	deliveries  []Delivery
+}
+
+func (w *taggingWorkload) Generate(node int, cycle int64, rng *sim.RNG) []PacketSpec {
+	if w.outstanding[node] >= 4 {
+		return nil
+	}
+	w.outstanding[node]++
+	size := 1 + rng.Intn(5)
+	tag := uint64(node)<<48 | uint64(cycle)<<8 | uint64(size)
+	return []PacketSpec{{Dst: w.pattern.Dest(node, rng), Size: size, Tag: tag}}
+}
+
+func (w *taggingWorkload) Delivered(d Delivery) {
+	w.outstanding[d.Src]--
+	w.deliveries = append(w.deliveries, d)
+}
+
+// TestEjectedFlitFieldsArePinned hashes every field of every Flit
+// OnEject sees, in ejection order, and every Delivery the workload gets,
+// on a saturated 4x4 VIX mesh under a tagging workload. The digests were
+// recorded when the network kept one whole Flit per in-flight flit, so
+// they pin that whatever the network keeps instead still reproduces
+// every public field at ejection: PacketID, Type, Src, Dst, Tag, Seq,
+// PacketSize, Route, VC, CreateCycle, InjectCycle (0 on body and tail
+// flits), EjectCycle and Hops.
+func TestEjectedFlitFieldsArePinned(t *testing.T) {
+	const (
+		wantFlits      = 28425
+		wantFlitDigest = "76a9088b1fae30bd20f8eeb20459a022a6947e0ab776f456a55c66f56f2c3713"
+		wantPackets    = 9439
+		wantPktDigest  = "c6b914707644eab6f09e285dd8377a49e1ec541cf855af9d22db5028777eac24"
+	)
+	topo := topology.NewMesh(4, 4)
+	w := &taggingWorkload{pattern: traffic.NewUniform(topo.NumNodes), outstanding: make([]int, topo.NumNodes)}
+	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+	cfg.Workload = w
+	cfg.Seed = 5
+	h := sha256.New()
+	flits := 0
+	cfg.OnEject = func(f *router.Flit) {
+		flits++
+		v := reflect.ValueOf(f).Elem()
+		if v.NumField() != 13 {
+			t.Fatalf("Flit has %d fields; pin the new ones here", v.NumField())
+		}
+		var buf [8]byte
+		for i := 0; i < v.NumField(); i++ {
+			switch fv := v.Field(i); fv.Kind() {
+			case reflect.Int, reflect.Int64:
+				binary.LittleEndian.PutUint64(buf[:], uint64(fv.Int()))
+			default:
+				binary.LittleEndian.PutUint64(buf[:], fv.Uint())
+			}
+			h.Write(buf[:])
+		}
+	}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(3000)
+	flitDigest := fmt.Sprintf("%x", h.Sum(nil))
+
+	h.Reset()
+	for _, d := range w.deliveries {
+		for _, x := range []int64{int64(d.Src), int64(d.Dst), int64(d.Tag), d.CreateCycle, d.EjectCycle, int64(d.Hops)} {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], uint64(x))
+			h.Write(buf[:])
+		}
+	}
+	pktDigest := fmt.Sprintf("%x", h.Sum(nil))
+	if flits != wantFlits || flitDigest != wantFlitDigest {
+		t.Errorf("OnEject saw %d flits, digest %s; want %d, %s", flits, flitDigest, wantFlits, wantFlitDigest)
+	}
+	if len(w.deliveries) != wantPackets || pktDigest != wantPktDigest {
+		t.Errorf("Delivered saw %d packets, digest %s; want %d, %s", len(w.deliveries), pktDigest, wantPackets, wantPktDigest)
+	}
+}
+
+// TestInFlightFlitFootprint holds what the network keeps per in-flight
+// flit — its record plus its entry on the free stack — to 52 bytes: a
+// record of PacketID, Tag and two cycles (8 B each) and four int32s.
+func TestInFlightFlitFootprint(t *testing.T) {
+	var n Network
+	rec := unsafe.Sizeof(*n.flits.At(0)) // not evaluated: the size of the element type
+	entry := unsafe.Sizeof(router.NoFlit)
+	if rec+entry > 52 {
+		t.Errorf("an in-flight flit costs %d + %d bytes, want at most 52", rec, entry)
+	}
+}
+
+// A network router's Occupancy holds every buffered slot to the network's
+// own record of the flit: a record whose destination, or whose position
+// in its packet (and with it the flit's type), disagrees with the slot is
+// reported.
+func TestOccupancyCrossChecksSlotsAgainstNetworkRecords(t *testing.T) {
+	for name, corrupt := range map[string]func(f *flitRecord){
+		"dst":  func(f *flitRecord) { f.dst++ },
+		"type": func(f *flitRecord) { f.packetSize++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := meshConfig(topology.NewMesh(4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.MaxInjection = true
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Run(200)
+			for _, rt := range n.Routers() {
+				rt.Occupancy()
+			}
+			for id := 0; id < n.flits.Cap(); id++ {
+				corrupt(n.flits.At(router.FlitID(id)))
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Occupancy accepted slots that disagree with their flit records")
+				}
+			}()
+			for _, rt := range n.Routers() {
+				rt.Occupancy()
+			}
+		})
+	}
+}
+
+// A packet too long for a record's int32 Seq and PacketSize is refused
+// where it enters: by Validate from the Config, at enqueue from a
+// Workload.
+func TestOversizedPacketsAreRefused(t *testing.T) {
+	size := MaxPacketSize
+	size++
+	cfg := meshConfig(topology.NewMesh(2, 2), alloc.KindSeparableIF, 1, router.PolicyMaxFree)
+	cfg.PacketSize = size
+	if _, err := New(cfg); err == nil {
+		t.Error("New accepted PacketSize past MaxPacketSize")
+	}
+	w := &oneAtATime{}
+	w.send(0, PacketSpec{Dst: 3, Size: size})
+	cfg.PacketSize, cfg.Workload = 0, w
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a workload packet past MaxPacketSize was enqueued")
+		}
+	}()
+	n.Step()
+}

@@ -80,9 +80,9 @@ type Config struct {
 
 	// OnEject, when non-nil, observes every flit as it leaves the
 	// network (after statistics are updated). Tests use it to check
-	// ordering invariants. The flit's slot returns to the network's flit
-	// arena as soon as the callback returns, so the callback must not
-	// retain the pointer; copy any fields it needs.
+	// ordering invariants. The Flit is network-owned scratch, rebuilt at
+	// every ejection, so the callback must not retain the pointer; copy
+	// any fields it needs.
 	OnEject func(f *router.Flit)
 
 	// HopDelay is the cycles from a switch-allocation win at one router
@@ -113,6 +113,10 @@ const (
 	DefaultCreditDelay = 2
 	DefaultPacketSize  = 4
 )
+
+// MaxPacketSize is the largest packet, in flits, a network carries: a
+// flit's record keeps its Seq and PacketSize as int32.
+const MaxPacketSize = math.MaxInt32
 
 // deadlockCycles is the forward-progress watchdog: if flits are in flight
 // but none ejects for this many consecutive cycles, Step panics with a
@@ -146,8 +150,8 @@ func (c *Config) Validate() error {
 	if d := c.Topology.Diameter(); d > router.MaxHops {
 		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, router.MaxHops)
 	}
-	if c.PacketSize < 0 {
-		return fmt.Errorf("network: negative packet size %d", c.PacketSize)
+	if c.PacketSize < 0 || c.PacketSize > MaxPacketSize {
+		return fmt.Errorf("network: packet size %d is not in 0..%d", c.PacketSize, MaxPacketSize)
 	}
 	if c.HopDelay < 0 {
 		return fmt.Errorf("network: negative HopDelay %d", c.HopDelay)
@@ -181,10 +185,10 @@ func CheckTorusVCs(kind topology.Kind, w, h, vcs int) error {
 }
 
 // flitDelivery, creditDelivery and ejection are the in-flight events on
-// the wheels, 20, 8 and 8 bytes. A flit travels as its buffer slot — the
+// the wheels, 20, 8 and 12 bytes. A flit travels as its buffer slot — the
 // header a hop needs, lookahead route included — so neither sending nor
-// landing it resolves the FlitID; the record is next touched at ejection,
-// where eject writes the hop state back.
+// landing it resolves the FlitID; the record is next read at ejection,
+// where the event supplies the hop state and the type.
 type flitDelivery struct {
 	slot     router.Slot
 	router   int32
@@ -200,11 +204,35 @@ type ejection struct {
 	flit      router.FlitID
 	hops      int16
 	route, vc int8
+	typ       router.FlitType
+}
+
+// flitRecord is what the network keeps of an in-flight flit, 48 bytes
+// without pointers: what inject writes and eject reads that the flit's
+// buffer slot and ejection event do not carry. Type, Hops, Route and VC
+// travel in those; the Flit OnEject sees is assembled from both.
+type flitRecord struct {
+	packetID, tag             uint64
+	createCycle, injectCycle  int64 // injectCycle: head flits only, else 0
+	src, dst, seq, packetSize int32
+}
+
+// flitStore is the network's slab of flit records.
+type flitStore struct{ router.Slab[flitRecord] }
+
+// Header implements router.Records for Router.Occupancy: a record states
+// its flit's type through the flit's position in its packet.
+func (s *flitStore) Header(id router.FlitID) (router.FlitType, int, bool) {
+	if !s.Holds(id) {
+		return 0, 0, false
+	}
+	f := s.At(id)
+	return router.PacketFlitType(int(f.seq), int(f.packetSize)), int(f.dst), true
 }
 
 // queuedPacket is one not-yet-injected packet in an NI source queue:
 // everything inject needs to materialise the packet's flits one per
-// cycle. Queued packets hold no arena slots, so the live flit
+// cycle. Queued packets hold no record slots, so the live flit
 // population — and with it the slab high-water mark — is bounded by the
 // network's buffering, not by source backlog: a saturated run's queues
 // grow by 48 bytes per packet of descriptor, never by flits.
@@ -299,13 +327,12 @@ type Network struct {
 
 	col *stats.Collector
 
-	// flits is the network's flit arena: every live flit occupies one slot
-	// of its contiguous slab, named by FlitID everywhere in the hot path.
-	// A record is cold between inject, which writes it, and eject, which
-	// writes the hop state back and reads it. Its high-water mark is
-	// bounded by the flits live at once (buffers and links), so the steady
-	// state allocates nothing.
-	flits *router.FlitArena
+	// flits keeps one record per in-flight flit in a contiguous slab,
+	// named by FlitID everywhere in the hot path. A record is cold between
+	// inject, which writes it, and eject, which reads it. Its high-water
+	// mark is bounded by the flits live at once (buffers and links), so
+	// the steady state allocates nothing.
+	flits flitStore
 
 	inFlight int64 // flits inside routers or on links (not source queues)
 
@@ -336,6 +363,9 @@ type Network struct {
 	// pooled schedule fans out over, empty on a one-wide pool.
 	pool *sim.Pool
 	act  activeScratch
+
+	// ejected is the Flit OnEject sees, rebuilt at every ejection.
+	ejected router.Flit
 }
 
 // New builds a network simulation from cfg.
@@ -357,8 +387,7 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]ejection, n.qlen)
 
-	n.flits = router.NewFlitArena()
-	arena := router.NewArena(topo.NumRouters, cfg.Router, n.flits)
+	arena := router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
 	vcRange := func(r int) router.VCRangeFunc { return nil }
@@ -551,29 +580,32 @@ func (n *Network) endCycle() {
 	n.cycle++
 }
 
-// eject retires a flit at its destination and updates statistics. The
-// pointer is resolved once here — OnEject keeps its *Flit signature —
-// for the first time since inject: the hop state that travelled in slots
-// and link events is written back before anything reads the record. The
-// slot returns to the arena's free stack afterwards.
+// eject retires a flit at its destination and updates statistics from
+// its record, read for the first time since inject, and its ejection
+// event, which carries the hop state and the type. The public Flit is
+// assembled, into network-owned scratch, only for OnEject. The slot
+// returns to the free stack afterwards.
 func (n *Network) eject(e ejection) {
 	f := n.flits.At(e.flit)
-	f.Hops, f.Route, f.VC = int(e.hops), int(e.route), int(e.vc)
-	f.EjectCycle = n.cycle
 	n.inFlight--
 	n.lastEjectCycle = n.cycle
-	n.col.FlitEjected(f.Src)
-	if f.Type.IsTail() {
-		n.col.PacketEjected(n.cycle-f.CreateCycle, f.Hops)
+	n.col.FlitEjected(int(f.src))
+	if e.typ.IsTail() {
+		n.col.PacketEjected(n.cycle-f.createCycle, int(e.hops))
 		if n.cfg.Workload != nil {
 			n.cfg.Workload.Delivered(Delivery{
-				Src: f.Src, Dst: f.Dst, Tag: f.Tag,
-				CreateCycle: f.CreateCycle, EjectCycle: n.cycle, Hops: f.Hops,
+				Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
+				CreateCycle: f.createCycle, EjectCycle: n.cycle, Hops: int(e.hops),
 			})
 		}
 	}
 	if n.cfg.OnEject != nil {
-		n.cfg.OnEject(f)
+		n.ejected = router.Flit{
+			PacketID: f.packetID, Type: e.typ, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
+			Seq: int(f.seq), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
+			CreateCycle: f.createCycle, InjectCycle: f.injectCycle, EjectCycle: n.cycle, Hops: int(e.hops),
+		}
+		n.cfg.OnEject(&n.ejected)
 	}
 	n.flits.Free(e.flit)
 }
@@ -613,8 +645,8 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 	if size <= 0 {
 		size = n.cfg.PacketSize
 	}
-	if size <= 0 {
-		panic("network: packet size must be positive")
+	if size <= 0 || size > MaxPacketSize {
+		panic(fmt.Sprintf("network: packet size %d is not in 1..%d", size, MaxPacketSize))
 	}
 	nif.push(queuedPacket{
 		id:          id,
@@ -652,18 +684,12 @@ func (n *Network) inject(nif *ni) {
 	if rt.BufferSpace(port, nif.curVC) == 0 {
 		return
 	}
-	// The flit is materialised only now that it is certain to enter the
-	// network, so source backlog never pins arena slots.
+	// The record is made only now that the flit is certain to enter the
+	// network, so source backlog never pins slab slots.
 	fid := n.flits.Alloc()
 	f := n.flits.At(fid)
-	f.PacketID = p.id
-	f.Type = ft
-	f.Src = nif.node
-	f.Dst = p.dst
-	f.Tag = p.tag
-	f.Seq = nif.seq
-	f.PacketSize = p.size
-	f.CreateCycle = p.createCycle
+	f.packetID, f.tag, f.createCycle = p.id, p.tag, p.createCycle
+	f.src, f.dst, f.seq, f.packetSize = int32(nif.node), int32(p.dst), int32(nif.seq), int32(p.size)
 	rt.Deliver(port, nif.curVC, router.Slot{Flit: fid, Dst: int32(p.dst), Route: int8(p.route), Type: ft})
 	n.col.BufferWrite()
 	n.inFlight++
@@ -673,8 +699,8 @@ func (n *Network) inject(nif *ni) {
 		n.actNI.Clear(nif.node)
 	}
 	if ft.IsHead() {
-		f.InjectCycle = n.cycle
-		n.col.PacketInjected(f.PacketSize)
+		f.injectCycle = n.cycle
+		n.col.PacketInjected(int(f.packetSize))
 	}
 	if ft.IsTail() {
 		nif.curVC = -1

@@ -32,8 +32,8 @@ import (
 //     fields it writes are per-router-index: lastTick[r], and under the
 //     pooled schedule the act slots of r's worklist index — worklist
 //     entries name distinct routers and Pool.Do hands each segment out
-//     once. No flit record is read or written: the arena is the
-//     stepping goroutine's alone.
+//     once. No flit record is read or written: the record store
+//     is the stepping goroutine's alone.
 //
 //   - Phase B (mergeRouter, stepping goroutine): routers are merged in
 //     ascending index order, so every queue append and credit schedule
@@ -155,7 +155,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 			})
 		case topology.Local:
 			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
-				flit: e.Flit, hops: e.Hops, route: e.Route, vc: e.VC,
+				flit: e.Flit, hops: e.Hops, route: e.Route, vc: e.VC, typ: e.Type,
 			})
 		default:
 			panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))

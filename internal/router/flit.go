@@ -44,11 +44,12 @@ func (ft FlitType) String() string {
 // Flit is the unit of flow control. Flits of one packet follow the same
 // path and VC sequence (wormhole switching).
 //
-// The record is what the ends of a flit's journey read and write. Between
-// them the hop state — Route, VC, Hops, with Dst and Type — travels in
-// buffer Slots and link events, and Route, VC and Hops in the record are
-// stale: a network writes them back at ejection, a standalone router's
-// DeliverFlit and Tick read and write them on every call.
+// Between the ends of a flit's journey the hop state — Route, VC, Hops,
+// with Dst and Type — travels in buffer Slots and link events. A network
+// keeps only a compact record per in-flight flit and builds a Flit at
+// ejection for Config.OnEject; a standalone router's FlitArena keeps whole
+// Flits, whose Route, VC and Hops DeliverFlit and Tick read and write on
+// every call.
 type Flit struct {
 	PacketID uint64
 	Type     FlitType
@@ -69,9 +70,10 @@ type Flit struct {
 	VC int
 
 	// CreateCycle is when the packet was generated at the source
-	// (including source-queue time in latency), InjectCycle when its head
-	// entered the network, EjectCycle when this flit left at the
-	// destination.
+	// (including source-queue time in latency), EjectCycle when this flit
+	// left at the destination. InjectCycle is set on a head (or
+	// head-tail) flit only, to when it entered the network; body and tail
+	// flits carry 0.
 	CreateCycle, InjectCycle, EjectCycle int64
 
 	// Hops counts router-to-router link traversals.
@@ -93,9 +95,9 @@ func PacketFlitType(i, size int) FlitType {
 	}
 }
 
-// FlitID addresses a flit within its network's FlitArena. All hot-path
-// structures — VC buffer rings, link and ejection events — carry these
-// dense indices instead of *Flit pointers: the whole flit population
+// FlitID addresses a flit's record within the Slab that keeps it. All
+// hot-path structures — VC buffer rings, link and ejection events — carry
+// these dense indices instead of pointers: the whole flit population
 // lives in one contiguous slab, and an index (unlike a pointer) survives
 // slab growth and is a checkpoint-friendly stable name for the flit.
 type FlitID int32
@@ -108,16 +110,70 @@ const NoFlit FlitID = -1
 // allocations and the steady state allocates nothing.
 const flitArenaMinBatch = 256
 
-// FlitArena owns every flit of one network in a single contiguous slab.
-// The free list is a LIFO index stack: Alloc pops (growing the slab in
-// batches when empty), Free pushes. Identifiers are never compared or
-// ordered by the simulation — which slot a flit happens to occupy has no
-// observable effect — so slab growth mid-run cannot perturb statistics
-// or RNG streams.
-type FlitArena struct {
-	slab []Flit
+// Slab keeps one T record per live flit in a single contiguous slab,
+// named by FlitID. The free list is a LIFO index stack: Alloc pops
+// (growing the slab when empty), Free pushes. Identifiers are never
+// compared or ordered by the simulation — which slot a flit happens to
+// occupy has no observable effect — so slab growth mid-run cannot perturb
+// statistics or RNG streams. The zero Slab is empty and grows on its
+// first Alloc.
+type Slab[T any] struct {
+	slab []T
 	free []FlitID
 }
+
+// grow extends the slab by batch slots and stacks them as free. New ids
+// are pushed in ascending order, so they are handed out descending —
+// matching the LIFO discipline of the old pointer free list.
+func (s *Slab[T]) grow(batch int) {
+	base := len(s.slab)
+	s.slab = append(s.slab, make([]T, batch)...)
+	for i := 0; i < batch; i++ {
+		s.free = append(s.free, FlitID(base+i))
+	}
+}
+
+// At resolves id to the record it names. The pointer is stable EXCEPT
+// across Alloc, which may grow the slab; callers must not hold it across
+// an Alloc call.
+func (s *Slab[T]) At(id FlitID) *T { return &s.slab[id] }
+
+// Alloc returns the id of a zeroed record, doubling the slab (by at least
+// flitArenaMinBatch) if no free slot remains.
+func (s *Slab[T]) Alloc() FlitID {
+	if len(s.free) == 0 {
+		s.grow(max(len(s.slab), flitArenaMinBatch))
+	}
+	id := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	var zero T
+	s.slab[id] = zero
+	return id
+}
+
+// Free returns id's slot to the free stack.
+func (s *Slab[T]) Free(id FlitID) { s.free = append(s.free, id) }
+
+// Cap returns the slab capacity in records; tests use it to detect growth.
+func (s *Slab[T]) Cap() int { return len(s.slab) }
+
+// Live returns the number of allocated (not free) slots.
+func (s *Slab[T]) Live() int { return len(s.slab) - len(s.free) }
+
+// Holds reports whether id names a slot of the slab.
+func (s *Slab[T]) Holds(id FlitID) bool { return id >= 0 && int(id) < len(s.slab) }
+
+// Records resolves a FlitID to the header its record states: the flit's
+// type and destination, and ok false if the id names no slot. Occupancy
+// cross-checks every buffered slot against it; no pipeline stage calls it.
+type Records interface {
+	Header(id FlitID) (t FlitType, dst int, ok bool)
+}
+
+// FlitArena keeps whole Flit records: the standalone router's store,
+// whose callers fill a record before DeliverFlit and read it after Tick.
+// A network keeps a compact record of its own instead.
+type FlitArena struct{ Slab[Flit] }
 
 // NewFlitArena returns an arena with the minimum batch of free slots.
 func NewFlitArena() *FlitArena {
@@ -126,46 +182,14 @@ func NewFlitArena() *FlitArena {
 	return a
 }
 
-// grow extends the slab by batch slots and stacks them as free. New ids
-// are pushed in ascending order, so they are handed out descending —
-// matching the LIFO discipline of the old pointer free list.
-func (a *FlitArena) grow(batch int) {
-	base := len(a.slab)
-	a.slab = append(a.slab, make([]Flit, batch)...)
-	for i := 0; i < batch; i++ {
-		a.free = append(a.free, FlitID(base+i))
+// Header implements Records.
+func (a *FlitArena) Header(id FlitID) (FlitType, int, bool) {
+	if !a.Holds(id) {
+		return 0, 0, false
 	}
+	f := a.At(id)
+	return f.Type, f.Dst, true
 }
-
-// At resolves id to the flit it names. The pointer is stable for the
-// arena's lifetime EXCEPT across Alloc, which may grow the slab; callers
-// must not hold it across an Alloc call.
-func (a *FlitArena) At(id FlitID) *Flit { return &a.slab[id] }
-
-// Alloc returns the id of a zeroed flit, growing the slab if no free
-// slot remains.
-func (a *FlitArena) Alloc() FlitID {
-	if len(a.free) == 0 {
-		batch := len(a.slab)
-		if batch < flitArenaMinBatch {
-			batch = flitArenaMinBatch
-		}
-		a.grow(batch)
-	}
-	id := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	a.slab[id] = Flit{}
-	return id
-}
-
-// Free returns id's slot to the free stack.
-func (a *FlitArena) Free(id FlitID) { a.free = append(a.free, id) }
-
-// Cap returns the slab capacity in flits; tests use it to detect growth.
-func (a *FlitArena) Cap() int { return len(a.slab) }
-
-// Live returns the number of allocated (not free) slots.
-func (a *FlitArena) Live() int { return len(a.slab) - len(a.free) }
 
 // NewPacket builds the flit sequence for one packet of size flits.
 func NewPacket(id uint64, src, dst, size int, createCycle int64) []*Flit {

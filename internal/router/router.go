@@ -159,9 +159,9 @@ func segment[T any](slab []T, slot, n int) []T {
 // The ivc -> port and sub-group -> VC-mask tables depend only on
 // the geometry, so the arena holds one copy for all its routers.
 type Arena struct {
-	flits *FlitArena
-	cfg   Config
-	n     int
+	records Records
+	cfg     Config
+	n       int
 
 	maskWords  int // W: words per ivc mask
 	maskStride int // mask words per router: 4W + Ports
@@ -180,8 +180,9 @@ type Arena struct {
 }
 
 // NewArena builds the shared state slabs for numRouters routers of
-// identical cfg geometry, all resolving flits through the given arena.
-func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
+// identical cfg geometry, whose Occupancy checks resolve flits through
+// records.
+func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
 	}
@@ -190,7 +191,7 @@ func NewArena(numRouters int, cfg Config, flits *FlitArena) *Arena {
 	}
 	pv := cfg.Ports * cfg.VCs
 	a := &Arena{
-		flits:     flits,
+		records:   records,
 		cfg:       cfg,
 		n:         numRouters,
 		maskWords: (pv + 63) / 64,
@@ -239,7 +240,7 @@ type Router struct {
 	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
 	nextDim NextDimFunc
 	vcRange VCRangeFunc
-	flits   *FlitArena
+	arena   *Arena // its records resolve FlitIDs for Occupancy
 
 	ports []PortInfo
 
@@ -274,7 +275,7 @@ type Router struct {
 // vcRange optionally restricts output-VC assignment per (outPort, dst)
 // (nil: no restriction). arena is the shared per-network state arena;
 // the router occupies slot id. A nil arena gives the router a private
-// single-slot arena with its own flit slab (standalone/test use).
+// single-slot arena with its own FlitArena (standalone/test use).
 func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDim NextDimFunc, vcRange VCRangeFunc, arena *Arena) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
@@ -301,7 +302,7 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		alloc:   allocator,
 		nextDim: nextDim,
 		vcRange: vcRange,
-		flits:   arena.flits,
+		arena:   arena,
 		ports:   append([]PortInfo(nil), ports...),
 
 		buf:     segment(arena.bufs, slot, pv*cfg.BufDepth),
@@ -333,14 +334,18 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 // ID returns the router's index in its network.
 func (r *Router) ID() int { return int(r.id) }
 
-// Flits returns the flit arena the router resolves FlitIDs through.
-func (r *Router) Flits() *FlitArena { return r.flits }
+// Flits returns a standalone router's flit arena, and nil for a router
+// whose flit records its network keeps.
+func (r *Router) Flits() *FlitArena {
+	a, _ := r.arena.records.(*FlitArena)
+	return a
+}
 
 // DeliverFlit places the flit named id into input (port, vc): the
 // standalone form of Deliver, which reads the flit's record once to fill
 // the slot. The caller must have set the flit's Route for this router.
 func (r *Router) DeliverFlit(port, vc int, id FlitID) {
-	f := r.flits.At(id)
+	f := r.Flits().At(id)
 	s := Slot{Flit: id, Dst: int32(f.Dst), Hops: int16(f.Hops), Route: int8(f.Route), Type: f.Type}
 	if int(s.Dst) != f.Dst || int(s.Hops) != f.Hops || int(s.Route) != f.Route {
 		panic(fmt.Sprintf("router %d: flit dst %d, hops %d or route %d does not fit a buffer slot", r.id, f.Dst, f.Hops, f.Route))
@@ -430,12 +435,13 @@ func (r *Router) Occupancy() int {
 		n += int(c)
 		for i := 0; i < int(c); i++ {
 			s := r.buf[ivc*r.cfg.BufDepth+(int(r.head[ivc])+i)%r.cfg.BufDepth]
-			if s.Flit < 0 || int(s.Flit) >= r.flits.Cap() {
+			typ, dst, ok := r.arena.records.Header(s.Flit)
+			if !ok {
 				panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d)", r.id, i, ivc, s.Flit))
 			}
-			if f := r.flits.At(s.Flit); s.Type != f.Type || int(s.Dst) != f.Dst {
+			if s.Type != typ || int(s.Dst) != dst {
 				panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d as %v to %d, its record says %v to %d",
-					r.id, i, ivc, s.Flit, s.Type, s.Dst, f.Type, f.Dst))
+					r.id, i, ivc, s.Flit, s.Type, s.Dst, typ, dst))
 			}
 		}
 		bit := uint64(1) << uint(ivc&63)
@@ -479,8 +485,9 @@ func (r *Router) Credits(outPort, vc int) int { return int(r.credits[outPort*r.c
 // on the link event instead.
 func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	ems, credits, quiesced = r.Advance()
+	flits := r.Flits()
 	for i := range ems {
-		f := r.flits.At(ems[i].Flit)
+		f := flits.At(ems[i].Flit)
 		f.VC, f.Hops = int(ems[i].VC), int(ems[i].Hops)
 	}
 	return ems, credits, quiesced

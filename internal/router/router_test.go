@@ -3,6 +3,7 @@ package router
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"vix/internal/alloc"
 	"vix/internal/topology"
@@ -45,8 +46,8 @@ func baseConfig() Config {
 // ids into (port, vc) with the given route.
 func deliver(r *Router, port, vc, route int, flits []*Flit) {
 	for _, f := range flits {
-		id := r.flits.Alloc()
-		g := r.flits.At(id)
+		id := r.Flits().Alloc()
+		g := r.Flits().At(id)
 		*g = *f
 		g.Route = route
 		r.DeliverFlit(port, vc, id)
@@ -65,8 +66,8 @@ func TestSingleFlitTraversal(t *testing.T) {
 	if ems[0].OutPort != 2 {
 		t.Errorf("emitted through port %d, want 2", ems[0].OutPort)
 	}
-	if r.flits.At(ems[0].Flit).Hops != 1 {
-		t.Errorf("hops = %d, want 1", r.flits.At(ems[0].Flit).Hops)
+	if r.Flits().At(ems[0].Flit).Hops != 1 {
+		t.Errorf("hops = %d, want 1", r.Flits().At(ems[0].Flit).Hops)
 	}
 	if len(credits) != 1 || credits[0] != (CreditMsg{Port: 1, VC: 0}) {
 		t.Errorf("credits = %+v, want one for port 1 vc 0", credits)
@@ -90,8 +91,8 @@ func TestEjectionConsumesNoCreditsAndEmitsUpstreamCredit(t *testing.T) {
 	if len(ems) != 1 || ems[0].OutPort != 0 {
 		t.Fatalf("ejection emission wrong: %+v", ems)
 	}
-	if r.flits.At(ems[0].Flit).Hops != 0 {
-		t.Errorf("ejection counted a hop: %d", r.flits.At(ems[0].Flit).Hops)
+	if r.Flits().At(ems[0].Flit).Hops != 0 {
+		t.Errorf("ejection counted a hop: %d", r.Flits().At(ems[0].Flit).Hops)
 	}
 	if len(credits) != 1 || credits[0] != (CreditMsg{Port: 3, VC: 2}) {
 		t.Errorf("credits = %+v", credits)
@@ -125,7 +126,7 @@ func TestMultiFlitWormhole(t *testing.T) {
 		if len(ems) != 1 {
 			t.Fatalf("cycle %d: %d emissions, want 1", cycle, len(ems))
 		}
-		sent = append(sent, r.flits.At(ems[0].Flit))
+		sent = append(sent, r.Flits().At(ems[0].Flit))
 	}
 	for i, f := range sent {
 		if f.Seq != i {
@@ -151,7 +152,7 @@ func TestOutputVCHeldUntilTail(t *testing.T) {
 	for cycle := 0; cycle < 8; cycle++ {
 		ems, _, _ := r.Tick()
 		for _, e := range ems {
-			f := r.flits.At(e.Flit)
+			f := r.Flits().At(e.Flit)
 			if prev, ok := vcs[f.PacketID]; ok && prev != f.VC {
 				t.Fatalf("packet %d changed downstream VC", f.PacketID)
 			}
@@ -211,8 +212,8 @@ func TestBufferOverflowPanics(t *testing.T) {
 
 func TestInvalidRoutePanics(t *testing.T) {
 	r := testRouter(t, baseConfig())
-	id := r.flits.Alloc()
-	r.flits.At(id).Route = 99
+	id := r.Flits().Alloc()
+	r.Flits().At(id).Route = 99
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid route did not panic")
@@ -268,7 +269,7 @@ func TestBodyFlitsInheritOutputVC(t *testing.T) {
 		if len(ems) != 1 {
 			t.Fatalf("cycle %d: emissions %d", i, len(ems))
 		}
-		seen[r.flits.At(ems[0].Flit).VC] = true
+		seen[r.Flits().At(ems[0].Flit).VC] = true
 	}
 	if len(seen) != 1 {
 		t.Fatalf("packet used %d downstream VCs, want 1", len(seen))
@@ -293,8 +294,8 @@ func TestOccupancyAndBufferSpace(t *testing.T) {
 // it names: a record edited behind the slot's back is reported.
 func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
 	for name, corrupt := range map[string]func(r *Router, id FlitID){
-		"dst":  func(r *Router, id FlitID) { r.flits.At(id).Dst++ },
-		"type": func(r *Router, id FlitID) { r.flits.At(id).Type = Body },
+		"dst":  func(r *Router, id FlitID) { r.Flits().At(id).Dst++ },
+		"type": func(r *Router, id FlitID) { r.Flits().At(id).Type = Body },
 		"id":   func(r *Router, id FlitID) { r.buf[(1*r.cfg.VCs+2)*r.cfg.BufDepth].Flit = NoFlit },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -370,8 +371,8 @@ func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := testRouter(t, baseConfig())
-			id := r.flits.Alloc()
-			*r.flits.At(id) = f
+			id := r.Flits().Alloc()
+			*r.Flits().At(id) = f
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("flit %+v delivered", f)
@@ -589,4 +590,13 @@ func (r *Router) tickChecked(t *testing.T) []Emission {
 		t.Fatalf("Tick reported quiesced=%v with %d flits buffered", quiesced, occ)
 	}
 	return ems
+}
+
+// A network allocates one Router per router, and Go adds an 8-byte malloc
+// header to a pointerful object over 512 B: the struct plus that header
+// must stay within the 640 B size class.
+func TestRouterStaysInItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Router{}) + 8; size > 640 {
+		t.Errorf("Router allocates %d bytes with its malloc header, past the 640 B size class", size)
+	}
 }
