@@ -178,3 +178,34 @@ func TestFigure12VirtualInputs(t *testing.T) {
 		t.Errorf("mesh: 4VC VIX %.4f not >=10%% over 6VC baseline %.4f", v4, n6)
 	}
 }
+
+// Figure 12's FBfly anomaly — ideal VIX (k = v = 6) below 1:2 VIX — is
+// the Section 2.3 balanced policy's, not VIX's: at radix 10 with six
+// one-VC sub-groups, balanced at k = 6 reads below balanced at k = 2,
+// and maxfree at k = 6 reads at least 3 % above balanced (4–5 %), on
+// each of seeds 1–3 (`vixsim -topo fbfly -max -vcs 6 -k K -policy P
+// -warmup 1000 -measure 3000 -seed S`).
+func TestFigure12FBflyAnomalyIsThePolicy(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		run := func(k int, policy string) float64 {
+			e := config.Default()
+			e.Topology, e.VCs, e.VirtualInputs, e.Policy = "fbfly", 6, k, policy
+			e.MaxInjection, e.InjectionRate = true, 0
+			e.Warmup, e.Measure, e.Seed = 1000, 3000, seed
+			snap, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap.ThroughputFlits
+		}
+		balanced2, balanced6, maxfree6 := run(2, "balanced"), run(6, "balanced"), run(6, "maxfree")
+		if balanced6 >= balanced2 {
+			t.Errorf("seed %d: balanced at k = 6 reads %.4f, not below k = 2's %.4f", seed, balanced6, balanced2)
+		}
+		if maxfree6 < 1.03*balanced6 {
+			t.Errorf("seed %d: maxfree at k = 6 reads %.4f, not 3 %% above balanced's %.4f", seed, maxfree6, balanced6)
+		}
+		t.Logf("seed %d: k = 2 balanced %.4f; k = 6 balanced %.4f, maxfree %.4f (%+.1f %%)",
+			seed, balanced2, balanced6, maxfree6, 100*(maxfree6/balanced6-1))
+	}
+}

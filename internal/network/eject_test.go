@@ -104,15 +104,75 @@ func TestEjectedFlitFieldsArePinned(t *testing.T) {
 	}
 }
 
-// TestInFlightFlitFootprint holds what the network keeps per in-flight
-// flit — its record plus its entry on the free stack — to 52 bytes: a
-// record of PacketID, Tag and two cycles (8 B each) and four int32s.
+// TestInFlightFlitFootprint pins what an in-flight flit costs. A buffer
+// slot is 12 bytes: FlitID, the union word (a head's destination, a body
+// or tail flit's Seq), Hops, Route and Type. A link event is the slot plus
+// where it lands, at most 20 bytes, and an ejection event at most 16.
+// What the network keeps per in-flight packet — its record plus its entry
+// on the free stack — is at most 52 bytes: PacketID, Tag and two cycles
+// (8 B each) and three int32s.
 func TestInFlightFlitFootprint(t *testing.T) {
 	var n Network
 	rec := unsafe.Sizeof(*n.flits.At(0)) // not evaluated: the size of the element type
 	entry := unsafe.Sizeof(router.NoFlit)
-	if rec+entry > 52 {
-		t.Errorf("an in-flight flit costs %d + %d bytes, want at most 52", rec, entry)
+	for _, c := range []struct {
+		what      string
+		size, max uintptr
+	}{
+		{"a packet record and its free-stack entry", rec + entry, 52},
+		{"an ejection event", unsafe.Sizeof(ejection{}), 16},
+		{"a link event", unsafe.Sizeof(flitDelivery{}), 20},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s costs %d bytes, want at most %d", c.what, c.size, c.max)
+		}
+	}
+	if s := unsafe.Sizeof(router.Slot{}); s != 12 {
+		t.Errorf("router.Slot is %d bytes, want exactly 12", s)
+	}
+}
+
+// A packet's record is live exactly while the packet has a flit in the
+// network: allocated when its head is injected, freed when its tail
+// ejects. On saturated networks of all three routing functions, at
+// sampled cycles, the live records equal the heads injected less the
+// tails ejected and never exceed the flits in flight.
+// TestConservationAndDrain holds a drained network to none.
+func TestPacketRecordsLiveWhileTheirPacketIsInFlight(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 4),
+		topology.NewTorus(5, 5),
+		topology.NewFBfly(4, 4, 2),
+	} {
+		t.Run(topo.Name, func(t *testing.T) {
+			cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.MaxInjection = true
+			cfg.InjectionRate = 0
+			var tails int64
+			cfg.OnEject = func(f *router.Flit) {
+				if f.Type.IsTail() {
+					tails++
+				}
+			}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := 0
+			for i := 0; i < 20; i++ {
+				n.Run(97)
+				heads := n.Collector().Snapshot().PacketsInjected
+				live := n.flits.Live()
+				if int64(live) != heads-tails || int64(live) > n.InFlight() {
+					t.Fatalf("cycle %d: %d live records, %d heads injected, %d tails ejected, %d flits in flight",
+						n.Cycle(), live, heads, tails, n.InFlight())
+				}
+				peak = max(peak, live)
+			}
+			if peak == 0 {
+				t.Fatal("no packet was ever in flight")
+			}
+		})
 	}
 }
 
@@ -151,7 +211,8 @@ func TestOccupancyCrossChecksSlotsAgainstNetworkRecords(t *testing.T) {
 	}
 }
 
-// A packet too long for a record's int32 Seq and PacketSize is refused
+// A packet too long for a record's int32 PacketSize and a slot's int32
+// Seq is refused
 // where it enters: by Validate from the Config, at enqueue from a
 // Workload.
 func TestOversizedPacketsAreRefused(t *testing.T) {

@@ -115,7 +115,8 @@ const (
 )
 
 // MaxPacketSize is the largest packet, in flits, a network carries: a
-// flit's record keeps its Seq and PacketSize as int32.
+// packet's record keeps its PacketSize, and a body flit's buffer slot its
+// Seq, as int32.
 const MaxPacketSize = math.MaxInt32
 
 // deadlockCycles is the forward-progress watchdog: if flits are in flight
@@ -185,10 +186,11 @@ func CheckTorusVCs(kind topology.Kind, w, h, vcs int) error {
 }
 
 // flitDelivery, creditDelivery and ejection are the in-flight events on
-// the wheels, 20, 8 and 12 bytes. A flit travels as its buffer slot — the
-// header a hop needs, lookahead route included — so neither sending nor
-// landing it resolves the FlitID; the record is next read at ejection,
-// where the event supplies the hop state and the type.
+// the wheels, 20, 8 and 16 bytes. A flit travels as its buffer slot — the
+// header a hop needs, a head's lookahead route included — so neither
+// sending nor landing it resolves the FlitID; its packet's record is next
+// read at ejection, where the event supplies the flit's own fields: Seq,
+// the hop state, the local port it left through (route) and the type.
 type flitDelivery struct {
 	slot     router.Slot
 	router   int32
@@ -202,40 +204,46 @@ type creditDelivery struct {
 
 type ejection struct {
 	flit      router.FlitID
+	seq       int32
 	hops      int16
 	route, vc int8
 	typ       router.FlitType
 }
 
-// flitRecord is what the network keeps of an in-flight flit, 48 bytes
-// without pointers: what inject writes and eject reads that the flit's
-// buffer slot and ejection event do not carry. Type, Hops, Route and VC
-// travel in those; the Flit OnEject sees is assembled from both.
+// flitRecord is what the network keeps of an in-flight packet, 48 bytes
+// without pointers, named by every flit of the packet: the fields its
+// flits share, which inject writes at the head and eject reads at every
+// flit. Type, Seq, Hops, Route and VC differ per flit and travel in its
+// buffer slots and ejection event; the Flit OnEject sees is assembled
+// from both.
 type flitRecord struct {
-	packetID, tag             uint64
-	createCycle, injectCycle  int64 // injectCycle: head flits only, else 0
-	src, dst, seq, packetSize int32
+	packetID, tag            uint64
+	createCycle, injectCycle int64 // injectCycle: when the head entered
+	src, dst, packetSize     int32
 }
 
-// flitStore is the network's slab of flit records.
+// flitStore is the network's slab of packet records.
 type flitStore struct{ router.Slab[flitRecord] }
 
 // Header implements router.Records for Router.Occupancy: a record states
-// its flit's type through the flit's position in its packet.
-func (s *flitStore) Header(id router.FlitID) (router.FlitType, int, bool) {
+// the type of its packet's flit seq through seq's position in the packet.
+func (s *flitStore) Header(id router.FlitID, seq int) (router.FlitType, int, bool) {
 	if !s.Holds(id) {
 		return 0, 0, false
 	}
-	f := s.At(id)
-	return router.PacketFlitType(int(f.seq), int(f.packetSize)), int(f.dst), true
+	p := s.At(id)
+	if seq < 0 || seq >= int(p.packetSize) {
+		return 0, 0, false
+	}
+	return router.PacketFlitType(seq, int(p.packetSize)), int(p.dst), true
 }
 
 // queuedPacket is one not-yet-injected packet in an NI source queue:
 // everything inject needs to materialise the packet's flits one per
-// cycle. Queued packets hold no record slots, so the live flit
+// cycle. Queued packets hold no record slots, so the live packet
 // population — and with it the slab high-water mark — is bounded by the
 // network's buffering, not by source backlog: a saturated run's queues
-// grow by 48 bytes per packet of descriptor, never by flits.
+// grow by 48 bytes per packet of descriptor, never by records.
 type queuedPacket struct {
 	id          uint64
 	dst         int
@@ -258,6 +266,7 @@ type ni struct {
 	seq   int // flits of the front packet already injected
 	flits int // queued flits not yet injected
 	curVC int
+	rec   router.FlitID // the streaming packet's record, while curVC >= 0
 }
 
 // pending returns the number of queued flits.
@@ -327,11 +336,12 @@ type Network struct {
 
 	col *stats.Collector
 
-	// flits keeps one record per in-flight flit in a contiguous slab,
-	// named by FlitID everywhere in the hot path. A record is cold between
-	// inject, which writes it, and eject, which reads it. Its high-water
-	// mark is bounded by the flits live at once (buffers and links), so
-	// the steady state allocates nothing.
+	// flits keeps one record per in-flight packet — a packet with a flit
+	// in a router or on a link — in a contiguous slab, named by FlitID
+	// everywhere in the hot path. A record is written when its head is
+	// injected, read at each of its flits' ejections and freed at its
+	// tail's. Its high-water mark is bounded by the packets live at once,
+	// so the steady state allocates nothing.
 	flits flitStore
 
 	inFlight int64 // flits inside routers or on links (not source queues)
@@ -581,10 +591,10 @@ func (n *Network) endCycle() {
 }
 
 // eject retires a flit at its destination and updates statistics from
-// its record, read for the first time since inject, and its ejection
-// event, which carries the hop state and the type. The public Flit is
-// assembled, into network-owned scratch, only for OnEject. The slot
-// returns to the free stack afterwards.
+// its packet's record, read for the first time since the head's inject,
+// and its ejection event, which carries the flit's Seq, hop state and
+// type. The public Flit is assembled, into network-owned scratch, only
+// for OnEject. A tail returns the record to the free stack afterwards.
 func (n *Network) eject(e ejection) {
 	f := n.flits.At(e.flit)
 	n.inFlight--
@@ -600,14 +610,20 @@ func (n *Network) eject(e ejection) {
 		}
 	}
 	if n.cfg.OnEject != nil {
+		var injectCycle int64 // set on a head only
+		if e.typ.IsHead() {
+			injectCycle = f.injectCycle
+		}
 		n.ejected = router.Flit{
 			PacketID: f.packetID, Type: e.typ, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
-			Seq: int(f.seq), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
-			CreateCycle: f.createCycle, InjectCycle: f.injectCycle, EjectCycle: n.cycle, Hops: int(e.hops),
+			Seq: int(e.seq), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
+			CreateCycle: f.createCycle, InjectCycle: injectCycle, EjectCycle: n.cycle, Hops: int(e.hops),
 		}
 		n.cfg.OnEject(&n.ejected)
 	}
-	n.flits.Free(e.flit)
+	if e.typ.IsTail() {
+		n.flits.Free(e.flit)
+	}
 }
 
 // Routers exposes the router instances; tests use it to check credit and
@@ -684,23 +700,25 @@ func (n *Network) inject(nif *ni) {
 	if rt.BufferSpace(port, nif.curVC) == 0 {
 		return
 	}
-	// The record is made only now that the flit is certain to enter the
-	// network, so source backlog never pins slab slots.
-	fid := n.flits.Alloc()
-	f := n.flits.At(fid)
-	f.packetID, f.tag, f.createCycle = p.id, p.tag, p.createCycle
-	f.src, f.dst, f.seq, f.packetSize = int32(nif.node), int32(p.dst), int32(nif.seq), int32(p.size)
-	rt.Deliver(port, nif.curVC, router.Slot{Flit: fid, Dst: int32(p.dst), Route: int8(p.route), Type: ft})
+	word := int32(nif.seq) // a body or tail flit's slot carries its Seq
+	if ft.IsHead() {
+		// The packet's record is made only now that its head is certain to
+		// enter the network, so source backlog never pins slab slots.
+		nif.rec = n.flits.Alloc()
+		*n.flits.At(nif.rec) = flitRecord{
+			packetID: p.id, tag: p.tag, createCycle: p.createCycle, injectCycle: n.cycle,
+			src: int32(nif.node), dst: int32(p.dst), packetSize: int32(p.size),
+		}
+		word = int32(p.dst)
+		n.col.PacketInjected(p.size)
+	}
+	rt.Deliver(port, nif.curVC, router.Slot{Flit: nif.rec, DstSeq: word, Route: int8(p.route), Type: ft})
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)
 	n.actR.Set(r)
 	if nif.pending() == 0 {
 		n.actNI.Clear(nif.node)
-	}
-	if ft.IsHead() {
-		f.injectCycle = n.cycle
-		n.col.PacketInjected(int(f.packetSize))
 	}
 	if ft.IsTail() {
 		nif.curVC = -1

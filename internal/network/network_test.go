@@ -48,8 +48,8 @@ func (w *burstWorkload) Generate(node int, cycle int64, rng *sim.RNG) []PacketSp
 func (w *burstWorkload) Delivered(d Delivery) { w.delivered++ }
 
 // Every injected packet must be delivered, the network must drain to
-// empty, and all credits must return to their initial values — on all
-// three paper topologies.
+// empty, holding no packet record, and all credits must return to their
+// initial values — on all three paper topologies.
 func TestConservationAndDrain(t *testing.T) {
 	topos := []*topology.Topology{
 		topology.NewMesh(4, 4),
@@ -76,6 +76,9 @@ func TestConservationAndDrain(t *testing.T) {
 			if w.delivered != w.generated {
 				t.Fatalf("%s k=%d: generated %d packets, delivered %d",
 					topo.Name, k, w.generated, w.delivered)
+			}
+			if live := n.flits.Live(); live != 0 {
+				t.Fatalf("%s k=%d: %d packet records live on a drained network", topo.Name, k, live)
 			}
 			// All credits restored and all buffers empty.
 			for _, rt := range n.Routers() {

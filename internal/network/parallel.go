@@ -25,8 +25,8 @@ import (
 //     and only read at the top of the next Step. Phase A therefore
 //     computes, for every router, the same emissions and credits no matter
 //     which goroutine runs it or in which order. It also pre-computes the
-//     lookahead routes of link emissions (a pure topology function of the
-//     destination the emission carries), writing them into the emissions
+//     lookahead routes of head link emissions (a pure topology function of
+//     the destination a head carries), writing them into the emissions
 //     themselves — that router's scratch — and counts the datapath
 //     activity into a caller-private stats.Delta. The only Network
 //     fields it writes are per-router-index: lastTick[r], and under the
@@ -118,8 +118,9 @@ func (n *Network) initParallel() {
 
 // tickRouter is phase A for router r: fast-forward it across the idle
 // span since it last ticked, tick it, write the lookahead route of each
-// link emission into the emission, and count the datapath activity into
-// d. The returned slices are the router's own scratch.
+// head link emission into the emission (body and tail flits follow their
+// head's output), and count the datapath activity into d. The returned
+// slices are the router's own scratch.
 func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
 	rt := n.routers[r]
 	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
@@ -134,7 +135,9 @@ func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router
 		e := &ems[i]
 		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
 			d.LinkTraversals++
-			e.Route = int8(n.route(n.topo, conn.PeerRouter, int(e.Dst)))
+			if e.Type.IsHead() {
+				e.Route = int8(n.route(n.topo, conn.PeerRouter, int(e.DstSeq)))
+			}
 		}
 	}
 	return ems, creds, quiesced
@@ -155,7 +158,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 			})
 		case topology.Local:
 			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
-				flit: e.Flit, hops: e.Hops, route: e.Route, vc: e.VC, typ: e.Type,
+				flit: e.Flit, seq: int32(e.Seq()), hops: e.Hops, route: int8(e.OutPort), vc: e.VC, typ: e.Type,
 			})
 		default:
 			panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))

@@ -45,11 +45,12 @@ func (ft FlitType) String() string {
 // path and VC sequence (wormhole switching).
 //
 // Between the ends of a flit's journey the hop state — Route, VC, Hops,
-// with Dst and Type — travels in buffer Slots and link events. A network
-// keeps only a compact record per in-flight flit and builds a Flit at
-// ejection for Config.OnEject; a standalone router's FlitArena keeps whole
-// Flits, whose Route, VC and Hops DeliverFlit and Tick read and write on
-// every call.
+// with Type and either Dst (on a head) or Seq (on a body or tail flit) —
+// travels in buffer Slots and link events. A network keeps only a compact
+// record per in-flight packet and builds a Flit at ejection for
+// Config.OnEject; a standalone router's FlitArena keeps whole Flits,
+// whose Route, VC and Hops DeliverFlit and Tick read and write on every
+// call.
 type Flit struct {
 	PacketID uint64
 	Type     FlitType
@@ -57,7 +58,8 @@ type Flit struct {
 	// Tag is an opaque workload identifier (e.g. the memory transaction
 	// a trace-driven packet belongs to).
 	Tag uint64
-	// Seq is the flit's index within its packet; PacketSize the total.
+	// Seq is the flit's index within its packet (0 on a head);
+	// PacketSize the total.
 	Seq, PacketSize int
 
 	// Route is the output port at the router currently buffering the
@@ -95,11 +97,13 @@ func PacketFlitType(i, size int) FlitType {
 	}
 }
 
-// FlitID addresses a flit's record within the Slab that keeps it. All
-// hot-path structures — VC buffer rings, link and ejection events — carry
-// these dense indices instead of pointers: the whole flit population
-// lives in one contiguous slab, and an index (unlike a pointer) survives
-// slab growth and is a checkpoint-friendly stable name for the flit.
+// FlitID addresses a flit's record within the Slab that keeps it — in a
+// network, the record of the flit's packet, which every flit of the
+// packet names. All hot-path structures — VC buffer rings, link and
+// ejection events — carry these dense indices instead of pointers: the
+// whole record population lives in one contiguous slab, and an index
+// (unlike a pointer) survives slab growth and is a checkpoint-friendly
+// stable name for the record.
 type FlitID int32
 
 // NoFlit is the sentinel for "no flit" in FlitID-valued slots.
@@ -110,8 +114,8 @@ const NoFlit FlitID = -1
 // allocations and the steady state allocates nothing.
 const flitArenaMinBatch = 256
 
-// Slab keeps one T record per live flit in a single contiguous slab,
-// named by FlitID. The free list is a LIFO index stack: Alloc pops
+// Slab keeps one T record per live flit (or packet) in a single
+// contiguous slab, named by FlitID. The free list is a LIFO index stack: Alloc pops
 // (growing the slab when empty), Free pushes. Identifiers are never
 // compared or ordered by the simulation — which slot a flit happens to
 // occupy has no observable effect — so slab growth mid-run cannot perturb
@@ -163,16 +167,18 @@ func (s *Slab[T]) Live() int { return len(s.slab) - len(s.free) }
 // Holds reports whether id names a slot of the slab.
 func (s *Slab[T]) Holds(id FlitID) bool { return id >= 0 && int(id) < len(s.slab) }
 
-// Records resolves a FlitID to the header its record states: the flit's
-// type and destination, and ok false if the id names no slot. Occupancy
-// cross-checks every buffered slot against it; no pipeline stage calls it.
+// Records resolves the flit at position seq of the record a FlitID names
+// to the header the record states: the flit's type and its packet's
+// destination, and ok false if the id names no slot or the record no flit
+// at seq. Occupancy cross-checks every buffered slot against it, passing
+// the slot's own Seq; no pipeline stage calls it.
 type Records interface {
-	Header(id FlitID) (t FlitType, dst int, ok bool)
+	Header(id FlitID, seq int) (t FlitType, dst int, ok bool)
 }
 
-// FlitArena keeps whole Flit records: the standalone router's store,
-// whose callers fill a record before DeliverFlit and read it after Tick.
-// A network keeps a compact record of its own instead.
+// FlitArena keeps whole Flit records, one per flit: the standalone
+// router's store, whose callers fill a record before DeliverFlit and read
+// it after Tick. A network keeps a compact record per packet instead.
 type FlitArena struct{ Slab[Flit] }
 
 // NewFlitArena returns an arena with the minimum batch of free slots.
@@ -182,9 +188,9 @@ func NewFlitArena() *FlitArena {
 	return a
 }
 
-// Header implements Records.
-func (a *FlitArena) Header(id FlitID) (FlitType, int, bool) {
-	if !a.Holds(id) {
+// Header implements Records: a record is one flit, so seq must be its Seq.
+func (a *FlitArena) Header(id FlitID, seq int) (FlitType, int, bool) {
+	if !a.Holds(id) || a.At(id).Seq != seq {
 		return 0, 0, false
 	}
 	f := a.At(id)

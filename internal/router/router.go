@@ -71,16 +71,33 @@ type PortInfo struct {
 // flit's name plus the header fields a hop reads or writes, 12 bytes. In
 // the paper's router the header sits in the input-buffer slot next to the
 // payload; here it sits next to the FlitID, so a hop never resolves the
-// id to its Flit record.
+// id to its record.
+//
+// Only a head is routed and VC-allocated (wormhole switching): body and
+// tail flits follow the output and output VC their head took. So Dst and
+// Route are read on heads alone, and the second word is a union: a
+// head's destination, a body or tail flit's Seq.
 type Slot struct {
 	Flit FlitID
-	Dst  int32 // destination terminal
-	Hops int16 // link traversals so far
-	// Route is the output port at the router buffering the flit. On an
+	// DstSeq is the destination terminal on a head (or head-tail) flit
+	// and the flit's index within its packet on a body or tail flit; a
+	// head's index is always 0 (see Seq).
+	DstSeq int32
+	Hops   int16 // link traversals so far
+	// Route is the output port at the router buffering a head. On an
 	// Emission it is still the route just taken until the network layer
-	// overwrites it with the lookahead route at the next router.
+	// overwrites it with the lookahead route at the next router; a body
+	// or tail flit keeps the route its last router gave it.
 	Route int8
 	Type  FlitType
+}
+
+// Seq returns the flit's index within its packet.
+func (s Slot) Seq() int {
+	if s.Type.IsHead() {
+		return 0
+	}
+	return int(s.DstSeq)
 }
 
 // Emission is a flit leaving through an output port this cycle, its Hops
@@ -346,9 +363,14 @@ func (r *Router) Flits() *FlitArena {
 // the slot. The caller must have set the flit's Route for this router.
 func (r *Router) DeliverFlit(port, vc int, id FlitID) {
 	f := r.Flits().At(id)
-	s := Slot{Flit: id, Dst: int32(f.Dst), Hops: int16(f.Hops), Route: int8(f.Route), Type: f.Type}
-	if int(s.Dst) != f.Dst || int(s.Hops) != f.Hops || int(s.Route) != f.Route {
-		panic(fmt.Sprintf("router %d: flit dst %d, hops %d or route %d does not fit a buffer slot", r.id, f.Dst, f.Hops, f.Route))
+	word := f.Dst
+	if !f.Type.IsHead() {
+		word = f.Seq
+	}
+	s := Slot{Flit: id, DstSeq: int32(word), Hops: int16(f.Hops), Route: int8(f.Route), Type: f.Type}
+	if int(s.DstSeq) != word || int(s.Hops) != f.Hops || int(s.Route) != f.Route {
+		panic(fmt.Sprintf("router %d: flit dst %d (on a head) or seq %d (else), hops %d or route %d does not fit a buffer slot",
+			r.id, f.Dst, f.Seq, f.Hops, f.Route))
 	}
 	f.VC = vc
 	r.Deliver(port, vc, s)
@@ -435,13 +457,13 @@ func (r *Router) Occupancy() int {
 		n += int(c)
 		for i := 0; i < int(c); i++ {
 			s := r.buf[ivc*r.cfg.BufDepth+(int(r.head[ivc])+i)%r.cfg.BufDepth]
-			typ, dst, ok := r.arena.records.Header(s.Flit)
+			typ, dst, ok := r.arena.records.Header(s.Flit, s.Seq())
 			if !ok {
-				panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d)", r.id, i, ivc, s.Flit))
+				panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d, seq %d)", r.id, i, ivc, s.Flit, s.Seq()))
 			}
-			if s.Type != typ || int(s.Dst) != dst {
-				panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d as %v to %d, its record says %v to %d",
-					r.id, i, ivc, s.Flit, s.Type, s.Dst, typ, dst))
+			if s.Type != typ || s.Type.IsHead() && int(s.DstSeq) != dst {
+				panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d.%d as %v (word %d), its record says %v to %d",
+					r.id, i, ivc, s.Flit, s.Seq(), s.Type, s.DstSeq, typ, dst))
 			}
 		}
 		bit := uint64(1) << uint(ivc&63)
@@ -463,7 +485,7 @@ func (r *Router) Occupancy() int {
 			front := r.buf[ivc*r.cfg.BufDepth+int(r.head[ivc])]
 			lo, hi := 0, r.cfg.VCs
 			if r.vcRange != nil {
-				lo, hi = r.vcRange(out, int(front.Dst))
+				lo, hi = r.vcRange(out, int(front.DstSeq)) // a head: its destination
 			}
 			if out != int(front.Route) || vcSpan(lo, hi)&^r.busy[out] != 0 {
 				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, but an admitted VC at port %d is free", r.id, ivc, out))
@@ -641,7 +663,7 @@ func (r *Router) allocateVC(ivc int) {
 	out := int(front.Route)
 	v := 0
 	if r.ports[out].Kind != topology.Local {
-		if v = r.chooseOVC(out, int(front.Dst)); v < 0 {
+		if v = r.chooseOVC(out, int(front.DstSeq)); v < 0 {
 			r.outPort[ivc] = int8(out)
 			r.vaWait.Set(ivc)
 			return

@@ -296,6 +296,7 @@ func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
 	for name, corrupt := range map[string]func(r *Router, id FlitID){
 		"dst":  func(r *Router, id FlitID) { r.Flits().At(id).Dst++ },
 		"type": func(r *Router, id FlitID) { r.Flits().At(id).Type = Body },
+		"seq":  func(r *Router, id FlitID) { r.Flits().At(id).Seq++ },
 		"id":   func(r *Router, id FlitID) { r.buf[(1*r.cfg.VCs+2)*r.cfg.BufDepth].Flit = NoFlit },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -352,7 +353,7 @@ func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
 	ems, _, _ := r.Advance()
-	if len(ems) != 1 || ems[0].Hops != 1 || ems[0].Dst != 9 || ems[0].Type != HeadTail {
+	if len(ems) != 1 || ems[0].Hops != 1 || ems[0].DstSeq != 9 || ems[0].Type != HeadTail {
 		t.Fatalf("emission = %+v, want one head-tail flit to 9 with 1 hop", ems)
 	}
 	if f := r.Flits().At(ems[0].Flit); f.Hops != 0 || f.VC != 3 {
@@ -365,6 +366,7 @@ func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
 	for name, f := range map[string]Flit{
 		"dst":   {Dst: math.MaxInt32 + 1, Route: 2},
+		"seq":   {Type: Body, Seq: math.MaxInt32 + 1, Route: 2},
 		"hops":  {Hops: math.MaxInt16 + 1, Route: 2},
 		"route": {Route: math.MaxInt8 + 1},
 		"neg":   {Route: -1},

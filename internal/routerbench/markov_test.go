@@ -235,10 +235,72 @@ func ifChain(radix, vcs, k int) *chain {
 	})
 }
 
-// TestFigure7MatchesExactChains solves the exact chains of five small
+// wavefrontChain is the wavefront allocator restated from its
+// specification. The state is the priority diagonal, every row's VC
+// pointer and each VC's output, in that order as one mixed-radix vector.
+// Cell (row, out) lies on diagonal (row+out) mod n, n = max(rows, radix);
+// the sweep visits the n diagonals from the priority one, each in
+// ascending row order, granting a cell whose row and output are both
+// still free. Among a row's VCs requesting the cell's output the pointer
+// picks the first at or after it and moves past the winner — unless the
+// winner was the only one. The priority diagonal advances every cycle.
+func wavefrontChain(radix, vcs, k int) *chain {
+	rows, group, n := radix*k, vcs/k, max(radix*k, radix)
+	base := append([]uint64{uint64(n)}, slices.Repeat([]uint64{uint64(group)}, rows)...)
+	base = append(base, slices.Repeat([]uint64{uint64(radix)}, radix*vcs)...)
+	return buildChain(0, func(s uint64, emit func(uint64, float64)) int {
+		st := make([]int, len(base))
+		for i := len(st) - 1; i >= 0; i-- {
+			st[i], s = int(s%base[i]), s/base[i]
+		}
+		prio, ptr, out := st[0], st[1:1+rows], st[1+rows:]
+		rowBusy, outBusy := make([]bool, rows), make([]bool, radix)
+		var granted []int
+		for d := 0; d < n; d++ {
+			for i := 0; i < rows; i++ {
+				j, first := ((prio+d-i)%n+n)%n, (i/k)*vcs+(i%k)*group
+				if j >= radix || rowBusy[i] || outBusy[j] {
+					continue
+				}
+				var hits []int // the row's slots requesting j, from the pointer on
+				for x := 0; x < group; x++ {
+					if slot := (ptr[i] + x) % group; out[first+slot] == j {
+						hits = append(hits, slot)
+					}
+				}
+				if len(hits) == 0 {
+					continue
+				}
+				if len(hits) > 1 {
+					ptr[i] = (hits[0] + 1) % group
+				}
+				granted = append(granted, first+hits[0])
+				rowBusy[i], outBusy[j] = true, true
+			}
+		}
+		st[0] = (prio + 1) % n
+		redraws(len(granted), radix, func(d []int) {
+			for i, v := range granted {
+				out[v] = d[i]
+			}
+			var t uint64
+			for i, x := range st {
+				t = t*base[i] + uint64(x)
+			}
+			emit(t, math.Pow(float64(radix), -float64(len(granted))))
+		})
+		return len(granted)
+	})
+}
+
+// TestFigure7MatchesExactChains solves the exact chains of six small
 // testbench points and holds routerbench.Run, over ten seeds, to within
 // four standard errors of each. The state counts and exact values are
-// pinned too, so a change to a model or the solver shows as such.
+// pinned too, so a change to a model or the solver shows as such. The
+// P = 2 rows are blind to some arbiter details: the if rows to every
+// pointer order, the wavefront row to whether a lone requester moves its
+// row's pointer (either way gives 128 states and 0.8375); a wavefront
+// whose priority diagonal never rotates reads 0.75.
 func TestFigure7MatchesExactChains(t *testing.T) {
 	const seeds, measure = 10, 20000
 	for _, tc := range []struct {
@@ -252,13 +314,17 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 		{alloc.KindSeparableIF, 2, 2, 1, 256, 0.75},
 		{alloc.KindSeparableIF, 2, 4, 1, 16384, 0.75},
 		{alloc.KindSeparableIF, 2, 2, 2, 208, 0.875},
+		{alloc.KindWavefront, 2, 2, 1, 128, 0.8375},
 	} {
 		t.Run(fmt.Sprintf("%s P%d v%d k%d", tc.kind, tc.radix, tc.vcs, tc.k), func(t *testing.T) {
 			start := time.Now()
 			var c *chain
-			if tc.kind == alloc.KindIdeal {
+			switch tc.kind {
+			case alloc.KindIdeal:
 				c = idealChain(tc.radix, tc.vcs)
-			} else {
+			case alloc.KindWavefront:
+				c = wavefrontChain(tc.radix, tc.vcs, tc.k)
+			default:
 				c = ifChain(tc.radix, tc.vcs, tc.k)
 			}
 			exact := c.efficiency(tc.radix)
