@@ -247,7 +247,6 @@ func (s *flitStore) Header(id router.FlitID, seq int) (router.FlitType, int, boo
 type queuedPacket struct {
 	id          uint64
 	dst         int
-	route       int // output port at the source router, fixed by (source, dst)
 	tag         uint64
 	size        int
 	createCycle int64
@@ -267,6 +266,7 @@ type ni struct {
 	flits int // queued flits not yet injected
 	curVC int
 	rec   router.FlitID // the streaming packet's record, while curVC >= 0
+	route int8          // the streaming packet's output port at its source router, while curVC >= 0
 }
 
 // pending returns the number of queued flits.
@@ -308,9 +308,9 @@ func (q *ni) popFlit(size int) {
 
 // Network is a running simulation instance.
 type Network struct {
-	cfg   Config
-	topo  *topology.Topology
-	route routing.Func
+	cfg    Config
+	topo   *topology.Topology
+	routes *routing.Table
 
 	routers []*router.Router
 	nis     []*ni
@@ -388,7 +388,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:        cfg,
 		topo:       topo,
-		route:      routing.DOR(topo),
+		routes:     routing.Compile(topo),
 		col:        stats.NewCollector(topo.NumNodes),
 		stallLimit: deadlockCycles,
 	}
@@ -400,10 +400,6 @@ func New(cfg Config) (*Network, error) {
 	arena := router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
-	vcRange := func(r int) router.VCRangeFunc { return nil }
-	if topo.Kind == topology.KindTorus {
-		vcRange = n.torusVCRangeFunc
-	}
 	for r := 0; r < topo.NumRouters; r++ {
 		ports := make([]router.PortInfo, topo.Radix)
 		for p, c := range topo.Conn[r] {
@@ -413,7 +409,8 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.routers[r] = router.New(r, cfg.Router, ports, a, n.nextDimFunc(r), vcRange(r), arena)
+		nextDim := func(outPort, dst int) topology.Dim { return n.routes.NextDim(r, outPort, dst) }
+		n.routers[r] = router.New(r, cfg.Router, ports, a, nextDim, n.torusVCRangeFunc(r), arena)
 	}
 	n.nis = make([]*ni, topo.NumNodes)
 	n.rngs = make([]sim.RNG, topo.NumNodes)
@@ -433,18 +430,20 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// torusVCRangeFunc returns the dateline VC restriction for router r on a
-// torus: packets still headed for their ring's wrap edge may only take
-// the lower half of the downstream VCs (class 0), packets past it — or
-// never crossing — the upper half (class 1). Splitting every output
-// port's VC set into the two dateline classes cuts the wraparound
-// channel-dependency cycles, keeping minimal routing deadlock-free (see
-// routing.TorusVCClass for the argument).
+// torusVCRangeFunc returns router r's dateline VC restriction on a torus,
+// nil elsewhere: a head still bound for its ring's wrap edge (class 0)
+// takes the lower half of the downstream VCs, one past it or never
+// crossing (class 1) the upper half, which cuts the wraparound dependency
+// cycles (routing.Table.Class). The router asks only about a head's own
+// routed port (router.VCRangeFunc), so the class needs only dst.
 func (n *Network) torusVCRangeFunc(r int) router.VCRangeFunc {
+	if n.topo.Kind != topology.KindTorus {
+		return nil
+	}
 	vcs := n.cfg.Router.VCs
 	half := vcs / 2
 	return func(outPort, dst int) (int, int) {
-		switch routing.TorusVCClass(n.topo, r, outPort, dst) {
+		switch n.routes.Class(r, dst) {
 		case 0:
 			return 0, half
 		case 1:
@@ -452,21 +451,6 @@ func (n *Network) torusVCRangeFunc(r int) router.VCRangeFunc {
 		default:
 			return 0, vcs
 		}
-	}
-}
-
-// nextDimFunc returns the lookahead dimension classifier for router r:
-// the dimension class of the port the packet will request at the router
-// reached through outPort.
-func (n *Network) nextDimFunc(r int) router.NextDimFunc {
-	return func(outPort, dst int) topology.Dim {
-		c := n.topo.Conn[r][outPort]
-		if c.Kind != topology.Link {
-			return topology.DimLocal
-		}
-		peer := c.PeerRouter
-		p := n.route(n.topo, peer, dst)
-		return n.topo.Conn[peer][p].Dim
 	}
 }
 
@@ -667,7 +651,6 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 	nif.push(queuedPacket{
 		id:          id,
 		dst:         spec.Dst,
-		route:       n.route(n.topo, n.topo.NodeRouter[nif.node], spec.Dst),
 		tag:         spec.Tag,
 		size:        size,
 		createCycle: n.cycle,
@@ -691,11 +674,12 @@ func (n *Network) inject(nif *ni) {
 		if nif.curVC >= 0 {
 			panic("network: head flit while previous packet still streaming")
 		}
-		vc := rt.InjectionVC(port, n.topo.Conn[r][p.route].Dim)
+		route := n.routes.Port(r, p.dst)
+		vc := rt.InjectionVC(port, n.topo.Conn[r][route].Dim)
 		if vc < 0 {
 			return // no space at the local port this cycle
 		}
-		nif.curVC = vc
+		nif.curVC, nif.route = vc, int8(route)
 	}
 	if rt.BufferSpace(port, nif.curVC) == 0 {
 		return
@@ -712,7 +696,7 @@ func (n *Network) inject(nif *ni) {
 		word = int32(p.dst)
 		n.col.PacketInjected(p.size)
 	}
-	rt.Deliver(port, nif.curVC, router.Slot{Flit: nif.rec, DstSeq: word, Route: int8(p.route), Type: ft})
+	rt.Deliver(port, nif.curVC, router.Slot{Flit: nif.rec, DstSeq: word, Route: nif.route, Type: ft})
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)

@@ -144,6 +144,7 @@ func TestZeroLoadLatencyFormula(t *testing.T) {
 		topology.NewFBfly(4, 4, 4),
 		topology.NewTorus(8, 8),
 	} {
+		tab := routing.Compile(topo)
 		for _, hopDelay := range []int{DefaultHopDelay, 5} {
 			w := &oneAtATime{}
 			cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)
@@ -154,7 +155,7 @@ func TestZeroLoadLatencyFormula(t *testing.T) {
 			}
 			for src := 0; src < topo.NumNodes; src++ {
 				for dst := 0; dst < topo.NumNodes; dst++ {
-					hops := dorHops(topo, src, dst)
+					hops := dorHops(topo, tab, src, dst)
 					for _, size := range []int{1, 4, 16} {
 						w.send(src, PacketSpec{Dst: dst, Size: size})
 						want := int64(hopDelay*(hops+1) + size - 1)
@@ -222,13 +223,12 @@ func TestFlitOrderingUnderLoad(t *testing.T) {
 	}
 }
 
-// dorHops walks the routing function from src's router and counts the
-// links crossed before dst's local port is reached.
-func dorHops(topo *topology.Topology, src, dst int) int {
-	route := routing.DOR(topo)
+// dorHops walks tab's routes from src's router and counts the links
+// crossed before dst's local port is reached.
+func dorHops(topo *topology.Topology, tab *routing.Table, src, dst int) int {
 	r, hops := topo.NodeRouter[src], 0
 	for {
-		c := topo.Conn[r][route(topo, r, dst)]
+		c := topo.Conn[r][tab.Port(r, dst)]
 		if c.Kind != topology.Link {
 			return hops
 		}
@@ -247,10 +247,11 @@ func TestDiameterIsTheLongestDORPath(t *testing.T) {
 		topology.NewFBfly(4, 3, 2),
 		topology.NewFBfly(1, 3, 1),
 	} {
+		tab := routing.Compile(topo)
 		longest := 0
 		for src := 0; src < topo.NumNodes; src++ {
 			for dst := 0; dst < topo.NumNodes; dst++ {
-				longest = max(longest, dorHops(topo, src, dst))
+				longest = max(longest, dorHops(topo, tab, src, dst))
 			}
 		}
 		if got := topo.Diameter(); got != longest {
@@ -274,11 +275,12 @@ func TestEjectedRecordsCarryHopStateAndOrder(t *testing.T) {
 			cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
 			cfg.MaxInjection = true
 			cfg.InjectionRate = 0
+			tab := routing.Compile(topo)
 			next := map[uint64]int{} // packet -> flits already ejected
 			ejected := 0
 			cfg.OnEject = func(f *router.Flit) {
 				ejected++
-				if want := dorHops(topo, f.Src, f.Dst); f.Hops != want {
+				if want := dorHops(topo, tab, f.Src, f.Dst); f.Hops != want {
 					t.Fatalf("flit %d.%d from %d to %d ejected with %d hops, DOR path has %d",
 						f.PacketID, f.Seq, f.Src, f.Dst, f.Hops, want)
 				}

@@ -24,9 +24,9 @@ import (
 //     delayed flitQ/credQ/ejectQ wheels, which are only written in phase B
 //     and only read at the top of the next Step. Phase A therefore
 //     computes, for every router, the same emissions and credits no matter
-//     which goroutine runs it or in which order. It also pre-computes the
-//     lookahead routes of head link emissions (a pure topology function of
-//     the destination a head carries), writing them into the emissions
+//     which goroutine runs it or in which order. It also reads the
+//     lookahead routes of head link emissions from the route table
+//     (built in New, read-only after), writes them into the emissions
 //     themselves — that router's scratch — and counts the datapath
 //     activity into a caller-private stats.Delta. The only Network
 //     fields it writes are per-router-index: lastTick[r], and under the
@@ -136,7 +136,7 @@ func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router
 		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
 			d.LinkTraversals++
 			if e.Type.IsHead() {
-				e.Route = int8(n.route(n.topo, conn.PeerRouter, int(e.DstSeq)))
+				e.Route = int8(n.routes.Port(conn.PeerRouter, int(e.DstSeq)))
 			}
 		}
 	}

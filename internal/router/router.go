@@ -125,8 +125,10 @@ type NextDimFunc func(outPort, dst int) topology.Dim
 // destined to dst may be assigned when leaving through outPort. The
 // network uses it to impose topology-level VC restrictions — the torus
 // dateline classes — on top of the Section 2.3 assignment policy: the
-// policy chooses freely among the VCs the range admits. A nil func (the
-// default) admits every VC.
+// policy chooses freely among the VCs the range admits. The router only
+// asks about a head's own routed port (its lookahead route), so a func
+// may derive the range from dst alone. A nil func (the default) admits
+// every VC.
 type VCRangeFunc func(outPort, dst int) (lo, hi int)
 
 // segment returns router slot's n-entry segment of slab, capped so that

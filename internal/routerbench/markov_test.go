@@ -235,86 +235,164 @@ func ifChain(radix, vcs, k int) *chain {
 	})
 }
 
+// unpack splits s into its mixed-radix digits over base, most
+// significant first; pack is its inverse.
+func unpack(s uint64, base []uint64) []int {
+	st := make([]int, len(base))
+	for i := len(st) - 1; i >= 0; i-- {
+		st[i], s = int(s%base[i]), s/base[i]
+	}
+	return st
+}
+
+func pack(st []int, base []uint64) uint64 {
+	var s uint64
+	for i, x := range st {
+		s = s*base[i] + uint64(x)
+	}
+	return s
+}
+
+// emitRedraws emits every state st (over base) reaches as the granted
+// VCs, indices into out, redraw their outputs uniformly over radix.
+func emitRedraws(st, out, granted []int, base []uint64, radix int, emit func(uint64, float64)) {
+	p := math.Pow(float64(radix), -float64(len(granted)))
+	redraws(len(granted), radix, func(d []int) {
+		for i, v := range granted {
+			out[v] = d[i]
+		}
+		emit(pack(st, base), p)
+	})
+}
+
+// pickVC is a row's VC pointer choosing among the row's group VCs, from
+// out[first], that request output o: the first at or after the pointer
+// wins and the pointer moves past it — unless it was the only one. It
+// returns -1 when none requests o.
+func pickVC(out []int, first, group int, ptr *int, o int) int {
+	var hits []int // the row's slots requesting o, from the pointer on
+	for x := 0; x < group; x++ {
+		if slot := (*ptr + x) % group; out[first+slot] == o {
+			hits = append(hits, slot)
+		}
+	}
+	if len(hits) == 0 {
+		return -1
+	}
+	if len(hits) > 1 {
+		*ptr = (hits[0] + 1) % group
+	}
+	return first + hits[0]
+}
+
 // wavefrontChain is the wavefront allocator restated from its
 // specification. The state is the priority diagonal, every row's VC
 // pointer and each VC's output, in that order as one mixed-radix vector.
 // Cell (row, out) lies on diagonal (row+out) mod n, n = max(rows, radix);
 // the sweep visits the n diagonals from the priority one, each in
 // ascending row order, granting a cell whose row and output are both
-// still free. Among a row's VCs requesting the cell's output the pointer
-// picks the first at or after it and moves past the winner — unless the
-// winner was the only one. The priority diagonal advances every cycle.
+// still free, to the VC pickVC chooses. The priority diagonal advances
+// every cycle.
 func wavefrontChain(radix, vcs, k int) *chain {
 	rows, group, n := radix*k, vcs/k, max(radix*k, radix)
 	base := append([]uint64{uint64(n)}, slices.Repeat([]uint64{uint64(group)}, rows)...)
 	base = append(base, slices.Repeat([]uint64{uint64(radix)}, radix*vcs)...)
 	return buildChain(0, func(s uint64, emit func(uint64, float64)) int {
-		st := make([]int, len(base))
-		for i := len(st) - 1; i >= 0; i-- {
-			st[i], s = int(s%base[i]), s/base[i]
-		}
+		st := unpack(s, base)
 		prio, ptr, out := st[0], st[1:1+rows], st[1+rows:]
 		rowBusy, outBusy := make([]bool, rows), make([]bool, radix)
 		var granted []int
 		for d := 0; d < n; d++ {
 			for i := 0; i < rows; i++ {
-				j, first := ((prio+d-i)%n+n)%n, (i/k)*vcs+(i%k)*group
+				j := ((prio+d-i)%n + n) % n
 				if j >= radix || rowBusy[i] || outBusy[j] {
 					continue
 				}
-				var hits []int // the row's slots requesting j, from the pointer on
-				for x := 0; x < group; x++ {
-					if slot := (ptr[i] + x) % group; out[first+slot] == j {
-						hits = append(hits, slot)
-					}
+				if v := pickVC(out, (i/k)*vcs+(i%k)*group, group, &ptr[i], j); v >= 0 {
+					granted = append(granted, v)
+					rowBusy[i], outBusy[j] = true, true
 				}
-				if len(hits) == 0 {
-					continue
-				}
-				if len(hits) > 1 {
-					ptr[i] = (hits[0] + 1) % group
-				}
-				granted = append(granted, first+hits[0])
-				rowBusy[i], outBusy[j] = true, true
 			}
 		}
 		st[0] = (prio + 1) % n
-		redraws(len(granted), radix, func(d []int) {
-			for i, v := range granted {
-				out[v] = d[i]
-			}
-			var t uint64
-			for i, x := range st {
-				t = t*base[i] + uint64(x)
-			}
-			emit(t, math.Pow(float64(radix), -float64(len(granted))))
-		})
+		emitRedraws(st, out, granted, base, radix, emit)
 		return len(granted)
 	})
 }
 
-// TestFigure7MatchesExactChains solves the exact chains of six small
+// apChain is the augmenting-path allocator restated from its
+// specification: Kuhn's maximum matching of rows to outputs, rows in
+// ascending order, each trying its outputs in the order its VCs (in
+// ascending order) request them; then each matched row grants the VC
+// pickVC chooses for its output. The state is every row's VC pointer and
+// each VC's output.
+func apChain(radix, vcs, k int) *chain {
+	rows, group := radix*k, vcs/k
+	base := append(slices.Repeat([]uint64{uint64(group)}, rows), slices.Repeat([]uint64{uint64(radix)}, radix*vcs)...)
+	return buildChain(0, func(s uint64, emit func(uint64, float64)) int {
+		st := unpack(s, base)
+		ptr, out := st[:rows], st[rows:]
+		match := slices.Repeat([]int{-1}, radix) // per output: its row
+		var augment func(row int, seen []bool) bool
+		augment = func(row int, seen []bool) bool {
+			first := (row/k)*vcs + (row%k)*group
+			for _, o := range out[first : first+group] {
+				if !seen[o] {
+					seen[o] = true
+					if match[o] < 0 || augment(match[o], seen) {
+						match[o] = row
+						return true
+					}
+				}
+			}
+			return false
+		}
+		for row := 0; row < rows; row++ {
+			augment(row, make([]bool, radix))
+		}
+		var granted []int
+		for o, row := range match {
+			if row >= 0 {
+				granted = append(granted, pickVC(out, (row/k)*vcs+(row%k)*group, group, &ptr[row], o))
+			}
+		}
+		emitRedraws(st, out, granted, base, radix, emit)
+		return len(granted)
+	})
+}
+
+// TestFigure7MatchesExactChains solves the exact chains of nine small
 // testbench points and holds routerbench.Run, over ten seeds, to within
 // four standard errors of each. The state counts and exact values are
-// pinned too, so a change to a model or the solver shows as such. The
-// P = 2 rows are blind to some arbiter details: the if rows to every
-// pointer order, the wavefront row to whether a lone requester moves its
-// row's pointer (either way gives 128 states and 0.8375); a wavefront
-// whose priority diagonal never rotates reads 0.75.
+// pinned too, so a change to a model or the solver shows as such. Each
+// row names an allocator change it cannot see; what it does catch: a
+// wavefront whose priority diagonal never rotates reads 0.75 at P = 2
+// and 0.728 at P = 3, and an augmenting path that never augments (a
+// greedy matching) 0.813 at P = 2 and 0.769 at P = 3.
 func TestFigure7MatchesExactChains(t *testing.T) {
 	const seeds, measure = 10, 20000
+	const (
+		noArbiter  = "any arbiter detail: ideal has no arbiter"
+		ifOrder    = "every pointer order: with two outputs every order grants as many"
+		anyVCPick  = "the VC pointer: the VCs it picks among request one output, so any pick grants as many"
+		anyMaximum = "the search order and the VC pointer: every maximum matching grants as many"
+	)
 	for _, tc := range []struct {
 		kind          alloc.Kind
 		radix, vcs, k int
 		states        int
 		exact         float64
+		blindTo       string
 	}{
-		{alloc.KindIdeal, 4, 6, 6, 169, 0.937644},
-		{alloc.KindIdeal, 5, 6, 6, 674, 0.933536},
-		{alloc.KindSeparableIF, 2, 2, 1, 256, 0.75},
-		{alloc.KindSeparableIF, 2, 4, 1, 16384, 0.75},
-		{alloc.KindSeparableIF, 2, 2, 2, 208, 0.875},
-		{alloc.KindWavefront, 2, 2, 1, 128, 0.8375},
+		{alloc.KindIdeal, 4, 6, 6, 169, 0.937644, noArbiter},
+		{alloc.KindIdeal, 5, 6, 6, 674, 0.933536, noArbiter},
+		{alloc.KindSeparableIF, 2, 2, 1, 256, 0.75, ifOrder},
+		{alloc.KindSeparableIF, 2, 4, 1, 16384, 0.75, ifOrder},
+		{alloc.KindSeparableIF, 2, 2, 2, 208, 0.875, ifOrder},
+		{alloc.KindWavefront, 2, 2, 1, 128, 0.8375, anyVCPick + ", whether or not a lone requester moves it"},
+		{alloc.KindWavefront, 3, 2, 1, 17496, 0.778009, anyVCPick + ", whether or not a lone requester moves it"},
+		{alloc.KindAugmentingPath, 2, 2, 1, 64, 0.875, anyMaximum},
+		{alloc.KindAugmentingPath, 3, 2, 1, 5832, 0.830797, anyMaximum},
 	} {
 		t.Run(fmt.Sprintf("%s P%d v%d k%d", tc.kind, tc.radix, tc.vcs, tc.k), func(t *testing.T) {
 			start := time.Now()
@@ -324,6 +402,8 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 				c = idealChain(tc.radix, tc.vcs)
 			case alloc.KindWavefront:
 				c = wavefrontChain(tc.radix, tc.vcs, tc.k)
+			case alloc.KindAugmentingPath:
+				c = apChain(tc.radix, tc.vcs, tc.k)
 			default:
 				c = ifChain(tc.radix, tc.vcs, tc.k)
 			}
@@ -348,7 +428,8 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 				t.Errorf("testbench %.6f ± %.6f (1 SE over %d seeds), exact %.6f: %.1f SE apart",
 					mean, se, seeds, exact, math.Abs(mean-exact)/se)
 			}
-			t.Logf("exact %.6f over %d states, solved in %v; testbench %.6f ± %.6f", exact, c.states(), took, mean, se)
+			t.Logf("exact %.6f over %d states, solved in %v; testbench %.6f ± %.6f; blind to %s",
+				exact, c.states(), took, mean, se, tc.blindTo)
 		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // channel is one link hop of a route: the output port taken at router,
-// restricted to a VC class (TorusVCClass on a torus: -1, 0 or 1).
+// restricted to a VC class (Table.Class on a torus: -1, 0 or 1).
 type channel struct{ router, port, class int }
 
 // cdg is a channel dependency graph: a vertex per channel, an edge from
@@ -30,15 +30,15 @@ func (g *cdg) channel(v int) channel {
 // dependencyGraph walks DOR from every source to every destination of t,
 // router to router, and adds an edge between each pair of consecutive
 // link hops. classOf names a hop's VC class.
-func dependencyGraph(t *topology.Topology, classOf func(router, port, dst int) int) *cdg {
+func dependencyGraph(t *topology.Topology, classOf func(router, dst int) int) *cdg {
 	g := &cdg{t: t, edges: make([][]int, t.NumRouters*t.Radix*3), seen: make(map[[2]int]bool)}
-	route := DOR(t)
+	tab := Compile(t)
 	for src := 0; src < t.NumNodes; src++ {
 		for dst := 0; dst < t.NumNodes; dst++ {
 			prev := -1
 			for r := t.NodeRouter[src]; r != t.NodeRouter[dst]; {
-				p := route(t, r, dst)
-				v := g.vertex(channel{r, p, classOf(r, p, dst)})
+				p := tab.Port(r, dst)
+				v := g.vertex(channel{r, p, classOf(r, dst)})
 				if e := [2]int{prev, v}; prev >= 0 && !g.seen[e] {
 					g.seen[e] = true
 					g.edges[prev] = append(g.edges[prev], v)
@@ -100,15 +100,6 @@ func formatCycle(cs []channel) string {
 	return strings.Join(parts, " -> ")
 }
 
-// datelineClass is the class the network restricts a hop's VC to: the
-// dateline class on a torus, one class elsewhere.
-func datelineClass(t *topology.Topology) func(router, port, dst int) int {
-	if t.Kind != topology.KindTorus {
-		return func(router, port, dst int) int { return 0 }
-	}
-	return func(router, port, dst int) int { return TorusVCClass(t, router, port, dst) }
-}
-
 // TestChannelDependencyGraphIsAcyclic is deadlock freedom argued from the
 // channel dependency graph (Dally & Seitz) rather than from a quiet
 // watchdog: over every (src, dst) DOR path, with the VC classes the
@@ -124,7 +115,7 @@ func TestChannelDependencyGraphIsAcyclic(t *testing.T) {
 		topology.NewTorus(5, 3),
 		topology.NewTorus(8, 8),
 	} {
-		if c := dependencyGraph(topo, datelineClass(topo)).cycle(); c != nil {
+		if c := dependencyGraph(topo, Compile(topo).Class).cycle(); c != nil {
 			t.Errorf("%s: channel dependency cycle %s", topo.Name, formatCycle(c))
 		}
 	}
@@ -138,7 +129,7 @@ func TestChannelDependencyGraphIsAcyclic(t *testing.T) {
 // direction, so a path that takes a wrap channel takes no other hop in
 // that ring, and the ring's dependencies already form a chain.
 func TestTorusNeedsDatelineClasses(t *testing.T) {
-	oneClass := func(router, port, dst int) int { return 0 }
+	oneClass := func(router, dst int) int { return 0 }
 	for _, tc := range []struct {
 		topo  *topology.Topology
 		cycle bool

@@ -16,7 +16,7 @@ import (
 // link, or the local port a flit ejects through. Each node's injection
 // channel carries load 1, so γ_max is at least 1.
 func maxChannelLoad(t *topology.Topology) float64 {
-	route := routing.DOR(t)
+	tab := routing.Compile(t)
 	load := make([]float64, t.NumRouters*t.Radix)
 	w := 1 / float64(t.NumNodes-1)
 	for src := 0; src < t.NumNodes; src++ {
@@ -29,7 +29,7 @@ func maxChannelLoad(t *topology.Topology) float64 {
 				if hops > t.NumRouters {
 					panic("routing_test: route did not converge")
 				}
-				p := route(t, r, dst)
+				p := tab.Port(r, dst)
 				load[r*t.Radix+p] += w
 				r = t.Conn[r][p].PeerRouter
 			}

@@ -1,0 +1,52 @@
+package routing
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"vix/internal/topology"
+)
+
+// TestRoutesArePinned hashes, for every (router, destination) of each
+// topology, the DOR output port, the VC class the network restricts the
+// head to there, and the lookahead dimension NextDim reports through
+// every output port. The digests were recorded from the per-kind route
+// functions, the torus class function and the network's second route
+// call at the peer that the Table replaced (the class was -1
+// off the torus, where the network restricted no VC), so they pin that
+// the table routes exactly as those did. A deliberate routing change —
+// a new torus tie rule — moves its topologies' rows and says so.
+func TestRoutesArePinned(t *testing.T) {
+	want := map[string]string{
+		"mesh8x8":    "813ee9bc63b13330987a4346b771239b059d22f205b019c1fb956d730be53743",
+		"cmesh4x4c4": "1461ecc9947b4ebe97edf92393447fb4c062bdffa190e91f16b62037c8a8666a",
+		"fbfly4x4c4": "643369a7735233cf80723d14d86de088f620611727522f1093b8cfb655099c2f",
+		"torus2x2":   "f0f2019d2a208da90cf7fb9b050978e8529ab5c250139dc59ffabd404cc1afc6",
+		"torus4x4":   "9ce007f6475d11244f1e56d43473a496afcd55e344ac7cc1b105a1c028ccd343",
+		"torus5x3":   "98be007debd54e515ba20857bdb861838771652ad71fae8f47cbfe88d50abf68",
+		"torus8x8":   "01103f3840019f93c1fac9972a407b3a3d8ac06f5831d0f64b4b156f42f068e6",
+	}
+	topos := append(topologies(),
+		topology.NewTorus(2, 2),
+		topology.NewTorus(4, 4),
+		topology.NewTorus(5, 3),
+		topology.NewTorus(8, 8),
+	)
+	for _, topo := range topos {
+		tab := Compile(topo)
+		h := sha256.New()
+		for r := 0; r < topo.NumRouters; r++ {
+			for dst := 0; dst < topo.NumNodes; dst++ {
+				row := []byte{byte(tab.Port(r, dst)), byte(int8(tab.Class(r, dst)))}
+				for p := 0; p < topo.Radix; p++ {
+					row = append(row, byte(tab.NextDim(r, p, dst)))
+				}
+				h.Write(row)
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[topo.Name] {
+			t.Errorf("%s: routes digest %s, want %s", topo.Name, got, want[topo.Name])
+		}
+	}
+}

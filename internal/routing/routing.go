@@ -1,13 +1,11 @@
-// Package routing implements the deterministic dimension-order routing of
-// the paper's methodology for all three evaluated topologies, plus the
-// lookahead helper that lets the three-stage pipeline overlap route
-// computation with allocation.
-//
-// Dimension-order routing resolves the X dimension completely before the
-// Y dimension. On the mesh and concentrated mesh that means hop-by-hop
-// east/west then north/south; on the flattened butterfly a single direct
-// hop per dimension. X-before-Y with one VC pool is deadlock-free on all
-// three.
+// Package routing implements the deterministic dimension-order routing
+// (DOR) of the paper's methodology, selected once per topology as a
+// Table: the output port at each router, the torus dateline VC class of
+// that hop, and the lookahead dimension that lets the three-stage
+// pipeline overlap route computation with allocation. DOR resolves X
+// completely before Y: hop by hop on the mesh and cmesh, the shorter way
+// around each ring on the torus, one direct hop per dimension on the
+// flattened butterfly.
 package routing
 
 import (
@@ -16,66 +14,86 @@ import (
 	"vix/internal/topology"
 )
 
-// Func computes the output port a packet destined to node dst must take
-// at the given router.
-type Func func(t *topology.Topology, router, dst int) int
+// Table is dimension-order routing for one topology. Because a route
+// resolves X before Y, each hop is decided by one dimension alone, so the
+// table holds only its kind's one-dimensional rule and applies it to the
+// dimension still unresolved. It is read-only once built, so any number
+// of goroutines may read it.
+type Table struct {
+	topo *topology.Topology
+	rule func(t *topology.Topology, dim topology.Dim, from, to, k int) step
+}
 
-// DOR returns the dimension-order routing function for t's kind.
-func DOR(t *topology.Topology) Func {
+// step is one hop within a dimension: the output port, and the dateline
+// VC class the hop must use, or -1 for none.
+type step struct{ port, class int8 }
+
+// Compile returns t's dimension-order route table. It panics on a kind
+// it has no routing rule for.
+func Compile(t *topology.Topology) *Table {
+	rt := &Table{topo: t}
 	switch t.Kind {
 	case topology.KindMesh, topology.KindCMesh:
-		return meshDOR
+		rt.rule = meshStep
 	case topology.KindTorus:
-		return torusDOR
+		rt.rule = torusStep
 	case topology.KindFBfly:
-		return fbflyDOR
+		rt.rule = fbflyStep
 	default:
 		panic(fmt.Sprintf("routing: no DOR for topology kind %q", t.Kind))
 	}
+	return rt
 }
 
-// meshDOR routes X first, then Y, then ejects at the destination's local
-// port.
-func meshDOR(t *topology.Topology, router, dst int) int {
-	dr := t.NodeRouter[dst]
-	if dr == router {
-		return t.LocalPort(dst)
+// meshStep moves one router toward the destination coordinate.
+func meshStep(t *topology.Topology, dim topology.Dim, from, to, k int) step {
+	return step{port: int8(dirPort(t, dim, to > from)), class: -1}
+}
+
+// fbflyStep takes the direct link to the destination coordinate.
+func fbflyStep(t *topology.Topology, dim topology.Dim, from, to, k int) step {
+	if dim == topology.DimX {
+		return step{port: int8(t.XPort(from, to)), class: -1}
 	}
-	x, y := t.RouterXY(router)
-	dx, dy := t.RouterXY(dr)
+	return step{port: int8(t.YPort(from, to)), class: -1}
+}
+
+// dirPort returns the mesh direction port that moves toward higher (up)
+// or lower coordinates in dim: east and west in X, south and north in Y.
+func dirPort(t *topology.Topology, dim topology.Dim, up bool) int {
 	switch {
-	case dx > x:
+	case dim == topology.DimX && up:
 		return t.EastPort()
-	case dx < x:
+	case dim == topology.DimX:
 		return t.WestPort()
-	case dy < y:
-		return t.NorthPort()
-	default:
-		return t.SouthPort()
-	}
-}
-
-// torusDOR routes X first, then Y, taking the shorter way around each
-// ring. Ties (and rings too small to carry wrap links) break toward the
-// direct direction — the one mesh DOR takes — so torus routing coincides
-// with mesh routing on every pair whose minimal path needs no wrap.
-func torusDOR(t *topology.Topology, router, dst int) int {
-	dr := t.NodeRouter[dst]
-	if dr == router {
-		return t.LocalPort(dst)
-	}
-	x, y := t.RouterXY(router)
-	dx, dy := t.RouterXY(dr)
-	if dx != x {
-		if torusDir(x, dx, t.W) > 0 {
-			return t.EastPort()
-		}
-		return t.WestPort()
-	}
-	if torusDir(y, dy, t.H) > 0 {
+	case up:
 		return t.SouthPort()
 	}
 	return t.NorthPort()
+}
+
+// torusStep takes the shorter way around a k-ring (torusDir). Its
+// dateline class comes from the packet's remaining path, so it needs no
+// per-flit state: class 0 while the rest of the ring traversal still
+// crosses the wrap edge (k-1 to 0, or 0 to k-1 going negative), class 1
+// from the crossing on and for packets that never wrap. Class-0 chains
+// stop at the wrap edge (the wrap channel itself is class 1), class-1
+// chains never re-enter it, and a packet only moves from class 0 to 1,
+// so the channel dependency graph is acyclic and minimal torus routing
+// is deadlock-free with two classes; dimension order keeps X and Y
+// acyclic between each other. A ring under 3 routers has no wrap link,
+// so its hops get no class.
+func torusStep(t *topology.Topology, dim topology.Dim, from, to, k int) step {
+	dir := torusDir(from, to, k)
+	s := step{port: int8(dirPort(t, dim, dir > 0)), class: -1}
+	if k >= 3 {
+		peer := (from + dir + k) % k
+		s.class = 1
+		if (dir > 0 && peer > to) || (dir < 0 && peer < to) {
+			s.class = 0 // the wrap edge is still ahead
+		}
+	}
+	return s
 }
 
 // torusDir returns +1 to travel in the positive direction (east/south)
@@ -102,63 +120,49 @@ func torusDir(from, to, k int) int {
 	}
 }
 
-// TorusVCClass returns the dateline VC class a packet destined to dst
-// must use on the channel leaving router through outPort, or -1 when the
-// hop needs no restriction (ejection and injection hops, and rings too
-// small to carry wrap links).
-//
-// The class is derived from the packet's remaining path, so it needs no
-// per-flit state: class 0 while the rest of the traversal in the
-// traveled dimension still crosses that ring's wrap edge (the channel
-// from coordinate k-1 to 0, or 0 to k-1 in the negative direction),
-// class 1 from the wrap crossing onward — and for packets that never
-// wrap. Class-0 dependency chains stop at the wrap edge (the wrap
-// channel itself is always class 1), class-1 chains never re-enter it
-// (a packet requesting the wrap channel still has the crossing ahead,
-// making it class 0), and a packet only moves from class 0 to class 1,
-// so the channel dependency graph is acyclic: minimal routing on the
-// torus is deadlock-free with the two classes. Dimension-order routing
-// keeps X and Y dependencies acyclic between each other as on the mesh.
-func TorusVCClass(t *topology.Topology, router, outPort, dst int) int {
-	c := t.Conn[router][outPort]
+// at returns the step a packet destined to node dst takes at router:
+// the X step while its column differs, then the Y step, then ejection
+// at dst's local port.
+func (rt *Table) at(router, dst int) step {
+	t := rt.topo
+	x, y := t.RouterXY(router)
+	dx, dy := t.RouterXY(t.NodeRouter[dst])
+	switch {
+	case x != dx:
+		return rt.rule(t, topology.DimX, x, dx, t.W)
+	case y != dy:
+		return rt.rule(t, topology.DimY, y, dy, t.H)
+	}
+	return step{port: int8(t.LocalPort(dst)), class: -1}
+}
+
+// Port returns the output port a packet destined to node dst takes at
+// router.
+func (rt *Table) Port(router, dst int) int { return int(rt.at(router, dst).port) }
+
+// Class returns the dateline VC class, 0 or 1, a packet destined to dst
+// must use on the channel Port(router, dst) leaves through, or -1 when
+// the hop needs no restriction: every hop off the torus, ejection, and
+// rings too small to carry wrap links.
+func (rt *Table) Class(router, dst int) int { return int(rt.at(router, dst).class) }
+
+// NextDim returns the dimension of the port a packet destined to dst will
+// request at the router reached through router's outPort (the lookahead
+// the Section 2.3 VC policies read): X while that peer's column differs
+// from dst's, then Y, and DimLocal at dst's router or off a link.
+func (rt *Table) NextDim(router, outPort, dst int) topology.Dim {
+	t := rt.topo
+	c := &t.Conn[router][outPort]
 	if c.Kind != topology.Link {
-		return -1
+		return topology.DimLocal
 	}
 	px, py := t.RouterXY(c.PeerRouter)
 	dx, dy := t.RouterXY(t.NodeRouter[dst])
-	var p, d, k, dir int
-	switch outPort {
-	case t.EastPort():
-		p, d, k, dir = px, dx, t.W, 1
-	case t.WestPort():
-		p, d, k, dir = px, dx, t.W, -1
-	case t.SouthPort():
-		p, d, k, dir = py, dy, t.H, 1
-	case t.NorthPort():
-		p, d, k, dir = py, dy, t.H, -1
-	default:
-		return -1
+	switch {
+	case px != dx:
+		return topology.DimX
+	case py != dy:
+		return topology.DimY
 	}
-	if k < 3 {
-		return -1 // no wrap links on this ring, nothing to cut
-	}
-	if (dir > 0 && p > d) || (dir < 0 && p < d) {
-		return 0 // the wrap edge is still ahead
-	}
-	return 1
-}
-
-// fbflyDOR takes one direct hop to the destination column, then one to
-// the destination row, then ejects.
-func fbflyDOR(t *topology.Topology, router, dst int) int {
-	dr := t.NodeRouter[dst]
-	if dr == router {
-		return t.LocalPort(dst)
-	}
-	x, y := t.RouterXY(router)
-	dx, dy := t.RouterXY(dr)
-	if dx != x {
-		return t.XPort(x, dx)
-	}
-	return t.YPort(y, dy)
+	return topology.DimLocal
 }

@@ -9,14 +9,15 @@ import (
 )
 
 // hops returns the number of router-to-router hops a packet from src to
-// dst traverses under route (not counting injection/ejection). It panics
-// if the route does not converge within NumRouters steps, which would
-// indicate a routing bug.
-func hops(t *topology.Topology, route Func, src, dst int) int {
+// dst traverses under tab's routes (not counting injection/ejection). It
+// panics if the route does not converge within NumRouters steps, which
+// would indicate a routing bug.
+func hops(tab *Table, src, dst int) int {
+	t := tab.topo
 	r := t.NodeRouter[src]
 	n := 0
 	for r != t.NodeRouter[dst] {
-		c := t.Conn[r][route(t, r, dst)]
+		c := t.Conn[r][tab.Port(r, dst)]
 		if c.Kind != topology.Link {
 			panic(fmt.Sprintf("routing: route from router %d to node %d chose a non-link port", r, dst))
 		}
@@ -41,13 +42,13 @@ func topologies() []*topology.Topology {
 // route must reach the destination.
 func TestRoutesConvergeEverywhere(t *testing.T) {
 	for _, topo := range topologies() {
-		route := DOR(topo)
+		tab := Compile(topo)
 		for src := 0; src < topo.NumNodes; src++ {
 			for dst := 0; dst < topo.NumNodes; dst++ {
 				r := topo.NodeRouter[src]
 				steps := 0
 				for {
-					p := route(topo, r, dst)
+					p := tab.Port(r, dst)
 					c := topo.Conn[r][p]
 					if r == topo.NodeRouter[dst] {
 						if c.Kind != topology.Local || c.Node != dst {
@@ -71,13 +72,13 @@ func TestRoutesConvergeEverywhere(t *testing.T) {
 // Mesh DOR is minimal: hop count equals Manhattan distance.
 func TestMeshDORMinimal(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
-	route := DOR(topo)
+	tab := Compile(topo)
 	for src := 0; src < topo.NumNodes; src += 3 {
 		for dst := 0; dst < topo.NumNodes; dst += 5 {
 			sx, sy := topo.RouterXY(topo.NodeRouter[src])
 			dx, dy := topo.RouterXY(topo.NodeRouter[dst])
 			want := abs(sx-dx) + abs(sy-dy)
-			if got := hops(topo, route, src, dst); got != want {
+			if got := hops(tab, src, dst); got != want {
 				t.Fatalf("mesh hops %d->%d = %d, want %d", src, dst, got, want)
 			}
 		}
@@ -87,11 +88,11 @@ func TestMeshDORMinimal(t *testing.T) {
 // FBfly DOR is at most 2 hops (one per dimension).
 func TestFBflyDORAtMostTwoHops(t *testing.T) {
 	topo := topology.NewFBfly(4, 4, 4)
-	route := DOR(topo)
+	tab := Compile(topo)
 	prop := func(s, d uint8) bool {
 		src := int(s) % topo.NumNodes
 		dst := int(d) % topo.NumNodes
-		return hops(topo, route, src, dst) <= 2
+		return hops(tab, src, dst) <= 2
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -102,13 +103,13 @@ func TestFBflyDORAtMostTwoHops(t *testing.T) {
 // again — the invariant that makes X-then-Y deadlock-free.
 func TestMeshDORDimensionOrder(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
-	route := DOR(topo)
+	tab := Compile(topo)
 	for src := 0; src < topo.NumNodes; src += 7 {
 		for dst := 0; dst < topo.NumNodes; dst += 3 {
 			r := topo.NodeRouter[src]
 			inY := false
 			for r != topo.NodeRouter[dst] {
-				p := route(topo, r, dst)
+				p := tab.Port(r, dst)
 				c := topo.Conn[r][p]
 				switch c.Dim {
 				case topology.DimX:
@@ -128,14 +129,14 @@ func TestMeshDORDimensionOrder(t *testing.T) {
 // zero hops.
 func TestCMeshIntraRouterDelivery(t *testing.T) {
 	topo := topology.NewCMesh(4, 4, 4)
-	route := DOR(topo)
+	tab := Compile(topo)
 	for n := 0; n < topo.NumNodes; n++ {
 		r := topo.NodeRouter[n]
 		sibling := (n/topo.Conc)*topo.Conc + (n+1)%topo.Conc
 		if topo.NodeRouter[sibling] != r {
 			continue
 		}
-		p := route(topo, r, sibling)
+		p := tab.Port(r, sibling)
 		c := topo.Conn[r][p]
 		if c.Kind != topology.Local || c.Node != sibling {
 			t.Fatalf("intra-router route from router %d to node %d wrong: %+v", r, sibling, c)
@@ -147,14 +148,14 @@ func TestCMeshIntraRouterDelivery(t *testing.T) {
 // to the analytic (w+h)/3 ≈ 5.33 for w=h=8.
 func TestMeshAverageHops(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
-	route := DOR(topo)
+	tab := Compile(topo)
 	total, pairs := 0, 0
 	for src := 0; src < topo.NumNodes; src++ {
 		for dst := 0; dst < topo.NumNodes; dst++ {
 			if src == dst {
 				continue
 			}
-			total += hops(topo, route, src, dst)
+			total += hops(tab, src, dst)
 			pairs++
 		}
 	}
@@ -169,11 +170,35 @@ func TestMeshAverageHops(t *testing.T) {
 func TestDORUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("DOR on unknown kind did not panic")
+			t.Fatal("Compile on unknown kind did not panic")
 		}
 	}()
 	bad := &topology.Topology{Kind: "ring"}
-	DOR(bad)
+	Compile(bad)
+}
+
+// TestCompileSizeIsIndependentOfShape builds the table for the longest
+// rings config.Validate admits — a 32768×1 mesh and a 65535×1 torus —
+// and requires one allocation each, so no shape a spec can name makes the
+// routes outweigh the network; the far-end routes check the rule still
+// applies across the whole span.
+func TestCompileSizeIsIndependentOfShape(t *testing.T) {
+	mesh, torus := topology.NewMesh(32768, 1), topology.NewTorus(65535, 1)
+	for _, topo := range []*topology.Topology{mesh, torus} {
+		if allocs := testing.AllocsPerRun(10, func() { Compile(topo) }); allocs > 1 {
+			t.Errorf("%s %dx%d: Compile allocates %v times, want 1", topo.Kind, topo.W, topo.H, allocs)
+		}
+	}
+	if got := Compile(mesh).Port(0, mesh.NumNodes-1); got != mesh.EastPort() {
+		t.Errorf("mesh 32768x1: port at router 0 toward the last node = %d, want east %d", got, mesh.EastPort())
+	}
+	tab := Compile(torus)
+	if got := tab.Port(0, torus.NumNodes-1); got != torus.WestPort() {
+		t.Errorf("torus 65535x1: port at router 0 toward the last node = %d, want west %d (the wrap)", got, torus.WestPort())
+	}
+	if got := tab.Class(0, torus.NumNodes-1); got != 1 {
+		t.Errorf("torus 65535x1: class of the wrap hop = %d, want 1", got)
+	}
 }
 
 func abs(x int) int {

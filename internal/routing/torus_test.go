@@ -32,11 +32,11 @@ func TestTorusDORMinimal(t *testing.T) {
 		topology.NewTorus(4, 4),
 		topology.NewTorus(5, 3),
 	} {
-		route := DOR(topo)
+		tab := Compile(topo)
 		for src := 0; src < topo.NumNodes; src++ {
 			for dst := 0; dst < topo.NumNodes; dst++ {
 				want := torusDist(topo, src, dst)
-				if got := hops(topo, route, src, dst); got != want {
+				if got := hops(tab, src, dst); got != want {
 					t.Fatalf("%s hops %d->%d = %d, want %d", topo.Name, src, dst, got, want)
 				}
 			}
@@ -49,12 +49,12 @@ func TestTorusDORMinimal(t *testing.T) {
 func TestTorusDORCoincidesWithMeshAt2x2(t *testing.T) {
 	mesh := topology.NewMesh(2, 2)
 	torus := topology.NewTorus(2, 2)
-	meshRoute := DOR(mesh)
-	torusRoute := DOR(torus)
+	meshRoutes := Compile(mesh)
+	torusRoutes := Compile(torus)
 	for r := 0; r < mesh.NumRouters; r++ {
 		for dst := 0; dst < mesh.NumNodes; dst++ {
-			mp := meshRoute(mesh, r, dst)
-			tp := torusRoute(torus, r, dst)
+			mp := meshRoutes.Port(r, dst)
+			tp := torusRoutes.Port(r, dst)
 			if mp != tp {
 				t.Fatalf("router %d -> node %d: torus port %d, mesh port %d", r, dst, tp, mp)
 			}
@@ -62,16 +62,16 @@ func TestTorusDORCoincidesWithMeshAt2x2(t *testing.T) {
 	}
 }
 
-// TestTorusVCClassMonotone walks every DOR path and checks the dateline
+// TestTorusClassMonotone walks every DOR path and checks the dateline
 // invariants that make the scheme deadlock-free: within each dimension
 // the class never goes 1 -> 0, the hop that traverses a wrap link is
 // always class 1, and rings too short to wrap never get a class at all.
-func TestTorusVCClassMonotone(t *testing.T) {
+func TestTorusClassMonotone(t *testing.T) {
 	for _, topo := range []*topology.Topology{
 		topology.NewTorus(4, 4),
 		topology.NewTorus(5, 3),
 	} {
-		route := DOR(topo)
+		tab := Compile(topo)
 		for src := 0; src < topo.NumNodes; src++ {
 			for dst := 0; dst < topo.NumNodes; dst++ {
 				r := topo.NodeRouter[src]
@@ -81,8 +81,8 @@ func TestTorusVCClassMonotone(t *testing.T) {
 					if steps > topo.NumRouters {
 						t.Fatalf("%s: %d->%d did not converge", topo.Name, src, dst)
 					}
-					p := route(topo, r, dst)
-					class := TorusVCClass(topo, r, p, dst)
+					p := tab.Port(r, dst)
+					class := tab.Class(r, dst)
 					axis, k := 0, topo.W
 					if p == topo.NorthPort() || p == topo.SouthPort() {
 						axis, k = 1, topo.H
@@ -114,18 +114,19 @@ func TestTorusVCClassMonotone(t *testing.T) {
 	}
 }
 
-// TestTorusVCClassNonLinkPorts pins the escape hatch: local (ejection)
-// ports are not ring channels and must report class -1.
-func TestTorusVCClassNonLinkPorts(t *testing.T) {
+// TestTorusClassAtEjection pins the escape hatch: the hop out of a
+// destination's router leaves through its local (ejection) port, which is
+// no ring channel, so it must report class -1.
+func TestTorusClassAtEjection(t *testing.T) {
 	topo := topology.NewTorus(4, 4)
-	for r := 0; r < topo.NumRouters; r++ {
-		for p := 0; p < topo.Radix; p++ {
-			if topo.Conn[r][p].Kind == topology.Link {
-				continue
-			}
-			if class := TorusVCClass(topo, r, p, 0); class != -1 {
-				t.Fatalf("non-link port %d at router %d got class %d, want -1", p, r, class)
-			}
+	tab := Compile(topo)
+	for dst := 0; dst < topo.NumNodes; dst++ {
+		r := topo.NodeRouter[dst]
+		if p := tab.Port(r, dst); topo.Conn[r][p].Kind != topology.Local {
+			t.Fatalf("router %d routes its own node %d through non-local port %d", r, dst, p)
+		}
+		if class := tab.Class(r, dst); class != -1 {
+			t.Fatalf("ejection of node %d at router %d got class %d, want -1", dst, r, class)
 		}
 	}
 }
@@ -139,13 +140,13 @@ func TestTorusRoutesConverge(t *testing.T) {
 		topology.NewTorus(3, 3),
 	} {
 		t.Run(topo.Name, func(t *testing.T) {
-			route := DOR(topo)
+			tab := Compile(topo)
 			for src := 0; src < topo.NumNodes; src++ {
 				for dst := 0; dst < topo.NumNodes; dst++ {
 					r := topo.NodeRouter[src]
 					steps := 0
 					for r != topo.NodeRouter[dst] {
-						p := route(topo, r, dst)
+						p := tab.Port(r, dst)
 						c := topo.Conn[r][p]
 						if c.Kind != topology.Link {
 							t.Fatalf("router %d -> node %d chose unwired port %d", r, dst, p)
@@ -155,7 +156,7 @@ func TestTorusRoutesConverge(t *testing.T) {
 							t.Fatalf("route %d -> %d did not converge", src, dst)
 						}
 					}
-					p := route(topo, r, dst)
+					p := tab.Port(r, dst)
 					if c := topo.Conn[r][p]; c.Kind != topology.Local || c.Node != dst {
 						t.Fatalf("at dst router %d, port %d is %+v, want local port of node %d", r, p, c, dst)
 					}
