@@ -18,8 +18,8 @@ import (
 // and comparators; the ablation benchmarks quantify the trade on top of
 // both the baseline and the VIX crossbar.
 //
-// It is SeparableIF's state — the row words, one row word per output, the
-// two pointer banks, which here only break ties — under its own Allocate.
+// It is SeparableIF's state — one row word per output, the two pointer
+// banks, which here only break ties — under its own Allocate.
 type SeparableAge struct{ *SeparableIF }
 
 // NewSeparableAge returns an oldest-first separable allocator for cfg.
@@ -34,21 +34,26 @@ func (s *SeparableAge) Name() string { return "if-age" }
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
-	s.rows.raise(rs)
-	gs := s.rows.groupSize
+	sg := s.sub
 
 	// Phase one: per crossbar row, the oldest request wins; the rotating
 	// arbiter decides among equally old ones.
-	for wi, w := range s.rows.occ {
-		s.rows.occ[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			row := wi<<6 + bits.TrailingZeros64(w)
-			slotReq := s.rows.req[row*gs : (row+1)*gs]
-			keepOldest(s.rows.mask[row:row+1], func(slot int) int { return rs.Requests[slotReq[slot]].Age })
-			reqIdx := slotReq[arb.Pick(s.rows.mask[row], int(s.inPtr[row]))]
-			s.rows.mask[row] = 0
-			s.candidate[row] = reqIdx
-			out := rs.Requests[reqIdx].OutPort
+	for p := 0; p < s.ports; p++ {
+		lines := portLines(rs.Ready, p, sg.vcs)
+		if lines == 0 {
+			continue
+		}
+		for g := 0; g < sg.k; g++ {
+			slots := [1]uint64{sg.slots(lines, g)}
+			if slots[0] == 0 {
+				continue
+			}
+			row := p*sg.k + g
+			keepOldest(slots[:], func(slot int) int { return int(rs.Age[p*sg.vcs+sg.vc(g, slot)]) })
+			slot := arb.Pick(slots[0], int(s.inPtr[row]))
+			ivc := p*sg.vcs + sg.vc(g, slot)
+			s.candidate[row] = int32(line(ivc, slot))
+			out := int(rs.Out[ivc])
 			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
 			s.outOcc.Set(out)
 		}
@@ -62,13 +67,13 @@ func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
 		for ; w != 0; w &= w - 1 {
 			out := wi<<6 + bits.TrailingZeros64(w)
 			mask := s.outMask[out*s.rowWords : (out+1)*s.rowWords]
-			keepOldest(mask, func(row int) int { return rs.Requests[s.candidate[row]].Age })
+			keepOldest(mask, func(row int) int { return int(rs.Age[lineIVC(int(s.candidate[row]))]) })
 			row := arb.PickWords(mask, int(s.outPtr[out]))
 			clear(mask)
-			reqIdx := int(s.candidate[row])
-			s.grants = append(s.grants, Grant{Req: reqIdx, OutPort: out, Row: row})
+			l := int(s.candidate[row])
+			s.grants = append(s.grants, Grant{Req: rank(rs.Ready, lineIVC(l)), OutPort: out, Row: row})
 			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
-			s.inPtr[row] = int32(arb.Next(int(s.rows.slotOf[rs.Requests[reqIdx].VC]), gs))
+			s.inPtr[row] = int32(arb.Next(lineSlot(l), sg.size))
 		}
 	}
 	return s.grants

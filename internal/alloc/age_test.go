@@ -8,7 +8,7 @@ import (
 
 // ageRequestSet builds a request set with explicit per-request ages.
 func ageRequestSet(cfg Config, reqs ...Request) *RequestSet {
-	return &RequestSet{Config: cfg, Requests: reqs}
+	return (&RequestSet{Config: cfg, Requests: reqs}).Pack()
 }
 
 func TestAgeAllocatorValidGrants(t *testing.T) {
@@ -20,6 +20,7 @@ func TestAgeAllocatorValidGrants(t *testing.T) {
 			for i := range rs.Requests {
 				rs.Requests[i].Age = rng.Intn(20)
 			}
+			rs.Pack()
 			if err := Validate(rs, a.Allocate(rs)); err != nil {
 				t.Fatalf("%+v: %v", cfg, err)
 			}
@@ -111,6 +112,7 @@ func TestAgeEfficiencyComparable(t *testing.T) {
 		for j := range rsA.Requests {
 			rsA.Requests[j].Age = rngA.Intn(10)
 		}
+		rsA.Pack()
 		totAge += len(age.Allocate(rsA))
 		totBase += len(base.Allocate(randomRequestSet(rngB, cfg, 0.5)))
 	}

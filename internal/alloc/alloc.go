@@ -22,11 +22,11 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
 	"vix/internal/arb"
-	"vix/internal/sim"
 )
 
 // Partition selects how a port's VCs are divided among its virtual
@@ -91,11 +91,17 @@ type Config struct {
 // of any sub-group) are packed into a single 64-bit arbiter word.
 const MaxVCs = 64
 
+// MaxPorts bounds Config.Ports: a request set names each input VC's
+// requested output in an int8 (RequestSet.Out).
+const MaxPorts = math.MaxInt8
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
 	case c.Ports <= 0:
 		return errors.New("alloc: Ports must be positive")
+	case c.Ports > MaxPorts:
+		return fmt.Errorf("alloc: Ports (%d) exceeds the %d outputs a request's int8 field names", c.Ports, MaxPorts)
 	case c.VCs <= 0:
 		return errors.New("alloc: VCs must be positive")
 	case c.VirtualInputs <= 0:
@@ -175,10 +181,10 @@ type Request struct {
 // Grant records that the flit of one request may traverse the crossbar
 // to OutPort this cycle via crossbar row Row. Req indexes the Requests
 // slice of the RequestSet the grant answers: the granted input (port,
-// VC) is rs.Requests[g.Req].Port/VC. Carrying the index instead of the
-// coordinates keeps the grant loop on the arena-backed router a pure
-// array walk — the router re-reads the request it built rather than
-// re-deriving buffer addresses from coordinates.
+// VC) is rs.Requests[g.Req].Port/VC. Since the list is in ascending
+// (port, VC) order, one request per VC, Req is also the rank of the
+// granted input VC among the set's Ready bits — which is how the router,
+// holding only the packed form, finds the VC.
 type Grant struct {
 	Req     int
 	OutPort int
@@ -188,14 +194,31 @@ type Grant struct {
 // Request resolves the request the grant answers within its request set.
 func (g Grant) Request(rs *RequestSet) Request { return rs.Requests[g.Req] }
 
-// RequestSet is the per-cycle input to an allocator. Precondition: at
-// most one request per (Port, VC). The router and routerbench offer them
-// in ascending (port, VC) order. A set that breaks the precondition still
-// draws a legal grant set, but which of a VC's requests is considered is
-// the kind's business (the kinds that arbitrate per row keep the first).
+// RequestSet is the per-cycle input to an allocator. It has two forms of
+// the same requests, at most one per input VC.
+//
+// The packed form is what the built-in kinds read (and all they read):
+// Ready has one bit per input VC ivc = Port*VCs + VC, bit ivc&63 of word
+// ivc>>6, raised when the VC requests; Out and Age, indexed by ivc, hold
+// its requested output and how many cycles its flit has waited, and are
+// meaningful only where Ready has the bit. The router passes its own
+// request word and its per-VC output and wait slabs, so nothing is
+// copied, and an allocator must not write them. A Ready with no words is
+// an empty set.
+//
+// The list form, Requests, names the same requests in ascending (Port,
+// VC) order; Grant.Req indexes it, and Validate and Classify read it.
+// The router fills it only for an allocator that is not a built-in kind
+// (IsBuiltin): a registered one, or a wrapper that hands the set on to a
+// built-in inner allocator, which then reads the packed form. A caller
+// holding only the list fills the packed form with Pack.
 type RequestSet struct {
 	Config   Config
 	Requests []Request
+
+	Ready []uint64
+	Out   []int8
+	Age   []int32
 }
 
 // Allocator matches requests to crossbar resources for one cycle.
@@ -215,6 +238,122 @@ type Allocator interface {
 	Allocate(rs *RequestSet) []Grant
 	// Reset restores initial arbiter state and clears history.
 	Reset()
+}
+
+// Pack fills the packed form from Requests, reusing its storage once it
+// has seen the geometry, and returns rs. The list must hold in-range
+// requests in strictly ascending (Port, VC) order — one per VC — so that
+// a grant's index into it is also a rank among Ready's bits; Pack panics
+// on any other list.
+func (rs *RequestSet) Pack() *RequestSet {
+	cfg := rs.Config
+	n := cfg.Ports * cfg.VCs
+	if words := (n + 63) / 64; len(rs.Ready) != words {
+		rs.Ready = make([]uint64, words)
+	} else {
+		clear(rs.Ready)
+	}
+	if len(rs.Out) != n || len(rs.Age) != n {
+		rs.Out, rs.Age = make([]int8, n), make([]int32, n)
+	}
+	last := -1
+	for _, r := range rs.Requests {
+		ivc := r.Port*cfg.VCs + r.VC
+		if r.Port < 0 || r.Port >= cfg.Ports || r.VC < 0 || r.VC >= cfg.VCs ||
+			r.OutPort < 0 || r.OutPort >= cfg.Ports || ivc <= last {
+			panic(fmt.Sprintf("alloc: cannot pack request %+v after input VC %d: the list must be in range and in strictly ascending (port, VC) order", r, last))
+		}
+		last = ivc
+		rs.Ready[ivc>>6] |= 1 << uint(ivc&63)
+		rs.Out[ivc] = int8(r.OutPort)
+		rs.Age[ivc] = int32(r.Age)
+	}
+	return rs
+}
+
+// portLines returns port p's request lines from a Ready mask: bit v
+// raised when VC v of the port requests. A port's VCs may straddle two
+// words.
+func portLines(ready []uint64, p, vcs int) uint64 {
+	lo := p * vcs
+	wi, sh := lo>>6, uint(lo&63)
+	if wi >= len(ready) {
+		return 0
+	}
+	w := ready[wi] >> sh
+	if int(sh)+vcs > 64 && wi+1 < len(ready) {
+		w |= ready[wi+1] << (64 - sh)
+	}
+	return w & (uint64(1)<<uint(vcs) - 1)
+}
+
+// rank returns how many requests of a Ready mask lie below input VC ivc:
+// the index of its request in the list form.
+func rank(ready []uint64, ivc int) int {
+	n := bits.OnesCount64(ready[ivc>>6] & (uint64(1)<<uint(ivc&63) - 1))
+	for _, w := range ready[:ivc>>6] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// subgroups reads the input arbiters' request words straight off a
+// port's request lines: the bit positions give the crossbar row and the
+// slot, so no per-VC table is needed.
+type subgroups struct {
+	vcs, k, size int // Config.VCs, VirtualInputs, GroupSize
+	interleaved  bool
+}
+
+func newSubgroups(cfg Config) subgroups {
+	return subgroups{vcs: cfg.VCs, k: cfg.VirtualInputs, size: cfg.GroupSize(), interleaved: cfg.Partition == Interleaved}
+}
+
+// slots returns sub-group g's input-arbiter word of a port with request
+// lines lines: bit s raised when the VC in slot s requests.
+func (sg subgroups) slots(lines uint64, g int) uint64 {
+	if !sg.interleaved {
+		return lines >> uint(g*sg.size) & (uint64(1)<<uint(sg.size) - 1)
+	}
+	var w uint64
+	for s, v := 0, g; v < sg.vcs; s, v = s+1, v+sg.k {
+		w |= (lines >> uint(v) & 1) << uint(s)
+	}
+	return w
+}
+
+// vc returns the VC in slot s of sub-group g.
+func (sg subgroups) vc(g, s int) int {
+	if sg.interleaved {
+		return s*sg.k + g
+	}
+	return g*sg.size + s
+}
+
+// The divides below are 32-bit ones, the shorter instruction: their
+// operands are input VCs, rows and VCs, all below MaxPorts·MaxVCs.
+
+// ivc returns the input VC in slot s of crossbar row row.
+func (sg subgroups) ivc(row, s int) int {
+	if sg.k == 1 {
+		return row*sg.vcs + s // a row is a port, a slot a VC
+	}
+	p := int(uint32(row) / uint32(sg.k))
+	return p*sg.vcs + sg.vc(row-p*sg.k, s)
+}
+
+// at returns input VC ivc's crossbar row and slot (Config.Row and Slot).
+func (sg subgroups) at(ivc int) (row, s int) {
+	p := int(uint32(ivc) / uint32(sg.vcs))
+	vc := ivc - p*sg.vcs
+	var g int
+	if sg.interleaved {
+		g, s = vc%sg.k, vc/sg.k
+	} else {
+		g = int(uint32(vc) / uint32(sg.size))
+		s = vc - g*sg.size
+	}
+	return p*sg.k + g, s
 }
 
 // Validate checks that grants form a legal allocation for rs: every grant
@@ -261,171 +400,45 @@ func Validate(rs *RequestSet, grants []Grant) error {
 	return nil
 }
 
-// rowSlots is the input side of the request matrix as the input arbiters
-// see it: per crossbar row, one word with a bit per sub-group slot offering
-// a request, and per (row, slot) the request offered there. A VC offers
-// one request; should a caller offer more, the first per slot stands.
-// Every allocator that arbitrates per row (if, if-age, pc, sparoflo)
-// builds it with raise and walks the set bits of occ and mask — ascending
-// (row, slot), which is ascending (port, VC) within a row.
-//
-// mask and occ read all-zero between calls: if and if-age clear each row
-// as its input arbiter picks, pc and sparoflo call drain, so a cycle
-// costs what its requests cost and never a sweep of Rows words.
-type rowSlots struct {
-	rowOf     []int32 // per port*vcs+vc: precomputed Config.Row (two divisions a call)
-	slotOf    []int32 // per vc: precomputed Config.Slot
-	vcs       int
-	groupSize int
-
-	mask []uint64   // per row: slots offering a request
-	occ  sim.Bitset // rows whose mask is non-zero
-	req  []int32    // per row*groupSize+slot: the request offered there; valid where mask has the bit
-}
-
-// newRowSlots sizes the row words for cfg.
-func newRowSlots(cfg Config) rowSlots {
-	return rowSlots{
-		rowOf:     rowTable(cfg),
-		slotOf:    slotTable(cfg),
-		vcs:       cfg.VCs,
-		groupSize: cfg.GroupSize(),
-		mask:      make([]uint64, cfg.Rows()),
-		occ:       sim.NewBitset(cfg.Rows()),
-		req:       make([]int32, cfg.Rows()*cfg.GroupSize()),
-	}
-}
-
-// row returns the crossbar row carrying r.
-func (s *rowSlots) row(r Request) int { return int(s.rowOf[r.Port*s.vcs+r.VC]) }
-
-// raise raises each request's line on its row's word.
-func (s *rowSlots) raise(rs *RequestSet) {
-	for i, r := range rs.Requests {
-		row := s.row(r)
-		slot := int(s.slotOf[r.VC])
-		if bit := uint64(1) << uint(slot); s.mask[row]&bit == 0 {
-			s.mask[row] |= bit
-			s.occ.Set(row)
-			s.req[row*s.groupSize+slot] = int32(i)
-		}
-	}
-}
-
-// drain lowers every line raise raised.
-func (s *rowSlots) drain() {
-	for wi, w := range s.occ {
-		for ; w != 0; w &= w - 1 {
-			s.mask[wi<<6+bits.TrailingZeros64(w)] = 0
-		}
-		s.occ[wi] = 0
-	}
-}
-
-// rowTable precomputes Config.Row for every (port, vc), indexed by
-// port*VCs+vc.
-func rowTable(cfg Config) []int32 {
-	t := make([]int32, cfg.Ports*cfg.VCs)
-	for p := 0; p < cfg.Ports; p++ {
-		for v := 0; v < cfg.VCs; v++ {
-			t[p*cfg.VCs+v] = int32(cfg.Row(p, v))
-		}
-	}
-	return t
-}
-
-// slotTable precomputes Config.Slot for every vc.
-func slotTable(cfg Config) []int32 {
-	t := make([]int32, cfg.VCs)
-	for v := 0; v < cfg.VCs; v++ {
-		t[v] = int32(cfg.Slot(v))
-	}
-	return t
-}
-
-// cellScratch groups request indices by (crossbar row, output port) cell
-// of the request matrix, replacing the per-cycle maps the matrix-style
-// allocators (wavefront, augmenting-path, iSLIP) used to build. An
-// occupancy bitset remembers the cells the last cycle filled, so clear
-// touches O(requests) cells rather than the whole Rows x Ports matrix.
-type cellScratch struct {
+// cellSlots is the request matrix by (crossbar row, output port) cell,
+// for the matrix-style allocators (wavefront, augmenting path, iSLIP):
+// one word per cell, a bit per slot of the row whose VC requests the
+// output — the input of the row's VC choice. Each allocator lowers the
+// cells it raised from its own record of them (diagonal rows, adjacency
+// lists, per-output row words), so the words are all-zero between calls
+// and a call never sweeps the Rows x Ports matrix.
+type cellSlots struct {
 	outs  int
-	cells [][]int    // cells[row*outs+out] = request indices, refilled per cycle
-	occ   sim.Bitset // cells holding indices since the last clear
+	cells []uint64 // per row*outs+out
 }
 
-// newCellScratch sizes the cell lists for cfg.
-func newCellScratch(cfg Config) cellScratch {
-	return cellScratch{
-		outs:  cfg.Ports,
-		cells: make([][]int, cfg.Rows()*cfg.Ports),
-		occ:   sim.NewBitset(cfg.Rows() * cfg.Ports),
+// newCellSlots sizes the cell words for cfg.
+func newCellSlots(cfg Config) cellSlots {
+	return cellSlots{outs: cfg.Ports, cells: make([]uint64, cfg.Rows()*cfg.Ports)}
+}
+
+// add raises slot's line on the (row, out) cell.
+func (s *cellSlots) add(row, out, slot int) { s.cells[row*s.outs+out] |= 1 << uint(slot) }
+
+// at returns the (row, out) cell's slots.
+func (s *cellSlots) at(row, out int) uint64 { return s.cells[row*s.outs+out] }
+
+// take returns the (row, out) cell's slots and lowers them.
+func (s *cellSlots) take(row, out int) uint64 {
+	c := &s.cells[row*s.outs+out]
+	slots := *c
+	*c = 0
+	return slots
+}
+
+// pickSlot is a row's VC choice among a cell's slots: round-robin from
+// the row's pointer ptr, as the hardware input arbiter picks. It returns
+// the winning slot and the pointer the caller stores back; a lone slot
+// wins without moving the pointer.
+func pickSlot(slots uint64, ptr int32, groupSize int) (slot int, next int32) {
+	if slots&(slots-1) == 0 {
+		return bits.TrailingZeros64(slots), ptr
 	}
-}
-
-// clear truncates the cell lists dirtied since the last clear; all other
-// cells are empty by induction.
-func (s *cellScratch) clear() {
-	for wi, w := range s.occ {
-		if w == 0 {
-			continue
-		}
-		for ; w != 0; w &= w - 1 {
-			c := wi<<6 + bits.TrailingZeros64(w)
-			s.cells[c] = s.cells[c][:0]
-		}
-		s.occ[wi] = 0
-	}
-}
-
-// add appends a request index to the (row, out) cell.
-func (s *cellScratch) add(row, out, idx int) {
-	c := row*s.outs + out
-	s.occ.Set(c)
-	s.cells[c] = append(s.cells[c], idx)
-}
-
-// at returns the request indices of the (row, out) cell.
-func (s *cellScratch) at(row, out int) []int {
-	return s.cells[row*s.outs+out]
-}
-
-// vcPickScratch is the slot-mapping scratch behind the per-row VC choice
-// shared by the matrix-style allocators: it maps each input-arbiter slot
-// of a row onto the request index offered by the VC in that slot.
-type vcPickScratch struct {
-	slotOf    []int32 // per vc: precomputed Config.Slot
-	groupSize int
-	slotToReq []int32 // per slot: offered request index; valid where pick's mask has the bit
-}
-
-// newVCPickScratch sizes the slot table for cfg.
-func newVCPickScratch(cfg Config) vcPickScratch {
-	return vcPickScratch{
-		slotOf:    slotTable(cfg),
-		groupSize: cfg.GroupSize(),
-		slotToReq: make([]int32, cfg.GroupSize()),
-	}
-}
-
-// pick selects which of a row's requests wins by round-robin over the
-// row's slot mask from the row's pointer ptr, mirroring the one-VC-per-
-// slot mapping the hardware input arbiter sees (first request per slot
-// wins). It returns the winning request index and the pointer the caller
-// stores back; a lone request wins without moving the pointer.
-// len(reqIdxs) must be at least 1.
-func (s *vcPickScratch) pick(rs *RequestSet, reqIdxs []int, ptr int32) (reqIdx int, next int32) {
-	if len(reqIdxs) == 1 {
-		return reqIdxs[0], ptr
-	}
-	var mask uint64
-	for _, idx := range reqIdxs {
-		slot := s.slotOf[rs.Requests[idx].VC]
-		if bit := uint64(1) << uint(slot); mask&bit == 0 {
-			mask |= bit
-			s.slotToReq[slot] = int32(idx)
-		}
-	}
-	slot := arb.Pick(mask, int(ptr))
-	return int(s.slotToReq[slot]), int32(arb.Next(slot, s.groupSize))
+	slot = arb.Pick(slots, int(ptr))
+	return slot, int32(arb.Next(slot, groupSize))
 }

@@ -21,7 +21,7 @@ func randomRequestSet(rng *sim.RNG, cfg Config, p float64) *RequestSet {
 			}
 		}
 	}
-	return rs
+	return rs.Pack()
 }
 
 // MustNew is New for a kind and geometry the test knows are valid; it
@@ -109,7 +109,7 @@ func TestEmptyRequestSet(t *testing.T) {
 func TestSingleRequestAlwaysGranted(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
 	for kind, a := range newAllocatorsFor(cfg) {
-		rs := &RequestSet{Config: cfg, Requests: []Request{{Port: 2, VC: 4, OutPort: 3}}}
+		rs := (&RequestSet{Config: cfg, Requests: []Request{{Port: 2, VC: 4, OutPort: 3}}}).Pack()
 		grants := a.Allocate(rs)
 		if len(grants) != 1 {
 			t.Errorf("%s: single request produced %d grants", kind, len(grants))
@@ -301,11 +301,11 @@ func TestAllocatorReset(t *testing.T) {
 
 func TestValidateRejectsIllegalGrants(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 0, VC: 0, OutPort: 1},
 		{Port: 0, VC: 1, OutPort: 2},
 		{Port: 1, VC: 0, OutPort: 1},
-	}}
+	}}).Pack()
 	cases := []struct {
 		name   string
 		grants []Grant
@@ -607,6 +607,7 @@ func TestAgeQuickValidity(t *testing.T) {
 		for i := range rs.Requests {
 			rs.Requests[i].Age = rng.Intn(spread)
 		}
+		rs.Pack()
 		return Validate(rs, a.Allocate(rs)) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -1,5 +1,7 @@
 package alloc
 
+import "math/bits"
+
 // AugmentingPath computes a maximum bipartite matching between crossbar
 // rows and output ports each cycle using Kuhn's augmenting-path algorithm
 // (the Ford-Fulkerson construction the paper cites). It is the "AP"
@@ -14,16 +16,15 @@ package alloc
 // have — which is what produces that unfairness.
 type AugmentingPath struct {
 	cfg   Config
-	rowOf []int32 // per port*VCs+vc: precomputed Config.Row
+	sub   subgroups
 	vcPtr []int32 // per row: round-robin pointer selecting the transmitting VC
 
 	// scratch for matching
-	adj      [][]int // adj[row] = outputs requested
-	matchTo  []int   // matchTo[out] = row, -1 if free
-	visited  []bool
-	cellReqs cellScratch
-	slots    vcPickScratch
-	grants   []Grant
+	adj     [][]int // adj[row] = outputs requested
+	matchTo []int   // matchTo[out] = row, -1 if free
+	visited []bool
+	cells   cellSlots
+	grants  []Grant
 }
 
 // NewAugmentingPath returns a maximum-matching allocator for cfg. It
@@ -31,15 +32,14 @@ type AugmentingPath struct {
 func NewAugmentingPath(cfg Config) *AugmentingPath {
 	mustValidate(cfg)
 	return &AugmentingPath{
-		cfg:      cfg,
-		rowOf:    rowTable(cfg),
-		vcPtr:    make([]int32, cfg.Rows()),
-		adj:      make([][]int, cfg.Rows()),
-		matchTo:  make([]int, cfg.Ports),
-		visited:  make([]bool, cfg.Ports),
-		cellReqs: newCellScratch(cfg),
-		slots:    newVCPickScratch(cfg),
-		grants:   make([]Grant, 0, cfg.Ports),
+		cfg:     cfg,
+		sub:     newSubgroups(cfg),
+		vcPtr:   make([]int32, cfg.Rows()),
+		adj:     make([][]int, cfg.Rows()),
+		matchTo: make([]int, cfg.Ports),
+		visited: make([]bool, cfg.Ports),
+		cells:   newCellSlots(cfg),
+		grants:  make([]Grant, 0, cfg.Ports),
 	}
 }
 
@@ -61,13 +61,21 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 		a.adj[i] = a.adj[i][:0]
 	}
 	// Representative request per (row, out); VC choice refined afterwards.
-	a.cellReqs.clear()
-	for idx, r := range rs.Requests {
-		row := int(a.rowOf[r.Port*a.cfg.VCs+r.VC])
-		if len(a.cellReqs.at(row, r.OutPort)) == 0 {
-			a.adj[row] = append(a.adj[row], r.OutPort)
+	sg := a.sub
+	for p := 0; p < a.cfg.Ports; p++ {
+		lines := portLines(rs.Ready, p, sg.vcs)
+		for g := 0; lines != 0 && g < sg.k; g++ {
+			row := p*sg.k + g
+			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
+				slot := bits.TrailingZeros64(slots)
+				ivc := p*sg.vcs + sg.vc(g, slot)
+				out := int(rs.Out[ivc])
+				if a.cells.at(row, out) == 0 {
+					a.adj[row] = append(a.adj[row], out)
+				}
+				a.cells.add(row, out, slot)
+			}
 		}
-		a.cellReqs.add(row, r.OutPort, idx)
 	}
 	for i := range a.matchTo {
 		a.matchTo[i] = -1
@@ -87,9 +95,14 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 		if row < 0 {
 			continue
 		}
-		var idx int
-		idx, a.vcPtr[row] = a.slots.pick(rs, a.cellReqs.at(row, out), a.vcPtr[row])
-		a.grants = append(a.grants, Grant{Req: idx, OutPort: out, Row: row})
+		var slot int
+		slot, a.vcPtr[row] = pickSlot(a.cells.at(row, out), a.vcPtr[row], a.sub.size)
+		a.grants = append(a.grants, Grant{Req: rank(rs.Ready, a.sub.ivc(row, slot)), OutPort: out, Row: row})
+	}
+	for row, outs := range a.adj {
+		for _, out := range outs {
+			a.cells.take(row, out)
+		}
 	}
 	return a.grants
 }

@@ -29,6 +29,7 @@ func benchAllocate(b *testing.B, kind alloc.Kind) {
 		lone[i] = alloc.RequestSet{Config: cfg, Requests: []alloc.Request{{
 			Port: rng.Intn(cfg.Ports), VC: rng.Intn(cfg.VCs), OutPort: rng.Intn(cfg.Ports), Age: rng.Intn(32),
 		}}}
+		lone[i].Pack()
 	}
 	for _, shape := range []struct {
 		name string

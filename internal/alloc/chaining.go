@@ -32,8 +32,7 @@ type PacketChaining struct {
 	chainPtr []int32
 
 	// scratch
-	rest       RequestSet
-	restIdx    []int // rest position -> index in the outer request set
+	rest       []uint64 // the unchained remainder's Ready words
 	rowChained []bool
 	outChained []bool
 	grants     []Grant
@@ -48,7 +47,7 @@ func NewPacketChaining(cfg Config) *PacketChaining {
 		inner:      NewSeparableIF(cfg),
 		prevOut:    make([]int, cfg.Rows()),
 		chainPtr:   make([]int32, cfg.Rows()),
-		restIdx:    make([]int, 0, cfg.Ports*cfg.VCs),
+		rest:       make([]uint64, (cfg.Ports*cfg.VCs+63)/64),
 		rowChained: make([]bool, cfg.Rows()),
 		outChained: make([]bool, cfg.Ports),
 		grants:     make([]Grant, 0, cfg.Ports),
@@ -74,64 +73,69 @@ func (p *PacketChaining) Reset() {
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
-	// The row words are the inner allocator's, borrowed: all-zero between
-	// its calls, and drained again before it runs on the remainder.
-	rows := &p.inner.rows
-	rows.raise(rs)
+	sg := p.inner.sub
 	clear(p.rowChained)
 	clear(p.outChained)
 	p.grants = p.grants[:0]
 
 	// Phase zero: preserve last cycle's connections where any VC of the
 	// row requests the same output (SameInput, anyVC).
-	gs := rows.groupSize
-	for row, out := range p.prevOut {
-		offered := rows.mask[row]
-		if out < 0 || p.outChained[out] || offered == 0 {
-			continue
-		}
-		slotReq := rows.req[row*gs : (row+1)*gs]
-		var eligible uint64 // bit i: the row's i-th offered slot requests out
-		n := 0
-		for w := offered; w != 0; w &= w - 1 {
-			if rs.Requests[slotReq[bits.TrailingZeros64(w)]].OutPort == out {
-				eligible |= 1 << uint(n)
+	chained := false
+	for port := 0; port < p.inner.ports; port++ {
+		lines := portLines(rs.Ready, port, sg.vcs)
+		for g := 0; g < sg.k; g++ {
+			row := port*sg.k + g
+			out := p.prevOut[row]
+			if out < 0 || p.outChained[out] || lines == 0 {
+				continue
 			}
-			n++
+			offered := sg.slots(lines, g)
+			var eligible uint64 // bit i: the row's i-th offered slot requests out
+			n := 0
+			for w := offered; w != 0; w &= w - 1 {
+				if int(rs.Out[port*sg.vcs+sg.vc(g, bits.TrailingZeros64(w))]) == out {
+					eligible |= 1 << uint(n)
+				}
+				n++
+			}
+			if eligible == 0 {
+				continue
+			}
+			pos := arb.Pick(eligible, int(p.chainPtr[row])%n)
+			p.chainPtr[row] = int32(arb.Next(pos, n))
+			for ; pos > 0; pos-- {
+				offered &= offered - 1
+			}
+			ivc := port*sg.vcs + sg.vc(g, bits.TrailingZeros64(offered))
+			p.grants = append(p.grants, Grant{Req: rank(rs.Ready, ivc), OutPort: out, Row: row})
+			p.rowChained[row] = true
+			p.outChained[out] = true
+			chained = true
 		}
-		if eligible == 0 {
-			continue
-		}
-		pos := arb.Pick(eligible, int(p.chainPtr[row])%n)
-		p.chainPtr[row] = int32(arb.Next(pos, n))
-		for ; pos > 0; pos-- {
-			offered &= offered - 1
-		}
-		p.grants = append(p.grants, Grant{Req: int(slotReq[bits.TrailingZeros64(offered)]), OutPort: out, Row: row})
-		p.rowChained[row] = true
-		p.outChained[out] = true
 	}
-	rows.drain()
 
-	// Run the separable allocator on the unchained remainder. The inner
-	// allocator returns its own scratch; appending copies the grant values
-	// out before they can be invalidated. Inner grants index the filtered
-	// request set, so restIdx maps them back onto the caller's indices.
-	p.rest.Config = rs.Config
-	p.rest.Requests = p.rest.Requests[:0]
-	p.restIdx = p.restIdx[:0]
-	for i, r := range rs.Requests {
-		row := rows.row(r)
-		if p.rowChained[row] || p.outChained[r.OutPort] {
-			continue
+	// Run the separable allocator on the unchained remainder: Ready less
+	// every VC of a chained row and every VC requesting a chained output.
+	// Its grants already number requests by their rank in rs.Ready, and
+	// appending copies them out of its scratch.
+	rest := rs.Ready
+	if chained {
+		rest = p.rest
+		copy(rest, rs.Ready)
+		for port := 0; port < p.inner.ports; port++ {
+			lines := portLines(rs.Ready, port, sg.vcs)
+			for g := 0; lines != 0 && g < sg.k; g++ {
+				row := port*sg.k + g
+				for w := sg.slots(lines, g); w != 0; w &= w - 1 {
+					ivc := port*sg.vcs + sg.vc(g, bits.TrailingZeros64(w))
+					if p.rowChained[row] || p.outChained[rs.Out[ivc]] {
+						rest[ivc>>6] &^= 1 << uint(ivc&63)
+					}
+				}
+			}
 		}
-		p.rest.Requests = append(p.rest.Requests, r)
-		p.restIdx = append(p.restIdx, i)
 	}
-	for _, g := range p.inner.Allocate(&p.rest) {
-		g.Req = p.restIdx[g.Req]
-		p.grants = append(p.grants, g)
-	}
+	p.grants = append(p.grants, p.inner.allocate(rest, rs)...)
 
 	// Record this cycle's connections for chaining next cycle.
 	for i := range p.prevOut {

@@ -13,10 +13,10 @@ func TestChainingPreservesConnections(t *testing.T) {
 	pc := NewPacketChaining(cfg)
 
 	// Cycle 1: ports 0 and 1 both want output 2; exactly one wins.
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 0, VC: 0, OutPort: 2},
 		{Port: 1, VC: 0, OutPort: 2},
-	}}
+	}}).Pack()
 	g1 := pc.Allocate(rs)
 	if len(g1) != 1 {
 		t.Fatalf("cycle 1 granted %d, want 1", len(g1))
@@ -36,19 +36,19 @@ func TestChainingAnyVC(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 4, VirtualInputs: 1}
 	pc := NewPacketChaining(cfg)
 
-	g1 := pc.Allocate(&RequestSet{Config: cfg, Requests: []Request{
+	g1 := pc.Allocate((&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 3, VC: 0, OutPort: 1},
-	}})
+	}}).Pack())
 	if len(g1) != 1 {
 		t.Fatalf("setup grant failed: %v", g1)
 	}
 
 	// Next cycle the same port requests output 1 from VC 2, while port 4
 	// also wants output 1. The chain must win.
-	rs2 := &RequestSet{Config: cfg, Requests: []Request{
+	rs2 := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 3, VC: 2, OutPort: 1},
 		{Port: 4, VC: 0, OutPort: 1},
-	}}
+	}}).Pack()
 	g2 := pc.Allocate(rs2)
 	found := false
 	for _, g := range g2 {
@@ -69,12 +69,12 @@ func TestChainingAnyVC(t *testing.T) {
 func TestChainingReleasesWhenUnrequested(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 4, VirtualInputs: 1}
 	pc := NewPacketChaining(cfg)
-	pc.Allocate(&RequestSet{Config: cfg, Requests: []Request{
+	pc.Allocate((&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 0, VC: 0, OutPort: 2},
-	}})
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	}}).Pack())
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 1, VC: 0, OutPort: 2},
-	}}
+	}}).Pack()
 	g := pc.Allocate(rs)
 	if len(g) != 1 || g[0].Request(rs).Port != 1 {
 		t.Fatalf("released output not granted to new requestor: %+v", g)
@@ -101,7 +101,7 @@ func TestChainingBeatsIFOnPersistentTraffic(t *testing.T) {
 				rs.Requests = append(rs.Requests, Request{Port: p, VC: v, OutPort: dest[p][v]})
 			}
 		}
-		return rs
+		return rs.Pack()
 	}
 	mkDest := func(rng *sim.RNG) [][]int {
 		d := make([][]int, cfg.Ports)

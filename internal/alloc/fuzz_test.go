@@ -15,7 +15,8 @@ import (
 //  1. legality — every grant set passes alloc.Validate;
 //  2. determinism — two runs from Reset() with identical inputs produce
 //     byte-identical grant sequences;
-//  3. purity — Allocate never mutates the caller's RequestSet. Nothing
+//  3. purity — Allocate never mutates the caller's RequestSet, in either
+//     form (the router hands its own state as the packed form). Nothing
 //     checks this statically: the seed corpus replayed by every
 //     `go test` is the gate.
 //
@@ -95,8 +96,10 @@ func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc
 			rs.Requests = []alloc.Request{{
 				Port: rng.Intn(cfg.Ports), VC: rng.Intn(cfg.VCs), OutPort: rng.Intn(cfg.Ports), Age: rng.Intn(32),
 			}}
+			rs.Pack()
 		}
 		snapshot := append([]alloc.Request(nil), rs.Requests...)
+		packed := fmt.Sprint(rs.Ready, rs.Out, rs.Age)
 		grants := a.Allocate(&rs)
 		if err := alloc.Validate(&rs, grants); err != nil {
 			t.Fatalf("%q cycle %d: illegal grants: %v\nrequests: %+v", kind, cycle, err, rs.Requests)
@@ -127,6 +130,9 @@ func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc
 					kind, cycle, i, snapshot[i], rs.Requests[i])
 			}
 		}
+		if got := fmt.Sprint(rs.Ready, rs.Out, rs.Age); got != packed {
+			t.Fatalf("%q cycle %d: Allocate mutated the packed form:\n%s\n-> %s", kind, cycle, packed, got)
+		}
 		out += fmt.Sprintf("%v", grants)
 	}
 	return out
@@ -153,5 +159,6 @@ func randomRequestSet(cfg alloc.Config, rng *sim.RNG) alloc.RequestSet {
 			})
 		}
 	}
+	rs.Pack()
 	return rs
 }

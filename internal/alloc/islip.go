@@ -26,10 +26,10 @@ import (
 // iteration, preserving iSLIP's desynchronisation property.
 type ISLIP struct {
 	cfg        Config
-	iterations int     // islipIterations; tests vary it
-	rowWords   int     // words per mask over the crossbar rows
-	outWords   int     // words per mask over the outputs
-	rowOf      []int32 // per port*VCs+vc: precomputed Config.Row
+	sub        subgroups
+	iterations int // islipIterations; tests vary it
+	rowWords   int // words per mask over the crossbar rows
+	outWords   int // words per mask over the outputs
 
 	grantPtr  []int32 // per output, over rows
 	acceptPtr []int32 // per row, over outputs
@@ -43,8 +43,7 @@ type ISLIP struct {
 	asking   []uint64   // rowWords: the unmatched rows requesting the output being granted
 	offers   []uint64   // per row, outWords each: outputs granting to it this iteration
 	offered  sim.Bitset // rows whose offers is non-zero
-	cellReqs cellScratch
-	slots    vcPickScratch
+	cells    cellSlots
 	grants   []Grant
 }
 
@@ -62,7 +61,7 @@ func NewISLIP(cfg Config) *ISLIP {
 		iterations: islipIterations,
 		rowWords:   rowWords,
 		outWords:   outWords,
-		rowOf:      rowTable(cfg),
+		sub:        newSubgroups(cfg),
 		grantPtr:   make([]int32, cfg.Ports),
 		acceptPtr:  make([]int32, cfg.Rows()),
 		vcPtr:      make([]int32, cfg.Rows()),
@@ -73,8 +72,7 @@ func NewISLIP(cfg Config) *ISLIP {
 		asking:     make([]uint64, rowWords),
 		offers:     make([]uint64, cfg.Rows()*outWords),
 		offered:    sim.NewBitset(cfg.Rows()),
-		cellReqs:   newCellScratch(cfg),
-		slots:      newVCPickScratch(cfg),
+		cells:      newCellSlots(cfg),
 		grants:     make([]Grant, 0, cfg.Ports),
 	}
 }
@@ -93,15 +91,23 @@ func (s *ISLIP) Reset() {
 // until the next Allocate or Reset call.
 func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 	// An output's request word has a bit per row with any VC requesting
-	// it; the cell scratch holds the request indices per (row, out) for VC
-	// selection.
-	s.cellReqs.clear()
-	for idx, r := range rs.Requests {
-		row := int(s.rowOf[r.Port*s.cfg.VCs+r.VC])
-		s.reqRows[r.OutPort*s.rowWords+row>>6] |= 1 << uint(row&63)
-		s.outOcc.Set(r.OutPort)
-		s.freeRows.Set(row)
-		s.cellReqs.add(row, r.OutPort, idx)
+	// it; the cell words hold the requesting slots per (row, out) for VC
+	// selection, and are lowered with the output words at the end.
+	sg := s.sub
+	for p := 0; p < s.cfg.Ports; p++ {
+		lines := portLines(rs.Ready, p, sg.vcs)
+		for g := 0; lines != 0 && g < sg.k; g++ {
+			row := p*sg.k + g
+			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
+				slot := bits.TrailingZeros64(slots)
+				ivc := p*sg.vcs + sg.vc(g, slot)
+				out := int(rs.Out[ivc])
+				s.reqRows[out*s.rowWords+row>>6] |= 1 << uint(row&63)
+				s.outOcc.Set(out)
+				s.freeRows.Set(row)
+				s.cells.add(row, out, slot)
+			}
+		}
 	}
 	s.grants = s.grants[:0]
 
@@ -135,9 +141,9 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 				offers := s.offers[row*s.outWords : (row+1)*s.outWords]
 				out := arb.PickWords(offers, int(s.acceptPtr[row]))
 				clear(offers)
-				var idx int
-				idx, s.vcPtr[row] = s.slots.pick(rs, s.cellReqs.at(row, out), s.vcPtr[row])
-				s.grants = append(s.grants, Grant{Req: idx, OutPort: out, Row: row})
+				var slot int
+				slot, s.vcPtr[row] = pickSlot(s.cells.at(row, out), s.vcPtr[row], s.sub.size)
+				s.grants = append(s.grants, Grant{Req: rank(rs.Ready, s.sub.ivc(row, slot)), OutPort: out, Row: row})
 				s.freeRows.Clear(row)
 				s.outDone.Set(out)
 				// iSLIP pointer discipline: update only on first-iteration
@@ -154,7 +160,13 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 		s.outOcc[wi] = 0
 		for ; w != 0; w &= w - 1 {
 			out := wi<<6 + bits.TrailingZeros64(w)
-			clear(s.reqRows[out*s.rowWords : (out+1)*s.rowWords])
+			reqRows := s.reqRows[out*s.rowWords : (out+1)*s.rowWords]
+			for ri, r := range reqRows {
+				for ; r != 0; r &= r - 1 {
+					s.cells.take(ri<<6+bits.TrailingZeros64(r), out)
+				}
+			}
+			clear(reqRows)
 		}
 	}
 	clear(s.freeRows)

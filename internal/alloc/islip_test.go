@@ -115,11 +115,11 @@ func TestSparofloBetweenIFAndVIX(t *testing.T) {
 func TestSparofloSingleGrantPerPort(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	s := NewSparoflo(cfg)
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 2, VC: 0, OutPort: 0},
 		{Port: 2, VC: 1, OutPort: 1},
 		{Port: 2, VC: 2, OutPort: 3},
-	}}
+	}}).Pack()
 	for i := 0; i < 10; i++ {
 		if got := len(s.Allocate(rs)); got != 1 {
 			t.Fatalf("sparoflo granted %d flits from one port", got)

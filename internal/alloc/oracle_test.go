@@ -37,7 +37,7 @@ func TestSeparableMatchesClosedForm(t *testing.T) {
 				for i := range rs.Requests {
 					rs.Requests[i] = Request{Port: i / vcs, VC: i % vcs, OutPort: rng.Intn(radix), Age: rng.Intn(64)}
 				}
-				g := float64(len(a.Allocate(rs)))
+				g := float64(len(a.Allocate(rs.Pack())))
 				sum += g
 				sumSq += g * g
 			}

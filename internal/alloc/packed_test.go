@@ -143,7 +143,7 @@ func newDenseWavefront(cfg Config) *denseWavefront {
 	return d
 }
 
-// pick is the []bool form of vcPickScratch.pick.
+// pick is the []bool form of pickSlot.
 func (d *denseWavefront) pick(rs *RequestSet, reqIdxs []int, a arb.Arbiter) int {
 	if len(reqIdxs) == 1 {
 		return reqIdxs[0]
@@ -201,28 +201,29 @@ func (d *denseWavefront) allocate(rs *RequestSet) []Grant {
 	return d.grants
 }
 
-// lazyWords lists, per kind arbitrating on packed request words, the words
-// it drains as it consumes them; assertDrained holds them to all-zero
-// between calls. Ideal and SeparableAge inherit SeparableIF's.
-func (s *rowSlots) lazyWords() []wordBank {
-	return []wordBank{{"rows.mask", s.mask}, {"rows.occ", s.occ}}
-}
-
+// lazyWords lists, per kind, the request words it drains as it consumes
+// them; assertDrained holds them to all-zero between calls. Ideal and
+// SeparableAge inherit SeparableIF's.
 func (s *SeparableIF) lazyWords() []wordBank {
-	return append(s.rows.lazyWords(), wordBank{"outMask", s.outMask}, wordBank{"outOcc", s.outOcc})
+	return []wordBank{{"outMask", s.outMask}, {"outOcc", s.outOcc}}
 }
 
 func (p *PacketChaining) lazyWords() []wordBank { return p.inner.lazyWords() }
 
 func (s *Sparoflo) lazyWords() []wordBank {
-	return append(s.rows.lazyWords(), wordBank{"lineMask", s.lineMask}, wordBank{"outOcc", s.outOcc},
-		wordBank{"wins", s.wins}, wordBank{"portOcc", s.portOcc})
+	return []wordBank{{"lineMask", s.lineMask}, {"outOcc", s.outOcc}, {"wins", s.wins}, {"portOcc", s.portOcc}}
 }
 
 func (s *ISLIP) lazyWords() []wordBank {
 	return []wordBank{{"reqRows", s.reqRows}, {"outOcc", s.outOcc}, {"freeRows", s.freeRows},
-		{"outDone", s.outDone}, {"offers", s.offers}, {"offered", s.offered}}
+		{"outDone", s.outDone}, {"offers", s.offers}, {"offered", s.offered}, {"cells", s.cells.cells}}
 }
+
+func (w *Wavefront) lazyWords() []wordBank {
+	return []wordBank{{"diagRows", w.diagRows}, {"cells", w.cells.cells}}
+}
+
+func (a *AugmentingPath) lazyWords() []wordBank { return []wordBank{{"cells", a.cells.cells}} }
 
 // rrPointer reads a round-robin arbiter's priority pointer through its
 // stateless decision: with every line raised, the winner is the pointer.
@@ -257,6 +258,7 @@ func ReferenceGeometries() []Config {
 		Config{Ports: 16, VCs: 8, VirtualInputs: 8},  // Rows = 128: two row-mask words
 		Config{Ports: 3, VCs: 64, VirtualInputs: 1},  // a full 64-line arbiter word
 		Config{Ports: 2, VCs: 64, VirtualInputs: 64}, // Rows = 128 > Ports
+		Config{Ports: 10, VCs: 7, VirtualInputs: 3},  // port 9's VCs are input VCs 63-69: across a word boundary
 	)
 }
 
@@ -264,39 +266,23 @@ func ReferenceGeometries() []Config {
 // the negative entry stands for a lone-request cycle.
 var lockstepLoads = []float64{0.9, 0.05, 0, -1, 0.5, 0, 0.95, 0.1, 0}
 
-// lockstepRequests draws one cycle of the lockstep streams. Load swings
-// between saturation, trickle and silence so a mask left dirty by a lazy
-// clear would surface; some sets offer a second request on a VC already
-// requesting (the first per slot must stand) and some arrive out of
-// (port, vc) order. One cycle of each pattern is a lone request — the
-// below-saturation common case SeparableIF grants without arbitrating —
-// and successive ones enumerate every (port, VC) x output, so between
-// them every row and slot meets every output, each next to a contended
-// cycle and a possible SkipIdle span.
+// lockstepRequests draws one cycle of the lockstep streams, packed. Load
+// swings between saturation, trickle and silence so a mask left dirty by
+// a lazy clear would surface. One cycle of each pattern is a lone request
+// — the below-saturation common case SeparableIF grants without
+// arbitrating — and successive ones enumerate every (port, VC) x output,
+// so between them every row and slot meets every output, each next to a
+// contended cycle and a possible SkipIdle span.
 func lockstepRequests(rng *sim.RNG, cfg Config, cycle int) *RequestSet {
 	load := lockstepLoads[cycle%len(lockstepLoads)]
 	if load < 0 {
 		i := cycle / len(lockstepLoads)
 		ivc := i / cfg.Ports % (cfg.Ports * cfg.VCs)
-		return &RequestSet{Config: cfg, Requests: []Request{
+		return (&RequestSet{Config: cfg, Requests: []Request{
 			{Port: ivc / cfg.VCs, VC: ivc % cfg.VCs, OutPort: i % cfg.Ports},
-		}}
+		}}).Pack()
 	}
-	rs := randomRequestSet(rng, cfg, load)
-	if n := len(rs.Requests); n > 0 && rng.Bernoulli(0.2) {
-		for dups := 1 + rng.Intn(3); dups > 0; dups-- {
-			dup := rs.Requests[rng.Intn(n)]
-			dup.OutPort = rng.Intn(cfg.Ports)
-			rs.Requests = append(rs.Requests, dup)
-		}
-	}
-	if rng.Bernoulli(0.2) {
-		for i := len(rs.Requests) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			rs.Requests[i], rs.Requests[j] = rs.Requests[j], rs.Requests[i]
-		}
-	}
-	return rs
+	return randomRequestSet(rng, cfg, load)
 }
 
 // lockstepCycles is the default stream length per geometry;

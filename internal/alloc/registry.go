@@ -82,6 +82,17 @@ func builtin(kind Kind) func(Config) Allocator {
 	return nil
 }
 
+// IsBuiltin reports whether a is a built-in kind's allocator, which
+// reads only a RequestSet's packed form. A caller that fills just the
+// packed form (the router) fills Requests as well for any other.
+func IsBuiltin(a Allocator) bool {
+	switch a.(type) {
+	case *SeparableIF, *Wavefront, *AugmentingPath, *PacketChaining, *Ideal, *ISLIP, *Sparoflo, *SeparableAge:
+		return true
+	}
+	return false
+}
+
 // Kinds lists all supported built-in allocator kinds in evaluation order.
 func Kinds() []Kind {
 	kinds := make([]Kind, len(builtins))

@@ -23,14 +23,14 @@ func TestFigure4InputPortConstraint(t *testing.T) {
 
 	base := Config{Ports: 5, VCs: 4, VirtualInputs: 1}
 	baseline := NewSeparableIF(base)
-	got := baseline.Allocate(&RequestSet{Config: base, Requests: requests})
+	got := baseline.Allocate((&RequestSet{Config: base, Requests: requests}).Pack())
 	if len(got) != 1 {
 		t.Fatalf("baseline granted %d flits from one port, want exactly 1", len(got))
 	}
 
 	vixCfg := Config{Ports: 5, VCs: 4, VirtualInputs: 2}
 	vix := NewSeparableIF(vixCfg)
-	vixRS := &RequestSet{Config: vixCfg, Requests: requests}
+	vixRS := (&RequestSet{Config: vixCfg, Requests: requests}).Pack()
 	got = vix.Allocate(vixRS)
 	if len(got) != 2 {
 		t.Fatalf("VIX granted %d flits, want 2 (both VCs of the West port)", len(got))
@@ -67,7 +67,7 @@ func TestFigure5MatchingEfficiency(t *testing.T) {
 
 	vixCfg := Config{Ports: 5, VCs: 4, VirtualInputs: 2}
 	vix := NewSeparableIF(vixCfg)
-	got := vix.Allocate(&RequestSet{Config: vixCfg, Requests: requests})
+	got := vix.Allocate((&RequestSet{Config: vixCfg, Requests: requests}).Pack())
 	// VIX exposes South VC3 (sub-group 1) separately, so North is always
 	// granted and East goes to one of its two requestors: 2 grants
 	// minimum, and on this request set exactly 2 outputs are grantable.
@@ -92,8 +92,8 @@ func TestFigure5MatchingEfficiency(t *testing.T) {
 	baseline := NewSeparableIF(base)
 	sawUncoordinated := false
 	for i := 0; i < 8; i++ { // cycle arbiter pointers through all states
-		g := baseline.Allocate(&RequestSet{Config: base, Requests: requests})
-		if err := Validate(&RequestSet{Config: base, Requests: requests}, g); err != nil {
+		g := baseline.Allocate((&RequestSet{Config: base, Requests: requests}).Pack())
+		if err := Validate((&RequestSet{Config: base, Requests: requests}).Pack(), g); err != nil {
 			t.Fatal(err)
 		}
 		if len(g) == 1 {
@@ -115,14 +115,14 @@ func TestFigure5MatchingEfficiency(t *testing.T) {
 func TestIdealServesEveryRequestedOutput(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 6}
 	id := NewIdeal(cfg)
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 0, VC: 0, OutPort: 0},
 		{Port: 0, VC: 1, OutPort: 1},
 		{Port: 0, VC: 2, OutPort: 2},
 		{Port: 0, VC: 3, OutPort: 3},
 		{Port: 0, VC: 4, OutPort: 4},
 		{Port: 1, VC: 0, OutPort: 4},
-	}}
+	}}).Pack()
 	grants := id.Allocate(rs)
 	if err := Validate(rs, grants); err != nil {
 		t.Fatal(err)
@@ -136,11 +136,11 @@ func TestIdealServesEveryRequestedOutput(t *testing.T) {
 // the same input port, no matter the allocator.
 func TestBaselineInputPortConstraint(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 2, VC: 0, OutPort: 0},
 		{Port: 2, VC: 1, OutPort: 1},
 		{Port: 2, VC: 2, OutPort: 3},
-	}}
+	}}).Pack()
 	for kind, a := range newAllocatorsFor(cfg) {
 		grants := a.Allocate(rs)
 		if len(grants) != 1 {
@@ -153,12 +153,12 @@ func TestBaselineInputPortConstraint(t *testing.T) {
 // come from different sub-groups.
 func TestVIXTwoFlitsPerPortLimit(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	rs := &RequestSet{Config: cfg, Requests: []Request{
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 2, VC: 0, OutPort: 0}, // sub-group 0
 		{Port: 2, VC: 1, OutPort: 1}, // sub-group 0
 		{Port: 2, VC: 3, OutPort: 3}, // sub-group 1
 		{Port: 2, VC: 4, OutPort: 4}, // sub-group 1
-	}}
+	}}).Pack()
 	for kind, a := range newAllocatorsFor(cfg) {
 		grants := a.Allocate(rs)
 		if len(grants) != 2 {

@@ -24,22 +24,24 @@ import (
 //
 // The arbiters are what the paper draws (Fig. 2): request lines packed
 // into words, and a round-robin pick over each (arb.Pick). A row's
-// request word has one bit per sub-group slot, an output's has one bit
-// per crossbar row; both are built straight from the request list, so a
-// call costs what its requests cost, not Rows x GroupSize.
+// request word is its sub-group's bits of the port's Ready lines, one per
+// slot; an output's has one bit per crossbar row. Both are read straight
+// off the request set's packed form, so a call costs what its ports and
+// requests cost, not Rows x GroupSize.
 type SeparableIF struct {
-	rows     rowSlots // the input arbiters' request lines
-	rowWords int      // words per output's row mask
+	sub      subgroups
+	ports    int
+	rowWords int // words per output's row mask
 
 	inPtr  []int32 // per crossbar row: input-arbiter pointer over GroupSize slots
 	outPtr []int32 // per output port: output-arbiter pointer over Rows rows
 
-	// Like the row words, these are all-zero between calls: each is
-	// drained as it is consumed, so a cycle never sweeps them.
+	// These are all-zero between calls: each is drained as it is
+	// consumed, so a cycle never sweeps them.
 	outMask []uint64   // per output, rowWords each: rows whose candidate requests it
 	outOcc  sim.Bitset // outputs whose outMask is non-zero
 
-	candidate []int32 // per row: phase-one winner; valid for rows present in an outMask
+	candidate []int32 // per row: phase-one winner's request line; valid for rows present in an outMask
 	grants    []Grant
 }
 
@@ -49,7 +51,8 @@ func NewSeparableIF(cfg Config) *SeparableIF {
 	mustValidate(cfg)
 	rowWords := (cfg.Rows() + 63) / 64
 	return &SeparableIF{
-		rows:      newRowSlots(cfg),
+		sub:       newSubgroups(cfg),
+		ports:     cfg.Ports,
 		rowWords:  rowWords,
 		inPtr:     make([]int32, cfg.Rows()),
 		outPtr:    make([]int32, cfg.Ports),
@@ -77,36 +80,55 @@ func (s *SeparableIF) Reset() {
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
+func (s *SeparableIF) Allocate(rs *RequestSet) []Grant { return s.allocate(rs.Ready, rs) }
+
+// allocate arbitrates among the requests of rs that ready names — all of
+// them, or what packet chaining leaves — and numbers each grant by its
+// request's rank in rs.Ready.
+func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet) []Grant {
+	s.grants = s.grants[:0]
+	n := 0
+	for _, w := range ready {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return s.grants
+	}
 	// A lone request is its own matching — the common case of every run
 	// below saturation. Both of its arbiters would pick it whatever their
 	// pointers and advance past it, so grant it and move the pointers the
 	// same way; the masks are never raised and stay all-zero.
-	if len(rs.Requests) == 1 {
-		r := rs.Requests[0]
-		row := s.rows.row(r)
-		s.outPtr[r.OutPort] = int32(arb.Next(row, len(s.inPtr)))
-		s.inPtr[row] = int32(arb.Next(int(s.rows.slotOf[r.VC]), s.rows.groupSize))
-		s.grants = append(s.grants[:0], Grant{Req: 0, OutPort: r.OutPort, Row: row})
+	if n == 1 {
+		ivc := 0
+		for ready[ivc>>6] == 0 {
+			ivc += 64
+		}
+		ivc += bits.TrailingZeros64(ready[ivc>>6])
+		row, slot := s.sub.at(ivc)
+		out := int(rs.Out[ivc])
+		s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
+		s.inPtr[row] = int32(arb.Next(slot, s.sub.size))
+		s.grants = append(s.grants, Grant{Req: rank(rs.Ready, ivc), OutPort: out, Row: row})
 		return s.grants
 	}
 
-	s.rows.raise(rs)
-
-	// Phase one: each occupied row's input arbiter picks one VC, and the
+	// Phase one: each requesting row's input arbiter picks one VC, and the
 	// candidate raises its row's line on the requested output's arbiter.
-	for wi, w := range s.rows.occ {
-		if w == 0 {
+	for p := 0; p < s.ports; p++ {
+		lines := portLines(ready, p, s.sub.vcs)
+		if lines == 0 {
 			continue
 		}
-		s.rows.occ[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			row := wi<<6 + bits.TrailingZeros64(w)
-			slot := arb.Pick(s.rows.mask[row], int(s.inPtr[row]))
-			s.rows.mask[row] = 0
-			reqIdx := s.rows.req[row*s.rows.groupSize+slot]
-			s.candidate[row] = reqIdx
-			out := rs.Requests[reqIdx].OutPort
+		for g := 0; g < s.sub.k; g++ {
+			slots := s.sub.slots(lines, g)
+			if slots == 0 {
+				continue
+			}
+			row := p*s.sub.k + g
+			slot := arb.Pick(slots, int(s.inPtr[row]))
+			ivc := p*s.sub.vcs + s.sub.vc(g, slot)
+			s.candidate[row] = int32(line(ivc, slot))
+			out := int(rs.Out[ivc])
 			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
 			s.outOcc.Set(out)
 		}
@@ -114,7 +136,6 @@ func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
 
 	// Phase two: each requested output's arbiter picks one row among the
 	// candidates requesting it, in output order.
-	s.grants = s.grants[:0]
 	for wi, w := range s.outOcc {
 		if w == 0 {
 			continue
@@ -127,12 +148,21 @@ func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
 			for i := range mask {
 				mask[i] = 0
 			}
-			reqIdx := int(s.candidate[row])
-			s.grants = append(s.grants, Grant{Req: reqIdx, OutPort: out, Row: row})
+			l := int(s.candidate[row])
+			s.grants = append(s.grants, Grant{Req: rank(rs.Ready, lineIVC(l)), OutPort: out, Row: row})
 			// iSLIP pointer update: both arbiters advance only on a grant.
 			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
-			s.inPtr[row] = int32(arb.Next(int(s.rows.slotOf[rs.Requests[reqIdx].VC]), s.rows.groupSize))
+			s.inPtr[row] = int32(arb.Next(lineSlot(l), s.sub.size))
 		}
 	}
 	return s.grants
 }
+
+// A line names a phase-one candidate by its input VC and its slot on its
+// row's input arbiter, packed as ivc<<6 | slot (a slot is below MaxVCs),
+// so neither has to be derived again when it is granted.
+func line(ivc, slot int) int { return ivc<<6 | slot }
+
+// lineIVC and lineSlot unpack a line.
+func lineIVC(l int) int  { return l >> 6 }
+func lineSlot(l int) int { return l & 63 }

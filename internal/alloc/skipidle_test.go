@@ -38,6 +38,7 @@ func skipIdleTraffic(rs *RequestSet, state uint64) uint64 {
 			})
 		}
 	}
+	rs.Pack()
 	return state
 }
 

@@ -23,6 +23,7 @@ import (
 // the ablation benchmarks.
 type Sparoflo struct {
 	ports int
+	vcs   int
 	// exposed is how many VC requests per input port are presented to
 	// output arbitration (SPAROFLO varies this with load; the model
 	// exposes up to two, matching its low/medium-load behaviour).
@@ -34,16 +35,15 @@ type Sparoflo struct {
 	outPtr  []int32 // per output, over candidate lines (port*exposed+lane)
 	portPtr []int32 // per port, over outputs: resolves conflicts
 
-	// All request words are all-zero between calls: rows is drained after
-	// exposure, the other two as their arbiters consume them.
-	rows     rowSlots   // k = 1: a row is a port, a slot a VC
+	// All request words are all-zero between calls: each is drained as
+	// its arbiter consumes it.
 	lineMask []uint64   // per output, lineWords each: candidate lines requesting it
 	outOcc   sim.Bitset // outputs whose lineMask is non-zero
 	wins     []uint64   // per port, outWords each: outputs whose arbiter picked one of its VCs
 	portOcc  sim.Bitset // ports whose wins is non-zero
 
-	lineReq []int32 // per candidate line: the request exposed there; valid where a lineMask has the bit
-	winner  []int32 // per output: the request its arbiter picked; valid where a wins has the bit
+	lineReq []int32 // per candidate line: the input VC exposed there; valid where a lineMask has the bit
+	winner  []int32 // per output: the input VC its arbiter picked; valid where a wins has the bit
 	grants  []Grant
 }
 
@@ -58,13 +58,13 @@ func NewSparoflo(cfg Config) *Sparoflo {
 	outWords := (cfg.Ports + 63) / 64
 	return &Sparoflo{
 		ports:     cfg.Ports,
+		vcs:       cfg.VCs,
 		exposed:   exposed,
 		lineWords: lineWords,
 		outWords:  outWords,
 		inPtr:     make([]int32, cfg.Ports),
 		outPtr:    make([]int32, cfg.Ports),
 		portPtr:   make([]int32, cfg.Ports),
-		rows:      newRowSlots(cfg),
 		lineMask:  make([]uint64, cfg.Ports*lineWords),
 		outOcc:    sim.NewBitset(cfg.Ports),
 		wins:      make([]uint64, cfg.Ports*outWords),
@@ -91,29 +91,24 @@ func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
 	// Per port, expose up to `exposed` requests in the input arbiter's
 	// rotating order across VCs; each raises its line on the requested
 	// output's arbiter. Only the first lane's pick moves the pointer, and
-	// it does so before the second lane arbitrates.
-	s.rows.raise(rs)
-	vcs := s.rows.groupSize
-	for wi, w := range s.rows.occ {
-		for ; w != 0; w &= w - 1 {
-			p := wi<<6 + bits.TrailingZeros64(w)
-			offered := s.rows.mask[p]
-			for lane := 0; lane < s.exposed && offered != 0; lane++ {
-				vc := arb.Pick(offered, int(s.inPtr[p]))
-				offered &^= 1 << uint(vc)
-				if lane == 0 {
-					s.inPtr[p] = int32(arb.Next(vc, vcs))
-				}
-				line := p*s.exposed + lane
-				reqIdx := s.rows.req[p*vcs+vc]
-				s.lineReq[line] = reqIdx
-				out := rs.Requests[reqIdx].OutPort
-				s.lineMask[out*s.lineWords+line>>6] |= 1 << uint(line&63)
-				s.outOcc.Set(out)
+	// it does so before the second lane arbitrates. On the conventional
+	// crossbar a port's request lines are its row's slots.
+	for p := 0; p < s.ports; p++ {
+		offered := portLines(rs.Ready, p, s.vcs)
+		for lane := 0; lane < s.exposed && offered != 0; lane++ {
+			vc := arb.Pick(offered, int(s.inPtr[p]))
+			offered &^= 1 << uint(vc)
+			if lane == 0 {
+				s.inPtr[p] = int32(arb.Next(vc, s.vcs))
 			}
+			line := p*s.exposed + lane
+			ivc := p*s.vcs + vc
+			s.lineReq[line] = int32(ivc)
+			out := int(rs.Out[ivc])
+			s.lineMask[out*s.lineWords+line>>6] |= 1 << uint(line&63)
+			s.outOcc.Set(out)
 		}
 	}
-	s.rows.drain()
 
 	// Output arbitration over the exposed candidates.
 	for wi, w := range s.outOcc {
@@ -143,7 +138,7 @@ func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
 			out := arb.PickWords(won, int(s.portPtr[p]))
 			clear(won)
 			s.portPtr[p] = int32(arb.Next(out, s.ports))
-			s.grants = append(s.grants, Grant{Req: int(s.winner[out]), OutPort: out, Row: p})
+			s.grants = append(s.grants, Grant{Req: rank(rs.Ready, int(s.winner[out])), OutPort: out, Row: p})
 		}
 	}
 	return s.grants

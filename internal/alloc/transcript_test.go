@@ -50,8 +50,8 @@ func assertDrained(t *testing.T, a Allocator, where string) {
 	}
 }
 
-// transcriptRequests refills rs with one cycle of router-shaped requests:
-// ascending (port, VC), at most one per VC, ages 0-31. The load swings
+// transcriptRequests refills rs with one cycle of router-shaped requests,
+// in both forms: ascending (port, VC), at most one per VC, ages 0-31. The load swings
 // through lockstepLoads — saturation, trickle, silence — and the lone
 // cycles enumerate every (port, VC) x output as lockstepRequests' do.
 func transcriptRequests(rng *sim.RNG, rs *RequestSet, cycle int) {
@@ -64,6 +64,7 @@ func transcriptRequests(rng *sim.RNG, rs *RequestSet, cycle int) {
 		rs.Requests = append(rs.Requests, Request{
 			Port: ivc / cfg.VCs, VC: ivc % cfg.VCs, OutPort: i % cfg.Ports, Age: rng.Intn(32),
 		})
+		rs.Pack()
 		return
 	}
 	for port := 0; port < cfg.Ports; port++ {
@@ -75,6 +76,7 @@ func transcriptRequests(rng *sim.RNG, rs *RequestSet, cycle int) {
 			}
 		}
 	}
+	rs.Pack()
 }
 
 // grantTranscriptHash drives a fresh allocator of the kind through

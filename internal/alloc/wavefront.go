@@ -30,10 +30,10 @@ import (
 // same (diagonal, ascending row) order as probing every (diagonal, row)
 // pair would — for O(requests + n) per call.
 type Wavefront struct {
-	cfg      Config
-	n        int     // diagonals: max(Rows, Ports)
-	rowWords int     // words per row mask
-	rowOf    []int32 // per port*VCs+vc: precomputed Config.Row
+	sub      subgroups
+	ports    int
+	n        int // diagonals: max(Rows, Ports)
+	rowWords int // words per row mask
 
 	prio  int     // rotating priority diagonal
 	vcPtr []int32 // per row: round-robin pointer among sub-group VCs requesting the granted output
@@ -43,11 +43,10 @@ type Wavefront struct {
 	diagRows []uint64 // per diagonal, rowWords each: rows with an occupied cell on it
 
 	// scratch
-	rowBusy  sim.Bitset
-	outBusy  sim.Bitset
-	cellReqs cellScratch
-	slots    vcPickScratch
-	grants   []Grant
+	rowBusy sim.Bitset
+	outBusy sim.Bitset
+	cells   cellSlots
+	grants  []Grant
 }
 
 // NewWavefront returns a wavefront allocator for cfg. It panics if cfg is
@@ -60,16 +59,15 @@ func NewWavefront(cfg Config) *Wavefront {
 	}
 	rowWords := (cfg.Rows() + 63) / 64
 	return &Wavefront{
-		cfg:      cfg,
+		sub:      newSubgroups(cfg),
+		ports:    cfg.Ports,
 		n:        n,
 		rowWords: rowWords,
-		rowOf:    rowTable(cfg),
 		vcPtr:    make([]int32, cfg.Rows()),
 		diagRows: make([]uint64, n*rowWords),
 		rowBusy:  sim.NewBitset(cfg.Rows()),
 		outBusy:  sim.NewBitset(cfg.Ports),
-		cellReqs: newCellScratch(cfg),
-		slots:    newVCPickScratch(cfg),
+		cells:    newCellSlots(cfg),
 		grants:   make([]Grant, 0, cfg.Ports),
 	}
 }
@@ -96,17 +94,26 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 	}
 
 	// Populate the request matrix. When several VCs of one row request the
-	// same output, the row's VC pointer chooses among them below; the cell
-	// scratch records all of them per (row, out) pair.
-	w.cellReqs.clear()
-	for idx, r := range rs.Requests {
-		row := int(w.rowOf[r.Port*w.cfg.VCs+r.VC])
-		w.cellReqs.add(row, r.OutPort, idx)
-		diag := row + r.OutPort
-		if diag >= w.n {
-			diag -= w.n
+	// same output, the row's VC pointer chooses among them below; the
+	// cell's word has a line for each. The sweep lowers every cell it
+	// passes.
+	sg := w.sub
+	for p := 0; p < w.ports; p++ {
+		lines := portLines(rs.Ready, p, sg.vcs)
+		for g := 0; lines != 0 && g < sg.k; g++ {
+			row := p*sg.k + g
+			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
+				slot := bits.TrailingZeros64(slots)
+				ivc := p*sg.vcs + sg.vc(g, slot)
+				out := int(rs.Out[ivc])
+				w.cells.add(row, out, slot)
+				diag := row + out
+				if diag >= w.n {
+					diag -= w.n
+				}
+				w.diagRows[diag*w.rowWords+row>>6] |= 1 << uint(row&63)
+			}
 		}
-		w.diagRows[diag*w.rowWords+row>>6] |= 1 << uint(row&63)
 	}
 
 	w.grants = w.grants[:0]
@@ -118,20 +125,19 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 				continue
 			}
 			cells[wi] = 0
-			// A diagonal meets each row once, so no grant on it can busy
-			// a row still to be visited: masking up front is exact.
-			for word &^= w.rowBusy[wi]; word != 0; word &= word - 1 {
+			for ; word != 0; word &= word - 1 {
 				i := wi<<6 + bits.TrailingZeros64(word)
 				j := diag - i
 				if j < 0 {
 					j += w.n
 				}
-				if w.outBusy[j>>6]&(1<<uint(j&63)) != 0 {
+				slots := w.cells.take(i, j)
+				if w.rowBusy.Has(i) || w.outBusy.Has(j) {
 					continue
 				}
-				var idx int
-				idx, w.vcPtr[i] = w.slots.pick(rs, w.cellReqs.at(i, j), w.vcPtr[i])
-				w.grants = append(w.grants, Grant{Req: idx, OutPort: j, Row: i})
+				var slot int
+				slot, w.vcPtr[i] = pickSlot(slots, w.vcPtr[i], sg.size)
+				w.grants = append(w.grants, Grant{Req: rank(rs.Ready, sg.ivc(i, slot)), OutPort: j, Row: i})
 				w.rowBusy.Set(i)
 				w.outBusy.Set(j)
 			}

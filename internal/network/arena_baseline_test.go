@@ -123,6 +123,15 @@ func arenaBaselineCases() []arenaBaselineCase {
 				return cfg
 			},
 		},
+		// mesh8x8_if2_sat's saturated mesh under each kind no other case
+		// runs, at k = 2 where the kind admits it: ideal needs a row per
+		// VC, sparoflo the conventional crossbar. if-age is the one kind
+		// that reads the requests' ages.
+		saturatedMesh8x8("mesh8x8_ideal_sat", alloc.KindIdeal, 6),
+		saturatedMesh8x8("mesh8x8_ifage2_sat", alloc.KindSeparableAge, 2),
+		saturatedMesh8x8("mesh8x8_islip2_sat", alloc.KindISLIP, 2),
+		saturatedMesh8x8("mesh8x8_sparoflo_sat", alloc.KindSparoflo, 1),
+		saturatedMesh8x8("mesh8x8_ap2_sat", alloc.KindAugmentingPath, 2),
 		{
 			// The scale target itself at light load: 1024 routers, kept
 			// short so the mode matrix stays tractable under -race.
@@ -132,6 +141,21 @@ func arenaBaselineCases() []arenaBaselineCase {
 				cfg.InjectionRate = 0.02
 				return cfg
 			},
+		},
+	}
+}
+
+// saturatedMesh8x8 is the mesh8x8_if2_sat case under another allocator
+// kind and virtual-input count.
+func saturatedMesh8x8(name string, kind alloc.Kind, k int) arenaBaselineCase {
+	return arenaBaselineCase{
+		name: name, warmup: 400, cycles: 1200,
+		build: func() Config {
+			cfg := meshConfig(topology.NewMesh(8, 8), kind, k, router.PolicyBalanced)
+			cfg.InjectionRate = 0
+			cfg.MaxInjection = true
+			cfg.Seed = 7
+			return cfg
 		},
 	}
 }

@@ -156,8 +156,8 @@ func TestNoCreditLeavesTheRequestSetUntilACreditReturns(t *testing.T) {
 			}
 			deliver(r, in, 0, out, pkt[3:])
 			for i := 0; i < 3; i++ {
-				if ems := tick(); len(ems) != 0 || len(r.reqs.Requests) != 0 {
-					t.Fatalf("zero-credit VC: %d emissions from %d requests, want none", len(ems), len(r.reqs.Requests))
+				if ems := tick(); len(ems) != 0 || r.reqs.Ready[ivc>>6] != 0 {
+					t.Fatalf("zero-credit VC: %d emissions from requests %#x, want none", len(ems), r.reqs.Ready[ivc>>6])
 				}
 			}
 			r.DeliverCredit(out, vc)

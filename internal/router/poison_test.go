@@ -148,7 +148,7 @@ func retainingTranscript(t *testing.T, kind alloc.Kind, k int) string {
 				}
 			}
 		}
-		grants := a.Allocate(&rs)
+		grants := a.Allocate(rs.Pack())
 		out += fmt.Sprintln(kept)
 		kept = grants
 	}

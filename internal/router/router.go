@@ -37,7 +37,7 @@ type Config struct {
 // int8 fields bounded by Ports; a Slot counts hops in an int16.
 const (
 	MaxBufDepth = math.MaxInt8
-	MaxPorts    = math.MaxInt8
+	MaxPorts    = alloc.MaxPorts
 	MaxHops     = math.MaxInt16
 )
 
@@ -168,8 +168,16 @@ func segment[T any](slab []T, slot, n int) []T {
 //	vaWait   [W]      pending head (nonEmpty, no ovc) whose admitted VCs
 //	                  at outPort[ivc] were all busy when VA last tried it
 //	noCredit [W]      ovc held at a link output with zero credits
+//	ready    [W]      this cycle's switch requests: nonEmpty & hasOVC &^
+//	                  noCredit, taken once per Advance
 //	busy     [Ports]  per output port, bit v: downstream VC v is held by
 //	                  an input VC here
+//
+// Each router's switch-allocation request set (one alloc.RequestSet per
+// router, in the sets slab) is the packed form over the same segments:
+// ready as its Ready words, outPort as Out and wait as Age. Its order
+// segment (Ports*VCs int16s) lists the cycle's requesting input VCs in
+// ascending order, so a grant's Req, a rank, indexes it.
 //
 // vaWait and noCredit drop input VCs from the stage that cannot serve
 // them until the one event that can end the block: a tail freeing a VC
@@ -183,7 +191,7 @@ type Arena struct {
 	n       int
 
 	maskWords  int // W: words per ivc mask
-	maskStride int // mask words per router: 4W + Ports
+	maskStride int // mask words per router: 5W + Ports
 
 	bufs    []Slot
 	head    []int8
@@ -193,6 +201,8 @@ type Arena struct {
 	credits []int8
 	wait    []int32
 	masks   []uint64
+	sets    []alloc.RequestSet
+	order   []int16
 
 	ivcPort   []int32  // per ivc: port
 	groupMask []uint64 // per sub-group: the VCs alloc.Config.Subgroup maps to it
@@ -215,7 +225,7 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 		n:         numRouters,
 		maskWords: (pv + 63) / 64,
 	}
-	a.maskStride = 4*a.maskWords + cfg.Ports
+	a.maskStride = 5*a.maskWords + cfg.Ports
 	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
 	for i := range a.bufs {
 		a.bufs[i].Flit = NoFlit
@@ -227,6 +237,8 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	a.credits = make([]int8, numRouters*pv)
 	a.wait = make([]int32, numRouters*pv)
 	a.masks = make([]uint64, numRouters*a.maskStride)
+	a.sets = make([]alloc.RequestSet, numRouters)
+	a.order = make([]int16, numRouters*pv)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 		a.credits[i] = int8(cfg.BufDepth)
@@ -254,9 +266,12 @@ type Router struct {
 	// they share a word: the struct stays in its allocation size class.
 	occ int32
 
-	cfg     Config
-	alloc   alloc.Allocator
-	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
+	cfg   Config
+	alloc alloc.Allocator
+	idle  alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
+	// list is set when alloc is not a built-in kind: it may read the
+	// request list, so Advance fills reqs.Requests as well.
+	list    bool
 	nextDim NextDimFunc
 	vcRange VCRangeFunc
 	arena   *Arena // its records resolve FlitIDs for Occupancy
@@ -276,15 +291,13 @@ type Router struct {
 	vaWait   sim.Bitset
 	noCredit sim.Bitset
 	busy     []uint64
-
-	// Geometry tables shared through the arena.
-	ivcPort   []int32
-	groupMask []uint64
+	order    []int16
 
 	vaOffset int // rotating VC-allocation priority
 
+	reqs *alloc.RequestSet // the arena's: ready, outPort and wait as its packed form
+
 	// scratch
-	reqs  alloc.RequestSet
 	ems   []Emission
 	creds []CreditMsg
 }
@@ -331,9 +344,7 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		outPort: segment(arena.outPort, slot, pv),
 		credits: segment(arena.credits, slot, pv),
 		wait:    segment(arena.wait, slot, pv),
-
-		ivcPort:   arena.ivcPort,
-		groupMask: arena.groupMask,
+		order:   segment(arena.order, slot, pv),
 
 		ems:   make([]Emission, 0, cfg.Ports),
 		creds: make([]CreditMsg, 0, cfg.Ports),
@@ -344,9 +355,11 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	r.hasOVC = masks[w : 2*w : 2*w]
 	r.vaWait = masks[2*w : 3*w : 3*w]
 	r.noCredit = masks[3*w : 4*w : 4*w]
-	r.busy = masks[4*w:]
-	r.reqs.Config = cfg.Alloc()
+	r.busy = masks[5*w:]
+	r.reqs = &arena.sets[slot]
+	*r.reqs = alloc.RequestSet{Config: cfg.Alloc(), Ready: masks[4*w : 5*w : 5*w], Out: r.outPort, Age: r.wait}
 	r.idle, _ = allocator.(alloc.IdleSkipper)
+	r.list = !alloc.IsBuiltin(allocator)
 	return r
 }
 
@@ -535,18 +548,34 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	r.ems = r.ems[:0]
 	r.creds = r.creds[:0]
-	var rs *alloc.RequestSet
 	if r.cfg.NonSpeculative {
-		rs = r.buildRequests()
+		r.takeRequests()
 		r.allocateVCs()
 	} else {
 		r.allocateVCs()
-		rs = r.buildRequests()
+		r.takeRequests()
 	}
-	grants := r.alloc.Allocate(rs)
+	if r.list {
+		r.listRequests()
+	}
+	grants := r.alloc.Allocate(r.reqs)
+	// Every request waited this cycle (a granted one's wait restarts
+	// below), and the n-th is the one a grant with Req n answers.
+	n := 0
+	for wi, w := range r.reqs.Ready {
+		for ; w != 0; w &= w - 1 {
+			ivc := wi<<6 + bits.TrailingZeros64(w)
+			r.wait[ivc]++
+			r.order[n] = int16(ivc)
+			n++
+		}
+	}
 	for _, g := range grants {
-		req := g.Request(&r.reqs)
-		ivc := req.Port*r.cfg.VCs + req.VC
+		if g.Req < 0 || g.Req >= n {
+			panic(fmt.Sprintf("router %d: a grant names request %d of %d", r.id, g.Req, n))
+		}
+		ivc := int(r.order[g.Req])
+		port := int(r.arena.ivcPort[ivc])
 		r.wait[ivc] = 0
 		h := int(r.head[ivc])
 		s := r.buf[ivc*r.cfg.BufDepth+h]
@@ -583,8 +612,8 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 			r.hasOVC.Clear(ivc)
 		}
 		r.ems = append(r.ems, Emission{OutPort: g.OutPort, Slot: s, VC: ovc})
-		if r.ports[req.Port].Kind == topology.Link {
-			r.creds = append(r.creds, CreditMsg{Port: req.Port, VC: req.VC})
+		if r.ports[port].Kind == topology.Link {
+			r.creds = append(r.creds, CreditMsg{Port: port, VC: ivc - port*r.cfg.VCs})
 		}
 	}
 	return r.ems, r.creds, r.occ == 0
@@ -608,9 +637,10 @@ func (r *Router) SkipIdle(cycles int) {
 		r.idle.SkipIdle(cycles)
 		return
 	}
+	clear(r.reqs.Ready)
 	r.reqs.Requests = r.reqs.Requests[:0]
 	for i := 0; i < cycles; i++ {
-		r.alloc.Allocate(&r.reqs)
+		r.alloc.Allocate(r.reqs)
 	}
 }
 
@@ -713,7 +743,7 @@ func (r *Router) chooseOVC(out, dst int) int {
 		free:      free,
 		busy:      busy,
 		credits:   r.credits[out*vcs : out*vcs+vcs],
-		groupMask: r.groupMask,
+		groupMask: r.arena.groupMask,
 		nextDim:   r.nextDim(out, dst),
 	}
 	return r.cfg.Policy.choose(&ctx)
@@ -738,25 +768,31 @@ func (r *Router) InjectionVC(port int, dim topology.Dim) int {
 	if free == 0 {
 		return -1
 	}
-	ctx := vaContext{free: free, credits: space[:vcs], groupMask: r.groupMask, nextDim: dim}
+	ctx := vaContext{free: free, credits: space[:vcs], groupMask: r.arena.groupMask, nextDim: dim}
 	return PolicyDimension.choose(&ctx)
 }
 
-// buildRequests assembles this cycle's switch-allocation request set:
-// every input VC whose front flit has an output VC with a downstream
-// credit (hasOVC and not noCredit) requests its packet's output port, in
-// ascending (port, vc) order.
-func (r *Router) buildRequests() *alloc.RequestSet {
-	r.reqs.Requests = r.reqs.Requests[:0]
+// takeRequests takes this cycle's switch-allocation request set: every
+// input VC whose front flit has an output VC with a downstream credit
+// (hasOVC and not noCredit) requests its packet's output port. The
+// ready words are the set's packed form; outPort and wait already are.
+func (r *Router) takeRequests() {
 	for wi, w := range r.nonEmpty {
-		for w &= r.hasOVC[wi] &^ r.noCredit[wi]; w != 0; w &= w - 1 {
+		r.reqs.Ready[wi] = w & r.hasOVC[wi] &^ r.noCredit[wi]
+	}
+}
+
+// listRequests fills the request list from the ready words, in ascending
+// (port, VC) order, for an allocator that is not a built-in kind.
+func (r *Router) listRequests() {
+	r.reqs.Requests = r.reqs.Requests[:0]
+	for wi, w := range r.reqs.Ready {
+		for ; w != 0; w &= w - 1 {
 			ivc := wi<<6 + bits.TrailingZeros64(w)
-			port := int(r.ivcPort[ivc])
+			port := int(r.arena.ivcPort[ivc])
 			r.reqs.Requests = append(r.reqs.Requests, alloc.Request{
 				Port: port, VC: ivc - port*r.cfg.VCs, OutPort: int(r.outPort[ivc]), Age: int(r.wait[ivc]),
 			})
-			r.wait[ivc]++
 		}
 	}
-	return &r.reqs
 }

@@ -376,6 +376,7 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 		ifOrder    = "every pointer order: with two outputs every order grants as many"
 		anyVCPick  = "the VC pointer: the VCs it picks among request one output, so any pick grants as many"
 		anyMaximum = "the search order and the VC pointer: every maximum matching grants as many"
+		ifFrozen   = "either arbiter pointer frozen alone: an input pointer, or an output pointer, that never moves still reads within 4 SE, so P = 3 is not where arbiter order first shows"
 	)
 	for _, tc := range []struct {
 		kind          alloc.Kind
@@ -389,6 +390,8 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 		{alloc.KindSeparableIF, 2, 2, 1, 256, 0.75, ifOrder},
 		{alloc.KindSeparableIF, 2, 4, 1, 16384, 0.75, ifOrder},
 		{alloc.KindSeparableIF, 2, 2, 2, 208, 0.875, ifOrder},
+		{alloc.KindSeparableIF, 3, 2, 1, 145800, 0.682540, ifFrozen},
+		{alloc.KindSeparableIF, 3, 2, 2, 112644, 0.835286, ifFrozen},
 		{alloc.KindWavefront, 2, 2, 1, 128, 0.8375, anyVCPick + ", whether or not a lone requester moves it"},
 		{alloc.KindWavefront, 3, 2, 1, 17496, 0.778009, anyVCPick + ", whether or not a lone requester moves it"},
 		{alloc.KindAugmentingPath, 2, 2, 1, 64, 0.875, anyMaximum},

@@ -77,7 +77,7 @@ func (b *Bench) Step() int {
 			})
 		}
 	}
-	grants := b.alloc.Allocate(&b.reqs)
+	grants := b.alloc.Allocate(b.reqs.Pack())
 	// Every granted flit is a whole packet: its VC refills at once with
 	// the next packet, to a fresh random output.
 	for _, g := range grants {
