@@ -43,7 +43,8 @@ test:
 # `go test` only replays the fuzz targets' seed corpora; this mutates each
 # for 15 s (go test takes one -fuzz target per run). FuzzAllocate: every
 # kind's grants, drawn from the packed form of the request set (the one
-# the router hands over), legal against its list, deterministic from
+# the router hands over), each naming its input VC, legal against the
+# list (Validate keys it by VC, refusing one out of range or twice), deterministic from
 # Reset, both forms left unmutated, lone requests granted. FuzzExperiment: Validate rejects a spec, naming
 # its JSON field, or the simulator runs it without error or panic.
 # FuzzScanCases: a vixd POST body the byte scan admits, the JSON decoder

@@ -1,10 +1,15 @@
 package vix_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,16 +30,21 @@ var (
 	sectionCite = regexp.MustCompile(`DESIGN(?:\.md)?,?(?:\s|//|#)*"([A-Z][^"\n]*)"`)
 	// A section number goes stale when the document is reorganised.
 	numberCite = regexp.MustCompile(`DESIGN(?:\.md)?,? *(?:§|[Ss]ection) *[0-9]`)
+	// Type.Member in a code span (sim.Pool.Do names Pool.Do).
+	memberCite = regexp.MustCompile(`\b([A-Z]\w*)\.([A-Za-z_]\w*)\b`)
 )
 
 // TestDocsCiteWhatExists keeps the documents honest about the tree: every
 // test, fuzz target or benchmark they name exists (a trailing * names a
 // prefix), every internal/, cmd/, bench/ or examples/ path they put in
-// code spans exists, and every DESIGN.md section a Go comment, the
-// Makefile, CI or another document cites is a heading of DESIGN.md, cited
-// by title rather than number.
+// code spans exists, every Type.Member in a code span names a field (by
+// Go or JSON name) or method of some module type called Type, and every
+// DESIGN.md section a Go comment, the Makefile, CI or another document
+// cites is a heading of DESIGN.md, cited by title rather than number.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var funcs []string
+	members := map[string]map[string]bool{} // type name -> its fields and methods
+	fset := token.NewFileSet()
 	var sources []string // files that may cite DESIGN.md sections
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -55,6 +65,11 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, m := range funcDecl.FindAllStringSubmatch(string(src), -1) {
 				funcs = append(funcs, m[1])
 			}
+			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			addMembers(members, f)
 			sources = append(sources, path)
 		case path == "Makefile", strings.HasPrefix(path, filepath.Join(".github", "workflows")):
 			sources = append(sources, path)
@@ -81,6 +96,14 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			}
 		}
 		for _, span := range codeSpans(text) {
+			for _, m := range memberCite.FindAllStringSubmatch(span, -1) {
+				if _, err := os.Stat(m[0]); err == nil {
+					continue // a file name, such as EXPERIMENTS.md
+				}
+				if !members[m[1]][m[2]] {
+					t.Errorf("%s cites `%s`, but no type %s in the module has a field or method %s", doc, m[0], m[1], m[2])
+				}
+			}
 			for _, m := range pathToken.FindAllStringSubmatch(span, -1) {
 				path := strings.TrimRight(strings.TrimSuffix(selector.ReplaceAllString(m[1], ""), "/..."), ".")
 				if matches, _ := filepath.Glob(path); len(matches) == 0 {
@@ -105,6 +128,71 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			t.Errorf("%s cites a DESIGN.md section by number (%q); cite its title", src, loc)
 		}
 	}
+}
+
+// addMembers records, per type declared in f, its fields (embedded ones
+// by type name, tagged ones by JSON name too), its interface methods and
+// the methods f declares on it.
+func addMembers(members map[string]map[string]bool, f *ast.File) {
+	add := func(typ, member string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][member] = true
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil && len(n.Recv.List) == 1 {
+				if typ := typeName(n.Recv.List[0].Type); typ != "" {
+					add(typ, n.Name.Name)
+				}
+			}
+		case *ast.TypeSpec:
+			var fields *ast.FieldList
+			switch t := n.Type.(type) {
+			case *ast.StructType:
+				fields = t.Fields
+			case *ast.InterfaceType:
+				fields = t.Methods
+			default:
+				return true
+			}
+			for _, fld := range fields.List {
+				for _, name := range fld.Names {
+					add(n.Name.Name, name.Name)
+				}
+				if len(fld.Names) == 0 {
+					add(n.Name.Name, typeName(fld.Type))
+				}
+				if fld.Tag != nil {
+					tag, _ := strconv.Unquote(fld.Tag.Value)
+					if json, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ","); json != "" {
+						add(n.Name.Name, json)
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// typeName returns the name of a receiver or embedded type expression:
+// T, *T, T[P] or pkg.T give T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	}
+	return ""
 }
 
 // codeSpans returns the contents of the fenced blocks and inline code spans

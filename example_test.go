@@ -143,20 +143,20 @@ func (o *outputFirst) Reset() {
 
 func (o *outputFirst) Allocate(rs *vix.RequestSet) []vix.SwitchGrant {
 	rows := o.cfg.Rows()
-	// Request indices keyed by (row, outPort). Requests arrive in (port,
-	// VC) order, so each cell keeps its lowest requesting VC: a cell's
-	// other VCs wait until that one is served, and nothing rotates among
-	// them.
+	// Input VCs (port*VCs + VC) keyed by (row, outPort). Requests arrive
+	// in (port, VC) order, so each cell keeps its lowest requesting VC: a
+	// cell's other VCs wait until that one is served, and nothing rotates
+	// among them.
 	byCell := make(map[[2]int]int, len(rs.Requests))
 	rowReq := make([][]bool, rows)
 	for i := range rowReq {
 		rowReq[i] = make([]bool, o.cfg.Ports)
 	}
-	for i, r := range rs.Requests {
+	for _, r := range rs.Requests {
 		row := o.cfg.Row(r.Port, r.VC)
 		key := [2]int{row, r.OutPort}
 		if _, ok := byCell[key]; !ok {
-			byCell[key] = i
+			byCell[key] = r.Port*o.cfg.VCs + r.VC
 		}
 		rowReq[row][r.OutPort] = true
 	}
@@ -189,7 +189,7 @@ func (o *outputFirst) Allocate(rs *vix.RequestSet) []vix.SwitchGrant {
 			continue
 		}
 		grants = append(grants, vix.SwitchGrant{
-			Req: byCell[[2]int{row, accepted}], OutPort: accepted, Row: row,
+			IVC: byCell[[2]int{row, accepted}], OutPort: accepted, Row: row,
 		})
 		o.rowPtr[row] = (accepted + 1) % o.cfg.Ports
 		o.outPtr[accepted] = (row + 1) % rows

@@ -71,7 +71,7 @@ func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
 			row := arb.PickWords(mask, int(s.outPtr[out]))
 			clear(mask)
 			l := int(s.candidate[row])
-			s.grants = append(s.grants, Grant{Req: rank(rs.Ready, lineIVC(l)), OutPort: out, Row: row})
+			s.grants = append(s.grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
 			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
 			s.inPtr[row] = int32(arb.Next(lineSlot(l), sg.size))
 		}

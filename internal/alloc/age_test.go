@@ -39,7 +39,7 @@ func TestAgeOldestWinsOutput(t *testing.T) {
 			Request{Port: 3, VC: 0, OutPort: 2, Age: 1},
 		)
 		grants := a.Allocate(rs)
-		if len(grants) != 1 || grants[0].Request(rs).Port != 1 {
+		if len(grants) != 1 || grants[0].IVC/cfg.VCs != 1 {
 			t.Fatalf("trial %d: oldest requestor lost: %+v", trial, grants)
 		}
 	}
@@ -57,7 +57,7 @@ func TestAgeOldestWinsInput(t *testing.T) {
 	if len(grants) != 1 {
 		t.Fatalf("grants = %+v", grants)
 	}
-	if grants[0].Request(rs).VC != 3 || grants[0].OutPort != 4 {
+	if grants[0].IVC%cfg.VCs != 3 || grants[0].OutPort != 4 {
 		t.Fatalf("older VC lost input arbitration: %+v", grants[0])
 	}
 }
@@ -75,7 +75,7 @@ func TestAgeTieBreakIsFair(t *testing.T) {
 			Request{Port: 2, VC: 0, OutPort: 1},
 		)
 		for _, g := range a.Allocate(rs) {
-			counts[g.Request(rs).Port]++
+			counts[g.IVC/cfg.VCs]++
 		}
 	}
 	for p := 0; p < 3; p++ {

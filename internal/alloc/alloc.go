@@ -178,21 +178,18 @@ type Request struct {
 	Age int
 }
 
-// Grant records that the flit of one request may traverse the crossbar
-// to OutPort this cycle via crossbar row Row. Req indexes the Requests
-// slice of the RequestSet the grant answers: the granted input (port,
-// VC) is rs.Requests[g.Req].Port/VC. Since the list is in ascending
-// (port, VC) order, one request per VC, Req is also the rank of the
-// granted input VC among the set's Ready bits — which is how the router,
-// holding only the packed form, finds the VC.
+// inRange reports whether r names an input VC and an output port of cfg.
+func (r Request) inRange(cfg Config) bool {
+	return r.Port >= 0 && r.Port < cfg.Ports && r.VC >= 0 && r.VC < cfg.VCs && r.OutPort >= 0 && r.OutPort < cfg.Ports
+}
+
+// Grant records that input VC IVC = Port*VCs + VC may send its flit
+// across the crossbar to OutPort this cycle via crossbar row Row.
 type Grant struct {
-	Req     int
+	IVC     int
 	OutPort int
 	Row     int
 }
-
-// Request resolves the request the grant answers within its request set.
-func (g Grant) Request(rs *RequestSet) Request { return rs.Requests[g.Req] }
 
 // RequestSet is the per-cycle input to an allocator. It has two forms of
 // the same requests, at most one per input VC.
@@ -206,9 +203,9 @@ func (g Grant) Request(rs *RequestSet) Request { return rs.Requests[g.Req] }
 // copied, and an allocator must not write them. A Ready with no words is
 // an empty set.
 //
-// The list form, Requests, names the same requests in ascending (Port,
-// VC) order; Grant.Req indexes it, and Validate and Classify read it.
-// The router fills it only for an allocator that is not a built-in kind
+// The list form, Requests, names the same requests; Validate and
+// Classify read it. The router fills it, in ascending (Port, VC) order,
+// only for an allocator that is not a built-in kind
 // (IsBuiltin): a registered one, or a wrapper that hands the set on to a
 // built-in inner allocator, which then reads the packed form. A caller
 // holding only the list fills the packed form with Pack.
@@ -242,9 +239,8 @@ type Allocator interface {
 
 // Pack fills the packed form from Requests, reusing its storage once it
 // has seen the geometry, and returns rs. The list must hold in-range
-// requests in strictly ascending (Port, VC) order — one per VC — so that
-// a grant's index into it is also a rank among Ready's bits; Pack panics
-// on any other list.
+// requests, at most one per VC, in any order; Pack panics on any other
+// list.
 func (rs *RequestSet) Pack() *RequestSet {
 	cfg := rs.Config
 	n := cfg.Ports * cfg.VCs
@@ -256,14 +252,11 @@ func (rs *RequestSet) Pack() *RequestSet {
 	if len(rs.Out) != n || len(rs.Age) != n {
 		rs.Out, rs.Age = make([]int8, n), make([]int32, n)
 	}
-	last := -1
 	for _, r := range rs.Requests {
 		ivc := r.Port*cfg.VCs + r.VC
-		if r.Port < 0 || r.Port >= cfg.Ports || r.VC < 0 || r.VC >= cfg.VCs ||
-			r.OutPort < 0 || r.OutPort >= cfg.Ports || ivc <= last {
-			panic(fmt.Sprintf("alloc: cannot pack request %+v after input VC %d: the list must be in range and in strictly ascending (port, VC) order", r, last))
+		if !r.inRange(cfg) || rs.Ready[ivc>>6]>>uint(ivc&63)&1 != 0 {
+			panic(fmt.Sprintf("alloc: cannot pack request %+v: the list must hold in-range requests, at most one per VC", r))
 		}
-		last = ivc
 		rs.Ready[ivc>>6] |= 1 << uint(ivc&63)
 		rs.Out[ivc] = int8(r.OutPort)
 		rs.Age[ivc] = int32(r.Age)
@@ -285,16 +278,6 @@ func portLines(ready []uint64, p, vcs int) uint64 {
 		w |= ready[wi+1] << (64 - sh)
 	}
 	return w & (uint64(1)<<uint(vcs) - 1)
-}
-
-// rank returns how many requests of a Ready mask lie below input VC ivc:
-// the index of its request in the list form.
-func rank(ready []uint64, ivc int) int {
-	n := bits.OnesCount64(ready[ivc>>6] & (uint64(1)<<uint(ivc&63) - 1))
-	for _, w := range ready[:ivc>>6] {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // subgroups reads the input arbiters' request words straight off a
@@ -356,29 +339,36 @@ func (sg subgroups) at(ivc int) (row, s int) {
 	return p*sg.k + g, s
 }
 
-// Validate checks that grants form a legal allocation for rs: every grant
-// matches an offered request, no crossbar row is granted twice, and no
-// output port is granted twice. It returns nil for a legal allocation.
+// Validate checks that rs lists in-range requests, at most one per VC,
+// and that grants form a legal allocation for it: every grant matches an
+// offered request, no crossbar row is granted twice (so no VC is either),
+// and no output port is granted twice. It returns nil for a legal
+// allocation.
 //
 // The marks are flat slices indexed by the Config geometry rather than
 // maps, keeping the property tests that call Validate every simulated
-// cycle cheap. A grant whose request index falls outside the set, or
-// whose output differs from the indexed request's, cannot pair up and is
-// rejected as unmatched.
+// cycle cheap.
 func Validate(rs *RequestSet, grants []Grant) error {
 	cfg := rs.Config
-	inRange := func(port, vc, out int) bool {
-		return port >= 0 && port < cfg.Ports && vc >= 0 && vc < cfg.VCs && out >= 0 && out < cfg.Ports
+	listed := make([]int, cfg.Ports*cfg.VCs) // per ivc: 1 + its request's index, 0 if none
+	for i, r := range rs.Requests {
+		if !r.inRange(cfg) {
+			return fmt.Errorf("alloc: request %+v is out of range", r)
+		}
+		ivc := r.Port*cfg.VCs + r.VC
+		if listed[ivc] != 0 {
+			return fmt.Errorf("alloc: VC (%d,%d) is listed twice", r.Port, r.VC)
+		}
+		listed[ivc] = i + 1
 	}
 	rowUsed := make([]bool, cfg.Rows())
 	outUsed := make([]bool, cfg.Ports)
-	vcUsed := make([]bool, cfg.Ports*cfg.VCs)
 	for _, g := range grants {
-		if g.Req < 0 || g.Req >= len(rs.Requests) {
-			return fmt.Errorf("alloc: grant %+v indexes no request (set has %d)", g, len(rs.Requests))
+		if g.IVC < 0 || g.IVC >= len(listed) || listed[g.IVC] == 0 {
+			return fmt.Errorf("alloc: grant %+v names no requesting VC", g)
 		}
-		req := rs.Requests[g.Req]
-		if !inRange(req.Port, req.VC, req.OutPort) || g.OutPort != req.OutPort {
+		req := rs.Requests[listed[g.IVC]-1]
+		if g.OutPort != req.OutPort {
 			return fmt.Errorf("alloc: grant %+v does not match its request %+v", g, req)
 		}
 		if want := cfg.Row(req.Port, req.VC); g.Row != want {
@@ -390,12 +380,8 @@ func Validate(rs *RequestSet, grants []Grant) error {
 		if outUsed[g.OutPort] {
 			return fmt.Errorf("alloc: output port %d granted twice", g.OutPort)
 		}
-		if vcUsed[req.Port*cfg.VCs+req.VC] {
-			return fmt.Errorf("alloc: VC (%d,%d) granted twice", req.Port, req.VC)
-		}
 		rowUsed[g.Row] = true
 		outUsed[g.OutPort] = true
-		vcUsed[req.Port*cfg.VCs+req.VC] = true
 	}
 	return nil
 }

@@ -116,7 +116,7 @@ func TestSingleRequestAlwaysGranted(t *testing.T) {
 			continue
 		}
 		g := grants[0]
-		if g.Req != 0 || g.OutPort != 3 {
+		if g.IVC != 2*cfg.VCs+4 || g.OutPort != 3 {
 			t.Errorf("%s: wrong grant %+v", kind, g)
 		}
 	}
@@ -301,39 +301,98 @@ func TestAllocatorReset(t *testing.T) {
 
 func TestValidateRejectsIllegalGrants(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	rs := (&RequestSet{Config: cfg, Requests: []Request{
+	requests := []Request{
 		{Port: 0, VC: 0, OutPort: 1},
 		{Port: 0, VC: 1, OutPort: 2},
 		{Port: 1, VC: 0, OutPort: 1},
-	}}).Pack()
+	}
 	cases := []struct {
-		name   string
-		grants []Grant
+		name     string
+		requests []Request // nil: the three above
+		grants   []Grant
 	}{
-		{"phantom grant", []Grant{{Req: 9, OutPort: 3, Row: 3}}},
-		{"negative request index", []Grant{{Req: -1, OutPort: 1, Row: 0}}},
-		{"wrong row", []Grant{{Req: 0, OutPort: 1, Row: 4}}},
-		{"duplicate row", []Grant{
-			{Req: 0, OutPort: 1, Row: 0},
-			{Req: 1, OutPort: 2, Row: 0},
+		{"phantom grant", nil, []Grant{{IVC: 9, OutPort: 3, Row: 1}}},
+		{"negative input VC", nil, []Grant{{IVC: -1, OutPort: 1, Row: 0}}},
+		{"input VC past the last", nil, []Grant{{IVC: 30, OutPort: 1, Row: 5}}},
+		{"wrong row", nil, []Grant{{IVC: 0, OutPort: 1, Row: 4}}},
+		{"duplicate row", nil, []Grant{
+			{IVC: 0, OutPort: 1, Row: 0},
+			{IVC: 1, OutPort: 2, Row: 0},
 		}},
-		{"duplicate output", []Grant{
-			{Req: 0, OutPort: 1, Row: 0},
-			{Req: 2, OutPort: 1, Row: 1},
+		{"duplicate VC", nil, []Grant{
+			{IVC: 0, OutPort: 1, Row: 0},
+			{IVC: 0, OutPort: 1, Row: 0},
 		}},
+		{"duplicate output", nil, []Grant{
+			{IVC: 0, OutPort: 1, Row: 0},
+			{IVC: 6, OutPort: 1, Row: 1},
+		}},
+		// Request (1, 0) asked for output 1, not 2.
+		{"mismatched output", nil, []Grant{
+			{IVC: 0, OutPort: 1, Row: 0},
+			{IVC: 6, OutPort: 2, Row: 1},
+		}},
+		// A malformed list is refused whatever the grants.
+		{"request port out of range", []Request{{Port: 5, VC: 0, OutPort: 1}}, nil},
+		{"request VC out of range", []Request{{Port: 0, VC: 6, OutPort: 1}}, nil},
+		{"negative request VC", []Request{{Port: 1, VC: -1, OutPort: 1}}, nil},
+		{"request output out of range", []Request{{Port: 0, VC: 0, OutPort: 5}}, nil},
+		{"VC listed twice", []Request{
+			{Port: 0, VC: 1, OutPort: 1},
+			{Port: 0, VC: 1, OutPort: 2},
+		}, nil},
 	}
 	for _, c := range cases {
+		rs := &RequestSet{Config: cfg, Requests: requests}
+		if c.requests != nil {
+			rs.Requests = c.requests
+		}
 		if Validate(rs, c.grants) == nil {
-			t.Errorf("%s: Validate accepted illegal grants", c.name)
+			t.Errorf("%s: Validate accepted it", c.name)
 		}
 	}
-	mismatched := []Grant{
-		{Req: 0, OutPort: 1, Row: 0},
-		// Request 2 asked for output 1, not 2.
-		{Req: 2, OutPort: 2, Row: 1},
+	legal := []Grant{{IVC: 6, OutPort: 1, Row: 1}, {IVC: 1, OutPort: 2, Row: 0}}
+	if err := Validate(&RequestSet{Config: cfg, Requests: requests}, legal); err != nil {
+		t.Errorf("Validate refused a legal allocation: %v", err)
 	}
-	if Validate(rs, mismatched) == nil {
-		t.Error("Validate accepted grant with mismatched output")
+}
+
+// Pack refuses what Validate refuses in a list — a request out of range
+// or a VC listed twice — and packs a list in any order.
+func TestPackRefusesMalformedLists(t *testing.T) {
+	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
+	for _, c := range []struct {
+		name     string
+		requests []Request
+	}{
+		{"port out of range", []Request{{Port: 5, VC: 0, OutPort: 1}}},
+		{"VC out of range", []Request{{Port: 0, VC: 6, OutPort: 1}}},
+		{"output out of range", []Request{{Port: 0, VC: 0, OutPort: -1}}},
+		{"VC listed twice", []Request{{Port: 2, VC: 3, OutPort: 1}, {Port: 0, VC: 0, OutPort: 4}, {Port: 2, VC: 3, OutPort: 0}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Pack accepted %+v", c.name, c.requests)
+				}
+			}()
+			(&RequestSet{Config: cfg, Requests: c.requests}).Pack()
+		}()
+	}
+	rs := (&RequestSet{Config: cfg, Requests: []Request{
+		{Port: 4, VC: 5, OutPort: 0, Age: 7},
+		{Port: 0, VC: 2, OutPort: 3},
+		{Port: 2, VC: 1, OutPort: 4, Age: 1},
+	}}).Pack()
+	want := []uint64{1<<29 | 1<<2 | 1<<13}
+	if len(rs.Ready) != 1 || rs.Ready[0] != want[0] {
+		t.Errorf("Ready %#x, want %#x", rs.Ready, want)
+	}
+	if rs.Out[29] != 0 || rs.Age[29] != 7 || rs.Out[2] != 3 || rs.Out[13] != 4 || rs.Age[13] != 1 {
+		t.Errorf("Out %v, Age %v: not the listed requests", rs.Out, rs.Age)
+	}
+	if err := Validate(rs, NewSeparableIF(cfg).Allocate(rs)); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -97,7 +97,7 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 		}
 		var slot int
 		slot, a.vcPtr[row] = pickSlot(a.cells.at(row, out), a.vcPtr[row], a.sub.size)
-		a.grants = append(a.grants, Grant{Req: rank(rs.Ready, a.sub.ivc(row, slot)), OutPort: out, Row: row})
+		a.grants = append(a.grants, Grant{IVC: a.sub.ivc(row, slot), OutPort: out, Row: row})
 	}
 	for row, outs := range a.adj {
 		for _, out := range outs {

@@ -107,7 +107,7 @@ func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
 				offered &= offered - 1
 			}
 			ivc := port*sg.vcs + sg.vc(g, bits.TrailingZeros64(offered))
-			p.grants = append(p.grants, Grant{Req: rank(rs.Ready, ivc), OutPort: out, Row: row})
+			p.grants = append(p.grants, Grant{IVC: ivc, OutPort: out, Row: row})
 			p.rowChained[row] = true
 			p.outChained[out] = true
 			chained = true
@@ -116,8 +116,7 @@ func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
 
 	// Run the separable allocator on the unchained remainder: Ready less
 	// every VC of a chained row and every VC requesting a chained output.
-	// Its grants already number requests by their rank in rs.Ready, and
-	// appending copies them out of its scratch.
+	// Appending copies its grants out of its scratch.
 	rest := rs.Ready
 	if chained {
 		rest = p.rest

@@ -21,11 +21,11 @@ func TestChainingPreservesConnections(t *testing.T) {
 	if len(g1) != 1 {
 		t.Fatalf("cycle 1 granted %d, want 1", len(g1))
 	}
-	winner := g1[0].Request(rs).Port
+	winner := g1[0].IVC / cfg.VCs
 
 	// Cycle 2: same requests; the previous winner must keep the output.
 	g2 := pc.Allocate(rs)
-	if len(g2) != 1 || g2[0].Request(rs).Port != winner {
+	if len(g2) != 1 || g2[0].IVC/cfg.VCs != winner {
 		t.Fatalf("cycle 2 did not preserve connection: %+v (prev winner port %d)", g2, winner)
 	}
 }
@@ -53,7 +53,7 @@ func TestChainingAnyVC(t *testing.T) {
 	found := false
 	for _, g := range g2 {
 		if g.OutPort == 1 {
-			if p := g.Request(rs2).Port; p != 3 {
+			if p := g.IVC / cfg.VCs; p != 3 {
 				t.Fatalf("output 1 granted to port %d, want chained port 3", p)
 			}
 			found = true
@@ -76,7 +76,7 @@ func TestChainingReleasesWhenUnrequested(t *testing.T) {
 		{Port: 1, VC: 0, OutPort: 2},
 	}}).Pack()
 	g := pc.Allocate(rs)
-	if len(g) != 1 || g[0].Request(rs).Port != 1 {
+	if len(g) != 1 || g[0].IVC/cfg.VCs != 1 {
 		t.Fatalf("released output not granted to new requestor: %+v", g)
 	}
 }

@@ -21,25 +21,26 @@ type Losses struct {
 
 	// Mark words, kept across calls so a reused Losses allocates
 	// nothing once it has seen the geometry.
-	reqs, rows, outs sim.Bitset
+	ivcs, rows, outs sim.Bitset
 }
 
 // Classify sets l to the fate of every request of rs under grants, a
 // legal grant set for rs (Validate). It reads only the request set and
 // the grants.
 func Classify(rs *RequestSet, grants []Grant, l *Losses) {
-	l.reqs = clearedBits(l.reqs, len(rs.Requests))
+	vcs := rs.Config.VCs
+	l.ivcs = clearedBits(l.ivcs, rs.Config.Ports*vcs)
 	l.rows = clearedBits(l.rows, rs.Config.Rows())
 	l.outs = clearedBits(l.outs, rs.Config.Ports)
 	for _, g := range grants {
-		l.reqs.Set(g.Req)
+		l.ivcs.Set(g.IVC)
 		l.rows.Set(g.Row)
 		l.outs.Set(g.OutPort)
 	}
 	l.Granted, l.RowTaken, l.OutputTaken, l.BothFree = len(grants), 0, 0, 0
-	for i, r := range rs.Requests {
+	for _, r := range rs.Requests {
 		switch {
-		case l.reqs.Has(i):
+		case l.ivcs.Has(r.Port*vcs + r.VC):
 		case l.rows.Has(rs.Config.Row(r.Port, r.VC)):
 			l.RowTaken++
 		case l.outs.Has(r.OutPort):

@@ -20,7 +20,7 @@ func TestClassifyPutsEachLossInOneClass(t *testing.T) {
 			{Port: 2, VC: 1, OutPort: 2},
 		},
 	}
-	grants := []alloc.Grant{{Req: 0, OutPort: 0, Row: 0}}
+	grants := []alloc.Grant{{IVC: 0, OutPort: 0, Row: 0}}
 	if err := alloc.Validate(&rs, grants); err != nil {
 		t.Fatal(err)
 	}

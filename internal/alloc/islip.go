@@ -143,7 +143,7 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 				clear(offers)
 				var slot int
 				slot, s.vcPtr[row] = pickSlot(s.cells.at(row, out), s.vcPtr[row], s.sub.size)
-				s.grants = append(s.grants, Grant{Req: rank(rs.Ready, s.sub.ivc(row, slot)), OutPort: out, Row: row})
+				s.grants = append(s.grants, Grant{IVC: s.sub.ivc(row, slot), OutPort: out, Row: row})
 				s.freeRows.Clear(row)
 				s.outDone.Set(out)
 				// iSLIP pointer discipline: update only on first-iteration

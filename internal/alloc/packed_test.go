@@ -99,7 +99,7 @@ func (d *denseSeparableIF) allocate(rs *RequestSet) []Grant {
 		}
 		row := d.outputArbs[out].Arbitrate(d.rowReq)
 		req := rs.Requests[d.candidate[row]]
-		d.grants = append(d.grants, Grant{Req: d.candidate[row], OutPort: out, Row: row})
+		d.grants = append(d.grants, Grant{IVC: req.Port*d.cfg.VCs + req.VC, OutPort: out, Row: row})
 		d.outputArbs[out].Ack(row)
 		d.inputArbs[row].Ack(d.cfg.Slot(req.VC))
 	}
@@ -191,8 +191,8 @@ func (d *denseWavefront) allocate(rs *RequestSet) []Grant {
 			if j >= outs || len(d.cell[i][j]) == 0 || d.rowBusy[i] || d.outBusy[j] {
 				continue
 			}
-			idx := d.pick(rs, d.cell[i][j], d.vcPick[i])
-			d.grants = append(d.grants, Grant{Req: idx, OutPort: j, Row: i})
+			r := rs.Requests[d.pick(rs, d.cell[i][j], d.vcPick[i])]
+			d.grants = append(d.grants, Grant{IVC: r.Port*d.cfg.VCs + r.VC, OutPort: j, Row: i})
 			d.rowBusy[i] = true
 			d.outBusy[j] = true
 		}

@@ -37,8 +37,8 @@ func TestFigure4InputPortConstraint(t *testing.T) {
 	}
 	outs := map[int]bool{}
 	for _, g := range got {
-		if g.Request(vixRS).Port != west {
-			t.Fatalf("unexpected grant port %d", g.Request(vixRS).Port)
+		if p := g.IVC / vixCfg.VCs; p != west {
+			t.Fatalf("unexpected grant port %d", p)
 		}
 		outs[g.OutPort] = true
 	}
@@ -167,7 +167,7 @@ func TestVIXTwoFlitsPerPortLimit(t *testing.T) {
 		}
 		groups := map[int]bool{}
 		for _, g := range grants {
-			groups[cfg.Subgroup(g.Request(rs).VC)] = true
+			groups[cfg.Subgroup(g.IVC%cfg.VCs)] = true
 		}
 		if len(groups) != 2 {
 			t.Errorf("%s: both grants from sub-groups %v, want one from each", kind, groups)

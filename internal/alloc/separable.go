@@ -83,8 +83,7 @@ func (s *SeparableIF) Reset() {
 func (s *SeparableIF) Allocate(rs *RequestSet) []Grant { return s.allocate(rs.Ready, rs) }
 
 // allocate arbitrates among the requests of rs that ready names — all of
-// them, or what packet chaining leaves — and numbers each grant by its
-// request's rank in rs.Ready.
+// them, or what packet chaining leaves.
 func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet) []Grant {
 	s.grants = s.grants[:0]
 	n := 0
@@ -108,7 +107,7 @@ func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet) []Grant {
 		out := int(rs.Out[ivc])
 		s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
 		s.inPtr[row] = int32(arb.Next(slot, s.sub.size))
-		s.grants = append(s.grants, Grant{Req: rank(rs.Ready, ivc), OutPort: out, Row: row})
+		s.grants = append(s.grants, Grant{IVC: ivc, OutPort: out, Row: row})
 		return s.grants
 	}
 
@@ -149,7 +148,7 @@ func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet) []Grant {
 				mask[i] = 0
 			}
 			l := int(s.candidate[row])
-			s.grants = append(s.grants, Grant{Req: rank(rs.Ready, lineIVC(l)), OutPort: out, Row: row})
+			s.grants = append(s.grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
 			// iSLIP pointer update: both arbiters advance only on a grant.
 			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
 			s.inPtr[row] = int32(arb.Next(lineSlot(l), s.sub.size))

@@ -138,7 +138,7 @@ func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
 			out := arb.PickWords(won, int(s.portPtr[p]))
 			clear(won)
 			s.portPtr[p] = int32(arb.Next(out, s.ports))
-			s.grants = append(s.grants, Grant{Req: rank(rs.Ready, int(s.winner[out])), OutPort: out, Row: p})
+			s.grants = append(s.grants, Grant{IVC: int(s.winner[out]), OutPort: out, Row: p})
 		}
 	}
 	return s.grants

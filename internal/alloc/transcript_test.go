@@ -79,6 +79,17 @@ func transcriptRequests(rng *sim.RNG, rs *RequestSet, cycle int) {
 	rs.Pack()
 }
 
+// listIndex returns the index in rs's list of input VC ivc's request, or
+// -1 if it has none.
+func listIndex(rs *RequestSet, ivc int) int {
+	for i, r := range rs.Requests {
+		if r.Port*rs.Config.VCs+r.VC == ivc {
+			return i
+		}
+	}
+	return -1
+}
+
 // grantTranscriptHash drives a fresh allocator of the kind through
 // transcriptCycles cycles and returns the FNV-1a hash of every grant it
 // returned, in order. Empty cycles open an idle span, replayed alternately
@@ -120,7 +131,7 @@ func grantTranscriptHash(t *testing.T, kind Kind, cfg Config) uint64 {
 		assertDrained(t, a, where)
 		put(len(grants))
 		for _, g := range grants {
-			put(g.Req)
+			put(listIndex(rs, g.IVC)) // the golden was recorded with grants naming list indices
 			put(g.OutPort)
 			put(g.Row)
 		}

@@ -137,7 +137,7 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 				}
 				var slot int
 				slot, w.vcPtr[i] = pickSlot(slots, w.vcPtr[i], sg.size)
-				w.grants = append(w.grants, Grant{Req: rank(rs.Ready, sg.ivc(i, slot)), OutPort: j, Row: i})
+				w.grants = append(w.grants, Grant{IVC: sg.ivc(i, slot), OutPort: j, Row: i})
 				w.rowBusy.Set(i)
 				w.outBusy.Set(j)
 			}

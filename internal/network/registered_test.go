@@ -61,11 +61,22 @@ func (r *recorder) Allocate(rs *alloc.RequestSet) []alloc.Grant {
 	grants := r.inner.Allocate(rs)
 	r.put(len(grants))
 	for _, g := range grants {
-		r.put(g.Req)
+		r.put(listIndex(rs, g.IVC)) // the digests were recorded with grants naming list indices
 		r.put(g.OutPort)
 		r.put(g.Row)
 	}
 	return grants
+}
+
+// listIndex returns the index in rs's list of input VC ivc's request, or
+// -1 if it has none.
+func listIndex(rs *alloc.RequestSet, ivc int) int {
+	for i, q := range rs.Requests {
+		if q.Port*rs.Config.VCs+q.VC == ivc {
+			return i
+		}
+	}
+	return -1
 }
 
 // skippingRecorder also delegates SkipIdle, so the router fast-forwards

@@ -27,7 +27,7 @@ type poisoned struct {
 
 func (p *poisoned) scribble() {
 	for i := range p.last {
-		p.last[i] = alloc.Grant{Req: -1 << 30, OutPort: -1 << 30, Row: -1 << 30}
+		p.last[i] = alloc.Grant{IVC: -1 << 30, OutPort: -1 << 30, Row: -1 << 30}
 	}
 	p.last = nil
 }

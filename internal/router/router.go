@@ -175,9 +175,8 @@ func segment[T any](slab []T, slot, n int) []T {
 //
 // Each router's switch-allocation request set (one alloc.RequestSet per
 // router, in the sets slab) is the packed form over the same segments:
-// ready as its Ready words, outPort as Out and wait as Age. Its order
-// segment (Ports*VCs int16s) lists the cycle's requesting input VCs in
-// ascending order, so a grant's Req, a rank, indexes it.
+// ready as its Ready words, outPort as Out and wait as Age. A grant names
+// its input VC by ivc.
 //
 // vaWait and noCredit drop input VCs from the stage that cannot serve
 // them until the one event that can end the block: a tail freeing a VC
@@ -202,7 +201,6 @@ type Arena struct {
 	wait    []int32
 	masks   []uint64
 	sets    []alloc.RequestSet
-	order   []int16
 
 	ivcPort   []int32  // per ivc: port
 	groupMask []uint64 // per sub-group: the VCs alloc.Config.Subgroup maps to it
@@ -238,7 +236,6 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	a.wait = make([]int32, numRouters*pv)
 	a.masks = make([]uint64, numRouters*a.maskStride)
 	a.sets = make([]alloc.RequestSet, numRouters)
-	a.order = make([]int16, numRouters*pv)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 		a.credits[i] = int8(cfg.BufDepth)
@@ -291,7 +288,6 @@ type Router struct {
 	vaWait   sim.Bitset
 	noCredit sim.Bitset
 	busy     []uint64
-	order    []int16
 
 	vaOffset int // rotating VC-allocation priority
 
@@ -344,7 +340,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		outPort: segment(arena.outPort, slot, pv),
 		credits: segment(arena.credits, slot, pv),
 		wait:    segment(arena.wait, slot, pv),
-		order:   segment(arena.order, slot, pv),
 
 		ems:   make([]Emission, 0, cfg.Ports),
 		creds: make([]CreditMsg, 0, cfg.Ports),
@@ -559,22 +554,28 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 		r.listRequests()
 	}
 	grants := r.alloc.Allocate(r.reqs)
-	// Every request waited this cycle (a granted one's wait restarts
-	// below), and the n-th is the one a grant with Req n answers.
-	n := 0
+	// Every request waited this cycle; a granted one's wait restarts below.
 	for wi, w := range r.reqs.Ready {
 		for ; w != 0; w &= w - 1 {
-			ivc := wi<<6 + bits.TrailingZeros64(w)
-			r.wait[ivc]++
-			r.order[n] = int16(ivc)
-			n++
+			r.wait[wi<<6+bits.TrailingZeros64(w)]++
 		}
 	}
+	// A grant the router cannot carry out panics. Lowering a granted VC's
+	// request refuses a second grant to it.
+	var granted [2]uint64 // outputs granted so far: MaxPorts < 128
 	for _, g := range grants {
-		if g.Req < 0 || g.Req >= n {
-			panic(fmt.Sprintf("router %d: a grant names request %d of %d", r.id, g.Req, n))
+		ivc, out := g.IVC, g.OutPort
+		if uint(ivc) >= uint(len(r.outPort)) || r.reqs.Ready[ivc>>6]>>uint(ivc&63)&1 == 0 {
+			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC has no request left this cycle", r.id, ivc, out))
 		}
-		ivc := int(r.order[g.Req])
+		if want := int(r.outPort[ivc]); out != want {
+			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC requests output %d", r.id, ivc, out, want))
+		}
+		if granted[out>>6]>>uint(out&63)&1 != 0 {
+			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, which is already granted", r.id, ivc, out))
+		}
+		r.reqs.Ready[ivc>>6] &^= 1 << uint(ivc&63)
+		granted[out>>6] |= 1 << uint(out&63)
 		port := int(r.arena.ivcPort[ivc])
 		r.wait[ivc] = 0
 		h := int(r.head[ivc])
@@ -590,19 +591,19 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 			r.nonEmpty.Clear(ivc)
 		}
 		ovc := r.ovc[ivc]
-		if r.ports[g.OutPort].Kind == topology.Link {
-			cvi := g.OutPort*r.cfg.VCs + int(ovc)
+		if r.ports[out].Kind == topology.Link {
+			cvi := out*r.cfg.VCs + int(ovc)
 			r.credits[cvi]--
 			if r.credits[cvi] < 0 {
-				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, g.OutPort, ovc))
+				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, out, ovc))
 			}
 			s.Hops++
 			// A granted VC had credit, so its noCredit bit is clear; a
 			// tail takes the VC with it, so only a holder that stays can
 			// run out.
 			if s.Type.IsTail() {
-				r.busy[g.OutPort] &^= 1 << uint(ovc)
-				r.wakeVA(g.OutPort)
+				r.busy[out] &^= 1 << uint(ovc)
+				r.wakeVA(out)
 			} else if r.credits[cvi] == 0 {
 				r.noCredit.Set(ivc)
 			}
@@ -611,7 +612,7 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 			r.ovc[ivc] = -1
 			r.hasOVC.Clear(ivc)
 		}
-		r.ems = append(r.ems, Emission{OutPort: g.OutPort, Slot: s, VC: ovc})
+		r.ems = append(r.ems, Emission{OutPort: out, Slot: s, VC: ovc})
 		if r.ports[port].Kind == topology.Link {
 			r.creds = append(r.creds, CreditMsg{Port: port, VC: ivc - port*r.cfg.VCs})
 		}

@@ -361,7 +361,7 @@ func apChain(radix, vcs, k int) *chain {
 	})
 }
 
-// TestFigure7MatchesExactChains solves the exact chains of nine small
+// TestFigure7MatchesExactChains solves the exact chains of eleven small
 // testbench points and holds routerbench.Run, over ten seeds, to within
 // four standard errors of each. The state counts and exact values are
 // pinned too, so a change to a model or the solver shows as such. Each

@@ -42,9 +42,9 @@ type Bench struct {
 	cfg   Config
 	alloc alloc.Allocator
 	rng   *sim.RNG
-	// outPort[p][v] is the output the head flit of port p's always
-	// backlogged VC v requests.
-	outPort [][]int
+	// outPort[ivc] is the output the head flit of always backlogged input
+	// VC ivc = port*VCs + VC requests.
+	outPort []int
 	reqs    alloc.RequestSet
 }
 
@@ -57,12 +57,9 @@ func New(cfg Config) (*Bench, error) {
 	}
 	b := &Bench{cfg: cfg, alloc: a, rng: sim.NewRNG(cfg.Seed)}
 	b.reqs.Config = acfg
-	b.outPort = make([][]int, cfg.Radix)
-	for p := range b.outPort {
-		b.outPort[p] = make([]int, cfg.VCs)
-		for v := range b.outPort[p] {
-			b.outPort[p][v] = b.rng.Intn(cfg.Radix)
-		}
+	b.outPort = make([]int, cfg.Radix*cfg.VCs)
+	for ivc := range b.outPort {
+		b.outPort[ivc] = b.rng.Intn(cfg.Radix)
 	}
 	return b, nil
 }
@@ -70,19 +67,16 @@ func New(cfg Config) (*Bench, error) {
 // Step advances one cycle and returns the number of flits transferred.
 func (b *Bench) Step() int {
 	b.reqs.Requests = b.reqs.Requests[:0]
-	for p := 0; p < b.cfg.Radix; p++ {
-		for v := 0; v < b.cfg.VCs; v++ {
-			b.reqs.Requests = append(b.reqs.Requests, alloc.Request{
-				Port: p, VC: v, OutPort: b.outPort[p][v],
-			})
-		}
+	for ivc, out := range b.outPort {
+		b.reqs.Requests = append(b.reqs.Requests, alloc.Request{
+			Port: ivc / b.cfg.VCs, VC: ivc % b.cfg.VCs, OutPort: out,
+		})
 	}
 	grants := b.alloc.Allocate(b.reqs.Pack())
 	// Every granted flit is a whole packet: its VC refills at once with
 	// the next packet, to a fresh random output.
 	for _, g := range grants {
-		req := g.Request(&b.reqs)
-		b.outPort[req.Port][req.VC] = b.rng.Intn(b.cfg.Radix)
+		b.outPort[g.IVC] = b.rng.Intn(b.cfg.Radix)
 	}
 	return len(grants)
 }
