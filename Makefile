@@ -48,13 +48,17 @@ test:
 # Reset, both forms left unmutated, lone requests granted. FuzzExperiment: Validate rejects a spec, naming
 # its JSON field, or the simulator runs it without error or panic.
 # FuzzScanCases: a vixd POST body the byte scan admits, the JSON decoder
-# admits too, with the same names, specs and close. A failing input
+# admits too, with the same names, specs and close. FuzzNetwork: a burst
+# over any legal topology, allocator, partition, policy, speculation,
+# buffer depth, load, packet size and hop delay drains with every packet
+# delivered, the network checker holding every cycle. A failing input
 # lands in the package's testdata/fuzz/<target>/ — commit it with the
 # fix.
 fuzz:
 	go test -run '^$$' -fuzz FuzzAllocate -fuzztime 15s ./internal/alloc
 	go test -run '^$$' -fuzz FuzzExperiment -fuzztime 15s ./internal/config
 	go test -run '^$$' -fuzz FuzzScanCases -fuzztime 15s ./internal/service
+	go test -run '^$$' -fuzz FuzzNetwork -fuzztime 15s ./internal/network
 
 # A small harness-backed sweep grid under the race detector: exercises
 # the parallel fan-out, manifest resume, and canonical merge end to end.

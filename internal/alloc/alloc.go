@@ -343,47 +343,61 @@ func (sg subgroups) at(ivc int) (row, s int) {
 // and that grants form a legal allocation for it: every grant matches an
 // offered request, no crossbar row is granted twice (so no VC is either),
 // and no output port is granted twice. It returns nil for a legal
-// allocation.
+// allocation, and rs.Config's own error for an invalid geometry.
 //
-// The marks are flat slices indexed by the Config geometry rather than
-// maps, keeping the property tests that call Validate every simulated
-// cycle cheap.
+// The marks are bitsets on the stack, sized for the largest geometry
+// Config.Validate admits, so Validate allocates nothing and the property
+// tests and traced runs that call it every simulated cycle stay cheap.
 func Validate(rs *RequestSet, grants []Grant) error {
 	cfg := rs.Config
-	listed := make([]int, cfg.Ports*cfg.VCs) // per ivc: 1 + its request's index, 0 if none
-	for i, r := range rs.Requests {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	var listed, rowUsed [(MaxPorts*MaxVCs + 63) / 64]uint64 // per ivc, per row
+	var outUsed [(MaxPorts + 63) / 64]uint64
+	for _, r := range rs.Requests {
 		if !r.inRange(cfg) {
 			return fmt.Errorf("alloc: request %+v is out of range", r)
 		}
-		ivc := r.Port*cfg.VCs + r.VC
-		if listed[ivc] != 0 {
+		if ivc := r.Port*cfg.VCs + r.VC; !mark(listed[:], ivc) {
 			return fmt.Errorf("alloc: VC (%d,%d) is listed twice", r.Port, r.VC)
 		}
-		listed[ivc] = i + 1
 	}
-	rowUsed := make([]bool, cfg.Rows())
-	outUsed := make([]bool, cfg.Ports)
 	for _, g := range grants {
-		if g.IVC < 0 || g.IVC >= len(listed) || listed[g.IVC] == 0 {
+		if g.IVC < 0 || g.IVC >= cfg.Ports*cfg.VCs || listed[g.IVC>>6]>>uint(g.IVC&63)&1 == 0 {
 			return fmt.Errorf("alloc: grant %+v names no requesting VC", g)
 		}
-		req := rs.Requests[listed[g.IVC]-1]
+		var req Request
+		for _, r := range rs.Requests {
+			if r.Port*cfg.VCs+r.VC == g.IVC {
+				req = r
+				break
+			}
+		}
 		if g.OutPort != req.OutPort {
 			return fmt.Errorf("alloc: grant %+v does not match its request %+v", g, req)
 		}
 		if want := cfg.Row(req.Port, req.VC); g.Row != want {
 			return fmt.Errorf("alloc: grant %+v has row %d, want %d", g, g.Row, want)
 		}
-		if rowUsed[g.Row] {
+		if !mark(rowUsed[:], g.Row) {
 			return fmt.Errorf("alloc: crossbar row %d granted twice", g.Row)
 		}
-		if outUsed[g.OutPort] {
+		if !mark(outUsed[:], g.OutPort) {
 			return fmt.Errorf("alloc: output port %d granted twice", g.OutPort)
 		}
-		rowUsed[g.Row] = true
-		outUsed[g.OutPort] = true
 	}
 	return nil
+}
+
+// mark sets bit i of set and reports whether it was clear.
+func mark(set []uint64, i int) bool {
+	w, b := &set[i>>6], uint64(1)<<uint(i&63)
+	if *w&b != 0 {
+		return false
+	}
+	*w |= b
+	return true
 }
 
 // cellSlots is the request matrix by (crossbar row, output port) cell,

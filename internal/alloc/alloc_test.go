@@ -351,9 +351,39 @@ func TestValidateRejectsIllegalGrants(t *testing.T) {
 			t.Errorf("%s: Validate accepted it", c.name)
 		}
 	}
+	// A geometry Config.Validate refuses is refused, not indexed past the marks.
+	huge := &RequestSet{Config: Config{Ports: 200, VCs: MaxVCs, VirtualInputs: 1}, Requests: []Request{{Port: 150, OutPort: 0}}}
+	if Validate(huge, nil) == nil {
+		t.Error("Validate accepted a geometry Config.Validate refuses")
+	}
 	legal := []Grant{{IVC: 6, OutPort: 1, Row: 1}, {IVC: 1, OutPort: 2, Row: 0}}
 	if err := Validate(&RequestSet{Config: cfg, Requests: requests}, legal); err != nil {
 		t.Errorf("Validate refused a legal allocation: %v", err)
+	}
+}
+
+// Validate allocates nothing, at the paper's 5x6x2 router and at the
+// largest geometry Config.Validate admits (127 ports of 64 VCs, a row per
+// VC), with every VC requesting and every output granted.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, cfg := range []Config{
+		{Ports: 5, VCs: 6, VirtualInputs: 2},
+		{Ports: MaxPorts, VCs: MaxVCs, VirtualInputs: MaxVCs},
+	} {
+		rs := &RequestSet{Config: cfg}
+		var grants []Grant
+		for p := 0; p < cfg.Ports; p++ {
+			for v := 0; v < cfg.VCs; v++ {
+				rs.Requests = append(rs.Requests, Request{Port: p, VC: v, OutPort: (p + v) % cfg.Ports})
+			}
+			grants = append(grants, Grant{IVC: p * cfg.VCs, OutPort: p, Row: cfg.Row(p, 0)})
+		}
+		if err := Validate(rs, grants); err != nil {
+			t.Fatalf("%+v: Validate refused a legal allocation: %v", cfg, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { Validate(rs, grants) }); n != 0 {
+			t.Errorf("%+v: Validate allocates %v times per call, want 0", cfg, n)
+		}
 	}
 }
 

@@ -23,8 +23,9 @@ type activityCase struct {
 }
 
 // runActivity runs one scenario with Step at the given worker count, or
-// with stepDense, and returns the full ejection sequence plus the snapshot.
-func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles int) ([]ejectRecord, stats.Snapshot) {
+// with stepDense, under the checker, and returns the full ejection
+// sequence plus the snapshot.
+func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles int) (*ejectLog, stats.Snapshot) {
 	t.Helper()
 	topo := tc.topo()
 	policy := router.PolicyMaxFree
@@ -47,32 +48,20 @@ func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles 
 	default:
 		cfg.InjectionRate = 0.01 // low load: most routers idle most cycles
 	}
-	var ejected []ejectRecord
-	cfg.OnEject = func(f *router.Flit) {
-		ejected = append(ejected, ejectRecord{
-			packetID: f.PacketID, seq: f.Seq, src: f.Src, dst: f.Dst,
-			createCycle: f.CreateCycle, ejectCycle: f.EjectCycle, hops: f.Hops,
-		})
-	}
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if !tc.saturate {
-		n.run(cycles, dense)
-		return ejected, n.Collector().Snapshot()
-	}
+	ejected := newEjectLog()
+	cfg.OnEject = ejected.record
+	c := newChecked(t, cfg)
 	// At saturation every router's VC-state masks change every cycle:
-	// recount them against the per-VC arrays (Occupancy panics on any
-	// disagreement) after each step, in every mode the case runs in.
-	for i := 0; i < cycles; i++ {
-		n.run(1, dense)
-		for _, rt := range n.Routers() {
-			rt.Occupancy()
+	// check the network after each step, in every mode the case runs in.
+	// Otherwise the checker sees only the ejections.
+	if tc.saturate {
+		if err := c.run(cycles, dense); err != nil {
+			t.Fatal(err)
 		}
+	} else if c.n.run(cycles, dense); c.err != nil {
+		t.Fatal(c.err)
 	}
-	return ejected, n.Collector().Snapshot()
+	return ejected, c.n.Collector().Snapshot()
 }
 
 // TestActivityGateLockstepWithDense is the tentpole guarantee of the
@@ -104,7 +93,7 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 			// The reference is the dense loop — the physics the repo's
 			// goldens were recorded against.
 			refEjects, refSnap := runActivity(t, tc, 1, true, cycles)
-			if len(refEjects) == 0 {
+			if refEjects.count() == 0 {
 				t.Fatal("dense reference run ejected nothing; workload broken")
 			}
 			for _, workers := range lockstepWorkers {
@@ -112,17 +101,9 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 				if !reflect.DeepEqual(snap, refSnap) {
 					t.Errorf("workers=%d snapshot diverged:\n got %+v\nwant %+v", workers, snap, refSnap)
 				}
-				if !reflect.DeepEqual(ejects, refEjects) {
-					for i := range refEjects {
-						if i >= len(ejects) || ejects[i] != refEjects[i] {
-							t.Errorf("workers=%d ejection sequence diverged at index %d (of %d):\n got %+v\nwant %+v",
-								workers, i, len(refEjects), ejects[i], refEjects[i])
-							break
-						}
-					}
-					if len(ejects) != len(refEjects) {
-						t.Errorf("workers=%d ejected %d flits, want %d", workers, len(ejects), len(refEjects))
-					}
+				if i := ejects.diverge(refEjects); i >= 0 {
+					t.Errorf("workers=%d ejection sequence diverged at index %d (%d flits ejected, want %d)",
+						workers, i, ejects.count(), refEjects.count())
 				}
 			}
 		})

@@ -1,8 +1,6 @@
 package network
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -168,27 +166,15 @@ func runArenaBaseline(t *testing.T, tc arenaBaselineCase, workers int, dense boo
 	t.Helper()
 	cfg := tc.build()
 	cfg.Workers = workers
-	h := sha256.New()
-	count := 0
-	var buf [7 * 8]byte
-	cfg.OnEject = func(f *router.Flit) {
-		count++
-		binary.LittleEndian.PutUint64(buf[0:], f.PacketID)
-		binary.LittleEndian.PutUint64(buf[8:], uint64(f.Seq))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(f.Src))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(f.Dst))
-		binary.LittleEndian.PutUint64(buf[32:], uint64(f.CreateCycle))
-		binary.LittleEndian.PutUint64(buf[40:], uint64(f.EjectCycle))
-		binary.LittleEndian.PutUint64(buf[48:], uint64(f.Hops))
-		h.Write(buf[:])
-	}
+	ejected := newEjectLog()
+	cfg.OnEject = ejected.record
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
 	snap := n.warmMeasure(tc.warmup, tc.cycles, dense)
-	return snap, fmt.Sprintf("%x", h.Sum(nil)), count
+	return snap, ejected.digest(), ejected.count()
 }
 
 // formatArenaBaseline renders a run to the golden text format. %v of a

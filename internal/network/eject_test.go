@@ -132,50 +132,6 @@ func TestInFlightFlitFootprint(t *testing.T) {
 	}
 }
 
-// A packet's record is live exactly while the packet has a flit in the
-// network: allocated when its head is injected, freed when its tail
-// ejects. On saturated networks of all three routing functions, at
-// sampled cycles, the live records equal the heads injected less the
-// tails ejected and never exceed the flits in flight.
-// TestConservationAndDrain holds a drained network to none.
-func TestPacketRecordsLiveWhileTheirPacketIsInFlight(t *testing.T) {
-	for _, topo := range []*topology.Topology{
-		topology.NewMesh(4, 4),
-		topology.NewTorus(5, 5),
-		topology.NewFBfly(4, 4, 2),
-	} {
-		t.Run(topo.Name, func(t *testing.T) {
-			cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
-			cfg.MaxInjection = true
-			cfg.InjectionRate = 0
-			var tails int64
-			cfg.OnEject = func(f *router.Flit) {
-				if f.Type.IsTail() {
-					tails++
-				}
-			}
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			peak := 0
-			for i := 0; i < 20; i++ {
-				n.Run(97)
-				heads := n.Collector().Snapshot().PacketsInjected
-				live := n.flits.Live()
-				if int64(live) != heads-tails || int64(live) > n.InFlight() {
-					t.Fatalf("cycle %d: %d live records, %d heads injected, %d tails ejected, %d flits in flight",
-						n.Cycle(), live, heads, tails, n.InFlight())
-				}
-				peak = max(peak, live)
-			}
-			if peak == 0 {
-				t.Fatal("no packet was ever in flight")
-			}
-		})
-	}
-}
-
 // A network router's Occupancy holds every buffered slot to the network's
 // own record of the flit: a record whose destination, or whose position
 // in its packet (and with it the flit's type), disagrees with the slot is

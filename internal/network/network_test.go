@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"vix/internal/router"
 	"vix/internal/routing"
 	"vix/internal/sim"
+	"vix/internal/stats"
 	"vix/internal/topology"
 	"vix/internal/traffic"
 )
@@ -47,58 +49,80 @@ func (w *burstWorkload) Generate(node int, cycle int64, rng *sim.RNG) []PacketSp
 
 func (w *burstWorkload) Delivered(d Delivery) { w.delivered++ }
 
-// Every injected packet must be delivered, the network must drain to
-// empty, holding no packet record, and all credits must return to their
-// initial values — on all three paper topologies.
-func TestConservationAndDrain(t *testing.T) {
-	topos := []*topology.Topology{
+// drainedBursts sends a 500-cycle burst at 0.08 over every topology kind
+// at k = 1 and 2, drains it under the checker, and hands each drained run
+// to check as a subtest. Every generated packet must have been delivered,
+// each flit counted once by the checker and the collector alike.
+func drainedBursts(t *testing.T, check func(t *testing.T, c *checker, s stats.Snapshot)) {
+	for _, topo := range []*topology.Topology{
 		topology.NewMesh(4, 4),
 		topology.NewCMesh(2, 2, 4),
 		topology.NewFBfly(2, 2, 4),
-	}
-	for _, topo := range topos {
+		topology.NewTorus(4, 4),
+	} {
 		for _, k := range []int{1, 2} {
-			w := &burstWorkload{until: 500, rate: 0.08, pattern: traffic.NewUniform(topo.NumNodes), size: 4}
-			cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
-			cfg.Workload = w
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", topo.Name, k, err)
-			}
-			n.Run(500)
-			for i := 0; i < 20000 && (n.InFlight() > 0 || n.QueuedAtSources() > 0); i++ {
-				n.Step()
-			}
-			if n.InFlight() != 0 || n.QueuedAtSources() != 0 {
-				t.Fatalf("%s k=%d: network did not drain: inflight=%d queued=%d",
-					topo.Name, k, n.InFlight(), n.QueuedAtSources())
-			}
-			if w.delivered != w.generated {
-				t.Fatalf("%s k=%d: generated %d packets, delivered %d",
-					topo.Name, k, w.generated, w.delivered)
-			}
-			if live := n.flits.Live(); live != 0 {
-				t.Fatalf("%s k=%d: %d packet records live on a drained network", topo.Name, k, live)
-			}
-			// All credits restored and all buffers empty.
-			for _, rt := range n.Routers() {
-				if rt.Occupancy() != 0 {
-					t.Fatalf("%s k=%d: router %d still holds flits", topo.Name, k, rt.ID())
+			t.Run(fmt.Sprintf("%s_k%d", topo.Name, k), func(t *testing.T) {
+				w := &burstWorkload{until: 500, rate: 0.08, pattern: traffic.NewUniform(topo.NumNodes), size: 4}
+				cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
+				cfg.Workload = w
+				c := newChecked(t, cfg)
+				if err := c.run(500, false); err != nil {
+					t.Fatal(err)
 				}
-				for p := 0; p < topo.Radix; p++ {
-					if topo.Conn[rt.ID()][p].Kind != topology.Link {
-						continue
-					}
-					for v := 0; v < 6; v++ {
-						if got := rt.Credits(p, v); got != 5 {
-							t.Fatalf("%s k=%d: router %d port %d vc %d credits %d, want 5",
-								topo.Name, k, rt.ID(), p, v, got)
-						}
-					}
+				if err := c.drain(20000); err != nil {
+					t.Fatal(err)
 				}
-			}
+				s := c.n.Collector().Snapshot()
+				if w.delivered != w.generated || c.flits == 0 || c.flits != s.FlitsEjected {
+					t.Fatalf("generated %d packets, delivered %d; ejected %d flits, the collector counted %d",
+						w.generated, w.delivered, c.flits, s.FlitsEjected)
+				}
+				check(t, c, s)
+			})
 		}
 	}
+}
+
+// TestConservationAndDrain holds every drained burst to delivery and to
+// the checker's drain rows: no flit or live record left, every credit
+// back.
+func TestConservationAndDrain(t *testing.T) {
+	drainedBursts(t, func(*testing.T, *checker, stats.Snapshot) {})
+}
+
+// TestActivityIdentitiesOnADrainedRun checks the datapath counters Fig
+// 11's energy model rests on against the checker's totals over each
+// drained burst. Every hop crosses one link, so LinkTraversals = Σ hops.
+// Every flit is written into a buffer once at its source router and once
+// per hop, and read out and switched once per router it leaves, the
+// ejecting one included, so BufferWrites, BufferReads and XbarTraversals
+// each equal flits + Σ hops. tickRouter adds to BufferReads and
+// XbarTraversals from one count, so only one of the two is an
+// independent check.
+func TestActivityIdentitiesOnADrainedRun(t *testing.T) {
+	drainedBursts(t, func(t *testing.T, c *checker, s stats.Snapshot) {
+		if s.LinkTraversals != c.hops {
+			t.Errorf("LinkTraversals = %d, want Σ hops = %d", s.LinkTraversals, c.hops)
+		}
+		if want := c.flits + c.hops; s.XbarTraversals != want || s.BufferReads != want || s.BufferWrites != want {
+			t.Errorf("XbarTraversals, BufferReads, BufferWrites = %d, %d, %d; want flits + Σ hops = %d + %d",
+				s.XbarTraversals, s.BufferReads, s.BufferWrites, c.flits, c.hops)
+		}
+	})
+}
+
+// TestLittlesLawOnADrainedRun checks Little's law in its sample-path
+// form over each drained burst: a flit in a source queue or in the
+// network at the end of a cycle is one flit-cycle of latency, so Σ over
+// cycles of that population, the checker's flitCycles, equals Σ
+// (EjectCycle − CreateCycle) over the flits ejected. A flit lost or
+// counted twice, or a timestamp off by a cycle, breaks it.
+func TestLittlesLawOnADrainedRun(t *testing.T) {
+	drainedBursts(t, func(t *testing.T, c *checker, _ stats.Snapshot) {
+		if c.flitCycles != c.latency {
+			t.Errorf("Σ occupancy = %d flit-cycles, Σ latency = %d", c.flitCycles, c.latency)
+		}
+	})
 }
 
 // oneAtATime sends the packet set by send from its source in the next
@@ -192,37 +216,6 @@ func creditStall(size, loop, depth int) int64 {
 	return int64((size-1)/depth) * int64(loop-depth)
 }
 
-// Flits of each packet must eject in sequence order (wormhole integrity),
-// even under heavy congested traffic with VIX enabled.
-func TestFlitOrderingUnderLoad(t *testing.T) {
-	topo := topology.NewMesh(4, 4)
-	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
-	cfg.MaxInjection = true
-	cfg.InjectionRate = 0
-	lastSeq := map[uint64]int{}
-	cfg.OnEject = func(f *router.Flit) {
-		if prev, ok := lastSeq[f.PacketID]; ok && f.Seq != prev+1 {
-			t.Fatalf("packet %d flit %d ejected after %d", f.PacketID, f.Seq, prev)
-		}
-		lastSeq[f.PacketID] = f.Seq
-		if f.Type.IsTail() {
-			if f.Seq != f.PacketSize-1 {
-				t.Fatalf("packet %d tail has seq %d of %d", f.PacketID, f.Seq, f.PacketSize)
-			}
-			delete(lastSeq, f.PacketID)
-		}
-	}
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(3000)
-	s := n.Collector().Snapshot()
-	if s.FlitsEjected == 0 {
-		t.Fatal("no traffic flowed")
-	}
-}
-
 // dorHops walks tab's routes from src's router and counts the links
 // crossed before dst's local port is reached.
 func dorHops(topo *topology.Topology, tab *routing.Table, src, dst int) int {
@@ -260,52 +253,84 @@ func TestDiameterIsTheLongestDORPath(t *testing.T) {
 	}
 }
 
-// A flit's record is cold from inject to eject: its hop state rides in
-// buffer slots and link events and is written back at ejection. On all
-// three routing functions, under saturation, every record OnEject sees
-// must carry its DOR path length, the local port it left through, and its
-// packet's head-to-tail order.
+// saturatedChecked builds a saturated separable-IF network on topo at k
+// virtual inputs under the checker.
+func saturatedChecked(t *testing.T, topo *topology.Topology, k int) *checker {
+	cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
+	cfg.MaxInjection, cfg.InjectionRate = true, 0
+	return newChecked(t, cfg)
+}
+
+// TestEjectedRecordsCarryHopStateAndOrder runs saturated networks of
+// every routing function at k = 1 and 2 for 2000 cycles under the
+// checker. VIX lets k VCs of one input cross the switch in one cycle,
+// the case where a per-VC credit loop or a packet's head-to-tail order
+// would break. A flit's hop state rides in buffer slots and link events
+// and meets its packet's record only at ejection, so the ejection row
+// holds every Flit OnEject sees to its DOR path, local port and order,
+// and the record row holds each record live exactly while its packet is
+// in flight.
 func TestEjectedRecordsCarryHopStateAndOrder(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.NewMesh(4, 4),
+		topology.NewTorus(5, 5),
+		topology.NewFBfly(4, 4, 2),
+		topology.NewCMesh(2, 2, 4),
+	} {
+		t.Run(topo.Name, func(t *testing.T) {
+			for _, k := range []int{1, 2} {
+				t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+					c := saturatedChecked(t, topo, k)
+					if err := c.run(2000, false); err != nil {
+						t.Fatal(err)
+					}
+					if c.tails == 0 {
+						t.Fatal("no packet was delivered")
+					}
+				})
+			}
+		})
+	}
+}
+
+// Flits of each packet must eject in sequence order (wormhole integrity)
+// under heavy congested traffic with VIX enabled: the checker's ejection
+// row holds every flit of a saturated 4x4 mesh at k = 2 to its packet's
+// next Seq, over 3000 cycles in which complete packets eject.
+func TestFlitOrderingUnderLoad(t *testing.T) {
+	c := saturatedChecked(t, topology.NewMesh(4, 4), 2)
+	if err := c.run(3000, false); err != nil {
+		t.Fatal(err)
+	}
+	if c.tails == 0 {
+		t.Fatal("no traffic flowed")
+	}
+}
+
+// A packet's record is live exactly while the packet has a flit in the
+// network: allocated when its head is injected, freed when its tail
+// ejects. On saturated networks of all three routing functions the
+// checker's record row holds the live records to the heads injected less
+// the tails ejected, and to no more than the flits in flight, every
+// cycle; records must also actually be live, so the row is not met by an
+// empty network.
+func TestPacketRecordsLiveWhileTheirPacketIsInFlight(t *testing.T) {
 	for _, topo := range []*topology.Topology{
 		topology.NewMesh(4, 4),
 		topology.NewTorus(5, 5),
 		topology.NewFBfly(4, 4, 2),
 	} {
 		t.Run(topo.Name, func(t *testing.T) {
-			cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
-			cfg.MaxInjection = true
-			cfg.InjectionRate = 0
-			tab := routing.Compile(topo)
-			next := map[uint64]int{} // packet -> flits already ejected
-			ejected := 0
-			cfg.OnEject = func(f *router.Flit) {
-				ejected++
-				if want := dorHops(topo, tab, f.Src, f.Dst); f.Hops != want {
-					t.Fatalf("flit %d.%d from %d to %d ejected with %d hops, DOR path has %d",
-						f.PacketID, f.Seq, f.Src, f.Dst, f.Hops, want)
+			c := saturatedChecked(t, topo, 2)
+			peak := 0
+			for i := 0; i < 2000; i++ {
+				if err := c.run(1, false); err != nil {
+					t.Fatal(err)
 				}
-				if f.Route != topo.NodePort[f.Dst] || f.VC != 0 {
-					t.Fatalf("flit %d.%d ejected with route %d vc %d, want local port %d vc 0",
-						f.PacketID, f.Seq, f.Route, f.VC, topo.NodePort[f.Dst])
-				}
-				seq := next[f.PacketID]
-				if f.Seq != seq || f.Type != router.PacketFlitType(seq, f.PacketSize) {
-					t.Fatalf("packet %d: flit %d (%v) ejected where flit %d belongs", f.PacketID, f.Seq, f.Type, seq)
-				}
-				if next[f.PacketID]++; f.Type.IsTail() {
-					delete(next, f.PacketID)
-				}
+				peak = max(peak, c.n.flits.Live())
 			}
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.Run(3000)
-			for _, rt := range n.Routers() {
-				rt.Occupancy() // every buffered slot still agrees with its record
-			}
-			if ejected == 0 {
-				t.Fatal("no traffic flowed")
+			if peak == 0 || c.tails == 0 {
+				t.Fatalf("peak %d live records, %d tails ejected: no packet went through", peak, c.tails)
 			}
 		})
 	}
@@ -578,70 +603,60 @@ func TestAgeAllocationImprovesTail(t *testing.T) {
 	}
 }
 
-// Property: conservation holds for arbitrary legal configurations —
-// random topology sizes, VC counts, virtual inputs, buffer depths,
-// allocators, packet sizes, and loads. Every generated packet is
-// delivered and the network drains clean.
-func TestConservationProperty(t *testing.T) {
+// FuzzNetwork drains a 300-cycle burst over a legal configuration under
+// the checker, and every generated packet must be delivered. The bytes
+// pick the topology kind and size, VCs, virtual inputs, allocator (ideal
+// takes k = VCs, sparoflo k = 1), partition, VA policy, speculation,
+// buffer depth, load, packet size and hop delay (0: the default). The
+// seeds cycle through every allocator kind and topology kind and draw
+// the rest from a fixed RNG.
+func FuzzNetwork(f *testing.F) {
 	rng := sim.NewRNG(777)
-	kinds := []alloc.Kind{
-		alloc.KindSeparableIF, alloc.KindWavefront, alloc.KindAugmentingPath,
-		alloc.KindPacketChaining, alloc.KindISLIP, alloc.KindSeparableAge,
+	for i := 0; i < 32; i++ {
+		f.Add(uint8(i/8), uint8(rng.Intn(3)), uint8(rng.Intn(3)), uint8(rng.Intn(3)), uint8(rng.Intn(5)), uint8(rng.Intn(2)),
+			uint8(i), uint8(rng.Intn(2)), uint8(rng.Intn(3)), rng.Intn(2) == 0,
+			uint8(rng.Intn(6)), uint8(rng.Intn(256)), uint8(rng.Intn(6)), uint8(rng.Intn(6)), rng.Uint64())
 	}
-	for trial := 0; trial < 25; trial++ {
-		w := 2 + rng.Intn(3)
-		h := 2 + rng.Intn(3)
+	kinds := alloc.Kinds()
+	policies := []router.PolicyKind{router.PolicyMaxFree, router.PolicyDimension, router.PolicyBalanced}
+	f.Fuzz(func(t *testing.T, topoKind, w, h, conc, vcs, k, kind, part, policy uint8, nonSpec bool,
+		depth, rate, size, hopDelay uint8, seed uint64) {
+		width, height, c := 2+int(w%4), 2+int(h%4), 1+int(conc%3)
 		var topo *topology.Topology
-		switch rng.Intn(3) {
+		switch topoKind % 4 {
 		case 0:
-			topo = topology.NewMesh(w, h)
+			topo = topology.NewMesh(width, height)
 		case 1:
-			topo = topology.NewCMesh(w, h, 1+rng.Intn(3))
+			topo = topology.NewCMesh(width, height, c)
+		case 2:
+			topo = topology.NewFBfly(width, height, c)
 		default:
-			topo = topology.NewFBfly(w, h, 1+rng.Intn(3))
+			topo = topology.NewTorus(width, height)
 		}
-		vcs := 2 + rng.Intn(5)
-		k := 1 + rng.Intn(2)
-		if k > vcs {
-			k = vcs
+		rc := router.Config{
+			Ports: topo.Radix, VCs: 2 + int(vcs%5), BufDepth: 1 + int(depth%8),
+			AllocKind: kinds[int(kind)%len(kinds)], Partition: alloc.Partition(part % 2),
+			Policy: policies[policy%3], NonSpeculative: nonSpec,
 		}
-		kind := kinds[rng.Intn(len(kinds))]
-		part := alloc.Partition(rng.Intn(2))
-		policy := []router.PolicyKind{router.PolicyMaxFree, router.PolicyDimension, router.PolicyBalanced}[rng.Intn(3)]
-		wl := &burstWorkload{
-			until:   300,
-			rate:    0.02 + 0.06*rng.Float64(),
-			pattern: traffic.NewUniform(topo.NumNodes),
-			size:    1 + rng.Intn(6),
+		rc.VirtualInputs = 1 + int(k)%rc.VCs
+		switch rc.AllocKind {
+		case alloc.KindIdeal:
+			rc.VirtualInputs = rc.VCs
+		case alloc.KindSparoflo:
+			rc.VirtualInputs = 1
 		}
-		cfg := Config{
-			Topology: topo,
-			Router: router.Config{
-				Ports: topo.Radix, VCs: vcs, VirtualInputs: k,
-				BufDepth: 2 + rng.Intn(6), AllocKind: kind, Policy: policy,
-				Partition:      part,
-				NonSpeculative: rng.Intn(2) == 0,
-			},
-			Workload: wl,
-			Seed:     rng.Uint64(),
+		wl := &burstWorkload{until: 300, rate: 0.01 + float64(rate)/2550, pattern: traffic.NewUniform(topo.NumNodes), size: 1 + int(size%8)}
+		ch := newChecked(t, Config{Topology: topo, Router: rc, Workload: wl, HopDelay: int(hopDelay % 6), Seed: seed})
+		if err := ch.run(300, false); err != nil {
+			t.Fatal(err)
 		}
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatalf("trial %d (%s on %s): %v", trial, kind, topo.Name, err)
-		}
-		n.Run(300)
-		for i := 0; i < 30000 && (n.InFlight() > 0 || n.QueuedAtSources() > 0); i++ {
-			n.Step()
-		}
-		if n.InFlight() != 0 || n.QueuedAtSources() != 0 {
-			t.Fatalf("trial %d (%s, %s, vcs=%d k=%d): stuck with %d in flight",
-				trial, kind, topo.Name, vcs, k, n.InFlight())
+		if err := ch.drain(30000); err != nil {
+			t.Fatal(err)
 		}
 		if wl.delivered != wl.generated {
-			t.Fatalf("trial %d (%s, %s): generated %d, delivered %d",
-				trial, kind, topo.Name, wl.generated, wl.delivered)
+			t.Fatalf("generated %d packets, delivered %d", wl.generated, wl.delivered)
 		}
-	}
+	})
 }
 
 // Concentrated topologies eject through multiple local ports: one CMesh
@@ -688,107 +703,5 @@ func TestConcentratedEjectionBandwidth(t *testing.T) {
 	}
 	if maxPerRouter < 2 {
 		t.Fatalf("saturated CMesh never used parallel ejection (max %d/cycle)", maxPerRouter)
-	}
-}
-
-// TestActivityIdentitiesOnADrainedRun checks the four datapath counters
-// Fig 11's energy model rests on against what the flits themselves
-// record, over a 500-cycle burst at 0.08 that then drains completely.
-// Every hop a flit makes crosses one link, so LinkTraversals = Σ Hops.
-// Every flit is written into a buffer once at its source router and once
-// per hop, read out and switched once per router it leaves — the ejecting
-// one included — so XbarTraversals, BufferReads and BufferWrites each
-// equal flits + Σ Hops. tickRouter adds to BufferReads and XbarTraversals
-// in one place, from one count, so of the two read-side counters only
-// one is an independent check; BufferWrites is counted where flits land.
-func TestActivityIdentitiesOnADrainedRun(t *testing.T) {
-	for _, topo := range []*topology.Topology{
-		topology.NewMesh(4, 4),
-		topology.NewCMesh(2, 2, 4),
-		topology.NewFBfly(2, 2, 4),
-		topology.NewTorus(4, 4),
-	} {
-		for _, k := range []int{1, 2} {
-			cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
-			cfg.Workload = &burstWorkload{until: 500, rate: 0.08, pattern: traffic.NewUniform(topo.NumNodes), size: 4}
-			var flits, hops int64
-			cfg.OnEject = func(f *router.Flit) {
-				flits++
-				hops += int64(f.Hops)
-			}
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", topo.Name, k, err)
-			}
-			n.Run(500)
-			for i := 0; i < 20000 && (n.InFlight() > 0 || n.QueuedAtSources() > 0); i++ {
-				n.Step()
-			}
-			if n.InFlight() != 0 || n.QueuedAtSources() != 0 {
-				t.Fatalf("%s k=%d: network did not drain", topo.Name, k)
-			}
-			s := n.Collector().Snapshot()
-			if flits == 0 || flits != s.FlitsEjected {
-				t.Fatalf("%s k=%d: observed %d ejected flits, the collector %d", topo.Name, k, flits, s.FlitsEjected)
-			}
-			if s.LinkTraversals != hops {
-				t.Errorf("%s k=%d: LinkTraversals = %d, want Σ hops = %d", topo.Name, k, s.LinkTraversals, hops)
-			}
-			want := flits + hops
-			for _, c := range []struct {
-				name string
-				got  int64
-			}{{"XbarTraversals", s.XbarTraversals}, {"BufferReads", s.BufferReads}, {"BufferWrites", s.BufferWrites}} {
-				if c.got != want {
-					t.Errorf("%s k=%d: %s = %d, want flits + Σ hops = %d + %d", topo.Name, k, c.name, c.got, flits, hops)
-				}
-			}
-			n.Close()
-		}
-	}
-}
-
-// TestLittlesLawOnADrainedRun checks Little's law in its sample-path
-// form over the burst TestActivityIdentitiesOnADrainedRun drains: a flit
-// waiting in a source queue or in the network at the end of a cycle is
-// one flit-cycle of latency, so summed over every cycle the occupancy
-// equals Σ (EjectCycle − CreateCycle) over the flits ejected. The law is
-// exact, not statistical; a flit lost or counted twice, or a latency
-// timestamp off by a cycle, breaks it.
-func TestLittlesLawOnADrainedRun(t *testing.T) {
-	for _, topo := range []*topology.Topology{
-		topology.NewMesh(4, 4),
-		topology.NewCMesh(2, 2, 4),
-		topology.NewFBfly(2, 2, 4),
-		topology.NewTorus(4, 4),
-	} {
-		for _, k := range []int{1, 2} {
-			cfg := meshConfig(topo, alloc.KindSeparableIF, k, router.PolicyBalanced)
-			cfg.Workload = &burstWorkload{until: 500, rate: 0.08, pattern: traffic.NewUniform(topo.NumNodes), size: 4}
-			var latency int64
-			cfg.OnEject = func(f *router.Flit) { latency += f.EjectCycle - f.CreateCycle }
-			n, err := New(cfg)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", topo.Name, k, err)
-			}
-			var occupancy int64
-			step := func() {
-				n.Step()
-				occupancy += n.InFlight() + n.QueuedAtSources()
-			}
-			for i := 0; i < 500; i++ {
-				step()
-			}
-			for i := 0; i < 20000 && (n.InFlight() > 0 || n.QueuedAtSources() > 0); i++ {
-				step()
-			}
-			if n.InFlight() != 0 || n.QueuedAtSources() != 0 {
-				t.Fatalf("%s k=%d: network did not drain", topo.Name, k)
-			}
-			if latency == 0 || occupancy != latency {
-				t.Errorf("%s k=%d: Σ occupancy = %d flit-cycles, Σ latency = %d", topo.Name, k, occupancy, latency)
-			}
-			n.Close()
-		}
 	}
 }

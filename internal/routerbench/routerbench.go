@@ -42,10 +42,12 @@ type Bench struct {
 	cfg   Config
 	alloc alloc.Allocator
 	rng   *sim.RNG
-	// outPort[ivc] is the output the head flit of always backlogged input
-	// VC ivc = port*VCs + VC requests.
-	outPort []int
-	reqs    alloc.RequestSet
+	// reqs is the standing request set: every input VC is always
+	// backlogged, so every VC requests every cycle and only the output a
+	// granted VC's next packet asks for changes. Requests[ivc] is input VC
+	// ivc = port*VCs + VC's request, kept equal to the packed form for a
+	// registered kind that reads the list.
+	reqs alloc.RequestSet
 }
 
 // New builds a testbench. It returns an error for invalid configurations.
@@ -57,26 +59,24 @@ func New(cfg Config) (*Bench, error) {
 	}
 	b := &Bench{cfg: cfg, alloc: a, rng: sim.NewRNG(cfg.Seed)}
 	b.reqs.Config = acfg
-	b.outPort = make([]int, cfg.Radix*cfg.VCs)
-	for ivc := range b.outPort {
-		b.outPort[ivc] = b.rng.Intn(cfg.Radix)
+	for ivc := 0; ivc < cfg.Radix*cfg.VCs; ivc++ {
+		b.reqs.Requests = append(b.reqs.Requests, alloc.Request{
+			Port: ivc / cfg.VCs, VC: ivc % cfg.VCs, OutPort: b.rng.Intn(cfg.Radix),
+		})
 	}
+	b.reqs.Pack()
 	return b, nil
 }
 
 // Step advances one cycle and returns the number of flits transferred.
 func (b *Bench) Step() int {
-	b.reqs.Requests = b.reqs.Requests[:0]
-	for ivc, out := range b.outPort {
-		b.reqs.Requests = append(b.reqs.Requests, alloc.Request{
-			Port: ivc / b.cfg.VCs, VC: ivc % b.cfg.VCs, OutPort: out,
-		})
-	}
-	grants := b.alloc.Allocate(b.reqs.Pack())
+	grants := b.alloc.Allocate(&b.reqs)
 	// Every granted flit is a whole packet: its VC refills at once with
 	// the next packet, to a fresh random output.
 	for _, g := range grants {
-		b.outPort[g.IVC] = b.rng.Intn(b.cfg.Radix)
+		out := b.rng.Intn(b.cfg.Radix)
+		b.reqs.Out[g.IVC] = int8(out)
+		b.reqs.Requests[g.IVC].OutPort = out
 	}
 	return len(grants)
 }

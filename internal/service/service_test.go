@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"vix/internal/alloc"
 	"vix/internal/service"
 )
 
@@ -763,6 +764,67 @@ func TestDrainFailsStoredCases(t *testing.T) {
 	if after := svc.StoreStats(); after != before {
 		t.Errorf("store stats moved from %+v to %+v; a draining server must not serve", before, after)
 	}
+}
+
+// panicKind is an allocator kind whose Allocate panics: a fault inside a
+// run, which the harness recovers below the store.
+const panicKind = "test-panics"
+
+type panicAllocator struct{}
+
+func (panicAllocator) Name() string                             { return panicKind }
+func (panicAllocator) Reset()                                   {}
+func (panicAllocator) Allocate(*alloc.RequestSet) []alloc.Grant { panic("allocator fault on purpose") }
+
+// registerPanicKind registers panicKind once per process.
+var registerPanicKind = sync.OnceValue(func() error {
+	return alloc.Register(panicKind, func(alloc.Config) (alloc.Allocator, error) { return panicAllocator{}, nil })
+})
+
+// TestRunnerPanicFailsOnlyItsCase: a case whose run panics streams as
+// failed with the panic's text, its sibling completes, the server stays
+// healthy, and nothing is stored for the failed spec, so POSTing it again
+// runs it again: a store miss, not a hit.
+func TestRunnerPanicFailsOnlyItsCase(t *testing.T) {
+	if err := registerPanicKind(); err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := newTestServer(t, service.Config{Runners: 2})
+	faulty := fmt.Sprintf(`{"spec": {"warmup": 20, "measure": 60, "injection_rate": 0.02, "allocator": %q}}`, panicKind)
+	lines := func(body string) []resultLine {
+		var out []resultLine
+		for _, ln := range nonEmptyLines(streamResults(t, ts.URL, postGrid(t, ts.URL, body))) {
+			var r resultLine
+			if err := json.Unmarshal([]byte(ln), &r); err != nil {
+				t.Fatalf("result line %q: %v", ln, err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	got := lines(fmt.Sprintf(`{"cases": [%s, {"spec": %s}], "close": true}`, faulty, smallSpec(1)))
+	if len(got) != 2 || got[0].Status != "failed" || !strings.Contains(got[0].Error, "allocator fault on purpose") {
+		t.Fatalf("faulty case streamed %+v, want failed with the panic's text", got)
+	}
+	if got[1].Status != "done" {
+		t.Errorf("sibling case streamed %+v, want done", got[1])
+	}
+	if code, _ := get(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Errorf("GET /healthz after a runner panic = %d, want 200", code)
+	}
+	before := svc.StoreStats()
+	if again := lines(fmt.Sprintf(`{"cases": [%s], "close": true}`, faulty)); len(again) != 1 || again[0].Status != "failed" {
+		t.Errorf("re-POSTed faulty case streamed %+v, want failed again", again)
+	}
+	if after := svc.StoreStats(); after.Misses != before.Misses+1 || after.Hits != before.Hits {
+		t.Errorf("re-POST moved store stats from %+v to %+v, want one more miss and no hit", before, after)
+	}
+}
+
+// resultLine is one line of a result stream.
+type resultLine struct {
+	Status string `json:"status"`
+	Error  string `json:"error"`
 }
 
 // TestWorkersIsRetired: Config.Workers survives only as 0 or 1, the
