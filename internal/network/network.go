@@ -400,8 +400,8 @@ func New(cfg Config) (*Network, error) {
 	arena := router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
+	ports := make([]router.PortInfo, topo.Radix) // copied into the arena by router.New
 	for r := 0; r < topo.NumRouters; r++ {
-		ports := make([]router.PortInfo, topo.Radix)
 		for p, c := range topo.Conn[r] {
 			ports[p] = router.PortInfo{Kind: c.Kind, Dim: c.Dim}
 		}

@@ -39,18 +39,22 @@ func faultyKind(t *testing.T, name string, fault func(rs *alloc.RequestSet, gran
 	return kind
 }
 
-// advanceFaulty loads testRouter (router 7, 6 VCs a port) under kind
-// with one single-flit packet in input VC 6 (port 1, VC 0) and one in
-// input VC 12 (port 2, VC 0), both routed to output 3, and advances it
-// one cycle. The input-first allocator grants output 3 to input VC 6. It
-// returns the message Advance panicked with, or "" if it did not.
-func advanceFaulty(t *testing.T, kind alloc.Kind) (msg string) {
+// advanceFaulty loads testRouter (router 7, 6 VCs a port, k = 1) under
+// kind with one single-flit packet in input VC 6 (port 1, VC 0) and one in
+// input VC 12 (port 2, VC 0), both routed to output 3, plus one more per
+// extra {port, vc, route}, and advances it one cycle. The input-first
+// allocator grants output 3 to input VC 6. It returns the message Advance
+// panicked with, or "" if it did not.
+func advanceFaulty(t *testing.T, kind alloc.Kind, extra ...[3]int) (msg string) {
 	t.Helper()
 	cfg := baseConfig()
 	cfg.AllocKind = kind
 	r := testRouter(t, cfg)
 	deliver(r, 1, 0, 3, NewPacket(1, 0, 9, 1, 0))
 	deliver(r, 2, 0, 3, NewPacket(2, 0, 9, 1, 0))
+	for i, e := range extra {
+		deliver(r, e[0], e[1], e[2], NewPacket(uint64(3+i), 0, 9, 1, 0))
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			msg, _ = p.(string)
@@ -118,4 +122,16 @@ func TestRouterRefusesAnOutputGrantedTwice(t *testing.T) {
 		return append(grants, alloc.Grant{IVC: 12, OutPort: int(rs.Out[12]), Row: rs.Config.Row(2, 0)})
 	})
 	wantRefusal(t, "output granted twice", advanceFaulty(t, kind), "input VC 12 to output 3", "already granted")
+}
+
+// Two grants from one crossbar row in one cycle are refused: a row
+// carries one flit. At k = 1 a port's VCs share its row, so input VC 7
+// (port 1, VC 1), requesting the free output 4, may not go beside input
+// VC 6. The row is read from the router's geometry, not from Grant.Row.
+func TestRouterRefusesTwoGrantsFromOneRow(t *testing.T) {
+	kind := faultyKind(t, "row-twice", func(rs *alloc.RequestSet, grants []alloc.Grant) []alloc.Grant {
+		return append(grants, alloc.Grant{IVC: 7, OutPort: int(rs.Out[7]), Row: 0})
+	})
+	wantRefusal(t, "row granted twice", advanceFaulty(t, kind, [3]int{1, 1, 4}),
+		"input VC 7 to output 4", "input VC 6, granted this cycle, shares its crossbar row 1")
 }

@@ -78,12 +78,12 @@ func TestVAWaitParksAHeadUntilATailFreesAVC(t *testing.T) {
 			for i := 0; i < vcs; i++ {
 				tick()
 			}
-			if r.busy[out] != vcSpan(0, vcs) {
-				t.Fatalf("holders hold %b at output %d, want every VC", r.busy[out], out)
+			if r.view().busy[out] != vcSpan(0, vcs) {
+				t.Fatalf("holders hold %b at output %d, want every VC", r.view().busy[out], out)
 			}
-			if !r.vaWait.Has(waiter) || int(r.outPort[waiter]) != out || *visits != 1 {
+			if !r.view().vaWait.Has(waiter) || int(r.view().outPort[waiter]) != out || *visits != 1 {
 				t.Fatalf("waiter: vaWait %v, outPort %d, %d visits; want parked on %d after one visit",
-					r.vaWait.Has(waiter), r.outPort[waiter], *visits, out)
+					r.view().vaWait.Has(waiter), r.view().outPort[waiter], *visits, out)
 			}
 
 			// release sends holder v's body and tail, and returns the VC
@@ -91,15 +91,15 @@ func TestVAWaitParksAHeadUntilATailFreesAVC(t *testing.T) {
 			// and the tick that sends the tail wakes it.
 			release := func(v int) int {
 				t.Helper()
-				vc, before := int(r.ovc[1*vcs+v]), *visits
+				vc, before := int(r.view().ovc[1*vcs+v]), *visits
 				deliver(r, 1, v, out, holders[v][1:])
 				tick()
-				if !r.vaWait.Has(waiter) {
+				if !r.view().vaWait.Has(waiter) {
 					t.Fatalf("waiter woke before the tail left")
 				}
 				tick()
-				if r.busy[out]&(1<<uint(vc)) != 0 || r.vaWait.Has(waiter) {
-					t.Fatalf("tail left VC %d busy (%b) or the waiter parked", vc, r.busy[out])
+				if r.view().busy[out]&(1<<uint(vc)) != 0 || r.view().vaWait.Has(waiter) {
+					t.Fatalf("tail left VC %d busy (%b) or the waiter parked", vc, r.view().busy[out])
 				}
 				if *visits != before {
 					t.Fatalf("parked waiter visited %d times while every VC was held", *visits-before)
@@ -108,7 +108,7 @@ func TestVAWaitParksAHeadUntilATailFreesAVC(t *testing.T) {
 			}
 			holderOf := func(vc int) int {
 				for v := 0; v < vcs; v++ {
-					if int(r.ovc[1*vcs+v]) == vc {
+					if int(r.view().ovc[1*vcs+v]) == vc {
 						return v
 					}
 				}
@@ -118,14 +118,14 @@ func TestVAWaitParksAHeadUntilATailFreesAVC(t *testing.T) {
 			if mc.lo > 0 {
 				release(holderOf(0))
 				tick()
-				if !r.vaWait.Has(waiter) || r.ovc[waiter] >= 0 || *visits != 2 {
+				if !r.view().vaWait.Has(waiter) || r.view().ovc[waiter] >= 0 || *visits != 2 {
 					t.Fatalf("after an inadmissible VC freed: vaWait %v, ovc %d, %d visits; want parked again after one more visit",
-						r.vaWait.Has(waiter), r.ovc[waiter], *visits)
+						r.view().vaWait.Has(waiter), r.view().ovc[waiter], *visits)
 				}
 			}
 			freed := release(holderOf(mc.lo))
-			if tick(); int(r.ovc[waiter]) != freed {
-				t.Fatalf("waiter holds VC %d in the Advance after VC %d freed", r.ovc[waiter], freed)
+			if tick(); int(r.view().ovc[waiter]) != freed {
+				t.Fatalf("waiter holds VC %d in the Advance after VC %d freed", r.view().ovc[waiter], freed)
 			}
 		})
 	}
@@ -145,32 +145,32 @@ func TestNoCreditLeavesTheRequestSetUntilACreditReturns(t *testing.T) {
 			pkt := NewPacket(1, 0, maskDst, 4, 0)
 			deliver(r, in, 0, out, pkt[:2])
 			tick()
-			vc := int(r.ovc[ivc])
+			vc := int(r.view().ovc[ivc])
 			if vc < mc.lo || vc >= mc.hi {
 				t.Fatalf("head took VC %d outside [%d, %d)", vc, mc.lo, mc.hi)
 			}
 			deliver(r, in, 0, out, pkt[2:3])
-			if ems := tick(); len(ems) != 1 || r.Credits(out, vc) != 0 || !r.noCredit.Has(ivc) {
+			if ems := tick(); len(ems) != 1 || r.Credits(out, vc) != 0 || !r.view().noCredit.Has(ivc) {
 				t.Fatalf("second flit: %d emissions, %d credits, noCredit %v; want the last credit spent and the VC parked",
-					len(ems), r.Credits(out, vc), r.noCredit.Has(ivc))
+					len(ems), r.Credits(out, vc), r.view().noCredit.Has(ivc))
 			}
 			deliver(r, in, 0, out, pkt[3:])
 			for i := 0; i < 3; i++ {
-				if ems := tick(); len(ems) != 0 || r.reqs.Ready[ivc>>6] != 0 {
-					t.Fatalf("zero-credit VC: %d emissions from requests %#x, want none", len(ems), r.reqs.Ready[ivc>>6])
+				if ems := tick(); len(ems) != 0 || r.view().reqs.Ready[ivc>>6] != 0 {
+					t.Fatalf("zero-credit VC: %d emissions from requests %#x, want none", len(ems), r.view().reqs.Ready[ivc>>6])
 				}
 			}
 			r.DeliverCredit(out, vc)
-			if r.noCredit.Has(ivc) {
+			if r.view().noCredit.Has(ivc) {
 				t.Fatal("a returned credit left the VC parked")
 			}
-			if ems := tick(); len(ems) != 1 || !r.noCredit.Has(ivc) {
-				t.Fatalf("after the credit: %d emissions, noCredit %v; want one flit sent and the VC parked again", len(ems), r.noCredit.Has(ivc))
+			if ems := tick(); len(ems) != 1 || !r.view().noCredit.Has(ivc) {
+				t.Fatalf("after the credit: %d emissions, noCredit %v; want one flit sent and the VC parked again", len(ems), r.view().noCredit.Has(ivc))
 			}
 			r.DeliverCredit(out, vc)
-			if ems := tick(); len(ems) != 1 || !ems[0].Type.IsTail() || r.noCredit.Has(ivc) || r.hasOVC.Has(ivc) {
+			if ems := tick(); len(ems) != 1 || !ems[0].Type.IsTail() || r.view().noCredit.Has(ivc) || r.view().hasOVC.Has(ivc) {
 				t.Fatalf("tail: %d emissions, noCredit %v, hasOVC %v; want the tail sent and the VC released",
-					len(ems), r.noCredit.Has(ivc), r.hasOVC.Has(ivc))
+					len(ems), r.view().noCredit.Has(ivc), r.view().hasOVC.Has(ivc))
 			}
 		})
 	}

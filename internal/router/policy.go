@@ -44,6 +44,26 @@ func (p PolicyKind) Validate() error {
 	return nil
 }
 
+// policy is a PolicyKind resolved once, at New, to the case choose runs.
+type policy uint8
+
+// The resolved policies, in the order of policies.
+const (
+	policyMaxFree policy = iota
+	policyDimension
+	policyBalanced
+)
+
+// resolve returns the case of choose that p names; it panics on a
+// policy Validate refuses.
+func (p PolicyKind) resolve() policy {
+	i := slices.Index(policies[:], p)
+	if i < 0 {
+		panic(fmt.Sprintf("router: unknown VC policy %q", p))
+	}
+	return policy(i)
+}
+
 // vaContext carries the information a policy may consult when choosing an
 // output VC for a packet leaving through outPort.
 type vaContext struct {
@@ -78,17 +98,17 @@ func vcSpan(lo, hi int) uint64 {
 }
 
 // choose returns the selected downstream VC, or -1 if no free VC exists.
-func (p PolicyKind) choose(ctx *vaContext) int {
+func (p policy) choose(ctx *vaContext) int {
 	switch p {
-	case PolicyMaxFree:
+	case policyMaxFree:
 		return bestIn(ctx, ctx.free)
-	case PolicyDimension:
+	case policyDimension:
 		g := preferredGroup(ctx)
 		if v := bestIn(ctx, ctx.free&ctx.groupMask[g]); v >= 0 {
 			return v
 		}
 		return bestIn(ctx, ctx.free)
-	case PolicyBalanced:
+	default: // policyBalanced
 		g := preferredGroup(ctx)
 		// Load balance: if the preferred sub-group already has strictly
 		// more busy VCs than the least-loaded sub-group, steer there so
@@ -107,8 +127,6 @@ func (p PolicyKind) choose(ctx *vaContext) int {
 			return v
 		}
 		return bestIn(ctx, ctx.free)
-	default:
-		panic(fmt.Sprintf("router: unknown VC policy %q", p))
 	}
 }
 

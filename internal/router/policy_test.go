@@ -35,7 +35,7 @@ func TestMaxFreePicksMostCredits(t *testing.T) {
 		[]int8{1, 4, 2, 5, 0, 3},
 		topology.DimX,
 	)
-	if got := PolicyMaxFree.choose(ctx); got != 3 {
+	if got := policyMaxFree.choose(ctx); got != 3 {
 		t.Fatalf("maxfree chose %d, want 3 (5 credits)", got)
 	}
 }
@@ -46,7 +46,7 @@ func TestMaxFreeSkipsBusy(t *testing.T) {
 		[]int8{9, 1, 9, 9, 2, 9},
 		topology.DimY,
 	)
-	if got := PolicyMaxFree.choose(ctx); got != 4 {
+	if got := policyMaxFree.choose(ctx); got != 4 {
 		t.Fatalf("maxfree chose %d, want 4", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestMaxFreeNoFreeVC(t *testing.T) {
 		[]int8{0, 0, 0, 0, 0, 0},
 		topology.DimX,
 	)
-	if got := PolicyMaxFree.choose(ctx); got != -1 {
+	if got := policyMaxFree.choose(ctx); got != -1 {
 		t.Fatalf("choose on all-busy = %d, want -1", got)
 	}
 }
@@ -68,15 +68,15 @@ func TestDimensionGroupPreference(t *testing.T) {
 	free := []bool{true, true, true, true, true, true}
 	creds := []int8{3, 3, 3, 3, 3, 3}
 	ctx := ctx6x2(free, creds, topology.DimX)
-	if got := PolicyDimension.choose(ctx); got > 2 {
+	if got := policyDimension.choose(ctx); got > 2 {
 		t.Fatalf("X continuation assigned VC %d outside sub-group 0", got)
 	}
 	ctx = ctx6x2(free, creds, topology.DimY)
-	if got := PolicyDimension.choose(ctx); got < 3 {
+	if got := policyDimension.choose(ctx); got < 3 {
 		t.Fatalf("Y continuation assigned VC %d outside sub-group 1", got)
 	}
 	ctx = ctx6x2(free, creds, topology.DimLocal)
-	if got := PolicyDimension.choose(ctx); got < 3 {
+	if got := policyDimension.choose(ctx); got < 3 {
 		t.Fatalf("ejecting packet assigned VC %d outside sub-group 1", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestDimensionFallback(t *testing.T) {
 		[]int8{0, 0, 0, 2, 5, 1},
 		topology.DimX,
 	)
-	if got := PolicyDimension.choose(ctx); got != 4 {
+	if got := policyDimension.choose(ctx); got != 4 {
 		t.Fatalf("fallback chose %d, want 4 (most credits in other group)", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 		[]int8{0, 0, 4, 3, 3, 3},
 		topology.DimX,
 	)
-	if got := PolicyBalanced.choose(ctx); got < 3 {
+	if got := policyBalanced.choose(ctx); got < 3 {
 		t.Fatalf("balanced chose %d in overloaded group 0", got)
 	}
 	// Equal occupancy: keep the dimension preference.
@@ -113,7 +113,7 @@ func TestBalancedSteersToLighterGroup(t *testing.T) {
 		[]int8{3, 3, 3, 3, 3, 3},
 		topology.DimX,
 	)
-	if got := PolicyBalanced.choose(ctx); got > 2 {
+	if got := policyBalanced.choose(ctx); got > 2 {
 		t.Fatalf("balanced abandoned dimension preference without load imbalance: %d", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestPoliciesDegenerateAtKOne(t *testing.T) {
 		nextDim:   topology.DimY,
 	}
 	for _, p := range []PolicyKind{PolicyMaxFree, PolicyDimension, PolicyBalanced} {
-		if got := p.choose(ctx); got != 2 {
+		if got := p.resolve().choose(ctx); got != 2 {
 			t.Errorf("%s chose %d at k=1, want 2", p, got)
 		}
 	}
@@ -155,8 +155,9 @@ func TestInterleavedPoliciesPickFromTheirSubgroup(t *testing.T) {
 		}
 		r := New(0, cfg, ports, a, func(outPort, dst int) topology.Dim { return topology.DimX }, nil, nil)
 		const out = 1
-		r.busy[out] = 1<<0 | 1<<3
-		v := r.chooseOVC(out, 0)
+		r.view().busy[out] = 1<<0 | 1<<3
+		sg := r.arena.seg(0)
+		v := r.chooseOVC(sg, out, 0)
 		if g := cfg.Alloc().Subgroup(v); v < 0 || g != 0 {
 			t.Errorf("%s: X-bound packet assigned VC %d (sub-group %d), want sub-group 0", pol, v, g)
 		}
@@ -172,11 +173,7 @@ func TestUnknownPolicyPanics(t *testing.T) {
 			t.Fatal("unknown policy did not panic")
 		}
 	}()
-	PolicyKind("bogus").choose(ctx6x2(
-		[]bool{true, true, true, true, true, true},
-		[]int8{1, 1, 1, 1, 1, 1},
-		topology.DimX,
-	))
+	PolicyKind("bogus").resolve()
 }
 
 // TestInjectionVC pins the router's choice of the local-port VC a new

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"vix/internal/alloc"
-	"vix/internal/sim"
 	"vix/internal/topology"
 )
 
@@ -131,16 +130,10 @@ type NextDimFunc func(outPort, dst int) topology.Dim
 // every VC.
 type VCRangeFunc func(outPort, dst int) (lo, hi int)
 
-// segment returns router slot's n-entry segment of slab, capped so that
-// appending to or reslicing the view cannot reach the next router's.
-func segment[T any](slab []T, slot, n int) []T {
-	return slab[slot*n : (slot+1)*n : (slot+1)*n]
-}
-
-// Arena holds the hot per-router state of every router in one network as
-// contiguous structure-of-arrays slabs. Each router owns one exact-size
-// segment of each slab (sliced out at construction), so a full network
-// tick walks linear memory in router order.
+// Arena holds the state of every router in one network as contiguous
+// structure-of-arrays slabs. Each router owns one exact-size segment of
+// each slab, named by its slot, so a full network tick walks linear memory
+// in router order; the Router struct keeps only its slot and its scalars.
 //
 // Layout per router segment, indexed by ivc = port*VCs + vc:
 //
@@ -172,6 +165,13 @@ func segment[T any](slab []T, slot, n int) []T {
 //	                  noCredit, taken once per Advance
 //	busy     [Ports]  per output port, bit v: downstream VC v is held by
 //	                  an input VC here
+//	rows     [R]      scratch of the grant loop: crossbar rows granted
+//	                  this cycle (R = ceil(Rows/64))
+//
+// and, per port, the port's wiring kind (ports) and the router's scratch:
+// emissions (ems) and freed credits (creds), at most one of each per
+// port a cycle. Advance returns its segments of these two, so the sharded
+// tick hands router-owned slices from phase A to phase B.
 //
 // Each router's switch-allocation request set (one alloc.RequestSet per
 // router, in the sets slab) is the packed form over the same segments:
@@ -182,15 +182,17 @@ func segment[T any](slab []T, slot, n int) []T {
 // them until the one event that can end the block: a tail freeing a VC
 // at that output, or a credit returning to the held VC.
 //
-// The ivc -> port and sub-group -> VC-mask tables depend only on
-// the geometry, so the arena holds one copy for all its routers.
+// The ivc -> port, ivc -> crossbar row and sub-group -> VC-mask tables
+// depend only on the geometry, so the arena holds one copy for all its
+// routers.
 type Arena struct {
 	records Records
-	cfg     Config
+	cfg     Config // the geometry: Ports, VCs, VirtualInputs, BufDepth, Partition
 	n       int
+	pv      int // input VCs per router: Ports*VCs
 
 	maskWords  int // W: words per ivc mask
-	maskStride int // mask words per router: 5W + Ports
+	maskStride int // mask words per router: 5W + Ports + R
 
 	bufs    []Slot
 	head    []int8
@@ -201,8 +203,12 @@ type Arena struct {
 	wait    []int32
 	masks   []uint64
 	sets    []alloc.RequestSet
+	ports   []topology.PortKind
+	ems     []Emission
+	creds   []CreditMsg
 
 	ivcPort   []int32  // per ivc: port
+	ivcRow    []int32  // per ivc: crossbar row, alloc.Config.Row
 	groupMask []uint64 // per sub-group: the VCs alloc.Config.Subgroup maps to it
 }
 
@@ -219,11 +225,12 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	pv := cfg.Ports * cfg.VCs
 	a := &Arena{
 		records:   records,
-		cfg:       cfg,
+		cfg:       Config{Ports: cfg.Ports, VCs: cfg.VCs, VirtualInputs: cfg.VirtualInputs, BufDepth: cfg.BufDepth, Partition: cfg.Partition},
 		n:         numRouters,
+		pv:        pv,
 		maskWords: (pv + 63) / 64,
 	}
-	a.maskStride = 5*a.maskWords + cfg.Ports
+	a.maskStride = 5*a.maskWords + cfg.Ports + (cfg.Alloc().Rows()+63)/64
 	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
 	for i := range a.bufs {
 		a.bufs[i].Flit = NoFlit
@@ -236,66 +243,83 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	a.wait = make([]int32, numRouters*pv)
 	a.masks = make([]uint64, numRouters*a.maskStride)
 	a.sets = make([]alloc.RequestSet, numRouters)
+	a.ports = make([]topology.PortKind, numRouters*cfg.Ports)
+	a.ems = make([]Emission, numRouters*cfg.Ports)
+	a.creds = make([]CreditMsg, numRouters*cfg.Ports)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 		a.credits[i] = int8(cfg.BufDepth)
 	}
+	acfg := cfg.Alloc()
 	a.ivcPort = make([]int32, pv)
+	a.ivcRow = make([]int32, pv)
 	for ivc := 0; ivc < pv; ivc++ {
 		a.ivcPort[ivc] = int32(ivc / cfg.VCs)
+		a.ivcRow[ivc] = int32(acfg.Row(ivc/cfg.VCs, ivc%cfg.VCs))
 	}
 	a.groupMask = make([]uint64, cfg.VirtualInputs)
-	acfg := cfg.Alloc()
 	for v := 0; v < cfg.VCs; v++ {
 		a.groupMask[acfg.Subgroup(v)] |= 1 << uint(v)
 	}
 	return a
 }
 
-// Router is a cycle-accurate virtual-channel router. Its hot state lives
-// in its network's Arena; the struct itself holds slice views into that
-// router's segment of each slab, plus cold configuration and scratch.
+// segment returns router slot's n-entry segment of slab, capped so that
+// appending to or reslicing the view cannot reach the next router's.
+func segment[T any](slab []T, slot, n int) []T {
+	return slab[slot*n : (slot+1)*n : (slot+1)*n]
+}
+
+// seg locates one router's segments in its arena, as offsets into the
+// shared slabs, so that taking it on entry to a method costs a few
+// multiplies and no slice headers: at is the router's first entry in the
+// per-ivc slabs (a bufs ring starts at (at+ivc)*BufDepth), ports its first
+// in the port-kind and scratch slabs, and m the first word of its masks,
+// w words each (see Arena). Its ready words, outPort and wait are also its
+// request set's Ready, Out and Age. A seg is passed by value: it stays in
+// registers.
+type seg struct{ at, ports, m, w int }
+
+// seg returns router slot's offsets.
+func (a *Arena) seg(slot int) seg {
+	return seg{at: slot * a.pv, ports: slot * a.cfg.Ports, m: slot * a.maskStride, w: a.maskWords}
+}
+
+// The first words of the router's masks in the mask slab.
+func (sg seg) nonEmpty() int { return sg.m }
+func (sg seg) hasOVC() int   { return sg.m + sg.w }
+func (sg seg) vaWait() int   { return sg.m + 2*sg.w }
+func (sg seg) noCredit() int { return sg.m + 3*sg.w }
+func (sg seg) ready() int    { return sg.m + 4*sg.w }
+func (sg seg) busy() int     { return sg.m + 5*sg.w }
+
+// has reports whether bit i of the mask starting at word is set.
+func (a *Arena) has(word, i int) bool { return a.masks[word+i>>6]>>uint(i&63)&1 != 0 }
+
+// Router is a cycle-accurate virtual-channel router. Its state lives in
+// its network's Arena, in the segments of slot; the struct holds only
+// what is its own and scalar.
 type Router struct {
 	id int32
 	// occ counts buffered flits across all input VCs, maintained
 	// incrementally (DeliverFlit adds, grant departures subtract) so the
-	// activity-gated tick can test quiescence in O(1). Both are int32 so
-	// they share a word: the struct stays in its allocation size class.
-	occ int32
+	// activity-gated tick can test quiescence in O(1).
+	occ  int32
+	slot int32
 
-	cfg   Config
-	alloc alloc.Allocator
-	idle  alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
-	// list is set when alloc is not a built-in kind: it may read the
-	// request list, so Advance fills reqs.Requests as well.
-	list    bool
-	nextDim NextDimFunc
-	vcRange VCRangeFunc
-	arena   *Arena // its records resolve FlitIDs for Occupancy
-
-	ports []PortInfo
-
-	// Arena segment views (see Arena layout).
-	buf      []Slot
-	head     []int8
-	count    []int8
-	ovc      []int8
-	outPort  []int8
-	credits  []int8
-	wait     []int32
-	nonEmpty sim.Bitset
-	hasOVC   sim.Bitset
-	vaWait   sim.Bitset
-	noCredit sim.Bitset
-	busy     []uint64
+	policy policy // Config.Policy, resolved once
+	// nonSpec is Config.NonSpeculative. list is set when alloc is not a
+	// built-in kind: it may read the request list, so Advance fills
+	// reqs.Requests as well.
+	nonSpec, list bool
 
 	vaOffset int // rotating VC-allocation priority
 
-	reqs *alloc.RequestSet // the arena's: ready, outPort and wait as its packed form
-
-	// scratch
-	ems   []Emission
-	creds []CreditMsg
+	arena   *Arena
+	alloc   alloc.Allocator
+	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
+	nextDim NextDimFunc
+	vcRange VCRangeFunc
 }
 
 // New builds a router. ports describes the wiring class of each port
@@ -316,45 +340,38 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		arena = NewArena(1, cfg, NewFlitArena())
 		slot = 0
 	}
-	if arena.cfg.Ports != cfg.Ports || arena.cfg.VCs != cfg.VCs || arena.cfg.BufDepth != cfg.BufDepth {
-		panic(fmt.Sprintf("router %d: arena geometry %d/%d/%d does not match config %d/%d/%d",
-			id, arena.cfg.Ports, arena.cfg.VCs, arena.cfg.BufDepth, cfg.Ports, cfg.VCs, cfg.BufDepth))
+	// The arena's crossbar-row and sub-group tables come from its own
+	// geometry, so the router's must match it.
+	if arena.cfg.Alloc() != cfg.Alloc() || arena.cfg.BufDepth != cfg.BufDepth {
+		panic(fmt.Sprintf("router %d: arena geometry %+v, depth %d does not match config %+v, depth %d",
+			id, arena.cfg.Alloc(), arena.cfg.BufDepth, cfg.Alloc(), cfg.BufDepth))
 	}
 	if slot < 0 || slot >= arena.n {
 		panic(fmt.Sprintf("router %d: arena holds %d slots", id, arena.n))
 	}
-	pv := cfg.Ports * cfg.VCs
 	r := &Router{
 		id:      int32(id),
-		cfg:     cfg,
+		slot:    int32(slot),
+		policy:  cfg.Policy.resolve(),
+		nonSpec: cfg.NonSpeculative,
+		list:    !alloc.IsBuiltin(allocator),
+		arena:   arena,
 		alloc:   allocator,
 		nextDim: nextDim,
 		vcRange: vcRange,
-		arena:   arena,
-		ports:   append([]PortInfo(nil), ports...),
-
-		buf:     segment(arena.bufs, slot, pv*cfg.BufDepth),
-		head:    segment(arena.head, slot, pv),
-		count:   segment(arena.count, slot, pv),
-		ovc:     segment(arena.ovc, slot, pv),
-		outPort: segment(arena.outPort, slot, pv),
-		credits: segment(arena.credits, slot, pv),
-		wait:    segment(arena.wait, slot, pv),
-
-		ems:   make([]Emission, 0, cfg.Ports),
-		creds: make([]CreditMsg, 0, cfg.Ports),
 	}
-	w := arena.maskWords
-	masks := segment(arena.masks, slot, arena.maskStride)
-	r.nonEmpty = masks[:w:w]
-	r.hasOVC = masks[w : 2*w : 2*w]
-	r.vaWait = masks[2*w : 3*w : 3*w]
-	r.noCredit = masks[3*w : 4*w : 4*w]
-	r.busy = masks[5*w:]
-	r.reqs = &arena.sets[slot]
-	*r.reqs = alloc.RequestSet{Config: cfg.Alloc(), Ready: masks[4*w : 5*w : 5*w], Out: r.outPort, Age: r.wait}
 	r.idle, _ = allocator.(alloc.IdleSkipper)
-	r.list = !alloc.IsBuiltin(allocator)
+	sg := arena.seg(slot)
+	for p, info := range ports {
+		arena.ports[sg.ports+p] = info.Kind
+	}
+	ready := sg.ready()
+	arena.sets[slot] = alloc.RequestSet{
+		Config: cfg.Alloc(),
+		Ready:  arena.masks[ready : ready+sg.w : ready+sg.w],
+		Out:    segment(arena.outPort, slot, arena.pv),
+		Age:    segment(arena.wait, slot, arena.pv),
+	}
 	return r
 }
 
@@ -390,22 +407,27 @@ func (r *Router) DeliverFlit(port, vc int, id FlitID) {
 // its output port at this router. It panics on buffer overflow, which
 // would indicate a flow-control bug.
 func (r *Router) Deliver(port, vc int, s Slot) {
-	ivc := port*r.cfg.VCs + vc
-	if int(r.count[ivc]) >= r.cfg.BufDepth {
+	a := r.arena
+	depth := a.cfg.BufDepth
+	sg := a.seg(int(r.slot))
+	ivc := port*a.cfg.VCs + vc
+	i := sg.at + ivc
+	c := a.count[i]
+	if int(c) >= depth {
 		panic(fmt.Sprintf("router %d: buffer overflow at port %d vc %d", r.id, port, vc))
 	}
-	if s.Route < 0 || int(s.Route) >= r.cfg.Ports {
+	if s.Route < 0 || int(s.Route) >= a.cfg.Ports {
 		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", r.id, s.Route))
 	}
-	if r.count[ivc] == 0 {
-		r.nonEmpty.Set(ivc)
+	if c == 0 {
+		a.masks[sg.nonEmpty()+ivc>>6] |= 1 << uint(ivc&63)
 	}
-	at := int(r.head[ivc]) + int(r.count[ivc])
-	if at >= r.cfg.BufDepth {
-		at -= r.cfg.BufDepth
+	at := int(a.head[i]) + int(c)
+	if at >= depth {
+		at -= depth
 	}
-	r.buf[ivc*r.cfg.BufDepth+at] = s
-	r.count[ivc]++
+	a.bufs[i*depth+at] = s
+	a.count[i] = c + 1
 	r.occ++
 }
 
@@ -413,26 +435,28 @@ func (r *Router) Deliver(port, vc int, s Slot) {
 // a first credit (0 -> 1) can unblock a holder, so the common case is an
 // increment and the rest is out of line.
 func (r *Router) DeliverCredit(outPort, vc int) {
-	cvi := outPort*r.cfg.VCs + vc
-	c := r.credits[cvi]
-	if c == 0 || int(c) >= r.cfg.BufDepth {
+	a := r.arena
+	i := a.seg(int(r.slot)).at + outPort*a.cfg.VCs + vc
+	c := a.credits[i]
+	if c == 0 || int(c) >= a.cfg.BufDepth {
 		r.creditEdge(outPort, vc)
 	}
-	r.credits[cvi] = c + 1
+	a.credits[i] = c + 1
 }
 
 // creditEdge panics on a credit overflow, and on a first credit returns
 // the holder of downstream VC vc of outPort, if it has one, to the
 // switch-allocation request set.
 func (r *Router) creditEdge(outPort, vc int) {
-	if int(r.credits[outPort*r.cfg.VCs+vc]) >= r.cfg.BufDepth {
+	a, sg := r.arena, r.arena.seg(int(r.slot))
+	if int(a.credits[sg.at+outPort*a.cfg.VCs+vc]) >= a.cfg.BufDepth {
 		panic(fmt.Sprintf("router %d: credit overflow at port %d vc %d", r.id, outPort, vc))
 	}
-	for wi, w := range r.noCredit {
+	for wi, w := range a.masks[sg.noCredit() : sg.noCredit()+a.maskWords] {
 		for ; w != 0; w &= w - 1 {
 			ivc := wi<<6 + bits.TrailingZeros64(w)
-			if int(r.outPort[ivc]) == outPort && int(r.ovc[ivc]) == vc {
-				r.noCredit.Clear(ivc)
+			if int(a.outPort[sg.at+ivc]) == outPort && int(a.ovc[sg.at+ivc]) == vc {
+				a.masks[sg.noCredit()+ivc>>6] &^= 1 << uint(ivc&63)
 				return
 			}
 		}
@@ -450,7 +474,8 @@ func (r *Router) Busy() bool { return r.occ > 0 }
 // BufferSpace returns the free flit slots of input (port, vc); the
 // network interface uses it to gate injection at local ports.
 func (r *Router) BufferSpace(port, vc int) int {
-	return r.cfg.BufDepth - int(r.count[port*r.cfg.VCs+vc])
+	a := r.arena
+	return a.cfg.BufDepth - int(a.count[a.seg(int(r.slot)).at+port*a.cfg.VCs+vc])
 }
 
 // Occupancy returns the number of buffered flits across all input VCs.
@@ -462,42 +487,43 @@ func (r *Router) BufferSpace(port, vc int) int {
 // tests call it to cross-check the incremental state against what it
 // summarises.
 func (r *Router) Occupancy() int {
+	a, sg := r.arena, r.arena.seg(int(r.slot))
+	vcs, depth := a.cfg.VCs, a.cfg.BufDepth
 	n := 0
-	for ivc, c := range r.count {
+	for ivc, c := range a.count[sg.at : sg.at+a.pv] {
 		n += int(c)
-		for i := 0; i < int(c); i++ {
-			s := r.buf[ivc*r.cfg.BufDepth+(int(r.head[ivc])+i)%r.cfg.BufDepth]
-			typ, dst, ok := r.arena.records.Header(s.Flit, s.Seq())
-			if !ok {
-				panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d, seq %d)", r.id, i, ivc, s.Flit, s.Seq()))
-			}
-			if s.Type != typ || s.Type.IsHead() && int(s.DstSeq) != dst {
-				panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d.%d as %v (word %d), its record says %v to %d",
-					r.id, i, ivc, s.Flit, s.Seq(), s.Type, s.DstSeq, typ, dst))
-			}
+		i := sg.at + ivc
+		// The ring's occupied slots are at most two contiguous spans: from
+		// the head to the end of the ring, then from its start.
+		ring := a.bufs[i*depth : (i+1)*depth]
+		h := int(a.head[i])
+		if c > 0 {
+			first := min(int(c), depth-h)
+			r.checkSlots(ivc, 0, ring[h:h+first])
+			r.checkSlots(ivc, first, ring[:int(c)-first])
 		}
-		bit := uint64(1) << uint(ivc&63)
-		if (r.nonEmpty[ivc>>6]&bit != 0) != (c > 0) {
+		ovc := a.ovc[i]
+		if a.has(sg.nonEmpty(), ivc) != (c > 0) {
 			panic(fmt.Sprintf("router %d: nonEmpty mask disagrees with count %d at ivc %d", r.id, c, ivc))
 		}
-		if (r.hasOVC[ivc>>6]&bit != 0) != (r.ovc[ivc] >= 0) {
-			panic(fmt.Sprintf("router %d: hasOVC mask disagrees with ovc %d at ivc %d", r.id, r.ovc[ivc], ivc))
+		if a.has(sg.hasOVC(), ivc) != (ovc >= 0) {
+			panic(fmt.Sprintf("router %d: hasOVC mask disagrees with ovc %d at ivc %d", r.id, ovc, ivc))
 		}
-		out := int(r.outPort[ivc])
-		starved := r.ovc[ivc] >= 0 && r.ports[out].Kind == topology.Link && r.credits[out*r.cfg.VCs+int(r.ovc[ivc])] == 0
-		if (r.noCredit[ivc>>6]&bit != 0) != starved {
-			panic(fmt.Sprintf("router %d: noCredit mask disagrees with ovc %d at ivc %d", r.id, r.ovc[ivc], ivc))
+		out := int(a.outPort[i])
+		starved := ovc >= 0 && a.ports[sg.ports+out] == topology.Link && a.credits[sg.at+out*vcs+int(ovc)] == 0
+		if a.has(sg.noCredit(), ivc) != starved {
+			panic(fmt.Sprintf("router %d: noCredit mask disagrees with ovc %d at ivc %d", r.id, ovc, ivc))
 		}
-		if r.vaWait[ivc>>6]&bit != 0 {
-			if c == 0 || r.ovc[ivc] >= 0 {
+		if a.has(sg.vaWait(), ivc) {
+			if c == 0 || ovc >= 0 {
 				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, which awaits no VC", r.id, ivc))
 			}
-			front := r.buf[ivc*r.cfg.BufDepth+int(r.head[ivc])]
-			lo, hi := 0, r.cfg.VCs
+			front := ring[h]
+			lo, hi := 0, vcs
 			if r.vcRange != nil {
 				lo, hi = r.vcRange(out, int(front.DstSeq)) // a head: its destination
 			}
-			if out != int(front.Route) || vcSpan(lo, hi)&^r.busy[out] != 0 {
+			if out != int(front.Route) || vcSpan(lo, hi)&^a.masks[sg.busy()+out] != 0 {
 				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, but an admitted VC at port %d is free", r.id, ivc, out))
 			}
 		}
@@ -508,8 +534,27 @@ func (r *Router) Occupancy() int {
 	return n
 }
 
+// checkSlots panics unless every slot of span, the buffered flits of ivc
+// from the from-th on, agrees with the record of the flit it names.
+func (r *Router) checkSlots(ivc, from int, span []Slot) {
+	records := r.arena.records
+	for i, s := range span {
+		typ, dst, ok := records.Header(s.Flit, s.Seq())
+		if !ok {
+			panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d, seq %d)", r.id, from+i, ivc, s.Flit, s.Seq()))
+		}
+		if s.Type != typ || s.Type.IsHead() && int(s.DstSeq) != dst {
+			panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d.%d as %v (word %d), its record says %v to %d",
+				r.id, from+i, ivc, s.Flit, s.Seq(), s.Type, s.DstSeq, typ, dst))
+		}
+	}
+}
+
 // Credits exposes the credit count for (outPort, vc); used by tests.
-func (r *Router) Credits(outPort, vc int) int { return int(r.credits[outPort*r.cfg.VCs+vc]) }
+func (r *Router) Credits(outPort, vc int) int {
+	a := r.arena
+	return int(a.credits[a.seg(int(r.slot)).at+outPort*a.cfg.VCs+vc])
+}
 
 // Tick is Advance for a standalone router whose caller reads the flit
 // records: it also writes each emitted flit's granted output VC and hop
@@ -536,65 +581,89 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // replay. The activity-gated network tick clears a quiesced router's
 // activity bit and stops advancing it.
 //
-// It reads and writes only this router's arena segment: everything a hop
-// needs of a flit is in its buffer slot. Both returned slices are
-// router-owned scratch, valid only until the next Advance call; callers
-// must consume (or copy) them within the cycle.
+// It reads and writes only this router's arena segments: everything a hop
+// needs of a flit is in its buffer slot. Both returned slices are the
+// router's segments of the arena's scratch, valid only until the next
+// Advance call; callers must consume (or copy) them within the cycle.
 func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) {
-	r.ems = r.ems[:0]
-	r.creds = r.creds[:0]
-	if r.cfg.NonSpeculative {
-		r.takeRequests()
-		r.allocateVCs()
+	a := r.arena
+	slot := int(r.slot)
+	sg := a.seg(slot)
+	reqs := &a.sets[slot]
+	if r.nonSpec {
+		r.takeRequests(sg, reqs.Ready)
+		r.allocateVCs(sg)
 	} else {
-		r.allocateVCs()
-		r.takeRequests()
+		r.allocateVCs(sg)
+		r.takeRequests(sg, reqs.Ready)
 	}
 	if r.list {
-		r.listRequests()
+		r.listRequests(reqs)
 	}
-	grants := r.alloc.Allocate(r.reqs)
+	ready, outPort, wait := reqs.Ready, reqs.Out, reqs.Age
+	grants := r.alloc.Allocate(reqs)
 	// Every request waited this cycle; a granted one's wait restarts below.
-	for wi, w := range r.reqs.Ready {
+	for wi, w := range ready {
 		for ; w != 0; w &= w - 1 {
-			r.wait[wi<<6+bits.TrailingZeros64(w)]++
+			wait[wi<<6+bits.TrailingZeros64(w)]++
 		}
 	}
 	// A grant the router cannot carry out panics. Lowering a granted VC's
-	// request refuses a second grant to it.
+	// request refuses a second grant to it. The loop indexes local views
+	// of the router's segments: the compiler keeps their headers in
+	// registers, where an arena field would be reloaded after every store.
+	ems = a.ems[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
+	credits = a.creds[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
+	if len(grants) == 0 {
+		return ems, credits, r.occ == 0
+	}
+	vcs, depth, pv, w := a.cfg.VCs, a.cfg.BufDepth, a.pv, sg.w
+	bufs := a.bufs[sg.at*depth : (sg.at+pv)*depth]
+	head, count, ovcs, cred := a.head[sg.at:sg.at+pv], a.count[sg.at:sg.at+pv], a.ovc[sg.at:sg.at+pv], a.credits[sg.at:sg.at+pv]
+	ports := a.ports[sg.ports : sg.ports+a.cfg.Ports]
+	masks := a.masks[sg.m : sg.m+a.maskStride] // nonEmpty, hasOVC, vaWait, noCredit, ready, busy, rows
+	rows := masks[5*w+a.cfg.Ports:]
+	clear(rows)
 	var granted [2]uint64 // outputs granted so far: MaxPorts < 128
-	for _, g := range grants {
+	for gi, g := range grants {
 		ivc, out := g.IVC, g.OutPort
-		if uint(ivc) >= uint(len(r.outPort)) || r.reqs.Ready[ivc>>6]>>uint(ivc&63)&1 == 0 {
+		if uint(ivc) >= uint(len(outPort)) || ready[ivc>>6]>>uint(ivc&63)&1 == 0 {
 			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC has no request left this cycle", r.id, ivc, out))
 		}
-		if want := int(r.outPort[ivc]); out != want {
+		if want := int(outPort[ivc]); out != want {
 			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC requests output %d", r.id, ivc, out, want))
 		}
 		if granted[out>>6]>>uint(out&63)&1 != 0 {
 			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, which is already granted", r.id, ivc, out))
 		}
-		r.reqs.Ready[ivc>>6] &^= 1 << uint(ivc&63)
+		// A crossbar row carries one flit a cycle.
+		if row := int(a.ivcRow[ivc]); rows[row>>6]>>uint(row&63)&1 != 0 {
+			r.refuseRow(grants[:gi], ivc, out, row)
+		} else {
+			rows[row>>6] |= 1 << uint(row&63)
+		}
+		bit := uint64(1) << uint(ivc&63)
+		ready[ivc>>6] &^= bit
 		granted[out>>6] |= 1 << uint(out&63)
-		port := int(r.arena.ivcPort[ivc])
-		r.wait[ivc] = 0
-		h := int(r.head[ivc])
-		s := r.buf[ivc*r.cfg.BufDepth+h]
+		port := int(a.ivcPort[ivc])
+		wait[ivc] = 0
+		h := int(head[ivc])
+		s := bufs[ivc*depth+h]
 		h++
-		if h == r.cfg.BufDepth {
+		if h == depth {
 			h = 0
 		}
-		r.head[ivc] = int8(h)
-		r.count[ivc]--
+		head[ivc] = int8(h)
+		count[ivc]--
 		r.occ--
-		if r.count[ivc] == 0 {
-			r.nonEmpty.Clear(ivc)
+		if count[ivc] == 0 {
+			masks[ivc>>6] &^= bit // nonEmpty
 		}
-		ovc := r.ovc[ivc]
-		if r.ports[out].Kind == topology.Link {
-			cvi := out*r.cfg.VCs + int(ovc)
-			r.credits[cvi]--
-			if r.credits[cvi] < 0 {
+		ovc := ovcs[ivc]
+		if ports[out] == topology.Link {
+			cvi := out*vcs + int(ovc)
+			cred[cvi]--
+			if cred[cvi] < 0 {
 				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, out, ovc))
 			}
 			s.Hops++
@@ -602,22 +671,33 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 			// tail takes the VC with it, so only a holder that stays can
 			// run out.
 			if s.Type.IsTail() {
-				r.busy[out] &^= 1 << uint(ovc)
-				r.wakeVA(out)
-			} else if r.credits[cvi] == 0 {
-				r.noCredit.Set(ivc)
+				masks[5*w+out] &^= 1 << uint(ovc) // busy
+				r.wakeVA(sg, out)
+			} else if cred[cvi] == 0 {
+				masks[3*w+ivc>>6] |= bit // noCredit
 			}
 		}
 		if s.Type.IsTail() {
-			r.ovc[ivc] = -1
-			r.hasOVC.Clear(ivc)
+			ovcs[ivc] = -1
+			masks[w+ivc>>6] &^= bit // hasOVC
 		}
-		r.ems = append(r.ems, Emission{OutPort: out, Slot: s, VC: ovc})
-		if r.ports[port].Kind == topology.Link {
-			r.creds = append(r.creds, CreditMsg{Port: port, VC: ivc - port*r.cfg.VCs})
+		ems = append(ems, Emission{OutPort: out, Slot: s, VC: ovc})
+		if ports[port] == topology.Link {
+			credits = append(credits, CreditMsg{Port: port, VC: ivc - port*vcs})
 		}
 	}
-	return r.ems, r.creds, r.occ == 0
+	return ems, credits, r.occ == 0
+}
+
+// refuseRow panics on a grant of input VC ivc to output out from crossbar
+// row, which one of the earlier grants of the cycle already took.
+func (r *Router) refuseRow(earlier []alloc.Grant, ivc, out, row int) {
+	for _, e := range earlier {
+		if int(r.arena.ivcRow[e.IVC]) == row {
+			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but input VC %d, granted this cycle, shares its crossbar row %d",
+				r.id, ivc, out, e.IVC, row))
+		}
+	}
 }
 
 // SkipIdle fast-forwards the router across cycles consecutive ticks
@@ -638,10 +718,11 @@ func (r *Router) SkipIdle(cycles int) {
 		r.idle.SkipIdle(cycles)
 		return
 	}
-	clear(r.reqs.Ready)
-	r.reqs.Requests = r.reqs.Requests[:0]
+	reqs := &r.arena.sets[r.slot]
+	clear(reqs.Ready)
+	reqs.Requests = reqs.Requests[:0]
 	for i := 0; i < cycles; i++ {
-		r.alloc.Allocate(r.reqs)
+		r.alloc.Allocate(reqs)
 	}
 }
 
@@ -650,16 +731,17 @@ func (r *Router) SkipIdle(cycles int) {
 // the input VCs awaiting one — nonEmpty, not hasOVC and not vaWait — are
 // visited, in a rotating order for long-run fairness: ascending from the
 // priority offset to the top, then from zero up to the offset.
-func (r *Router) allocateVCs() {
+func (r *Router) allocateVCs(sg seg) {
+	masks, w := r.arena.masks[sg.m:sg.m+r.arena.maskStride], sg.w // nonEmpty, hasOVC, vaWait, …
 	var pending uint64
-	for wi, w := range r.nonEmpty {
-		pending |= w &^ r.hasOVC[wi] &^ r.vaWait[wi]
+	for wi := range w {
+		pending |= masks[wi] &^ masks[w+wi] &^ masks[2*w+wi]
 	}
 	if pending != 0 {
-		total := r.cfg.Ports * r.cfg.VCs
+		total := r.arena.pv
 		start := r.vaOffset % total
-		r.allocateVCRange(start, total)
-		r.allocateVCRange(0, start)
+		r.allocateVCRange(sg, masks, start, total)
+		r.allocateVCRange(sg, masks, 0, start)
 	}
 	r.vaOffset++
 }
@@ -667,17 +749,18 @@ func (r *Router) allocateVCs() {
 // allocateVCRange runs VC allocation for the pending input VCs in
 // [lo, hi), ascending. Allocating one input VC changes no other's
 // pending bit, so each word is read once.
-func (r *Router) allocateVCRange(lo, hi int) {
+func (r *Router) allocateVCRange(sg seg, masks []uint64, lo, hi int) {
+	w := sg.w
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		w := r.nonEmpty[wi] &^ r.hasOVC[wi] &^ r.vaWait[wi]
+		word := masks[wi] &^ masks[w+wi] &^ masks[2*w+wi]
 		if wi == lo>>6 {
-			w = w >> uint(lo&63) << uint(lo&63)
+			word = word >> uint(lo&63) << uint(lo&63)
 		}
 		if top := hi - wi<<6; top < 64 {
-			w &= 1<<uint(top) - 1
+			word &= 1<<uint(top) - 1
 		}
-		for ; w != 0; w &= w - 1 {
-			r.allocateVC(wi<<6 + bits.TrailingZeros64(w))
+		for ; word != 0; word &= word - 1 {
+			r.allocateVC(sg, masks, wi<<6+bits.TrailingZeros64(word))
 		}
 	}
 }
@@ -685,31 +768,35 @@ func (r *Router) allocateVCRange(lo, hi int) {
 // allocateVC tries to acquire an output VC for the head flit fronting
 // input VC ivc. On failure every VC the head may take at its output is
 // busy, and only a tail freeing one can change that, so the head parks
-// in vaWait with its output recorded until wakeVA returns it.
-func (r *Router) allocateVC(ivc int) {
-	front := &r.buf[ivc*r.cfg.BufDepth+int(r.head[ivc])]
+// in vaWait with its output recorded until wakeVA returns it. masks is
+// the router's mask segment.
+func (r *Router) allocateVC(sg seg, masks []uint64, ivc int) {
+	a, w := r.arena, sg.w
+	i := sg.at + ivc
+	front := &a.bufs[i*a.cfg.BufDepth+int(a.head[i])]
 	if !front.Type.IsHead() {
 		// A body flit without a valid output VC cannot occur: the VC
 		// is held from head grant to tail departure.
 		panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
 	}
 	out := int(front.Route)
-	v := 0
-	if r.ports[out].Kind != topology.Local {
-		if v = r.chooseOVC(out, int(front.DstSeq)); v < 0 {
-			r.outPort[ivc] = int8(out)
-			r.vaWait.Set(ivc)
+	bit := uint64(1) << uint(ivc&63)
+	vc := 0
+	if a.ports[sg.ports+out] != topology.Local {
+		if vc = r.chooseOVC(sg, out, int(front.DstSeq)); vc < 0 {
+			a.outPort[i] = int8(out)
+			masks[2*w+ivc>>6] |= bit // vaWait
 			return
 		}
-		r.busy[out] |= 1 << uint(v)
-		if r.credits[out*r.cfg.VCs+v] == 0 {
-			r.noCredit.Set(ivc)
+		masks[5*w+out] |= 1 << uint(vc) // busy
+		if a.credits[sg.at+out*a.cfg.VCs+vc] == 0 {
+			masks[3*w+ivc>>6] |= bit // noCredit
 		}
 	}
-	// Ejection needs no downstream VC (v stays 0): the sink absorbs at
+	// Ejection needs no downstream VC (vc stays 0): the sink absorbs at
 	// link bandwidth, serialised per output port by switch allocation.
-	r.ovc[ivc], r.outPort[ivc] = int8(v), int8(out)
-	r.hasOVC.Set(ivc)
+	a.ovc[i], a.outPort[i] = int8(vc), int8(out)
+	masks[w+ivc>>6] |= bit // hasOVC
 }
 
 // wakeVA returns every head waiting on output out to VC allocation: a
@@ -717,37 +804,42 @@ func (r *Router) allocateVC(ivc int) {
 // woken head's admitted range (a torus dateline class); that head fails
 // its next try and parks again, exactly as its retry would have, so no
 // choice changes. Clearing a busy bit happens nowhere else.
-func (r *Router) wakeVA(out int) {
-	for wi, w := range r.vaWait {
+func (r *Router) wakeVA(sg seg, out int) {
+	a := r.arena
+	vaWait := a.masks[sg.vaWait() : sg.vaWait()+sg.w]
+	outPort := a.outPort[sg.at : sg.at+a.pv]
+	for wi, w := range vaWait {
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			if int(r.outPort[wi<<6+b]) == out {
-				r.vaWait[wi] &^= 1 << uint(b)
+			if int(outPort[wi<<6+b]) == out {
+				vaWait[wi] &^= 1 << uint(b)
 			}
 		}
 	}
 }
 
 // chooseOVC applies the configured Section 2.3 policy to output port out.
-func (r *Router) chooseOVC(out, dst int) int {
-	vcs := r.cfg.VCs
+func (r *Router) chooseOVC(sg seg, out, dst int) int {
+	a := r.arena
+	vcs := a.cfg.VCs
 	lo, hi := 0, vcs
 	if r.vcRange != nil {
 		lo, hi = r.vcRange(out, dst)
 	}
-	busy := r.busy[out]
+	busy := a.masks[sg.busy()+out]
 	free := ^busy & vcSpan(lo, hi)
 	if free == 0 {
 		return -1
 	}
+	at := sg.at + out*vcs
 	ctx := vaContext{
 		free:      free,
 		busy:      busy,
-		credits:   r.credits[out*vcs : out*vcs+vcs],
-		groupMask: r.arena.groupMask,
+		credits:   a.credits[at : at+vcs],
+		groupMask: a.groupMask,
 		nextDim:   r.nextDim(out, dst),
 	}
-	return r.cfg.Policy.choose(&ctx)
+	return r.policy.choose(&ctx)
 }
 
 // InjectionVC picks the VC of local input port a new packet starts in,
@@ -759,9 +851,11 @@ func (r *Router) chooseOVC(out, dst int) int {
 func (r *Router) InjectionVC(port int, dim topology.Dim) int {
 	var space [alloc.MaxVCs]int8
 	var free uint64
-	vcs := r.cfg.VCs
-	for vc, c := range r.count[port*vcs : port*vcs+vcs] {
-		if s := int8(r.cfg.BufDepth) - c; s > 0 {
+	a := r.arena
+	vcs, depth := a.cfg.VCs, int8(a.cfg.BufDepth)
+	at := a.seg(int(r.slot)).at + port*vcs
+	for vc, c := range a.count[at : at+vcs] {
+		if s := depth - c; s > 0 {
 			space[vc] = s
 			free |= 1 << uint(vc)
 		}
@@ -769,30 +863,32 @@ func (r *Router) InjectionVC(port int, dim topology.Dim) int {
 	if free == 0 {
 		return -1
 	}
-	ctx := vaContext{free: free, credits: space[:vcs], groupMask: r.arena.groupMask, nextDim: dim}
-	return PolicyDimension.choose(&ctx)
+	ctx := vaContext{free: free, credits: space[:vcs], groupMask: a.groupMask, nextDim: dim}
+	return policyDimension.choose(&ctx)
 }
 
-// takeRequests takes this cycle's switch-allocation request set: every
-// input VC whose front flit has an output VC with a downstream credit
-// (hasOVC and not noCredit) requests its packet's output port. The
-// ready words are the set's packed form; outPort and wait already are.
-func (r *Router) takeRequests() {
-	for wi, w := range r.nonEmpty {
-		r.reqs.Ready[wi] = w & r.hasOVC[wi] &^ r.noCredit[wi]
+// takeRequests takes this cycle's switch-allocation request set into
+// ready: every input VC whose front flit has an output VC with a
+// downstream credit (hasOVC and not noCredit) requests its packet's
+// output port. The ready words are the set's packed form; outPort and
+// wait already are.
+func (r *Router) takeRequests(sg seg, ready []uint64) {
+	masks := r.arena.masks
+	for wi := range ready {
+		ready[wi] = masks[sg.nonEmpty()+wi] & masks[sg.hasOVC()+wi] &^ masks[sg.noCredit()+wi]
 	}
 }
 
 // listRequests fills the request list from the ready words, in ascending
 // (port, VC) order, for an allocator that is not a built-in kind.
-func (r *Router) listRequests() {
-	r.reqs.Requests = r.reqs.Requests[:0]
-	for wi, w := range r.reqs.Ready {
+func (r *Router) listRequests(reqs *alloc.RequestSet) {
+	reqs.Requests = reqs.Requests[:0]
+	for wi, w := range reqs.Ready {
 		for ; w != 0; w &= w - 1 {
 			ivc := wi<<6 + bits.TrailingZeros64(w)
 			port := int(r.arena.ivcPort[ivc])
-			r.reqs.Requests = append(r.reqs.Requests, alloc.Request{
-				Port: port, VC: ivc - port*r.cfg.VCs, OutPort: int(r.outPort[ivc]), Age: int(r.wait[ivc]),
+			reqs.Requests = append(reqs.Requests, alloc.Request{
+				Port: port, VC: ivc - port*r.arena.cfg.VCs, OutPort: int(reqs.Out[ivc]), Age: int(reqs.Age[ivc]),
 			})
 		}
 	}

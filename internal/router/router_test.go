@@ -2,8 +2,8 @@ package router
 
 import (
 	"math"
+	"runtime"
 	"testing"
-	"unsafe"
 
 	"vix/internal/alloc"
 	"vix/internal/topology"
@@ -297,7 +297,7 @@ func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
 		"dst":  func(r *Router, id FlitID) { r.Flits().At(id).Dst++ },
 		"type": func(r *Router, id FlitID) { r.Flits().At(id).Type = Body },
 		"seq":  func(r *Router, id FlitID) { r.Flits().At(id).Seq++ },
-		"id":   func(r *Router, id FlitID) { r.buf[(1*r.cfg.VCs+2)*r.cfg.BufDepth].Flit = NoFlit },
+		"id":   func(r *Router, id FlitID) { r.view().buf[(1*r.arena.cfg.VCs+2)*r.arena.cfg.BufDepth].Flit = NoFlit },
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := testRouter(t, baseConfig())
@@ -305,7 +305,7 @@ func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
 			if r.Occupancy() != 1 {
 				t.Fatalf("occupancy %d, want 1", r.Occupancy())
 			}
-			corrupt(r, r.buf[(1*r.cfg.VCs+2)*r.cfg.BufDepth].Flit)
+			corrupt(r, r.view().buf[(1*r.arena.cfg.VCs+2)*r.arena.cfg.BufDepth].Flit)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("Occupancy accepted a slot that disagrees with its flit record")
@@ -567,8 +567,8 @@ func TestTwoWordMasksRotateLikeTheDenseScan(t *testing.T) {
 			}
 			// The first tick's one switch grant moved a head, not a tail,
 			// so every VC allocated in it is still held.
-			if r.ovc[ivc] != want {
-				t.Errorf("start %d: ivc %d holds output VC %d, want %d", start, ivc, r.ovc[ivc], want)
+			if r.view().ovc[ivc] != want {
+				t.Errorf("start %d: ivc %d holds output VC %d, want %d", start, ivc, r.view().ovc[ivc], want)
 			}
 		}
 		for tick := 0; r.Busy(); tick++ {
@@ -594,11 +594,43 @@ func (r *Router) tickChecked(t *testing.T) []Emission {
 	return ems
 }
 
-// A network allocates one Router per router, and Go adds an 8-byte malloc
-// header to a pointerful object over 512 B: the struct plus that header
-// must stay within the 640 B size class.
-func TestRouterStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Router{}) + 8; size > 640 {
-		t.Errorf("Router allocates %d bytes with its malloc header, past the 640 B size class", size)
+// TestRouterFootprintIsPinned holds what router.New allocates beside a
+// shared arena, averaged over 1024 routers at 5 ports, 6 VCs and k = 2:
+// the Router struct alone (80 B), since every per-router array — buffers,
+// masks, request set, port kinds and the emission and credit scratch — is
+// a segment of the arena.
+func TestRouterFootprintIsPinned(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector pads heap objects; the pin is a normal build's bytes")
+	}
+	const n, pin = 1024, 128
+	cfg := baseConfig()
+	cfg.VirtualInputs, cfg.Policy = 2, PolicyBalanced
+	ports := make([]PortInfo, cfg.Ports)
+	for p := range ports {
+		ports[p] = PortInfo{Kind: topology.Link, Dim: topology.DimX}
+	}
+	a, err := alloc.New(cfg.AllocKind, cfg.Alloc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextDim := func(outPort, dst int) topology.Dim { return topology.DimX }
+	arena := NewArena(n, cfg, NewFlitArena())
+	keep := make([]*Router, n)
+	least := uint64(1 << 63)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = New(i, cfg, ports, a, nextDim, nil, arena)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	runtime.KeepAlive(keep)
+	if least > pin {
+		t.Errorf("router.New allocates %d B per router beside its arena, pinned at %d B", least, pin)
+	} else {
+		t.Logf("router.New allocates %d B per router beside its arena (pin %d B)", least, pin)
 	}
 }

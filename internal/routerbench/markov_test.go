@@ -12,29 +12,33 @@ import (
 
 // The testbench's rules — every VC backlogged, a head keeps its output
 // until granted, a granted VC redraws its output uniformly — make a small
-// router a finite Markov chain whose stationary efficiency is exact. A
-// chain is built by breadth-first search from one start state: next
-// emits a state's successors with their probabilities and returns the
-// flits the state moves.
+// router a finite Markov chain whose stationary efficiency and per-VC
+// grant rates are exact. A chain is built by breadth-first search from one
+// start state: next emits a state's successors with their probabilities
+// and returns the input VCs (port·VCs + VC) the state grants.
 
 // chain is a finite Markov chain in compressed sparse rows: state s
-// moves to to[i] with probability p[i] for i in start[s]..start[s+1].
+// moves to to[i] with probability p[i] for i in start[s]..start[s+1], and
+// grants input VCs vcs[vcStart[s]:vcStart[s+1]] in the cycle that leaves
+// it. A chain whose states do not name VCs (the ideal one: its VCs are
+// exchangeable) records only the grant count, as that many entries of -1.
 type chain struct {
-	start []int
-	to    []int32
-	p     []float64
-	flits []int // per state: flits moved in the cycle that leaves it
+	start   []int
+	to      []int32
+	p       []float64
+	vcStart []int
+	vcs     []int8
 }
 
-func (c *chain) states() int { return len(c.flits) }
+func (c *chain) states() int { return len(c.vcStart) - 1 }
 
-func buildChain(start uint64, next func(s uint64, emit func(t uint64, p float64)) (flits int)) *chain {
-	c := &chain{start: []int{0}}
+func buildChain(start uint64, next func(s uint64, emit func(t uint64, p float64)) (granted []int)) *chain {
+	c := &chain{start: []int{0}, vcStart: []int{0}}
 	index := map[uint64]int32{start: 0}
 	queue := []uint64{start}
 	for i := 0; i < len(queue); i++ {
 		at := map[int32]int{} // successor -> its entry in to
-		flits := next(queue[i], func(t uint64, p float64) {
+		granted := next(queue[i], func(t uint64, p float64) {
 			id, ok := index[t]
 			if !ok {
 				id = int32(len(queue))
@@ -50,14 +54,19 @@ func buildChain(start uint64, next func(s uint64, emit func(t uint64, p float64)
 			c.p[j] += p
 		})
 		c.start = append(c.start, len(c.to))
-		c.flits = append(c.flits, flits)
+		for _, v := range granted {
+			c.vcs = append(c.vcs, int8(v))
+		}
+		c.vcStart = append(c.vcStart, len(c.vcs))
 	}
 	return c
 }
 
-// efficiency runs power iteration to the stationary distribution and
-// returns the expected flits per cycle over radix.
-func (c *chain) efficiency(radix int) float64 {
+// solve runs power iteration to the stationary distribution and returns
+// the expected flits per cycle over radix, and each of the ivcs input
+// VCs' expected grants per cycle; an unnamed grant counts 1/ivcs to every
+// VC.
+func (c *chain) solve(radix, ivcs int) (efficiency float64, perVC []float64) {
 	n := c.states()
 	pi, next := make([]float64, n), make([]float64, n)
 	for i := range pi {
@@ -76,11 +85,20 @@ func (c *chain) efficiency(radix int) float64 {
 		}
 		pi, next = next, pi
 	}
-	e := 0.0
+	perVC = make([]float64, ivcs)
 	for s, p := range pi {
-		e += p * float64(c.flits[s])
+		for _, v := range c.vcs[c.vcStart[s]:c.vcStart[s+1]] {
+			efficiency += p
+			if v < 0 {
+				for i := range perVC {
+					perVC[i] += p / float64(ivcs)
+				}
+				continue
+			}
+			perVC[v] += p
+		}
 	}
-	return e / float64(radix)
+	return efficiency / float64(radix), perVC
 }
 
 // redraws calls visit with every way n granted VCs redraw their outputs
@@ -136,7 +154,7 @@ func idealChain(radix, vcs int) *chain {
 	}
 	start := make([]int, radix)
 	start[0] = radix * vcs
-	return buildChain(encode(start), func(s uint64, emit func(uint64, float64)) int {
+	return buildChain(encode(start), func(s uint64, emit func(uint64, float64)) []int {
 		counts := decode(s)
 		granted := 0
 		for o := range counts {
@@ -161,7 +179,7 @@ func idealChain(radix, vcs int) *chain {
 			}
 		}
 		land(0, granted, 1)
-		return granted
+		return slices.Repeat([]int{-1}, granted)
 	})
 }
 
@@ -205,7 +223,7 @@ func ifChain(radix, vcs, k int) *chain {
 		return st
 	}
 	zero := state{make([]int, radix*vcs), make([]int, rows), make([]int, radix)}
-	return buildChain(encode(zero), func(s uint64, emit func(uint64, float64)) int {
+	return buildChain(encode(zero), func(s uint64, emit func(uint64, float64)) []int {
 		st := decode(s)
 		// cand[r] is the VC row r's input arbiter offers.
 		cand := make([]int, rows)
@@ -231,7 +249,7 @@ func ifChain(radix, vcs, k int) *chain {
 			}
 			emit(encode(st), p)
 		})
-		return len(granted)
+		return granted
 	})
 }
 
@@ -297,7 +315,7 @@ func wavefrontChain(radix, vcs, k int) *chain {
 	rows, group, n := radix*k, vcs/k, max(radix*k, radix)
 	base := append([]uint64{uint64(n)}, slices.Repeat([]uint64{uint64(group)}, rows)...)
 	base = append(base, slices.Repeat([]uint64{uint64(radix)}, radix*vcs)...)
-	return buildChain(0, func(s uint64, emit func(uint64, float64)) int {
+	return buildChain(0, func(s uint64, emit func(uint64, float64)) []int {
 		st := unpack(s, base)
 		prio, ptr, out := st[0], st[1:1+rows], st[1+rows:]
 		rowBusy, outBusy := make([]bool, rows), make([]bool, radix)
@@ -316,7 +334,7 @@ func wavefrontChain(radix, vcs, k int) *chain {
 		}
 		st[0] = (prio + 1) % n
 		emitRedraws(st, out, granted, base, radix, emit)
-		return len(granted)
+		return granted
 	})
 }
 
@@ -329,7 +347,7 @@ func wavefrontChain(radix, vcs, k int) *chain {
 func apChain(radix, vcs, k int) *chain {
 	rows, group := radix*k, vcs/k
 	base := append(slices.Repeat([]uint64{uint64(group)}, rows), slices.Repeat([]uint64{uint64(radix)}, radix*vcs)...)
-	return buildChain(0, func(s uint64, emit func(uint64, float64)) int {
+	return buildChain(0, func(s uint64, emit func(uint64, float64)) []int {
 		st := unpack(s, base)
 		ptr, out := st[:rows], st[rows:]
 		match := slices.Repeat([]int{-1}, radix) // per output: its row
@@ -357,26 +375,29 @@ func apChain(radix, vcs, k int) *chain {
 			}
 		}
 		emitRedraws(st, out, granted, base, radix, emit)
-		return len(granted)
+		return granted
 	})
 }
 
 // TestFigure7MatchesExactChains solves the exact chains of eleven small
-// testbench points and holds routerbench.Run, over ten seeds, to within
-// four standard errors of each. The state counts and exact values are
-// pinned too, so a change to a model or the solver shows as such. Each
-// row names an allocator change it cannot see; what it does catch: a
-// wavefront whose priority diagonal never rotates reads 0.75 at P = 2
-// and 0.728 at P = 3, and an augmenting path that never augments (a
-// greedy matching) 0.813 at P = 2 and 0.769 at P = 3.
+// testbench points and holds the testbench, over ten seeds, to within four
+// standard errors of each: its efficiency, and every input VC's grants per
+// cycle, which it counts from its own grants. The state counts and exact
+// efficiencies are pinned too, so a change to a model or the solver shows
+// as such. Each row names an allocator change it cannot see. Efficiency
+// alone catches a wavefront whose priority diagonal never rotates (0.75
+// at P = 2, 0.728 at P = 3) and an augmenting path that never augments (a
+// greedy matching: 0.813 and 0.769); the per-VC rates also catch a frozen
+// input pointer (every k = 1 if row), a frozen output pointer (every if
+// and ideal row), a frozen VC pointer (wavefront and ap) and a descending
+// augmenting search (both ap rows).
 func TestFigure7MatchesExactChains(t *testing.T) {
 	const seeds, measure = 10, 20000
 	const (
-		noArbiter  = "any arbiter detail: ideal has no arbiter"
-		ifOrder    = "every pointer order: with two outputs every order grants as many"
-		anyVCPick  = "the VC pointer: the VCs it picks among request one output, so any pick grants as many"
-		anyMaximum = "the search order and the VC pointer: every maximum matching grants as many"
-		ifFrozen   = "either arbiter pointer frozen alone: an input pointer, or an output pointer, that never moves still reads within 4 SE, so P = 3 is not where arbiter order first shows"
+		oneVCRows = "the input pointer: each row holds one VC, so it has no choice to make"
+		caught    = "none of the planted faults: a frozen input or output pointer fails it"
+		loneMoves = "whether or not a lone requester moves the VC pointer"
+		apCaught  = "none of the planted faults: a descending search, a frozen VC pointer, or one a lone requester moves fails it"
 	)
 	for _, tc := range []struct {
 		kind          alloc.Kind
@@ -385,17 +406,17 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 		exact         float64
 		blindTo       string
 	}{
-		{alloc.KindIdeal, 4, 6, 6, 169, 0.937644, noArbiter},
-		{alloc.KindIdeal, 5, 6, 6, 674, 0.933536, noArbiter},
-		{alloc.KindSeparableIF, 2, 2, 1, 256, 0.75, ifOrder},
-		{alloc.KindSeparableIF, 2, 4, 1, 16384, 0.75, ifOrder},
-		{alloc.KindSeparableIF, 2, 2, 2, 208, 0.875, ifOrder},
-		{alloc.KindSeparableIF, 3, 2, 1, 145800, 0.682540, ifFrozen},
-		{alloc.KindSeparableIF, 3, 2, 2, 112644, 0.835286, ifFrozen},
-		{alloc.KindWavefront, 2, 2, 1, 128, 0.8375, anyVCPick + ", whether or not a lone requester moves it"},
-		{alloc.KindWavefront, 3, 2, 1, 17496, 0.778009, anyVCPick + ", whether or not a lone requester moves it"},
-		{alloc.KindAugmentingPath, 2, 2, 1, 64, 0.875, anyMaximum},
-		{alloc.KindAugmentingPath, 3, 2, 1, 5832, 0.830797, anyMaximum},
+		{alloc.KindIdeal, 4, 6, 6, 169, 0.937644, oneVCRows},
+		{alloc.KindIdeal, 5, 6, 6, 674, 0.933536, oneVCRows},
+		{alloc.KindSeparableIF, 2, 2, 1, 256, 0.75, caught},
+		{alloc.KindSeparableIF, 2, 4, 1, 16384, 0.75, caught},
+		{alloc.KindSeparableIF, 2, 2, 2, 208, 0.875, oneVCRows},
+		{alloc.KindSeparableIF, 3, 2, 1, 145800, 0.682540, caught},
+		{alloc.KindSeparableIF, 3, 2, 2, 112644, 0.835286, oneVCRows},
+		{alloc.KindWavefront, 2, 2, 1, 128, 0.8375, loneMoves},
+		{alloc.KindWavefront, 3, 2, 1, 17496, 0.778009, loneMoves},
+		{alloc.KindAugmentingPath, 2, 2, 1, 64, 0.875, apCaught},
+		{alloc.KindAugmentingPath, 3, 2, 1, 5832, 0.830797, apCaught},
 	} {
 		t.Run(fmt.Sprintf("%s P%d v%d k%d", tc.kind, tc.radix, tc.vcs, tc.k), func(t *testing.T) {
 			start := time.Now()
@@ -410,29 +431,62 @@ func TestFigure7MatchesExactChains(t *testing.T) {
 			default:
 				c = ifChain(tc.radix, tc.vcs, tc.k)
 			}
-			exact := c.efficiency(tc.radix)
+			ivcs := tc.radix * tc.vcs
+			exact, exactVC := c.solve(tc.radix, ivcs)
 			took := time.Since(start)
 			if c.states() != tc.states || math.Abs(exact-tc.exact) > 5e-7 {
 				t.Fatalf("chain: %d states, efficiency %.7f; want %d, %.6f", c.states(), exact, tc.states, tc.exact)
 			}
-			var sum, sumSq float64
-			for seed := uint64(1); seed <= seeds; seed++ {
-				cfg := Config{Radix: tc.radix, VCs: tc.vcs, VirtualInputs: tc.k, AllocKind: tc.kind, Seed: seed}
-				r, err := Run(cfg, 1000, measure)
+			// Per seed: the efficiency and each input VC's grants per
+			// cycle, counted from the testbench's own grants.
+			eff := make([]float64, seeds)
+			perVC := make([][]float64, ivcs)
+			for seed := range seeds {
+				b, err := New(Config{Radix: tc.radix, VCs: tc.vcs, VirtualInputs: tc.k, AllocKind: tc.kind, Seed: uint64(seed + 1)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum += r.Efficiency
-				sumSq += r.Efficiency * r.Efficiency
+				for range 1000 {
+					b.step()
+				}
+				counts := make([]int, ivcs)
+				for range measure {
+					for _, g := range b.step() {
+						counts[g.IVC]++
+					}
+				}
+				flits := 0
+				for v, n := range counts {
+					flits += n
+					perVC[v] = append(perVC[v], float64(n)/measure)
+				}
+				eff[seed] = float64(flits) / measure / float64(tc.radix)
 			}
-			mean := sum / seeds
-			se := math.Sqrt((sumSq - seeds*mean*mean) / (seeds - 1) / seeds)
+			mean, se := meanSE(eff)
 			if math.Abs(mean-exact) > 4*se {
 				t.Errorf("testbench %.6f ± %.6f (1 SE over %d seeds), exact %.6f: %.1f SE apart",
 					mean, se, seeds, exact, math.Abs(mean-exact)/se)
+			}
+			for v, rates := range perVC {
+				if m, e := meanSE(rates); math.Abs(m-exactVC[v]) > 4*e {
+					t.Errorf("input VC %d: %.6f ± %.6f grants per cycle, exact %.6f: %.1f SE apart",
+						v, m, e, exactVC[v], math.Abs(m-exactVC[v])/e)
+				}
 			}
 			t.Logf("exact %.6f over %d states, solved in %v; testbench %.6f ± %.6f; blind to %s",
 				exact, c.states(), took, mean, se, tc.blindTo)
 		})
 	}
+}
+
+// meanSE returns the mean of xs and its standard error.
+func meanSE(xs []float64) (mean, se float64) {
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	n := float64(len(xs))
+	mean = sum / n
+	return mean, math.Sqrt((sumSq - n*mean*mean) / (n - 1) / n)
 }

@@ -69,7 +69,10 @@ func New(cfg Config) (*Bench, error) {
 }
 
 // Step advances one cycle and returns the number of flits transferred.
-func (b *Bench) Step() int {
+func (b *Bench) Step() int { return len(b.step()) }
+
+// step advances one cycle and returns its grants, valid until the next.
+func (b *Bench) step() []alloc.Grant {
 	grants := b.alloc.Allocate(&b.reqs)
 	// Every granted flit is a whole packet: its VC refills at once with
 	// the next packet, to a fresh random output.
@@ -78,7 +81,7 @@ func (b *Bench) Step() int {
 		b.reqs.Out[g.IVC] = int8(out)
 		b.reqs.Requests[g.IVC].OutPort = out
 	}
-	return len(grants)
+	return grants
 }
 
 // Run executes warmup then measure cycles and returns the measured rate.
