@@ -6,6 +6,7 @@
 //
 //	go run ./cmd/ab -base HEAD~1 -pairs 10 -workload mesh16_low
 //	go run ./cmd/ab -base main -pairs 5 -seconds 4 -workload mesh8_sat -workload vixd_warm
+//	go run ./cmd/ab -base HEAD -pairs 10 -phases -workload mesh16_low
 //
 // The base revision is checked out with `git worktree add --detach` into
 // a temporary directory that is removed on exit. Each pair runs both
@@ -22,6 +23,14 @@
 // worse, and a verdict in the direction BENCHMARK.json names: better or
 // worse when the interval excludes zero, unresolved otherwise, and always
 // unresolved below 5 pairs.
+//
+// -phases also passes the bench command's -cpuprofile to every run and
+// reads the profile with `go tool pprof -top -cum`: per phase of a
+// network step (tickRouter, deliver, allocateVCs, Allocate, mergeRouter,
+// source) it prints the median cumulative seconds on each side and the
+// median ln(head/base). Equal digests mean both sides simulated the same
+// cycles, so the seconds compare work, not run length. A phase the
+// profile does not list reads zero.
 //
 // Exit status: 0 when the report is printed, 1 when a build or run fails
 // or the digests differ, 2 on a usage error.
@@ -41,6 +50,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 )
@@ -68,7 +78,12 @@ type run struct {
 	Correct bool
 	Digest  string
 	Metrics map[string]float64
+	Phases  [len(phaseNames)]float64 // -phases: cumulative CPU seconds per phase
 }
+
+// phaseNames are the step phases -phases reports, each the method of that
+// name (on any receiver, so Allocate is whichever allocator ran).
+var phaseNames = [...]string{"tickRouter", "deliver", "allocateVCs", "Allocate", "mergeRouter", "source"}
 
 // workloads is the repeatable -workload flag.
 type workloads []string
@@ -90,13 +105,14 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	pairs := fs.Int("pairs", 10, "alternating (base, head) run pairs per workload")
 	seconds := fs.Int("seconds", 10, "the bench command's -seconds")
 	allowDigest := fs.Bool("allow-digest-change", false, "report even when a pair's stats digests differ")
+	withPhases := fs.Bool("phases", false, "profile every run and report each step phase's CPU seconds")
 	var names workloads
 	fs.Var(&names, "workload", "workload to run (repeatable; default every workload in BENCHMARK.json)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *base == "" || *pairs < 1 || *seconds < 1 || fs.NArg() > 0 {
-		fmt.Fprintln(stderr, "ab: usage: ab -base <rev> [-pairs N] [-workload w]... [-seconds s] [-allow-digest-change]")
+		fmt.Fprintln(stderr, "ab: usage: ab -base <rev> [-pairs N] [-workload w]... [-seconds s] [-allow-digest-change] [-phases]")
 		return 2
 	}
 	root, err := output(ctx, "", "git", "rev-parse", "--show-toplevel")
@@ -123,7 +139,8 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			return 2
 		}
 	}
-	if err := compare(ctx, root, *base, names, c.EndToEnd, *pairs, *seconds, *allowDigest, stdout, stderr); err != nil {
+	o := options{pairs: *pairs, seconds: *seconds, allowDigest: *allowDigest, phases: *withPhases}
+	if err := compare(ctx, root, *base, names, c.EndToEnd, o, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "ab:", err)
 		return 1
 	}
@@ -143,9 +160,16 @@ func readContract(path string) (contract, error) {
 	return c, nil
 }
 
+// options are the flags that shape a comparison.
+type options struct {
+	pairs, seconds int
+	allowDigest    bool
+	phases         bool // profile each run and report phaseNames
+}
+
 // compare builds both binaries, runs every workload's pairs and prints
 // the report.
-func compare(ctx context.Context, root, base string, names []string, metrics []metric, pairs, seconds int, allowDigest bool, stdout, stderr io.Writer) (err error) {
+func compare(ctx context.Context, root, base string, names []string, metrics []metric, o options, stdout, stderr io.Writer) (err error) {
 	tmp, err := os.MkdirTemp("", "ab-")
 	if err != nil {
 		return err
@@ -166,9 +190,9 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 			err = rmErr
 		}
 	}()
-	sides := [2]struct{ name, tree, bin, out string }{
-		{"base", baseTree, filepath.Join(tmp, "base.bench"), filepath.Join(tmp, "base.out")},
-		{"head", root, filepath.Join(tmp, "head.bench"), filepath.Join(tmp, "head.out")},
+	sides := [2]struct{ name, tree, bin, out, prof string }{
+		{"base", baseTree, filepath.Join(tmp, "base.bench"), filepath.Join(tmp, "base.out"), filepath.Join(tmp, "base.cpu")},
+		{"head", root, filepath.Join(tmp, "head.bench"), filepath.Join(tmp, "head.out"), filepath.Join(tmp, "head.cpu")},
 	}
 	for _, s := range sides {
 		if _, err := output(ctx, s.tree, "go", "build", "-o", s.bin, "./bench"); err != nil {
@@ -176,14 +200,18 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 		}
 	}
 	fmt.Fprintf(stdout, "ab: base %.12s, head the working tree at %s; %d pairs, -seconds %d; %d CPUs, %s\n",
-		rev, root, pairs, seconds, runtime.NumCPU(), runtime.Version())
+		rev, root, o.pairs, o.seconds, runtime.NumCPU(), runtime.Version())
 	for _, w := range names {
 		var runs [2][]run
-		for p := 0; p < pairs; p++ {
+		for p := 0; p < o.pairs; p++ {
 			for i := range 2 {
 				side := (p + i) % 2 // even pairs run the base first
 				s := sides[side]
-				out, err := output(ctx, s.tree, s.bin, "-workload", w, "-seconds", fmt.Sprint(seconds), "-out", s.out)
+				args := []string{"-workload", w, "-seconds", fmt.Sprint(o.seconds), "-out", s.out}
+				if o.phases {
+					args = append(args, "-cpuprofile", s.prof)
+				}
+				out, err := output(ctx, s.tree, s.bin, args...)
 				if err != nil {
 					return fmt.Errorf("%s pair %d, %s: %w", w, p, s.name, err)
 				}
@@ -191,17 +219,29 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 				if err != nil {
 					return fmt.Errorf("%s pair %d, %s: %w", w, p, s.name, err)
 				}
+				if o.phases {
+					top, err := output(ctx, "", "go", "tool", "pprof", "-top", "-cum", s.prof)
+					if err != nil {
+						return fmt.Errorf("%s pair %d, %s: %w", w, p, s.name, err)
+					}
+					if r.Phases, err = parsePhases(top); err != nil {
+						return fmt.Errorf("%s pair %d, %s profile: %w", w, p, s.name, err)
+					}
+				}
 				if !r.Correct {
 					return fmt.Errorf("%s pair %d, %s: the run reports a failed correctness check", w, p, s.name)
 				}
 				runs[side] = append(runs[side], r)
 			}
-			if b, h := runs[0][p].Digest, runs[1][p].Digest; b != h && !allowDigest {
+			if b, h := runs[0][p].Digest, runs[1][p].Digest; b != h && !o.allowDigest {
 				return fmt.Errorf("%s pair %d: stats digest %s (base) != %s (head); -allow-digest-change reports anyway", w, p, b, h)
 			}
-			fmt.Fprintf(stderr, "ab: %s pair %d/%d done\n", w, p+1, pairs)
+			fmt.Fprintf(stderr, "ab: %s pair %d/%d done\n", w, p+1, o.pairs)
 		}
 		printWorkload(stdout, w, runs[0], runs[1], metrics)
+		if o.phases {
+			printPhases(stdout, runs[0], runs[1])
+		}
 	}
 	return nil
 }
@@ -290,6 +330,75 @@ func printWorkload(w io.Writer, name string, base, head []run, metrics []metric)
 		fmt.Fprintf(w, "  %-32s %12.6g %25s %12.6g %+9.4f %22s %2d/%-3d  %s\n",
 			m.Name, median(b), fmt.Sprintf("%.6g..%.6g", quantile(b, 0.25), quantile(b, 0.75)), median(h),
 			s.median, fmt.Sprintf("[%+.4f, %+.4f]", s.lo, s.hi), s.better, s.worse, s.verdict)
+	}
+}
+
+// parsePhases reads `go tool pprof -top -cum` output: per phase, the
+// cumulative seconds of the function whose name ends in ").<phase>", the
+// largest if several do (a wrapper's Allocate around the built-in one),
+// and zero if none is listed. Rows are "flat flat% sum% cum cum% name
+// [(inline)]".
+func parsePhases(top string) ([len(phaseNames)]float64, error) {
+	var cum [len(phaseNames)]float64
+	header := false
+	for _, line := range strings.Split(top, "\n") {
+		f := strings.Fields(line)
+		if len(f) >= 5 && f[0] == "flat" && f[3] == "cum" {
+			header = true
+			continue
+		}
+		if !header || len(f) < 6 {
+			continue
+		}
+		for i, p := range phaseNames {
+			if !strings.HasSuffix(f[5], ")."+p) {
+				continue
+			}
+			s, err := pprofSeconds(f[3])
+			if err != nil {
+				return cum, fmt.Errorf("%s: %w", f[5], err)
+			}
+			cum[i] = max(cum[i], s)
+		}
+	}
+	if !header {
+		return cum, errors.New("no pprof -top table")
+	}
+	return cum, nil
+}
+
+// pprofSeconds parses a pprof duration column: "0", or a number with one
+// of the units pprof prints (ns, us, ms, s, mins, hrs).
+func pprofSeconds(v string) (float64, error) {
+	if v == "0" {
+		return 0, nil
+	}
+	for _, u := range []struct {
+		suffix string
+		scale  float64
+	}{{"mins", 60}, {"hrs", 3600}, {"ns", 1e-9}, {"us", 1e-6}, {"µs", 1e-6}, {"ms", 1e-3}, {"s", 1}} {
+		if num, ok := strings.CutSuffix(v, u.suffix); ok {
+			x, err := strconv.ParseFloat(num, 64)
+			if err != nil {
+				return 0, fmt.Errorf("duration %q: %w", v, err)
+			}
+			return x * u.scale, nil
+		}
+	}
+	return 0, fmt.Errorf("duration %q has no unit", v)
+}
+
+// printPhases prints one row per phase: each side's median cumulative
+// seconds and the median over pairs of ln(head/base).
+func printPhases(w io.Writer, base, head []run) {
+	fmt.Fprintf(w, "  %-32s %12s %12s %9s %6s\n", "phase (pprof cum)", "base s", "head s", "ln(h/b)", "signs")
+	for i, name := range phaseNames {
+		b, h := make([]float64, len(base)), make([]float64, len(head))
+		for p := range base {
+			b[p], h[p] = base[p].Phases[i], head[p].Phases[i]
+		}
+		s := summarise(b, h, "lower")
+		fmt.Fprintf(w, "  %-32s %12.3f %12.3f %+9.4f %2d/%-3d\n", name, median(b), median(h), s.median, s.better, s.worse)
 	}
 }
 

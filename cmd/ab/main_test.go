@@ -164,3 +164,61 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// pprofTop is `go tool pprof -top -cum` output as it prints it, cut to
+// the rows -phases reads and a few it must skip.
+const pprofTop = `File: bench
+Type: cpu
+Time: 2026-10-18 11:58:44 UTC
+Duration: 4.33s, Total samples = 4.11s (94.98%)
+Showing nodes accounting for 3.92s, 95.38% of 4.11s total
+Dropped 39 nodes (cum <= 0.02s)
+      flat  flat%   sum%        cum   cum%
+         0     0%     0%      4.10s 99.76%  main.runPass
+     0.08s  1.95%  1.95%      2.79s 67.88%  vix/internal/network.(*Network).tickRouters
+     0.33s  8.03%  9.98%      2.41s 58.64%  vix/internal/network.(*Network).tickRouter
+     0.05s  1.22% 11.20%      0.82s 19.95%  vix/internal/network.(*Network).source
+     0.11s  2.68% 13.88%      0.48s 11.68%  vix/internal/network.(*Network).deliver
+     0.12s  2.92% 16.80%      0.55s 13.38%  vix/internal/router.(*Router).allocateVCs
+     0.01s  0.24% 17.04%      0.40s  9.73%  main.(*tracedAlloc).Allocate
+     0.06s  1.46% 18.50%      0.36s  8.76%  vix/internal/alloc.(*SeparableIF).Allocate
+     0.14s  3.41% 21.91%      0.30s  7.30%  vix/internal/alloc.(*SeparableIF).allocate
+     0.30s  7.30% 29.21%      310ms  7.54%  vix/internal/network.(*Network).mergeRouter
+     0.47s 11.44% 40.65%      0.47s 11.44%  vix/internal/sim.(*RNG).Uint64 (inline)
+`
+
+// Each phase reads the cum column of its method's row, whatever the
+// unit; the largest of several Allocate rows (a wrapper around the
+// built-in kind) wins, and tickRouters and allocate are not tickRouter
+// and Allocate.
+func TestParsePhasesReadsCumulativeSeconds(t *testing.T) {
+	got, err := parsePhases(pprofTop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [len(phaseNames)]float64{2.41, 0.48, 0.55, 0.40, 0.31, 0.82}
+	for i, name := range phaseNames {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Errorf("%s: %v s, want %v s", name, got[i], want[i])
+		}
+	}
+	// A phase the profile does not list (never run, or dropped as too
+	// small) reads zero.
+	if got, err := parsePhases(strings.Join(strings.Split(pprofTop, "\n")[:8], "\n")); err != nil || got != [len(phaseNames)]float64{} {
+		t.Errorf("a table without phase rows: %v, %v", got, err)
+	}
+	for name, out := range map[string]string{
+		"no table":     "File: bench\nType: cpu\n",
+		"bad duration": strings.Replace(pprofTop, "2.41s", "2.41x", 1),
+		"bad number":   strings.Replace(pprofTop, "0.48s", "0.4.8s", 1),
+	} {
+		if _, err := parsePhases(out); err == nil {
+			t.Errorf("%s: parsed without an error", name)
+		}
+	}
+	for v, want := range map[string]float64{"0": 0, "10ms": 0.01, "1.5s": 1.5, "2mins": 120, "250us": 250e-6, "7ns": 7e-9} {
+		if got, err := pprofSeconds(v); err != nil || math.Abs(got-want) > 1e-15 {
+			t.Errorf("pprofSeconds(%q) = %v, %v; want %v", v, got, err, want)
+		}
+	}
+}

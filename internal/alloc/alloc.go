@@ -209,13 +209,16 @@ type Grant struct {
 // (IsBuiltin): a registered one, or a wrapper that hands the set on to a
 // built-in inner allocator, which then reads the packed form. A caller
 // holding only the list fills the packed form with Pack.
+//
+// The packed form leads the struct: Ready and Out, all an input-first
+// kind reads of it, share its first cache line.
 type RequestSet struct {
-	Config   Config
-	Requests []Request
-
 	Ready []uint64
 	Out   []int8
 	Age   []int32
+
+	Config   Config
+	Requests []Request
 }
 
 // Allocator matches requests to crossbar resources for one cycle.

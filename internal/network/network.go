@@ -313,7 +313,10 @@ type Network struct {
 	routes *routing.Table
 
 	routers []*router.Router
-	nis     []*ni
+	// arena holds every router's state; the delivery loop and inject
+	// reach a router's slabs through it by index, without the Router.
+	arena *router.Arena
+	nis   []*ni
 
 	// rngs holds every node's generator contiguously, in node order, so
 	// the statistical injection draw is one linear walk; injectThr is
@@ -397,7 +400,7 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]ejection, n.qlen)
 
-	arena := router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
+	n.arena = router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
 	ports := make([]router.PortInfo, topo.Radix) // copied into the arena by router.New
@@ -410,7 +413,7 @@ func New(cfg Config) (*Network, error) {
 			return nil, err
 		}
 		nextDim := func(outPort, dst int) topology.Dim { return n.routes.NextDim(r, outPort, dst) }
-		n.routers[r] = router.New(r, cfg.Router, ports, a, nextDim, n.torusVCRangeFunc(r), arena)
+		n.routers[r] = router.New(r, cfg.Router, ports, a, nextDim, n.torusVCRangeFunc(r), n.arena)
 	}
 	n.nis = make([]*ni, topo.NumNodes)
 	n.rngs = make([]sim.RNG, topo.NumNodes)
@@ -501,18 +504,17 @@ func (n *Network) deliver() {
 	n.hopSlot = (slot + n.cfg.HopDelay) % n.qlen
 	n.credSlot = (slot + DefaultCreditDelay) % n.qlen
 	for _, d := range n.flitQ[slot] {
-		n.routers[d.router].Deliver(int(d.port), int(d.vc), d.slot)
+		n.arena.Deliver(int(d.router), int(d.port), int(d.vc), d.slot)
 		n.col.BufferWrite()
 		n.actR.Set(int(d.router))
 	}
 	n.flitQ[slot] = n.flitQ[slot][:0]
 	for _, d := range n.credQ[slot] {
-		rt := n.routers[d.router]
-		rt.DeliverCredit(int(d.outPort), int(d.vc))
+		n.arena.DeliverCredit(int(d.router), int(d.outPort), int(d.vc))
 		// A credit is applied eagerly above; it only creates work — and
 		// so only needs to wake the router — if flits are buffered. An
 		// empty router's tick is the empty tick SkipIdle replays.
-		if rt.Busy() {
+		if n.arena.Busy(int(d.router)) {
 			n.actR.Set(int(d.router))
 		}
 	}
@@ -696,7 +698,7 @@ func (n *Network) inject(nif *ni) {
 		word = int32(p.dst)
 		n.col.PacketInjected(p.size)
 	}
-	rt.Deliver(port, nif.curVC, router.Slot{Flit: nif.rec, DstSeq: word, Route: nif.route, Type: ft})
+	n.arena.Deliver(r, port, nif.curVC, router.Slot{Flit: nif.rec, DstSeq: word, Route: nif.route, Type: ft})
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)

@@ -145,3 +145,34 @@ func BenchmarkNetworkStepParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStepLowLoad is the ledger's mesh16_low network — a 16x16 VIX
+// mesh (if, k = 2, balanced; 6 VCs of 5 flits, 4-flit packets) at
+// 0.001116 packets/node/cycle, seed 1 — warmed for 3 000 cycles, then
+// stepped b.N cycles. Most routers are idle most cycles, so a cycle's
+// cost is the few router ticks it runs; it reports both per cycle and
+// per router tick (Advance call).
+func BenchmarkStepLowLoad(b *testing.B) {
+	topo := topology.NewMesh(16, 16)
+	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+	cfg.InjectionRate = 0.001116
+	cfg.Seed = 1
+	n, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Close()
+	n.Run(3000)
+	ticks := n.RouterTicks()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Step()
+	}
+	b.StopTimer()
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(b.N), "ns/cycle")
+	if t := n.RouterTicks() - ticks; t > 0 {
+		b.ReportMetric(ns/float64(t), "ns/router-tick")
+	}
+}

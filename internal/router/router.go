@@ -150,7 +150,9 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 //
 // (head, count and credits are bounded by BufDepth, ovc by VCs and outPort
 // by Ports, so they are int8 slabs — Config.Validate holds the bounds —
-// and only wait, a cycle count, is int32)
+// and only wait, a cycle count, is int32), one count per router,
+//
+//	occ     [slot]                buffered flits, all input VCs
 //
 // and one mask segment per router, the bit-vector view of the same state
 // that the tick walks instead of scanning every ivc (bit ivc&63 of word
@@ -185,6 +187,10 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 // The ivc -> port, ivc -> crossbar row and sub-group -> VC-mask tables
 // depend only on the geometry, so the arena holds one copy for all its
 // routers.
+//
+// The hot path indexes the slabs themselves, a.count[sg.at+ivc], and
+// builds no per-router slice view: Go keeps no register across a call,
+// so a live view is spilled and reloaded around every one.
 type Arena struct {
 	records Records
 	cfg     Config // the geometry: Ports, VCs, VirtualInputs, BufDepth, Partition
@@ -201,6 +207,7 @@ type Arena struct {
 	outPort []int8
 	credits []int8
 	wait    []int32
+	occ     []int32 // per router: buffered flits
 	masks   []uint64
 	sets    []alloc.RequestSet
 	ports   []topology.PortKind
@@ -241,6 +248,7 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	a.outPort = make([]int8, numRouters*pv)
 	a.credits = make([]int8, numRouters*pv)
 	a.wait = make([]int32, numRouters*pv)
+	a.occ = make([]int32, numRouters)
 	a.masks = make([]uint64, numRouters*a.maskStride)
 	a.sets = make([]alloc.RequestSet, numRouters)
 	a.ports = make([]topology.PortKind, numRouters*cfg.Ports)
@@ -300,11 +308,7 @@ func (a *Arena) has(word, i int) bool { return a.masks[word+i>>6]>>uint(i&63)&1 
 // its network's Arena, in the segments of slot; the struct holds only
 // what is its own and scalar.
 type Router struct {
-	id int32
-	// occ counts buffered flits across all input VCs, maintained
-	// incrementally (DeliverFlit adds, grant departures subtract) so the
-	// activity-gated tick can test quiescence in O(1).
-	occ  int32
+	id   int32
 	slot int32
 
 	policy policy // Config.Policy, resolved once
@@ -313,7 +317,7 @@ type Router struct {
 	// reqs.Requests as well.
 	nonSpec, list bool
 
-	vaOffset int // rotating VC-allocation priority
+	vaOffset int // rotating VC-allocation priority: the first input VC VA visits, below Ports·VCs
 
 	arena   *Arena
 	alloc   alloc.Allocator
@@ -406,21 +410,32 @@ func (r *Router) DeliverFlit(port, vc int, id FlitID) {
 // Deliver places an arriving flit into input (port, vc); s.Route must be
 // its output port at this router. It panics on buffer overflow, which
 // would indicate a flow-control bug.
-func (r *Router) Deliver(port, vc int, s Slot) {
-	a := r.arena
+func (r *Router) Deliver(port, vc int, s Slot) { r.arena.Deliver(int(r.slot), port, vc, s) }
+
+// DeliverCredit returns one credit for downstream VC vc of outPort.
+func (r *Router) DeliverCredit(outPort, vc int) { r.arena.DeliverCredit(int(r.slot), outPort, vc) }
+
+// Busy reports whether the router holds any buffered flits (Arena.Busy).
+func (r *Router) Busy() bool { return r.arena.Busy(int(r.slot)) }
+
+// Deliver places an arriving flit into input (port, vc) of the router in
+// slot — a network router's slot is its index — without reading the
+// Router: the network's delivery loop reaches the slabs straight from the
+// slot. s.Route must be the flit's output port at that router. It panics
+// on buffer overflow, which would indicate a flow-control bug.
+func (a *Arena) Deliver(slot, port, vc int, s Slot) {
 	depth := a.cfg.BufDepth
-	sg := a.seg(int(r.slot))
 	ivc := port*a.cfg.VCs + vc
-	i := sg.at + ivc
+	i := slot*a.pv + ivc
 	c := a.count[i]
 	if int(c) >= depth {
-		panic(fmt.Sprintf("router %d: buffer overflow at port %d vc %d", r.id, port, vc))
+		panic(fmt.Sprintf("router %d: buffer overflow at port %d vc %d", slot, port, vc))
 	}
 	if s.Route < 0 || int(s.Route) >= a.cfg.Ports {
-		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", r.id, s.Route))
+		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", slot, s.Route))
 	}
 	if c == 0 {
-		a.masks[sg.nonEmpty()+ivc>>6] |= 1 << uint(ivc&63)
+		a.masks[slot*a.maskStride+ivc>>6] |= 1 << uint(ivc&63) // nonEmpty
 	}
 	at := int(a.head[i]) + int(c)
 	if at >= depth {
@@ -428,18 +443,17 @@ func (r *Router) Deliver(port, vc int, s Slot) {
 	}
 	a.bufs[i*depth+at] = s
 	a.count[i] = c + 1
-	r.occ++
+	a.occ[slot]++
 }
 
-// DeliverCredit returns one credit for downstream VC vc of outPort. Only
-// a first credit (0 -> 1) can unblock a holder, so the common case is an
-// increment and the rest is out of line.
-func (r *Router) DeliverCredit(outPort, vc int) {
-	a := r.arena
-	i := a.seg(int(r.slot)).at + outPort*a.cfg.VCs + vc
+// DeliverCredit returns one credit for downstream VC vc of outPort to the
+// router in slot. Only a first credit (0 -> 1) can unblock a holder, so
+// the common case is an increment and the rest is out of line.
+func (a *Arena) DeliverCredit(slot, outPort, vc int) {
+	i := slot*a.pv + outPort*a.cfg.VCs + vc
 	c := a.credits[i]
 	if c == 0 || int(c) >= a.cfg.BufDepth {
-		r.creditEdge(outPort, vc)
+		a.creditEdge(slot, outPort, vc)
 	}
 	a.credits[i] = c + 1
 }
@@ -447,29 +461,32 @@ func (r *Router) DeliverCredit(outPort, vc int) {
 // creditEdge panics on a credit overflow, and on a first credit returns
 // the holder of downstream VC vc of outPort, if it has one, to the
 // switch-allocation request set.
-func (r *Router) creditEdge(outPort, vc int) {
-	a, sg := r.arena, r.arena.seg(int(r.slot))
+func (a *Arena) creditEdge(slot, outPort, vc int) {
+	sg := a.seg(slot)
 	if int(a.credits[sg.at+outPort*a.cfg.VCs+vc]) >= a.cfg.BufDepth {
-		panic(fmt.Sprintf("router %d: credit overflow at port %d vc %d", r.id, outPort, vc))
+		panic(fmt.Sprintf("router %d: credit overflow at port %d vc %d", slot, outPort, vc))
 	}
-	for wi, w := range a.masks[sg.noCredit() : sg.noCredit()+a.maskWords] {
-		for ; w != 0; w &= w - 1 {
+	for wi := range sg.w {
+		for w := a.masks[sg.noCredit()+wi]; w != 0; w &= w - 1 {
 			ivc := wi<<6 + bits.TrailingZeros64(w)
 			if int(a.outPort[sg.at+ivc]) == outPort && int(a.ovc[sg.at+ivc]) == vc {
-				a.masks[sg.noCredit()+ivc>>6] &^= 1 << uint(ivc&63)
+				a.masks[sg.noCredit()+wi] &^= 1 << uint(ivc&63)
 				return
 			}
 		}
 	}
 }
 
-// Busy reports whether the router holds any buffered flits. An idle
-// router's Tick is exactly the empty tick SkipIdle replays — no
+// Busy reports whether the router in slot holds any buffered flits. An
+// idle router's Tick is exactly the empty tick SkipIdle replays — no
 // emissions, no credits, no requests to the allocator — so the network's
 // activity gate only needs to wake a router on a credit when Busy is
 // true: credits are applied eagerly above, and a credit at an empty
 // router cannot create work until a flit arrives (which sets the bit).
-func (r *Router) Busy() bool { return r.occ > 0 }
+// The count is a slab of its own, maintained incrementally (deliveries
+// add, grant departures subtract), so the test is one load from a line
+// every router shares.
+func (a *Arena) Busy(slot int) bool { return a.occ[slot] > 0 }
 
 // BufferSpace returns the free flit slots of input (port, vc); the
 // network interface uses it to gate injection at local ports.
@@ -528,8 +545,8 @@ func (r *Router) Occupancy() int {
 			}
 		}
 	}
-	if n != int(r.occ) {
-		panic(fmt.Sprintf("router %d: occupancy counter %d but %d flits buffered", r.id, r.occ, n))
+	if occ := a.occ[r.slot]; n != int(occ) {
+		panic(fmt.Sprintf("router %d: occupancy counter %d but %d flits buffered", r.id, occ, n))
 	}
 	return n
 }
@@ -589,104 +606,129 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 	a := r.arena
 	slot := int(r.slot)
 	sg := a.seg(slot)
-	reqs := &a.sets[slot]
-	if r.nonSpec {
-		r.takeRequests(sg, reqs.Ready)
-		r.allocateVCs(sg)
-	} else {
-		r.allocateVCs(sg)
-		r.takeRequests(sg, reqs.Ready)
+	// The VA priority rotates every cycle; most cycles no head awaits a
+	// VC, so the test is here and the walk out of line.
+	start := r.vaOffset
+	if r.vaOffset++; r.vaOffset == a.pv {
+		r.vaOffset = 0
 	}
+	pending := a.pending(sg)
+	if pending && !r.nonSpec {
+		r.allocateVCs(sg, start)
+	}
+	a.takeRequests(sg)
+	if pending && r.nonSpec {
+		r.allocateVCs(sg, start)
+	}
+	reqs := &a.sets[slot]
 	if r.list {
 		r.listRequests(reqs)
 	}
-	ready, outPort, wait := reqs.Ready, reqs.Out, reqs.Age
 	grants := r.alloc.Allocate(reqs)
 	// Every request waited this cycle; a granted one's wait restarts below.
-	for wi, w := range ready {
-		for ; w != 0; w &= w - 1 {
-			wait[wi<<6+bits.TrailingZeros64(w)]++
+	for wi := range sg.w {
+		for w := a.masks[sg.ready()+wi]; w != 0; w &= w - 1 {
+			a.wait[sg.at+wi<<6+bits.TrailingZeros64(w)]++
 		}
 	}
-	// A grant the router cannot carry out panics. Lowering a granted VC's
-	// request refuses a second grant to it. The loop indexes local views
-	// of the router's segments: the compiler keeps their headers in
-	// registers, where an arena field would be reloaded after every store.
 	ems = a.ems[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
 	credits = a.creds[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
 	if len(grants) == 0 {
-		return ems, credits, r.occ == 0
+		return ems, credits, a.occ[slot] == 0
 	}
-	vcs, depth, pv, w := a.cfg.VCs, a.cfg.BufDepth, a.pv, sg.w
-	bufs := a.bufs[sg.at*depth : (sg.at+pv)*depth]
-	head, count, ovcs, cred := a.head[sg.at:sg.at+pv], a.count[sg.at:sg.at+pv], a.ovc[sg.at:sg.at+pv], a.credits[sg.at:sg.at+pv]
-	ports := a.ports[sg.ports : sg.ports+a.cfg.Ports]
-	masks := a.masks[sg.m : sg.m+a.maskStride] // nonEmpty, hasOVC, vaWait, noCredit, ready, busy, rows
-	rows := masks[5*w+a.cfg.Ports:]
-	clear(rows)
+	// A grant the router cannot carry out panics. Lowering a granted VC's
+	// request refuses a second grant to it. The loop indexes the slabs
+	// from the arena and the segment offsets, so few values stay live
+	// across it.
+	rows := sg.busy() + a.cfg.Ports
+	for i := rows; i < sg.m+a.maskStride; i++ {
+		a.masks[i] = 0
+	}
 	var granted [2]uint64 // outputs granted so far: MaxPorts < 128
 	for gi, g := range grants {
 		ivc, out := g.IVC, g.OutPort
-		if uint(ivc) >= uint(len(outPort)) || ready[ivc>>6]>>uint(ivc&63)&1 == 0 {
-			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC has no request left this cycle", r.id, ivc, out))
+		if uint(ivc) >= uint(a.pv) || !a.has(sg.ready(), ivc) || int(a.outPort[sg.at+ivc]) != out ||
+			granted[out>>6]>>uint(out&63)&1 != 0 {
+			r.refuseGrant(sg, ivc, out)
 		}
-		if want := int(outPort[ivc]); out != want {
-			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC requests output %d", r.id, ivc, out, want))
-		}
-		if granted[out>>6]>>uint(out&63)&1 != 0 {
-			panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, which is already granted", r.id, ivc, out))
-		}
+		i := sg.at + ivc
 		// A crossbar row carries one flit a cycle.
-		if row := int(a.ivcRow[ivc]); rows[row>>6]>>uint(row&63)&1 != 0 {
+		if row := int(a.ivcRow[ivc]); a.has(rows, row) {
 			r.refuseRow(grants[:gi], ivc, out, row)
 		} else {
-			rows[row>>6] |= 1 << uint(row&63)
+			a.masks[rows+row>>6] |= 1 << uint(row&63)
 		}
 		bit := uint64(1) << uint(ivc&63)
-		ready[ivc>>6] &^= bit
+		a.masks[sg.ready()+ivc>>6] &^= bit
 		granted[out>>6] |= 1 << uint(out&63)
-		port := int(a.ivcPort[ivc])
-		wait[ivc] = 0
-		h := int(head[ivc])
-		s := bufs[ivc*depth+h]
-		h++
-		if h == depth {
+		a.wait[i] = 0
+		depth := a.cfg.BufDepth
+		h := int(a.head[i])
+		s := a.bufs[i*depth+h]
+		if h++; h == depth {
 			h = 0
 		}
-		head[ivc] = int8(h)
-		count[ivc]--
-		r.occ--
-		if count[ivc] == 0 {
-			masks[ivc>>6] &^= bit // nonEmpty
+		a.head[i] = int8(h)
+		c := a.count[i] - 1
+		a.count[i] = c
+		if c == 0 {
+			a.masks[sg.nonEmpty()+ivc>>6] &^= bit
 		}
-		ovc := ovcs[ivc]
-		if ports[out] == topology.Link {
-			cvi := out*vcs + int(ovc)
-			cred[cvi]--
-			if cred[cvi] < 0 {
-				panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, out, ovc))
+		ovc := a.ovc[i]
+		if a.ports[sg.ports+out] == topology.Link {
+			cvi := sg.at + out*a.cfg.VCs + int(ovc)
+			cr := a.credits[cvi] - 1
+			if cr < 0 {
+				r.creditUnderflow(out, int(ovc))
 			}
+			a.credits[cvi] = cr
 			s.Hops++
 			// A granted VC had credit, so its noCredit bit is clear; a
 			// tail takes the VC with it, so only a holder that stays can
 			// run out.
 			if s.Type.IsTail() {
-				masks[5*w+out] &^= 1 << uint(ovc) // busy
-				r.wakeVA(sg, out)
-			} else if cred[cvi] == 0 {
-				masks[3*w+ivc>>6] |= bit // noCredit
+				a.masks[sg.busy()+out] &^= 1 << uint(ovc)
+				a.wakeVA(sg, out)
+			} else if cr == 0 {
+				a.masks[sg.noCredit()+ivc>>6] |= bit
 			}
 		}
 		if s.Type.IsTail() {
-			ovcs[ivc] = -1
-			masks[w+ivc>>6] &^= bit // hasOVC
+			a.ovc[i] = -1
+			a.masks[sg.hasOVC()+ivc>>6] &^= bit
 		}
 		ems = append(ems, Emission{OutPort: out, Slot: s, VC: ovc})
-		if ports[port] == topology.Link {
-			credits = append(credits, CreditMsg{Port: port, VC: ivc - port*vcs})
+		if port := int(a.ivcPort[ivc]); a.ports[sg.ports+port] == topology.Link {
+			credits = append(credits, CreditMsg{Port: port, VC: ivc - port*a.cfg.VCs})
 		}
 	}
-	return ems, credits, r.occ == 0
+	occ := a.occ[slot] - int32(len(grants))
+	a.occ[slot] = occ
+	return ems, credits, occ == 0
+}
+
+// refuseGrant panics on a grant of input VC ivc to output out that
+// names a VC with no request left this cycle, or another output than the
+// VC requests, or else (Advance's last check) an output already granted.
+// The panics are out of line so that Advance formats none of them.
+func (r *Router) refuseGrant(sg seg, ivc, out int) {
+	a := r.arena
+	switch {
+	case uint(ivc) >= uint(a.pv) || !a.has(sg.ready(), ivc):
+		panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC has no request left this cycle", r.id, ivc, out))
+	case int(a.outPort[sg.at+ivc]) != out:
+		panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, but the VC requests output %d", r.id, ivc, out, a.outPort[sg.at+ivc]))
+	default:
+		panic(fmt.Sprintf("router %d: a grant sends input VC %d to output %d, which is already granted", r.id, ivc, out))
+	}
+}
+
+// creditUnderflow panics on a flit sent to downstream VC vc of out
+// without a credit. It stays out of line, like refuseGrant.
+//
+//go:noinline
+func (r *Router) creditUnderflow(out, vc int) {
+	panic(fmt.Sprintf("router %d: credit underflow at port %d vc %d", r.id, out, vc))
 }
 
 // refuseRow panics on a grant of input VC ivc to output out from crossbar
@@ -713,7 +755,7 @@ func (r *Router) refuseRow(earlier []alloc.Grant, ivc, out, row int) {
 // at reactivation, after the cycle's deliveries have already landed) —
 // an idle tick's effects touch nothing the buffers feed.
 func (r *Router) SkipIdle(cycles int) {
-	r.vaOffset += cycles
+	r.vaOffset = int((uint64(r.vaOffset) + uint64(cycles)) % uint64(r.arena.pv))
 	if r.idle != nil {
 		r.idle.SkipIdle(cycles)
 		return
@@ -728,39 +770,27 @@ func (r *Router) SkipIdle(cycles int) {
 
 // allocateVCs performs the VC allocation stage: head flits at the front
 // of their buffers acquire an output VC at the downstream router. Only
-// the input VCs awaiting one — nonEmpty, not hasOVC and not vaWait — are
-// visited, in a rotating order for long-run fairness: ascending from the
-// priority offset to the top, then from zero up to the offset.
-func (r *Router) allocateVCs(sg seg) {
-	masks, w := r.arena.masks[sg.m:sg.m+r.arena.maskStride], sg.w // nonEmpty, hasOVC, vaWait, …
-	var pending uint64
-	for wi := range w {
-		pending |= masks[wi] &^ masks[w+wi] &^ masks[2*w+wi]
-	}
-	if pending != 0 {
-		total := r.arena.pv
-		start := r.vaOffset % total
-		r.allocateVCRange(sg, masks, start, total)
-		r.allocateVCRange(sg, masks, 0, start)
-	}
-	r.vaOffset++
-}
-
-// allocateVCRange runs VC allocation for the pending input VCs in
-// [lo, hi), ascending. Allocating one input VC changes no other's
-// pending bit, so each word is read once.
-func (r *Router) allocateVCRange(sg seg, masks []uint64, lo, hi int) {
-	w := sg.w
-	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		word := masks[wi] &^ masks[w+wi] &^ masks[2*w+wi]
-		if wi == lo>>6 {
-			word = word >> uint(lo&63) << uint(lo&63)
-		}
-		if top := hi - wi<<6; top < 64 {
-			word &= 1<<uint(top) - 1
-		}
-		for ; word != 0; word &= word - 1 {
-			r.allocateVC(sg, masks, wi<<6+bits.TrailingZeros64(word))
+// the input VCs awaiting one — nonEmpty, not hasOVC and not vaWait, the
+// pending set — are visited, in a rotating order for long-run fairness:
+// ascending from start, the priority offset, to the top, then from zero
+// up to it. Advance calls it only when the pending set is not empty.
+func (r *Router) allocateVCs(sg seg, start int) {
+	a := r.arena
+	// Allocating one input VC changes no other's pending bit, so each
+	// word of each span, [start, Ports·VCs) then [0, start), is read once.
+	for _, span := range [2][2]int{{start, a.pv}, {0, start}} {
+		lo, hi := span[0], span[1]
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			word := a.masks[sg.nonEmpty()+wi] &^ a.masks[sg.hasOVC()+wi] &^ a.masks[sg.vaWait()+wi]
+			if wi == lo>>6 {
+				word = word >> uint(lo&63) << uint(lo&63)
+			}
+			if top := hi - wi<<6; top < 64 {
+				word &= 1<<uint(top) - 1
+			}
+			for ; word != 0; word &= word - 1 {
+				r.allocateVC(sg, wi<<6+bits.TrailingZeros64(word))
+			}
 		}
 	}
 }
@@ -768,12 +798,11 @@ func (r *Router) allocateVCRange(sg seg, masks []uint64, lo, hi int) {
 // allocateVC tries to acquire an output VC for the head flit fronting
 // input VC ivc. On failure every VC the head may take at its output is
 // busy, and only a tail freeing one can change that, so the head parks
-// in vaWait with its output recorded until wakeVA returns it. masks is
-// the router's mask segment.
-func (r *Router) allocateVC(sg seg, masks []uint64, ivc int) {
-	a, w := r.arena, sg.w
+// in vaWait with its output recorded until wakeVA returns it.
+func (r *Router) allocateVC(sg seg, ivc int) {
+	a := r.arena
 	i := sg.at + ivc
-	front := &a.bufs[i*a.cfg.BufDepth+int(a.head[i])]
+	front := a.bufs[i*a.cfg.BufDepth+int(a.head[i])]
 	if !front.Type.IsHead() {
 		// A body flit without a valid output VC cannot occur: the VC
 		// is held from head grant to tail departure.
@@ -785,18 +814,18 @@ func (r *Router) allocateVC(sg seg, masks []uint64, ivc int) {
 	if a.ports[sg.ports+out] != topology.Local {
 		if vc = r.chooseOVC(sg, out, int(front.DstSeq)); vc < 0 {
 			a.outPort[i] = int8(out)
-			masks[2*w+ivc>>6] |= bit // vaWait
+			a.masks[sg.vaWait()+ivc>>6] |= bit
 			return
 		}
-		masks[5*w+out] |= 1 << uint(vc) // busy
+		a.masks[sg.busy()+out] |= 1 << uint(vc)
 		if a.credits[sg.at+out*a.cfg.VCs+vc] == 0 {
-			masks[3*w+ivc>>6] |= bit // noCredit
+			a.masks[sg.noCredit()+ivc>>6] |= bit
 		}
 	}
 	// Ejection needs no downstream VC (vc stays 0): the sink absorbs at
 	// link bandwidth, serialised per output port by switch allocation.
 	a.ovc[i], a.outPort[i] = int8(vc), int8(out)
-	masks[w+ivc>>6] |= bit // hasOVC
+	a.masks[sg.hasOVC()+ivc>>6] |= bit
 }
 
 // wakeVA returns every head waiting on output out to VC allocation: a
@@ -804,15 +833,12 @@ func (r *Router) allocateVC(sg seg, masks []uint64, ivc int) {
 // woken head's admitted range (a torus dateline class); that head fails
 // its next try and parks again, exactly as its retry would have, so no
 // choice changes. Clearing a busy bit happens nowhere else.
-func (r *Router) wakeVA(sg seg, out int) {
-	a := r.arena
-	vaWait := a.masks[sg.vaWait() : sg.vaWait()+sg.w]
-	outPort := a.outPort[sg.at : sg.at+a.pv]
-	for wi, w := range vaWait {
-		for ; w != 0; w &= w - 1 {
+func (a *Arena) wakeVA(sg seg, out int) {
+	for wi := range sg.w {
+		for w := a.masks[sg.vaWait()+wi]; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			if int(outPort[wi<<6+b]) == out {
-				vaWait[wi] &^= 1 << uint(b)
+			if int(a.outPort[sg.at+wi<<6+b]) == out {
+				a.masks[sg.vaWait()+wi] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -867,20 +893,34 @@ func (r *Router) InjectionVC(port int, dim topology.Dim) int {
 	return policyDimension.choose(&ctx)
 }
 
+// pending reports whether any input VC awaits an output VC: nonEmpty, not
+// hasOVC and not vaWait. VC allocation writes none of those words for
+// another input VC, and takeRequests none at all.
+func (a *Arena) pending(sg seg) bool {
+	var w uint64
+	for wi := range sg.w {
+		w |= a.masks[sg.nonEmpty()+wi] &^ a.masks[sg.hasOVC()+wi] &^ a.masks[sg.vaWait()+wi]
+	}
+	return w != 0
+}
+
 // takeRequests takes this cycle's switch-allocation request set into
-// ready: every input VC whose front flit has an output VC with a
-// downstream credit (hasOVC and not noCredit) requests its packet's
+// the ready words: every input VC whose front flit has an output VC with
+// a downstream credit (hasOVC and not noCredit) requests its packet's
 // output port. The ready words are the set's packed form; outPort and
 // wait already are.
-func (r *Router) takeRequests(sg seg, ready []uint64) {
-	masks := r.arena.masks
-	for wi := range ready {
-		ready[wi] = masks[sg.nonEmpty()+wi] & masks[sg.hasOVC()+wi] &^ masks[sg.noCredit()+wi]
+func (a *Arena) takeRequests(sg seg) {
+	for wi := range sg.w {
+		a.masks[sg.ready()+wi] = a.masks[sg.nonEmpty()+wi] & a.masks[sg.hasOVC()+wi] &^ a.masks[sg.noCredit()+wi]
 	}
 }
 
 // listRequests fills the request list from the ready words, in ascending
-// (port, VC) order, for an allocator that is not a built-in kind.
+// (port, VC) order, for an allocator that is not a built-in kind. Kept
+// out of line: built-in kinds never run it, and inlined it would grow
+// the code Advance runs through.
+//
+//go:noinline
 func (r *Router) listRequests(reqs *alloc.RequestSet) {
 	reqs.Requests = reqs.Requests[:0]
 	for wi, w := range reqs.Ready {
