@@ -87,8 +87,8 @@ func (e Experiment) Validate() error {
 		// In floating point, which cannot overflow on any JSON integer.
 		routers := float64(w) * float64(h)
 		switch d := topology.Diameter(kind, w, h); {
-		case d > router.MaxHops:
-			bad("width", "a %dx%d router grid has diameter %d, more than the hop counter's %d", w, h, d, router.MaxHops)
+		case d > network.MaxHops:
+			bad("width", "a %dx%d router grid has diameter %d, more than the hop counter's %d", w, h, d, network.MaxHops)
 		case routers*float64(radix)*float64(vcs)*float64(r.BufDepth) > maxBufferSlots:
 			bad("width", "a %dx%d grid of radix-%d routers with %d VCs x %d flits has more than %d buffer slots", w, h, radix, vcs, r.BufDepth, maxBufferSlots)
 		case routers*float64(conc) < 2:

@@ -105,12 +105,13 @@ func TestEjectedFlitFieldsArePinned(t *testing.T) {
 }
 
 // TestInFlightFlitFootprint pins what an in-flight flit costs. A buffer
-// slot is 12 bytes: FlitID, the union word (a head's destination, a body
-// or tail flit's Seq), Hops, Route and Type. A link event is the slot plus
-// where it lands, at most 20 bytes, and an ejection event at most 16.
-// What the network keeps per in-flight packet — its record plus its entry
-// on the free stack — is at most 52 bytes: PacketID, Tag and two cycles
-// (8 B each) and three int32s.
+// slot is 8 bytes: FlitID and one word packing a head's destination or a
+// body or tail flit's Seq, Route and Type. A link event is the slot plus
+// where it lands, at most 16 bytes, and an ejection event the slot plus
+// the port and VC it left through, at most 12. What the network keeps per
+// in-flight packet — its record plus its entry on the free stack — is at
+// most 52 bytes: PacketID, Tag and two cycles (8 B each), three int32s
+// and the hop count.
 func TestInFlightFlitFootprint(t *testing.T) {
 	var n Network
 	rec := unsafe.Sizeof(*n.flits.At(0)) // not evaluated: the size of the element type
@@ -120,15 +121,15 @@ func TestInFlightFlitFootprint(t *testing.T) {
 		size, max uintptr
 	}{
 		{"a packet record and its free-stack entry", rec + entry, 52},
-		{"an ejection event", unsafe.Sizeof(ejection{}), 16},
-		{"a link event", unsafe.Sizeof(flitDelivery{}), 20},
+		{"an ejection event", unsafe.Sizeof(ejection{}), 12},
+		{"a link event", unsafe.Sizeof(flitDelivery{}), 16},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s costs %d bytes, want at most %d", c.what, c.size, c.max)
 		}
 	}
-	if s := unsafe.Sizeof(router.Slot{}); s != 12 {
-		t.Errorf("router.Slot is %d bytes, want exactly 12", s)
+	if s := unsafe.Sizeof(router.Slot{}); s != 8 {
+		t.Errorf("router.Slot is %d bytes, want exactly 8", s)
 	}
 }
 
@@ -167,14 +168,16 @@ func TestOccupancyCrossChecksSlotsAgainstNetworkRecords(t *testing.T) {
 	}
 }
 
-// A packet too long for a record's int32 PacketSize and a slot's int32
-// Seq is refused
-// where it enters: by Validate from the Config, at enqueue from a
-// Workload.
+// A packet too long for a slot's 23-bit Seq is refused where it enters:
+// by Validate from the Config, at enqueue from a Workload. The longest
+// packet that fits is accepted.
 func TestOversizedPacketsAreRefused(t *testing.T) {
-	size := MaxPacketSize
-	size++
+	size := MaxPacketSize + 1
 	cfg := meshConfig(topology.NewMesh(2, 2), alloc.KindSeparableIF, 1, router.PolicyMaxFree)
+	cfg.PacketSize = MaxPacketSize
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate refused PacketSize = MaxPacketSize: %v", err)
+	}
 	cfg.PacketSize = size
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted PacketSize past MaxPacketSize")

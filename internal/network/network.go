@@ -115,9 +115,16 @@ const (
 )
 
 // MaxPacketSize is the largest packet, in flits, a network carries: a
-// packet's record keeps its PacketSize, and a body flit's buffer slot its
-// Seq, as int32.
-const MaxPacketSize = math.MaxInt32
+// body flit's buffer slot keeps its Seq in router.MaxDstSeq's 23 bits.
+const MaxPacketSize = router.MaxDstSeq
+
+// MaxNodes is the most terminals a network has: a head's buffer slot
+// keeps its destination in the same 23 bits.
+const MaxNodes = router.MaxDstSeq + 1
+
+// MaxHops is the longest path, in links, a network routes: a packet's
+// record keeps its hop count in an int16.
+const MaxHops = math.MaxInt16
 
 // deadlockCycles is the forward-progress watchdog: if flits are in flight
 // but none ejects for this many consecutive cycles, Step panics with a
@@ -142,14 +149,16 @@ func (c *Config) Validate() error {
 	if c.Router.Ports != c.Topology.Radix {
 		return fmt.Errorf("network: router has %d ports but topology radix is %d", c.Router.Ports, c.Topology.Radix)
 	}
-	// Buffer slots and link events name destinations and routers in int32
-	// fields and count hops in an int16 (router.Slot).
-	if c.Topology.NumNodes > math.MaxInt32 || c.Topology.NumRouters > math.MaxInt32 {
-		return fmt.Errorf("network: topology has %d nodes on %d routers, more than %d",
-			c.Topology.NumNodes, c.Topology.NumRouters, math.MaxInt32)
+	// Buffer slots name destinations in 23 bits, link events routers in
+	// an int32, and packet records count hops in an int16.
+	if c.Topology.NumNodes > MaxNodes {
+		return fmt.Errorf("network: topology has %d nodes, more than %d", c.Topology.NumNodes, MaxNodes)
 	}
-	if d := c.Topology.Diameter(); d > router.MaxHops {
-		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, router.MaxHops)
+	if c.Topology.NumRouters > math.MaxInt32 {
+		return fmt.Errorf("network: topology has %d routers, more than %d", c.Topology.NumRouters, math.MaxInt32)
+	}
+	if d := c.Topology.Diameter(); d > MaxHops {
+		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, MaxHops)
 	}
 	if c.PacketSize < 0 || c.PacketSize > MaxPacketSize {
 		return fmt.Errorf("network: packet size %d is not in 0..%d", c.PacketSize, MaxPacketSize)
@@ -186,11 +195,12 @@ func CheckTorusVCs(kind topology.Kind, w, h, vcs int) error {
 }
 
 // flitDelivery, creditDelivery and ejection are the in-flight events on
-// the wheels, 20, 8 and 16 bytes. A flit travels as its buffer slot — the
-// header a hop needs, a head's lookahead route included — so neither
-// sending nor landing it resolves the FlitID; its packet's record is next
-// read at ejection, where the event supplies the flit's own fields: Seq,
-// the hop state, the local port it left through (route) and the type.
+// the wheels, 16, 8 and 12 bytes. A flit travels as its 8-byte buffer
+// slot — the header a hop needs, a head's lookahead route included — so
+// neither sending nor landing it resolves the FlitID; its packet's record
+// is next read at ejection, where the event supplies the flit's own
+// fields: its slot (type and Seq), the local port it left through (route)
+// and its VC.
 type flitDelivery struct {
 	slot     router.Slot
 	router   int32
@@ -203,23 +213,22 @@ type creditDelivery struct {
 }
 
 type ejection struct {
-	flit      router.FlitID
-	seq       int32
-	hops      int16
+	slot      router.Slot
 	route, vc int8
-	typ       router.FlitType
 }
 
 // flitRecord is what the network keeps of an in-flight packet, 48 bytes
 // without pointers, named by every flit of the packet: the fields its
 // flits share, which inject writes at the head and eject reads at every
-// flit. Type, Seq, Hops, Route and VC differ per flit and travel in its
-// buffer slots and ejection event; the Flit OnEject sees is assembled
-// from both.
+// flit. Every flit of a packet takes its head's path, so the hop count is
+// the path's, which inject computes from the route table. Type, Seq,
+// Route and VC differ per flit and travel in its buffer slots and
+// ejection event; the Flit OnEject sees is assembled from both.
 type flitRecord struct {
 	packetID, tag            uint64
 	createCycle, injectCycle int64 // injectCycle: when the head entered
 	src, dst, packetSize     int32
+	hops                     int16 // links on the packet's DOR path
 }
 
 // flitStore is the network's slab of packet records.
@@ -578,37 +587,38 @@ func (n *Network) endCycle() {
 
 // eject retires a flit at its destination and updates statistics from
 // its packet's record, read for the first time since the head's inject,
-// and its ejection event, which carries the flit's Seq, hop state and
-// type. The public Flit is assembled, into network-owned scratch, only
-// for OnEject. A tail returns the record to the free stack afterwards.
+// and its ejection event, which carries the flit's slot and VC. The
+// public Flit is assembled, into network-owned scratch, only for OnEject.
+// A tail returns the record to the free stack afterwards.
 func (n *Network) eject(e ejection) {
-	f := n.flits.At(e.flit)
+	f := n.flits.At(e.slot.Flit)
+	typ := e.slot.Type()
 	n.inFlight--
 	n.lastEjectCycle = n.cycle
 	n.col.FlitEjected(int(f.src))
-	if e.typ.IsTail() {
-		n.col.PacketEjected(n.cycle-f.createCycle, int(e.hops))
+	if typ.IsTail() {
+		n.col.PacketEjected(n.cycle-f.createCycle, int(f.hops))
 		if n.cfg.Workload != nil {
 			n.cfg.Workload.Delivered(Delivery{
 				Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
-				CreateCycle: f.createCycle, EjectCycle: n.cycle, Hops: int(e.hops),
+				CreateCycle: f.createCycle, EjectCycle: n.cycle, Hops: int(f.hops),
 			})
 		}
 	}
 	if n.cfg.OnEject != nil {
 		var injectCycle int64 // set on a head only
-		if e.typ.IsHead() {
+		if typ.IsHead() {
 			injectCycle = f.injectCycle
 		}
 		n.ejected = router.Flit{
-			PacketID: f.packetID, Type: e.typ, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
-			Seq: int(e.seq), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
-			CreateCycle: f.createCycle, InjectCycle: injectCycle, EjectCycle: n.cycle, Hops: int(e.hops),
+			PacketID: f.packetID, Type: typ, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
+			Seq: e.slot.Seq(), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
+			CreateCycle: f.createCycle, InjectCycle: injectCycle, EjectCycle: n.cycle, Hops: int(f.hops),
 		}
 		n.cfg.OnEject(&n.ejected)
 	}
-	if e.typ.IsTail() {
-		n.flits.Free(e.flit)
+	if typ.IsTail() {
+		n.flits.Free(e.slot.Flit)
 	}
 }
 
@@ -686,7 +696,7 @@ func (n *Network) inject(nif *ni) {
 	if rt.BufferSpace(port, nif.curVC) == 0 {
 		return
 	}
-	word := int32(nif.seq) // a body or tail flit's slot carries its Seq
+	word := nif.seq // a body or tail flit's slot carries its Seq
 	if ft.IsHead() {
 		// The packet's record is made only now that its head is certain to
 		// enter the network, so source backlog never pins slab slots.
@@ -694,11 +704,12 @@ func (n *Network) inject(nif *ni) {
 		*n.flits.At(nif.rec) = flitRecord{
 			packetID: p.id, tag: p.tag, createCycle: p.createCycle, injectCycle: n.cycle,
 			src: int32(nif.node), dst: int32(p.dst), packetSize: int32(p.size),
+			hops: int16(n.routes.Hops(r, p.dst)),
 		}
-		word = int32(p.dst)
+		word = p.dst
 		n.col.PacketInjected(p.size)
 	}
-	n.arena.Deliver(r, port, nif.curVC, router.Slot{Flit: nif.rec, DstSeq: word, Route: nif.route, Type: ft})
+	n.arena.Deliver(r, port, nif.curVC, router.NewSlot(nif.rec, ft, int(nif.route), word))
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)

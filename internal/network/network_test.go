@@ -444,9 +444,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// Slots and link events name nodes and routers in int32 fields and count
-// hops in an int16; Validate rejects a topology that would overflow them.
-// The topologies are descriptions only: Validate reads no wiring.
+// Slots name nodes in 23 bits, link events routers in an int32, and
+// packet records count hops in an int16; Validate rejects a topology that
+// would overflow them. The topologies are descriptions only: Validate
+// reads no wiring, and none is built.
 func TestConfigValidationNarrowFieldBounds(t *testing.T) {
 	tooMany := math.MaxInt32
 	tooMany++ // at run time: the constant would not compile where int is 32 bits
@@ -460,10 +461,12 @@ func TestConfigValidationNarrowFieldBounds(t *testing.T) {
 	}{
 		{"mesh diameter 32767", grid(topology.KindMesh, math.MaxInt16+1, 1), true},
 		{"mesh diameter 32768", grid(topology.KindMesh, math.MaxInt16+2, 1), false},
-		{"mesh diameter 32768 over two dimensions", grid(topology.KindMesh, 1<<14+1, 1<<14+1), false},
+		{"mesh diameter 32768 over two dimensions", grid(topology.KindMesh, 1<<15, 2), false},
 		{"torus diameter 32767", grid(topology.KindTorus, 2*math.MaxInt16+1, 1), true},
 		{"torus diameter 32768", grid(topology.KindTorus, 2*math.MaxInt16+2, 1), false},
-		{"fbfly diameter 2", grid(topology.KindFBfly, 1<<15, 1<<15), true},
+		{"fbfly diameter 2", grid(topology.KindFBfly, 1<<15, 1<<8), true},
+		{"2^23 nodes", grid(topology.KindFBfly, 1<<12, 1<<11), true},
+		{"2^23+1 nodes", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: 4, NumNodes: MaxNodes + 1, Radix: 5}, false},
 		{"2^31 nodes", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: 4, NumNodes: tooMany, Radix: 5}, false},
 		{"2^31 routers", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: tooMany, NumNodes: 4, Radix: 5}, false},
 	} {

@@ -135,8 +135,8 @@ func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router
 		e := &ems[i]
 		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
 			d.LinkTraversals++
-			if e.Type.IsHead() {
-				e.Route = int8(n.routes.Port(conn.PeerRouter, int(e.DstSeq)))
+			if e.Type().IsHead() {
+				e.SetRoute(n.routes.Port(conn.PeerRouter, e.Dst()))
 			}
 		}
 	}
@@ -158,7 +158,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 			})
 		case topology.Local:
 			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
-				flit: e.Flit, seq: int32(e.Seq()), hops: e.Hops, route: int8(e.OutPort), vc: e.VC, typ: e.Type,
+				slot: e.Slot, route: int8(e.OutPort), vc: e.VC,
 			})
 		default:
 			panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))
@@ -167,7 +167,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 	for _, cm := range creds {
 		conn := &conns[cm.Port]
 		n.credQ[n.credSlot] = append(n.credQ[n.credSlot], creditDelivery{
-			router: int32(conn.PeerRouter), outPort: int8(conn.PeerPort), vc: int8(cm.VC),
+			router: int32(conn.PeerRouter), outPort: int8(conn.PeerPort), vc: cm.VC,
 		})
 	}
 	if quiesced {

@@ -146,23 +146,22 @@ func BenchmarkNetworkStepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStepLowLoad is the ledger's mesh16_low network — a 16x16 VIX
-// mesh (if, k = 2, balanced; 6 VCs of 5 flits, 4-flit packets) at
-// 0.001116 packets/node/cycle, seed 1 — warmed for 3 000 cycles, then
-// stepped b.N cycles. Most routers are idle most cycles, so a cycle's
-// cost is the few router ticks it runs; it reports both per cycle and
-// per router tick (Advance call).
-func BenchmarkStepLowLoad(b *testing.B) {
-	topo := topology.NewMesh(16, 16)
+// benchLedgerSteps builds a ledger workload's network — cfg on a w x w
+// VIX mesh (if, k = 2, balanced; 6 VCs of 5 flits, 4-flit packets), seed
+// 1 — warms it for warmup cycles, then steps it b.N cycles and reports
+// the cost per cycle and per router tick (Advance call).
+func benchLedgerSteps(b *testing.B, w int, rate float64, warmup int) {
+	topo := topology.NewMesh(w, w)
 	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
-	cfg.InjectionRate = 0.001116
+	cfg.InjectionRate = rate
+	cfg.MaxInjection = rate == 0
 	cfg.Seed = 1
 	n, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	n.Run(3000)
+	n.Run(warmup)
 	ticks := n.RouterTicks()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -176,3 +175,15 @@ func BenchmarkStepLowLoad(b *testing.B) {
 		b.ReportMetric(ns/float64(t), "ns/router-tick")
 	}
 }
+
+// BenchmarkStepLowLoad is the ledger's mesh16_low network: a 16x16 mesh
+// at 0.001116 packets/node/cycle, warmed for 3 000 cycles. Most routers
+// are idle most cycles, so a cycle's cost is the few router ticks it
+// runs.
+func BenchmarkStepLowLoad(b *testing.B) { benchLedgerSteps(b, 16, 0.001116, 3000) }
+
+// BenchmarkStepSaturated is the ledger's mesh32_sat network: a 32x32
+// mesh at saturation, warmed for 1 500 cycles. Every router ticks every
+// cycle and the network's state outgrows a core's L2, so this is where a
+// change to the per-router layout shows as a cache effect.
+func BenchmarkStepSaturated(b *testing.B) { benchLedgerSteps(b, 32, 0, 1500) }

@@ -44,10 +44,11 @@ func (ft FlitType) String() string {
 // Flit is the unit of flow control. Flits of one packet follow the same
 // path and VC sequence (wormhole switching).
 //
-// Between the ends of a flit's journey the hop state — Route, VC, Hops,
-// with Type and either Dst (on a head) or Seq (on a body or tail flit) —
-// travels in buffer Slots and link events. A network keeps only a compact
-// record per in-flight packet and builds a Flit at ejection for
+// Between the ends of a flit's journey the hop state — Route and VC, with
+// Type and either Dst (on a head) or Seq (on a body or tail flit) —
+// travels in 8-byte buffer Slots and link events. A network keeps only a
+// compact record per in-flight packet, Hops included (its DOR path
+// length, known at injection), and builds a Flit at ejection for
 // Config.OnEject; a standalone router's FlitArena keeps whole Flits,
 // whose Route, VC and Hops DeliverFlit and Tick read and write on every
 // call.

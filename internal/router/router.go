@@ -32,12 +32,13 @@ type Config struct {
 }
 
 // Bounds of the router's packed fields: ring heads, counts and credits
-// are int8 slab fields bounded by BufDepth; routes and output ports are
-// int8 fields bounded by Ports; a Slot counts hops in an int16.
+// are int8 slab fields bounded by BufDepth; output ports are int8 slab
+// fields, and a Slot's route a 7-bit field, bounded by Ports; a Slot
+// keeps a head's destination or a body flit's Seq in 23 bits.
 const (
 	MaxBufDepth = math.MaxInt8
 	MaxPorts    = alloc.MaxPorts
-	MaxHops     = math.MaxInt16
+	MaxDstSeq   = 1<<slotRouteShift - 1
 )
 
 // Validate reports whether the configuration is usable.
@@ -67,42 +68,66 @@ type PortInfo struct {
 }
 
 // Slot is a flit as a VC buffer holds it and a link carries it: the
-// flit's name plus the header fields a hop reads or writes, 12 bytes. In
+// flit's name plus the header fields a hop reads or writes, 8 bytes. In
 // the paper's router the header sits in the input-buffer slot next to the
 // payload; here it sits next to the FlitID, so a hop never resolves the
 // id to its record.
 //
 // Only a head is routed and VC-allocated (wormhole switching): body and
 // tail flits follow the output and output VC their head took. So Dst and
-// Route are read on heads alone, and the second word is a union: a
-// head's destination, a body or tail flit's Seq.
+// Route are read on heads alone, and the second word packs, from bit 0:
+// 23 bits that are a head's destination or a body or tail flit's Seq
+// (MaxDstSeq), 7 bits of Route (MaxPorts < 128) and 2 bits of Type.
 type Slot struct {
 	Flit FlitID
-	// DstSeq is the destination terminal on a head (or head-tail) flit
-	// and the flit's index within its packet on a body or tail flit; a
-	// head's index is always 0 (see Seq).
-	DstSeq int32
-	Hops   int16 // link traversals so far
-	// Route is the output port at the router buffering a head. On an
-	// Emission it is still the route just taken until the network layer
-	// overwrites it with the lookahead route at the next router; a body
-	// or tail flit keeps the route its last router gave it.
-	Route int8
-	Type  FlitType
+	word uint32
 }
+
+// The fields of Slot.word.
+const (
+	slotRouteShift = 23
+	slotTypeShift  = 30
+	slotRouteMask  = 1<<(slotTypeShift-slotRouteShift) - 1
+)
+
+// NewSlot packs flit id's header: its type, its route (the output port at
+// the router that will buffer it, in 0..MaxPorts-1) and dstSeq, its
+// destination on a head (or head-tail) flit and its Seq on a body or tail
+// flit, in 0..MaxDstSeq. It does not check the bounds: the network's
+// Validate holds them, and DeliverFlit checks a record against them.
+func NewSlot(id FlitID, t FlitType, route, dstSeq int) Slot {
+	return Slot{Flit: id, word: uint32(t)<<slotTypeShift | uint32(route)<<slotRouteShift | uint32(dstSeq)}
+}
+
+// Type returns the flit's position in its packet.
+func (s Slot) Type() FlitType { return FlitType(s.word >> slotTypeShift) }
+
+// Route returns the output port at the router buffering a head. On an
+// Emission it is still the route just taken until the network layer sets
+// the lookahead route at the next router (SetRoute); a body or tail flit
+// keeps the route its last router gave it.
+func (s Slot) Route() int { return int(s.word >> slotRouteShift & slotRouteMask) }
+
+// SetRoute replaces the slot's route.
+func (s *Slot) SetRoute(route int) {
+	s.word = s.word&^(slotRouteMask<<slotRouteShift) | uint32(route)<<slotRouteShift
+}
+
+// Dst returns a head's destination terminal; on a body or tail flit it is
+// the flit's Seq.
+func (s Slot) Dst() int { return int(s.word & MaxDstSeq) }
 
 // Seq returns the flit's index within its packet.
 func (s Slot) Seq() int {
-	if s.Type.IsHead() {
+	if s.Type().IsHead() {
 		return 0
 	}
-	return int(s.DstSeq)
+	return int(s.word & MaxDstSeq)
 }
 
-// Emission is a flit leaving through an output port this cycle, its Hops
-// already counting a link traversal; the network layer schedules its
-// arrival in VC of the downstream input port (or its ejection) after
-// switch and link traversal.
+// Emission is a flit leaving through an output port this cycle; the
+// network layer schedules its arrival in VC of the downstream input port
+// (or its ejection) after switch and link traversal.
 type Emission struct {
 	OutPort int
 	Slot
@@ -110,9 +135,10 @@ type Emission struct {
 }
 
 // CreditMsg is a credit freed by a flit departing input (Port, VC),
-// to be returned to the upstream router.
+// to be returned to the upstream router. Both fit an int8: Port is
+// below MaxPorts, VC below alloc.MaxVCs.
 type CreditMsg struct {
-	Port, VC int
+	Port, VC int8
 }
 
 // NextDimFunc returns the dimension class of the output port a packet
@@ -398,17 +424,16 @@ func (r *Router) DeliverFlit(port, vc int, id FlitID) {
 	if !f.Type.IsHead() {
 		word = f.Seq
 	}
-	s := Slot{Flit: id, DstSeq: int32(word), Hops: int16(f.Hops), Route: int8(f.Route), Type: f.Type}
-	if int(s.DstSeq) != word || int(s.Hops) != f.Hops || int(s.Route) != f.Route {
-		panic(fmt.Sprintf("router %d: flit dst %d (on a head) or seq %d (else), hops %d or route %d does not fit a buffer slot",
-			r.id, f.Dst, f.Seq, f.Hops, f.Route))
+	if word < 0 || word > MaxDstSeq || f.Route < 0 || f.Route > slotRouteMask || f.Type > HeadTail {
+		panic(fmt.Sprintf("router %d: flit dst %d (on a head) or seq %d (else), route %d or type %d does not fit a buffer slot",
+			r.id, f.Dst, f.Seq, f.Route, f.Type))
 	}
 	f.VC = vc
-	r.Deliver(port, vc, s)
+	r.Deliver(port, vc, NewSlot(id, f.Type, f.Route, word))
 }
 
-// Deliver places an arriving flit into input (port, vc); s.Route must be
-// its output port at this router. It panics on buffer overflow, which
+// Deliver places an arriving flit into input (port, vc); s.Route() must
+// be its output port at this router. It panics on buffer overflow, which
 // would indicate a flow-control bug.
 func (r *Router) Deliver(port, vc int, s Slot) { r.arena.Deliver(int(r.slot), port, vc, s) }
 
@@ -421,7 +446,7 @@ func (r *Router) Busy() bool { return r.arena.Busy(int(r.slot)) }
 // Deliver places an arriving flit into input (port, vc) of the router in
 // slot — a network router's slot is its index — without reading the
 // Router: the network's delivery loop reaches the slabs straight from the
-// slot. s.Route must be the flit's output port at that router. It panics
+// slot. s.Route() must be the flit's output port at that router. It panics
 // on buffer overflow, which would indicate a flow-control bug.
 func (a *Arena) Deliver(slot, port, vc int, s Slot) {
 	depth := a.cfg.BufDepth
@@ -431,8 +456,8 @@ func (a *Arena) Deliver(slot, port, vc int, s Slot) {
 	if int(c) >= depth {
 		panic(fmt.Sprintf("router %d: buffer overflow at port %d vc %d", slot, port, vc))
 	}
-	if s.Route < 0 || int(s.Route) >= a.cfg.Ports {
-		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", slot, s.Route))
+	if s.Route() >= a.cfg.Ports {
+		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", slot, s.Route()))
 	}
 	if c == 0 {
 		a.masks[slot*a.maskStride+ivc>>6] |= 1 << uint(ivc&63) // nonEmpty
@@ -538,9 +563,9 @@ func (r *Router) Occupancy() int {
 			front := ring[h]
 			lo, hi := 0, vcs
 			if r.vcRange != nil {
-				lo, hi = r.vcRange(out, int(front.DstSeq)) // a head: its destination
+				lo, hi = r.vcRange(out, front.Dst())
 			}
-			if out != int(front.Route) || vcSpan(lo, hi)&^a.masks[sg.busy()+out] != 0 {
+			if out != front.Route() || vcSpan(lo, hi)&^a.masks[sg.busy()+out] != 0 {
 				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, but an admitted VC at port %d is free", r.id, ivc, out))
 			}
 		}
@@ -560,9 +585,9 @@ func (r *Router) checkSlots(ivc, from int, span []Slot) {
 		if !ok {
 			panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d, seq %d)", r.id, from+i, ivc, s.Flit, s.Seq()))
 		}
-		if s.Type != typ || s.Type.IsHead() && int(s.DstSeq) != dst {
+		if s.Type() != typ || typ.IsHead() && s.Dst() != dst {
 			panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d.%d as %v (word %d), its record says %v to %d",
-				r.id, from+i, ivc, s.Flit, s.Seq(), s.Type, s.DstSeq, typ, dst))
+				r.id, from+i, ivc, s.Flit, s.Seq(), s.Type(), s.Dst(), typ, dst))
 		}
 	}
 }
@@ -574,15 +599,20 @@ func (r *Router) Credits(outPort, vc int) int {
 }
 
 // Tick is Advance for a standalone router whose caller reads the flit
-// records: it also writes each emitted flit's granted output VC and hop
-// count back into its record. The network calls Advance and carries both
-// on the link event instead.
+// records: it also writes each emitted flit's granted output VC into its
+// record, and counts a hop there for each flit leaving through a link.
+// The network calls Advance, carries the VC on the link event and knows a
+// packet's hops from its route.
 func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	ems, credits, quiesced = r.Advance()
 	flits := r.Flits()
+	ports := r.arena.ports[r.arena.seg(int(r.slot)).ports:]
 	for i := range ems {
 		f := flits.At(ems[i].Flit)
-		f.VC, f.Hops = int(ems[i].VC), int(ems[i].Hops)
+		f.VC = int(ems[i].VC)
+		if ports[ems[i].OutPort] == topology.Link {
+			f.Hops++
+		}
 	}
 	return ems, credits, quiesced
 }
@@ -682,24 +712,23 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 				r.creditUnderflow(out, int(ovc))
 			}
 			a.credits[cvi] = cr
-			s.Hops++
 			// A granted VC had credit, so its noCredit bit is clear; a
 			// tail takes the VC with it, so only a holder that stays can
 			// run out.
-			if s.Type.IsTail() {
+			if s.Type().IsTail() {
 				a.masks[sg.busy()+out] &^= 1 << uint(ovc)
 				a.wakeVA(sg, out)
 			} else if cr == 0 {
 				a.masks[sg.noCredit()+ivc>>6] |= bit
 			}
 		}
-		if s.Type.IsTail() {
+		if s.Type().IsTail() {
 			a.ovc[i] = -1
 			a.masks[sg.hasOVC()+ivc>>6] &^= bit
 		}
 		ems = append(ems, Emission{OutPort: out, Slot: s, VC: ovc})
 		if port := int(a.ivcPort[ivc]); a.ports[sg.ports+port] == topology.Link {
-			credits = append(credits, CreditMsg{Port: port, VC: ivc - port*a.cfg.VCs})
+			credits = append(credits, CreditMsg{Port: int8(port), VC: int8(ivc - port*a.cfg.VCs)})
 		}
 	}
 	occ := a.occ[slot] - int32(len(grants))
@@ -803,16 +832,16 @@ func (r *Router) allocateVC(sg seg, ivc int) {
 	a := r.arena
 	i := sg.at + ivc
 	front := a.bufs[i*a.cfg.BufDepth+int(a.head[i])]
-	if !front.Type.IsHead() {
+	if !front.Type().IsHead() {
 		// A body flit without a valid output VC cannot occur: the VC
 		// is held from head grant to tail departure.
 		panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
 	}
-	out := int(front.Route)
+	out := front.Route()
 	bit := uint64(1) << uint(ivc&63)
 	vc := 0
 	if a.ports[sg.ports+out] != topology.Local {
-		if vc = r.chooseOVC(sg, out, int(front.DstSeq)); vc < 0 {
+		if vc = r.chooseOVC(sg, out, front.Dst()); vc < 0 {
 			a.outPort[i] = int8(out)
 			a.masks[sg.vaWait()+ivc>>6] |= bit
 			return

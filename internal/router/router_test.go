@@ -2,8 +2,10 @@ package router
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"vix/internal/alloc"
 	"vix/internal/topology"
@@ -317,8 +319,8 @@ func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
 }
 
 // The standalone contract bench/solo.go and routerbench rely on: after a
-// grant, Tick has written the granted output VC and the incremented hop
-// count into the emitted flit's record, for every flit of the packet.
+// grant, Tick has written the granted output VC and counted the link hop
+// in the emitted flit's record, for every flit of the packet.
 func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	pkt := NewPacket(1, 0, 9, 3, 0)
@@ -334,8 +336,8 @@ func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
 		}
 		e := ems[0]
 		f := r.Flits().At(e.Flit)
-		if f.VC != int(e.VC) || f.Hops != int(e.Hops) {
-			t.Errorf("flit %d: record has VC %d hops %d, emission VC %d hops %d", i, f.VC, f.Hops, e.VC, e.Hops)
+		if f.VC != int(e.VC) {
+			t.Errorf("flit %d: record has VC %d, emission VC %d", i, f.VC, e.VC)
 		}
 		if f.Hops != 5 {
 			t.Errorf("flit %d: hops = %d, want 5", i, f.Hops)
@@ -348,13 +350,13 @@ func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
 }
 
 // Advance is the same tick without the write-back: the record stays as
-// delivered and the emission carries the hop state.
+// delivered and the emission carries the slot.
 func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
 	ems, _, _ := r.Advance()
-	if len(ems) != 1 || ems[0].Hops != 1 || ems[0].DstSeq != 9 || ems[0].Type != HeadTail {
-		t.Fatalf("emission = %+v, want one head-tail flit to 9 with 1 hop", ems)
+	if len(ems) != 1 || ems[0].Dst() != 9 || ems[0].Type() != HeadTail || ems[0].Route() != 2 {
+		t.Fatalf("emission = %+v, want one head-tail flit to 9 routed to port 2", ems)
 	}
 	if f := r.Flits().At(ems[0].Flit); f.Hops != 0 || f.VC != 3 {
 		t.Errorf("Advance touched the record: hops %d vc %d, want 0 and the delivered VC 3", f.Hops, f.VC)
@@ -362,14 +364,15 @@ func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 }
 
 // DeliverFlit refuses a record whose header does not fit a buffer slot
-// instead of truncating it.
+// instead of truncating it, and takes one at the slot's bounds. Hops are
+// not in the slot, so no hop count is refused.
 func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
 	for name, f := range map[string]Flit{
-		"dst":   {Dst: math.MaxInt32 + 1, Route: 2},
-		"seq":   {Type: Body, Seq: math.MaxInt32 + 1, Route: 2},
-		"hops":  {Hops: math.MaxInt16 + 1, Route: 2},
+		"dst":   {Dst: MaxDstSeq + 1, Route: 2},
+		"seq":   {Type: Body, Seq: MaxDstSeq + 1, Route: 2},
 		"route": {Route: math.MaxInt8 + 1},
 		"neg":   {Route: -1},
+		"type":  {Type: HeadTail + 1, Route: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := testRouter(t, baseConfig())
@@ -382,6 +385,49 @@ func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
 			}()
 			r.DeliverFlit(1, 0, id)
 		})
+	}
+	r := testRouter(t, baseConfig())
+	for vc, f := range []Flit{
+		{Dst: MaxDstSeq, Route: 2, Hops: math.MaxInt32},
+		{Type: Body, Seq: MaxDstSeq, Route: 4},
+	} {
+		id := r.Flits().Alloc()
+		*r.Flits().At(id) = f
+		r.DeliverFlit(1, vc, id)
+	}
+	if n := r.Occupancy(); n != 2 {
+		t.Fatalf("occupancy %d after two deliveries at the slot's bounds, want 2", n)
+	}
+}
+
+// A Slot's second word keeps every flit type, route and destination or
+// Seq it can be given, at the edges of each field, apart from the others.
+func TestSlotRoundTrip(t *testing.T) {
+	if s := unsafe.Sizeof(Slot{}); s != 8 {
+		t.Fatalf("Slot is %d bytes, want 8", s)
+	}
+	for _, typ := range []FlitType{Head, Body, Tail, HeadTail} {
+		for _, route := range []int{0, MaxPorts - 1} {
+			for _, word := range []int{0, MaxDstSeq} {
+				s := NewSlot(FlitID(word), typ, route, word)
+				seq := word
+				if typ.IsHead() {
+					seq = 0
+				}
+				if s.Flit != FlitID(word) || s.Type() != typ || s.Route() != route || s.Dst() != word || s.Seq() != seq {
+					t.Errorf("NewSlot(%d, %v, %d, %d) reads back flit %d, %v, route %d, word %d, seq %d",
+						word, typ, route, word, s.Flit, s.Type(), s.Route(), s.Dst(), s.Seq())
+				}
+				for _, next := range []int{0, MaxPorts - 1} {
+					r := s
+					r.SetRoute(next)
+					if r.Flit != s.Flit || r.Type() != typ || r.Route() != next || r.Dst() != word {
+						t.Errorf("SetRoute(%d) on %v, route %d, word %d reads back %v, route %d, word %d",
+							next, typ, route, word, r.Type(), r.Route(), r.Dst())
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -592,6 +638,34 @@ func (r *Router) tickChecked(t *testing.T) []Emission {
 		t.Fatalf("Tick reported quiesced=%v with %d flits buffered", quiesced, occ)
 	}
 	return ems
+}
+
+// arenaBytes sums what a's slabs hold: each slice field's length times
+// its element size. Slice headers inside the elements (a RequestSet's)
+// count as their header bytes, as the memory they view is another slab.
+func arenaBytes(a *Arena) int {
+	v := reflect.ValueOf(a).Elem()
+	n := 0
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			n += f.Len() * int(f.Type().Elem().Size())
+		}
+	}
+	return n
+}
+
+// TestArenaFootprintIsPinned holds the arena's bytes per router at the
+// paper's geometry (5 ports, 6 VCs of 5 flits, k = 2): the slab bytes of
+// a two-router arena less a one-router one, so the geometry tables the
+// routers share drop out. Of the 1 825 B, 1 200 B are the 8 B slots.
+func TestArenaFootprintIsPinned(t *testing.T) {
+	const pin = 1825
+	cfg := baseConfig()
+	cfg.VirtualInputs, cfg.Policy = 2, PolicyBalanced
+	per := arenaBytes(NewArena(2, cfg, NewFlitArena())) - arenaBytes(NewArena(1, cfg, NewFlitArena()))
+	if per != pin {
+		t.Errorf("the arena holds %d B per router, pinned at %d B", per, pin)
+	}
 }
 
 // TestRouterFootprintIsPinned holds what router.New allocates beside a

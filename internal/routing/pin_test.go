@@ -27,13 +27,7 @@ func TestRoutesArePinned(t *testing.T) {
 		"torus5x3":   "98be007debd54e515ba20857bdb861838771652ad71fae8f47cbfe88d50abf68",
 		"torus8x8":   "01103f3840019f93c1fac9972a407b3a3d8ac06f5831d0f64b4b156f42f068e6",
 	}
-	topos := append(topologies(),
-		topology.NewTorus(2, 2),
-		topology.NewTorus(4, 4),
-		topology.NewTorus(5, 3),
-		topology.NewTorus(8, 8),
-	)
-	for _, topo := range topos {
+	for _, topo := range pinnedTopologies() {
 		tab := Compile(topo)
 		h := sha256.New()
 		for r := 0; r < topo.NumRouters; r++ {
@@ -48,5 +42,51 @@ func TestRoutesArePinned(t *testing.T) {
 		if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[topo.Name] {
 			t.Errorf("%s: routes digest %s, want %s", topo.Name, got, want[topo.Name])
 		}
+	}
+}
+
+// pinnedTopologies are the topologies TestRoutesArePinned covers.
+func pinnedTopologies() []*topology.Topology {
+	return append(topologies(),
+		topology.NewTorus(2, 2),
+		topology.NewTorus(4, 4),
+		topology.NewTorus(5, 3),
+		topology.NewTorus(8, 8),
+	)
+}
+
+// TestHopsMatchesThePortWalk holds Hops, the per-dimension DOR distances
+// summed, to the length of the path Port walks, for every (router,
+// destination) of every pinned topology. Among those pairs are torus
+// rings crossed at exactly half their size, where torusDir breaks a tie
+// between two ways of one length, and cmesh nodes on the router they
+// start from, which cross no link; both kinds are counted so that a
+// change to the topology list cannot drop them unseen.
+func TestHopsMatchesThePortWalk(t *testing.T) {
+	var ties, local int
+	for _, topo := range pinnedTopologies() {
+		tab := Compile(topo)
+		for r := 0; r < topo.NumRouters; r++ {
+			x, y := topo.RouterXY(r)
+			for dst := 0; dst < topo.NumNodes; dst++ {
+				want := walk(tab, r, dst)
+				if got := tab.Hops(r, dst); got != want {
+					t.Fatalf("%s: Hops(%d, %d) = %d, the Port walk crosses %d links", topo.Name, r, dst, got, want)
+				}
+				dx, dy := topo.RouterXY(topo.NodeRouter[dst])
+				if topo.Kind == topology.KindTorus && (2*abs(x-dx) == topo.W || 2*abs(y-dy) == topo.H) {
+					ties++
+				}
+				if topo.Kind == topology.KindCMesh && topo.NodeRouter[dst] == r {
+					if want != 0 {
+						t.Fatalf("%s: node %d on router %d is %d links away", topo.Name, dst, r, want)
+					}
+					local++
+				}
+			}
+		}
+	}
+	if ties == 0 || local == 0 {
+		t.Fatalf("checked %d torus tie pairs and %d same-router cmesh pairs; want both", ties, local)
 	}
 }

@@ -22,6 +22,9 @@ import (
 type Table struct {
 	topo *topology.Topology
 	rule func(t *topology.Topology, dim topology.Dim, from, to, k int) step
+	// dist is the number of hops rule takes from coordinate from to
+	// coordinate to of a k-router dimension.
+	dist func(from, to, k int) int
 }
 
 // step is one hop within a dimension: the output port, and the dateline
@@ -34,11 +37,11 @@ func Compile(t *topology.Topology) *Table {
 	rt := &Table{topo: t}
 	switch t.Kind {
 	case topology.KindMesh, topology.KindCMesh:
-		rt.rule = meshStep
+		rt.rule, rt.dist = meshStep, meshHops
 	case topology.KindTorus:
-		rt.rule = torusStep
+		rt.rule, rt.dist = torusStep, torusHops
 	case topology.KindFBfly:
-		rt.rule = fbflyStep
+		rt.rule, rt.dist = fbflyStep, fbflyHops
 	default:
 		panic(fmt.Sprintf("routing: no DOR for topology kind %q", t.Kind))
 	}
@@ -48,6 +51,29 @@ func Compile(t *topology.Topology) *Table {
 // meshStep moves one router toward the destination coordinate.
 func meshStep(t *topology.Topology, dim topology.Dim, from, to, k int) step {
 	return step{port: int8(dirPort(t, dim, to > from)), class: -1}
+}
+
+// meshHops is the hop count of meshStep: one per coordinate between.
+func meshHops(from, to, k int) int {
+	if to > from {
+		return to - from
+	}
+	return from - to
+}
+
+// fbflyHops is the hop count of fbflyStep: one direct link, if any.
+func fbflyHops(from, to, k int) int {
+	if to == from {
+		return 0
+	}
+	return 1
+}
+
+// torusHops is the hop count of torusStep: the shorter way around the
+// ring, which at a tie is the same length either way.
+func torusHops(from, to, k int) int {
+	d := meshHops(from, to, k)
+	return min(d, k-d)
 }
 
 // fbflyStep takes the direct link to the destination coordinate.
@@ -139,6 +165,16 @@ func (rt *Table) at(router, dst int) step {
 // Port returns the output port a packet destined to node dst takes at
 // router.
 func (rt *Table) Port(router, dst int) int { return int(rt.at(router, dst).port) }
+
+// Hops returns the router-to-router links a packet destined to node dst
+// crosses from router on, ejection not counted: the sum of its X and Y
+// DOR distances, which is the length of the path Port walks.
+func (rt *Table) Hops(router, dst int) int {
+	t := rt.topo
+	x, y := t.RouterXY(router)
+	dx, dy := t.RouterXY(t.NodeRouter[dst])
+	return rt.dist(x, dx, t.W) + rt.dist(y, dy, t.H)
+}
 
 // Class returns the dateline VC class, 0 or 1, a packet destined to dst
 // must use on the channel Port(router, dst) leaves through, or -1 when

@@ -9,12 +9,14 @@ import (
 )
 
 // hops returns the number of router-to-router hops a packet from src to
-// dst traverses under tab's routes (not counting injection/ejection). It
-// panics if the route does not converge within NumRouters steps, which
-// would indicate a routing bug.
-func hops(tab *Table, src, dst int) int {
+// dst traverses under tab's routes (not counting injection/ejection).
+func hops(tab *Table, src, dst int) int { return walk(tab, tab.topo.NodeRouter[src], dst) }
+
+// walk follows Port from router r to node dst's router and returns the
+// links crossed. It panics if the route does not converge within
+// NumRouters steps, which would indicate a routing bug.
+func walk(tab *Table, r, dst int) int {
 	t := tab.topo
-	r := t.NodeRouter[src]
 	n := 0
 	for r != t.NodeRouter[dst] {
 		c := t.Conn[r][tab.Port(r, dst)]
