@@ -24,6 +24,14 @@
 // worse when the interval excludes zero, unresolved otherwise, and always
 // unresolved below 5 pairs.
 //
+// -record appends one JSON line per (workload, metric) verdict to a file
+// (a trajectory; the repository keeps its own in perf/trajectory.jsonl):
+// both revisions, the host, the pair count and -seconds, both medians
+// and quartiles, the median ln(head/base) with its interval, the sign
+// counts and the verdict. The head revision is the working tree's HEAD commit, marked
+// dirty when the tree has uncommitted changes — then the line measures
+// the change that is being committed with it.
+//
 // -phases also passes the bench command's -cpuprofile to every run and
 // reads the profile with `go tool pprof -top -cum`: per phase of a
 // network step (tickRouter, deliver, allocateVCs, Allocate, mergeRouter,
@@ -106,13 +114,14 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	seconds := fs.Int("seconds", 10, "the bench command's -seconds")
 	allowDigest := fs.Bool("allow-digest-change", false, "report even when a pair's stats digests differ")
 	withPhases := fs.Bool("phases", false, "profile every run and report each step phase's CPU seconds")
+	record := fs.String("record", "", "append one JSON line per (workload, metric) verdict to this file")
 	var names workloads
 	fs.Var(&names, "workload", "workload to run (repeatable; default every workload in BENCHMARK.json)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *base == "" || *pairs < 1 || *seconds < 1 || fs.NArg() > 0 {
-		fmt.Fprintln(stderr, "ab: usage: ab -base <rev> [-pairs N] [-workload w]... [-seconds s] [-allow-digest-change] [-phases]")
+		fmt.Fprintln(stderr, "ab: usage: ab -base <rev> [-pairs N] [-workload w]... [-seconds s] [-allow-digest-change] [-phases] [-record file]")
 		return 2
 	}
 	root, err := output(ctx, "", "git", "rev-parse", "--show-toplevel")
@@ -139,7 +148,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			return 2
 		}
 	}
-	o := options{pairs: *pairs, seconds: *seconds, allowDigest: *allowDigest, phases: *withPhases}
+	o := options{pairs: *pairs, seconds: *seconds, allowDigest: *allowDigest, phases: *withPhases, record: *record}
 	if err := compare(ctx, root, *base, names, c.EndToEnd, o, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "ab:", err)
 		return 1
@@ -164,7 +173,8 @@ func readContract(path string) (contract, error) {
 type options struct {
 	pairs, seconds int
 	allowDigest    bool
-	phases         bool // profile each run and report phaseNames
+	phases         bool   // profile each run and report phaseNames
+	record         string // file to append the verdicts to, or ""
 }
 
 // compare builds both binaries, runs every workload's pairs and prints
@@ -201,6 +211,14 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 	}
 	fmt.Fprintf(stdout, "ab: base %.12s, head the working tree at %s; %d pairs, -seconds %d; %d CPUs, %s\n",
 		rev, root, o.pairs, o.seconds, runtime.NumCPU(), runtime.Version())
+	var rec *os.File
+	stamp := stamp{Base: rev, Pairs: o.pairs, Seconds: o.seconds, Host: thisHost()}
+	if o.record != "" {
+		if rec, err = openRecord(ctx, root, o.record, &stamp); err != nil {
+			return err
+		}
+		defer closeInto(&err, rec)
+	}
 	for _, w := range names {
 		var runs [2][]run
 		for p := 0; p < o.pairs; p++ {
@@ -238,7 +256,13 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 			}
 			fmt.Fprintf(stderr, "ab: %s pair %d/%d done\n", w, p+1, o.pairs)
 		}
-		printWorkload(stdout, w, runs[0], runs[1], metrics)
+		vs := verdicts(runs[0], runs[1], metrics)
+		printWorkload(stdout, w, runs[1], vs)
+		if rec != nil {
+			if err := writeRecords(rec, stamp, w, vs); err != nil {
+				return err
+			}
+		}
 		if o.phases {
 			printPhases(stdout, runs[0], runs[1])
 		}
@@ -305,32 +329,179 @@ func parseRun(out string) (run, error) {
 	return r, nil
 }
 
-// printWorkload prints one row per metric of the contract.
-func printWorkload(w io.Writer, name string, base, head []run, metrics []metric) {
-	digest := "none"
-	if d := head[0].Digest; d != "" {
-		digest = fmt.Sprintf("%.8s…", d)
-	}
-	fmt.Fprintf(w, "== %s  %d pairs  stats digest %s\n", name, len(base), digest)
-	fmt.Fprintf(w, "  %-32s %12s %25s %12s %9s %22s %6s  %s\n", "metric", "base median", "base q1..q3", "head median", "ln(h/b)", "95% CI", "signs", "verdict")
-	for _, m := range metrics {
-		var b, h []float64
+// verdict is one metric's comparison over a workload's pairs.
+type verdict struct {
+	metric
+	base, head []float64 // the pairs that reported the metric on both sides
+	summary
+}
+
+// verdicts compares base and head on every metric of the contract; a
+// metric neither side reported has no pairs.
+func verdicts(base, head []run, metrics []metric) []verdict {
+	vs := make([]verdict, len(metrics))
+	for j, m := range metrics {
+		v := verdict{metric: m}
 		for i := range base {
 			bv, okB := base[i].Metrics[m.Name]
 			hv, okH := head[i].Metrics[m.Name]
 			if okB && okH {
-				b, h = append(b, bv), append(h, hv)
+				v.base, v.head = append(v.base, bv), append(v.head, hv)
 			}
 		}
-		if len(b) == 0 {
-			fmt.Fprintf(w, "  %-32s not reported\n", m.Name)
+		if len(v.base) > 0 {
+			v.summary = summarise(v.base, v.head, m.Better)
+		}
+		vs[j] = v
+	}
+	return vs
+}
+
+// printWorkload prints one row per verdict.
+func printWorkload(w io.Writer, name string, head []run, vs []verdict) {
+	digest := "none"
+	if d := head[0].Digest; d != "" {
+		digest = fmt.Sprintf("%.8s…", d)
+	}
+	fmt.Fprintf(w, "== %s  %d pairs  stats digest %s\n", name, len(head), digest)
+	fmt.Fprintf(w, "  %-32s %12s %25s %12s %9s %22s %6s  %s\n", "metric", "base median", "base q1..q3", "head median", "ln(h/b)", "95% CI", "signs", "verdict")
+	for _, v := range vs {
+		if len(v.base) == 0 {
+			fmt.Fprintf(w, "  %-32s not reported\n", v.Name)
 			continue
 		}
-		s := summarise(b, h, m.Better)
+		b, s := v.base, v.summary
 		fmt.Fprintf(w, "  %-32s %12.6g %25s %12.6g %+9.4f %22s %2d/%-3d  %s\n",
-			m.Name, median(b), fmt.Sprintf("%.6g..%.6g", quantile(b, 0.25), quantile(b, 0.75)), median(h),
+			v.Name, median(b), fmt.Sprintf("%.6g..%.6g", quantile(b, 0.25), quantile(b, 0.75)), median(v.head),
 			s.median, fmt.Sprintf("[%+.4f, %+.4f]", s.lo, s.hi), s.better, s.worse, s.verdict)
 	}
+}
+
+// stamp is what every record of one ab invocation shares.
+type stamp struct {
+	Base      string `json:"base"`
+	Head      string `json:"head"`
+	HeadDirty bool   `json:"head_dirty"`
+	Host      host   `json:"host"`
+	Pairs     int    `json:"pairs"`
+	Seconds   int    `json:"seconds"`
+}
+
+// openRecord stamps st with the head revision, and whether the working
+// tree the head binary is built from differs from it, and opens the
+// record file for appending.
+func openRecord(ctx context.Context, root, path string, st *stamp) (*os.File, error) {
+	head, err := output(ctx, root, "git", "rev-parse", "HEAD")
+	if err != nil {
+		return nil, err
+	}
+	st.Head = strings.TrimSpace(head)
+	status, err := output(ctx, root, "git", "status", "--porcelain", "-z", "--untracked-files=all")
+	if err != nil {
+		return nil, err
+	}
+	if st.HeadDirty, err = dirty(status, root, path); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+}
+
+// dirty reports whether `git status --porcelain -z` output status, of the
+// repository at root, names any change: a tracked file that differs from
+// HEAD or an untracked one, as the head binary is built from both. The
+// record file is left out, as ab itself writes it.
+func dirty(status, root, record string) (bool, error) {
+	abs, err := filepath.Abs(record)
+	if err != nil {
+		return false, err
+	}
+	rel, err := filepath.Rel(root, abs)
+	if err != nil {
+		return false, err
+	}
+	for _, entry := range strings.Split(status, "\x00") {
+		// An entry is "XY path"; a rename's source path follows as an
+		// entry of its own, after a rename that counts anyway.
+		if len(entry) > 3 && filepath.FromSlash(entry[3:]) != rel {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// closeInto closes c and, if that fails, sets *err unless it already
+// holds an error: a deferred Close whose failure the caller returns.
+func closeInto(err *error, c io.Closer) {
+	if cerr := c.Close(); cerr != nil && *err == nil {
+		*err = cerr
+	}
+}
+
+// host names the machine the pairs ran on.
+type host struct {
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Model      string `json:"cpu_model,omitempty"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	Go         string `json:"go"`
+}
+
+func thisHost() host {
+	h := host{CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Go: runtime.Version()}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.Model = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
+// record is one line of a trajectory: a verdict with its stamp.
+type record struct {
+	stamp
+	Workload   string  `json:"workload"`
+	Metric     string  `json:"metric"`
+	Unit       string  `json:"unit"`
+	Better     string  `json:"better"`
+	BaseMedian float64 `json:"base_median"`
+	BaseQ1     float64 `json:"base_q1"`
+	BaseQ3     float64 `json:"base_q3"`
+	HeadMedian float64 `json:"head_median"`
+	HeadQ1     float64 `json:"head_q1"`
+	HeadQ3     float64 `json:"head_q3"`
+	LnRatio    float64 `json:"ln_ratio_median"`
+	CILo       float64 `json:"ci_lo"`
+	CIHi       float64 `json:"ci_hi"`
+	BetterIn   int     `json:"better_pairs"`
+	WorseIn    int     `json:"worse_pairs"`
+	Verdict    string  `json:"verdict"`
+}
+
+// writeRecords appends a line per reported verdict to w.
+func writeRecords(w io.Writer, st stamp, workload string, vs []verdict) error {
+	for _, v := range vs {
+		if len(v.base) == 0 {
+			continue
+		}
+		line, err := json.Marshal(record{
+			stamp: st, Workload: workload, Metric: v.Name, Unit: v.Unit, Better: v.metric.Better,
+			BaseMedian: median(v.base), BaseQ1: quantile(v.base, 0.25), BaseQ3: quantile(v.base, 0.75),
+			HeadMedian: median(v.head), HeadQ1: quantile(v.head, 0.25), HeadQ3: quantile(v.head, 0.75),
+			LnRatio: v.median, CILo: v.lo, CIHi: v.hi,
+			BetterIn: v.summary.better, WorseIn: v.worse, Verdict: v.verdict,
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parsePhases reads `go tool pprof -top -cum` output: per phase, the
@@ -439,16 +610,30 @@ func summarise(base, head []float64, better string) summary {
 	}
 	s.median = median(ratios)
 	s.lo, s.hi = bootstrapCI(ratios, bootstrapRounds)
-	if len(ratios) < len(base) || len(ratios) < minPairs {
-		return s
-	}
-	switch {
-	case s.lo*sign > 0 && s.hi*sign > 0:
-		s.verdict = "better"
-	case s.lo*sign < 0 && s.hi*sign < 0:
-		s.verdict = "worse"
+	if len(ratios) == len(base) {
+		s.verdict = judge(s.lo, s.hi, len(ratios), better)
 	}
 	return s
+}
+
+// judge is the verdict of an ln(head/base) interval [lo, hi] over pairs
+// pairs, for a metric whose better direction is better: better or worse
+// when the interval excludes zero, unresolved otherwise or below
+// minPairs.
+func judge(lo, hi float64, pairs int, better string) string {
+	sign := 1.0
+	if better == "lower" {
+		sign = -1
+	}
+	switch {
+	case pairs < minPairs:
+		return "unresolved"
+	case lo*sign > 0 && hi*sign > 0:
+		return "better"
+	case lo*sign < 0 && hi*sign < 0:
+		return "worse"
+	}
+	return "unresolved"
 }
 
 // median returns the median of xs, which it does not modify.

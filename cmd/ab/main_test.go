@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -220,5 +225,134 @@ func TestParsePhasesReadsCumulativeSeconds(t *testing.T) {
 		if got, err := pprofSeconds(v); err != nil || math.Abs(got-want) > 1e-15 {
 			t.Errorf("pprofSeconds(%q) = %v, %v; want %v", v, got, err, want)
 		}
+	}
+}
+
+// writeRecords writes a line per reported verdict, each its stamp, the
+// workload and the verdict's statistics; a metric no pair reported is
+// left out.
+func TestWriteRecordsRoundTrips(t *testing.T) {
+	base := []run{{Metrics: map[string]float64{"op_p50_ms": 10}}, {Metrics: map[string]float64{"op_p50_ms": 12}}}
+	head := []run{{Metrics: map[string]float64{"op_p50_ms": 9}}, {Metrics: map[string]float64{"op_p50_ms": 11}}}
+	metrics := []metric{{Name: "op_p50_ms", Unit: "ms", Better: "lower"}, {Name: "live_heap_mb", Unit: "MB", Better: "lower"}}
+	st := stamp{Base: "b", Head: "h", HeadDirty: true, Host: host{CPUs: 2, Go: "go1"}, Pairs: 2, Seconds: 1}
+	var buf strings.Builder
+	if err := writeRecords(&buf, st, "mesh16_low", verdicts(base, head, metrics)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("%d lines, want 1:\n%s", len(lines), buf.String())
+	}
+	var r record
+	if err := json.Unmarshal([]byte(lines[0]), &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.stamp != st || r.Workload != "mesh16_low" || r.Metric != "op_p50_ms" || r.Unit != "ms" ||
+		r.BaseMedian != 11 || r.HeadMedian != 10 || r.BetterIn != 2 || r.WorseIn != 0 || r.Verdict != "unresolved" {
+		t.Errorf("record %+v", r)
+	}
+}
+
+// dirty counts every change the head binary could be built from, an
+// untracked file too, but not the record file that ab writes itself.
+func TestDirtyCountsUntrackedFilesButNotTheRecord(t *testing.T) {
+	root := t.TempDir()
+	record := root + "/perf/trajectory.jsonl"
+	for _, c := range []struct {
+		status string
+		want   bool
+	}{
+		{"", false},
+		{" M perf/trajectory.jsonl\x00", false},
+		{"?? perf/trajectory.jsonl\x00", false},
+		{"?? internal/alloc/new.go\x00", true},
+		{" M perf/trajectory.jsonl\x00 M internal/alloc/pool.go\x00", true},
+		{"A  internal/alloc/pool.go\x00", true},
+		{"R  b.go\x00a.go\x00", true},
+	} {
+		if got, err := dirty(c.status, root, record); err != nil || got != c.want {
+			t.Errorf("dirty(%q) = %v, %v; want %v", c.status, got, err, c.want)
+		}
+	}
+}
+
+// failingCloser is an io.Closer whose Close fails.
+type failingCloser struct{ err error }
+
+func (c failingCloser) Close() error { return c.err }
+
+// closeInto returns a failed Close through the caller's error, and keeps
+// an error the caller already returns.
+func TestCloseIntoKeepsTheFirstError(t *testing.T) {
+	closeErr, runErr := errors.New("close"), errors.New("run")
+	var err error
+	closeInto(&err, failingCloser{closeErr})
+	if err != closeErr {
+		t.Errorf("after a failed Close, err = %v; want %v", err, closeErr)
+	}
+	err = runErr
+	closeInto(&err, failingCloser{closeErr})
+	if err != runErr {
+		t.Errorf("a failed Close after a failed run: err = %v; want %v", err, runErr)
+	}
+	err = nil
+	closeInto(&err, failingCloser{})
+	if err != nil {
+		t.Errorf("after a good Close, err = %v", err)
+	}
+}
+
+// TestTrajectoryVerdictsFollowTheirIntervals reads the repository's perf
+// trajectory, which cmd/ab -record appends to: every line names both
+// revisions, its host and its pairs, a workload and an end-to-end metric
+// of BENCHMARK.json, and its verdict is the one its interval and pair
+// count give. Nothing is timed.
+func TestTrajectoryVerdictsFollowTheirIntervals(t *testing.T) {
+	c, err := readContract("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open("../../perf/trajectory.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	n := 0
+	for sc.Scan() {
+		n++
+		dec := json.NewDecoder(strings.NewReader(sc.Text()))
+		dec.DisallowUnknownFields()
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		if r.Base == "" || r.Head == "" || r.Host.CPUs < 1 || r.Host.Go == "" || r.Pairs < 1 || r.Seconds < 1 {
+			t.Errorf("line %d: incomplete stamp %+v", n, r.stamp)
+		}
+		if !slices.ContainsFunc(c.Workloads, func(w struct {
+			Name string `json:"name"`
+		}) bool {
+			return w.Name == r.Workload
+		}) {
+			t.Errorf("line %d: workload %q is not in BENCHMARK.json", n, r.Workload)
+		}
+		if i := slices.IndexFunc(c.EndToEnd, func(m metric) bool { return m.Name == r.Metric }); i < 0 || c.EndToEnd[i].Better != r.Better {
+			t.Errorf("line %d: metric %q (better %s) is not an end-to-end metric of BENCHMARK.json", n, r.Metric, r.Better)
+		}
+		if !(r.CILo <= r.CIHi) || r.BetterIn+r.WorseIn > r.Pairs {
+			t.Errorf("line %d: interval [%v, %v], signs %d/%d of %d pairs", n, r.CILo, r.CIHi, r.BetterIn, r.WorseIn, r.Pairs)
+		}
+		if want := judge(r.CILo, r.CIHi, r.Pairs, r.Better); r.Verdict != want {
+			t.Errorf("line %d: %s %s reads %q, its interval [%+.4f, %+.4f] over %d pairs gives %q",
+				n, r.Workload, r.Metric, r.Verdict, r.CILo, r.CIHi, r.Pairs, want)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Error("the trajectory is empty")
 	}
 }

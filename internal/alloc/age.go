@@ -18,14 +18,23 @@ import (
 // and comparators; the ablation benchmarks quantify the trade on top of
 // both the baseline and the VIX crossbar.
 //
-// It is SeparableIF's state — one row word per output, the two pointer
+// It is a SeparableIF view — one row word per output, the two pointer
 // banks, which here only break ties — under its own Allocate.
-type SeparableAge struct{ *SeparableIF }
+type SeparableAge struct{ SeparableIF }
 
 // NewSeparableAge returns an oldest-first separable allocator for cfg.
 // It panics if cfg is invalid.
-func NewSeparableAge(cfg Config) *SeparableAge {
-	return &SeparableAge{NewSeparableIF(cfg)}
+func NewSeparableAge(cfg Config) *SeparableAge { return &newSeparableAges(cfg, 1)[0] }
+
+// newSeparableAges returns n views of one pool.
+func newSeparableAges(cfg Config, n int) []SeparableAge {
+	mustValidate(cfg)
+	p := newIFPool(cfg, n)
+	vs := make([]SeparableAge, n)
+	for i := range vs {
+		vs[i] = SeparableAge{SeparableIF{p, i}}
+	}
+	return vs
 }
 
 // Name implements Allocator.
@@ -34,11 +43,14 @@ func (s *SeparableAge) Name() string { return "if-age" }
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
-	sg := s.sub
+	pl := s.p
+	sg, rowWords := pl.sub, pl.rowWords
+	inPtr, outPtr, candidate := seg(pl.inPtr, s.i, pl.rows), seg(pl.outPtr, s.i, pl.ports), seg(pl.candidate, s.i, pl.rows)
+	outMask, outOcc := s.masks()
 
 	// Phase one: per crossbar row, the oldest request wins; the rotating
 	// arbiter decides among equally old ones.
-	for p := 0; p < s.ports; p++ {
+	for p := 0; p < pl.ports; p++ {
 		lines := portLines(rs.Ready, p, sg.vcs)
 		if lines == 0 {
 			continue
@@ -50,33 +62,33 @@ func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
 			}
 			row := p*sg.k + g
 			keepOldest(slots[:], func(slot int) int { return int(rs.Age[p*sg.vcs+sg.vc(g, slot)]) })
-			slot := arb.Pick(slots[0], int(s.inPtr[row]))
+			slot := arb.Pick(slots[0], int(inPtr[row]))
 			ivc := p*sg.vcs + sg.vc(g, slot)
-			s.candidate[row] = int32(line(ivc, slot))
+			candidate[row] = int32(line(ivc, slot))
 			out := int(rs.Out[ivc])
-			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
-			s.outOcc.Set(out)
+			outMask[out*rowWords+row>>6] |= 1 << uint(row&63)
+			outOcc.Set(out)
 		}
 	}
 
 	// Phase two: per output port, the oldest candidate wins, equally old
 	// ones by the output's rotating arbiter for long-run fairness.
-	s.grants = s.grants[:0]
-	for wi, w := range s.outOcc {
-		s.outOcc[wi] = 0
+	grants := pl.grantBuf(s.i)
+	for wi, w := range outOcc {
+		outOcc[wi] = 0
 		for ; w != 0; w &= w - 1 {
 			out := wi<<6 + bits.TrailingZeros64(w)
-			mask := s.outMask[out*s.rowWords : (out+1)*s.rowWords]
-			keepOldest(mask, func(row int) int { return int(rs.Age[lineIVC(int(s.candidate[row]))]) })
-			row := arb.PickWords(mask, int(s.outPtr[out]))
+			mask := outMask[out*rowWords : (out+1)*rowWords]
+			keepOldest(mask, func(row int) int { return int(rs.Age[lineIVC(int(candidate[row]))]) })
+			row := arb.PickWords(mask, int(outPtr[out]))
 			clear(mask)
-			l := int(s.candidate[row])
-			s.grants = append(s.grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
-			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
-			s.inPtr[row] = int32(arb.Next(lineSlot(l), sg.size))
+			l := int(candidate[row])
+			grants = put(grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
+			outPtr[out] = int16(arb.Next(row, pl.rows))
+			inPtr[row] = int8(arb.Next(lineSlot(l), sg.size))
 		}
 	}
-	return s.grants
+	return grants
 }
 
 // keepOldest lowers every raised line of req but those whose request has

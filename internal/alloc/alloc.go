@@ -409,19 +409,31 @@ func mark(set []uint64, i int) bool {
 // output — the input of the row's VC choice. Each allocator lowers the
 // cells it raised from its own record of them (diagonal rows, adjacency
 // lists, per-output row words), so the words are all-zero between calls
-// and a call never sweeps the Rows x Ports matrix.
+// and a call never sweeps the Rows x Ports matrix. Every instance of a
+// pool has its matrix in the pool's one cellSlots, addressed by pool row:
+// instance i's row r is i*rows+r, the index of the row's VC pointer too.
+//
+// Reading a granted cell's slots off the request set instead, with no
+// matrix, saves Rows x Ports words per instance, but made fbfly_wf_sat
+// (wavefront) 16 % slower to set up and 4 % slower per operation.
 type cellSlots struct {
 	outs  int
-	cells []uint64 // per row*outs+out
+	cells []uint64 // per pool row*outs+out
 }
 
-// newCellSlots sizes the cell words for cfg.
-func newCellSlots(cfg Config) cellSlots {
-	return cellSlots{outs: cfg.Ports, cells: make([]uint64, cfg.Rows()*cfg.Ports)}
+// newCellSlots returns all-zero matrices of outs cells per pool row.
+func newCellSlots(poolRows, outs int) cellSlots {
+	return cellSlots{outs: outs, cells: make([]uint64, poolRows*outs)}
 }
 
-// add raises slot's line on the (row, out) cell.
-func (s *cellSlots) add(row, out, slot int) { s.cells[row*s.outs+out] |= 1 << uint(slot) }
+// add raises slot's line on the (row, out) cell, and reports whether it
+// is the cell's first.
+func (s *cellSlots) add(row, out, slot int) (first bool) {
+	c := &s.cells[row*s.outs+out]
+	first = *c == 0
+	*c |= 1 << uint(slot)
+	return first
+}
 
 // at returns the (row, out) cell's slots.
 func (s *cellSlots) at(row, out int) uint64 { return s.cells[row*s.outs+out] }
@@ -438,10 +450,10 @@ func (s *cellSlots) take(row, out int) uint64 {
 // the row's pointer ptr, as the hardware input arbiter picks. It returns
 // the winning slot and the pointer the caller stores back; a lone slot
 // wins without moving the pointer.
-func pickSlot(slots uint64, ptr int32, groupSize int) (slot int, next int32) {
+func pickSlot(slots uint64, ptr int8, groupSize int) (slot int, next int8) {
 	if slots&(slots-1) == 0 {
 		return bits.TrailingZeros64(slots), ptr
 	}
 	slot = arb.Pick(slots, int(ptr))
-	return slot, int32(arb.Next(slot, groupSize))
+	return slot, int8(arb.Next(slot, groupSize))
 }

@@ -14,109 +14,127 @@ import "math/bits"
 // level (Figure 9). The implementation is deliberately deterministic in
 // its search order — exactly the behaviour a hardware realisation would
 // have — which is what produces that unfairness.
+//
+// An instance is a view of an apPool.
 type AugmentingPath struct {
-	cfg   Config
-	sub   subgroups
-	vcPtr []int32 // per row: round-robin pointer selecting the transmitting VC
+	p *apPool
+	i int
+}
 
-	// scratch for matching
-	adj     [][]int // adj[row] = outputs requested
-	matchTo []int   // matchTo[out] = row, -1 if free
-	visited []bool
+// apPool holds the state of a pool's AugmentingPath views. Instance i's
+// rows start at pool row i*rows, and its outputs at i*ports.
+type apPool struct {
+	pool
+	vcPtr []int8 // per pool row: round-robin pointer selecting the transmitting VC
+
+	// Scratch for the matching, per instance.
+	adj     []int8   // per pool row, ports each: the row's requested outputs, in order of first request
+	adjLen  []int8   // per pool row: how many outputs the row requests
+	matchTo []int16  // per instance, ports each: row matched to the output, -1 if free
+	visited []uint64 // per instance, outWords each: outputs the current search has visited
 	cells   cellSlots
-	grants  []Grant
 }
 
 // NewAugmentingPath returns a maximum-matching allocator for cfg. It
 // panics if cfg is invalid.
-func NewAugmentingPath(cfg Config) *AugmentingPath {
+func NewAugmentingPath(cfg Config) *AugmentingPath { return &newAugmentingPaths(cfg, 1)[0] }
+
+// newAugmentingPaths returns n views of one pool.
+func newAugmentingPaths(cfg Config, n int) []AugmentingPath {
 	mustValidate(cfg)
-	return &AugmentingPath{
-		cfg:     cfg,
-		sub:     newSubgroups(cfg),
-		vcPtr:   make([]int32, cfg.Rows()),
-		adj:     make([][]int, cfg.Rows()),
-		matchTo: make([]int, cfg.Ports),
-		visited: make([]bool, cfg.Ports),
-		cells:   newCellSlots(cfg),
-		grants:  make([]Grant, 0, cfg.Ports),
+	p := &apPool{pool: newPool(cfg, n)}
+	p.vcPtr = make([]int8, n*p.rows)
+	p.adj = make([]int8, n*p.rows*p.ports)
+	p.adjLen = make([]int8, n*p.rows)
+	p.matchTo = make([]int16, n*p.ports)
+	p.visited = make([]uint64, n*p.outWords)
+	p.cells = newCellSlots(n*p.rows, p.ports)
+	vs := make([]AugmentingPath, n)
+	for i := range vs {
+		vs[i] = AugmentingPath{p, i}
 	}
+	return vs
 }
 
 // Name implements Allocator.
 func (a *AugmentingPath) Name() string { return "ap" }
 
 // Reset implements Allocator.
-func (a *AugmentingPath) Reset() {
-	for i := range a.vcPtr {
-		a.vcPtr[i] = 0
-	}
-}
+func (a *AugmentingPath) Reset() { clear(seg(a.p.vcPtr, a.i, a.p.rows)) }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
-	rows := a.cfg.Rows()
-	for i := 0; i < rows; i++ {
-		a.adj[i] = a.adj[i][:0]
-	}
+	p := a.p
+	at := a.i * p.rows // the instance's first pool row
+	adjLen := p.adjLen[at : at+p.rows]
+	clear(adjLen)
 	// Representative request per (row, out); VC choice refined afterwards.
-	sg := a.sub
-	for p := 0; p < a.cfg.Ports; p++ {
-		lines := portLines(rs.Ready, p, sg.vcs)
+	sg := p.sub
+	for port := 0; port < p.ports; port++ {
+		lines := portLines(rs.Ready, port, sg.vcs)
 		for g := 0; lines != 0 && g < sg.k; g++ {
-			row := p*sg.k + g
+			row := port*sg.k + g
 			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
 				slot := bits.TrailingZeros64(slots)
-				ivc := p*sg.vcs + sg.vc(g, slot)
-				out := int(rs.Out[ivc])
-				if a.cells.at(row, out) == 0 {
-					a.adj[row] = append(a.adj[row], out)
+				out := int(rs.Out[port*sg.vcs+sg.vc(g, slot)])
+				if p.cells.add(at+row, out, slot) {
+					p.adj[(at+row)*p.ports+int(adjLen[row])] = int8(out)
+					adjLen[row]++
 				}
-				a.cells.add(row, out, slot)
 			}
 		}
 	}
-	for i := range a.matchTo {
-		a.matchTo[i] = -1
+	// The instance's first output, and its first word over the outputs.
+	outAt, wordAt := a.i*p.ports, a.i*p.outWords
+	matchTo, visited := p.matchTo[outAt:outAt+p.ports], p.visited[wordAt:wordAt+p.outWords]
+	for i := range matchTo {
+		matchTo[i] = -1
 	}
-	for row := 0; row < rows; row++ {
-		if len(a.adj[row]) == 0 {
+	for row, n := range adjLen {
+		if n == 0 {
 			continue
 		}
-		for i := range a.visited {
-			a.visited[i] = false
-		}
-		a.augment(row)
+		clear(visited)
+		p.augment(at, outAt, wordAt, row)
 	}
 
-	a.grants = a.grants[:0]
-	for out, row := range a.matchTo {
+	grants := p.grantBuf(a.i)
+	for out, row := range matchTo {
 		if row < 0 {
 			continue
 		}
 		var slot int
-		slot, a.vcPtr[row] = pickSlot(a.cells.at(row, out), a.vcPtr[row], a.sub.size)
-		a.grants = append(a.grants, Grant{IVC: a.sub.ivc(row, slot), OutPort: out, Row: row})
+		ptr := &p.vcPtr[at+int(row)]
+		slot, *ptr = pickSlot(p.cells.at(at+int(row), out), *ptr, sg.size)
+		grants = put(grants, Grant{IVC: sg.ivc(int(row), slot), OutPort: out, Row: int(row)})
 	}
-	for row, outs := range a.adj {
-		for _, out := range outs {
-			a.cells.take(row, out)
+	for row := range adjLen {
+		for _, out := range p.outs(at + row) {
+			p.cells.take(at+row, int(out))
 		}
 	}
-	return a.grants
+	return grants
 }
 
-// augment tries to find an augmenting path from row; it returns true and
-// updates the matching if one exists.
-func (a *AugmentingPath) augment(row int) bool {
-	for _, out := range a.adj[row] {
-		if a.visited[out] {
+// outs returns the outputs pool row requests.
+func (p *apPool) outs(row int) []int8 {
+	return p.adj[row*p.ports : row*p.ports+int(p.adjLen[row])]
+}
+
+// augment tries to find an augmenting path from row, for the instance
+// whose first pool row is at, first output outAt and first visited word
+// wordAt; it returns true and updates the instance's matching if one
+// exists.
+func (p *apPool) augment(at, outAt, wordAt, row int) bool {
+	for _, out := range p.outs(at + row) {
+		w, bit := &p.visited[wordAt+int(out)>>6], uint64(1)<<uint(out&63)
+		if *w&bit != 0 {
 			continue
 		}
-		a.visited[out] = true
-		if a.matchTo[out] < 0 || a.augment(a.matchTo[out]) {
-			a.matchTo[out] = row
+		*w |= bit
+		if m := &p.matchTo[outAt+int(out)]; *m < 0 || p.augment(at, outAt, wordAt, int(*m)) {
+			*m = int16(row)
 			return true
 		}
 	}

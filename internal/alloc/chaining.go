@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"vix/internal/arb"
+	"vix/internal/sim"
 )
 
 // PacketChaining implements the SameInput/anyVC packet-chaining scheme of
@@ -19,74 +20,95 @@ import (
 // arbiter decisions. VIX instead works by exposure — more conflict-free
 // requests reach output arbitration — which is the contrast Figure 10
 // quantifies (PC +9% vs VIX +16% over IF on single-flit uniform traffic).
+//
+// An instance is a view of a chainPool; its inner separable allocator is
+// the view of the same index of the pool's ifPool.
 type PacketChaining struct {
-	inner *SeparableIF
-
-	// prevOut[row] = output port granted to the row last cycle, -1 if none.
-	prevOut []int
-	// chainPtr[row] is the rotating pointer choosing among the row's VCs
-	// eligible to chain. It counts positions among the slots the row offers
-	// this cycle, not slots: the eligible set is already filtered to one
-	// output port, so rotation only has to keep one busy VC from starving
-	// its neighbours.
-	chainPtr []int32
-
-	// scratch
-	rest       []uint64 // the unchained remainder's Ready words
-	rowChained []bool
-	outChained []bool
-	grants     []Grant
+	p *chainPool
+	i int
 }
+
+// chainPool holds a pool's PacketChaining state beside the inner
+// separable allocators'. The inner allocators' grant segments are the
+// chaining grants: chained pairs go in first, and the inner allocator
+// appends its grants after them.
+type chainPool struct {
+	ifPool
+	readyWords int // words of a request set's Ready
+
+	// prevOut is per instance, rows each: the output port granted to the
+	// row last cycle, -1 if none.
+	prevOut []int8
+	// chainPtr is per instance, rows each: the rotating pointer choosing
+	// among the row's VCs eligible to chain. It counts positions among
+	// the slots the row offers this cycle, not slots: the eligible set is
+	// already filtered to one output port, so rotation only has to keep
+	// one busy VC from starving its neighbours.
+	chainPtr []int8
+
+	// chain is per instance, chainWords each, scratch: the unchained
+	// remainder's Ready words, the chained rows, the chained outputs.
+	chain []uint64
+}
+
+func (p *chainPool) chainWords() int { return p.readyWords + p.rowWords + p.outWords }
 
 // NewPacketChaining returns a packet-chaining allocator for cfg. The paper
 // evaluates chaining on the baseline crossbar (VirtualInputs = 1), but the
 // implementation supports any geometry. It panics if cfg is invalid.
-func NewPacketChaining(cfg Config) *PacketChaining {
+func NewPacketChaining(cfg Config) *PacketChaining { return &newPacketChainings(cfg, 1)[0] }
+
+// newPacketChainings returns n views of one pool.
+func newPacketChainings(cfg Config, n int) []PacketChaining {
 	mustValidate(cfg)
-	p := &PacketChaining{
-		inner:      NewSeparableIF(cfg),
-		prevOut:    make([]int, cfg.Rows()),
-		chainPtr:   make([]int32, cfg.Rows()),
-		rest:       make([]uint64, (cfg.Ports*cfg.VCs+63)/64),
-		rowChained: make([]bool, cfg.Rows()),
-		outChained: make([]bool, cfg.Ports),
-		grants:     make([]Grant, 0, cfg.Ports),
+	p := &chainPool{readyWords: (cfg.Ports*cfg.VCs + 63) / 64}
+	p.ifPool.init(cfg, n)
+	p.prevOut = make([]int8, n*p.rows)
+	disconnect(p.prevOut)
+	p.chainPtr = make([]int8, n*p.rows)
+	p.chain = make([]uint64, n*p.chainWords())
+	vs := make([]PacketChaining, n)
+	for i := range vs {
+		vs[i] = PacketChaining{p, i}
 	}
-	for i := range p.prevOut {
-		p.prevOut[i] = -1
-	}
-	return p
+	return vs
 }
 
+// inner returns the view's separable allocator.
+func (c *PacketChaining) inner() SeparableIF { return SeparableIF{&c.p.ifPool, c.i} }
+
 // Name implements Allocator.
-func (p *PacketChaining) Name() string { return "pc" }
+func (c *PacketChaining) Name() string { return "pc" }
 
 // Reset implements Allocator.
-func (p *PacketChaining) Reset() {
-	p.inner.Reset()
-	for i := range p.prevOut {
-		p.prevOut[i] = -1
-	}
-	clear(p.chainPtr)
+func (c *PacketChaining) Reset() {
+	in := c.inner()
+	in.Reset()
+	disconnect(seg(c.p.prevOut, c.i, c.p.rows))
+	clear(seg(c.p.chainPtr, c.i, c.p.rows))
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
-	sg := p.inner.sub
-	clear(p.rowChained)
-	clear(p.outChained)
-	p.grants = p.grants[:0]
+func (c *PacketChaining) Allocate(rs *RequestSet) []Grant {
+	p := c.p
+	sg := p.sub
+	prevOut, chainPtr := seg(p.prevOut, c.i, p.rows), seg(p.chainPtr, c.i, p.rows)
+	w := seg(p.chain, c.i, p.chainWords())
+	rest, rowChained, outChained := carve(&w, p.readyWords), sim.Bitset(carve(&w, p.rowWords)), sim.Bitset(w)
+	clear(rowChained)
+	clear(outChained)
+	grants := p.grantBuf(c.i)
 
 	// Phase zero: preserve last cycle's connections where any VC of the
 	// row requests the same output (SameInput, anyVC).
 	chained := false
-	for port := 0; port < p.inner.ports; port++ {
+	for port := 0; port < p.ports; port++ {
 		lines := portLines(rs.Ready, port, sg.vcs)
 		for g := 0; g < sg.k; g++ {
 			row := port*sg.k + g
-			out := p.prevOut[row]
-			if out < 0 || p.outChained[out] || lines == 0 {
+			out := int(prevOut[row])
+			if out < 0 || outChained.Has(out) || lines == 0 {
 				continue
 			}
 			offered := sg.slots(lines, g)
@@ -101,47 +123,53 @@ func (p *PacketChaining) Allocate(rs *RequestSet) []Grant {
 			if eligible == 0 {
 				continue
 			}
-			pos := arb.Pick(eligible, int(p.chainPtr[row])%n)
-			p.chainPtr[row] = int32(arb.Next(pos, n))
+			pos := arb.Pick(eligible, int(chainPtr[row])%n)
+			chainPtr[row] = int8(arb.Next(pos, n))
 			for ; pos > 0; pos-- {
 				offered &= offered - 1
 			}
 			ivc := port*sg.vcs + sg.vc(g, bits.TrailingZeros64(offered))
-			p.grants = append(p.grants, Grant{IVC: ivc, OutPort: out, Row: row})
-			p.rowChained[row] = true
-			p.outChained[out] = true
+			grants = put(grants, Grant{IVC: ivc, OutPort: out, Row: row})
+			rowChained.Set(row)
+			outChained.Set(out)
 			chained = true
 		}
 	}
 
 	// Run the separable allocator on the unchained remainder: Ready less
 	// every VC of a chained row and every VC requesting a chained output.
-	// Appending copies its grants out of its scratch.
-	rest := rs.Ready
+	// It appends its grants to the chained ones.
+	ready := rs.Ready
 	if chained {
-		rest = p.rest
+		ready = rest
 		copy(rest, rs.Ready)
-		for port := 0; port < p.inner.ports; port++ {
+		for port := 0; port < p.ports; port++ {
 			lines := portLines(rs.Ready, port, sg.vcs)
 			for g := 0; lines != 0 && g < sg.k; g++ {
 				row := port*sg.k + g
 				for w := sg.slots(lines, g); w != 0; w &= w - 1 {
 					ivc := port*sg.vcs + sg.vc(g, bits.TrailingZeros64(w))
-					if p.rowChained[row] || p.outChained[rs.Out[ivc]] {
+					if rowChained.Has(row) || outChained.Has(int(rs.Out[ivc])) {
 						rest[ivc>>6] &^= 1 << uint(ivc&63)
 					}
 				}
 			}
 		}
 	}
-	p.grants = append(p.grants, p.inner.allocate(rest, rs)...)
+	in := c.inner()
+	grants = in.allocate(ready, rs, grants)
 
 	// Record this cycle's connections for chaining next cycle.
-	for i := range p.prevOut {
-		p.prevOut[i] = -1
+	disconnect(prevOut)
+	for _, g := range grants {
+		prevOut[g.Row] = int8(g.OutPort)
 	}
-	for _, g := range p.grants {
-		p.prevOut[g.Row] = g.OutPort
+	return grants
+}
+
+// disconnect records that no row was granted last cycle.
+func disconnect(prevOut []int8) {
+	for i := range prevOut {
+		prevOut[i] = -1
 	}
-	return p.grants
 }

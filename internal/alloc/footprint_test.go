@@ -6,43 +6,49 @@ import (
 )
 
 // TestAllocatorFootprintIsPinned holds each built-in kind's heap bytes
-// per instance, as constructed (before any cell list grows), to a pin at
-// the radix-5 VIX geometry and the radix-10 conventional one (ideal at a
-// row per VC, sparoflo at k = 1). A network builds one allocator per
+// per instance, as constructed, to a pin at the radix-5 VIX geometry and
+// the radix-10 conventional one (ideal at a row per VC, sparoflo at
+// k = 1), twice: standalone (New, a pool of one) and pooled (NewMany's
+// share of 1024 views of one pool, as a network builds them, the
+// returned []Allocator included). A network builds one allocator per
 // router, so a table copied into every instance shows here first.
 // Bytes are TotalAlloc's, over 1024 instances, so size-class rounding
 // counts and the figure does not depend on when the collector runs; the
 // least of three samples stands, in case something else allocated
 // meanwhile. Before the kinds read the router's packed request set,
-// SeparableIF took 960 B at 5x6x2 and Wavefront 3696 B at 10x6x1.
+// SeparableIF took 960 B at 5x6x2 and Wavefront 3696 B at 10x6x1. A
+// pooled IF at 5x6x2 is its 16 B view, 228 B of slab segments and its
+// 16 B []Allocator entry, which a network drops once its routers hold
+// their allocators.
 func TestAllocatorFootprintIsPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector pads heap objects; the pins are a normal build's bytes")
 	}
 	pins := []struct {
-		kind     Kind
-		at5x6x2  uint64
-		at10x6x1 uint64
+		kind              Kind
+		at5x6x2           uint64
+		at10x6x1          uint64
+		pooled5, pooled10 uint64
 	}{
-		{KindSeparableIF, 496, 664},
-		{KindWavefront, 912, 1504},
-		{KindAugmentingPath, 1109, 1744},
-		{KindPacketChaining, 936, 1232},
-		{KindIdeal, 664, 1056},
-		{KindISLIP, 1216, 1864},
-		{KindSparoflo, 672, 976},
-		{KindSeparableAge, 504, 672},
+		{KindSeparableIF, 480, 648, 264, 434},
+		{KindWavefront, 880, 1472, 664, 1184},
+		{KindAugmentingPath, 936, 1584, 650, 1228},
+		{KindPacketChaining, 632, 800, 308, 478},
+		{KindIdeal, 576, 888, 366, 688},
+		{KindISLIP, 1008, 1656, 746, 1316},
+		{KindSparoflo, 568, 832, 302, 552},
+		{KindSeparableAge, 480, 648, 264, 434},
 	}
 	if len(pins) != len(Kinds()) {
 		t.Fatalf("%d pins for %d kinds", len(pins), len(Kinds()))
 	}
 	for _, p := range pins {
 		for _, c := range []struct {
-			cfg Config
-			pin uint64
+			cfg         Config
+			pin, pooled uint64
 		}{
-			{Config{Ports: 5, VCs: 6, VirtualInputs: 2}, p.at5x6x2},
-			{Config{Ports: 10, VCs: 6, VirtualInputs: 1}, p.at10x6x1},
+			{Config{Ports: 5, VCs: 6, VirtualInputs: 2}, p.at5x6x2, p.pooled5},
+			{Config{Ports: 10, VCs: 6, VirtualInputs: 1}, p.at10x6x1, p.pooled10},
 		} {
 			switch p.kind {
 			case KindIdeal:
@@ -57,8 +63,29 @@ func TestAllocatorFootprintIsPinned(t *testing.T) {
 				t.Logf("%s at %dx%dx%d: %d B per instance (pin %d B)",
 					p.kind, c.cfg.Ports, c.cfg.VCs, c.cfg.VirtualInputs, got, c.pin)
 			}
+			if got := pooledBytes(p.kind, c.cfg); got > c.pooled {
+				t.Errorf("%s at %dx%dx%d: %d B per pooled instance, pinned at %d B",
+					p.kind, c.cfg.Ports, c.cfg.VCs, c.cfg.VirtualInputs, got, c.pooled)
+			}
 		}
 	}
+}
+
+// pooledBytes returns the bytes one NewMany call of 1024 instances of
+// kind on cfg allocates per instance: the least of three calls.
+func pooledBytes(kind Kind, cfg Config) uint64 {
+	const n = 1024
+	var keep []Allocator
+	least := uint64(1 << 63)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		keep, _ = NewMany(kind, cfg, n)
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	runtime.KeepAlive(keep)
+	return least
 }
 
 // instanceBytes returns the bytes allocated per instance of kind on cfg,

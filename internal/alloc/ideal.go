@@ -8,13 +8,22 @@ package alloc
 // itself, so per-output round-robin arbitration over all P*v rows alone
 // achieves optimal allocation. It is the reference curve of Figures 7
 // and 12.
-type Ideal struct{ *SeparableIF }
+type Ideal struct{ SeparableIF }
 
 // NewIdeal returns an ideal allocator for cfg. It panics if cfg is
 // invalid or does not give every VC its own crossbar row.
-func NewIdeal(cfg Config) *Ideal {
+func NewIdeal(cfg Config) *Ideal { return &newIdeals(cfg, 1)[0] }
+
+// newIdeals returns n views of one pool.
+func newIdeals(cfg Config, n int) []Ideal {
 	must(CheckGeometry(KindIdeal, cfg))
-	return &Ideal{NewSeparableIF(cfg)}
+	mustValidate(cfg)
+	p := newIFPool(cfg, n)
+	vs := make([]Ideal, n)
+	for i := range vs {
+		vs[i] = Ideal{SeparableIF{p, i}}
+	}
+	return vs
 }
 
 // Name implements Allocator.

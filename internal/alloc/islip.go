@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"vix/internal/arb"
-	"vix/internal/sim"
 )
 
 // ISLIP is the iterative separable allocator of McKeown, cited by the
@@ -24,27 +23,51 @@ import (
 //
 // Pointers advance only on accepted grants and only in the first
 // iteration, preserving iSLIP's desynchronisation property.
+//
+// An instance is a view of an islipPool.
 type ISLIP struct {
-	cfg        Config
-	sub        subgroups
+	p *islipPool
+	i int
+}
+
+// islipPool holds the state of a pool's ISLIP views. Instance i's rows
+// start at pool row i*rows, and its outputs at i*ports.
+type islipPool struct {
+	pool
 	iterations int // islipIterations; tests vary it
-	rowWords   int // words per mask over the crossbar rows
-	outWords   int // words per mask over the outputs
 
-	grantPtr  []int32 // per output, over rows
-	acceptPtr []int32 // per row, over outputs
-	vcPtr     []int32 // per row: round-robin pointer over sub-group VC slots
+	grantPtr  []int16 // per instance, ports each: over rows
+	acceptPtr []int8  // per pool row: over outputs
+	vcPtr     []int8  // per pool row: round-robin pointer over sub-group VC slots
 
-	// All request words but asking are all-zero between calls.
-	reqRows  []uint64   // per output, rowWords each: rows with a VC requesting it
-	outOcc   sim.Bitset // outputs whose reqRows is non-zero
-	freeRows sim.Bitset // requesting rows not yet matched
-	outDone  sim.Bitset // outputs matched
-	asking   []uint64   // rowWords: the unmatched rows requesting the output being granted
-	offers   []uint64   // per row, outWords each: outputs granting to it this iteration
-	offered  sim.Bitset // rows whose offers is non-zero
-	cells    cellSlots
-	grants   []Grant
+	// words is per instance, wordsPer each: the request words (masks),
+	// all but asking all-zero between calls.
+	words []uint64
+	cells cellSlots // all-zero between calls
+}
+
+func (p *islipPool) wordsPer() int {
+	return p.ports*p.rowWords + p.outWords + p.rowWords + p.outWords + p.rowWords + p.rows*p.outWords + p.rowWords
+}
+
+// masksAt returns where instance i's masks start in words:
+//   - reqAt: per output, rowWords each: rows with a VC requesting it;
+//   - occAt: outWords: outputs whose request word is non-zero;
+//   - freeAt: rowWords: requesting rows not yet matched;
+//   - doneAt: outWords: outputs matched;
+//   - askAt: rowWords: the unmatched rows requesting the output being
+//     granted (the one mask not drained between calls);
+//   - offersAt: per row, outWords each: outputs granting to it this
+//     iteration;
+//   - offeredAt: rowWords: rows whose offers is non-zero.
+func (p *islipPool) masksAt(i int) (reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt int) {
+	reqAt = i * p.wordsPer()
+	occAt = reqAt + p.ports*p.rowWords
+	freeAt = occAt + p.outWords
+	doneAt = freeAt + p.rowWords
+	askAt = doneAt + p.outWords
+	offersAt = askAt + p.rowWords
+	return reqAt, occAt, freeAt, doneAt, askAt, offersAt, offersAt + p.rows*p.outWords
 }
 
 // islipIterations is the grant/accept rounds per Allocate call.
@@ -52,29 +75,22 @@ const islipIterations = 2
 
 // NewISLIP returns an iSLIP allocator running islipIterations rounds. It
 // panics if cfg is invalid.
-func NewISLIP(cfg Config) *ISLIP {
+func NewISLIP(cfg Config) *ISLIP { return &newISLIPs(cfg, 1)[0] }
+
+// newISLIPs returns n views of one pool.
+func newISLIPs(cfg Config, n int) []ISLIP {
 	mustValidate(cfg)
-	rowWords := (cfg.Rows() + 63) / 64
-	outWords := (cfg.Ports + 63) / 64
-	return &ISLIP{
-		cfg:        cfg,
-		iterations: islipIterations,
-		rowWords:   rowWords,
-		outWords:   outWords,
-		sub:        newSubgroups(cfg),
-		grantPtr:   make([]int32, cfg.Ports),
-		acceptPtr:  make([]int32, cfg.Rows()),
-		vcPtr:      make([]int32, cfg.Rows()),
-		reqRows:    make([]uint64, cfg.Ports*rowWords),
-		outOcc:     sim.NewBitset(cfg.Ports),
-		freeRows:   sim.NewBitset(cfg.Rows()),
-		outDone:    sim.NewBitset(cfg.Ports),
-		asking:     make([]uint64, rowWords),
-		offers:     make([]uint64, cfg.Rows()*outWords),
-		offered:    sim.NewBitset(cfg.Rows()),
-		cells:      newCellSlots(cfg),
-		grants:     make([]Grant, 0, cfg.Ports),
+	p := &islipPool{pool: newPool(cfg, n), iterations: islipIterations}
+	p.grantPtr = make([]int16, n*p.ports)
+	p.acceptPtr = make([]int8, n*p.rows)
+	p.vcPtr = make([]int8, n*p.rows)
+	p.words = make([]uint64, n*p.wordsPer())
+	p.cells = newCellSlots(n*p.rows, p.ports)
+	vs := make([]ISLIP, n)
+	for i := range vs {
+		vs[i] = ISLIP{p, i}
 	}
+	return vs
 }
 
 // Name implements Allocator.
@@ -82,9 +98,10 @@ func (s *ISLIP) Name() string { return "islip" }
 
 // Reset implements Allocator.
 func (s *ISLIP) Reset() {
-	clear(s.grantPtr)
-	clear(s.acceptPtr)
-	clear(s.vcPtr)
+	p := s.p
+	clear(seg(p.grantPtr, s.i, p.ports))
+	clear(seg(p.acceptPtr, s.i, p.rows))
+	clear(seg(p.vcPtr, s.i, p.rows))
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
@@ -92,41 +109,45 @@ func (s *ISLIP) Reset() {
 func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 	// An output's request word has a bit per row with any VC requesting
 	// it; the cell words hold the requesting slots per (row, out) for VC
-	// selection, and are lowered with the output words at the end.
-	sg := s.sub
-	for p := 0; p < s.cfg.Ports; p++ {
-		lines := portLines(rs.Ready, p, sg.vcs)
+	// selection, and are lowered with the output words at the end. The
+	// call reaches the instance's state through the pool at offsets, so
+	// its loops keep few values live.
+	p := s.p
+	at, outAt := s.i*p.rows, s.i*p.ports // the instance's first pool row and output
+	reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt := p.masksAt(s.i)
+	sg, rowWords, outWords := &p.sub, p.rowWords, p.outWords
+	for port := 0; port < p.ports; port++ {
+		lines := portLines(rs.Ready, port, sg.vcs)
 		for g := 0; lines != 0 && g < sg.k; g++ {
-			row := p*sg.k + g
+			row := port*sg.k + g
 			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
 				slot := bits.TrailingZeros64(slots)
-				ivc := p*sg.vcs + sg.vc(g, slot)
-				out := int(rs.Out[ivc])
-				s.reqRows[out*s.rowWords+row>>6] |= 1 << uint(row&63)
-				s.outOcc.Set(out)
-				s.freeRows.Set(row)
-				s.cells.add(row, out, slot)
+				out := int(rs.Out[port*sg.vcs+sg.vc(g, slot)])
+				p.words[reqAt+out*rowWords+row>>6] |= 1 << uint(row&63)
+				p.words[occAt+out>>6] |= 1 << uint(out&63)
+				p.words[freeAt+row>>6] |= 1 << uint(row&63)
+				p.cells.add(at+row, out, slot)
 			}
 		}
 	}
-	s.grants = s.grants[:0]
+	grants := p.grantBuf(s.i)
 
-	for iter := 0; iter < s.iterations; iter++ {
+	for iter := 0; iter < p.iterations; iter++ {
 		// Grant phase: each unmatched output picks one requesting,
 		// unmatched row.
 		any := false
-		for wi, w := range s.outOcc {
-			for w &^= s.outDone[wi]; w != 0; w &= w - 1 {
+		for wi := 0; wi < outWords; wi++ {
+			for w := p.words[occAt+wi] &^ p.words[doneAt+wi]; w != 0; w &= w - 1 {
 				out := wi<<6 + bits.TrailingZeros64(w)
-				for i := range s.asking {
-					s.asking[i] = s.reqRows[out*s.rowWords+i] & s.freeRows[i]
+				for k := 0; k < rowWords; k++ {
+					p.words[askAt+k] = p.words[reqAt+out*rowWords+k] & p.words[freeAt+k]
 				}
-				row := arb.PickWords(s.asking, int(s.grantPtr[out]))
+				row := arb.PickWords(p.words[askAt:askAt+rowWords], int(p.grantPtr[outAt+out]))
 				if row < 0 {
 					continue
 				}
-				s.offers[row*s.outWords+out>>6] |= 1 << uint(out&63)
-				s.offered.Set(row)
+				p.words[offersAt+row*outWords+out>>6] |= 1 << uint(out&63)
+				p.words[offeredAt+row>>6] |= 1 << uint(row&63)
 				any = true
 			}
 		}
@@ -134,42 +155,45 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 			break
 		}
 		// Accept phase: each row with offers accepts one output.
-		for wi, w := range s.offered {
-			s.offered[wi] = 0
+		for wi := 0; wi < rowWords; wi++ {
+			w := p.words[offeredAt+wi]
+			p.words[offeredAt+wi] = 0
 			for ; w != 0; w &= w - 1 {
 				row := wi<<6 + bits.TrailingZeros64(w)
-				offers := s.offers[row*s.outWords : (row+1)*s.outWords]
-				out := arb.PickWords(offers, int(s.acceptPtr[row]))
+				offers := p.words[offersAt+row*outWords : offersAt+(row+1)*outWords]
+				out := arb.PickWords(offers, int(p.acceptPtr[at+row]))
 				clear(offers)
 				var slot int
-				slot, s.vcPtr[row] = pickSlot(s.cells.at(row, out), s.vcPtr[row], s.sub.size)
-				s.grants = append(s.grants, Grant{IVC: s.sub.ivc(row, slot), OutPort: out, Row: row})
-				s.freeRows.Clear(row)
-				s.outDone.Set(out)
+				vcPtr := &p.vcPtr[at+row]
+				slot, *vcPtr = pickSlot(p.cells.at(at+row, out), *vcPtr, sg.size)
+				grants = put(grants, Grant{IVC: sg.ivc(row, slot), OutPort: out, Row: row})
+				p.words[freeAt+row>>6] &^= 1 << uint(row&63)
+				p.words[doneAt+out>>6] |= 1 << uint(out&63)
 				// iSLIP pointer discipline: update only on first-iteration
 				// accepts so pointers desynchronise.
 				if iter == 0 {
-					s.grantPtr[out] = int32(arb.Next(row, s.cfg.Rows()))
-					s.acceptPtr[row] = int32(arb.Next(out, s.cfg.Ports))
+					p.grantPtr[outAt+out] = int16(arb.Next(row, p.rows))
+					p.acceptPtr[at+row] = int8(arb.Next(out, p.ports))
 				}
 			}
 		}
 	}
 
-	for wi, w := range s.outOcc {
-		s.outOcc[wi] = 0
+	for wi := 0; wi < outWords; wi++ {
+		w := p.words[occAt+wi]
+		p.words[occAt+wi] = 0
 		for ; w != 0; w &= w - 1 {
 			out := wi<<6 + bits.TrailingZeros64(w)
-			reqRows := s.reqRows[out*s.rowWords : (out+1)*s.rowWords]
-			for ri, r := range reqRows {
+			rows := p.words[reqAt+out*rowWords : reqAt+(out+1)*rowWords]
+			for ri, r := range rows {
 				for ; r != 0; r &= r - 1 {
-					s.cells.take(ri<<6+bits.TrailingZeros64(r), out)
+					p.cells.take(at+ri<<6+bits.TrailingZeros64(r), out)
 				}
 			}
-			clear(reqRows)
+			clear(rows)
 		}
 	}
-	clear(s.freeRows)
-	clear(s.outDone)
-	return s.grants
+	clear(p.words[freeAt : freeAt+rowWords])
+	clear(p.words[doneAt : doneAt+outWords])
+	return grants
 }

@@ -11,7 +11,7 @@ func TestISLIPValidGrants(t *testing.T) {
 	for _, cfg := range allConfigs() {
 		for _, iters := range []int{1, 2, 4} {
 			s := NewISLIP(cfg)
-			s.iterations = iters
+			s.p.iterations = iters
 			for cycle := 0; cycle < 150; cycle++ {
 				rs := randomRequestSet(rng, cfg, 0.5)
 				if err := Validate(rs, s.Allocate(rs)); err != nil {
@@ -29,7 +29,7 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 	totals := map[int]int{}
 	for _, iters := range []int{1, 2, 4} {
 		s := NewISLIP(cfg)
-		s.iterations = iters
+		s.p.iterations = iters
 		rng := sim.NewRNG(32)
 		for cycle := 0; cycle < 2000; cycle++ {
 			totals[iters] += len(s.Allocate(randomRequestSet(rng, cfg, 0.5)))
@@ -55,7 +55,7 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 func TestISLIPConvergesToMaximal(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	s := NewISLIP(cfg)
-	s.iterations = cfg.Ports // P iterations guarantee convergence
+	s.p.iterations = cfg.Ports // P iterations guarantee convergence
 	rng := sim.NewRNG(33)
 	for cycle := 0; cycle < 300; cycle++ {
 		rs := randomRequestSet(rng, cfg, 0.4)

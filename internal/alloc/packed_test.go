@@ -205,25 +205,43 @@ func (d *denseWavefront) allocate(rs *RequestSet) []Grant {
 // them; assertDrained holds them to all-zero between calls. Ideal and
 // SeparableAge inherit SeparableIF's.
 func (s *SeparableIF) lazyWords() []wordBank {
-	return []wordBank{{"outMask", s.outMask}, {"outOcc", s.outOcc}}
+	outMask, outOcc := s.masks()
+	return []wordBank{{"outMask", outMask}, {"outOcc", outOcc}}
 }
 
-func (p *PacketChaining) lazyWords() []wordBank { return p.inner.lazyWords() }
+func (c *PacketChaining) lazyWords() []wordBank {
+	in := c.inner()
+	return in.lazyWords()
+}
 
 func (s *Sparoflo) lazyWords() []wordBank {
-	return []wordBank{{"lineMask", s.lineMask}, {"outOcc", s.outOcc}, {"wins", s.wins}, {"portOcc", s.portOcc}}
+	p := s.p
+	lineAt, occAt, winsAt, portAt := p.masksAt(s.i)
+	return []wordBank{{"lineMask", p.words[lineAt:occAt]}, {"outOcc", p.words[occAt:winsAt]},
+		{"wins", p.words[winsAt:portAt]}, {"portOcc", p.words[portAt : portAt+p.outWords]}}
 }
 
 func (s *ISLIP) lazyWords() []wordBank {
-	return []wordBank{{"reqRows", s.reqRows}, {"outOcc", s.outOcc}, {"freeRows", s.freeRows},
-		{"outDone", s.outDone}, {"offers", s.offers}, {"offered", s.offered}, {"cells", s.cells.cells}}
+	p := s.p
+	reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt := p.masksAt(s.i)
+	return []wordBank{{"reqRows", p.words[reqAt:occAt]}, {"outOcc", p.words[occAt:freeAt]},
+		{"freeRows", p.words[freeAt:doneAt]}, {"outDone", p.words[doneAt:askAt]}, {"offers", p.words[offersAt:offeredAt]},
+		{"offered", p.words[offeredAt : offeredAt+p.rowWords]}, {"cells", instanceCells(&p.pool, &p.cells, s.i)}}
 }
 
 func (w *Wavefront) lazyWords() []wordBank {
-	return []wordBank{{"diagRows", w.diagRows}, {"cells", w.cells.cells}}
+	diagRows := seg(w.p.words, w.i, w.p.wordsPer())[:w.p.diagonals()*w.p.rowWords]
+	return []wordBank{{"diagRows", diagRows}, {"cells", instanceCells(&w.p.pool, &w.p.cells, w.i)}}
 }
 
-func (a *AugmentingPath) lazyWords() []wordBank { return []wordBank{{"cells", a.cells.cells}} }
+func (a *AugmentingPath) lazyWords() []wordBank {
+	return []wordBank{{"cells", instanceCells(&a.p.pool, &a.p.cells, a.i)}}
+}
+
+// instanceCells returns instance i's matrix of cells.
+func instanceCells(p *pool, cells *cellSlots, i int) []uint64 {
+	return seg(cells.cells, i, p.rows*p.ports)
+}
 
 // rrPointer reads a round-robin arbiter's priority pointer through its
 // stateless decision: with every line raised, the winner is the pointer.
@@ -346,12 +364,12 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 		dense := newDenseSeparableIF(cfg)
 		runLockstep(t, cfg, loneSweepCycles(cfg), packed, dense.allocate, func(cycle int) {
 			for row, a := range dense.inputArbs {
-				if got, want := packed.inPtr[row], rrPointer(a); got != want {
+				if got, want := int32(packed.p.inPtr[packed.i*packed.p.rows+row]), rrPointer(a); got != want {
 					t.Fatalf("cfg %+v cycle %d: input pointer of row %d is %d, dense %d", cfg, cycle, row, got, want)
 				}
 			}
 			for out, a := range dense.outputArbs {
-				if got, want := packed.outPtr[out], rrPointer(a); got != want {
+				if got, want := int32(packed.p.outPtr[packed.i*packed.p.ports+out]), rrPointer(a); got != want {
 					t.Fatalf("cfg %+v cycle %d: output pointer of port %d is %d, dense %d", cfg, cycle, out, got, want)
 				}
 			}
@@ -368,11 +386,11 @@ func TestWavefrontMatchesDenseReference(t *testing.T) {
 		packed := NewWavefront(cfg)
 		dense := newDenseWavefront(cfg)
 		runLockstep(t, cfg, lockstepCycles, packed, dense.allocate, func(cycle int) {
-			if packed.prio != dense.prio {
-				t.Fatalf("cfg %+v cycle %d: priority diagonal %d, dense %d", cfg, cycle, packed.prio, dense.prio)
+			if prio := int(packed.p.prio[packed.i]); prio != dense.prio {
+				t.Fatalf("cfg %+v cycle %d: priority diagonal %d, dense %d", cfg, cycle, prio, dense.prio)
 			}
 			for row, a := range dense.vcPick {
-				if got, want := packed.vcPtr[row], rrPointer(a); got != want {
+				if got, want := int32(packed.p.vcPtr[packed.i*packed.p.rows+row]), rrPointer(a); got != want {
 					t.Fatalf("cfg %+v cycle %d: VC pointer of row %d is %d, dense %d", cfg, cycle, row, got, want)
 				}
 			}

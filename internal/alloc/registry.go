@@ -34,27 +34,23 @@ const (
 )
 
 // builtins is the registry: one row per built-in kind, in evaluation
-// order. Kinds, Known, New and Register all read it, so a kind is listed
-// exactly when it is constructible, and adding a comparison point is one
-// row here plus a green FuzzAllocate and TestRegistry (which holds Name()
-// to the row's kind).
+// order. Kinds, Known, NewMany and Register all read it, so a kind is
+// listed exactly when it is constructible, and adding a comparison point
+// is one row here plus a green FuzzAllocate and TestRegistry (which holds
+// Name() to the row's kind). A row builds n views of one pool; the
+// exported NewX is the same constructor at n = 1.
 var builtins = []struct {
 	kind Kind
-	new  func(Config) Allocator
+	many func(cfg Config, n int) []Allocator
 }{
-	{KindSeparableIF, constructor(NewSeparableIF)},
-	{KindWavefront, constructor(NewWavefront)},
-	{KindAugmentingPath, constructor(NewAugmentingPath)},
-	{KindPacketChaining, constructor(NewPacketChaining)},
-	{KindIdeal, constructor(NewIdeal)},
-	{KindISLIP, constructor(NewISLIP)},
-	{KindSparoflo, constructor(NewSparoflo)},
-	{KindSeparableAge, constructor(NewSeparableAge)},
-}
-
-// constructor adapts an exported NewX to a registry row's constructor.
-func constructor[A Allocator](build func(Config) A) func(Config) Allocator {
-	return func(cfg Config) Allocator { return build(cfg) }
+	{KindSeparableIF, many(newSeparableIFs)},
+	{KindWavefront, many(newWavefronts)},
+	{KindAugmentingPath, many(newAugmentingPaths)},
+	{KindPacketChaining, many(newPacketChainings)},
+	{KindIdeal, many(newIdeals)},
+	{KindISLIP, many(newISLIPs)},
+	{KindSparoflo, many(newSparoflos)},
+	{KindSeparableAge, many(newSeparableAges)},
 }
 
 // CheckGeometry reports why a valid cfg cannot carry kind, or nil: ideal
@@ -73,10 +69,10 @@ func CheckGeometry(kind Kind, cfg Config) error {
 }
 
 // builtin returns kind's row constructor, or nil if kind is not built in.
-func builtin(kind Kind) func(Config) Allocator {
+func builtin(kind Kind) func(Config, int) []Allocator {
 	for _, b := range builtins {
 		if b.kind == kind {
-			return b.new
+			return b.many
 		}
 	}
 	return nil
@@ -104,7 +100,7 @@ func Kinds() []Kind {
 
 // Known reports whether kind names a built-in or registered allocator.
 // It is the validation predicate spec checkers use to reject typos
-// before a configuration ever reaches New.
+// before a configuration ever reaches New or NewMany.
 func Known(kind Kind) bool {
 	_, registered := custom[kind]
 	return registered || builtin(kind) != nil
@@ -132,19 +128,41 @@ func Register(kind Kind, factory func(Config) (Allocator, error)) error {
 	return nil
 }
 
-// New constructs an allocator of the given kind for cfg.
+// New constructs an allocator of the given kind for cfg: NewMany's one.
 func New(kind Kind, cfg Config) (Allocator, error) {
+	as, err := NewMany(kind, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return as[0], nil
+}
+
+// NewMany constructs n allocators of the given kind for cfg, one per
+// router of a network. A built-in kind's are views of one pool (pool.go);
+// a registered kind's are n calls to its factory.
+func NewMany(kind Kind, cfg Config, n int) ([]Allocator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if n < 0 {
+		return nil, fmt.Errorf("alloc: cannot build %d allocators", n)
+	}
 	if factory, ok := custom[kind]; ok {
-		return factory(cfg)
+		as := make([]Allocator, n)
+		for i := range as {
+			a, err := factory(cfg)
+			if err != nil {
+				return nil, err
+			}
+			as[i] = a
+		}
+		return as, nil
 	}
 	if build := builtin(kind); build != nil {
 		if err := CheckGeometry(kind, cfg); err != nil {
 			return nil, err
 		}
-		return build(cfg), nil
+		return build(cfg, n), nil
 	}
 	return nil, fmt.Errorf("alloc: unknown allocator kind %q", kind)
 }

@@ -28,39 +28,70 @@ import (
 // slot; an output's has one bit per crossbar row. Both are read straight
 // off the request set's packed form, so a call costs what its ports and
 // requests cost, not Rows x GroupSize.
+//
+// An instance is a view of an ifPool (pool.go): its pointers, request
+// words, candidates and grants are its segments of the pool's slabs.
 type SeparableIF struct {
-	sub      subgroups
-	ports    int
-	rowWords int // words per output's row mask
+	p *ifPool
+	i int
+}
 
-	inPtr  []int32 // per crossbar row: input-arbiter pointer over GroupSize slots
-	outPtr []int32 // per output port: output-arbiter pointer over Rows rows
+// ifPool holds the state of a pool's SeparableIF views, and of the Ideal,
+// SeparableAge and PacketChaining views that run on them. Pointers are
+// as narrow as Config.Validate's bounds allow: a slot is below GroupSize
+// <= MaxVCs, a row below Rows <= MaxPorts*MaxVCs.
+type ifPool struct {
+	pool
+	inPtr  []int8  // per instance, rows each: input-arbiter pointer over GroupSize slots
+	outPtr []int16 // per instance, ports each: output-arbiter pointer over Rows rows
 
-	// These are all-zero between calls: each is drained as it is
+	// The masks are all-zero between calls: each is drained as it is
 	// consumed, so a cycle never sweeps them.
-	outMask []uint64   // per output, rowWords each: rows whose candidate requests it
-	outOcc  sim.Bitset // outputs whose outMask is non-zero
+	masks []uint64 // per instance, maskWords each: outMask, then outOcc
 
-	candidate []int32 // per row: phase-one winner's request line; valid for rows present in an outMask
-	grants    []Grant
+	candidate []int32 // per instance, rows each: phase-one winner's line; valid for rows present in an outMask
+}
+
+// newIFPool returns a pool of n instances on cfg.
+func newIFPool(cfg Config, n int) *ifPool {
+	p := new(ifPool)
+	p.init(cfg, n)
+	return p
+}
+
+func (p *ifPool) init(cfg Config, n int) {
+	p.pool = newPool(cfg, n)
+	p.inPtr = make([]int8, n*p.rows)
+	p.outPtr = make([]int16, n*p.ports)
+	p.masks = make([]uint64, n*p.maskWords())
+	p.candidate = make([]int32, n*p.rows)
+}
+
+// maskWords is an instance's mask words: a row mask per output, then the
+// output set.
+func (p *ifPool) maskWords() int { return p.ports*p.rowWords + p.outWords }
+
+// masks returns the instance's mask segment, cut into its row mask per
+// output (rows whose candidate requests it) and its output set (outputs
+// whose row mask is non-zero).
+func (s *SeparableIF) masks() (outMask []uint64, outOcc sim.Bitset) {
+	m := seg(s.p.masks, s.i, s.p.maskWords())
+	return carve(&m, s.p.ports*s.p.rowWords), m
 }
 
 // NewSeparableIF returns a separable input-first allocator for cfg.
 // It panics if cfg is invalid.
-func NewSeparableIF(cfg Config) *SeparableIF {
+func NewSeparableIF(cfg Config) *SeparableIF { return &newSeparableIFs(cfg, 1)[0] }
+
+// newSeparableIFs returns n views of one pool.
+func newSeparableIFs(cfg Config, n int) []SeparableIF {
 	mustValidate(cfg)
-	rowWords := (cfg.Rows() + 63) / 64
-	return &SeparableIF{
-		sub:       newSubgroups(cfg),
-		ports:     cfg.Ports,
-		rowWords:  rowWords,
-		inPtr:     make([]int32, cfg.Rows()),
-		outPtr:    make([]int32, cfg.Ports),
-		outMask:   make([]uint64, cfg.Ports*rowWords),
-		outOcc:    sim.NewBitset(cfg.Ports),
-		candidate: make([]int32, cfg.Rows()),
-		grants:    make([]Grant, 0, cfg.Ports),
+	p := newIFPool(cfg, n)
+	vs := make([]SeparableIF, n)
+	for i := range vs {
+		vs[i] = SeparableIF{p, i}
 	}
+	return vs
 }
 
 // Name implements Allocator. The name is the registry Kind ("if")
@@ -70,29 +101,28 @@ func (s *SeparableIF) Name() string { return "if" }
 
 // Reset implements Allocator.
 func (s *SeparableIF) Reset() {
-	for i := range s.inPtr {
-		s.inPtr[i] = 0
-	}
-	for i := range s.outPtr {
-		s.outPtr[i] = 0
-	}
+	clear(seg(s.p.inPtr, s.i, s.p.rows))
+	clear(seg(s.p.outPtr, s.i, s.p.ports))
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
-func (s *SeparableIF) Allocate(rs *RequestSet) []Grant { return s.allocate(rs.Ready, rs) }
+func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
+	return s.allocate(rs.Ready, rs, s.p.grantBuf(s.i))
+}
 
 // allocate arbitrates among the requests of rs that ready names — all of
-// them, or what packet chaining leaves.
-func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet) []Grant {
-	s.grants = s.grants[:0]
+// them, or what packet chaining leaves — and appends its grants to
+// grants.
+func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet, grants []Grant) []Grant {
 	n := 0
 	for _, w := range ready {
 		n += bits.OnesCount64(w)
 	}
 	if n == 0 {
-		return s.grants
+		return grants
 	}
+	pl, sub := s.p, &s.p.sub
 	// A lone request is its own matching — the common case of every run
 	// below saturation. Both of its arbiters would pick it whatever their
 	// pointers and advance past it, so grant it and move the pointers the
@@ -103,58 +133,62 @@ func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet) []Grant {
 			ivc += 64
 		}
 		ivc += bits.TrailingZeros64(ready[ivc>>6])
-		row, slot := s.sub.at(ivc)
+		row, slot := sub.at(ivc)
 		out := int(rs.Out[ivc])
-		s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
-		s.inPtr[row] = int32(arb.Next(slot, s.sub.size))
-		s.grants = append(s.grants, Grant{IVC: ivc, OutPort: out, Row: row})
-		return s.grants
+		pl.outPtr[s.i*pl.ports+out] = int16(arb.Next(row, pl.rows))
+		pl.inPtr[s.i*pl.rows+row] = int8(arb.Next(slot, sub.size))
+		return append(grants, Grant{IVC: ivc, OutPort: out, Row: row})
 	}
+	// The call reaches the instance's state through the pool at these
+	// offsets, so the loops keep few values live.
+	rowWords := pl.rowWords
+	rowAt, outAt := s.i*pl.rows, s.i*pl.ports // the instance's first row and output
+	maskAt := s.i * pl.maskWords()            // its row mask per output
+	occAt := maskAt + pl.ports*rowWords       // then its output set
 
 	// Phase one: each requesting row's input arbiter picks one VC, and the
 	// candidate raises its row's line on the requested output's arbiter.
-	for p := 0; p < s.ports; p++ {
-		lines := portLines(ready, p, s.sub.vcs)
+	for p := 0; p < pl.ports; p++ {
+		lines := portLines(ready, p, sub.vcs)
 		if lines == 0 {
 			continue
 		}
-		for g := 0; g < s.sub.k; g++ {
-			slots := s.sub.slots(lines, g)
+		for g := 0; g < sub.k; g++ {
+			slots := sub.slots(lines, g)
 			if slots == 0 {
 				continue
 			}
-			row := p*s.sub.k + g
-			slot := arb.Pick(slots, int(s.inPtr[row]))
-			ivc := p*s.sub.vcs + s.sub.vc(g, slot)
-			s.candidate[row] = int32(line(ivc, slot))
+			row := p*sub.k + g
+			slot := arb.Pick(slots, int(pl.inPtr[rowAt+row]))
+			ivc := p*sub.vcs + sub.vc(g, slot)
+			pl.candidate[rowAt+row] = int32(line(ivc, slot))
 			out := int(rs.Out[ivc])
-			s.outMask[out*s.rowWords+row>>6] |= 1 << uint(row&63)
-			s.outOcc.Set(out)
+			pl.masks[maskAt+out*rowWords+row>>6] |= 1 << uint(row&63)
+			pl.masks[occAt+out>>6] |= 1 << uint(out&63)
 		}
 	}
 
 	// Phase two: each requested output's arbiter picks one row among the
 	// candidates requesting it, in output order.
-	for wi, w := range s.outOcc {
+	for wi := 0; wi < pl.outWords; wi++ {
+		w := pl.masks[occAt+wi]
 		if w == 0 {
 			continue
 		}
-		s.outOcc[wi] = 0
+		pl.masks[occAt+wi] = 0
 		for ; w != 0; w &= w - 1 {
 			out := wi<<6 + bits.TrailingZeros64(w)
-			mask := s.outMask[out*s.rowWords : (out+1)*s.rowWords]
-			row := arb.PickWords(mask, int(s.outPtr[out]))
-			for i := range mask {
-				mask[i] = 0
-			}
-			l := int(s.candidate[row])
-			s.grants = append(s.grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
+			mask := pl.masks[maskAt+out*rowWords : maskAt+(out+1)*rowWords]
+			row := arb.PickWords(mask, int(pl.outPtr[outAt+out]))
+			clear(mask)
+			l := int(pl.candidate[rowAt+row])
+			grants = put(grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
 			// iSLIP pointer update: both arbiters advance only on a grant.
-			s.outPtr[out] = int32(arb.Next(row, len(s.inPtr)))
-			s.inPtr[row] = int32(arb.Next(lineSlot(l), s.sub.size))
+			pl.outPtr[outAt+out] = int16(arb.Next(row, pl.rows))
+			pl.inPtr[rowAt+row] = int8(arb.Next(lineSlot(l), sub.size))
 		}
 	}
-	return s.grants
+	return grants
 }
 
 // A line names a phase-one candidate by its input VC and its slot on its

@@ -62,16 +62,16 @@ func (a *AugmentingPath) SkipIdle(int) {}
 // diagonal once per call whether or not anything was requested, so k
 // idle cycles advance it by k.
 func (w *Wavefront) SkipIdle(cycles int) {
-	w.prio = (w.prio + cycles%w.n) % w.n
+	prio, n := &w.p.prio[w.i], w.p.diagonals()
+	*prio = int16((int(*prio) + cycles%n) % n)
 }
 
 // SkipIdle implements IdleSkipper. The first empty Allocate records an
 // empty connection set (prevOut all -1) and every subsequent one keeps
 // it; chainPtr pointers and the inner separable allocator are untouched
 // by idle cycles.
-func (p *PacketChaining) SkipIdle(cycles int) {
-	for i := range p.prevOut {
-		p.prevOut[i] = -1
-	}
-	p.inner.SkipIdle(cycles)
+func (c *PacketChaining) SkipIdle(cycles int) {
+	disconnect(seg(c.p.prevOut, c.i, c.p.rows))
+	in := c.inner()
+	in.SkipIdle(cycles)
 }

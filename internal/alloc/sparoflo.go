@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"vix/internal/arb"
-	"vix/internal/sim"
 )
 
 // Sparoflo approximates the SPAROFLO switch allocator of Kumar et al.
@@ -21,58 +20,78 @@ import (
 // parallelism cannot be cashed in. The expected ordering — IF <=
 // SPAROFLO <= VIX — is asserted by the test suite and measurable with
 // the ablation benchmarks.
+//
+// An instance is a view of a sparofloPool.
 type Sparoflo struct {
-	ports int
-	vcs   int
+	p *sparofloPool
+	i int
+}
+
+// sparofloPool holds the state of a pool's Sparoflo views. An input VC is
+// below MaxPorts*MaxVCs, so an int16 names it.
+type sparofloPool struct {
+	pool
+	vcs int
 	// exposed is how many VC requests per input port are presented to
 	// output arbitration (SPAROFLO varies this with load; the model
 	// exposes up to two, matching its low/medium-load behaviour).
 	exposed   int
 	lineWords int // words per output's mask over the Ports*exposed candidate lines
-	outWords  int // words per port's mask over the outputs
 
-	inPtr   []int32 // per port, over VCs: picks exposure order
-	outPtr  []int32 // per output, over candidate lines (port*exposed+lane)
-	portPtr []int32 // per port, over outputs: resolves conflicts
+	// Instance i's ports and outputs start at i*ports, and its lines at
+	// i*ports*exposed.
+	inPtr   []int8  // per instance, ports each: over VCs, picks exposure order
+	outPtr  []int16 // per instance, ports each: over candidate lines (port*exposed+lane)
+	portPtr []int8  // per instance, ports each: over outputs, resolves conflicts
 
-	// All request words are all-zero between calls: each is drained as
-	// its arbiter consumes it.
-	lineMask []uint64   // per output, lineWords each: candidate lines requesting it
-	outOcc   sim.Bitset // outputs whose lineMask is non-zero
-	wins     []uint64   // per port, outWords each: outputs whose arbiter picked one of its VCs
-	portOcc  sim.Bitset // ports whose wins is non-zero
+	lineReq []int16 // per instance, ports*exposed each: the input VC exposed on a line; valid where a lineMask has the bit
+	winner  []int16 // per instance, ports each: the input VC an output's arbiter picked; valid where a wins has the bit
 
-	lineReq []int32 // per candidate line: the input VC exposed there; valid where a lineMask has the bit
-	winner  []int32 // per output: the input VC its arbiter picked; valid where a wins has the bit
-	grants  []Grant
+	// words is per instance, wordsPer each: the request words (masks),
+	// all-zero between calls, as each is drained as its arbiter consumes
+	// it.
+	words []uint64
+}
+
+func (p *sparofloPool) wordsPer() int {
+	return p.ports*p.lineWords + p.outWords + p.ports*p.outWords + p.outWords
+}
+
+// masksAt returns where instance i's masks start in words:
+//   - lineAt: per output, lineWords each: candidate lines requesting it;
+//   - occAt: outWords: outputs whose lineMask is non-zero;
+//   - winsAt: per port, outWords each: outputs whose arbiter picked one
+//     of its VCs;
+//   - portAt: outWords: ports whose wins is non-zero.
+func (p *sparofloPool) masksAt(i int) (lineAt, occAt, winsAt, portAt int) {
+	lineAt = i * p.wordsPer()
+	occAt = lineAt + p.ports*p.lineWords
+	winsAt = occAt + p.outWords
+	return lineAt, occAt, winsAt, winsAt + p.ports*p.outWords
 }
 
 // NewSparoflo returns a SPAROFLO-style allocator exposing up to two
 // requests per input port. It panics if cfg is invalid or has virtual
 // inputs.
-func NewSparoflo(cfg Config) *Sparoflo {
+func NewSparoflo(cfg Config) *Sparoflo { return &newSparoflos(cfg, 1)[0] }
+
+// newSparoflos returns n views of one pool.
+func newSparoflos(cfg Config, n int) []Sparoflo {
 	mustValidate(cfg)
 	must(CheckGeometry(KindSparoflo, cfg))
-	exposed := min(2, cfg.VCs)
-	lineWords := (cfg.Ports*exposed + 63) / 64
-	outWords := (cfg.Ports + 63) / 64
-	return &Sparoflo{
-		ports:     cfg.Ports,
-		vcs:       cfg.VCs,
-		exposed:   exposed,
-		lineWords: lineWords,
-		outWords:  outWords,
-		inPtr:     make([]int32, cfg.Ports),
-		outPtr:    make([]int32, cfg.Ports),
-		portPtr:   make([]int32, cfg.Ports),
-		lineMask:  make([]uint64, cfg.Ports*lineWords),
-		outOcc:    sim.NewBitset(cfg.Ports),
-		wins:      make([]uint64, cfg.Ports*outWords),
-		portOcc:   sim.NewBitset(cfg.Ports),
-		lineReq:   make([]int32, cfg.Ports*exposed),
-		winner:    make([]int32, cfg.Ports),
-		grants:    make([]Grant, 0, cfg.Ports),
+	p := &sparofloPool{pool: newPool(cfg, n), vcs: cfg.VCs, exposed: min(2, cfg.VCs)}
+	p.lineWords = (p.ports*p.exposed + 63) / 64
+	p.inPtr = make([]int8, n*p.ports)
+	p.outPtr = make([]int16, n*p.ports)
+	p.portPtr = make([]int8, n*p.ports)
+	p.lineReq = make([]int16, n*p.ports*p.exposed)
+	p.winner = make([]int16, n*p.ports)
+	p.words = make([]uint64, n*p.wordsPer())
+	vs := make([]Sparoflo, n)
+	for i := range vs {
+		vs[i] = Sparoflo{p, i}
 	}
+	return vs
 }
 
 // Name implements Allocator.
@@ -80,66 +99,74 @@ func (s *Sparoflo) Name() string { return "sparoflo" }
 
 // Reset implements Allocator.
 func (s *Sparoflo) Reset() {
-	clear(s.inPtr)
-	clear(s.outPtr)
-	clear(s.portPtr)
+	p := s.p
+	clear(seg(p.inPtr, s.i, p.ports))
+	clear(seg(p.outPtr, s.i, p.ports))
+	clear(seg(p.portPtr, s.i, p.ports))
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (s *Sparoflo) Allocate(rs *RequestSet) []Grant {
+	// The call reaches the instance's state through the pool at offsets,
+	// so its loops keep few values live.
+	p := s.p
+	at := s.i * p.ports // the instance's first port and output
+	lineAt, occAt, winsAt, portAt := p.masksAt(s.i)
 	// Per port, expose up to `exposed` requests in the input arbiter's
 	// rotating order across VCs; each raises its line on the requested
 	// output's arbiter. Only the first lane's pick moves the pointer, and
 	// it does so before the second lane arbitrates. On the conventional
 	// crossbar a port's request lines are its row's slots.
-	for p := 0; p < s.ports; p++ {
-		offered := portLines(rs.Ready, p, s.vcs)
-		for lane := 0; lane < s.exposed && offered != 0; lane++ {
-			vc := arb.Pick(offered, int(s.inPtr[p]))
+	for port := 0; port < p.ports; port++ {
+		offered := portLines(rs.Ready, port, p.vcs)
+		for lane := 0; lane < p.exposed && offered != 0; lane++ {
+			vc := arb.Pick(offered, int(p.inPtr[at+port]))
 			offered &^= 1 << uint(vc)
 			if lane == 0 {
-				s.inPtr[p] = int32(arb.Next(vc, s.vcs))
+				p.inPtr[at+port] = int8(arb.Next(vc, p.vcs))
 			}
-			line := p*s.exposed + lane
-			ivc := p*s.vcs + vc
-			s.lineReq[line] = int32(ivc)
+			line := port*p.exposed + lane
+			ivc := port*p.vcs + vc
+			p.lineReq[at*p.exposed+line] = int16(ivc)
 			out := int(rs.Out[ivc])
-			s.lineMask[out*s.lineWords+line>>6] |= 1 << uint(line&63)
-			s.outOcc.Set(out)
+			p.words[lineAt+out*p.lineWords+line>>6] |= 1 << uint(line&63)
+			p.words[occAt+out>>6] |= 1 << uint(out&63)
 		}
 	}
 
 	// Output arbitration over the exposed candidates.
-	for wi, w := range s.outOcc {
-		s.outOcc[wi] = 0
+	for wi := 0; wi < p.outWords; wi++ {
+		w := p.words[occAt+wi]
+		p.words[occAt+wi] = 0
 		for ; w != 0; w &= w - 1 {
 			out := wi<<6 + bits.TrailingZeros64(w)
-			mask := s.lineMask[out*s.lineWords : (out+1)*s.lineWords]
-			line := arb.PickWords(mask, int(s.outPtr[out]))
+			mask := p.words[lineAt+out*p.lineWords : lineAt+(out+1)*p.lineWords]
+			line := arb.PickWords(mask, int(p.outPtr[at+out]))
 			clear(mask)
-			s.outPtr[out] = int32(arb.Next(line, s.ports*s.exposed))
-			s.winner[out] = s.lineReq[line]
-			p := line / s.exposed
-			s.wins[p*s.outWords+out>>6] |= 1 << uint(out&63)
-			s.portOcc.Set(p)
+			p.outPtr[at+out] = int16(arb.Next(line, p.ports*p.exposed))
+			p.winner[at+out] = p.lineReq[at*p.exposed+line]
+			port := line / p.exposed
+			p.words[winsAt+port*p.outWords+out>>6] |= 1 << uint(out&63)
+			p.words[portAt+port>>6] |= 1 << uint(port&63)
 		}
 	}
 
 	// Conflict detection: multiple outputs may have picked VCs of the
 	// same input port; only one can use the port's single crossbar
 	// input. The port's rotating priority chooses which grant survives.
-	s.grants = s.grants[:0]
-	for wi, w := range s.portOcc {
-		s.portOcc[wi] = 0
+	grants := p.grantBuf(s.i)
+	for wi := 0; wi < p.outWords; wi++ {
+		w := p.words[portAt+wi]
+		p.words[portAt+wi] = 0
 		for ; w != 0; w &= w - 1 {
-			p := wi<<6 + bits.TrailingZeros64(w)
-			won := s.wins[p*s.outWords : (p+1)*s.outWords]
-			out := arb.PickWords(won, int(s.portPtr[p]))
+			port := wi<<6 + bits.TrailingZeros64(w)
+			won := p.words[winsAt+port*p.outWords : winsAt+(port+1)*p.outWords]
+			out := arb.PickWords(won, int(p.portPtr[at+port]))
 			clear(won)
-			s.portPtr[p] = int32(arb.Next(out, s.ports))
-			s.grants = append(s.grants, Grant{IVC: int(s.winner[out]), OutPort: out, Row: p})
+			p.portPtr[at+port] = int8(arb.Next(out, p.ports))
+			grants = put(grants, Grant{IVC: int(p.winner[at+out]), OutPort: out, Row: port})
 		}
 	}
-	return s.grants
+	return grants
 }

@@ -1,10 +1,6 @@
 package alloc
 
-import (
-	"math/bits"
-
-	"vix/internal/sim"
-)
+import "math/bits"
 
 // Wavefront implements the wavefront allocator of Tamir and Chi. It sweeps
 // priority diagonals across the row x output request matrix, granting
@@ -24,52 +20,56 @@ import (
 // wavefront only on the baseline crossbar.
 //
 // Occupied cells are bucketed by diagonal as the requests are read: cell
-// (row, out) lies on diagonal (row+out) mod n, and a diagonal holds at
-// most one cell per row, so one row mask per diagonal names its cells.
+// (row, out) lies on diagonal (row+out) mod n, where n = max(Rows, Ports),
+// and a diagonal holds at most one cell per row, so one row mask per
+// diagonal names its cells.
 // The sweep then walks n masks and the occupied cells on them — in the
 // same (diagonal, ascending row) order as probing every (diagonal, row)
 // pair would — for O(requests + n) per call.
+//
+// An instance is a view of a wavefrontPool.
 type Wavefront struct {
-	sub      subgroups
-	ports    int
-	n        int // diagonals: max(Rows, Ports)
-	rowWords int // words per row mask
-
-	prio  int     // rotating priority diagonal
-	vcPtr []int32 // per row: round-robin pointer among sub-group VCs requesting the granted output
-
-	// diagRows is all-zero between calls: the sweep drains each diagonal
-	// as it passes.
-	diagRows []uint64 // per diagonal, rowWords each: rows with an occupied cell on it
-
-	// scratch
-	rowBusy sim.Bitset
-	outBusy sim.Bitset
-	cells   cellSlots
-	grants  []Grant
+	p *wavefrontPool
+	i int
 }
+
+// wavefrontPool holds the state of a pool's Wavefront views.
+type wavefrontPool struct {
+	pool
+
+	prio  []int16 // per instance: rotating priority diagonal, below diagonals() <= MaxPorts*MaxVCs
+	vcPtr []int8  // per pool row (instance i's rows start at i*rows): round-robin pointer among sub-group VCs requesting the granted output
+
+	// words is per instance, wordsPer each: diagRows (per diagonal,
+	// rowWords each: rows with an occupied cell on it; all-zero between
+	// calls, as the sweep drains each diagonal it passes), then the
+	// rowBusy and outBusy scratch.
+	words []uint64
+	cells cellSlots // all-zero between calls
+}
+
+// diagonals is how many diagonals the request matrix has.
+func (p *wavefrontPool) diagonals() int { return max(p.rows, p.ports) }
+
+func (p *wavefrontPool) wordsPer() int { return p.diagonals()*p.rowWords + p.rowWords + p.outWords }
 
 // NewWavefront returns a wavefront allocator for cfg. It panics if cfg is
 // invalid.
-func NewWavefront(cfg Config) *Wavefront {
+func NewWavefront(cfg Config) *Wavefront { return &newWavefronts(cfg, 1)[0] }
+
+// newWavefronts returns n views of one pool.
+func newWavefronts(cfg Config, n int) []Wavefront {
 	mustValidate(cfg)
-	n := cfg.Rows()
-	if cfg.Ports > n {
-		n = cfg.Ports
+	p := &wavefrontPool{pool: newPool(cfg, n)}
+	p.prio = make([]int16, n)
+	p.vcPtr = make([]int8, n*p.rows)
+	p.words = make([]uint64, n*p.wordsPer())
+	p.cells = newCellSlots(n*p.rows, p.ports)
+	vs := make([]Wavefront, n)
+	for i := range vs {
+		vs[i] = Wavefront{p, i}
 	}
-	rowWords := (cfg.Rows() + 63) / 64
-	return &Wavefront{
-		sub:      newSubgroups(cfg),
-		ports:    cfg.Ports,
-		n:        n,
-		rowWords: rowWords,
-		vcPtr:    make([]int32, cfg.Rows()),
-		diagRows: make([]uint64, n*rowWords),
-		rowBusy:  sim.NewBitset(cfg.Rows()),
-		outBusy:  sim.NewBitset(cfg.Ports),
-		cells:    newCellSlots(cfg),
-		grants:   make([]Grant, 0, cfg.Ports),
-	}
+	return vs
 }
 
 // Name implements Allocator.
@@ -77,77 +77,85 @@ func (w *Wavefront) Name() string { return "wavefront" }
 
 // Reset implements Allocator.
 func (w *Wavefront) Reset() {
-	w.prio = 0
-	for i := range w.vcPtr {
-		w.vcPtr[i] = 0
-	}
+	w.p.prio[w.i] = 0
+	clear(seg(w.p.vcPtr, w.i, w.p.rows))
 }
 
 // Allocate implements Allocator. The returned slice is scratch, valid
 // until the next Allocate or Reset call.
 func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
-	for i := range w.rowBusy {
-		w.rowBusy[i] = 0
-	}
-	for i := range w.outBusy {
-		w.outBusy[i] = 0
-	}
+	// The call reaches the instance's state through the pool at these
+	// offsets, so the sweep keeps few values live.
+	p, n := w.p, w.p.diagonals()
+	at := w.i * p.rows               // the instance's first pool row
+	diagAt := w.i * p.wordsPer()     // its diagRows, a row mask per diagonal
+	rowBusy := diagAt + n*p.rowWords // then its busy rows
+	outBusy := rowBusy + p.rowWords  // and its busy outputs
+	clear(p.words[rowBusy : outBusy+p.outWords])
 
-	// Populate the request matrix. When several VCs of one row request the
-	// same output, the row's VC pointer chooses among them below; the
-	// cell's word has a line for each. The sweep lowers every cell it
-	// passes.
-	sg := w.sub
-	for p := 0; p < w.ports; p++ {
-		lines := portLines(rs.Ready, p, sg.vcs)
+	// Populate the request matrix, bucketing the occupied cells by
+	// diagonal. When several VCs of one row request the same output, the
+	// row's VC pointer chooses among them below; the cell's word has a
+	// line for each. The sweep lowers every cell it passes, and stops
+	// when no request is left: no diagonal past the last cell can grant.
+	sg := &p.sub
+	left := 0 // requests on cells the sweep has not passed
+	for port := 0; port < p.ports; port++ {
+		lines := portLines(rs.Ready, port, sg.vcs)
 		for g := 0; lines != 0 && g < sg.k; g++ {
-			row := p*sg.k + g
+			row := port*sg.k + g
 			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
 				slot := bits.TrailingZeros64(slots)
-				ivc := p*sg.vcs + sg.vc(g, slot)
-				out := int(rs.Out[ivc])
-				w.cells.add(row, out, slot)
+				out := int(rs.Out[port*sg.vcs+sg.vc(g, slot)])
+				p.cells.add(at+row, out, slot)
+				left++
 				diag := row + out
-				if diag >= w.n {
-					diag -= w.n
+				if diag >= n {
+					diag -= n
 				}
-				w.diagRows[diag*w.rowWords+row>>6] |= 1 << uint(row&63)
+				p.words[diagAt+diag*p.rowWords+row>>6] |= 1 << uint(row&63)
 			}
 		}
 	}
 
-	w.grants = w.grants[:0]
-	diag := w.prio
-	for d := 0; d < w.n; d++ {
-		cells := w.diagRows[diag*w.rowWords : (diag+1)*w.rowWords]
-		for wi, word := range cells {
+	grants := p.grantBuf(w.i)
+	diag := int(p.prio[w.i])
+	for left > 0 {
+		onDiag := diagAt + diag*p.rowWords
+		for wi := 0; wi < p.rowWords; wi++ {
+			word := p.words[onDiag+wi]
 			if word == 0 {
 				continue
 			}
-			cells[wi] = 0
+			p.words[onDiag+wi] = 0
 			for ; word != 0; word &= word - 1 {
 				i := wi<<6 + bits.TrailingZeros64(word)
 				j := diag - i
 				if j < 0 {
-					j += w.n
+					j += n
 				}
-				slots := w.cells.take(i, j)
-				if w.rowBusy.Has(i) || w.outBusy.Has(j) {
+				slots := p.cells.take(at+i, j)
+				left -= bits.OnesCount64(slots)
+				rb, ob := &p.words[rowBusy+i>>6], &p.words[outBusy+j>>6]
+				if *rb&(1<<uint(i&63)) != 0 || *ob&(1<<uint(j&63)) != 0 {
 					continue
 				}
+				*rb |= 1 << uint(i&63)
+				*ob |= 1 << uint(j&63)
 				var slot int
-				slot, w.vcPtr[i] = pickSlot(slots, w.vcPtr[i], sg.size)
-				w.grants = append(w.grants, Grant{IVC: sg.ivc(i, slot), OutPort: j, Row: i})
-				w.rowBusy.Set(i)
-				w.outBusy.Set(j)
+				vcPtr := &p.vcPtr[at+i]
+				slot, *vcPtr = pickSlot(slots, *vcPtr, sg.size)
+				grants = put(grants, Grant{IVC: sg.ivc(i, slot), OutPort: j, Row: i})
 			}
 		}
-		if diag++; diag == w.n {
+		if diag++; diag == n {
 			diag = 0
 		}
 	}
-	if w.prio++; w.prio == w.n {
-		w.prio = 0
+	if prio := &p.prio[w.i]; int(*prio)+1 == n {
+		*prio = 0
+	} else {
+		*prio++
 	}
-	return w.grants
+	return grants
 }

@@ -140,11 +140,12 @@ func (c *checker) checkInvariants() (err error) {
 			if conn.Kind != topology.Link {
 				continue
 			}
-			down := n.routers[conn.PeerRouter]
+			peer, peerPort := int(conn.PeerRouter), int(conn.PeerPort)
+			down := n.routers[peer]
 			for v := 0; v < vcs; v++ {
 				credits := rt.Credits(p, v)
-				occ := depth - down.BufferSpace(conn.PeerPort, v)
-				link := c.onLink[(conn.PeerRouter*radix+conn.PeerPort)*vcs+v]
+				occ := depth - down.BufferSpace(peerPort, v)
+				link := c.onLink[(peer*radix+peerPort)*vcs+v]
 				wire := c.onWire[(u*radix+p)*vcs+v]
 				if credits+occ+link+wire != depth {
 					return fmt.Errorf("cycle %d: link %d.%d vc %d: credits %d + occ %d + link %d + wire %d != %d",

@@ -413,16 +413,18 @@ func New(cfg Config) (*Network, error) {
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
 	ports := make([]router.PortInfo, topo.Radix) // copied into the arena by router.New
+	// One call builds every router's allocator: a built-in kind's are
+	// views of one pool, whose slabs hold all their state.
+	allocs, err := alloc.NewMany(cfg.Router.AllocKind, cfg.Router.Alloc(), topo.NumRouters)
+	if err != nil {
+		return nil, err
+	}
 	for r := 0; r < topo.NumRouters; r++ {
 		for p, c := range topo.Conn[r] {
 			ports[p] = router.PortInfo{Kind: c.Kind, Dim: c.Dim}
 		}
-		a, err := alloc.New(cfg.Router.AllocKind, cfg.Router.Alloc())
-		if err != nil {
-			return nil, err
-		}
 		nextDim := func(outPort, dst int) topology.Dim { return n.routes.NextDim(r, outPort, dst) }
-		n.routers[r] = router.New(r, cfg.Router, ports, a, nextDim, n.torusVCRangeFunc(r), n.arena)
+		n.routers[r] = router.New(r, cfg.Router, ports, allocs[r], nextDim, n.torusVCRangeFunc(r), n.arena)
 	}
 	n.nis = make([]*ni, topo.NumNodes)
 	n.rngs = make([]sim.RNG, topo.NumNodes)

@@ -225,7 +225,7 @@ func dorHops(topo *topology.Topology, tab *routing.Table, src, dst int) int {
 		if c.Kind != topology.Link {
 			return hops
 		}
-		r, hops = c.PeerRouter, hops+1
+		r, hops = int(c.PeerRouter), hops+1
 	}
 }
 

@@ -136,7 +136,7 @@ func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router
 		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
 			d.LinkTraversals++
 			if e.Type().IsHead() {
-				e.SetRoute(n.routes.Port(conn.PeerRouter, e.Dst()))
+				e.SetRoute(n.routes.Port(int(conn.PeerRouter), e.Dst()))
 			}
 		}
 	}
@@ -154,7 +154,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 		switch conn := &conns[e.OutPort]; conn.Kind {
 		case topology.Link:
 			n.flitQ[n.hopSlot] = append(n.flitQ[n.hopSlot], flitDelivery{
-				slot: e.Slot, router: int32(conn.PeerRouter), port: int8(conn.PeerPort), vc: e.VC,
+				slot: e.Slot, router: conn.PeerRouter, port: conn.PeerPort, vc: e.VC,
 			})
 		case topology.Local:
 			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
@@ -167,7 +167,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 	for _, cm := range creds {
 		conn := &conns[cm.Port]
 		n.credQ[n.credSlot] = append(n.credQ[n.credSlot], creditDelivery{
-			router: int32(conn.PeerRouter), outPort: int8(conn.PeerPort), vc: cm.VC,
+			router: conn.PeerRouter, outPort: conn.PeerPort, vc: cm.VC,
 		})
 	}
 	if quiesced {

@@ -43,7 +43,7 @@ func dependencyGraph(t *topology.Topology, classOf func(router, dst int) int) *c
 					g.seen[e] = true
 					g.edges[prev] = append(g.edges[prev], v)
 				}
-				prev, r = v, t.Conn[r][p].PeerRouter
+				prev, r = v, int(t.Conn[r][p].PeerRouter)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func maxChannelLoad(t *topology.Topology) float64 {
 				}
 				p := tab.Port(r, dst)
 				load[r*t.Radix+p] += w
-				r = t.Conn[r][p].PeerRouter
+				r = int(t.Conn[r][p].PeerRouter)
 			}
 			load[r*t.Radix+t.LocalPort(dst)] += w
 		}

@@ -192,7 +192,7 @@ func (rt *Table) NextDim(router, outPort, dst int) topology.Dim {
 	if c.Kind != topology.Link {
 		return topology.DimLocal
 	}
-	px, py := t.RouterXY(c.PeerRouter)
+	px, py := t.RouterXY(int(c.PeerRouter))
 	dx, dy := t.RouterXY(t.NodeRouter[dst])
 	switch {
 	case px != dx:

@@ -23,7 +23,7 @@ func walk(tab *Table, r, dst int) int {
 		if c.Kind != topology.Link {
 			panic(fmt.Sprintf("routing: route from router %d to node %d chose a non-link port", r, dst))
 		}
-		r = c.PeerRouter
+		r = int(c.PeerRouter)
 		if n++; n > t.NumRouters {
 			panic("routing: route did not converge")
 		}
@@ -53,7 +53,7 @@ func TestRoutesConvergeEverywhere(t *testing.T) {
 					p := tab.Port(r, dst)
 					c := topo.Conn[r][p]
 					if r == topo.NodeRouter[dst] {
-						if c.Kind != topology.Local || c.Node != dst {
+						if c.Kind != topology.Local || int(c.Node) != dst {
 							t.Fatalf("%s: at dst router %d, route gave port %d (%+v), want local port of node %d", topo.Name, r, p, c, dst)
 						}
 						break
@@ -61,7 +61,7 @@ func TestRoutesConvergeEverywhere(t *testing.T) {
 					if c.Kind != topology.Link {
 						t.Fatalf("%s: router %d -> node %d chose unwired port %d", topo.Name, r, dst, p)
 					}
-					r = c.PeerRouter
+					r = int(c.PeerRouter)
 					if steps++; steps > topo.NumRouters {
 						t.Fatalf("%s: route %d -> %d did not converge", topo.Name, src, dst)
 					}
@@ -121,7 +121,7 @@ func TestMeshDORDimensionOrder(t *testing.T) {
 				case topology.DimY:
 					inY = true
 				}
-				r = c.PeerRouter
+				r = int(c.PeerRouter)
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func TestCMeshIntraRouterDelivery(t *testing.T) {
 		}
 		p := tab.Port(r, sibling)
 		c := topo.Conn[r][p]
-		if c.Kind != topology.Local || c.Node != sibling {
+		if c.Kind != topology.Local || int(c.Node) != sibling {
 			t.Fatalf("intra-router route from router %d to node %d wrong: %+v", r, sibling, c)
 		}
 	}

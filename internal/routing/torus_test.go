@@ -101,7 +101,7 @@ func TestTorusClassMonotone(t *testing.T) {
 						prevClass[axis] = class
 					}
 					x, y := topo.RouterXY(r)
-					next := topo.Conn[r][p].PeerRouter
+					next := int(topo.Conn[r][p].PeerRouter)
 					nx, ny := topo.RouterXY(next)
 					wrap := (axis == 0 && ringDist(x, nx, 1<<30) > 1) || (axis == 1 && ringDist(y, ny, 1<<30) > 1)
 					if wrap && class != 1 {
@@ -151,13 +151,13 @@ func TestTorusRoutesConverge(t *testing.T) {
 						if c.Kind != topology.Link {
 							t.Fatalf("router %d -> node %d chose unwired port %d", r, dst, p)
 						}
-						r = c.PeerRouter
+						r = int(c.PeerRouter)
 						if steps++; steps > topo.NumRouters {
 							t.Fatalf("route %d -> %d did not converge", src, dst)
 						}
 					}
 					p := tab.Port(r, dst)
-					if c := topo.Conn[r][p]; c.Kind != topology.Local || c.Node != dst {
+					if c := topo.Conn[r][p]; c.Kind != topology.Local || int(c.Node) != dst {
 						t.Fatalf("at dst router %d, port %d is %+v, want local port of node %d", r, p, c, dst)
 					}
 				}

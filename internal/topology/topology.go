@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -55,16 +56,23 @@ const (
 	DimY                // ports moving in the Y dimension
 )
 
-// PortConn describes one router port's wiring.
+// PortConn describes one router port's wiring, in 12 bytes: a port
+// index is below MaxRadix, a router or node index below MaxInt32 (New
+// refuses larger networks).
 type PortConn struct {
 	Kind PortKind
-	// PeerRouter and PeerPort identify the other end of a Link.
-	PeerRouter, PeerPort int
-	// Node is the attached terminal for a Local port.
-	Node int
 	// Dim is the port's direction class.
 	Dim Dim
+	// PeerRouter and PeerPort identify the other end of a Link.
+	PeerPort   int8
+	PeerRouter int32
+	// Node is the attached terminal for a Local port.
+	Node int32
 }
+
+// MaxRadix bounds a router's ports: PortConn names a peer port in an
+// int8.
+const MaxRadix = math.MaxInt8
 
 // Topology is a static description of routers, terminals, and channels.
 type Topology struct {
@@ -77,7 +85,8 @@ type Topology struct {
 	NumNodes   int
 	// Radix is the number of ports per router (Table 1's "Radix").
 	Radix int
-	// Conn[r][p] is the wiring of router r's port p.
+	// Conn[r][p] is the wiring of router r's port p. Every Conn[r] is
+	// router r's segment of one slab of NumRouters x Radix ports.
 	Conn [][]PortConn
 	// NodeRouter[n] and NodePort[n] locate terminal n's local port.
 	NodeRouter []int
@@ -100,6 +109,12 @@ func New(kind Kind, w, h, conc int) (*Topology, error) {
 	if w <= 0 || h <= 0 || conc <= 0 {
 		return nil, fmt.Errorf("topology: dimensions must be positive, got %dx%d with %d terminals per router", w, h, conc)
 	}
+	if radix > MaxRadix {
+		return nil, fmt.Errorf("topology: radix %d exceeds the %d ports a PortConn names", radix, MaxRadix)
+	}
+	if float64(w)*float64(h)*float64(conc) > math.MaxInt32 {
+		return nil, fmt.Errorf("topology: %dx%d routers with %d terminals each exceed the %d nodes a PortConn names", w, h, conc, math.MaxInt32)
+	}
 	name := fmt.Sprintf("%s%dx%d", kind, w, h)
 	if kind == KindCMesh || kind == KindFBfly {
 		name += fmt.Sprintf("c%d", conc)
@@ -115,12 +130,13 @@ func New(kind Kind, w, h, conc int) (*Topology, error) {
 		NodePort:   make([]int, w*h*conc),
 		xy:         make([][2]int32, w*h),
 	}
+	ports := make([]PortConn, w*h*radix)
 	for r := range t.xy { // the first conc ports of a router are its terminals'
 		t.xy[r] = [2]int32{int32(r % w), int32(r / w)}
-		t.Conn[r] = make([]PortConn, radix)
+		t.Conn[r] = ports[r*radix : (r+1)*radix : (r+1)*radix]
 		for c := 0; c < conc; c++ {
 			n := r*conc + c
-			t.Conn[r][c] = PortConn{Kind: Local, Node: n, Dim: DimLocal}
+			t.Conn[r][c] = PortConn{Kind: Local, Node: int32(n), Dim: DimLocal}
 			t.NodeRouter[n] = r
 			t.NodePort[n] = c
 		}
@@ -205,14 +221,14 @@ func (t *Topology) validate() {
 				continue
 			}
 			peer := t.Conn[c.PeerRouter][c.PeerPort]
-			if peer.Kind != Link || peer.PeerRouter != r || peer.PeerPort != p {
+			if peer.Kind != Link || int(peer.PeerRouter) != r || int(peer.PeerPort) != p {
 				panic(fmt.Sprintf("topology: asymmetric link %d.%d -> %d.%d", r, p, c.PeerRouter, c.PeerPort))
 			}
 		}
 	}
 	for n := 0; n < t.NumNodes; n++ {
 		c := t.Conn[t.NodeRouter[n]][t.NodePort[n]]
-		if c.Kind != Local || c.Node != n {
+		if c.Kind != Local || int(c.Node) != n {
 			panic(fmt.Sprintf("topology: node %d local port mismatch", n))
 		}
 	}
@@ -248,6 +264,11 @@ func NewTorus(w, h int) *Topology { return mustNew(KindTorus, w, h, 1) }
 // (radix 4 + 3 + 3 = 10).
 func NewFBfly(w, h, conc int) *Topology { return mustNew(KindFBfly, w, h, conc) }
 
+// link returns the wiring of a link to port port of router peer.
+func link(peer, port int, dim Dim) PortConn {
+	return PortConn{Kind: Link, PeerRouter: int32(peer), PeerPort: int8(port), Dim: dim}
+}
+
 // wireMeshLike wires the four direction ports of a mesh, cmesh or torus,
 // plus the wrap links of a torus.
 func (t *Topology) wireMeshLike() {
@@ -256,32 +277,32 @@ func (t *Topology) wireMeshLike() {
 		x, y := t.RouterXY(r)
 		dir := func(d int) int { return conc + d }
 		if x+1 < w {
-			t.Conn[r][dir(dirEast)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x+1, y), PeerPort: dir(dirWest), Dim: DimX}
+			t.Conn[r][dir(dirEast)] = link(t.RouterAt(x+1, y), dir(dirWest), DimX)
 		}
 		if x-1 >= 0 {
-			t.Conn[r][dir(dirWest)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x-1, y), PeerPort: dir(dirEast), Dim: DimX}
+			t.Conn[r][dir(dirWest)] = link(t.RouterAt(x-1, y), dir(dirEast), DimX)
 		}
 		if y-1 >= 0 {
-			t.Conn[r][dir(dirNorth)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x, y-1), PeerPort: dir(dirSouth), Dim: DimY}
+			t.Conn[r][dir(dirNorth)] = link(t.RouterAt(x, y-1), dir(dirSouth), DimY)
 		}
 		if y+1 < h {
-			t.Conn[r][dir(dirSouth)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x, y+1), PeerPort: dir(dirNorth), Dim: DimY}
+			t.Conn[r][dir(dirSouth)] = link(t.RouterAt(x, y+1), dir(dirNorth), DimY)
 		}
 		if t.Kind == KindTorus {
 			if w >= 3 {
 				if x == w-1 {
-					t.Conn[r][dir(dirEast)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(0, y), PeerPort: dir(dirWest), Dim: DimX}
+					t.Conn[r][dir(dirEast)] = link(t.RouterAt(0, y), dir(dirWest), DimX)
 				}
 				if x == 0 {
-					t.Conn[r][dir(dirWest)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(w-1, y), PeerPort: dir(dirEast), Dim: DimX}
+					t.Conn[r][dir(dirWest)] = link(t.RouterAt(w-1, y), dir(dirEast), DimX)
 				}
 			}
 			if h >= 3 {
 				if y == 0 {
-					t.Conn[r][dir(dirNorth)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x, h-1), PeerPort: dir(dirSouth), Dim: DimY}
+					t.Conn[r][dir(dirNorth)] = link(t.RouterAt(x, h-1), dir(dirSouth), DimY)
 				}
 				if y == h-1 {
-					t.Conn[r][dir(dirSouth)] = PortConn{Kind: Link, PeerRouter: t.RouterAt(x, 0), PeerPort: dir(dirNorth), Dim: DimY}
+					t.Conn[r][dir(dirSouth)] = link(t.RouterAt(x, 0), dir(dirNorth), DimY)
 				}
 			}
 		}
@@ -300,7 +321,7 @@ func (t *Topology) wireFBfly() {
 			}
 			p := t.XPort(x, tx)
 			peer := t.RouterAt(tx, y)
-			t.Conn[r][p] = PortConn{Kind: Link, PeerRouter: peer, PeerPort: t.XPort(tx, x), Dim: DimX}
+			t.Conn[r][p] = link(peer, t.XPort(tx, x), DimX)
 		}
 		for ty := 0; ty < h; ty++ {
 			if ty == y {
@@ -308,7 +329,7 @@ func (t *Topology) wireFBfly() {
 			}
 			p := t.YPort(y, ty)
 			peer := t.RouterAt(x, ty)
-			t.Conn[r][p] = PortConn{Kind: Link, PeerRouter: peer, PeerPort: t.YPort(ty, y), Dim: DimY}
+			t.Conn[r][p] = link(peer, t.YPort(ty, y), DimY)
 		}
 	}
 }

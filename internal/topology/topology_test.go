@@ -49,7 +49,7 @@ func TestLinkSymmetry(t *testing.T) {
 					continue
 				}
 				back := topo.Conn[c.PeerRouter][c.PeerPort]
-				if back.Kind != Link || back.PeerRouter != r || back.PeerPort != p {
+				if back.Kind != Link || int(back.PeerRouter) != r || int(back.PeerPort) != p {
 					t.Fatalf("%s: link %d.%d not symmetric", name, r, p)
 				}
 			}
@@ -68,7 +68,7 @@ func TestNodeMappingBijective(t *testing.T) {
 			}
 			seen[key] = true
 			c := topo.Conn[key[0]][key[1]]
-			if c.Kind != Local || c.Node != n {
+			if c.Kind != Local || int(c.Node) != n {
 				t.Fatalf("%s: node %d local port wiring wrong: %+v", name, n, c)
 			}
 		}
@@ -143,7 +143,7 @@ func TestFBflyFullRowColumnConnectivity(t *testing.T) {
 				continue
 			}
 			c := f.Conn[r][f.XPort(x, tx)]
-			if c.Kind != Link || c.PeerRouter != f.RouterAt(tx, y) {
+			if c.Kind != Link || int(c.PeerRouter) != f.RouterAt(tx, y) {
 				t.Fatalf("router %d x-port to column %d miswired: %+v", r, tx, c)
 			}
 			if c.Dim != DimX {
@@ -155,7 +155,7 @@ func TestFBflyFullRowColumnConnectivity(t *testing.T) {
 				continue
 			}
 			c := f.Conn[r][f.YPort(y, ty)]
-			if c.Kind != Link || c.PeerRouter != f.RouterAt(x, ty) {
+			if c.Kind != Link || int(c.PeerRouter) != f.RouterAt(x, ty) {
 				t.Fatalf("router %d y-port to row %d miswired: %+v", r, ty, c)
 			}
 			if c.Dim != DimY {

@@ -19,21 +19,21 @@ func TestTorusWrapWiring(t *testing.T) {
 	}
 	for y := 0; y < topo.H; y++ {
 		east := topo.RouterAt(topo.W-1, y)
-		if got := topo.Conn[east][topo.EastPort()].PeerRouter; got != topo.RouterAt(0, y) {
+		if got := int(topo.Conn[east][topo.EastPort()].PeerRouter); got != topo.RouterAt(0, y) {
 			t.Fatalf("row %d east wrap lands on router %d, want %d", y, got, topo.RouterAt(0, y))
 		}
 		west := topo.RouterAt(0, y)
-		if got := topo.Conn[west][topo.WestPort()].PeerRouter; got != topo.RouterAt(topo.W-1, y) {
+		if got := int(topo.Conn[west][topo.WestPort()].PeerRouter); got != topo.RouterAt(topo.W-1, y) {
 			t.Fatalf("row %d west wrap lands on router %d, want %d", y, got, topo.RouterAt(topo.W-1, y))
 		}
 	}
 	for x := 0; x < topo.W; x++ {
 		north := topo.RouterAt(x, 0)
-		if got := topo.Conn[north][topo.NorthPort()].PeerRouter; got != topo.RouterAt(x, topo.H-1) {
+		if got := int(topo.Conn[north][topo.NorthPort()].PeerRouter); got != topo.RouterAt(x, topo.H-1) {
 			t.Fatalf("col %d north wrap lands on router %d, want %d", x, got, topo.RouterAt(x, topo.H-1))
 		}
 		south := topo.RouterAt(x, topo.H-1)
-		if got := topo.Conn[south][topo.SouthPort()].PeerRouter; got != topo.RouterAt(x, 0) {
+		if got := int(topo.Conn[south][topo.SouthPort()].PeerRouter); got != topo.RouterAt(x, 0) {
 			t.Fatalf("col %d south wrap lands on router %d, want %d", x, got, topo.RouterAt(x, 0))
 		}
 	}
