@@ -198,7 +198,8 @@ type Grant struct {
 // Ready has one bit per input VC ivc = Port*VCs + VC, bit ivc&63 of word
 // ivc>>6, raised when the VC requests; Out and Age, indexed by ivc, hold
 // its requested output and how many cycles its flit has waited, and are
-// meaningful only where Ready has the bit. The router passes its own
+// meaningful only where Ready has the bit. Age may be nil for a kind that
+// does not read it (ReadsAge). The router passes its own
 // request word and its per-VC output and wait slabs, so nothing is
 // copied, and an allocator must not write them. A Ready with no words is
 // an empty set.

@@ -89,6 +89,12 @@ func IsBuiltin(a Allocator) bool {
 	return false
 }
 
+// ReadsAge reports whether an allocator of kind may read a RequestSet's
+// Age: KindSeparableAge, and any kind not built in, which may read the
+// list form's ages. Every other built-in kind ignores Age, so a caller
+// may leave it nil for them.
+func ReadsAge(kind Kind) bool { return kind == KindSeparableAge || builtin(kind) == nil }
+
 // Kinds lists all supported built-in allocator kinds in evaluation order.
 func Kinds() []Kind {
 	kinds := make([]Kind, len(builtins))

@@ -198,7 +198,7 @@ func TestValidateCrossbarGeometry(t *testing.T) {
 
 // TestValidateRouterFieldBounds: buffer depth and radix must fit the
 // router's int8 slab fields, the diameter the packet record's int16 hop
-// counter, the packet size a slot's 23-bit Seq, and a
+// counter, the packet size the record's int16 ejected-flit count, and a
 // wrapping torus needs two VCs; Validate agrees with Build and the
 // network's own validation on which side of each bound a spec falls.
 func TestValidateRouterFieldBounds(t *testing.T) {
@@ -217,8 +217,8 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		{"mesh diameter 39999", func(e *Experiment) { e.Width, e.Height, e.VCs, e.BufDepth = 40000, 1, 2, 2 }, "width"},
 		{"torus 3x3 with 1 VC", func(e *Experiment) { e.Topology, e.Width, e.Height, e.VCs = "torus", 3, 3, 1 }, "vcs"},
 		{"unknown policy", func(e *Experiment) { e.Policy = "psychic" }, "policy"},
-		{"packet_size at the slot's 23-bit bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize }, ""},
-		{"packet_size past the slot's 23-bit bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize + 1 }, "packet_size"},
+		{"packet_size at the record's int16 bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize }, ""},
+		{"packet_size past the record's int16 bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize + 1 }, "packet_size"},
 	} {
 		e := Default()
 		tc.mutate(&e)

@@ -17,7 +17,8 @@ func (n *Network) stepDense() {
 		n.ticker.Tick(n.cycle)
 	}
 	statistical := n.cfg.Workload == nil && !n.cfg.MaxInjection
-	for _, nif := range n.nis {
+	for i := range n.nis {
+		nif := &n.nis[i]
 		if !statistical {
 			n.generate(nif)
 		} else if nif.rng.Bernoulli(n.cfg.InjectionRate) {

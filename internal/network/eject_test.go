@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -105,42 +106,69 @@ func TestEjectedFlitFieldsArePinned(t *testing.T) {
 }
 
 // TestInFlightFlitFootprint pins what an in-flight flit costs. A buffer
-// slot is 8 bytes: FlitID and one word packing a head's destination or a
-// body or tail flit's Seq, Route and Type. A link event is the slot plus
-// where it lands, at most 16 bytes, and an ejection event the slot plus
-// the port and VC it left through, at most 12. What the network keeps per
-// in-flight packet — its record plus its entry on the free stack — is at
-// most 52 bytes: PacketID, Tag and two cycles (8 B each), three int32s
-// and the hop count.
+// slot is 4 bytes: the FlitID of its packet's record and its Type. A link
+// event is the slot plus where it lands, at most 12 bytes, and an
+// ejection event the slot plus the port and VC it left through, at most
+// 8. An emission, a router's per-port scratch, is at most 16. What the
+// network keeps per in-flight packet — its record plus its entry on the
+// free stack — is at most 52 bytes: PacketID, Tag and two cycles (8 B
+// each), three int32s, the hop count and the ejected-flit count.
 func TestInFlightFlitFootprint(t *testing.T) {
 	var n Network
 	rec := unsafe.Sizeof(*n.flits.At(0)) // not evaluated: the size of the element type
-	entry := unsafe.Sizeof(router.NoFlit)
+	entry := unsafe.Sizeof(router.FlitID(0))
 	for _, c := range []struct {
 		what      string
 		size, max uintptr
 	}{
 		{"a packet record and its free-stack entry", rec + entry, 52},
-		{"an ejection event", unsafe.Sizeof(ejection{}), 12},
-		{"a link event", unsafe.Sizeof(flitDelivery{}), 16},
+		{"an ejection event", unsafe.Sizeof(ejection{}), 8},
+		{"a link event", unsafe.Sizeof(flitDelivery{}), 12},
+		{"an emission", unsafe.Sizeof(router.Emission{}), 16},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s costs %d bytes, want at most %d", c.what, c.size, c.max)
 		}
 	}
-	if s := unsafe.Sizeof(router.Slot{}); s != 8 {
-		t.Errorf("router.Slot is %d bytes, want exactly 8", s)
+	if s := unsafe.Sizeof(router.Slot(0)); s != 4 {
+		t.Errorf("router.Slot is %d bytes, want exactly 4", s)
 	}
 }
 
-// A network router's Occupancy holds every buffered slot to the network's
-// own record of the flit: a record whose destination, or whose position
-// in its packet (and with it the flit's type), disagrees with the slot is
-// reported.
+// A network router's Occupancy holds every buffered flit to the network's
+// records and the grammar of packets in order. Each case plants one fault
+// in a saturated 4x4 mesh: every record's destination moved (a parked
+// head's record no longer routes it to the port it waits on), or, behind
+// a streaming packet's last flit in its source VC, a head of the same
+// packet (a type flipped in the slot), a flit naming a freed record, or
+// another live packet's body flit.
 func TestOccupancyCrossChecksSlotsAgainstNetworkRecords(t *testing.T) {
-	for name, corrupt := range map[string]func(f *flitRecord){
-		"dst":  func(f *flitRecord) { f.dst++ },
-		"type": func(f *flitRecord) { f.packetSize++ },
+	for name, c := range map[string]struct {
+		corrupt func(n *Network, streaming *ni)
+		want    string
+	}{
+		"dst": {func(n *Network, _ *ni) {
+			for id := 0; id < n.flits.Cap(); id++ {
+				if f := n.flits.At(router.FlitID(id)); f.packetSize > 0 {
+					f.dst = (f.dst + 1) % int32(n.topo.NumNodes)
+				}
+			}
+		}, "but its head's route is"},
+		"type": {func(n *Network, s *ni) { plant(n, s, router.NewSlot(s.rec, router.Head)) }, "non-tail"},
+		"freed": {func(n *Network, s *ni) {
+			id := n.flits.Alloc()
+			n.flits.Free(id)
+			plant(n, s, router.NewSlot(id, router.Body))
+		}, "names no live record"},
+		"interleaved": {func(n *Network, s *ni) {
+			for id := range router.FlitID(n.flits.Cap()) {
+				if id != s.rec && n.flits.At(id).packetSize > 0 {
+					plant(n, s, router.NewSlot(id, router.Body))
+					return
+				}
+			}
+			t.Fatal("no other live packet")
+		}, "non-tail"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := meshConfig(topology.NewMesh(4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
@@ -150,15 +178,28 @@ func TestOccupancyCrossChecksSlotsAgainstNetworkRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			n.Run(200)
+			var streaming *ni
+			for i := 0; streaming == nil; i++ {
+				if i == 1000 {
+					t.Fatal("no NI streams a packet into a VC with room behind it")
+				}
+				n.Step()
+				for node := range n.nis {
+					nif := &n.nis[node]
+					r, port := n.topo.NodeRouter[node], n.topo.NodePort[node]
+					if space := n.routers[r].BufferSpace(port, max(nif.curVC, 0)); nif.curVC >= 0 && space > 0 && space < cfg.Router.BufDepth {
+						streaming = nif
+						break
+					}
+				}
+			}
 			for _, rt := range n.Routers() {
 				rt.Occupancy()
 			}
-			for id := 0; id < n.flits.Cap(); id++ {
-				corrupt(n.flits.At(router.FlitID(id)))
-			}
+			c.corrupt(n, streaming)
 			defer func() {
-				if recover() == nil {
-					t.Fatal("Occupancy accepted slots that disagree with their flit records")
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Fatalf("Occupancy panicked with %q, want a report containing %q", msg, c.want)
 				}
 			}()
 			for _, rt := range n.Routers() {
@@ -168,7 +209,13 @@ func TestOccupancyCrossChecksSlotsAgainstNetworkRecords(t *testing.T) {
 	}
 }
 
-// A packet too long for a slot's 23-bit Seq is refused where it enters:
+// plant delivers s behind the flits nif has streamed into its source VC.
+func plant(n *Network, nif *ni, s router.Slot) {
+	n.arena.Deliver(n.topo.NodeRouter[nif.node], n.topo.NodePort[nif.node], nif.curVC, s)
+}
+
+// A packet too long for its record's int16 ejected-flit count is refused
+// where it enters:
 // by Validate from the Config, at enqueue from a Workload. The longest
 // packet that fits is accepted.
 func TestOversizedPacketsAreRefused(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"vix/internal/alloc"
 	"vix/internal/router"
 	"vix/internal/routing"
 	"vix/internal/topology"
@@ -29,7 +30,10 @@ import (
 //     each, head to tail in Seq order, each flit's type its Seq's; every
 //     flit has made its DOR path's hops and leaves through its node's
 //     local port on VC 0. Packets to one node may interleave: the sink
-//     takes any flit switch allocation grants it.
+//     takes any flit switch allocation grants it. The row counts each
+//     terminal's open packets — a head has ejected and its tail has not
+//     — and keeps the most seen at once (maxOpen); nothing bounds it yet
+//     (TestEjectionInterleavesPastTheVCs).
 //   - Drain (drain): a drained network holds no live record and has
 //     every credit back.
 //
@@ -43,6 +47,9 @@ type checker struct {
 	err  error          // the first ejection fault
 
 	flits, tails, hops, latency, flitCycles int64
+
+	open    []int // per terminal: packets whose head has ejected and tail has not
+	maxOpen int   // the most open at one terminal at once
 
 	// Scratch per (router, port, vc): the flits on the link wheel bound
 	// for that input, the credits on the return wheel bound for that
@@ -70,6 +77,7 @@ func newChecked(t testing.TB, cfg Config) *checker {
 	links := n.topo.NumRouters * n.topo.Radix * n.cfg.Router.VCs
 	c.n, c.tab, c.next = n, routing.Compile(n.topo), map[uint64]int{}
 	c.onLink, c.onWire = make([]int, links), make([]int, links)
+	c.open = make([]int, n.topo.NumNodes)
 	return c
 }
 
@@ -94,6 +102,13 @@ func (c *checker) eject(f *router.Flit) {
 		if fault != "" {
 			c.err = fmt.Errorf("cycle %d: node %d: flit %d.%d %s", f.EjectCycle, f.Dst, f.PacketID, f.Seq, fault)
 		}
+	}
+	switch f.Type {
+	case router.Head:
+		c.open[f.Dst]++
+		c.maxOpen = max(c.maxOpen, c.open[f.Dst])
+	case router.Tail:
+		c.open[f.Dst]--
 	}
 	if c.next[f.PacketID] = next + 1; f.Type.IsTail() {
 		c.tails++
@@ -155,7 +170,8 @@ func (c *checker) checkInvariants() (err error) {
 		}
 	}
 	heads := int64(n.nextPacketID) // less the packets whose head is still queued
-	for _, nif := range n.nis {
+	for i := range n.nis {
+		nif := &n.nis[i]
 		heads -= int64(nif.backlog())
 		if nif.seq > 0 {
 			heads++
@@ -197,4 +213,23 @@ func (c *checker) drain(limit int) error {
 		}
 	}
 	return c.checkInvariants() // adds nothing to flitCycles: nothing is in flight or queued
+}
+
+// TestEjectionInterleavesPastTheVCs pins a finding: a head bound for a
+// local port takes output VC 0 without holding it, so packets to one
+// terminal interleave without limit. On the 4x4 c4 flattened butterfly
+// at max injection a terminal has more packets open at once than the
+// router has VCs, which an ejection port with v held output VCs would
+// forbid. Giving the ejection port its VCs flips this pin.
+func TestEjectionInterleavesPastTheVCs(t *testing.T) {
+	cfg := meshConfig(topology.NewFBfly(4, 4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+	cfg.MaxInjection, cfg.Seed = true, 1
+	c := newChecked(t, cfg)
+	if err := c.run(1500, false); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("at most %d packets open at one terminal, %d VCs", c.maxOpen, cfg.Router.VCs)
+	if c.maxOpen <= cfg.Router.VCs {
+		t.Errorf("at most %d packets open at one terminal, want more than the %d VCs", c.maxOpen, cfg.Router.VCs)
+	}
 }

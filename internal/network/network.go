@@ -115,12 +115,9 @@ const (
 )
 
 // MaxPacketSize is the largest packet, in flits, a network carries: a
-// body flit's buffer slot keeps its Seq in router.MaxDstSeq's 23 bits.
-const MaxPacketSize = router.MaxDstSeq
-
-// MaxNodes is the most terminals a network has: a head's buffer slot
-// keeps its destination in the same 23 bits.
-const MaxNodes = router.MaxDstSeq + 1
+// packet's record counts the flits of it ejected, a flit's Seq at
+// ejection, in an int16.
+const MaxPacketSize = math.MaxInt16
 
 // MaxHops is the longest path, in links, a network routes: a packet's
 // record keeps its hop count in an int16.
@@ -149,16 +146,16 @@ func (c *Config) Validate() error {
 	if c.Router.Ports != c.Topology.Radix {
 		return fmt.Errorf("network: router has %d ports but topology radix is %d", c.Router.Ports, c.Topology.Radix)
 	}
-	// Buffer slots name destinations in 23 bits, link events routers in
-	// an int32, and packet records count hops in an int16.
-	if c.Topology.NumNodes > MaxNodes {
-		return fmt.Errorf("network: topology has %d nodes, more than %d", c.Topology.NumNodes, MaxNodes)
-	}
+	// Link events name routers in an int32, packet records count hops in
+	// an int16, and buffer slots name packet records in 30 bits.
 	if c.Topology.NumRouters > math.MaxInt32 {
 		return fmt.Errorf("network: topology has %d routers, more than %d", c.Topology.NumRouters, math.MaxInt32)
 	}
 	if d := c.Topology.Diameter(); d > MaxHops {
 		return fmt.Errorf("network: topology diameter %d exceeds the hop counter's %d", d, MaxHops)
+	}
+	if live := c.maxLivePackets(); live > router.MaxFlitID+1 {
+		return fmt.Errorf("network: up to %.0f packets may be in flight, more than the %d a buffer slot can name", live, router.MaxFlitID+1)
 	}
 	if c.PacketSize < 0 || c.PacketSize > MaxPacketSize {
 		return fmt.Errorf("network: packet size %d is not in 0..%d", c.PacketSize, MaxPacketSize)
@@ -183,6 +180,18 @@ func (c *Config) Validate() error {
 	return CheckTorusVCs(c.Topology.Kind, c.Topology.W, c.Topology.H, c.Router.VCs)
 }
 
+// maxLivePackets bounds the packets in flight at once, which is the
+// records a network keeps: a live packet has a flit in a router buffer
+// (its head, or the flits behind it while its NI stalls), on a link
+// (holding a credit for a downstream buffer slot) or on the ejection
+// wheel (at most one per terminal per cycle of the hop delay). It counts
+// in float64, exact below 2⁵³, so no product overflows.
+func (c *Config) maxLivePackets() float64 {
+	t, r := c.Topology, c.Router
+	slots := float64(t.NumRouters) * float64(t.Radix) * float64(r.VCs) * float64(r.BufDepth)
+	return slots + float64(t.NumNodes)*float64(max(c.HopDelay, DefaultHopDelay))
+}
+
 // CheckTorusVCs is the one statement of the torus VC rule: a torus with
 // a wraparound ring (a side of 3 or more) splits each port's VCs into
 // two dateline classes, so it needs at least 2. config.Validate files
@@ -195,12 +204,11 @@ func CheckTorusVCs(kind topology.Kind, w, h, vcs int) error {
 }
 
 // flitDelivery, creditDelivery and ejection are the in-flight events on
-// the wheels, 16, 8 and 12 bytes. A flit travels as its 8-byte buffer
-// slot — the header a hop needs, a head's lookahead route included — so
-// neither sending nor landing it resolves the FlitID; its packet's record
-// is next read at ejection, where the event supplies the flit's own
-// fields: its slot (type and Seq), the local port it left through (route)
-// and its VC.
+// the wheels, 12, 8 and 8 bytes. A flit travels as its 4-byte buffer
+// slot, its record's id and its type, so neither sending nor landing it
+// resolves the FlitID; its packet's record is next read at the next VC
+// allocation (a head) or at ejection, where the event supplies the local
+// port it left through (route) and its VC.
 type flitDelivery struct {
 	slot     router.Slot
 	router   int32
@@ -221,30 +229,46 @@ type ejection struct {
 // without pointers, named by every flit of the packet: the fields its
 // flits share, which inject writes at the head and eject reads at every
 // flit. Every flit of a packet takes its head's path, so the hop count is
-// the path's, which inject computes from the route table. Type, Seq,
-// Route and VC differ per flit and travel in its buffer slots and
-// ejection event; the Flit OnEject sees is assembled from both.
+// the path's, which inject computes from the route table; flits of a
+// packet eject in order, so a flit's Seq is the count of its packet's
+// flits ejected before it. Type, Route and VC differ per flit and travel
+// in its buffer slots and ejection event; the Flit OnEject sees is
+// assembled from both.
 type flitRecord struct {
 	packetID, tag            uint64
 	createCycle, injectCycle int64 // injectCycle: when the head entered
 	src, dst, packetSize     int32
 	hops                     int16 // links on the packet's DOR path
+	ejected                  int16 // flits of the packet ejected so far
 }
 
-// flitStore is the network's slab of packet records.
-type flitStore struct{ router.Slab[flitRecord] }
+// flitStore is the network's slab of packet records, and the route table
+// that gives a head its output port and lookahead dimension at each
+// router.
+type flitStore struct {
+	router.Slab[flitRecord]
+	routes *routing.Table
+}
 
-// Header implements router.Records for Router.Occupancy: a record states
-// the type of its packet's flit seq through seq's position in the packet.
-func (s *flitStore) Header(id router.FlitID, seq int) (router.FlitType, int, bool) {
-	if !s.Holds(id) {
-		return 0, 0, false
+// Head implements router.Records: the output port at router r toward the
+// packet's destination.
+func (s *flitStore) Head(id router.FlitID, r int) (route, dst int) {
+	dst = int(s.At(id).dst)
+	return s.routes.Port(r, dst), dst
+}
+
+// NextDim implements router.Lookahead from the route table.
+func (s *flitStore) NextDim(r, outPort, dst int) topology.Dim {
+	return s.routes.NextDim(r, outPort, dst)
+}
+
+// Packet implements router.Records: every flit of a packet names its
+// record. A freed record is zero, and a live one has a positive size.
+func (s *flitStore) Packet(id router.FlitID) (uint64, bool) {
+	if !s.Holds(id) || s.At(id).packetSize <= 0 {
+		return 0, false
 	}
-	p := s.At(id)
-	if seq < 0 || seq >= int(p.packetSize) {
-		return 0, 0, false
-	}
-	return router.PacketFlitType(seq, int(p.packetSize)), int(p.dst), true
+	return s.At(id).packetID, true
 }
 
 // queuedPacket is one not-yet-injected packet in an NI source queue:
@@ -275,7 +299,6 @@ type ni struct {
 	flits int // queued flits not yet injected
 	curVC int
 	rec   router.FlitID // the streaming packet's record, while curVC >= 0
-	route int8          // the streaming packet's output port at its source router, while curVC >= 0
 }
 
 // pending returns the number of queued flits.
@@ -325,7 +348,7 @@ type Network struct {
 	// arena holds every router's state; the delivery loop and inject
 	// reach a router's slabs through it by index, without the Router.
 	arena *router.Arena
-	nis   []*ni
+	nis   []ni
 
 	// rngs holds every node's generator contiguously, in node order, so
 	// the statistical injection draw is one linear walk; injectThr is
@@ -409,6 +432,7 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]ejection, n.qlen)
 
+	n.flits.routes = n.routes
 	n.arena = router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
@@ -423,14 +447,14 @@ func New(cfg Config) (*Network, error) {
 		for p, c := range topo.Conn[r] {
 			ports[p] = router.PortInfo{Kind: c.Kind, Dim: c.Dim}
 		}
-		nextDim := func(outPort, dst int) topology.Dim { return n.routes.NextDim(r, outPort, dst) }
-		n.routers[r] = router.New(r, cfg.Router, ports, allocs[r], nextDim, n.torusVCRangeFunc(r), n.arena)
+		// A nil NextDimFunc: the routers share the record store's lookahead.
+		n.routers[r] = router.New(r, cfg.Router, ports, allocs[r], nil, n.torusVCRangeFunc(r), n.arena)
 	}
-	n.nis = make([]*ni, topo.NumNodes)
+	n.nis = make([]ni, topo.NumNodes)
 	n.rngs = make([]sim.RNG, topo.NumNodes)
 	for node := 0; node < topo.NumNodes; node++ {
 		n.rngs[node] = *root.Fork(uint64(node))
-		n.nis[node] = &ni{node: node, rng: &n.rngs[node], curVC: -1}
+		n.nis[node] = ni{node: node, rng: &n.rngs[node], curVC: -1}
 	}
 	n.setInjectionRate(cfg.InjectionRate)
 	n.actR = sim.NewBitset(topo.NumRouters)
@@ -481,8 +505,8 @@ func (n *Network) InFlight() int64 { return n.inFlight }
 // QueuedAtSources returns the flits waiting in NI source queues.
 func (n *Network) QueuedAtSources() int64 {
 	var q int64
-	for _, nif := range n.nis {
-		q += int64(nif.pending())
+	for i := range n.nis {
+		q += int64(n.nis[i].pending())
 	}
 	return q
 }
@@ -561,16 +585,16 @@ func (n *Network) source() {
 	if n.cfg.Workload == nil && !n.cfg.MaxInjection {
 		rngs, thr := n.rngs, n.injectThr
 		for node := sim.NextBelow(rngs, 0, thr); node < len(rngs); node = sim.NextBelow(rngs, node+1, thr) {
-			n.enqueueStatistical(n.nis[node])
+			n.enqueueStatistical(&n.nis[node])
 		}
 	} else {
-		for _, nif := range n.nis {
-			n.generate(nif)
+		for i := range n.nis {
+			n.generate(&n.nis[i])
 		}
 	}
 	for wi, w := range n.actNI {
 		for ; w != 0; w &= w - 1 {
-			n.inject(n.nis[wi<<6+bits.TrailingZeros64(w)])
+			n.inject(&n.nis[wi<<6+bits.TrailingZeros64(w)])
 		}
 	}
 }
@@ -588,13 +612,16 @@ func (n *Network) endCycle() {
 }
 
 // eject retires a flit at its destination and updates statistics from
-// its packet's record, read for the first time since the head's inject,
+// its packet's record, whose count of flits ejected is the flit's Seq,
 // and its ejection event, which carries the flit's slot and VC. The
 // public Flit is assembled, into network-owned scratch, only for OnEject.
 // A tail returns the record to the free stack afterwards.
 func (n *Network) eject(e ejection) {
-	f := n.flits.At(e.slot.Flit)
+	id := e.slot.Flit()
+	f := n.flits.At(id)
 	typ := e.slot.Type()
+	seq := f.ejected
+	f.ejected++
 	n.inFlight--
 	n.lastEjectCycle = n.cycle
 	n.col.FlitEjected(int(f.src))
@@ -614,13 +641,13 @@ func (n *Network) eject(e ejection) {
 		}
 		n.ejected = router.Flit{
 			PacketID: f.packetID, Type: typ, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
-			Seq: e.slot.Seq(), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
+			Seq: int(seq), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
 			CreateCycle: f.createCycle, InjectCycle: injectCycle, EjectCycle: n.cycle, Hops: int(f.hops),
 		}
 		n.cfg.OnEject(&n.ejected)
 	}
 	if typ.IsTail() {
-		n.flits.Free(e.slot.Flit)
+		n.flits.Free(id)
 	}
 }
 
@@ -688,17 +715,15 @@ func (n *Network) inject(nif *ni) {
 		if nif.curVC >= 0 {
 			panic("network: head flit while previous packet still streaming")
 		}
-		route := n.routes.Port(r, p.dst)
-		vc := rt.InjectionVC(port, n.topo.Conn[r][route].Dim)
+		vc := rt.InjectionVC(port, n.topo.Conn[r][n.routes.Port(r, p.dst)].Dim)
 		if vc < 0 {
 			return // no space at the local port this cycle
 		}
-		nif.curVC, nif.route = vc, int8(route)
+		nif.curVC = vc
 	}
 	if rt.BufferSpace(port, nif.curVC) == 0 {
 		return
 	}
-	word := nif.seq // a body or tail flit's slot carries its Seq
 	if ft.IsHead() {
 		// The packet's record is made only now that its head is certain to
 		// enter the network, so source backlog never pins slab slots.
@@ -708,10 +733,9 @@ func (n *Network) inject(nif *ni) {
 			src: int32(nif.node), dst: int32(p.dst), packetSize: int32(p.size),
 			hops: int16(n.routes.Hops(r, p.dst)),
 		}
-		word = p.dst
 		n.col.PacketInjected(p.size)
 	}
-	n.arena.Deliver(r, port, nif.curVC, router.NewSlot(nif.rec, ft, int(nif.route), word))
+	n.arena.Deliver(r, port, nif.curVC, router.NewSlot(nif.rec, ft))
 	n.col.BufferWrite()
 	n.inFlight++
 	nif.popFlit(p.size)

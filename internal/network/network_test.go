@@ -444,15 +444,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// Slots name nodes in 23 bits, link events routers in an int32, and
-// packet records count hops in an int16; Validate rejects a topology that
-// would overflow them. The topologies are descriptions only: Validate
+// Link events name routers in an int32, packet records count hops in an
+// int16, and buffer slots name packet records in 30 bits, so the packets
+// that may be in flight at once (maxLivePackets) must stay within 2^30;
+// Validate rejects a topology that would overflow them. The topologies are descriptions only: Validate
 // reads no wiring, and none is built.
 func TestConfigValidationNarrowFieldBounds(t *testing.T) {
 	tooMany := math.MaxInt32
 	tooMany++ // at run time: the constant would not compile where int is 32 bits
 	grid := func(kind topology.Kind, w, h int) *topology.Topology {
 		return &topology.Topology{Kind: kind, W: w, H: h, Conc: 1, NumRouters: w * h, NumNodes: w * h, Radix: 5}
+	}
+	// ids describes n one-node routers: 5 ports of 6 VCs x 5 flits, and a
+	// terminal's ejections over the hop delay, may hold a packet each.
+	fits := (router.MaxFlitID + 1) / (5*6*5 + DefaultHopDelay)
+	ids := func(n int) *topology.Topology {
+		return &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: n, NumNodes: n, Radix: 5}
 	}
 	for _, tc := range []struct {
 		name string
@@ -464,9 +471,9 @@ func TestConfigValidationNarrowFieldBounds(t *testing.T) {
 		{"mesh diameter 32768 over two dimensions", grid(topology.KindMesh, 1<<15, 2), false},
 		{"torus diameter 32767", grid(topology.KindTorus, 2*math.MaxInt16+1, 1), true},
 		{"torus diameter 32768", grid(topology.KindTorus, 2*math.MaxInt16+2, 1), false},
-		{"fbfly diameter 2", grid(topology.KindFBfly, 1<<15, 1<<8), true},
-		{"2^23 nodes", grid(topology.KindFBfly, 1<<12, 1<<11), true},
-		{"2^23+1 nodes", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: 4, NumNodes: MaxNodes + 1, Radix: 5}, false},
+		{"fbfly diameter 2", grid(topology.KindFBfly, 1<<15, 1<<4), true},
+		{"2^30 record ids", ids(fits), true},
+		{"2^30 record ids and one router", ids(fits + 1), false},
 		{"2^31 nodes", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: 4, NumNodes: tooMany, Radix: 5}, false},
 		{"2^31 routers", &topology.Topology{Kind: topology.KindFBfly, W: 2, H: 2, NumRouters: tooMany, NumNodes: 4, Radix: 5}, false},
 	} {

@@ -24,16 +24,14 @@ import (
 //     delayed flitQ/credQ/ejectQ wheels, which are only written in phase B
 //     and only read at the top of the next Step. Phase A therefore
 //     computes, for every router, the same emissions and credits no matter
-//     which goroutine runs it or in which order. It also reads the
-//     lookahead routes of head link emissions from the route table
-//     (built in New, read-only after), writes them into the emissions
-//     themselves — that router's scratch — and counts the datapath
-//     activity into a caller-private stats.Delta. The only Network
-//     fields it writes are per-router-index: lastTick[r], and under the
-//     pooled schedule the act slots of r's worklist index — worklist
-//     entries name distinct routers and Pool.Do hands each segment out
-//     once. No flit record is read or written: the record store
-//     is the stepping goroutine's alone.
+//     which goroutine runs it or in which order. Its VC allocation reads
+//     heads' packet records and the route table (Records.Head), which
+//     only the stepping goroutine writes, outside the router phase. It
+//     counts the datapath activity into a caller-private stats.Delta. The
+//     only Network fields it writes are per-router-index: lastTick[r],
+//     and under the pooled schedule the act slots of r's worklist index —
+//     worklist entries name distinct routers and Pool.Do hands each
+//     segment out once. No flit record is written.
 //
 //   - Phase B (mergeRouter, stepping goroutine): routers are merged in
 //     ascending index order, so every queue append and credit schedule
@@ -117,10 +115,8 @@ func (n *Network) initParallel() {
 }
 
 // tickRouter is phase A for router r: fast-forward it across the idle
-// span since it last ticked, tick it, write the lookahead route of each
-// head link emission into the emission (body and tail flits follow their
-// head's output), and count the datapath activity into d. The returned
-// slices are the router's own scratch.
+// span since it last ticked, tick it, and count the datapath activity
+// into d. The returned slices are the router's own scratch.
 func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
 	rt := n.routers[r]
 	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
@@ -132,12 +128,8 @@ func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router
 	d.XbarTraversals += int64(len(ems))
 	conns := n.topo.Conn[r]
 	for i := range ems {
-		e := &ems[i]
-		if conn := &conns[e.OutPort]; conn.Kind == topology.Link {
+		if conns[ems[i].OutPort].Kind == topology.Link {
 			d.LinkTraversals++
-			if e.Type().IsHead() {
-				e.SetRoute(n.routes.Port(int(conn.PeerRouter), e.Dst()))
-			}
 		}
 	}
 	return ems, creds, quiesced
@@ -154,11 +146,11 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 		switch conn := &conns[e.OutPort]; conn.Kind {
 		case topology.Link:
 			n.flitQ[n.hopSlot] = append(n.flitQ[n.hopSlot], flitDelivery{
-				slot: e.Slot, router: conn.PeerRouter, port: conn.PeerPort, vc: e.VC,
+				slot: e.Slot(), router: conn.PeerRouter, port: conn.PeerPort, vc: e.VC,
 			})
 		case topology.Local:
 			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
-				slot: e.Slot, route: int8(e.OutPort), vc: e.VC,
+				slot: e.Slot(), route: int8(e.OutPort), vc: e.VC,
 			})
 		default:
 			panic(fmt.Sprintf("network: emission through unused port %d of router %d", e.OutPort, r))

@@ -44,11 +44,10 @@ func (ft FlitType) String() string {
 // Flit is the unit of flow control. Flits of one packet follow the same
 // path and VC sequence (wormhole switching).
 //
-// Between the ends of a flit's journey the hop state — Route and VC, with
-// Type and either Dst (on a head) or Seq (on a body or tail flit) —
-// travels in 8-byte buffer Slots and link events. A network keeps only a
-// compact record per in-flight packet, Hops included (its DOR path
-// length, known at injection), and builds a Flit at ejection for
+// Between the ends of a flit's journey only its name and its Type travel,
+// in 4-byte buffer Slots and link events: VC allocation asks the store of
+// records (Records) for a head's Route and Dst. A network keeps only a
+// compact record per in-flight packet and builds a Flit at ejection for
 // Config.OnEject; a standalone router's FlitArena keeps whole Flits,
 // whose Route, VC and Hops DeliverFlit and Tick read and write on every
 // call.
@@ -64,8 +63,9 @@ type Flit struct {
 	Seq, PacketSize int
 
 	// Route is the output port at the router currently buffering the
-	// flit (lookahead route computation: the upstream router's tick
-	// computes it, off the critical path).
+	// flit, which VC allocation reads of a head. A route is a function of
+	// router and destination, so when it is computed is a timing notion
+	// the pipeline's latency already models.
 	Route int
 
 	// VC is the virtual channel the flit occupies at the current router;
@@ -104,11 +104,9 @@ func PacketFlitType(i, size int) FlitType {
 // ejection events — carry these dense indices instead of pointers: the
 // whole record population lives in one contiguous slab, and an index
 // (unlike a pointer) survives slab growth and is a checkpoint-friendly
-// stable name for the record.
+// stable name for the record. A Slot keeps an id in 30 bits, so a store
+// whose ids reach a Slot names at most MaxFlitID+1 records.
 type FlitID int32
-
-// NoFlit is the sentinel for "no flit" in FlitID-valued slots.
-const NoFlit FlitID = -1
 
 // flitArenaMinBatch is the smallest slab extension; growth otherwise
 // doubles the slab so a run reaches its high-water mark in O(log n)
@@ -143,21 +141,25 @@ func (s *Slab[T]) grow(batch int) {
 // an Alloc call.
 func (s *Slab[T]) At(id FlitID) *T { return &s.slab[id] }
 
-// Alloc returns the id of a zeroed record, doubling the slab (by at least
-// flitArenaMinBatch) if no free slot remains.
+// Alloc returns the id of a zeroed record (Free zeroes what it frees),
+// doubling the slab (by at least flitArenaMinBatch) if no free slot
+// remains.
 func (s *Slab[T]) Alloc() FlitID {
 	if len(s.free) == 0 {
 		s.grow(max(len(s.slab), flitArenaMinBatch))
 	}
 	id := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
-	var zero T
-	s.slab[id] = zero
 	return id
 }
 
-// Free returns id's slot to the free stack.
-func (s *Slab[T]) Free(id FlitID) { s.free = append(s.free, id) }
+// Free returns id's slot to the free stack, zeroed: a free record is a
+// zero record.
+func (s *Slab[T]) Free(id FlitID) {
+	var zero T
+	s.slab[id] = zero
+	s.free = append(s.free, id)
+}
 
 // Cap returns the slab capacity in records; tests use it to detect growth.
 func (s *Slab[T]) Cap() int { return len(s.slab) }
@@ -168,13 +170,17 @@ func (s *Slab[T]) Live() int { return len(s.slab) - len(s.free) }
 // Holds reports whether id names a slot of the slab.
 func (s *Slab[T]) Holds(id FlitID) bool { return id >= 0 && int(id) < len(s.slab) }
 
-// Records resolves the flit at position seq of the record a FlitID names
-// to the header the record states: the flit's type and its packet's
-// destination, and ok false if the id names no slot or the record no flit
-// at seq. Occupancy cross-checks every buffered slot against it, passing
-// the slot's own Seq; no pipeline stage calls it.
+// Records is the store a router's flit ids name. VC allocation asks it
+// for a head's route and destination, once per head per hop, and
+// Occupancy which packet a buffered flit belongs to. Sharded routers call
+// it concurrently, so it must not write.
 type Records interface {
-	Header(id FlitID, seq int) (t FlitType, dst int, ok bool)
+	// Head returns the output port at router of the packet whose head
+	// flit id names, and the packet's destination terminal.
+	Head(id FlitID, router int) (route, dst int)
+	// Packet names the packet of the live record id, and live is false
+	// if id names no live record.
+	Packet(id FlitID) (packet uint64, live bool)
 }
 
 // FlitArena keeps whole Flit records, one per flit: the standalone
@@ -189,13 +195,20 @@ func NewFlitArena() *FlitArena {
 	return a
 }
 
-// Header implements Records: a record is one flit, so seq must be its Seq.
-func (a *FlitArena) Header(id FlitID, seq int) (FlitType, int, bool) {
-	if !a.Holds(id) || a.At(id).Seq != seq {
-		return 0, 0, false
-	}
+// Head implements Records: the flit's record holds the route its caller
+// set for this router.
+func (a *FlitArena) Head(id FlitID, _ int) (route, dst int) {
 	f := a.At(id)
-	return f.Type, f.Dst, true
+	return f.Route, f.Dst
+}
+
+// Packet implements Records. A freed record is zero, so its PacketSize is
+// 0; every flit DeliverFlit takes has a positive one.
+func (a *FlitArena) Packet(id FlitID) (uint64, bool) {
+	if !a.Holds(id) || a.At(id).PacketSize <= 0 {
+		return 0, false
+	}
+	return a.At(id).PacketID, true
 }
 
 // NewPacket builds the flit sequence for one packet of size flits.

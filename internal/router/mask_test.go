@@ -168,7 +168,7 @@ func TestNoCreditLeavesTheRequestSetUntilACreditReturns(t *testing.T) {
 				t.Fatalf("after the credit: %d emissions, noCredit %v; want one flit sent and the VC parked again", len(ems), r.view().noCredit.Has(ivc))
 			}
 			r.DeliverCredit(out, vc)
-			if ems := tick(); len(ems) != 1 || !ems[0].Type().IsTail() || r.view().noCredit.Has(ivc) || r.view().hasOVC.Has(ivc) {
+			if ems := tick(); len(ems) != 1 || !ems[0].Type.IsTail() || r.view().noCredit.Has(ivc) || r.view().hasOVC.Has(ivc) {
 				t.Fatalf("tail: %d emissions, noCredit %v, hasOVC %v; want the tail sent and the VC released",
 					len(ems), r.view().noCredit.Has(ivc), r.view().hasOVC.Has(ivc))
 			}

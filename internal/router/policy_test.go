@@ -220,7 +220,7 @@ func TestInjectionVC(t *testing.T) {
 			r := testRouter(t, cfg)
 			for vc, n := range tc.occupancy {
 				for range n {
-					r.Deliver(0, vc, NewSlot(0, Body, 1, 0))
+					r.Deliver(0, vc, NewSlot(0, Body))
 				}
 			}
 			if got := r.InjectionVC(0, tc.dim); got != tc.want {

@@ -33,12 +33,11 @@ type Config struct {
 
 // Bounds of the router's packed fields: ring heads, counts and credits
 // are int8 slab fields bounded by BufDepth; output ports are int8 slab
-// fields, and a Slot's route a 7-bit field, bounded by Ports; a Slot
-// keeps a head's destination or a body flit's Seq in 23 bits.
+// fields bounded by Ports; a Slot keeps a FlitID in 30 bits.
 const (
 	MaxBufDepth = math.MaxInt8
 	MaxPorts    = alloc.MaxPorts
-	MaxDstSeq   = 1<<slotRouteShift - 1
+	MaxFlitID   = 1<<slotTypeShift - 1
 )
 
 // Validate reports whether the configuration is usable.
@@ -67,72 +66,39 @@ type PortInfo struct {
 	Dim  topology.Dim
 }
 
-// Slot is a flit as a VC buffer holds it and a link carries it: the
-// flit's name plus the header fields a hop reads or writes, 8 bytes. In
-// the paper's router the header sits in the input-buffer slot next to the
-// payload; here it sits next to the FlitID, so a hop never resolves the
-// id to its record.
-//
-// Only a head is routed and VC-allocated (wormhole switching): body and
-// tail flits follow the output and output VC their head took. So Dst and
-// Route are read on heads alone, and the second word packs, from bit 0:
-// 23 bits that are a head's destination or a body or tail flit's Seq
-// (MaxDstSeq), 7 bits of Route (MaxPorts < 128) and 2 bits of Type.
-type Slot struct {
-	Flit FlitID
-	word uint32
-}
+// Slot is a flit as a VC buffer holds it and a link carries it, 4 bytes:
+// the low 30 bits are its FlitID (at most MaxFlitID), the top 2 its
+// Type. Only a head is routed and VC-allocated (wormhole switching), and
+// VC allocation asks the Records for a head's route and destination, so
+// nothing else of a flit travels; body and tail flits follow the output
+// and output VC their head took.
+type Slot uint32
 
-// The fields of Slot.word.
-const (
-	slotRouteShift = 23
-	slotTypeShift  = 30
-	slotRouteMask  = 1<<(slotTypeShift-slotRouteShift) - 1
-)
+// slotTypeShift places a Slot's type above its 30-bit FlitID.
+const slotTypeShift = 30
 
-// NewSlot packs flit id's header: its type, its route (the output port at
-// the router that will buffer it, in 0..MaxPorts-1) and dstSeq, its
-// destination on a head (or head-tail) flit and its Seq on a body or tail
-// flit, in 0..MaxDstSeq. It does not check the bounds: the network's
-// Validate holds them, and DeliverFlit checks a record against them.
-func NewSlot(id FlitID, t FlitType, route, dstSeq int) Slot {
-	return Slot{Flit: id, word: uint32(t)<<slotTypeShift | uint32(route)<<slotRouteShift | uint32(dstSeq)}
-}
+// NewSlot packs flit id, in 0..MaxFlitID, and its type. It does not check
+// the bound: the network's Validate holds it, and DeliverFlit checks it.
+func NewSlot(id FlitID, t FlitType) Slot { return Slot(uint32(t)<<slotTypeShift | uint32(id)) }
+
+// Flit returns the id of the flit's record.
+func (s Slot) Flit() FlitID { return FlitID(s & MaxFlitID) }
 
 // Type returns the flit's position in its packet.
-func (s Slot) Type() FlitType { return FlitType(s.word >> slotTypeShift) }
-
-// Route returns the output port at the router buffering a head. On an
-// Emission it is still the route just taken until the network layer sets
-// the lookahead route at the next router (SetRoute); a body or tail flit
-// keeps the route its last router gave it.
-func (s Slot) Route() int { return int(s.word >> slotRouteShift & slotRouteMask) }
-
-// SetRoute replaces the slot's route.
-func (s *Slot) SetRoute(route int) {
-	s.word = s.word&^(slotRouteMask<<slotRouteShift) | uint32(route)<<slotRouteShift
-}
-
-// Dst returns a head's destination terminal; on a body or tail flit it is
-// the flit's Seq.
-func (s Slot) Dst() int { return int(s.word & MaxDstSeq) }
-
-// Seq returns the flit's index within its packet.
-func (s Slot) Seq() int {
-	if s.Type().IsHead() {
-		return 0
-	}
-	return int(s.word & MaxDstSeq)
-}
+func (s Slot) Type() FlitType { return FlitType(s >> slotTypeShift) }
 
 // Emission is a flit leaving through an output port this cycle; the
 // network layer schedules its arrival in VC of the downstream input port
-// (or its ejection) after switch and link traversal.
+// (or its ejection) after switch and link traversal. 16 bytes.
 type Emission struct {
 	OutPort int
-	Slot
-	VC int8 // granted output VC (0 for ejection)
+	Flit    FlitID
+	Type    FlitType
+	VC      int8 // granted output VC (0 for ejection)
 }
+
+// Slot returns the emitted flit as the next buffer holds it.
+func (e *Emission) Slot() Slot { return NewSlot(e.Flit, e.Type) }
 
 // CreditMsg is a credit freed by a flit departing input (Port, VC),
 // to be returned to the upstream router. Both fit an int8: Port is
@@ -146,13 +112,20 @@ type CreditMsg struct {
 // outPort (lookahead information for the Section 2.3 policies).
 type NextDimFunc func(outPort, dst int) topology.Dim
 
+// Lookahead is a NextDimFunc for every router of an arena at once, which
+// its Records may implement (a network's route table): a router built
+// with a nil NextDimFunc asks it, naming itself.
+type Lookahead interface {
+	NextDim(router, outPort, dst int) topology.Dim
+}
+
 // VCRangeFunc returns the downstream-VC index range [lo, hi) a packet
 // destined to dst may be assigned when leaving through outPort. The
 // network uses it to impose topology-level VC restrictions — the torus
 // dateline classes — on top of the Section 2.3 assignment policy: the
 // policy chooses freely among the VCs the range admits. The router only
-// asks about a head's own routed port (its lookahead route), so a func
-// may derive the range from dst alone. A nil func (the default) admits
+// asks about a head's own routed port (Records.Head), so a func may
+// derive the range from dst alone. A nil func (the default) admits
 // every VC.
 type VCRangeFunc func(outPort, dst int) (lo, hi int)
 
@@ -163,15 +136,16 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 //
 // Layout per router segment, indexed by ivc = port*VCs + vc:
 //
-//	bufs    [ivc*BufDepth : ...]  VC buffer ring storage (Slots): the
-//	                              front slot carries the route, dst and
-//	                              type VC allocation needs, so no stage
-//	                              resolves a FlitID
+//	bufs    [ivc*BufDepth : ...]  VC buffer ring storage (Slots): a
+//	                              flit's id and type; VC allocation asks
+//	                              the Records for a head's route and dst
 //	head    [ivc]                 ring head slot
 //	count   [ivc]                 buffered flits in the ring
 //	ovc     [ivc]                 allocated downstream VC (-1 = none)
 //	outPort [ivc]                 route of the current packet
-//	wait    [ivc]                 cycles the front flit has waited
+//	wait    [ivc]                 cycles the front flit has waited, kept
+//	                              only where the kind reads ages
+//	                              (alloc.ReadsAge): nil otherwise
 //	credits [out*VCs + v]         downstream credits per output VC
 //
 // (head, count and credits are bounded by BufDepth, ovc by VCs and outPort
@@ -203,8 +177,8 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 //
 // Each router's switch-allocation request set (one alloc.RequestSet per
 // router, in the sets slab) is the packed form over the same segments:
-// ready as its Ready words, outPort as Out and wait as Age. A grant names
-// its input VC by ivc.
+// ready as its Ready words, outPort as Out and wait as Age (nil without
+// the wait slab). A grant names its input VC by ivc.
 //
 // vaWait and noCredit drop input VCs from the stage that cannot serve
 // them until the one event that can end the block: a tail freeing a VC
@@ -218,10 +192,11 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 // builds no per-router slice view: Go keeps no register across a call,
 // so a live view is spilled and reloaded around every one.
 type Arena struct {
-	records Records
-	cfg     Config // the geometry: Ports, VCs, VirtualInputs, BufDepth, Partition
-	n       int
-	pv      int // input VCs per router: Ports*VCs
+	records   Records
+	lookahead Lookahead // records as a Lookahead, if it is one
+	cfg       Config    // the geometry: Ports, VCs, VirtualInputs, BufDepth, Partition
+	n         int
+	pv        int // input VCs per router: Ports*VCs
 
 	maskWords  int // W: words per ivc mask
 	maskStride int // mask words per router: 5W + Ports + R
@@ -232,7 +207,7 @@ type Arena struct {
 	ovc     []int8
 	outPort []int8
 	credits []int8
-	wait    []int32
+	wait    []int32 // nil unless the kind reads ages
 	occ     []int32 // per router: buffered flits
 	masks   []uint64
 	sets    []alloc.RequestSet
@@ -246,8 +221,9 @@ type Arena struct {
 }
 
 // NewArena builds the shared state slabs for numRouters routers of
-// identical cfg geometry, whose Occupancy checks resolve flits through
-// records.
+// identical cfg geometry, whose VC allocation and Occupancy checks
+// resolve flits through records. It keeps request ages only where
+// cfg.AllocKind reads them (alloc.ReadsAge).
 func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
@@ -256,8 +232,10 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 		panic(fmt.Sprintf("router: arena for %d routers", numRouters))
 	}
 	pv := cfg.Ports * cfg.VCs
+	lookahead, _ := records.(Lookahead)
 	a := &Arena{
 		records:   records,
+		lookahead: lookahead,
 		cfg:       Config{Ports: cfg.Ports, VCs: cfg.VCs, VirtualInputs: cfg.VirtualInputs, BufDepth: cfg.BufDepth, Partition: cfg.Partition},
 		n:         numRouters,
 		pv:        pv,
@@ -265,15 +243,14 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	}
 	a.maskStride = 5*a.maskWords + cfg.Ports + (cfg.Alloc().Rows()+63)/64
 	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
-	for i := range a.bufs {
-		a.bufs[i].Flit = NoFlit
-	}
 	a.head = make([]int8, numRouters*pv)
 	a.count = make([]int8, numRouters*pv)
 	a.ovc = make([]int8, numRouters*pv)
 	a.outPort = make([]int8, numRouters*pv)
 	a.credits = make([]int8, numRouters*pv)
-	a.wait = make([]int32, numRouters*pv)
+	if alloc.ReadsAge(cfg.AllocKind) {
+		a.wait = make([]int32, numRouters*pv)
+	}
 	a.occ = make([]int32, numRouters)
 	a.masks = make([]uint64, numRouters*a.maskStride)
 	a.sets = make([]alloc.RequestSet, numRouters)
@@ -309,9 +286,9 @@ func segment[T any](slab []T, slot, n int) []T {
 // multiplies and no slice headers: at is the router's first entry in the
 // per-ivc slabs (a bufs ring starts at (at+ivc)*BufDepth), ports its first
 // in the port-kind and scratch slabs, and m the first word of its masks,
-// w words each (see Arena). Its ready words, outPort and wait are also its
-// request set's Ready, Out and Age. A seg is passed by value: it stays in
-// registers.
+// w words each (see Arena). Its ready words, outPort and wait (if kept)
+// are also its request set's Ready, Out and Age. A seg is passed by
+// value: it stays in registers.
 type seg struct{ at, ports, m, w int }
 
 // seg returns router slot's offsets.
@@ -348,16 +325,19 @@ type Router struct {
 	arena   *Arena
 	alloc   alloc.Allocator
 	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
-	nextDim NextDimFunc
+	nextDim NextDimFunc       // nil: the arena's Lookahead
 	vcRange VCRangeFunc
 }
 
 // New builds a router. ports describes the wiring class of each port
 // (symmetric in/out). The allocator must match cfg.Alloc() geometry.
+// nextDim may be nil where the arena's records are a Lookahead.
 // vcRange optionally restricts output-VC assignment per (outPort, dst)
 // (nil: no restriction). arena is the shared per-network state arena;
 // the router occupies slot id. A nil arena gives the router a private
-// single-slot arena with its own FlitArena (standalone/test use).
+// single-slot arena with its own FlitArena (standalone/test use). An
+// allocator that is not a built-in kind may read request ages, so its
+// cfg.AllocKind must be one the arena keeps them for (alloc.ReadsAge).
 func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDim NextDimFunc, vcRange VCRangeFunc, arena *Arena) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
@@ -366,9 +346,16 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		panic(fmt.Sprintf("router: %d port infos for %d ports", len(ports), cfg.Ports))
 	}
 	slot := id
+	list := !alloc.IsBuiltin(allocator)
 	if arena == nil {
 		arena = NewArena(1, cfg, NewFlitArena())
 		slot = 0
+	}
+	if nextDim == nil && arena.lookahead == nil {
+		panic(fmt.Sprintf("router %d: no lookahead: a nil NextDimFunc on an arena whose records are no Lookahead", id))
+	}
+	if list && arena.wait == nil {
+		panic(fmt.Sprintf("router %d: allocator %q may read request ages, which the arena does not keep", id, allocator.Name()))
 	}
 	// The arena's crossbar-row and sub-group tables come from its own
 	// geometry, so the router's must match it.
@@ -384,7 +371,7 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		slot:    int32(slot),
 		policy:  cfg.Policy.resolve(),
 		nonSpec: cfg.NonSpeculative,
-		list:    !alloc.IsBuiltin(allocator),
+		list:    list,
 		arena:   arena,
 		alloc:   allocator,
 		nextDim: nextDim,
@@ -400,7 +387,9 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		Config: cfg.Alloc(),
 		Ready:  arena.masks[ready : ready+sg.w : ready+sg.w],
 		Out:    segment(arena.outPort, slot, arena.pv),
-		Age:    segment(arena.wait, slot, arena.pv),
+	}
+	if arena.wait != nil {
+		arena.sets[slot].Age = segment(arena.wait, slot, arena.pv)
 	}
 	return r
 }
@@ -416,25 +405,24 @@ func (r *Router) Flits() *FlitArena {
 }
 
 // DeliverFlit places the flit named id into input (port, vc): the
-// standalone form of Deliver, which reads the flit's record once to fill
-// the slot. The caller must have set the flit's Route for this router.
+// standalone form of Deliver. The caller must have set the flit's Route
+// for this router, which VC allocation reads back if the flit is a head.
+// It refuses a record a slot cannot name or VC allocation could not use:
+// an id past MaxFlitID, a route off the router, a negative destination,
+// or a Type that is not its Seq's in a packet of PacketSize flits.
 func (r *Router) DeliverFlit(port, vc int, id FlitID) {
 	f := r.Flits().At(id)
-	word := f.Dst
-	if !f.Type.IsHead() {
-		word = f.Seq
-	}
-	if word < 0 || word > MaxDstSeq || f.Route < 0 || f.Route > slotRouteMask || f.Type > HeadTail {
-		panic(fmt.Sprintf("router %d: flit dst %d (on a head) or seq %d (else), route %d or type %d does not fit a buffer slot",
-			r.id, f.Dst, f.Seq, f.Route, f.Type))
+	if id > MaxFlitID || f.Route < 0 || f.Route >= r.arena.cfg.Ports || f.Dst < 0 ||
+		f.Seq < 0 || f.Seq >= f.PacketSize || f.Type != PacketFlitType(f.Seq, f.PacketSize) {
+		panic(fmt.Sprintf("router %d: flit %d with route %d, dst %d, or type %v as flit %d of %d cannot be buffered",
+			r.id, id, f.Route, f.Dst, f.Type, f.Seq, f.PacketSize))
 	}
 	f.VC = vc
-	r.Deliver(port, vc, NewSlot(id, f.Type, f.Route, word))
+	r.Deliver(port, vc, NewSlot(id, f.Type))
 }
 
-// Deliver places an arriving flit into input (port, vc); s.Route() must
-// be its output port at this router. It panics on buffer overflow, which
-// would indicate a flow-control bug.
+// Deliver places an arriving flit into input (port, vc). It panics on
+// buffer overflow, which would indicate a flow-control bug.
 func (r *Router) Deliver(port, vc int, s Slot) { r.arena.Deliver(int(r.slot), port, vc, s) }
 
 // DeliverCredit returns one credit for downstream VC vc of outPort.
@@ -446,8 +434,8 @@ func (r *Router) Busy() bool { return r.arena.Busy(int(r.slot)) }
 // Deliver places an arriving flit into input (port, vc) of the router in
 // slot — a network router's slot is its index — without reading the
 // Router: the network's delivery loop reaches the slabs straight from the
-// slot. s.Route() must be the flit's output port at that router. It panics
-// on buffer overflow, which would indicate a flow-control bug.
+// slot. It panics on buffer overflow, which would indicate a flow-control
+// bug.
 func (a *Arena) Deliver(slot, port, vc int, s Slot) {
 	depth := a.cfg.BufDepth
 	ivc := port*a.cfg.VCs + vc
@@ -455,9 +443,6 @@ func (a *Arena) Deliver(slot, port, vc int, s Slot) {
 	c := a.count[i]
 	if int(c) >= depth {
 		panic(fmt.Sprintf("router %d: buffer overflow at port %d vc %d", slot, port, vc))
-	}
-	if s.Route() >= a.cfg.Ports {
-		panic(fmt.Sprintf("router %d: flit delivered with invalid route %d", slot, s.Route()))
 	}
 	if c == 0 {
 		a.masks[slot*a.maskStride+ivc>>6] |= 1 << uint(ivc&63) // nonEmpty
@@ -524,10 +509,10 @@ func (r *Router) BufferSpace(port, vc int) int {
 // It recounts from the per-VC ring counters rather than trusting the
 // incremental state, and panics unless the occupancy counter and the
 // nonEmpty/hasOVC/noCredit mask words agree with count/ovc/credits,
-// every vaWait head is pending and faces only busy VCs, and every
-// occupied slot's header agrees with the record of the flit it names;
-// tests call it to cross-check the incremental state against what it
-// summarises.
+// every vaWait head is pending and faces only busy VCs at the route its
+// record gives, and every ring reads as whole packets in order
+// (checkRing); tests call it to cross-check the incremental state
+// against what it summarises.
 func (r *Router) Occupancy() int {
 	a, sg := r.arena, r.arena.seg(int(r.slot))
 	vcs, depth := a.cfg.VCs, a.cfg.BufDepth
@@ -535,16 +520,10 @@ func (r *Router) Occupancy() int {
 	for ivc, c := range a.count[sg.at : sg.at+a.pv] {
 		n += int(c)
 		i := sg.at + ivc
-		// The ring's occupied slots are at most two contiguous spans: from
-		// the head to the end of the ring, then from its start.
 		ring := a.bufs[i*depth : (i+1)*depth]
 		h := int(a.head[i])
-		if c > 0 {
-			first := min(int(c), depth-h)
-			r.checkSlots(ivc, 0, ring[h:h+first])
-			r.checkSlots(ivc, first, ring[:int(c)-first])
-		}
 		ovc := a.ovc[i]
+		r.checkRing(ivc, ring, h, int(c), ovc >= 0)
 		if a.has(sg.nonEmpty(), ivc) != (c > 0) {
 			panic(fmt.Sprintf("router %d: nonEmpty mask disagrees with count %d at ivc %d", r.id, c, ivc))
 		}
@@ -560,13 +539,13 @@ func (r *Router) Occupancy() int {
 			if c == 0 || ovc >= 0 {
 				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, which awaits no VC", r.id, ivc))
 			}
-			front := ring[h]
+			route, dst := a.records.Head(ring[h].Flit(), int(r.id))
 			lo, hi := 0, vcs
 			if r.vcRange != nil {
-				lo, hi = r.vcRange(out, front.Dst())
+				lo, hi = r.vcRange(out, dst)
 			}
-			if out != front.Route() || vcSpan(lo, hi)&^a.masks[sg.busy()+out] != 0 {
-				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, but an admitted VC at port %d is free", r.id, ivc, out))
+			if out != route || vcSpan(lo, hi)&^a.masks[sg.busy()+out] != 0 {
+				panic(fmt.Sprintf("router %d: vaWait set at ivc %d for port %d, but its head's route is %d or an admitted VC there is free", r.id, ivc, out, route))
 			}
 		}
 	}
@@ -576,18 +555,28 @@ func (r *Router) Occupancy() int {
 	return n
 }
 
-// checkSlots panics unless every slot of span, the buffered flits of ivc
-// from the from-th on, agrees with the record of the flit it names.
-func (r *Router) checkSlots(ivc, from int, span []Slot) {
-	records := r.arena.records
-	for i, s := range span {
-		typ, dst, ok := records.Header(s.Flit, s.Seq())
-		if !ok {
-			panic(fmt.Sprintf("router %d: slot %d of ivc %d names no flit (%d, seq %d)", r.id, from+i, ivc, s.Flit, s.Seq()))
-		}
-		if s.Type() != typ || typ.IsHead() && s.Dst() != dst {
-			panic(fmt.Sprintf("router %d: slot %d of ivc %d holds flit %d.%d as %v (word %d), its record says %v to %d",
-				r.id, from+i, ivc, s.Flit, s.Seq(), s.Type(), s.Dst(), typ, dst))
+// checkRing panics unless the c flits of ivc's ring from slot h on read
+// as packets in order: every entry names a live record; the front is a
+// head unless the VC holds an output VC (its packet's head has left);
+// after a head or body flit comes the same packet's body or tail flit,
+// and after a tail a head.
+func (r *Router) checkRing(ivc int, ring []Slot, h, c int, held bool) {
+	var prev uint64
+	open := held // the entry before the front left without its tail
+	for k := range c {
+		s := ring[(h+k)%len(ring)]
+		packet, live := r.arena.records.Packet(s.Flit())
+		switch typ := s.Type(); {
+		case !live:
+			panic(fmt.Sprintf("router %d: flit %d of ivc %d names no live record (id %d)", r.id, k, ivc, s.Flit()))
+		case typ.IsHead() && open && k > 0:
+			panic(fmt.Sprintf("router %d: flit %d of ivc %d is a %v of packet %d after packet %d's non-tail", r.id, k, ivc, typ, packet, prev))
+		case !typ.IsHead() && !open:
+			panic(fmt.Sprintf("router %d: flit %d of ivc %d is a %v of packet %d, but no packet is open there", r.id, k, ivc, typ, packet))
+		case !typ.IsHead() && k > 0 && packet != prev:
+			panic(fmt.Sprintf("router %d: flit %d of ivc %d is a %v of packet %d after packet %d's non-tail", r.id, k, ivc, typ, packet, prev))
+		default:
+			prev, open = packet, !typ.IsTail()
 		}
 	}
 }
@@ -628,8 +617,9 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // replay. The activity-gated network tick clears a quiesced router's
 // activity bit and stops advancing it.
 //
-// It reads and writes only this router's arena segments: everything a hop
-// needs of a flit is in its buffer slot. Both returned slices are the
+// It writes only this router's arena segments, and of the flit records
+// reads a head's route and destination (Records.Head) at VC allocation.
+// Both returned slices are the
 // router's segments of the arena's scratch, valid only until the next
 // Advance call; callers must consume (or copy) them within the cycle.
 func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) {
@@ -655,11 +645,8 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 		r.listRequests(reqs)
 	}
 	grants := r.alloc.Allocate(reqs)
-	// Every request waited this cycle; a granted one's wait restarts below.
-	for wi := range sg.w {
-		for w := a.masks[sg.ready()+wi]; w != 0; w &= w - 1 {
-			a.wait[sg.at+wi<<6+bits.TrailingZeros64(w)]++
-		}
+	if a.wait != nil {
+		a.age(sg, grants)
 	}
 	ems = a.ems[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
 	credits = a.creds[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
@@ -691,7 +678,6 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 		bit := uint64(1) << uint(ivc&63)
 		a.masks[sg.ready()+ivc>>6] &^= bit
 		granted[out>>6] |= 1 << uint(out&63)
-		a.wait[i] = 0
 		depth := a.cfg.BufDepth
 		h := int(a.head[i])
 		s := a.bufs[i*depth+h]
@@ -726,7 +712,7 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 			a.ovc[i] = -1
 			a.masks[sg.hasOVC()+ivc>>6] &^= bit
 		}
-		ems = append(ems, Emission{OutPort: out, Slot: s, VC: ovc})
+		ems = append(ems, Emission{OutPort: out, Flit: s.Flit(), Type: s.Type(), VC: ovc})
 		if port := int(a.ivcPort[ivc]); a.ports[sg.ports+port] == topology.Link {
 			credits = append(credits, CreditMsg{Port: int8(port), VC: int8(ivc - port*a.cfg.VCs)})
 		}
@@ -734,6 +720,22 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 	occ := a.occ[slot] - int32(len(grants))
 	a.occ[slot] = occ
 	return ems, credits, occ == 0
+}
+
+// age counts a cycle of waiting on every request of the cycle and
+// restarts the wait of each granted one. Only arenas that keep ages run
+// it; a grant the router refuses panics after it, in Advance.
+func (a *Arena) age(sg seg, grants []alloc.Grant) {
+	for wi := range sg.w {
+		for w := a.masks[sg.ready()+wi]; w != 0; w &= w - 1 {
+			a.wait[sg.at+wi<<6+bits.TrailingZeros64(w)]++
+		}
+	}
+	for _, g := range grants {
+		if uint(g.IVC) < uint(a.pv) {
+			a.wait[sg.at+g.IVC] = 0
+		}
+	}
 }
 
 // refuseGrant panics on a grant of input VC ivc to output out that
@@ -825,7 +827,9 @@ func (r *Router) allocateVCs(sg seg, start int) {
 }
 
 // allocateVC tries to acquire an output VC for the head flit fronting
-// input VC ivc. On failure every VC the head may take at its output is
+// input VC ivc, at the route its record gives: a route is a function of
+// router and destination, so asking here gives what a lookahead stage
+// would have. On failure every VC the head may take at its output is
 // busy, and only a tail freeing one can change that, so the head parks
 // in vaWait with its output recorded until wakeVA returns it.
 func (r *Router) allocateVC(sg seg, ivc int) {
@@ -837,11 +841,11 @@ func (r *Router) allocateVC(sg seg, ivc int) {
 		// is held from head grant to tail departure.
 		panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
 	}
-	out := front.Route()
+	out, dst := a.records.Head(front.Flit(), int(r.id))
 	bit := uint64(1) << uint(ivc&63)
 	vc := 0
 	if a.ports[sg.ports+out] != topology.Local {
-		if vc = r.chooseOVC(sg, out, front.Dst()); vc < 0 {
+		if vc = r.chooseOVC(sg, out, dst); vc < 0 {
 			a.outPort[i] = int8(out)
 			a.masks[sg.vaWait()+ivc>>6] |= bit
 			return
@@ -892,7 +896,11 @@ func (r *Router) chooseOVC(sg seg, out, dst int) int {
 		busy:      busy,
 		credits:   a.credits[at : at+vcs],
 		groupMask: a.groupMask,
-		nextDim:   r.nextDim(out, dst),
+	}
+	if r.nextDim != nil {
+		ctx.nextDim = r.nextDim(out, dst)
+	} else {
+		ctx.nextDim = a.lookahead.NextDim(int(r.id), out, dst)
 	}
 	return r.policy.choose(&ctx)
 }

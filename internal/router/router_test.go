@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -292,25 +293,48 @@ func TestOccupancyAndBufferSpace(t *testing.T) {
 	}
 }
 
-// Occupancy holds every occupied slot's header to the record of the flit
-// it names: a record edited behind the slot's back is reported.
+// Occupancy holds every ring to the grammar of packets in order, and a
+// parked head to its record: an entry naming no live record, a flit type
+// flipped in a slot so that a body flit fronts a VC no packet holds, a
+// head behind its own packet's head (flits out of sequence), or a parked
+// head whose record's destination moved, so that a VC it may take is
+// free, is reported.
 func TestOccupancyCrossChecksSlotsAgainstRecords(t *testing.T) {
-	for name, corrupt := range map[string]func(r *Router, id FlitID){
-		"dst":  func(r *Router, id FlitID) { r.Flits().At(id).Dst++ },
-		"type": func(r *Router, id FlitID) { r.Flits().At(id).Type = Body },
-		"seq":  func(r *Router, id FlitID) { r.Flits().At(id).Seq++ },
-		"id":   func(r *Router, id FlitID) { r.view().buf[(1*r.arena.cfg.VCs+2)*r.arena.cfg.BufDepth].Flit = NoFlit },
+	const (
+		ivc = 1*6 + 2 // port 1, VC 2 at 6 VCs
+		at  = ivc * 5 // its ring at 5 flits a VC
+	)
+	for name, c := range map[string]struct {
+		size    int
+		corrupt func(r *Router)
+		want    string
+	}{
+		"id":    {1, func(r *Router) { r.view().buf[at] = NewSlot(FlitID(r.Flits().Cap()), HeadTail) }, "names no live record"},
+		"freed": {1, func(r *Router) { r.Flits().Free(r.view().buf[at].Flit()) }, "names no live record"},
+		"type":  {1, func(r *Router) { r.view().buf[at] = NewSlot(r.view().buf[at].Flit(), Body) }, "no packet is open there"},
+		"seq":   {2, func(r *Router) { r.view().buf[at+1] = NewSlot(r.view().buf[at].Flit(), Head) }, "after packet 1's non-tail"},
+		"dst":   {1, func(r *Router) { r.Flits().At(r.view().buf[at].Flit()).Dst++ }, "an admitted VC there is free"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			r := testRouter(t, baseConfig())
-			deliver(r, 1, 2, 3, NewPacket(1, 0, 9, 1, 0))
-			if r.Occupancy() != 1 {
-				t.Fatalf("occupancy %d, want 1", r.Occupancy())
+			// Destination 9 may take VCs 0-2 at any output, any other 3-5.
+			r := rangedTestRouter(t, baseConfig(), func(_, dst int) (int, int) {
+				if dst == 9 {
+					return 0, 3
+				}
+				return 3, 6
+			})
+			deliver(r, 1, 2, 3, NewPacket(1, 0, 9, c.size, 0))
+			// Park the head on output 3 with VCs 0-2 held, as VA would.
+			r.view().vaWait.Set(ivc)
+			r.view().outPort[ivc] = 3
+			r.view().busy[3] = 0b111
+			if r.Occupancy() != c.size {
+				t.Fatalf("occupancy %d, want %d", r.Occupancy(), c.size)
 			}
-			corrupt(r, r.view().buf[(1*r.arena.cfg.VCs+2)*r.arena.cfg.BufDepth].Flit)
+			c.corrupt(r)
 			defer func() {
-				if recover() == nil {
-					t.Fatal("Occupancy accepted a slot that disagrees with its flit record")
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Fatalf("Occupancy panicked with %q, want a report that %s", msg, c.want)
 				}
 			}()
 			r.Occupancy()
@@ -355,24 +379,25 @@ func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
 	ems, _, _ := r.Advance()
-	if len(ems) != 1 || ems[0].Dst() != 9 || ems[0].Type() != HeadTail || ems[0].Route() != 2 {
-		t.Fatalf("emission = %+v, want one head-tail flit to 9 routed to port 2", ems)
+	if len(ems) != 1 || ems[0].Type != HeadTail || ems[0].OutPort != 2 {
+		t.Fatalf("emission = %+v, want one head-tail flit through port 2", ems)
 	}
 	if f := r.Flits().At(ems[0].Flit); f.Hops != 0 || f.VC != 3 {
 		t.Errorf("Advance touched the record: hops %d vc %d, want 0 and the delivered VC 3", f.Hops, f.VC)
 	}
 }
 
-// DeliverFlit refuses a record whose header does not fit a buffer slot
-// instead of truncating it, and takes one at the slot's bounds. Hops are
-// not in the slot, so no hop count is refused.
+// DeliverFlit refuses a record that a buffer slot cannot name or that
+// VC allocation could not use, instead of truncating it, and takes one
+// at the bounds. Hops are not in the slot, so no hop count is refused.
 func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
 	for name, f := range map[string]Flit{
-		"dst":   {Dst: MaxDstSeq + 1, Route: 2},
-		"seq":   {Type: Body, Seq: MaxDstSeq + 1, Route: 2},
-		"route": {Route: math.MaxInt8 + 1},
-		"neg":   {Route: -1},
-		"type":  {Type: HeadTail + 1, Route: 2},
+		"route": {Type: HeadTail, Route: 5, PacketSize: 1},
+		"neg":   {Type: HeadTail, Route: -1, PacketSize: 1},
+		"dst":   {Type: HeadTail, Dst: -1, Route: 2, PacketSize: 1},
+		"seq":   {Type: Tail, Seq: 4, Route: 2, PacketSize: 4},
+		"type":  {Type: HeadTail + 1, Route: 2, PacketSize: 1},
+		"size":  {Type: HeadTail, Route: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := testRouter(t, baseConfig())
@@ -388,44 +413,31 @@ func TestDeliverFlitRejectsFieldsBeyondTheSlot(t *testing.T) {
 	}
 	r := testRouter(t, baseConfig())
 	for vc, f := range []Flit{
-		{Dst: MaxDstSeq, Route: 2, Hops: math.MaxInt32},
-		{Type: Body, Seq: MaxDstSeq, Route: 4},
+		{Type: HeadTail, Dst: math.MaxInt, Route: 4, PacketSize: 1, Hops: math.MaxInt32},
+		{Type: HeadTail, Route: 0, PacketSize: 1},
 	} {
 		id := r.Flits().Alloc()
 		*r.Flits().At(id) = f
 		r.DeliverFlit(1, vc, id)
 	}
 	if n := r.Occupancy(); n != 2 {
-		t.Fatalf("occupancy %d after two deliveries at the slot's bounds, want 2", n)
+		t.Fatalf("occupancy %d after two deliveries at the bounds, want 2", n)
 	}
 }
 
-// A Slot's second word keeps every flit type, route and destination or
-// Seq it can be given, at the edges of each field, apart from the others.
+// A Slot keeps every flit type beside every id up to MaxFlitID, apart
+// from each other, in 4 bytes.
 func TestSlotRoundTrip(t *testing.T) {
-	if s := unsafe.Sizeof(Slot{}); s != 8 {
-		t.Fatalf("Slot is %d bytes, want 8", s)
+	if s := unsafe.Sizeof(Slot(0)); s != 4 {
+		t.Fatalf("Slot is %d bytes, want 4", s)
+	}
+	if MaxFlitID != 1<<30-1 {
+		t.Fatalf("MaxFlitID = %d, want 2^30-1", MaxFlitID)
 	}
 	for _, typ := range []FlitType{Head, Body, Tail, HeadTail} {
-		for _, route := range []int{0, MaxPorts - 1} {
-			for _, word := range []int{0, MaxDstSeq} {
-				s := NewSlot(FlitID(word), typ, route, word)
-				seq := word
-				if typ.IsHead() {
-					seq = 0
-				}
-				if s.Flit != FlitID(word) || s.Type() != typ || s.Route() != route || s.Dst() != word || s.Seq() != seq {
-					t.Errorf("NewSlot(%d, %v, %d, %d) reads back flit %d, %v, route %d, word %d, seq %d",
-						word, typ, route, word, s.Flit, s.Type(), s.Route(), s.Dst(), s.Seq())
-				}
-				for _, next := range []int{0, MaxPorts - 1} {
-					r := s
-					r.SetRoute(next)
-					if r.Flit != s.Flit || r.Type() != typ || r.Route() != next || r.Dst() != word {
-						t.Errorf("SetRoute(%d) on %v, route %d, word %d reads back %v, route %d, word %d",
-							next, typ, route, word, r.Type(), r.Route(), r.Dst())
-					}
-				}
+		for _, id := range []FlitID{0, 1, MaxFlitID - 1, MaxFlitID} {
+			if s := NewSlot(id, typ); s.Flit() != id || s.Type() != typ {
+				t.Errorf("NewSlot(%d, %v) reads back flit %d, %v", id, typ, s.Flit(), s.Type())
 			}
 		}
 	}
@@ -657,14 +669,16 @@ func arenaBytes(a *Arena) int {
 // TestArenaFootprintIsPinned holds the arena's bytes per router at the
 // paper's geometry (5 ports, 6 VCs of 5 flits, k = 2): the slab bytes of
 // a two-router arena less a one-router one, so the geometry tables the
-// routers share drop out. Of the 1 825 B, 1 200 B are the 8 B slots.
+// routers share drop out. Of if's 1 065 B, 600 B are the 4 B slots; only
+// if-age keeps the 120 B of request ages.
 func TestArenaFootprintIsPinned(t *testing.T) {
-	const pin = 1825
-	cfg := baseConfig()
-	cfg.VirtualInputs, cfg.Policy = 2, PolicyBalanced
-	per := arenaBytes(NewArena(2, cfg, NewFlitArena())) - arenaBytes(NewArena(1, cfg, NewFlitArena()))
-	if per != pin {
-		t.Errorf("the arena holds %d B per router, pinned at %d B", per, pin)
+	for kind, pin := range map[alloc.Kind]int{alloc.KindSeparableIF: 1065, alloc.KindSeparableAge: 1185} {
+		cfg := baseConfig()
+		cfg.VirtualInputs, cfg.Policy, cfg.AllocKind = 2, PolicyBalanced, kind
+		per := arenaBytes(NewArena(2, cfg, NewFlitArena())) - arenaBytes(NewArena(1, cfg, NewFlitArena()))
+		if per != pin {
+			t.Errorf("%s: the arena holds %d B per router, pinned at %d B", kind, per, pin)
+		}
 	}
 }
 
