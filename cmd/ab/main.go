@@ -17,7 +17,10 @@
 // -allow-digest-change reports anyway.
 //
 // Per metric the report gives the base runs' median and quartiles, the
-// median over pairs of ln(head/base), a 95 % bootstrap interval for that
+// median over pairs of head − base in the metric's own unit (so a
+// verdict on a metric whose runs do not vary can be read as bytes or
+// milliseconds), the median over pairs of ln(head/base), a 95 % bootstrap
+// interval for that
 // median (seeded, so a rerun on the same numbers prints the same
 // interval), the count of pairs in which the working tree was better and
 // worse, and a verdict in the direction BENCHMARK.json names: better or
@@ -27,8 +30,8 @@
 // -record appends one JSON line per (workload, metric) verdict to a file
 // (a trajectory; the repository keeps its own in perf/trajectory.jsonl):
 // both revisions, the host, the pair count and -seconds, both medians
-// and quartiles, the median ln(head/base) with its interval, the sign
-// counts and the verdict. The head revision is the working tree's HEAD commit, marked
+// and quartiles, the median head − base, the median ln(head/base) with
+// its interval, the sign counts and the verdict. The head revision is the working tree's HEAD commit, marked
 // dirty when the tree has uncommitted changes — then the line measures
 // the change that is being committed with it.
 //
@@ -364,16 +367,16 @@ func printWorkload(w io.Writer, name string, head []run, vs []verdict) {
 		digest = fmt.Sprintf("%.8s…", d)
 	}
 	fmt.Fprintf(w, "== %s  %d pairs  stats digest %s\n", name, len(head), digest)
-	fmt.Fprintf(w, "  %-32s %12s %25s %12s %9s %22s %6s  %s\n", "metric", "base median", "base q1..q3", "head median", "ln(h/b)", "95% CI", "signs", "verdict")
+	fmt.Fprintf(w, "  %-32s %12s %25s %12s %20s %9s %22s %6s  %s\n", "metric", "base median", "base q1..q3", "head median", "head−base", "ln(h/b)", "95% CI", "signs", "verdict")
 	for _, v := range vs {
 		if len(v.base) == 0 {
 			fmt.Fprintf(w, "  %-32s not reported\n", v.Name)
 			continue
 		}
 		b, s := v.base, v.summary
-		fmt.Fprintf(w, "  %-32s %12.6g %25s %12.6g %+9.4f %22s %2d/%-3d  %s\n",
+		fmt.Fprintf(w, "  %-32s %12.6g %25s %12.6g %20s %+9.4f %22s %2d/%-3d  %s\n",
 			v.Name, median(b), fmt.Sprintf("%.6g..%.6g", quantile(b, 0.25), quantile(b, 0.75)), median(v.head),
-			s.median, fmt.Sprintf("[%+.4f, %+.4f]", s.lo, s.hi), s.better, s.worse, s.verdict)
+			fmt.Sprintf("%+.4g %s", s.diff, v.Unit), s.median, fmt.Sprintf("[%+.4f, %+.4f]", s.lo, s.hi), s.better, s.worse, s.verdict)
 	}
 }
 
@@ -473,12 +476,15 @@ type record struct {
 	HeadMedian float64 `json:"head_median"`
 	HeadQ1     float64 `json:"head_q1"`
 	HeadQ3     float64 `json:"head_q3"`
-	LnRatio    float64 `json:"ln_ratio_median"`
-	CILo       float64 `json:"ci_lo"`
-	CIHi       float64 `json:"ci_hi"`
-	BetterIn   int     `json:"better_pairs"`
-	WorseIn    int     `json:"worse_pairs"`
-	Verdict    string  `json:"verdict"`
+	// Diff is the median head − base in Unit; lines written before ab
+	// reported it lack it.
+	Diff     *float64 `json:"diff_median,omitempty"`
+	LnRatio  float64  `json:"ln_ratio_median"`
+	CILo     float64  `json:"ci_lo"`
+	CIHi     float64  `json:"ci_hi"`
+	BetterIn int      `json:"better_pairs"`
+	WorseIn  int      `json:"worse_pairs"`
+	Verdict  string   `json:"verdict"`
 }
 
 // writeRecords appends a line per reported verdict to w.
@@ -491,7 +497,7 @@ func writeRecords(w io.Writer, st stamp, workload string, vs []verdict) error {
 			stamp: st, Workload: workload, Metric: v.Name, Unit: v.Unit, Better: v.metric.Better,
 			BaseMedian: median(v.base), BaseQ1: quantile(v.base, 0.25), BaseQ3: quantile(v.base, 0.75),
 			HeadMedian: median(v.head), HeadQ1: quantile(v.head, 0.25), HeadQ3: quantile(v.head, 0.75),
-			LnRatio: v.median, CILo: v.lo, CIHi: v.hi,
+			Diff: &v.diff, LnRatio: v.median, CILo: v.lo, CIHi: v.hi,
 			BetterIn: v.summary.better, WorseIn: v.worse, Verdict: v.verdict,
 		})
 		if err != nil {
@@ -575,6 +581,7 @@ func printPhases(w io.Writer, base, head []run) {
 
 // summary is one metric's paired statistics.
 type summary struct {
+	diff           float64 // median head − base, in the metric's unit
 	median, lo, hi float64 // median ln(head/base) and its 95 % bootstrap interval
 	better, worse  int     // pairs in which head was better, worse
 	verdict        string  // "better", "worse" or "unresolved"
@@ -592,8 +599,9 @@ func summarise(base, head []float64, better string) summary {
 		sign = -1
 	}
 	var s summary
-	ratios := make([]float64, 0, len(base))
+	ratios, diffs := make([]float64, 0, len(base)), make([]float64, len(base))
 	for i := range base {
+		diffs[i] = head[i] - base[i]
 		switch {
 		case head[i]*sign > base[i]*sign:
 			s.better++
@@ -604,6 +612,7 @@ func summarise(base, head []float64, better string) summary {
 			ratios = append(ratios, math.Log(head[i]/base[i]))
 		}
 	}
+	s.diff = median(diffs)
 	s.verdict = "unresolved"
 	if len(ratios) == 0 {
 		return s

@@ -152,6 +152,16 @@ func TestSummariseVerdicts(t *testing.T) {
 	if want := math.Log(0.9); math.Abs(s.median-want) > 1e-12 || math.Abs(s.lo-want) > 1e-12 || math.Abs(s.hi-want) > 1e-12 {
 		t.Errorf("a uniform 0.9 ratio: median %v in [%v, %v], want ln 0.9 = %v", s.median, s.lo, s.hi, want)
 	}
+	// The difference is the median of the paired differences, in the
+	// metric's unit: base's median 10.15 less a tenth.
+	if want := -0.1 * 10.15; math.Abs(s.diff-want) > 1e-12 {
+		t.Errorf("a uniform 0.9 ratio: median difference %v, want %v", s.diff, want)
+	}
+	// A metric that does not vary reads its few bytes of difference, not
+	// a rounded ln ratio: 3.93511 → 3.93513 MB.
+	if s := summarise([]float64{3.93511}, []float64{3.93513}, "lower"); math.Abs(s.diff-2e-5) > 1e-12 {
+		t.Errorf("3.93511 → 3.93513: median difference %v, want +2e-05", s.diff)
+	}
 }
 
 func TestUsageErrors(t *testing.T) {
@@ -249,7 +259,8 @@ func TestWriteRecordsRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.stamp != st || r.Workload != "mesh16_low" || r.Metric != "op_p50_ms" || r.Unit != "ms" ||
-		r.BaseMedian != 11 || r.HeadMedian != 10 || r.BetterIn != 2 || r.WorseIn != 0 || r.Verdict != "unresolved" {
+		r.BaseMedian != 11 || r.HeadMedian != 10 || r.Diff == nil || *r.Diff != -1 ||
+		r.BetterIn != 2 || r.WorseIn != 0 || r.Verdict != "unresolved" {
 		t.Errorf("record %+v", r)
 	}
 }

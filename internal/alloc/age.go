@@ -24,12 +24,12 @@ type SeparableAge struct{ SeparableIF }
 
 // NewSeparableAge returns an oldest-first separable allocator for cfg.
 // It panics if cfg is invalid.
-func NewSeparableAge(cfg Config) *SeparableAge { return &newSeparableAges(cfg, 1)[0] }
+func NewSeparableAge(cfg Config) *SeparableAge { return &newSeparableAges(cfg, 1, 1)[0] }
 
-// newSeparableAges returns n views of one pool.
-func newSeparableAges(cfg Config, n int) []SeparableAge {
+// newSeparableAges returns n views of one pool with lanes lanes.
+func newSeparableAges(cfg Config, n, lanes int) []SeparableAge {
 	mustValidate(cfg)
-	p := newIFPool(cfg, n)
+	p := newIFPool(cfg, n, lanes)
 	vs := make([]SeparableAge, n)
 	for i := range vs {
 		vs[i] = SeparableAge{SeparableIF{p, i}}
@@ -40,13 +40,13 @@ func newSeparableAges(cfg Config, n int) []SeparableAge {
 // Name implements Allocator.
 func (s *SeparableAge) Name() string { return "if-age" }
 
-// Allocate implements Allocator. The returned slice is scratch, valid
-// until the next Allocate or Reset call.
+// Allocate implements Allocator. The returned slice is its lane's
+// scratch, valid until the lane's next Allocate call.
 func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
-	pl := s.p
+	pl, l := s.p, s.p.lane(rs)
 	sg, rowWords := pl.sub, pl.rowWords
-	inPtr, outPtr, candidate := seg(pl.inPtr, s.i, pl.rows), seg(pl.outPtr, s.i, pl.ports), seg(pl.candidate, s.i, pl.rows)
-	outMask, outOcc := s.masks()
+	inPtr, outPtr, candidate := seg(pl.inPtr, s.i, pl.rows), seg(pl.outPtr, s.i, pl.ports), seg(pl.candidate, l, pl.rows)
+	outMask, outOcc := pl.laneMasks(l)
 
 	// Phase one: per crossbar row, the oldest request wins; the rotating
 	// arbiter decides among equally old ones.
@@ -73,7 +73,7 @@ func (s *SeparableAge) Allocate(rs *RequestSet) []Grant {
 
 	// Phase two: per output port, the oldest candidate wins, equally old
 	// ones by the output's rotating arbiter for long-run fairness.
-	grants := pl.grantBuf(s.i)
+	grants := pl.grantBuf(l)
 	for wi, w := range outOcc {
 		outOcc[wi] = 0
 		for ; w != 0; w &= w - 1 {

@@ -211,11 +211,16 @@ type Grant struct {
 // built-in inner allocator, which then reads the packed form. A caller
 // holding only the list fills the packed form with Pack.
 //
-// The packed form leads the struct: Ready and Out, all an input-first
-// kind reads of it, share its first cache line.
+// Lane names the scratch a built-in kind's call uses (pool.go): calls
+// that may run at once name different lanes, below the lane count their
+// pool was built with (NewMany). A standalone allocator ignores it.
+//
+// The packed form leads the struct: Ready, Out and Lane, all an
+// input-first kind reads of it, share its first cache line.
 type RequestSet struct {
 	Ready []uint64
 	Out   []int8
+	Lane  int
 	Age   []int32
 
 	Config   Config
@@ -224,15 +229,18 @@ type RequestSet struct {
 
 // Allocator matches requests to crossbar resources for one cycle.
 // Allocators are stateful (arbiter priorities, chaining history) and are
-// not safe for concurrent use; each router owns its own instance.
+// not safe for concurrent use; each router owns its own instance. Calls
+// on different instances of one pool may run at once if their request
+// sets name different lanes.
 type Allocator interface {
 	// Name returns a short identifier such as "if" or "wavefront".
 	Name() string
 	// Allocate returns a conflict-free grant set for the request set.
 	//
 	// The returned slice is allocator-owned scratch: it is valid only
-	// until the next Allocate or Reset call on the same allocator, and
-	// callers that retain grants across cycles must copy them out. In
+	// until the next Allocate call in the same lane (RequestSet.Lane),
+	// on this allocator or any other of its pool, and callers that
+	// retain grants past it must copy them out. In
 	// exchange, a warmed-up allocator performs zero heap allocations per
 	// cycle — all working buffers are sized from Config at construction
 	// (TestAllocateZeroAllocsSteadyState pins this down for every kind).
@@ -410,21 +418,22 @@ func mark(set []uint64, i int) bool {
 // output — the input of the row's VC choice. Each allocator lowers the
 // cells it raised from its own record of them (diagonal rows, adjacency
 // lists, per-output row words), so the words are all-zero between calls
-// and a call never sweeps the Rows x Ports matrix. Every instance of a
-// pool has its matrix in the pool's one cellSlots, addressed by pool row:
-// instance i's row r is i*rows+r, the index of the row's VC pointer too.
+// and a call never sweeps the Rows x Ports matrix. Every lane of a pool
+// has its matrix in the pool's one cellSlots, addressed by lane row: lane
+// l's row r is l*rows+r.
 //
 // Reading a granted cell's slots off the request set instead, with no
-// matrix, saves Rows x Ports words per instance, but made fbfly_wf_sat
-// (wavefront) 16 % slower to set up and 4 % slower per operation.
+// matrix, saved Rows x Ports words per instance while scratch was kept
+// per instance, but made fbfly_wf_sat (wavefront) 16 % slower to set up
+// and 4 % slower per operation.
 type cellSlots struct {
 	outs  int
-	cells []uint64 // per pool row*outs+out
+	cells []uint64 // per lane row*outs+out
 }
 
-// newCellSlots returns all-zero matrices of outs cells per pool row.
-func newCellSlots(poolRows, outs int) cellSlots {
-	return cellSlots{outs: outs, cells: make([]uint64, poolRows*outs)}
+// newCellSlots returns all-zero matrices of outs cells per lane row.
+func newCellSlots(laneRows, outs int) cellSlots {
+	return cellSlots{outs: outs, cells: make([]uint64, laneRows*outs)}
 }
 
 // add raises slot's line on the (row, out) cell, and reports whether it

@@ -15,40 +15,42 @@ import "math/bits"
 // its search order — exactly the behaviour a hardware realisation would
 // have — which is what produces that unfairness.
 //
-// An instance is a view of an apPool.
+// An instance is a view of an apPool: its VC pointers are its own, the
+// matching's scratch its lane's.
 type AugmentingPath struct {
 	p *apPool
 	i int
 }
 
 // apPool holds the state of a pool's AugmentingPath views. Instance i's
-// rows start at pool row i*rows, and its outputs at i*ports.
+// rows start at pool row i*rows; lane l's at lane row l*rows, and its
+// outputs at l*ports.
 type apPool struct {
 	pool
 	vcPtr []int8 // per pool row: round-robin pointer selecting the transmitting VC
 
-	// Scratch for the matching, per instance.
-	adj     []int8   // per pool row, ports each: the row's requested outputs, in order of first request
-	adjLen  []int8   // per pool row: how many outputs the row requests
-	matchTo []int16  // per instance, ports each: row matched to the output, -1 if free
-	visited []uint64 // per instance, outWords each: outputs the current search has visited
+	// Scratch for the matching, per lane.
+	adj     []int8   // per lane row, ports each: the row's requested outputs, in order of first request
+	adjLen  []int8   // per lane row: how many outputs the row requests
+	matchTo []int16  // per lane, ports each: row matched to the output, -1 if free
+	visited []uint64 // per lane, outWords each: outputs the current search has visited
 	cells   cellSlots
 }
 
 // NewAugmentingPath returns a maximum-matching allocator for cfg. It
 // panics if cfg is invalid.
-func NewAugmentingPath(cfg Config) *AugmentingPath { return &newAugmentingPaths(cfg, 1)[0] }
+func NewAugmentingPath(cfg Config) *AugmentingPath { return &newAugmentingPaths(cfg, 1, 1)[0] }
 
-// newAugmentingPaths returns n views of one pool.
-func newAugmentingPaths(cfg Config, n int) []AugmentingPath {
+// newAugmentingPaths returns n views of one pool with lanes lanes.
+func newAugmentingPaths(cfg Config, n, lanes int) []AugmentingPath {
 	mustValidate(cfg)
-	p := &apPool{pool: newPool(cfg, n)}
+	p := &apPool{pool: newPool(cfg, lanes)}
 	p.vcPtr = make([]int8, n*p.rows)
-	p.adj = make([]int8, n*p.rows*p.ports)
-	p.adjLen = make([]int8, n*p.rows)
-	p.matchTo = make([]int16, n*p.ports)
-	p.visited = make([]uint64, n*p.outWords)
-	p.cells = newCellSlots(n*p.rows, p.ports)
+	p.adj = make([]int8, lanes*p.rows*p.ports)
+	p.adjLen = make([]int8, lanes*p.rows)
+	p.matchTo = make([]int16, lanes*p.ports)
+	p.visited = make([]uint64, lanes*p.outWords)
+	p.cells = newCellSlots(lanes*p.rows, p.ports)
 	vs := make([]AugmentingPath, n)
 	for i := range vs {
 		vs[i] = AugmentingPath{p, i}
@@ -62,11 +64,11 @@ func (a *AugmentingPath) Name() string { return "ap" }
 // Reset implements Allocator.
 func (a *AugmentingPath) Reset() { clear(seg(a.p.vcPtr, a.i, a.p.rows)) }
 
-// Allocate implements Allocator. The returned slice is scratch, valid
-// until the next Allocate or Reset call.
+// Allocate implements Allocator. The returned slice is its lane's
+// scratch, valid until the lane's next Allocate call.
 func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
-	p := a.p
-	at := a.i * p.rows // the instance's first pool row
+	p, l := a.p, a.p.lane(rs)
+	at := l * p.rows // the lane's first row
 	adjLen := p.adjLen[at : at+p.rows]
 	clear(adjLen)
 	// Representative request per (row, out); VC choice refined afterwards.
@@ -85,8 +87,8 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 			}
 		}
 	}
-	// The instance's first output, and its first word over the outputs.
-	outAt, wordAt := a.i*p.ports, a.i*p.outWords
+	// The lane's first output, and its first word over the outputs.
+	outAt, wordAt := l*p.ports, l*p.outWords
 	matchTo, visited := p.matchTo[outAt:outAt+p.ports], p.visited[wordAt:wordAt+p.outWords]
 	for i := range matchTo {
 		matchTo[i] = -1
@@ -99,13 +101,14 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 		p.augment(at, outAt, wordAt, row)
 	}
 
-	grants := p.grantBuf(a.i)
+	grants := p.grantBuf(l)
+	vcAt := a.i * p.rows // the instance's first pool row
 	for out, row := range matchTo {
 		if row < 0 {
 			continue
 		}
 		var slot int
-		ptr := &p.vcPtr[at+int(row)]
+		ptr := &p.vcPtr[vcAt+int(row)]
 		slot, *ptr = pickSlot(p.cells.at(at+int(row), out), *ptr, sg.size)
 		grants = put(grants, Grant{IVC: sg.ivc(int(row), slot), OutPort: out, Row: int(row)})
 	}
@@ -117,15 +120,15 @@ func (a *AugmentingPath) Allocate(rs *RequestSet) []Grant {
 	return grants
 }
 
-// outs returns the outputs pool row requests.
+// outs returns the outputs that row, a row of the lanes' matrices (lane l's
+// row r is l*rows+r), requests.
 func (p *apPool) outs(row int) []int8 {
 	return p.adj[row*p.ports : row*p.ports+int(p.adjLen[row])]
 }
 
-// augment tries to find an augmenting path from row, for the instance
-// whose first pool row is at, first output outAt and first visited word
-// wordAt; it returns true and updates the instance's matching if one
-// exists.
+// augment tries to find an augmenting path from row, in the lane whose
+// first lane row is at, first output outAt and first visited word
+// wordAt; it returns true and updates the lane's matching if one exists.
 func (p *apPool) augment(at, outAt, wordAt, row int) bool {
 	for _, out := range p.outs(at + row) {
 		w, bit := &p.visited[wordAt+int(out)>>6], uint64(1)<<uint(out&63)

@@ -29,9 +29,9 @@ type PacketChaining struct {
 }
 
 // chainPool holds a pool's PacketChaining state beside the inner
-// separable allocators'. The inner allocators' grant segments are the
-// chaining grants: chained pairs go in first, and the inner allocator
-// appends its grants after them.
+// separable allocators'. A lane's grant buffer is shared with the inner
+// allocators: chained pairs go in first, and the inner allocator appends
+// its grants after them.
 type chainPool struct {
 	ifPool
 	readyWords int // words of a request set's Ready
@@ -46,7 +46,7 @@ type chainPool struct {
 	// one busy VC from starving its neighbours.
 	chainPtr []int8
 
-	// chain is per instance, chainWords each, scratch: the unchained
+	// chain is per lane, chainWords each, scratch: the unchained
 	// remainder's Ready words, the chained rows, the chained outputs.
 	chain []uint64
 }
@@ -56,17 +56,17 @@ func (p *chainPool) chainWords() int { return p.readyWords + p.rowWords + p.outW
 // NewPacketChaining returns a packet-chaining allocator for cfg. The paper
 // evaluates chaining on the baseline crossbar (VirtualInputs = 1), but the
 // implementation supports any geometry. It panics if cfg is invalid.
-func NewPacketChaining(cfg Config) *PacketChaining { return &newPacketChainings(cfg, 1)[0] }
+func NewPacketChaining(cfg Config) *PacketChaining { return &newPacketChainings(cfg, 1, 1)[0] }
 
-// newPacketChainings returns n views of one pool.
-func newPacketChainings(cfg Config, n int) []PacketChaining {
+// newPacketChainings returns n views of one pool with lanes lanes.
+func newPacketChainings(cfg Config, n, lanes int) []PacketChaining {
 	mustValidate(cfg)
 	p := &chainPool{readyWords: (cfg.Ports*cfg.VCs + 63) / 64}
-	p.ifPool.init(cfg, n)
+	p.ifPool.init(cfg, n, lanes)
 	p.prevOut = make([]int8, n*p.rows)
 	disconnect(p.prevOut)
 	p.chainPtr = make([]int8, n*p.rows)
-	p.chain = make([]uint64, n*p.chainWords())
+	p.chain = make([]uint64, lanes*p.chainWords())
 	vs := make([]PacketChaining, n)
 	for i := range vs {
 		vs[i] = PacketChaining{p, i}
@@ -88,17 +88,17 @@ func (c *PacketChaining) Reset() {
 	clear(seg(c.p.chainPtr, c.i, c.p.rows))
 }
 
-// Allocate implements Allocator. The returned slice is scratch, valid
-// until the next Allocate or Reset call.
+// Allocate implements Allocator. The returned slice is its lane's
+// scratch, valid until the lane's next Allocate call.
 func (c *PacketChaining) Allocate(rs *RequestSet) []Grant {
-	p := c.p
+	p, l := c.p, c.p.lane(rs)
 	sg := p.sub
 	prevOut, chainPtr := seg(p.prevOut, c.i, p.rows), seg(p.chainPtr, c.i, p.rows)
-	w := seg(p.chain, c.i, p.chainWords())
+	w := seg(p.chain, l, p.chainWords())
 	rest, rowChained, outChained := carve(&w, p.readyWords), sim.Bitset(carve(&w, p.rowWords)), sim.Bitset(w)
 	clear(rowChained)
 	clear(outChained)
-	grants := p.grantBuf(c.i)
+	grants := p.grantBuf(l)
 
 	// Phase zero: preserve last cycle's connections where any VC of the
 	// row requests the same output (SameInput, anyVC).

@@ -17,9 +17,11 @@ import (
 // least of three samples stands, in case something else allocated
 // meanwhile. Before the kinds read the router's packed request set,
 // SeparableIF took 960 B at 5x6x2 and Wavefront 3696 B at 10x6x1. A
-// pooled IF at 5x6x2 is its 16 B view, 228 B of slab segments and its
+// pooled IF at 5x6x2 is its 16 B view, its 20 B of pointer segments, its
 // 16 B []Allocator entry, which a network drops once its routers hold
-// their allocators.
+// their allocators, and the slabs' size-class rounding; the one lane's
+// scratch, shared by all 1024, adds under a byte each (it was 208 B per
+// instance while scratch was kept per instance: 264 B in all).
 func TestAllocatorFootprintIsPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector pads heap objects; the pins are a normal build's bytes")
@@ -30,14 +32,14 @@ func TestAllocatorFootprintIsPinned(t *testing.T) {
 		at10x6x1          uint64
 		pooled5, pooled10 uint64
 	}{
-		{KindSeparableIF, 480, 648, 264, 434},
-		{KindWavefront, 880, 1472, 664, 1184},
-		{KindAugmentingPath, 936, 1584, 650, 1228},
-		{KindPacketChaining, 632, 800, 308, 478},
-		{KindIdeal, 576, 888, 366, 688},
-		{KindISLIP, 1008, 1656, 746, 1316},
-		{KindSparoflo, 568, 832, 302, 552},
-		{KindSeparableAge, 480, 648, 264, 434},
+		{KindSeparableIF, 480, 648, 56, 66},
+		{KindWavefront, 880, 1472, 48, 49},
+		{KindAugmentingPath, 936, 1584, 46, 47},
+		{KindPacketChaining, 632, 800, 76, 86},
+		{KindIdeal, 576, 888, 78, 120},
+		{KindISLIP, 1008, 1656, 66, 77},
+		{KindSparoflo, 568, 832, 57, 76},
+		{KindSeparableAge, 480, 648, 56, 66},
 	}
 	if len(pins) != len(Kinds()) {
 		t.Fatalf("%d pins for %d kinds", len(pins), len(Kinds()))
@@ -66,6 +68,9 @@ func TestAllocatorFootprintIsPinned(t *testing.T) {
 			if got := pooledBytes(p.kind, c.cfg); got > c.pooled {
 				t.Errorf("%s at %dx%dx%d: %d B per pooled instance, pinned at %d B",
 					p.kind, c.cfg.Ports, c.cfg.VCs, c.cfg.VirtualInputs, got, c.pooled)
+			} else {
+				t.Logf("%s at %dx%dx%d: %d B per pooled instance (pin %d B)",
+					p.kind, c.cfg.Ports, c.cfg.VCs, c.cfg.VirtualInputs, got, c.pooled)
 			}
 		}
 	}
@@ -80,7 +85,7 @@ func pooledBytes(kind Kind, cfg Config) uint64 {
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		keep, _ = NewMany(kind, cfg, n)
+		keep, _ = NewMany(kind, cfg, n, 1)
 		runtime.ReadMemStats(&after)
 		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)
 	}

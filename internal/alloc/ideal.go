@@ -12,13 +12,13 @@ type Ideal struct{ SeparableIF }
 
 // NewIdeal returns an ideal allocator for cfg. It panics if cfg is
 // invalid or does not give every VC its own crossbar row.
-func NewIdeal(cfg Config) *Ideal { return &newIdeals(cfg, 1)[0] }
+func NewIdeal(cfg Config) *Ideal { return &newIdeals(cfg, 1, 1)[0] }
 
-// newIdeals returns n views of one pool.
-func newIdeals(cfg Config, n int) []Ideal {
+// newIdeals returns n views of one pool with lanes lanes.
+func newIdeals(cfg Config, n, lanes int) []Ideal {
 	must(CheckGeometry(KindIdeal, cfg))
 	mustValidate(cfg)
-	p := newIFPool(cfg, n)
+	p := newIFPool(cfg, n, lanes)
 	vs := make([]Ideal, n)
 	for i := range vs {
 		vs[i] = Ideal{SeparableIF{p, i}}

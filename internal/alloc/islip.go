@@ -24,14 +24,16 @@ import (
 // Pointers advance only on accepted grants and only in the first
 // iteration, preserving iSLIP's desynchronisation property.
 //
-// An instance is a view of an islipPool.
+// An instance is a view of an islipPool: its pointers are its own, the
+// request words and cells its lane's.
 type ISLIP struct {
 	p *islipPool
 	i int
 }
 
 // islipPool holds the state of a pool's ISLIP views. Instance i's rows
-// start at pool row i*rows, and its outputs at i*ports.
+// start at pool row i*rows, and its outputs at i*ports; lane l's matrix
+// rows start at l*rows.
 type islipPool struct {
 	pool
 	iterations int // islipIterations; tests vary it
@@ -40,8 +42,8 @@ type islipPool struct {
 	acceptPtr []int8  // per pool row: over outputs
 	vcPtr     []int8  // per pool row: round-robin pointer over sub-group VC slots
 
-	// words is per instance, wordsPer each: the request words (masks),
-	// all but asking all-zero between calls.
+	// words is per lane, wordsPer each: the request words (masks), all
+	// but asking all-zero between calls.
 	words []uint64
 	cells cellSlots // all-zero between calls
 }
@@ -50,7 +52,7 @@ func (p *islipPool) wordsPer() int {
 	return p.ports*p.rowWords + p.outWords + p.rowWords + p.outWords + p.rowWords + p.rows*p.outWords + p.rowWords
 }
 
-// masksAt returns where instance i's masks start in words:
+// masksAt returns where lane l's masks start in words:
 //   - reqAt: per output, rowWords each: rows with a VC requesting it;
 //   - occAt: outWords: outputs whose request word is non-zero;
 //   - freeAt: rowWords: requesting rows not yet matched;
@@ -60,8 +62,8 @@ func (p *islipPool) wordsPer() int {
 //   - offersAt: per row, outWords each: outputs granting to it this
 //     iteration;
 //   - offeredAt: rowWords: rows whose offers is non-zero.
-func (p *islipPool) masksAt(i int) (reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt int) {
-	reqAt = i * p.wordsPer()
+func (p *islipPool) masksAt(l int) (reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt int) {
+	reqAt = l * p.wordsPer()
 	occAt = reqAt + p.ports*p.rowWords
 	freeAt = occAt + p.outWords
 	doneAt = freeAt + p.rowWords
@@ -75,17 +77,17 @@ const islipIterations = 2
 
 // NewISLIP returns an iSLIP allocator running islipIterations rounds. It
 // panics if cfg is invalid.
-func NewISLIP(cfg Config) *ISLIP { return &newISLIPs(cfg, 1)[0] }
+func NewISLIP(cfg Config) *ISLIP { return &newISLIPs(cfg, 1, 1)[0] }
 
-// newISLIPs returns n views of one pool.
-func newISLIPs(cfg Config, n int) []ISLIP {
+// newISLIPs returns n views of one pool with lanes lanes.
+func newISLIPs(cfg Config, n, lanes int) []ISLIP {
 	mustValidate(cfg)
-	p := &islipPool{pool: newPool(cfg, n), iterations: islipIterations}
+	p := &islipPool{pool: newPool(cfg, lanes), iterations: islipIterations}
 	p.grantPtr = make([]int16, n*p.ports)
 	p.acceptPtr = make([]int8, n*p.rows)
 	p.vcPtr = make([]int8, n*p.rows)
-	p.words = make([]uint64, n*p.wordsPer())
-	p.cells = newCellSlots(n*p.rows, p.ports)
+	p.words = make([]uint64, lanes*p.wordsPer())
+	p.cells = newCellSlots(lanes*p.rows, p.ports)
 	vs := make([]ISLIP, n)
 	for i := range vs {
 		vs[i] = ISLIP{p, i}
@@ -104,17 +106,18 @@ func (s *ISLIP) Reset() {
 	clear(seg(p.vcPtr, s.i, p.rows))
 }
 
-// Allocate implements Allocator. The returned slice is scratch, valid
-// until the next Allocate or Reset call.
+// Allocate implements Allocator. The returned slice is its lane's
+// scratch, valid until the lane's next Allocate call.
 func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 	// An output's request word has a bit per row with any VC requesting
 	// it; the cell words hold the requesting slots per (row, out) for VC
 	// selection, and are lowered with the output words at the end. The
-	// call reaches the instance's state through the pool at offsets, so
-	// its loops keep few values live.
-	p := s.p
+	// call reaches the instance's pointers and its lane's scratch
+	// through the pool at offsets, so its loops keep few values live.
+	p, l := s.p, s.p.lane(rs)
 	at, outAt := s.i*p.rows, s.i*p.ports // the instance's first pool row and output
-	reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt := p.masksAt(s.i)
+	cellAt := l * p.rows                 // the lane's first matrix row
+	reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt := p.masksAt(l)
 	sg, rowWords, outWords := &p.sub, p.rowWords, p.outWords
 	for port := 0; port < p.ports; port++ {
 		lines := portLines(rs.Ready, port, sg.vcs)
@@ -126,11 +129,11 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 				p.words[reqAt+out*rowWords+row>>6] |= 1 << uint(row&63)
 				p.words[occAt+out>>6] |= 1 << uint(out&63)
 				p.words[freeAt+row>>6] |= 1 << uint(row&63)
-				p.cells.add(at+row, out, slot)
+				p.cells.add(cellAt+row, out, slot)
 			}
 		}
 	}
-	grants := p.grantBuf(s.i)
+	grants := p.grantBuf(l)
 
 	for iter := 0; iter < p.iterations; iter++ {
 		// Grant phase: each unmatched output picks one requesting,
@@ -165,7 +168,7 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 				clear(offers)
 				var slot int
 				vcPtr := &p.vcPtr[at+row]
-				slot, *vcPtr = pickSlot(p.cells.at(at+row, out), *vcPtr, sg.size)
+				slot, *vcPtr = pickSlot(p.cells.at(cellAt+row, out), *vcPtr, sg.size)
 				grants = put(grants, Grant{IVC: sg.ivc(row, slot), OutPort: out, Row: row})
 				p.words[freeAt+row>>6] &^= 1 << uint(row&63)
 				p.words[doneAt+out>>6] |= 1 << uint(out&63)
@@ -187,7 +190,7 @@ func (s *ISLIP) Allocate(rs *RequestSet) []Grant {
 			rows := p.words[reqAt+out*rowWords : reqAt+(out+1)*rowWords]
 			for ri, r := range rows {
 				for ; r != 0; r &= r - 1 {
-					p.cells.take(at+ri<<6+bits.TrailingZeros64(r), out)
+					p.cells.take(cellAt+ri<<6+bits.TrailingZeros64(r), out)
 				}
 			}
 			clear(rows)

@@ -201,12 +201,16 @@ func (d *denseWavefront) allocate(rs *RequestSet) []Grant {
 	return d.grants
 }
 
-// lazyWords lists, per kind, the request words it drains as it consumes
-// them; assertDrained holds them to all-zero between calls. Ideal and
-// SeparableAge inherit SeparableIF's.
+// lazyWords lists, per kind and lane, the request words it drains as it
+// consumes them; assertDrained holds them to all-zero between calls.
+// Ideal and SeparableAge inherit SeparableIF's.
 func (s *SeparableIF) lazyWords() []wordBank {
-	outMask, outOcc := s.masks()
-	return []wordBank{{"outMask", outMask}, {"outOcc", outOcc}}
+	var banks []wordBank
+	for l := range s.p.lanes() {
+		outMask, outOcc := s.p.laneMasks(l)
+		banks = append(banks, wordBank{"outMask", l, outMask}, wordBank{"outOcc", l, outOcc})
+	}
+	return banks
 }
 
 func (c *PacketChaining) lazyWords() []wordBank {
@@ -216,31 +220,51 @@ func (c *PacketChaining) lazyWords() []wordBank {
 
 func (s *Sparoflo) lazyWords() []wordBank {
 	p := s.p
-	lineAt, occAt, winsAt, portAt := p.masksAt(s.i)
-	return []wordBank{{"lineMask", p.words[lineAt:occAt]}, {"outOcc", p.words[occAt:winsAt]},
-		{"wins", p.words[winsAt:portAt]}, {"portOcc", p.words[portAt : portAt+p.outWords]}}
+	var banks []wordBank
+	for l := range p.lanes() {
+		lineAt, occAt, winsAt, portAt := p.masksAt(l)
+		banks = append(banks, wordBank{"lineMask", l, p.words[lineAt:occAt]}, wordBank{"outOcc", l, p.words[occAt:winsAt]},
+			wordBank{"wins", l, p.words[winsAt:portAt]}, wordBank{"portOcc", l, p.words[portAt : portAt+p.outWords]})
+	}
+	return banks
 }
 
 func (s *ISLIP) lazyWords() []wordBank {
 	p := s.p
-	reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt := p.masksAt(s.i)
-	return []wordBank{{"reqRows", p.words[reqAt:occAt]}, {"outOcc", p.words[occAt:freeAt]},
-		{"freeRows", p.words[freeAt:doneAt]}, {"outDone", p.words[doneAt:askAt]}, {"offers", p.words[offersAt:offeredAt]},
-		{"offered", p.words[offeredAt : offeredAt+p.rowWords]}, {"cells", instanceCells(&p.pool, &p.cells, s.i)}}
+	var banks []wordBank
+	for l := range p.lanes() {
+		reqAt, occAt, freeAt, doneAt, askAt, offersAt, offeredAt := p.masksAt(l)
+		banks = append(banks, wordBank{"reqRows", l, p.words[reqAt:occAt]}, wordBank{"outOcc", l, p.words[occAt:freeAt]},
+			wordBank{"freeRows", l, p.words[freeAt:doneAt]}, wordBank{"outDone", l, p.words[doneAt:askAt]},
+			wordBank{"offers", l, p.words[offersAt:offeredAt]}, wordBank{"offered", l, p.words[offeredAt : offeredAt+p.rowWords]},
+			wordBank{"cells", l, laneCells(&p.pool, &p.cells, l)})
+	}
+	return banks
 }
 
 func (w *Wavefront) lazyWords() []wordBank {
-	diagRows := seg(w.p.words, w.i, w.p.wordsPer())[:w.p.diagonals()*w.p.rowWords]
-	return []wordBank{{"diagRows", diagRows}, {"cells", instanceCells(&w.p.pool, &w.p.cells, w.i)}}
+	var banks []wordBank
+	for l := range w.p.lanes() {
+		diagRows := seg(w.p.words, l, w.p.wordsPer())[:w.p.diagonals()*w.p.rowWords]
+		banks = append(banks, wordBank{"diagRows", l, diagRows}, wordBank{"cells", l, laneCells(&w.p.pool, &w.p.cells, l)})
+	}
+	return banks
 }
 
 func (a *AugmentingPath) lazyWords() []wordBank {
-	return []wordBank{{"cells", instanceCells(&a.p.pool, &a.p.cells, a.i)}}
+	var banks []wordBank
+	for l := range a.p.lanes() {
+		banks = append(banks, wordBank{"cells", l, laneCells(&a.p.pool, &a.p.cells, l)})
+	}
+	return banks
 }
 
-// instanceCells returns instance i's matrix of cells.
-func instanceCells(p *pool, cells *cellSlots, i int) []uint64 {
-	return seg(cells.cells, i, p.rows*p.ports)
+// lanes returns the pool's lane count.
+func (p *pool) lanes() int { return len(p.grants) / p.ports }
+
+// laneCells returns lane l's matrix of cells.
+func laneCells(p *pool, cells *cellSlots, l int) []uint64 {
+	return seg(cells.cells, l, p.rows*p.ports)
 }
 
 // rrPointer reads a round-robin arbiter's priority pointer through its

@@ -11,11 +11,12 @@ import (
 // TestPooledViewsMatchStandalone holds every kind's pooled views to
 // standalone instances: NewMany's views and as many New instances take
 // the same calls — random request sets (ages too), idle spans and the odd
-// Reset — with the instance chosen at random each step, so calls
-// interleave across the pool. After every call the called pair's grants,
-// and every pair's pointer state, must be equal, and every view's lazily
-// drained words zero: a segment that overlaps a neighbour's, or a write
-// that strays out of its own, fails at the step it happens.
+// Reset — with the instance, and in a pool of two lanes the lane, chosen
+// at random each step, so calls interleave across the pool. After every
+// call the called pair's grants, and every pair's pointer state, must be
+// equal, and every lane's lazily drained words zero: a segment that
+// overlaps a neighbour's, or a write that strays out of its own, fails at
+// the step it happens.
 func TestPooledViewsMatchStandalone(t *testing.T) {
 	const n, steps = 5, 600
 	for _, kind := range Kinds() {
@@ -23,51 +24,59 @@ func TestPooledViewsMatchStandalone(t *testing.T) {
 			if CheckGeometry(kind, cfg) != nil {
 				continue
 			}
-			pooled, err := NewMany(kind, cfg, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			alone := make([]Allocator, n)
-			for i := range alone {
-				alone[i] = MustNew(kind, cfg)
-			}
-			rng := sim.NewRNG(406)
-			for step := 0; step < steps; step++ {
-				i := rng.Intn(n)
-				switch roll := rng.Intn(20); {
-				case roll == 0:
-					pooled[i].Reset()
-					alone[i].Reset()
-				case roll <= 2:
-					span := 1 + rng.Intn(cfg.Rows()+cfg.Ports+2)
-					pooled[i].(IdleSkipper).SkipIdle(span)
-					alone[i].(IdleSkipper).SkipIdle(span)
-				default:
-					rs := lockstepRequests(rng, cfg, step)
-					for j, r := range rs.Requests {
-						rs.Requests[j].Age = rng.Intn(8)
-						rs.Age[r.Port*cfg.VCs+r.VC] = int32(rs.Requests[j].Age)
-					}
-					gp, ga := pooled[i].Allocate(rs), alone[i].Allocate(rs)
-					if !slices.Equal(gp, ga) {
-						t.Fatalf("%s: pooled granted %v, standalone %v", where(kind, cfg, step, i), gp, ga)
-					}
-				}
-				for j := range pooled {
-					if p, a := pointerState(pooled[j]), pointerState(alone[j]); !slices.Equal(p, a) {
-						t.Fatalf("%s: instance %d's pointers are %v pooled, %v standalone", where(kind, cfg, step, i), j, p, a)
-					}
-					if !drained(pooled[j]) {
-						assertDrained(t, pooled[j], where(kind, cfg, step, i))
-					}
-				}
+			for _, lanes := range []int{1, 2} {
+				pooledViewsMatchStandalone(t, kind, cfg, n, lanes, steps)
 			}
 		}
 	}
 }
 
-func where(kind Kind, cfg Config, step, i int) string {
-	return fmt.Sprintf("%s %+v step %d instance %d", kind, cfg, step, i)
+func pooledViewsMatchStandalone(t *testing.T, kind Kind, cfg Config, n, lanes, steps int) {
+	t.Helper()
+	pooled, err := NewMany(kind, cfg, n, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := make([]Allocator, n)
+	for i := range alone {
+		alone[i] = MustNew(kind, cfg)
+	}
+	rng := sim.NewRNG(406)
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(n)
+		switch roll := rng.Intn(20); {
+		case roll == 0:
+			pooled[i].Reset()
+			alone[i].Reset()
+		case roll <= 2:
+			span := 1 + rng.Intn(cfg.Rows()+cfg.Ports+2)
+			pooled[i].(IdleSkipper).SkipIdle(span)
+			alone[i].(IdleSkipper).SkipIdle(span)
+		default:
+			rs := lockstepRequests(rng, cfg, step)
+			for j, r := range rs.Requests {
+				rs.Requests[j].Age = rng.Intn(8)
+				rs.Age[r.Port*cfg.VCs+r.VC] = int32(rs.Requests[j].Age)
+			}
+			rs.Lane = rng.Intn(lanes)
+			gp, ga := pooled[i].Allocate(rs), alone[i].Allocate(rs)
+			if !slices.Equal(gp, ga) {
+				t.Fatalf("%s: pooled granted %v, standalone %v", where(kind, cfg, lanes, step, i), gp, ga)
+			}
+		}
+		for j := range pooled {
+			if p, a := pointerState(pooled[j]), pointerState(alone[j]); !slices.Equal(p, a) {
+				t.Fatalf("%s: instance %d's pointers are %v pooled, %v standalone", where(kind, cfg, lanes, step, i), j, p, a)
+			}
+			if !drained(pooled[j]) {
+				assertDrained(t, pooled[j], where(kind, cfg, lanes, step, i))
+			}
+		}
+	}
+}
+
+func where(kind Kind, cfg Config, lanes, step, i int) string {
+	return fmt.Sprintf("%s %+v, %d lanes, step %d instance %d", kind, cfg, lanes, step, i)
 }
 
 // drained reports whether a's lazily drained words are all zero.
@@ -84,26 +93,27 @@ func drained(a Allocator) bool {
 	return true
 }
 
-// TestNewManyRefusesWhatNewRefuses: NewMany checks what New checks, and a
-// negative count.
+// TestNewManyRefusesWhatNewRefuses: NewMany checks what New checks, a
+// negative count and a lane count below one.
 func TestNewManyRefusesWhatNewRefuses(t *testing.T) {
 	good := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
 	for _, c := range []struct {
-		kind Kind
-		cfg  Config
-		n    int
+		kind     Kind
+		cfg      Config
+		n, lanes int
 	}{
-		{KindSeparableIF, Config{}, 4},
-		{KindIdeal, good, 4},
-		{KindSparoflo, good, 4},
-		{"bogus", good, 4},
-		{KindSeparableIF, good, -1},
+		{KindSeparableIF, Config{}, 4, 1},
+		{KindIdeal, good, 4, 1},
+		{KindSparoflo, good, 4, 1},
+		{"bogus", good, 4, 1},
+		{KindSeparableIF, good, -1, 1},
+		{KindSeparableIF, good, 4, 0},
 	} {
-		if _, err := NewMany(c.kind, c.cfg, c.n); err == nil {
-			t.Errorf("NewMany(%s, %+v, %d) succeeded", c.kind, c.cfg, c.n)
+		if _, err := NewMany(c.kind, c.cfg, c.n, c.lanes); err == nil {
+			t.Errorf("NewMany(%s, %+v, %d, %d) succeeded", c.kind, c.cfg, c.n, c.lanes)
 		}
 	}
-	if as, err := NewMany(KindSeparableIF, good, 0); err != nil || len(as) != 0 {
+	if as, err := NewMany(KindSeparableIF, good, 0, 1); err != nil || len(as) != 0 {
 		t.Errorf("NewMany of none = %v, %v", as, err)
 	}
 }

@@ -37,11 +37,12 @@ const (
 // order. Kinds, Known, NewMany and Register all read it, so a kind is
 // listed exactly when it is constructible, and adding a comparison point
 // is one row here plus a green FuzzAllocate and TestRegistry (which holds
-// Name() to the row's kind). A row builds n views of one pool; the
-// exported NewX is the same constructor at n = 1.
+// Name() to the row's kind). A row builds n views of one pool with lanes
+// lanes of scratch; the exported NewX is the same constructor at n = 1
+// and one lane.
 var builtins = []struct {
 	kind Kind
-	many func(cfg Config, n int) []Allocator
+	many func(cfg Config, n, lanes int) []Allocator
 }{
 	{KindSeparableIF, many(newSeparableIFs)},
 	{KindWavefront, many(newWavefronts)},
@@ -69,7 +70,7 @@ func CheckGeometry(kind Kind, cfg Config) error {
 }
 
 // builtin returns kind's row constructor, or nil if kind is not built in.
-func builtin(kind Kind) func(Config, int) []Allocator {
+func builtin(kind Kind) func(Config, int, int) []Allocator {
 	for _, b := range builtins {
 		if b.kind == kind {
 			return b.many
@@ -134,9 +135,10 @@ func Register(kind Kind, factory func(Config) (Allocator, error)) error {
 	return nil
 }
 
-// New constructs an allocator of the given kind for cfg: NewMany's one.
+// New constructs an allocator of the given kind for cfg: NewMany's one,
+// in one lane.
 func New(kind Kind, cfg Config) (Allocator, error) {
-	as, err := NewMany(kind, cfg, 1)
+	as, err := NewMany(kind, cfg, 1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -144,14 +146,20 @@ func New(kind Kind, cfg Config) (Allocator, error) {
 }
 
 // NewMany constructs n allocators of the given kind for cfg, one per
-// router of a network. A built-in kind's are views of one pool (pool.go);
-// a registered kind's are n calls to its factory.
-func NewMany(kind Kind, cfg Config, n int) ([]Allocator, error) {
+// router of a network, whose Allocate calls come from at most lanes
+// goroutines at once, each naming its own RequestSet.Lane below lanes. A
+// built-in kind's are views of one pool (pool.go) with a scratch set per
+// lane; a registered kind's are n calls to its factory, each instance its
+// own.
+func NewMany(kind Kind, cfg Config, n, lanes int) ([]Allocator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("alloc: cannot build %d allocators", n)
+	}
+	if lanes < 1 {
+		return nil, fmt.Errorf("alloc: cannot build allocators for %d lanes", lanes)
 	}
 	if factory, ok := custom[kind]; ok {
 		as := make([]Allocator, n)
@@ -168,7 +176,7 @@ func NewMany(kind Kind, cfg Config, n int) ([]Allocator, error) {
 		if err := CheckGeometry(kind, cfg); err != nil {
 			return nil, err
 		}
-		return build(cfg, n), nil
+		return build(cfg, n, lanes), nil
 	}
 	return nil, fmt.Errorf("alloc: unknown allocator kind %q", kind)
 }

@@ -29,8 +29,9 @@ import (
 // off the request set's packed form, so a call costs what its ports and
 // requests cost, not Rows x GroupSize.
 //
-// An instance is a view of an ifPool (pool.go): its pointers, request
-// words, candidates and grants are its segments of the pool's slabs.
+// An instance is a view of an ifPool (pool.go): its pointers are its
+// segments of the pool's slabs, and a call's request words, candidates
+// and grants its lane's.
 type SeparableIF struct {
 	p *ifPool
 	i int
@@ -47,46 +48,46 @@ type ifPool struct {
 
 	// The masks are all-zero between calls: each is drained as it is
 	// consumed, so a cycle never sweeps them.
-	masks []uint64 // per instance, maskWords each: outMask, then outOcc
+	masks []uint64 // per lane, maskWords each: outMask, then outOcc
 
-	candidate []int32 // per instance, rows each: phase-one winner's line; valid for rows present in an outMask
+	candidate []int32 // per lane, rows each: phase-one winner's line; valid for rows present in an outMask
 }
 
-// newIFPool returns a pool of n instances on cfg.
-func newIFPool(cfg Config, n int) *ifPool {
+// newIFPool returns a pool of n instances on cfg, with lanes lanes.
+func newIFPool(cfg Config, n, lanes int) *ifPool {
 	p := new(ifPool)
-	p.init(cfg, n)
+	p.init(cfg, n, lanes)
 	return p
 }
 
-func (p *ifPool) init(cfg Config, n int) {
-	p.pool = newPool(cfg, n)
+func (p *ifPool) init(cfg Config, n, lanes int) {
+	p.pool = newPool(cfg, lanes)
 	p.inPtr = make([]int8, n*p.rows)
 	p.outPtr = make([]int16, n*p.ports)
-	p.masks = make([]uint64, n*p.maskWords())
-	p.candidate = make([]int32, n*p.rows)
+	p.masks = make([]uint64, lanes*p.maskWords())
+	p.candidate = make([]int32, lanes*p.rows)
 }
 
-// maskWords is an instance's mask words: a row mask per output, then the
+// maskWords is a lane's mask words: a row mask per output, then the
 // output set.
 func (p *ifPool) maskWords() int { return p.ports*p.rowWords + p.outWords }
 
-// masks returns the instance's mask segment, cut into its row mask per
-// output (rows whose candidate requests it) and its output set (outputs
-// whose row mask is non-zero).
-func (s *SeparableIF) masks() (outMask []uint64, outOcc sim.Bitset) {
-	m := seg(s.p.masks, s.i, s.p.maskWords())
-	return carve(&m, s.p.ports*s.p.rowWords), m
+// laneMasks returns lane l's mask segment, cut into its row mask per output
+// (rows whose candidate requests it) and its output set (outputs whose
+// row mask is non-zero).
+func (p *ifPool) laneMasks(l int) (outMask []uint64, outOcc sim.Bitset) {
+	m := seg(p.masks, l, p.maskWords())
+	return carve(&m, p.ports*p.rowWords), m
 }
 
 // NewSeparableIF returns a separable input-first allocator for cfg.
 // It panics if cfg is invalid.
-func NewSeparableIF(cfg Config) *SeparableIF { return &newSeparableIFs(cfg, 1)[0] }
+func NewSeparableIF(cfg Config) *SeparableIF { return &newSeparableIFs(cfg, 1, 1)[0] }
 
-// newSeparableIFs returns n views of one pool.
-func newSeparableIFs(cfg Config, n int) []SeparableIF {
+// newSeparableIFs returns n views of one pool with lanes lanes.
+func newSeparableIFs(cfg Config, n, lanes int) []SeparableIF {
 	mustValidate(cfg)
-	p := newIFPool(cfg, n)
+	p := newIFPool(cfg, n, lanes)
 	vs := make([]SeparableIF, n)
 	for i := range vs {
 		vs[i] = SeparableIF{p, i}
@@ -105,15 +106,15 @@ func (s *SeparableIF) Reset() {
 	clear(seg(s.p.outPtr, s.i, s.p.ports))
 }
 
-// Allocate implements Allocator. The returned slice is scratch, valid
-// until the next Allocate or Reset call.
+// Allocate implements Allocator. The returned slice is its lane's
+// scratch, valid until the lane's next Allocate call.
 func (s *SeparableIF) Allocate(rs *RequestSet) []Grant {
-	return s.allocate(rs.Ready, rs, s.p.grantBuf(s.i))
+	return s.allocate(rs.Ready, rs, s.p.grantBuf(s.p.lane(rs)))
 }
 
 // allocate arbitrates among the requests of rs that ready names — all of
 // them, or what packet chaining leaves — and appends its grants to
-// grants.
+// grants, in rs's lane.
 func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet, grants []Grant) []Grant {
 	n := 0
 	for _, w := range ready {
@@ -139,12 +140,15 @@ func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet, grants []Grant) [
 		pl.inPtr[s.i*pl.rows+row] = int8(arb.Next(slot, sub.size))
 		return append(grants, Grant{IVC: ivc, OutPort: out, Row: row})
 	}
-	// The call reaches the instance's state through the pool at these
-	// offsets, so the loops keep few values live.
+	// The call reaches the instance's pointers and its lane's scratch
+	// through the pool at these offsets, so the loops keep few values
+	// live.
 	rowWords := pl.rowWords
 	rowAt, outAt := s.i*pl.rows, s.i*pl.ports // the instance's first row and output
-	maskAt := s.i * pl.maskWords()            // its row mask per output
-	occAt := maskAt + pl.ports*rowWords       // then its output set
+	l := pl.lane(rs)
+	candAt := l * pl.rows               // the lane's first candidate
+	maskAt := l * pl.maskWords()        // its row mask per output
+	occAt := maskAt + pl.ports*rowWords // then its output set
 
 	// Phase one: each requesting row's input arbiter picks one VC, and the
 	// candidate raises its row's line on the requested output's arbiter.
@@ -161,7 +165,7 @@ func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet, grants []Grant) [
 			row := p*sub.k + g
 			slot := arb.Pick(slots, int(pl.inPtr[rowAt+row]))
 			ivc := p*sub.vcs + sub.vc(g, slot)
-			pl.candidate[rowAt+row] = int32(line(ivc, slot))
+			pl.candidate[candAt+row] = int32(line(ivc, slot))
 			out := int(rs.Out[ivc])
 			pl.masks[maskAt+out*rowWords+row>>6] |= 1 << uint(row&63)
 			pl.masks[occAt+out>>6] |= 1 << uint(out&63)
@@ -181,11 +185,11 @@ func (s *SeparableIF) allocate(ready []uint64, rs *RequestSet, grants []Grant) [
 			mask := pl.masks[maskAt+out*rowWords : maskAt+(out+1)*rowWords]
 			row := arb.PickWords(mask, int(pl.outPtr[outAt+out]))
 			clear(mask)
-			l := int(pl.candidate[rowAt+row])
-			grants = put(grants, Grant{IVC: lineIVC(l), OutPort: out, Row: row})
+			c := int(pl.candidate[candAt+row])
+			grants = put(grants, Grant{IVC: lineIVC(c), OutPort: out, Row: row})
 			// iSLIP pointer update: both arbiters advance only on a grant.
 			pl.outPtr[outAt+out] = int16(arb.Next(row, pl.rows))
-			pl.inPtr[rowAt+row] = int8(arb.Next(lineSlot(l), sub.size))
+			pl.inPtr[rowAt+row] = int8(arb.Next(lineSlot(c), sub.size))
 		}
 	}
 	return grants

@@ -24,10 +24,11 @@ const (
 	transcriptCycles = 3000
 )
 
-// wordBank names one slice of request words an allocator drains as it
-// consumes them, so that it reads all-zero between Allocate calls.
+// wordBank names one lane's slice of request words an allocator drains
+// as it consumes them, so that it reads all-zero between Allocate calls.
 type wordBank struct {
 	name  string
+	lane  int
 	words []uint64
 }
 
@@ -44,7 +45,7 @@ func assertDrained(t *testing.T, a Allocator, where string) {
 	for _, m := range lw.lazyWords() {
 		for i, w := range m.words {
 			if w != 0 {
-				t.Fatalf("%s: %s[%d] is %#x between calls, want 0", where, m.name, i, w)
+				t.Fatalf("%s: lane %d's %s[%d] is %#x between calls, want 0", where, m.lane, m.name, i, w)
 			}
 		}
 	}

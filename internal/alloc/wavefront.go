@@ -27,7 +27,8 @@ import "math/bits"
 // same (diagonal, ascending row) order as probing every (diagonal, row)
 // pair would — for O(requests + n) per call.
 //
-// An instance is a view of a wavefrontPool.
+// An instance is a view of a wavefrontPool: its priority diagonal and VC
+// pointers are its own, the request matrix and sweep masks its lane's.
 type Wavefront struct {
 	p *wavefrontPool
 	i int
@@ -40,7 +41,7 @@ type wavefrontPool struct {
 	prio  []int16 // per instance: rotating priority diagonal, below diagonals() <= MaxPorts*MaxVCs
 	vcPtr []int8  // per pool row (instance i's rows start at i*rows): round-robin pointer among sub-group VCs requesting the granted output
 
-	// words is per instance, wordsPer each: diagRows (per diagonal,
+	// words is per lane, wordsPer each: diagRows (per diagonal,
 	// rowWords each: rows with an occupied cell on it; all-zero between
 	// calls, as the sweep drains each diagonal it passes), then the
 	// rowBusy and outBusy scratch.
@@ -55,16 +56,16 @@ func (p *wavefrontPool) wordsPer() int { return p.diagonals()*p.rowWords + p.row
 
 // NewWavefront returns a wavefront allocator for cfg. It panics if cfg is
 // invalid.
-func NewWavefront(cfg Config) *Wavefront { return &newWavefronts(cfg, 1)[0] }
+func NewWavefront(cfg Config) *Wavefront { return &newWavefronts(cfg, 1, 1)[0] }
 
-// newWavefronts returns n views of one pool.
-func newWavefronts(cfg Config, n int) []Wavefront {
+// newWavefronts returns n views of one pool with lanes lanes.
+func newWavefronts(cfg Config, n, lanes int) []Wavefront {
 	mustValidate(cfg)
-	p := &wavefrontPool{pool: newPool(cfg, n)}
+	p := &wavefrontPool{pool: newPool(cfg, lanes)}
 	p.prio = make([]int16, n)
 	p.vcPtr = make([]int8, n*p.rows)
-	p.words = make([]uint64, n*p.wordsPer())
-	p.cells = newCellSlots(n*p.rows, p.ports)
+	p.words = make([]uint64, lanes*p.wordsPer())
+	p.cells = newCellSlots(lanes*p.rows, p.ports)
 	vs := make([]Wavefront, n)
 	for i := range vs {
 		vs[i] = Wavefront{p, i}
@@ -81,14 +82,16 @@ func (w *Wavefront) Reset() {
 	clear(seg(w.p.vcPtr, w.i, w.p.rows))
 }
 
-// Allocate implements Allocator. The returned slice is scratch, valid
-// until the next Allocate or Reset call.
+// Allocate implements Allocator. The returned slice is its lane's
+// scratch, valid until the lane's next Allocate call.
 func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
-	// The call reaches the instance's state through the pool at these
-	// offsets, so the sweep keeps few values live.
-	p, n := w.p, w.p.diagonals()
+	// The call reaches the instance's pointers and its lane's scratch
+	// through the pool at these offsets, so the sweep keeps few values
+	// live.
+	p, n, l := w.p, w.p.diagonals(), w.p.lane(rs)
 	at := w.i * p.rows               // the instance's first pool row
-	diagAt := w.i * p.wordsPer()     // its diagRows, a row mask per diagonal
+	cellAt := l * p.rows             // the lane's first matrix row
+	diagAt := l * p.wordsPer()       // its diagRows, a row mask per diagonal
 	rowBusy := diagAt + n*p.rowWords // then its busy rows
 	outBusy := rowBusy + p.rowWords  // and its busy outputs
 	clear(p.words[rowBusy : outBusy+p.outWords])
@@ -107,7 +110,7 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 			for slots := sg.slots(lines, g); slots != 0; slots &= slots - 1 {
 				slot := bits.TrailingZeros64(slots)
 				out := int(rs.Out[port*sg.vcs+sg.vc(g, slot)])
-				p.cells.add(at+row, out, slot)
+				p.cells.add(cellAt+row, out, slot)
 				left++
 				diag := row + out
 				if diag >= n {
@@ -118,7 +121,7 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 		}
 	}
 
-	grants := p.grantBuf(w.i)
+	grants := p.grantBuf(l)
 	diag := int(p.prio[w.i])
 	for left > 0 {
 		onDiag := diagAt + diag*p.rowWords
@@ -134,7 +137,7 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 				if j < 0 {
 					j += n
 				}
-				slots := p.cells.take(at+i, j)
+				slots := p.cells.take(cellAt+i, j)
 				left -= bits.OnesCount64(slots)
 				rb, ob := &p.words[rowBusy+i>>6], &p.words[outBusy+j>>6]
 				if *rb&(1<<uint(i&63)) != 0 || *ob&(1<<uint(j&63)) != 0 {

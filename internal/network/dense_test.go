@@ -31,7 +31,7 @@ func (n *Network) stepDense() {
 		if n.lastTick[r] != n.cycle-1 {
 			panic("stepDense: router skipped a cycle; do not mix with Step")
 		}
-		ems, creds, quiesced := n.tickRouter(r, &d)
+		ems, creds, quiesced := n.tickRouter(r, 0, &d)
 		n.mergeRouter(r, ems, creds, quiesced)
 	}
 	n.routerTicks += int64(len(n.routers))

@@ -103,7 +103,9 @@ type Config struct {
 	// parallel.go). Traffic generation and injection always stay on the
 	// stepping goroutine, which owns the RNG streams. A network with
 	// Workers > 1 parks background goroutines between cycles; call Close
-	// to release them when the instance is done.
+	// to release them when the instance is done. Each worker ticks in a
+	// lane of its own, and the arena and allocators keep a tick's
+	// scratch once per lane.
 	Workers int
 }
 
@@ -433,13 +435,15 @@ func New(cfg Config) (*Network, error) {
 	n.ejectQ = make([][]ejection, n.qlen)
 
 	n.flits.routes = n.routes
-	n.arena = router.NewArena(topo.NumRouters, cfg.Router, &n.flits)
+	workers := lanes(&cfg)
+	n.arena = router.NewArena(topo.NumRouters, workers, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
 	n.routers = make([]*router.Router, topo.NumRouters)
 	ports := make([]router.PortInfo, topo.Radix) // copied into the arena by router.New
 	// One call builds every router's allocator: a built-in kind's are
-	// views of one pool, whose slabs hold all their state.
-	allocs, err := alloc.NewMany(cfg.Router.AllocKind, cfg.Router.Alloc(), topo.NumRouters)
+	// views of one pool, whose slabs hold all their state, with a lane of
+	// scratch per router-tick worker.
+	allocs, err := alloc.NewMany(cfg.Router.AllocKind, cfg.Router.Alloc(), topo.NumRouters, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +468,7 @@ func New(cfg Config) (*Network, error) {
 		n.lastTick[i] = -1
 	}
 	n.ticker, _ = cfg.Workload.(Ticker)
-	n.initParallel()
+	n.initParallel(workers)
 	return n, nil
 }
 

@@ -20,18 +20,29 @@ import (
 //
 //   - Phase A (tickRouter): within a cycle, a router tick reads and writes
 //     only router-local state — input buffers, credit counters, arbiter
-//     pointers — because all cross-router traffic travels through the
-//     delayed flitQ/credQ/ejectQ wheels, which are only written in phase B
-//     and only read at the top of the next Step. Phase A therefore
-//     computes, for every router, the same emissions and credits no matter
-//     which goroutine runs it or in which order. Its VC allocation reads
-//     heads' packet records and the route table (Records.Head), which
-//     only the stepping goroutine writes, outside the router phase. It
-//     counts the datapath activity into a caller-private stats.Delta. The
-//     only Network fields it writes are per-router-index: lastTick[r],
-//     and under the pooled schedule the act slots of r's worklist index —
-//     worklist entries name distinct routers and Pool.Do hands each
-//     segment out once. No flit record is written.
+//     pointers — and its lane's scratch, because all cross-router traffic
+//     travels through the delayed flitQ/credQ/ejectQ wheels, which are
+//     only written in phase B and only read at the top of the next Step.
+//     Phase A therefore computes, for every router, the same emissions
+//     and credits no matter which goroutine runs it or in which order.
+//     Its VC allocation reads heads' packet records and the route table
+//     (Records.Head), which only the stepping goroutine writes, outside
+//     the router phase. It counts the datapath activity into a
+//     caller-private stats.Delta. The only Network fields it writes are
+//     per-router-index: lastTick[r], and under the pooled schedule the
+//     act slots of r's worklist index — worklist entries name distinct
+//     routers and Pool.Do hands each segment out once. No flit record is
+//     written.
+//
+//   - Lanes: what a tick makes and uses up within the cycle — the
+//     allocator's request set, candidates, masks and grants, the
+//     router's emission and credit buffers — is kept once per lane
+//     (router.Arena, alloc's pool), not per router. The serial schedule
+//     ticks every router in lane 0; the pooled one ticks segment si's
+//     routers in lane si, so no two goroutines share a lane, and the
+//     network has as many lanes as workers. A lane's scratch lasts until
+//     its next router ticks, so runActive copies each router's emissions
+//     and credits into its worklist index's slots before that.
 //
 //   - Phase B (mergeRouter, stepping goroutine): routers are merged in
 //     ascending index order, so every queue append and credit schedule
@@ -50,25 +61,22 @@ import (
 // a phase-A write to shared state they do not compare is a report from
 // the same tests under `make race`.
 //
-// The pooled schedule's scratch holds only slice headers: Router.Advance's
-// returned emissions and credits are router-owned scratch valid until
-// that router's next Advance, which cannot happen before phase B of this
-// cycle completes, so no copying is needed and the steady state allocates
-// nothing.
-
 // activeScratch is the pooled schedule's per-cycle state: the worklist of
 // active router indices, its contiguous split into per-worker segments,
 // and per-index result slots. Pool.Do hands each segment to exactly one
 // worker; segments partition the worklist and worklist entries name
 // distinct routers, so job si owns its slice of index slots and routers
 // exclusively. Everything is sized once in initParallel; the per-cycle
-// rebuilds of work and seg reuse their backing arrays, so the steady
-// state allocates nothing.
+// rebuilds of work and seg reuse their backing arrays, and the result
+// slots copy into buffers of Ports entries per index, so the steady state
+// allocates nothing.
 type activeScratch struct {
 	work     []int32              // active router indices, ascending
 	seg      []int32              // segment si covers work[seg[si]:seg[si+1]]
-	ems      [][]router.Emission  // per worklist index: Advance's emission scratch
-	creds    [][]router.CreditMsg // per worklist index: Advance's credit scratch
+	ems      [][]router.Emission  // per worklist index: its router's emissions, in emBuf
+	creds    [][]router.CreditMsg // per worklist index: its router's freed credits, in credBuf
+	emBuf    []router.Emission    // per worklist index, Ports each
+	credBuf  []router.CreditMsg   // per worklist index, Ports each
 	delta    []stats.Delta        // per segment: phase-A activity counters
 	quiesced []bool               // per worklist index: Advance reported quiescence
 	fn       func(int)            // runActive, bound once
@@ -89,14 +97,16 @@ func resolveWorkers(w int) int {
 	}
 }
 
-// initParallel builds the worker pool and, when it is more than one wide,
-// the worklist scratch. A one-router network gets a one-wide pool.
-func (n *Network) initParallel() {
-	workers := resolveWorkers(n.cfg.Workers)
-	nr := len(n.routers)
-	if workers > nr {
-		workers = nr
-	}
+// lanes returns the router tick's effective worker count for cfg, at most
+// one per router: a one-router network gets a one-wide pool. Each worker
+// ticks in a lane of its own, so it is the lane count of the network's
+// arena and allocator pool too.
+func lanes(cfg *Config) int { return min(resolveWorkers(cfg.Workers), cfg.Topology.NumRouters) }
+
+// initParallel builds the worker pool of the given width and, when it is
+// more than one wide, the worklist scratch.
+func (n *Network) initParallel(workers int) {
+	nr, ports := len(n.routers), n.cfg.Router.Ports
 	n.pool = sim.NewPool(workers)
 	if workers <= 1 {
 		return
@@ -106,6 +116,8 @@ func (n *Network) initParallel() {
 		seg:      make([]int32, 0, workers+1),
 		ems:      make([][]router.Emission, nr),
 		creds:    make([][]router.CreditMsg, nr),
+		emBuf:    make([]router.Emission, nr*ports),
+		credBuf:  make([]router.CreditMsg, nr*ports),
 		delta:    make([]stats.Delta, workers),
 		quiesced: make([]bool, nr),
 	}
@@ -114,16 +126,17 @@ func (n *Network) initParallel() {
 	n.act.fn = n.runActive
 }
 
-// tickRouter is phase A for router r: fast-forward it across the idle
-// span since it last ticked, tick it, and count the datapath activity
-// into d. The returned slices are the router's own scratch.
-func (n *Network) tickRouter(r int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
+// tickRouter is phase A for router r, in lane: fast-forward it across the
+// idle span since it last ticked, tick it, and count the datapath
+// activity into d. The returned slices are the lane's scratch, valid
+// until the lane's next tick.
+func (n *Network) tickRouter(r, lane int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
 	rt := n.routers[r]
 	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
-		rt.SkipIdle(int(skip))
+		rt.SkipIdle(lane, int(skip))
 	}
 	n.lastTick[r] = n.cycle
-	ems, creds, quiesced := rt.Advance()
+	ems, creds, quiesced := rt.Advance(lane)
 	d.BufferReads += int64(len(ems))
 	d.XbarTraversals += int64(len(ems))
 	conns := n.topo.Conn[r]
@@ -170,16 +183,17 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 // tickRouters runs both phases over this cycle's active routers in
 // ascending index order. On a one-wide pool the phases are fused per
 // router straight off the activity words (iterating copied words is
-// exact: see mergeRouter). Otherwise the words become a worklist, split
-// into one contiguous segment per worker; phase A runs across the pool
-// and phase B follows in worklist order on the stepping goroutine.
+// exact: see mergeRouter), in lane 0. Otherwise the words become a
+// worklist, split into one contiguous segment per worker; phase A runs
+// across the pool, segment si in lane si, and phase B follows in
+// worklist order on the stepping goroutine.
 func (n *Network) tickRouters() {
 	if n.pool.Workers() == 1 {
 		var d stats.Delta
 		for wi, w := range n.actR {
 			for ; w != 0; w &= w - 1 {
 				r := wi<<6 + bits.TrailingZeros64(w)
-				ems, creds, quiesced := n.tickRouter(r, &d)
+				ems, creds, quiesced := n.tickRouter(r, 0, &d)
 				n.mergeRouter(r, ems, creds, quiesced)
 				n.routerTicks++
 			}
@@ -216,12 +230,18 @@ func (n *Network) tickRouters() {
 	}
 }
 
-// runActive is phase A for one worklist segment, keeping each router's
-// results in its worklist index's own slots.
+// runActive is phase A for worklist segment si, in lane si, copying each
+// router's results into its worklist index's own slots before the lane's
+// next tick reuses its scratch.
 func (n *Network) runActive(si int) {
 	var d stats.Delta
+	ports := n.cfg.Router.Ports
 	for i := n.act.seg[si]; i < n.act.seg[si+1]; i++ {
-		n.act.ems[i], n.act.creds[i], n.act.quiesced[i] = n.tickRouter(int(n.act.work[i]), &d)
+		ems, creds, quiesced := n.tickRouter(int(n.act.work[i]), si, &d)
+		at := int(i) * ports
+		n.act.ems[i] = append(n.act.emBuf[at:at:at+ports], ems...)
+		n.act.creds[i] = append(n.act.credBuf[at:at:at+ports], creds...)
+		n.act.quiesced[i] = quiesced
 	}
 	n.act.delta[si] = d
 }

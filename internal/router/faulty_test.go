@@ -63,7 +63,7 @@ func advanceFaulty(t *testing.T, kind alloc.Kind, extra ...[3]int) (msg string) 
 			}
 		}
 	}()
-	r.Advance()
+	r.Advance(0)
 	return ""
 }
 

@@ -156,8 +156,8 @@ func TestNoCreditLeavesTheRequestSetUntilACreditReturns(t *testing.T) {
 			}
 			deliver(r, in, 0, out, pkt[3:])
 			for i := 0; i < 3; i++ {
-				if ems := tick(); len(ems) != 0 || r.view().reqs.Ready[ivc>>6] != 0 {
-					t.Fatalf("zero-credit VC: %d emissions from requests %#x, want none", len(ems), r.view().reqs.Ready[ivc>>6])
+				if ems := tick(); len(ems) != 0 || r.view().ready[ivc>>6] != 0 {
+					t.Fatalf("zero-credit VC: %d emissions from requests %#x, want none", len(ems), r.view().ready[ivc>>6])
 				}
 			}
 			r.DeliverCredit(out, vc)

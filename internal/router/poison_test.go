@@ -86,7 +86,7 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 			if r.Busy() {
 				t.Fatalf("%q: router did not drain in %d unloaded cycles", kind, poisonCycles/4)
 			}
-			r.SkipIdle(7)
+			r.SkipIdle(0, 7)
 		}
 		loaded := cycle < poisonCycles/4 || cycle >= poisonCycles/2
 		for port := 0; loaded && port < cfg.Ports; port++ {
@@ -98,7 +98,7 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 				}
 			}
 		}
-		ems, creds, _ := r.Advance()
+		ems, creds, _ := r.Advance(0)
 		out += fmt.Sprintln(ems, creds)
 		for _, e := range ems {
 			if e.OutPort != 0 { // port 0 is testRouter's one ejection port

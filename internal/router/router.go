@@ -170,15 +170,18 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 //	rows     [R]      scratch of the grant loop: crossbar rows granted
 //	                  this cycle (R = ceil(Rows/64))
 //
-// and, per port, the port's wiring kind (ports) and the router's scratch:
-// emissions (ems) and freed credits (creds), at most one of each per
-// port a cycle. Advance returns its segments of these two, so the sharded
-// tick hands router-owned slices from phase A to phase B.
+// and, per port, the port's wiring kind (ports).
 //
-// Each router's switch-allocation request set (one alloc.RequestSet per
-// router, in the sets slab) is the packed form over the same segments:
-// ready as its Ready words, outPort as Out and wait as Age (nil without
-// the wait slab). A grant names its input VC by ivc.
+// What a tick makes and hands on within the cycle is kept once per lane,
+// not per router: a lane is a goroutine that ticks routers one after
+// another (the serial tick has one, the sharded tick one per worker), and
+// Advance names its lane. Per lane, the arena keeps a switch-allocation
+// request set (sets) and the emission (ems) and freed-credit (creds)
+// scratch, at most one of each per port a cycle. Advance points its
+// lane's set at the router's segments — ready as its Ready words,
+// outPort as Out and wait as Age (nil without the wait slab), the packed
+// form — and returns its lane's ems and creds, valid until the lane's
+// next Advance. A grant names its input VC by ivc.
 //
 // vaWait and noCredit drop input VCs from the stage that cannot serve
 // them until the one event that can end the block: a tail freeing a VC
@@ -210,10 +213,10 @@ type Arena struct {
 	wait    []int32 // nil unless the kind reads ages
 	occ     []int32 // per router: buffered flits
 	masks   []uint64
-	sets    []alloc.RequestSet
 	ports   []topology.PortKind
-	ems     []Emission
-	creds   []CreditMsg
+	sets    []alloc.RequestSet // per lane
+	ems     []Emission         // per lane, Ports each
+	creds   []CreditMsg        // per lane, Ports each
 
 	ivcPort   []int32  // per ivc: port
 	ivcRow    []int32  // per ivc: crossbar row, alloc.Config.Row
@@ -221,15 +224,16 @@ type Arena struct {
 }
 
 // NewArena builds the shared state slabs for numRouters routers of
-// identical cfg geometry, whose VC allocation and Occupancy checks
-// resolve flits through records. It keeps request ages only where
-// cfg.AllocKind reads them (alloc.ReadsAge).
-func NewArena(numRouters int, cfg Config, records Records) *Arena {
+// identical cfg geometry, ticked by at most lanes goroutines at once,
+// whose VC allocation and Occupancy checks resolve flits through records.
+// It keeps request ages only where cfg.AllocKind reads them
+// (alloc.ReadsAge).
+func NewArena(numRouters, lanes int, cfg Config, records Records) *Arena {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
 	}
-	if numRouters <= 0 {
-		panic(fmt.Sprintf("router: arena for %d routers", numRouters))
+	if numRouters <= 0 || lanes <= 0 {
+		panic(fmt.Sprintf("router: arena for %d routers in %d lanes", numRouters, lanes))
 	}
 	pv := cfg.Ports * cfg.VCs
 	lookahead, _ := records.(Lookahead)
@@ -253,10 +257,13 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	}
 	a.occ = make([]int32, numRouters)
 	a.masks = make([]uint64, numRouters*a.maskStride)
-	a.sets = make([]alloc.RequestSet, numRouters)
 	a.ports = make([]topology.PortKind, numRouters*cfg.Ports)
-	a.ems = make([]Emission, numRouters*cfg.Ports)
-	a.creds = make([]CreditMsg, numRouters*cfg.Ports)
+	a.sets = make([]alloc.RequestSet, lanes)
+	for l := range a.sets {
+		a.sets[l] = alloc.RequestSet{Config: cfg.Alloc(), Lane: l}
+	}
+	a.ems = make([]Emission, lanes*cfg.Ports)
+	a.creds = make([]CreditMsg, lanes*cfg.Ports)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 		a.credits[i] = int8(cfg.BufDepth)
@@ -275,20 +282,14 @@ func NewArena(numRouters int, cfg Config, records Records) *Arena {
 	return a
 }
 
-// segment returns router slot's n-entry segment of slab, capped so that
-// appending to or reslicing the view cannot reach the next router's.
-func segment[T any](slab []T, slot, n int) []T {
-	return slab[slot*n : (slot+1)*n : (slot+1)*n]
-}
-
 // seg locates one router's segments in its arena, as offsets into the
 // shared slabs, so that taking it on entry to a method costs a few
 // multiplies and no slice headers: at is the router's first entry in the
 // per-ivc slabs (a bufs ring starts at (at+ivc)*BufDepth), ports its first
-// in the port-kind and scratch slabs, and m the first word of its masks,
+// in the port-kind slab, and m the first word of its masks,
 // w words each (see Arena). Its ready words, outPort and wait (if kept)
-// are also its request set's Ready, Out and Age. A seg is passed by
-// value: it stays in registers.
+// are what Advance points its lane's request set's Ready, Out and Age
+// at. A seg is passed by value: it stays in registers.
 type seg struct{ at, ports, m, w int }
 
 // seg returns router slot's offsets.
@@ -335,9 +336,10 @@ type Router struct {
 // vcRange optionally restricts output-VC assignment per (outPort, dst)
 // (nil: no restriction). arena is the shared per-network state arena;
 // the router occupies slot id. A nil arena gives the router a private
-// single-slot arena with its own FlitArena (standalone/test use). An
-// allocator that is not a built-in kind may read request ages, so its
-// cfg.AllocKind must be one the arena keeps them for (alloc.ReadsAge).
+// single-slot, single-lane arena with its own FlitArena (standalone/test
+// use). An allocator that is not a built-in kind may read request ages,
+// so its cfg.AllocKind must be one the arena keeps them for
+// (alloc.ReadsAge).
 func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDim NextDimFunc, vcRange VCRangeFunc, arena *Arena) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
@@ -348,7 +350,7 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	slot := id
 	list := !alloc.IsBuiltin(allocator)
 	if arena == nil {
-		arena = NewArena(1, cfg, NewFlitArena())
+		arena = NewArena(1, 1, cfg, NewFlitArena())
 		slot = 0
 	}
 	if nextDim == nil && arena.lookahead == nil {
@@ -381,15 +383,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	sg := arena.seg(slot)
 	for p, info := range ports {
 		arena.ports[sg.ports+p] = info.Kind
-	}
-	ready := sg.ready()
-	arena.sets[slot] = alloc.RequestSet{
-		Config: cfg.Alloc(),
-		Ready:  arena.masks[ready : ready+sg.w : ready+sg.w],
-		Out:    segment(arena.outPort, slot, arena.pv),
-	}
-	if arena.wait != nil {
-		arena.sets[slot].Age = segment(arena.wait, slot, arena.pv)
 	}
 	return r
 }
@@ -587,13 +580,13 @@ func (r *Router) Credits(outPort, vc int) int {
 	return int(a.credits[a.seg(int(r.slot)).at+outPort*a.cfg.VCs+vc])
 }
 
-// Tick is Advance for a standalone router whose caller reads the flit
-// records: it also writes each emitted flit's granted output VC into its
-// record, and counts a hop there for each flit leaving through a link.
-// The network calls Advance, carries the VC on the link event and knows a
-// packet's hops from its route.
+// Tick is Advance in lane 0 for a standalone router whose caller reads
+// the flit records: it also writes each emitted flit's granted output VC
+// into its record, and counts a hop there for each flit leaving through a
+// link. The network calls Advance, carries the VC on the link event and
+// knows a packet's hops from its route.
 func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
-	ems, credits, quiesced = r.Advance()
+	ems, credits, quiesced = r.Advance(0)
 	flits := r.Flits()
 	ports := r.arena.ports[r.arena.seg(int(r.slot)).ports:]
 	for i := range ems {
@@ -617,12 +610,13 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // replay. The activity-gated network tick clears a quiesced router's
 // activity bit and stops advancing it.
 //
-// It writes only this router's arena segments, and of the flit records
-// reads a head's route and destination (Records.Head) at VC allocation.
-// Both returned slices are the
-// router's segments of the arena's scratch, valid only until the next
-// Advance call; callers must consume (or copy) them within the cycle.
-func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) {
+// It writes only this router's arena segments and lane's scratch, and of
+// the flit records reads a head's route and destination (Records.Head) at
+// VC allocation. Routers may advance at once in different lanes, below
+// the arena's lane count. Both returned slices are the lane's scratch,
+// valid only until the lane's next Advance call; callers must consume (or
+// copy) them before it.
+func (r *Router) Advance(lane int) (ems []Emission, credits []CreditMsg, quiesced bool) {
 	a := r.arena
 	slot := int(r.slot)
 	sg := a.seg(slot)
@@ -640,7 +634,7 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 	if pending && r.nonSpec {
 		r.allocateVCs(sg, start)
 	}
-	reqs := &a.sets[slot]
+	reqs := a.requests(sg, lane)
 	if r.list {
 		r.listRequests(reqs)
 	}
@@ -648,8 +642,9 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 	if a.wait != nil {
 		a.age(sg, grants)
 	}
-	ems = a.ems[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
-	credits = a.creds[sg.ports : sg.ports : sg.ports+a.cfg.Ports]
+	at := lane * a.cfg.Ports
+	ems = a.ems[at : at : at+a.cfg.Ports]
+	credits = a.creds[at : at : at+a.cfg.Ports]
 	if len(grants) == 0 {
 		return ems, credits, a.occ[slot] == 0
 	}
@@ -722,6 +717,18 @@ func (r *Router) Advance() (ems []Emission, credits []CreditMsg, quiesced bool) 
 	return ems, credits, occ == 0
 }
 
+// requests points lane's request set at the router's ready words, outPort
+// segment and, where the arena keeps ages, wait segment, and returns it.
+func (a *Arena) requests(sg seg, lane int) *alloc.RequestSet {
+	reqs := &a.sets[lane]
+	reqs.Ready = a.masks[sg.ready() : sg.ready()+sg.w : sg.ready()+sg.w]
+	reqs.Out = a.outPort[sg.at : sg.at+a.pv : sg.at+a.pv]
+	if a.wait != nil {
+		reqs.Age = a.wait[sg.at : sg.at+a.pv : sg.at+a.pv]
+	}
+	return reqs
+}
+
 // age counts a cycle of waiting on every request of the cycle and
 // restarts the wait of each granted one. Only arenas that keep ages run
 // it; a grant the router refuses panics after it, in Advance.
@@ -784,14 +791,15 @@ func (r *Router) refuseRow(earlier []alloc.Grant, ivc, out, row int) {
 // The caller asserts the router was empty for the skipped span; current
 // buffer contents are irrelevant (the activity-gated tick calls SkipIdle
 // at reactivation, after the cycle's deliveries have already landed) —
-// an idle tick's effects touch nothing the buffers feed.
-func (r *Router) SkipIdle(cycles int) {
+// an idle tick's effects touch nothing the buffers feed. The empty calls
+// use lane's request set, as Advance in lane would.
+func (r *Router) SkipIdle(lane, cycles int) {
 	r.vaOffset = int((uint64(r.vaOffset) + uint64(cycles)) % uint64(r.arena.pv))
 	if r.idle != nil {
 		r.idle.SkipIdle(cycles)
 		return
 	}
-	reqs := &r.arena.sets[r.slot]
+	reqs := r.arena.requests(r.arena.seg(int(r.slot)), lane)
 	clear(reqs.Ready)
 	reqs.Requests = reqs.Requests[:0]
 	for i := 0; i < cycles; i++ {

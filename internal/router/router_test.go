@@ -378,7 +378,7 @@ func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
 func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
-	ems, _, _ := r.Advance()
+	ems, _, _ := r.Advance(0)
 	if len(ems) != 1 || ems[0].Type != HeadTail || ems[0].OutPort != 2 {
 		t.Fatalf("emission = %+v, want one head-tail flit through port 2", ems)
 	}
@@ -602,7 +602,7 @@ func TestTwoWordMasksRotateLikeTheDenseScan(t *testing.T) {
 	for _, start := range []int{70, 64, 63, 0, 79, 65} {
 		r := testRouter(t, cfg)
 		if start > 0 {
-			r.SkipIdle(start)
+			r.SkipIdle(0, start)
 		}
 		for i, ivc := range contenders {
 			deliver(r, ivc/cfg.VCs, ivc%cfg.VCs, out, NewPacket(uint64(i), 0, 9, 2, 0))
@@ -669,15 +669,25 @@ func arenaBytes(a *Arena) int {
 // TestArenaFootprintIsPinned holds the arena's bytes per router at the
 // paper's geometry (5 ports, 6 VCs of 5 flits, k = 2): the slab bytes of
 // a two-router arena less a one-router one, so the geometry tables the
-// routers share drop out. Of if's 1 065 B, 600 B are the 4 B slots; only
-// if-age keeps the 120 B of request ages.
+// routers share drop out. Of if's 847 B, 600 B are the 4 B slots; only
+// if-age keeps the 120 B of request ages. The request set, emission and
+// credit scratch are per lane, not per router (218 B per router while
+// they were): a second lane costs the 226 B of one set, 5 emissions and
+// 5 credits, whatever the router count.
 func TestArenaFootprintIsPinned(t *testing.T) {
-	for kind, pin := range map[alloc.Kind]int{alloc.KindSeparableIF: 1065, alloc.KindSeparableAge: 1185} {
+	const lanePin = 226
+	for kind, pin := range map[alloc.Kind]int{alloc.KindSeparableIF: 847, alloc.KindSeparableAge: 967} {
 		cfg := baseConfig()
 		cfg.VirtualInputs, cfg.Policy, cfg.AllocKind = 2, PolicyBalanced, kind
-		per := arenaBytes(NewArena(2, cfg, NewFlitArena())) - arenaBytes(NewArena(1, cfg, NewFlitArena()))
+		per := arenaBytes(NewArena(2, 1, cfg, NewFlitArena())) - arenaBytes(NewArena(1, 1, cfg, NewFlitArena()))
 		if per != pin {
 			t.Errorf("%s: the arena holds %d B per router, pinned at %d B", kind, per, pin)
+		}
+		for _, routers := range []int{1, 3} {
+			lane := arenaBytes(NewArena(routers, 2, cfg, NewFlitArena())) - arenaBytes(NewArena(routers, 1, cfg, NewFlitArena()))
+			if lane != lanePin {
+				t.Errorf("%s: a second lane adds %d B to a %d-router arena, pinned at %d B", kind, lane, routers, lanePin)
+			}
 		}
 	}
 }
@@ -685,8 +695,8 @@ func TestArenaFootprintIsPinned(t *testing.T) {
 // TestRouterFootprintIsPinned holds what router.New allocates beside a
 // shared arena, averaged over 1024 routers at 5 ports, 6 VCs and k = 2:
 // the Router struct alone (80 B), since every per-router array — buffers,
-// masks, request set, port kinds and the emission and credit scratch — is
-// a segment of the arena.
+// masks and port kinds — is a segment of the arena, and the request set
+// and the emission and credit scratch are the arena's, per lane.
 func TestRouterFootprintIsPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector pads heap objects; the pin is a normal build's bytes")
@@ -703,7 +713,7 @@ func TestRouterFootprintIsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	nextDim := func(outPort, dst int) topology.Dim { return topology.DimX }
-	arena := NewArena(n, cfg, NewFlitArena())
+	arena := NewArena(n, 1, cfg, NewFlitArena())
 	keep := make([]*Router, n)
 	least := uint64(1 << 63)
 	for range 3 {

@@ -1,9 +1,6 @@
 package router
 
-import (
-	"vix/internal/alloc"
-	"vix/internal/sim"
-)
+import "vix/internal/sim"
 
 // view is the router's segment of each arena slab as a slice, for tests
 // to read and plant state by name.
@@ -16,7 +13,7 @@ type view struct {
 	vaWait   sim.Bitset
 	noCredit sim.Bitset
 	busy     []uint64
-	reqs     *alloc.RequestSet
+	ready    sim.Bitset
 }
 
 func (r *Router) view() view {
@@ -31,6 +28,12 @@ func (r *Router) view() view {
 		vaWait:   a.masks[sg.vaWait() : sg.vaWait()+w],
 		noCredit: a.masks[sg.noCredit() : sg.noCredit()+w],
 		busy:     a.masks[sg.busy() : sg.busy()+a.cfg.Ports],
-		reqs:     &a.sets[slot],
+		ready:    a.masks[sg.ready() : sg.ready()+w],
 	}
+}
+
+// segment returns router slot's n-entry segment of slab, capped so that
+// appending to or reslicing the view cannot reach the next router's.
+func segment[T any](slab []T, slot, n int) []T {
+	return slab[slot*n : (slot+1)*n : (slot+1)*n]
 }
