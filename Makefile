@@ -30,7 +30,7 @@ lint: vet
 # sharded tick (network.tickRouters): the lockstep tests in
 # internal/network run every alloc.Kinds() entry at Config.Workers >= 2
 # (a positive count is taken as given, so they cross goroutines whatever
-# the host's CPU count), which puts each Allocate/SkipIdle body and every
+# the host's CPU count), which puts each Allocate body and every
 # phase-A write under the detector. The grid fan-out (harness.Run): the
 # internal/harness and internal/experiments tests run it at Parallel > 1.
 # A third Do site fails TestPoolDoSitesArePinned until it has such a test.

@@ -215,12 +215,17 @@ type Grant struct {
 // that may run at once name different lanes, below the lane count their
 // pool was built with (NewMany). A standalone allocator ignores it.
 //
-// The packed form leads the struct: Ready, Out and Lane, all an
+// Cycle is the simulation cycle of the call. What rotates once per cycle
+// — wavefront's priority diagonal, the connections packet chaining
+// keeps from the cycle before — is a function of it.
+//
+// The packed form leads the struct: Ready, Out, Lane and Cycle, all an
 // input-first kind reads of it, share its first cache line.
 type RequestSet struct {
 	Ready []uint64
 	Out   []int8
 	Lane  int
+	Cycle int64
 	Age   []int32
 
 	Config   Config
@@ -232,6 +237,12 @@ type RequestSet struct {
 // not safe for concurrent use; each router owns its own instance. Calls
 // on different instances of one pool may run at once if their request
 // sets name different lanes.
+//
+// A router calls Allocate once per cycle it ticks, and a router holding
+// no flits is not ticked, so an instance sees no call on cycles its
+// router is idle. Its state may depend on RequestSet.Cycle and on the
+// requests of its calls, never on how many calls were made: a call on an
+// empty set must leave it as no call would.
 type Allocator interface {
 	// Name returns a short identifier such as "if" or "wavefront".
 	Name() string

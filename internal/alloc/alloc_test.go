@@ -70,6 +70,7 @@ func TestAllAllocatorsProduceValidGrants(t *testing.T) {
 		for kind, a := range newAllocatorsFor(cfg) {
 			for cycle := 0; cycle < 200; cycle++ {
 				rs := randomRequestSet(rng, cfg, 0.5)
+				rs.Cycle = int64(cycle)
 				grants := a.Allocate(rs)
 				if err := Validate(rs, grants); err != nil {
 					t.Fatalf("%s on %+v cycle %d: %v", kind, cfg, cycle, err)
@@ -187,6 +188,7 @@ func TestWavefrontIsMaximal(t *testing.T) {
 	w := NewWavefront(cfg)
 	for i := 0; i < 300; i++ {
 		rs := randomRequestSet(rng, cfg, 0.4)
+		rs.Cycle = int64(i)
 		grants := w.Allocate(rs)
 		rowUsed := make(map[int]bool)
 		outUsed := make(map[int]bool)
@@ -216,7 +218,9 @@ func TestAllocatorEfficiencyOrdering(t *testing.T) {
 	var totIF, totWF, totAP, totIdeal int
 	for i := 0; i < 2000; i++ {
 		totIF += len(ifAlloc.Allocate(randomRequestSet(rngs[0], cfg, 0.5)))
-		totWF += len(wf.Allocate(randomRequestSet(rngs[1], cfg, 0.5)))
+		rsWF := randomRequestSet(rngs[1], cfg, 0.5)
+		rsWF.Cycle = int64(i)
+		totWF += len(wf.Allocate(rsWF))
 		totAP += len(ap.Allocate(randomRequestSet(rngs[2], cfg, 0.5)))
 		totIdeal += len(ideal.Allocate(randomRequestSet(rngs[3], idealCfg, 0.5)))
 	}
@@ -257,6 +261,7 @@ func TestAllocatorDeterminism(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			rsA := randomRequestSet(rngA, cfg, 0.5)
 			rsB := randomRequestSet(rngB, cfg, 0.5)
+			rsA.Cycle, rsB.Cycle = int64(i), int64(i)
 			ga, gb := a.Allocate(rsA), b.Allocate(rsB)
 			if len(ga) != len(gb) {
 				t.Fatalf("%s: cycle %d grant counts differ: %d vs %d", kind, i, len(ga), len(gb))
@@ -277,6 +282,7 @@ func TestAllocatorReset(t *testing.T) {
 	warm := make([]*RequestSet, 50)
 	for i := range warm {
 		warm[i] = randomRequestSet(rng, cfg, 0.5)
+		warm[i].Cycle = int64(i + 1)
 	}
 	probe := randomRequestSet(rng, cfg, 0.6)
 	for kind, a := range newAllocatorsFor(cfg) {
@@ -650,6 +656,7 @@ func TestAllocatorsValidWithInterleaved(t *testing.T) {
 	for kind, a := range newAllocatorsFor(cfg) {
 		for cycle := 0; cycle < 150; cycle++ {
 			rs := randomRequestSet(rng, cfg, 0.5)
+			rs.Cycle = int64(cycle)
 			if err := Validate(rs, a.Allocate(rs)); err != nil {
 				t.Fatalf("%s interleaved: %v", kind, err)
 			}

@@ -46,7 +46,9 @@ func benchAllocate(b *testing.B, kind alloc.Kind) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Allocate(&shape.sets[i%len(shape.sets)])
+				rs := &shape.sets[i%len(shape.sets)]
+				rs.Cycle = int64(i) // rotates wavefront's diagonal, lets pc chain
+				a.Allocate(rs)
 			}
 		})
 	}

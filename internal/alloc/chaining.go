@@ -37,8 +37,11 @@ type chainPool struct {
 	readyWords int // words of a request set's Ready
 
 	// prevOut is per instance, rows each: the output port granted to the
-	// row last cycle, -1 if none.
+	// row by the instance's latest call, -1 if none. stamp is per
+	// instance: that call's Cycle. Only a call at stamp+1 chains, so a
+	// cycle without a call disconnects every row.
 	prevOut []int8
+	stamp   []int64
 	// chainPtr is per instance, rows each: the rotating pointer choosing
 	// among the row's VCs eligible to chain. It counts positions among
 	// the slots the row offers this cycle, not slots: the eligible set is
@@ -65,6 +68,7 @@ func newPacketChainings(cfg Config, n, lanes int) []PacketChaining {
 	p.ifPool.init(cfg, n, lanes)
 	p.prevOut = make([]int8, n*p.rows)
 	disconnect(p.prevOut)
+	p.stamp = make([]int64, n)
 	p.chainPtr = make([]int8, n*p.rows)
 	p.chain = make([]uint64, lanes*p.chainWords())
 	vs := make([]PacketChaining, n)
@@ -103,6 +107,9 @@ func (c *PacketChaining) Allocate(rs *RequestSet) []Grant {
 	// Phase zero: preserve last cycle's connections where any VC of the
 	// row requests the same output (SameInput, anyVC).
 	chained := false
+	if p.stamp[c.i] != rs.Cycle-1 {
+		disconnect(prevOut) // no call last cycle: nothing stayed connected
+	}
 	for port := 0; port < p.ports; port++ {
 		lines := portLines(rs.Ready, port, sg.vcs)
 		for g := 0; g < sg.k; g++ {
@@ -164,6 +171,7 @@ func (c *PacketChaining) Allocate(rs *RequestSet) []Grant {
 	for _, g := range grants {
 		prevOut[g.Row] = int8(g.OutPort)
 	}
+	p.stamp[c.i] = rs.Cycle
 	return grants
 }
 

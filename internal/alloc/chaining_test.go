@@ -24,6 +24,7 @@ func TestChainingPreservesConnections(t *testing.T) {
 	winner := g1[0].IVC / cfg.VCs
 
 	// Cycle 2: same requests; the previous winner must keep the output.
+	rs.Cycle = 1
 	g2 := pc.Allocate(rs)
 	if len(g2) != 1 || g2[0].IVC/cfg.VCs != winner {
 		t.Fatalf("cycle 2 did not preserve connection: %+v (prev winner port %d)", g2, winner)
@@ -48,7 +49,7 @@ func TestChainingAnyVC(t *testing.T) {
 	rs2 := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 3, VC: 2, OutPort: 1},
 		{Port: 4, VC: 0, OutPort: 1},
-	}}).Pack()
+	}, Cycle: 1}).Pack()
 	g2 := pc.Allocate(rs2)
 	found := false
 	for _, g := range g2 {
@@ -74,7 +75,7 @@ func TestChainingReleasesWhenUnrequested(t *testing.T) {
 	}}).Pack())
 	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 1, VC: 0, OutPort: 2},
-	}}).Pack()
+	}, Cycle: 1}).Pack()
 	g := pc.Allocate(rs)
 	if len(g) != 1 || g[0].IVC/cfg.VCs != 1 {
 		t.Fatalf("released output not granted to new requestor: %+v", g)
@@ -119,6 +120,7 @@ func TestChainingBeatsIFOnPersistentTraffic(t *testing.T) {
 		rsA := persistent(rngA, destA)
 		totIF += len(ifAlloc.Allocate(rsA))
 		rsB := persistent(rngB, destB)
+		rsB.Cycle = int64(i)
 		g := pc.Allocate(rsB)
 		if err := Validate(rsB, g); err != nil {
 			t.Fatal(err)

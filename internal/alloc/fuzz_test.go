@@ -98,6 +98,7 @@ func grantTranscript(t *testing.T, a alloc.Allocator, kind alloc.Kind, cfg alloc
 			}}
 			rs.Pack()
 		}
+		rs.Cycle = int64(cycle)
 		snapshot := append([]alloc.Request(nil), rs.Requests...)
 		packed := fmt.Sprint(rs.Ready, rs.Out, rs.Age)
 		grants := a.Allocate(&rs)

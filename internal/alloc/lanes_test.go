@@ -47,6 +47,7 @@ func TestLanesKeepScratchApart(t *testing.T) {
 						i := l*views/lanes + step%(views/lanes)
 						rs := lockstepRequests(rngs[l], cfg, step)
 						rs.Lane = l
+						rs.Cycle = int64(step / (views / lanes)) // view i's calls are consecutive cycles: pc chains
 						which[l] = i
 						got[l] = pooled[i].Allocate(rs)
 						want[l] = alone[i].Allocate(rs)

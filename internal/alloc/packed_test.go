@@ -314,7 +314,7 @@ var lockstepLoads = []float64{0.9, 0.05, 0, -1, 0.5, 0, 0.95, 0.1, 0}
 // — the below-saturation common case SeparableIF grants without
 // arbitrating — and successive ones enumerate every (port, VC) x output,
 // so between them every row and slot meets every output, each next to a
-// contended cycle and a possible SkipIdle span.
+// contended cycle and a possible idle span.
 func lockstepRequests(rng *sim.RNG, cfg Config, cycle int) *RequestSet {
 	load := lockstepLoads[cycle%len(lockstepLoads)]
 	if load < 0 {
@@ -339,12 +339,14 @@ func loneSweepCycles(cfg Config) int {
 // runLockstep drives a mask allocator and its dense reference with
 // identical request streams of the given length and demands identical
 // grant sequences every cycle, then calls same to compare the persistent
-// arbiter state. Idle spans reach the reference as literal empty calls
-// and the mask allocator as either those or one SkipIdle.
-func runLockstep(t *testing.T, cfg Config, cycles int, packed Allocator, dense func(*RequestSet) []Grant, same func(cycle int)) {
+// arbiter state, with the Cycle the mask allocator's next call carries.
+// Idle spans reach the reference, which counts its calls, as literal
+// empty calls, and the mask allocator as none: its clock moves on.
+func runLockstep(t *testing.T, cfg Config, cycles int, packed Allocator, dense func(*RequestSet) []Grant, same func(cycle int, next int64)) {
 	t.Helper()
 	rng := sim.NewRNG(404)
 	empty := &RequestSet{Config: cfg}
+	clock := int64(0)
 	for cycle := 0; cycle < cycles; cycle++ {
 		rs := lockstepRequests(rng, cfg, cycle)
 		if len(rs.Requests) == 0 && rng.Bernoulli(0.5) {
@@ -357,10 +359,12 @@ func runLockstep(t *testing.T, cfg Config, cycles int, packed Allocator, dense f
 			for i := 0; i < span; i++ {
 				dense(empty)
 			}
-			packed.(IdleSkipper).SkipIdle(span)
-			same(cycle)
+			clock += int64(span)
+			same(cycle, clock)
 			continue
 		}
+		rs.Cycle = clock
+		clock++
 		gp, gd := packed.Allocate(rs), dense(rs)
 		if len(gp) != len(gd) {
 			t.Fatalf("cfg %+v cycle %d: packed granted %d, dense %d", cfg, cycle, len(gp), len(gd))
@@ -373,7 +377,7 @@ func runLockstep(t *testing.T, cfg Config, cycles int, packed Allocator, dense f
 		if err := Validate(rs, gp); err != nil {
 			t.Fatalf("cfg %+v cycle %d: %v", cfg, cycle, err)
 		}
-		same(cycle)
+		same(cycle, clock)
 	}
 }
 
@@ -386,7 +390,7 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 	for _, cfg := range ReferenceGeometries() {
 		packed := NewSeparableIF(cfg)
 		dense := newDenseSeparableIF(cfg)
-		runLockstep(t, cfg, loneSweepCycles(cfg), packed, dense.allocate, func(cycle int) {
+		runLockstep(t, cfg, loneSweepCycles(cfg), packed, dense.allocate, func(cycle int, _ int64) {
 			for row, a := range dense.inputArbs {
 				if got, want := int32(packed.p.inPtr[packed.i*packed.p.rows+row]), rrPointer(a); got != want {
 					t.Fatalf("cfg %+v cycle %d: input pointer of row %d is %d, dense %d", cfg, cycle, row, got, want)
@@ -404,13 +408,14 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 
 // TestWavefrontMatchesDenseReference is the wavefront twin: the bucketed
 // sweep against the full (diagonal, row) sweep, comparing grants, the
-// priority diagonal and every row's VC pointer.
+// priority diagonal (the next call's Cycle mod n) and every row's VC
+// pointer.
 func TestWavefrontMatchesDenseReference(t *testing.T) {
 	for _, cfg := range ReferenceGeometries() {
 		packed := NewWavefront(cfg)
 		dense := newDenseWavefront(cfg)
-		runLockstep(t, cfg, lockstepCycles, packed, dense.allocate, func(cycle int) {
-			if prio := int(packed.p.prio[packed.i]); prio != dense.prio {
+		runLockstep(t, cfg, lockstepCycles, packed, dense.allocate, func(cycle int, next int64) {
+			if prio := int(next % int64(packed.p.diagonals())); prio != dense.prio {
 				t.Fatalf("cfg %+v cycle %d: priority diagonal %d, dense %d", cfg, cycle, prio, dense.prio)
 			}
 			for row, a := range dense.vcPick {
@@ -440,6 +445,7 @@ func TestAllocatorsSurviveLoadSwings(t *testing.T) {
 		a := MustNew(kind, cfg)
 		for cycle := 0; cycle < 300; cycle++ {
 			rs := lockstepRequests(rng, cfg, cycle)
+			rs.Cycle = int64(cycle)
 			if err := Validate(rs, a.Allocate(rs)); err != nil {
 				t.Fatalf("%s cycle %d: %v", kind, cycle, err)
 			}

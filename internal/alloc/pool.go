@@ -4,10 +4,10 @@ package alloc
 // lives in a few flat slabs of one pool that all n share, and each
 // built-in allocator is a 16-byte view of it: the pool and the
 // instance's index. Only what lasts from one cycle to the next — arbiter
-// pointers, priority diagonals, chaining history — is per instance:
+// pointers, chaining history — is per instance:
 // instance i's is its segment of every such slab, so a router's
 // allocator costs its segments and no slice header, struct or size-class
-// rounding of its own. Reset and SkipIdle touch only those segments.
+// rounding of its own. Reset touches only those segments.
 //
 // Everything an Allocate call makes and uses up within the call —
 // request words, candidates, cell matrices, grants — is scratch, kept

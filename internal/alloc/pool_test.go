@@ -10,8 +10,9 @@ import (
 
 // TestPooledViewsMatchStandalone holds every kind's pooled views to
 // standalone instances: NewMany's views and as many New instances take
-// the same calls — random request sets (ages too), idle spans and the odd
-// Reset — with the instance, and in a pool of two lanes the lane, chosen
+// the same calls — random request sets (ages too) at each instance's
+// Cycle, which idle spans move on without a call, and the odd Reset —
+// with the instance, and in a pool of two lanes the lane, chosen
 // at random each step, so calls interleave across the pool. After every
 // call the called pair's grants, and every pair's pointer state, must be
 // equal, and every lane's lazily drained words zero: a segment that
@@ -42,6 +43,7 @@ func pooledViewsMatchStandalone(t *testing.T, kind Kind, cfg Config, n, lanes, s
 		alone[i] = MustNew(kind, cfg)
 	}
 	rng := sim.NewRNG(406)
+	clock := make([]int64, n) // per instance: its next call's Cycle
 	for step := 0; step < steps; step++ {
 		i := rng.Intn(n)
 		switch roll := rng.Intn(20); {
@@ -49,9 +51,7 @@ func pooledViewsMatchStandalone(t *testing.T, kind Kind, cfg Config, n, lanes, s
 			pooled[i].Reset()
 			alone[i].Reset()
 		case roll <= 2:
-			span := 1 + rng.Intn(cfg.Rows()+cfg.Ports+2)
-			pooled[i].(IdleSkipper).SkipIdle(span)
-			alone[i].(IdleSkipper).SkipIdle(span)
+			clock[i] += int64(1 + rng.Intn(cfg.Rows()+cfg.Ports+2))
 		default:
 			rs := lockstepRequests(rng, cfg, step)
 			for j, r := range rs.Requests {
@@ -59,6 +59,8 @@ func pooledViewsMatchStandalone(t *testing.T, kind Kind, cfg Config, n, lanes, s
 				rs.Age[r.Port*cfg.VCs+r.VC] = int32(rs.Requests[j].Age)
 			}
 			rs.Lane = rng.Intn(lanes)
+			rs.Cycle = clock[i]
+			clock[i]++
 			gp, ga := pooled[i].Allocate(rs), alone[i].Allocate(rs)
 			if !slices.Equal(gp, ga) {
 				t.Fatalf("%s: pooled granted %v, standalone %v", where(kind, cfg, lanes, step, i), gp, ga)
@@ -119,7 +121,7 @@ func TestNewManyRefusesWhatNewRefuses(t *testing.T) {
 }
 
 // pointerState lists an allocator's persistent state: its arbiter
-// pointers, priority diagonal and chaining history.
+// pointers and chaining history.
 func pointerState(a Allocator) []int {
 	var st []int
 	switch v := a.(type) {
@@ -134,8 +136,9 @@ func pointerState(a Allocator) []int {
 		st = ifPointers(&in)
 		st = appendInts(st, seg(v.p.prevOut, v.i, v.p.rows))
 		st = appendInts(st, seg(v.p.chainPtr, v.i, v.p.rows))
+		st = append(st, int(v.p.stamp[v.i]))
 	case *Wavefront:
-		st = appendInts([]int{int(v.p.prio[v.i])}, seg(v.p.vcPtr, v.i, v.p.rows))
+		st = appendInts(st, seg(v.p.vcPtr, v.i, v.p.rows))
 	case *ISLIP:
 		p := v.p
 		st = appendInts(appendInts(appendInts(st,

@@ -121,6 +121,11 @@ var custom = map[Kind]func(Config) (Allocator, error){}
 // vixsim CLI). Registering a built-in kind or registering the same kind
 // twice is an error. Register is not safe for concurrent use; call it
 // during program initialisation.
+//
+// A registered allocator is held to Allocator's contract: Allocate runs
+// once per cycle its router ticks, with RequestSet.Cycle set, and an idle
+// router makes no call, so what rotates per cycle must be a function of
+// Cycle, not a count of calls.
 func Register(kind Kind, factory func(Config) (Allocator, error)) error {
 	if factory == nil {
 		return fmt.Errorf("alloc: nil factory for %q", kind)

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -42,12 +43,12 @@ func skipIdleTraffic(rs *RequestSet, state uint64) uint64 {
 	return state
 }
 
-// TestSkipIdleMatchesEmptyAllocates pins the IdleSkipper contract for
-// every built-in allocator: SkipIdle(k) must leave the allocator in the
-// exact state k consecutive empty Allocate calls would. Two instances of
-// each kind run the same request workload; one sits out idle spans as
-// literal empty Allocates, the other fast-forwards with SkipIdle, and
-// every grant sequence on the shared busy cycles must match.
+// TestSkipIdleMatchesEmptyAllocates pins the Allocator contract's idle
+// clause for every built-in allocator: a call on an empty set leaves it
+// as no call would. Two instances of each kind take the same busy-cycle
+// sets at the same Cycle values; across each idle span one gets a literal
+// empty Allocate per cycle and the other no call at all, and after every
+// busy call both must have granted the same and hold the same pointers.
 func TestSkipIdleMatchesEmptyAllocates(t *testing.T) {
 	// Spans cross every interesting boundary: single cycles, spans longer
 	// than the wavefront diagonal period, spans longer than a bitset word.
@@ -57,33 +58,37 @@ func TestSkipIdleMatchesEmptyAllocates(t *testing.T) {
 			cfg := skipIdleGeometry(kind)
 			dense := MustNew(kind, cfg)
 			skip := MustNew(kind, cfg)
-			skipper, ok := skip.(IdleSkipper)
-			if !ok {
-				t.Fatalf("%s does not implement IdleSkipper; every built-in allocator must", kind)
-			}
 			rsDense := &RequestSet{Config: cfg}
 			rsSkip := &RequestSet{Config: cfg}
 			empty := &RequestSet{Config: cfg}
 			stateDense, stateSkip := uint64(1), uint64(1)
+			clock := int64(0)
 			for round, span := range idleSpans {
 				// A few busy cycles with identical traffic on both copies.
 				for busy := 0; busy < 4; busy++ {
 					stateDense = skipIdleTraffic(rsDense, stateDense)
 					stateSkip = skipIdleTraffic(rsSkip, stateSkip)
+					rsDense.Cycle, rsSkip.Cycle = clock, clock
+					clock++
 					gd := dense.Allocate(rsDense)
 					gs := skip.Allocate(rsSkip)
 					if fmt.Sprint(gd) != fmt.Sprint(gs) {
-						t.Fatalf("round %d busy cycle %d: grants diverged after SkipIdle\n dense: %v\n skip:  %v",
+						t.Fatalf("round %d busy cycle %d: grants diverged after an idle span without calls\n dense: %v\n skip:  %v",
 							round, busy, gd, gs)
 					}
+					if pd, ps := pointerState(dense), pointerState(skip); !slices.Equal(pd, ps) {
+						t.Fatalf("round %d busy cycle %d: pointers diverged after an idle span without calls\n dense: %v\n skip:  %v",
+							round, busy, pd, ps)
+					}
 				}
-				// The idle span: literal empty Allocates vs one SkipIdle.
+				// The idle span: literal empty Allocates vs no call.
 				for i := 0; i < span; i++ {
+					empty.Cycle = clock
+					clock++
 					if g := dense.Allocate(empty); len(g) != 0 {
 						t.Fatalf("empty Allocate returned grants: %v", g)
 					}
 				}
-				skipper.SkipIdle(span)
 			}
 		})
 	}

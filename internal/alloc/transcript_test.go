@@ -93,8 +93,9 @@ func listIndex(rs *RequestSet, ivc int) int {
 
 // grantTranscriptHash drives a fresh allocator of the kind through
 // transcriptCycles cycles and returns the FNV-1a hash of every grant it
-// returned, in order. Empty cycles open an idle span, replayed alternately
-// as literal empty Allocate calls and as one SkipIdle.
+// returned, in order. Empty cycles open an idle span of several cycles,
+// alternately made as literal empty Allocate calls and as no call: the
+// clock, the calls' Cycle, moves on across it either way.
 func grantTranscriptHash(t *testing.T, kind Kind, cfg Config) uint64 {
 	t.Helper()
 	a := MustNew(kind, cfg)
@@ -105,6 +106,7 @@ func grantTranscriptHash(t *testing.T, kind Kind, cfg Config) uint64 {
 	rs := &RequestSet{Config: cfg}
 	empty := &RequestSet{Config: cfg}
 	spans := 0
+	clock := int64(0)
 	for cycle := 0; cycle < transcriptCycles; cycle++ {
 		where := fmt.Sprintf("%s on %+v cycle %d", kind, cfg, cycle)
 		transcriptRequests(rng, rs, cycle)
@@ -113,18 +115,20 @@ func grantTranscriptHash(t *testing.T, kind Kind, cfg Config) uint64 {
 			if rng.Bernoulli(0.125) {
 				span += cfg.Rows() + cfg.Ports // outlasts the wavefront's diagonal period
 			}
-			if spans++; spans%2 == 0 {
-				a.(IdleSkipper).SkipIdle(span)
-			} else {
-				for i := 0; i < span; i++ {
+			if spans++; spans%2 == 1 {
+				for i := range span {
+					empty.Cycle = clock + int64(i)
 					if g := a.Allocate(empty); len(g) != 0 {
 						t.Fatalf("%s: empty request set drew grants %v", where, g)
 					}
 				}
 			}
+			clock += int64(span)
 			assertDrained(t, a, where)
 			continue
 		}
+		rs.Cycle = clock
+		clock++
 		grants := a.Allocate(rs)
 		if err := Validate(rs, grants); err != nil {
 			t.Fatalf("%s: %v", where, err)

@@ -6,8 +6,9 @@ import "math/bits"
 // priority diagonals across the row x output request matrix, granting
 // every conflict-free (row, output) pair it encounters; cells on the same
 // diagonal never share a row or a column, so the sweep is conflict-free by
-// construction. The starting diagonal rotates every invocation so that all
-// request positions receive top priority equally often.
+// construction. The starting diagonal rotates every cycle so that all
+// request positions receive top priority equally often: it is diagonal
+// RequestSet.Cycle mod n, so it needs no state.
 //
 // Wavefront achieves a maximal (not maximum) matching: no grant can be
 // added without removing another, which is why its allocation efficiency
@@ -27,8 +28,8 @@ import "math/bits"
 // same (diagonal, ascending row) order as probing every (diagonal, row)
 // pair would — for O(requests + n) per call.
 //
-// An instance is a view of a wavefrontPool: its priority diagonal and VC
-// pointers are its own, the request matrix and sweep masks its lane's.
+// An instance is a view of a wavefrontPool: its VC pointers are its own,
+// the request matrix and sweep masks its lane's.
 type Wavefront struct {
 	p *wavefrontPool
 	i int
@@ -38,8 +39,7 @@ type Wavefront struct {
 type wavefrontPool struct {
 	pool
 
-	prio  []int16 // per instance: rotating priority diagonal, below diagonals() <= MaxPorts*MaxVCs
-	vcPtr []int8  // per pool row (instance i's rows start at i*rows): round-robin pointer among sub-group VCs requesting the granted output
+	vcPtr []int8 // per pool row (instance i's rows start at i*rows): round-robin pointer among sub-group VCs requesting the granted output
 
 	// words is per lane, wordsPer each: diagRows (per diagonal,
 	// rowWords each: rows with an occupied cell on it; all-zero between
@@ -62,7 +62,6 @@ func NewWavefront(cfg Config) *Wavefront { return &newWavefronts(cfg, 1, 1)[0] }
 func newWavefronts(cfg Config, n, lanes int) []Wavefront {
 	mustValidate(cfg)
 	p := &wavefrontPool{pool: newPool(cfg, lanes)}
-	p.prio = make([]int16, n)
 	p.vcPtr = make([]int8, n*p.rows)
 	p.words = make([]uint64, lanes*p.wordsPer())
 	p.cells = newCellSlots(lanes*p.rows, p.ports)
@@ -78,7 +77,6 @@ func (w *Wavefront) Name() string { return "wavefront" }
 
 // Reset implements Allocator.
 func (w *Wavefront) Reset() {
-	w.p.prio[w.i] = 0
 	clear(seg(w.p.vcPtr, w.i, w.p.rows))
 }
 
@@ -122,7 +120,7 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 	}
 
 	grants := p.grantBuf(l)
-	diag := int(p.prio[w.i])
+	diag := int(uint64(rs.Cycle) % uint64(n))
 	for left > 0 {
 		onDiag := diagAt + diag*p.rowWords
 		for wi := 0; wi < p.rowWords; wi++ {
@@ -154,11 +152,6 @@ func (w *Wavefront) Allocate(rs *RequestSet) []Grant {
 		if diag++; diag == n {
 			diag = 0
 		}
-	}
-	if prio := &p.prio[w.i]; int(*prio)+1 == n {
-		*prio = 0
-	} else {
-		*prio++
 	}
 	return grants
 }

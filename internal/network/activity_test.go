@@ -22,10 +22,25 @@ type activityCase struct {
 	burst    bool // a Workload that injects for a quarter of the run, then drains
 }
 
-// runActivity runs one scenario with Step at the given worker count, or
-// with stepDense, under the checker, and returns the full ejection
-// sequence plus the snapshot.
-func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles int) (*ejectLog, stats.Snapshot) {
+// A schedule picks each cycle's stepper in a lockstep run: stepDense
+// where it returns true, Step elsewhere.
+type schedule func(cycle int) bool
+
+// mixBurst is the length of mixedBursts' runs of each stepper: prime, so
+// the switches fall at every phase of the wavefront diagonal and the VA
+// rotation.
+const mixBurst = 37
+
+var (
+	allGated    schedule = func(int) bool { return false }
+	allDense    schedule = func(int) bool { return true }
+	mixedBursts schedule = func(c int) bool { return c/mixBurst%2 == 1 } // Step first
+)
+
+// runActivity runs one scenario at the given worker count under the
+// checker, stepping each cycle as sched says, and returns the full
+// ejection sequence plus the snapshot.
+func runActivity(t *testing.T, tc activityCase, workers int, sched schedule, cycles int) (*ejectLog, stats.Snapshot) {
 	t.Helper()
 	topo := tc.topo()
 	policy := router.PolicyMaxFree
@@ -54,11 +69,16 @@ func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles 
 	// At saturation every router's VC-state masks change every cycle:
 	// check the network after each step, in every mode the case runs in.
 	// Otherwise the checker sees only the ejections.
-	if tc.saturate {
-		if err := c.run(cycles, dense); err != nil {
-			t.Fatal(err)
+	for i := range cycles {
+		if tc.saturate {
+			if err := c.run(1, sched(i)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			c.n.run(1, sched(i))
 		}
-	} else if c.n.run(cycles, dense); c.err != nil {
+	}
+	if c.err != nil {
 		t.Fatal(c.err)
 	}
 	return ejected, c.n.Collector().Snapshot()
@@ -69,7 +89,9 @@ func runActivity(t *testing.T, tc activityCase, workers int, dense bool, cycles 
 // worker count, Step produces bit-identical statistics and the exact same
 // ejection sequence as stepDense. Skipping idle routers and NIs is a
 // wall-clock matter, never a physics one — exactly the standard the
-// worker count is held to.
+// worker count is held to. So the two steppers may be mixed: bursts of
+// Step alternating with bursts of stepDense match too, as a router that
+// sat out idle cycles under Step is then ticked by stepDense.
 func TestActivityGateLockstepWithDense(t *testing.T) {
 	cases := []activityCase{
 		{name: "mesh8x8_if_low", topo: func() *topology.Topology { return topology.NewMesh(8, 8) },
@@ -92,19 +114,23 @@ func TestActivityGateLockstepWithDense(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// The reference is the dense loop — the physics the repo's
 			// goldens were recorded against.
-			refEjects, refSnap := runActivity(t, tc, 1, true, cycles)
+			refEjects, refSnap := runActivity(t, tc, 1, allDense, cycles)
 			if refEjects.count() == 0 {
 				t.Fatal("dense reference run ejected nothing; workload broken")
 			}
-			for _, workers := range lockstepWorkers {
-				ejects, snap := runActivity(t, tc, workers, false, cycles)
+			check := func(what string, workers int, sched schedule) {
+				ejects, snap := runActivity(t, tc, workers, sched, cycles)
 				if !reflect.DeepEqual(snap, refSnap) {
-					t.Errorf("workers=%d snapshot diverged:\n got %+v\nwant %+v", workers, snap, refSnap)
+					t.Errorf("%s workers=%d snapshot diverged:\n got %+v\nwant %+v", what, workers, snap, refSnap)
 				}
 				if i := ejects.diverge(refEjects); i >= 0 {
-					t.Errorf("workers=%d ejection sequence diverged at index %d (%d flits ejected, want %d)",
-						workers, i, ejects.count(), refEjects.count())
+					t.Errorf("%s workers=%d ejection sequence diverged at index %d (%d flits ejected, want %d)",
+						what, workers, i, ejects.count(), refEjects.count())
 				}
+			}
+			for _, workers := range lockstepWorkers {
+				check("gated", workers, allGated)
+				check("mixed", workers, mixedBursts)
 			}
 		})
 	}

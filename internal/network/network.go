@@ -388,14 +388,13 @@ type Network struct {
 
 	// Activity state: packed activity words for routers (buffered flits,
 	// or a delivery, credit, or injection this cycle) and for NIs with
-	// queued flits, plus the cycle each router last ticked so reactivation
-	// can fast-forward the skipped idle span (Router.SkipIdle). The
+	// queued flits. A router skips its idle cycles without a trace: what
+	// rotates per cycle is a function of the cycle (Router.Advance). The
 	// invariant every activation source upholds: any state change that can
 	// make a router do work next cycle sets its bit before the router pass
 	// runs.
-	actR     sim.Bitset
-	actNI    sim.Bitset
-	lastTick []int64
+	actR  sim.Bitset
+	actNI sim.Bitset
 
 	// The workload's optional Ticker extension, resolved once in New.
 	ticker Ticker
@@ -463,10 +462,6 @@ func New(cfg Config) (*Network, error) {
 	n.setInjectionRate(cfg.InjectionRate)
 	n.actR = sim.NewBitset(topo.NumRouters)
 	n.actNI = sim.NewBitset(topo.NumNodes)
-	n.lastTick = make([]int64, topo.NumRouters)
-	for i := range n.lastTick {
-		n.lastTick[i] = -1
-	}
 	n.ticker, _ = cfg.Workload.(Ticker)
 	n.initParallel(workers)
 	return n, nil
@@ -524,7 +519,9 @@ func (n *Network) QueuedAtSources() int64 {
 // (stepDense in the tests; DESIGN.md, "Network step"). Every delivery,
 // credit, and injection marks its destination router's bit before the
 // router pass runs; a router whose tick reports quiescence has its bit
-// cleared and is fast-forwarded with SkipIdle when it next reactivates.
+// cleared and is not ticked again until one of them sets it. Skipping
+// its idle cycles leaves no trace, since what rotates per cycle is a
+// function of the cycle.
 func (n *Network) Step() {
 	n.deliver()
 	// Workload state machines advance once all deliveries are visible.
@@ -552,7 +549,7 @@ func (n *Network) deliver() {
 		n.arena.DeliverCredit(int(d.router), int(d.outPort), int(d.vc))
 		// A credit is applied eagerly above; it only creates work — and
 		// so only needs to wake the router — if flits are buffered. An
-		// empty router's tick is the empty tick SkipIdle replays.
+		// empty router's tick would change nothing.
 		if n.arena.Busy(int(d.router)) {
 			n.actR.Set(int(d.router))
 		}

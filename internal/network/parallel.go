@@ -28,11 +28,10 @@ import (
 //     Its VC allocation reads heads' packet records and the route table
 //     (Records.Head), which only the stepping goroutine writes, outside
 //     the router phase. It counts the datapath activity into a
-//     caller-private stats.Delta. The only Network fields it writes are
-//     per-router-index: lastTick[r], and under the pooled schedule the
-//     act slots of r's worklist index — worklist entries name distinct
-//     routers and Pool.Do hands each segment out once. No flit record is
-//     written.
+//     caller-private stats.Delta. The only Network fields it writes are,
+//     under the pooled schedule, the act slots of r's worklist index —
+//     worklist entries name distinct routers and Pool.Do hands each
+//     segment out once. No flit record is written.
 //
 //   - Lanes: what a tick makes and uses up within the cycle — the
 //     allocator's request set, candidates, masks and grants, the
@@ -126,17 +125,11 @@ func (n *Network) initParallel(workers int) {
 	n.act.fn = n.runActive
 }
 
-// tickRouter is phase A for router r, in lane: fast-forward it across the
-// idle span since it last ticked, tick it, and count the datapath
-// activity into d. The returned slices are the lane's scratch, valid
-// until the lane's next tick.
+// tickRouter is phase A for router r, in lane: tick it at this cycle and
+// count the datapath activity into d. The returned slices are the lane's
+// scratch, valid until the lane's next tick.
 func (n *Network) tickRouter(r, lane int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
-	rt := n.routers[r]
-	if skip := n.cycle - n.lastTick[r] - 1; skip > 0 {
-		rt.SkipIdle(lane, int(skip))
-	}
-	n.lastTick[r] = n.cycle
-	ems, creds, quiesced := rt.Advance(lane)
+	ems, creds, quiesced := n.routers[r].Advance(lane, n.cycle)
 	d.BufferReads += int64(len(ems))
 	d.XbarTraversals += int64(len(ems))
 	conns := n.topo.Conn[r]

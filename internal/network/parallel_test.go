@@ -107,9 +107,9 @@ func runRecorded(t *testing.T, kind alloc.Kind, k, workers, cycles int) (*ejectL
 //
 // With `make race` this test is also the only guard of what phase A of
 // the sharded tick writes, so the table covers every alloc.Kinds() entry
-// at the geometry the registry admits for it: each Allocate and SkipIdle
-// body runs on pool goroutines here, and an allocator that shares scratch
-// between instances is a reported race. A new kind gets its row by being
+// at the geometry the registry admits for it: each Allocate body runs on
+// pool goroutines here, and an allocator that shares scratch between
+// instances is a reported race. A new kind gets its row by being
 // listed in Kinds(). The short rows keep the -race run affordable; the
 // two long ones are the original if k=2 and wavefront k=1.
 func TestParallelTickByteIdenticalAcrossWorkers(t *testing.T) {

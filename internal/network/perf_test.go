@@ -147,12 +147,12 @@ func BenchmarkNetworkStepParallel(b *testing.B) {
 }
 
 // benchLedgerSteps builds a ledger workload's network — cfg on a w x w
-// VIX mesh (if, k = 2, balanced; 6 VCs of 5 flits, 4-flit packets), seed
-// 1 — warms it for warmup cycles, then steps it b.N cycles and reports
-// the cost per cycle and per router tick (Advance call).
-func benchLedgerSteps(b *testing.B, w int, rate float64, warmup int) {
+// VIX mesh (kind, k = 2, balanced; 6 VCs of 5 flits, 4-flit packets),
+// seed 1 — warms it for warmup cycles, then steps it b.N cycles and
+// reports the cost per cycle and per router tick (Advance call).
+func benchLedgerSteps(b *testing.B, kind alloc.Kind, w int, rate float64, warmup int) {
 	topo := topology.NewMesh(w, w)
-	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
+	cfg := meshConfig(topo, kind, 2, router.PolicyBalanced)
 	cfg.InjectionRate = rate
 	cfg.MaxInjection = rate == 0
 	cfg.Seed = 1
@@ -180,10 +180,26 @@ func benchLedgerSteps(b *testing.B, w int, rate float64, warmup int) {
 // at 0.001116 packets/node/cycle, warmed for 3 000 cycles. Most routers
 // are idle most cycles, so a cycle's cost is the few router ticks it
 // runs.
-func BenchmarkStepLowLoad(b *testing.B) { benchLedgerSteps(b, 16, 0.001116, 3000) }
+func BenchmarkStepLowLoad(b *testing.B) {
+	benchLedgerSteps(b, alloc.KindSeparableIF, 16, 0.001116, 3000)
+}
+
+// BenchmarkStepLowLoadWavefront and BenchmarkStepLowLoadPC are the same
+// network on the two kinds whose state rotates per cycle: a router
+// waking from an idle span takes its diagonal, or drops its chains, from
+// the cycle number.
+func BenchmarkStepLowLoadWavefront(b *testing.B) {
+	benchLedgerSteps(b, alloc.KindWavefront, 16, 0.001116, 3000)
+}
+
+func BenchmarkStepLowLoadPC(b *testing.B) {
+	benchLedgerSteps(b, alloc.KindPacketChaining, 16, 0.001116, 3000)
+}
 
 // BenchmarkStepSaturated is the ledger's mesh32_sat network: a 32x32
 // mesh at saturation, warmed for 1 500 cycles. Every router ticks every
 // cycle and the network's state outgrows a core's L2, so this is where a
 // change to the per-router layout shows as a cache effect.
-func BenchmarkStepSaturated(b *testing.B) { benchLedgerSteps(b, 32, 0, 1500) }
+func BenchmarkStepSaturated(b *testing.B) {
+	benchLedgerSteps(b, alloc.KindSeparableIF, 32, 0, 1500)
+}

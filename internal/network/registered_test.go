@@ -23,8 +23,8 @@ type recorder struct {
 	h     hash.Hash64
 	buf   [binary.MaxVarintLen64]byte
 
-	emptyCalls int // calls with no request
-	disagree   int // calls whose packed form names other requests than the list
+	calls    int // Allocate calls
+	disagree int // calls whose packed form names other requests than the list
 }
 
 func (r *recorder) put(v int) { r.h.Write(r.buf[:binary.PutVarint(r.buf[:], int64(v))]) }
@@ -33,9 +33,7 @@ func (r *recorder) Name() string { return "recorder" }
 func (r *recorder) Reset()       { r.inner.Reset() }
 
 func (r *recorder) Allocate(rs *alloc.RequestSet) []alloc.Grant {
-	if len(rs.Requests) == 0 {
-		r.emptyCalls++
-	}
+	r.calls++
 	// The router fills both forms for a registered allocator: Ready, Out
 	// and Age must name exactly the listed requests — an empty call's
 	// Ready words are all zero.
@@ -79,12 +77,6 @@ func listIndex(rs *alloc.RequestSet, ivc int) int {
 	return -1
 }
 
-// skippingRecorder also delegates SkipIdle, so the router fast-forwards
-// its idle spans; a bare recorder gets the literal empty Allocate calls.
-type skippingRecorder struct{ *recorder }
-
-func (s skippingRecorder) SkipIdle(cycles int) { s.inner.(alloc.IdleSkipper).SkipIdle(cycles) }
-
 // recorders holds, per registered kind, the instances its factory built,
 // in construction (router) order.
 var recorders struct {
@@ -103,13 +95,10 @@ func registerRecorders(t *testing.T) {
 	t.Helper()
 	recorders.once.Do(func() {
 		recorders.byKind = map[alloc.Kind][]*recorder{}
-		for _, k := range []struct {
-			kind, inner alloc.Kind
-			skip        bool
-		}{
-			{recordingIF, alloc.KindSeparableIF, true},
-			{recordingWavefront, alloc.KindWavefront, true},
-			{recordingIFNoSkip, alloc.KindSeparableIF, false},
+		for _, k := range []struct{ kind, inner alloc.Kind }{
+			{recordingIF, alloc.KindSeparableIF},
+			{recordingWavefront, alloc.KindWavefront},
+			{recordingIFNoSkip, alloc.KindSeparableIF},
 		} {
 			err := alloc.Register(k.kind, func(cfg alloc.Config) (alloc.Allocator, error) {
 				inner, err := alloc.New(k.inner, cfg)
@@ -120,9 +109,6 @@ func registerRecorders(t *testing.T) {
 				recorders.mu.Lock()
 				recorders.byKind[k.kind] = append(recorders.byKind[k.kind], rec)
 				recorders.mu.Unlock()
-				if k.skip {
-					return skippingRecorder{rec}, nil
-				}
 				return rec, nil
 			})
 			if err != nil {
@@ -138,9 +124,12 @@ func registerRecorders(t *testing.T) {
 // per router and then in router order, against the digests the router
 // produced when it built a request list for every allocator. The
 // saturated cases cover if at k = 2 and wavefront on the radix-10
-// flattened butterfly; the light-load case's allocator has no SkipIdle,
-// so its routers also make the literal empty calls of their idle spans.
-// Every call must carry both forms of the same requests.
+// flattened butterfly, the light-load case a mesh whose routers go idle.
+// Every call must carry both forms of the same requests, and every
+// allocator is called once per router tick: never on the cycles an idle
+// router sits out. The light-load digest was re-recorded when those
+// cycles stopped being replayed as empty calls (ef4be433053a883a with
+// them).
 func TestRegisteredAllocatorsSeeTheParentsRequests(t *testing.T) {
 	registerRecorders(t)
 	cases := []struct {
@@ -163,7 +152,7 @@ func TestRegisteredAllocatorsSeeTheParentsRequests(t *testing.T) {
 			cfg := meshConfig(topology.NewMesh(8, 8), recordingIFNoSkip, 2, router.PolicyBalanced)
 			cfg.InjectionRate = 0.02
 			return cfg
-		}, 3000, "ef4be433053a883a"},
+		}, 3000, "e184179f3e218fe5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,17 +176,17 @@ func TestRegisteredAllocatorsSeeTheParentsRequests(t *testing.T) {
 				t.Fatalf("%d recorders for %d routers", len(recs), len(n.routers))
 			}
 			h := sha256.New()
-			empty, disagree := 0, 0
+			calls, disagree := 0, 0
 			for _, r := range recs {
 				binary.Write(h, binary.LittleEndian, r.h.Sum64())
-				empty += r.emptyCalls
+				calls += r.calls
 				disagree += r.disagree
 			}
 			if disagree != 0 {
 				t.Errorf("%d calls handed a packed form that disagrees with the request list", disagree)
 			}
-			if kind == recordingIFNoSkip && empty == 0 {
-				t.Errorf("no router made an empty Allocate call; the case no longer covers idle spans")
+			if int64(calls) != n.RouterTicks() {
+				t.Errorf("%d Allocate calls in %d router ticks; want one a tick", calls, n.RouterTicks())
 			}
 			if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != tc.want {
 				t.Errorf("digest %s, want %s", got, tc.want)

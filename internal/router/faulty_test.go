@@ -63,7 +63,7 @@ func advanceFaulty(t *testing.T, kind alloc.Kind, extra ...[3]int) (msg string) 
 			}
 		}
 	}()
-	r.Advance(0)
+	r.Advance(0, 0)
 	return ""
 }
 

@@ -17,9 +17,7 @@ import (
 // array, so a stale slice there mostly reads as the new grants, while
 // here it reads as scribble for good. A consumer that finished with its
 // grants within the cycle cannot tell the difference; one that kept the
-// slice — in a field, a local, a channel — can. Embedding the interface
-// hides the inner SkipIdle, so a wrapped router replays idle spans as
-// literal empty Allocates, each one poisoning too.
+// slice — in a field, a local, a channel — can.
 type poisoned struct {
 	alloc.Allocator
 	last []alloc.Grant
@@ -73,7 +71,7 @@ const poisonCycles = 400
 
 // advanceTranscript drives a radix-5 router near saturation — random
 // 1–3-flit packets into every input VC with room, downstream credits
-// returned the cycle after use — lets it drain, skips an idle span, loads
+// returned the cycle after use — lets it drain, skips 7 idle cycles, loads
 // it again, and records what every Router.Advance emitted and freed.
 func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 	cfg := baseConfig()
@@ -81,12 +79,13 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 	r := testRouter(t, cfg)
 	rng := sim.NewRNG(11)
 	out := ""
-	for cycle, pkt := 0, uint64(0); cycle < poisonCycles; cycle++ {
+	clock := int64(0)
+	for cycle, pkt := 0, uint64(0); cycle < poisonCycles; cycle, clock = cycle+1, clock+1 {
 		if cycle == poisonCycles/2 {
 			if r.Busy() {
 				t.Fatalf("%q: router did not drain in %d unloaded cycles", kind, poisonCycles/4)
 			}
-			r.SkipIdle(0, 7)
+			clock += 7
 		}
 		loaded := cycle < poisonCycles/4 || cycle >= poisonCycles/2
 		for port := 0; loaded && port < cfg.Ports; port++ {
@@ -98,7 +97,7 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 				}
 			}
 		}
-		ems, creds, _ := r.Advance(0)
+		ems, creds, _ := r.Advance(0, clock)
 		out += fmt.Sprintln(ems, creds)
 		for _, e := range ems {
 			if e.OutPort != 0 { // port 0 is testRouter's one ejection port

@@ -167,8 +167,6 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 //	                  noCredit, taken once per Advance
 //	busy     [Ports]  per output port, bit v: downstream VC v is held by
 //	                  an input VC here
-//	rows     [R]      scratch of the grant loop: crossbar rows granted
-//	                  this cycle (R = ceil(Rows/64))
 //
 // and, per port, the port's wiring kind (ports).
 //
@@ -176,12 +174,13 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 // not per router: a lane is a goroutine that ticks routers one after
 // another (the serial tick has one, the sharded tick one per worker), and
 // Advance names its lane. Per lane, the arena keeps a switch-allocation
-// request set (sets) and the emission (ems) and freed-credit (creds)
-// scratch, at most one of each per port a cycle. Advance points its
-// lane's set at the router's segments — ready as its Ready words,
-// outPort as Out and wait as Age (nil without the wait slab), the packed
-// form — and returns its lane's ems and creds, valid until the lane's
-// next Advance. A grant names its input VC by ivc.
+// request set (sets), the emission (ems) and freed-credit (creds)
+// scratch, at most one of each per port a cycle, and the grant loop's
+// mask of the crossbar rows granted this cycle (rows, R = ceil(Rows/64)
+// words). Advance points its lane's set at the router's segments — ready
+// as its Ready words, outPort as Out and wait as Age (nil without the
+// wait slab), the packed form — and returns its lane's ems and creds,
+// valid until the lane's next Advance. A grant names its input VC by ivc.
 //
 // vaWait and noCredit drop input VCs from the stage that cannot serve
 // them until the one event that can end the block: a tail freeing a VC
@@ -202,7 +201,8 @@ type Arena struct {
 	pv        int // input VCs per router: Ports*VCs
 
 	maskWords  int // W: words per ivc mask
-	maskStride int // mask words per router: 5W + Ports + R
+	maskStride int // mask words per router: 5W + Ports
+	rowWords   int // R: words per crossbar-row mask
 
 	bufs    []Slot
 	head    []int8
@@ -217,6 +217,7 @@ type Arena struct {
 	sets    []alloc.RequestSet // per lane
 	ems     []Emission         // per lane, Ports each
 	creds   []CreditMsg        // per lane, Ports each
+	rows    []uint64           // per lane, R each
 
 	ivcPort   []int32  // per ivc: port
 	ivcRow    []int32  // per ivc: crossbar row, alloc.Config.Row
@@ -245,7 +246,8 @@ func NewArena(numRouters, lanes int, cfg Config, records Records) *Arena {
 		pv:        pv,
 		maskWords: (pv + 63) / 64,
 	}
-	a.maskStride = 5*a.maskWords + cfg.Ports + (cfg.Alloc().Rows()+63)/64
+	a.maskStride = 5*a.maskWords + cfg.Ports
+	a.rowWords = (cfg.Alloc().Rows() + 63) / 64
 	a.bufs = make([]Slot, numRouters*pv*cfg.BufDepth)
 	a.head = make([]int8, numRouters*pv)
 	a.count = make([]int8, numRouters*pv)
@@ -264,6 +266,7 @@ func NewArena(numRouters, lanes int, cfg Config, records Records) *Arena {
 	}
 	a.ems = make([]Emission, lanes*cfg.Ports)
 	a.creds = make([]CreditMsg, lanes*cfg.Ports)
+	a.rows = make([]uint64, lanes*a.rowWords)
 	for i := range a.ovc {
 		a.ovc[i] = -1
 		a.credits[i] = int8(cfg.BufDepth)
@@ -321,12 +324,11 @@ type Router struct {
 	// reqs.Requests as well.
 	nonSpec, list bool
 
-	vaOffset int // rotating VC-allocation priority: the first input VC VA visits, below Ports·VCs
+	ticks int64 // Tick calls so far: a standalone router's cycle
 
 	arena   *Arena
 	alloc   alloc.Allocator
-	idle    alloc.IdleSkipper // alloc's SkipIdle, nil for a custom allocator without one
-	nextDim NextDimFunc       // nil: the arena's Lookahead
+	nextDim NextDimFunc // nil: the arena's Lookahead
 	vcRange VCRangeFunc
 }
 
@@ -379,7 +381,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		nextDim: nextDim,
 		vcRange: vcRange,
 	}
-	r.idle, _ = allocator.(alloc.IdleSkipper)
 	sg := arena.seg(slot)
 	for p, info := range ports {
 		arena.ports[sg.ports+p] = info.Kind
@@ -481,11 +482,12 @@ func (a *Arena) creditEdge(slot, outPort, vc int) {
 }
 
 // Busy reports whether the router in slot holds any buffered flits. An
-// idle router's Tick is exactly the empty tick SkipIdle replays — no
-// emissions, no credits, no requests to the allocator — so the network's
-// activity gate only needs to wake a router on a credit when Busy is
-// true: credits are applied eagerly above, and a credit at an empty
-// router cannot create work until a flit arrives (which sets the bit).
+// idle router's tick changes nothing — no emissions, no credits, no
+// requests to the allocator, whose rotating state is a function of the
+// cycle — so the network's activity gate only needs to wake a router on
+// a credit when Busy is true: credits are applied eagerly above, and a
+// credit at an empty router cannot create work until a flit arrives
+// (which sets the bit).
 // The count is a slab of its own, maintained incrementally (deliveries
 // add, grant departures subtract), so the test is one load from a line
 // every router shares.
@@ -581,12 +583,14 @@ func (r *Router) Credits(outPort, vc int) int {
 }
 
 // Tick is Advance in lane 0 for a standalone router whose caller reads
-// the flit records: it also writes each emitted flit's granted output VC
-// into its record, and counts a hop there for each flit leaving through a
-// link. The network calls Advance, carries the VC on the link event and
-// knows a packet's hops from its route.
+// the flit records, at a cycle counting its own calls from 0: it also
+// writes each emitted flit's granted output VC into its record, and
+// counts a hop there for each flit leaving through a link. The network
+// calls Advance, carries the VC on the link event and knows a packet's
+// hops from its route.
 func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
-	ems, credits, quiesced = r.Advance(0)
+	ems, credits, quiesced = r.Advance(0, r.ticks)
+	r.ticks++
 	flits := r.Flits()
 	ports := r.arena.ports[r.arena.seg(int(r.slot)).ports:]
 	for i := range ems {
@@ -599,16 +603,17 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 	return ems, credits, quiesced
 }
 
-// Advance moves the router one cycle on: VC allocation, then switch
+// Advance moves the router on at cycle: VC allocation, then switch
 // allocation, then switch traversal of the winners. Under NonSpeculative
 // the switch request set is taken before VC allocation, which writes only
 // heads holding no output VC — none of them in the set — so the stage
 // order alone holds a new head out until the next cycle. It returns the
 // flits leaving through output ports, the credits freed at input ports,
 // and whether the router quiesced — no flits remain buffered, so until the
-// next delivery every further cycle would be the idle no-op SkipIdle can
-// replay. The activity-gated network tick clears a quiesced router's
-// activity bit and stops advancing it.
+// next delivery every further cycle would change nothing. The
+// activity-gated network tick clears a quiesced router's activity bit
+// and stops advancing it. Cycles need not be consecutive: what rotates
+// per cycle, the VA priority and the allocator's, is a function of cycle.
 //
 // It writes only this router's arena segments and lane's scratch, and of
 // the flit records reads a head's route and destination (Records.Head) at
@@ -616,25 +621,21 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // the arena's lane count. Both returned slices are the lane's scratch,
 // valid only until the lane's next Advance call; callers must consume (or
 // copy) them before it.
-func (r *Router) Advance(lane int) (ems []Emission, credits []CreditMsg, quiesced bool) {
+func (r *Router) Advance(lane int, cycle int64) (ems []Emission, credits []CreditMsg, quiesced bool) {
 	a := r.arena
 	slot := int(r.slot)
 	sg := a.seg(slot)
-	// The VA priority rotates every cycle; most cycles no head awaits a
-	// VC, so the test is here and the walk out of line.
-	start := r.vaOffset
-	if r.vaOffset++; r.vaOffset == a.pv {
-		r.vaOffset = 0
-	}
+	// Most cycles no head awaits a VC, so the test is here and the walk
+	// out of line.
 	pending := a.pending(sg)
 	if pending && !r.nonSpec {
-		r.allocateVCs(sg, start)
+		r.allocateVCs(sg, cycle)
 	}
 	a.takeRequests(sg)
 	if pending && r.nonSpec {
-		r.allocateVCs(sg, start)
+		r.allocateVCs(sg, cycle)
 	}
-	reqs := a.requests(sg, lane)
+	reqs := a.requests(sg, lane, cycle)
 	if r.list {
 		r.listRequests(reqs)
 	}
@@ -652,9 +653,9 @@ func (r *Router) Advance(lane int) (ems []Emission, credits []CreditMsg, quiesce
 	// request refuses a second grant to it. The loop indexes the slabs
 	// from the arena and the segment offsets, so few values stay live
 	// across it.
-	rows := sg.busy() + a.cfg.Ports
-	for i := rows; i < sg.m+a.maskStride; i++ {
-		a.masks[i] = 0
+	rows := lane * a.rowWords
+	for i := rows; i < rows+a.rowWords; i++ {
+		a.rows[i] = 0
 	}
 	var granted [2]uint64 // outputs granted so far: MaxPorts < 128
 	for gi, g := range grants {
@@ -665,11 +666,11 @@ func (r *Router) Advance(lane int) (ems []Emission, credits []CreditMsg, quiesce
 		}
 		i := sg.at + ivc
 		// A crossbar row carries one flit a cycle.
-		if row := int(a.ivcRow[ivc]); a.has(rows, row) {
+		row := int(a.ivcRow[ivc])
+		if a.rows[rows+row>>6]>>uint(row&63)&1 != 0 {
 			r.refuseRow(grants[:gi], ivc, out, row)
-		} else {
-			a.masks[rows+row>>6] |= 1 << uint(row&63)
 		}
+		a.rows[rows+row>>6] |= 1 << uint(row&63)
 		bit := uint64(1) << uint(ivc&63)
 		a.masks[sg.ready()+ivc>>6] &^= bit
 		granted[out>>6] |= 1 << uint(out&63)
@@ -718,9 +719,11 @@ func (r *Router) Advance(lane int) (ems []Emission, credits []CreditMsg, quiesce
 }
 
 // requests points lane's request set at the router's ready words, outPort
-// segment and, where the arena keeps ages, wait segment, and returns it.
-func (a *Arena) requests(sg seg, lane int) *alloc.RequestSet {
+// segment and, where the arena keeps ages, wait segment, stamps it with
+// cycle, and returns it.
+func (a *Arena) requests(sg seg, lane int, cycle int64) *alloc.RequestSet {
 	reqs := &a.sets[lane]
+	reqs.Cycle = cycle
 	reqs.Ready = a.masks[sg.ready() : sg.ready()+sg.w : sg.ready()+sg.w]
 	reqs.Out = a.outPort[sg.at : sg.at+a.pv : sg.at+a.pv]
 	if a.wait != nil {
@@ -780,41 +783,15 @@ func (r *Router) refuseRow(earlier []alloc.Grant, ivc, out, row int) {
 	}
 }
 
-// SkipIdle fast-forwards the router across cycles consecutive ticks
-// during which it held no buffered flits. An idle Tick emits nothing and
-// frees no credits; its only persistent effects are the VC-allocation
-// priority rotation and whatever the allocator does with an empty request
-// set — which built-in allocators compress to O(1) via alloc.IdleSkipper. A
-// custom allocator without SkipIdle gets the literal empty Allocate
-// calls, so gated and dense runs stay byte-identical for any allocator.
-//
-// The caller asserts the router was empty for the skipped span; current
-// buffer contents are irrelevant (the activity-gated tick calls SkipIdle
-// at reactivation, after the cycle's deliveries have already landed) —
-// an idle tick's effects touch nothing the buffers feed. The empty calls
-// use lane's request set, as Advance in lane would.
-func (r *Router) SkipIdle(lane, cycles int) {
-	r.vaOffset = int((uint64(r.vaOffset) + uint64(cycles)) % uint64(r.arena.pv))
-	if r.idle != nil {
-		r.idle.SkipIdle(cycles)
-		return
-	}
-	reqs := r.arena.requests(r.arena.seg(int(r.slot)), lane)
-	clear(reqs.Ready)
-	reqs.Requests = reqs.Requests[:0]
-	for i := 0; i < cycles; i++ {
-		r.alloc.Allocate(reqs)
-	}
-}
-
 // allocateVCs performs the VC allocation stage: head flits at the front
 // of their buffers acquire an output VC at the downstream router. Only
 // the input VCs awaiting one — nonEmpty, not hasOVC and not vaWait, the
 // pending set — are visited, in a rotating order for long-run fairness:
-// ascending from start, the priority offset, to the top, then from zero
+// ascending from start = cycle mod Ports·VCs to the top, then from zero
 // up to it. Advance calls it only when the pending set is not empty.
-func (r *Router) allocateVCs(sg seg, start int) {
+func (r *Router) allocateVCs(sg seg, cycle int64) {
 	a := r.arena
+	start := int(uint64(cycle) % uint64(a.pv))
 	// Allocating one input VC changes no other's pending bit, so each
 	// word of each span, [start, Ports·VCs) then [0, start), is read once.
 	for _, span := range [2][2]int{{start, a.pv}, {0, start}} {

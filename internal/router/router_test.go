@@ -378,7 +378,7 @@ func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
 func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
-	ems, _, _ := r.Advance(0)
+	ems, _, _ := r.Advance(0, 0)
 	if len(ems) != 1 || ems[0].Type != HeadTail || ems[0].OutPort != 2 {
 		t.Fatalf("emission = %+v, want one head-tail flit through port 2", ems)
 	}
@@ -588,7 +588,7 @@ func TestNonSpeculativeBodyFlitsUnaffected(t *testing.T) {
 // for the eight downstream VCs of one output. With equal credits maxfree
 // hands out VC 0, 1, 2, ... in visit order, so the assignment spells the
 // order VC allocation walked the pending mask: it must be the dense
-// scan's, ascending from vaOffset mod 80 and wrapping, wherever the
+// scan's, ascending from the cycle mod 80 and wrapping, wherever the
 // offset falls — inside the second word, on the word boundary, or below
 // it. Occupancy's recount checks the masks against count/ovc every tick
 // until the router drains.
@@ -601,9 +601,7 @@ func TestTwoWordMasksRotateLikeTheDenseScan(t *testing.T) {
 	const out, total = 2, 80
 	for _, start := range []int{70, 64, 63, 0, 79, 65} {
 		r := testRouter(t, cfg)
-		if start > 0 {
-			r.SkipIdle(0, start)
-		}
+		r.ticks = int64(start) // Tick's clock, and so VA's offset
 		for i, ivc := range contenders {
 			deliver(r, ivc/cfg.VCs, ivc%cfg.VCs, out, NewPacket(uint64(i), 0, 9, 2, 0))
 		}
@@ -669,14 +667,15 @@ func arenaBytes(a *Arena) int {
 // TestArenaFootprintIsPinned holds the arena's bytes per router at the
 // paper's geometry (5 ports, 6 VCs of 5 flits, k = 2): the slab bytes of
 // a two-router arena less a one-router one, so the geometry tables the
-// routers share drop out. Of if's 847 B, 600 B are the 4 B slots; only
+// routers share drop out. Of if's 839 B, 600 B are the 4 B slots; only
 // if-age keeps the 120 B of request ages. The request set, emission and
-// credit scratch are per lane, not per router (218 B per router while
-// they were): a second lane costs the 226 B of one set, 5 emissions and
-// 5 credits, whatever the router count.
+// credit scratch and the grant loop's crossbar-row mask are per lane, not
+// per router (226 B per router while they were): a second lane costs the
+// 242 B of one set, 5 emissions, 5 credits and a row word, whatever the
+// router count.
 func TestArenaFootprintIsPinned(t *testing.T) {
-	const lanePin = 226
-	for kind, pin := range map[alloc.Kind]int{alloc.KindSeparableIF: 847, alloc.KindSeparableAge: 967} {
+	const lanePin = 242
+	for kind, pin := range map[alloc.Kind]int{alloc.KindSeparableIF: 839, alloc.KindSeparableAge: 959} {
 		cfg := baseConfig()
 		cfg.VirtualInputs, cfg.Policy, cfg.AllocKind = 2, PolicyBalanced, kind
 		per := arenaBytes(NewArena(2, 1, cfg, NewFlitArena())) - arenaBytes(NewArena(1, 1, cfg, NewFlitArena()))
@@ -694,14 +693,14 @@ func TestArenaFootprintIsPinned(t *testing.T) {
 
 // TestRouterFootprintIsPinned holds what router.New allocates beside a
 // shared arena, averaged over 1024 routers at 5 ports, 6 VCs and k = 2:
-// the Router struct alone (80 B), since every per-router array — buffers,
+// the Router struct alone (64 B), since every per-router array — buffers,
 // masks and port kinds — is a segment of the arena, and the request set
 // and the emission and credit scratch are the arena's, per lane.
 func TestRouterFootprintIsPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector pads heap objects; the pin is a normal build's bytes")
 	}
-	const n, pin = 1024, 128
+	const n, pin = 1024, 64
 	cfg := baseConfig()
 	cfg.VirtualInputs, cfg.Policy = 2, PolicyBalanced
 	ports := make([]PortInfo, cfg.Ports)

@@ -46,7 +46,7 @@ type Bench struct {
 	// backlogged, so every VC requests every cycle and only the output a
 	// granted VC's next packet asks for changes. Requests[ivc] is input VC
 	// ivc = port*VCs + VC's request, kept equal to the packed form for a
-	// registered kind that reads the list.
+	// registered kind that reads the list. Its Cycle counts the steps.
 	reqs alloc.RequestSet
 }
 
@@ -74,6 +74,7 @@ func (b *Bench) Step() int { return len(b.step()) }
 // step advances one cycle and returns its grants, valid until the next.
 func (b *Bench) step() []alloc.Grant {
 	grants := b.alloc.Allocate(&b.reqs)
+	b.reqs.Cycle++
 	// Every granted flit is a whole packet: its VC refills at once with
 	// the next packet, to a fresh random output.
 	for _, g := range grants {

@@ -56,6 +56,9 @@ type (
 
 // RegisterAllocator installs a custom allocator factory under kind; an
 // Experiment then selects it by naming the kind in its Allocator field.
+// A router calls Allocate once per cycle it ticks, and not at all while
+// it holds no flits: state that rotates per cycle must be a function of
+// RequestSet.Cycle, never a count of calls.
 func RegisterAllocator(kind AllocatorKind, factory func(AllocatorConfig) (Allocator, error)) error {
 	return alloc.Register(kind, factory)
 }
