@@ -130,6 +130,24 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	}
 }
 
+// TestDocsStayWithinTheirBudgets bounds the two documents a reader starts
+// from: DESIGN.md describes the tree as it is and README.md how to use
+// it, so past these sizes they are restating the history that CHANGES.md
+// and perf/trajectory.jsonl keep.
+func TestDocsStayWithinTheirBudgets(t *testing.T) {
+	for _, c := range []struct {
+		doc string
+		max int
+	}{
+		{"DESIGN.md", 25 << 10},
+		{"README.md", 12 << 10},
+	} {
+		if n := len(readFile(t, c.doc)); n > c.max {
+			t.Errorf("%s is %d bytes, over its budget of %d", c.doc, n, c.max)
+		}
+	}
+}
+
 // addMembers records, per type declared in f, its fields (embedded ones
 // by type name, tagged ones by JSON name too), its interface methods and
 // the methods f declares on it.

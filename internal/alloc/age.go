@@ -22,13 +22,8 @@ import (
 // banks, which here only break ties — under its own Allocate.
 type SeparableAge struct{ SeparableIF }
 
-// NewSeparableAge returns an oldest-first separable allocator for cfg.
-// It panics if cfg is invalid.
-func NewSeparableAge(cfg Config) *SeparableAge { return &newSeparableAges(cfg, 1, 1)[0] }
-
 // newSeparableAges returns n views of one pool with lanes lanes.
 func newSeparableAges(cfg Config, n, lanes int) []SeparableAge {
-	mustValidate(cfg)
 	p := newIFPool(cfg, n, lanes)
 	vs := make([]SeparableAge, n)
 	for i := range vs {

@@ -14,7 +14,7 @@ func ageRequestSet(cfg Config, reqs ...Request) *RequestSet {
 func TestAgeAllocatorValidGrants(t *testing.T) {
 	rng := sim.NewRNG(61)
 	for _, cfg := range allConfigs() {
-		a := NewSeparableAge(cfg)
+		a := MustNew(KindSeparableAge, cfg)
 		for cycle := 0; cycle < 150; cycle++ {
 			rs := randomRequestSet(rng, cfg, 0.5)
 			for i := range rs.Requests {
@@ -31,7 +31,7 @@ func TestAgeAllocatorValidGrants(t *testing.T) {
 // The oldest request at an output port always wins output arbitration.
 func TestAgeOldestWinsOutput(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	a := NewSeparableAge(cfg)
+	a := MustNew(KindSeparableAge, cfg)
 	for trial := 0; trial < 10; trial++ { // arbiter state must not matter
 		rs := ageRequestSet(cfg,
 			Request{Port: 0, VC: 0, OutPort: 2, Age: 3},
@@ -48,7 +48,7 @@ func TestAgeOldestWinsOutput(t *testing.T) {
 // The oldest VC within a sub-group wins input arbitration.
 func TestAgeOldestWinsInput(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	a := NewSeparableAge(cfg)
+	a := MustNew(KindSeparableAge, cfg)
 	rs := ageRequestSet(cfg,
 		Request{Port: 0, VC: 0, OutPort: 2, Age: 1},
 		Request{Port: 0, VC: 3, OutPort: 4, Age: 8},
@@ -66,7 +66,7 @@ func TestAgeOldestWinsInput(t *testing.T) {
 // tie-break): under persistent contention each port is served equally.
 func TestAgeTieBreakIsFair(t *testing.T) {
 	cfg := Config{Ports: 4, VCs: 2, VirtualInputs: 1}
-	a := NewSeparableAge(cfg)
+	a := MustNew(KindSeparableAge, cfg)
 	counts := map[int]int{}
 	for cycle := 0; cycle < 400; cycle++ {
 		rs := ageRequestSet(cfg,
@@ -89,7 +89,7 @@ func TestAgeTieBreakIsFair(t *testing.T) {
 // sub-groups still transmit together.
 func TestAgeWithVIX(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	a := NewSeparableAge(cfg)
+	a := MustNew(KindSeparableAge, cfg)
 	rs := ageRequestSet(cfg,
 		Request{Port: 2, VC: 0, OutPort: 0, Age: 5},
 		Request{Port: 2, VC: 4, OutPort: 3, Age: 2},
@@ -103,7 +103,7 @@ func TestAgeWithVIX(t *testing.T) {
 // allocator on uniform traffic with random ages.
 func TestAgeEfficiencyComparable(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	age := NewSeparableAge(cfg)
+	age := MustNew(KindSeparableAge, cfg)
 	base := NewSeparableIF(cfg)
 	rngA, rngB := sim.NewRNG(62), sim.NewRNG(62)
 	var totAge, totBase int

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"vix/internal/arb"
 )
@@ -112,20 +111,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("alloc: VCs (%d) exceeds the %d request lines of one arbiter word", c.VCs, MaxVCs)
 	}
 	return nil
-}
-
-// mustValidate panics when cfg is invalid. Allocator constructors call it
-// so that an impossible crossbar geometry fails loudly at construction
-// time rather than corrupting an allocation later.
-func mustValidate(cfg Config) { must(cfg.Validate()) }
-
-// must panics on a geometry error. The kinds defined on one geometry only
-// (ideal, sparoflo) state the condition once, as a function returning the
-// error: their constructor passes it here and New returns it.
-func must(err error) {
-	if err != nil {
-		panic("alloc: invalid config: " + strings.TrimPrefix(err.Error(), "alloc: "))
-	}
 }
 
 // Rows returns the number of crossbar inputs (kP).

@@ -51,12 +51,12 @@ func allConfigs() []Config {
 func newAllocatorsFor(cfg Config) map[Kind]Allocator {
 	m := map[Kind]Allocator{
 		KindSeparableIF:    NewSeparableIF(cfg),
-		KindWavefront:      NewWavefront(cfg),
-		KindAugmentingPath: NewAugmentingPath(cfg),
-		KindPacketChaining: NewPacketChaining(cfg),
+		KindWavefront:      MustNew(KindWavefront, cfg),
+		KindAugmentingPath: MustNew(KindAugmentingPath, cfg),
+		KindPacketChaining: MustNew(KindPacketChaining, cfg),
 	}
 	if cfg.VirtualInputs == cfg.VCs {
-		m[KindIdeal] = NewIdeal(cfg)
+		m[KindIdeal] = MustNew(KindIdeal, cfg)
 	}
 	return m
 }
@@ -168,7 +168,7 @@ func TestAugmentingPathIsMaximum(t *testing.T) {
 		{Ports: 4, VCs: 4, VirtualInputs: 1},
 		{Ports: 5, VCs: 6, VirtualInputs: 2},
 	} {
-		a := NewAugmentingPath(cfg)
+		a := MustNew(KindAugmentingPath, cfg)
 		for i := 0; i < 150; i++ {
 			rs := randomRequestSet(rng, cfg, 0.4)
 			grants := a.Allocate(rs)
@@ -185,7 +185,7 @@ func TestAugmentingPathIsMaximum(t *testing.T) {
 func TestWavefrontIsMaximal(t *testing.T) {
 	rng := sim.NewRNG(8)
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	w := NewWavefront(cfg)
+	w := MustNew(KindWavefront, cfg)
 	for i := 0; i < 300; i++ {
 		rs := randomRequestSet(rng, cfg, 0.4)
 		rs.Cycle = int64(i)
@@ -210,9 +210,9 @@ func TestAllocatorEfficiencyOrdering(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	idealCfg := Config{Ports: 5, VCs: 6, VirtualInputs: 6}
 	ifAlloc := NewSeparableIF(cfg)
-	wf := NewWavefront(cfg)
-	ap := NewAugmentingPath(cfg)
-	ideal := NewIdeal(idealCfg)
+	wf := MustNew(KindWavefront, cfg)
+	ap := MustNew(KindAugmentingPath, cfg)
+	ideal := MustNew(KindIdeal, idealCfg)
 
 	rngs := [4]*sim.RNG{sim.NewRNG(9), sim.NewRNG(9), sim.NewRNG(9), sim.NewRNG(9)}
 	var totIF, totWF, totAP, totIdeal int
@@ -496,8 +496,8 @@ func TestConfigValidate(t *testing.T) {
 
 // TestVCsBeyondArbiterWordRejected pins the one width the packed request
 // words assume: a port's VCs share a 64-bit word, so VCs > MaxVCs is an
-// error from Validate and New, and an "alloc: "-prefixed panic from a
-// constructor, never a silently truncated shift.
+// error from Validate and New, and an "alloc: "-prefixed panic from
+// NewSeparableIF, never a silently truncated shift.
 func TestVCsBeyondArbiterWordRejected(t *testing.T) {
 	if err := (Config{Ports: 2, VCs: MaxVCs, VirtualInputs: 1}).Validate(); err != nil {
 		t.Errorf("Validate rejected VCs == MaxVCs: %v", err)
@@ -509,57 +509,36 @@ func TestVCsBeyondArbiterWordRejected(t *testing.T) {
 	if _, err := New(KindSeparableIF, wide); err == nil {
 		t.Errorf("New accepted %+v", wide)
 	}
-	for name, construct := range map[string]func(){
-		"if":        func() { NewSeparableIF(wide) },
-		"wavefront": func() { NewWavefront(wide) },
-	} {
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); !strings.HasPrefix(msg, "alloc: ") {
-					t.Errorf("%s constructor on %+v: recovered %q, want an alloc: panic", name, wide, msg)
-				}
-			}()
-			construct()
-		}()
-	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "alloc: invalid config: ") {
+			t.Errorf("NewSeparableIF(%+v): recovered %q, want an alloc: invalid config panic", wide, msg)
+		}
+	}()
+	NewSeparableIF(wide)
 }
 
 // TestSingleGeometryKinds pins the two kinds defined on one geometry
 // only: ideal needs a crossbar row per VC, sparoflo the conventional
-// crossbar. Each states its condition once; New returns it as an error and
-// the exported constructor panics with the same text, as mustValidate
-// does, instead of building an allocator that grants a row twice.
+// crossbar. Each states its condition once, in CheckGeometry, and New
+// returns it as an error instead of building an allocator that grants a
+// row twice.
 func TestSingleGeometryKinds(t *testing.T) {
 	for _, c := range []struct {
 		kind      Kind
-		construct func(Config) Allocator
 		good, bad Config
 		want      string
 	}{
-		{KindIdeal, func(cfg Config) Allocator { return NewIdeal(cfg) },
-			Config{Ports: 5, VCs: 6, VirtualInputs: 6}, Config{Ports: 5, VCs: 6, VirtualInputs: 2},
+		{KindIdeal, Config{Ports: 5, VCs: 6, VirtualInputs: 6}, Config{Ports: 5, VCs: 6, VirtualInputs: 2},
 			"ideal allocator needs VirtualInputs == VCs (per-VC crossbar rows), got 2 != 6"},
-		{KindSparoflo, func(cfg Config) Allocator { return NewSparoflo(cfg) },
-			Config{Ports: 5, VCs: 6, VirtualInputs: 1}, Config{Ports: 5, VCs: 6, VirtualInputs: 2},
+		{KindSparoflo, Config{Ports: 5, VCs: 6, VirtualInputs: 1}, Config{Ports: 5, VCs: 6, VirtualInputs: 2},
 			"sparoflo is defined on the conventional crossbar (VirtualInputs == 1), got 2"},
 	} {
 		if a, err := New(c.kind, c.good); err != nil || a.Name() != string(c.kind) {
 			t.Errorf("New(%s, %+v) = %v, %v", c.kind, c.good, a, err)
 		}
-		if a := c.construct(c.good); a.Name() != string(c.kind) {
-			t.Errorf("%s constructor on %+v built %q", c.kind, c.good, a.Name())
-		}
 		if _, err := New(c.kind, c.bad); err == nil || err.Error() != "alloc: "+c.want {
 			t.Errorf("New(%s, %+v) error = %v, want %q", c.kind, c.bad, err, "alloc: "+c.want)
 		}
-		func() {
-			defer func() {
-				if msg, _ := recover().(string); msg != "alloc: invalid config: "+c.want {
-					t.Errorf("%s constructor on %+v: recovered %q, want %q", c.kind, c.bad, msg, "alloc: invalid config: "+c.want)
-				}
-			}()
-			c.construct(c.bad)
-		}()
 	}
 }
 
@@ -668,7 +647,7 @@ func TestAllocatorsValidWithInterleaved(t *testing.T) {
 // for fuzzed request patterns and densities.
 func TestWavefrontQuickValidity(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	w := NewWavefront(cfg)
+	w := MustNew(KindWavefront, cfg)
 	prop := func(seed uint64, density uint8) bool {
 		rng := sim.NewRNG(seed)
 		rs := randomRequestSet(rng, cfg, float64(density%100)/100)
@@ -681,7 +660,7 @@ func TestWavefrontQuickValidity(t *testing.T) {
 
 func TestAugmentingPathQuickValidity(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	a := NewAugmentingPath(cfg)
+	a := MustNew(KindAugmentingPath, cfg)
 	prop := func(seed uint64, density uint8) bool {
 		rng := sim.NewRNG(seed)
 		rs := randomRequestSet(rng, cfg, float64(density%100)/100)
@@ -695,7 +674,7 @@ func TestAugmentingPathQuickValidity(t *testing.T) {
 // Property (quick): the age-aware allocator is valid under fuzzed ages.
 func TestAgeQuickValidity(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
-	a := NewSeparableAge(cfg)
+	a := MustNew(KindSeparableAge, cfg)
 	prop := func(seed uint64, density, ageSpread uint8) bool {
 		rng := sim.NewRNG(seed)
 		rs := randomRequestSet(rng, cfg, float64(density%100)/100)

@@ -37,13 +37,8 @@ type apPool struct {
 	cells   cellSlots
 }
 
-// NewAugmentingPath returns a maximum-matching allocator for cfg. It
-// panics if cfg is invalid.
-func NewAugmentingPath(cfg Config) *AugmentingPath { return &newAugmentingPaths(cfg, 1, 1)[0] }
-
 // newAugmentingPaths returns n views of one pool with lanes lanes.
 func newAugmentingPaths(cfg Config, n, lanes int) []AugmentingPath {
-	mustValidate(cfg)
 	p := &apPool{pool: newPool(cfg, lanes)}
 	p.vcPtr = make([]int8, n*p.rows)
 	p.adj = make([]int8, lanes*p.rows*p.ports)

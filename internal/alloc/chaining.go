@@ -56,14 +56,10 @@ type chainPool struct {
 
 func (p *chainPool) chainWords() int { return p.readyWords + p.rowWords + p.outWords }
 
-// NewPacketChaining returns a packet-chaining allocator for cfg. The paper
-// evaluates chaining on the baseline crossbar (VirtualInputs = 1), but the
-// implementation supports any geometry. It panics if cfg is invalid.
-func NewPacketChaining(cfg Config) *PacketChaining { return &newPacketChainings(cfg, 1, 1)[0] }
-
-// newPacketChainings returns n views of one pool with lanes lanes.
+// newPacketChainings returns n views of one pool with lanes lanes. The
+// paper evaluates chaining on the baseline crossbar (VirtualInputs = 1),
+// but the implementation supports any geometry.
 func newPacketChainings(cfg Config, n, lanes int) []PacketChaining {
-	mustValidate(cfg)
 	p := &chainPool{readyWords: (cfg.Ports*cfg.VCs + 63) / 64}
 	p.ifPool.init(cfg, n, lanes)
 	p.prevOut = make([]int8, n*p.rows)

@@ -10,7 +10,7 @@ import (
 // same input port requests the same output again (SameInput, anyVC).
 func TestChainingPreservesConnections(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 4, VirtualInputs: 1}
-	pc := NewPacketChaining(cfg)
+	pc := MustNew(KindPacketChaining, cfg)
 
 	// Cycle 1: ports 0 and 1 both want output 2; exactly one wins.
 	rs := (&RequestSet{Config: cfg, Requests: []Request{
@@ -35,7 +35,7 @@ func TestChainingPreservesConnections(t *testing.T) {
 // the held connection.
 func TestChainingAnyVC(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 4, VirtualInputs: 1}
-	pc := NewPacketChaining(cfg)
+	pc := MustNew(KindPacketChaining, cfg)
 
 	g1 := pc.Allocate((&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 3, VC: 0, OutPort: 1},
@@ -69,7 +69,7 @@ func TestChainingAnyVC(t *testing.T) {
 // other ports.
 func TestChainingReleasesWhenUnrequested(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 4, VirtualInputs: 1}
-	pc := NewPacketChaining(cfg)
+	pc := MustNew(KindPacketChaining, cfg)
 	pc.Allocate((&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 0, VC: 0, OutPort: 2},
 	}}).Pack())
@@ -87,7 +87,7 @@ func TestChainingReleasesWhenUnrequested(t *testing.T) {
 func TestChainingBeatsIFOnPersistentTraffic(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	ifAlloc := NewSeparableIF(cfg)
-	pc := NewPacketChaining(cfg)
+	pc := MustNew(KindPacketChaining, cfg)
 	rngA, rngB := sim.NewRNG(21), sim.NewRNG(21)
 
 	// Persistent traffic: each VC holds a multi-cycle stream to one

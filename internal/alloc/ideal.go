@@ -10,14 +10,8 @@ package alloc
 // and 12.
 type Ideal struct{ SeparableIF }
 
-// NewIdeal returns an ideal allocator for cfg. It panics if cfg is
-// invalid or does not give every VC its own crossbar row.
-func NewIdeal(cfg Config) *Ideal { return &newIdeals(cfg, 1, 1)[0] }
-
 // newIdeals returns n views of one pool with lanes lanes.
 func newIdeals(cfg Config, n, lanes int) []Ideal {
-	must(CheckGeometry(KindIdeal, cfg))
-	mustValidate(cfg)
 	p := newIFPool(cfg, n, lanes)
 	vs := make([]Ideal, n)
 	for i := range vs {

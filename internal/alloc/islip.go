@@ -75,13 +75,8 @@ func (p *islipPool) masksAt(l int) (reqAt, occAt, freeAt, doneAt, askAt, offersA
 // islipIterations is the grant/accept rounds per Allocate call.
 const islipIterations = 2
 
-// NewISLIP returns an iSLIP allocator running islipIterations rounds. It
-// panics if cfg is invalid.
-func NewISLIP(cfg Config) *ISLIP { return &newISLIPs(cfg, 1, 1)[0] }
-
 // newISLIPs returns n views of one pool with lanes lanes.
 func newISLIPs(cfg Config, n, lanes int) []ISLIP {
-	mustValidate(cfg)
 	p := &islipPool{pool: newPool(cfg, lanes), iterations: islipIterations}
 	p.grantPtr = make([]int16, n*p.ports)
 	p.acceptPtr = make([]int8, n*p.rows)

@@ -10,7 +10,7 @@ func TestISLIPValidGrants(t *testing.T) {
 	rng := sim.NewRNG(31)
 	for _, cfg := range allConfigs() {
 		for _, iters := range []int{1, 2, 4} {
-			s := NewISLIP(cfg)
+			s := MustNew(KindISLIP, cfg).(*ISLIP)
 			s.p.iterations = iters
 			for cycle := 0; cycle < 150; cycle++ {
 				rs := randomRequestSet(rng, cfg, 0.5)
@@ -28,7 +28,7 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	totals := map[int]int{}
 	for _, iters := range []int{1, 2, 4} {
-		s := NewISLIP(cfg)
+		s := MustNew(KindISLIP, cfg).(*ISLIP)
 		s.p.iterations = iters
 		rng := sim.NewRNG(32)
 		for cycle := 0; cycle < 2000; cycle++ {
@@ -54,7 +54,7 @@ func TestISLIPIterationsImproveMatching(t *testing.T) {
 // can be added to its grant set.
 func TestISLIPConvergesToMaximal(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	s := NewISLIP(cfg)
+	s := MustNew(KindISLIP, cfg).(*ISLIP)
 	s.p.iterations = cfg.Ports // P iterations guarantee convergence
 	rng := sim.NewRNG(33)
 	for cycle := 0; cycle < 300; cycle++ {
@@ -77,7 +77,7 @@ func TestISLIPConvergesToMaximal(t *testing.T) {
 func TestSparofloValidGrants(t *testing.T) {
 	rng := sim.NewRNG(41)
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	s := NewSparoflo(cfg)
+	s := MustNew(KindSparoflo, cfg)
 	for cycle := 0; cycle < 400; cycle++ {
 		rs := randomRequestSet(rng, cfg, 0.5)
 		if err := Validate(rs, s.Allocate(rs)); err != nil {
@@ -94,7 +94,7 @@ func TestSparofloBetweenIFAndVIX(t *testing.T) {
 	base := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
 	vixc := Config{Ports: 5, VCs: 6, VirtualInputs: 2}
 	ifAlloc := NewSeparableIF(base)
-	sp := NewSparoflo(base)
+	sp := MustNew(KindSparoflo, base)
 	vix := NewSeparableIF(vixc)
 	rngs := [3]*sim.RNG{sim.NewRNG(42), sim.NewRNG(42), sim.NewRNG(42)}
 	var totIF, totSP, totVIX int
@@ -114,7 +114,7 @@ func TestSparofloBetweenIFAndVIX(t *testing.T) {
 // One grant per physical input port: SPAROFLO's defining constraint.
 func TestSparofloSingleGrantPerPort(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 1}
-	s := NewSparoflo(cfg)
+	s := MustNew(KindSparoflo, cfg)
 	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 2, VC: 0, OutPort: 0},
 		{Port: 2, VC: 1, OutPort: 1},

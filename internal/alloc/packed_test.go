@@ -412,7 +412,7 @@ func TestSeparableIFMatchesDenseReference(t *testing.T) {
 // pointer.
 func TestWavefrontMatchesDenseReference(t *testing.T) {
 	for _, cfg := range ReferenceGeometries() {
-		packed := NewWavefront(cfg)
+		packed := MustNew(KindWavefront, cfg).(*Wavefront)
 		dense := newDenseWavefront(cfg)
 		runLockstep(t, cfg, lockstepCycles, packed, dense.allocate, func(cycle int, next int64) {
 			if prio := int(next % int64(packed.p.diagonals())); prio != dense.prio {

@@ -17,7 +17,7 @@ package alloc
 // valid until the next Allocate in the same lane, on any instance. A
 // pool of one lane reads lane 0 whatever the set names, so a wrapper
 // may hand a router's set, lane and all, to a standalone inner
-// allocator. A single allocator (New, NewSeparableIF …) is a pool of one
+// allocator. A single allocator (New, or NewSeparableIF) is a pool of one
 // instance and one lane.
 
 // pool is what every kind's pool holds: the geometry and the grant slab,

@@ -38,8 +38,8 @@ const (
 // listed exactly when it is constructible, and adding a comparison point
 // is one row here plus a green FuzzAllocate and TestRegistry (which holds
 // Name() to the row's kind). A row builds n views of one pool with lanes
-// lanes of scratch; the exported NewX is the same constructor at n = 1
-// and one lane.
+// lanes of scratch; NewMany, its only caller, has already validated cfg
+// and its geometry, so a row checks neither.
 var builtins = []struct {
 	kind Kind
 	many func(cfg Config, n, lanes int) []Allocator
@@ -56,8 +56,9 @@ var builtins = []struct {
 
 // CheckGeometry reports why a valid cfg cannot carry kind, or nil: ideal
 // needs a crossbar row per VC (on a shared row its "one flit per requested
-// output" promise fails), SPAROFLO the conventional crossbar. New returns
-// the error; NewIdeal and NewSparoflo panic on it.
+// output" promise fails), SPAROFLO the conventional crossbar. NewMany
+// returns the error before building anything, and config.Experiment's
+// Validate asks it too.
 func CheckGeometry(kind Kind, cfg Config) error {
 	switch {
 	case kind == KindIdeal && cfg.VirtualInputs != cfg.VCs:

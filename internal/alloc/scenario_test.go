@@ -114,7 +114,7 @@ func TestFigure5MatchingEfficiency(t *testing.T) {
 // every output with at least one request.
 func TestIdealServesEveryRequestedOutput(t *testing.T) {
 	cfg := Config{Ports: 5, VCs: 6, VirtualInputs: 6}
-	id := NewIdeal(cfg)
+	id := MustNew(KindIdeal, cfg)
 	rs := (&RequestSet{Config: cfg, Requests: []Request{
 		{Port: 0, VC: 0, OutPort: 0},
 		{Port: 0, VC: 1, OutPort: 1},

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/bits"
+	"strings"
 
 	"vix/internal/arb"
 	"vix/internal/sim"
@@ -80,13 +81,20 @@ func (p *ifPool) laneMasks(l int) (outMask []uint64, outOcc sim.Bitset) {
 	return carve(&m, p.ports*p.rowWords), m
 }
 
-// NewSeparableIF returns a separable input-first allocator for cfg.
-// It panics if cfg is invalid.
-func NewSeparableIF(cfg Config) *SeparableIF { return &newSeparableIFs(cfg, 1, 1)[0] }
+// NewSeparableIF returns New's separable input-first allocator for cfg,
+// typed. It panics if cfg is invalid, so that an impossible crossbar
+// geometry fails loudly at construction rather than corrupting an
+// allocation later.
+func NewSeparableIF(cfg Config) *SeparableIF {
+	a, err := New(KindSeparableIF, cfg)
+	if err != nil {
+		panic("alloc: invalid config: " + strings.TrimPrefix(err.Error(), "alloc: "))
+	}
+	return a.(*SeparableIF)
+}
 
 // newSeparableIFs returns n views of one pool with lanes lanes.
 func newSeparableIFs(cfg Config, n, lanes int) []SeparableIF {
-	mustValidate(cfg)
 	p := newIFPool(cfg, n, lanes)
 	vs := make([]SeparableIF, n)
 	for i := range vs {

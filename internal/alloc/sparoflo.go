@@ -71,15 +71,8 @@ func (p *sparofloPool) masksAt(l int) (lineAt, occAt, winsAt, portAt int) {
 	return lineAt, occAt, winsAt, winsAt + p.ports*p.outWords
 }
 
-// NewSparoflo returns a SPAROFLO-style allocator exposing up to two
-// requests per input port. It panics if cfg is invalid or has virtual
-// inputs.
-func NewSparoflo(cfg Config) *Sparoflo { return &newSparoflos(cfg, 1, 1)[0] }
-
 // newSparoflos returns n views of one pool with lanes lanes.
 func newSparoflos(cfg Config, n, lanes int) []Sparoflo {
-	mustValidate(cfg)
-	must(CheckGeometry(KindSparoflo, cfg))
 	p := &sparofloPool{pool: newPool(cfg, lanes), vcs: cfg.VCs, exposed: min(2, cfg.VCs)}
 	p.lineWords = (p.ports*p.exposed + 63) / 64
 	p.inPtr = make([]int8, n*p.ports)

@@ -54,13 +54,8 @@ func (p *wavefrontPool) diagonals() int { return max(p.rows, p.ports) }
 
 func (p *wavefrontPool) wordsPer() int { return p.diagonals()*p.rowWords + p.rowWords + p.outWords }
 
-// NewWavefront returns a wavefront allocator for cfg. It panics if cfg is
-// invalid.
-func NewWavefront(cfg Config) *Wavefront { return &newWavefronts(cfg, 1, 1)[0] }
-
 // newWavefronts returns n views of one pool with lanes lanes.
 func newWavefronts(cfg Config, n, lanes int) []Wavefront {
-	mustValidate(cfg)
 	p := &wavefrontPool{pool: newPool(cfg, lanes)}
 	p.vcPtr = make([]int8, n*p.rows)
 	p.words = make([]uint64, lanes*p.wordsPer())

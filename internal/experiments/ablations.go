@@ -117,17 +117,16 @@ func KSweepGrid(base config.Experiment) []GridPoint {
 
 // AllocatorsGrid builds the full allocator set — including iSLIP (the
 // iterative allocator the paper cites) and SPAROFLO (related work) — on
-// a saturated mesh, IF first.
+// a saturated mesh, IF first. IF, WF, AP and VIX are the Section 4.1
+// schemes as networkSchemes states them.
 func AllocatorsGrid(base config.Experiment) []GridPoint {
-	topo := topology.NewMesh(8, 8)
+	topo, ns := topology.NewMesh(8, 8), networkSchemes()
 	var pts []GridPoint
 	for _, s := range []scheme{
-		{Label: "IF", Kind: alloc.KindSeparableIF, K: 1, Policy: router.PolicyMaxFree},
+		ns[0],
 		{Label: "iSLIP-2", Kind: alloc.KindISLIP, K: 1, Policy: router.PolicyMaxFree},
 		{Label: "SPAROFLO", Kind: alloc.KindSparoflo, K: 1, Policy: router.PolicyMaxFree},
-		{Label: "WF", Kind: alloc.KindWavefront, K: 1, Policy: router.PolicyMaxFree},
-		{Label: "AP", Kind: alloc.KindAugmentingPath, K: 1, Policy: router.PolicyMaxFree},
-		{Label: "VIX", Kind: alloc.KindSeparableIF, K: 2, Policy: router.PolicyBalanced},
+		ns[1], ns[2], ns[3],
 		{Label: "VIX-WF", Kind: alloc.KindWavefront, K: 2, Policy: router.PolicyBalanced},
 		{Label: "VIX-age", Kind: alloc.KindSeparableAge, K: 2, Policy: router.PolicyBalanced},
 	} {

@@ -344,6 +344,3 @@ func (s *System) ResetRetired() {
 	}
 	s.memLatSum, s.memLatCount = 0, 0
 }
-
-// Outstanding returns total in-flight memory transactions (for tests).
-func (s *System) Outstanding() int { return len(s.txns) }

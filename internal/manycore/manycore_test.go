@@ -117,8 +117,8 @@ func TestMLPWindowRespected(t *testing.T) {
 func TestTransactionsComplete(t *testing.T) {
 	sys, n := buildSystem(t, uniformApps("xalan", 64), alloc.KindSeparableIF, 1)
 	n.Run(1000)
-	if sys.Outstanding() > 64*mlpWindow {
-		t.Fatalf("outstanding %d exceeds chip-wide bound", sys.Outstanding())
+	if len(sys.txns) > 64*mlpWindow {
+		t.Fatalf("outstanding %d exceeds chip-wide bound", len(sys.txns))
 	}
 	sys.ResetRetired()
 	n.Run(2000)

@@ -92,10 +92,10 @@ type Config struct {
 	HopDelay int
 
 	// Workers is the number of workers the per-cycle router tick fans
-	// out across. 0 or 1 ticks each active router and merges its effects
-	// in one pass on the stepping goroutine; N > 1 ticks the cycle's
-	// active routers on N workers (the stepping goroutine plus up to N-1
-	// pooled goroutines); negative selects GOMAXPROCS. Statistics and
+	// out across. 1 or less ticks each active router and merges its
+	// effects in one pass on the stepping goroutine; N > 1 ticks the
+	// cycle's active routers on N workers (the stepping goroutine plus up
+	// to N-1 pooled goroutines), at most one per router. Statistics and
 	// ejection order are byte-identical for every value: within a cycle routers
 	// interact only through the delayed link/credit/ejection wheels, so
 	// router ticks are data-independent, and all cross-router effects

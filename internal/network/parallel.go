@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 
 	"vix/internal/router"
 	"vix/internal/sim"
@@ -81,26 +80,13 @@ type activeScratch struct {
 	fn       func(int)            // runActive, bound once
 }
 
-// resolveWorkers maps Config.Workers onto an effective worker count:
-// 0 is one worker, negative is GOMAXPROCS, positive is taken as given.
-// Any result above 1 makes the network park pool goroutines between
-// cycles — owners must call Close when done.
-func resolveWorkers(w int) int {
-	switch {
-	case w == 0:
-		return 1
-	case w < 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return w
-	}
-}
-
-// lanes returns the router tick's effective worker count for cfg, at most
-// one per router: a one-router network gets a one-wide pool. Each worker
-// ticks in a lane of its own, so it is the lane count of the network's
-// arena and allocator pool too.
-func lanes(cfg *Config) int { return min(resolveWorkers(cfg.Workers), cfg.Topology.NumRouters) }
+// lanes returns the router tick's effective worker count for cfg: at
+// least one (a Workers of 1 or less ticks serially) and at most one per
+// router, so a one-router network gets a one-wide pool. Each worker ticks
+// in a lane of its own, so it is the lane count of the network's arena
+// and allocator pool too. Above 1, the network parks pool goroutines
+// between cycles — owners must call Close when done.
+func lanes(cfg *Config) int { return max(1, min(cfg.Workers, cfg.Topology.NumRouters)) }
 
 // initParallel builds the worker pool of the given width and, when it is
 // more than one wide, the worklist scratch.

@@ -82,7 +82,7 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 	clock := int64(0)
 	for cycle, pkt := 0, uint64(0); cycle < poisonCycles; cycle, clock = cycle+1, clock+1 {
 		if cycle == poisonCycles/2 {
-			if r.Busy() {
+			if r.arena.Busy(int(r.slot)) {
 				t.Fatalf("%q: router did not drain in %d unloaded cycles", kind, poisonCycles/4)
 			}
 			clock += 7

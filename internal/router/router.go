@@ -388,9 +388,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	return r
 }
 
-// ID returns the router's index in its network.
-func (r *Router) ID() int { return int(r.id) }
-
 // Flits returns a standalone router's flit arena, and nil for a router
 // whose flit records its network keeps.
 func (r *Router) Flits() *FlitArena {
@@ -421,9 +418,6 @@ func (r *Router) Deliver(port, vc int, s Slot) { r.arena.Deliver(int(r.slot), po
 
 // DeliverCredit returns one credit for downstream VC vc of outPort.
 func (r *Router) DeliverCredit(outPort, vc int) { r.arena.DeliverCredit(int(r.slot), outPort, vc) }
-
-// Busy reports whether the router holds any buffered flits (Arena.Busy).
-func (r *Router) Busy() bool { return r.arena.Busy(int(r.slot)) }
 
 // Deliver places an arriving flit into input (port, vc) of the router in
 // slot — a network router's slot is its index — without reading the

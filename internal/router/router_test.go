@@ -627,7 +627,7 @@ func TestTwoWordMasksRotateLikeTheDenseScan(t *testing.T) {
 				t.Errorf("start %d: ivc %d holds output VC %d, want %d", start, ivc, r.view().ovc[ivc], want)
 			}
 		}
-		for tick := 0; r.Busy(); tick++ {
+		for tick := 0; r.arena.Busy(int(r.slot)); tick++ {
 			if tick > 100 {
 				t.Fatalf("start %d: router did not drain", start)
 			}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -47,15 +46,11 @@ type Pool struct {
 	panicVal any
 }
 
-// NewPool returns a pool of the given width. Values <= 0 select
-// runtime.GOMAXPROCS(0). No goroutines are spawned until the first Do
-// that can use them.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
+// NewPool returns a pool of the given width; a width of 1 or less runs
+// every Do inline. Its owner picks the width (the harness resolves
+// -parallel, the network its Workers). No goroutines are spawned until
+// the first Do that can use them.
+func NewPool(workers int) *Pool { return &Pool{workers: workers} }
 
 // Workers returns the pool's width, including the calling goroutine.
 func (p *Pool) Workers() int { return p.workers }

@@ -11,6 +11,7 @@ package traffic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vix/internal/sim"
 )
@@ -52,16 +53,8 @@ func (g grid) node(x, y int) int   { return y*g.W + x }
 
 // Transpose sends (x, y) to (y, x) on the logical node grid: adversarial
 // for dimension-order routing because all traffic crosses the diagonal.
+// The grid must be square.
 type Transpose struct{ g grid }
-
-// NewTranspose returns a transpose pattern over a w x h node grid; w and
-// h must be equal.
-func NewTranspose(w, h int) Transpose {
-	if w != h {
-		panic(fmt.Sprintf("traffic: transpose needs a square grid, got %dx%d", w, h))
-	}
-	return Transpose{g: grid{W: w, H: h}}
-}
 
 // Name implements Pattern.
 func (Transpose) Name() string { return "transpose" }
@@ -77,13 +70,9 @@ func (t Transpose) Dest(src int, _ *sim.RNG) int {
 }
 
 // BitComplement sends node i to node (N-1-i): every packet crosses the
-// network centre.
+// network centre. N need not be a power of two: the name is literal only
+// when it is, but any N works as the (N-1-i) complement.
 type BitComplement struct{ N int }
-
-// NewBitComplement returns a bit-complement pattern over n nodes (n must
-// be a power of two for the name to be literal; any n works as the
-// (N-1-i) complement).
-func NewBitComplement(n int) BitComplement { return BitComplement{N: n} }
 
 // Name implements Pattern.
 func (BitComplement) Name() string { return "bitcomp" }
@@ -97,23 +86,11 @@ func (b BitComplement) Dest(src int, _ *sim.RNG) int {
 	return d
 }
 
-// BitReverse sends node i to the bit-reversal of i over log2(N) bits.
+// BitReverse sends node i to the bit-reversal of i over log2(N) bits; N
+// must be a power of two.
 type BitReverse struct {
 	N    int
 	bits int
-}
-
-// NewBitReverse returns a bit-reverse pattern over n nodes; n must be a
-// power of two.
-func NewBitReverse(n int) BitReverse {
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	if 1<<bits != n {
-		panic(fmt.Sprintf("traffic: bit reverse needs power-of-two nodes, got %d", n))
-	}
-	return BitReverse{N: n, bits: bits}
 }
 
 // Name implements Pattern.
@@ -137,9 +114,6 @@ func (b BitReverse) Dest(src int, _ *sim.RNG) int {
 // row channels: (x, y) -> ((x + ceil(W/2) - 1) mod W, y).
 type Tornado struct{ g grid }
 
-// NewTornado returns a tornado pattern over a w x h node grid.
-func NewTornado(w, h int) Tornado { return Tornado{g: grid{W: w, H: h}} }
-
 // Name implements Pattern.
 func (Tornado) Name() string { return "tornado" }
 
@@ -154,23 +128,10 @@ func (t Tornado) Dest(src int, _ *sim.RNG) int {
 }
 
 // Shuffle sends node i to the left bit-rotation of i over log2(N) bits —
-// the classic perfect-shuffle permutation.
+// the classic perfect-shuffle permutation. N must be a power of two.
 type Shuffle struct {
 	N    int
 	bits int
-}
-
-// NewShuffle returns a shuffle pattern over n nodes; n must be a power of
-// two.
-func NewShuffle(n int) Shuffle {
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	if 1<<bits != n {
-		panic(fmt.Sprintf("traffic: shuffle needs power-of-two nodes, got %d", n))
-	}
-	return Shuffle{N: n, bits: bits}
 }
 
 // Name implements Pattern.
@@ -190,9 +151,6 @@ func (s Shuffle) Dest(src int, _ *sim.RNG) int {
 // patterns.
 type Neighbor struct{ g grid }
 
-// NewNeighbor returns a nearest-neighbour pattern over a w x h node grid.
-func NewNeighbor(w, h int) Neighbor { return Neighbor{g: grid{W: w, H: h}} }
-
 // Name implements Pattern.
 func (Neighbor) Name() string { return "neighbor" }
 
@@ -205,9 +163,6 @@ func (nb Neighbor) Dest(src int, _ *sim.RNG) int {
 // Hotspot sends a fifth of the traffic to node 0 and the remainder
 // uniformly.
 type Hotspot struct{ uniform Uniform }
-
-// NewHotspot returns the hotspot pattern over n nodes.
-func NewHotspot(n int) Hotspot { return Hotspot{uniform: NewUniform(n)} }
 
 // Name implements Pattern.
 func (Hotspot) Name() string { return "hotspot" }
@@ -225,50 +180,75 @@ func (h Hotspot) Dest(src int, rng *sim.RNG) int {
 	return h.uniform.Dest(src, rng)
 }
 
-// Names lists the pattern names New recognises, in documentation order.
-func Names() []string {
-	return []string{"uniform", "transpose", "bitcomp", "bitrev", "tornado", "shuffle", "neighbor", "hotspot"}
-}
-
-// New constructs a pattern by name over a w x h logical node grid.
-// Recognised names are those of Names. A grid the pattern is not defined on — fewer than two nodes
-// (nobody to address), a non-square grid for transpose, a node count
-// that is not a power of two for bitrev and shuffle — is an error, so
-// callers resolving user input never reach the typed constructors'
-// panics.
-func New(name string, w, h int) (Pattern, error) {
-	n := w * h
-	if w < 1 || h < 1 || n < 2 {
-		return nil, fmt.Errorf("traffic: a pattern needs at least 2 nodes, got a %dx%d grid", w, h)
-	}
-	switch name {
-	case "transpose":
+// patterns is the one statement of the pattern set, in documentation
+// order: Names lists it and New builds from it. A row builds its pattern
+// over a w x h grid of at least two nodes, or says why the pattern is not
+// defined on that grid. It is an array, so Names makes a slice of
+// constant length, which stays on an inlining caller's stack: config's
+// Validate asks Names for every spec and allocates nothing
+// (TestValidateAllocatesNothing).
+var patterns = [...]struct {
+	name  string
+	build func(w, h int) (Pattern, error)
+}{
+	{"uniform", func(w, h int) (Pattern, error) { return NewUniform(w * h), nil }},
+	{"transpose", func(w, h int) (Pattern, error) {
 		if w != h {
 			return nil, fmt.Errorf("traffic: transpose needs a square node grid, got %dx%d", w, h)
 		}
-	case "bitrev", "shuffle":
-		if n&(n-1) != 0 {
-			return nil, fmt.Errorf("traffic: %s needs a power-of-two node count, got %d", name, n)
+		return Transpose{grid{W: w, H: h}}, nil
+	}},
+	{"bitcomp", func(w, h int) (Pattern, error) { return BitComplement{N: w * h}, nil }},
+	{"bitrev", func(w, h int) (Pattern, error) {
+		b, err := log2("bitrev", w*h)
+		if err != nil {
+			return nil, err
+		}
+		return BitReverse{N: w * h, bits: b}, nil
+	}},
+	{"tornado", func(w, h int) (Pattern, error) { return Tornado{grid{W: w, H: h}}, nil }},
+	{"shuffle", func(w, h int) (Pattern, error) {
+		b, err := log2("shuffle", w*h)
+		if err != nil {
+			return nil, err
+		}
+		return Shuffle{N: w * h, bits: b}, nil
+	}},
+	{"neighbor", func(w, h int) (Pattern, error) { return Neighbor{grid{W: w, H: h}}, nil }},
+	{"hotspot", func(w, h int) (Pattern, error) { return Hotspot{NewUniform(w * h)}, nil }},
+}
+
+// log2 returns the bits that number n nodes, or why pattern name, a
+// permutation of those bits, is not defined on n.
+func log2(name string, n int) (int, error) {
+	if n&(n-1) != 0 {
+		return 0, fmt.Errorf("traffic: %s needs a power-of-two node count, got %d", name, n)
+	}
+	return bits.Len(uint(n)) - 1, nil
+}
+
+// Names lists the pattern names New recognises, in documentation order.
+func Names() []string {
+	names := make([]string, len(patterns))
+	for i, p := range patterns {
+		names[i] = p.name
+	}
+	return names
+}
+
+// New constructs a pattern by name over a w x h logical node grid.
+// Recognised names are those of Names. A grid the pattern is not defined
+// on — fewer than two nodes (nobody to address), a non-square grid for
+// transpose, a node count that is not a power of two for bitrev and
+// shuffle — is an error.
+func New(name string, w, h int) (Pattern, error) {
+	if w < 1 || h < 1 || w*h < 2 {
+		return nil, fmt.Errorf("traffic: a pattern needs at least 2 nodes, got a %dx%d grid", w, h)
+	}
+	for _, p := range patterns {
+		if p.name == name {
+			return p.build(w, h)
 		}
 	}
-	switch name {
-	case "uniform":
-		return NewUniform(n), nil
-	case "transpose":
-		return NewTranspose(w, h), nil
-	case "bitcomp":
-		return NewBitComplement(n), nil
-	case "bitrev":
-		return NewBitReverse(n), nil
-	case "tornado":
-		return NewTornado(w, h), nil
-	case "shuffle":
-		return NewShuffle(n), nil
-	case "neighbor":
-		return NewNeighbor(w, h), nil
-	case "hotspot":
-		return NewHotspot(n), nil
-	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
-	}
+	return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 }

@@ -7,23 +7,22 @@ import (
 	"vix/internal/sim"
 )
 
-func allPatterns() []Pattern {
-	return []Pattern{
-		NewUniform(64),
-		NewTranspose(8, 8),
-		NewBitComplement(64),
-		NewBitReverse(64),
-		NewTornado(8, 8),
-		NewShuffle(64),
-		NewNeighbor(8, 8),
-		NewHotspot(64),
+// mustNew is New of name on the 8x8 grid, which every pattern is
+// defined on.
+func mustNew(t *testing.T, name string) Pattern {
+	t.Helper()
+	p, err := New(name, 8, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 // Property: no pattern ever self-addresses or leaves the node range.
 func TestPatternsNeverSelfAddress(t *testing.T) {
 	rng := sim.NewRNG(1)
-	for _, p := range allPatterns() {
+	for _, name := range Names() {
+		p := mustNew(t, name)
 		prop := func(s uint8) bool {
 			src := int(s) % 64
 			d := p.Dest(src, rng)
@@ -51,7 +50,7 @@ func TestUniformCoversAllDestinations(t *testing.T) {
 }
 
 func TestTransposeMapping(t *testing.T) {
-	tr := NewTranspose(8, 8)
+	tr := mustNew(t, "transpose")
 	// (x=2, y=5) = node 42 -> (x=5, y=2) = node 21.
 	if d := tr.Dest(42, nil); d != 21 {
 		t.Fatalf("transpose(42) = %d, want 21", d)
@@ -63,7 +62,7 @@ func TestTransposeMapping(t *testing.T) {
 }
 
 func TestTransposeIsInvolutionOffDiagonal(t *testing.T) {
-	tr := NewTranspose(8, 8)
+	tr := mustNew(t, "transpose")
 	for src := 0; src < 64; src++ {
 		x, y := src%8, src/8
 		if x == y {
@@ -76,7 +75,7 @@ func TestTransposeIsInvolutionOffDiagonal(t *testing.T) {
 }
 
 func TestBitComplement(t *testing.T) {
-	b := NewBitComplement(64)
+	b := mustNew(t, "bitcomp")
 	if d := b.Dest(0, nil); d != 63 {
 		t.Fatalf("bitcomp(0) = %d, want 63", d)
 	}
@@ -86,7 +85,7 @@ func TestBitComplement(t *testing.T) {
 }
 
 func TestBitReverse(t *testing.T) {
-	b := NewBitReverse(64)
+	b := mustNew(t, "bitrev")
 	// 0b000001 -> 0b100000.
 	if d := b.Dest(1, nil); d != 32 {
 		t.Fatalf("bitrev(1) = %d, want 32", d)
@@ -97,17 +96,8 @@ func TestBitReverse(t *testing.T) {
 	}
 }
 
-func TestBitReverseRequiresPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bitrev on 48 nodes did not panic")
-		}
-	}()
-	NewBitReverse(48)
-}
-
 func TestTornadoStaysInRow(t *testing.T) {
-	tn := NewTornado(8, 8)
+	tn := mustNew(t, "tornado")
 	for src := 0; src < 64; src++ {
 		d := tn.Dest(src, nil)
 		if d/8 != src/8 {
@@ -121,7 +111,7 @@ func TestTornadoStaysInRow(t *testing.T) {
 }
 
 func TestHotspotConcentration(t *testing.T) {
-	h := NewHotspot(64)
+	h := mustNew(t, "hotspot")
 	rng := sim.NewRNG(3)
 	hits := 0
 	const draws = 20000
@@ -137,17 +127,8 @@ func TestHotspotConcentration(t *testing.T) {
 	}
 }
 
-func TestTransposeRequiresSquare(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-square transpose did not panic")
-		}
-	}()
-	NewTranspose(8, 4)
-}
-
 func TestNewByName(t *testing.T) {
-	for _, name := range []string{"uniform", "transpose", "bitcomp", "bitrev", "tornado", "shuffle", "neighbor", "hotspot"} {
+	for _, name := range Names() {
 		p, err := New(name, 8, 8)
 		if err != nil {
 			t.Errorf("New(%q) failed: %v", name, err)
@@ -160,8 +141,7 @@ func TestNewByName(t *testing.T) {
 	if _, err := New("nonsense", 8, 8); err == nil {
 		t.Error("New accepted unknown pattern")
 	}
-	// Grids a pattern is not defined on are errors, not the typed
-	// constructors' panics.
+	// Grids a pattern is not defined on are errors.
 	for _, c := range []struct {
 		name string
 		w, h int
@@ -176,7 +156,7 @@ func TestNewByName(t *testing.T) {
 }
 
 func TestShuffle(t *testing.T) {
-	s := NewShuffle(64)
+	s := mustNew(t, "shuffle")
 	// 0b000011 (3) rotates to 0b000110 (6).
 	if d := s.Dest(3, nil); d != 6 {
 		t.Fatalf("shuffle(3) = %d, want 6", d)
@@ -192,16 +172,10 @@ func TestShuffle(t *testing.T) {
 	if d := s.Dest(63, nil); d == 63 {
 		t.Fatal("shuffle(63) self-addressed")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shuffle on 48 nodes did not panic")
-		}
-	}()
-	NewShuffle(48)
 }
 
 func TestNeighbor(t *testing.T) {
-	nb := NewNeighbor(8, 8)
+	nb := mustNew(t, "neighbor")
 	if d := nb.Dest(0, nil); d != 1 {
 		t.Fatalf("neighbor(0) = %d, want 1", d)
 	}
