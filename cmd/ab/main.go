@@ -9,7 +9,9 @@
 //	go run ./cmd/ab -base HEAD -pairs 10 -phases -workload mesh16_low
 //
 // The base revision is checked out with `git worktree add --detach` into
-// a temporary directory that is removed on exit. Each pair runs both
+// a temporary directory that is removed on exit, and both sides are built
+// with -trimpath, so identical source gives byte-identical binaries
+// wherever it is checked out. Each pair runs both
 // binaries on one workload, the base first in even pairs and the working
 // tree first in odd ones, and reads each run's last JSON line (the
 // metrics) and its `stats digest` line. A pair whose digests differ stops
@@ -31,9 +33,11 @@
 // (a trajectory; the repository keeps its own in perf/trajectory.jsonl):
 // both revisions, the host, the pair count and -seconds, both medians
 // and quartiles, the median head − base, the median ln(head/base) with
-// its interval, the sign counts and the verdict. The head revision is the working tree's HEAD commit, marked
-// dirty when the tree has uncommitted changes — then the line measures
-// the change that is being committed with it.
+// its interval, the sign counts and the verdict. With -phases it also
+// appends one line per phase row, named by its "phase" field. The head
+// revision is the working tree's HEAD commit, marked dirty when the tree
+// has uncommitted changes — then the line measures the change that is
+// being committed with it.
 //
 // -phases also passes the bench command's -cpuprofile to every run and
 // reads the profile with `go tool pprof -top -cum`: per phase of a
@@ -208,7 +212,7 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 		{"head", root, filepath.Join(tmp, "head.bench"), filepath.Join(tmp, "head.out"), filepath.Join(tmp, "head.cpu")},
 	}
 	for _, s := range sides {
-		if _, err := output(ctx, s.tree, "go", "build", "-o", s.bin, "./bench"); err != nil {
+		if _, err := output(ctx, s.tree, "go", buildArgs(s.bin)...); err != nil {
 			return fmt.Errorf("building %s: %w", s.name, err)
 		}
 	}
@@ -267,10 +271,24 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 			}
 		}
 		if o.phases {
-			printPhases(stdout, runs[0], runs[1])
+			rows := phaseRows(runs[0], runs[1])
+			printPhases(stdout, rows)
+			if rec != nil {
+				if err := writePhaseRecords(rec, stamp, w, rows); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// buildArgs are the go command's arguments that build the bench command
+// into bin. -trimpath keeps the checkout's directory out of the binary,
+// so the base's temporary worktree and the working tree build identical
+// source into identical bytes.
+func buildArgs(bin string) []string {
+	return []string{"build", "-trimpath", "-o", bin, "./bench"}
 }
 
 // output runs name with args in dir and returns its standard output; the
@@ -565,18 +583,64 @@ func pprofSeconds(v string) (float64, error) {
 	return 0, fmt.Errorf("duration %q has no unit", v)
 }
 
-// printPhases prints one row per phase: each side's median cumulative
-// seconds and the median over pairs of ln(head/base).
-func printPhases(w io.Writer, base, head []run) {
-	fmt.Fprintf(w, "  %-32s %12s %12s %9s %6s\n", "phase (pprof cum)", "base s", "head s", "ln(h/b)", "signs")
+// phaseRow is one -phases row: a phase's median cumulative seconds on
+// each side and their paired comparison.
+type phaseRow struct {
+	name       string
+	base, head float64
+	summary
+}
+
+// phaseRows compares base and head on every phase of phaseNames.
+func phaseRows(base, head []run) []phaseRow {
+	rows := make([]phaseRow, len(phaseNames))
 	for i, name := range phaseNames {
 		b, h := make([]float64, len(base)), make([]float64, len(head))
 		for p := range base {
 			b[p], h[p] = base[p].Phases[i], head[p].Phases[i]
 		}
-		s := summarise(b, h, "lower")
-		fmt.Fprintf(w, "  %-32s %12.3f %12.3f %+9.4f %2d/%-3d\n", name, median(b), median(h), s.median, s.better, s.worse)
+		rows[i] = phaseRow{name: name, base: median(b), head: median(h), summary: summarise(b, h, "lower")}
 	}
+	return rows
+}
+
+// printPhases prints one row per phase: each side's median cumulative
+// seconds and the median over pairs of ln(head/base).
+func printPhases(w io.Writer, rows []phaseRow) {
+	fmt.Fprintf(w, "  %-32s %12s %12s %9s %6s\n", "phase (pprof cum)", "base s", "head s", "ln(h/b)", "signs")
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %-32s %12.3f %12.3f %+9.4f %2d/%-3d\n", r.name, r.base, r.head, r.median, r.better, r.worse)
+	}
+}
+
+// phaseRecord is one line of a trajectory for a -phases row: what
+// printPhases prints, with the stamp.
+type phaseRecord struct {
+	stamp
+	Workload    string  `json:"workload"`
+	Phase       string  `json:"phase"`
+	BaseSeconds float64 `json:"base_median_s"`
+	HeadSeconds float64 `json:"head_median_s"`
+	LnRatio     float64 `json:"ln_ratio_median"`
+	BetterIn    int     `json:"better_pairs"`
+	WorseIn     int     `json:"worse_pairs"`
+}
+
+// writePhaseRecords appends a line per phase row to w.
+func writePhaseRecords(w io.Writer, st stamp, workload string, rows []phaseRow) error {
+	for _, r := range rows {
+		line, err := json.Marshal(phaseRecord{
+			stamp: st, Workload: workload, Phase: r.name, BaseSeconds: r.base, HeadSeconds: r.head,
+			LnRatio: r.median, BetterIn: r.better, WorseIn: r.worse,
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // summary is one metric's paired statistics.

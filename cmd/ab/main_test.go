@@ -2,12 +2,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -238,6 +240,91 @@ func TestParsePhasesReadsCumulativeSeconds(t *testing.T) {
 	}
 }
 
+// A -phases row goes to the record as one line per phase: the stamp,
+// the workload, the phase and its row's medians, ln ratio and signs, and
+// no field a verdict line has that a phase row lacks.
+func TestWritePhaseRecordsRoundTrips(t *testing.T) {
+	base, head := make([]run, 3), make([]run, 3)
+	for p := range base {
+		for i := range phaseNames {
+			base[p].Phases[i] = float64(i+1) + float64(p)/10
+			head[p].Phases[i] = base[p].Phases[i] * 0.5
+		}
+	}
+	rows := phaseRows(base, head)
+	st := stamp{Base: "b", Head: "h", HeadDirty: true, Host: host{CPUs: 2, Go: "go1"}, Pairs: 3, Seconds: 1}
+	var buf strings.Builder
+	if err := writePhaseRecords(&buf, st, "mesh32_sat", rows); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(phaseNames) {
+		t.Fatalf("%d lines, want one per phase:\n%s", len(lines), buf.String())
+	}
+	for i, line := range lines {
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		var r phaseRecord
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		want := phaseRecord{
+			stamp: st, Workload: "mesh32_sat", Phase: phaseNames[i],
+			BaseSeconds: float64(i+1) + 0.1, HeadSeconds: (float64(i+1) + 0.1) * 0.5,
+			LnRatio: math.Log(0.5), BetterIn: 3,
+		}
+		if r != want {
+			t.Errorf("line %d: %+v, want %+v", i, r, want)
+		}
+	}
+}
+
+// The bench binary is built with -trimpath: the same source checked out
+// in two directories builds to the same bytes, which it does not without
+// the flag.
+func TestBuildArgsGiveByteIdenticalBinaries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four binaries")
+	}
+	args := buildArgs("bench.bin")
+	if !slices.Contains(args, "-trimpath") {
+		t.Fatalf("build arguments %v lack -trimpath", args)
+	}
+	build := func(args []string) [2][]byte {
+		var bins [2][]byte
+		for i := range bins {
+			dir := t.TempDir()
+			for name, src := range map[string]string{
+				"go.mod":        "module abprobe\n\ngo 1.24\n",
+				"bench/main.go": "package main\n\nimport \"fmt\"\n\nfunc main() { fmt.Println(\"bench\") }\n",
+			} {
+				if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := output(context.Background(), dir, "go", args...); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(filepath.Join(dir, "bench.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bins[i] = b
+		}
+		return bins
+	}
+	if bins := build(args); !bytes.Equal(bins[0], bins[1]) {
+		t.Error("the same source in two directories built to different binaries")
+	}
+	untrimmed := slices.DeleteFunc(slices.Clone(args), func(a string) bool { return a == "-trimpath" })
+	if bins := build(untrimmed); bytes.Equal(bins[0], bins[1]) {
+		t.Error("without -trimpath the two directories still built the same bytes; the check shows nothing")
+	}
+}
+
 // writeRecords writes a line per reported verdict, each its stamp, the
 // workload and the verdict's statistics; a metric no pair reported is
 // left out.
@@ -316,9 +403,10 @@ func TestCloseIntoKeepsTheFirstError(t *testing.T) {
 
 // TestTrajectoryVerdictsFollowTheirIntervals reads the repository's perf
 // trajectory, which cmd/ab -record appends to: every line names both
-// revisions, its host and its pairs, a workload and an end-to-end metric
-// of BENCHMARK.json, and its verdict is the one its interval and pair
-// count give. Nothing is timed.
+// revisions, its host and its pairs and a workload of BENCHMARK.json. A
+// verdict line names an end-to-end metric, and its verdict is the one its
+// interval and pair count give; a -phases line names a phase of
+// phaseNames. Nothing is timed.
 func TestTrajectoryVerdictsFollowTheirIntervals(t *testing.T) {
 	c, err := readContract("../../BENCHMARK.json")
 	if err != nil {
@@ -331,24 +419,44 @@ func TestTrajectoryVerdictsFollowTheirIntervals(t *testing.T) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	n := 0
-	for sc.Scan() {
-		n++
-		dec := json.NewDecoder(strings.NewReader(sc.Text()))
-		dec.DisallowUnknownFields()
-		var r record
-		if err := dec.Decode(&r); err != nil {
-			t.Fatalf("line %d: %v", n, err)
-		}
-		if r.Base == "" || r.Head == "" || r.Host.CPUs < 1 || r.Host.Go == "" || r.Pairs < 1 || r.Seconds < 1 {
-			t.Errorf("line %d: incomplete stamp %+v", n, r.stamp)
+	checkStamp := func(n int, st stamp, workload string) {
+		if st.Base == "" || st.Head == "" || st.Host.CPUs < 1 || st.Host.Go == "" || st.Pairs < 1 || st.Seconds < 1 {
+			t.Errorf("line %d: incomplete stamp %+v", n, st)
 		}
 		if !slices.ContainsFunc(c.Workloads, func(w struct {
 			Name string `json:"name"`
 		}) bool {
-			return w.Name == r.Workload
+			return w.Name == workload
 		}) {
-			t.Errorf("line %d: workload %q is not in BENCHMARK.json", n, r.Workload)
+			t.Errorf("line %d: workload %q is not in BENCHMARK.json", n, workload)
 		}
+	}
+	for sc.Scan() {
+		n++
+		var kind struct {
+			Phase string `json:"phase"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &kind); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		dec := json.NewDecoder(strings.NewReader(sc.Text()))
+		dec.DisallowUnknownFields()
+		if kind.Phase != "" {
+			var r phaseRecord
+			if err := dec.Decode(&r); err != nil {
+				t.Fatalf("line %d: %v", n, err)
+			}
+			checkStamp(n, r.stamp, r.Workload)
+			if !slices.Contains(phaseNames[:], r.Phase) || r.BetterIn+r.WorseIn > r.Pairs {
+				t.Errorf("line %d: phase %q, signs %d/%d of %d pairs", n, r.Phase, r.BetterIn, r.WorseIn, r.Pairs)
+			}
+			continue
+		}
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		checkStamp(n, r.stamp, r.Workload)
 		if i := slices.IndexFunc(c.EndToEnd, func(m metric) bool { return m.Name == r.Metric }); i < 0 || c.EndToEnd[i].Better != r.Better {
 			t.Errorf("line %d: metric %q (better %s) is not an end-to-end metric of BENCHMARK.json", n, r.Metric, r.Better)
 		}

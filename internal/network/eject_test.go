@@ -111,8 +111,11 @@ func TestEjectedFlitFieldsArePinned(t *testing.T) {
 // ejection event the slot plus the port and VC it left through, at most
 // 8. An emission, a router's per-port scratch, is at most 16. What the
 // network keeps per in-flight packet — its record plus its entry on the
-// free stack — is at most 52 bytes: PacketID, Tag and two cycles (8 B
-// each), three int32s, the hop count and the ejected-flit count.
+// free stack — is at most 28 bytes: the creation cycle (8 B), source and
+// destination (int32s), and the size, hop count and ejected-flit count
+// (int16s). Where OnEject or a Workload reads them, the packet's
+// PacketID, Tag and injection cycle add an observed entry of at most 24
+// bytes. A packet queued at its source costs at most 32 bytes.
 func TestInFlightFlitFootprint(t *testing.T) {
 	var n Network
 	rec := unsafe.Sizeof(*n.flits.At(0)) // not evaluated: the size of the element type
@@ -121,7 +124,9 @@ func TestInFlightFlitFootprint(t *testing.T) {
 		what      string
 		size, max uintptr
 	}{
-		{"a packet record and its free-stack entry", rec + entry, 52},
+		{"a packet record and its free-stack entry", rec + entry, 28},
+		{"an observed entry", unsafe.Sizeof(observed{}), 24},
+		{"a queued packet", unsafe.Sizeof(queuedPacket{}), 32},
 		{"an ejection event", unsafe.Sizeof(ejection{}), 8},
 		{"a link event", unsafe.Sizeof(flitDelivery{}), 12},
 		{"an emission", unsafe.Sizeof(router.Emission{}), 16},
@@ -132,6 +137,44 @@ func TestInFlightFlitFootprint(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(router.Slot(0)); s != 4 {
 		t.Errorf("router.Slot is %d bytes, want exactly 4", s)
+	}
+}
+
+// A network with neither OnEject nor a Workload keeps no observed entry:
+// a saturated 4x4 mesh grows its record slab but no side slab. With
+// either observer set, the side slab grows with the records.
+func TestUnobservedNetworkKeepsNoSideSlab(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		observed bool
+		set      func(*Config)
+	}{
+		{"neither", false, func(*Config) {}},
+		{"OnEject", true, func(cfg *Config) { cfg.OnEject = func(*router.Flit) {} }},
+		{"Workload", true, func(cfg *Config) {
+			cfg.Workload = &taggingWorkload{pattern: traffic.NewUniform(cfg.Topology.NumNodes), outstanding: make([]int, cfg.Topology.NumNodes)}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := meshConfig(topology.NewMesh(4, 4), alloc.KindSeparableIF, 2, router.PolicyBalanced)
+			cfg.MaxInjection = true
+			c.set(&cfg)
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Run(500)
+			if n.flits.Live() == 0 {
+				t.Fatalf("no record live after 500 saturated cycles (%d kept)", n.flits.Cap())
+			}
+			want := 0
+			if c.observed {
+				want = n.flits.Cap()
+			}
+			if got := len(n.flits.observed); got != want {
+				t.Errorf("%d observed entries beside %d records, want %d", got, n.flits.Cap(), want)
+			}
+		})
 	}
 }
 

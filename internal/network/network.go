@@ -117,8 +117,8 @@ const (
 )
 
 // MaxPacketSize is the largest packet, in flits, a network carries: a
-// packet's record counts the flits of it ejected, a flit's Seq at
-// ejection, in an int16.
+// packet's record keeps its size, and counts the flits of it ejected (a
+// flit's Seq at ejection), in int16s.
 const MaxPacketSize = math.MaxInt16
 
 // MaxHops is the longest path, in links, a network routes: a packet's
@@ -227,29 +227,54 @@ type ejection struct {
 	route, vc int8
 }
 
-// flitRecord is what the network keeps of an in-flight packet, 48 bytes
+// flitRecord is what the network keeps of an in-flight packet, 24 bytes
 // without pointers, named by every flit of the packet: the fields its
-// flits share, which inject writes at the head and eject reads at every
-// flit. Every flit of a packet takes its head's path, so the hop count is
-// the path's, which inject computes from the route table; flits of a
-// packet eject in order, so a flit's Seq is the count of its packet's
-// flits ejected before it. Type, Route and VC differ per flit and travel
-// in its buffer slots and ejection event; the Flit OnEject sees is
-// assembled from both.
+// flits share that the simulation reads, which inject writes at the head
+// and eject reads at every flit. Every flit of a packet takes its head's
+// path, so the hop count is the path's, which inject computes from the
+// route table; flits of a packet eject in order, so a flit's Seq is the
+// count of its packet's flits ejected before it. Type, Route and VC
+// differ per flit and travel in its buffer slots and ejection event; the
+// Flit OnEject sees is assembled from both and from the packet's observed
+// entry.
 type flitRecord struct {
-	packetID, tag            uint64
-	createCycle, injectCycle int64 // injectCycle: when the head entered
-	src, dst, packetSize     int32
-	hops                     int16 // links on the packet's DOR path
-	ejected                  int16 // flits of the packet ejected so far
+	createCycle int64
+	src, dst    int32
+	packetSize  int16 // at most MaxPacketSize; a free record's is 0
+	hops        int16 // links on the packet's DOR path
+	ejected     int16 // flits of the packet ejected so far
+}
+
+// observed is what only an observer reads of an in-flight packet, 24
+// bytes: its PacketID and Tag, for OnEject and Workload.Delivered, and
+// the cycle its head entered, for OnEject.
+type observed struct {
+	packetID, tag uint64
+	injectCycle   int64
 }
 
 // flitStore is the network's slab of packet records, and the route table
 // that gives a head its output port and lookahead dimension at each
-// router.
+// router. Where OnEject or a Workload reads them, observed keeps each
+// record's observed entry under the record's id, grown with the slab;
+// elsewhere it is nil.
 type flitStore struct {
 	router.Slab[flitRecord]
-	routes *routing.Table
+	observed []observed
+	observe  bool // OnEject or a Workload is set
+	routes   *routing.Table
+}
+
+// Alloc returns the id of a zeroed record, growing observed with the
+// slab where it is kept.
+func (s *flitStore) Alloc() router.FlitID {
+	id := s.Slab.Alloc()
+	if s.observe && len(s.observed) < s.Cap() {
+		grown := make([]observed, s.Cap())
+		copy(grown, s.observed)
+		s.observed = grown
+	}
+	return id
 }
 
 // Head implements router.Records: the output port at router r toward the
@@ -264,13 +289,14 @@ func (s *flitStore) NextDim(r, outPort, dst int) topology.Dim {
 	return s.routes.NextDim(r, outPort, dst)
 }
 
-// Packet implements router.Records: every flit of a packet names its
-// record. A freed record is zero, and a live one has a positive size.
+// Packet implements router.Records: a packet is named by its record's
+// id, which every flit of it names and no other live packet shares. A
+// freed record is zero, and a live one has a positive size.
 func (s *flitStore) Packet(id router.FlitID) (uint64, bool) {
 	if !s.Holds(id) || s.At(id).packetSize <= 0 {
 		return 0, false
 	}
-	return s.At(id).packetID, true
+	return uint64(id), true
 }
 
 // queuedPacket is one not-yet-injected packet in an NI source queue:
@@ -278,13 +304,11 @@ func (s *flitStore) Packet(id router.FlitID) (uint64, bool) {
 // cycle. Queued packets hold no record slots, so the live packet
 // population — and with it the slab high-water mark — is bounded by the
 // network's buffering, not by source backlog: a saturated run's queues
-// grow by 48 bytes per packet of descriptor, never by records.
+// grow by 32 bytes per packet of descriptor, never by records.
 type queuedPacket struct {
-	id          uint64
-	dst         int
-	tag         uint64
-	size        int
+	id, tag     uint64
 	createCycle int64
+	dst, size   int32
 }
 
 // ni is the network interface of one terminal node: an unbounded source
@@ -321,7 +345,7 @@ func (q *ni) push(p queuedPacket) {
 		q.head = 0
 	}
 	q.queue = append(q.queue, p)
-	q.flits += p.size
+	q.flits += int(p.size)
 }
 
 // popFlit consumes one flit of the front packet (of the given size),
@@ -434,6 +458,7 @@ func New(cfg Config) (*Network, error) {
 	n.ejectQ = make([][]ejection, n.qlen)
 
 	n.flits.routes = n.routes
+	n.flits.observe = cfg.OnEject != nil || cfg.Workload != nil
 	workers := lanes(&cfg)
 	n.arena = router.NewArena(topo.NumRouters, workers, cfg.Router, &n.flits)
 	root := sim.NewRNG(cfg.Seed)
@@ -615,8 +640,9 @@ func (n *Network) endCycle() {
 // eject retires a flit at its destination and updates statistics from
 // its packet's record, whose count of flits ejected is the flit's Seq,
 // and its ejection event, which carries the flit's slot and VC. The
-// public Flit is assembled, into network-owned scratch, only for OnEject.
-// A tail returns the record to the free stack afterwards.
+// public Flit is assembled, into network-owned scratch, only for OnEject,
+// and the Delivery only for a Workload; both read the packet's observed
+// entry. A tail returns the record to the free stack afterwards.
 func (n *Network) eject(e ejection) {
 	id := e.slot.Flit()
 	f := n.flits.At(id)
@@ -630,18 +656,19 @@ func (n *Network) eject(e ejection) {
 		n.col.PacketEjected(n.cycle-f.createCycle, int(f.hops))
 		if n.cfg.Workload != nil {
 			n.cfg.Workload.Delivered(Delivery{
-				Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
+				Src: int(f.src), Dst: int(f.dst), Tag: n.flits.observed[id].tag,
 				CreateCycle: f.createCycle, EjectCycle: n.cycle, Hops: int(f.hops),
 			})
 		}
 	}
 	if n.cfg.OnEject != nil {
+		o := &n.flits.observed[id]
 		var injectCycle int64 // set on a head only
 		if typ.IsHead() {
-			injectCycle = f.injectCycle
+			injectCycle = o.injectCycle
 		}
 		n.ejected = router.Flit{
-			PacketID: f.packetID, Type: typ, Src: int(f.src), Dst: int(f.dst), Tag: f.tag,
+			PacketID: o.packetID, Type: typ, Src: int(f.src), Dst: int(f.dst), Tag: o.tag,
 			Seq: int(seq), PacketSize: int(f.packetSize), Route: int(e.route), VC: int(e.vc),
 			CreateCycle: f.createCycle, InjectCycle: injectCycle, EjectCycle: n.cycle, Hops: int(f.hops),
 		}
@@ -692,10 +719,10 @@ func (n *Network) enqueuePacket(nif *ni, spec PacketSpec) {
 	}
 	nif.push(queuedPacket{
 		id:          id,
-		dst:         spec.Dst,
 		tag:         spec.Tag,
-		size:        size,
 		createCycle: n.cycle,
+		dst:         int32(spec.Dst),
+		size:        int32(size),
 	})
 	n.actNI.Set(nif.node)
 }
@@ -710,13 +737,14 @@ func (n *Network) inject(nif *ni) {
 	r := n.topo.NodeRouter[nif.node]
 	port := n.topo.NodePort[nif.node]
 	rt := n.routers[r]
-	ft := router.PacketFlitType(nif.seq, p.size)
+	size, dst := int(p.size), int(p.dst)
+	ft := router.PacketFlitType(nif.seq, size)
 
 	if ft.IsHead() {
 		if nif.curVC >= 0 {
 			panic("network: head flit while previous packet still streaming")
 		}
-		vc := rt.InjectionVC(port, n.topo.Conn[r][n.routes.Port(r, p.dst)].Dim)
+		vc := rt.InjectionVC(port, n.topo.Conn[r][n.routes.Port(r, dst)].Dim)
 		if vc < 0 {
 			return // no space at the local port this cycle
 		}
@@ -730,16 +758,18 @@ func (n *Network) inject(nif *ni) {
 		// enter the network, so source backlog never pins slab slots.
 		nif.rec = n.flits.Alloc()
 		*n.flits.At(nif.rec) = flitRecord{
-			packetID: p.id, tag: p.tag, createCycle: p.createCycle, injectCycle: n.cycle,
-			src: int32(nif.node), dst: int32(p.dst), packetSize: int32(p.size),
-			hops: int16(n.routes.Hops(r, p.dst)),
+			createCycle: p.createCycle, src: int32(nif.node), dst: p.dst,
+			packetSize: int16(size), hops: int16(n.routes.Hops(r, dst)),
 		}
-		n.col.PacketInjected(p.size)
+		if n.flits.observe {
+			n.flits.observed[nif.rec] = observed{packetID: p.id, tag: p.tag, injectCycle: n.cycle}
+		}
+		n.col.PacketInjected(size)
 	}
 	n.arena.Deliver(r, port, nif.curVC, router.NewSlot(nif.rec, ft))
 	n.col.BufferWrite()
 	n.inFlight++
-	nif.popFlit(p.size)
+	nif.popFlit(size)
 	n.actR.Set(r)
 	if nif.pending() == 0 {
 		n.actNI.Clear(nif.node)

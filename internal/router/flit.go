@@ -179,7 +179,9 @@ type Records interface {
 	// flit id names, and the packet's destination terminal.
 	Head(id FlitID, router int) (route, dst int)
 	// Packet names the packet of the live record id, and live is false
-	// if id names no live record.
+	// if id names no live record. A network names a packet by its
+	// record's id, which every flit of it names; a FlitArena by its
+	// PacketID.
 	Packet(id FlitID) (packet uint64, live bool)
 }
 
