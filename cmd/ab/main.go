@@ -34,14 +34,16 @@
 // both revisions, the host, the pair count and -seconds, both medians
 // and quartiles, the median head − base, the median ln(head/base) with
 // its interval, the sign counts and the verdict. With -phases it also
-// appends one line per phase row, named by its "phase" field. The head
+// appends one line per phase row, named by its "phase" field, and marks
+// every line it writes "phases": true, as profiling inflates the runs'
+// live heap and slows them. The head
 // revision is the working tree's HEAD commit, marked dirty when the tree
 // has uncommitted changes — then the line measures the change that is
 // being committed with it.
 //
 // -phases also passes the bench command's -cpuprofile to every run and
 // reads the profile with `go tool pprof -top -cum`: per phase of a
-// network step (tickRouter, deliver, allocateVCs, Allocate, mergeRouter,
+// network step (Advance, deliver, allocateVCs, Allocate, mergeRouter,
 // source) it prints the median cumulative seconds on each side and the
 // median ln(head/base). Equal digests mean both sides simulated the same
 // cycles, so the seconds compare work, not run length. A phase the
@@ -98,7 +100,7 @@ type run struct {
 
 // phaseNames are the step phases -phases reports, each the method of that
 // name (on any receiver, so Allocate is whichever allocator ran).
-var phaseNames = [...]string{"tickRouter", "deliver", "allocateVCs", "Allocate", "mergeRouter", "source"}
+var phaseNames = [...]string{"Advance", "deliver", "allocateVCs", "Allocate", "mergeRouter", "source"}
 
 // workloads is the repeatable -workload flag.
 type workloads []string
@@ -219,7 +221,7 @@ func compare(ctx context.Context, root, base string, names []string, metrics []m
 	fmt.Fprintf(stdout, "ab: base %.12s, head the working tree at %s; %d pairs, -seconds %d; %d CPUs, %s\n",
 		rev, root, o.pairs, o.seconds, runtime.NumCPU(), runtime.Version())
 	var rec *os.File
-	stamp := stamp{Base: rev, Pairs: o.pairs, Seconds: o.seconds, Host: thisHost()}
+	stamp := newStamp(rev, o)
 	if o.record != "" {
 		if rec, err = openRecord(ctx, root, o.record, &stamp); err != nil {
 			return err
@@ -406,6 +408,13 @@ type stamp struct {
 	Host      host   `json:"host"`
 	Pairs     int    `json:"pairs"`
 	Seconds   int    `json:"seconds"`
+	Phases    bool   `json:"phases,omitempty"` // the runs were profiled
+}
+
+// newStamp is the stamp of a comparison against base revision rev, on
+// this host, before openRecord names the head.
+func newStamp(rev string, o options) stamp {
+	return stamp{Base: rev, Pairs: o.pairs, Seconds: o.seconds, Host: thisHost(), Phases: o.phases}
 }
 
 // openRecord stamps st with the head revision, and whether the working

@@ -193,7 +193,7 @@ Dropped 39 nodes (cum <= 0.02s)
       flat  flat%   sum%        cum   cum%
          0     0%     0%      4.10s 99.76%  main.runPass
      0.08s  1.95%  1.95%      2.79s 67.88%  vix/internal/network.(*Network).tickRouters
-     0.33s  8.03%  9.98%      2.41s 58.64%  vix/internal/network.(*Network).tickRouter
+     0.33s  8.03%  9.98%      2.41s 58.64%  vix/internal/router.(*Router).Advance
      0.05s  1.22% 11.20%      0.82s 19.95%  vix/internal/network.(*Network).source
      0.11s  2.68% 13.88%      0.48s 11.68%  vix/internal/network.(*Network).deliver
      0.12s  2.92% 16.80%      0.55s 13.38%  vix/internal/router.(*Router).allocateVCs
@@ -206,8 +206,7 @@ Dropped 39 nodes (cum <= 0.02s)
 
 // Each phase reads the cum column of its method's row, whatever the
 // unit; the largest of several Allocate rows (a wrapper around the
-// built-in kind) wins, and tickRouters and allocate are not tickRouter
-// and Allocate.
+// built-in kind) wins, and allocate is not Allocate.
 func TestParsePhasesReadsCumulativeSeconds(t *testing.T) {
 	got, err := parsePhases(pprofTop)
 	if err != nil {
@@ -352,6 +351,43 @@ func TestWriteRecordsRoundTrips(t *testing.T) {
 	}
 }
 
+// Every line a -phases comparison writes, verdict and phase row alike,
+// is marked "phases": true, since profiling inflates what its runs
+// measure; an unprofiled comparison's lines lack the field, as the
+// trajectory's older lines do.
+func TestProfiledRecordsAreMarked(t *testing.T) {
+	base := []run{{Metrics: map[string]float64{"live_heap_mb": 2.6}}}
+	head := []run{{Metrics: map[string]float64{"live_heap_mb": 3.8}}}
+	metrics := []metric{{Name: "live_heap_mb", Unit: "MB", Better: "lower"}}
+	for _, profiled := range []bool{false, true} {
+		st := newStamp("b", options{pairs: 1, seconds: 1, phases: profiled})
+		var buf strings.Builder
+		if err := writeRecords(&buf, st, "mesh32_sat", verdicts(base, head, metrics)); err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if profiled {
+			if err := writePhaseRecords(&buf, st, "mesh32_sat", phaseRows(base, head)); err != nil {
+				t.Fatal(err)
+			}
+			want += len(phaseNames)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines) != want {
+			t.Fatalf("profiled %v: %d lines, want %d:\n%s", profiled, len(lines), want, buf.String())
+		}
+		for i, line := range lines {
+			var fields map[string]any
+			if err := json.Unmarshal([]byte(line), &fields); err != nil {
+				t.Fatalf("profiled %v, line %d: %v", profiled, i, err)
+			}
+			if mark, ok := fields["phases"]; ok != profiled || ok && mark != true {
+				t.Errorf("profiled %v, line %d: phases mark %v (present %v):\n%s", profiled, i, mark, ok, line)
+			}
+		}
+	}
+}
+
 // dirty counts every change the head binary could be built from, an
 // untracked file too, but not the record file that ab writes itself.
 func TestDirtyCountsUntrackedFilesButNotTheRecord(t *testing.T) {
@@ -401,12 +437,18 @@ func TestCloseIntoKeepsTheFirstError(t *testing.T) {
 	}
 }
 
+// retiredPhases are phases the trajectory's older lines name that
+// phaseNames no longer lists. tickRouter was phase A's wrapper around
+// Router.Advance, which also counted activity; phase A is now the
+// Advance call alone, reported as Advance.
+var retiredPhases = []string{"tickRouter"}
+
 // TestTrajectoryVerdictsFollowTheirIntervals reads the repository's perf
 // trajectory, which cmd/ab -record appends to: every line names both
 // revisions, its host and its pairs and a workload of BENCHMARK.json. A
 // verdict line names an end-to-end metric, and its verdict is the one its
 // interval and pair count give; a -phases line names a phase of
-// phaseNames. Nothing is timed.
+// phaseNames, or one of retiredPhases. Nothing is timed.
 func TestTrajectoryVerdictsFollowTheirIntervals(t *testing.T) {
 	c, err := readContract("../../BENCHMARK.json")
 	if err != nil {
@@ -447,7 +489,8 @@ func TestTrajectoryVerdictsFollowTheirIntervals(t *testing.T) {
 				t.Fatalf("line %d: %v", n, err)
 			}
 			checkStamp(n, r.stamp, r.Workload)
-			if !slices.Contains(phaseNames[:], r.Phase) || r.BetterIn+r.WorseIn > r.Pairs {
+			known := slices.Contains(phaseNames[:], r.Phase) || slices.Contains(retiredPhases, r.Phase)
+			if !known || r.BetterIn+r.WorseIn > r.Pairs {
 				t.Errorf("line %d: phase %q, signs %d/%d of %d pairs", n, r.Phase, r.BetterIn, r.WorseIn, r.Pairs)
 			}
 			continue

@@ -26,13 +26,10 @@ func (n *Network) stepDense() {
 		}
 		n.inject(nif)
 	}
-	var d stats.Delta
 	for r := range n.routers {
-		ems, creds, quiesced := n.tickRouter(r, 0, &d)
-		n.mergeRouter(r, ems, creds, quiesced)
+		ems, creds := n.routers[r].Advance(0, n.cycle)
+		n.mergeRouter(r, ems, creds)
 	}
-	n.routerTicks += int64(len(n.routers))
-	n.col.Merge(d)
 	n.endCycle()
 }
 

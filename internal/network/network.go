@@ -543,8 +543,8 @@ func (n *Network) QueuedAtSources() int64 {
 // statistics, and CSV output byte-identical to the dense reference
 // (stepDense in the tests; DESIGN.md, "Network step"). Every delivery,
 // credit, and injection marks its destination router's bit before the
-// router pass runs; a router whose tick reports quiescence has its bit
-// cleared and is not ticked again until one of them sets it. Skipping
+// router pass runs; a router its tick leaves without buffered flits has
+// its bit cleared and is not ticked again until one of them sets it. Skipping
 // its idle cycles leaves no trace, since what rotates per cycle is a
 // function of the cycle.
 func (n *Network) Step() {

@@ -96,9 +96,9 @@ func TestConservationAndDrain(t *testing.T) {
 // Every flit is written into a buffer once at its source router and once
 // per hop, and read out and switched once per router it leaves, the
 // ejecting one included, so BufferWrites, BufferReads and XbarTraversals
-// each equal flits + Σ hops. tickRouter adds to BufferReads and
-// XbarTraversals from one count, so only one of the two is an
-// independent check.
+// each equal flits + Σ hops. The collector reports BufferReads and
+// XbarTraversals from one count of flits sent (Collector.FlitSent), so
+// only one of the two is an independent check.
 func TestActivityIdentitiesOnADrainedRun(t *testing.T) {
 	drainedBursts(t, func(t *testing.T, c *checker, s stats.Snapshot) {
 		if s.LinkTraversals != c.hops {

@@ -6,7 +6,6 @@ import (
 
 	"vix/internal/router"
 	"vix/internal/sim"
-	"vix/internal/stats"
 	"vix/internal/topology"
 )
 
@@ -17,20 +16,19 @@ import (
 // a worker pool when Config.Workers > 1 — only differ in when they call
 // them. The determinism argument:
 //
-//   - Phase A (tickRouter): within a cycle, a router tick reads and writes
-//     only router-local state — input buffers, credit counters, arbiter
-//     pointers — and its lane's scratch, because all cross-router traffic
-//     travels through the delayed flitQ/credQ/ejectQ wheels, which are
-//     only written in phase B and only read at the top of the next Step.
-//     Phase A therefore computes, for every router, the same emissions
-//     and credits no matter which goroutine runs it or in which order.
-//     Its VC allocation reads heads' packet records and the route table
-//     (Records.Head), which only the stepping goroutine writes, outside
-//     the router phase. It counts the datapath activity into a
-//     caller-private stats.Delta. The only Network fields it writes are,
-//     under the pooled schedule, the act slots of r's worklist index —
+//   - Phase A (Router.Advance): within a cycle, a router tick reads and
+//     writes only router-local state — input buffers, credit counters,
+//     arbiter pointers — and its lane's scratch, because all cross-router
+//     traffic travels through the delayed flitQ/credQ/ejectQ wheels, which
+//     are only written in phase B and only read at the top of the next
+//     Step. Phase A therefore computes, for every router, the same
+//     emissions and credits no matter which goroutine runs it or in which
+//     order. Its VC allocation reads heads' packet records and the route
+//     table (Records.Head), which only the stepping goroutine writes,
+//     outside the router phase. The only Network fields it writes are,
+//     under the pooled schedule, the result slots of r's worklist index —
 //     worklist entries name distinct routers and Pool.Do hands each
-//     segment out once. No flit record is written.
+//     segment out once. No flit record and no statistic is written.
 //
 //   - Lanes: what a tick makes and uses up within the cycle — the
 //     allocator's request set, candidates, masks and grants, the
@@ -44,9 +42,10 @@ import (
 //
 //   - Phase B (mergeRouter, stepping goroutine): routers are merged in
 //     ascending index order, so every queue append and credit schedule
-//     happens in the same order under every schedule. Integer counter
-//     merges are order-independent anyway; the queue appends are what
-//     byte-identity actually rests on.
+//     happens in the same order under every schedule. It also counts the
+//     router tick and its datapath activity, and reads whether the router
+//     still holds flits (Arena.Busy): no other router's phase A writes
+//     r's occupancy, so that read sees r's own tick.
 //
 // Traffic generation, injection, ejection, and the workload callbacks
 // never leave the stepping goroutine: they own the RNG streams and the
@@ -69,15 +68,13 @@ import (
 // slots copy into buffers of Ports entries per index, so the steady state
 // allocates nothing.
 type activeScratch struct {
-	work     []int32              // active router indices, ascending
-	seg      []int32              // segment si covers work[seg[si]:seg[si+1]]
-	ems      [][]router.Emission  // per worklist index: its router's emissions, in emBuf
-	creds    [][]router.CreditMsg // per worklist index: its router's freed credits, in credBuf
-	emBuf    []router.Emission    // per worklist index, Ports each
-	credBuf  []router.CreditMsg   // per worklist index, Ports each
-	delta    []stats.Delta        // per segment: phase-A activity counters
-	quiesced []bool               // per worklist index: Advance reported quiescence
-	fn       func(int)            // runActive, bound once
+	work    []int32              // active router indices, ascending
+	seg     []int32              // segment si covers work[seg[si]:seg[si+1]]
+	ems     [][]router.Emission  // per worklist index: its router's emissions, in emBuf
+	creds   [][]router.CreditMsg // per worklist index: its router's freed credits, in credBuf
+	emBuf   []router.Emission    // per worklist index, Ports each
+	credBuf []router.CreditMsg   // per worklist index, Ports each
+	fn      func(int)            // runActive, bound once
 }
 
 // lanes returns the router tick's effective worker count for cfg: at
@@ -97,50 +94,36 @@ func (n *Network) initParallel(workers int) {
 		return
 	}
 	n.act = activeScratch{
-		work:     make([]int32, 0, nr),
-		seg:      make([]int32, 0, workers+1),
-		ems:      make([][]router.Emission, nr),
-		creds:    make([][]router.CreditMsg, nr),
-		emBuf:    make([]router.Emission, nr*ports),
-		credBuf:  make([]router.CreditMsg, nr*ports),
-		delta:    make([]stats.Delta, workers),
-		quiesced: make([]bool, nr),
+		work:    make([]int32, 0, nr),
+		seg:     make([]int32, 0, workers+1),
+		ems:     make([][]router.Emission, nr),
+		creds:   make([][]router.CreditMsg, nr),
+		emBuf:   make([]router.Emission, nr*ports),
+		credBuf: make([]router.CreditMsg, nr*ports),
 	}
 	// Built once: handing a fresh method value to Pool.Do every cycle
 	// would allocate.
 	n.act.fn = n.runActive
 }
 
-// tickRouter is phase A for router r, in lane: tick it at this cycle and
-// count the datapath activity into d. The returned slices are the lane's
-// scratch, valid until the lane's next tick.
-func (n *Network) tickRouter(r, lane int, d *stats.Delta) ([]router.Emission, []router.CreditMsg, bool) {
-	ems, creds, quiesced := n.routers[r].Advance(lane, n.cycle)
-	d.BufferReads += int64(len(ems))
-	d.XbarTraversals += int64(len(ems))
-	conns := n.topo.Conn[r]
-	for i := range ems {
-		if conns[ems[i].OutPort].Kind == topology.Link {
-			d.LinkTraversals++
-		}
-	}
-	return ems, creds, quiesced
-}
-
-// mergeRouter is phase B for router r: append its emissions to the link
-// and ejection wheels, schedule its freed credits back upstream after the
-// credit delay, and clear its activity bit if it quiesced. Activations
-// only target future cycles (the delayed wheels), so clearing here never
-// loses one.
-func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.CreditMsg, quiesced bool) {
+// mergeRouter is phase B for router r: count its tick, append its
+// emissions to the link and ejection wheels, counting each as a buffer
+// read and a crossbar traversal (and a link traversal), schedule its
+// freed credits back upstream after the credit delay, and clear its
+// activity bit if it holds no flits. Activations only target future
+// cycles (the delayed wheels), so clearing here never loses one.
+func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.CreditMsg) {
+	n.routerTicks++
 	conns := n.topo.Conn[r]
 	for _, e := range ems {
 		switch conn := &conns[e.OutPort]; conn.Kind {
 		case topology.Link:
+			n.col.FlitSent(true)
 			n.flitQ[n.hopSlot] = append(n.flitQ[n.hopSlot], flitDelivery{
 				slot: e.Slot(), router: conn.PeerRouter, port: conn.PeerPort, vc: e.VC,
 			})
 		case topology.Local:
+			n.col.FlitSent(false)
 			n.ejectQ[n.hopSlot] = append(n.ejectQ[n.hopSlot], ejection{
 				slot: e.Slot(), route: int8(e.OutPort), vc: e.VC,
 			})
@@ -154,7 +137,7 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 			router: conn.PeerRouter, outPort: conn.PeerPort, vc: cm.VC,
 		})
 	}
-	if quiesced {
+	if !n.arena.Busy(r) {
 		n.actR.Clear(r)
 	}
 }
@@ -168,16 +151,13 @@ func (n *Network) mergeRouter(r int, ems []router.Emission, creds []router.Credi
 // worklist order on the stepping goroutine.
 func (n *Network) tickRouters() {
 	if n.pool.Workers() == 1 {
-		var d stats.Delta
 		for wi, w := range n.actR {
 			for ; w != 0; w &= w - 1 {
 				r := wi<<6 + bits.TrailingZeros64(w)
-				ems, creds, quiesced := n.tickRouter(r, 0, &d)
-				n.mergeRouter(r, ems, creds, quiesced)
-				n.routerTicks++
+				ems, creds := n.routers[r].Advance(0, n.cycle)
+				n.mergeRouter(r, ems, creds)
 			}
 		}
-		n.col.Merge(d)
 		return
 	}
 	work := n.act.work[:0]
@@ -187,7 +167,6 @@ func (n *Network) tickRouters() {
 		}
 	}
 	n.act.work = work
-	n.routerTicks += int64(len(work))
 	k := n.pool.Workers()
 	if k > len(work) {
 		k = len(work)
@@ -201,11 +180,8 @@ func (n *Network) tickRouters() {
 	}
 	n.act.seg = seg
 	n.pool.Do(k, n.act.fn)
-	for si := 0; si < k; si++ {
-		n.col.Merge(n.act.delta[si])
-	}
 	for i, r := range work {
-		n.mergeRouter(int(r), n.act.ems[i], n.act.creds[i], n.act.quiesced[i])
+		n.mergeRouter(int(r), n.act.ems[i], n.act.creds[i])
 	}
 }
 
@@ -213,16 +189,13 @@ func (n *Network) tickRouters() {
 // router's results into its worklist index's own slots before the lane's
 // next tick reuses its scratch.
 func (n *Network) runActive(si int) {
-	var d stats.Delta
 	ports := n.cfg.Router.Ports
 	for i := n.act.seg[si]; i < n.act.seg[si+1]; i++ {
-		ems, creds, quiesced := n.tickRouter(int(n.act.work[i]), si, &d)
+		ems, creds := n.routers[n.act.work[i]].Advance(si, n.cycle)
 		at := int(i) * ports
 		n.act.ems[i] = append(n.act.emBuf[at:at:at+ports], ems...)
 		n.act.creds[i] = append(n.act.credBuf[at:at:at+ports], creds...)
-		n.act.quiesced[i] = quiesced
 	}
-	n.act.delta[si] = d
 }
 
 // Workers returns the effective router-tick worker count.

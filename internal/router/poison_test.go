@@ -97,7 +97,7 @@ func advanceTranscript(t *testing.T, kind alloc.Kind, k int) string {
 				}
 			}
 		}
-		ems, creds, _ := r.Advance(0, clock)
+		ems, creds := r.Advance(0, clock)
 		out += fmt.Sprintln(ems, creds)
 		for _, e := range ems {
 			if e.OutPort != 0 { // port 0 is testRouter's one ejection port

@@ -579,11 +579,12 @@ func (r *Router) Credits(outPort, vc int) int {
 // Tick is Advance in lane 0 for a standalone router whose caller reads
 // the flit records, at a cycle counting its own calls from 0: it also
 // writes each emitted flit's granted output VC into its record, and
-// counts a hop there for each flit leaving through a link. The network
-// calls Advance, carries the VC on the link event and knows a packet's
-// hops from its route.
+// counts a hop there for each flit leaving through a link, and reports
+// whether the router quiesced (no flits buffered). The network calls
+// Advance, carries the VC on the link event and knows a packet's hops
+// from its route.
 func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
-	ems, credits, quiesced = r.Advance(0, r.ticks)
+	ems, credits = r.Advance(0, r.ticks)
 	r.ticks++
 	flits := r.Flits()
 	ports := r.arena.ports[r.arena.seg(int(r.slot)).ports:]
@@ -594,7 +595,7 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 			f.Hops++
 		}
 	}
-	return ems, credits, quiesced
+	return ems, credits, !r.arena.Busy(int(r.slot))
 }
 
 // Advance moves the router on at cycle: VC allocation, then switch
@@ -602,12 +603,13 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // the switch request set is taken before VC allocation, which writes only
 // heads holding no output VC — none of them in the set — so the stage
 // order alone holds a new head out until the next cycle. It returns the
-// flits leaving through output ports, the credits freed at input ports,
-// and whether the router quiesced — no flits remain buffered, so until the
-// next delivery every further cycle would change nothing. The
-// activity-gated network tick clears a quiesced router's activity bit
-// and stops advancing it. Cycles need not be consecutive: what rotates
-// per cycle, the VA priority and the allocator's, is a function of cycle.
+// flits leaving through output ports and the credits freed at input
+// ports. Whether the router quiesced is the arena's Busy: with no flits
+// buffered, until the next delivery every further cycle would change
+// nothing, so the activity-gated network tick clears a quiescent
+// router's activity bit and stops advancing it. Cycles need not be
+// consecutive: what rotates per cycle, the VA priority and the
+// allocator's, is a function of cycle.
 //
 // It writes only this router's arena segments and lane's scratch, and of
 // the flit records reads a head's route and destination (Records.Head) at
@@ -615,7 +617,7 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // the arena's lane count. Both returned slices are the lane's scratch,
 // valid only until the lane's next Advance call; callers must consume (or
 // copy) them before it.
-func (r *Router) Advance(lane int, cycle int64) (ems []Emission, credits []CreditMsg, quiesced bool) {
+func (r *Router) Advance(lane int, cycle int64) (ems []Emission, credits []CreditMsg) {
 	a := r.arena
 	slot := int(r.slot)
 	sg := a.seg(slot)
@@ -641,7 +643,7 @@ func (r *Router) Advance(lane int, cycle int64) (ems []Emission, credits []Credi
 	ems = a.ems[at : at : at+a.cfg.Ports]
 	credits = a.creds[at : at : at+a.cfg.Ports]
 	if len(grants) == 0 {
-		return ems, credits, a.occ[slot] == 0
+		return ems, credits
 	}
 	// A grant the router cannot carry out panics. Lowering a granted VC's
 	// request refuses a second grant to it. The loop indexes the slabs
@@ -707,9 +709,8 @@ func (r *Router) Advance(lane int, cycle int64) (ems []Emission, credits []Credi
 			credits = append(credits, CreditMsg{Port: int8(port), VC: int8(ivc - port*a.cfg.VCs)})
 		}
 	}
-	occ := a.occ[slot] - int32(len(grants))
-	a.occ[slot] = occ
-	return ems, credits, occ == 0
+	a.occ[slot] -= int32(len(grants))
+	return ems, credits
 }
 
 // requests points lane's request set at the router's ready words, outPort

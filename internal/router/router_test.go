@@ -378,7 +378,7 @@ func TestTickWritesVCAndHopsBackToTheRecord(t *testing.T) {
 func TestAdvanceLeavesTheRecordCold(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	deliver(r, 1, 3, 2, NewPacket(1, 0, 9, 1, 0))
-	ems, _, _ := r.Advance(0, 0)
+	ems, _ := r.Advance(0, 0)
 	if len(ems) != 1 || ems[0].Type != HeadTail || ems[0].OutPort != 2 {
 		t.Fatalf("emission = %+v, want one head-tail flit through port 2", ems)
 	}

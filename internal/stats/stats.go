@@ -33,10 +33,9 @@ type Collector struct {
 
 	perSrcFlits []int64
 
-	// activity counters for the energy model
-	bufferReads, bufferWrites int64
-	xbarTraversals            int64
-	linkTraversals            int64
+	// activity counters for the energy model; a flit sent is read out of
+	// its buffer and switched, so one count is both
+	bufferWrites, flitsSent, linkTraversals int64
 }
 
 // NewCollector returns a collector for a network with the given number of
@@ -125,30 +124,17 @@ func (c *Collector) PerSourceFlits() []int64 {
 }
 
 // BufferWrite records a flit written into an input buffer, for the energy
-// model. The rest of the datapath activity arrives through Merge.
+// model.
 func (c *Collector) BufferWrite() { c.bufferWrites++ }
 
-// Delta is a mergeable batch of datapath activity counters for the energy
-// model. The router phase accumulates one Delta per cycle — one per
-// worklist segment while routers tick concurrently — and folds them into
-// the collector on the stepping goroutine; integer addition is associative
-// and commutative, so the merged totals are identical for any worker count
-// and any merge order. Order-sensitive metrics — the latency accumulation is a float
-// sum, whose value depends on addition order — deliberately have no
-// Delta fields: they are only ever updated on the stepping goroutine.
-type Delta struct {
-	BufferReads    int64
-	BufferWrites   int64
-	XbarTraversals int64
-	LinkTraversals int64
-}
-
-// Merge folds an activity delta into the collector.
-func (c *Collector) Merge(d Delta) {
-	c.bufferReads += d.BufferReads
-	c.bufferWrites += d.BufferWrites
-	c.xbarTraversals += d.XbarTraversals
-	c.linkTraversals += d.LinkTraversals
+// FlitSent records a flit read out of an input buffer and across the
+// crossbar, and, if it leaves through a link, across that link, for the
+// energy model.
+func (c *Collector) FlitSent(link bool) {
+	c.flitsSent++
+	if link {
+		c.linkTraversals++
+	}
 }
 
 // Snapshot is an immutable summary of a measurement window.
@@ -192,9 +178,9 @@ func (c *Collector) Snapshot() Snapshot {
 		FlitsInjected:   c.flitsInjected,
 		FlitsEjected:    c.flitsEjected,
 		MaxLatency:      c.latencyMax,
-		BufferReads:     c.bufferReads,
+		BufferReads:     c.flitsSent,
 		BufferWrites:    c.bufferWrites,
-		XbarTraversals:  c.xbarTraversals,
+		XbarTraversals:  c.flitsSent,
 		LinkTraversals:  c.linkTraversals,
 	}
 	if c.latencyCount > 0 {
