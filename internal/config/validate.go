@@ -156,6 +156,8 @@ func (e Experiment) Validate() error {
 	}
 	if e.HopDelay < 0 {
 		bad("hop_delay", "must be non-negative, got %d", e.HopDelay)
+	} else if e.HopDelay > network.MaxHopDelay {
+		bad("hop_delay", "at most %d cycles, got %d", network.MaxHopDelay, e.HopDelay)
 	}
 
 	if len(errs) == 0 {

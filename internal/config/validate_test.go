@@ -198,9 +198,12 @@ func TestValidateCrossbarGeometry(t *testing.T) {
 
 // TestValidateRouterFieldBounds: buffer depth and radix must fit the
 // router's int8 slab fields, the diameter the packet record's int16 hop
-// counter, the packet size the record's int16 ejected-flit count, and a
-// wrapping torus needs two VCs; Validate agrees with Build and the
-// network's own validation on which side of each bound a spec falls.
+// counter, the packet size the record's int16 ejected-flit count, the
+// hop delay the delay wheels' MaxHopDelay slots, and a wrapping torus
+// needs two VCs; Validate agrees with Build and the network's own
+// validation on which side of each bound a spec falls. The 5·10⁸-cycle
+// hop delay is refused before anything is built: New would make three
+// wheels of that many slices, about 36 GB.
 func TestValidateRouterFieldBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -219,6 +222,9 @@ func TestValidateRouterFieldBounds(t *testing.T) {
 		{"unknown policy", func(e *Experiment) { e.Policy = "psychic" }, "policy"},
 		{"packet_size at the record's int16 bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize }, ""},
 		{"packet_size past the record's int16 bound", func(e *Experiment) { e.PacketSize = network.MaxPacketSize + 1 }, "packet_size"},
+		{"hop_delay at the wheels' bound", func(e *Experiment) { e.HopDelay = network.MaxHopDelay }, ""},
+		{"hop_delay past the wheels' bound", func(e *Experiment) { e.HopDelay = network.MaxHopDelay + 1 }, "hop_delay"},
+		{"hop_delay 500000000", func(e *Experiment) { e.Width, e.Height, e.HopDelay = 2, 1, 500000000 }, "hop_delay"},
 	} {
 		e := Default()
 		tc.mutate(&e)

@@ -25,7 +25,7 @@ func TestNetworkFootprintIsPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector pads heap objects; the pin is a normal build's bytes")
 	}
-	const pin = 1102
+	const pin = 1086
 	topo := topology.NewMesh(16, 16)
 	cfg := meshConfig(topo, alloc.KindSeparableIF, 2, router.PolicyBalanced)
 	cfg.InjectionRate = 0.001116

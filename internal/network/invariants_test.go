@@ -24,6 +24,10 @@ import (
 //     the downstream buffer's flits, the flits on the link wheel bound
 //     for that buffer and the credits on the return wheel bound for the
 //     upstream output sum to the buffer depth.
+//   - Dateline: every flit on the link wheel rides a VC in the half of
+//     the VCs its hop's dateline class admits, Step(upstream, dst).Class
+//     on the route table: the lower half for class 0, the upper for
+//     class 1, any VC for a hop of no class (every hop off the torus).
 //   - Record liveness: the live packet records are the heads injected
 //     less the tails ejected, and no more than the flits in flight.
 //   - Ejection order (checked in OnEject): each packet's flits eject once
@@ -139,6 +143,12 @@ func (c *checker) checkInvariants() (err error) {
 	for i := range n.flitQ {
 		for _, d := range n.flitQ[i] {
 			c.onLink[(int(d.router)*radix+int(d.port))*vcs+int(d.vc)]++
+			up := int(n.topo.Conn[d.router][d.port].PeerRouter)
+			dst := int(n.flits.At(d.slot.Flit()).dst)
+			if class := c.tab.Step(up, dst).Class; class >= 0 && (class == 0) != (int(d.vc) < vcs/2) {
+				return fmt.Errorf("cycle %d: a flit of record %d to node %d left router %d on vc %d, outside dateline class %d's half of %d VCs",
+					cycle, d.slot.Flit(), dst, up, d.vc, class, vcs)
+			}
 		}
 		for _, d := range n.credQ[i] {
 			c.onWire[(int(d.router)*radix+int(d.outPort))*vcs+int(d.vc)]++

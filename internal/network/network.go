@@ -125,6 +125,11 @@ const MaxPacketSize = math.MaxInt16
 // record keeps its hop count in an int16.
 const MaxHops = math.MaxInt16
 
+// MaxHopDelay is the longest hop, in cycles, a network models: its delay
+// wheels keep a slot per cycle of it, so an unbounded delay is an
+// unbounded allocation. 1 024 is about 340 times the paper's 3.
+const MaxHopDelay = 1024
+
 // deadlockCycles is the forward-progress watchdog: if flits are in flight
 // but none ejects for this many consecutive cycles, Step panics with a
 // diagnostic (a correct DOR configuration can never trip it). Saturated
@@ -162,8 +167,8 @@ func (c *Config) Validate() error {
 	if c.PacketSize < 0 || c.PacketSize > MaxPacketSize {
 		return fmt.Errorf("network: packet size %d is not in 0..%d", c.PacketSize, MaxPacketSize)
 	}
-	if c.HopDelay < 0 {
-		return fmt.Errorf("network: negative HopDelay %d", c.HopDelay)
+	if c.HopDelay < 0 || c.HopDelay > MaxHopDelay {
+		return fmt.Errorf("network: HopDelay %d is not in 0..%d", c.HopDelay, MaxHopDelay)
 	}
 	if c.Workload == nil {
 		if c.Pattern == nil {
@@ -203,6 +208,24 @@ func CheckTorusVCs(kind topology.Kind, w, h, vcs int) error {
 		return fmt.Errorf("network: a torus with wraparound rings needs at least 2 VCs for the dateline classes, got %d", vcs)
 	}
 	return nil
+}
+
+// Head implements router.Records from one route-table step toward the
+// packet's destination: its port, its lookahead, and the downstream VCs
+// its dateline class admits (CheckTorusVCs). A head still bound for its
+// ring's wrap edge (class 0) takes the lower half of the VCs, one past it
+// or never crossing (class 1) the upper half, which cuts the wraparound
+// dependency cycles; a hop of no class (off the torus) takes any.
+func (s *flitStore) Head(id router.FlitID, r int) router.Hop {
+	st := s.routes.Step(r, int(s.At(id).dst))
+	hop := router.Hop{Route: st.Port, Hi: s.vcs, Next: st.Next}
+	switch st.Class {
+	case 0:
+		hop.Hi = s.vcs / 2
+	case 1:
+		hop.Lo = s.vcs / 2
+	}
+	return hop
 }
 
 // flitDelivery, creditDelivery and ejection are the in-flight events on
@@ -254,15 +277,15 @@ type observed struct {
 }
 
 // flitStore is the network's slab of packet records, and the route table
-// that gives a head its output port and lookahead dimension at each
-// router. Where OnEject or a Workload reads them, observed keeps each
-// record's observed entry under the record's id, grown with the slab;
-// elsewhere it is nil.
+// that gives a head its hop at each router. Where OnEject or a Workload
+// reads them, observed keeps each record's observed entry under the
+// record's id, grown with the slab; elsewhere it is nil.
 type flitStore struct {
 	router.Slab[flitRecord]
 	observed []observed
 	observe  bool // OnEject or a Workload is set
 	routes   *routing.Table
+	vcs      int // downstream VCs per port
 }
 
 // Alloc returns the id of a zeroed record, growing observed with the
@@ -275,18 +298,6 @@ func (s *flitStore) Alloc() router.FlitID {
 		s.observed = grown
 	}
 	return id
-}
-
-// Head implements router.Records: the output port at router r toward the
-// packet's destination.
-func (s *flitStore) Head(id router.FlitID, r int) (route, dst int) {
-	dst = int(s.At(id).dst)
-	return s.routes.Port(r, dst), dst
-}
-
-// NextDim implements router.Lookahead from the route table.
-func (s *flitStore) NextDim(r, outPort, dst int) topology.Dim {
-	return s.routes.NextDim(r, outPort, dst)
 }
 
 // Packet implements router.Records: a packet is named by its record's
@@ -457,7 +468,7 @@ func New(cfg Config) (*Network, error) {
 	n.credQ = make([][]creditDelivery, n.qlen)
 	n.ejectQ = make([][]ejection, n.qlen)
 
-	n.flits.routes = n.routes
+	n.flits.routes, n.flits.vcs = n.routes, cfg.Router.VCs
 	n.flits.observe = cfg.OnEject != nil || cfg.Workload != nil
 	workers := lanes(&cfg)
 	n.arena = router.NewArena(topo.NumRouters, workers, cfg.Router, &n.flits)
@@ -475,8 +486,7 @@ func New(cfg Config) (*Network, error) {
 		for p, c := range topo.Conn[r] {
 			ports[p] = router.PortInfo{Kind: c.Kind, Dim: c.Dim}
 		}
-		// A nil NextDimFunc: the routers share the record store's lookahead.
-		n.routers[r] = router.New(r, cfg.Router, ports, allocs[r], nil, n.torusVCRangeFunc(r), n.arena)
+		n.routers[r] = router.New(r, cfg.Router, ports, allocs[r], nil, nil, n.arena)
 	}
 	n.nis = make([]ni, topo.NumNodes)
 	n.rngs = make([]sim.RNG, topo.NumNodes)
@@ -490,30 +500,6 @@ func New(cfg Config) (*Network, error) {
 	n.ticker, _ = cfg.Workload.(Ticker)
 	n.initParallel(workers)
 	return n, nil
-}
-
-// torusVCRangeFunc returns router r's dateline VC restriction on a torus,
-// nil elsewhere: a head still bound for its ring's wrap edge (class 0)
-// takes the lower half of the downstream VCs, one past it or never
-// crossing (class 1) the upper half, which cuts the wraparound dependency
-// cycles (routing.Table.Class). The router asks only about a head's own
-// routed port (router.VCRangeFunc), so the class needs only dst.
-func (n *Network) torusVCRangeFunc(r int) router.VCRangeFunc {
-	if n.topo.Kind != topology.KindTorus {
-		return nil
-	}
-	vcs := n.cfg.Router.VCs
-	half := vcs / 2
-	return func(outPort, dst int) (int, int) {
-		switch n.routes.Class(r, dst) {
-		case 0:
-			return 0, half
-		case 1:
-			return half, vcs
-		default:
-			return 0, vcs
-		}
-	}
 }
 
 // Cycle returns the current simulation cycle.

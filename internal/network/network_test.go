@@ -51,14 +51,17 @@ func (w *burstWorkload) Delivered(d Delivery) { w.delivered++ }
 
 // drainedBursts sends a 500-cycle burst at 0.08 over every topology kind
 // at k = 1 and 2, drains it under the checker, and hands each drained run
-// to check as a subtest. Every generated packet must have been delivered,
-// each flit counted once by the checker and the collector alike.
+// to check as a subtest. Every generated packet must have been
+// delivered, each flit counted once by the checker and the collector
+// alike. The 5x5 torus is there for its class-0 hops: on a 4-ring every
+// wrap path is the wrap hop itself, class 1.
 func drainedBursts(t *testing.T, check func(t *testing.T, c *checker, s stats.Snapshot)) {
 	for _, topo := range []*topology.Topology{
 		topology.NewMesh(4, 4),
 		topology.NewCMesh(2, 2, 4),
 		topology.NewFBfly(2, 2, 4),
 		topology.NewTorus(4, 4),
+		topology.NewTorus(5, 5),
 	} {
 		for _, k := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s_k%d", topo.Name, k), func(t *testing.T) {
@@ -434,6 +437,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Router.AllocKind = "bogus" },
 		func(c *Config) { c.PacketSize = -2 },
 		func(c *Config) { c.HopDelay = -1 },
+		func(c *Config) { c.HopDelay = MaxHopDelay + 1 },
 	}
 	for i, mutate := range cases {
 		cfg := meshConfig(topo, alloc.KindSeparableIF, 1, router.PolicyMaxFree)

@@ -23,9 +23,9 @@ import (
 //     are only written in phase B and only read at the top of the next
 //     Step. Phase A therefore computes, for every router, the same
 //     emissions and credits no matter which goroutine runs it or in which
-//     order. Its VC allocation reads heads' packet records and the route
-//     table (Records.Head), which only the stepping goroutine writes,
-//     outside the router phase. The only Network fields it writes are,
+//     order. Its VC allocation asks Records.Head for a head's hop, which
+//     reads the packet's record, written only by the stepping goroutine
+//     outside the router phase, and the read-only route table. The only Network fields it writes are,
 //     under the pooled schedule, the result slots of r's worklist index —
 //     worklist entries name distinct routers and Pool.Do hands each
 //     segment out once. No flit record and no statistic is written.

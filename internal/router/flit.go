@@ -7,7 +7,11 @@
 // input crossbar.
 package router
 
-import "fmt"
+import (
+	"fmt"
+
+	"vix/internal/topology"
+)
 
 // FlitType distinguishes the positions of a flit within its packet.
 type FlitType uint8
@@ -46,11 +50,10 @@ func (ft FlitType) String() string {
 //
 // Between the ends of a flit's journey only its name and its Type travel,
 // in 4-byte buffer Slots and link events: VC allocation asks the store of
-// records (Records) for a head's Route and Dst. A network keeps only a
-// compact record per in-flight packet and builds a Flit at ejection for
-// Config.OnEject; a standalone router's FlitArena keeps whole Flits,
-// whose Route, VC and Hops DeliverFlit and Tick read and write on every
-// call.
+// records (Records) for a head's hop. A network keeps only a compact
+// record per in-flight packet and builds a Flit at ejection for
+// Config.OnEject; a standalone router's FlitArena keeps whole Flits, whose
+// Route, VC and Hops DeliverFlit and Tick read and write on every call.
 type Flit struct {
 	PacketID uint64
 	Type     FlitType
@@ -171,18 +174,28 @@ func (s *Slab[T]) Live() int { return len(s.slab) - len(s.free) }
 func (s *Slab[T]) Holds(id FlitID) bool { return id >= 0 && int(id) < len(s.slab) }
 
 // Records is the store a router's flit ids name. VC allocation asks it
-// for a head's route and destination, once per head per hop, and
-// Occupancy which packet a buffered flit belongs to. Sharded routers call
-// it concurrently, so it must not write.
+// for a head's hop, once per head per hop, and Occupancy which packet a
+// buffered flit belongs to. Sharded routers call it concurrently, so it
+// must not write.
 type Records interface {
-	// Head returns the output port at router of the packet whose head
-	// flit id names, and the packet's destination terminal.
-	Head(id FlitID, router int) (route, dst int)
+	// Head returns the hop at router of the packet whose head flit id
+	// names.
+	Head(id FlitID, router int) Hop
 	// Packet names the packet of the live record id, and live is false
 	// if id names no live record. A network names a packet by its
 	// record's id, which every flit of it names; a FlitArena by its
 	// PacketID.
 	Packet(id FlitID) (packet uint64, live bool)
+}
+
+// Hop is what VC allocation reads of a head at one router (Section
+// 2.3): its output port, the downstream VCs [Lo, Hi) it may take there
+// (all of them unless the topology restricts it, as the torus dateline
+// classes do; the policy chooses freely among them), and the dimension
+// of the port it will request at the next router (the lookahead).
+type Hop struct {
+	Route, Lo, Hi int
+	Next          topology.Dim
 }
 
 // FlitArena keeps whole Flit records, one per flit: the standalone
@@ -197,15 +210,9 @@ func NewFlitArena() *FlitArena {
 	return a
 }
 
-// Head implements Records: the flit's record holds the route its caller
-// set for this router.
-func (a *FlitArena) Head(id FlitID, _ int) (route, dst int) {
-	f := a.At(id)
-	return f.Route, f.Dst
-}
-
-// Packet implements Records. A freed record is zero, so its PacketSize is
-// 0; every flit DeliverFlit takes has a positive one.
+// Packet names the packet of the live record id, by its PacketID (see
+// Records). A freed record is zero, so its PacketSize is 0; every flit
+// DeliverFlit takes has a positive one.
 func (a *FlitArena) Packet(id FlitID) (uint64, bool) {
 	if !a.Holds(id) || a.At(id).PacketSize <= 0 {
 		return 0, false

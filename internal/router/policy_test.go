@@ -157,7 +157,7 @@ func TestInterleavedPoliciesPickFromTheirSubgroup(t *testing.T) {
 		const out = 1
 		r.view().busy[out] = 1<<0 | 1<<3
 		sg := r.arena.seg(0)
-		v := r.chooseOVC(sg, out, 0)
+		v := r.chooseOVC(sg, Hop{Route: out, Hi: cfg.VCs, Next: topology.DimX})
 		if g := cfg.Alloc().Subgroup(v); v < 0 || g != 0 {
 			t.Errorf("%s: X-bound packet assigned VC %d (sub-group %d), want sub-group 0", pol, v, g)
 		}

@@ -69,9 +69,9 @@ type PortInfo struct {
 // Slot is a flit as a VC buffer holds it and a link carries it, 4 bytes:
 // the low 30 bits are its FlitID (at most MaxFlitID), the top 2 its
 // Type. Only a head is routed and VC-allocated (wormhole switching), and
-// VC allocation asks the Records for a head's route and destination, so
-// nothing else of a flit travels; body and tail flits follow the output
-// and output VC their head took.
+// VC allocation asks the Records for a head's hop, so nothing else of a
+// flit travels; body and tail flits follow the output and output VC
+// their head took.
 type Slot uint32
 
 // slotTypeShift places a Slot's type above its 30-bit FlitID.
@@ -109,25 +109,35 @@ type CreditMsg struct {
 
 // NextDimFunc returns the dimension class of the output port a packet
 // destined to dst will request at the downstream router reached through
-// outPort (lookahead information for the Section 2.3 policies).
+// outPort (lookahead information for the Section 2.3 policies). Only a
+// standalone router reads one, through its records.
 type NextDimFunc func(outPort, dst int) topology.Dim
 
-// Lookahead is a NextDimFunc for every router of an arena at once, which
-// its Records may implement (a network's route table): a router built
-// with a nil NextDimFunc asks it, naming itself.
-type Lookahead interface {
-	NextDim(router, outPort, dst int) topology.Dim
+// VCRangeFunc returns the downstream-VC index range [lo, hi) a packet
+// destined to dst may be assigned when leaving through outPort, its
+// routed port: a standalone router's stand-in for a topology-level VC
+// restriction (Hop.Lo, Hop.Hi). A nil func admits every VC.
+type VCRangeFunc func(outPort, dst int) (lo, hi int)
+
+// standalone is a standalone router's Records: its flit records, whose
+// Route the caller sets for this router, and the route funcs New was
+// given for the rest of a head's hop.
+type standalone struct {
+	*FlitArena
+	nextDim NextDimFunc
+	vcRange VCRangeFunc
+	vcs     int
 }
 
-// VCRangeFunc returns the downstream-VC index range [lo, hi) a packet
-// destined to dst may be assigned when leaving through outPort. The
-// network uses it to impose topology-level VC restrictions — the torus
-// dateline classes — on top of the Section 2.3 assignment policy: the
-// policy chooses freely among the VCs the range admits. The router only
-// asks about a head's own routed port (Records.Head), so a func may
-// derive the range from dst alone. A nil func (the default) admits
-// every VC.
-type VCRangeFunc func(outPort, dst int) (lo, hi int)
+// Head implements Records.
+func (s *standalone) Head(id FlitID, _ int) Hop {
+	f := s.At(id)
+	h := Hop{Route: f.Route, Hi: s.vcs, Next: s.nextDim(f.Route, f.Dst)}
+	if s.vcRange != nil {
+		h.Lo, h.Hi = s.vcRange(f.Route, f.Dst)
+	}
+	return h
+}
 
 // Arena holds the state of every router in one network as contiguous
 // structure-of-arrays slabs. Each router owns one exact-size segment of
@@ -138,7 +148,7 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 //
 //	bufs    [ivc*BufDepth : ...]  VC buffer ring storage (Slots): a
 //	                              flit's id and type; VC allocation asks
-//	                              the Records for a head's route and dst
+//	                              the Records for a head's hop
 //	head    [ivc]                 ring head slot
 //	count   [ivc]                 buffered flits in the ring
 //	ovc     [ivc]                 allocated downstream VC (-1 = none)
@@ -194,11 +204,10 @@ type VCRangeFunc func(outPort, dst int) (lo, hi int)
 // builds no per-router slice view: Go keeps no register across a call,
 // so a live view is spilled and reloaded around every one.
 type Arena struct {
-	records   Records
-	lookahead Lookahead // records as a Lookahead, if it is one
-	cfg       Config    // the geometry: Ports, VCs, VirtualInputs, BufDepth, Partition
-	n         int
-	pv        int // input VCs per router: Ports*VCs
+	records Records
+	cfg     Config // the geometry: Ports, VCs, VirtualInputs, BufDepth, Partition
+	n       int
+	pv      int // input VCs per router: Ports*VCs
 
 	maskWords  int // W: words per ivc mask
 	maskStride int // mask words per router: 5W + Ports
@@ -237,10 +246,8 @@ func NewArena(numRouters, lanes int, cfg Config, records Records) *Arena {
 		panic(fmt.Sprintf("router: arena for %d routers in %d lanes", numRouters, lanes))
 	}
 	pv := cfg.Ports * cfg.VCs
-	lookahead, _ := records.(Lookahead)
 	a := &Arena{
 		records:   records,
-		lookahead: lookahead,
 		cfg:       Config{Ports: cfg.Ports, VCs: cfg.VCs, VirtualInputs: cfg.VirtualInputs, BufDepth: cfg.BufDepth, Partition: cfg.Partition},
 		n:         numRouters,
 		pv:        pv,
@@ -326,22 +333,20 @@ type Router struct {
 
 	ticks int64 // Tick calls so far: a standalone router's cycle
 
-	arena   *Arena
-	alloc   alloc.Allocator
-	nextDim NextDimFunc // nil: the arena's Lookahead
-	vcRange VCRangeFunc
+	arena *Arena
+	alloc alloc.Allocator
 }
 
 // New builds a router. ports describes the wiring class of each port
 // (symmetric in/out). The allocator must match cfg.Alloc() geometry.
-// nextDim may be nil where the arena's records are a Lookahead.
-// vcRange optionally restricts output-VC assignment per (outPort, dst)
-// (nil: no restriction). arena is the shared per-network state arena;
-// the router occupies slot id. A nil arena gives the router a private
-// single-slot, single-lane arena with its own FlitArena (standalone/test
-// use). An allocator that is not a built-in kind may read request ages,
-// so its cfg.AllocKind must be one the arena keeps them for
-// (alloc.ReadsAge).
+// arena is the shared per-network state arena, whose records give every
+// head's hop; the router occupies slot id, and nextDim and vcRange must
+// be nil. A nil arena gives the router a private single-slot,
+// single-lane arena with its own FlitArena (standalone/test use), whose
+// heads' lookahead nextDim gives and whose admitted VCs vcRange
+// restricts per (outPort, dst) (nil: no restriction). An allocator
+// that is not a built-in kind may read request ages, so its
+// cfg.AllocKind must be one the arena keeps them for (alloc.ReadsAge).
 func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDim NextDimFunc, vcRange VCRangeFunc, arena *Arena) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic("router: invalid config: " + strings.TrimPrefix(err.Error(), "router: "))
@@ -351,12 +356,14 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 	}
 	slot := id
 	list := !alloc.IsBuiltin(allocator)
-	if arena == nil {
-		arena = NewArena(1, 1, cfg, NewFlitArena())
+	switch {
+	case arena == nil && nextDim == nil:
+		panic(fmt.Sprintf("router %d: a standalone router needs a NextDimFunc", id))
+	case arena == nil:
+		arena = NewArena(1, 1, cfg, &standalone{FlitArena: NewFlitArena(), nextDim: nextDim, vcRange: vcRange, vcs: cfg.VCs})
 		slot = 0
-	}
-	if nextDim == nil && arena.lookahead == nil {
-		panic(fmt.Sprintf("router %d: no lookahead: a nil NextDimFunc on an arena whose records are no Lookahead", id))
+	case nextDim != nil || vcRange != nil:
+		panic(fmt.Sprintf("router %d: route funcs on a shared arena, whose records give every hop", id))
 	}
 	if list && arena.wait == nil {
 		panic(fmt.Sprintf("router %d: allocator %q may read request ages, which the arena does not keep", id, allocator.Name()))
@@ -378,8 +385,6 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 		list:    list,
 		arena:   arena,
 		alloc:   allocator,
-		nextDim: nextDim,
-		vcRange: vcRange,
 	}
 	sg := arena.seg(slot)
 	for p, info := range ports {
@@ -391,8 +396,10 @@ func New(id int, cfg Config, ports []PortInfo, allocator alloc.Allocator, nextDi
 // Flits returns a standalone router's flit arena, and nil for a router
 // whose flit records its network keeps.
 func (r *Router) Flits() *FlitArena {
-	a, _ := r.arena.records.(*FlitArena)
-	return a
+	if s, ok := r.arena.records.(*standalone); ok {
+		return s.FlitArena
+	}
+	return nil
 }
 
 // DeliverFlit places the flit named id into input (port, vc): the
@@ -528,13 +535,9 @@ func (r *Router) Occupancy() int {
 			if c == 0 || ovc >= 0 {
 				panic(fmt.Sprintf("router %d: vaWait set at ivc %d, which awaits no VC", r.id, ivc))
 			}
-			route, dst := a.records.Head(ring[h].Flit(), int(r.id))
-			lo, hi := 0, vcs
-			if r.vcRange != nil {
-				lo, hi = r.vcRange(out, dst)
-			}
-			if out != route || vcSpan(lo, hi)&^a.masks[sg.busy()+out] != 0 {
-				panic(fmt.Sprintf("router %d: vaWait set at ivc %d for port %d, but its head's route is %d or an admitted VC there is free", r.id, ivc, out, route))
+			hop := a.records.Head(ring[h].Flit(), int(r.id))
+			if out != hop.Route || vcSpan(hop.Lo, hop.Hi)&^a.masks[sg.busy()+out] != 0 {
+				panic(fmt.Sprintf("router %d: vaWait set at ivc %d for port %d, but its head's route is %d or an admitted VC there is free", r.id, ivc, out, hop.Route))
 			}
 		}
 	}
@@ -612,11 +615,11 @@ func (r *Router) Tick() (ems []Emission, credits []CreditMsg, quiesced bool) {
 // allocator's, is a function of cycle.
 //
 // It writes only this router's arena segments and lane's scratch, and of
-// the flit records reads a head's route and destination (Records.Head) at
-// VC allocation. Routers may advance at once in different lanes, below
-// the arena's lane count. Both returned slices are the lane's scratch,
-// valid only until the lane's next Advance call; callers must consume (or
-// copy) them before it.
+// the flit records reads a head's hop (Records.Head) at VC allocation.
+// Routers may advance at once in different lanes, below the arena's lane
+// count. Both returned slices are the lane's scratch, valid only until
+// the lane's next Advance call; callers must consume (or copy) them
+// before it.
 func (r *Router) Advance(lane int, cycle int64) (ems []Emission, credits []CreditMsg) {
 	a := r.arena
 	slot := int(r.slot)
@@ -807,7 +810,7 @@ func (r *Router) allocateVCs(sg seg, cycle int64) {
 }
 
 // allocateVC tries to acquire an output VC for the head flit fronting
-// input VC ivc, at the route its record gives: a route is a function of
+// input VC ivc, at the hop its record gives: a hop is a function of
 // router and destination, so asking here gives what a lookahead stage
 // would have. On failure every VC the head may take at its output is
 // busy, and only a tail freeing one can change that, so the head parks
@@ -821,11 +824,12 @@ func (r *Router) allocateVC(sg seg, ivc int) {
 		// is held from head grant to tail departure.
 		panic(fmt.Sprintf("router %d: body flit at front of unallocated VC", r.id))
 	}
-	out, dst := a.records.Head(front.Flit(), int(r.id))
+	hop := a.records.Head(front.Flit(), int(r.id))
+	out := hop.Route
 	bit := uint64(1) << uint(ivc&63)
 	vc := 0
 	if a.ports[sg.ports+out] != topology.Local {
-		if vc = r.chooseOVC(sg, out, dst); vc < 0 {
+		if vc = r.chooseOVC(sg, hop); vc < 0 {
 			a.outPort[i] = int8(out)
 			a.masks[sg.vaWait()+ivc>>6] |= bit
 			return
@@ -857,30 +861,23 @@ func (a *Arena) wakeVA(sg seg, out int) {
 	}
 }
 
-// chooseOVC applies the configured Section 2.3 policy to output port out.
-func (r *Router) chooseOVC(sg seg, out, dst int) int {
+// chooseOVC applies the configured Section 2.3 policy to the VCs hop
+// admits at its output port.
+func (r *Router) chooseOVC(sg seg, hop Hop) int {
 	a := r.arena
 	vcs := a.cfg.VCs
-	lo, hi := 0, vcs
-	if r.vcRange != nil {
-		lo, hi = r.vcRange(out, dst)
-	}
-	busy := a.masks[sg.busy()+out]
-	free := ^busy & vcSpan(lo, hi)
+	busy := a.masks[sg.busy()+hop.Route]
+	free := ^busy & vcSpan(hop.Lo, hop.Hi)
 	if free == 0 {
 		return -1
 	}
-	at := sg.at + out*vcs
+	at := sg.at + hop.Route*vcs
 	ctx := vaContext{
 		free:      free,
 		busy:      busy,
 		credits:   a.credits[at : at+vcs],
 		groupMask: a.groupMask,
-	}
-	if r.nextDim != nil {
-		ctx.nextDim = r.nextDim(out, dst)
-	} else {
-		ctx.nextDim = a.lookahead.NextDim(int(r.id), out, dst)
+		nextDim:   hop.Next,
 	}
 	return r.policy.choose(&ctx)
 }

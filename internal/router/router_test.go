@@ -225,6 +225,34 @@ func TestInvalidRoutePanics(t *testing.T) {
 	r.DeliverFlit(1, 0, id)
 }
 
+// TestNewRefusesMisplacedRouteFuncs: a shared arena's records give every
+// head's hop, so route funcs beside one would be ignored, and a
+// standalone router's records need a NextDimFunc for the lookahead.
+func TestNewRefusesMisplacedRouteFuncs(t *testing.T) {
+	cfg := baseConfig()
+	ports := make([]PortInfo, cfg.Ports)
+	a, err := alloc.New(cfg.AllocKind, cfg.Alloc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextDim := func(outPort, dst int) topology.Dim { return topology.DimX }
+	vcRange := func(outPort, dst int) (int, int) { return 0, 1 }
+	for name, build := range map[string]func(){
+		"nextDim on a shared arena":  func() { New(0, cfg, ports, a, nextDim, nil, NewArena(1, 1, cfg, nil)) },
+		"vcRange on a shared arena":  func() { New(0, cfg, ports, a, nil, vcRange, NewArena(1, 1, cfg, nil)) },
+		"standalone without nextDim": func() { New(0, cfg, ports, a, nil, vcRange, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 func TestCreditOverflowPanics(t *testing.T) {
 	r := testRouter(t, baseConfig())
 	defer func() {
@@ -678,12 +706,12 @@ func TestArenaFootprintIsPinned(t *testing.T) {
 	for kind, pin := range map[alloc.Kind]int{alloc.KindSeparableIF: 839, alloc.KindSeparableAge: 959} {
 		cfg := baseConfig()
 		cfg.VirtualInputs, cfg.Policy, cfg.AllocKind = 2, PolicyBalanced, kind
-		per := arenaBytes(NewArena(2, 1, cfg, NewFlitArena())) - arenaBytes(NewArena(1, 1, cfg, NewFlitArena()))
+		per := arenaBytes(NewArena(2, 1, cfg, nil)) - arenaBytes(NewArena(1, 1, cfg, nil))
 		if per != pin {
 			t.Errorf("%s: the arena holds %d B per router, pinned at %d B", kind, per, pin)
 		}
 		for _, routers := range []int{1, 3} {
-			lane := arenaBytes(NewArena(routers, 2, cfg, NewFlitArena())) - arenaBytes(NewArena(routers, 1, cfg, NewFlitArena()))
+			lane := arenaBytes(NewArena(routers, 2, cfg, nil)) - arenaBytes(NewArena(routers, 1, cfg, nil))
 			if lane != lanePin {
 				t.Errorf("%s: a second lane adds %d B to a %d-router arena, pinned at %d B", kind, lane, routers, lanePin)
 			}
@@ -693,14 +721,14 @@ func TestArenaFootprintIsPinned(t *testing.T) {
 
 // TestRouterFootprintIsPinned holds what router.New allocates beside a
 // shared arena, averaged over 1024 routers at 5 ports, 6 VCs and k = 2:
-// the Router struct alone (64 B), since every per-router array — buffers,
+// the Router struct alone (48 B), since every per-router array — buffers,
 // masks and port kinds — is a segment of the arena, and the request set
 // and the emission and credit scratch are the arena's, per lane.
 func TestRouterFootprintIsPinned(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector pads heap objects; the pin is a normal build's bytes")
 	}
-	const n, pin = 1024, 64
+	const n, pin = 1024, 48
 	cfg := baseConfig()
 	cfg.VirtualInputs, cfg.Policy = 2, PolicyBalanced
 	ports := make([]PortInfo, cfg.Ports)
@@ -711,15 +739,14 @@ func TestRouterFootprintIsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nextDim := func(outPort, dst int) topology.Dim { return topology.DimX }
-	arena := NewArena(n, 1, cfg, NewFlitArena())
+	arena := NewArena(n, 1, cfg, nil) // no router ticks, so none asks the records
 	keep := make([]*Router, n)
 	least := uint64(1 << 63)
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := range keep {
-			keep[i] = New(i, cfg, ports, a, nextDim, nil, arena)
+			keep[i] = New(i, cfg, ports, a, nil, nil, arena)
 		}
 		runtime.ReadMemStats(&after)
 		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)

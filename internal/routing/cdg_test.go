@@ -9,7 +9,7 @@ import (
 )
 
 // channel is one link hop of a route: the output port taken at router,
-// restricted to a VC class (Table.Class on a torus: -1, 0 or 1).
+// restricted to a VC class (Step.Class on a torus: -1, 0 or 1).
 type channel struct{ router, port, class int }
 
 // cdg is a channel dependency graph: a vertex per channel, an edge from
@@ -115,7 +115,9 @@ func TestChannelDependencyGraphIsAcyclic(t *testing.T) {
 		topology.NewTorus(5, 3),
 		topology.NewTorus(8, 8),
 	} {
-		if c := dependencyGraph(topo, Compile(topo).Class).cycle(); c != nil {
+		tab := Compile(topo)
+		class := func(router, dst int) int { return tab.Step(router, dst).Class }
+		if c := dependencyGraph(topo, class).cycle(); c != nil {
 			t.Errorf("%s: channel dependency cycle %s", topo.Name, formatCycle(c))
 		}
 	}

@@ -10,12 +10,14 @@ import (
 
 // TestRoutesArePinned hashes, for every (router, destination) of each
 // topology, the DOR output port, the VC class the network restricts the
-// head to there, and the lookahead dimension NextDim reports through
-// every output port. The digests were recorded from the per-kind route
-// functions, the torus class function and the network's second route
-// call at the peer that the Table replaced (the class was -1
-// off the torus, where the network restricted no VC), so they pin that
-// the table routes exactly as those did. A deliberate routing change —
+// head to there, and the lookahead dimension through every output port:
+// Step's Next through the routed one, and through the others the
+// dimension of the port the peer routes to (DimLocal off a link). The
+// digests were recorded from the per-kind route functions, the torus
+// class function and the network's second route call at the peer that
+// the Table replaced (the class was -1 off the torus, where the network
+// restricted no VC), so they pin that the table routes exactly as those
+// did. A deliberate routing change —
 // a new torus tie rule — moves its topologies' rows and says so.
 func TestRoutesArePinned(t *testing.T) {
 	want := map[string]string{
@@ -32,9 +34,18 @@ func TestRoutesArePinned(t *testing.T) {
 		h := sha256.New()
 		for r := 0; r < topo.NumRouters; r++ {
 			for dst := 0; dst < topo.NumNodes; dst++ {
-				row := []byte{byte(tab.Port(r, dst)), byte(int8(tab.Class(r, dst)))}
-				for p := 0; p < topo.Radix; p++ {
-					row = append(row, byte(tab.NextDim(r, p, dst)))
+				st := tab.Step(r, dst)
+				row := []byte{byte(st.Port), byte(int8(st.Class))}
+				for p, c := range topo.Conn[r] {
+					next := topology.DimLocal
+					switch {
+					case p == st.Port:
+						next = st.Next
+					case c.Kind == topology.Link:
+						peer := int(c.PeerRouter)
+						next = topo.Conn[peer][tab.Port(peer, dst)].Dim
+					}
+					row = append(row, byte(next))
 				}
 				h.Write(row)
 			}

@@ -1,11 +1,11 @@
 // Package routing implements the deterministic dimension-order routing
 // (DOR) of the paper's methodology, selected once per topology as a
-// Table: the output port at each router, the torus dateline VC class of
-// that hop, and the lookahead dimension that lets the three-stage
-// pipeline overlap route computation with allocation. DOR resolves X
-// completely before Y: hop by hop on the mesh and cmesh, the shorter way
-// around each ring on the torus, one direct hop per dimension on the
-// flattened butterfly.
+// Table: at each router, one Step gives the output port, the torus
+// dateline VC class of that hop, and the lookahead dimension that lets
+// the three-stage pipeline overlap route computation with allocation.
+// DOR resolves X completely before Y: hop by hop on the mesh and cmesh,
+// the shorter way around each ring on the torus, one direct hop per
+// dimension on the flattened butterfly.
 package routing
 
 import (
@@ -146,25 +146,28 @@ func torusDir(from, to, k int) int {
 	}
 }
 
-// at returns the step a packet destined to node dst takes at router:
-// the X step while its column differs, then the Y step, then ejection
-// at dst's local port.
-func (rt *Table) at(router, dst int) step {
+// at returns the step a packet destined to node dst takes at router,
+// and the coordinates of dst's router: the X step while its column
+// differs, then the Y step, then ejection at dst's local port.
+func (rt *Table) at(router, dst int) (s step, dx, dy int) {
 	t := rt.topo
 	x, y := t.RouterXY(router)
-	dx, dy := t.RouterXY(t.NodeRouter[dst])
+	dx, dy = t.RouterXY(t.NodeRouter[dst])
 	switch {
 	case x != dx:
-		return rt.rule(t, topology.DimX, x, dx, t.W)
+		return rt.rule(t, topology.DimX, x, dx, t.W), dx, dy
 	case y != dy:
-		return rt.rule(t, topology.DimY, y, dy, t.H)
+		return rt.rule(t, topology.DimY, y, dy, t.H), dx, dy
 	}
-	return step{port: int8(t.LocalPort(dst)), class: -1}
+	return step{port: int8(t.LocalPort(dst)), class: -1}, dx, dy
 }
 
 // Port returns the output port a packet destined to node dst takes at
 // router.
-func (rt *Table) Port(router, dst int) int { return int(rt.at(router, dst).port) }
+func (rt *Table) Port(router, dst int) int {
+	s, _, _ := rt.at(router, dst)
+	return int(s.port)
+}
 
 // Hops returns the router-to-router links a packet destined to node dst
 // crosses from router on, ejection not counted: the sum of its X and Y
@@ -176,29 +179,32 @@ func (rt *Table) Hops(router, dst int) int {
 	return rt.dist(x, dx, t.W) + rt.dist(y, dy, t.H)
 }
 
-// Class returns the dateline VC class, 0 or 1, a packet destined to dst
-// must use on the channel Port(router, dst) leaves through, or -1 when
-// the hop needs no restriction: every hop off the torus, ejection, and
-// rings too small to carry wrap links.
-func (rt *Table) Class(router, dst int) int { return int(rt.at(router, dst).class) }
+// Step is the whole hop a packet destined to one node takes at one
+// router: the output Port; the dateline VC Class, 0 or 1, of the channel
+// it leaves through, or -1 where the hop needs no restriction (off the
+// torus, at ejection, on rings too small to wrap); and Next, the
+// dimension of the port the packet will request at the router Port
+// leads to (the lookahead the Section 2.3 VC policies read): X while
+// that peer's column differs from the destination's, then Y, and
+// DimLocal at the destination's router or off a link.
+type Step struct {
+	Port, Class int
+	Next        topology.Dim
+}
 
-// NextDim returns the dimension of the port a packet destined to dst will
-// request at the router reached through router's outPort (the lookahead
-// the Section 2.3 VC policies read): X while that peer's column differs
-// from dst's, then Y, and DimLocal at dst's router or off a link.
-func (rt *Table) NextDim(router, outPort, dst int) topology.Dim {
+// Step returns the hop a packet destined to node dst takes at router.
+func (rt *Table) Step(router, dst int) Step {
 	t := rt.topo
-	c := &t.Conn[router][outPort]
-	if c.Kind != topology.Link {
-		return topology.DimLocal
+	s, dx, dy := rt.at(router, dst)
+	st := Step{Port: int(s.port), Class: int(s.class), Next: topology.DimLocal}
+	if c := &t.Conn[router][s.port]; c.Kind == topology.Link {
+		px, py := t.RouterXY(int(c.PeerRouter))
+		switch {
+		case px != dx:
+			st.Next = topology.DimX
+		case py != dy:
+			st.Next = topology.DimY
+		}
 	}
-	px, py := t.RouterXY(int(c.PeerRouter))
-	dx, dy := t.RouterXY(t.NodeRouter[dst])
-	switch {
-	case px != dx:
-		return topology.DimX
-	case py != dy:
-		return topology.DimY
-	}
-	return topology.DimLocal
+	return st
 }

@@ -198,7 +198,7 @@ func TestCompileSizeIsIndependentOfShape(t *testing.T) {
 	if got := tab.Port(0, torus.NumNodes-1); got != torus.WestPort() {
 		t.Errorf("torus 65535x1: port at router 0 toward the last node = %d, want west %d (the wrap)", got, torus.WestPort())
 	}
-	if got := tab.Class(0, torus.NumNodes-1); got != 1 {
+	if got := tab.Step(0, torus.NumNodes-1).Class; got != 1 {
 		t.Errorf("torus 65535x1: class of the wrap hop = %d, want 1", got)
 	}
 }

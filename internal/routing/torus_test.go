@@ -82,7 +82,7 @@ func TestTorusClassMonotone(t *testing.T) {
 						t.Fatalf("%s: %d->%d did not converge", topo.Name, src, dst)
 					}
 					p := tab.Port(r, dst)
-					class := tab.Class(r, dst)
+					class := tab.Step(r, dst).Class
 					axis, k := 0, topo.W
 					if p == topo.NorthPort() || p == topo.SouthPort() {
 						axis, k = 1, topo.H
@@ -125,7 +125,7 @@ func TestTorusClassAtEjection(t *testing.T) {
 		if p := tab.Port(r, dst); topo.Conn[r][p].Kind != topology.Local {
 			t.Fatalf("router %d routes its own node %d through non-local port %d", r, dst, p)
 		}
-		if class := tab.Class(r, dst); class != -1 {
+		if class := tab.Step(r, dst).Class; class != -1 {
 			t.Fatalf("ejection of node %d at router %d got class %d, want -1", dst, r, class)
 		}
 	}

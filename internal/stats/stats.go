@@ -20,16 +20,14 @@ type Collector struct {
 	packetsEjected  int64
 	flitsEjected    int64
 
-	latencySum   float64
-	latencyCount int64
-	latencyMax   int64
+	latencySum float64
+	latencyMax int64
 	// latHist[l] counts the packets ejected with latency l: an exact
 	// histogram, so the percentiles are the sorted samples' and the
 	// memory follows the largest latency seen, not the run length.
 	latHist []uint32
 
-	hopSum   int64
-	hopCount int64
+	hopSum int64
 
 	perSrcFlits []int64
 
@@ -91,12 +89,10 @@ func (c *Collector) PacketEjected(latency int64, hops int) {
 	c.latHist[latency]++
 	c.packetsEjected++
 	c.latencySum += float64(latency)
-	c.latencyCount++
 	if latency > c.latencyMax {
 		c.latencyMax = latency
 	}
 	c.hopSum += int64(hops)
-	c.hopCount++
 }
 
 // latHistMin is the histogram's first size; every growth at least doubles
@@ -183,14 +179,12 @@ func (c *Collector) Snapshot() Snapshot {
 		XbarTraversals:  c.flitsSent,
 		LinkTraversals:  c.linkTraversals,
 	}
-	if c.latencyCount > 0 {
-		s.AvgLatency = c.latencySum / float64(c.latencyCount)
+	if c.packetsEjected > 0 {
+		s.AvgLatency = c.latencySum / float64(c.packetsEjected)
 		s.P50Latency = c.percentile(50)
 		s.P90Latency = c.percentile(90)
 		s.P99Latency = c.percentile(99)
-	}
-	if c.hopCount > 0 {
-		s.AvgHops = float64(c.hopSum) / float64(c.hopCount)
+		s.AvgHops = float64(c.hopSum) / float64(c.packetsEjected)
 	}
 	if c.cycles > 0 && c.nodes > 0 {
 		denom := float64(c.cycles) * float64(c.nodes)
@@ -205,14 +199,14 @@ func (c *Collector) Snapshot() Snapshot {
 // latencies — the value at 1-based rank ceil(count*p/100) of the sorted
 // samples — by walking up the histogram. There must be a sample.
 func (c *Collector) percentile(p int64) int64 {
-	rank := max((c.latencyCount*p+99)/100, 1)
+	rank := max((c.packetsEjected*p+99)/100, 1)
 	var seen int64
 	for l, n := range c.latHist {
 		if seen += int64(n); seen >= rank {
 			return int64(l)
 		}
 	}
-	panic(fmt.Sprintf("stats: latency histogram holds %d samples, want %d", seen, c.latencyCount))
+	panic(fmt.Sprintf("stats: latency histogram holds %d samples, want %d", seen, c.packetsEjected))
 }
 
 // fairness returns max/min of the per-source counts; +Inf if any source
